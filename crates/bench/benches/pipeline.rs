@@ -10,7 +10,9 @@ use std::hint::black_box;
 
 use neurovectorizer::{Compiler, LoopDecision};
 use nvc_datasets::generator;
-use nvc_embed::{extract_path_contexts, CodeEmbedder, EmbedConfig, PathSample};
+use nvc_embed::{
+    extract_loop_samples, extract_path_contexts, CodeEmbedder, EmbedConfig, PathSample,
+};
 use nvc_frontend::{parse_statement, parse_translation_unit};
 use nvc_ir::{lower_innermost_loops, ParamEnv};
 use nvc_machine::TargetConfig;
@@ -23,6 +25,12 @@ int kernel() {
     for (int i = 0; i < 512; i++) { sum += vec[i] * vec[i]; }
     return sum;
 }";
+
+const DEPTH4_SHAPE: &str = "int a[4096]; int b[8192]; int c[4096]; int d[4100];
+void kernel(int n, int s) {
+    for (int i = 0; i < n; i++) { a[i] = ((((b[i] + c[i]) * (d[i + 1] - 5)) | ((s & 8) ^ (b[i * 2] * 2))) - (((c[i] | 1) + (s * 100)) & ((d[i + 1] ^ b[i]) - (c[i] * 5)))); }
+}
+";
 
 fn bench_frontend(c: &mut Criterion) {
     c.bench_function("frontend/parse_dot_product", |b| {
@@ -64,7 +72,17 @@ fn bench_embedding(c: &mut Criterion) {
     c.bench_function("embed/path_extraction", |b| {
         b.iter(|| extract_path_contexts(black_box(&stmt), cfg.max_paths))
     });
-    let sample = PathSample::from_contexts(&extract_path_contexts(&stmt, cfg.max_paths), &cfg);
+    // The serving hot path, source bytes → samples, on the two kinds of
+    // source the repo benchmark's `hub_warm` sends: a generated pool kernel
+    // and a synthesized loop whose body is a full depth-4 expression tree.
+    let pool = generator::generate(2020, 1).remove(0).source;
+    c.bench_function("embed/extract_loop_samples_pool_source", |b| {
+        b.iter(|| extract_loop_samples(black_box(&pool), &cfg).unwrap())
+    });
+    c.bench_function("embed/extract_loop_samples_depth4_shape", |b| {
+        b.iter(|| extract_loop_samples(black_box(DEPTH4_SHAPE), &cfg).unwrap())
+    });
+    let sample = PathSample::from_stmt(&stmt, &cfg);
     let mut store = ParamStore::new(1);
     let embedder = CodeEmbedder::new(&mut store, &cfg);
     c.bench_function("embed/forward_fast_config", |b| {

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use parking_lot::Mutex;
 
 use nvc_datasets::Kernel;
-use nvc_embed::{extract_path_contexts, EmbedConfig, PathSample};
+use nvc_embed::{EmbedConfig, PathSample};
 use nvc_frontend::parse_statement;
 use nvc_ir::LoweredLoop;
 use nvc_machine::TargetConfig;
@@ -68,13 +68,10 @@ impl VectorizeEnv {
                 continue;
             };
             for lowered in loops {
-                let sample = match parse_statement(&lowered.nest_text) {
-                    Ok(stmt) => PathSample::from_contexts(
-                        &extract_path_contexts(&stmt, embed_cfg.max_paths),
-                        embed_cfg,
-                    ),
-                    Err(_) => continue,
+                let Ok(stmt) = parse_statement(&lowered.nest_text) else {
+                    continue;
                 };
+                let sample = PathSample::from_stmt(&stmt, embed_cfg);
                 let baseline = vectorizer.compile_baseline(&lowered.ir);
                 contexts.push(LoopContext {
                     kernel_index: ki,

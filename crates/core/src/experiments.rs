@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 
 use nvc_agents::{brute_force_best, DecisionTree, DecisionTreeConfig, NnsAgent, RandomAgent};
 use nvc_datasets::{eval, generator, mibench, polybench, suite, Kernel};
-use nvc_embed::{extract_path_contexts, PathSample};
+use nvc_embed::PathSample;
 use nvc_frontend::parse_statement;
 use nvc_ir::LoweredLoop;
 use nvc_machine::TargetConfig;
@@ -348,10 +348,7 @@ impl ComparisonData {
 fn rl_decide(nv: &NeuroVectorizer, space: &ActionSpace, l: &LoweredLoop) -> LoopDecision {
     match parse_statement(&l.nest_text) {
         Ok(stmt) => {
-            let sample = PathSample::from_contexts(
-                &extract_path_contexts(&stmt, nv.config().embed.max_paths),
-                &nv.config().embed,
-            );
+            let sample = PathSample::from_stmt(&stmt, &nv.config().embed);
             LoopDecision::Pragma(nv.decide(&sample, space))
         }
         Err(_) => LoopDecision::Baseline,
@@ -361,10 +358,7 @@ fn rl_decide(nv: &NeuroVectorizer, space: &ActionSpace, l: &LoweredLoop) -> Loop
 /// Helper: per-loop embedding for the supervised agents.
 fn embed_loop(nv: &NeuroVectorizer, l: &LoweredLoop) -> Option<Vec<f32>> {
     let stmt = parse_statement(&l.nest_text).ok()?;
-    let sample = PathSample::from_contexts(
-        &extract_path_contexts(&stmt, nv.config().embed.max_paths),
-        &nv.config().embed,
-    );
+    let sample = PathSample::from_stmt(&stmt, &nv.config().embed);
     Some(nv.encode(&sample))
 }
 

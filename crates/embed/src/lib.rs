@@ -40,9 +40,7 @@ mod tests {
     use nvc_nn::{Graph, ParamStore};
 
     fn sample_of(src: &str, cfg: &EmbedConfig) -> PathSample {
-        let stmt = parse_statement(src).expect("parse");
-        let ctxs = extract_path_contexts(&stmt, cfg.max_paths);
-        PathSample::from_contexts(&ctxs, cfg)
+        PathSample::from_stmt(&parse_statement(src).expect("parse"), cfg)
     }
 
     #[test]

@@ -344,15 +344,13 @@ impl CodeEmbedder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paths::extract_path_contexts;
     use nvc_frontend::parse_statement;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn sample(src: &str, cfg: &EmbedConfig) -> PathSample {
-        let stmt = parse_statement(src).unwrap();
-        PathSample::from_contexts(&extract_path_contexts(&stmt, cfg.max_paths), cfg)
+        PathSample::from_stmt(&parse_statement(src).unwrap(), cfg)
     }
 
     /// A synthetic sample with `n` contexts drawn from `rng`. Small table

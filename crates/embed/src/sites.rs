@@ -3,15 +3,23 @@
 //!
 //! Both inference products — the one-shot
 //! `NeuroVectorizer::vectorize_source` and the `nvc-serve` daemon — need
-//! the identical pipeline (extract innermost loops, re-parse each nest
-//! text, hash its path contexts) so that their decisions, and the serving
-//! layer's cache keys, agree exactly. This module is that single
-//! implementation.
+//! the identical pipeline (extract innermost loops, parse each nest *as
+//! its text alone would parse*, hash its path contexts) so that their
+//! decisions, and the serving layer's cache keys, agree exactly. This
+//! module is that single implementation, and it is one pass: the file is
+//! lexed once, each nest is parsed from its range of those tokens
+//! ([`nvc_frontend::Lexed::tokens_in`]), and the sample is hashed straight off the
+//! statement ([`PathSample::from_stmt`]).
+//!
+//! "As its text alone would parse" is a rule the training environment
+//! set and persisted cache keys depend on: a macro `#define`d outside a
+//! nest is sampled as the identifier written in the loop (`i < N` → a
+//! variable), not as its expansion (`i < 1024` → a literal bucket); a
+//! macro defined inside the nest is sampled expanded.
 
-use nvc_frontend::{extract_loops, parse_statement, parse_translation_unit, FrontendError};
+use nvc_frontend::{for_each_loop, FrontendError, Lexer, Parser};
 
 use crate::model::EmbedConfig;
-use crate::paths::extract_path_contexts;
 use crate::vocab::PathSample;
 
 /// One decidable innermost loop of a source file.
@@ -26,10 +34,10 @@ pub struct LoopSite {
     pub sample: PathSample,
 }
 
-/// Extracts every innermost loop of `source` and embeds its nest text
-/// into a [`PathSample`]. Loops whose nest text does not re-parse as a
-/// statement are skipped (matching the training environment, which also
-/// drops them).
+/// Extracts every innermost loop of `source` and embeds its nest into a
+/// [`PathSample`]. Loops whose nest does not parse as a statement on its
+/// own are skipped (matching the training environment, which also drops
+/// them).
 ///
 /// # Errors
 ///
@@ -38,22 +46,22 @@ pub fn extract_loop_samples(
     source: &str,
     cfg: &EmbedConfig,
 ) -> Result<Vec<LoopSite>, FrontendError> {
-    let tu = parse_translation_unit(source)?;
-    Ok(extract_loops(&tu, source)
-        .into_iter()
-        .filter(|l| l.is_innermost)
-        .filter_map(|l| {
-            let stmt = parse_statement(&l.nest_text).ok()?;
-            Some(LoopSite {
-                function: l.function,
-                header_line: l.header_line,
-                sample: PathSample::from_contexts(
-                    &extract_path_contexts(&stmt, cfg.max_paths),
-                    cfg,
-                ),
-            })
-        })
-        .collect())
+    let lexed = Lexer::new(source).lex()?;
+    let tu = Parser::new(lexed.tokens()).parse_translation_unit()?;
+    let mut sites = Vec::new();
+    for_each_loop(&tu, &mut |l| {
+        if !l.is_innermost {
+            return;
+        }
+        if let Ok(nest) = Parser::new(&lexed.tokens_in(l.nest_span)).parse_single_statement() {
+            sites.push(LoopSite {
+                function: l.function.to_string(),
+                header_line: l.span.line,
+                sample: PathSample::from_stmt(&nest, cfg),
+            });
+        }
+    });
+    Ok(sites)
 }
 
 #[cfg(test)]

@@ -62,7 +62,8 @@ pub struct PathSample {
 }
 
 impl PathSample {
-    /// Hashes extracted path contexts into table indices.
+    /// Hashes extracted path contexts into table indices — the readable
+    /// form's sink; `PathSample::from_stmt` (in `paths`) is the direct one.
     pub fn from_contexts(contexts: &[PathContext], cfg: &EmbedConfig) -> Self {
         let t = cfg.token_buckets as u64;
         let p = cfg.path_buckets as u64;

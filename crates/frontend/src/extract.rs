@@ -48,68 +48,88 @@ impl ExtractedLoop {
     }
 }
 
+/// One loop of a translation unit by position only: an [`ExtractedLoop`]
+/// without the copied source text, for callers that never read it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LoopRef<'tu> {
+    /// Name of the enclosing function.
+    pub function: &'tu str,
+    /// Nesting depth: 0 for a top-level loop in the function.
+    pub depth: usize,
+    /// True when no other loop is nested inside this one.
+    pub is_innermost: bool,
+    /// Span of the whole loop statement; `span.line` is the header line.
+    pub span: Span,
+    /// Span of the outermost loop of the nest containing this loop.
+    pub nest_span: Span,
+    /// Pragma already attached to the loop, if any.
+    pub pragma: Option<LoopPragma>,
+}
+
+/// Calls `visit` for every loop of `tu`, in source order.
+pub fn for_each_loop<'tu>(tu: &'tu TranslationUnit, visit: &mut impl FnMut(LoopRef<'tu>)) {
+    for f in tu.functions() {
+        visit_loops(&f.body, &f.name, 0, None, visit);
+    }
+}
+
 /// Extracts every loop from `tu`, in source order.
 ///
 /// `source` must be the exact text `tu` was parsed from; it is used to slice
 /// loop snippets.
 pub fn extract_loops(tu: &TranslationUnit, source: &str) -> Vec<ExtractedLoop> {
     let mut out = Vec::new();
-    for f in tu.functions() {
-        extract_from_stmt(&f.body, f, source, 0, None, &mut out);
-    }
-    for (i, l) in out.iter_mut().enumerate() {
-        l.loop_index = i;
-    }
+    for_each_loop(tu, &mut |l| out.push(with_text(l, out.len(), source)));
     out
 }
 
 /// Extracts loops from a single function.
 pub fn extract_loops_in_function(f: &Function, source: &str) -> Vec<ExtractedLoop> {
     let mut out = Vec::new();
-    extract_from_stmt(&f.body, f, source, 0, None, &mut out);
-    for (i, l) in out.iter_mut().enumerate() {
-        l.loop_index = i;
-    }
+    visit_loops(&f.body, &f.name, 0, None, &mut |l| {
+        out.push(with_text(l, out.len(), source))
+    });
     out
 }
 
-fn extract_from_stmt(
-    stmt: &Stmt,
-    f: &Function,
-    source: &str,
+fn with_text(l: LoopRef<'_>, loop_index: usize, source: &str) -> ExtractedLoop {
+    ExtractedLoop {
+        function: l.function.to_string(),
+        loop_index,
+        depth: l.depth,
+        is_innermost: l.is_innermost,
+        span: l.span,
+        nest_span: l.nest_span,
+        header_line: l.span.line,
+        text: l.span.text(source).to_string(),
+        nest_text: l.nest_span.text(source).to_string(),
+        pragma: l.pragma,
+    }
+}
+
+fn visit_loops<'tu>(
+    stmt: &'tu Stmt,
+    function: &'tu str,
     depth: usize,
     nest_root: Option<Span>,
-    out: &mut Vec<ExtractedLoop>,
+    visit: &mut impl FnMut(LoopRef<'tu>),
 ) {
     match &stmt.kind {
         StmtKind::For { body, pragma, .. } | StmtKind::While { body, pragma, .. } => {
             let root = nest_root.unwrap_or(stmt.span);
+            // `walk` visits `body` itself first, so a body that *is* a loop
+            // counts as an inner loop too.
             let mut has_inner = false;
-            body.walk(&mut |s| {
-                if !std::ptr::eq(s, body.as_ref()) && s.is_loop() {
-                    has_inner = true;
-                }
-            });
-            // `walk` visits the body itself; a loop body that *is* a loop
-            // statement still counts as an inner loop, handled above because
-            // `body` is never equal to a nested `for` except when the body is
-            // directly a loop. Re-check precisely:
-            if body.is_loop() {
-                has_inner = true;
-            }
-            out.push(ExtractedLoop {
-                function: f.name.clone(),
-                loop_index: 0,
+            body.walk(&mut |s| has_inner |= s.is_loop());
+            visit(LoopRef {
+                function,
                 depth,
                 is_innermost: !has_inner,
                 span: stmt.span,
                 nest_span: root,
-                header_line: stmt.span.line,
-                text: stmt.span.text(source).to_string(),
-                nest_text: root.text(source).to_string(),
                 pragma: *pragma,
             });
-            extract_from_stmt(body, f, source, depth + 1, Some(root), out);
+            visit_loops(body, function, depth + 1, Some(root), visit);
         }
         StmtKind::If {
             then_branch,
@@ -118,14 +138,14 @@ fn extract_from_stmt(
         } => {
             // Loops under conditionals start a fresh nest for extraction
             // purposes only if we are not already inside a loop.
-            extract_from_stmt(then_branch, f, source, depth, nest_root, out);
+            visit_loops(then_branch, function, depth, nest_root, visit);
             if let Some(e) = else_branch {
-                extract_from_stmt(e, f, source, depth, nest_root, out);
+                visit_loops(e, function, depth, nest_root, visit);
             }
         }
         StmtKind::Block(stmts) => {
             for s in stmts {
-                extract_from_stmt(s, f, source, depth, nest_root, out);
+                visit_loops(s, function, depth, nest_root, visit);
             }
         }
         _ => {}

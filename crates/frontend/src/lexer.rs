@@ -10,7 +10,14 @@
 //!   the loop that follows;
 //! * `__attribute__((…))` blobs are folded into a single
 //!   [`TokenKind::Attribute`] token carrying their text.
+//!
+//! Tokens borrow their text from the source. [`Lexer::lex`] also records
+//! where each macro was expanded, so [`Lexed::tokens_in`] can hand out the
+//! tokens of a sub-span as lexing that sub-span *on its own* would yield
+//! them — the loop-sampling path parses each nest from there instead of
+//! lexing its text a second time.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -80,19 +87,19 @@ impl fmt::Display for Span {
     }
 }
 
-/// The kind of a lexical token.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+/// The kind of a lexical token. Text payloads borrow from the source.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TokenKind<'src> {
     /// Identifier or keyword (keywords are resolved by the parser).
-    Ident(String),
+    Ident(&'src str),
     /// Integer literal (decimal or hex).
     IntLit(i64),
     /// Floating-point literal.
     FloatLit(f64),
     /// Character literal, stored as its integer value.
     CharLit(i64),
-    /// String literal (contents without quotes).
-    StrLit(String),
+    /// String literal: the text between the quotes, escapes unprocessed.
+    StrLit(&'src str),
     /// `#pragma clang loop vectorize_width(V) interleave_count(I)`.
     PragmaClangLoop {
         /// Requested vectorization factor.
@@ -101,16 +108,16 @@ pub enum TokenKind {
         interleave_count: u32,
     },
     /// An `__attribute__((…))` blob, verbatim inner text.
-    Attribute(String),
+    Attribute(&'src str),
     /// Any punctuation or operator, e.g. `+=` or `(`.
     Punct(&'static str),
     /// End of input.
     Eof,
 }
 
-impl TokenKind {
+impl<'src> TokenKind<'src> {
     /// Returns the identifier text if this token is an identifier.
-    pub fn as_ident(&self) -> Option<&str> {
+    pub fn as_ident(&self) -> Option<&'src str> {
         match self {
             TokenKind::Ident(s) => Some(s),
             _ => None,
@@ -118,7 +125,7 @@ impl TokenKind {
     }
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Ident(s) => write!(f, "`{s}`"),
@@ -135,24 +142,158 @@ impl fmt::Display for TokenKind {
 }
 
 /// A token together with its source span.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'src> {
     /// What was lexed.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'src>,
     /// Where it was lexed from.
     pub span: Span,
 }
 
-/// Multi-character punctuation, longest first so maximal munch works.
-const PUNCTS: &[&str] = &[
+/// Every punctuation token, longest first: the first entry that prefixes
+/// the input is the token (maximal munch). The lexer itself dispatches on
+/// bytes (`punct_at`); this table is the statement of what that dispatch
+/// must equal, and the oracle its tests compare against.
+pub const PUNCTS: &[&str] = &[
     "<<=", ">>=", "...", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "+=", "-=", "*=", "/=",
     "%=", "&=", "|=", "^=", "++", "--", "->", "+", "-", "*", "/", "%", "<", ">", "=", "!", "&",
     "|", "^", "~", "?", ":", ";", ",", ".", "(", ")", "[", "]", "{", "}",
 ];
 
+/// The punctuation token `rest` starts with, if any.
+fn punct_at(rest: &[u8]) -> Option<&'static str> {
+    // A missing byte reads as NUL, which no punctuation contains.
+    let at = |i: usize| rest.get(i).copied().unwrap_or(0);
+    Some(match (at(0), at(1), at(2)) {
+        (b'<', b'<', b'=') => "<<=",
+        (b'>', b'>', b'=') => ">>=",
+        (b'.', b'.', b'.') => "...",
+        (b'<', b'<', _) => "<<",
+        (b'>', b'>', _) => ">>",
+        (b'<', b'=', _) => "<=",
+        (b'>', b'=', _) => ">=",
+        (b'=', b'=', _) => "==",
+        (b'!', b'=', _) => "!=",
+        (b'&', b'&', _) => "&&",
+        (b'|', b'|', _) => "||",
+        (b'+', b'=', _) => "+=",
+        (b'-', b'=', _) => "-=",
+        (b'*', b'=', _) => "*=",
+        (b'/', b'=', _) => "/=",
+        (b'%', b'=', _) => "%=",
+        (b'&', b'=', _) => "&=",
+        (b'|', b'=', _) => "|=",
+        (b'^', b'=', _) => "^=",
+        (b'+', b'+', _) => "++",
+        (b'-', b'-', _) => "--",
+        (b'-', b'>', _) => "->",
+        (b'+', ..) => "+",
+        (b'-', ..) => "-",
+        (b'*', ..) => "*",
+        (b'/', ..) => "/",
+        (b'%', ..) => "%",
+        (b'<', ..) => "<",
+        (b'>', ..) => ">",
+        (b'=', ..) => "=",
+        (b'!', ..) => "!",
+        (b'&', ..) => "&",
+        (b'|', ..) => "|",
+        (b'^', ..) => "^",
+        (b'~', ..) => "~",
+        (b'?', ..) => "?",
+        (b':', ..) => ":",
+        (b';', ..) => ";",
+        (b',', ..) => ",",
+        (b'.', ..) => ".",
+        (b'(', ..) => "(",
+        (b')', ..) => ")",
+        (b'[', ..) => "[",
+        (b']', ..) => "]",
+        (b'{', ..) => "{",
+        (b'}', ..) => "}",
+        _ => return None,
+    })
+}
+
+/// One use of a `#define`d name, as [`Lexer::lex`] expanded it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Expansion<'src> {
+    /// The macro name written at the use site.
+    name: &'src str,
+    /// Span of that name (every expanded token carries it too).
+    span: Span,
+    /// Index in the token stream of the first expanded token.
+    at: usize,
+    /// Number of expanded tokens (zero for an empty macro body).
+    len: usize,
+    /// Byte offset of the `#define` that was in force.
+    defined_at: usize,
+}
+
+/// A lexed source: the expanded token stream plus the record of where
+/// macros were expanded into it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Lexed<'src> {
+    tokens: Vec<Token<'src>>,
+    /// In source order; `at..at + len` indexes `tokens`.
+    expansions: Vec<Expansion<'src>>,
+}
+
+impl<'src> Lexed<'src> {
+    /// The whole token stream, ending with [`TokenKind::Eof`].
+    pub fn tokens(&self) -> &[Token<'src>] {
+        &self.tokens
+    }
+
+    /// The tokens that lexing the text of `span` *by itself* would yield
+    /// (without the trailing `Eof`, spans still relative to the whole
+    /// source). That differs from the tokens the whole-file pass put there
+    /// in one way: a macro whose `#define` sits before `span` is unknown
+    /// to a lexer that starts at `span`, so its uses inside come back as
+    /// the identifier written at the use site; uses of a macro defined
+    /// inside `span` stay expanded. `span` must start and end on token
+    /// boundaries, as every AST span does.
+    ///
+    /// With no such use inside `span` — the common case — this is a
+    /// sub-slice of the one token vector.
+    pub fn tokens_in(&self, span: Span) -> Cow<'_, [Token<'src>]> {
+        let lo = self.tokens.partition_point(|t| t.span.start < span.start);
+        let hi = lo + self.tokens[lo..].partition_point(|t| t.span.start < span.end);
+        let first = self
+            .expansions
+            .partition_point(|e| e.span.start < span.start);
+        let inside = &self.expansions[first..];
+        let inside = &inside[..inside.partition_point(|e| e.span.start < span.end)];
+        if inside.iter().all(|e| e.defined_at >= span.start) {
+            return Cow::Borrowed(&self.tokens[lo..hi]);
+        }
+        let mut out = Vec::with_capacity(hi - lo);
+        let mut next = lo;
+        for e in inside.iter().filter(|e| e.defined_at < span.start) {
+            out.extend_from_slice(&self.tokens[next..e.at]);
+            out.push(Token {
+                kind: TokenKind::Ident(e.name),
+                span: e.span,
+            });
+            next = e.at + e.len;
+        }
+        out.extend_from_slice(&self.tokens[next..hi]);
+        Cow::Owned(out)
+    }
+}
+
+/// A `#define`d object macro.
+#[derive(Debug)]
+struct Macro<'src> {
+    body: Vec<Token<'src>>,
+    /// Byte offset of the directive's `#`.
+    defined_at: usize,
+}
+
 /// Streaming tokenizer over a source string.
 ///
-/// Construct with [`Lexer::new`] and call [`Lexer::tokenize`].
+/// Construct with [`Lexer::new`] and call [`Lexer::tokenize`] (or
+/// [`Lexer::lex`] to keep the macro-expansion record).
 #[derive(Debug)]
 pub struct Lexer<'src> {
     src: &'src str,
@@ -160,7 +301,7 @@ pub struct Lexer<'src> {
     pos: usize,
     line: u32,
     col: u32,
-    macros: HashMap<String, Vec<Token>>,
+    macros: HashMap<&'src str, Macro<'src>>,
 }
 
 impl<'src> Lexer<'src> {
@@ -182,77 +323,94 @@ impl<'src> Lexer<'src> {
     ///
     /// Returns a [`FrontendError`] on malformed literals, unknown characters,
     /// or malformed preprocessor lines.
-    pub fn tokenize(mut self) -> Result<Vec<Token>, FrontendError> {
-        let mut out = Vec::new();
+    pub fn tokenize(self) -> Result<Vec<Token<'src>>, FrontendError> {
+        self.lex().map(|lexed| lexed.tokens)
+    }
+
+    /// [`Lexer::tokenize`], keeping the record of macro expansions that
+    /// [`Lexed::tokens_in`] needs.
+    ///
+    /// # Errors
+    ///
+    /// As [`Lexer::tokenize`].
+    pub fn lex(mut self) -> Result<Lexed<'src>, FrontendError> {
+        // The paper's kernels average one token per two source bytes.
+        let mut out = Vec::with_capacity(self.bytes.len() / 2 + 1);
+        let mut expansions = Vec::new();
         loop {
             self.skip_trivia()?;
-            if self.pos >= self.bytes.len() {
+            let Some(&c) = self.bytes.get(self.pos) else {
                 break;
-            }
-            let start_line = self.line;
-            let start_col = self.col;
-            let start = self.pos;
-            let c = self.bytes[self.pos];
-
-            if c == b'#' {
-                self.lex_directive(&mut out)?;
-                continue;
-            }
-            if c.is_ascii_alphabetic() || c == b'_' {
-                let ident = self.lex_ident();
-                let span = Span::new(start, self.pos, start_line, start_col);
-                if ident == "__attribute__" {
-                    let inner = self.lex_attribute_body(start_line, start_col)?;
-                    out.push(Token {
-                        kind: TokenKind::Attribute(inner),
-                        span: Span::new(start, self.pos, start_line, start_col),
-                    });
-                } else if let Some(expansion) = self.macros.get(&ident) {
-                    // One-level object-macro expansion; spans point at the use site.
-                    for t in expansion.clone() {
-                        out.push(Token { kind: t.kind, span });
+            };
+            let (start, line, col) = (self.pos, self.line, self.col);
+            match c {
+                b'#' => self.lex_directive(&mut out)?,
+                b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                    let ident = self.lex_ident();
+                    let span = Span::new(start, self.pos, line, col);
+                    if ident == "__attribute__" {
+                        let inner = self.lex_attribute_body(line, col)?;
+                        out.push(Token {
+                            kind: TokenKind::Attribute(inner),
+                            span: Span::new(start, self.pos, line, col),
+                        });
+                    } else if let Some(m) = self.macro_named(ident) {
+                        // One-level object-macro expansion; spans point at the use site.
+                        expansions.push(Expansion {
+                            name: ident,
+                            span,
+                            at: out.len(),
+                            len: m.body.len(),
+                            defined_at: m.defined_at,
+                        });
+                        out.extend(m.body.iter().map(|t| Token { kind: t.kind, span }));
+                    } else {
+                        out.push(Token {
+                            kind: TokenKind::Ident(ident),
+                            span,
+                        });
                     }
-                } else {
+                }
+                b'0'..=b'9' => out.push(self.lex_number(line, col)?),
+                b'.' if self.peek_digit_at(self.pos + 1) => out.push(self.lex_number(line, col)?),
+                b'\'' => out.push(self.lex_char(line, col)?),
+                b'"' => out.push(self.lex_string(line, col)?),
+                _ => {
+                    let Some(p) = punct_at(&self.bytes[self.pos..]) else {
+                        // `pos` only ever stops on a character boundary: every
+                        // construct above ends on an ASCII byte.
+                        let found = self.src[self.pos..].chars().next().unwrap_or(c as char);
+                        return Err(FrontendError::new(
+                            format!("unexpected character `{found}`"),
+                            line,
+                            col,
+                        ));
+                    };
+                    self.advance_in_line(p.len());
                     out.push(Token {
-                        kind: TokenKind::Ident(ident),
-                        span,
+                        kind: TokenKind::Punct(p),
+                        span: Span::new(start, self.pos, line, col),
                     });
                 }
-                continue;
             }
-            if c.is_ascii_digit() || (c == b'.' && self.peek_digit_at(self.pos + 1)) {
-                let tok = self.lex_number(start_line, start_col)?;
-                out.push(tok);
-                continue;
-            }
-            if c == b'\'' {
-                let tok = self.lex_char(start_line, start_col)?;
-                out.push(tok);
-                continue;
-            }
-            if c == b'"' {
-                let tok = self.lex_string(start_line, start_col)?;
-                out.push(tok);
-                continue;
-            }
-            if let Some(p) = self.lex_punct() {
-                out.push(Token {
-                    kind: TokenKind::Punct(p),
-                    span: Span::new(start, self.pos, start_line, start_col),
-                });
-                continue;
-            }
-            return Err(FrontendError::new(
-                format!("unexpected character `{}`", c as char),
-                start_line,
-                start_col,
-            ));
         }
         out.push(Token {
             kind: TokenKind::Eof,
             span: Span::new(self.pos, self.pos, self.line, self.col),
         });
-        Ok(out)
+        Ok(Lexed {
+            tokens: out,
+            expansions,
+        })
+    }
+
+    /// The macro `ident` names, if any. Most sources define none, and then
+    /// no identifier pays for a table probe.
+    fn macro_named(&self, ident: &str) -> Option<&Macro<'src>> {
+        if self.macros.is_empty() {
+            return None;
+        }
+        self.macros.get(ident)
     }
 
     fn advance(&mut self) {
@@ -267,22 +425,25 @@ impl<'src> Lexer<'src> {
         }
     }
 
+    /// Advances over `n` bytes known to hold no newline.
+    fn advance_in_line(&mut self, n: usize) {
+        self.pos += n;
+        self.col += n as u32;
+    }
+
     fn peek_digit_at(&self, i: usize) -> bool {
         self.bytes.get(i).is_some_and(u8::is_ascii_digit)
     }
 
     fn skip_trivia(&mut self) -> Result<(), FrontendError> {
         loop {
-            if self.pos >= self.bytes.len() {
+            let Some(&c) = self.bytes.get(self.pos) else {
                 return Ok(());
-            }
-            let c = self.bytes[self.pos];
+            };
             if c.is_ascii_whitespace() {
                 self.advance();
             } else if c == b'/' && self.bytes.get(self.pos + 1) == Some(&b'/') {
-                while self.pos < self.bytes.len() && self.bytes[self.pos] != b'\n' {
-                    self.advance();
-                }
+                self.take_rest_of_line();
             } else if c == b'/' && self.bytes.get(self.pos + 1) == Some(&b'*') {
                 let (line, col) = (self.line, self.col);
                 self.advance();
@@ -304,17 +465,18 @@ impl<'src> Lexer<'src> {
         }
     }
 
-    fn lex_ident(&mut self) -> String {
+    fn lex_ident(&mut self) -> &'src str {
+        let rest = &self.bytes[self.pos..];
+        let n = rest
+            .iter()
+            .position(|b| !(b.is_ascii_alphanumeric() || *b == b'_'))
+            .unwrap_or(rest.len());
         let start = self.pos;
-        while self.pos < self.bytes.len()
-            && (self.bytes[self.pos].is_ascii_alphanumeric() || self.bytes[self.pos] == b'_')
-        {
-            self.advance();
-        }
-        self.src[start..self.pos].to_string()
+        self.advance_in_line(n);
+        &self.src[start..self.pos]
     }
 
-    fn lex_number(&mut self, line: u32, col: u32) -> Result<Token, FrontendError> {
+    fn lex_number(&mut self, line: u32, col: u32) -> Result<Token<'src>, FrontendError> {
         let start = self.pos;
         let mut is_float = false;
         if self.bytes[self.pos] == b'0'
@@ -393,7 +555,7 @@ impl<'src> Lexer<'src> {
         }
     }
 
-    fn lex_char(&mut self, line: u32, col: u32) -> Result<Token, FrontendError> {
+    fn lex_char(&mut self, line: u32, col: u32) -> Result<Token<'src>, FrontendError> {
         let start = self.pos;
         self.advance(); // opening quote
         let v = match self.bytes.get(self.pos) {
@@ -439,92 +601,72 @@ impl<'src> Lexer<'src> {
         })
     }
 
-    fn lex_string(&mut self, line: u32, col: u32) -> Result<Token, FrontendError> {
+    fn lex_string(&mut self, line: u32, col: u32) -> Result<Token<'src>, FrontendError> {
         let start = self.pos;
         self.advance(); // opening quote
-        let mut s = String::new();
         loop {
             match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.advance();
-                    break;
-                }
+                Some(b'"') => break,
                 Some(b'\\') => {
                     self.advance();
-                    if let Some(&esc) = self.bytes.get(self.pos) {
-                        s.push(match esc {
-                            b'n' => '\n',
-                            b't' => '\t',
-                            other => other as char,
-                        });
-                        self.advance();
-                    }
-                }
-                Some(&c) => {
-                    s.push(c as char);
                     self.advance();
                 }
+                Some(_) => self.advance(),
                 None => return Err(FrontendError::new("unterminated string literal", line, col)),
             }
         }
+        let text = &self.src[start + 1..self.pos];
+        self.advance(); // closing quote
         Ok(Token {
-            kind: TokenKind::StrLit(s),
+            kind: TokenKind::StrLit(text),
             span: Span::new(start, self.pos, line, col),
         })
     }
 
-    fn lex_punct(&mut self) -> Option<&'static str> {
-        for p in PUNCTS {
-            if self.src[self.pos..].starts_with(p) {
-                for _ in 0..p.len() {
-                    self.advance();
-                }
-                return Some(p);
-            }
-        }
-        None
+    /// Consumes text through the rest of the current line, returning it.
+    fn take_rest_of_line(&mut self) -> &'src str {
+        let rest = &self.bytes[self.pos..];
+        let n = rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
+        let start = self.pos;
+        self.advance_in_line(n);
+        &self.src[start..self.pos]
     }
 
-    /// Consumes text through the rest of the current line, returning it.
-    fn take_rest_of_line(&mut self) -> String {
-        let start = self.pos;
-        while self.pos < self.bytes.len() && self.bytes[self.pos] != b'\n' {
+    fn skip_blanks(&mut self) {
+        while matches!(self.bytes.get(self.pos), Some(b' ') | Some(b'\t')) {
             self.advance();
         }
-        self.src[start..self.pos].to_string()
     }
 
-    fn lex_directive(&mut self, out: &mut Vec<Token>) -> Result<(), FrontendError> {
+    fn lex_directive(&mut self, out: &mut Vec<Token<'src>>) -> Result<(), FrontendError> {
         let line = self.line;
         let col = self.col;
         let start = self.pos;
         self.advance(); // '#'
-                        // Skip horizontal whitespace between '#' and the directive name.
-        while matches!(self.bytes.get(self.pos), Some(b' ') | Some(b'\t')) {
-            self.advance();
-        }
-        let name = self.lex_ident();
-        match name.as_str() {
+        self.skip_blanks();
+        match self.lex_ident() {
             "define" => {
-                while matches!(self.bytes.get(self.pos), Some(b' ') | Some(b'\t')) {
-                    self.advance();
-                }
+                self.skip_blanks();
                 let macro_name = self.lex_ident();
                 if macro_name.is_empty() {
                     return Err(FrontendError::new("#define requires a name", line, col));
                 }
-                let body = self.take_rest_of_line();
-                let body_tokens = Lexer::new(body.trim())
+                let body = Lexer::new(self.take_rest_of_line().trim())
                     .tokenize()?
                     .into_iter()
                     .filter(|t| t.kind != TokenKind::Eof)
-                    .collect::<Vec<_>>();
-                self.macros.insert(macro_name, body_tokens);
+                    .collect();
+                self.macros.insert(
+                    macro_name,
+                    Macro {
+                        body,
+                        defined_at: start,
+                    },
+                );
                 Ok(())
             }
             "pragma" => {
-                let rest = self.take_rest_of_line();
-                let rest = rest.trim();
+                let rest = self.take_rest_of_line().trim();
                 if let Some(tok) =
                     parse_clang_loop_pragma(rest, Span::new(start, self.pos, line, col))
                 {
@@ -547,7 +689,7 @@ impl<'src> Lexer<'src> {
         }
     }
 
-    fn lex_attribute_body(&mut self, line: u32, col: u32) -> Result<String, FrontendError> {
+    fn lex_attribute_body(&mut self, line: u32, col: u32) -> Result<&'src str, FrontendError> {
         self.skip_trivia()?;
         if self.bytes.get(self.pos) != Some(&b'(') {
             return Err(FrontendError::new(
@@ -584,15 +726,14 @@ impl<'src> Lexer<'src> {
                 .and_then(|s| s.strip_suffix(')'))
                 .unwrap_or(inner);
         }
-        Ok(inner.trim().to_string())
+        Ok(inner.trim())
     }
 }
-
 /// Parses the body of a `pragma` line, recognizing `clang loop` hints.
 ///
 /// Returns `None` for pragmas we do not model (they are ignored, like a real
 /// compiler ignores unknown pragmas).
-fn parse_clang_loop_pragma(rest: &str, span: Span) -> Option<Token> {
+fn parse_clang_loop_pragma(rest: &str, span: Span) -> Option<Token<'static>> {
     let mut words = rest.split_whitespace();
     if words.next()? != "clang" || words.next()? != "loop" {
         return None;
@@ -628,7 +769,7 @@ fn parse_clang_loop_pragma(rest: &str, span: Span) -> Option<Token> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         Lexer::new(src)
             .tokenize()
             .unwrap()
@@ -643,11 +784,11 @@ mod tests {
         assert_eq!(
             k,
             vec![
-                TokenKind::Ident("a".into()),
+                TokenKind::Ident("a"),
                 TokenKind::Punct("+"),
                 TokenKind::IntLit(42),
                 TokenKind::Punct("*"),
-                TokenKind::Ident("b3".into()),
+                TokenKind::Ident("b3"),
                 TokenKind::Eof,
             ]
         );
@@ -660,6 +801,63 @@ mod tests {
         assert!(k.contains(&TokenKind::Punct("<<=")));
         assert!(k.contains(&TokenKind::Punct("<<")));
         assert!(k.contains(&TokenKind::Punct("<=")));
+    }
+
+    #[test]
+    fn punct_dispatch_equals_first_match_in_the_table() {
+        let mut alphabet: Vec<u8> = PUNCTS.iter().flat_map(|p| p.bytes()).collect();
+        alphabet.sort_unstable();
+        alphabet.dedup();
+        alphabet.extend([b'a', b' ']);
+        for &a in &alphabet {
+            for &b in &alphabet {
+                for &c in &alphabet {
+                    for len in 1..=3 {
+                        let window = &[a, b, c][..len];
+                        let text = std::str::from_utf8(window).unwrap();
+                        let first_match = PUNCTS.iter().copied().find(|p| text.starts_with(p));
+                        assert_eq!(punct_at(window), first_match, "on {text:?}");
+                    }
+                }
+            }
+        }
+        assert_eq!(punct_at(b""), None);
+    }
+
+    #[test]
+    fn tokens_in_a_span_are_what_lexing_its_text_gives() {
+        let src = "#define N 512\n#define EMPTY\nint a[N];\n\
+                   for (i = 0; i < N; i++) {\n#define M (N + 1)\n EMPTY a[i] = M; }\nN";
+        let lexed = Lexer::new(src).lex().unwrap();
+        let start = src.find("for").unwrap();
+        let nest = Span::new(start, src.rfind('}').unwrap() + 1, 4, 1);
+        fn kinds<'a>(ts: &[Token<'a>]) -> Vec<TokenKind<'a>> {
+            ts.iter().map(|t| t.kind).collect()
+        }
+
+        let alone = Lexer::new(nest.text(src)).tokenize().unwrap();
+        let in_place = lexed.tokens_in(nest);
+        assert!(
+            matches!(in_place, Cow::Owned(_)),
+            "`N` and `EMPTY` are spliced"
+        );
+        assert_eq!(kinds(&in_place), kinds(&alone[..alone.len() - 1]));
+        // `N` and `EMPTY` come from outside: identifiers, at their use site.
+        assert_eq!(in_place[8].kind, TokenKind::Ident("N"));
+        assert_eq!(in_place[8].span.text(src), "N");
+        assert!(in_place.iter().any(|t| t.kind == TokenKind::Ident("EMPTY")));
+        // `M` is defined inside: expanded, its body's `N` left alone.
+        assert!(!in_place.iter().any(|t| t.kind == TokenKind::Ident("M")));
+
+        // A span no outside macro is used in is a sub-slice of the stream.
+        let decl = Span::new(
+            src.find("a[i]").unwrap(),
+            src.find("a[i]").unwrap() + 4,
+            6,
+            8,
+        );
+        assert!(matches!(lexed.tokens_in(decl), Cow::Borrowed(_)));
+        assert_eq!(lexed.tokens_in(decl).len(), 4);
     }
 
     #[test]
@@ -679,9 +877,9 @@ mod tests {
         assert_eq!(
             k,
             vec![
-                TokenKind::Ident("a".into()),
-                TokenKind::Ident("b".into()),
-                TokenKind::Ident("c".into()),
+                TokenKind::Ident("a"),
+                TokenKind::Ident("b"),
+                TokenKind::Ident("c"),
                 TokenKind::Eof,
             ]
         );
@@ -697,29 +895,27 @@ mod tests {
                 interleave_count: 4
             }
         );
-        assert_eq!(k[1], TokenKind::Ident("for".into()));
+        assert_eq!(k[1], TokenKind::Ident("for"));
     }
 
     #[test]
     fn lex_unknown_pragma_is_ignored() {
         let k = kinds("#pragma omp parallel for\nx");
-        assert_eq!(k[0], TokenKind::Ident("x".into()));
+        assert_eq!(k[0], TokenKind::Ident("x"));
     }
 
     #[test]
     fn lex_define_macro_expansion() {
         let k = kinds("#define N 512\nint a[N];");
         assert!(k.contains(&TokenKind::IntLit(512)));
-        assert!(!k
-            .iter()
-            .any(|t| matches!(t, TokenKind::Ident(s) if s == "N")));
+        assert!(!k.iter().any(|t| matches!(t, TokenKind::Ident("N"))));
     }
 
     #[test]
     fn lex_define_expression_macro() {
         let k = kinds("#define SZ (N*2)\nSZ");
         assert_eq!(k[0], TokenKind::Punct("("));
-        assert_eq!(k[1], TokenKind::Ident("N".into()));
+        assert_eq!(k[1], TokenKind::Ident("N"));
     }
 
     #[test]
@@ -727,7 +923,7 @@ mod tests {
         let k = kinds("int v[4] __attribute__((aligned(16)));");
         assert!(k
             .iter()
-            .any(|t| matches!(t, TokenKind::Attribute(s) if s == "aligned(16)")));
+            .any(|t| matches!(t, TokenKind::Attribute("aligned(16)"))));
     }
 
     #[test]
@@ -757,6 +953,6 @@ mod tests {
     #[test]
     fn lex_include_is_skipped() {
         let k = kinds("#include <stdio.h>\nint x;");
-        assert_eq!(k[0], TokenKind::Ident("int".into()));
+        assert_eq!(k[0], TokenKind::Ident("int"));
     }
 }

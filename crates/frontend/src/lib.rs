@@ -53,8 +53,8 @@ pub use ast::{
     BinaryOp, Expr, ExprKind, Function, GlobalVar, Item, LoopPragma, Stmt, StmtKind,
     TranslationUnit, Type, UnaryOp,
 };
-pub use extract::{extract_loops, ExtractedLoop};
-pub use lexer::{Lexer, Span, Token, TokenKind};
+pub use extract::{extract_loops, for_each_loop, ExtractedLoop, LoopRef};
+pub use lexer::{Lexed, Lexer, Span, Token, TokenKind};
 pub use parser::Parser;
 pub use pragma::{inject_pragma, inject_pragmas, strip_pragmas};
 pub use printer::print_translation_unit;
@@ -115,7 +115,7 @@ impl Error for FrontendError {}
 /// supported C subset.
 pub fn parse_translation_unit(source: &str) -> Result<TranslationUnit, FrontendError> {
     let tokens = Lexer::new(source).tokenize()?;
-    Parser::new(tokens).parse_translation_unit()
+    Parser::new(&tokens).parse_translation_unit()
 }
 
 /// Parses a single statement (typically a loop) from source text.
@@ -127,7 +127,7 @@ pub fn parse_translation_unit(source: &str) -> Result<TranslationUnit, FrontendE
 /// Returns a [`FrontendError`] when the snippet is not a valid statement.
 pub fn parse_statement(source: &str) -> Result<Stmt, FrontendError> {
     let tokens = Lexer::new(source).tokenize()?;
-    Parser::new(tokens).parse_single_statement()
+    Parser::new(&tokens).parse_single_statement()
 }
 
 #[cfg(test)]

@@ -14,16 +14,38 @@ use crate::lexer::{Span, Token, TokenKind};
 use crate::FrontendError;
 
 /// Parser over a token stream produced by [`crate::Lexer`].
+///
+/// The tokens are borrowed and never cloned: spans and literal payloads are
+/// copied out, and an identifier becomes a `String` once, where it enters
+/// the AST.
 #[derive(Debug)]
-pub struct Parser {
-    tokens: Vec<Token>,
+pub struct Parser<'a> {
+    tokens: &'a [Token<'a>],
     pos: usize,
+    /// What `peek` yields past the end of `tokens`.
+    eof: Token<'a>,
 }
 
-impl Parser {
-    /// Creates a parser over `tokens` (must end with [`TokenKind::Eof`]).
-    pub fn new(tokens: Vec<Token>) -> Self {
-        Self { tokens, pos: 0 }
+impl<'a> Parser<'a> {
+    /// Creates a parser over `tokens`. The end of the slice reads as
+    /// [`TokenKind::Eof`] whether or not such a token is there, so any
+    /// sub-slice of a lexed stream can be parsed in place.
+    pub fn new(tokens: &'a [Token<'a>]) -> Self {
+        let eof = match tokens.last() {
+            Some(t) if t.kind == TokenKind::Eof => *t,
+            // Errors at the implied end point at the last token.
+            last => Token {
+                kind: TokenKind::Eof,
+                span: last.map_or(Span::new(0, 0, 1, 1), |t| {
+                    Span::new(t.span.end, t.span.end, t.span.line, t.span.col)
+                }),
+            },
+        };
+        Self {
+            tokens,
+            pos: 0,
+            eof,
+        }
     }
 
     /// Parses the whole token stream as a translation unit.
@@ -59,17 +81,17 @@ impl Parser {
     // Token helpers
     // ------------------------------------------------------------------
 
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+    fn peek(&self) -> Token<'a> {
+        self.tokens.get(self.pos).copied().unwrap_or(self.eof)
     }
 
     fn at_eof(&self) -> bool {
         matches!(self.peek().kind, TokenKind::Eof)
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
+    fn bump(&mut self) -> Token<'a> {
+        let t = self.peek();
+        if self.pos < self.tokens.len() {
             self.pos += 1;
         }
         t
@@ -85,7 +107,7 @@ impl Parser {
     }
 
     fn eat_punct(&mut self, p: &str) -> bool {
-        if matches!(&self.peek().kind, TokenKind::Punct(q) if *q == p) {
+        if matches!(self.peek().kind, TokenKind::Punct(q) if q == p) {
             self.bump();
             true
         } else {
@@ -94,7 +116,7 @@ impl Parser {
     }
 
     fn expect_punct(&mut self, p: &str) -> Result<Span, FrontendError> {
-        if matches!(&self.peek().kind, TokenKind::Punct(q) if *q == p) {
+        if matches!(self.peek().kind, TokenKind::Punct(q) if q == p) {
             Ok(self.bump().span)
         } else {
             Err(self.error_here(format!("expected `{p}`")))
@@ -102,7 +124,7 @@ impl Parser {
     }
 
     fn eat_ident(&mut self, kw: &str) -> bool {
-        if matches!(&self.peek().kind, TokenKind::Ident(s) if s == kw) {
+        if matches!(self.peek().kind, TokenKind::Ident(s) if s == kw) {
             self.bump();
             true
         } else {
@@ -111,12 +133,8 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> Result<(String, Span), FrontendError> {
-        match &self.peek().kind {
-            TokenKind::Ident(s) => {
-                let s = s.clone();
-                let span = self.bump().span;
-                Ok((s, span))
-            }
+        match self.peek().kind {
+            TokenKind::Ident(s) => Ok((s.to_string(), self.bump().span)),
             _ => Err(self.error_here("expected identifier")),
         }
     }
@@ -124,8 +142,8 @@ impl Parser {
     /// Skips any attribute tokens, collecting their text.
     fn eat_attributes(&mut self) -> Vec<String> {
         let mut attrs = Vec::new();
-        while let TokenKind::Attribute(a) = &self.peek().kind {
-            attrs.push(a.clone());
+        while let TokenKind::Attribute(a) = self.peek().kind {
+            attrs.push(a.to_string());
             self.bump();
         }
         attrs
@@ -135,12 +153,7 @@ impl Parser {
     fn peek_type(&self) -> Option<(Type, usize)> {
         let mut i = self.pos;
         let mut unsigned = false;
-        let ident_at = |j: usize| -> Option<&str> {
-            match &self.tokens.get(j)?.kind {
-                TokenKind::Ident(s) => Some(s.as_str()),
-                _ => None,
-            }
-        };
+        let ident_at = |j: usize| self.tokens.get(j)?.kind.as_ident();
         // `const` is accepted and ignored.
         if ident_at(i) == Some("const") {
             i += 1;
@@ -286,7 +299,7 @@ impl Parser {
         self.expect_punct("{")?;
         let mut depth = 1;
         while depth > 0 {
-            match &self.bump().kind {
+            match self.bump().kind {
                 TokenKind::Punct("{") => depth += 1,
                 TokenKind::Punct("}") => depth -= 1,
                 TokenKind::Eof => return Err(self.error_here("unterminated initializer")),
@@ -399,14 +412,13 @@ impl Parser {
             }
         }
 
-        let tok = self.peek().clone();
-        match &tok.kind {
+        match self.peek().kind {
             TokenKind::Punct("{") => self.parse_block(),
             TokenKind::Punct(";") => {
                 let span = self.bump().span;
                 Ok(Stmt::new(StmtKind::Empty, span))
             }
-            TokenKind::Ident(kw) => match kw.as_str() {
+            TokenKind::Ident(kw) => match kw {
                 "for" => self.parse_for(),
                 "while" => self.parse_while(),
                 "if" => self.parse_if(),
@@ -566,18 +578,23 @@ impl Parser {
 
     fn parse_assignment_expr(&mut self) -> Result<Expr, FrontendError> {
         let lhs = self.parse_ternary()?;
-        let op = match self.peek().kind {
-            TokenKind::Punct("=") => None,
-            TokenKind::Punct("+=") => Some(BinaryOp::Add),
-            TokenKind::Punct("-=") => Some(BinaryOp::Sub),
-            TokenKind::Punct("*=") => Some(BinaryOp::Mul),
-            TokenKind::Punct("/=") => Some(BinaryOp::Div),
-            TokenKind::Punct("%=") => Some(BinaryOp::Rem),
-            TokenKind::Punct("&=") => Some(BinaryOp::BitAnd),
-            TokenKind::Punct("|=") => Some(BinaryOp::BitOr),
-            TokenKind::Punct("^=") => Some(BinaryOp::BitXor),
-            TokenKind::Punct("<<=") => Some(BinaryOp::Shl),
-            TokenKind::Punct(">>=") => Some(BinaryOp::Shr),
+        let TokenKind::Punct(p) = self.peek().kind else {
+            return Ok(lhs);
+        };
+        // Matched by bytes, not `&str` contents: this runs once per
+        // expression and nearly always falls through.
+        let op = match p.as_bytes() {
+            [b'='] => None,
+            [b'+', b'='] => Some(BinaryOp::Add),
+            [b'-', b'='] => Some(BinaryOp::Sub),
+            [b'*', b'='] => Some(BinaryOp::Mul),
+            [b'/', b'='] => Some(BinaryOp::Div),
+            [b'%', b'='] => Some(BinaryOp::Rem),
+            [b'&', b'='] => Some(BinaryOp::BitAnd),
+            [b'|', b'='] => Some(BinaryOp::BitOr),
+            [b'^', b'='] => Some(BinaryOp::BitXor),
+            [b'<', b'<', b'='] => Some(BinaryOp::Shl),
+            [b'>', b'>', b'='] => Some(BinaryOp::Shr),
             _ => return Ok(lhs),
         };
         self.bump();
@@ -613,25 +630,30 @@ impl Parser {
     }
 
     fn binop_at(&self, min_prec: u8) -> Option<(BinaryOp, u8)> {
-        let (op, prec) = match self.peek().kind {
-            TokenKind::Punct("||") => (BinaryOp::LogOr, 1),
-            TokenKind::Punct("&&") => (BinaryOp::LogAnd, 2),
-            TokenKind::Punct("|") => (BinaryOp::BitOr, 3),
-            TokenKind::Punct("^") => (BinaryOp::BitXor, 4),
-            TokenKind::Punct("&") => (BinaryOp::BitAnd, 5),
-            TokenKind::Punct("==") => (BinaryOp::Eq, 6),
-            TokenKind::Punct("!=") => (BinaryOp::Ne, 6),
-            TokenKind::Punct("<") => (BinaryOp::Lt, 7),
-            TokenKind::Punct("<=") => (BinaryOp::Le, 7),
-            TokenKind::Punct(">") => (BinaryOp::Gt, 7),
-            TokenKind::Punct(">=") => (BinaryOp::Ge, 7),
-            TokenKind::Punct("<<") => (BinaryOp::Shl, 8),
-            TokenKind::Punct(">>") => (BinaryOp::Shr, 8),
-            TokenKind::Punct("+") => (BinaryOp::Add, 9),
-            TokenKind::Punct("-") => (BinaryOp::Sub, 9),
-            TokenKind::Punct("*") => (BinaryOp::Mul, 10),
-            TokenKind::Punct("/") => (BinaryOp::Div, 10),
-            TokenKind::Punct("%") => (BinaryOp::Rem, 10),
+        let TokenKind::Punct(p) = self.peek().kind else {
+            return None;
+        };
+        // By bytes, as in `parse_assignment_expr`: this runs after every
+        // operand.
+        let (op, prec) = match p.as_bytes() {
+            [b'|', b'|'] => (BinaryOp::LogOr, 1),
+            [b'&', b'&'] => (BinaryOp::LogAnd, 2),
+            [b'|'] => (BinaryOp::BitOr, 3),
+            [b'^'] => (BinaryOp::BitXor, 4),
+            [b'&'] => (BinaryOp::BitAnd, 5),
+            [b'=', b'='] => (BinaryOp::Eq, 6),
+            [b'!', b'='] => (BinaryOp::Ne, 6),
+            [b'<'] => (BinaryOp::Lt, 7),
+            [b'<', b'='] => (BinaryOp::Le, 7),
+            [b'>'] => (BinaryOp::Gt, 7),
+            [b'>', b'='] => (BinaryOp::Ge, 7),
+            [b'<', b'<'] => (BinaryOp::Shl, 8),
+            [b'>', b'>'] => (BinaryOp::Shr, 8),
+            [b'+'] => (BinaryOp::Add, 9),
+            [b'-'] => (BinaryOp::Sub, 9),
+            [b'*'] => (BinaryOp::Mul, 10),
+            [b'/'] => (BinaryOp::Div, 10),
+            [b'%'] => (BinaryOp::Rem, 10),
             _ => return None,
         };
         (prec >= min_prec).then_some((op, prec))
@@ -656,7 +678,7 @@ impl Parser {
     }
 
     fn parse_unary(&mut self) -> Result<Expr, FrontendError> {
-        let tok = self.peek().clone();
+        let tok = self.peek();
         match tok.kind {
             TokenKind::Punct("-") => {
                 let start = self.bump().span;
@@ -815,11 +837,14 @@ impl Parser {
                         .map(|t| t.span)
                         .unwrap_or(tok.span);
                     Ok(Expr::new(
-                        ExprKind::Call { callee: name, args },
+                        ExprKind::Call {
+                            callee: name.to_string(),
+                            args,
+                        },
                         tok.span.merge(end),
                     ))
                 } else {
-                    Ok(Expr::new(ExprKind::Ident(name), tok.span))
+                    Ok(Expr::new(ExprKind::Ident(name.to_string()), tok.span))
                 }
             }
             TokenKind::Punct("(") => {
@@ -843,12 +868,12 @@ mod tests {
 
     fn parse_ok(src: &str) -> TranslationUnit {
         let tokens = Lexer::new(src).tokenize().unwrap();
-        Parser::new(tokens).parse_translation_unit().unwrap()
+        Parser::new(&tokens).parse_translation_unit().unwrap()
     }
 
     fn expr_of(src: &str) -> Expr {
         let tokens = Lexer::new(src).tokenize().unwrap();
-        let mut p = Parser::new(tokens);
+        let mut p = Parser::new(&tokens);
         p.parse_expr().unwrap()
     }
 
@@ -1056,13 +1081,13 @@ mod tests {
         )
         .tokenize()
         .unwrap();
-        assert!(Parser::new(tokens).parse_translation_unit().is_err());
+        assert!(Parser::new(&tokens).parse_translation_unit().is_err());
     }
 
     #[test]
     fn error_on_garbage() {
         let tokens = Lexer::new("int f( {").tokenize().unwrap();
-        assert!(Parser::new(tokens).parse_translation_unit().is_err());
+        assert!(Parser::new(&tokens).parse_translation_unit().is_err());
     }
 
     #[test]

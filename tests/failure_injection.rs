@@ -36,6 +36,31 @@ fn malformed_sources_error_cleanly() {
     }
 }
 
+/// A character the subset has no token for is an error that names the
+/// character — `é`, not the `Ã` its first UTF-8 byte reads as — at the
+/// byte column it starts on; and multi-byte text anywhere else never
+/// panics the byte-wise lexer.
+#[test]
+fn non_ascii_input_is_reported_verbatim() {
+    let err = parse_translation_unit("int a;\n  é = 1;").unwrap_err();
+    assert_eq!((err.line(), err.col()), (2, 3));
+    assert_eq!(err.message(), "unexpected character `é`");
+    let err = parse_translation_unit("int x = 1 € 2;").unwrap_err();
+    assert_eq!(err.message(), "unexpected character `€`");
+
+    for src in [
+        "int x; // café\nint y; /* 日本語 */",
+        "void f() { g(\"naïve \\é\"); }",
+        "char c = 'é';",
+        "int 変数;",
+        "int v __attribute__((sección(\"ñ\")));",
+        "#define π 3\nint x = π;",
+    ] {
+        let _ = parse_translation_unit(src);
+        let _ = nvc_embed::extract_loop_samples(src, &EmbedConfig::fast());
+    }
+}
+
 #[test]
 fn unparseable_kernels_are_skipped_by_the_env() {
     let cfg = NvConfig::fast();
