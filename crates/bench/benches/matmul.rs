@@ -2,7 +2,8 @@
 //!
 //! Sizes span the shapes the hot path actually runs: the code2vec
 //! projection (`n_paths × context_width · context_width × code_dim`),
-//! the batched policy layers, and the transpose-free backward kernels.
+//! the batched policy layers, the transpose-free backward kernels, and
+//! the elementwise `tanh` over one sample's projection.
 //! Run with:
 //!
 //! ```text
@@ -12,7 +13,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use nvc_nn::Tensor;
+use nvc_nn::{kernels, KernelMode, Tensor};
 
 /// Deterministic pseudo-random tensor (no RNG dependency needed here).
 fn filled(rows: usize, cols: usize, phase: f32) -> Tensor {
@@ -59,9 +60,26 @@ fn bench_matmul(c: &mut Criterion) {
     });
 }
 
+/// `tanh` over one paper-size sample's projection (100 contexts × 340):
+/// libm per element in strict mode, the polynomial body in fast mode.
+fn bench_tanh(c: &mut Criterion) {
+    let proj = filled(100, 340, 0.5);
+    for mode in [KernelMode::Strict, KernelMode::Fast] {
+        kernels::set_kernel_mode(mode);
+        c.bench_function(&format!("tanh_inplace_34k/{mode}"), |bch| {
+            let mut buf = proj.data().to_vec();
+            bch.iter(|| {
+                buf.copy_from_slice(proj.data());
+                kernels::tanh_inplace(black_box(&mut buf));
+            })
+        });
+    }
+    kernels::set_kernel_mode(kernels::default_kernel_mode());
+}
+
 criterion_group!(
     name = matmul;
     config = Criterion::default().sample_size(30);
-    targets = bench_matmul
+    targets = bench_matmul, bench_tanh
 );
 criterion_main!(matmul);

@@ -16,7 +16,7 @@ use nvc_embed::{
 use nvc_frontend::{parse_statement, parse_translation_unit};
 use nvc_ir::{lower_innermost_loops, ParamEnv};
 use nvc_machine::TargetConfig;
-use nvc_nn::{Graph, ParamStore};
+use nvc_nn::{kernels, Graph, KernelMode, ParamStore};
 use nvc_vectorizer::{VectorDecision, Vectorizer};
 
 const DOT: &str = "int vec[512] __attribute__((aligned(16)));
@@ -31,6 +31,20 @@ void kernel(int n, int s) {
     for (int i = 0; i < n; i++) { a[i] = ((((b[i] + c[i]) * (d[i + 1] - 5)) | ((s & 8) ^ (b[i * 2] * 2))) - (((c[i] | 1) + (s * 100)) & ((d[i + 1] ^ b[i]) - (c[i] * 5)))); }
 }
 ";
+
+/// Eight fixed loop bodies in the grammar of the repo benchmark's
+/// never-seen shapes (the first is [`DEPTH4_SHAPE`]'s), for the batch-8
+/// inference forward.
+const SHAPE_BODIES: [&str; 8] = [
+    "((((b[i] + c[i]) * (d[i + 1] - 5)) | ((s & 8) ^ (b[i * 2] * 2))) - (((c[i] | 1) + (s * 100)) & ((d[i + 1] ^ b[i]) - (c[i] * 5))))",
+    "(((b[i] * 2) + (c[i] & s)) ^ ((d[i + 1] | 8) - (b[i * 2] + 1)))",
+    "((((c[i] - s) | (b[i] ^ 100)) * ((d[i + 1] + 2) & (c[i] * 5))) + (b[i * 2] - 1))",
+    "(((d[i + 1] ^ (s + 5)) - ((b[i] | c[i]) * 8)) & (((b[i * 2] - 2) + c[i]) | (s * 1)))",
+    "((b[i] & ((c[i] + 100) ^ (d[i + 1] * s))) | (((b[i * 2] - 5) * 2) + (c[i] ^ 8)))",
+    "((((s | 1) - (b[i] * c[i])) + ((d[i + 1] & 2) ^ b[i * 2])) * ((c[i] - 8) | (b[i] + 100)))",
+    "((c[i] * (b[i] - (d[i + 1] ^ 5))) - (((s + 2) | b[i * 2]) & ((c[i] * 100) + (b[i] ^ 1))))",
+    "((((b[i * 2] + s) ^ (c[i] - 1)) | ((b[i] * 8) & d[i + 1])) + (((c[i] | 5) - (s & 2)) * (b[i] + 100)))",
+];
 
 fn bench_frontend(c: &mut Criterion) {
     c.bench_function("frontend/parse_dot_product", |b| {
@@ -92,6 +106,30 @@ fn bench_embedding(c: &mut Criterion) {
             g.value(n).data()[0]
         })
     });
+
+    // The tape-free inference forward at the paper's size, one shape and
+    // eight, in both kernel modes: strict multiplies every context row,
+    // fast each distinct table row once (and runs the polynomial tanh).
+    let paper = EmbedConfig::paper();
+    let shapes: Vec<PathSample> = SHAPE_BODIES
+        .iter()
+        .map(|body| {
+            let src = format!("for (int i = 0; i < n; i++) {{ a[i] = {body}; }}");
+            PathSample::from_stmt(&parse_statement(&src).unwrap(), &paper)
+        })
+        .collect();
+    let refs: Vec<&PathSample> = shapes.iter().collect();
+    let mut paper_store = ParamStore::new(3);
+    let paper_embedder = CodeEmbedder::new(&mut paper_store, &paper);
+    for mode in [KernelMode::Strict, KernelMode::Fast] {
+        kernels::set_kernel_mode(mode);
+        for (batch, rows) in [("b1", &refs[..1]), ("b8", &refs[..])] {
+            c.bench_function(&format!("embed/infer_rows_paper_{batch}_{mode}"), |b| {
+                b.iter(|| paper_embedder.infer_rows(&paper_store, black_box(rows)))
+            });
+        }
+    }
+    kernels::set_kernel_mode(kernels::default_kernel_mode());
 }
 
 fn bench_compile_and_run(c: &mut Criterion) {

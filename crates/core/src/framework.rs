@@ -48,9 +48,10 @@ pub struct NvConfig {
     /// [`NeuroVectorizer::new`] (`nvc_nn::kernels::set_kernel_mode`).
     /// `Strict` (the default) keeps the bitwise-parity kernels — what
     /// training and reproduction runs want; `Fast` enables fused-FMA
-    /// accumulators, reduction-dimension sharding and the online softmax
-    /// — ε-close to strict with identical decisions, which is why `nvc
-    /// serve` and `nvc hub` default to it. Defaults to the
+    /// accumulators, reduction-dimension sharding, the online softmax,
+    /// the polynomial `tanh` and the inference forward's factored
+    /// projection — ε-close to strict with identical decisions, which is
+    /// why `nvc serve` and `nvc hub` default to it. Defaults to the
     /// `NVC_KERNEL_MODE` environment variable (or `Strict`).
     pub kernel_mode: nvc_nn::KernelMode,
     /// Seed for parameter init and exploration.

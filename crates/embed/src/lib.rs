@@ -18,10 +18,13 @@
 //!   `α = softmax(c · a)`, code vector `v = Σ α_i c_i`, trained end-to-end
 //!   through `nvc-nn`. Batches of loops run as **one segmented forward**
 //!   ([`CodeEmbedder::forward_batch`]): ragged context counts become a
-//!   `Segments` row partition, so training, serving and the supervised
-//!   agents all share a single ragged attention reduce instead of a
-//!   per-sample encoder loop — bitwise-identical to the per-sample
-//!   spelling, values and gradients both.
+//!   `Segments` row partition, so a whole batch shares a single ragged
+//!   attention reduce instead of a per-sample encoder loop —
+//!   bitwise-identical to the per-sample spelling, values and gradients
+//!   both. Consumers that need no gradients (serving, the supervised
+//!   agents' labelling passes) take the tape-free
+//!   [`CodeEmbedder::infer_rows`] instead: the same kernels without a
+//!   tape, and in fast kernel mode each distinct table row projected once.
 
 pub mod model;
 pub mod paths;

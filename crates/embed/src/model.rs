@@ -1,10 +1,11 @@
 //! The attention-based code encoder (code2vec's network half).
 
+use std::cell::Cell;
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use nvc_nn::{Graph, NodeId, ParamId, ParamStore, Segments, Tensor};
+use nvc_nn::{kernels, obs, Graph, KernelMode, NodeId, ParamId, ParamStore, Segments, Tensor};
 
 use crate::vocab::PathSample;
 
@@ -272,17 +273,7 @@ impl CodeEmbedder {
         if rows.is_empty() {
             return Err(EmbedError::EmptyBatch);
         }
-        let mut unique: Vec<&PathSample> = Vec::new();
-        let mut slot: HashMap<&PathSample, usize> = HashMap::new();
-        let row_of: Vec<usize> = rows
-            .iter()
-            .map(|&s| {
-                *slot.entry(s).or_insert_with(|| {
-                    unique.push(s);
-                    unique.len() - 1
-                })
-            })
-            .collect();
+        let (unique, row_of) = dedup_samples(rows);
         let uobs = self.forward_batch(g, &unique)?;
         if unique.len() == rows.len() {
             // Nothing repeated: the stacked node already is the answer.
@@ -316,29 +307,317 @@ impl CodeEmbedder {
         })
     }
 
+    /// The tape-free forward every **no-gradient** consumer runs: one
+    /// `code_dim`-wide embedding row per input sample, read straight from
+    /// the store — no [`Graph`], no tape nodes, no copy of `W`. Greedy
+    /// inference ([`encode`], [`encode_batch`], the trainer's `predict*`
+    /// and `value_of`, hence every serve flush) enters here; whatever
+    /// needs gradients stays on [`forward_batch`] / [`forward_rows`],
+    /// which are also this function's oracle.
+    ///
+    /// Repeated samples (content equality) embed once and fan out, like
+    /// [`forward_rows`]. Empty samples embed to zero rows; an empty `rows`
+    /// gives a `0 × code_dim` tensor.
+    ///
+    /// **Strict mode** gathers the `N × context_width` context matrix,
+    /// multiplies it by `W` once, then `tanh`, scores, segment softmax and
+    /// weighted sum — the tape's kernels in the tape's order, so every
+    /// value is bitwise-equal to [`forward_batch`].
+    ///
+    /// **Fast mode** uses that a loop's contexts are pairs of its few
+    /// leaves: the `3N` table rows a batch looks up are far fewer
+    /// distinct `(role, row)`s. Since `ctx·W = e_start·W[..dt] +
+    /// e_path·W[dt..dt+dp] + e_end·W[dt+dp..]`, each distinct start, path
+    /// and end row is projected **once** against its row range of `W`
+    /// (three small products, `W` multiplied where it lies) and context
+    /// `r`'s projection is assembled as `(S[r] + P[r]) + E[r]`, in that
+    /// order. Per element that is three `k`-range partials summed instead
+    /// of one chain — a reassociation of the same kind as the kernels'
+    /// `k`-split, under the same contract: ε-close to strict, special
+    /// values propagated identically, decisions identical. At one kernel
+    /// thread a sample's embedding does not depend on its batch-mates
+    /// (each distinct row's product is a function of that row alone).
+    ///
+    /// Intermediates live in per-thread buffers reused from call to call;
+    /// only the result is allocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a sample's index vectors differ in length or index
+    /// past a table.
+    ///
+    /// [`encode`]: CodeEmbedder::encode
+    /// [`encode_batch`]: CodeEmbedder::encode_batch
+    /// [`forward_batch`]: CodeEmbedder::forward_batch
+    /// [`forward_rows`]: CodeEmbedder::forward_rows
+    pub fn infer_rows(&self, store: &ParamStore, rows: &[&PathSample]) -> Tensor {
+        let code = self.cfg.code_dim;
+        let (unique, row_of) = dedup_samples(rows);
+        let mut bounds = Vec::with_capacity(unique.len());
+        let mut total = 0usize;
+        for s in &unique {
+            let n = s.len();
+            assert!(
+                s.starts.len() == n && s.ends.len() == n,
+                "path sample index vectors differ in length"
+            );
+            bounds.push((total, total + n));
+            total += n;
+        }
+        let mut out = Tensor::zeros(unique.len(), code);
+        if total > 0 {
+            // Taken, not borrowed: a panic below leaves an empty set
+            // behind instead of a poisoned one.
+            let mut scratch = INFER_SCRATCH.with(Cell::take);
+            self.infer_into(store, &unique, &bounds, &mut scratch, out.data_mut());
+            INFER_SCRATCH.with(|cell| cell.set(scratch));
+        }
+        if unique.len() == rows.len() {
+            return out;
+        }
+        let mut fanned = Tensor::zeros(rows.len(), code);
+        for (r, &u) in row_of.iter().enumerate() {
+            fanned.data_mut()[r * code..(r + 1) * code].copy_from_slice(out.row(u));
+        }
+        fanned
+    }
+
+    /// The forward over distinct samples with `total > 0` contexts:
+    /// projection by the current mode's spelling, then the shared tail.
+    /// `out` is the zeroed `samples.len() × code_dim` result.
+    fn infer_into(
+        &self,
+        store: &ParamStore,
+        samples: &[&PathSample],
+        bounds: &[(usize, usize)],
+        scratch: &mut InferScratch,
+        out: &mut [f32],
+    ) {
+        let code = self.cfg.code_dim;
+        let n = bounds.last().map_or(0, |&(_, r1)| r1);
+        if kernels::kernel_mode() == KernelMode::Fast {
+            self.project_factored(store, samples, n, scratch);
+        } else {
+            self.project_stacked(store, samples, n, scratch);
+        }
+        let proj = &mut scratch.proj[..n * code];
+        kernels::tanh_inplace(proj);
+        let scores = zeroed(&mut scratch.scores, n);
+        kernels::matmul_accum(proj, store.get(self.attention).data(), n, code, 1, scores);
+        kernels::segment_softmax(bounds, 1, scores);
+        kernels::segment_weighted_sum(bounds, scores, proj, code, out);
+    }
+
+    /// Strict projection: `scratch.proj = ctx · W` over the gathered
+    /// `n × context_width` context matrix — the tape's one stacked
+    /// product.
+    fn project_stacked(
+        &self,
+        store: &ParamStore,
+        samples: &[&PathSample],
+        n: usize,
+        scratch: &mut InferScratch,
+    ) {
+        let (dt, dp) = (self.cfg.token_dim, self.cfg.path_dim);
+        let cw = self.cfg.context_width();
+        let (tokens, paths) = (store.get(self.token_table), store.get(self.path_table));
+        let ctx = resized(&mut scratch.gathered, n * cw);
+        {
+            let _timer = obs::time_op(obs::Op::Gather);
+            let contexts = samples.iter().flat_map(|s| {
+                s.starts
+                    .iter()
+                    .zip(s.paths.iter())
+                    .zip(s.ends.iter())
+                    .map(|((&a, &p), &b)| (a, p, b))
+            });
+            for (row, (a, p, b)) in ctx.chunks_exact_mut(cw).zip(contexts) {
+                row[..dt].copy_from_slice(tokens.row(a));
+                row[dt..dt + dp].copy_from_slice(paths.row(p));
+                row[dt + dp..].copy_from_slice(tokens.row(b));
+            }
+        }
+        let proj = zeroed(&mut scratch.proj, n * self.cfg.code_dim);
+        let w = store.get(self.w_context).data();
+        kernels::matmul_accum(ctx, w, n, cw, self.cfg.code_dim, proj);
+        obs::record_embed_rows(3 * n, 3 * n);
+    }
+
+    /// Fast projection: each distinct start, path and end row times its
+    /// row range of `W`, then `scratch.proj[r] = (S + P) + E` per
+    /// context (see [`CodeEmbedder::infer_rows`]).
+    fn project_factored(
+        &self,
+        store: &ParamStore,
+        samples: &[&PathSample],
+        n: usize,
+        scratch: &mut InferScratch,
+    ) {
+        let (dt, dp, code) = (self.cfg.token_dim, self.cfg.path_dim, self.cfg.code_dim);
+        let (tokens, paths) = (store.get(self.token_table), store.get(self.path_table));
+        let InferScratch {
+            gathered,
+            parts,
+            proj,
+            pos,
+            distinct,
+            slots,
+            ..
+        } = scratch;
+
+        // Index each role's distinct rows in first-seen order: a slot per
+        // table row instead of a hash per context.
+        pos.clear();
+        distinct.clear();
+        let mut index_role = |table_rows: usize, indices: &mut dyn Iterator<Item = usize>| {
+            if slots.len() < table_rows {
+                slots.resize(table_rows, u32::MAX);
+            }
+            let first = distinct.len();
+            for idx in indices {
+                assert!(idx < table_rows, "gather index out of bounds");
+                if slots[idx] == u32::MAX {
+                    slots[idx] = (distinct.len() - first) as u32;
+                    distinct.push(idx);
+                }
+                pos.push(slots[idx]);
+            }
+            for &idx in &distinct[first..] {
+                slots[idx] = u32::MAX;
+            }
+            distinct.len() - first
+        };
+        let us = index_role(
+            tokens.rows(),
+            &mut samples.iter().flat_map(|s| s.starts.iter().copied()),
+        );
+        let up = index_role(
+            paths.rows(),
+            &mut samples.iter().flat_map(|s| s.paths.iter().copied()),
+        );
+        let ue = index_role(
+            tokens.rows(),
+            &mut samples.iter().flat_map(|s| s.ends.iter().copied()),
+        );
+
+        let rows = resized(gathered, (us + ue) * dt + up * dp);
+        let (s_rows, rest) = rows.split_at_mut(us * dt);
+        let (p_rows, e_rows) = rest.split_at_mut(up * dp);
+        {
+            let _timer = obs::time_op(obs::Op::Gather);
+            let (s_idx, rest) = distinct.split_at(us);
+            let (p_idx, e_idx) = rest.split_at(up);
+            for (dst, table, width, idx) in [
+                (&mut *s_rows, tokens, dt, s_idx),
+                (&mut *p_rows, paths, dp, p_idx),
+                (&mut *e_rows, tokens, dt, e_idx),
+            ] {
+                for (row, &i) in dst.chunks_exact_mut(width).zip(idx) {
+                    row.copy_from_slice(table.row(i));
+                }
+            }
+        }
+
+        let w = store.get(self.w_context).data();
+        let (w_s, rest) = w.split_at(dt * code);
+        let (w_p, w_e) = rest.split_at(dp * code);
+        let parts = zeroed(parts, (us + up + ue) * code);
+        let (s_out, rest) = parts.split_at_mut(us * code);
+        let (p_out, e_out) = rest.split_at_mut(up * code);
+        kernels::matmul_accum(s_rows, w_s, us, dt, code, s_out);
+        kernels::matmul_accum(p_rows, w_p, up, dp, code, p_out);
+        kernels::matmul_accum(e_rows, w_e, ue, dt, code, e_out);
+
+        let proj = resized(proj, n * code);
+        let row_at = |at: u32| at as usize * code..(at as usize + 1) * code;
+        for (r, out_row) in proj.chunks_exact_mut(code).enumerate() {
+            let s = &s_out[row_at(pos[r])];
+            let p = &p_out[row_at(pos[n + r])];
+            let e = &e_out[row_at(pos[2 * n + r])];
+            for (((o, &a), &b), &c) in out_row.iter_mut().zip(s).zip(p).zip(e) {
+                *o = (a + b) + c;
+            }
+        }
+        obs::record_embed_rows(3 * n, us + up + ue);
+    }
+
     /// Convenience: encodes a sample and returns the plain vector (no
     /// gradients), for inference-time consumers like NNS and decision
     /// trees.
     pub fn encode(&self, store: &ParamStore, sample: &PathSample) -> Vec<f32> {
-        let mut g = Graph::new(store);
-        let node = self.forward(&mut g, sample);
-        g.value(node).data().to_vec()
+        self.infer_rows(store, &[sample]).into_data()
     }
 
-    /// Encodes a whole batch in one segmented forward (no gradients) —
-    /// the batched counterpart of [`CodeEmbedder::encode`] that the
+    /// Encodes a whole batch in one forward (no gradients) — the batched
+    /// counterpart of [`CodeEmbedder::encode`] that the
     /// NNS/decision-tree/ranker labelling passes use instead of looping
-    /// `encode` per sample. Row `i` equals `encode(samples[i])` bitwise;
-    /// repeated samples embed once ([`CodeEmbedder::forward_rows`]).
+    /// `encode` per sample. Row `i` equals `encode(samples[i])` in strict
+    /// mode bitwise; repeated samples embed once
+    /// ([`CodeEmbedder::infer_rows`]).
     pub fn encode_batch(&self, store: &ParamStore, samples: &[&PathSample]) -> Vec<Vec<f32>> {
-        if samples.is_empty() {
-            return Vec::new();
-        }
-        let mut g = Graph::new(store);
-        let node = self.forward_rows(&mut g, samples).expect("non-empty batch");
-        let v = g.value(node);
+        let v = self.infer_rows(store, samples);
         (0..samples.len()).map(|r| v.row(r).to_vec()).collect()
     }
+}
+
+/// First-seen-order dedup by content: the distinct samples and, for each
+/// input row, the position of its sample among them.
+fn dedup_samples<'a>(rows: &[&'a PathSample]) -> (Vec<&'a PathSample>, Vec<usize>) {
+    let mut unique: Vec<&PathSample> = Vec::new();
+    let mut slot: HashMap<&PathSample, usize> = HashMap::new();
+    let row_of = rows
+        .iter()
+        .map(|&s| {
+            *slot.entry(s).or_insert_with(|| {
+                unique.push(s);
+                unique.len() - 1
+            })
+        })
+        .collect();
+    (unique, row_of)
+}
+
+/// Buffers [`CodeEmbedder::infer_rows`] reuses from call to call, one set
+/// per thread (serve workers are long-lived, so a steady-state flush
+/// allocates only its result). Sized by the largest batch the thread has
+/// seen; holds no values between calls that a later call reads.
+#[derive(Default)]
+struct InferScratch {
+    /// Gathered table rows: the `N × context_width` context matrix
+    /// (strict), or each role's distinct rows back to back (fast).
+    gathered: Vec<f32>,
+    /// Fast: the distinct rows' projections, `S | P | E`.
+    parts: Vec<f32>,
+    /// `N × code_dim`: the projection, then its `tanh` in place.
+    proj: Vec<f32>,
+    /// `N`: attention scores, then weights in place.
+    scores: Vec<f32>,
+    /// Fast: each context's position among its role's distinct rows,
+    /// `[starts | paths | ends]`.
+    pos: Vec<u32>,
+    /// Fast: distinct table rows per role, first-seen order,
+    /// `[starts | paths | ends]`.
+    distinct: Vec<usize>,
+    /// Fast: table row → position among the role being indexed;
+    /// `u32::MAX` (absent) everywhere between uses.
+    slots: Vec<u32>,
+}
+
+thread_local! {
+    static INFER_SCRATCH: Cell<InferScratch> = Cell::default();
+}
+
+/// `buf` as `n` zeros.
+fn zeroed(buf: &mut Vec<f32>, n: usize) -> &mut [f32] {
+    buf.clear();
+    buf.resize(n, 0.0);
+    buf
+}
+
+/// `buf` as `n` elements the caller overwrites entirely.
+fn resized(buf: &mut Vec<f32>, n: usize) -> &mut [f32] {
+    buf.resize(n, 0.0);
+    buf
 }
 
 #[cfg(test)]

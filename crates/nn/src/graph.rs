@@ -281,59 +281,9 @@ impl<'s> Graph<'s> {
             "segment_softmax_rows: segments must cover the input's rows"
         );
         let cols = av.cols();
-        let rows_total = segs.total_rows();
-        let _timer = nvc_obs::time_op(nvc_obs::Op::SegmentSoftmax);
         let mut out = self.dup(av);
-        // Sharded over whole segments (cuts only between segments), so
-        // each segment's max/exp/sum/divide order is untouched and the
-        // threaded bits equal the serial ones. The ×8 scales the
-        // element count to a multiply-add-equivalent cost (max + exp +
-        // sum + divide passes, exp being the expensive one).
         let bounds: Vec<(usize, usize)> = segs.iter().collect();
-        let threads = crate::kernels::effective_threads(
-            segs.len(),
-            rows_total.saturating_mul(cols).saturating_mul(8),
-        );
-        crate::kernels::run_segment_sharded(
-            threads,
-            &bounds,
-            cols,
-            out.data_mut(),
-            &|s0, s1, slice| {
-                let base = bounds[s0].0;
-                let fast = crate::kernels::kernel_mode() == crate::kernels::KernelMode::Fast;
-                for &(r0, r1) in &bounds[s0..s1] {
-                    if r0 == r1 {
-                        continue;
-                    }
-                    for c in 0..cols {
-                        if fast {
-                            // Single-pass online-max softmax down this
-                            // segment's column — same element order as
-                            // strict, one data pass instead of three.
-                            crate::kernels::fast::online_softmax_strided(
-                                slice,
-                                (r0 - base) * cols + c,
-                                cols,
-                                r1 - r0,
-                            );
-                            continue;
-                        }
-                        let at = |r: usize| (r - base) * cols + c;
-                        let m = (r0..r1).fold(f32::NEG_INFINITY, |m, r| m.max(slice[at(r)]));
-                        let mut sum = 0.0f32;
-                        for r in r0..r1 {
-                            let e = (slice[at(r)] - m).exp();
-                            slice[at(r)] = e;
-                            sum += e;
-                        }
-                        for r in r0..r1 {
-                            slice[at(r)] /= sum;
-                        }
-                    }
-                }
-            },
-        );
+        crate::kernels::segment_softmax(&bounds, cols, out.data_mut());
         self.push(Op::SegmentSoftmaxRows(a, segs.clone()), out)
     }
 
@@ -367,39 +317,9 @@ impl<'s> Graph<'s> {
             "segment_weighted_sum: segments must cover the value rows"
         );
         let d = vv.cols();
-        let _timer = nvc_obs::time_op(nvc_obs::Op::SegmentWeightedSum);
         let mut out = self.alloc(segs.len(), d);
-        // Output row `s` is segment `s`'s pooled row, so row sharding
-        // *is* segment sharding here: a shard owns whole segments, and
-        // within each the ascending-`r` accumulation is unchanged —
-        // threaded bits equal serial bits.
         let bounds: Vec<(usize, usize)> = segs.iter().collect();
-        let (wd, vd) = (wv.data(), vv.data());
-        let threads =
-            crate::kernels::effective_threads(segs.len(), segs.total_rows().saturating_mul(d));
-        crate::kernels::run_row_sharded(
-            threads,
-            segs.len(),
-            d,
-            out.data_mut(),
-            &|s0, s1, out_rows| {
-                let fast = crate::kernels::kernel_mode() == crate::kernels::KernelMode::Fast;
-                for (s, &(r0, r1)) in bounds[s0..s1].iter().enumerate() {
-                    let orow = &mut out_rows[s * d..(s + 1) * d];
-                    if fast {
-                        crate::kernels::fast::weighted_sum_fast(wd, vd, d, r0, r1, orow);
-                        continue;
-                    }
-                    for r in r0..r1 {
-                        let a = wd[r];
-                        let vrow = &vd[r * d..(r + 1) * d];
-                        for (o, &x) in orow.iter_mut().zip(vrow.iter()) {
-                            *o += a * x;
-                        }
-                    }
-                }
-            },
-        );
+        crate::kernels::segment_weighted_sum(&bounds, wv.data(), vv.data(), d, out.data_mut());
         self.push(Op::SegmentWeightedSum(weights, values, segs.clone()), out)
     }
 
@@ -603,9 +523,11 @@ impl<'s> Graph<'s> {
         self.push(Op::Clamp(a, lo, hi), v)
     }
 
-    /// Hyperbolic tangent.
+    /// Hyperbolic tangent ([`crate::kernels::tanh_inplace`]: libm in
+    /// strict mode, the polynomial body in fast mode).
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
-        let v = self.unary_value(a, f32::tanh);
+        let mut v = self.dup(&self.values[a.0]);
+        crate::kernels::tanh_inplace(v.data_mut());
         self.push(Op::Tanh(a), v)
     }
 

@@ -8,13 +8,17 @@
 //!   proven by the kernel test tier, described below. Training and
 //!   reproduction runs use it.
 //! * [`KernelMode::Fast`] (the serving default — `nvc serve` / `nvc hub`)
-//!   relaxes exactly three things, each gated by the ε-parity and
+//!   relaxes exactly five things, each gated by the ε-parity and
 //!   decision-equivalence suites in `tests/fast_parity.rs`: fused
 //!   `mul_add` accumulators (hardware FMA when the CPU has AVX2+FMA, see
 //!   [`fast`]), reduction-dimension (`k`-split) sharding for tall-thin
-//!   products ([`k_split_shards`]), and a single-pass online-max softmax.
+//!   products ([`k_split_shards`]), a single-pass online-max softmax, a
+//!   polynomial `tanh` within 2 ulp of the correctly rounded value
+//!   ([`tanh_inplace`]), and — one layer up, in the encoder's inference
+//!   forward — a projection factored over the three `k`-ranges of a
+//!   context row so each distinct table row is multiplied once.
 //!   Fast mode never changes which special values (`NaN`/`±∞`) appear —
-//!   only the rounding of finite sums.
+//!   only the rounding of finite results.
 //!
 //! Everything below this paragraph describes the **strict** contract.
 //! Every kernel computes each output element's partial products in
@@ -66,8 +70,9 @@ pub enum KernelMode {
     #[default]
     Strict,
     /// Reassociated kernels: FMA accumulators, `k`-split sharding,
-    /// online-max softmax. ε-close to strict; identical decisions and
-    /// identical special-value (`NaN`/`±∞`) propagation.
+    /// online-max softmax, polynomial `tanh`, factored inference
+    /// projection. ε-close to strict; identical decisions and identical
+    /// special-value (`NaN`/`±∞`) propagation.
     Fast,
 }
 
@@ -436,6 +441,145 @@ fn run_spans(
     if let Some(payload) = panic {
         std::panic::resume_unwind(payload);
     }
+}
+
+/// `out += a × b` over row-major slices (`a`: `m×kd`, `b`: `kd×n`, `out`:
+/// `m×n`) — the deployed matmul, callable on any window of a larger
+/// buffer, so a row range of a weight matrix is multiplied where it lies.
+/// [`Tensor::matmul_accum_into`](crate::Tensor::matmul_accum_into) is
+/// this function behind shape checks; its docs state the two modes'
+/// contracts.
+///
+/// # Panics
+///
+/// Panics when a slice length disagrees with `m`, `kd`, `n`.
+pub fn matmul_accum(a: &[f32], b: &[f32], m: usize, kd: usize, n: usize, out: &mut [f32]) {
+    assert_eq!(a.len(), m * kd, "matmul left operand is not {m}x{kd}");
+    assert_eq!(b.len(), kd * n, "matmul right operand is not {kd}x{n}");
+    assert_eq!(out.len(), m * n, "matmul output is not {m}x{n}");
+    let _timer = nvc_obs::time_op(nvc_obs::Op::MatMul);
+    let madds = m.saturating_mul(kd).saturating_mul(n);
+    let fast = kernel_mode() == KernelMode::Fast;
+    if fast {
+        if let Some(shards) = k_split_shards(m, kd, madds) {
+            run_mm_k_split(shards, m, n, kd, out, &|k0, k1, partial| {
+                fast::mm_rows_fast(a, b, kd, n, k0, k1, 0, m, partial);
+            });
+            return;
+        }
+    }
+    run_row_sharded(effective_threads(m, madds), m, n, out, &|r0, r1, rows| {
+        if fast {
+            fast::mm_rows_fast(a, b, kd, n, 0, kd, r0, r1, rows);
+        } else {
+            mm_rows(a, b, kd, n, r0, r1, rows);
+        }
+    });
+}
+
+/// Elementwise `tanh` in place — the one `tanh` of each mode, wherever
+/// `tanh` runs (the tape's [`Graph::tanh`](crate::Graph::tanh), the
+/// encoder's tape-free forward, the policy net).
+///
+/// Strict is `f32::tanh` per element. Fast is a branch-free polynomial
+/// body ([`fast`]) with no libm call and no table: within 2 ulp of the
+/// correctly rounded value, odd, `|tanh| ≤ 1`, `NaN → NaN`, `±∞ → ±1`,
+/// `±0 → ±0`, subnormals → themselves, `|x| ≥ 9.1 → ±1` exactly. Each
+/// element is a pure function of itself, so results do not depend on
+/// where in a slice (vector body or tail) an element sits.
+pub fn tanh_inplace(xs: &mut [f32]) {
+    let _timer = nvc_obs::time_op(nvc_obs::Op::Tanh);
+    if kernel_mode() == KernelMode::Fast {
+        fast::tanh_fast(xs);
+        return;
+    }
+    for x in xs.iter_mut() {
+        *x = x.tanh();
+    }
+}
+
+/// Softmax down the rows of each segment of a `rows × cols` matrix, in
+/// place, independently per column. `bounds[s]` is segment `s`'s row
+/// range (contiguous, ascending, covering `data`); zero-row segments are
+/// skipped.
+///
+/// Sharded over whole segments (cuts only between segments), so each
+/// segment's max/exp/sum/divide order is untouched and the threaded bits
+/// equal the serial ones. Strict runs the three-pass max / exp-sum /
+/// divide; fast the single-pass online-max kernel in the same element
+/// order.
+pub fn segment_softmax(bounds: &[(usize, usize)], cols: usize, data: &mut [f32]) {
+    let _timer = nvc_obs::time_op(nvc_obs::Op::SegmentSoftmax);
+    let rows_total = bounds.last().map_or(0, |&(_, r1)| r1);
+    // The ×8 scales the element count to a multiply-add-equivalent cost
+    // (max + exp + sum + divide passes, exp being the expensive one).
+    let threads = effective_threads(
+        bounds.len(),
+        rows_total.saturating_mul(cols).saturating_mul(8),
+    );
+    let fast = kernel_mode() == KernelMode::Fast;
+    run_segment_sharded(threads, bounds, cols, data, &|s0, s1, slice| {
+        let base = bounds[s0].0;
+        for &(r0, r1) in &bounds[s0..s1] {
+            if r0 == r1 {
+                continue;
+            }
+            for c in 0..cols {
+                if fast {
+                    fast::online_softmax_strided(slice, (r0 - base) * cols + c, cols, r1 - r0);
+                    continue;
+                }
+                let at = |r: usize| (r - base) * cols + c;
+                let m = (r0..r1).fold(f32::NEG_INFINITY, |m, r| m.max(slice[at(r)]));
+                let mut sum = 0.0f32;
+                for r in r0..r1 {
+                    let e = (slice[at(r)] - m).exp();
+                    slice[at(r)] = e;
+                    sum += e;
+                }
+                for r in r0..r1 {
+                    slice[at(r)] /= sum;
+                }
+            }
+        }
+    });
+}
+
+/// Attention pool: `out[s] += Σ_r weights[r] · values[r]` over segment
+/// `s`'s rows, accumulated in ascending row order (`values`: `rows × d`,
+/// `out`: `bounds.len() × d`). Zero-row segments add nothing.
+///
+/// Output row `s` is segment `s`'s pooled row, so row sharding *is*
+/// segment sharding here: a shard owns whole segments and within each the
+/// ascending-`r` accumulation is unchanged — threaded bits equal serial
+/// bits. Fast folds with `mul_add`.
+pub fn segment_weighted_sum(
+    bounds: &[(usize, usize)],
+    weights: &[f32],
+    values: &[f32],
+    d: usize,
+    out: &mut [f32],
+) {
+    let _timer = nvc_obs::time_op(nvc_obs::Op::SegmentWeightedSum);
+    let rows_total = bounds.last().map_or(0, |&(_, r1)| r1);
+    let threads = effective_threads(bounds.len(), rows_total.saturating_mul(d));
+    let fast = kernel_mode() == KernelMode::Fast;
+    run_row_sharded(threads, bounds.len(), d, out, &|s0, s1, out_rows| {
+        for (s, &(r0, r1)) in bounds[s0..s1].iter().enumerate() {
+            let orow = &mut out_rows[s * d..(s + 1) * d];
+            if fast {
+                fast::weighted_sum_fast(weights, values, d, r0, r1, orow);
+                continue;
+            }
+            for r in r0..r1 {
+                let a = weights[r];
+                let vrow = &values[r * d..(r + 1) * d];
+                for (o, &x) in orow.iter_mut().zip(vrow.iter()) {
+                    *o += a * x;
+                }
+            }
+        }
+    });
 }
 
 /// `out_rows (+)= a[r0..r1] × b` for an `m×kd · kd×n` product:

@@ -1,5 +1,5 @@
-//! Fast-mode kernel bodies: fused-multiply-add accumulators and the
-//! single-pass online-max softmax.
+//! Fast-mode kernel bodies: fused-multiply-add accumulators, the
+//! single-pass online-max softmax and the polynomial `tanh`.
 //!
 //! Every body is written once, generic over a [`Madd`] strategy, and
 //! monomorphized twice:
@@ -284,6 +284,71 @@ fn weighted_sum_g<M: Madd>(
     }
 }
 
+/// Polynomial `tanh` of every element, in place — see
+/// [`super::tanh_inplace`] for the contract. Straight-line code (both
+/// branches are computed and one selected), so the loop vectorizes.
+#[inline(always)]
+fn tanh_g<M: Madd>(xs: &mut [f32]) {
+    for x in xs.iter_mut() {
+        *x = tanh_one::<M>(*x);
+    }
+}
+
+/// `tanh(x)`, computed on `|x|` and given `x`'s sign at the end: exactly
+/// odd, and `−0 → −0` (the sum `x + x·z·P(z)` alone would return `+0`).
+///
+/// * `|x| < 0.625`: `|x| + |x|·z·P(z)` with `z = x²` (Cephes `tanhf`'s
+///   minimax `P`). For subnormal and tiny `x` the correction underflows
+///   to nothing and `x` comes back unchanged.
+/// * otherwise: `1 − 2/(e^{2|x|} + 1)`. `e^{a} = 2ⁿ·(1 + p)` with
+///   `n = round(a·log₂e)` (the 1.5·2²³ trick, whose low mantissa bits
+///   are `n`), `r = a − n·ln2` in two exact-product steps (Cody–Waite;
+///   `n ≤ 27` and `LN2_HI` has nine significant bits) and `p = r + r²·Q(r)`
+///   (Cephes `expf`'s `Q`). The denominator is formed as
+///   `(2ⁿ + 1) + 2ⁿ·p`: scaling by `2ⁿ` is exact, so `e + 1` is rounded
+///   once rather than `e` and then `e + 1`. `|x|` is clamped to 9.1,
+///   beyond which the quotient is below half an ulp of 1 and the result
+///   is exactly 1; the clamp keeps `2ⁿ` finite and maps `∞` to 1.
+///
+/// `NaN` fails both comparisons, so it survives the clamp, takes the
+/// second branch and poisons it.
+#[inline(always)]
+fn tanh_one<M: Madd>(x: f32) -> f32 {
+    const LOG2E: f32 = std::f32::consts::LOG2_E;
+    const LN2_HI: f32 = 0.693_359_375;
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    /// 1.5·2²³: adding it rounds to an integer held in the low mantissa bits.
+    const ROUND: f32 = 12_582_912.0;
+
+    let ax = x.abs();
+
+    let z = ax * ax;
+    let mut p = -5.704_988_7e-3f32;
+    p = M::madd(p, z, 2.063_908_9e-2);
+    p = M::madd(p, z, -5.373_971_6e-2);
+    p = M::madd(p, z, 1.333_144_2e-1);
+    p = M::madd(p, z, -3.333_328_2e-1);
+    let small = M::madd(ax * z, p, ax);
+
+    let c = if ax > 9.1 { 9.1 } else { ax };
+    let a = c + c;
+    let t = M::madd(a, LOG2E, ROUND);
+    let n = t - ROUND;
+    let r = M::madd(n, -LN2_HI, a);
+    let r = M::madd(n, -LN2_LO, r);
+    let mut q = 1.987_569_1e-4f32;
+    q = M::madd(q, r, 1.398_2e-3);
+    q = M::madd(q, r, 8.333_452e-3);
+    q = M::madd(q, r, 4.166_579_6e-2);
+    q = M::madd(q, r, 1.666_666_5e-1);
+    q = M::madd(q, r, 5.0e-1);
+    let p = M::madd(r * r, q, r);
+    let two_n = f32::from_bits((t.to_bits() << 23).wrapping_add(0x3F80_0000));
+    let big = 1.0 - 2.0 / ((two_n + 1.0) + two_n * p);
+
+    (if ax < 0.625 { small } else { big }).copysign(x)
+}
+
 // --- AVX2+FMA instantiations -------------------------------------------
 //
 // The `#[target_feature]` wrappers are where the `Fused` bodies pick up
@@ -316,6 +381,19 @@ fma_wrapper!(nt_rows_fma, nt_rows_g, (
 fma_wrapper!(weighted_sum_fma, weighted_sum_g, (
     alpha: &[f32], x: &[f32], d: usize, r0: usize, r1: usize, out_row: &mut [f32]
 ));
+
+fma_wrapper!(tanh_fma, tanh_g, (xs: &mut [f32]));
+
+/// Fast elementwise `tanh` in place.
+pub(crate) fn tanh_fast(xs: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if fused_available() {
+        // SAFETY: `fused_available` verified avx2+fma on this CPU.
+        unsafe { tanh_fma(xs) };
+        return;
+    }
+    tanh_g::<Unfused>(xs)
+}
 
 /// Fast `out_rows (+)= a[r0..r1, ks..ke] × b[ks..ke, :]`.
 pub(crate) fn mm_rows_fast(
@@ -529,6 +607,32 @@ mod tests {
         for i in 0..3 {
             assert!((buf[2 * i] - c0[i]).abs() <= 1e-6);
             assert!((buf[2 * i + 1] - c1[i]).abs() <= 1e-6);
+        }
+    }
+
+    /// The public entry dispatches one instantiation per host (and
+    /// `tests/fast_parity.rs` sweeps that one); the plain-madd body must
+    /// honour the same 2-ulp bound on hosts without FMA, so it is held to
+    /// it here, where it can be named.
+    #[test]
+    fn plain_madd_tanh_body_is_within_two_ulps() {
+        let mut xs: Vec<f32> = (0..=96_000).map(|i| i as f32 * 1.25e-4).collect();
+        // Every binade from the clamp down through the subnormals.
+        xs.extend(
+            (1..0x4120_0000u32)
+                .step_by(0x0008_0000 / 3)
+                .map(f32::from_bits),
+        );
+        xs.extend([0.624_999_94, 0.625, 0.625_000_06, 9.099_999, 9.1, 40.0]);
+        let mut ys = xs.clone();
+        tanh_g::<Unfused>(&mut ys);
+        for (&x, &y) in xs.iter().zip(&ys) {
+            let exact = (x as f64).tanh() as f32;
+            let ulps = y.to_bits().abs_diff(exact.to_bits());
+            assert!(
+                ulps <= 2,
+                "tanh({x:e}) = {y:e}, correctly rounded {exact:e}"
+            );
         }
     }
 

@@ -15,9 +15,13 @@
 //!   [`KernelMode`] picks the numeric contract: `Strict` (default) keeps
 //!   bitwise parity — any thread count produces the single-threaded bits
 //!   — while `Fast` (the serving default) runs fused-FMA accumulators,
-//!   reduction-dimension sharding for tall-thin shapes and a single-pass
-//!   online softmax, ε-close to strict with identical decisions and
-//!   special-value propagation;
+//!   reduction-dimension sharding for tall-thin shapes, a single-pass
+//!   online softmax and a polynomial `tanh`, ε-close to strict with
+//!   identical decisions and special-value propagation. The kernels are
+//!   callable on plain slices too ([`kernels::matmul_accum`],
+//!   [`kernels::tanh_inplace`], [`kernels::segment_softmax`],
+//!   [`kernels::segment_weighted_sum`]) — what a forward that builds no
+//!   tape runs, and what the tape's ops call;
 //! * [`Graph`] — a tape of operations supporting `matmul`, a fused
 //!   `linear` (matmul + bias broadcast in one node), broadcasting adds,
 //!   `tanh`/`relu`/`exp`/`ln`, row softmax / log-softmax, embedding
@@ -74,6 +78,11 @@ pub mod kernels;
 pub mod params;
 pub mod serialize;
 pub mod tensor;
+
+/// The instrument layer the kernels report into, re-exported so that
+/// code built on these kernels records into the same process-wide op
+/// aggregates without a dependency edge of its own.
+pub use nvc_obs as obs;
 
 pub use arena::{ArenaStats, TensorArena};
 pub use graph::{Graph, NodeId, Segments};

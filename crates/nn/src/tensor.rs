@@ -164,36 +164,14 @@ impl Tensor {
             (self.rows, other.cols),
             "matmul output shape mismatch"
         );
-        let _timer = nvc_obs::time_op(nvc_obs::Op::MatMul);
-        let (m, kd, n) = (self.rows, self.cols, other.cols);
-        let madds = m.saturating_mul(kd).saturating_mul(n);
-        if kernels::kernel_mode() == kernels::KernelMode::Fast {
-            if let Some(shards) = kernels::k_split_shards(m, kd, madds) {
-                kernels::run_mm_k_split(shards, m, n, kd, &mut out.data, &|k0, k1, partial| {
-                    kernels::fast::mm_rows_fast(
-                        &self.data,
-                        &other.data,
-                        kd,
-                        n,
-                        k0,
-                        k1,
-                        0,
-                        m,
-                        partial,
-                    );
-                });
-                return;
-            }
-            let threads = kernels::effective_threads(m, madds);
-            kernels::run_row_sharded(threads, m, n, &mut out.data, &|r0, r1, rows| {
-                kernels::fast::mm_rows_fast(&self.data, &other.data, kd, n, 0, kd, r0, r1, rows);
-            });
-            return;
-        }
-        let threads = kernels::effective_threads(m, madds);
-        kernels::run_row_sharded(threads, m, n, &mut out.data, &|r0, r1, rows| {
-            kernels::mm_rows(&self.data, &other.data, kd, n, r0, r1, rows);
-        });
+        kernels::matmul_accum(
+            &self.data,
+            &other.data,
+            self.rows,
+            self.cols,
+            other.cols,
+            &mut out.data,
+        );
     }
 
     /// The cache-blocked single-threaded kernel, retained as the

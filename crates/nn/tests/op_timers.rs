@@ -28,7 +28,8 @@ fn exercise() -> Vec<f32> {
     let rows = g.gather_param_rows(table, &[0, 2, 1, 3]);
     let wn = g.param(w);
     let bn = g.param(b);
-    let h = g.linear(rows, wn, bn);
+    let lin = g.linear(rows, wn, bn);
+    let h = g.tanh(lin);
     let segs = Segments::from_lens([2, 2]);
     let scores = g.input(Tensor::from_vec(4, 1, vec![0.3, -0.2, 1.0, 0.5]));
     let attn = g.segment_softmax_rows(scores, &segs);
@@ -63,6 +64,7 @@ fn op_timers_count_when_enabled_and_stay_silent_when_disabled() {
         Op::SegmentSoftmax,
         Op::SegmentWeightedSum,
         Op::MatMul,
+        Op::Tanh,
     ] {
         assert!(calls(op) > 0, "{op:?} ran but its timer stayed at zero");
     }

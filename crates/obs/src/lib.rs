@@ -15,8 +15,9 @@
 //!   `NVC_TRACE=path` or [`trace::enable_tracing`], records export as
 //!   JSON lines;
 //! * [`ops`] — aggregate per-kernel timers (matmul family, segment ops,
-//!   gather): a relaxed-atomic counter/timer pair per op, gated by
-//!   `NVC_OPS=1` or [`ops::set_ops_enabled`], free when off;
+//!   gather, `tanh`) and the encoder's rows-looked-up / rows-multiplied
+//!   counters: relaxed atomics, gated by `NVC_OPS=1` or
+//!   [`ops::set_ops_enabled`], free when off;
 //! * [`journal`] — an append-only JSONL sink for training telemetry
 //!   (one record per PPO iteration).
 //!
@@ -39,7 +40,8 @@ pub use metrics::{
     Counter, Gauge, HistogramSnapshot, LatencyHistogram, MetricsRegistry, RegistrySnapshot,
 };
 pub use ops::{
-    ops_enabled, ops_snapshot, reset_ops, set_ops_enabled, time_op, Op, OpStat, OpTimer,
+    embed_rows_snapshot, ops_enabled, ops_snapshot, record_embed_rows, reset_ops, set_ops_enabled,
+    time_op, EmbedRows, Op, OpStat, OpTimer,
 };
 pub use trace::{
     current_trace, disable_tracing, enable_tracing, export_records, flush_trace, init_from_env,

@@ -4,12 +4,18 @@
 //! bench harness use).
 //!
 //! The instrumented sites are the kernels that dominate forward/backward
-//! time: the three matmul orientations at the tensor layer, the graph's
-//! fused `linear`, the two segment reductions, and the shared row-gather
-//! helper. `segment_matmul` and the `matmul`/`matmul_tn`/`matmul_nt`
-//! graph wrappers delegate to the instrumented accumulate kernels, so
-//! they are deliberately *not* timed — one site per flop, no double
-//! counting.
+//! time: the three matmul orientations at the kernel layer, the graph's
+//! fused `linear`, the two segment reductions, the shared row-gather
+//! helper, and `tanh`. `segment_matmul` and the `matmul`/`matmul_tn`/
+//! `matmul_nt` graph wrappers delegate to the instrumented accumulate
+//! kernels, so they are deliberately *not* timed — one site per flop, no
+//! double counting.
+//!
+//! Beside the timers sit the encoder's two work counters
+//! ([`record_embed_rows`]): table rows looked up and table rows actually
+//! multiplied through the projection. Their ratio is the dedup factor of
+//! the inference forward — useful work over attempts for that layer —
+//! read from the running process instead of inferred from shapes.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::time::Instant;
@@ -32,10 +38,12 @@ pub enum Op {
     SegmentWeightedSum = 5,
     /// Row gather (embedding lookups, both tape and parameter-direct).
     Gather = 6,
+    /// Elementwise `tanh` (encoder activation, policy hidden layers).
+    Tanh = 7,
 }
 
 /// How many [`Op`] variants exist.
-pub const OP_COUNT: usize = 7;
+pub const OP_COUNT: usize = 8;
 
 impl Op {
     /// Every op, in stable display order.
@@ -47,6 +55,7 @@ impl Op {
         Op::SegmentSoftmax,
         Op::SegmentWeightedSum,
         Op::Gather,
+        Op::Tanh,
     ];
 
     /// Stable snake_case name (metrics keys, JSON fields).
@@ -59,6 +68,7 @@ impl Op {
             Op::SegmentSoftmax => "segment_softmax",
             Op::SegmentWeightedSum => "segment_weighted_sum",
             Op::Gather => "gather",
+            Op::Tanh => "tanh",
         }
     }
 }
@@ -70,6 +80,9 @@ static ENABLED: AtomicU8 = AtomicU8::new(UNSET);
 
 static CALLS: [AtomicU64; OP_COUNT] = [const { AtomicU64::new(0) }; OP_COUNT];
 static TOTAL_NS: [AtomicU64; OP_COUNT] = [const { AtomicU64::new(0) }; OP_COUNT];
+
+static EMBED_CONTEXT_ROWS: AtomicU64 = AtomicU64::new(0);
+static EMBED_PROJECTED_ROWS: AtomicU64 = AtomicU64::new(0);
 
 /// True while op timers record. After the first call this is one
 /// relaxed load.
@@ -143,12 +156,54 @@ pub fn ops_snapshot() -> Vec<OpStat> {
         .collect()
 }
 
-/// Zeroes every op aggregate (bench harness A/B legs).
+/// The encoder's work counters; see [`record_embed_rows`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EmbedRows {
+    /// Embedding-table rows looked up (three per path context).
+    pub context_rows: u64,
+    /// Table rows multiplied through the projection: equal to
+    /// `context_rows` where every context row is projected, smaller where
+    /// each distinct row is projected once.
+    pub projected_rows: u64,
+}
+
+impl EmbedRows {
+    /// Stable metric names and values, in display order.
+    pub fn named(self) -> [(&'static str, u64); 2] {
+        [
+            ("embed_context_rows_total", self.context_rows),
+            ("embed_projected_rows_total", self.projected_rows),
+        ]
+    }
+}
+
+/// Adds one inference forward's row counts. Recorded only while op
+/// timing is on, like the timers.
+#[inline]
+pub fn record_embed_rows(context_rows: usize, projected_rows: usize) {
+    if ops_enabled() {
+        EMBED_CONTEXT_ROWS.fetch_add(context_rows as u64, Ordering::Relaxed);
+        EMBED_PROJECTED_ROWS.fetch_add(projected_rows as u64, Ordering::Relaxed);
+    }
+}
+
+/// Current totals of the encoder's work counters.
+pub fn embed_rows_snapshot() -> EmbedRows {
+    EmbedRows {
+        context_rows: EMBED_CONTEXT_ROWS.load(Ordering::Relaxed),
+        projected_rows: EMBED_PROJECTED_ROWS.load(Ordering::Relaxed),
+    }
+}
+
+/// Zeroes every op aggregate and the encoder's work counters (bench
+/// harness A/B legs).
 pub fn reset_ops() {
     for i in 0..OP_COUNT {
         CALLS[i].store(0, Ordering::Relaxed);
         TOTAL_NS[i].store(0, Ordering::Relaxed);
     }
+    EMBED_CONTEXT_ROWS.store(0, Ordering::Relaxed);
+    EMBED_PROJECTED_ROWS.store(0, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -164,6 +219,8 @@ mod tests {
             let _t = time_op(Op::MatMul);
         }
         assert_eq!(ops_snapshot()[Op::MatMul as usize].calls, 0);
+        record_embed_rows(300, 74);
+        assert_eq!(embed_rows_snapshot(), EmbedRows::default());
 
         set_ops_enabled(true);
         {
@@ -181,6 +238,16 @@ mod tests {
             assert_eq!(s.op, Op::ALL[i]);
         }
 
+        record_embed_rows(300, 74);
+        record_embed_rows(30, 30);
+        assert_eq!(
+            embed_rows_snapshot().named(),
+            [
+                ("embed_context_rows_total", 330),
+                ("embed_projected_rows_total", 104)
+            ]
+        );
+
         set_ops_enabled(false);
         {
             let _t = time_op(Op::MatMul);
@@ -191,6 +258,7 @@ mod tests {
         assert!(ops_snapshot()
             .iter()
             .all(|s| s.calls == 0 && s.total_ns == 0));
+        assert_eq!(embed_rows_snapshot(), EmbedRows::default());
     }
 
     #[test]
@@ -205,7 +273,8 @@ mod tests {
                 "linear",
                 "segment_softmax",
                 "segment_weighted_sum",
-                "gather"
+                "gather",
+                "tanh"
             ]
         );
     }

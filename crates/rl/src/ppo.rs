@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use nvc_embed::{CodeEmbedder, EmbedConfig, PathSample};
 use nvc_nn::{Adam, Graph, NodeId, ParamStore, Tensor, TensorArena};
 
-use crate::policy::{PolicyConfig, PolicyNet};
+use crate::policy::{PolicyConfig, PolicyNet, PolicyOut};
 use crate::spaces::{ActionDims, ActionSpaceKind};
 
 /// The environment interface: a pool of loop contexts and a reward oracle.
@@ -335,55 +335,29 @@ impl PpoTrainer {
         }
     }
 
-    /// Greedy (deterministic) action for a loop sample.
+    /// Greedy (deterministic) action for a loop sample —
+    /// [`PpoTrainer::predict_batch`] of one.
     pub fn predict(&self, sample: &PathSample) -> (usize, usize) {
-        let mut g = Graph::with_arena(&self.store, &self.arena);
-        let obs = self.embedder.forward(&mut g, sample);
-        let out = self.policy.forward(&mut g, obs);
-        match self.cfg.action_space {
-            ActionSpaceKind::Discrete => {
-                let lv = g.value(out.logits_vf.expect("discrete"));
-                let li = g.value(out.logits_if.expect("discrete"));
-                (argmax(lv.row(0)), argmax(li.row(0)))
-            }
-            ActionSpaceKind::Continuous1D => {
-                let mu = g.value(out.mu.expect("continuous")).data()[0];
-                self.cfg.action_dims.decode_1d(mu)
-            }
-            ActionSpaceKind::Continuous2D => {
-                let m = g.value(out.mu.expect("continuous"));
-                self.cfg.action_dims.decode_2d(m.data()[0], m.data()[1])
-            }
-        }
+        self.predict_batch(&[sample])[0]
     }
 
-    /// Greedy actions for a whole batch of samples in **one** graph:
-    /// every embedding is stacked into a single `n × code_dim`
-    /// observation and the policy runs one forward pass over it.
+    /// Greedy actions for a whole batch of samples: one tape-free encoder
+    /// forward ([`CodeEmbedder::infer_rows`] — no encoder tape, no copy
+    /// of the projection weights), whose `n × code_dim` result enters a
+    /// graph as a constant for one policy forward over all rows.
     ///
     /// Row-major matmul and the row-wise activations compute each output
-    /// row from its input row alone, so the result is bitwise-identical
-    /// to calling [`PpoTrainer::predict`] per sample — the batched path
-    /// is a pure throughput optimization (this is what `nvc-serve`'s
-    /// batching layer calls).
+    /// row from its input row alone, so in strict mode the result is
+    /// bitwise-identical to calling [`PpoTrainer::predict`] per sample —
+    /// the batched path is a pure throughput optimization (this is what
+    /// `nvc-serve`'s batching layer calls).
     pub fn predict_batch(&self, samples: &[&PathSample]) -> Vec<(usize, usize)> {
+        // An empty flush must never take down a serve worker.
         if samples.is_empty() {
             return Vec::new();
         }
         let mut g = Graph::with_arena(&self.store, &self.arena);
-        let obs = {
-            let _embed = nvc_obs::span("embed");
-            match self.embedder.forward_rows(&mut g, samples) {
-                Ok(node) => node,
-                // Defensive twin of the early return above: an empty flush
-                // must never take down a serve worker.
-                Err(nvc_embed::EmbedError::EmptyBatch) => return Vec::new(),
-            }
-        };
-        let out = {
-            let _forward = nvc_obs::span("policy_forward");
-            self.policy.forward(&mut g, obs)
-        };
+        let out = self.infer_policy(&mut g, samples);
         match self.cfg.action_space {
             ActionSpaceKind::Discrete => {
                 let lv = g.value(out.logits_vf.expect("discrete"));
@@ -410,9 +384,19 @@ impl PpoTrainer {
     /// The value estimate for a sample (used by analysis tooling).
     pub fn value_of(&self, sample: &PathSample) -> f32 {
         let mut g = Graph::with_arena(&self.store, &self.arena);
-        let obs = self.embedder.forward(&mut g, sample);
-        let out = self.policy.forward(&mut g, obs);
+        let out = self.infer_policy(&mut g, &[sample]);
         g.value(out.value).data()[0]
+    }
+
+    /// The no-gradient forward: tape-free embeddings fed to the policy
+    /// net as a constant input.
+    fn infer_policy(&self, g: &mut Graph<'_>, samples: &[&PathSample]) -> PolicyOut {
+        let obs = {
+            let _embed = nvc_obs::span("embed");
+            g.input(self.embedder.infer_rows(&self.store, samples))
+        };
+        let _forward = nvc_obs::span("policy_forward");
+        self.policy.forward(g, obs)
     }
 
     // ------------------------------------------------------------------

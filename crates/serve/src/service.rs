@@ -495,6 +495,7 @@ impl ServeHandle {
                 ]),
             ),
             ("ops", ops_json()),
+            ("op_counters", op_counters_json()),
         ])
     }
 
@@ -680,13 +681,14 @@ impl Drop for ServeHandle {
     }
 }
 
-/// Prometheus exposition of the kernel op timers. Mirrors
+/// Prometheus exposition of the kernel op timers, then the encoder's
+/// work counters (`nvc_embed_context_rows_total` /
+/// `nvc_embed_projected_rows_total`, once either has moved). Mirrors
 /// [`ops_json`]'s filter (only ops that ran; empty when `NVC_OPS` is
 /// off) and splices `labels` in front of the per-sample label set the
 /// same way the metrics registry does.
 fn render_ops_prometheus(labels: &str) -> String {
     use std::fmt::Write as _;
-    let mode = nvc_nn::kernels::kernel_mode().name();
     let snap: Vec<_> = nvc_obs::ops_snapshot()
         .into_iter()
         .filter(|s| s.calls > 0)
@@ -694,13 +696,9 @@ fn render_ops_prometheus(labels: &str) -> String {
     if snap.is_empty() {
         return String::new();
     }
-    let set = |op: &str| {
-        if labels.is_empty() {
-            format!("op=\"{op}\",kernel_mode=\"{mode}\"")
-        } else {
-            format!("{labels},op=\"{op}\",kernel_mode=\"{mode}\"")
-        }
-    };
+    let sep = if labels.is_empty() { "" } else { "," };
+    let mode = format!("kernel_mode=\"{}\"", nvc_nn::kernels::kernel_mode().name());
+    let set = |op: &str| format!("{labels}{sep}op=\"{op}\",{mode}");
     let mut out = String::from("# TYPE nvc_kernel_op_calls_total counter\n");
     for s in &snap {
         let _ = writeln!(
@@ -718,6 +716,12 @@ fn render_ops_prometheus(labels: &str) -> String {
             set(s.op.name()),
             s.total_ns as f64 / 1_000.0
         );
+    }
+    for (name, value) in nvc_obs::embed_rows_snapshot().named() {
+        if value > 0 {
+            let _ = writeln!(out, "# TYPE nvc_{name} counter");
+            let _ = writeln!(out, "nvc_{name}{{{labels}{sep}{mode}}} {value}");
+        }
     }
     out
 }
@@ -738,6 +742,17 @@ fn ops_json() -> Json {
                 ]),
             )
         })
+        .collect())
+}
+
+/// The encoder's work counters beside the op timers: table rows looked
+/// up and table rows multiplied, whose ratio is the inference forward's
+/// dedup factor (both zero while `NVC_OPS` is off).
+fn op_counters_json() -> Json {
+    obj(nvc_obs::embed_rows_snapshot()
+        .named()
+        .into_iter()
+        .map(|(name, value)| (name, Json::from(value)))
         .collect())
 }
 
@@ -1097,6 +1112,8 @@ void f(int n) {
             vec!["latency", "p99_us"],
             vec!["latency", "histogram_us"],
             vec!["ops"],
+            vec!["op_counters", "embed_context_rows_total"],
+            vec!["op_counters", "embed_projected_rows_total"],
         ] {
             let mut v = &s;
             for k in path.iter() {

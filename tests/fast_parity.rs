@@ -1,8 +1,9 @@
 //! Fast-kernel ε-parity tier: the `KernelMode::Fast` kernels (fused-FMA
 //! accumulators, reduction-dimension `k`-split sharding, single-pass
-//! online softmax) reassociate floating-point reductions, so they are
-//! *not* held to the strict tier's bitwise bar. Their contract, gated
-//! here, is:
+//! online softmax, polynomial `tanh`, and the inference forward's
+//! factored projection) reassociate or re-round floating-point results,
+//! so they are *not* held to the strict tier's bitwise bar. Their
+//! contract, gated here, is:
 //!
 //! * **ε-parity** — every finite output is within a relative bound of the
 //!   strict kernel's answer, over random shapes *and* hostile payloads,
@@ -13,15 +14,21 @@
 //! * **driver identity** — the persistent pool and the scoped
 //!   `NVC_MATMUL_POOL=0` fallback run the identical fast shard list
 //!   (including `k`-split windows) and produce the same bits;
+//! * **`tanh`** — the polynomial body is within 2 ulp of the correctly
+//!   rounded value, exactly odd, bounded by 1, exact on the special
+//!   values, and blind to where in a slice an element sits;
 //! * **decision equivalence** — serving the full fixed corpus (the
 //!   12-loop LLVM suite plus polybench- and mibench-lite) in fast mode
-//!   yields exactly the strict decisions.
+//!   yields exactly the strict decisions, and so do thousands of
+//!   synthesized loop shapes at batch 1 and batch 8 under both the fast
+//!   and the paper-size configuration.
 //!
 //! The kernel mode is a process-global knob and fast mode is *not*
 //! result-neutral, so every test here serializes on one mutex.
 
 use neurovectorizer::{NeuroVectorizer, NvConfig, VectorizeEnv};
 use nvc_datasets::{mibench, polybench, suite};
+use nvc_embed::{EmbedConfig, PathSample};
 use nvc_nn::{kernels, Graph, KernelMode, ParamStore, Segments, Tensor};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -431,5 +438,187 @@ fn fast_gradients_are_eps_close_to_strict() {
             &format!("gradients threads={threads}"),
         );
     }
+    restore_defaults();
+}
+
+// ---- tanh ---------------------------------------------------------------
+
+fn fast_tanh(xs: &[f32]) -> Vec<f32> {
+    let mut out = xs.to_vec();
+    kernels::tanh_inplace(&mut out);
+    out
+}
+
+#[test]
+fn fast_tanh_is_exact_on_special_values() {
+    let _guard = lock_mode();
+    kernels::set_kernel_mode(KernelMode::Fast);
+    let sub = f32::from_bits(0x0000_0001);
+    let big_sub = f32::from_bits(0x007F_FFFF);
+    let cases = [
+        (0.0f32, 0.0f32),
+        (-0.0, -0.0),
+        (f32::INFINITY, 1.0),
+        (f32::NEG_INFINITY, -1.0),
+        (sub, sub),
+        (-sub, -sub),
+        (big_sub, big_sub),
+        (f32::MIN_POSITIVE, f32::MIN_POSITIVE),
+        (9.1, 1.0),
+        (-9.1, -1.0),
+        (88.0, 1.0),
+        (-1e30, -1.0),
+        (f32::MAX, 1.0),
+    ];
+    let got = fast_tanh(&cases.map(|(x, _)| x));
+    for ((x, want), y) in cases.iter().zip(got) {
+        assert_eq!(y.to_bits(), want.to_bits(), "tanh({x:e}) = {y:e}");
+    }
+    for nan in [f32::NAN, -f32::NAN, f32::from_bits(0x7F80_0001)] {
+        assert!(fast_tanh(&[nan])[0].is_nan(), "tanh(NaN) must stay NaN");
+    }
+    restore_defaults();
+}
+
+#[test]
+fn fast_tanh_is_within_two_ulps_odd_and_bounded() {
+    let _guard = lock_mode();
+    kernels::set_kernel_mode(KernelMode::Fast);
+    // A dense sweep of [0, 12] (the negative half follows from oddness,
+    // asserted below) plus every binade down through the subnormals.
+    let mut xs: Vec<f32> = (0..=480_000).map(|i| i as f32 * 2.5e-5).collect();
+    xs.extend(
+        (1..0x4140_0000u32)
+            .step_by(0x0080_0000 / 64)
+            .map(f32::from_bits),
+    );
+    let ys = fast_tanh(&xs);
+    let negated = fast_tanh(&xs.iter().map(|x| -x).collect::<Vec<f32>>());
+    for ((&x, &y), &ny) in xs.iter().zip(&ys).zip(&negated) {
+        let exact = (x as f64).tanh() as f32;
+        let ulps = y.to_bits().abs_diff(exact.to_bits());
+        assert!(
+            ulps <= 2,
+            "tanh({x:e}) = {y:e}, correctly rounded {exact:e}"
+        );
+        assert!(y <= 1.0, "tanh({x:e}) = {y:e} exceeds 1");
+        assert_eq!(ny.to_bits(), (-y).to_bits(), "tanh(-{x:e}) != -tanh({x:e})");
+    }
+    restore_defaults();
+}
+
+/// Vector body or scalar tail, whichever lane: an element's result is a
+/// function of the element alone.
+#[test]
+fn fast_tanh_does_not_depend_on_slice_position() {
+    let _guard = lock_mode();
+    kernels::set_kernel_mode(KernelMode::Fast);
+    let xs: Vec<f32> = (0..257)
+        .map(|i| ((i as f32) * 0.731).sin() * 10.0)
+        .collect();
+    let whole: Vec<u32> = fast_tanh(&xs).iter().map(|y| y.to_bits()).collect();
+    for piece in 1..=9usize {
+        let pieced: Vec<u32> = xs
+            .chunks(piece)
+            .flat_map(fast_tanh)
+            .map(|y| y.to_bits())
+            .collect();
+        assert_eq!(
+            pieced, whole,
+            "pieces of {piece} diverged from the whole slice"
+        );
+    }
+    restore_defaults();
+}
+
+// ---- decision equivalence at bench scale --------------------------------
+
+/// A random loop-body expression: depth ≤ 4 over array reads, a scalar and
+/// one literal per bucket of the embedder's literal normalization — the
+/// grammar of the repo benchmark's never-seen shapes, whose *structure*
+/// path-context normalization cannot collapse.
+fn synth_expr(rng: &mut ChaCha8Rng, depth: u32, out: &mut String) {
+    const LEAVES: [&str; 10] = [
+        "b[i]", "c[i]", "d[i + 1]", "b[i * 2]", "s", "1", "2", "5", "8", "100",
+    ];
+    const OPS: [&str; 6] = ["+", "-", "*", "&", "|", "^"];
+    if depth >= 4 || (depth > 0 && rng.gen_range(0..4u32) < depth) {
+        out.push_str(LEAVES[rng.gen_range(0..LEAVES.len())]);
+        return;
+    }
+    out.push('(');
+    synth_expr(rng, depth + 1, out);
+    out.push(' ');
+    out.push_str(OPS[rng.gen_range(0..OPS.len())]);
+    out.push(' ');
+    synth_expr(rng, depth + 1, out);
+    out.push(')');
+}
+
+/// `count` distinct samples of synthesized loops.
+fn synth_samples(seed: u64, count: usize, cfg: &EmbedConfig) -> Vec<PathSample> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut seen = std::collections::HashSet::new();
+    let mut out = Vec::with_capacity(count);
+    while out.len() < count {
+        let mut body = String::new();
+        synth_expr(&mut rng, 0, &mut body);
+        let src = format!("for (int i = 0; i < n; i++) {{ a[i] = {body}; }}");
+        let stmt = nvc_frontend::parse_statement(&src).expect("synthesized loop parses");
+        let sample = PathSample::from_stmt(&stmt, cfg);
+        if seen.insert(sample.clone()) {
+            out.push(sample);
+        }
+    }
+    out
+}
+
+/// Fast decisions at batch 1 and batch 8 against strict, on a freshly
+/// seeded model (untrained logits sit closest together, so a re-rounding
+/// flip is likeliest here); and, at one kernel thread, fast embeddings of
+/// a sample alone against the same sample among seven batch-mates — the
+/// factored sums differ with batch composition only through *which* rows
+/// are distinct, never in value.
+fn assert_synth_decisions_match(cfg: NvConfig, seed: u64, count: usize) {
+    let samples = synth_samples(seed, count, &cfg.embed);
+    let refs: Vec<&PathSample> = samples.iter().collect();
+    let nv = NeuroVectorizer::new(cfg.with_matmul_threads(1));
+    let batched = |chunk: usize| -> Vec<(usize, usize)> {
+        refs.chunks(chunk)
+            .flat_map(|c| nv.trainer().predict_batch(c))
+            .collect()
+    };
+    kernels::set_kernel_mode(KernelMode::Strict);
+    let strict = batched(8);
+    kernels::set_kernel_mode(KernelMode::Fast);
+    assert_eq!(batched(1), strict, "fast batch-1 decisions diverged");
+    assert_eq!(batched(8), strict, "fast batch-8 decisions diverged");
+    for chunk in refs.chunks(8).take(16) {
+        for (together, alone) in nv.encode_batch(chunk).iter().zip(chunk) {
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            assert_eq!(
+                bits(together),
+                bits(&nv.encode(alone)),
+                "a sample's fast embedding depends on its batch-mates"
+            );
+        }
+    }
+}
+
+#[test]
+fn fast_decisions_match_strict_on_synthesized_loops() {
+    let _guard = lock_mode();
+    assert_synth_decisions_match(NvConfig::fast(), 11, 2_000);
+    assert_synth_decisions_match(NvConfig::paper().with_seed(3), 12, 200);
+    restore_defaults();
+}
+
+/// The paper-size sweep at the benchmark's scale. Minutes unoptimized, so
+/// debug builds skip it; CI runs it in release on every push.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "paper-size sweep: run with --release")]
+fn fast_decisions_match_strict_on_synthesized_loops_at_paper_size() {
+    let _guard = lock_mode();
+    assert_synth_decisions_match(NvConfig::paper().with_seed(3), 13, 2_000);
     restore_defaults();
 }

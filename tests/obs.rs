@@ -4,8 +4,9 @@
 //! worker), and a cache hit is distinguishable from a batched forward by
 //! span names alone.
 //!
-//! One `#[test]` on purpose: the trace ring is process-global, so a
-//! single test keeps the record stream deterministic.
+//! One `#[test]` reads the trace ring on purpose: it is process-global,
+//! so a single reader keeps the record stream deterministic. The kernel
+//! profile test beside it only reads the op aggregates.
 
 use neurovectorizer::{NeuroVectorizer, NvConfig, ServeConfig};
 use nvc_obs::{enable_tracing, export_records, next_trace_id, trace_scope, TraceRecord};
@@ -17,6 +18,10 @@ void f(int n) {
     }
 }";
 
+/// Constructing a model applies its kernel mode process-wide, so the two
+/// tests take turns.
+static MODEL_KNOBS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 fn names_of(records: &[TraceRecord], trace: u64) -> Vec<&'static str> {
     records
         .iter()
@@ -27,6 +32,7 @@ fn names_of(records: &[TraceRecord], trace: u64) -> Vec<&'static str> {
 
 #[test]
 fn served_decisions_are_attributable_by_trace_id() {
+    let _guard = MODEL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
     enable_tracing();
     let mut cfg = NvConfig::fast();
     cfg.serve = ServeConfig::default().with_workers(1).with_batch_size(1);
@@ -113,4 +119,48 @@ fn served_decisions_are_attributable_by_trace_id() {
         "JSON export lost the trace id: {line}"
     );
     assert!(line.contains("\"name\":\"batch_forward\""));
+}
+
+/// The kernel profile of a served miss, read from the surfaces an operator
+/// has: `tanh` is a timed op like the matmuls, and the encoder's work
+/// counters give the dedup factor of the fast projection — rows looked up
+/// over rows multiplied — without inferring it from shapes.
+#[test]
+fn kernel_profile_reports_tanh_and_the_projection_dedup_factor() {
+    let _guard = MODEL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
+    nvc_obs::set_ops_enabled(true);
+    let mut cfg = NvConfig::fast().with_kernel_mode(nvc_nn::KernelMode::Fast);
+    cfg.serve = ServeConfig::default().with_workers(1).with_batch_size(1);
+    let handle = NeuroVectorizer::new(cfg).serve();
+    handle.vectorize(SRC).expect("miss request");
+
+    let stats = handle.stats_json();
+    let number = |path: [&str; 2]| {
+        let section = stats.get(path[0]).unwrap_or_else(|| panic!("no {path:?}"));
+        section
+            .get(path[1])
+            .unwrap_or_else(|| panic!("no {path:?}"))
+    };
+    let calls = number(["ops", "tanh"])
+        .get("calls")
+        .and_then(|c| c.as_f64());
+    assert!(calls >= Some(1.0), "the forward's tanh was not timed");
+    let looked_up = number(["op_counters", "embed_context_rows_total"]).as_f64();
+    let multiplied = number(["op_counters", "embed_projected_rows_total"]).as_f64();
+    assert!(
+        multiplied > Some(0.0) && multiplied < looked_up,
+        "a loop's contexts share leaves: {multiplied:?} of {looked_up:?} rows multiplied"
+    );
+
+    let text = handle.render_prometheus("model=\"m\"");
+    for line in [
+        "nvc_kernel_op_calls_total{model=\"m\",op=\"tanh\",kernel_mode=\"fast\"}",
+        "nvc_embed_context_rows_total{model=\"m\",kernel_mode=\"fast\"}",
+        "nvc_embed_projected_rows_total{model=\"m\",kernel_mode=\"fast\"}",
+    ] {
+        assert!(text.contains(line), "exposition lacks `{line}`:\n{text}");
+    }
+    handle.shutdown();
+    nvc_obs::set_ops_enabled(false);
+    nvc_nn::kernels::set_kernel_mode(nvc_nn::kernels::default_kernel_mode());
 }
