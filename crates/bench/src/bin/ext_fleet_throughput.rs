@@ -37,9 +37,8 @@ use neurovectorizer::{
     NeuroVectorizer, NvConfig, RegistryService, ServeConfig,
 };
 use nvc_datasets::generator;
-use nvc_fleet::serve_registry;
 use nvc_hub::server::{serve_tcp, HubHandle};
-use nvc_hub::spawn_announcer;
+use nvc_hub::{serve_registry, spawn_announcer};
 use nvc_serve::json::obj;
 use nvc_serve::Json;
 

@@ -37,9 +37,9 @@ const USAGE: &str = "usage:
   nvc serve [--model FILE] [--workers N] [--batch N] [--flush-us N] [--cache N] [--shards N]
             [--matmul-threads N] [--kernel-mode strict|fast] [--trace FILE]
   nvc hub --model NAME=FILE [--model NAME=FILE…] [--weight NAME=N…] [--listen ADDR]
-          [--cache-file PATH] [--cache-checkpoint-secs N] [--transport event|threads]
-          [--request-threads N] [--announce REGISTRY_ADDR] [--node NAME]
-          [--advertise ADDR] [--announce-ttl-ms N] [--peers ADDR[,ADDR…]]
+          [--cache-file PATH] [--cache-checkpoint-secs N] [--request-threads N]
+          [--announce REGISTRY_ADDR] [--node NAME] [--advertise ADDR]
+          [--announce-ttl-ms N] [--peers ADDR[,ADDR…]]
           [--workers N] [--batch N] [--flush-us N] [--cache N] [--shards N]
           [--matmul-threads N] [--kernel-mode strict|fast] [--trace FILE]
           [--learn] [--learn-journal FILE] [--learn-promotion-log FILE]
@@ -51,16 +51,13 @@ const USAGE: &str = "usage:
 
 --matmul-threads shards the nvc-nn matmul kernels' output rows across N
 persistent pool workers (default: NVC_MATMUL_THREADS or 1); results are
-bitwise-identical at any value. NVC_MATMUL_POOL=0 falls back to scoped
-per-call threads.
+bitwise-identical at any value.
 --kernel-mode picks the kernel numeric contract (default: NVC_KERNEL_MODE,
 else `fast` for serve/hub and `strict` everywhere else): `strict` is
 bitwise-reproducible; `fast` runs FMA + k-split + online-softmax kernels
 that are ε-close with identical decisions.
---transport picks the hub's connection driver: `event` (default) is a
-single selector thread driving every connection nonblocking with
---request-threads protocol workers; `threads` is one thread per
-connection, kept for parity testing.
+The hub's connections are driven nonblocking by one selector thread;
+--request-threads sets how many workers answer protocol requests.
 --trace FILE exports per-request spans as JSON lines (equivalent to
 NVC_TRACE=FILE); --journal FILE appends one JSON line of training
 telemetry per iteration. Tracing never changes decisions or weights.
@@ -77,7 +74,8 @@ atomic reload once its reward cohort clears a Welch z of --learn-z with
 loss. A regressing promotion is rolled back automatically. Lifecycle
 events append to --learn-promotion-log.
 
-Fleet: `nvc registry` runs the discovery registry; `nvc hub --announce
+Fleet: `nvc registry` runs the discovery registry (on the same
+connection loop as the hub); `nvc hub --announce
 REGISTRY` heartbeats (model, checkpoint hash, address) there so `nvc
 resolve` and fleet clients find it; `--peers` pulls a warm cache image
 from a running peer before taking traffic; --cache-checkpoint-secs
@@ -330,7 +328,6 @@ fn cmd_hub(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         Flag::value("--cache-file"),
         Flag::value("--cache-checkpoint-secs"),
         Flag::value("--trace"),
-        Flag::value("--transport"),
         Flag::value("--request-threads"),
         Flag::value("--announce"),
         Flag::value("--node"),
@@ -366,9 +363,6 @@ fn cmd_hub(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
     if let Some(n) = p.parse_value::<u64>("--cache-checkpoint-secs")? {
         cfg.hub.cache_checkpoint_secs = n;
-    }
-    if let Some(t) = p.get("--transport") {
-        cfg.hub.transport = neurovectorizer::HubTransport::parse(t)?;
     }
     if let Some(n) = p.get("--request-threads") {
         cfg.hub.request_threads = n

@@ -67,11 +67,10 @@ pub use compiler::{CompileError, Compiler, LoopDecision, ProgramTiming, CALL_OVE
 pub use env::{LoopContext, VectorizeEnv, TIMEOUT_PENALTY};
 pub use framework::{NeuroVectorizer, NvConfig};
 pub use nvc_fleet::{
-    serve_registry, ContentStore, FleetClient, FleetConfig, FleetResponse, RegistryClient,
-    RegistryService,
+    ContentStore, FleetClient, FleetConfig, FleetResponse, RegistryClient, RegistryService,
 };
 pub use nvc_hub::{
-    spawn_announcer, spawn_learner, AnnounceConfig, Hub, HubConfig, HubHandle, HubTransport,
+    serve_registry, spawn_announcer, spawn_learner, AnnounceConfig, Hub, HubConfig, HubHandle,
     LearnConfig, LearnEvent, ModelSpec, ReportRecord,
 };
 pub use nvc_rl::ReplayEnv;

@@ -183,7 +183,7 @@ impl CodeEmbedder {
     /// projection is the flop-dominant matmul of the whole system, and
     /// the segmented layout makes it row-parallel: with
     /// `NvConfig::matmul_threads > 1` the `nvc-nn` kernel shards its
-    /// output rows across scoped threads (and runs 8-wide unrolled inner
+    /// output rows across the kernel pool (and runs 8-wide unrolled inner
     /// loops) while keeping every row's accumulation order — and thus
     /// bitwise parity — intact. The
     /// segment kernels fix their reduction order per segment, so values

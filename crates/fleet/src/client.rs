@@ -11,8 +11,8 @@
 //! (stale-while-down).
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -23,6 +23,103 @@ use nvc_serve::Json;
 
 use crate::registry::{NodeAnnouncement, ResolvedNode};
 use crate::FleetError;
+
+/// How long a client waits on a peer, and how much it accepts from one.
+#[derive(Debug, Clone, Copy)]
+pub struct PeerLimits {
+    /// Per resolved address.
+    pub connect_timeout: Duration,
+    /// Longest silence tolerated while writing the request or waiting
+    /// for (more of) the response.
+    pub io_timeout: Duration,
+    /// Longest response line accepted.
+    pub max_response_bytes: u64,
+}
+
+/// The limits every client in the stack uses. 2 s covers a connect
+/// across a loaded network. The peer's longest legitimate silence is
+/// rendering a full `cache_export`: a default one-model hub with its
+/// 65 536-entry LRU and the 262 144-entry shared store both full answers
+/// 8.2 MB, rendered in 0.14 s on a 2-vCPU host (release build). 30 s and
+/// 64 MiB leave more than an order of magnitude above that for
+/// many-model hubs on slow, loaded hosts, while a peer that accepts and
+/// then never answers still becomes an error.
+pub const PEER_LIMITS: PeerLimits = PeerLimits {
+    connect_timeout: Duration::from_secs(2),
+    io_timeout: Duration::from_secs(30),
+    max_response_bytes: 64 * 1024 * 1024,
+};
+
+fn connect(addr: &str, limits: &PeerLimits) -> io::Result<BufReader<TcpStream>> {
+    let mut last = io::Error::new(io::ErrorKind::InvalidInput, "address resolves to nothing");
+    for resolved in addr.to_socket_addrs()? {
+        match TcpStream::connect_timeout(&resolved, limits.connect_timeout) {
+            Ok(stream) => {
+                stream.set_read_timeout(Some(limits.io_timeout))?;
+                stream.set_write_timeout(Some(limits.io_timeout))?;
+                let _ = stream.set_nodelay(true);
+                return Ok(BufReader::new(stream));
+            }
+            Err(e) => last = e,
+        }
+    }
+    Err(last)
+}
+
+/// One JSON-lines request/response with the peer at `addr` — the
+/// client side of every `nvc` protocol. `conn` is the caller's cached
+/// connection: reused when present, left in place on success, cleared on
+/// failure. A reused connection that turns out stale (the peer restarted
+/// or dropped it while idle) is replaced once; a peer that stays silent
+/// past `limits.io_timeout` is an error, not a retry, so the call
+/// returns within connect + I/O timeout of a stalled peer.
+pub fn round_trip(
+    conn: &mut Option<BufReader<TcpStream>>,
+    addr: &str,
+    request: &str,
+    limits: &PeerLimits,
+) -> Result<Json, String> {
+    loop {
+        let reused = conn.is_some();
+        let mut c = match conn.take() {
+            Some(c) => c,
+            None => connect(addr, limits).map_err(|e| e.to_string())?,
+        };
+        let mut response = String::new();
+        let io = c
+            .get_mut()
+            .write_all(request.as_bytes())
+            .and_then(|()| c.get_mut().write_all(b"\n"))
+            .and_then(|()| {
+                (&mut c)
+                    .take(limits.max_response_bytes)
+                    .read_line(&mut response)
+            });
+        let stale = match &io {
+            Ok(0) => true,
+            Ok(_) => false,
+            Err(e) => !matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ),
+        };
+        if reused && stale {
+            continue; // `conn` is empty now: the next round connects afresh
+        }
+        return match io {
+            Ok(0) => Err("peer closed the connection".to_string()),
+            Err(e) => Err(e.to_string()),
+            Ok(_) if !response.ends_with('\n') => Err(format!(
+                "response cut short or longer than {} bytes",
+                limits.max_response_bytes
+            )),
+            Ok(_) => {
+                *conn = Some(c);
+                Json::parse(response.trim()).map_err(|e| format!("bad response: {e}"))
+            }
+        };
+    }
+}
 
 /// A line-oriented JSON connection to one registry, reconnecting on
 /// error.
@@ -45,42 +142,14 @@ impl RegistryClient {
         &self.addr
     }
 
-    /// One request/response. Reconnects once if the cached connection
-    /// has gone stale.
+    /// One request/response ([`round_trip`] under [`PEER_LIMITS`]).
     pub fn request(&self, body: &Json) -> Result<Json, String> {
-        let line = body.render();
-        let mut guard = self.conn.lock();
-        for attempt in 0..2 {
-            if guard.is_none() {
-                let stream = TcpStream::connect(&self.addr).map_err(|e| e.to_string())?;
-                let _ = stream.set_nodelay(true);
-                *guard = Some(BufReader::new(stream));
-            }
-            let conn = guard.as_mut().expect("connection just ensured");
-            let io = conn
-                .get_mut()
-                .write_all(line.as_bytes())
-                .and_then(|()| conn.get_mut().write_all(b"\n"))
-                .and_then(|()| conn.get_mut().flush())
-                .and_then(|()| {
-                    let mut response = String::new();
-                    conn.read_line(&mut response).map(|n| (n, response))
-                });
-            match io {
-                Ok((0, _)) | Err(_) if attempt == 0 => {
-                    // Stale connection (registry restarted, idle
-                    // timeout): drop it and retry once on a fresh one.
-                    *guard = None;
-                    continue;
-                }
-                Ok((0, _)) => return Err("registry closed the connection".to_string()),
-                Err(e) => return Err(e.to_string()),
-                Ok((_, response)) => {
-                    return Json::parse(response.trim()).map_err(|e| format!("bad response: {e}"))
-                }
-            }
-        }
-        unreachable!("two attempts always return")
+        round_trip(
+            &mut self.conn.lock(),
+            &self.addr,
+            &body.render(),
+            &PEER_LIMITS,
+        )
     }
 
     /// Sends one announcement heartbeat.
@@ -228,7 +297,9 @@ pub struct FleetClient {
     /// Last successful resolution and when it happened.
     nodes: Mutex<(Vec<ResolvedNode>, Option<Instant>)>,
     /// Cached connections per node address.
-    conns: Mutex<HashMap<String, BufReader<TcpStream>>>,
+    conns: Mutex<HashMap<String, Option<BufReader<TcpStream>>>>,
+    /// [`PEER_LIMITS`]; a field so the stalled-node test can shorten it.
+    limits: PeerLimits,
     stats: StatCells,
 }
 
@@ -241,6 +312,7 @@ impl FleetClient {
             registry,
             nodes: Mutex::new((Vec::new(), None)),
             conns: Mutex::new(HashMap::new()),
+            limits: PEER_LIMITS,
             stats: StatCells::default(),
         }
     }
@@ -425,37 +497,12 @@ impl FleetClient {
     /// One request/response against a node, using (and on failure
     /// discarding) the cached connection for its address.
     fn request_node(&self, addr: &str, body: &Json) -> Result<Json, String> {
-        let line = body.render();
         let mut conns = self.conns.lock();
-        for attempt in 0..2 {
-            if !conns.contains_key(addr) {
-                let stream = TcpStream::connect(addr).map_err(|e| e.to_string())?;
-                let _ = stream.set_nodelay(true);
-                conns.insert(addr.to_string(), BufReader::new(stream));
-            }
-            let conn = conns.get_mut(addr).expect("connection just ensured");
-            let io = conn
-                .get_mut()
-                .write_all(line.as_bytes())
-                .and_then(|()| conn.get_mut().write_all(b"\n"))
-                .and_then(|()| conn.get_mut().flush())
-                .and_then(|()| {
-                    let mut response = String::new();
-                    conn.read_line(&mut response).map(|n| (n, response))
-                });
-            match io {
-                Ok((0, _)) | Err(_) if attempt == 0 => {
-                    conns.remove(addr);
-                    continue;
-                }
-                Ok((0, _)) => return Err("node closed the connection".to_string()),
-                Err(e) => return Err(e.to_string()),
-                Ok((_, response)) => {
-                    return Json::parse(response.trim()).map_err(|e| format!("bad response: {e}"))
-                }
-            }
+        if !conns.contains_key(addr) {
+            conns.insert(addr.to_string(), None);
         }
-        unreachable!("two attempts always return")
+        let conn = conns.get_mut(addr).expect("slot just ensured");
+        round_trip(conn, addr, &body.render(), &self.limits)
     }
 }
 
@@ -586,6 +633,93 @@ mod tests {
             "trailing backoff slept after the final attempt: {elapsed:?}"
         );
         assert_eq!(client.stats().failovers, 1, "one backoff, not two");
+    }
+
+    /// A peer that completes the TCP handshake (the kernel does, from the
+    /// listen backlog) and then never reads or writes.
+    fn stalled_peer() -> (std::net::TcpListener, String) {
+        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = l.local_addr().unwrap().to_string();
+        (l, addr)
+    }
+
+    const SHORT: PeerLimits = PeerLimits {
+        connect_timeout: Duration::from_millis(500),
+        io_timeout: Duration::from_millis(150),
+        max_response_bytes: 1024,
+    };
+
+    #[test]
+    fn a_peer_that_never_answers_is_an_error_within_the_timeout() {
+        let (_stalled, addr) = stalled_peer();
+        let mut conn = None;
+        let t = Instant::now();
+        let got = round_trip(&mut conn, &addr, "{\"op\":\"ping\"}", &SHORT);
+        let elapsed = t.elapsed();
+        assert!(got.is_err(), "a silent peer must not look like an answer");
+        assert!(conn.is_none(), "the failed connection is not kept");
+        assert!(
+            elapsed >= SHORT.io_timeout && elapsed < 10 * SHORT.io_timeout,
+            "one I/O timeout, no retry: {elapsed:?}"
+        );
+
+        // The cap: a peer answering more than `max_response_bytes`
+        // without a newline is cut off, not buffered.
+        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = l.local_addr().unwrap().to_string();
+        let flood = std::thread::spawn(move || {
+            let (mut s, _) = l.accept().unwrap();
+            let _ = s.write_all(&vec![b'x'; 4096]);
+        });
+        let got = round_trip(&mut None, &addr, "{}", &SHORT);
+        assert!(got.unwrap_err().contains("longer than 1024 bytes"));
+        flood.join().unwrap();
+    }
+
+    #[test]
+    fn a_stalled_node_is_failed_over_like_a_dead_one() {
+        let (_stalled, stalled_addr) = stalled_peer();
+        let live = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let live_addr = live.local_addr().unwrap().to_string();
+        let answer = std::thread::spawn(move || {
+            let (stream, _) = live.accept().unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            reader
+                .get_mut()
+                .write_all(
+                    b"{\"ok\":true,\"model\":\"prod\",\"checkpoint_hash\":\"00000000000000ab\",\
+                      \"source\":\"decided\",\"loops\":[],\"latency_us\":1}\n",
+                )
+                .unwrap();
+        });
+
+        let cfg = FleetConfig::new("127.0.0.1:1") // never contacted
+            .with_model("prod")
+            .with_backoff_ms(1)
+            .with_resolve_ttl_ms(3_600_000);
+        let mut client = FleetClient::new(cfg);
+        client.limits = SHORT;
+        let mut nodes = vec![node("stalled", 1), node("live", 1)];
+        nodes[0].addr = stalled_addr;
+        nodes[1].addr = live_addr;
+        // A source the weighted split starts on the stalled node.
+        let source = (0..64)
+            .map(|i| format!("int f{i}(){{return 0;}}"))
+            .find(|s| pick_start(&nodes, Some("prod"), route_key(s)) == 0)
+            .expect("some source routes to node 0");
+        *client.nodes.lock() = (nodes, Some(Instant::now()));
+
+        let t = Instant::now();
+        let resp = client.vectorize(&source).expect("the live node answers");
+        assert_eq!(
+            (resp.node.as_str(), resp.source.as_str()),
+            ("live", "decided")
+        );
+        assert_eq!(client.stats().failovers, 1);
+        assert!(t.elapsed() < 10 * SHORT.io_timeout, "{:?}", t.elapsed());
+        answer.join().unwrap();
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! crate adds the three pieces that turn N independent hubs into one
 //! fleet:
 //!
-//! * [`registry`] + [`server`] — a **discovery registry** (`nvc
+//! * [`registry`] + [`service`] — a **discovery registry** (`nvc
 //!   registry` on the CLI): hub nodes announce `(model,
 //!   checkpoint_hash, addr)` over the same JSON-lines protocol the rest
 //!   of the stack speaks, with TTL'd heartbeats — a node that stops
@@ -41,12 +41,12 @@
 
 pub mod client;
 pub mod registry;
-pub mod server;
+pub mod service;
 pub mod store;
 
 pub use client::{FleetClient, FleetConfig, FleetResponse, FleetStats, RegistryClient};
 pub use registry::{ModelAd, NodeAnnouncement, RegistryCore, ResolvedNode};
-pub use server::{serve_registry, serve_registry_on, RegistryHandle, RegistryService};
+pub use service::RegistryService;
 pub use store::{ContentStore, ContentStoreStats};
 
 /// Failures surfaced by the fleet tier.

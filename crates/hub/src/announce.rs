@@ -147,9 +147,10 @@ impl Drop for Announcer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve_registry;
     use crate::tests::{stub_spec, StubModel};
     use crate::{Hub, HubConfig};
-    use nvc_fleet::{serve_registry, RegistryService};
+    use nvc_fleet::RegistryService;
     use nvc_serve::{DecisionModel, ServeConfig};
     use std::time::Instant;
 

@@ -4,11 +4,12 @@
 //! many processes on many machines, and retraining ships new checkpoints
 //! while builds are running. This crate is the layer between the two:
 //!
-//! * [`server`] — a **TCP transport**: a `TcpListener` accept loop with
-//!   one thread per connection speaking the same JSON-lines protocol as
-//!   the stdin daemon, plus `ping` / `metrics` / `reload` / `shutdown`
-//!   control verbs. Any number of concurrent build processes share one
-//!   warm hub;
+//! * [`server`] — the **TCP front-ends**: one selector thread drives
+//!   every connection nonblocking and a few workers answer the same
+//!   JSON-lines protocol as the stdin daemon, plus `ping` / `metrics` /
+//!   `reload` / `shutdown` control verbs. Any number of concurrent build
+//!   processes share one warm hub; the fleet's discovery registry
+//!   (`nvc registry`) is served by the same loop;
 //! * [`registry`] — a **model registry**: N named checkpoints, each
 //!   behind its own `ServeHandle` (private cache + batcher + workers),
 //!   routed by explicit `"model"` field or a deterministic weighted A/B
@@ -50,8 +51,9 @@
 //! content hash so fleet clients can verify versions end-to-end.
 
 pub mod announce;
-mod event;
+mod framing;
 pub mod learn;
+mod line_server;
 pub mod persist;
 pub mod registry;
 pub mod server;
@@ -73,32 +75,7 @@ pub use learn::{
 };
 pub use persist::CacheSection;
 pub use registry::{ModelEntry, ModelRegistry, ModelSpec};
-pub use server::HubHandle;
-
-/// Which machinery drives connection I/O (`HubConfig::transport`,
-/// `--transport` on `nvc hub`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum HubTransport {
-    /// One readiness selector (`vendor/polling`: epoll on Linux,
-    /// `poll(2)` elsewhere) drives every connection nonblocking; idle
-    /// connections cost zero CPU. The default.
-    Event,
-    /// One OS thread per connection, polling at `conn_poll_ms` — the
-    /// pre-selector transport, kept for parity testing and as a
-    /// fallback.
-    Threads,
-}
-
-impl HubTransport {
-    /// Parses the CLI spelling (`event` | `threads`).
-    pub fn parse(s: &str) -> Result<HubTransport, String> {
-        match s {
-            "event" => Ok(HubTransport::Event),
-            "threads" => Ok(HubTransport::Threads),
-            other => Err(format!("unknown transport `{other}` (event|threads)")),
-        }
-    }
-}
+pub use server::{serve_registry, serve_registry_on, HubHandle, RegistryHandle};
 
 /// Tuning knobs for the hub tier (`NvConfig.hub`, `nvc hub` flags).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -109,23 +86,13 @@ pub struct HubConfig {
     /// Where the decision cache persists across restarts (`None`
     /// disables persistence).
     pub cache_path: Option<String>,
-    /// Per-connection read poll interval in milliseconds — how quickly
-    /// an idle connection notices hub shutdown (threads transport only;
-    /// the event transport has no per-connection timers).
-    pub conn_poll_ms: u64,
-    /// Accept-loop poll interval in milliseconds (threads transport
-    /// only).
-    pub accept_poll_ms: u64,
-    /// Connection I/O machinery; see [`HubTransport`].
-    pub transport: HubTransport,
     /// Worker threads executing protocol requests off the event loop
-    /// (event transport only; clamped to ≥ 1). Responses are written
-    /// back in per-connection request order regardless.
+    /// (clamped to ≥ 1). Responses are written back in per-connection
+    /// request order regardless.
     pub request_threads: usize,
-    /// Backpressure bound (event transport): once a connection's queued
-    /// unsent output exceeds this many bytes the loop stops *reading*
-    /// from it until the peer drains below half — a slow reader
-    /// throttles only itself.
+    /// Backpressure bound: once a connection's queued unsent output
+    /// exceeds this many bytes the loop stops *reading* from it until the
+    /// peer drains below half — a slow reader throttles only itself.
     pub max_output_buffer: usize,
     /// Background cache-checkpoint interval in seconds (0 disables).
     /// With persistence configured, the cache image is rewritten every
@@ -139,9 +106,6 @@ impl Default for HubConfig {
         HubConfig {
             listen: "127.0.0.1:7199".to_string(),
             cache_path: None,
-            conn_poll_ms: 50,
-            accept_poll_ms: 20,
-            transport: HubTransport::Event,
             request_threads: 4,
             max_output_buffer: 256 * 1024,
             cache_checkpoint_secs: 0,
@@ -162,19 +126,13 @@ impl HubConfig {
         self
     }
 
-    /// Builder-style transport override.
-    pub fn with_transport(mut self, transport: HubTransport) -> Self {
-        self.transport = transport;
-        self
-    }
-
-    /// Builder-style request-worker override (event transport).
+    /// Builder-style request-worker override.
     pub fn with_request_threads(mut self, n: usize) -> Self {
         self.request_threads = n;
         self
     }
 
-    /// Builder-style output-buffer-bound override (event transport).
+    /// Builder-style output-buffer-bound override.
     pub fn with_max_output_buffer(mut self, bytes: usize) -> Self {
         self.max_output_buffer = bytes;
         self
@@ -435,8 +393,8 @@ impl Hub {
 
     /// Initiates shutdown: marks the hub as draining, drains every
     /// model's worker pool (in-flight batches complete), then persists
-    /// the cache. Idempotent; safe from any thread — including a
-    /// connection thread handling the `shutdown` verb.
+    /// the cache. Idempotent; safe from any thread — including the
+    /// server's selector thread after a `shutdown` verb.
     pub fn shutdown(&self) {
         self.shutting_down.store(true, Ordering::Release);
         if self.drained.swap(true, Ordering::AcqRel) {
@@ -567,9 +525,8 @@ impl Hub {
     /// Handles one protocol line; returns the response line and whether
     /// the connection should keep reading (`false` after `shutdown`).
     pub fn handle_line(&self, line: &str) -> (String, bool) {
-        // Mint a trace id if the transport (serve_connection) didn't
-        // already; direct callers (tests, in-process embedding) get one
-        // per line this way.
+        // One trace id per protocol line, whoever the caller is (the TCP
+        // server's request workers, tests, in-process embedding).
         let _trace = nvc_obs::request_scope();
         let _span = nvc_obs::span("hub_request");
         self.requests.inc();
@@ -618,8 +575,8 @@ impl Hub {
                 true,
             ),
             Some("shutdown") => {
-                // Only *flag* shutdown here: the connection thread
-                // writes this ack first and then runs the full drain
+                // Only *flag* shutdown here: the server flushes this
+                // ack first and then runs the full drain
                 // (`Hub::shutdown`), so the requesting client gets its
                 // response before models drain and the cache persists.
                 self.shutting_down.store(true, Ordering::Release);
@@ -908,21 +865,11 @@ impl Hub {
     /// [`HubError::Io`] when no peer could be reached or answered a
     /// usable export.
     pub fn warm_from_peers(&self, peers: &[String]) -> Result<usize, HubError> {
-        use std::io::{BufRead, BufReader, Write};
+        use nvc_fleet::client::{round_trip, PEER_LIMITS};
         let mut last_err = String::from("no peers given");
         for peer in peers {
             let attempt = (|| -> Result<usize, String> {
-                let mut stream =
-                    std::net::TcpStream::connect(peer.as_str()).map_err(|e| e.to_string())?;
-                let _ = stream.set_nodelay(true);
-                stream
-                    .write_all(b"{\"op\":\"cache_export\"}\n")
-                    .and_then(|()| stream.flush())
-                    .map_err(|e| e.to_string())?;
-                let mut reader = BufReader::new(stream);
-                let mut line = String::new();
-                reader.read_line(&mut line).map_err(|e| e.to_string())?;
-                let v = Json::parse(line.trim()).map_err(|e| format!("bad export: {e}"))?;
+                let v = round_trip(&mut None, peer, r#"{"op":"cache_export"}"#, &PEER_LIMITS)?;
                 if v.get("ok").and_then(Json::as_bool) != Some(true) {
                     return Err("peer rejected cache_export".to_string());
                 }
@@ -1174,7 +1121,7 @@ void f(int n) {
         assert!(!keep);
         let v = Json::parse(&resp).unwrap();
         assert_eq!(v.get("shutdown").unwrap().as_bool(), Some(true));
-        // handle_line only flags; the caller (connection thread, daemon
+        // handle_line only flags; the caller (the TCP server, a daemon
         // loop) runs the drain after writing the ack.
         assert!(hub.is_shutting_down());
         hub.shutdown();

@@ -1,6 +1,7 @@
-//! The event-driven transport: one selector thread drives every
+//! The one JSON-lines TCP server: one selector thread drives every
 //! connection nonblocking (C10K-style), a small worker pool executes
-//! protocol requests off the loop.
+//! protocol requests off the loop. `nvc hub` and `nvc registry` both run
+//! it; what differs between them is the [`LineService`] behind it.
 //!
 //! ```text
 //!            ┌───────────────── selector thread ─────────────────┐
@@ -10,15 +11,24 @@
 //!            └───────▲──────────────────────────────────┬────────┘
 //!                    │ waker (self-pipe)                │ job queue
 //!                    └────────── request workers ◄──────┘
-//!                                (hub.handle_line)
+//!                              (service.handle_line)
 //! ```
 //!
 //! Invariants the loop maintains:
 //!
-//! * **Partial lines survive wakeups.** Bytes read are appended to a
-//!   per-connection buffer; only complete `\n`-terminated lines are
-//!   dispatched. A client dribbling one byte per write costs one wakeup
-//!   per byte and nothing else.
+//! * **Partial lines survive wakeups.** Bytes read go through a
+//!   per-connection [`LineFramer`]; only complete `\n`-terminated lines
+//!   are dispatched, and a line longer than [`MAX_LINE`](crate::framing)
+//!   closes the connection. A client dribbling one byte per write costs
+//!   one wakeup per byte and nothing else.
+//! * **One connection cannot monopolise the loop or the job queue.** A
+//!   readiness event reads at most `MAX_READS_PER_EVENT` chunks (the
+//!   poller is level-triggered: the rest is reported again, after the
+//!   other ready connections had their turn), and a connection with more
+//!   than `MAX_IN_FLIGHT` requests awaiting their responses is not read
+//!   from until half of them have been answered — so the job queue holds
+//!   at most `MAX_IN_FLIGHT` plus one chunk's worth of lines per
+//!   connection.
 //! * **Responses are written in request order per connection.** Each
 //!   parsed line gets a sequence number; worker results park in a
 //!   reorder map until their turn. (Workers may finish out of order —
@@ -35,16 +45,17 @@
 //!   events. (The loop itself ticks at `IDLE_TICK` as a shutdown
 //!   belt-and-braces; that is one wakeup per tick for the whole
 //!   process, independent of connection count.)
-//! * **Gauges stay truthful on every exit path.** `active_connections`
-//!   decrements when the selector observes EOF, error, or hangup —
-//!   not just on protocol-clean closes.
+//! * **Gauges stay truthful on every exit path.** The service's
+//!   active-connections gauge decrements when the selector observes EOF,
+//!   error, or hangup — not just on protocol-clean closes.
 //!
 //! The `shutdown` verb keeps its ack-first contract: `handle_line`
 //! flips the flag, the loop flushes the ack to the requesting client,
-//! and only then does the (blocking) drain + cache persist run — on
-//! the loop thread, which is about to exit anyway. The loop never
-//! exits while a dispatched request is outstanding, so the flag being
-//! observable before the ack's `Done` arrives cannot drop the ack.
+//! and only then does the service's (possibly blocking) `shutdown` run —
+//! for the hub, drain + cache persist — on the loop thread, which is
+//! about to exit anyway. The loop never exits while a dispatched request
+//! is outstanding, so the flag being observable before the ack's `Done`
+//! arrives cannot drop the ack.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -55,9 +66,27 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use nvc_obs::{Counter, Gauge};
 use polling::{Event, Interest, Poller, Waker};
 
-use crate::Hub;
+use crate::framing::LineFramer;
+
+/// What the server drives: one protocol behind one listener.
+pub(crate) trait LineService: Send + Sync + 'static {
+    /// Answers one protocol line. Returns the response line and whether
+    /// the service keeps going (`false` for the `shutdown` verb's ack).
+    fn handle_line(&self, line: &str) -> (String, bool);
+    /// True once shutdown has begun: the server stops accepting and
+    /// dispatching, finishes what is in flight, and exits.
+    fn is_shutting_down(&self) -> bool;
+    /// Runs on the selector thread after the last response (and the
+    /// shutdown ack) has been flushed; may block. Idempotent.
+    fn shutdown(&self);
+    /// Connections accepted since start (the server increments it).
+    fn connections(&self) -> &Counter;
+    /// Connections currently open (the server keeps it truthful).
+    fn active_connections(&self) -> &Gauge;
+}
 
 const TOKEN_LISTENER: usize = 0;
 const TOKEN_WAKER: usize = 1;
@@ -70,9 +99,13 @@ const IDLE_TICK: Duration = Duration::from_millis(500);
 /// Read chunk size. Lines longer than this simply span multiple reads.
 const READ_CHUNK: usize = 8192;
 
-/// Hard per-connection line-length bound; a peer streaming an unbounded
-/// "line" is cut off rather than allowed to grow the buffer forever.
-const MAX_LINE: usize = 16 * 1024 * 1024;
+/// Chunks read from one connection per readiness event (128 KiB).
+const MAX_READS_PER_EVENT: usize = 16;
+
+/// Requests one connection may have awaiting their responses before the
+/// loop stops reading from it (resumed below half). Far above any
+/// sensible pipeline depth — the repo benchmark pipelines 8 deep.
+const MAX_IN_FLIGHT: u64 = 1024;
 
 /// A parsed request on its way to the workers.
 struct Job {
@@ -91,7 +124,7 @@ struct Done {
 
 struct Conn {
     stream: TcpStream,
-    read_buf: Vec<u8>,
+    framer: LineFramer,
     /// Unsent response bytes (front = next byte on the wire).
     out: VecDeque<u8>,
     /// Sequence assigned to the next parsed line.
@@ -102,7 +135,7 @@ struct Conn {
     ready: BTreeMap<u64, (String, bool)>,
     /// Peer sent EOF; close once all responses have flushed.
     read_closed: bool,
-    /// Reading suspended by the output-buffer bound.
+    /// Reading suspended by the output-buffer or in-flight bound.
     paused: bool,
     /// Interest currently registered with the poller.
     interest: Interest,
@@ -127,35 +160,36 @@ impl Conn {
     }
 }
 
-/// The running event transport: selector thread + request workers.
-pub(crate) struct EventDriver {
-    driver: Mutex<Option<JoinHandle<()>>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+/// A running server: selector thread + request workers.
+pub(crate) struct LineServer {
+    /// Selector first: the workers exit once it has dropped the job
+    /// queue.
+    threads: Mutex<Vec<JoinHandle<()>>>,
     waker: Arc<Waker>,
 }
 
-impl EventDriver {
+impl LineServer {
     /// Wakes the loop (so an externally-initiated shutdown is noticed
     /// immediately) and joins every thread. Idempotent.
     pub(crate) fn join(&self) {
         let _ = self.waker.wake();
-        if let Some(d) = self.driver.lock().unwrap_or_else(|e| e.into_inner()).take() {
-            let _ = d.join();
-        }
-        let workers: Vec<JoinHandle<()>> = self
-            .workers
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .drain(..)
-            .collect();
-        for w in workers {
-            let _ = w.join();
+        let threads = std::mem::take(&mut *self.threads.lock().unwrap_or_else(|e| e.into_inner()));
+        for t in threads {
+            let _ = t.join();
         }
     }
 }
 
-/// Starts the selector thread and request workers for `listener`.
-pub(crate) fn serve(hub: Arc<Hub>, listener: TcpListener) -> io::Result<EventDriver> {
+/// Starts the selector thread and `workers` request workers for
+/// `listener`; threads are named `{name}-event` and `{name}-req-{i}`.
+/// `max_output_buffer` is the per-connection backpressure bound.
+pub(crate) fn serve(
+    service: Arc<dyn LineService>,
+    listener: TcpListener,
+    name: &str,
+    workers: usize,
+    max_output_buffer: usize,
+) -> io::Result<LineServer> {
     listener.set_nonblocking(true)?;
     let poller = Arc::new(Poller::new()?);
     poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
@@ -165,37 +199,43 @@ pub(crate) fn serve(hub: Arc<Hub>, listener: TcpListener) -> io::Result<EventDri
     let (done_tx, done_rx) = std::sync::mpsc::channel::<Done>();
     let job_rx = Arc::new(Mutex::new(job_rx));
 
-    let n_workers = hub.config().request_threads.max(1);
-    let mut workers = Vec::with_capacity(n_workers);
-    for i in 0..n_workers {
-        let hub = Arc::clone(&hub);
-        let job_rx = Arc::clone(&job_rx);
-        let done_tx = done_tx.clone();
-        let waker = Arc::clone(&waker);
-        workers.push(
+    let mut threads = (0..workers.max(1))
+        .map(|i| {
+            let service = Arc::clone(&service);
+            let job_rx = Arc::clone(&job_rx);
+            let done_tx = done_tx.clone();
+            let waker = Arc::clone(&waker);
             std::thread::Builder::new()
-                .name(format!("nvc-hub-req-{i}"))
-                .spawn(move || worker_loop(&hub, &job_rx, &done_tx, &waker))
-                .expect("spawn hub request worker"),
-        );
-    }
+                .name(format!("{name}-req-{i}"))
+                .spawn(move || worker_loop(&*service, &job_rx, &done_tx, &waker))
+        })
+        .collect::<io::Result<Vec<_>>>()?;
     drop(done_tx);
 
-    let driver = {
+    let max_out = max_output_buffer.max(READ_CHUNK);
+    let selector = {
         let waker = Arc::clone(&waker);
         std::thread::Builder::new()
-            .name("nvc-hub-event".to_string())
-            .spawn(move || event_loop(&hub, listener, &poller, &waker, job_tx, done_rx))
-            .expect("spawn hub event loop")
+            .name(format!("{name}-event"))
+            .spawn(move || {
+                event_loop(
+                    &*service, listener, &poller, &waker, job_tx, done_rx, max_out,
+                )
+            })?
     };
-    Ok(EventDriver {
-        driver: Mutex::new(Some(driver)),
-        workers: Mutex::new(workers),
+    threads.insert(0, selector);
+    Ok(LineServer {
+        threads: Mutex::new(threads),
         waker,
     })
 }
 
-fn worker_loop(hub: &Hub, jobs: &Arc<Mutex<Receiver<Job>>>, done: &Sender<Done>, waker: &Waker) {
+fn worker_loop(
+    service: &dyn LineService,
+    jobs: &Arc<Mutex<Receiver<Job>>>,
+    done: &Sender<Done>,
+    waker: &Waker,
+) {
     loop {
         // One worker parks inside `recv` holding the lock; its peers
         // queue on the mutex. Each arriving job releases exactly one.
@@ -206,14 +246,7 @@ fn worker_loop(hub: &Hub, jobs: &Arc<Mutex<Receiver<Job>>>, done: &Sender<Done>,
         let Ok(job) = job else {
             return; // loop exited, channel closed
         };
-        // One trace id per protocol line — the same boundary the
-        // threads transport scopes explicitly.
-        let _trace = if nvc_obs::tracing_enabled() {
-            Some(nvc_obs::trace_scope(nvc_obs::next_trace_id()))
-        } else {
-            None
-        };
-        let (response, keep_going) = hub.handle_line(&job.line);
+        let (response, keep_going) = service.handle_line(&job.line);
         let sent = done.send(Done {
             token: job.token,
             seq: job.seq,
@@ -228,14 +261,14 @@ fn worker_loop(hub: &Hub, jobs: &Arc<Mutex<Receiver<Job>>>, done: &Sender<Done>,
 }
 
 fn event_loop(
-    hub: &Hub,
+    service: &dyn LineService,
     listener: TcpListener,
     poller: &Poller,
     waker: &Waker,
     job_tx: Sender<Job>,
     done_rx: Receiver<Done>,
+    max_out: usize,
 ) {
-    let max_out = hub.config().max_output_buffer.max(READ_CHUNK);
     let mut conns: HashMap<usize, Conn> = HashMap::new();
     let mut next_token = TOKEN_FIRST_CONN;
     let mut events: Vec<Event> = Vec::new();
@@ -249,13 +282,13 @@ fn event_loop(
         let _ = poller.wait(&mut events, Some(IDLE_TICK));
         touched.clear();
         let mut dead: Vec<usize> = Vec::new();
-        let dispatch = !hub.is_shutting_down();
+        let dispatch = !service.is_shutting_down();
 
         for ev in &events {
             match ev.token {
                 TOKEN_LISTENER => {
                     if dispatch {
-                        accept_ready(hub, &listener, poller, &mut conns, &mut next_token);
+                        accept_ready(service, &listener, poller, &mut conns, &mut next_token);
                     }
                 }
                 TOKEN_WAKER => waker.drain(),
@@ -311,9 +344,10 @@ fn event_loop(
                 continue;
             };
             conn.paused = if conn.paused {
-                conn.out.len() > max_out / 2 // resume below half
+                // resume below half
+                conn.out.len() > max_out / 2 || conn.outstanding() > MAX_IN_FLIGHT / 2
             } else {
-                conn.out.len() > max_out
+                conn.out.len() > max_out || conn.outstanding() > MAX_IN_FLIGHT
             };
             if conn.read_closed && conn.outstanding() == 0 && conn.out.is_empty() {
                 dead.push(token);
@@ -326,10 +360,10 @@ fn event_loop(
             }
         }
         for token in dead {
-            close_conn(hub, poller, &mut conns, token);
+            close_conn(service, poller, &mut conns, token);
         }
 
-        if hub.is_shutting_down() {
+        if service.is_shutting_down() {
             // Never exit while a dispatched request is outstanding (its
             // Done — possibly the shutdown ack itself — is still owed),
             // and never before the ack has flushed to its client.
@@ -339,13 +373,13 @@ fn event_loop(
                 Some(t) => conns.get(&t).is_none_or(|c| c.out.is_empty()),
             };
             if quiesced && ack_flushed {
-                // Blocking drain + persist is fine here: the loop is
-                // terminating and every remaining connection closes
-                // right after. (No-op if shutdown was external.)
-                hub.shutdown();
+                // Blocking here (the hub drains and persists) is fine:
+                // the loop is terminating and every remaining connection
+                // closes right after. (No-op if shutdown was external.)
+                service.shutdown();
                 let open: Vec<usize> = conns.keys().copied().collect();
                 for token in open {
-                    close_conn(hub, poller, &mut conns, token);
+                    close_conn(service, poller, &mut conns, token);
                 }
                 return;
             }
@@ -355,7 +389,7 @@ fn event_loop(
 
 /// Accepts until the listener would block.
 fn accept_ready(
-    hub: &Hub,
+    service: &dyn LineService,
     listener: &TcpListener,
     poller: &Poller,
     conns: &mut HashMap<usize, Conn>,
@@ -376,13 +410,13 @@ fn accept_ready(
                 {
                     continue; // selector refused the fd: drop the socket
                 }
-                hub.connections.inc();
-                hub.active_connections.inc();
+                service.connections().inc();
+                service.active_connections().inc();
                 conns.insert(
                     token,
                     Conn {
                         stream,
-                        read_buf: Vec::new(),
+                        framer: LineFramer::default(),
                         out: VecDeque::new(),
                         next_seq: 0,
                         write_seq: 0,
@@ -398,56 +432,52 @@ fn accept_ready(
             Err(e) => {
                 // Transient accept failures (ECONNABORTED, fd
                 // exhaustion) must not kill the loop.
-                eprintln!("nvc hub: accept failed (retrying): {e}");
+                eprintln!("nvc: accept failed (retrying): {e}");
                 return;
             }
         }
     }
 }
 
-/// Reads until the socket would block, dispatching every complete line
-/// (unless the hub is shutting down, in which case parsed lines are
-/// dropped — the connection is about to close). Returns `false` when
-/// the connection must close.
+/// Reads what one readiness event may (see the module docs), framing
+/// and dispatching complete lines chunk by chunk (unless the service is
+/// shutting down, in which case they are dropped — the connection is
+/// about to close). Returns `false` when the connection must close.
 fn drain_readable(conn: &mut Conn, token: usize, job_tx: &Sender<Job>, dispatch: bool) -> bool {
     let mut chunk = [0u8; READ_CHUNK];
-    loop {
+    let mut reads = 0;
+    while reads < MAX_READS_PER_EVENT && conn.outstanding() <= MAX_IN_FLIGHT {
         let t_read = std::time::Instant::now();
-        match conn.stream.read(&mut chunk) {
+        let n = match conn.stream.read(&mut chunk) {
             Ok(0) => {
                 conn.read_closed = true;
                 break;
             }
-            Ok(n) => {
-                nvc_obs::record_span("tcp_read", 0, t_read, t_read.elapsed());
-                conn.read_buf.extend_from_slice(&chunk[..n]);
-                if conn.read_buf.len() > MAX_LINE {
-                    return false; // unbounded "line": cut the peer off
-                }
-            }
+            Ok(n) => n,
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => return false,
+        };
+        nvc_obs::record_span("tcp_read", 0, t_read, t_read.elapsed());
+        reads += 1;
+        conn.framer.push(&chunk[..n]);
+        loop {
+            let line = match conn.framer.next_line() {
+                Ok(Some(line)) => line,
+                Ok(None) => break,
+                Err(_) => return false, // unbounded "line": cut the peer off
+            };
+            if !dispatch {
+                continue;
+            }
+            let seq = conn.next_seq;
+            conn.next_seq += 1;
+            if job_tx.send(Job { token, seq, line }).is_err() {
+                return false; // workers gone: shutting down
+            }
         }
-    }
-    while let Some(pos) = conn.read_buf.iter().position(|&b| b == b'\n') {
-        let line_bytes: Vec<u8> = conn.read_buf.drain(..=pos).collect();
-        let line = String::from_utf8_lossy(&line_bytes);
-        let line = line.trim();
-        if line.is_empty() || !dispatch {
-            continue;
-        }
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        if job_tx
-            .send(Job {
-                token,
-                seq,
-                line: line.to_string(),
-            })
-            .is_err()
-        {
-            return false; // workers gone: shutting down
+        if n < chunk.len() {
+            break; // socket drained; anything newer is reported again
         }
     }
     !(conn.read_closed && conn.outstanding() == 0 && conn.out.is_empty())
@@ -488,9 +518,14 @@ fn flush_out(conn: &mut Conn) -> bool {
     true
 }
 
-fn close_conn(hub: &Hub, poller: &Poller, conns: &mut HashMap<usize, Conn>, token: usize) {
+fn close_conn(
+    service: &dyn LineService,
+    poller: &Poller,
+    conns: &mut HashMap<usize, Conn>,
+    token: usize,
+) {
     if let Some(conn) = conns.remove(&token) {
         let _ = poller.deregister(conn.stream.as_raw_fd());
-        hub.active_connections.dec();
+        service.active_connections().dec();
     }
 }

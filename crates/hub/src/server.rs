@@ -1,46 +1,80 @@
-//! TCP transports for the hub, selected by
-//! [`HubConfig::transport`](crate::HubConfig):
+//! The TCP front-ends: `nvc hub` ([`serve_tcp`]) and `nvc registry`
+//! ([`serve_registry`]).
 //!
-//! * [`HubTransport::Event`](crate::HubTransport::Event) (default) — a
-//!   single selector thread drives every connection nonblocking via
-//!   the vendored `polling` crate, with a small worker pool executing
-//!   requests (see [`crate::event`]). Idle connections cost zero CPU.
-//! * [`HubTransport::Threads`](crate::HubTransport::Threads) — the
-//!   original one-thread-per-connection loop, kept for parity testing
-//!   against the event loop. Connections and the accept loop poll
-//!   [`Hub::is_shutting_down`] at short intervals; partial lines live
-//!   in a per-connection buffer so a read timeout mid-line never drops
-//!   bytes.
+//! Both run the one line server ([`crate::line_server`]): a single
+//! selector thread drives every connection nonblocking via the vendored
+//! `polling` crate, with a small worker pool executing requests. Idle
+//! connections cost zero CPU, lines are bounded, slow readers are
+//! back-pressured. What this module adds per service is the handle — and,
+//! for the hub, the periodic cache checkpointer.
 //!
-//! Under either transport, a `shutdown` verb from *any* client
-//! quiesces the whole hub: the acceptor stops, idle connections close,
-//! models drain, and the cache persists.
+//! A `shutdown` verb from *any* client quiesces the whole service: the
+//! acceptor stops, the ack is flushed, in-flight requests finish, idle
+//! connections close, and (hub) models drain and the cache persists.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::{Hub, HubTransport};
+use nvc_fleet::RegistryService;
+use nvc_obs::{Counter, Gauge};
 
-/// The running backend behind a [`HubHandle`].
-enum Transport {
-    Threads {
-        accept: Mutex<Option<JoinHandle<()>>>,
-        conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    },
-    Event(crate::event::EventDriver),
+use crate::line_server::{self, LineServer, LineService};
+use crate::Hub;
+
+impl LineService for Hub {
+    fn handle_line(&self, line: &str) -> (String, bool) {
+        Hub::handle_line(self, line)
+    }
+    fn is_shutting_down(&self) -> bool {
+        Hub::is_shutting_down(self)
+    }
+    fn shutdown(&self) {
+        Hub::shutdown(self)
+    }
+    fn connections(&self) -> &Counter {
+        &self.connections
+    }
+    fn active_connections(&self) -> &Gauge {
+        &self.active_connections
+    }
 }
 
-/// A running hub server (either transport). Dropping the handle shuts
-/// the hub down (drain + persist) and joins every thread.
+impl LineService for RegistryService {
+    fn handle_line(&self, line: &str) -> (String, bool) {
+        RegistryService::handle_line(self, line)
+    }
+    fn is_shutting_down(&self) -> bool {
+        RegistryService::is_shutting_down(self)
+    }
+    fn shutdown(&self) {
+        RegistryService::shutdown(self)
+    }
+    fn connections(&self) -> &Counter {
+        RegistryService::connections(self)
+    }
+    fn active_connections(&self) -> &Gauge {
+        RegistryService::active_connections(self)
+    }
+}
+
+/// Registry verbs are a table lookup each (a heartbeat per node per
+/// second, a resolve per client per TTL window): one worker answers them
+/// in arrival order.
+const REGISTRY_REQUEST_THREADS: usize = 1;
+
+/// The registry's per-connection output bound — the hub's default.
+const REGISTRY_MAX_OUTPUT_BUFFER: usize = 256 * 1024;
+
+/// A running hub server. Dropping the handle shuts the hub down (drain +
+/// persist) and joins every thread.
 pub struct HubHandle {
     hub: Arc<Hub>,
     addr: SocketAddr,
-    transport: Transport,
+    server: LineServer,
     /// The periodic cache checkpointer (crash-loss bound), when
     /// `cache_checkpoint_secs` and a cache path are both configured.
     checkpointer: Mutex<Option<JoinHandle<()>>>,
@@ -100,150 +134,23 @@ pub fn serve_tcp(hub: Arc<Hub>) -> std::io::Result<HubHandle> {
 /// # Errors
 ///
 /// Returns an error when the listener cannot report its local address
-/// or switch to nonblocking mode.
+/// or switch to nonblocking mode, or a thread cannot be spawned.
 pub fn serve_on(hub: Arc<Hub>, listener: TcpListener) -> std::io::Result<HubHandle> {
     let addr = listener.local_addr()?;
+    let server = line_server::serve(
+        Arc::clone(&hub) as Arc<dyn LineService>,
+        listener,
+        "nvc-hub",
+        hub.config().request_threads,
+        hub.config().max_output_buffer,
+    )?;
     let checkpointer = Mutex::new(spawn_checkpointer(&hub));
-    if matches!(hub.config().transport, HubTransport::Event) {
-        let driver = crate::event::serve(Arc::clone(&hub), listener)?;
-        return Ok(HubHandle {
-            hub,
-            addr,
-            transport: Transport::Event(driver),
-            checkpointer,
-        });
-    }
-    // Thread-per-connection fallback. Nonblocking accept + poll: the
-    // acceptor must notice shutdown initiated by a connection thread.
-    listener.set_nonblocking(true)?;
-    let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let accept = {
-        let hub = Arc::clone(&hub);
-        let conns = Arc::clone(&conns);
-        let poll = Duration::from_millis(hub.config().accept_poll_ms.max(1));
-        std::thread::Builder::new()
-            .name("nvc-hub-accept".to_string())
-            .spawn(move || loop {
-                if hub.is_shutting_down() {
-                    return;
-                }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        hub.connections.inc();
-                        let hub = Arc::clone(&hub);
-                        let worker = std::thread::Builder::new()
-                            .name("nvc-hub-conn".to_string())
-                            .spawn(move || serve_connection(&hub, stream))
-                            .expect("spawn hub connection thread");
-                        let mut conns = conns.lock();
-                        // Reap finished connections so the list does not
-                        // grow unboundedly on a long-lived hub.
-                        conns.retain(|c: &JoinHandle<()>| !c.is_finished());
-                        conns.push(worker);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(poll);
-                    }
-                    Err(e) => {
-                        // Transient accept failures (ECONNABORTED when a
-                        // client resets mid-handshake, EINTR, fd
-                        // exhaustion) must not silently kill the
-                        // acceptor — that would leave a healthy-looking
-                        // hub that refuses every new connection. Log,
-                        // back off one poll interval, keep accepting.
-                        eprintln!("nvc hub: accept failed (retrying): {e}");
-                        std::thread::sleep(poll);
-                    }
-                }
-            })
-            .expect("spawn hub accept thread")
-    };
     Ok(HubHandle {
         hub,
         addr,
-        transport: Transport::Threads {
-            accept: Mutex::new(Some(accept)),
-            conns,
-        },
+        server,
         checkpointer,
     })
-}
-
-/// One connection: buffer bytes, answer complete lines, exit on EOF,
-/// write failure, protocol shutdown, or hub shutdown.
-fn serve_connection(hub: &Hub, mut stream: TcpStream) {
-    hub.active_connections.inc();
-    // Decrement on *every* exit path (EOF, write failure, shutdown).
-    struct ConnGuard<'a>(&'a Hub);
-    impl Drop for ConnGuard<'_> {
-        fn drop(&mut self) {
-            self.0.active_connections.dec();
-        }
-    }
-    let _conn = ConnGuard(hub);
-    let poll = Duration::from_millis(hub.config().conn_poll_ms.max(1));
-    let _ = stream.set_read_timeout(Some(poll));
-    let _ = stream.set_nodelay(true);
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 8192];
-    loop {
-        // Answer every complete line already buffered.
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line_bytes: Vec<u8> = buf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line_bytes);
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            // The hub/serve boundary: one trace id per protocol line,
-            // covering handle_line *and* the response write, so the
-            // tcp_write span lands under the request's trace.
-            let _trace = if nvc_obs::tracing_enabled() {
-                Some(nvc_obs::trace_scope(nvc_obs::next_trace_id()))
-            } else {
-                None
-            };
-            let (response, keep_going) = hub.handle_line(line);
-            let wrote = {
-                let _span = nvc_obs::span("tcp_write");
-                stream
-                    .write_all(response.as_bytes())
-                    .and_then(|()| stream.write_all(b"\n"))
-                    .and_then(|()| stream.flush())
-            };
-            if wrote.is_err() {
-                return;
-            }
-            if !keep_going {
-                // The shutdown verb acks first (written above), *then*
-                // the drain + cache persist runs — a client with a
-                // short read timeout sees its ack even when draining a
-                // busy hub takes a while.
-                hub.shutdown();
-                return;
-            }
-        }
-        if hub.is_shutting_down() {
-            return;
-        }
-        let t_read = std::time::Instant::now();
-        match stream.read(&mut chunk) {
-            Ok(0) => return, // client closed
-            Ok(n) => {
-                // Only reads that delivered bytes are worth a span —
-                // recording every 50 ms poll tick would flood the ring.
-                nvc_obs::record_span("tcp_read", 0, t_read, t_read.elapsed());
-                buf.extend_from_slice(&chunk[..n]);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue; // poll tick: loop re-checks the shutdown flag
-            }
-            Err(_) => return,
-        }
-    }
 }
 
 impl HubHandle {
@@ -258,7 +165,7 @@ impl HubHandle {
     }
 
     /// Shuts the whole tier down: hub drain + cache persist, then joins
-    /// every transport thread. Idempotent.
+    /// every server thread. Idempotent.
     pub fn shutdown(&self) {
         self.hub.shutdown();
         self.join_threads();
@@ -277,22 +184,83 @@ impl HubHandle {
         if let Some(ckpt) = self.checkpointer.lock().take() {
             let _ = ckpt.join();
         }
-        match &self.transport {
-            Transport::Threads { accept, conns } => {
-                if let Some(accept) = accept.lock().take() {
-                    let _ = accept.join();
-                }
-                let conns: Vec<JoinHandle<()>> = conns.lock().drain(..).collect();
-                for c in conns {
-                    let _ = c.join();
-                }
-            }
-            Transport::Event(driver) => driver.join(),
-        }
+        self.server.join();
     }
 }
 
 impl Drop for HubHandle {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+/// A running registry server. Dropping the handle shuts it down and
+/// joins every thread.
+pub struct RegistryHandle {
+    service: Arc<RegistryService>,
+    addr: SocketAddr,
+    server: LineServer,
+}
+
+/// Binds `listen` and starts the registry.
+///
+/// # Errors
+///
+/// Returns the bind error (address in use, bad syntax, …).
+pub fn serve_registry(
+    service: Arc<RegistryService>,
+    listen: &str,
+) -> std::io::Result<RegistryHandle> {
+    let listener = TcpListener::bind(listen)?;
+    serve_registry_on(service, listener)
+}
+
+/// Starts the registry on an already-bound listener (tests bind port 0
+/// and read the ephemeral address back).
+///
+/// # Errors
+///
+/// Returns an error when the listener cannot report its local address
+/// or switch to nonblocking mode, or a thread cannot be spawned.
+pub fn serve_registry_on(
+    service: Arc<RegistryService>,
+    listener: TcpListener,
+) -> std::io::Result<RegistryHandle> {
+    let addr = listener.local_addr()?;
+    let server = line_server::serve(
+        Arc::clone(&service) as Arc<dyn LineService>,
+        listener,
+        "nvc-registry",
+        REGISTRY_REQUEST_THREADS,
+        REGISTRY_MAX_OUTPUT_BUFFER,
+    )?;
+    Ok(RegistryHandle {
+        service,
+        addr,
+        server,
+    })
+}
+
+impl RegistryHandle {
+    /// The bound address (resolves port 0 to the real ephemeral port).
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// The service being served.
+    pub fn service(&self) -> &Arc<RegistryService> {
+        &self.service
+    }
+
+    /// Stops accepting, closes connections, joins every thread.
+    /// Idempotent.
+    pub fn shutdown(&self) {
+        self.service.shutdown();
+        self.server.join();
+    }
+}
+
+impl Drop for RegistryHandle {
     fn drop(&mut self) {
         self.shutdown();
     }
@@ -304,12 +272,11 @@ mod tests {
     use crate::tests::{stub_spec, SRC};
     use crate::HubConfig;
     use nvc_serve::{Json, ServeConfig};
-    use std::io::{BufRead, BufReader};
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::TcpStream;
 
-    fn start_with(models: &[(&str, u32, usize)], transport: HubTransport) -> HubHandle {
-        let cfg = HubConfig::default()
-            .with_listen("127.0.0.1:0")
-            .with_transport(transport);
+    fn start(models: &[(&str, u32, usize)]) -> HubHandle {
+        let cfg = HubConfig::default().with_listen("127.0.0.1:0");
         let hub = Hub::new(cfg, ServeConfig::default().with_workers(1));
         for &(name, weight, tag) in models {
             hub.register(stub_spec(name, weight, tag)).unwrap();
@@ -317,9 +284,8 @@ mod tests {
         serve_tcp(Arc::new(hub)).expect("bind loopback")
     }
 
-    /// Default transport (event loop).
-    fn start(models: &[(&str, u32, usize)]) -> HubHandle {
-        start_with(models, HubTransport::Event)
+    fn start_registry() -> RegistryHandle {
+        serve_registry(Arc::new(RegistryService::default()), "127.0.0.1:0").expect("bind loopback")
     }
 
     /// One request/response over a fresh connection.
@@ -327,10 +293,17 @@ mod tests {
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream.write_all(line.as_bytes()).unwrap();
         stream.write_all(b"\n").unwrap();
-        let mut reader = BufReader::new(stream);
+        read_json(&mut BufReader::new(stream))
+    }
+
+    fn read_json(reader: &mut BufReader<TcpStream>) -> Json {
         let mut response = String::new();
         reader.read_line(&mut response).expect("read response");
         Json::parse(response.trim()).expect("parse response")
+    }
+
+    fn is_pong(v: &Json) -> bool {
+        v.get("pong").and_then(Json::as_bool) == Some(true)
     }
 
     #[test]
@@ -351,143 +324,189 @@ mod tests {
             .contains("#pragma clang loop"));
     }
 
-    #[test]
-    fn one_connection_many_requests_and_partial_writes() {
-        let handle = start(&[("m", 1, 0)]);
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
-        // Dribble a request in two writes (split mid-JSON) to prove the
-        // line buffer survives read-timeout boundaries.
-        let req = nvc_serve::json::obj(vec![("source", Json::from(SRC))]).render();
+    /// What the transport cases need from a running service of either
+    /// kind.
+    trait Served {
+        fn addr(&self) -> SocketAddr;
+        fn active_connections(&self) -> i64;
+        fn stop(&self);
+        fn is_shutting_down(&self) -> bool;
+    }
+
+    impl Served for HubHandle {
+        fn addr(&self) -> SocketAddr {
+            HubHandle::addr(self)
+        }
+        fn active_connections(&self) -> i64 {
+            self.hub().active_connections.get()
+        }
+        fn stop(&self) {
+            self.shutdown()
+        }
+        fn is_shutting_down(&self) -> bool {
+            self.hub().is_shutting_down()
+        }
+    }
+
+    impl Served for RegistryHandle {
+        fn addr(&self) -> SocketAddr {
+            RegistryHandle::addr(self)
+        }
+        fn active_connections(&self) -> i64 {
+            self.service().active_connections().get()
+        }
+        fn stop(&self) {
+            self.shutdown()
+        }
+        fn is_shutting_down(&self) -> bool {
+            self.service().is_shutting_down()
+        }
+    }
+
+    /// Both verb sets answer `ping` and ignore its extra members, so the
+    /// cases below speak only that.
+    const PING: &str = r#"{"op":"ping"}"#;
+
+    /// A request split mid-JSON across two writes reassembles, and a
+    /// second request sent behind it is answered second.
+    fn split_request_across_reads(s: &dyn Served) {
+        let mut stream = TcpStream::connect(s.addr()).unwrap();
+        let req = format!(r#"{{"op":"ping","id":"{}"}}"#, "a".repeat(200));
         let (head, tail) = req.split_at(req.len() / 2);
         stream.write_all(head.as_bytes()).unwrap();
-        stream.flush().unwrap();
-        std::thread::sleep(Duration::from_millis(120)); // > conn_poll_ms
+        std::thread::sleep(Duration::from_millis(120));
         stream.write_all(tail.as_bytes()).unwrap();
-        stream.write_all(b"\n{\"op\":\"ping\"}\n").unwrap();
-        stream.flush().unwrap();
-
+        stream
+            .write_all(b"\n{\"op\":\"ping\",\"id\":\"second\"}\n")
+            .unwrap();
         let mut reader = BufReader::new(stream);
-        let mut first = String::new();
-        reader.read_line(&mut first).unwrap();
-        assert_eq!(
-            Json::parse(first.trim())
-                .unwrap()
-                .get("ok")
-                .unwrap()
-                .as_bool(),
-            Some(true),
-            "split request must reassemble: {first}"
-        );
-        let mut second = String::new();
-        reader.read_line(&mut second).unwrap();
-        assert_eq!(
-            Json::parse(second.trim())
-                .unwrap()
-                .get("pong")
-                .unwrap()
-                .as_bool(),
-            Some(true)
-        );
-    }
-
-    #[test]
-    fn shutdown_verb_quiesces_the_server() {
-        for transport in [HubTransport::Event, HubTransport::Threads] {
-            let handle = start_with(&[("m", 1, 0)], transport);
-            let v = roundtrip(handle.addr(), r#"{"op":"shutdown"}"#);
-            assert_eq!(v.get("shutdown").unwrap().as_bool(), Some(true));
-            handle.shutdown();
-            assert!(handle.hub().is_shutting_down());
-        }
-    }
-
-    #[test]
-    fn event_and_threads_transports_answer_identically() {
-        let ev = start_with(&[("m", 1, 7)], HubTransport::Event);
-        let th = start_with(&[("m", 1, 7)], HubTransport::Threads);
-        let req = nvc_serve::json::obj(vec![("source", Json::from(SRC))]).render();
-        for line in [r#"{"op":"ping"}"#, req.as_str()] {
-            let a = roundtrip(ev.addr(), line);
-            let b = roundtrip(th.addr(), line);
-            assert_eq!(
-                a.get("ok").map(|v| v.render()),
-                b.get("ok").map(|v| v.render())
-            );
-            assert_eq!(
-                a.get("source").map(|v| v.render()),
-                b.get("source").map(|v| v.render()),
-                "both transports must emit bitwise-identical decisions"
-            );
-        }
+        assert!(is_pong(&read_json(&mut reader)), "split request lost");
+        assert!(is_pong(&read_json(&mut reader)));
     }
 
     /// A peer dripping one byte at a time must still get its response:
     /// partial lines survive arbitrarily many selector wakeups.
-    #[test]
-    fn slow_loris_single_byte_writes_reassemble() {
-        let handle = start(&[("m", 1, 0)]);
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    fn slow_loris_single_byte_writes(s: &dyn Served) {
+        let mut stream = TcpStream::connect(s.addr()).unwrap();
         stream.set_nodelay(true).unwrap();
-        for b in br#"{"op":"ping"}"#.iter().chain(b"\n") {
+        for b in PING.as_bytes().iter().chain(b"\n") {
             stream.write_all(std::slice::from_ref(b)).unwrap();
-            stream.flush().unwrap();
             std::thread::sleep(Duration::from_millis(2));
         }
-        let mut reader = std::io::BufReader::new(stream);
-        let mut response = String::new();
-        std::io::BufRead::read_line(&mut reader, &mut response).unwrap();
-        let v = Json::parse(response.trim()).unwrap();
-        assert_eq!(v.get("pong").unwrap().as_bool(), Some(true));
+        assert!(is_pong(&read_json(&mut BufReader::new(stream))));
     }
 
     /// A single line far larger than the read chunk (8 KiB) spans many
     /// reads; the buffer must grow and the line dispatch exactly once.
-    #[test]
-    fn giant_line_spanning_many_read_chunks() {
-        let handle = start(&[("m", 1, 0)]);
+    fn giant_line_spanning_many_read_chunks(s: &dyn Served) {
         let pad = "x".repeat(64 * 1024);
         let line = format!(r#"{{"op":"ping","pad":"{pad}"}}"#);
-        let v = roundtrip(handle.addr(), &line);
-        assert_eq!(v.get("pong").unwrap().as_bool(), Some(true));
+        assert!(is_pong(&roundtrip(s.addr(), &line)));
     }
 
     /// Two connections interleave partial writes; each must get its own
     /// answer (per-connection buffers never bleed into each other).
-    #[test]
-    fn interleaved_partial_writes_across_connections() {
-        let handle = start(&[("m", 1, 0)]);
-        let mut a = TcpStream::connect(handle.addr()).unwrap();
-        let mut b = TcpStream::connect(handle.addr()).unwrap();
-        let req = nvc_serve::json::obj(vec![("source", Json::from(SRC))]).render();
-        let (head, tail) = req.split_at(req.len() / 2);
-        a.write_all(head.as_bytes()).unwrap();
+    fn interleaved_partial_writes_across_connections(s: &dyn Served) {
+        let mut a = TcpStream::connect(s.addr()).unwrap();
+        let mut b = TcpStream::connect(s.addr()).unwrap();
+        a.write_all(br#"{"op":"ping","id""#).unwrap();
         b.write_all(br#"{"op":"pi"#).unwrap();
-        a.flush().unwrap();
-        b.flush().unwrap();
         std::thread::sleep(Duration::from_millis(50));
-        a.write_all(tail.as_bytes()).unwrap();
-        a.write_all(b"\n").unwrap();
+        a.write_all(b":\"conn-a\"}\n").unwrap();
         b.write_all(b"ng\"}\n").unwrap();
-        let mut ra = std::io::BufReader::new(a);
-        let mut rb = std::io::BufReader::new(b);
-        let mut la = String::new();
-        let mut lb = String::new();
-        std::io::BufRead::read_line(&mut ra, &mut la).unwrap();
-        std::io::BufRead::read_line(&mut rb, &mut lb).unwrap();
-        assert_eq!(
-            Json::parse(la.trim()).unwrap().get("ok").unwrap().as_bool(),
-            Some(true),
-            "conn A's split vectorize must reassemble: {la}"
+        assert!(is_pong(&read_json(&mut BufReader::new(a))), "conn A");
+        assert!(is_pong(&read_json(&mut BufReader::new(b))), "conn B");
+    }
+
+    /// Sockets dropped without any protocol goodbye must release the
+    /// active-connections gauge — the selector observes EOF/error and
+    /// decrements, not just the clean-close path.
+    fn abruptly_dropped_sockets_release_the_gauge(s: &dyn Served) {
+        let mut streams = Vec::new();
+        for _ in 0..8 {
+            let mut stream = TcpStream::connect(s.addr()).unwrap();
+            // Prove the connection is fully established and registered.
+            stream.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+            read_json(&mut BufReader::new(stream.try_clone().unwrap()));
+            streams.push(stream);
+        }
+        assert_eq!(s.active_connections(), 8);
+        drop(streams); // no shutdown verb, no half-close dance
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while s.active_connections() != 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "gauge stuck at {} after abrupt drops",
+                s.active_connections()
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    /// A peer streaming an unterminated "line" past the bound is cut
+    /// off, and the service keeps answering everyone else.
+    fn overlong_line_is_cut_off_and_others_are_still_served(s: &dyn Served) {
+        let mut hog = TcpStream::connect(s.addr()).unwrap();
+        hog.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+        let block = vec![b'x'; 1 << 20];
+        let mut refused = false;
+        for _ in 0..=(crate::framing::MAX_LINE >> 20) {
+            if hog.write_all(&block).is_err() {
+                refused = true; // reset: the server already closed
+                break;
+            }
+        }
+        // Closed by the server: EOF or reset, never a response.
+        let mut byte = [0u8; 1];
+        assert!(
+            refused || !matches!(hog.read(&mut byte), Ok(n) if n > 0),
+            "the server answered an unbounded line"
         );
-        assert_eq!(
-            Json::parse(lb.trim())
-                .unwrap()
-                .get("pong")
-                .unwrap()
-                .as_bool(),
-            Some(true),
-            "conn B's split ping must reassemble: {lb}"
-        );
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while s.active_connections() != 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the overlong peer's connection was never closed"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert!(is_pong(&roundtrip(s.addr(), PING)));
+    }
+
+    /// The `shutdown` verb is acknowledged before the service stops.
+    fn shutdown_verb_acks_then_quiesces(s: &dyn Served) {
+        let v = roundtrip(s.addr(), r#"{"op":"shutdown"}"#);
+        assert_eq!(v.get("shutdown").unwrap().as_bool(), Some(true));
+        s.stop();
+        assert!(s.is_shutting_down());
+    }
+
+    /// The transport's contract, on a fresh instance of each service the
+    /// shared server carries.
+    #[test]
+    fn transport_cases_hold_for_both_services() {
+        type Case = (&'static str, fn(&dyn Served));
+        let cases: [Case; 7] = [
+            ("split request", split_request_across_reads),
+            ("slow loris", slow_loris_single_byte_writes),
+            ("giant line", giant_line_spanning_many_read_chunks),
+            (
+                "interleaved partial writes",
+                interleaved_partial_writes_across_connections,
+            ),
+            ("abrupt drops", abruptly_dropped_sockets_release_the_gauge),
+            (
+                "overlong line",
+                overlong_line_is_cut_off_and_others_are_still_served,
+            ),
+            ("shutdown verb", shutdown_verb_acks_then_quiesces),
+        ];
+        for (name, case) in cases {
+            eprintln!("hub: {name}");
+            case(&start(&[("m", 1, 0)]));
+            eprintln!("registry: {name}");
+            case(&start_registry());
+        }
     }
 
     /// Gossip transfer: a joining hub pulls a warm peer's cache image
@@ -597,32 +616,122 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Sockets dropped without any protocol goodbye must release the
-    /// `active_connections` gauge — the selector observes EOF/error and
-    /// decrements, not just the clean-close path.
-    #[test]
-    fn abruptly_dropped_sockets_release_the_gauge() {
-        let handle = start(&[("m", 1, 0)]);
-        let mut streams = Vec::new();
-        for _ in 0..8 {
-            let mut s = TcpStream::connect(handle.addr()).unwrap();
-            // Prove the connection is fully established and registered.
-            s.write_all(b"{\"op\":\"ping\"}\n").unwrap();
-            let mut r = std::io::BufReader::new(s.try_clone().unwrap());
-            let mut line = String::new();
-            std::io::BufRead::read_line(&mut r, &mut line).unwrap();
-            streams.push(s);
+    /// The registry's own protocol over the shared server.
+    mod registry {
+        use super::*;
+        use nvc_fleet::{ModelAd, NodeAnnouncement};
+
+        fn start() -> RegistryHandle {
+            start_registry()
         }
-        assert_eq!(handle.hub().active_connections.get(), 8);
-        drop(streams); // no shutdown verb, no half-close dance
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while handle.hub().active_connections.get() != 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "gauge stuck at {} after abrupt drops",
-                handle.hub().active_connections.get()
+
+        fn announcement(node: &str, ttl_ms: u64) -> NodeAnnouncement {
+            NodeAnnouncement {
+                node: node.to_string(),
+                addr: format!("127.0.0.1:9{node}"),
+                models: vec![ModelAd {
+                    model: "prod".into(),
+                    checkpoint_hash: 0x1234,
+                    weight: 1,
+                }],
+                ttl_ms,
+            }
+        }
+
+        #[test]
+        fn malformed_ttl_announce_gets_an_error_response() {
+            let handle = start();
+            let body = announcement("bad", 60_000)
+                .to_json()
+                .render()
+                .replace("\"ttl_ms\":60000", "\"ttl_ms\":-5");
+            let resp = roundtrip(handle.addr(), &body);
+            assert_eq!(resp.get("ok").unwrap().as_bool(), Some(false));
+            assert!(resp
+                .get("error")
+                .and_then(Json::as_str)
+                .unwrap()
+                .contains("ttl_ms"));
+            // The malformed node must not have been registered.
+            let nodes = roundtrip(handle.addr(), "{\"op\":\"resolve\"}");
+            assert_eq!(nodes.get("nodes").unwrap().as_array().unwrap().len(), 0);
+            handle.shutdown();
+        }
+
+        #[test]
+        fn announce_then_resolve_over_tcp() {
+            let handle = start();
+            let ack = roundtrip(
+                handle.addr(),
+                &announcement("n1", 60_000).to_json().render(),
             );
-            std::thread::sleep(Duration::from_millis(10));
+            assert_eq!(ack.get("ok").unwrap().as_bool(), Some(true));
+            assert_eq!(ack.get("nodes").unwrap().as_f64(), Some(1.0));
+
+            let v = roundtrip(handle.addr(), r#"{"op":"resolve","model":"prod"}"#);
+            let nodes = v.get("nodes").unwrap().as_array().unwrap();
+            assert_eq!(nodes.len(), 1);
+            assert_eq!(nodes[0].get("node").unwrap().as_str(), Some("n1"));
+
+            let v = roundtrip(handle.addr(), r#"{"op":"resolve","model":"ghost"}"#);
+            assert!(v.get("nodes").unwrap().as_array().unwrap().is_empty());
+        }
+
+        #[test]
+        fn ttl_expiry_over_tcp() {
+            let handle = start();
+            roundtrip(handle.addr(), &announcement("gone", 80).to_json().render());
+            std::thread::sleep(Duration::from_millis(150));
+            let v = roundtrip(handle.addr(), r#"{"op":"resolve"}"#);
+            assert!(
+                v.get("nodes").unwrap().as_array().unwrap().is_empty(),
+                "expired announcement must not resolve"
+            );
+        }
+
+        #[test]
+        fn ping_stats_metrics_and_bad_input() {
+            let handle = start();
+            let v = roundtrip(handle.addr(), r#"{"op":"ping"}"#);
+            assert_eq!(v.get("pong").unwrap().as_bool(), Some(true));
+            assert_eq!(v.get("service").unwrap().as_str(), Some("nvc-registry"));
+
+            roundtrip(
+                handle.addr(),
+                &announcement("n1", 60_000).to_json().render(),
+            );
+            let v = roundtrip(handle.addr(), r#"{"op":"stats"}"#);
+            assert_eq!(v.get("live_nodes").unwrap().as_f64(), Some(1.0));
+
+            let v = roundtrip(handle.addr(), r#"{"op":"metrics"}"#);
+            assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
+
+            let v = roundtrip(handle.addr(), "not json at all");
+            assert_eq!(v.get("ok").unwrap().as_bool(), Some(false));
+            let v = roundtrip(handle.addr(), r#"{"op":"warp"}"#);
+            assert_eq!(v.get("ok").unwrap().as_bool(), Some(false));
+            let v = roundtrip(handle.addr(), r#"{"op":"announce"}"#);
+            assert_eq!(v.get("ok").unwrap().as_bool(), Some(false));
+        }
+
+        #[test]
+        fn shutdown_verb_quiesces_the_registry() {
+            let handle = start();
+            let v = roundtrip(handle.addr(), r#"{"op":"shutdown"}"#);
+            assert_eq!(v.get("shutdown").unwrap().as_bool(), Some(true));
+            handle.shutdown();
+            assert!(handle.service().is_shutting_down());
+            assert!(
+                TcpStream::connect(handle.addr()).is_err() || {
+                    // The OS may still accept into the backlog briefly; a write
+                    // + read must fail or return nothing either way.
+                    let mut s = TcpStream::connect(handle.addr()).unwrap();
+                    s.write_all(b"{\"op\":\"ping\"}\n").ok();
+                    let mut r = BufReader::new(s);
+                    let mut line = String::new();
+                    r.read_line(&mut line).map(|n| n == 0).unwrap_or(true)
+                }
+            );
         }
     }
 }

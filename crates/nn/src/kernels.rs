@@ -29,12 +29,10 @@
 //!
 //! * **Row sharding** ([`run_row_sharded`]): the output rows are split
 //!   into contiguous shards, executed by the persistent worker pool
-//!   ([`pool`]) — or by one `std::thread::scope` worker per shard when
-//!   the pool is disabled ([`set_matmul_pool`], `NVC_MATMUL_POOL=0`).
-//!   Every output row of `A·B`, `Aᵀ·B` and `A·Bᵀ` depends only on whole
-//!   input rows and is reduced independently, so any shard assignment —
-//!   any thread count, either driver — produces the single-threaded
-//!   bits. (Splitting the reduction dimension `k` instead would need
+//!   ([`pool`]). Every output row of `A·B`, `Aᵀ·B` and `A·Bᵀ` depends
+//!   only on whole input rows and is reduced independently, so any shard
+//!   assignment — any thread count — produces the single-threaded bits.
+//!   (Splitting the reduction dimension `k` instead would need
 //!   per-thread partials whose combination reassociates the sum; that is
 //!   why only rows are split.)
 //! * **8-wide unrolling** ([`mm_rows`], [`tn_rows`], [`nt_rows`]): the
@@ -50,9 +48,7 @@
 //! on it (e.g. two models configured differently) can change how fast an
 //! answer arrives, never which answer arrives. Small products stay
 //! single-threaded via a work floor ([`set_matmul_grain`]) so the
-//! handoff never costs more than it saves — with the pool that handoff
-//! is a condvar wake instead of a thread spawn, which is why the
-//! default floor is far lower than it was under the scoped driver.
+//! pool's condvar handoff never costs more than it saves.
 
 pub mod fast;
 pub mod pool;
@@ -119,14 +115,9 @@ static PANIC_ROWS_TOTAL: AtomicUsize = AtomicUsize::new(usize::MAX);
 
 /// Default work floor: a worker is only added once it has at least this
 /// many multiply-adds to itself (~a microsecond of FLOPs — the same
-/// order as the pool's condvar handoff). The floor used to be 96·1024
-/// when every threaded product paid a full scoped spawn; the persistent
-/// pool made mid-sized products (the 64×340·340×64 policy layers)
-/// profitable to shard, so it dropped.
+/// order as the pool's condvar handoff), which makes mid-sized products
+/// (the 64×340·340×64 policy layers) profitable to shard.
 pub const DEFAULT_MATMUL_GRAIN: usize = 16 * 1024;
-
-/// Pool-mode switch sentinel/values (`UNSET` → read `NVC_MATMUL_POOL`).
-static POOL_MODE: AtomicUsize = AtomicUsize::new(UNSET);
 
 fn env_usize(name: &str) -> Option<usize> {
     std::env::var(name).ok()?.trim().parse().ok()
@@ -177,28 +168,6 @@ pub fn matmul_grain() -> usize {
 /// parity tests set `1` to force sharding on deliberately tiny shapes.
 pub fn set_matmul_grain(madds: usize) {
     GRAIN.store(madds.max(1), Ordering::Relaxed);
-}
-
-/// Whether threaded shards run on the persistent worker pool (default)
-/// or on per-call `std::thread::scope` workers. `NVC_MATMUL_POOL=0`
-/// selects the scoped driver; the bitwise contract makes the two
-/// interchangeable, so the switch is only a perf A/B lever.
-pub fn matmul_pool() -> bool {
-    match POOL_MODE.load(Ordering::Relaxed) {
-        UNSET => {
-            let v = env_usize("NVC_MATMUL_POOL").map_or(true, |v| v != 0);
-            POOL_MODE.store(v as usize, Ordering::Relaxed);
-            v
-        }
-        v => v != 0,
-    }
-}
-
-/// Selects the shard driver: `true` = persistent pool, `false` = scoped
-/// spawns. Benches flip this to A/B the handoff cost; results are
-/// bitwise-identical either way.
-pub fn set_matmul_pool(on: bool) {
-    POOL_MODE.store(on as usize, Ordering::Relaxed);
 }
 
 /// The mode `NVC_KERNEL_MODE` asks for ([`KernelMode::Strict`] when unset
@@ -266,11 +235,11 @@ pub(crate) fn k_split_shards(rows: usize, kd: usize, madds: usize) -> Option<usi
 /// Fast-mode `k`-split driver: runs `kernel(k0, k1, partial)` once per
 /// `k` window, each window accumulating the full `m × n` output into its
 /// own zeroed partial buffer, then combines the partials into `out` in
-/// ascending window order on the caller. The shard list goes through the
-/// same [`run_spans`] tail as row sharding, so the pool and the scoped
-/// driver execute identical `k`-split work — including identical panic
-/// semantics (the injection marker stays the *output* row count `m`; an
-/// armed "row" index is interpreted as a `k` index here).
+/// ascending window order on the caller. The shard list goes to the same
+/// [`pool::run_spans`] as row sharding, so a `k`-split shard's panic
+/// resurfaces like a row shard's (the injection marker stays the
+/// *output* row count `m`; an armed "row" index is interpreted as a `k`
+/// index here).
 pub(crate) fn run_mm_k_split(
     shards: usize,
     m: usize,
@@ -294,7 +263,7 @@ pub(crate) fn run_mm_k_split(
         spans.push((k0, k1, window));
         k0 = k1;
     }
-    run_spans(spans, m, kernel);
+    pool::run_spans(spans, m, kernel);
     for window in partials.chunks_exact(m * n) {
         for (o, &p) in out.iter_mut().zip(window.iter()) {
             *o += p;
@@ -331,12 +300,11 @@ fn check_injected_panic(r0: usize, r1: usize, rows_total: usize) {
 /// `rows × cols` row-major buffer.
 ///
 /// With `threads <= 1` the kernel runs on the calling thread. Otherwise
-/// the shard list goes to the persistent worker pool ([`pool::run`]) or,
-/// when [`matmul_pool`] is off, to one `std::thread::scope` worker per
-/// shard. Both drivers execute the identical shard list and both make a
-/// panicking shard re-panic on the caller only after every shard has
-/// been accounted for — a dead shard can neither hang the product nor
-/// let a half-written output escape as if it were complete.
+/// the shard list goes to the persistent worker pool
+/// ([`pool::run_spans`]), which makes a panicking shard re-panic on the
+/// caller only after every shard has been accounted for — a dead shard
+/// can neither hang the product nor let a half-written output escape as
+/// if it were complete.
 pub(crate) fn run_row_sharded(
     threads: usize,
     rows: usize,
@@ -361,7 +329,7 @@ pub(crate) fn run_row_sharded(
         spans.push((r0, r1, shard));
         r0 = r1;
     }
-    run_spans(spans, rows, kernel);
+    pool::run_spans(spans, rows, kernel);
 }
 
 /// Runs `kernel(s0, s1, segments_slice)` over shards of whole *segments*
@@ -400,47 +368,7 @@ pub(crate) fn run_segment_sharded(
         spans.push((s0, s1, shard));
         s0 = s1;
     }
-    run_spans(spans, rows_total, kernel);
-}
-
-/// Executes an explicit shard list (disjoint windows of one output
-/// buffer) on the persistent pool, or on one scoped worker per shard
-/// when [`matmul_pool`] is off — the shared tail of both sharding
-/// geometries. Both drivers run the identical list and both surface a
-/// shard panic on the caller only after every shard is accounted for.
-fn run_spans(
-    spans: Vec<(usize, usize, &mut [f32])>,
-    marker: usize,
-    kernel: &(dyn Fn(usize, usize, &mut [f32]) + Sync),
-) {
-    if matmul_pool() {
-        pool::run_spans(spans, marker, kernel);
-        return;
-    }
-    // Explicit joins (not the scope's implicit one) so the first
-    // worker's panic payload resurfaces on the caller *verbatim* —
-    // identical semantics to the pool driver's handoff.
-    let panic = std::thread::scope(|scope| {
-        let handles: Vec<_> = spans
-            .into_iter()
-            .map(|(lo, hi, slice)| {
-                scope.spawn(move || {
-                    check_injected_panic(lo, hi, marker);
-                    kernel(lo, hi, slice);
-                })
-            })
-            .collect();
-        let mut panic = None;
-        for h in handles {
-            if let Err(payload) = h.join() {
-                panic.get_or_insert(payload);
-            }
-        }
-        panic
-    });
-    if let Some(payload) = panic {
-        std::panic::resume_unwind(payload);
-    }
+    pool::run_spans(spans, rows_total, kernel);
 }
 
 /// `out += a × b` over row-major slices (`a`: `m×kd`, `b`: `kd×n`, `out`:

@@ -1,17 +1,15 @@
-//! Lazily-started persistent worker pool behind [`run_row_sharded`].
+//! Lazily-started persistent worker pool — the one driver of every
+//! threaded product ([`run_row_sharded`](super::run_row_sharded) and its
+//! segment and `k`-split siblings).
 //!
-//! The scoped driver pays a full `std::thread::scope` spawn + join per
-//! threaded product (~tens of µs — the reason the `set_matmul_grain`
-//! work floor had to be as coarse as it was). This pool replaces that
-//! per-call cost with a condvar handoff to workers that live for the
-//! rest of the process:
+//! A threaded product costs a condvar handoff to workers that live for
+//! the rest of the process, not a thread spawn + join:
 //!
 //! * **Same shards, same bits.** The pool executes exactly the shard
-//!   list the scoped path would have built — contiguous whole-row
-//!   shards, each reduced in ascending `k` by the kernel itself — so
-//!   the bitwise-parity contract of the module carries over verbatim.
-//!   Which thread runs which shard is a scheduling detail; shard
-//!   *contents* never depend on it.
+//!   list its caller cut — contiguous whole-row shards, each reduced in
+//!   ascending `k` by the kernel itself — so the bitwise-parity contract
+//!   of the module carries over verbatim. Which thread runs which shard
+//!   is a scheduling detail; shard *contents* never depend on it.
 //! * **Caller participates.** The submitting thread claims shards from
 //!   the same atomic cursor as the workers, so a product makes progress
 //!   even before the first worker has woken (and the pool can never
@@ -193,10 +191,11 @@ fn worker_loop(index: usize) {
     }
 }
 
-/// Pool-backed equivalent of the scoped span driver: identical shard
-/// list, identical per-shard kernel invocation, condvar handoff instead
-/// of per-call spawns. `marker` is the failure-injection marker the
-/// shards check against (total row count for both sharding geometries).
+/// Executes an explicit shard list (disjoint windows of one output
+/// buffer) — the shared tail of every sharding geometry. A shard's panic
+/// resurfaces on the caller verbatim, and only after every shard is
+/// accounted for. `marker` is the failure-injection marker the shards
+/// check against (total row count for both sharding geometries).
 pub(crate) fn run_spans(
     spans: Vec<(usize, usize, &mut [f32])>,
     marker: usize,
@@ -269,9 +268,7 @@ pub(crate) fn run_spans(
 
 #[cfg(test)]
 mod tests {
-    use super::super::{
-        clear_worker_panic, inject_worker_panic, run_row_sharded, set_matmul_pool, KNOB_LOCK,
-    };
+    use super::super::{clear_worker_panic, inject_worker_panic};
     use super::*;
 
     /// Row spans exactly as `run_row_sharded` would cut them.
@@ -297,8 +294,6 @@ mod tests {
 
     #[test]
     fn caller_alone_finishes_a_job_and_pool_stays_bounded() {
-        // Submitting through `run_spans` directly (not the mode switch)
-        // so the assertion is about the pool itself.
         let rows = 6;
         let cols = 4;
         let mut out = vec![0.0f32; rows * cols];
@@ -313,30 +308,6 @@ mod tests {
         let want: Vec<f32> = (0..rows * cols).map(|x| x as f32).collect();
         assert_eq!(out, want);
         assert!(worker_count() <= MAX_WORKERS);
-    }
-
-    #[test]
-    fn pool_and_scoped_modes_produce_identical_bits() {
-        let _guard = KNOB_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let rows = 17;
-        let cols = 5;
-        let kernel = |r0: usize, r1: usize, slice: &mut [f32]| {
-            for i in r0..r1 {
-                for c in 0..cols {
-                    slice[(i - r0) * cols + c] = ((i * 31 + c) as f32).sin();
-                }
-            }
-        };
-        let mut pooled = vec![0.0f32; rows * cols];
-        set_matmul_pool(true);
-        run_row_sharded(4, rows, cols, &mut pooled, &kernel);
-        let mut scoped = vec![0.0f32; rows * cols];
-        set_matmul_pool(false);
-        run_row_sharded(4, rows, cols, &mut scoped, &kernel);
-        set_matmul_pool(true);
-        let pb: Vec<u32> = pooled.iter().map(|v| v.to_bits()).collect();
-        let sb: Vec<u32> = scoped.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(pb, sb, "pool and scoped drivers must be bitwise equal");
     }
 
     #[test]

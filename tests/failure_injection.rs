@@ -169,7 +169,7 @@ fn checkpoint_corruption_is_detected() {
 }
 
 /// A panicking worker inside the threaded matmul must propagate to the
-/// caller — no hang (the scoped driver joins every shard before
+/// caller — no hang (the pool accounts for every shard before
 /// re-panicking) — and must not poison the shared arena: the half-written
 /// output tensor never reaches the tape, recycled buffers are zeroed on
 /// reuse, so subsequent graphs over the *same* arena compute clean bits.
@@ -221,13 +221,11 @@ fn threaded_matmul_worker_panic_propagates_without_tearing_the_arena() {
     kernels::set_matmul_grain(kernels::DEFAULT_MATMUL_GRAIN);
 }
 
-/// The persistent worker pool and the scoped per-call driver must have
-/// *identical* panic semantics: the payload resurfaces on the caller,
-/// the poisoned output never reaches the tape, and the driver is
-/// immediately reusable for clean work — so flipping `NVC_MATMUL_POOL`
-/// can never change what a crash looks like to the product.
+/// The persistent worker pool's panic semantics: the payload resurfaces
+/// on the caller verbatim, the poisoned output never reaches the tape,
+/// and the pool is immediately reusable for clean work.
 #[test]
-fn pool_and_scoped_drivers_share_panic_semantics() {
+fn pool_shard_panic_resurfaces_verbatim_and_the_pool_stays_usable() {
     use nvc_nn::{kernels, Graph, ParamStore, Tensor, TensorArena};
 
     let _guard = MATMUL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
@@ -246,45 +244,32 @@ fn pool_and_scoped_drivers_share_panic_semantics() {
     // Deployed-kernel reference, mode-agnostic (see the arena twin).
     let want = a.matmul(&b);
     let store = ParamStore::new(0);
-    for pool in [true, false] {
-        kernels::set_matmul_pool(pool);
-        let arena = TensorArena::new();
-        kernels::inject_worker_panic(10, ROWS);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut g = Graph::with_arena(&store, &arena);
-            let an = g.input(a.clone());
-            let bn = g.input(b.clone());
-            let _ = g.matmul(an, bn);
-        }));
-        kernels::clear_worker_panic();
-        assert!(
-            outcome.is_err(),
-            "worker panic must reach the caller (pool={pool})"
-        );
-        let payload = outcome.unwrap_err();
-        let msg = payload
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| payload.downcast_ref::<&str>().copied())
-            .unwrap_or("");
-        assert!(
-            msg.contains("injected panic"),
-            "panic payload must survive the handoff verbatim (pool={pool}): {msg:?}"
-        );
-        // Same driver, same arena, clean bits immediately afterwards.
+    let arena = TensorArena::new();
+    kernels::inject_worker_panic(10, ROWS);
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut g = Graph::with_arena(&store, &arena);
         let an = g.input(a.clone());
         let bn = g.input(b.clone());
-        let mm = g.matmul(an, bn);
-        assert_eq!(
-            g.value(mm),
-            &want,
-            "post-panic compute diverged (pool={pool})"
-        );
-    }
-    // Restore the *environment-configured* mode so the NVC_MATMUL_POOL=0
-    // CI leg keeps exercising the scoped driver in the rest of the binary.
-    kernels::set_matmul_pool(std::env::var("NVC_MATMUL_POOL").map_or(true, |v| v.trim() != "0"));
+        let _ = g.matmul(an, bn);
+    }));
+    kernels::clear_worker_panic();
+    assert!(outcome.is_err(), "worker panic must reach the caller");
+    let payload = outcome.unwrap_err();
+    let msg = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("");
+    assert!(
+        msg.contains("injected panic"),
+        "panic payload must survive the handoff verbatim: {msg:?}"
+    );
+    // Same pool, same arena, clean bits immediately afterwards.
+    let mut g = Graph::with_arena(&store, &arena);
+    let an = g.input(a.clone());
+    let bn = g.input(b.clone());
+    let mm = g.matmul(an, bn);
+    assert_eq!(g.value(mm), &want, "post-panic compute diverged");
     kernels::set_matmul_threads(kernels::default_matmul_threads());
     kernels::set_matmul_grain(kernels::DEFAULT_MATMUL_GRAIN);
 }
@@ -292,11 +277,10 @@ fn pool_and_scoped_drivers_share_panic_semantics() {
 /// Fast mode's `k`-split scheduler feeds reduction-dimension shards
 /// through the same span driver as row sharding — so a panicking
 /// `k`-shard must behave exactly like a panicking row shard: the payload
-/// resurfaces on the caller verbatim, under the pool *and* the scoped
-/// fallback driver, and the kernels compute clean values immediately
-/// afterwards.
+/// resurfaces on the caller verbatim and the kernels compute clean
+/// values immediately afterwards.
 #[test]
-fn k_split_shard_panic_resurfaces_verbatim_under_both_drivers() {
+fn k_split_shard_panic_resurfaces_verbatim() {
     use nvc_nn::{kernels, Tensor};
 
     let _guard = MATMUL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
@@ -325,36 +309,32 @@ fn k_split_shard_panic_resurfaces_verbatim_under_both_drivers() {
     kernels::set_matmul_threads(64);
     kernels::set_matmul_grain(1);
     kernels::set_kernel_mode(kernels::KernelMode::Fast);
-    for pool in [true, false] {
-        kernels::set_matmul_pool(pool);
-        kernels::inject_worker_panic(5, M);
-        let outcome = std::panic::catch_unwind(|| a.matmul(&b));
-        kernels::clear_worker_panic();
+    kernels::inject_worker_panic(5, M);
+    let outcome = std::panic::catch_unwind(|| a.matmul(&b));
+    kernels::clear_worker_panic();
+    assert!(
+        outcome.is_err(),
+        "k-split shard panic must reach the caller"
+    );
+    let payload = outcome.unwrap_err();
+    let msg = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("");
+    assert!(
+        msg.contains("injected panic"),
+        "k-split panic payload must survive the handoff verbatim: {msg:?}"
+    );
+    // Clean, ε-close values immediately afterwards (ε, not bits:
+    // fast mode reassociates the reduction by design).
+    let got = a.matmul(&b);
+    for (i, (&g, &w)) in got.data().iter().zip(want.data().iter()).enumerate() {
         assert!(
-            outcome.is_err(),
-            "k-split shard panic must reach the caller (pool={pool})"
+            (g - w).abs() <= 1e-4 * w.abs().max(1.0),
+            "post-panic k-split value diverged (idx={i}): {g} vs {w}"
         );
-        let payload = outcome.unwrap_err();
-        let msg = payload
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| payload.downcast_ref::<&str>().copied())
-            .unwrap_or("");
-        assert!(
-            msg.contains("injected panic"),
-            "k-split panic payload must survive the handoff verbatim (pool={pool}): {msg:?}"
-        );
-        // Clean, ε-close values immediately afterwards (ε, not bits:
-        // fast mode reassociates the reduction by design).
-        let got = a.matmul(&b);
-        for (i, (&g, &w)) in got.data().iter().zip(want.data().iter()).enumerate() {
-            assert!(
-                (g - w).abs() <= 1e-4 * w.abs().max(1.0),
-                "post-panic k-split value diverged (pool={pool}, idx={i}): {g} vs {w}"
-            );
-        }
     }
-    kernels::set_matmul_pool(std::env::var("NVC_MATMUL_POOL").map_or(true, |v| v.trim() != "0"));
     kernels::set_matmul_threads(kernels::default_matmul_threads());
     kernels::set_matmul_grain(kernels::DEFAULT_MATMUL_GRAIN);
     kernels::set_kernel_mode(kernels::default_kernel_mode());

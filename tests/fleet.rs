@@ -13,9 +13,9 @@ use neurovectorizer::{
     NeuroVectorizer, NvConfig, ServeConfig, VectorizeEnv,
 };
 use nvc_datasets::generator;
-use nvc_fleet::{serve_registry, RegistryService};
+use nvc_fleet::RegistryService;
 use nvc_hub::server::{serve_tcp, HubHandle};
-use nvc_hub::{spawn_announcer, Announcer};
+use nvc_hub::{serve_registry, spawn_announcer, Announcer};
 
 fn trained_checkpoint(seed: u64) -> String {
     let cfg = NvConfig::fast().with_seed(seed);
