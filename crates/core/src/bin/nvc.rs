@@ -34,13 +34,13 @@ const USAGE: &str = "usage:
             [--kernel-mode strict|fast] [--trace FILE] [--journal FILE] --out FILE
   nvc vectorize FILE.c [--model FILE]
   nvc inspect FILE.c [--n VALUE]
-  nvc serve [--model FILE] [--workers N] [--batch N] [--flush-us N] [--cache N] [--shards N]
+  nvc serve [--model FILE] [--workers N] [--batch N] [--cache N] [--shards N]
             [--matmul-threads N] [--kernel-mode strict|fast] [--trace FILE]
   nvc hub --model NAME=FILE [--model NAME=FILE…] [--weight NAME=N…] [--listen ADDR]
           [--cache-file PATH] [--cache-checkpoint-secs N] [--request-threads N]
           [--announce REGISTRY_ADDR] [--node NAME] [--advertise ADDR]
           [--announce-ttl-ms N] [--peers ADDR[,ADDR…]]
-          [--workers N] [--batch N] [--flush-us N] [--cache N] [--shards N]
+          [--workers N] [--batch N] [--cache N] [--shards N]
           [--matmul-threads N] [--kernel-mode strict|fast] [--trace FILE]
           [--learn] [--learn-journal FILE] [--learn-promotion-log FILE]
           [--learn-model NAME] [--learn-challenger NAME] [--learn-checkpoint FILE]
@@ -56,8 +56,11 @@ bitwise-identical at any value.
 else `fast` for serve/hub and `strict` everywhere else): `strict` is
 bitwise-reproducible; `fast` runs FMA + k-split + online-softmax kernels
 that are ε-close with identical decisions.
-The hub's connections are driven nonblocking by one selector thread;
---request-threads sets how many workers answer protocol requests.
+The hub's connections are driven nonblocking by one selector thread, which
+answers `ping` and cache-hit `vectorize` itself; misses are answered by the
+--workers batch workers, which take up to --batch queued misses per forward
+as soon as the lines that arrived together have been read (no flush timer);
+--request-threads sets how many workers run the verbs that may block.
 --trace FILE exports per-request spans as JSON lines (equivalent to
 NVC_TRACE=FILE); --journal FILE appends one JSON line of training
 telemetry per iteration. Tracing never changes decisions or weights.
@@ -226,9 +229,6 @@ fn apply_serve_flags(cfg: &mut NvConfig, p: &ParsedArgs) -> Result<(), String> {
     if let Some(n) = p.parse_value::<usize>("--batch")? {
         cfg.serve.batch_size = n.max(1);
     }
-    if let Some(n) = p.parse_value("--flush-us")? {
-        cfg.serve.flush_deadline_us = n;
-    }
     if let Some(n) = p.parse_value("--cache")? {
         cfg.serve.cache_capacity = n;
     }
@@ -254,10 +254,9 @@ fn default_serving_to_fast(cfg: &mut NvConfig) {
     }
 }
 
-const SERVE_KNOBS: [Flag; 7] = [
+const SERVE_KNOBS: [Flag; 6] = [
     Flag::value("--workers"),
     Flag::value("--batch"),
-    Flag::value("--flush-us"),
     Flag::value("--cache"),
     Flag::value("--shards"),
     Flag::value("--matmul-threads"),
@@ -283,10 +282,9 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
     let serve_cfg = nv.config().serve.clone();
     eprintln!(
-        "nvc serve: ready ({} workers, batch {}, flush {}µs, cache {} entries / {} shards, {} matmul thread(s), {} kernels); one JSON request per line",
+        "nvc serve: ready ({} workers, batch {}, cache {} entries / {} shards, {} matmul thread(s), {} kernels); one JSON request per line",
         serve_cfg.workers,
         serve_cfg.batch_size,
-        serve_cfg.flush_deadline_us,
         serve_cfg.cache_capacity,
         serve_cfg.cache_shards,
         nv.config().matmul_threads.max(1),

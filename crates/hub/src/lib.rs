@@ -5,11 +5,14 @@
 //! while builds are running. This crate is the layer between the two:
 //!
 //! * [`server`] — the **TCP front-ends**: one selector thread drives
-//!   every connection nonblocking and a few workers answer the same
-//!   JSON-lines protocol as the stdin daemon, plus `ping` / `metrics` /
-//!   `reload` / `shutdown` control verbs. Any number of concurrent build
-//!   processes share one warm hub; the fleet's discovery registry
-//!   (`nvc registry`) is served by the same loop;
+//!   every connection nonblocking and answers what needs no waiting
+//!   itself — `ping`, and a `vectorize` whose every loop hits the cache;
+//!   a `vectorize` with misses is completed by the batch worker that ran
+//!   its forward, and a few request workers take the verbs that block
+//!   (`metrics` / `reload` / `cache_export` / `report` / `shutdown`).
+//!   Same JSON-lines protocol as the stdin daemon. Any number of
+//!   concurrent build processes share one warm hub; the fleet's
+//!   discovery registry (`nvc registry`) is served by the same loop;
 //! * [`registry`] — a **model registry**: N named checkpoints, each
 //!   behind its own `ServeHandle` (private cache + batcher + workers),
 //!   routed by explicit `"model"` field or a deterministic weighted A/B
@@ -60,7 +63,7 @@ pub mod server;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
@@ -86,7 +89,9 @@ pub struct HubConfig {
     /// Where the decision cache persists across restarts (`None`
     /// disables persistence).
     pub cache_path: Option<String>,
-    /// Worker threads executing protocol requests off the event loop
+    /// Worker threads executing the protocol requests that may block —
+    /// every verb but `ping` and `vectorize`, lines over 16 KiB, and
+    /// `vectorize` while a miss queue is full — off the event loop
     /// (clamped to ≥ 1). Responses are written back in per-connection
     /// request order regardless.
     pub request_threads: usize,
@@ -123,18 +128,6 @@ impl HubConfig {
     /// Builder-style cache-path override.
     pub fn with_cache_path(mut self, path: impl Into<String>) -> Self {
         self.cache_path = Some(path.into());
-        self
-    }
-
-    /// Builder-style request-worker override.
-    pub fn with_request_threads(mut self, n: usize) -> Self {
-        self.request_threads = n;
-        self
-    }
-
-    /// Builder-style output-buffer-bound override.
-    pub fn with_max_output_buffer(mut self, bytes: usize) -> Self {
-        self.max_output_buffer = bytes;
         self
     }
 
@@ -192,6 +185,43 @@ impl std::error::Error for HubError {}
 pub type CheckpointLoader =
     Box<dyn Fn(&str) -> Result<(Arc<dyn DecisionModel>, u64), String> + Send + Sync>;
 
+/// Lines longer than this are not parsed on the selector thread: a
+/// request worker takes them, so one huge source costs the other
+/// connections nothing.
+pub(crate) const INLINE_LINE_MAX: usize = 16 * 1024;
+
+/// How long [`Hub::handle_line`] waits for a batch worker's answer
+/// before it reports the model as not answering.
+const DECISION_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Where a line's answer goes once it exists: back to the TCP server's
+/// selector, or to the thread blocked in [`Hub::handle_line`].
+pub(crate) trait Answer: Send + 'static {
+    /// Delivers the response line and whether the connection keeps going
+    /// (`false` after `shutdown`).
+    fn send(self, response: String, keep_going: bool);
+}
+
+impl Answer for std::sync::mpsc::SyncSender<(String, bool)> {
+    fn send(self, response: String, keep_going: bool) {
+        // One answer into a one-slot channel: never full. A caller that
+        // timed out and left is not an error.
+        let _ = self.try_send((response, keep_going));
+    }
+}
+
+fn with_id(id: Option<&str>, mut members: Vec<(&str, Json)>) -> String {
+    if let Some(id) = id {
+        members.insert(0, ("id", Json::from(id)));
+    }
+    obj(members).render()
+}
+
+fn fail(id: Option<&str>, e: String) -> (String, bool) {
+    let members = vec![("ok", Json::from(false)), ("error", Json::from(e))];
+    (with_id(id, members), true)
+}
+
 /// The hub itself: registry + persistence + protocol handling. The TCP
 /// layer ([`server::serve_tcp`]) and tests drive it through
 /// [`Hub::handle_line`].
@@ -205,6 +235,21 @@ pub struct Hub {
     obs: Arc<MetricsRegistry>,
     /// Protocol requests handled (all verbs, all connections).
     requests: Arc<Counter>,
+    /// Lines the TCP server's selector thread answered itself: `ping`,
+    /// all-hit `vectorize`, and anything refused before it reached a
+    /// model.
+    lines_on_selector: Arc<Counter>,
+    /// `vectorize` lines with misses, begun on the selector and
+    /// completed by the batch worker that ran their forward.
+    lines_by_batch_worker: Arc<Counter>,
+    /// Lines handed to a request worker: a verb that may block, a line
+    /// over [`INLINE_LINE_MAX`], a full miss queue.
+    lines_to_request_worker: Arc<Counter>,
+    /// Models with misses queued and not yet woken: the selector begins
+    /// every line of a wake-up before [`Hub::wake_batchers`] lets the
+    /// batch workers at them, so lines that arrived together ride one
+    /// forward.
+    owed_wakes: parking_lot::Mutex<Vec<Arc<ModelEntry>>>,
     /// Connections accepted since start (maintained by the TCP layer).
     pub(crate) connections: Arc<Counter>,
     /// Connections currently open (maintained by the TCP layer).
@@ -241,6 +286,10 @@ impl Hub {
             loader: None,
             started: Instant::now(),
             requests: obs.counter("hub_requests_total"),
+            lines_on_selector: obs.counter("hub_lines_answered_on_selector_total"),
+            lines_by_batch_worker: obs.counter("hub_lines_completed_by_batch_worker_total"),
+            lines_to_request_worker: obs.counter("hub_lines_handed_to_request_worker_total"),
+            owed_wakes: parking_lot::Mutex::new(Vec::new()),
             connections: obs.counter("hub_connections_total"),
             active_connections: obs.gauge("hub_active_connections"),
             cache_checkpoints: obs.counter("hub_cache_checkpoints_total"),
@@ -465,6 +514,23 @@ impl Hub {
                 Json::from(nvc_nn::kernels::kernel_mode().name()),
             ),
             ("requests", Json::from(self.requests.get())),
+            (
+                "lines",
+                obj(vec![
+                    (
+                        "answered_on_selector",
+                        Json::from(self.lines_on_selector.get()),
+                    ),
+                    (
+                        "completed_by_batch_worker",
+                        Json::from(self.lines_by_batch_worker.get()),
+                    ),
+                    (
+                        "handed_to_request_worker",
+                        Json::from(self.lines_to_request_worker.get()),
+                    ),
+                ]),
+            ),
             ("connections", Json::from(self.connections.get())),
             (
                 "active_connections",
@@ -524,49 +590,171 @@ impl Hub {
 
     /// Handles one protocol line; returns the response line and whether
     /// the connection should keep reading (`false` after `shutdown`).
+    /// The blocking wrapper over [`Hub::begin`]: begin with leave to
+    /// block, then wait for the answer — which is already there unless
+    /// the line was a `vectorize` with misses.
     pub fn handle_line(&self, line: &str) -> (String, bool) {
-        // One trace id per protocol line, whoever the caller is (the TCP
-        // server's request workers, tests, in-process embedding).
-        let _trace = nvc_obs::request_scope();
-        let _span = nvc_obs::span("hub_request");
         self.requests.inc();
-        let with_id = |id: Option<&str>, mut members: Vec<(&str, Json)>| {
-            if let Some(id) = id {
-                members.insert(0, ("id", Json::from(id)));
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
+        if self.begin(line, true, tx).is_err() {
+            unreachable!("a caller that may block is never handed its line back");
+        }
+        rx.recv_timeout(DECISION_TIMEOUT).unwrap_or_else(|_| {
+            // The model has stopped answering. Parsed again, for the id,
+            // only here.
+            let v = Json::parse(line).ok();
+            let id = v.as_ref().and_then(|v| v.get("id")).and_then(Json::as_str);
+            fail(id, "decision timed out".to_string())
+        })
+    }
+
+    /// The one request path: begins a protocol line and sends its answer
+    /// to `to` — before returning, except for a `vectorize` with misses,
+    /// which the batch worker that ran its forward answers (`Ok(true)`).
+    ///
+    /// With `may_block` unset this runs on the TCP server's selector
+    /// thread and never waits for anything: what could (every verb but
+    /// `ping` and `vectorize`, or a `vectorize` routed to a full miss
+    /// queue) comes back untouched as `Err(to)`, for a request worker's
+    /// [`Hub::handle_line`]; queued misses wait for
+    /// [`Hub::wake_batchers`]. With it set, every verb runs here and now.
+    pub(crate) fn begin<A: Answer>(&self, line: &str, may_block: bool, to: A) -> Result<bool, A> {
+        // One trace id per protocol line, whoever the caller is (the TCP
+        // server, tests, in-process embedding). The scope ends with this
+        // call; an answer that comes later closes the `hub_request` span
+        // under the id it captured here.
+        let _trace = nvc_obs::request_scope();
+        let span = nvc_obs::tracing_enabled().then(|| (Instant::now(), nvc_obs::current_trace()));
+        let answer = move |to: A, (response, keep_going): (String, bool)| {
+            if let Some((t0, trace)) = span {
+                nvc_obs::record_span("hub_request", trace, t0, t0.elapsed());
             }
-            obj(members).render()
-        };
-        let fail = |id: Option<&str>, e: String| {
-            (
-                with_id(
-                    id,
-                    vec![("ok", Json::from(false)), ("error", Json::from(e))],
-                ),
-                true,
-            )
+            to.send(response, keep_going);
         };
         let v = match Json::parse(line) {
             Ok(v) => v,
-            Err(e) => return fail(None, format!("invalid JSON: {e}")),
+            Err(e) => {
+                answer(to, fail(None, format!("invalid JSON: {e}")));
+                return Ok(false);
+            }
         };
-        let id = v.get("id").and_then(Json::as_str).map(str::to_string);
-        let id = id.as_deref();
+        let id = v.get("id").and_then(Json::as_str);
         let op = v.get("op").and_then(Json::as_str);
         match op {
-            Some("ping") => (
-                with_id(
-                    id,
-                    vec![
-                        ("ok", Json::from(true)),
-                        ("pong", Json::from(true)),
-                        (
-                            "uptime_us",
-                            Json::from(self.started.elapsed().as_micros() as u64),
+            Some("ping") => {
+                let pong = vec![
+                    ("ok", Json::from(true)),
+                    ("pong", Json::from(true)),
+                    (
+                        "uptime_us",
+                        Json::from(self.started.elapsed().as_micros() as u64),
+                    ),
+                ];
+                answer(to, (with_id(id, pong), true));
+                Ok(false)
+            }
+            Some("vectorize") | None => {
+                let Some(source) = v.get("source").and_then(Json::as_str) else {
+                    answer(to, fail(id, "missing `source` field".into()));
+                    return Ok(false);
+                };
+                let explicit = v.get("model").and_then(Json::as_str);
+                let route = v.get("route").and_then(Json::as_str);
+                let entry = match self
+                    .registry
+                    .route(explicit, Self::routing_key(route, source))
+                {
+                    Ok(e) => e,
+                    Err(e) => {
+                        answer(to, fail(id, e.to_string()));
+                        return Ok(false);
+                    }
+                };
+                if may_block {
+                    entry.handle.wait_for_space();
+                } else if entry.handle.queue_is_full() {
+                    return Err(to);
+                }
+                // Guard-decremented so the gauge stays correct on every
+                // way out of the request, a dropped completion included.
+                struct InFlight(Arc<Gauge>);
+                impl Drop for InFlight {
+                    fn drop(&mut self) {
+                        self.0.dec();
+                    }
+                }
+                entry.in_flight.inc();
+                let in_flight = InFlight(Arc::clone(&entry.in_flight));
+                // The completion may run on this entry's own batch
+                // worker, so it owns copies of what it renders and no
+                // `Arc<ModelEntry>`: dropping the last reference to a
+                // reloaded-away entry there would have its worker pool
+                // join itself.
+                let (id, model) = (id.map(str::to_string), entry.name.clone());
+                let hash = entry.checkpoint_hash;
+                let queued = entry.handle.begin_vectorize(source, move |outcome| {
+                    let id = id.as_deref();
+                    let response = match outcome {
+                        Ok(out) => (
+                            with_id(
+                                id,
+                                vec![
+                                    ("ok", Json::from(true)),
+                                    ("model", Json::from(model)),
+                                    // Version stamp: fleet clients verify
+                                    // this against the registry's ad, which
+                                    // is what makes wrong-version decisions
+                                    // impossible to accept.
+                                    ("checkpoint_hash", Json::from(format!("{hash:016x}"))),
+                                    ("source", Json::from(out.source)),
+                                    (
+                                        "loops",
+                                        Json::Arr(
+                                            out.loops.iter().map(LoopReport::to_json).collect(),
+                                        ),
+                                    ),
+                                    ("latency_us", Json::from(out.latency_us)),
+                                ],
+                            ),
+                            true,
                         ),
-                    ],
-                ),
-                true,
-            ),
+                        Err(e) => fail(id, e.to_string()),
+                    };
+                    drop(in_flight);
+                    answer(to, response);
+                });
+                if queued && may_block {
+                    entry.handle.wake();
+                } else if queued {
+                    let mut owed = self.owed_wakes.lock();
+                    if !owed.iter().any(|e| Arc::ptr_eq(e, &entry)) {
+                        owed.push(entry);
+                    }
+                }
+                Ok(queued)
+            }
+            _ if !may_block => Err(to),
+            _ => {
+                answer(to, self.blocking_verb(&v, id, op));
+                Ok(false)
+            }
+        }
+    }
+
+    /// The selector has begun every line of one wake-up: wakes the batch
+    /// workers of every model those lines queued misses on.
+    pub(crate) fn wake_batchers(&self) {
+        let owed = std::mem::take(&mut *self.owed_wakes.lock());
+        for entry in owed {
+            entry.handle.wake();
+        }
+    }
+
+    /// Every verb that may block (a file write, a checkpoint load, a
+    /// model forward, a walk over every cache) or is simply not worth the
+    /// selector's time. Only ever runs where blocking is allowed.
+    fn blocking_verb(&self, v: &Json, id: Option<&str>, op: Option<&str>) -> (String, bool) {
+        match op {
             Some("metrics") | Some("stats") => (
                 with_id(
                     id,
@@ -745,60 +933,8 @@ impl Hub {
                     Err(e) => fail(id, e.to_string()),
                 }
             }
-            Some("vectorize") | None => {
-                let Some(source) = v.get("source").and_then(Json::as_str) else {
-                    return fail(id, "missing `source` field".into());
-                };
-                let explicit = v.get("model").and_then(Json::as_str);
-                let route = v.get("route").and_then(Json::as_str);
-                let entry = match self
-                    .registry
-                    .route(explicit, Self::routing_key(route, source))
-                {
-                    Ok(e) => e,
-                    Err(e) => return fail(id, e.to_string()),
-                };
-                // Guard-decremented so the gauge stays correct even if
-                // the model panics mid-request (the transport catches
-                // or unwinds through here either way).
-                struct InFlight<'a>(&'a nvc_obs::Gauge);
-                impl Drop for InFlight<'_> {
-                    fn drop(&mut self) {
-                        self.0.dec();
-                    }
-                }
-                entry.in_flight.inc();
-                let _in_flight = InFlight(&entry.in_flight);
-                let outcome = entry.handle.vectorize(source);
-                match outcome {
-                    Ok(out) => (
-                        with_id(
-                            id,
-                            vec![
-                                ("ok", Json::from(true)),
-                                ("model", Json::from(entry.name.as_str())),
-                                // Version stamp: fleet clients verify
-                                // this against the registry's ad, which
-                                // is what makes wrong-version decisions
-                                // impossible to accept.
-                                (
-                                    "checkpoint_hash",
-                                    Json::from(format!("{:016x}", entry.checkpoint_hash)),
-                                ),
-                                ("source", Json::from(out.source)),
-                                (
-                                    "loops",
-                                    Json::Arr(out.loops.iter().map(LoopReport::to_json).collect()),
-                                ),
-                                ("latency_us", Json::from(out.latency_us)),
-                            ],
-                        ),
-                        true,
-                    ),
-                    Err(e) => fail(id, e.to_string()),
-                }
-            }
             Some(other) => fail(id, format!("unknown op `{other}`")),
+            None => unreachable!("a line without an op is a vectorize"),
         }
     }
 
@@ -1033,6 +1169,30 @@ void f(int n) {
         // Observability satellite: connection gauge + per-model in-flight.
         assert_eq!(stats.get("active_connections").unwrap().as_f64(), Some(0.0));
         assert_eq!(m.get("in_flight").unwrap().as_f64(), Some(0.0));
+        // Which path answered a line (all zero here: nothing came over
+        // TCP), and each model's batch formation, under the same names in
+        // the Prometheus text.
+        let lines = stats.get("lines").unwrap();
+        for path in [
+            "answered_on_selector",
+            "completed_by_batch_worker",
+            "handed_to_request_worker",
+        ] {
+            assert_eq!(lines.get(path).unwrap().as_f64(), Some(0.0), "{path}");
+        }
+        let batch = m.get("batch").unwrap();
+        assert_eq!(batch.get("queue_depth").unwrap().as_f64(), Some(0.0));
+        assert!(batch.get("size_histogram").unwrap().as_array().is_some());
+        let text = hub.render_prometheus();
+        for name in [
+            "hub_lines_answered_on_selector_total 0",
+            "hub_lines_completed_by_batch_worker_total 0",
+            "hub_lines_handed_to_request_worker_total 0",
+            "serve_batch_queue_depth{model=\"m\"} 0",
+            "serve_batch_size_count{model=\"m\"} 0",
+        ] {
+            assert!(text.contains(name), "exposition lacks `{name}`:\n{text}");
+        }
 
         let (resp, keep) = hub.handle_line(r#"{"op":"explode","id":"x"}"#);
         assert!(keep);

@@ -1,18 +1,32 @@
 //! The one JSON-lines TCP server: one selector thread drives every
-//! connection nonblocking (C10K-style), a small worker pool executes
-//! protocol requests off the loop. `nvc hub` and `nvc registry` both run
-//! it; what differs between them is the [`LineService`] behind it.
+//! connection nonblocking (C10K-style) and answers what its
+//! [`LineService`] can answer without blocking; a small worker pool
+//! executes the rest off the loop. `nvc hub` and `nvc registry` both run
+//! it; what differs between them is the service behind it.
 //!
 //! ```text
-//!            ┌───────────────── selector thread ─────────────────┐
-//!  accept ──►│ register(fd) ── readable ──► line buffer ──┐      │
-//!            │                                            ▼      │
-//!            │ writable ◄── per-conn output queue ◄── seq reorder│
-//!            └───────▲──────────────────────────────────┬────────┘
-//!                    │ waker (self-pipe)                │ job queue
-//!                    └────────── request workers ◄──────┘
-//!                              (service.handle_line)
+//!            ┌───────────────── selector thread ──────────────────┐
+//!  accept ──►│ register(fd) ── readable ──► line ──► service.offer│
+//!            │                                         │  │  │    │
+//!            │         answered at once (ping, hit) ◄──┘  │  │    │
+//!            │ writable ◄── per-conn output ◄── seq reorder  │    │
+//!            └──────▲────────────▲───────────────┬───────────┼────┘
+//!                   │ inbox + one wake per batch │ queued    │ handed back
+//!                   │            │               ▼           ▼
+//!                   │            └──── service's own threads (the hub's
+//!                   │                  batch workers: misses)
+//!                   └───────────────── request workers
+//!                                      (service.handle_line: slow verbs)
 //! ```
+//!
+//! For each framed line the selector calls [`LineService::offer`] with a
+//! [`Reply`]. The service answers through it — before `offer` returns, or
+//! later from any thread — or hands line and reply back, and the selector
+//! queues them for a request worker. `offer` must never block: that is
+//! what keeps one slow request from stalling every connection. After the
+//! lines of one wake-up the selector calls [`LineService::end_of_event`]
+//! (the hub wakes its batchers there, so misses that arrived together
+//! ride one forward).
 //!
 //! Invariants the loop maintains:
 //!
@@ -30,9 +44,18 @@
 //!   at most `MAX_IN_FLIGHT` plus one chunk's worth of lines per
 //!   connection.
 //! * **Responses are written in request order per connection.** Each
-//!   parsed line gets a sequence number; worker results park in a
-//!   reorder map until their turn. (Workers may finish out of order —
-//!   a cache hit overtaking a model forward.)
+//!   parsed line gets a sequence number; an answer that arrives ahead of
+//!   its turn parks in a reorder map. (A cache hit answered on the
+//!   selector overtakes the miss pipelined before it — and waits.) An
+//!   answer that arrives in turn, the usual case, goes straight to the
+//!   output queue.
+//! * **Every line is answered exactly once.** A [`Reply`] dropped
+//!   unanswered (a request worker or a completion that panicked) answers
+//!   with an error, so a connection's sequence — and shutdown, which
+//!   waits for it — never wedges on a lost request.
+//! * **Answers from other threads share wake-ups.** They land in one
+//!   inbox; the first to arrive while the selector sleeps writes the
+//!   waker pipe, the rest of a batch find it already woken.
 //! * **Writes queue when the socket would block.** Unsent bytes wait in
 //!   a per-connection output queue and the connection's interest gains
 //!   WRITE until drained. Past `max_output_buffer` queued bytes the
@@ -49,19 +72,20 @@
 //!   active-connections gauge decrements when the selector observes EOF,
 //!   error, or hangup — not just on protocol-clean closes.
 //!
-//! The `shutdown` verb keeps its ack-first contract: `handle_line`
-//! flips the flag, the loop flushes the ack to the requesting client,
-//! and only then does the service's (possibly blocking) `shutdown` run —
-//! for the hub, drain + cache persist — on the loop thread, which is
-//! about to exit anyway. The loop never exits while a dispatched request
-//! is outstanding, so the flag being observable before the ack's `Done`
-//! arrives cannot drop the ack.
+//! The `shutdown` verb keeps its ack-first contract: the service flips
+//! its flag and answers, the loop flushes the ack to the requesting
+//! client, and only then does the service's (possibly blocking)
+//! `shutdown` run — for the hub, drain + cache persist — on the loop
+//! thread, which is about to exit anyway. The loop never exits while a
+//! dispatched request is outstanding, so the flag being observable
+//! before the ack arrives cannot drop the ack.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -73,8 +97,17 @@ use crate::framing::LineFramer;
 
 /// What the server drives: one protocol behind one listener.
 pub(crate) trait LineService: Send + Sync + 'static {
-    /// Answers one protocol line. Returns the response line and whether
-    /// the service keeps going (`false` for the `shutdown` verb's ack).
+    /// The non-blocking front, called on the selector thread for every
+    /// framed line. Answers through `reply` — before returning, or later
+    /// from any thread — or hands both back (`Some`) for a request
+    /// worker's [`LineService::handle_line`]. Must never block.
+    fn offer(&self, line: String, reply: Reply) -> Option<(String, Reply)>;
+    /// The selector has offered every line of this wake-up: whatever the
+    /// service queued meanwhile may start now.
+    fn end_of_event(&self) {}
+    /// Answers one protocol line, blocking as long as it takes. Returns
+    /// the response line and whether the service keeps going (`false`
+    /// for the `shutdown` verb's ack). Runs on a request worker.
     fn handle_line(&self, line: &str) -> (String, bool);
     /// True once shutdown has begun: the server stops accepting and
     /// dispatching, finishes what is in flight, and exits.
@@ -107,11 +140,10 @@ const MAX_READS_PER_EVENT: usize = 16;
 /// sensible pipeline depth — the repo benchmark pipelines 8 deep.
 const MAX_IN_FLIGHT: u64 = 1024;
 
-/// A parsed request on its way to the workers.
+/// A request the service handed back, on its way to the workers.
 struct Job {
-    token: usize,
-    seq: u64,
     line: String,
+    reply: Reply,
 }
 
 /// A finished response on its way back to the loop.
@@ -120,6 +152,63 @@ struct Done {
     seq: u64,
     response: String,
     keep_going: bool,
+}
+
+/// Where answers from any thread meet the selector.
+struct Inbox {
+    done: Mutex<Vec<Done>>,
+    /// True from the moment the selector wakes until it takes `done`:
+    /// an answer pushed meanwhile will be seen without a wake-up. The
+    /// sender that flips it from `false` owes the pipe write; the
+    /// selector's `swap(false)` (acquire) pairs with the senders'
+    /// `swap(true)` (release), so what they pushed before is in `done`
+    /// when it looks.
+    awake: AtomicBool,
+    waker: Waker,
+}
+
+/// The handle a line's answer goes through: which connection, which
+/// position in its sequence, and the way back to the selector.
+pub(crate) struct Reply {
+    token: usize,
+    seq: u64,
+    inbox: Arc<Inbox>,
+    answered: bool,
+}
+
+impl Reply {
+    /// Answers the line, from any thread. `keep_going` is `false` only
+    /// for a `shutdown` verb's ack.
+    pub(crate) fn send(mut self, response: String, keep_going: bool) {
+        self.answered = true;
+        self.deliver(response, keep_going);
+    }
+
+    fn deliver(&self, response: String, keep_going: bool) {
+        self.inbox
+            .done
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(Done {
+                token: self.token,
+                seq: self.seq,
+                response,
+                keep_going,
+            });
+        if !self.inbox.awake.swap(true, Ordering::AcqRel) {
+            let _ = self.inbox.waker.wake();
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if !self.answered {
+            let lost =
+                r#"{"ok":false,"error":"internal error: the request was dropped unanswered"}"#;
+            self.deliver(lost.to_string(), true);
+        }
+    }
 }
 
 struct Conn {
@@ -158,6 +247,29 @@ impl Conn {
     fn outstanding(&self) -> u64 {
         self.next_seq - self.write_seq
     }
+
+    /// Takes one answer: into the output queue when it is its turn (and
+    /// then whatever was parked behind it), into the reorder map
+    /// otherwise. Returns `true` when a shutdown ack reached the queue.
+    fn accept(&mut self, done: Done) -> bool {
+        if done.seq != self.write_seq {
+            self.ready
+                .insert(done.seq, (done.response, done.keep_going));
+            return false;
+        }
+        let mut saw_ack = self.enqueue(&done.response, done.keep_going);
+        while let Some((response, keep_going)) = self.ready.remove(&self.write_seq) {
+            saw_ack |= self.enqueue(&response, keep_going);
+        }
+        saw_ack
+    }
+
+    fn enqueue(&mut self, response: &str, keep_going: bool) -> bool {
+        self.write_seq += 1;
+        self.out.extend(response.as_bytes());
+        self.out.push_back(b'\n');
+        !keep_going
+    }
 }
 
 /// A running server: selector thread + request workers.
@@ -165,14 +277,14 @@ pub(crate) struct LineServer {
     /// Selector first: the workers exit once it has dropped the job
     /// queue.
     threads: Mutex<Vec<JoinHandle<()>>>,
-    waker: Arc<Waker>,
+    inbox: Arc<Inbox>,
 }
 
 impl LineServer {
     /// Wakes the loop (so an externally-initiated shutdown is noticed
     /// immediately) and joins every thread. Idempotent.
     pub(crate) fn join(&self) {
-        let _ = self.waker.wake();
+        let _ = self.inbox.waker.wake();
         let threads = std::mem::take(&mut *self.threads.lock().unwrap_or_else(|e| e.into_inner()));
         for t in threads {
             let _ = t.join();
@@ -182,6 +294,7 @@ impl LineServer {
 
 /// Starts the selector thread and `workers` request workers for
 /// `listener`; threads are named `{name}-event` and `{name}-req-{i}`.
+/// A service that never hands a line back needs no worker (`0`).
 /// `max_output_buffer` is the per-connection backpressure bound.
 pub(crate) fn serve(
     service: Arc<dyn LineService>,
@@ -193,49 +306,40 @@ pub(crate) fn serve(
     listener.set_nonblocking(true)?;
     let poller = Arc::new(Poller::new()?);
     poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
-    let waker = Arc::new(Waker::new(&poller, TOKEN_WAKER)?);
+    let inbox = Arc::new(Inbox {
+        done: Mutex::new(Vec::new()),
+        awake: AtomicBool::new(false),
+        waker: Waker::new(&poller, TOKEN_WAKER)?,
+    });
 
     let (job_tx, job_rx) = std::sync::mpsc::channel::<Job>();
-    let (done_tx, done_rx) = std::sync::mpsc::channel::<Done>();
     let job_rx = Arc::new(Mutex::new(job_rx));
 
-    let mut threads = (0..workers.max(1))
+    let mut threads = (0..workers)
         .map(|i| {
             let service = Arc::clone(&service);
             let job_rx = Arc::clone(&job_rx);
-            let done_tx = done_tx.clone();
-            let waker = Arc::clone(&waker);
             std::thread::Builder::new()
                 .name(format!("{name}-req-{i}"))
-                .spawn(move || worker_loop(&*service, &job_rx, &done_tx, &waker))
+                .spawn(move || worker_loop(&*service, &job_rx))
         })
         .collect::<io::Result<Vec<_>>>()?;
-    drop(done_tx);
 
     let max_out = max_output_buffer.max(READ_CHUNK);
     let selector = {
-        let waker = Arc::clone(&waker);
+        let inbox = Arc::clone(&inbox);
         std::thread::Builder::new()
             .name(format!("{name}-event"))
-            .spawn(move || {
-                event_loop(
-                    &*service, listener, &poller, &waker, job_tx, done_rx, max_out,
-                )
-            })?
+            .spawn(move || event_loop(&*service, listener, &poller, &inbox, job_tx, max_out))?
     };
     threads.insert(0, selector);
     Ok(LineServer {
         threads: Mutex::new(threads),
-        waker,
+        inbox,
     })
 }
 
-fn worker_loop(
-    service: &dyn LineService,
-    jobs: &Arc<Mutex<Receiver<Job>>>,
-    done: &Sender<Done>,
-    waker: &Waker,
-) {
+fn worker_loop(service: &dyn LineService, jobs: &Arc<Mutex<Receiver<Job>>>) {
     loop {
         // One worker parks inside `recv` holding the lock; its peers
         // queue on the mutex. Each arriving job releases exactly one.
@@ -247,16 +351,7 @@ fn worker_loop(
             return; // loop exited, channel closed
         };
         let (response, keep_going) = service.handle_line(&job.line);
-        let sent = done.send(Done {
-            token: job.token,
-            seq: job.seq,
-            response,
-            keep_going,
-        });
-        if sent.is_err() {
-            return; // loop gone
-        }
-        let _ = waker.wake();
+        job.reply.send(response, keep_going);
     }
 }
 
@@ -264,22 +359,25 @@ fn event_loop(
     service: &dyn LineService,
     listener: TcpListener,
     poller: &Poller,
-    waker: &Waker,
+    inbox: &Arc<Inbox>,
     job_tx: Sender<Job>,
-    done_rx: Receiver<Done>,
     max_out: usize,
 ) {
     let mut conns: HashMap<usize, Conn> = HashMap::new();
     let mut next_token = TOKEN_FIRST_CONN;
     let mut events: Vec<Event> = Vec::new();
-    // Tokens whose state changed this iteration (only these need their
-    // interest re-armed — keeps per-wakeup work O(ready), not O(conns)).
+    // Answers taken from the inbox this iteration (swapped, so both
+    // vectors keep their capacity).
+    let mut finished: Vec<Done> = Vec::new();
+    // Tokens whose state changed this iteration (only these are flushed
+    // and re-armed — keeps per-wakeup work O(ready), not O(conns)).
     let mut touched: Vec<usize> = Vec::new();
     // The connection owed the shutdown ack, once one exists.
     let mut ack_conn: Option<usize> = None;
 
     loop {
         let _ = poller.wait(&mut events, Some(IDLE_TICK));
+        inbox.awake.store(true, Ordering::Release);
         touched.clear();
         let mut dead: Vec<usize> = Vec::new();
         let dispatch = !service.is_shutting_down();
@@ -291,49 +389,43 @@ fn event_loop(
                         accept_ready(service, &listener, poller, &mut conns, &mut next_token);
                     }
                 }
-                TOKEN_WAKER => waker.drain(),
+                TOKEN_WAKER => inbox.waker.drain(),
                 token => {
                     let Some(conn) = conns.get_mut(&token) else {
                         continue; // closed earlier this iteration
                     };
-                    touched.push(token);
-                    let mut alive = true;
-                    if ev.readable {
-                        alive = drain_readable(conn, token, &job_tx, dispatch);
-                    }
-                    if alive && ev.writable {
-                        alive = flush_out(conn);
-                    }
-                    if !alive {
+                    touched.push(token); // flushed below, readable or writable
+                    if ev.readable
+                        && !drain_readable(conn, token, service, inbox, &job_tx, dispatch)
+                    {
                         dead.push(token);
                     }
                 }
             }
         }
+        service.end_of_event();
 
-        // Route finished responses; each may unblock in-order writes.
-        loop {
-            match done_rx.try_recv() {
-                Ok(done) => {
-                    let token = done.token;
-                    let Some(conn) = conns.get_mut(&token) else {
-                        continue; // connection died while the request ran
-                    };
-                    touched.push(token);
-                    conn.ready
-                        .insert(done.seq, (done.response, done.keep_going));
-                    if promote_ready(conn) {
-                        ack_conn = Some(token);
-                    }
-                    if !flush_out(conn) {
-                        dead.push(token);
-                    }
-                }
-                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
+        // Route finished responses — those the service gave while being
+        // offered the lines above, and those other threads sent since the
+        // last look; each may unblock in-order writes.
+        inbox.awake.swap(false, Ordering::AcqRel);
+        std::mem::swap(
+            &mut *inbox.done.lock().unwrap_or_else(|e| e.into_inner()),
+            &mut finished,
+        );
+        for done in finished.drain(..) {
+            let token = done.token;
+            let Some(conn) = conns.get_mut(&token) else {
+                continue; // connection died while the request ran
+            };
+            touched.push(token);
+            if conn.accept(done) {
+                ack_conn = Some(token);
             }
         }
 
-        // Re-arm interest, apply backpressure, reap drained EOF conns.
+        // Write what is owed, apply backpressure, re-arm interest, reap
+        // drained EOF conns.
         touched.sort_unstable();
         touched.dedup();
         for &token in &touched {
@@ -343,6 +435,10 @@ fn event_loop(
             let Some(conn) = conns.get_mut(&token) else {
                 continue;
             };
+            if !flush_out(conn) {
+                dead.push(token);
+                continue;
+            }
             conn.paused = if conn.paused {
                 // resume below half
                 conn.out.len() > max_out / 2 || conn.outstanding() > MAX_IN_FLIGHT / 2
@@ -365,8 +461,8 @@ fn event_loop(
 
         if service.is_shutting_down() {
             // Never exit while a dispatched request is outstanding (its
-            // Done — possibly the shutdown ack itself — is still owed),
-            // and never before the ack has flushed to its client.
+            // answer — possibly the shutdown ack itself — is still
+            // owed), and never before the ack has flushed to its client.
             let quiesced = conns.values().all(|c| c.outstanding() == 0);
             let ack_flushed = match ack_conn {
                 None => true, // externally initiated shutdown
@@ -440,10 +536,18 @@ fn accept_ready(
 }
 
 /// Reads what one readiness event may (see the module docs), framing
-/// and dispatching complete lines chunk by chunk (unless the service is
-/// shutting down, in which case they are dropped — the connection is
-/// about to close). Returns `false` when the connection must close.
-fn drain_readable(conn: &mut Conn, token: usize, job_tx: &Sender<Job>, dispatch: bool) -> bool {
+/// complete lines chunk by chunk and offering each to the service
+/// (unless it is shutting down, in which case they are dropped — the
+/// connection is about to close); what the service hands back goes to
+/// the request workers. Returns `false` when the connection must close.
+fn drain_readable(
+    conn: &mut Conn,
+    token: usize,
+    service: &dyn LineService,
+    inbox: &Arc<Inbox>,
+    job_tx: &Sender<Job>,
+    dispatch: bool,
+) -> bool {
     let mut chunk = [0u8; READ_CHUNK];
     let mut reads = 0;
     while reads < MAX_READS_PER_EVENT && conn.outstanding() <= MAX_IN_FLIGHT {
@@ -470,10 +574,17 @@ fn drain_readable(conn: &mut Conn, token: usize, job_tx: &Sender<Job>, dispatch:
             if !dispatch {
                 continue;
             }
-            let seq = conn.next_seq;
+            let reply = Reply {
+                token,
+                seq: conn.next_seq,
+                inbox: Arc::clone(inbox),
+                answered: false,
+            };
             conn.next_seq += 1;
-            if job_tx.send(Job { token, seq, line }).is_err() {
-                return false; // workers gone: shutting down
+            if let Some((line, reply)) = service.offer(line, reply) {
+                if job_tx.send(Job { line, reply }).is_err() {
+                    return false; // no request worker left to take it
+                }
             }
         }
         if n < chunk.len() {
@@ -481,21 +592,6 @@ fn drain_readable(conn: &mut Conn, token: usize, job_tx: &Sender<Job>, dispatch:
         }
     }
     !(conn.read_closed && conn.outstanding() == 0 && conn.out.is_empty())
-}
-
-/// Moves in-order completed responses into the output queue. Returns
-/// `true` when one of them was a shutdown ack.
-fn promote_ready(conn: &mut Conn) -> bool {
-    let mut saw_ack = false;
-    while let Some((response, keep_going)) = conn.ready.remove(&conn.write_seq) {
-        conn.write_seq += 1;
-        conn.out.extend(response.as_bytes());
-        conn.out.push_back(b'\n');
-        if !keep_going {
-            saw_ack = true;
-        }
-    }
-    saw_ack
 }
 
 /// Writes queued bytes until empty or the socket would block. Returns
@@ -527,5 +623,119 @@ fn close_conn(
     if let Some(conn) = conns.remove(&token) {
         let _ = poller.deregister(conn.stream.as_raw_fd());
         service.active_connections().dec();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{BufRead, BufReader};
+    use std::sync::atomic::AtomicBool;
+
+    /// Answers by the line's first word, over every path a service has:
+    /// `now …` before `offer` returns, `later …` from another thread once
+    /// the test lets it, `worker …` handed back to a request worker,
+    /// `drop …` not at all.
+    struct Paths {
+        release: Mutex<Receiver<()>>,
+        later: Mutex<Vec<JoinHandle<()>>>,
+        down: AtomicBool,
+        connections: Counter,
+        active: Gauge,
+    }
+
+    impl LineService for Arc<Paths> {
+        fn offer(&self, line: String, reply: Reply) -> Option<(String, Reply)> {
+            match line.split(' ').next() {
+                Some("now") => reply.send(format!("selector: {line}"), true),
+                Some("later") => {
+                    let me = Arc::clone(self);
+                    let t = std::thread::spawn(move || {
+                        let _ = me.release.lock().unwrap().recv();
+                        reply.send(format!("elsewhere: {line}"), true);
+                    });
+                    self.later.lock().unwrap().push(t);
+                }
+                Some("drop") => drop(reply),
+                _ => return Some((line, reply)),
+            }
+            None
+        }
+        fn handle_line(&self, line: &str) -> (String, bool) {
+            (format!("worker: {line}"), true)
+        }
+        fn is_shutting_down(&self) -> bool {
+            self.down.load(Ordering::Acquire)
+        }
+        fn shutdown(&self) {
+            self.down.store(true, Ordering::Release);
+        }
+        fn connections(&self) -> &Counter {
+            &self.connections
+        }
+        fn active_connections(&self) -> &Gauge {
+            &self.active
+        }
+    }
+
+    /// One connection, one write, every answer path: each line is
+    /// answered exactly once, in request order, whichever thread answered
+    /// it and whenever — and a reply the service lost is an error
+    /// response, not a wedged connection.
+    #[test]
+    fn every_answer_path_keeps_request_order_and_answers_once() {
+        let (release, held) = std::sync::mpsc::channel();
+        let paths = Arc::new(Paths {
+            release: Mutex::new(held),
+            later: Mutex::new(Vec::new()),
+            down: AtomicBool::new(false),
+            connections: Counter::default(),
+            active: Gauge::default(),
+        });
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let service = Arc::new(Arc::clone(&paths)) as Arc<dyn LineService>;
+        let server = serve(service, listener, "nvc-test", 1, 64 * 1024).unwrap();
+
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream
+            .write_all(b"later a\nnow b\nworker c\ndrop d\nnow e\n")
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut next = || {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("a response");
+            line.trim_end().to_string()
+        };
+
+        // Four of the five are answered already; none may pass the first.
+        stream
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        let mut early = String::new();
+        assert!(
+            BufReader::new(stream.try_clone().unwrap())
+                .read_line(&mut early)
+                .is_err(),
+            "answered out of order: {early}"
+        );
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        release.send(()).unwrap();
+        assert_eq!(next(), "elsewhere: later a");
+        assert_eq!(next(), "selector: now b");
+        assert_eq!(next(), "worker: worker c");
+        assert!(next().contains("dropped unanswered"));
+        assert_eq!(next(), "selector: now e");
+
+        paths.shutdown();
+        server.join();
+        for t in paths.later.lock().unwrap().drain(..) {
+            t.join().unwrap();
+        }
     }
 }

@@ -17,10 +17,12 @@
 //!    same model between registry changes — decisions stay reproducible
 //!    and per-model caches stay hot.
 //!
-//! [`ModelRegistry::reload`] replaces an entry atomically: requests that
-//! already routed keep their `Arc` to the old entry (its worker pool
-//! drains only when the last in-flight request drops it), while every
-//! subsequent `route` sees the new checkpoint.
+//! [`ModelRegistry::reload`] replaces an entry atomically: a request that
+//! already routed holds its `Arc` to the old entry until it has begun —
+//! hits answered, misses queued — and the old entry's worker pool drains
+//! its queue before it stops, so every miss in flight across the swap is
+//! still answered by the checkpoint it routed to; every subsequent
+//! `route` sees the new one.
 
 use std::sync::Arc;
 
@@ -54,9 +56,10 @@ pub struct ModelEntry {
     pub weight: u32,
     /// The model's private cache + batcher + workers.
     pub handle: ServeHandle,
-    /// Requests currently inside this model's `vectorize` (the hub's
-    /// `metrics` verb surfaces it per model).
-    pub in_flight: nvc_obs::Gauge,
+    /// Requests begun on this model and not yet answered (the hub's
+    /// `metrics` verb surfaces it per model). Shared, so a request's
+    /// completion can decrement it without keeping the entry alive.
+    pub in_flight: Arc<nvc_obs::Gauge>,
 }
 
 /// Named models with weighted routing and hot-swap.
@@ -102,7 +105,7 @@ impl ModelRegistry {
             name: spec.name,
             checkpoint_hash: spec.checkpoint_hash,
             weight: spec.weight,
-            in_flight: nvc_obs::Gauge::default(),
+            in_flight: Arc::default(),
         }))
     }
 

@@ -3,10 +3,13 @@
 //!
 //! Both run the one line server ([`crate::line_server`]): a single
 //! selector thread drives every connection nonblocking via the vendored
-//! `polling` crate, with a small worker pool executing requests. Idle
-//! connections cost zero CPU, lines are bounded, slow readers are
-//! back-pressured. What this module adds per service is the handle — and,
-//! for the hub, the periodic cache checkpointer.
+//! `polling` crate and answers what the service can answer without
+//! blocking — for the registry, everything; for the hub, `ping` and
+//! cache-hit `vectorize`, with misses completed by the batch workers and
+//! a small worker pool for the verbs that block. Idle connections cost
+//! zero CPU, lines are bounded, slow readers are back-pressured. What
+//! this module adds per service is the handle — and, for the hub, the
+//! periodic cache checkpointer.
 //!
 //! A `shutdown` verb from *any* client quiesces the whole service: the
 //! acceptor stops, the ack is flushed, in-flight requests finish, idle
@@ -22,10 +25,40 @@ use parking_lot::Mutex;
 use nvc_fleet::RegistryService;
 use nvc_obs::{Counter, Gauge};
 
-use crate::line_server::{self, LineServer, LineService};
-use crate::Hub;
+use crate::line_server::{self, LineServer, LineService, Reply};
+use crate::{Answer, Hub, INLINE_LINE_MAX};
+
+impl Answer for Reply {
+    fn send(self, response: String, keep_going: bool) {
+        Reply::send(self, response, keep_going)
+    }
+}
 
 impl LineService for Hub {
+    fn offer(&self, line: String, reply: Reply) -> Option<(String, Reply)> {
+        let begun = if line.len() > INLINE_LINE_MAX {
+            Err(reply)
+        } else {
+            self.begin(&line, false, reply)
+        };
+        match begun {
+            Ok(queued) => {
+                self.requests.inc();
+                match queued {
+                    false => self.lines_on_selector.inc(),
+                    true => self.lines_by_batch_worker.inc(),
+                }
+                None
+            }
+            Err(reply) => {
+                self.lines_to_request_worker.inc();
+                Some((line, reply))
+            }
+        }
+    }
+    fn end_of_event(&self) {
+        self.wake_batchers()
+    }
     fn handle_line(&self, line: &str) -> (String, bool) {
         Hub::handle_line(self, line)
     }
@@ -44,6 +77,14 @@ impl LineService for Hub {
 }
 
 impl LineService for RegistryService {
+    /// Every registry verb is an in-memory table lookup (a heartbeat per
+    /// node per second, a resolve per client per TTL window): answered
+    /// where its bytes arrive, so the registry runs no request worker.
+    fn offer(&self, line: String, reply: Reply) -> Option<(String, Reply)> {
+        let (response, keep_going) = RegistryService::handle_line(self, &line);
+        reply.send(response, keep_going);
+        None
+    }
     fn handle_line(&self, line: &str) -> (String, bool) {
         RegistryService::handle_line(self, line)
     }
@@ -60,11 +101,6 @@ impl LineService for RegistryService {
         RegistryService::active_connections(self)
     }
 }
-
-/// Registry verbs are a table lookup each (a heartbeat per node per
-/// second, a resolve per client per TTL window): one worker answers them
-/// in arrival order.
-const REGISTRY_REQUEST_THREADS: usize = 1;
 
 /// The registry's per-connection output bound — the hub's default.
 const REGISTRY_MAX_OUTPUT_BUFFER: usize = 256 * 1024;
@@ -141,7 +177,7 @@ pub fn serve_on(hub: Arc<Hub>, listener: TcpListener) -> std::io::Result<HubHand
         Arc::clone(&hub) as Arc<dyn LineService>,
         listener,
         "nvc-hub",
-        hub.config().request_threads,
+        hub.config().request_threads.max(1),
         hub.config().max_output_buffer,
     )?;
     let checkpointer = Mutex::new(spawn_checkpointer(&hub));
@@ -231,7 +267,7 @@ pub fn serve_registry_on(
         Arc::clone(&service) as Arc<dyn LineService>,
         listener,
         "nvc-registry",
-        REGISTRY_REQUEST_THREADS,
+        0, // `offer` answers every verb
         REGISTRY_MAX_OUTPUT_BUFFER,
     )?;
     Ok(RegistryHandle {
@@ -507,6 +543,247 @@ mod tests {
             eprintln!("registry: {name}");
             case(&start_registry());
         }
+    }
+
+    /// A source whose one loop has a shape no other `k` gives: `k` extra
+    /// terms in the body.
+    fn fresh_source(k: usize) -> String {
+        let terms: String = (0..k).map(|j| format!(" + b[i] * {j}.5")).collect();
+        format!(
+            "float a[512]; float b[512];\nvoid f(int n) {{\n    for (int i = 0; i < n; i++) {{\n        a[i] = b[i]{terms};\n    }}\n}}"
+        )
+    }
+
+    fn vectorize_request(id: &str, source: &str) -> String {
+        let members = vec![("id", Json::from(id)), ("source", Json::from(source))];
+        nvc_serve::json::obj(members).render()
+    }
+
+    /// `(answered_on_selector, completed_by_batch_worker,
+    /// handed_to_request_worker)` as the `metrics` verb reports them.
+    fn answer_paths(hub: &Hub) -> (u64, u64, u64) {
+        let stats = hub.stats_json();
+        let lines = stats.get("lines").expect("stats.lines");
+        let n = |key: &str| lines.get(key).and_then(Json::as_f64).expect(key) as u64;
+        (
+            n("answered_on_selector"),
+            n("completed_by_batch_worker"),
+            n("handed_to_request_worker"),
+        )
+    }
+
+    /// Which path answered is countable: hits and pings on the selector,
+    /// misses by the batch worker, long lines and slow verbs by a request
+    /// worker — and each line moves exactly one counter.
+    #[test]
+    fn each_line_moves_exactly_one_answer_path_counter() {
+        let handle = start(&[("m", 1, 0)]);
+        let hub = handle.hub();
+        let vectorize = vectorize_request("v", SRC);
+        let long_ping = format!(
+            r#"{{"op":"ping","pad":"{}"}}"#,
+            "x".repeat(crate::INLINE_LINE_MAX + 1024)
+        );
+        type Check = fn(&Json) -> bool;
+        let served: Check = |v| v.get("ok").and_then(Json::as_bool) == Some(true);
+        let refused: Check = |v| v.get("ok").and_then(Json::as_bool) == Some(false);
+        type Case<'a> = (&'a str, &'a str, Check, (u64, u64, u64));
+        let cases: [Case; 6] = [
+            ("a miss", &vectorize, served, (0, 1, 0)),
+            ("an all-hit vectorize", &vectorize, served, (1, 0, 0)),
+            ("a ping", PING, is_pong, (1, 0, 0)),
+            (
+                "a line over the inline bound",
+                &long_ping,
+                is_pong,
+                (0, 0, 1),
+            ),
+            (
+                "a metrics request",
+                r#"{"op":"metrics"}"#,
+                served,
+                (0, 0, 1),
+            ),
+            ("an unparsable line", "not json", refused, (1, 0, 0)),
+        ];
+        for (what, line, accepts, (on_selector, by_worker, handed)) in cases {
+            let before = answer_paths(hub);
+            let v = roundtrip(handle.addr(), line);
+            assert!(accepts(&v), "{what}: {}", v.render());
+            let after = answer_paths(hub);
+            assert_eq!(
+                (after.0 - before.0, after.1 - before.1, after.2 - before.2),
+                (on_selector, by_worker, handed),
+                "{what}"
+            );
+        }
+        assert_eq!(
+            hub.stats_json().get("requests").unwrap().as_f64(),
+            Some(6.0)
+        );
+        let text = hub.render_prometheus();
+        for line in [
+            "hub_lines_answered_on_selector_total 3",
+            "hub_lines_completed_by_batch_worker_total 1",
+            "hub_lines_handed_to_request_worker_total 2",
+        ] {
+            assert!(text.contains(line), "exposition lacks `{line}`:\n{text}");
+        }
+    }
+
+    /// Holds a thread at a known point: [`Gate::pass`] reports that it
+    /// arrived, then blocks until the test sends a permit.
+    struct Gate {
+        arrived: parking_lot::Mutex<std::sync::mpsc::Sender<()>>,
+        permits: parking_lot::Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    struct GateKeeper {
+        arrived: std::sync::mpsc::Receiver<()>,
+        permits: std::sync::mpsc::Sender<()>,
+    }
+
+    fn gate() -> (Arc<Gate>, GateKeeper) {
+        let (arrived_tx, arrived_rx) = std::sync::mpsc::channel();
+        let (permit_tx, permit_rx) = std::sync::mpsc::channel();
+        let gate = Gate {
+            arrived: parking_lot::Mutex::new(arrived_tx),
+            permits: parking_lot::Mutex::new(permit_rx),
+        };
+        let keeper = GateKeeper {
+            arrived: arrived_rx,
+            permits: permit_tx,
+        };
+        (Arc::new(gate), keeper)
+    }
+
+    impl Gate {
+        fn pass(&self) {
+            let _ = self.arrived.lock().send(());
+            let _ = self.permits.lock().recv();
+        }
+    }
+
+    impl GateKeeper {
+        fn wait_until_held(&self) {
+            self.arrived
+                .recv_timeout(Duration::from_secs(10))
+                .expect("nothing reached the gate");
+        }
+        fn let_one_pass(&self) {
+            self.permits.send(()).unwrap();
+        }
+    }
+
+    /// A stub whose every forward waits at a gate.
+    struct GatedModel(crate::tests::StubModel, Arc<Gate>);
+
+    impl nvc_serve::DecisionModel for GatedModel {
+        fn embed_config(&self) -> &nvc_embed::EmbedConfig {
+            self.0.embed_config()
+        }
+        fn target(&self) -> &nvc_machine::TargetConfig {
+            self.0.target()
+        }
+        fn decide_batch(&self, samples: &[&nvc_embed::PathSample]) -> Vec<(usize, usize)> {
+            self.1.pass();
+            self.0.decide_batch(samples)
+        }
+    }
+
+    /// Nothing holds a thread from its first byte to its last: while one
+    /// miss sits in a blocked forward and the only request worker sits in
+    /// a blocked `reload`, hits and pings are still answered — and a hit
+    /// pipelined behind the miss waits its turn.
+    #[test]
+    fn a_blocked_forward_and_a_blocked_verb_stall_nobody_else() {
+        let (model_gate, forwards) = gate();
+        let (loader_gate, loads) = gate();
+        let mut cfg = HubConfig::default().with_listen("127.0.0.1:0");
+        cfg.request_threads = 1;
+        let hub = Hub::new(cfg, ServeConfig::default().with_workers(1)).with_loader(Box::new(
+            move |_path| {
+                loader_gate.pass();
+                Err("no such checkpoint".to_string())
+            },
+        ));
+        hub.register(crate::ModelSpec {
+            name: "m".to_string(),
+            weight: 1,
+            checkpoint_hash: 1,
+            model: Arc::new(GatedModel(crate::tests::StubModel::new(0), model_gate)),
+        })
+        .unwrap();
+        let handle = serve_tcp(Arc::new(hub)).expect("bind loopback");
+        let connect = || {
+            let stream = TcpStream::connect(handle.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            (stream.try_clone().unwrap(), BufReader::new(stream))
+        };
+        let id_of = |v: &Json| v.get("id").and_then(Json::as_str).map(str::to_string);
+
+        // Cache SRC's decision (one forward, let through).
+        let (mut a, mut a_reader) = connect();
+        forwards.let_one_pass();
+        a.write_all((vectorize_request("warm", SRC) + "\n").as_bytes())
+            .unwrap();
+        assert_eq!(id_of(&read_json(&mut a_reader)).as_deref(), Some("warm"));
+        forwards.wait_until_held(); // (the report of that first arrival)
+
+        // A miss, and a hit pipelined behind it, in one write. The miss's
+        // forward starts and stays at the gate.
+        let pair = vectorize_request("miss", &fresh_source(3))
+            + "\n"
+            + &vectorize_request("hit-behind", SRC)
+            + "\n";
+        a.write_all(pair.as_bytes()).unwrap();
+        forwards.wait_until_held();
+
+        // A hit on a second connection is answered meanwhile…
+        let (mut b, mut b_reader) = connect();
+        b.write_all((vectorize_request("hit-beside", SRC) + "\n").as_bytes())
+            .unwrap();
+        assert_eq!(
+            id_of(&read_json(&mut b_reader)).as_deref(),
+            Some("hit-beside")
+        );
+        // …and so is a ping while the one request worker is inside a
+        // reload that is going nowhere.
+        let (mut c, mut c_reader) = connect();
+        c.write_all(b"{\"op\":\"reload\",\"model\":\"m\",\"checkpoint\":\"x\"}\n")
+            .unwrap();
+        loads.wait_until_held();
+        b.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+        assert!(is_pong(&read_json(&mut b_reader)));
+
+        // The hit behind the miss has long been decided (it was begun
+        // before the forward started) and has not been written: the
+        // connection's answers go out in request order.
+        a_reader
+            .get_ref()
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        let mut early = String::new();
+        assert!(
+            a_reader.read_line(&mut early).is_err() && early.is_empty(),
+            "answered ahead of the miss before it: {early}"
+        );
+        a_reader
+            .get_ref()
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+
+        loads.let_one_pass();
+        let reloaded = read_json(&mut c_reader);
+        assert_eq!(reloaded.get("ok").and_then(Json::as_bool), Some(false));
+        forwards.let_one_pass();
+        assert_eq!(id_of(&read_json(&mut a_reader)).as_deref(), Some("miss"));
+        let behind = read_json(&mut a_reader);
+        assert_eq!(id_of(&behind).as_deref(), Some("hit-behind"));
+        let loops = behind.get("loops").unwrap().as_array().unwrap();
+        assert_eq!(loops[0].get("cached").unwrap().as_bool(), Some(true));
     }
 
     /// Gossip transfer: a joining hub pulls a warm peer's cache image

@@ -135,17 +135,6 @@ fn pool() -> &'static Pool {
     })
 }
 
-/// Number of pool workers spawned so far (0 until the first threaded
-/// product — the pool is lazy). Test/diagnostic hook.
-#[doc(hidden)]
-pub fn worker_count() -> usize {
-    pool()
-        .state
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .workers
-}
-
 #[cfg(target_os = "linux")]
 fn pin_to_cpu(cpu: usize) {
     extern "C" {
@@ -307,7 +296,12 @@ mod tests {
         });
         let want: Vec<f32> = (0..rows * cols).map(|x| x as f32).collect();
         assert_eq!(out, want);
-        assert!(worker_count() <= MAX_WORKERS);
+        let spawned = pool()
+            .state
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .workers;
+        assert!(spawned <= MAX_WORKERS);
     }
 
     #[test]

@@ -13,12 +13,17 @@
 //!   entirely;
 //! * [`batch`] — a **batching layer**: concurrent cache misses coalesce
 //!   into one embedding/policy forward pass over a worker pool (bounded
-//!   queue, configurable batch size and flush deadline);
+//!   queue, configurable batch size, no flush timer: a batch is what its
+//!   callers submitted before they woke the workers, plus what arrived
+//!   during the previous forward);
 //! * [`metrics`] — requests served, cache hit rate, p50/p99 latency
 //!   histograms, per-shard occupancy — exported as JSON;
 //! * [`protocol`] + [`service`] — a JSON-lines request/response protocol
 //!   (stdin/stdout daemon mode via [`run_daemon`]) plus the in-process
-//!   [`ServeHandle`] API;
+//!   [`ServeHandle`] API. A request's life is non-blocking:
+//!   [`ServeHandle::begin_vectorize`] answers a cache hit on the caller's
+//!   thread and lets a batch worker complete a miss; `vectorize`,
+//!   `decide_sample` and `handle_line` are blocking wrappers over it;
 //! * [`json`] — the minimal JSON reader/writer the protocol uses (the
 //!   offline dependency set has no `serde_json`).
 //!
@@ -119,7 +124,9 @@ pub trait SharedDecisionStore: Send + Sync {
     fn put(&self, checkpoint_hash: u64, sample_key: u64, decision: (usize, usize));
 }
 
-/// Tuning knobs for the service.
+/// Tuning knobs for the service. There is no flush timer to tune: the
+/// batch workers take what is queued when a caller that has submitted all
+/// it has wakes them (see [`batch`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServeConfig {
     /// Total decision-cache capacity in entries (0 disables caching).
@@ -128,12 +135,11 @@ pub struct ServeConfig {
     pub cache_shards: usize,
     /// Maximum loops coalesced into one model forward pass (≥ 1).
     pub batch_size: usize,
-    /// Maximum pending (not yet batched) loops; when full, request
-    /// threads block — backpressure instead of unbounded memory growth.
+    /// Maximum pending (not yet batched) loops; when full, callers that
+    /// may block do (the blocking wrappers, the hub's request workers)
+    /// and callers that may not hand their request to one that may —
+    /// backpressure instead of unbounded memory growth.
     pub queue_capacity: usize,
-    /// How long a worker waits for a batch to fill before flushing a
-    /// partial one, in microseconds.
-    pub flush_deadline_us: u64,
     /// Worker threads running model forward passes (≥ 1).
     pub workers: usize,
 }
@@ -145,7 +151,6 @@ impl Default for ServeConfig {
             cache_shards: 16,
             batch_size: 32,
             queue_capacity: 4096,
-            flush_deadline_us: 200,
             workers: 2,
         }
     }

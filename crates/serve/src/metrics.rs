@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use nvc_obs::MetricsRegistry;
 
-pub use nvc_obs::{Counter, HistogramSnapshot, LatencyHistogram};
+pub use nvc_obs::{Counter, Gauge, HistogramSnapshot, LatencyHistogram};
 
 /// All service counters. Cheap to update from any thread; every
 /// instrument is also reachable by name through [`Metrics::registry`].
@@ -29,6 +29,17 @@ pub struct Metrics {
     /// Loops decided inside those forward passes
     /// (`serve_batched_loops_total`).
     pub batched_loops: Arc<Counter>,
+    /// Loops per forward pass (`serve_batch_size`): the same log₂
+    /// histogram as the latencies, so the `le` edges are the powers of
+    /// two up to `batch_size` (exclusive — a batch of 8 counts under
+    /// `le="16"`).
+    pub batch_sizes: Arc<LatencyHistogram>,
+    /// Batches whose forward panicked or answered short; their
+    /// unanswered jobs failed (`serve_failed_batches_total`).
+    pub failed_batches: Arc<Counter>,
+    /// Misses queued and not yet taken by a worker
+    /// (`serve_batch_queue_depth`; sampled when the metrics are read).
+    pub queue_depth: Arc<Gauge>,
     /// Misses that coalesced onto another request's in-flight decision
     /// instead of embedding the same loop again
     /// (`serve_dedup_waits_total`).
@@ -73,6 +84,9 @@ impl Metrics {
             loops_served: registry.counter("serve_loops_total"),
             batches: registry.counter("serve_batches_total"),
             batched_loops: registry.counter("serve_batched_loops_total"),
+            batch_sizes: registry.histogram("serve_batch_size"),
+            failed_batches: registry.counter("serve_failed_batches_total"),
+            queue_depth: registry.gauge("serve_batch_queue_depth"),
             dedup_waits: registry.counter("serve_dedup_waits_total"),
             entries_restored: registry.counter("serve_cache_entries_restored_total"),
             entries_invalidated_by_version: registry
@@ -96,6 +110,7 @@ impl Metrics {
     pub fn record_batch(&self, n: usize) {
         self.batches.inc();
         self.batched_loops.add(n as u64);
+        self.batch_sizes.record(n as u64);
     }
 
     /// A point-in-time copy of every counter.
@@ -109,6 +124,8 @@ impl Metrics {
             loops_served: self.loops_served.get(),
             batches,
             batched_loops,
+            failed_batches: self.failed_batches.get(),
+            queue_depth: self.queue_depth.get().max(0) as u64,
             dedup_waits: self.dedup_waits.get(),
             entries_restored: self.entries_restored.get(),
             entries_invalidated_by_version: self.entries_invalidated_by_version.get(),
@@ -143,6 +160,10 @@ pub struct MetricsSnapshot {
     pub batches: u64,
     /// Loops decided inside forward passes.
     pub batched_loops: u64,
+    /// Batches whose forward panicked or answered short.
+    pub failed_batches: u64,
+    /// Misses queued and not yet taken by a worker, as last sampled.
+    pub queue_depth: u64,
     /// Misses coalesced onto an in-flight identical decision.
     pub dedup_waits: u64,
     /// Cache entries restored from a persisted snapshot at startup.
@@ -198,6 +219,7 @@ mod tests {
         assert_eq!(s.batches, 2);
         assert_eq!(s.batched_loops, 12);
         assert!((s.mean_batch - 6.0).abs() < 1e-12);
+        assert_eq!(m.batch_sizes.nonzero_buckets(), vec![(8, 1), (16, 1)]);
     }
 
     #[test]

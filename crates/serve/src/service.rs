@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -15,14 +15,15 @@ use nvc_embed::{extract_loop_samples, LoopSite, PathSample};
 use nvc_frontend::{inject_pragmas, LoopPragma};
 use nvc_vectorizer::ActionSpace;
 
-use crate::batch::Batcher;
+use crate::batch::{Batcher, Completion};
 use crate::cache::{CacheStats, ShardedLruCache};
 use crate::json::{obj, Json};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::protocol::{LoopReport, Request};
 use crate::{sample_key, DecisionModel, ServeConfig, SharedDecisionStore};
 
-/// How long a request waits for the batch workers before giving up.
+/// How long a blocking caller waits for the batch workers before giving
+/// up.
 const DECISION_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// How many recently decided samples the handle keeps around for
@@ -39,6 +40,9 @@ pub enum ServeError {
     Timeout,
     /// The worker pool has been shut down.
     ShuttingDown,
+    /// The model failed on the batch this decision rode in (it panicked
+    /// or answered short); the worker that ran it keeps serving.
+    Model(String),
 }
 
 impl std::fmt::Display for ServeError {
@@ -47,20 +51,23 @@ impl std::fmt::Display for ServeError {
             ServeError::Frontend(e) => write!(f, "frontend: {e}"),
             ServeError::Timeout => write!(f, "decision timed out"),
             ServeError::ShuttingDown => write!(f, "service is shutting down"),
+            ServeError::Model(e) => write!(f, "model failed: {e}"),
         }
     }
 }
 
-fn recv_decision(
-    rx: &std::sync::mpsc::Receiver<(usize, usize)>,
-) -> Result<(usize, usize), ServeError> {
+impl std::error::Error for ServeError {}
+
+/// The one place a thread waits on the batch workers: what the blocking
+/// callers ([`ServeHandle::vectorize`] and [`ServeHandle::decide_sample`]
+/// through `block_on`, [`ServeHandle::warm_replay`]) do after they have
+/// begun their work and woken the batcher.
+fn wait_for<T>(rx: &Receiver<T>) -> Result<T, ServeError> {
     rx.recv_timeout(DECISION_TIMEOUT).map_err(|e| match e {
-        std::sync::mpsc::RecvTimeoutError::Timeout => ServeError::Timeout,
-        std::sync::mpsc::RecvTimeoutError::Disconnected => ServeError::ShuttingDown,
+        RecvTimeoutError::Timeout => ServeError::Timeout,
+        RecvTimeoutError::Disconnected => ServeError::ShuttingDown,
     })
 }
-
-impl std::error::Error for ServeError {}
 
 /// Result of one vectorize request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,6 +80,10 @@ pub struct VectorizeOutput {
     pub latency_us: u64,
 }
 
+/// One distinct key's decision within a request: the key, the action
+/// pair, and whether a cache answered it.
+type Resolved = (u64, (usize, usize), bool);
+
 struct Inner {
     model: Arc<dyn DecisionModel>,
     space: ActionSpace,
@@ -80,10 +91,11 @@ struct Inner {
     batcher: Batcher,
     metrics: Metrics,
     /// Single-flight registry: keys whose decision is being computed
-    /// right now, with the reply channels of every request waiting on
-    /// them. Concurrent misses on the same key coalesce onto one model
+    /// right now, with the completion of every request waiting on them
+    /// (the leader's — the one that queued the sample — first).
+    /// Concurrent misses on the same key coalesce onto one model
     /// forward instead of embedding the same loop twice.
-    inflight: Mutex<HashMap<u64, Vec<Sender<(usize, usize)>>>>,
+    inflight: Mutex<HashMap<u64, Vec<Completion>>>,
     /// Second-level decision store shared beyond this handle (A/B
     /// sides, reloads, peer nodes), with the checkpoint hash this
     /// handle's decisions are content-addressed under. `None` keeps the
@@ -93,112 +105,76 @@ struct Inner {
     /// hot-swap reload can replay them as shadow traffic against the
     /// fresh checkpoint — the cache keys alone are one-way hashes.
     warm: Mutex<HashMap<u64, PathSample>>,
-}
-
-/// One key's resolution state between [`Inner::begin_decision`] and
-/// [`Inner::finish_decision`]. Splitting the two phases lets a request
-/// with several distinct misses submit them all before blocking, so they
-/// still coalesce into one model batch.
-enum PendingDecision {
-    /// The cache already had it.
-    Cached((usize, usize)),
-    /// This request owns the model submission for the key.
-    Leader(Receiver<(usize, usize)>),
-    /// Another request is already computing the key; wait for its reply.
-    Follower(Receiver<(usize, usize)>),
+    /// How many samples [`ServeHandle::warm_replay`] begins before it
+    /// collects: whole batches, at most half the miss queue, so shadow
+    /// traffic never fills it against real requests.
+    replay_window: usize,
 }
 
 impl Inner {
-    /// Starts resolving `key`: cache probe, then either join the key's
-    /// in-flight computation or become its leader and submit to the
-    /// batcher.
-    fn begin_decision(&self, key: u64, sample: &PathSample) -> PendingDecision {
+    /// The hit path, on the caller's thread: the LRU, then the shared
+    /// content-addressed store. A hit there (computed by the A/B twin, a
+    /// previous incarnation of this checkpoint, or a peer node)
+    /// back-fills the LRU so the next probe stays local.
+    fn probe(&self, key: u64, sample: &PathSample) -> Option<(usize, usize)> {
         let hit = {
             let _span = nvc_obs::span("cache_lookup");
             self.cache.get(key)
         };
         if let Some(pair) = hit {
             nvc_obs::marker("cache_hit");
-            return PendingDecision::Cached(pair);
+            return Some(pair);
         }
         // Off the hit path (one global lock would contend the warm
         // loop): every *miss* records its sample for warmup replay.
         self.retain_warm_sample(key, sample);
-        // Second level: the shared content-addressed store. A hit there
-        // (computed by the A/B twin, a previous incarnation of this
-        // checkpoint, or a peer node) back-fills the LRU so the next
-        // probe stays local.
-        if let Some((ckpt, store)) = &self.shared {
-            if let Some(pair) = store.get(*ckpt, key) {
-                self.cache.insert(key, pair);
-                self.metrics.shared_hits.inc();
-                nvc_obs::marker("shared_hit");
-                return PendingDecision::Cached(pair);
-            }
-        }
-        {
-            let mut inflight = self.inflight.lock();
-            if let Some(waiters) = inflight.get_mut(&key) {
-                let (tx, rx) = channel();
-                waiters.push(tx);
-                self.metrics.dedup_waits.inc();
-                nvc_obs::marker("dedup_wait");
-                return PendingDecision::Follower(rx);
-            }
-            inflight.insert(key, Vec::new());
-        }
-        PendingDecision::Leader(self.batcher.submit(sample.clone()))
+        let (ckpt, store) = self.shared.as_ref()?;
+        let pair = store.get(*ckpt, key)?;
+        self.cache.insert(key, pair);
+        self.metrics.shared_hits.inc();
+        nvc_obs::marker("shared_hit");
+        Some(pair)
     }
 
-    /// Blocks until `pending` resolves. Returns the pair and whether it
-    /// came from the cache. A leader publishes its result to the cache
-    /// and every coalesced follower; if the leader fails, its followers
-    /// wake (dropped senders) and retry from the cache probe.
-    fn finish_decision(
-        &self,
-        key: u64,
-        sample: &PathSample,
-        mut pending: PendingDecision,
-    ) -> Result<((usize, usize), bool), ServeError> {
-        loop {
-            match pending {
-                PendingDecision::Cached(pair) => return Ok((pair, true)),
-                PendingDecision::Leader(rx) => {
-                    return match recv_decision(&rx) {
-                        Ok(pair) => {
-                            self.cache.insert(key, pair);
-                            if let Some((ckpt, store)) = &self.shared {
-                                store.put(*ckpt, key, pair);
-                                self.metrics.shared_publishes.inc();
-                            }
-                            let waiters = self.inflight.lock().remove(&key).unwrap_or_default();
-                            for w in waiters {
-                                // A dropped receiver (abandoned request)
-                                // is not an error.
-                                let _ = w.send(pair);
-                            }
-                            Ok((pair, false))
-                        }
-                        Err(e) => {
-                            // Wake the followers by dropping their
-                            // senders; they re-resolve from scratch.
-                            self.inflight.lock().remove(&key);
-                            Err(e)
-                        }
-                    };
-                }
-                PendingDecision::Follower(rx) => match rx.recv_timeout(DECISION_TIMEOUT) {
-                    Ok(pair) => return Ok((pair, false)),
-                    Err(RecvTimeoutError::Timeout) => return Err(ServeError::Timeout),
-                    Err(RecvTimeoutError::Disconnected) => {
-                        // Our leader failed. Start over — the next
-                        // attempt hits the cache, joins a newer leader,
-                        // or becomes the leader itself (and surfaces the
-                        // underlying error if the service is down).
-                        pending = self.begin_decision(key, sample);
-                    }
-                },
+    /// The miss path, still on the caller's thread and never blocking:
+    /// joins the key's in-flight computation, or becomes its leader and
+    /// queues the sample. Either way `done` is called exactly once, by
+    /// [`Inner::publish`].
+    fn queue_miss(self: &Arc<Self>, key: u64, sample: &PathSample, done: Completion) {
+        {
+            let mut inflight = self.inflight.lock();
+            if let Some(waiting) = inflight.get_mut(&key) {
+                waiting.push(done);
+                self.metrics.dedup_waits.inc();
+                nvc_obs::marker("dedup_wait");
+                return;
             }
+            inflight.insert(key, vec![done]);
+        }
+        let inner = Arc::clone(self);
+        self.batcher.submit(
+            sample.clone(),
+            Box::new(move |outcome| inner.publish(key, outcome)),
+        );
+    }
+
+    /// A leader's job has completed (on the batch worker, or on the
+    /// submitter when the queue is already shut down): publishes the
+    /// decision to the cache and the shared store, then answers everyone
+    /// waiting on the key — with the same error when there is none.
+    fn publish(&self, key: u64, outcome: Result<(usize, usize), ServeError>) {
+        if let Ok(pair) = outcome {
+            self.cache.insert(key, pair);
+            if let Some((ckpt, store)) = &self.shared {
+                store.put(*ckpt, key, pair);
+                self.metrics.shared_publishes.inc();
+            }
+        }
+        // Cached before it leaves `inflight`: a concurrent miss on the
+        // key either joins here or finds the entry.
+        let waiting = self.inflight.lock().remove(&key).unwrap_or_default();
+        for done in waiting {
+            done(outcome.clone());
         }
     }
 
@@ -211,6 +187,129 @@ impl Inner {
         if warm.len() < WARM_SAMPLE_CAPACITY || warm.contains_key(&key) {
             warm.entry(key).or_insert_with(|| sample.clone());
         }
+    }
+
+    /// Turns a request's decisions into its answer: per-loop reports and
+    /// the source with pragmas injected.
+    fn assemble(
+        &self,
+        source: &str,
+        keyed: &[(u64, LoopSite)],
+        resolved: &[Resolved],
+        t0: Instant,
+    ) -> VectorizeOutput {
+        let mut reports: Vec<LoopReport> = keyed
+            .iter()
+            .map(|(key, site)| {
+                let &(_, (vf_idx, if_idx), cached) = resolved
+                    .iter()
+                    .find(|(k, _, _)| k == key)
+                    .expect("every distinct key was resolved");
+                let d = self.space.decision_from_pair(vf_idx, if_idx);
+                LoopReport {
+                    function: site.function.clone(),
+                    line: site.header_line,
+                    vf: d.vf,
+                    if_: d.if_,
+                    cached,
+                    key: *key,
+                }
+            })
+            .collect();
+        let pragmas: Vec<(u32, LoopPragma)> = reports
+            .iter()
+            .map(|r| {
+                (
+                    r.line,
+                    LoopPragma {
+                        vectorize_width: r.vf,
+                        interleave_count: r.if_,
+                    },
+                )
+            })
+            .collect();
+        let out = inject_pragmas(source, &pragmas);
+        reports.sort_by_key(|r| r.line);
+        self.metrics.loops_served.add(reports.len() as u64);
+        VectorizeOutput {
+            source: out,
+            loops: reports,
+            latency_us: t0.elapsed().as_micros() as u64,
+        }
+    }
+
+    /// The end of every request, whichever thread reaches it: counters,
+    /// the `request` span (recorded here under the submitter's trace id,
+    /// because a scope guard would have ended with `begin_vectorize`),
+    /// then the caller's completion.
+    fn conclude(
+        &self,
+        outcome: Result<VectorizeOutput, ServeError>,
+        t0: Instant,
+        trace: u64,
+        done: impl FnOnce(Result<VectorizeOutput, ServeError>),
+    ) {
+        let elapsed = t0.elapsed();
+        match &outcome {
+            Ok(_) => self.metrics.latency.record(elapsed.as_micros() as u64),
+            Err(_) => self.metrics.errors.inc(),
+        }
+        nvc_obs::record_span("request", trace, t0, elapsed);
+        done(outcome);
+    }
+}
+
+/// Where a finished vectorize request goes (boxed only once it has to
+/// outlive `begin_vectorize`).
+type VectorizeDone = Box<dyn FnOnce(Result<VectorizeOutput, ServeError>) + Send>;
+
+/// A vectorize request with misses outstanding: what `begin_vectorize`
+/// knew when it returned, and what its misses have answered since.
+/// Whichever miss resolves last assembles the output and calls `done`.
+struct Assembly {
+    inner: Arc<Inner>,
+    source: String,
+    keyed: Vec<(u64, LoopSite)>,
+    t0: Instant,
+    trace: u64,
+    state: Mutex<AssemblyState>,
+}
+
+struct AssemblyState {
+    resolved: Vec<Resolved>,
+    /// Misses not yet answered.
+    remaining: usize,
+    first_err: Option<ServeError>,
+    done: Option<VectorizeDone>,
+}
+
+impl Assembly {
+    fn resolve(&self, key: u64, outcome: Result<(usize, usize), ServeError>) {
+        let (resolved, first_err, done) = {
+            let mut st = self.state.lock();
+            match outcome {
+                Ok(pair) => st.resolved.push((key, pair, false)),
+                Err(e) => {
+                    st.first_err.get_or_insert(e);
+                }
+            }
+            st.remaining -= 1;
+            if st.remaining > 0 {
+                return;
+            }
+            (
+                std::mem::take(&mut st.resolved),
+                st.first_err.take(),
+                st.done.take().expect("the last miss resolves once"),
+            )
+        };
+        let outcome = match first_err {
+            Some(e) => Err(e),
+            None => Ok(self
+                .inner
+                .assemble(&self.source, &self.keyed, &resolved, self.t0)),
+        };
+        self.inner.conclude(outcome, self.t0, self.trace, done);
     }
 }
 
@@ -252,18 +351,16 @@ impl ServeHandle {
         // the service — daemon, hub, tests — without CLI plumbing.
         nvc_obs::init_from_env();
         let space = ActionSpace::for_target(model.target());
+        let batch_size = cfg.batch_size.max(1);
         let inner = Arc::new(Inner {
             space,
             cache: ShardedLruCache::new(cfg.cache_capacity, cfg.cache_shards),
-            batcher: Batcher::new(
-                cfg.batch_size,
-                cfg.queue_capacity,
-                Duration::from_micros(cfg.flush_deadline_us),
-            ),
+            batcher: Batcher::new(batch_size, cfg.queue_capacity),
             metrics: Metrics::default(),
             inflight: Mutex::new(HashMap::new()),
             shared,
             warm: Mutex::new(HashMap::new()),
+            replay_window: (cfg.queue_capacity / 2 / batch_size).max(1) * batch_size,
             model,
         });
         let workers = (0..cfg.workers.max(1))
@@ -290,134 +387,193 @@ impl ServeHandle {
         &self.inner.space
     }
 
-    /// Decides one already-extracted sample: cache lookup, then
-    /// single-flight batched model fallback (a concurrent identical miss
-    /// waits for the in-flight decision instead of embedding the loop
-    /// again). Returns the action pair and whether it was cached.
-    pub fn decide_sample(&self, sample: &PathSample) -> Result<((usize, usize), bool), ServeError> {
-        let key = sample_key(sample);
-        let pending = self.inner.begin_decision(key, sample);
-        self.inner.finish_decision(key, sample, pending)
-    }
-
-    /// The full inference product over a source file: decide `(VF, IF)`
-    /// for every innermost loop and return the source with pragmas
-    /// injected (plus per-loop detail).
-    pub fn vectorize(&self, source: &str) -> Result<VectorizeOutput, ServeError> {
+    /// Begins one vectorize request and never blocks: frontend, keys and
+    /// the cache / shared-store probes run here, on the caller's thread.
+    ///
+    /// When every loop hits (or the source does not parse) `done` is
+    /// called before this returns, and the result is `false`. Otherwise
+    /// each distinct miss joins its key's in-flight computation or goes
+    /// to the batcher, the result is `true`, and whichever miss resolves
+    /// last — on a batch worker — assembles the output and calls `done`
+    /// there: keep it short, and never block in it. A `true` also means
+    /// the caller owes the batcher a [`ServeHandle::wake`] once it has
+    /// begun everything it has; until then the misses only queue, which
+    /// is what lets requests begun together share one forward.
+    ///
+    /// This is the one request path. [`ServeHandle::vectorize`] is begin,
+    /// wake, wait.
+    pub fn begin_vectorize(
+        &self,
+        source: &str,
+        done: impl FnOnce(Result<VectorizeOutput, ServeError>) + Send + 'static,
+    ) -> bool {
         let t0 = Instant::now();
-        // Mint a trace id unless the caller (the hub's connection loop)
-        // already scoped one over this request.
+        // Mint a trace id unless the caller (the hub, per line) already
+        // scoped one over this request. The scope ends with this call;
+        // what completes later records under `trace` explicitly.
         let _trace = nvc_obs::request_scope();
-        let _request = nvc_obs::span("request");
-        self.inner.metrics.requests.inc();
-        match self.vectorize_inner(source, t0) {
-            Ok(out) => {
-                self.inner
-                    .metrics
-                    .latency
-                    .record(t0.elapsed().as_micros() as u64);
-                Ok(out)
-            }
-            Err(e) => {
-                self.inner.metrics.errors.inc();
-                Err(e)
-            }
-        }
-    }
-
-    fn vectorize_inner(&self, source: &str, t0: Instant) -> Result<VectorizeOutput, ServeError> {
+        let trace = nvc_obs::current_trace();
+        let inner = &self.inner;
+        inner.metrics.requests.inc();
         // The same extraction pipeline as `NeuroVectorizer::vectorize_source`
         // — decisions and cache keys must agree with the direct path.
         let sites = {
             let _span = nvc_obs::span("frontend");
-            extract_loop_samples(source, self.inner.model.embed_config())
-                .map_err(|e| ServeError::Frontend(e.to_string()))?
+            extract_loop_samples(source, inner.model.embed_config())
         };
-        let keyed: Vec<(u64, &LoopSite)> =
-            sites.iter().map(|s| (sample_key(&s.sample), s)).collect();
-        let mut by_key: Vec<(u64, &PathSample)> = Vec::new();
-        for (key, site) in &keyed {
-            if !by_key.iter().any(|(k, _)| k == key) {
-                by_key.push((*key, &site.sample));
+        let sites = match sites {
+            Ok(sites) => sites,
+            Err(e) => {
+                inner.conclude(Err(ServeError::Frontend(e.to_string())), t0, trace, done);
+                return false;
             }
+        };
+        let keyed: Vec<(u64, LoopSite)> = sites
+            .into_iter()
+            .map(|s| (sample_key(&s.sample), s))
+            .collect();
+
+        // Probe each distinct key once (identical loop shapes in one
+        // file embed once). Every probe comes before the first
+        // submission: a miss may resolve on a worker while this thread
+        // is still here, and must find `remaining` already final.
+        let mut resolved: Vec<Resolved> = Vec::with_capacity(keyed.len());
+        let mut misses: Vec<usize> = Vec::new();
+        for (i, (key, site)) in keyed.iter().enumerate() {
+            let seen = resolved.iter().any(|(k, _, _)| k == key)
+                || misses.iter().any(|&m| keyed[m].0 == *key);
+            if seen {
+                continue;
+            }
+            match inner.probe(*key, &site.sample) {
+                Some(pair) => resolved.push((*key, pair, true)),
+                None => misses.push(i),
+            }
+        }
+        if misses.is_empty() {
+            let out = inner.assemble(source, &keyed, &resolved, t0);
+            inner.conclude(Ok(out), t0, trace, done);
+            return false;
         }
 
-        // Resolve each distinct key: cache first, then one single-flight
-        // submission per miss (identical loop shapes in one file embed
-        // once; identical misses across concurrent requests coalesce
-        // too). All misses are submitted before any blocks, so they
-        // still share model batches.
-        let mut resolved: Vec<(u64, (usize, usize), bool)> = Vec::new();
-        let mut waiting: Vec<(u64, &PathSample, PendingDecision)> = Vec::new();
-        for (key, sample) in &by_key {
-            match self.inner.begin_decision(*key, sample) {
-                PendingDecision::Cached(pair) => resolved.push((*key, pair, true)),
-                pending => waiting.push((*key, sample, pending)),
-            }
+        let request = Arc::new(Assembly {
+            inner: Arc::clone(inner),
+            source: source.to_string(),
+            keyed,
+            t0,
+            trace,
+            state: Mutex::new(AssemblyState {
+                resolved,
+                remaining: misses.len(),
+                first_err: None,
+                done: Some(Box::new(done)),
+            }),
+        });
+        for i in misses {
+            let (key, site) = &request.keyed[i];
+            let (key, waiter) = (*key, Arc::clone(&request));
+            inner.queue_miss(
+                key,
+                &site.sample,
+                Box::new(move |outcome| waiter.resolve(key, outcome)),
+            );
         }
-        // Finish every pending key even after a failure: a Leader's
-        // cleanup (removing its `inflight` registration) happens inside
-        // `finish_decision`, so abandoning the rest on the first error
-        // would leave their keys permanently marked in-flight and every
-        // future miss on them waiting for a reply that never comes.
-        let mut first_err = None;
-        for (key, sample, pending) in waiting {
-            match self.inner.finish_decision(key, sample, pending) {
-                Ok((pair, cached)) => resolved.push((key, pair, cached)),
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        let decision_of = |key: u64| {
-            resolved
-                .iter()
-                .find(|(k, _, _)| *k == key)
-                .map(|&(_, pair, cached)| (pair, cached))
-                .expect("every pending key was resolved")
-        };
+        true
+    }
 
-        let mut reports: Vec<LoopReport> = keyed
-            .iter()
-            .map(|(key, site)| {
-                let ((vf_idx, if_idx), cached) = decision_of(*key);
-                let d = self.inner.space.decision_from_pair(vf_idx, if_idx);
-                LoopReport {
-                    function: site.function.clone(),
-                    line: site.header_line,
-                    vf: d.vf,
-                    if_: d.if_,
-                    cached,
-                    key: *key,
-                }
+    /// Begins deciding one already-extracted sample: `done` gets the
+    /// action pair and whether it was cached — before this returns
+    /// (`false`) on a hit, from a batch worker (`true`) on a miss. Same
+    /// contract as [`ServeHandle::begin_vectorize`].
+    fn begin_decision(
+        &self,
+        sample: &PathSample,
+        done: impl FnOnce(Result<((usize, usize), bool), ServeError>) + Send + 'static,
+    ) -> bool {
+        let key = sample_key(sample);
+        if let Some(pair) = self.inner.probe(key, sample) {
+            done(Ok((pair, true)));
+            return false;
+        }
+        self.inner.queue_miss(
+            key,
+            sample,
+            Box::new(move |outcome| done(outcome.map(|pair| (pair, false)))),
+        );
+        true
+    }
+
+    /// The caller has begun everything it has: lets the batch workers at
+    /// what was queued. Cheap when nothing was.
+    pub fn wake(&self) {
+        self.inner.batcher.wake();
+    }
+
+    /// True while the miss queue is at capacity. `begin_vectorize`
+    /// never refuses and never blocks, so the bound is kept by its
+    /// callers: one that must not block checks this and takes its
+    /// request elsewhere, one that may calls
+    /// [`ServeHandle::wait_for_space`] first (the blocking wrappers do).
+    pub fn queue_is_full(&self) -> bool {
+        self.inner.batcher.is_full()
+    }
+
+    /// Blocks while the miss queue is at capacity — backpressure instead
+    /// of unbounded memory growth. Returns at once after shutdown.
+    pub fn wait_for_space(&self) {
+        self.inner.batcher.wait_for_space();
+    }
+
+    /// What every blocking wrapper does around its begin: wait for queue
+    /// space, begin (with the sender its completion answers through —
+    /// one answer ever, so a one-slot channel that `try_send` never finds
+    /// full), wake the batcher if anything was queued, wait.
+    fn block_on<T>(&self, begin: impl FnOnce(SyncSender<T>) -> bool) -> Result<T, ServeError> {
+        self.wait_for_space();
+        let (tx, rx) = sync_channel(1);
+        if begin(tx) {
+            self.wake();
+        }
+        wait_for(&rx)
+    }
+
+    /// Decides one already-extracted sample: cache lookup, then
+    /// single-flight batched model fallback (a concurrent identical miss
+    /// waits for the in-flight decision instead of embedding the loop
+    /// again). Returns the action pair and whether it was cached.
+    /// Blocking wrapper over the begin path.
+    pub fn decide_sample(&self, sample: &PathSample) -> Result<((usize, usize), bool), ServeError> {
+        self.block_on(|tx| {
+            self.begin_decision(sample, move |outcome| {
+                // A caller that timed out and left is not an error.
+                let _ = tx.try_send(outcome);
             })
-            .collect();
-        let pragmas: Vec<(u32, LoopPragma)> = reports
-            .iter()
-            .map(|r| {
-                (
-                    r.line,
-                    LoopPragma {
-                        vectorize_width: r.vf,
-                        interleave_count: r.if_,
-                    },
-                )
+        })?
+    }
+
+    /// The full inference product over a source file: decide `(VF, IF)`
+    /// for every innermost loop and return the source with pragmas
+    /// injected (plus per-loop detail). Blocking wrapper over
+    /// [`ServeHandle::begin_vectorize`].
+    pub fn vectorize(&self, source: &str) -> Result<VectorizeOutput, ServeError> {
+        self.block_on(|tx| {
+            self.begin_vectorize(source, move |outcome| {
+                let _ = tx.try_send(outcome);
             })
-            .collect();
-        let out = inject_pragmas(source, &pragmas);
-        reports.sort_by_key(|r| r.line);
-        self.inner.metrics.loops_served.add(reports.len() as u64);
-        Ok(VectorizeOutput {
-            source: out,
-            loops: reports,
-            latency_us: t0.elapsed().as_micros() as u64,
-        })
+        })?
     }
 
     /// Point-in-time service counters.
     pub fn metrics(&self) -> MetricsSnapshot {
+        self.sample_queue_depth();
         self.inner.metrics.snapshot()
+    }
+
+    /// The queue-depth gauge is sampled when somebody reads it, not
+    /// maintained on the submit path.
+    fn sample_queue_depth(&self) {
+        let depth = self.inner.batcher.queued();
+        self.inner.metrics.queue_depth.set(depth as i64);
     }
 
     /// Point-in-time cache counters.
@@ -468,8 +624,14 @@ impl ServeHandle {
                 obj(vec![
                     ("batches", Json::from(m.batches)),
                     ("batched_loops", Json::from(m.batched_loops)),
+                    ("failed_batches", Json::from(m.failed_batches)),
                     ("dedup_waits", Json::from(m.dedup_waits)),
+                    ("queue_depth", Json::from(m.queue_depth)),
                     ("mean_batch", Json::from(m.mean_batch)),
+                    (
+                        "size_histogram",
+                        buckets_json(&self.inner.metrics.batch_sizes),
+                    ),
                 ]),
             ),
             (
@@ -479,18 +641,7 @@ impl ServeHandle {
                     ("mean_us", Json::from(m.latency_mean_us)),
                     ("p50_us", Json::from(m.latency_p50_us)),
                     ("p99_us", Json::from(m.latency_p99_us)),
-                    (
-                        "histogram_us",
-                        Json::Arr(
-                            self.inner
-                                .metrics
-                                .latency
-                                .nonzero_buckets()
-                                .into_iter()
-                                .map(|(le, n)| Json::Arr(vec![Json::from(le), Json::from(n)]))
-                                .collect(),
-                        ),
-                    ),
+                    ("histogram_us", buckets_json(&self.inner.metrics.latency)),
                 ]),
             ),
             ("ops", ops_json()),
@@ -503,6 +654,7 @@ impl ServeHandle {
     /// active `kernel_mode` so dashboards can split strict vs fast
     /// traffic). `labels` is spliced into every sample (`""` for none).
     pub fn render_prometheus(&self, labels: &str) -> String {
+        self.sample_queue_depth();
         let mut out = self.inner.metrics.registry().render_prometheus(labels);
         out.push_str(&render_ops_prometheus(labels));
         out
@@ -656,18 +808,31 @@ impl ServeHandle {
     /// Replays `samples` as shadow traffic: each one is decided through
     /// the normal cache → shared-store → model path (so already-warm
     /// keys cost a probe, not a forward) and counted in
-    /// `warmup_replayed`. Returns how many were decided; stops early if
-    /// the handle shuts down mid-replay.
+    /// `warmup_replayed`. The one in-process caller with a burst: it
+    /// begins a whole window of samples, wakes the batcher once, then
+    /// collects — ⌈misses / `batch_size`⌉ forwards per window, not one
+    /// per sample. Returns how many were decided; stops early if the
+    /// handle shuts down (or stops answering) mid-replay.
     pub fn warm_replay(&self, samples: &[PathSample]) -> usize {
         let mut replayed = 0;
-        for s in samples {
-            match self.decide_sample(s) {
-                Ok(_) => {
-                    self.inner.metrics.warmup_replayed.inc();
-                    replayed += 1;
+        for window in samples.chunks(self.inner.replay_window) {
+            let (tx, rx) = channel();
+            for s in window {
+                let tx = tx.clone();
+                self.begin_decision(s, move |outcome| {
+                    let _ = tx.send(outcome);
+                });
+            }
+            self.wake();
+            for _ in window {
+                match wait_for(&rx).and_then(|outcome| outcome) {
+                    Ok(_) => {
+                        self.inner.metrics.warmup_replayed.inc();
+                        replayed += 1;
+                    }
+                    Err(ServeError::ShuttingDown | ServeError::Timeout) => return replayed,
+                    Err(_) => {}
                 }
-                Err(ServeError::ShuttingDown) => break,
-                Err(_) => {}
             }
         }
         replayed
@@ -723,6 +888,16 @@ fn render_ops_prometheus(labels: &str) -> String {
         }
     }
     out
+}
+
+/// A histogram's non-empty buckets as `[[le, count], …]`.
+fn buckets_json(h: &nvc_obs::LatencyHistogram) -> Json {
+    Json::Arr(
+        h.nonzero_buckets()
+            .into_iter()
+            .map(|(le, n)| Json::Arr(vec![Json::from(le), Json::from(n)]))
+            .collect(),
+    )
 }
 
 /// The kernel op-timer aggregates as one JSON object: op name →
@@ -1108,6 +1283,9 @@ void f(int n) {
             vec!["cache", "entries_restored"],
             vec!["cache", "entries_invalidated_by_version"],
             vec!["batch", "mean_batch"],
+            vec!["batch", "queue_depth"],
+            vec!["batch", "failed_batches"],
+            vec!["batch", "size_histogram"],
             vec!["latency", "p99_us"],
             vec!["latency", "histogram_us"],
             vec!["ops"],
@@ -1135,6 +1313,24 @@ void f(int n) {
             .map(|b| b.as_array().unwrap()[1].as_f64().unwrap())
             .sum();
         assert_eq!(total, 1.0);
+        // So does the batch-size distribution: SRC's two misses rode one
+        // forward, which lands in the [2, 4) bucket.
+        let batch = s.get("batch").unwrap();
+        assert_eq!(
+            batch.get("size_histogram").unwrap().render(),
+            "[[4,1]]",
+            "one batch of two"
+        );
+        assert_eq!(batch.get("queue_depth").unwrap().as_f64(), Some(0.0));
+        let text = h.render_prometheus("");
+        for line in [
+            "serve_batch_queue_depth 0",
+            "serve_batch_size_bucket{le=\"4\"} 1",
+            "serve_batch_size_sum 2",
+            "serve_failed_batches_total 0",
+        ] {
+            assert!(text.contains(line), "exposition lacks `{line}`:\n{text}");
+        }
     }
 
     /// Plain map-backed shared store for exercising the two-level path.
@@ -1192,6 +1388,26 @@ void f(int n) {
         let replayed = h2.warm_replay(&samples);
         assert_eq!(replayed, samples.len());
         assert_eq!(h2.metrics().warmup_replayed, replayed as u64);
+
+        // The replay begins its whole set before it waits: 20 never-seen
+        // samples (fewer than a batch) are one forward, not 20. Parked
+        // workers first, so none of them catches the set half submitted.
+        let burst: Vec<PathSample> = (0..20)
+            .map(|i| PathSample {
+                starts: vec![1000 + i],
+                paths: vec![i],
+                ends: vec![i + 1],
+            })
+            .collect();
+        while h2.inner.batcher.idle_workers() < ServeConfig::default().workers {
+            std::thread::yield_now();
+        }
+        let before = h2.metrics();
+        assert_eq!(h2.warm_replay(&burst), 20);
+        let after = h2.metrics();
+        assert_eq!(after.batches - before.batches, 1);
+        assert_eq!(after.batched_loops - before.batched_loops, 20);
+        assert_eq!(after.warmup_replayed, replayed as u64 + 20);
         // The replayed keys now serve the original file entirely warm.
         let warm = h2.vectorize(SRC).unwrap();
         assert!(warm.loops.iter().all(|l| l.cached));

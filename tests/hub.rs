@@ -1,7 +1,7 @@
 //! Integration tests for the hub tier: routing parity against a bare
 //! `ServeHandle` over loopback TCP under concurrency, persistent-cache
 //! restarts (same and changed checkpoint), A/B routing parity, and
-//! hot-swap reload with requests in flight.
+//! hot-swap reload with requests — hits and misses — in flight.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -282,6 +282,100 @@ fn ab_split_of_identical_checkpoints_matches_single_model_hub() {
     ab.shutdown();
 }
 
+/// No thread per request: eight never-seen sources written in one
+/// `write` on one connection are all in the batcher at once and ride one
+/// forward — though the hub has a single request worker, which they
+/// never touch. (A thread per request made this eight batches of one.)
+#[test]
+fn pipelined_misses_form_one_batch_with_one_request_worker() {
+    let nv = trained_nv(31);
+    let embed = NvConfig::fast().embed;
+    // Eight sources of one loop each, no two of the same shape.
+    let mut keys = std::collections::HashSet::new();
+    let sources: Vec<String> = generator::generate(77, 64)
+        .into_iter()
+        .map(|k| k.source)
+        .filter(|src| {
+            let sites = nvc_embed::extract_loop_samples(src, &embed).unwrap();
+            sites.len() == 1 && keys.insert(nvc_serve::sample_key(&sites[0].sample))
+        })
+        .take(8)
+        .collect();
+    assert_eq!(sources.len(), 8, "the generator ran out of shapes");
+
+    let mut cfg = HubConfig::default().with_listen("127.0.0.1:0");
+    cfg.request_threads = 1;
+    let handle = start_hub(cfg, vec![spec(nv, "prod", 1)]);
+    let model = handle.hub().registry().get("prod").unwrap();
+    let lines = |hub: &Hub| {
+        let stats = hub.stats_json();
+        let lines = stats.get("lines").unwrap();
+        ["completed_by_batch_worker", "handed_to_request_worker"]
+            .map(|key| lines.get(key).and_then(Json::as_f64).unwrap() as u64)
+    };
+
+    let mut conn = connect(handle.addr());
+    // The batch workers have been starting since `register`; a round trip
+    // and a pause later they are parked, and see the eight only when the
+    // selector wakes one.
+    conn.get_mut().write_all(b"{\"op\":\"ping\"}\n").unwrap();
+    let mut pong = String::new();
+    conn.read_line(&mut pong).unwrap();
+    assert!(pong.contains("pong"), "{pong}");
+    std::thread::sleep(std::time::Duration::from_millis(50));
+
+    let before = (model.handle.metrics(), lines(handle.hub()));
+    let burst: String = sources
+        .iter()
+        .enumerate()
+        .map(|(k, src)| {
+            let members = vec![
+                ("id", Json::from(format!("r{k}"))),
+                ("source", Json::from(src.as_str())),
+            ];
+            nvc_serve::json::obj(members).render() + "\n"
+        })
+        .collect();
+    conn.get_mut().write_all(burst.as_bytes()).unwrap(); // one write
+    for k in 0..8 {
+        let mut response = String::new();
+        conn.read_line(&mut response).expect("read response");
+        let v = Json::parse(response.trim()).expect("parse response");
+        assert_eq!(
+            v.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{response}"
+        );
+        let want = format!("r{k}");
+        assert_eq!(
+            v.get("id").and_then(Json::as_str),
+            Some(want.as_str()),
+            "responses leave in request order"
+        );
+    }
+    let after = (model.handle.metrics(), lines(handle.hub()));
+    assert_eq!(after.0.batched_loops - before.0.batched_loops, 8);
+    assert_eq!(
+        after.0.batches - before.0.batches,
+        1,
+        "eight misses read in one event must ride one forward"
+    );
+    assert_eq!(after.1[0] - before.1[0], 8, "completed by the batch worker");
+    assert_eq!(after.1[1], before.1[1], "none needed the request worker");
+
+    // The distribution is on the wire, too: one batch in [8, 16).
+    let mut conn = connect(handle.addr());
+    conn.get_mut().write_all(b"{\"op\":\"metrics\"}\n").unwrap();
+    let mut response = String::new();
+    conn.read_line(&mut response).unwrap();
+    let v = Json::parse(response.trim()).unwrap();
+    let batch = v.get("stats").unwrap().get("models").unwrap();
+    let batch = batch.get("prod").unwrap().get("batch").unwrap();
+    assert_eq!(batch.get("size_histogram").unwrap().render(), "[[16,1]]");
+    assert_eq!(batch.get("queue_depth").unwrap().as_f64(), Some(0.0));
+    handle.shutdown();
+}
+
 #[test]
 fn reload_hot_swaps_without_dropping_inflight_requests() {
     let nv = trained_nv(7);
@@ -300,6 +394,9 @@ fn reload_hot_swaps_without_dropping_inflight_requests() {
     .with_loader(NeuroVectorizer::hub_loader(NvConfig::fast()));
     hub.register(spec(restored(&ckpt_a), "prod", 1)).unwrap();
     let old_hash = hub.registry().get("prod").unwrap().checkpoint_hash;
+    // Watches the entry the reload displaces: it is gone once its worker
+    // pool has been drained and joined.
+    let displaced = Arc::downgrade(&hub.registry().get("prod").unwrap());
     let handle = serve_tcp(Arc::new(hub)).unwrap();
     let addr = handle.addr();
 
@@ -308,21 +405,29 @@ fn reload_hot_swaps_without_dropping_inflight_requests() {
         .map(|k| k.source)
         .collect();
 
-    // Clients hammer vectorize while another connection reloads.
+    // Clients hammer vectorize while another connection reloads: the
+    // shared sources (hits after the first pass) interleaved with each
+    // client's own never-seen ones, so misses are queued on the old
+    // checkpoint's batcher, and completed by its workers, across the swap.
     std::thread::scope(|scope| {
-        for _ in 0..4 {
+        for client in 0..4 {
             let sources = &sources;
             scope.spawn(move || {
+                let mut own = generator::generate(600 + client, 48)
+                    .into_iter()
+                    .map(|k| k.source);
                 let mut conn = connect(addr);
                 for pass in 0..6 {
                     for src in sources {
-                        let v = request_on(&mut conn, vec![], src);
-                        assert_eq!(
-                            v.get("ok").and_then(Json::as_bool),
-                            Some(true),
-                            "request dropped during reload (pass {pass}): {}",
-                            v.render()
-                        );
+                        for src in [Some(src.clone()), own.next()].into_iter().flatten() {
+                            let v = request_on(&mut conn, vec![], &src);
+                            assert_eq!(
+                                v.get("ok").and_then(Json::as_bool),
+                                Some(true),
+                                "request dropped during reload (pass {pass}): {}",
+                                v.render()
+                            );
+                        }
                     }
                 }
             });
@@ -352,6 +457,18 @@ fn reload_hot_swaps_without_dropping_inflight_requests() {
 
     let entry = handle.hub().registry().get("prod").unwrap();
     assert_ne!(entry.checkpoint_hash, old_hash, "reload did not swap");
+    // The displaced pool answered what it had queued (no client saw an
+    // error) and was then joined — by the thread that replayed its warm
+    // set, never by one of its own workers, which a completion holding
+    // the last reference to the entry would have made it do.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while displaced.upgrade().is_some() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the displaced checkpoint's worker pool was never joined"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
     // And the hub now answers with the new checkpoint's decisions.
     let reference = restored(&ckpt_b).serve();
     let mut conn = connect(addr);

@@ -60,8 +60,9 @@ fn served_decisions_are_attributable_by_trace_id() {
     let miss = names_of(&records, miss_trace);
     let hit = names_of(&records, hit_trace);
 
-    // The miss is fully attributable: boundary span, frontend, cache
-    // probe, then the batcher's queue-wait + forward — all under the one
+    // The miss is fully attributable: frontend, cache probe, the
+    // batcher's queue-wait + forward, and the boundary span the batch
+    // worker closed when it completed the request — all under the one
     // trace id.
     for name in [
         "request",
@@ -94,21 +95,39 @@ fn served_decisions_are_attributable_by_trace_id() {
         );
     }
 
-    // Cross-thread inheritance: the batch worker recorded the forward
-    // under the request's trace id from a *different* thread than the
-    // one that opened the request span.
-    let request_thread = records
-        .iter()
-        .find(|r| r.trace == miss_trace && r.name == "request")
-        .expect("request span")
-        .thread;
-    let forward = records
-        .iter()
-        .find(|r| r.trace == miss_trace && r.name == "batch_forward")
-        .expect("batch_forward span");
+    // Cross-thread inheritance: the request began on the caller's
+    // thread (frontend, cache probe) and was completed by the batch
+    // worker, which recorded the forward and the request span under the
+    // request's trace id from a *different* thread. A hit never leaves
+    // the caller's.
+    let span_of = |trace: u64, name: &str| {
+        records
+            .iter()
+            .find(|r| r.trace == trace && r.name == name)
+            .unwrap_or_else(|| panic!("trace {trace} has no `{name}` span"))
+    };
+    let caller_thread = span_of(miss_trace, "frontend").thread;
+    let forward = span_of(miss_trace, "batch_forward");
     assert_ne!(
-        forward.thread, request_thread,
+        forward.thread, caller_thread,
         "batch_forward should run on the worker thread, not the caller's"
+    );
+    assert_eq!(
+        span_of(miss_trace, "request").thread,
+        forward.thread,
+        "a miss is completed where its forward ran"
+    );
+    assert_eq!(
+        span_of(hit_trace, "request").thread,
+        span_of(hit_trace, "cache_lookup").thread,
+        "a hit is completed where it began"
+    );
+    // (Starts and durations are truncated to whole µs separately.)
+    let request = span_of(miss_trace, "request");
+    assert!(
+        request.start_us <= span_of(miss_trace, "frontend").start_us
+            && request.start_us + request.dur_us + 2 >= forward.start_us + forward.dur_us,
+        "the request span covers the request, begin to completion"
     );
 
     // The export format carries the attribution: one JSON line per span,
