@@ -15,7 +15,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use nvc_nn::{Graph, ParamStore, Segments, Tensor, TensorArena};
+use nvc_nn::{Graph, ParamStore, RowAlias, Segments, Tensor, TensorArena};
 
 const CODE_DIM: usize = 340;
 
@@ -86,14 +86,16 @@ fn bench_segments(c: &mut Criterion) {
         let mut store_p = ParamStore::new(1);
         let w = store_p.param_xavier("w", 384, CODE_DIM);
         let attn = store_p.param_xavier("attn", CODE_DIM, 1);
+        // No row is named a repeat: every row is computed.
+        let no_repeats = RowAlias::from_keys(0..n);
         c.bench_function(&format!("segment_attention_fwd_bwd/{name}"), |bch| {
             bch.iter(|| {
                 let mut g = Graph::with_arena(&store_p, &arena);
                 let x = g.input(arena_copy(&arena, black_box(&ctx)));
                 let (wn, an) = (g.param(w), g.param(attn));
-                let proj = g.segment_matmul(x, wn, &segs);
+                let proj = g.segment_matmul(x, wn, &segs, &no_repeats);
                 let cc = g.tanh(proj);
-                let scores = g.segment_matmul(cc, an, &segs);
+                let scores = g.segment_matmul(cc, an, &segs, &no_repeats);
                 let alpha = g.segment_softmax_rows(scores, &segs);
                 let pooled = g.segment_weighted_sum(alpha, cc, &segs);
                 let loss = g.mean_all(pooled);

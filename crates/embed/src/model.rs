@@ -5,7 +5,9 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use nvc_nn::{kernels, obs, Graph, KernelMode, NodeId, ParamId, ParamStore, Segments, Tensor};
+use nvc_nn::{
+    kernels, obs, Graph, KernelMode, NodeId, ParamId, ParamStore, RowAlias, Segments, Tensor,
+};
 
 use crate::vocab::PathSample;
 
@@ -191,12 +193,25 @@ impl CodeEmbedder {
     /// per-sample spelling ([`CodeEmbedder::forward_batch_reference`],
     /// enforced by parity tests).
     ///
+    /// A `(start, path, end)` triple that recurs in the batch — most do:
+    /// a loop's contexts pair up its few leaves, and a batch's loops
+    /// share them — is projected, `tanh`ed and scored **once**, and the
+    /// result copied to its repeats ([`RowAlias`]): the same bytes as
+    /// computing every row. Only the forward is shared. The backward
+    /// runs over all `N` rows, because the per-sample tape sums a
+    /// repeated row's gradients one sample at a time and adding them
+    /// together first would regroup those sums.
+    ///
     /// Empty samples embed to zero rows, exactly as in [`forward`].
     ///
     /// # Errors
     ///
     /// Returns [`EmbedError::EmptyBatch`] when `samples` is empty (a
     /// zero-row observation matrix has no meaning downstream).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a sample indexes past a table.
     ///
     /// [`forward`]: CodeEmbedder::forward
     pub fn forward_batch(
@@ -234,6 +249,27 @@ impl CodeEmbedder {
             end_rows.extend(base + n..base + 2 * n);
         }
 
+        // A loop's contexts pair up its few leaves and a batch's loops
+        // share most of them, so the same (start, path, end) row recurs
+        // many times over, and everything up to the attention score is a
+        // function of that row alone. Key the rows — one u64 per triple
+        // (a third of the hashing a tuple key costs), injective because
+        // every index is checked to be inside its table — so those
+        // stages run once per distinct triple.
+        let (nt, np) = (self.cfg.token_buckets as u64, self.cfg.path_buckets as u64);
+        let keyspace = nt.checked_mul(np).and_then(|k| k.checked_mul(nt));
+        assert!(keyspace.is_some(), "embedding tables too large to key");
+        let mut keys = Vec::with_capacity(total);
+        for s in samples {
+            for ((&a, &p), &b) in s.starts.iter().zip(&s.paths).zip(&s.ends) {
+                let (a, p, b) = (a as u64, p as u64, b as u64);
+                assert!(a < nt && p < np && b < nt, "gather index out of bounds");
+                keys.push((a * np + p) * nt + b);
+            }
+        }
+        let repeats = RowAlias::from_keys(keys);
+        obs::record_embed_rows(3 * total, 3 * repeats.distinct_rows());
+
         let w = g.param(self.w_context);
         let attn = g.param(self.attention);
         let tok = g.gather_param_rows(self.token_table, &tok_idx); // 2N × dt
@@ -241,9 +277,9 @@ impl CodeEmbedder {
         let starts = g.gather_rows(tok, &start_rows); // N × dt
         let ends = g.gather_rows(tok, &end_rows); // N × dt
         let ctx = g.concat_cols(&[starts, mids, ends]); // N × (2dt+dp)
-        let proj = g.segment_matmul(ctx, w, &segs); // N × code
-        let c = g.tanh(proj);
-        let scores = g.segment_matmul(c, attn, &segs); // N × 1
+        let proj = g.segment_matmul(ctx, w, &segs, &repeats); // N × code
+        let c = g.tanh_rows(proj, &repeats);
+        let scores = g.segment_matmul(c, attn, &segs, &repeats); // N × 1
         let alpha = g.segment_softmax_rows(scores, &segs); // N × 1
         Ok(g.segment_weighted_sum(alpha, c, &segs)) // n × code
     }
@@ -563,6 +599,7 @@ impl CodeEmbedder {
 /// First-seen-order dedup by content: the distinct samples and, for each
 /// input row, the position of its sample among them.
 fn dedup_samples<'a>(rows: &[&'a PathSample]) -> (Vec<&'a PathSample>, Vec<usize>) {
+    let _timer = obs::time_op(obs::Op::Dedup);
     let mut unique: Vec<&PathSample> = Vec::new();
     let mut slot: HashMap<&PathSample, usize> = HashMap::new();
     let row_of = rows

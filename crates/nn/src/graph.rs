@@ -2,9 +2,9 @@
 //!
 //! Values are computed eagerly as nodes are added; [`Graph::backward`]
 //! walks the tape in reverse accumulating gradients. Gradients of
-//! [`Op::Param`] nodes are exported to the owning
-//! [`ParamStore`](crate::ParamStore) via
-//! [`ParamStore::accumulate_grads`](crate::ParamStore::accumulate_grads).
+//! parameter nodes leave the tape through [`Graph::param_grads`] and
+//! reach the owning [`ParamStore`](crate::ParamStore) via
+//! [`ParamStore::apply_grads`](crate::ParamStore::apply_grads).
 //!
 //! The tape is allocation-lean: a graph built with
 //! [`Graph::with_arena`] draws every output tensor from a shared
@@ -19,6 +19,7 @@
 //! Every operation's gradient is validated against central finite
 //! differences in this module's tests.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::arena::TensorArena;
@@ -82,6 +83,59 @@ impl Segments {
     /// Iterates `(start, end)` bounds in segment order.
     pub fn iter(&self) -> impl DoubleEndedIterator<Item = (usize, usize)> + '_ {
         self.offsets.windows(2).map(|w| (w[0], w[1]))
+    }
+}
+
+/// Which rows of a stacked matrix repeat an earlier row. A ragged batch
+/// of path contexts holds each distinct `(start, path, end)` row several
+/// times over; a forward op whose output row depends on its input row
+/// alone ([`Graph::segment_matmul`], [`Graph::tanh_rows`]) computes the
+/// first occurrence and copies it to the repeats, byte for byte what
+/// computing every row gives. Backward passes never look at it: a
+/// node's value and gradient keep all their rows.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowAlias {
+    /// The first-occurrence rows, ascending.
+    distinct: Vec<usize>,
+    /// For every row, the position in `distinct` of the row it repeats
+    /// (of itself, for a first occurrence).
+    slots: Vec<usize>,
+}
+
+impl RowAlias {
+    /// Groups rows by key in first-seen order: two rows alias exactly
+    /// when their keys are equal. The caller vouches that equal keys mean
+    /// equal row contents in every matrix the alias is applied to.
+    pub fn from_keys<K: std::hash::Hash + Eq>(keys: impl IntoIterator<Item = K>) -> Self {
+        let _timer = nvc_obs::time_op(nvc_obs::Op::Dedup);
+        let keys = keys.into_iter();
+        let mut distinct = Vec::new();
+        let mut slot_of: HashMap<K, usize> = HashMap::with_capacity(keys.size_hint().0);
+        let slots = keys
+            .enumerate()
+            .map(|(row, key)| {
+                *slot_of.entry(key).or_insert_with(|| {
+                    distinct.push(row);
+                    distinct.len() - 1
+                })
+            })
+            .collect();
+        RowAlias { distinct, slots }
+    }
+
+    /// Rows covered.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// True when the alias covers no rows.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// How many rows are first occurrences.
+    pub fn distinct_rows(&self) -> usize {
+        self.distinct.len()
     }
 }
 
@@ -170,6 +224,13 @@ impl<'s> Graph<'s> {
         }
     }
 
+    /// Returns a spent tensor's buffer to the arena, if there is one.
+    fn recycle(&self, t: Tensor) {
+        if let Some(arena) = self.arena {
+            arena.recycle(t);
+        }
+    }
+
     /// An arena-backed copy of `t`.
     fn dup(&self, t: &Tensor) -> Tensor {
         let mut out = self.alloc(t.rows(), t.cols());
@@ -231,33 +292,73 @@ impl<'s> Graph<'s> {
         self.push(Op::MatMul(a, b), out)
     }
 
+    /// `f` of `a`, for an `f` whose every output row depends on the same
+    /// input row alone: computed over all rows when none repeats, else
+    /// over the distinct rows gathered together, whose results are then
+    /// gathered back out to every row.
+    fn map_distinct_rows(
+        &self,
+        a: NodeId,
+        alias: &RowAlias,
+        f: impl FnOnce(&Self, &Tensor) -> Tensor,
+    ) -> Tensor {
+        let av = &self.values[a.0];
+        assert_eq!(
+            av.rows(),
+            alias.len(),
+            "row alias must cover the operand's rows"
+        );
+        if alias.distinct_rows() == alias.len() {
+            return f(self, av);
+        }
+        let mut firsts = self.alloc(alias.distinct_rows(), av.cols());
+        gather_into(av, &alias.distinct, &mut firsts);
+        let computed = f(self, &firsts);
+        let mut out = self.alloc(alias.len(), computed.cols());
+        gather_into(&computed, &alias.slots, &mut out);
+        self.recycle(firsts);
+        self.recycle(computed);
+        out
+    }
+
     /// Matrix product of a stacked ragged batch `a` (rows partitioned by
-    /// `segs`) with a shared right operand `b`.
+    /// `segs`, repeats named by `alias`) with a shared right operand `b`.
     ///
     /// The forward value is bitwise-identical to [`Graph::matmul`] (each
-    /// output row depends only on its own input row), and so is `da`. The
-    /// difference is `db`: a plain stacked matmul would reduce `aᵀ·g` in
-    /// one ascending chain over all rows, while the per-sample spelling
-    /// this op replaces accumulates one partial per sample, combined in
-    /// reverse tape order. This backward computes exactly those
-    /// per-segment partials and combines them in reverse segment order,
-    /// which is what keeps segmented batched gradients bitwise-identical
-    /// to the per-sample reference.
+    /// output row depends only on its own input row, which is also why a
+    /// repeated row's product can be copied instead of recomputed), and
+    /// so is `da`. The difference is `db`: a plain stacked matmul would
+    /// reduce `aᵀ·g` in one ascending chain over all rows, while the
+    /// per-sample spelling this op replaces accumulates one partial per
+    /// sample, combined in reverse tape order. This backward computes
+    /// exactly those per-segment partials and combines them in reverse
+    /// segment order, which is what keeps segmented batched gradients
+    /// bitwise-identical to the per-sample reference. It runs over every
+    /// row, repeats included: summing a repeated row's gradients first
+    /// would regroup those partials.
     ///
     /// # Panics
     ///
-    /// Panics on inner-dimension mismatch or when `segs` does not cover
-    /// `a`'s rows exactly.
-    pub fn segment_matmul(&mut self, a: NodeId, b: NodeId, segs: &Segments) -> NodeId {
+    /// Panics on inner-dimension mismatch or when `segs` or `alias` does
+    /// not cover `a`'s rows exactly.
+    pub fn segment_matmul(
+        &mut self,
+        a: NodeId,
+        b: NodeId,
+        segs: &Segments,
+        alias: &RowAlias,
+    ) -> NodeId {
         assert_eq!(
             self.values[a.0].rows(),
             segs.total_rows(),
             "segment_matmul: segments must cover the left operand's rows"
         );
-        let rows = self.values[a.0].rows();
-        let cols = self.values[b.0].cols();
-        let mut out = self.alloc(rows, cols);
-        self.values[a.0].matmul_accum_into(&self.values[b.0], &mut out);
+        let bv = &self.values[b.0];
+        let out = self.map_distinct_rows(a, alias, |g, rows| {
+            let mut out = g.alloc(rows.rows(), bv.cols());
+            rows.matmul_accum_into(bv, &mut out);
+            out
+        });
         self.push(Op::SegmentMatMul(a, b, segs.clone()), out)
     }
 
@@ -457,6 +558,7 @@ impl<'s> Graph<'s> {
 
     /// Arena-backed elementwise unary output.
     fn unary_value(&self, a: NodeId, f: impl Fn(f32) -> f32) -> Tensor {
+        let _timer = nvc_obs::time_op(nvc_obs::Op::Elementwise);
         let av = &self.values[a.0];
         let mut out = self.alloc(av.rows(), av.cols());
         for (o, &x) in out.data_mut().iter_mut().zip(av.data().iter()) {
@@ -467,6 +569,7 @@ impl<'s> Graph<'s> {
 
     /// Arena-backed elementwise binary output.
     fn binary_value(&self, a: NodeId, b: NodeId, f: impl Fn(f32, f32) -> f32) -> Tensor {
+        let _timer = nvc_obs::time_op(nvc_obs::Op::Elementwise);
         let (av, bv) = (&self.values[a.0], &self.values[b.0]);
         assert_eq!(av.shape(), bv.shape(), "elementwise shape mismatch");
         let mut out = self.alloc(av.rows(), av.cols());
@@ -526,8 +629,19 @@ impl<'s> Graph<'s> {
     /// Hyperbolic tangent ([`crate::kernels::tanh_inplace`]: libm in
     /// strict mode, the polynomial body in fast mode).
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
-        let mut v = self.dup(&self.values[a.0]);
-        crate::kernels::tanh_inplace(v.data_mut());
+        let v = tanh_of(self, &self.values[a.0]);
+        self.push(Op::Tanh(a), v)
+    }
+
+    /// [`Graph::tanh`] of a stacked matrix whose repeated rows `alias`
+    /// names: each distinct row goes through `tanh` once. Same values,
+    /// same backward.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `alias` does not cover `a`'s rows exactly.
+    pub fn tanh_rows(&mut self, a: NodeId, alias: &RowAlias) -> NodeId {
+        let v = self.map_distinct_rows(a, alias, tanh_of);
         self.push(Op::Tanh(a), v)
     }
 
@@ -622,6 +736,7 @@ impl<'s> Graph<'s> {
     /// Panics when row counts differ or `parts` is empty.
     pub fn concat_cols(&mut self, parts: &[NodeId]) -> NodeId {
         assert!(!parts.is_empty(), "concat_cols needs at least one part");
+        let _timer = nvc_obs::time_op(nvc_obs::Op::Concat);
         let rows = self.values[parts[0].0].rows();
         let total: usize = parts.iter().map(|p| self.values[p.0].cols()).sum();
         let mut out = self.alloc(rows, total);
@@ -646,6 +761,7 @@ impl<'s> Graph<'s> {
     /// Panics when column counts differ or `parts` is empty.
     pub fn concat_rows(&mut self, parts: &[NodeId]) -> NodeId {
         assert!(!parts.is_empty(), "concat_rows needs at least one part");
+        let _timer = nvc_obs::time_op(nvc_obs::Op::Concat);
         let cols = self.values[parts[0].0].cols();
         let total: usize = parts.iter().map(|p| self.values[p.0].rows()).sum();
         let mut out = self.alloc(total, cols);
@@ -715,7 +831,29 @@ impl<'s> Graph<'s> {
             let Some(g) = self.grads[i].take() else {
                 continue;
             };
-            match self.ops[i].clone() {
+            // Likewise the op (some carry index vectors); put back below.
+            let op = std::mem::replace(&mut self.ops[i], Op::Input);
+            // The matmul family's kernels time themselves.
+            let _timer = match op {
+                Op::SegmentSoftmaxRows(..) => Some(nvc_obs::Op::SegmentSoftmax),
+                Op::SegmentWeightedSum(..) => Some(nvc_obs::Op::SegmentWeightedSum),
+                Op::GatherRows(..) => Some(nvc_obs::Op::Scatter),
+                Op::ConcatCols(_) | Op::ConcatRows(_) => Some(nvc_obs::Op::Concat),
+                Op::Add(..)
+                | Op::Sub(..)
+                | Op::MulElem(..)
+                | Op::Minimum(..)
+                | Op::Scale(..)
+                | Op::AddScalar(..)
+                | Op::Clamp(..)
+                | Op::Tanh(_)
+                | Op::Relu(_)
+                | Op::Exp(_)
+                | Op::Ln(_) => Some(nvc_obs::Op::Elementwise),
+                _ => None,
+            }
+            .map(nvc_obs::time_op);
+            match op {
                 Op::Input | Op::Param(_) | Op::GatherParamRows(_, _) => {}
                 Op::MatMul(a, b) => {
                     let mut da = self.alloc(g.rows(), self.values[a.0].cols());
@@ -725,7 +863,7 @@ impl<'s> Graph<'s> {
                     self.accum(a, da);
                     self.accum(b, db);
                 }
-                Op::SegmentMatMul(a, b, segs) => {
+                Op::SegmentMatMul(a, b, ref segs) => {
                     // da is row-independent — identical to MatMul.
                     let mut da = self.alloc(g.rows(), self.values[a.0].cols());
                     g.matmul_nt_accum_into(&self.values[b.0], &mut da);
@@ -737,23 +875,46 @@ impl<'s> Graph<'s> {
                     let (bk, bn) = self.values[b.0].shape();
                     let mut db = self.alloc(bk, bn);
                     {
+                        let _timer = nvc_obs::time_op(nvc_obs::Op::SegmentMatMulTn);
                         let av = &self.values[a.0];
+                        let fast =
+                            crate::kernels::kernel_mode() == crate::kernels::KernelMode::Fast;
+                        let mut partial = self.alloc(bk, bn);
                         for (r0, r1) in segs.iter().rev() {
                             if r0 == r1 {
                                 continue;
                             }
-                            let mut partial = self.alloc(bk, bn);
-                            matmul_tn_rows_accum_into(av, &g, r0, r1, &mut partial);
-                            db.add_scaled(&partial, 1.0);
-                            if let Some(arena) = self.arena {
-                                arena.recycle(partial);
+                            // The `tn` kernel of the whole-matrix product
+                            // over the segment's row window, called on
+                            // this thread: a few dozen rows each and
+                            // dozens of segments to a batch, a partial is
+                            // not worth a pool hand-off.
+                            let (a_win, g_win) =
+                                (&av.data()[r0 * bk..r1 * bk], &g.data()[r0 * bn..r1 * bn]);
+                            let out = partial.data_mut();
+                            out.fill(0.0);
+                            if fast {
+                                crate::kernels::fast::tn_rows_fast(
+                                    a_win,
+                                    g_win,
+                                    r1 - r0,
+                                    bk,
+                                    bn,
+                                    0,
+                                    bk,
+                                    out,
+                                );
+                            } else {
+                                crate::kernels::tn_rows(a_win, g_win, bk, bn, 0, bk, out);
                             }
+                            db.add_scaled(&partial, 1.0);
                         }
+                        self.recycle(partial);
                     }
                     self.accum(a, da);
                     self.accum(b, db);
                 }
-                Op::SegmentSoftmaxRows(a, segs) => {
+                Op::SegmentSoftmaxRows(a, ref segs) => {
                     let y = &self.values[i];
                     let cols = y.cols();
                     let mut da = self.alloc(y.rows(), cols);
@@ -767,7 +928,7 @@ impl<'s> Graph<'s> {
                     }
                     self.accum(a, da);
                 }
-                Op::SegmentWeightedSum(w, v, segs) => {
+                Op::SegmentWeightedSum(w, v, ref segs) => {
                     // dw[r] = g[s]·v[r] (ascending-column dot, matching
                     // matmul_nt); dv[r] = w[r]·g[s] (single product,
                     // matching matmul_tn with one shared row).
@@ -935,22 +1096,16 @@ impl<'s> Graph<'s> {
                     }
                     self.accum(a, da);
                 }
-                Op::GatherRows(table, indices) => {
+                Op::GatherRows(table, ref indices) => {
                     let t = &self.values[table.0];
-                    let cols = t.cols();
-                    let mut dt = self.alloc(t.rows(), cols);
-                    for (r, &idx) in indices.iter().enumerate() {
-                        let dst = &mut dt.data_mut()[idx * cols..(idx + 1) * cols];
-                        for (d, &gd) in dst.iter_mut().zip(g.data()[r * cols..].iter()) {
-                            *d += gd;
-                        }
-                    }
+                    let mut dt = self.alloc(t.rows(), t.cols());
+                    scatter_add_rows(&g, indices, &mut dt);
                     self.accum(table, dt);
                 }
-                Op::ConcatCols(parts) => {
+                Op::ConcatCols(ref parts) => {
                     let total = g.cols();
                     let mut col = 0;
-                    for p in parts {
+                    for &p in parts {
                         let w = self.values[p.0].cols();
                         let rows = self.values[p.0].rows();
                         let mut dp = self.alloc(rows, w);
@@ -962,10 +1117,10 @@ impl<'s> Graph<'s> {
                         col += w;
                     }
                 }
-                Op::ConcatRows(parts) => {
+                Op::ConcatRows(ref parts) => {
                     let cols = g.cols();
                     let mut row = 0;
-                    for p in parts {
+                    for &p in parts {
                         let h = self.values[p.0].rows();
                         let mut dp = self.alloc(h, cols);
                         let n = h * cols;
@@ -975,7 +1130,7 @@ impl<'s> Graph<'s> {
                         row += h;
                     }
                 }
-                Op::PickPerRow(a, indices) => {
+                Op::PickPerRow(a, ref indices) => {
                     let v = &self.values[a.0];
                     let mut da = self.alloc(v.rows(), v.cols());
                     for (r, &c) in indices.iter().enumerate() {
@@ -998,6 +1153,7 @@ impl<'s> Graph<'s> {
                     self.accum(a, da);
                 }
             }
+            self.ops[i] = op;
             self.grads[i] = Some(g);
         }
     }
@@ -1014,33 +1170,39 @@ impl<'s> Graph<'s> {
         }
     }
 
-    /// Gradients of every parameter node, merged by [`ParamId`].
-    /// Gathered-parameter nodes ([`Graph::gather_param_rows`]) scatter
-    /// their row gradients into a table-shaped tensor here.
-    pub fn param_grads(&self) -> HashMap<ParamId, Tensor> {
+    /// Gradients of every parameter node, merged by [`ParamId`] in tape
+    /// order. Gathered-parameter nodes ([`Graph::gather_param_rows`])
+    /// scatter their row gradients into a table-shaped tensor here.
+    ///
+    /// The tensors are handed over, not copied: a parameter node's
+    /// gradient leaves the tape (its [`Graph::grad`] reads `None`
+    /// afterwards) and the table-shaped ones come from the arena, so a
+    /// caller that owns the arena can recycle all of them once applied.
+    pub fn param_grads(&mut self) -> HashMap<ParamId, Tensor> {
+        let _timer = nvc_obs::time_op(nvc_obs::Op::Scatter);
         let mut out: HashMap<ParamId, Tensor> = HashMap::new();
-        for (i, op) in self.ops.iter().enumerate() {
-            match op {
+        for i in 0..self.ops.len() {
+            match &self.ops[i] {
                 Op::Param(p) => {
-                    if let Some(g) = &self.grads[i] {
-                        out.entry(*p)
-                            .and_modify(|acc| acc.add_scaled(g, 1.0))
-                            .or_insert_with(|| g.clone());
+                    if let Some(g) = self.grads[i].take() {
+                        match out.entry(*p) {
+                            Entry::Occupied(mut acc) => {
+                                acc.get_mut().add_scaled(&g, 1.0);
+                                self.recycle(g);
+                            }
+                            Entry::Vacant(slot) => {
+                                slot.insert(g);
+                            }
+                        }
                     }
                 }
                 Op::GatherParamRows(p, indices) => {
                     if let Some(g) = &self.grads[i] {
                         let table = self.store.get(*p);
-                        let cols = table.cols();
                         let entry = out
                             .entry(*p)
-                            .or_insert_with(|| Tensor::zeros(table.rows(), cols));
-                        for (r, &idx) in indices.iter().enumerate() {
-                            let dst = &mut entry.data_mut()[idx * cols..(idx + 1) * cols];
-                            for (d, &gd) in dst.iter_mut().zip(g.data()[r * cols..].iter()) {
-                                *d += gd;
-                            }
-                        }
+                            .or_insert_with(|| self.alloc(table.rows(), table.cols()));
+                        scatter_add_rows(g, indices, entry);
                     }
                 }
                 _ => {}
@@ -1063,6 +1225,13 @@ impl Drop for Graph<'_> {
     }
 }
 
+/// Elementwise `tanh` of `t` as an arena-backed tensor.
+fn tanh_of(g: &Graph<'_>, t: &Tensor) -> Tensor {
+    let mut out = g.dup(t);
+    crate::kernels::tanh_inplace(out.data_mut());
+    out
+}
+
 /// Column sums of `g` as a `1×d` arena-backed tensor (bias gradients).
 fn colsum(g_ref: &Graph<'_>, g: &Tensor) -> Tensor {
     let cols = g.cols();
@@ -1076,36 +1245,14 @@ fn colsum(g_ref: &Graph<'_>, g: &Tensor) -> Tensor {
     out
 }
 
-/// `a[r0..r1]ᵀ × g[r0..r1]` accumulated into `out` — the row-windowed
-/// form of [`Tensor::matmul_tn_accum_into`], with the identical
-/// ascending-row accumulation order (so a per-segment partial matches
-/// the per-sample `xᵀ·g` bitwise).
-fn matmul_tn_rows_accum_into(a: &Tensor, g: &Tensor, r0: usize, r1: usize, out: &mut Tensor) {
-    let (m, n) = (a.cols(), g.cols());
-    debug_assert_eq!(out.shape(), (m, n));
-    if crate::kernels::kernel_mode() == crate::kernels::KernelMode::Fast {
-        // The fast `tn` kernel over just this row window — same madd
-        // chain the per-sample `matmul_tn_accum_into` runs in fast mode.
-        crate::kernels::fast::tn_rows_fast(
-            &a.data()[r0 * m..r1 * m],
-            &g.data()[r0 * n..r1 * n],
-            r1 - r0,
-            m,
-            n,
-            0,
-            m,
-            out.data_mut(),
-        );
-        return;
-    }
-    for k in r0..r1 {
-        let a_row = &a.data()[k * m..(k + 1) * m];
-        let g_row = &g.data()[k * n..(k + 1) * n];
-        for (i, &x) in a_row.iter().enumerate() {
-            let out_row = &mut out.data_mut()[i * n..(i + 1) * n];
-            for (o, &gg) in out_row.iter_mut().zip(g_row.iter()) {
-                *o += x * gg;
-            }
+/// `table[indices[r]] += rows[r]` for ascending `r` — the backward of a
+/// row gather.
+fn scatter_add_rows(rows: &Tensor, indices: &[usize], table: &mut Tensor) {
+    let cols = table.cols();
+    for (r, &idx) in indices.iter().enumerate() {
+        let dst = &mut table.data_mut()[idx * cols..(idx + 1) * cols];
+        for (d, &gd) in dst.iter_mut().zip(rows.data()[r * cols..].iter()) {
+            *d += gd;
         }
     }
 }
@@ -1449,7 +1596,7 @@ mod tests {
                     3,
                     (0..12).map(|i| i as f32 * 0.11 - 0.4).collect(),
                 ));
-                let y = g.segment_matmul(p, w, &segs);
+                let y = g.segment_matmul(p, w, &segs, &RowAlias::from_keys(0..6));
                 let t = g.tanh(y);
                 g.sum_all(t)
             },
@@ -1468,7 +1615,7 @@ mod tests {
                     4,
                     (0..20).map(|i| (i as f32 * 0.3).sin()).collect(),
                 ));
-                let y = g.segment_matmul(x, p, &segs);
+                let y = g.segment_matmul(x, p, &segs, &RowAlias::from_keys(0..5));
                 let sq = g.mul_elem(y, y);
                 g.mean_all(sq)
             },
@@ -1529,7 +1676,7 @@ mod tests {
     /// forward values and every parameter gradient — to the per-sample
     /// spelling it replaces (per-sample matmul/softmax/pool stacked with
     /// concat_rows), across ragged segment shapes including empty and
-    /// single-row segments. This is the kernel-level half of the
+    /// single-row segments, with repeated rows computed once. This is the kernel-level half of the
     /// `nvc-embed` encoder parity bar.
     #[test]
     fn segmented_attention_matches_per_sample_spelling_bitwise() {
@@ -1545,11 +1692,19 @@ mod tests {
                 "attn",
                 Tensor::from_vec(4, 1, (0..4).map(|_| rng.gen_range(-1.0..1.0)).collect()),
             );
+            // Rows drawn from a pool of five, so most stacks repeat a row
+            // within a segment and across segments.
+            let pool: Vec<f32> = (0..5 * 6).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let drawn: Vec<usize> = (0..total).map(|_| rng.gen_range(0..5)).collect();
             let x = Tensor::from_vec(
                 total,
                 6,
-                (0..total * 6).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+                drawn
+                    .iter()
+                    .flat_map(|&d| pool[d * 6..(d + 1) * 6].iter().copied())
+                    .collect(),
             );
+            let repeats = RowAlias::from_keys(drawn.iter().copied());
             let gsel = Tensor::from_vec(
                 lens.len(),
                 4,
@@ -1604,9 +1759,9 @@ mod tests {
                 let mut g = Graph::new(&store);
                 let xs = g.input(x.clone());
                 let (wn, an) = (g.param(w), g.param(attn));
-                let proj = g.segment_matmul(xs, wn, &segs);
-                let c = g.tanh(proj);
-                let scores = g.segment_matmul(c, an, &segs);
+                let proj = g.segment_matmul(xs, wn, &segs, &repeats);
+                let c = g.tanh_rows(proj, &repeats);
+                let scores = g.segment_matmul(c, an, &segs, &repeats);
                 let alpha = g.segment_softmax_rows(scores, &segs);
                 let out = g.segment_weighted_sum(alpha, c, &segs);
                 let sel = g.input(gsel.clone());

@@ -35,11 +35,12 @@
 //!   (Splitting the reduction dimension `k` instead would need
 //!   per-thread partials whose combination reassociates the sum; that is
 //!   why only rows are split.)
-//! * **8-wide unrolling** ([`mm_rows`], [`tn_rows`], [`nt_rows`]): the
-//!   inner loops run over blocks of 8 *independent* output accumulators
-//!   (manual `f32x8`-style register blocks — no unstable `std::simd`, no
-//!   `mul_add` fusion). Lanes never share an accumulator, so each
-//!   element's chain is untouched.
+//! * **Register blocks of independent lanes** ([`mm_rows`], [`tn_rows`],
+//!   [`nt_rows`]): the inner loops run over blocks of 8 or 16
+//!   *independent* output accumulators (manual `f32x8`-style register
+//!   blocks — no unstable `std::simd`, no `mul_add` fusion), held in
+//!   registers across the reduction. Lanes never share an accumulator,
+//!   so each element's chain is untouched.
 //!
 //! The thread count is a process-wide knob ([`set_matmul_threads`],
 //! `NVC_MATMUL_THREADS` in the environment, surfaced as
@@ -597,101 +598,249 @@ fn mm_tile_row(
     }
 }
 
-/// `y += a · x` over equal-length slices, 8 lanes at a time — the inner
-/// step of [`tn_rows`]. Each lane is its own output element, so
-/// unrolling is order-neutral.
-pub(crate) fn axpy8(a: f32, x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    let mut xc = x.chunks_exact(8);
-    let mut yc = y.chunks_exact_mut(8);
-    for (xs, ys) in (&mut xc).zip(&mut yc) {
-        ys[0] += a * xs[0];
-        ys[1] += a * xs[1];
-        ys[2] += a * xs[2];
-        ys[3] += a * xs[3];
-        ys[4] += a * xs[4];
-        ys[5] += a * xs[5];
-        ys[6] += a * xs[6];
-        ys[7] += a * xs[7];
-    }
-    for (xv, yv) in xc.remainder().iter().zip(yc.into_remainder()) {
-        *yv += a * xv;
-    }
+/// `out += aᵀ × b` over row-major slices (`a`: `kr×m`, `b`: `kr×n`, `out`:
+/// `m×n`) — the `xᵀ·g` weight-gradient product. A row window of a taller
+/// pair is the same call on the window's sub-slices. Output rows shard
+/// across the kernel pool; every output element accumulates in ascending
+/// `k` in both modes.
+///
+/// Not timed here: [`Tensor::matmul_tn_accum_into`](crate::Tensor::matmul_tn_accum_into)
+/// charges the call to its own op.
+///
+/// # Panics
+///
+/// Panics when a slice length disagrees with `kr`, `m`, `n`.
+pub fn matmul_tn_accum(a: &[f32], b: &[f32], kr: usize, m: usize, n: usize, out: &mut [f32]) {
+    assert_eq!(a.len(), kr * m, "matmul_tn left operand is not {kr}x{m}");
+    assert_eq!(b.len(), kr * n, "matmul_tn right operand is not {kr}x{n}");
+    assert_eq!(out.len(), m * n, "matmul_tn output is not {m}x{n}");
+    let threads = effective_threads(m, kr.saturating_mul(m).saturating_mul(n));
+    let fast = kernel_mode() == KernelMode::Fast;
+    run_row_sharded(threads, m, n, out, &|i0, i1, rows| {
+        if fast {
+            fast::tn_rows_fast(a, b, kr, m, n, i0, i1, rows);
+        } else {
+            tn_rows(a, b, m, n, i0, i1, rows);
+        }
+    });
 }
 
-/// `out_rows (+)= (aᵀ × b)[i0..i1]` for `a: kr×m`, `b: kr×n` — the
-/// row-windowed `xᵀ·g` backward kernel. `k` stays the outer loop (both
-/// inputs stream row-by-row) and each output element still accumulates in
-/// ascending `k`; the shard only restricts which columns of `a` (output
-/// rows) this worker owns.
+/// `out += a × bᵀ` over row-major slices (`a`: `m×kd`, `b`: `n×kd`, `out`:
+/// `m×n`) — the `g·wᵀ` input-gradient product behind
+/// [`Tensor::matmul_nt_accum_into`](crate::Tensor::matmul_nt_accum_into).
+/// Output rows shard across the kernel pool. Strict packs `bᵀ` once per
+/// call ([`pack_nt_panels`]), so every shard reads the same panels.
+///
+/// # Panics
+///
+/// Panics when a slice length disagrees with `m`, `kd`, `n`.
+pub fn matmul_nt_accum(a: &[f32], b: &[f32], m: usize, kd: usize, n: usize, out: &mut [f32]) {
+    assert_eq!(a.len(), m * kd, "matmul_nt left operand is not {m}x{kd}");
+    assert_eq!(b.len(), n * kd, "matmul_nt right operand is not {n}x{kd}");
+    assert_eq!(out.len(), m * n, "matmul_nt output is not {m}x{n}");
+    let threads = effective_threads(m, m.saturating_mul(kd).saturating_mul(n));
+    if kernel_mode() == KernelMode::Fast {
+        run_row_sharded(threads, m, n, out, &|i0, i1, rows| {
+            fast::nt_rows_fast(a, b, kd, n, i0, i1, rows);
+        });
+        return;
+    }
+    let panels = pack_nt_panels(b, kd, n);
+    run_row_sharded(threads, m, n, out, &|i0, i1, rows| {
+        nt_rows(a, &panels, kd, n, i0, i1, rows);
+    });
+}
+
+/// `out_rows (+)= (aᵀ × b)[i0..i1]` for `a: kr×m`, `b: kr×n` (`kr` is
+/// however many whole rows the slices hold) — the `xᵀ·g` backward kernel.
+///
+/// Each block of output elements sits in a register accumulator,
+/// initialised from `out`, while `k` runs over every row of the window:
+/// per element `out += a[k][i]·b[k][j]` for ascending `k`, with one load
+/// and one store of the output instead of one per `k`. Blocks are 16 or
+/// 8 adjacent columns of one output row (lanes read a row of `b`); the
+/// `n % 8` columns left over — all of them for the `n == 1` score
+/// column — run 16 or 8 adjacent output *rows* as lanes instead (lanes
+/// read a row of `a`). Lanes never share an accumulator, so the block
+/// shape changes no bits. Column blocks are the outer loop, so a block's
+/// `kr×16` strip of `b` stays cached while the output rows pass over it.
 pub(crate) fn tn_rows(
     a: &[f32],
     b: &[f32],
-    kr: usize,
     m: usize,
     n: usize,
     i0: usize,
     i1: usize,
     out_rows: &mut [f32],
 ) {
-    for k in 0..kr {
-        let a_row = &a[k * m..(k + 1) * m];
-        let b_row = &b[k * n..(k + 1) * n];
+    let mut j = 0;
+    while j + 8 <= n {
+        let lanes = if j + 16 <= n { 16 } else { 8 };
         for i in i0..i1 {
-            axpy8(
-                a_row[i],
-                b_row,
-                &mut out_rows[(i - i0) * n..(i - i0 + 1) * n],
-            );
+            let at = (i - i0) * n + j;
+            let out = &mut out_rows[at..at + lanes];
+            match lanes {
+                16 => tn_block_j::<16>(a, b, m, n, i, j, out),
+                _ => tn_block_j::<8>(a, b, m, n, i, j, out),
+            }
+        }
+        j += lanes;
+    }
+    for j in j..n {
+        let mut i = i0;
+        while i + 8 <= i1 {
+            let lanes = if i + 16 <= i1 { 16 } else { 8 };
+            let column = &mut out_rows[(i - i0) * n + j..];
+            match lanes {
+                16 => tn_block_i::<16>(a, b, m, n, i, j, column),
+                _ => tn_block_i::<8>(a, b, m, n, i, j, column),
+            }
+            i += lanes;
+        }
+        for i in i..i1 {
+            let mut acc = out_rows[(i - i0) * n + j];
+            for (a_row, b_row) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
+                acc += a_row[i] * b_row[j];
+            }
+            out_rows[(i - i0) * n + j] = acc;
         }
     }
 }
 
-/// `out_rows (+)= (a × bᵀ)[i0..i1]` for `a: m×kd`, `b: n×kd` — the
-/// `g·wᵀ` backward kernel. Each output element is a dot product reduced
-/// in ascending `k`; four output columns run together as independent
-/// accumulators so the loads of `a`'s row amortize.
-pub(crate) fn nt_rows(
+/// `out[l] (+)= Σ_k a[k][i]·b[k][j + l]`: `L` adjacent columns of output
+/// row `i`, one lane each.
+#[inline(always)]
+fn tn_block_j<const L: usize>(
     a: &[f32],
     b: &[f32],
+    m: usize,
+    n: usize,
+    i: usize,
+    j: usize,
+    out: &mut [f32],
+) {
+    let mut acc = [0.0f32; L];
+    acc.copy_from_slice(out);
+    for (a_row, b_row) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
+        let av = a_row[i];
+        let b_blk = &b_row[j..j + L];
+        for l in 0..L {
+            acc[l] += av * b_blk[l];
+        }
+    }
+    out.copy_from_slice(&acc);
+}
+
+/// `column[l·n] (+)= Σ_k a[k][i + l]·b[k][j]`: `L` adjacent rows of
+/// output column `j` (`column` starts at element `(i, j)`), one lane each.
+#[inline(always)]
+fn tn_block_i<const L: usize>(
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    n: usize,
+    i: usize,
+    j: usize,
+    column: &mut [f32],
+) {
+    let mut acc = [0.0f32; L];
+    for l in 0..L {
+        acc[l] = column[l * n];
+    }
+    for (a_row, b_row) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
+        let bv = b_row[j];
+        let a_blk = &a_row[i..i + L];
+        for l in 0..L {
+            acc[l] += a_blk[l] * bv;
+        }
+    }
+    for l in 0..L {
+        column[l * n] = acc[l];
+    }
+}
+
+/// Width of the [`pack_nt_panels`] panel that starts at column `j` of
+/// `n`: 16 while that many columns remain, then 8, then 4, then single
+/// columns.
+fn nt_panel_width(j: usize, n: usize) -> usize {
+    match n - j {
+        16.. => 16,
+        8.. => 8,
+        4.. => 4,
+        _ => 1,
+    }
+}
+
+/// `bᵀ` in column panels for [`nt_rows`]: the panel covering columns
+/// `j..j + L` of the product (rows of `b: n×kd`) is the `kd×L` matrix
+/// `panel[k][l] = b[j + l][k]`, stored at offset `j·kd`, so the `L`
+/// operands of one `k` step are adjacent. Widths follow
+/// [`nt_panel_width`].
+fn pack_nt_panels(b: &[f32], kd: usize, n: usize) -> Vec<f32> {
+    let mut panels = vec![0.0f32; n * kd];
+    let mut j = 0;
+    while j < n {
+        let lanes = nt_panel_width(j, n);
+        let panel = &mut panels[j * kd..(j + lanes) * kd];
+        for l in 0..lanes {
+            let b_row = &b[(j + l) * kd..(j + l + 1) * kd];
+            for (k, &v) in b_row.iter().enumerate() {
+                panel[k * lanes + l] = v;
+            }
+        }
+        j += lanes;
+    }
+    panels
+}
+
+/// `out_rows (+)= (a × bᵀ)[i0..i1]` for `a: m×kd`, `b: n×kd` — the
+/// `g·wᵀ` backward kernel, over `panels` = [`pack_nt_panels`]`(b)`.
+///
+/// The 16, 8 or 4 output columns of a panel run as lanes: each lane is
+/// one output element's dot product, `s = 0; s += a[i][k]·b[j][k]` for
+/// ascending `k`, then `out[i][j] += s` — the chain a lone scalar dot
+/// runs, which is what the one-column panels of the last `n % 4` columns
+/// are. Panels are the outer loop, so a panel (`kd×16` floats) stays
+/// cached while the rows of `a` stream past it.
+pub(crate) fn nt_rows(
+    a: &[f32],
+    panels: &[f32],
     kd: usize,
     n: usize,
     i0: usize,
     i1: usize,
     out_rows: &mut [f32],
 ) {
-    for i in i0..i1 {
-        let a_row = &a[i * kd..(i + 1) * kd];
-        let out_row = &mut out_rows[(i - i0) * n..(i - i0 + 1) * n];
-        let mut j = 0;
-        while j + 4 <= n {
-            let b0 = &b[j * kd..(j + 1) * kd];
-            let b1 = &b[(j + 1) * kd..(j + 2) * kd];
-            let b2 = &b[(j + 2) * kd..(j + 3) * kd];
-            let b3 = &b[(j + 3) * kd..(j + 4) * kd];
-            let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-            for k in 0..kd {
-                let av = a_row[k];
-                s0 += av * b0[k];
-                s1 += av * b1[k];
-                s2 += av * b2[k];
-                s3 += av * b3[k];
+    let mut j = 0;
+    while j < n {
+        let lanes = nt_panel_width(j, n);
+        let panel = &panels[j * kd..(j + lanes) * kd];
+        for i in i0..i1 {
+            let a_row = &a[i * kd..(i + 1) * kd];
+            let out = &mut out_rows[(i - i0) * n + j..(i - i0) * n + j + lanes];
+            match lanes {
+                16 => nt_block::<16>(a_row, panel, out),
+                8 => nt_block::<8>(a_row, panel, out),
+                4 => nt_block::<4>(a_row, panel, out),
+                _ => nt_block::<1>(a_row, panel, out),
             }
-            out_row[j] += s0;
-            out_row[j + 1] += s1;
-            out_row[j + 2] += s2;
-            out_row[j + 3] += s3;
-            j += 4;
         }
-        while j < n {
-            let b_row = &b[j * kd..(j + 1) * kd];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in a_row.iter().zip(b_row.iter()) {
-                acc += av * bv;
-            }
-            out_row[j] += acc;
-            j += 1;
+        j += lanes;
+    }
+}
+
+/// `out[l] += Σ_k a_row[k]·panel[k][l]`, each lane summed from zero in
+/// ascending `k` before it meets `out`.
+#[inline(always)]
+fn nt_block<const L: usize>(a_row: &[f32], panel: &[f32], out: &mut [f32]) {
+    let mut s = [0.0f32; L];
+    for (&av, p) in a_row.iter().zip(panel.chunks_exact(L)) {
+        for l in 0..L {
+            s[l] += av * p[l];
         }
+    }
+    for l in 0..L {
+        out[l] += s[l];
     }
 }
 

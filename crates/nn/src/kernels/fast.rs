@@ -181,7 +181,8 @@ fn mm_tile_row_g<M: Madd>(
     }
 }
 
-/// Fast twin of [`super::tn_rows`] (`out (+)= (aᵀ×b)[i0..i1]`).
+/// Fast `out (+)= (aᵀ×b)[i0..i1]`: the madd form of [`super::tn_rows`]'s
+/// per-element chain, `k` outermost.
 #[inline(always)]
 fn tn_rows_g<M: Madd>(
     a: &[f32],
@@ -218,7 +219,8 @@ fn tn_rows_g<M: Madd>(
     }
 }
 
-/// Fast twin of [`super::nt_rows`] (`out (+)= (a×bᵀ)[i0..i1]`).
+/// Fast `out (+)= (a×bᵀ)[i0..i1]`: the madd form of [`super::nt_rows`]'s
+/// per-element chain, four output columns at a time against `b`'s rows.
 #[inline(always)]
 fn nt_rows_g<M: Madd>(
     a: &[f32],

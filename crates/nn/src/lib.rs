@@ -85,7 +85,7 @@ pub mod tensor;
 pub use nvc_obs as obs;
 
 pub use arena::{ArenaStats, TensorArena};
-pub use graph::{Graph, NodeId, Segments};
+pub use graph::{Graph, NodeId, RowAlias, Segments};
 pub use kernels::KernelMode;
 pub use params::{Adam, ParamId, ParamStore};
 pub use tensor::Tensor;

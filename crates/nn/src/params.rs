@@ -3,7 +3,6 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::graph::Graph;
 use crate::tensor::Tensor;
 
 /// Handle to a parameter tensor in a [`ParamStore`].
@@ -104,16 +103,11 @@ impl ParamStore {
         self.params.iter().map(Tensor::len).sum()
     }
 
-    /// Adds the parameter gradients computed by `graph` into the store.
+    /// Adds the gradient map a finished tape produced. The tape borrows
+    /// the store, so callers extract [`Graph::param_grads`], drop the
+    /// graph, and hand the map over here.
     ///
-    /// Note the borrow shape: the graph holds `&ParamStore`, so callers
-    /// typically extract [`Graph::param_grads`], drop the graph, and feed
-    /// the map to [`ParamStore::apply_grads`] instead.
-    pub fn accumulate_grads(&mut self, graph: &Graph<'_>) {
-        self.apply_grads(graph.param_grads());
-    }
-
-    /// Adds a pre-extracted gradient map (see [`Graph::param_grads`]).
+    /// [`Graph::param_grads`]: crate::Graph::param_grads
     pub fn apply_grads(&mut self, grads: std::collections::HashMap<ParamId, Tensor>) {
         for (p, g) in grads {
             self.grads[p.0].add_scaled(&g, 1.0);
@@ -200,7 +194,7 @@ impl Adam {
         let b1t = 1.0 - self.beta1.powi(self.t);
         let b2t = 1.0 - self.beta2.powi(self.t);
         for i in 0..store.params.len() {
-            let g = store.grads[i].data().to_vec();
+            let g = store.grads[i].data();
             let m = self.m[i].data_mut();
             let v = self.v[i].data_mut();
             let p = store.params[i].data_mut();

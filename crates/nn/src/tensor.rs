@@ -225,10 +225,10 @@ impl Tensor {
     /// `selfᵀ × other` without materializing the transpose.
     ///
     /// This is the `xᵀ·g` shape reverse-mode matmul produces for its
-    /// left-operand gradient: the k-outer/i-mid/j-inner order reads both
-    /// inputs strictly row-by-row (sequential memory), where transposing
-    /// first would stride-walk a freshly allocated copy. Accumulation per
-    /// output element is ascending `k`, matching
+    /// weight gradient: both inputs are read where they lie, a block of
+    /// output elements at a time held in registers over the whole
+    /// reduction, where transposing first would allocate and fill a
+    /// copy. Accumulation per output element is ascending `k`, matching
     /// `self.transposed().matmul(other)` bitwise.
     ///
     /// # Panics
@@ -243,8 +243,9 @@ impl Tensor {
     /// Accumulates `selfᵀ × other` into `out` (see [`Tensor::matmul_tn`]).
     ///
     /// Output rows (columns of `self`) shard across worker threads under
-    /// the same parity contract as [`Tensor::matmul_accum_into`]; the
-    /// inner columns run through the 8-wide unrolled `axpy` block.
+    /// the same parity contract as [`Tensor::matmul_accum_into`]; blocks
+    /// of output elements stay in registers across the whole reduction
+    /// ([`kernels::matmul_tn_accum`]).
     ///
     /// # Panics
     ///
@@ -255,20 +256,10 @@ impl Tensor {
             "matmul_tn shape mismatch: {}x{} ᵀ× {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let _timer = nvc_obs::time_op(nvc_obs::Op::MatMulTn);
         let (m, n) = (self.cols, other.cols);
         assert_eq!(out.shape(), (m, n), "matmul_tn output shape mismatch");
-        let kr = self.rows;
-        let threads = kernels::effective_threads(m, kr.saturating_mul(m).saturating_mul(n));
-        if kernels::kernel_mode() == kernels::KernelMode::Fast {
-            kernels::run_row_sharded(threads, m, n, &mut out.data, &|i0, i1, rows| {
-                kernels::fast::tn_rows_fast(&self.data, &other.data, kr, m, n, i0, i1, rows);
-            });
-            return;
-        }
-        kernels::run_row_sharded(threads, m, n, &mut out.data, &|i0, i1, rows| {
-            kernels::tn_rows(&self.data, &other.data, kr, m, n, i0, i1, rows);
-        });
+        let _timer = nvc_obs::time_op(nvc_obs::Op::MatMulTn);
+        kernels::matmul_tn_accum(&self.data, &other.data, self.rows, m, n, &mut out.data);
     }
 
     /// `self × otherᵀ` without materializing the transpose.
@@ -290,8 +281,10 @@ impl Tensor {
     /// Accumulates `self × otherᵀ` into `out` (see [`Tensor::matmul_nt`]).
     ///
     /// Output rows shard across worker threads under the same parity
-    /// contract as [`Tensor::matmul_accum_into`]; four output columns run
-    /// as independent dot-product accumulators per step.
+    /// contract as [`Tensor::matmul_accum_into`]; in strict mode 16, 8 or
+    /// 4 output columns run as the lanes of one block of independent
+    /// dot-product accumulators over a packed `otherᵀ`
+    /// ([`kernels::matmul_nt_accum`]).
     ///
     /// # Panics
     ///
@@ -302,19 +295,10 @@ impl Tensor {
             "matmul_nt shape mismatch: {}x{} ×ᵀ {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let _timer = nvc_obs::time_op(nvc_obs::Op::MatMulNt);
         let (m, kd, n) = (self.rows, self.cols, other.rows);
         assert_eq!(out.shape(), (m, n), "matmul_nt output shape mismatch");
-        let threads = kernels::effective_threads(m, m.saturating_mul(kd).saturating_mul(n));
-        if kernels::kernel_mode() == kernels::KernelMode::Fast {
-            kernels::run_row_sharded(threads, m, n, &mut out.data, &|i0, i1, rows| {
-                kernels::fast::nt_rows_fast(&self.data, &other.data, kd, n, i0, i1, rows);
-            });
-            return;
-        }
-        kernels::run_row_sharded(threads, m, n, &mut out.data, &|i0, i1, rows| {
-            kernels::nt_rows(&self.data, &other.data, kd, n, i0, i1, rows);
-        });
+        let _timer = nvc_obs::time_op(nvc_obs::Op::MatMulNt);
+        kernels::matmul_nt_accum(&self.data, &other.data, m, kd, n, &mut out.data);
     }
 
     /// Transposed copy.

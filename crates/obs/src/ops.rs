@@ -6,16 +6,22 @@
 //! The instrumented sites are the kernels that dominate forward/backward
 //! time: the three matmul orientations at the kernel layer, the graph's
 //! fused `linear`, the two segment reductions, the shared row-gather
-//! helper, and `tanh`. `segment_matmul` and the `matmul`/`matmul_tn`/
-//! `matmul_nt` graph wrappers delegate to the instrumented accumulate
-//! kernels, so they are deliberately *not* timed — one site per flop, no
-//! double counting.
+//! helper, and `tanh`; then the update path's own work — the segmented
+//! matmul's per-segment `xᵀ·g`, the row scatters of the gathers'
+//! backward, concatenation, the tape's elementwise maps, repeated-row
+//! indexing, the optimizer step and the environment's reward oracle.
+//! `segment_matmul`'s forward and the
+//! `matmul`/`matmul_tn`/`matmul_nt` graph wrappers delegate to the
+//! instrumented accumulate kernels, so they are deliberately *not* timed
+//! — one site per flop, no timer inside another, so the per-op times of a
+//! training iteration add up to at most its wall-clock.
 //!
 //! Beside the timers sit the encoder's two work counters
 //! ([`record_embed_rows`]): table rows looked up and table rows actually
 //! multiplied through the projection. Their ratio is the dedup factor of
-//! the inference forward — useful work over attempts for that layer —
-//! read from the running process instead of inferred from shapes.
+//! the encoder's forward (tape-free or on the tape) — useful work over
+//! attempts for that layer — read from the running process instead of
+//! inferred from shapes.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::time::Instant;
@@ -32,18 +38,37 @@ pub enum Op {
     MatMulNt = 2,
     /// The graph's fused `x·W + b` forward.
     Linear = 3,
-    /// Per-segment softmax over ragged rows.
+    /// Per-segment softmax over ragged rows, and its backward.
     SegmentSoftmax = 4,
-    /// Per-segment weighted sum (attention pooling).
+    /// Per-segment weighted sum (attention pooling), and its backward.
     SegmentWeightedSum = 5,
     /// Row gather (embedding lookups, both tape and parameter-direct).
     Gather = 6,
     /// Elementwise `tanh` (encoder activation, policy hidden layers).
     Tanh = 7,
+    /// The segmented matmul's weight gradient: one `xᵀ·g` partial per
+    /// segment, combined in reverse segment order.
+    SegmentMatMulTn = 8,
+    /// Row scatter-add — the backward of the gathers, on the tape and
+    /// into the table-shaped parameter gradients.
+    Scatter = 9,
+    /// Optimizer step: gradients into the store, norm clip, Adam, reset.
+    OptimStep = 10,
+    /// Column/row concatenation (a context row from its three
+    /// embeddings) and the split that is its backward.
+    Concat = 11,
+    /// The tape's elementwise maps other than `tanh`'s forward: loss
+    /// arithmetic, and every activation's derivative in the backward.
+    Elementwise = 12,
+    /// Finding a batch's repeated samples and repeated context rows —
+    /// what computing each distinct one once costs up front.
+    Dedup = 13,
+    /// The environment's reward oracle, one call per collected episode.
+    Reward = 14,
 }
 
 /// How many [`Op`] variants exist.
-pub const OP_COUNT: usize = 8;
+pub const OP_COUNT: usize = 15;
 
 impl Op {
     /// Every op, in stable display order.
@@ -56,6 +81,13 @@ impl Op {
         Op::SegmentWeightedSum,
         Op::Gather,
         Op::Tanh,
+        Op::SegmentMatMulTn,
+        Op::Scatter,
+        Op::OptimStep,
+        Op::Concat,
+        Op::Elementwise,
+        Op::Dedup,
+        Op::Reward,
     ];
 
     /// Stable snake_case name (metrics keys, JSON fields).
@@ -69,6 +101,13 @@ impl Op {
             Op::SegmentWeightedSum => "segment_weighted_sum",
             Op::Gather => "gather",
             Op::Tanh => "tanh",
+            Op::SegmentMatMulTn => "segment_matmul_tn",
+            Op::Scatter => "scatter",
+            Op::OptimStep => "optim_step",
+            Op::Concat => "concat",
+            Op::Elementwise => "elementwise",
+            Op::Dedup => "dedup",
+            Op::Reward => "reward",
         }
     }
 }
@@ -163,7 +202,9 @@ pub struct EmbedRows {
     pub context_rows: u64,
     /// Table rows multiplied through the projection: equal to
     /// `context_rows` where every context row is projected, smaller where
-    /// each distinct row is projected once.
+    /// each distinct table row (the fast tape-free forward) or each
+    /// distinct context row (the tape forward: three table rows apiece)
+    /// is projected once.
     pub projected_rows: u64,
 }
 
@@ -177,7 +218,7 @@ impl EmbedRows {
     }
 }
 
-/// Adds one inference forward's row counts. Recorded only while op
+/// Adds one encoder forward's row counts. Recorded only while op
 /// timing is on, like the timers.
 #[inline]
 pub fn record_embed_rows(context_rows: usize, projected_rows: usize) {
@@ -274,7 +315,14 @@ mod tests {
                 "segment_softmax",
                 "segment_weighted_sum",
                 "gather",
-                "tanh"
+                "tanh",
+                "segment_matmul_tn",
+                "scatter",
+                "optim_step",
+                "concat",
+                "elementwise",
+                "dedup",
+                "reward"
             ]
         );
     }

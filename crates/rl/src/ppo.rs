@@ -15,6 +15,7 @@ use serde::{Deserialize, Serialize};
 
 use nvc_embed::{CodeEmbedder, EmbedConfig, PathSample};
 use nvc_nn::{Adam, Graph, NodeId, ParamStore, Tensor, TensorArena};
+use nvc_obs::{EmbedRows, OpStat};
 
 use crate::policy::{PolicyConfig, PolicyNet, PolicyOut};
 use crate::spaces::{ActionDims, ActionSpaceKind};
@@ -233,6 +234,8 @@ impl PpoTrainer {
 
     /// One collect + update cycle.
     pub fn train_iteration(&mut self, env: &mut impl BanditEnv, rng: &mut impl Rng) -> IterStats {
+        let ops_before = (self.journal.is_some() && nvc_obs::ops_enabled())
+            .then(|| (nvc_obs::ops_snapshot(), nvc_obs::embed_rows_snapshot()));
         let t_collect = std::time::Instant::now();
         let mut batch = self.collect(env, rng);
         let collect_us = t_collect.elapsed().as_micros() as u64;
@@ -253,7 +256,7 @@ impl PpoTrainer {
                 collect_us,
                 update_us: t_update.elapsed().as_micros() as u64,
             };
-            self.journal_iter(&stats);
+            self.journal_iter(&stats, ops_before);
             return stats;
         }
         let reward_mean = batch.iter().map(|t| t.reward).sum::<f64>() / batch.len() as f64;
@@ -308,31 +311,71 @@ impl PpoTrainer {
             collect_us,
             update_us: t_update.elapsed().as_micros() as u64,
         };
-        self.journal_iter(&stats);
+        self.journal_iter(&stats, ops_before);
         stats
     }
 
     /// Appends one telemetry line for a finished iteration, if a journal
-    /// is attached.
-    fn journal_iter(&self, stats: &IterStats) {
-        if let Some(journal) = &self.journal {
-            journal.write_line(&format!(
-                concat!(
-                    "{{\"iter\":{},\"steps\":{},\"reward_mean\":{},\"loss\":{},",
-                    "\"policy_loss\":{},\"value_loss\":{},\"entropy\":{},",
-                    "\"collect_us\":{},\"update_us\":{}}}"
-                ),
-                self.iters,
-                stats.steps,
-                stats.reward_mean,
-                stats.loss,
-                stats.policy_loss,
-                stats.value_loss,
-                stats.entropy,
-                stats.collect_us,
-                stats.update_us,
-            ));
+    /// is attached. With op timing on (`NVC_OPS=1`) the line ends with
+    /// the iteration's budget: `"ops"`, each kernel family's calls and
+    /// microseconds since `ops_before` (taken as the iteration began),
+    /// and `"op_counters"`, the encoder's rows looked up and rows
+    /// projected. No timed op runs inside another, so the `total_us`
+    /// values add up to at most `collect_us + update_us`. The aggregates
+    /// are process-wide: anything else computing in this process while
+    /// the iteration ran is counted in.
+    fn journal_iter(&self, stats: &IterStats, ops_before: Option<(Vec<OpStat>, EmbedRows)>) {
+        use std::fmt::Write as _;
+        let Some(journal) = &self.journal else {
+            return;
+        };
+        let mut line = format!(
+            concat!(
+                "{{\"iter\":{},\"steps\":{},\"reward_mean\":{},\"loss\":{},",
+                "\"policy_loss\":{},\"value_loss\":{},\"entropy\":{},",
+                "\"collect_us\":{},\"update_us\":{}"
+            ),
+            self.iters,
+            stats.steps,
+            stats.reward_mean,
+            stats.loss,
+            stats.policy_loss,
+            stats.value_loss,
+            stats.entropy,
+            stats.collect_us,
+            stats.update_us,
+        );
+        if let Some((ops, rows)) = ops_before {
+            let ran: Vec<String> = nvc_obs::ops_snapshot()
+                .iter()
+                .zip(&ops)
+                .filter(|(now, before)| now.calls > before.calls)
+                .map(|(now, before)| {
+                    format!(
+                        "\"{}\":{{\"calls\":{},\"total_us\":{}}}",
+                        now.op.name(),
+                        now.calls - before.calls,
+                        (now.total_ns - before.total_ns) as f64 / 1_000.0
+                    )
+                })
+                .collect();
+            let now = nvc_obs::embed_rows_snapshot();
+            let moved = EmbedRows {
+                context_rows: now.context_rows - rows.context_rows,
+                projected_rows: now.projected_rows - rows.projected_rows,
+            };
+            let counters = moved
+                .named()
+                .map(|(name, rows)| format!("\"{name}\":{rows}"));
+            let _ = write!(
+                line,
+                ",\"ops\":{{{}}},\"op_counters\":{{{}}}",
+                ran.join(","),
+                counters.join(",")
+            );
         }
+        line.push('}');
+        journal.write_line(&line);
     }
 
     /// Greedy (deterministic) action for a loop sample —
@@ -514,7 +557,10 @@ impl PpoTrainer {
                     (dims.decode_2d(x0, x1), [x0, x1], lp)
                 }
             };
-            let reward = env.reward(ctx, action);
+            let reward = {
+                let _timer = nvc_obs::time_op(nvc_obs::Op::Reward);
+                env.reward(ctx, action)
+            };
             out.push(Transition {
                 ctx,
                 action,
@@ -744,7 +790,11 @@ impl PpoTrainer {
         g.backward(total);
         let grads = g.param_grads();
         drop(g);
-        self.store.apply_grads(grads);
+        let _timer = nvc_obs::time_op(nvc_obs::Op::OptimStep);
+        for (p, grad) in grads {
+            self.store.grad_tensor_mut(p).add_scaled(&grad, 1.0);
+            self.arena.recycle(grad);
+        }
         self.store.clip_grad_norm(self.cfg.max_grad_norm);
         self.adam.step(&mut self.store);
         self.store.zero_grads();
@@ -800,6 +850,7 @@ fn vstack(a: Option<Tensor>, b: Option<Tensor>) -> Option<Tensor> {
 /// (so batched forwards embed each context once and gather rows back
 /// out).
 fn dedup_contexts(ctxs: impl Iterator<Item = usize>) -> (Vec<usize>, Vec<usize>) {
+    let _timer = nvc_obs::time_op(nvc_obs::Op::Dedup);
     let mut unique: Vec<usize> = Vec::new();
     let mut slot: HashMap<usize, usize> = HashMap::new();
     let row_of = ctxs

@@ -59,6 +59,44 @@ fn training_is_reproducible_per_seed() {
     assert_ne!(run(21), run(22));
 }
 
+/// "Bits unchanged", pinned in-tree: training in-process exactly as
+/// `nvc train --kernels 256 --iterations 30 --seed {1,2}` does must write
+/// the committed `bench/fixtures/ckpt_A` / `ckpt_B` byte for byte — every
+/// f32 of every weight after 480 strict-mode updates through the forward,
+/// backward and optimizer kernels. A kernel change that reorders one
+/// reduction, regroups one per-segment gradient sum or rounds one `tanh`
+/// differently fails here before the benchmark's fixtures do.
+///
+/// Strict `tanh` is the host's libm (`f32::tanh`), so like the bench
+/// fixtures this pin holds per host class: a libm that rounds `tanhf`
+/// differently needs `bench/run.sh fixtures` regenerated, not a code fix.
+///
+/// A minute unoptimized, so debug builds skip it; CI runs it in release.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "60 training iterations: run with --release"
+)]
+fn training_reproduces_the_committed_bench_checkpoints() {
+    let _guard = lock_model_knobs();
+    for (seed, fixture) in [(1, "ckpt_A"), (2, "ckpt_B")] {
+        let cfg = NvConfig::fast()
+            .with_seed(seed)
+            .with_kernel_mode(nvc_nn::KernelMode::Strict);
+        let pool = generator::generate(seed, 256);
+        let mut env = VectorizeEnv::new(pool, cfg.target.clone(), &cfg.embed);
+        let mut nv = NeuroVectorizer::new(cfg);
+        nv.train(&mut env, 30);
+        let path = format!("{}/bench/fixtures/{fixture}", env!("CARGO_MANIFEST_DIR"));
+        let committed = std::fs::read_to_string(&path).expect("committed checkpoint");
+        assert!(
+            nv.checkpoint() == committed,
+            "seed {seed} no longer trains to {path}"
+        );
+    }
+    nvc_nn::kernels::set_kernel_mode(nvc_nn::kernels::default_kernel_mode());
+}
+
 #[test]
 fn figure_data_is_reproducible() {
     let t = TargetConfig::i7_8559u();

@@ -404,6 +404,78 @@ fn fast_gradients_are_eps_close_to_strict() {
     restore_defaults();
 }
 
+/// The encoder's tape forward computes each distinct context row once
+/// and copies it to its repeats; in fast mode the distinct rows are a
+/// different (smaller) product than the full stack, so the batch is held
+/// to ε here, values and all four parameter gradients, on a batch whose
+/// rows repeat inside a sample, across samples and around an empty one.
+#[test]
+fn fast_encoder_on_repeated_rows_is_eps_close_to_strict() {
+    let _guard = lock_mode();
+    kernels::set_matmul_grain(1);
+    let cfg = EmbedConfig::fast();
+    let mut store = ParamStore::new(43);
+    let e = nvc_embed::CodeEmbedder::new(&mut store, &cfg);
+    let sample = |triples: &[(usize, usize, usize)]| PathSample {
+        starts: triples.iter().map(|t| t.0).collect(),
+        paths: triples.iter().map(|t| t.1).collect(),
+        ends: triples.iter().map(|t| t.2).collect(),
+    };
+    let (a, b, c) = ((3, 40, 7), (7, 41, 3), (200, 500, 201));
+    let batch = [
+        sample(&[a, b, a, c]),
+        sample(&[]),
+        sample(&[b, a]),
+        sample(&[c, c, c]),
+    ];
+    let refs: Vec<&PathSample> = batch.iter().collect();
+    let rows: usize = batch.iter().map(|s| s.len()).sum();
+    let sel = finite_tensor(refs.len(), cfg.code_dim, 47);
+    let run = |mode: KernelMode, threads: usize| {
+        kernels::set_kernel_mode(mode);
+        kernels::set_matmul_threads(threads);
+        let mut g = Graph::new(&store);
+        let out = e.forward_batch(&mut g, &refs).expect("non-empty batch");
+        let seln = g.input(sel.clone());
+        let prod = g.mul_elem(out, seln);
+        let loss = g.sum_all(prod);
+        g.backward(loss);
+        let grads = g.param_grads();
+        let mut all = g.value(out).data().to_vec();
+        for p in [
+            e.token_table(),
+            e.path_table(),
+            e.context_weight(),
+            e.attention_vector(),
+        ] {
+            all.extend_from_slice(grads[&p].data());
+        }
+        all
+    };
+    let strict = run(KernelMode::Strict, 1);
+    for threads in THREAD_MATRIX {
+        let fast = run(KernelMode::Fast, threads);
+        // Embeddings are convex combinations of tanh outputs (≤ 1); a
+        // gradient element sums at most one O(1) term per context row.
+        let n_values = refs.len() * cfg.code_dim;
+        assert_eps_parity(
+            &fast,
+            &strict,
+            |i| if i < n_values { 1.0 } else { rows as f32 },
+            &format!("repeated-row encoder threads={threads}"),
+        );
+        assert_eq!(
+            fast.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            run(KernelMode::Fast, threads)
+                .iter()
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>(),
+            "fast encoder bits changed between runs at {threads} threads"
+        );
+    }
+    restore_defaults();
+}
+
 // ---- tanh ---------------------------------------------------------------
 
 fn fast_tanh(xs: &[f32]) -> Vec<f32> {

@@ -229,6 +229,120 @@ fn edge_shapes_match_textbook_at_every_thread_count() {
     }
 }
 
+/// The two backward kernels against the chain they promise, spelled out:
+/// `g·wᵀ` sums each dot product from zero in ascending `k` and only then
+/// meets the output; `xᵀ·g` accumulates into the output itself in
+/// ascending `k` over the row window. The output starts **non-zero** (and
+/// hostile), every block width and its off-by-ones appears as an output
+/// width, the reduction runs from empty to longer than a cache tile, and
+/// the row windows include the empty and the single-row one — at every
+/// thread count, bit for bit.
+#[test]
+fn backward_kernels_match_their_textbook_chains_on_a_nonzero_output() {
+    force_sharding();
+    const WIDTHS: [usize; 10] = [0, 1, 7, 8, 9, 15, 16, 17, 48, 340];
+    const DEPTHS: [usize; 5] = [0, 1, 32, 65, 384];
+    for n in WIDTHS {
+        for kd in DEPTHS {
+            let seed = (n * 1000 + kd) as u64;
+
+            // nt: out (m×n) += a (m×kd) · bᵀ (b: n×kd).
+            let m = 5;
+            let a = wild_tensor(m, kd, seed ^ 0x01);
+            let b = wild_tensor(n, kd, seed ^ 0x02);
+            let start = wild_tensor(m, n, seed ^ 0x03);
+            let mut want = start.clone();
+            for i in 0..m {
+                for j in 0..n {
+                    let mut s = 0.0f32;
+                    for k in 0..kd {
+                        s += a[(i, k)] * b[(j, k)];
+                    }
+                    want[(i, j)] += s;
+                }
+            }
+            for threads in THREAD_MATRIX {
+                kernels::set_matmul_threads(threads);
+                let mut got = start.clone();
+                a.matmul_nt_accum_into(&b, &mut got);
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "nt diverged [n={n} kd={kd} threads={threads}]"
+                );
+            }
+
+            // tn over a row window: out (m×n) += x[r0..r1]ᵀ · g[r0..r1]
+            // (x: kd×m, g: kd×n). 19 output rows: one 16-lane block and a
+            // scalar tail down a leftover column, uneven under 2/3/8 shards.
+            let m = 19;
+            let x = wild_tensor(kd, m, seed ^ 0x04);
+            let g = wild_tensor(kd, n, seed ^ 0x05);
+            let start = wild_tensor(m, n, seed ^ 0x06);
+            let mut windows = vec![(0, kd), (0, 0), (kd / 3, kd)];
+            if kd > 0 {
+                windows.push((kd / 2, kd / 2 + 1));
+            }
+            for (r0, r1) in windows {
+                let mut want = start.clone();
+                for i in 0..m {
+                    for j in 0..n {
+                        for k in r0..r1 {
+                            want[(i, j)] += x[(k, i)] * g[(k, j)];
+                        }
+                    }
+                }
+                for threads in THREAD_MATRIX {
+                    kernels::set_matmul_threads(threads);
+                    let mut got = start.clone();
+                    kernels::matmul_tn_accum(
+                        &x.data()[r0 * m..r1 * m],
+                        &g.data()[r0 * n..r1 * n],
+                        r1 - r0,
+                        m,
+                        n,
+                        got.data_mut(),
+                    );
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "tn diverged [n={n} kd={kd} rows {r0}..{r1} threads={threads}]"
+                    );
+                }
+            }
+        }
+    }
+
+    // The narrow outputs (score column, policy heads) run lanes down the
+    // output rows: every row-block width and its off-by-ones.
+    for n in [1usize, 7] {
+        for m in [1usize, 7, 8, 9, 16, 17, 40] {
+            let (kr, seed) = (23, (n * 100 + m) as u64);
+            let x = wild_tensor(kr, m, seed ^ 0x07);
+            let g = wild_tensor(kr, n, seed ^ 0x08);
+            let start = wild_tensor(m, n, seed ^ 0x09);
+            let mut want = start.clone();
+            for i in 0..m {
+                for j in 0..n {
+                    for k in 0..kr {
+                        want[(i, j)] += x[(k, i)] * g[(k, j)];
+                    }
+                }
+            }
+            for threads in THREAD_MATRIX {
+                kernels::set_matmul_threads(threads);
+                let mut got = start.clone();
+                x.matmul_tn_accum_into(&g, &mut got);
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "narrow tn diverged [m={m} n={n} threads={threads}]"
+                );
+            }
+        }
+    }
+}
+
 /// The segment ops (attention softmax + per-segment weighted sum) are
 /// sharded on segment boundaries only, so each segment's internal
 /// max/exp/sum/divide (resp. ascending-row accumulation) order is
