@@ -2,8 +2,9 @@
 //!
 //! Sizes span the shapes the hot path actually runs: the code2vec
 //! projection (`n_paths × context_width · context_width × code_dim`),
-//! the batched policy layers, the transpose-free backward kernels, and
-//! the elementwise `tanh` over one sample's projection.
+//! the batched policy layers, the transpose-free backward kernels, the
+//! elementwise `tanh` over one sample's projection, and the
+//! attention-score dot of a one-loop and an eight-loop inference flush.
 //! Run with:
 //!
 //! ```text
@@ -77,9 +78,37 @@ fn bench_tanh(c: &mut Criterion) {
     kernels::set_kernel_mode(kernels::default_kernel_mode());
 }
 
+/// The inference forward's score product, `N×340 · 340` for one loop's
+/// 100 contexts and for eight loops': one ascending-`k` chain per row in
+/// strict mode, 32 accumulator lanes and a fixed tree in fast mode.
+fn bench_score_dot(c: &mut Criterion) {
+    let attn = filled(340, 1, 0.8);
+    for rows in [100usize, 800] {
+        let proj = filled(rows, 340, 0.6);
+        for mode in [KernelMode::Strict, KernelMode::Fast] {
+            kernels::set_kernel_mode(mode);
+            c.bench_function(&format!("score_dot_{rows}x340/{mode}"), |bch| {
+                let mut scores = vec![0.0f32; rows];
+                bch.iter(|| {
+                    scores.fill(0.0);
+                    kernels::row_dots_accum(
+                        black_box(proj.data()),
+                        black_box(attn.data()),
+                        rows,
+                        340,
+                        &mut scores,
+                    );
+                    scores[rows - 1]
+                })
+            });
+        }
+    }
+    kernels::set_kernel_mode(kernels::default_kernel_mode());
+}
+
 criterion_group!(
     name = matmul;
     config = Criterion::default().sample_size(30);
-    targets = bench_matmul, bench_tanh
+    targets = bench_matmul, bench_tanh, bench_score_dot
 );
 criterion_main!(matmul);

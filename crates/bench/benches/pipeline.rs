@@ -108,8 +108,10 @@ fn bench_embedding(c: &mut Criterion) {
     });
 
     // The tape-free inference forward at the paper's size, one shape and
-    // eight, in both kernel modes: strict multiplies every context row,
-    // fast each distinct table row once (and runs the polynomial tanh).
+    // eight, in both kernel modes: strict multiplies every context row;
+    // fast reads each table row's kept projection (warm after the first
+    // iteration, as a server is after its first requests) and runs the
+    // polynomial tanh and the lane-split score dot.
     let paper = EmbedConfig::paper();
     let shapes: Vec<PathSample> = SHAPE_BODIES
         .iter()
@@ -128,6 +130,19 @@ fn bench_embedding(c: &mut Criterion) {
                 b.iter(|| paper_embedder.infer_rows(&paper_store, black_box(rows)))
             });
         }
+    }
+    // Fast on weights it has never seen, every iteration: what the first
+    // flush after a `reload` pays — the stamp renewed, the kept rows
+    // dropped, each row the batch names multiplied again.
+    kernels::set_kernel_mode(KernelMode::Fast);
+    for (batch, rows) in [("b1", &refs[..1]), ("b8", &refs[..])] {
+        let name = format!("embed/infer_rows_paper_{batch}_fast_memo_cold");
+        c.bench_function(&name, |b| {
+            b.iter(|| {
+                let _ = paper_store.get_mut(paper_embedder.context_weight());
+                paper_embedder.infer_rows(&paper_store, black_box(rows))
+            })
+        });
     }
     kernels::set_kernel_mode(kernels::default_kernel_mode());
 }

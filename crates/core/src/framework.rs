@@ -49,10 +49,12 @@ pub struct NvConfig {
     /// `Strict` (the default) keeps the bitwise-parity kernels — what
     /// training and reproduction runs want; `Fast` enables fused-FMA
     /// accumulators, reduction-dimension sharding, the online softmax,
-    /// the polynomial `tanh` and the inference forward's factored
-    /// projection — ε-close to strict with identical decisions, which is
-    /// why `nvc serve` and `nvc hub` default to it. Defaults to the
-    /// `NVC_KERNEL_MODE` environment variable (or `Strict`).
+    /// the polynomial `tanh` and, in the inference forward, the factored
+    /// projection (each table row's share computed once per set of
+    /// weights and kept) and the lane-split score dot — ε-close to
+    /// strict with identical decisions, which is why `nvc serve` and
+    /// `nvc hub` default to it. Defaults to the `NVC_KERNEL_MODE`
+    /// environment variable (or `Strict`).
     pub kernel_mode: nvc_nn::KernelMode,
     /// Seed for parameter init and exploration.
     pub seed: u64,

@@ -24,7 +24,8 @@
 //!   both. Consumers that need no gradients (serving, the supervised
 //!   agents' labelling passes) take the tape-free
 //!   [`CodeEmbedder::infer_rows`] instead: the same kernels without a
-//!   tape, and in fast kernel mode each distinct table row projected once.
+//!   tape, and in fast kernel mode each table row's share of the
+//!   projection computed once per set of weights and kept.
 
 pub mod model;
 pub mod paths;

@@ -2,6 +2,7 @@
 
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::sync::{OnceLock, RwLock, RwLockReadGuard};
 
 use serde::{Deserialize, Serialize};
 
@@ -93,6 +94,9 @@ pub struct CodeEmbedder {
     path_table: ParamId,
     w_context: ParamId,
     attention: ParamId,
+    /// Fast-mode inference's projected table rows (see
+    /// [`CodeEmbedder::infer_rows`]); empty until that path first runs.
+    memo: ProjectionMemo,
 }
 
 impl CodeEmbedder {
@@ -109,6 +113,7 @@ impl CodeEmbedder {
             path_table,
             w_context,
             attention,
+            memo: ProjectionMemo::default(),
         }
     }
 
@@ -360,22 +365,39 @@ impl CodeEmbedder {
     /// weighted sum — the tape's kernels in the tape's order, so every
     /// value is bitwise-equal to [`forward_batch`].
     ///
-    /// **Fast mode** uses that a loop's contexts are pairs of its few
-    /// leaves: the `3N` table rows a batch looks up are far fewer
-    /// distinct `(role, row)`s. Since `ctx·W = e_start·W[..dt] +
-    /// e_path·W[dt..dt+dp] + e_end·W[dt+dp..]`, each distinct start, path
-    /// and end row is projected **once** against its row range of `W`
-    /// (three small products, `W` multiplied where it lies) and context
-    /// `r`'s projection is assembled as `(S[r] + P[r]) + E[r]`, in that
-    /// order. Per element that is three `k`-range partials summed instead
-    /// of one chain — a reassociation of the same kind as the kernels'
-    /// `k`-split, under the same contract: ε-close to strict, special
-    /// values propagated identically, decisions identical. At one kernel
-    /// thread a sample's embedding does not depend on its batch-mates
-    /// (each distinct row's product is a function of that row alone).
+    /// **Fast mode** uses that `ctx·W = e_start·W[..dt] +
+    /// e_path·W[dt..dt+dp] + e_end·W[dt+dp..]` and that at inference each
+    /// term is a constant of the weights: identifiers are alpha-renamed and
+    /// literals bucketed before hashing, so traffic touches a few hundred
+    /// of the tables' rows over and over. The first time a `(role, row)`
+    /// is looked up its product with the role's row range of `W` is
+    /// computed — by [`kernels::row_matmul_accum_fast`], on that row alone
+    /// — and **kept for the life of those weights**; every later context,
+    /// in this call or any other, on this thread or any other, reads it.
+    /// Context `r`'s projection is assembled as `(S[r] + P[r]) + E[r]`, in
+    /// that order. Per element that is three `k`-range partials summed
+    /// instead of one chain — a reassociation of the same kind as the
+    /// kernels' `k`-split, under the same contract: ε-close to strict,
+    /// special values propagated identically, decisions identical. Keeping
+    /// the products changes no bit (a kept row is a pure function of the
+    /// weights, the role and the row), and the attention scores come from
+    /// the lane-split [`kernels::row_dots_accum`]; so at every kernel
+    /// thread count a sample's embedding does not depend on its
+    /// batch-mates or on what was served before it.
     ///
-    /// Intermediates live in per-thread buffers reused from call to call;
-    /// only the result is allocated.
+    /// The kept rows are valid for exactly one [`ParamStore::stamp`]: a
+    /// call that sees another stamp — anything that could have changed a
+    /// weight renews it — drops them all and starts over, and they are
+    /// freed with the embedder. Nothing is evicted and nothing needs to be:
+    /// at most every table row is kept once per role,
+    /// `(2·token_buckets + path_buckets) · code_dim · 4` bytes (10.6 MiB
+    /// at [`EmbedConfig::paper`], 128 KiB at [`EmbedConfig::fast`]; plus 24
+    /// bytes of slot per table row and role), of which real traffic fills
+    /// a few percent. The process-wide total is the always-on
+    /// `embed_memo_bytes` gauge.
+    ///
+    /// The other intermediates live in per-thread buffers reused from call
+    /// to call; in steady state only the result is allocated.
     ///
     /// # Panics
     ///
@@ -432,14 +454,14 @@ impl CodeEmbedder {
         let code = self.cfg.code_dim;
         let n = bounds.last().map_or(0, |&(_, r1)| r1);
         if kernels::kernel_mode() == KernelMode::Fast {
-            self.project_factored(store, samples, n, scratch);
+            self.project_memoized(store, samples, n, scratch);
         } else {
             self.project_stacked(store, samples, n, scratch);
         }
         let proj = &mut scratch.proj[..n * code];
         kernels::tanh_inplace(proj);
         let scores = zeroed(&mut scratch.scores, n);
-        kernels::matmul_accum(proj, store.get(self.attention).data(), n, code, 1, scores);
+        kernels::row_dots_accum(proj, store.get(self.attention).data(), n, code, scores);
         kernels::segment_softmax(bounds, 1, scores);
         kernels::segment_weighted_sum(bounds, scores, proj, code, out);
     }
@@ -460,14 +482,7 @@ impl CodeEmbedder {
         let ctx = resized(&mut scratch.gathered, n * cw);
         {
             let _timer = obs::time_op(obs::Op::Gather);
-            let contexts = samples.iter().flat_map(|s| {
-                s.starts
-                    .iter()
-                    .zip(s.paths.iter())
-                    .zip(s.ends.iter())
-                    .map(|((&a, &p), &b)| (a, p, b))
-            });
-            for (row, (a, p, b)) in ctx.chunks_exact_mut(cw).zip(contexts) {
+            for (row, (a, p, b)) in ctx.chunks_exact_mut(cw).zip(contexts(samples)) {
                 row[..dt].copy_from_slice(tokens.row(a));
                 row[dt..dt + dp].copy_from_slice(paths.row(p));
                 row[dt + dp..].copy_from_slice(tokens.row(b));
@@ -479,10 +494,11 @@ impl CodeEmbedder {
         obs::record_embed_rows(3 * n, 3 * n);
     }
 
-    /// Fast projection: each distinct start, path and end row times its
-    /// row range of `W`, then `scratch.proj[r] = (S + P) + E` per
-    /// context (see [`CodeEmbedder::infer_rows`]).
-    fn project_factored(
+    /// Fast projection: `scratch.proj[r] = (S + P) + E` per context, each
+    /// term the kept product of a table row with its row range of `W`,
+    /// computed here if this is the first time these weights meet that
+    /// row (see [`CodeEmbedder::infer_rows`]).
+    fn project_memoized(
         &self,
         store: &ParamStore,
         samples: &[&PathSample],
@@ -491,90 +507,41 @@ impl CodeEmbedder {
     ) {
         let (dt, dp, code) = (self.cfg.token_dim, self.cfg.path_dim, self.cfg.code_dim);
         let (tokens, paths) = (store.get(self.token_table), store.get(self.path_table));
-        let InferScratch {
-            gathered,
-            parts,
-            proj,
-            pos,
-            distinct,
-            slots,
-            ..
-        } = scratch;
-
-        // Index each role's distinct rows in first-seen order: a slot per
-        // table row instead of a hash per context.
-        pos.clear();
-        distinct.clear();
-        let mut index_role = |table_rows: usize, indices: &mut dyn Iterator<Item = usize>| {
-            if slots.len() < table_rows {
-                slots.resize(table_rows, u32::MAX);
-            }
-            let first = distinct.len();
-            for idx in indices {
-                assert!(idx < table_rows, "gather index out of bounds");
-                if slots[idx] == u32::MAX {
-                    slots[idx] = (distinct.len() - first) as u32;
-                    distinct.push(idx);
-                }
-                pos.push(slots[idx]);
-            }
-            for &idx in &distinct[first..] {
-                slots[idx] = u32::MAX;
-            }
-            distinct.len() - first
-        };
-        let us = index_role(
-            tokens.rows(),
-            &mut samples.iter().flat_map(|s| s.starts.iter().copied()),
-        );
-        let up = index_role(
-            paths.rows(),
-            &mut samples.iter().flat_map(|s| s.paths.iter().copied()),
-        );
-        let ue = index_role(
-            tokens.rows(),
-            &mut samples.iter().flat_map(|s| s.ends.iter().copied()),
-        );
-
-        let rows = resized(gathered, (us + ue) * dt + up * dp);
-        let (s_rows, rest) = rows.split_at_mut(us * dt);
-        let (p_rows, e_rows) = rest.split_at_mut(up * dp);
-        {
-            let _timer = obs::time_op(obs::Op::Gather);
-            let (s_idx, rest) = distinct.split_at(us);
-            let (p_idx, e_idx) = rest.split_at(up);
-            for (dst, table, width, idx) in [
-                (&mut *s_rows, tokens, dt, s_idx),
-                (&mut *p_rows, paths, dp, p_idx),
-                (&mut *e_rows, tokens, dt, e_idx),
-            ] {
-                for (row, &i) in dst.chunks_exact_mut(width).zip(idx) {
-                    row.copy_from_slice(table.row(i));
-                }
-            }
-        }
-
-        let w = store.get(self.w_context).data();
-        let (w_s, rest) = w.split_at(dt * code);
+        let (w_s, rest) = store.get(self.w_context).data().split_at(dt * code);
         let (w_p, w_e) = rest.split_at(dp * code);
-        let parts = zeroed(parts, (us + up + ue) * code);
-        let (s_out, rest) = parts.split_at_mut(us * code);
-        let (p_out, e_out) = rest.split_at_mut(up * code);
-        kernels::matmul_accum(s_rows, w_s, us, dt, code, s_out);
-        kernels::matmul_accum(p_rows, w_p, up, dp, code, p_out);
-        kernels::matmul_accum(e_rows, w_e, ue, dt, code, e_out);
-
-        let proj = resized(proj, n * code);
-        let row_at = |at: u32| at as usize * code..(at as usize + 1) * code;
-        for (r, out_row) in proj.chunks_exact_mut(code).enumerate() {
-            let s = &s_out[row_at(pos[r])];
-            let p = &p_out[row_at(pos[n + r])];
-            let e = &e_out[row_at(pos[2 * n + r])];
-            for (((o, &a), &b), &c) in out_row.iter_mut().zip(s).zip(p).zip(e) {
-                *o = (a + b) + c;
+        let memo = self.memo.for_weights(store.stamp(), &self.cfg);
+        let mut fills = 0usize;
+        let mut fill = |table: &Tensor, idx: usize, w_role: &[f32]| {
+            fills += 1;
+            let mut row = vec![0.0f32; code].into_boxed_slice();
+            kernels::row_matmul_accum_fast(table.row(idx), w_role, table.cols(), code, &mut row);
+            obs::embed_memo_grew(std::mem::size_of_val(&*row));
+            row
+        };
+        let proj = resized(&mut scratch.proj, n * code);
+        let [starts, mids, ends] = &memo.roles;
+        for (out_row, (a, p, b)) in proj.chunks_exact_mut(code).zip(contexts(samples)) {
+            let s = starts[a].get_or_init(|| fill(tokens, a, w_s));
+            let p = mids[p].get_or_init(|| fill(paths, p, w_p));
+            let e = ends[b].get_or_init(|| fill(tokens, b, w_e));
+            for (((o, &x), &y), &z) in out_row.iter_mut().zip(&**s).zip(&**p).zip(&**e) {
+                *o = (x + y) + z;
             }
         }
-        obs::record_embed_rows(3 * n, us + up + ue);
+        obs::record_embed_rows(3 * n, fills);
+    }
+
+    /// The kept projection of table row `row` in `role` (0 start, 1 path,
+    /// 2 end) under `store`'s weights, if fast inference has computed it —
+    /// test access to what [`CodeEmbedder::infer_rows`] assembles contexts
+    /// from.
+    #[doc(hidden)]
+    pub fn memo_row(&self, store: &ParamStore, role: usize, row: usize) -> Option<Vec<f32>> {
+        let state = self.memo.state.read().expect(MEMO_POISONED);
+        if state.stamp != Some(store.stamp()) {
+            return None;
+        }
+        state.roles[role][row].get().map(|kept| kept.to_vec())
     }
 
     /// Convenience: encodes a sample and returns the plain vector (no
@@ -596,9 +563,24 @@ impl CodeEmbedder {
     }
 }
 
+/// Every sample's `(start, path, end)` table-row triples, in batch order.
+fn contexts<'a>(samples: &'a [&PathSample]) -> impl Iterator<Item = (usize, usize, usize)> + 'a {
+    samples.iter().flat_map(|s| {
+        s.starts
+            .iter()
+            .zip(s.paths.iter())
+            .zip(s.ends.iter())
+            .map(|((&a, &p), &b)| (a, p, b))
+    })
+}
+
 /// First-seen-order dedup by content: the distinct samples and, for each
 /// input row, the position of its sample among them.
 fn dedup_samples<'a>(rows: &[&'a PathSample]) -> (Vec<&'a PathSample>, Vec<usize>) {
+    // A lone row — every depth-1 serve flush — is its own dedup.
+    if let [only] = rows {
+        return (vec![only], vec![0]);
+    }
     let _timer = obs::time_op(obs::Op::Dedup);
     let mut unique: Vec<&PathSample> = Vec::new();
     let mut slot: HashMap<&PathSample, usize> = HashMap::new();
@@ -614,30 +596,95 @@ fn dedup_samples<'a>(rows: &[&'a PathSample]) -> (Vec<&'a PathSample>, Vec<usize
     (unique, row_of)
 }
 
+/// One role's kept projections: slot `i` holds table row `i` times the
+/// role's row range of `W`, once some context has looked it up.
+type MemoRows = Box<[OnceLock<Box<[f32]>>]>;
+
+const MEMO_POISONED: &str = "projection memo lock poisoned: a reset panicked";
+
+/// What fast-mode [`CodeEmbedder::infer_rows`] keeps between calls. A kept
+/// row is a pure function of (weights, role, table row), so sharing it —
+/// across calls, batches and threads — changes no bit.
+///
+/// The steady path takes the lock shared (one read guard per call) and
+/// reads filled [`OnceLock`]s; threads racing for an empty slot compute it
+/// once. Only a change of weights takes the lock exclusively.
+#[derive(Default)]
+struct ProjectionMemo {
+    state: RwLock<MemoState>,
+}
+
+#[derive(Default)]
+struct MemoState {
+    /// The [`ParamStore::stamp`] every kept row was computed under;
+    /// `None` (and no slots) until fast inference first runs.
+    stamp: Option<u64>,
+    /// Start, path and end rows, in that order.
+    roles: [MemoRows; 3],
+}
+
+impl ProjectionMemo {
+    /// The rows kept for the weights `stamp` names, shared; whatever was
+    /// kept for other weights is dropped first.
+    fn for_weights(&self, stamp: u64, cfg: &EmbedConfig) -> RwLockReadGuard<'_, MemoState> {
+        loop {
+            let state = self.state.read().expect(MEMO_POISONED);
+            if state.stamp == Some(stamp) {
+                return state;
+            }
+            drop(state);
+            let mut state = self.state.write().expect(MEMO_POISONED);
+            if state.stamp != Some(stamp) {
+                let empty = |rows: usize| (0..rows).map(|_| OnceLock::new()).collect();
+                *state = MemoState {
+                    stamp: Some(stamp),
+                    roles: [cfg.token_buckets, cfg.path_buckets, cfg.token_buckets].map(empty),
+                };
+            }
+        }
+    }
+}
+
+impl Drop for MemoState {
+    fn drop(&mut self) {
+        let kept: usize = self
+            .roles
+            .iter()
+            .flat_map(|slots| slots.iter())
+            .filter_map(OnceLock::get)
+            .map(|row| std::mem::size_of_val(&**row))
+            .sum();
+        obs::embed_memo_shrank(kept);
+    }
+}
+
+/// A copy of an embedder starts with nothing kept: rows are recomputed on
+/// demand to the same bits, and the copy shares no lock with the original.
+impl Clone for ProjectionMemo {
+    fn clone(&self) -> Self {
+        ProjectionMemo::default()
+    }
+}
+
+impl std::fmt::Debug for ProjectionMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ProjectionMemo").finish_non_exhaustive()
+    }
+}
+
 /// Buffers [`CodeEmbedder::infer_rows`] reuses from call to call, one set
 /// per thread (serve workers are long-lived, so a steady-state flush
 /// allocates only its result). Sized by the largest batch the thread has
-/// seen; holds no values between calls that a later call reads.
+/// seen; holds no values between calls that a later call reads — what is
+/// kept across calls lives in the embedder's [`ProjectionMemo`].
 #[derive(Default)]
 struct InferScratch {
-    /// Gathered table rows: the `N × context_width` context matrix
-    /// (strict), or each role's distinct rows back to back (fast).
+    /// Strict: the gathered `N × context_width` context matrix.
     gathered: Vec<f32>,
-    /// Fast: the distinct rows' projections, `S | P | E`.
-    parts: Vec<f32>,
     /// `N × code_dim`: the projection, then its `tanh` in place.
     proj: Vec<f32>,
     /// `N`: attention scores, then weights in place.
     scores: Vec<f32>,
-    /// Fast: each context's position among its role's distinct rows,
-    /// `[starts | paths | ends]`.
-    pos: Vec<u32>,
-    /// Fast: distinct table rows per role, first-seen order,
-    /// `[starts | paths | ends]`.
-    distinct: Vec<usize>,
-    /// Fast: table row → position among the role being indexed;
-    /// `u32::MAX` (absent) everywhere between uses.
-    slots: Vec<u32>,
 }
 
 thread_local! {

@@ -1183,6 +1183,9 @@ void f(int n) {
         let batch = m.get("batch").unwrap();
         assert_eq!(batch.get("queue_depth").unwrap().as_f64(), Some(0.0));
         assert!(batch.get("size_histogram").unwrap().as_array().is_some());
+        // The projected-row memo's size is always reported, per model.
+        let counters = m.get("op_counters").unwrap();
+        assert!(counters.get("embed_memo_bytes").unwrap().as_f64().is_some());
         let text = hub.render_prometheus();
         for name in [
             "hub_lines_answered_on_selector_total 0",
@@ -1190,6 +1193,7 @@ void f(int n) {
             "hub_lines_handed_to_request_worker_total 0",
             "serve_batch_queue_depth{model=\"m\"} 0",
             "serve_batch_size_count{model=\"m\"} 0",
+            "nvc_embed_memo_bytes{model=\"m\",kernel_mode=",
         ] {
             assert!(text.contains(name), "exposition lacks `{name}`:\n{text}");
         }

@@ -8,17 +8,20 @@
 //!   proven by the kernel test tier, described below. Training and
 //!   reproduction runs use it.
 //! * [`KernelMode::Fast`] (the serving default — `nvc serve` / `nvc hub`)
-//!   relaxes exactly five things, each gated by the ε-parity and
+//!   relaxes exactly six things, each gated by the ε-parity and
 //!   decision-equivalence suites in `tests/fast_parity.rs`: fused
 //!   `mul_add` accumulators (hardware FMA when the CPU has AVX2+FMA, see
 //!   [`fast`]), reduction-dimension (`k`-split) sharding for tall-thin
 //!   products ([`k_split_shards`]), a single-pass online-max softmax, a
 //!   polynomial `tanh` within 2 ulp of the correctly rounded value
-//!   ([`tanh_inplace`]), and — one layer up, in the encoder's inference
-//!   forward — a projection factored over the three `k`-ranges of a
-//!   context row so each distinct table row is multiplied once.
-//!   Fast mode never changes which special values (`NaN`/`±∞`) appear —
-//!   only the rounding of finite results.
+//!   ([`tanh_inplace`]), and — for the encoder's inference forward only —
+//!   a projection factored over the three `k`-ranges of a context row and
+//!   an attention-score dot split over 32 accumulator lanes
+//!   ([`row_dots_accum`]). Fast mode never changes which special values
+//!   (`NaN`/`±∞`) appear — only the rounding of finite results. That the
+//!   inference forward *keeps* each table row's factored product for as
+//!   long as the weights stand ([`row_matmul_accum_fast`]) is not a
+//!   seventh: a kept row is bit for bit the row it would compute again.
 //!
 //! Everything below this paragraph describes the **strict** contract.
 //! Every kernel computes each output element's partial products in
@@ -67,8 +70,9 @@ pub enum KernelMode {
     #[default]
     Strict,
     /// Reassociated kernels: FMA accumulators, `k`-split sharding,
-    /// online-max softmax, polynomial `tanh`, factored inference
-    /// projection. ε-close to strict; identical decisions and identical
+    /// online-max softmax, polynomial `tanh`, and in the encoder's
+    /// inference forward a factored projection and a lane-split score
+    /// dot. ε-close to strict; identical decisions and identical
     /// special-value (`NaN`/`±∞`) propagation.
     Fast,
 }
@@ -403,6 +407,61 @@ pub fn matmul_accum(a: &[f32], b: &[f32], m: usize, kd: usize, n: usize, out: &m
         } else {
             mm_rows(a, b, kd, n, r0, r1, rows);
         }
+    });
+}
+
+/// `out += row × b` for one `kd`-wide row against `b: kd×n`, in **fast-mode
+/// arithmetic whatever the process mode** and always on the calling
+/// thread: never row-sharded (there is one row), never `k`-split. The
+/// result is therefore a function of `row` and `b` alone — the same bits
+/// as fast [`matmul_accum`]`(row, b, 1, kd, n, out)` at one kernel thread,
+/// at every thread count — which is what lets the encoder's inference
+/// forward compute a table row's projection once and keep it.
+///
+/// # Panics
+///
+/// Panics when a slice length disagrees with `kd`, `n`.
+pub fn row_matmul_accum_fast(row: &[f32], b: &[f32], kd: usize, n: usize, out: &mut [f32]) {
+    assert_eq!(row.len(), kd, "row_matmul row is not {kd} wide");
+    assert_eq!(b.len(), kd * n, "row_matmul right operand is not {kd}x{n}");
+    assert_eq!(out.len(), n, "row_matmul output is not {n} wide");
+    let _timer = nvc_obs::time_op(nvc_obs::Op::MatMul);
+    fast::mm_rows_fast(row, b, kd, n, 0, kd, 0, 1, out);
+}
+
+/// `out[r] += a[r] · v` for every row of `a: m×kd` — the attention-score
+/// product of the encoder's inference forward, its only caller.
+///
+/// Strict is [`matmul_accum`] with `n = 1`: one ascending-`k` chain per
+/// row, starting from `out[r]`. Fast is a lane-split dot
+/// (`fast::lane_dot_g`): element `k` folds into accumulator lane
+/// `k mod 32` (four 8-wide registers, ascending `k` within a lane, every
+/// lane from zero), the 32 lanes meet in one fixed reduction tree, and the
+/// total is added to `out[r]`. The tree is the same for every row, so a
+/// row's score does not depend on its batch-mates, on where a row shard
+/// was cut or on the thread count, and this product never `k`-splits. A
+/// single chain is latency-bound (one madd per ~4 cycles); 32 independent
+/// lanes are not.
+///
+/// This is a separate entry point rather than `matmul_accum`'s `n == 1`
+/// case because the tape keeps **one** matmul family: fast `tn`/`nt` are
+/// pinned bitwise to transpose-then-`matmul`, which a reassociated
+/// single-column product would break.
+///
+/// # Panics
+///
+/// Panics when a slice length disagrees with `m`, `kd`.
+pub fn row_dots_accum(a: &[f32], v: &[f32], m: usize, kd: usize, out: &mut [f32]) {
+    if kernel_mode() != KernelMode::Fast {
+        return matmul_accum(a, v, m, kd, 1, out);
+    }
+    assert_eq!(a.len(), m * kd, "row_dots left operand is not {m}x{kd}");
+    assert_eq!(v.len(), kd, "row_dots vector is not {kd} long");
+    assert_eq!(out.len(), m, "row_dots output is not {m} long");
+    let _timer = nvc_obs::time_op(nvc_obs::Op::MatMul);
+    let threads = effective_threads(m, m.saturating_mul(kd));
+    run_row_sharded(threads, m, 1, out, &|r0, r1, rows| {
+        fast::row_dots_fast(a, v, kd, r0, r1, rows);
     });
 }
 

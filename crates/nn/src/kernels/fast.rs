@@ -286,6 +286,55 @@ fn weighted_sum_g<M: Madd>(
     }
 }
 
+/// `out[r - r0] += a[r] · v` for rows `r0..r1` of `a` (`kd` wide), each
+/// dot by [`lane_dot_g`].
+#[inline(always)]
+fn row_dots_g<M: Madd>(a: &[f32], v: &[f32], kd: usize, r0: usize, r1: usize, out: &mut [f32]) {
+    for (o, r) in out.iter_mut().zip(r0..r1) {
+        *o += lane_dot_g::<M>(&a[r * kd..(r + 1) * kd], v);
+    }
+}
+
+/// Lane-split dot product — see [`super::row_dots_accum`] for the
+/// contract. Element `k` folds into lane `k mod 32` of four 8-wide
+/// accumulators (all starting at `+0`, ascending `k` within a lane); the
+/// accumulators are added pairwise, `(A₀ + A₁) + (A₂ + A₃)`, and the eight
+/// sums by one fixed tree. Which lane an element lands in and how lanes
+/// combine depend on `k` alone, never on the slice's address or length
+/// class, so the result is a function of the two operands.
+///
+/// Special values meet exactly as in a single chain, only later: a `NaN`
+/// product poisons its lane and every sum above it; `+∞` and `−∞` in
+/// different lanes meet in the tree and give `NaN`. Lanes start at `+0`, so
+/// a dot whose products are all `−0` totals `+0`.
+#[inline(always)]
+fn lane_dot_g<M: Madd>(x: &[f32], v: &[f32]) -> f32 {
+    let mut acc = [[0.0f32; 8]; 4];
+    let mut xc = x.chunks_exact(32);
+    let mut vc = v.chunks_exact(32);
+    for (xb, vb) in (&mut xc).zip(&mut vc) {
+        for q in 0..4 {
+            for l in 0..8 {
+                acc[q][l] = M::madd(xb[q * 8 + l], vb[q * 8 + l], acc[q][l]);
+            }
+        }
+    }
+    // The last `kd mod 32` elements: whole 8-blocks, then a short one,
+    // into the lanes their index names.
+    let mut rest = xc.remainder().chunks(8).zip(vc.remainder().chunks(8));
+    for lanes in acc.iter_mut() {
+        let Some((xb, vb)) = rest.next() else { break };
+        for ((&xv, &vv), s) in xb.iter().zip(vb).zip(lanes.iter_mut()) {
+            *s = M::madd(xv, vv, *s);
+        }
+    }
+    let mut s = [0.0f32; 8];
+    for l in 0..8 {
+        s[l] = (acc[0][l] + acc[1][l]) + (acc[2][l] + acc[3][l]);
+    }
+    ((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5]) + (s[3] + s[7]))
+}
+
 /// Polynomial `tanh` of every element, in place — see
 /// [`super::tanh_inplace`] for the contract. Straight-line code (both
 /// branches are computed and one selected), so the loop vectorizes.
@@ -384,6 +433,10 @@ fma_wrapper!(weighted_sum_fma, weighted_sum_g, (
     alpha: &[f32], x: &[f32], d: usize, r0: usize, r1: usize, out_row: &mut [f32]
 ));
 
+fma_wrapper!(row_dots_fma, row_dots_g, (
+    a: &[f32], v: &[f32], kd: usize, r0: usize, r1: usize, out: &mut [f32]
+));
+
 fma_wrapper!(tanh_fma, tanh_g, (xs: &mut [f32]));
 
 /// Fast elementwise `tanh` in place.
@@ -455,6 +508,24 @@ pub(crate) fn nt_rows_fast(
         return;
     }
     nt_rows_g::<Unfused>(a, b, kd, n, i0, i1, out_rows)
+}
+
+/// Fast `out[r - r0] += a[r] · v` for `r` in `r0..r1`.
+pub(crate) fn row_dots_fast(
+    a: &[f32],
+    v: &[f32],
+    kd: usize,
+    r0: usize,
+    r1: usize,
+    out: &mut [f32],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if fused_available() {
+        // SAFETY: `fused_available` verified avx2+fma on this CPU.
+        unsafe { row_dots_fma(a, v, kd, r0, r1, out) };
+        return;
+    }
+    row_dots_g::<Unfused>(a, v, kd, r0, r1, out)
 }
 
 /// Fast `out_row += Σ_r alpha[r] · x[r, :]` for `r` in `r0..r1`.

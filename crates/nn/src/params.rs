@@ -1,9 +1,19 @@
 //! Named parameter store with gradient accumulation and Adam.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::tensor::Tensor;
+
+/// A stamp no [`ParamStore`] in this process has carried before. Relaxed:
+/// the counter publishes nothing, the read-modify-write alone makes every
+/// value distinct.
+fn fresh_stamp() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Handle to a parameter tensor in a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -16,6 +26,10 @@ pub struct ParamStore {
     params: Vec<Tensor>,
     grads: Vec<Tensor>,
     rng: ChaCha8Rng,
+    /// See [`ParamStore::stamp`]. Renewed wherever parameter values can
+    /// change: [`ParamStore::param`], [`ParamStore::get_mut`] and
+    /// [`Adam::step`] — the only code that holds `params` mutably.
+    stamp: u64,
 }
 
 impl ParamStore {
@@ -26,11 +40,24 @@ impl ParamStore {
             params: Vec::new(),
             grads: Vec::new(),
             rng: ChaCha8Rng::seed_from_u64(seed),
+            stamp: fresh_stamp(),
         }
+    }
+
+    /// Identifies this store's current parameter values within the
+    /// process: two stores with equal stamps hold equal values (one is an
+    /// unmodified `clone()` of the other), and every call that can change
+    /// a value — registering a parameter, [`ParamStore::get_mut`] (hence
+    /// [`serialize::load_into`](crate::serialize::load_into)),
+    /// [`Adam::step`] — takes a stamp never handed out before. Whatever
+    /// is derived from the values alone can be cached under it.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// Registers a parameter with an explicit initial value.
     pub fn param(&mut self, name: impl Into<String>, init: Tensor) -> ParamId {
+        self.stamp = fresh_stamp();
         self.names.push(name.into());
         self.grads.push(Tensor::zeros(init.rows(), init.cols()));
         self.params.push(init);
@@ -67,6 +94,7 @@ impl ParamStore {
 
     /// Mutable parameter value (tests and serialization).
     pub fn get_mut(&mut self, p: ParamId) -> &mut Tensor {
+        self.stamp = fresh_stamp();
         &mut self.params[p.0]
     }
 
@@ -183,6 +211,7 @@ impl Adam {
 
     /// Applies one update step from the store's accumulated gradients.
     pub fn step(&mut self, store: &mut ParamStore) {
+        store.stamp = fresh_stamp();
         // Lazily grow moment buffers as parameters are registered.
         while self.m.len() < store.params.len() {
             let i = self.m.len();
@@ -223,6 +252,46 @@ mod tests {
         assert_eq!(s.get(a).data()[0], 5.0);
         assert_eq!(s.get(b).shape(), (4, 4));
         assert_eq!(s.num_scalars(), 17);
+    }
+
+    /// The stamp moves at every site that can change a value, follows a
+    /// `clone()` until either side mutates, and is never reused.
+    #[test]
+    fn stamp_is_renewed_by_every_mutation_and_never_repeats() {
+        let mut seen = std::collections::HashSet::new();
+        let mut s = ParamStore::new(1);
+        assert!(seen.insert(s.stamp()));
+        let p = s.param("p", Tensor::zeros(2, 2));
+        assert!(seen.insert(s.stamp()), "param kept the stamp");
+        s.get_mut(p).data_mut()[0] = 1.0;
+        assert!(seen.insert(s.stamp()), "get_mut kept the stamp");
+        Adam::new(0.1).step(&mut s);
+        assert!(seen.insert(s.stamp()), "Adam::step kept the stamp");
+        let blob = crate::serialize::to_string(&s);
+        crate::serialize::load_into(&mut s, &blob).expect("own checkpoint loads");
+        assert!(seen.insert(s.stamp()), "load_into kept the stamp");
+
+        // Reads and gradient bookkeeping change no value and no stamp.
+        let before = s.stamp();
+        let _ = (s.get(p), s.grad(p), s.num_scalars());
+        s.grad_tensor_mut(p).data_mut()[0] = 3.0;
+        s.clip_grad_norm(1.0);
+        s.zero_grads();
+        assert_eq!(s.stamp(), before);
+
+        // A clone is the same values until either side mutates.
+        let mut twin = s.clone();
+        assert_eq!(twin.stamp(), s.stamp());
+        let _ = twin.get_mut(p);
+        assert_ne!(twin.stamp(), s.stamp());
+        assert!(seen.insert(twin.stamp()));
+        let _ = s.get_mut(p);
+        assert!(seen.insert(s.stamp()), "the original reused a stamp");
+
+        // Other stores, same seed or not, never share one.
+        for seed in [1, 1, 2] {
+            assert!(seen.insert(ParamStore::new(seed).stamp()));
+        }
     }
 
     #[test]

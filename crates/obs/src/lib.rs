@@ -40,8 +40,9 @@ pub use metrics::{
     Counter, Gauge, HistogramSnapshot, LatencyHistogram, MetricsRegistry, RegistrySnapshot,
 };
 pub use ops::{
-    embed_rows_snapshot, ops_enabled, ops_snapshot, record_embed_rows, reset_ops, set_ops_enabled,
-    time_op, EmbedRows, Op, OpStat, OpTimer,
+    embed_memo_bytes, embed_memo_grew, embed_memo_shrank, embed_rows_snapshot, ops_enabled,
+    ops_snapshot, record_embed_rows, reset_ops, set_ops_enabled, time_op, EmbedRows, Op, OpStat,
+    OpTimer,
 };
 pub use trace::{
     current_trace, disable_tracing, enable_tracing, export_records, flush_trace, init_from_env,

@@ -20,8 +20,10 @@
 //! ([`record_embed_rows`]): table rows looked up and table rows actually
 //! multiplied through the projection. Their ratio is the dedup factor of
 //! the encoder's forward (tape-free or on the tape) — useful work over
-//! attempts for that layer — read from the running process instead of
-//! inferred from shapes.
+//! attempts for that layer, and for the fast tape-free forward the miss
+//! ratio of its projected-row memo — read from the running process
+//! instead of inferred from shapes. That memo's size is the one
+//! instrument here that is **always on**: the [`embed_memo_bytes`] gauge.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::time::Instant;
@@ -122,6 +124,7 @@ static TOTAL_NS: [AtomicU64; OP_COUNT] = [const { AtomicU64::new(0) }; OP_COUNT]
 
 static EMBED_CONTEXT_ROWS: AtomicU64 = AtomicU64::new(0);
 static EMBED_PROJECTED_ROWS: AtomicU64 = AtomicU64::new(0);
+static EMBED_MEMO_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// True while op timers record. After the first call this is one
 /// relaxed load.
@@ -201,10 +204,13 @@ pub struct EmbedRows {
     /// Embedding-table rows looked up (three per path context).
     pub context_rows: u64,
     /// Table rows multiplied through the projection: equal to
-    /// `context_rows` where every context row is projected, smaller where
-    /// each distinct table row (the fast tape-free forward) or each
-    /// distinct context row (the tape forward: three table rows apiece)
-    /// is projected once.
+    /// `context_rows` where every context row is projected (the strict
+    /// tape-free forward), smaller where each distinct context row is
+    /// projected once (the tape forward: three table rows apiece). The
+    /// fast tape-free forward multiplies a `(role, row)` once per set of
+    /// weights and keeps the product, so there this counts **memo
+    /// fills**: the first requests after a load move it, steady traffic
+    /// does not.
     pub projected_rows: u64,
 }
 
@@ -236,8 +242,27 @@ pub fn embed_rows_snapshot() -> EmbedRows {
     }
 }
 
+/// Bytes of projected embedding-table rows the fast tape-free forward
+/// currently keeps, over every live encoder in the process. Always on —
+/// a gauge of memory held, not a profile — and bounded per encoder by
+/// `(2·token_buckets + path_buckets) · code_dim · 4`.
+pub fn embed_memo_bytes() -> u64 {
+    EMBED_MEMO_BYTES.load(Ordering::Relaxed)
+}
+
+/// A memo row of `bytes` was filled.
+pub fn embed_memo_grew(bytes: usize) {
+    EMBED_MEMO_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
+
+/// Memo rows totalling `bytes` were freed (weights changed, or their
+/// encoder dropped).
+pub fn embed_memo_shrank(bytes: usize) {
+    EMBED_MEMO_BYTES.fetch_sub(bytes as u64, Ordering::Relaxed);
+}
+
 /// Zeroes every op aggregate and the encoder's work counters (bench
-/// harness A/B legs).
+/// harness A/B legs). The memo gauge measures live memory and stays.
 pub fn reset_ops() {
     for i in 0..OP_COUNT {
         CALLS[i].store(0, Ordering::Relaxed);

@@ -847,46 +847,53 @@ impl Drop for ServeHandle {
 
 /// Prometheus exposition of the kernel op timers, then the encoder's
 /// work counters (`nvc_embed_context_rows_total` /
-/// `nvc_embed_projected_rows_total`, once either has moved). Mirrors
-/// [`ops_json`]'s filter (only ops that ran; empty when `NVC_OPS` is
-/// off) and splices `labels` in front of the per-sample label set the
-/// same way the metrics registry does.
+/// `nvc_embed_projected_rows_total`, once either has moved), then the
+/// `nvc_embed_memo_bytes` gauge. Timers and counters mirror
+/// [`ops_json`]'s filter (only ops that ran; none while `NVC_OPS` is
+/// off); the gauge is always there. `labels` is spliced in front of the
+/// per-sample label set the same way the metrics registry does.
 fn render_ops_prometheus(labels: &str) -> String {
     use std::fmt::Write as _;
     let snap: Vec<_> = nvc_obs::ops_snapshot()
         .into_iter()
         .filter(|s| s.calls > 0)
         .collect();
-    if snap.is_empty() {
-        return String::new();
-    }
     let sep = if labels.is_empty() { "" } else { "," };
     let mode = format!("kernel_mode=\"{}\"", nvc_nn::kernels::kernel_mode().name());
     let set = |op: &str| format!("{labels}{sep}op=\"{op}\",{mode}");
-    let mut out = String::from("# TYPE nvc_kernel_op_calls_total counter\n");
-    for s in &snap {
-        let _ = writeln!(
-            out,
-            "nvc_kernel_op_calls_total{{{}}} {}",
-            set(s.op.name()),
-            s.calls
-        );
-    }
-    out.push_str("# TYPE nvc_kernel_op_time_us_total counter\n");
-    for s in &snap {
-        let _ = writeln!(
-            out,
-            "nvc_kernel_op_time_us_total{{{}}} {}",
-            set(s.op.name()),
-            s.total_ns as f64 / 1_000.0
-        );
-    }
-    for (name, value) in nvc_obs::embed_rows_snapshot().named() {
-        if value > 0 {
-            let _ = writeln!(out, "# TYPE nvc_{name} counter");
-            let _ = writeln!(out, "nvc_{name}{{{labels}{sep}{mode}}} {value}");
+    let mut out = String::new();
+    if !snap.is_empty() {
+        out.push_str("# TYPE nvc_kernel_op_calls_total counter\n");
+        for s in &snap {
+            let _ = writeln!(
+                out,
+                "nvc_kernel_op_calls_total{{{}}} {}",
+                set(s.op.name()),
+                s.calls
+            );
+        }
+        out.push_str("# TYPE nvc_kernel_op_time_us_total counter\n");
+        for s in &snap {
+            let _ = writeln!(
+                out,
+                "nvc_kernel_op_time_us_total{{{}}} {}",
+                set(s.op.name()),
+                s.total_ns as f64 / 1_000.0
+            );
+        }
+        for (name, value) in nvc_obs::embed_rows_snapshot().named() {
+            if value > 0 {
+                let _ = writeln!(out, "# TYPE nvc_{name} counter");
+                let _ = writeln!(out, "nvc_{name}{{{labels}{sep}{mode}}} {value}");
+            }
         }
     }
+    out.push_str("# TYPE nvc_embed_memo_bytes gauge\n");
+    let _ = writeln!(
+        out,
+        "nvc_embed_memo_bytes{{{labels}{sep}{mode}}} {}",
+        nvc_obs::embed_memo_bytes()
+    );
     out
 }
 
@@ -919,15 +926,19 @@ fn ops_json() -> Json {
         .collect())
 }
 
-/// The encoder's work counters beside the op timers: table rows looked
-/// up and table rows multiplied, whose ratio is the inference forward's
-/// dedup factor (both zero while `NVC_OPS` is off).
+/// The encoder's instruments beside the op timers: table rows looked up
+/// and table rows multiplied (both zero while `NVC_OPS` is off) — for
+/// fast-mode inference the second counts fills of the projected-row
+/// memo, so multiplied over looked-up is its miss ratio — and the bytes
+/// that memo keeps, process-wide and always on.
 fn op_counters_json() -> Json {
-    obj(nvc_obs::embed_rows_snapshot()
+    let mut members: Vec<_> = nvc_obs::embed_rows_snapshot()
         .named()
         .into_iter()
         .map(|(name, value)| (name, Json::from(value)))
-        .collect())
+        .collect();
+    members.push(("embed_memo_bytes", Json::from(nvc_obs::embed_memo_bytes())));
+    obj(members)
 }
 
 /// The daemon loop: one JSON request per input line, one JSON response
@@ -1291,6 +1302,7 @@ void f(int n) {
             vec!["ops"],
             vec!["op_counters", "embed_context_rows_total"],
             vec!["op_counters", "embed_projected_rows_total"],
+            vec!["op_counters", "embed_memo_bytes"],
         ] {
             let mut v = &s;
             for k in path.iter() {
@@ -1426,7 +1438,12 @@ void f(int n) {
         let text = h.render_prometheus("");
         assert!(text.contains("serve_requests_total 1"));
         assert!(text.contains("serve_request_latency_us_count 1"));
+        // The memo gauge needs no `NVC_OPS`.
+        assert!(
+            text.contains("# TYPE nvc_embed_memo_bytes gauge\nnvc_embed_memo_bytes{kernel_mode=")
+        );
         let labeled = h.render_prometheus("model=\"m\"");
         assert!(labeled.contains("serve_requests_total{model=\"m\"} 1"));
+        assert!(labeled.contains("nvc_embed_memo_bytes{model=\"m\",kernel_mode="));
     }
 }

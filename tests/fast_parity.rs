@@ -1,9 +1,9 @@
 //! Fast-kernel ε-parity tier: the `KernelMode::Fast` kernels (fused-FMA
 //! accumulators, reduction-dimension `k`-split sharding, single-pass
-//! online softmax, polynomial `tanh`, and the inference forward's
-//! factored projection) reassociate or re-round floating-point results,
-//! so they are *not* held to the strict tier's bitwise bar. Their
-//! contract, gated here, is:
+//! online softmax, polynomial `tanh`, the inference forward's factored
+//! projection, and its lane-split attention-score dot) reassociate or
+//! re-round floating-point results, so they are *not* held to the strict
+//! tier's bitwise bar. Their contract, gated here, is:
 //!
 //! * **ε-parity** — every finite output is within a relative bound of the
 //!   strict kernel's answer, over random shapes *and* hostile payloads,
@@ -16,18 +16,26 @@
 //! * **`tanh`** — the polynomial body is within 2 ulp of the correctly
 //!   rounded value, exactly odd, bounded by 1, exact on the special
 //!   values, and blind to where in a slice an element sits;
+//! * **the score dot** — the lane-split row dots are ε-close to the
+//!   strict chain, a function of the row alone (same bits alone or in a
+//!   batch, at every thread count, run after run), and meet `NaN`/`±∞`
+//!   as the chain does;
 //! * **decision equivalence** — serving the full fixed corpus (the
 //!   12-loop LLVM suite plus polybench- and mibench-lite) in fast mode
 //!   yields exactly the strict decisions, and so do thousands of
 //!   synthesized loop shapes at batch 1 and batch 8 under both the fast
-//!   and the paper-size configuration.
+//!   and the paper-size configuration, and every source of the
+//!   repository benchmark against its three committed strict tables —
+//!   whether the projections the inference forward keeps between calls
+//!   are cold or warm (keeping them is *not* a departure: a kept row is
+//!   the bits the call would have computed).
 //!
 //! The kernel mode is a process-global knob and fast mode is *not*
 //! result-neutral, so every test here serializes on one mutex.
 
 use neurovectorizer::{NeuroVectorizer, NvConfig, VectorizeEnv};
 use nvc_datasets::{mibench, polybench, suite};
-use nvc_embed::{EmbedConfig, PathSample};
+use nvc_embed::{extract_loop_samples, EmbedConfig, PathSample};
 use nvc_nn::{kernels, Graph, KernelMode, ParamStore, Segments, Tensor};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -566,6 +574,177 @@ fn fast_tanh_does_not_depend_on_slice_position() {
     restore_defaults();
 }
 
+// ---- the lane-split score dot and the kept-row product ------------------
+
+/// `start + a·v` row by row through the deployed score-dot entry point.
+fn row_dots(mode: KernelMode, threads: usize, a: &Tensor, v: &Tensor, start: &Tensor) -> Vec<f32> {
+    kernels::set_kernel_mode(mode);
+    kernels::set_matmul_threads(threads);
+    let mut out = start.data().to_vec();
+    kernels::row_dots_accum(a.data(), v.data(), a.rows(), a.cols(), &mut out);
+    out
+}
+
+fn to_bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Fast mode's sixth departure against the chain it replaces: reductions
+/// from empty through every block boundary of the 4 × 8 lanes to the
+/// encoder's 340 and one past it, row counts from none to a flush of
+/// eight full loops, ordinary and hostile payloads, a non-zero starting
+/// `out`. ε-close with identical special values; the same bits run after
+/// run, at every thread count with sharding forced, and for a row taken
+/// out of its matrix.
+#[test]
+fn lane_split_row_dots_are_eps_close_to_the_strict_chain_and_a_function_of_the_row() {
+    let _guard = lock_mode();
+    kernels::set_matmul_grain(1);
+    for kd in [0usize, 1, 7, 8, 31, 32, 33, 64, 340, 341] {
+        for m in [0usize, 1, 100, 800] {
+            let seed = (kd * 1000 + m) as u64;
+            for (kind, make) in [
+                ("finite", finite_tensor as fn(usize, usize, u64) -> Tensor),
+                ("wild", wild_tensor),
+            ] {
+                let ctx = format!("{kind} m={m} kd={kd}");
+                let (a, v) = (make(m, kd, seed ^ 0x1D), make(kd, 1, seed ^ 0x2D));
+                let start = make(m, 1, seed ^ 0x3D);
+                let strict = row_dots(KernelMode::Strict, 1, &a, &v, &start);
+                let serial = row_dots(KernelMode::Fast, 1, &a, &v, &start);
+                let scale = abs_matmul(&a, &v);
+                assert_eps_parity(
+                    &serial,
+                    &strict,
+                    |i| start.data()[i].abs() + scale.data()[i],
+                    &ctx,
+                );
+                for threads in THREAD_MATRIX {
+                    assert_eq!(
+                        to_bits(&row_dots(KernelMode::Fast, threads, &a, &v, &start)),
+                        to_bits(&serial),
+                        "bits moved at {threads} threads [{ctx}]"
+                    );
+                }
+                for r in [0, m / 2, m.saturating_sub(1)]
+                    .into_iter()
+                    .filter(|&r| r < m)
+                {
+                    let row = Tensor::from_vec(1, kd, a.row(r).to_vec());
+                    let from = Tensor::scalar(start.data()[r]);
+                    assert_eq!(
+                        to_bits(&row_dots(KernelMode::Fast, 1, &row, &v, &from)),
+                        to_bits(&serial[r..r + 1]),
+                        "row {r} alone differs from row {r} in its batch [{ctx}]"
+                    );
+                }
+            }
+        }
+    }
+    restore_defaults();
+}
+
+/// Special values reach the score as they would through one chain: a
+/// `NaN` in any lane, block or tail poisons it; opposite infinities give
+/// `NaN` whether they share a lane or first meet in the reduction tree; a
+/// lone infinity survives with its sign; and lanes start at `+0`, so a row
+/// of `−0`s adds `+0` — `+0` stays `+0`, anything else stays itself.
+#[test]
+fn lane_split_row_dots_meet_special_values_like_the_chain() {
+    let _guard = lock_mode();
+    let kd = 340;
+    let v = Tensor::from_vec(
+        kd,
+        1,
+        (0..kd).map(|k| 0.5 + (k % 7) as f32 * 0.25).collect(),
+    );
+    let base: Vec<f32> = (0..kd).map(|k| ((k as f32) * 0.37).sin()).collect();
+    let dot = |mode: KernelMode, row: &[f32], start: f32| {
+        let a = Tensor::from_vec(1, kd, row.to_vec());
+        row_dots(mode, 1, &a, &v, &Tensor::scalar(start))[0]
+    };
+    let planted = |at: &[(usize, f32)]| {
+        let mut row = base.clone();
+        for &(k, x) in at {
+            row[k] = x;
+        }
+        row
+    };
+    let (inf, ninf) = (f32::INFINITY, f32::NEG_INFINITY);
+    for k in [0usize, 7, 8, 31, 32, 319, 320, 335, 336, 339] {
+        for nan in [f32::NAN, f32::from_bits(0x7F80_0001)] {
+            assert!(
+                dot(KernelMode::Fast, &planted(&[(k, nan)]), 1.0).is_nan(),
+                "NaN at {k}"
+            );
+        }
+        for x in [inf, ninf] {
+            let row = planted(&[(k, x)]);
+            assert_eq!(dot(KernelMode::Fast, &row, 1.0), x, "lone infinity at {k}");
+            assert_eq!(dot(KernelMode::Strict, &row, 1.0), x);
+        }
+    }
+    for (p, n) in [
+        (3usize, 12usize),
+        (3, 35),
+        (3, 338),
+        (336, 339),
+        (40, 8),
+        (100, 4),
+    ] {
+        let row = planted(&[(p, inf), (n, ninf)]);
+        assert!(dot(KernelMode::Strict, &row, 0.0).is_nan());
+        assert!(
+            dot(KernelMode::Fast, &row, 0.0).is_nan(),
+            "+inf at {p}, -inf at {n}"
+        );
+    }
+    let zeros = vec![-0.0f32; kd];
+    for start in [0.0f32, 1.5, -2.25e-30, inf] {
+        for mode in [KernelMode::Strict, KernelMode::Fast] {
+            let got = dot(mode, &zeros, start);
+            assert_eq!(got.to_bits(), start.to_bits(), "{mode} from {start}");
+        }
+    }
+    restore_defaults();
+}
+
+/// What the inference forward keeps per table row: `row_matmul_accum_fast`
+/// is fast `matmul_accum` of that one row at one kernel thread, bit for
+/// bit, **whatever** the process mode and thread count when it runs — it
+/// never `k`-splits, so a kept row cannot depend on when it was filled.
+#[test]
+fn row_matmul_fast_is_the_serial_one_row_fast_product_whenever_it_runs() {
+    let _guard = lock_mode();
+    kernels::set_matmul_grain(1);
+    for (kd, n) in [(16usize, 32usize), (128, 340), (0, 5), (7, 1), (65, 33)] {
+        let seed = (kd * 1000 + n) as u64;
+        let (row, b) = (
+            wild_tensor(1, kd, seed ^ 0x4D),
+            wild_tensor(kd, n, seed ^ 0x5D),
+        );
+        let start = wild_tensor(1, n, seed ^ 0x6D);
+        kernels::set_kernel_mode(KernelMode::Fast);
+        kernels::set_matmul_threads(1);
+        let mut want = start.data().to_vec();
+        kernels::matmul_accum(row.data(), b.data(), 1, kd, n, &mut want);
+        for mode in [KernelMode::Strict, KernelMode::Fast] {
+            for threads in THREAD_MATRIX {
+                kernels::set_kernel_mode(mode);
+                kernels::set_matmul_threads(threads);
+                let mut got = start.data().to_vec();
+                kernels::row_matmul_accum_fast(row.data(), b.data(), kd, n, &mut got);
+                assert_eq!(
+                    to_bits(&got),
+                    to_bits(&want),
+                    "kd={kd} n={n} filled in {mode} mode at {threads} threads"
+                );
+            }
+        }
+    }
+    restore_defaults();
+}
+
 // ---- decision equivalence at bench scale --------------------------------
 
 /// A random loop-body expression: depth ≤ 4 over array reads, a scalar and
@@ -610,30 +789,38 @@ fn synth_samples(seed: u64, count: usize, cfg: &EmbedConfig) -> Vec<PathSample> 
 
 /// Fast decisions at batch 1 and batch 8 against strict, on a freshly
 /// seeded model (untrained logits sit closest together, so a re-rounding
-/// flip is likeliest here); and, at one kernel thread, fast embeddings of
-/// a sample alone against the same sample among seven batch-mates — the
-/// factored sums differ with batch composition only through *which* rows
-/// are distinct, never in value.
+/// flip is likeliest here) — batch 1 from a cold memo that warms as it
+/// goes, batch 8 on the warm one, then batch 8 again from cold (reloading
+/// the model's own checkpoint renews the store's stamp); and fast
+/// embeddings of a sample alone against the same sample among seven
+/// batch-mates: kept or computed, a projection is a function of its table
+/// row, never of the batch.
 fn assert_synth_decisions_match(cfg: NvConfig, seed: u64, count: usize) {
     let samples = synth_samples(seed, count, &cfg.embed);
     let refs: Vec<&PathSample> = samples.iter().collect();
-    let nv = NeuroVectorizer::new(cfg.with_matmul_threads(1));
-    let batched = |chunk: usize| -> Vec<(usize, usize)> {
+    let mut nv = NeuroVectorizer::new(cfg.with_matmul_threads(1));
+    let batched = |nv: &NeuroVectorizer, chunk: usize| -> Vec<(usize, usize)> {
         refs.chunks(chunk)
             .flat_map(|c| nv.trainer().predict_batch(c))
             .collect()
     };
     kernels::set_kernel_mode(KernelMode::Strict);
-    let strict = batched(8);
+    let strict = batched(&nv, 8);
     kernels::set_kernel_mode(KernelMode::Fast);
-    assert_eq!(batched(1), strict, "fast batch-1 decisions diverged");
-    assert_eq!(batched(8), strict, "fast batch-8 decisions diverged");
+    assert_eq!(batched(&nv, 1), strict, "fast batch-1 decisions diverged");
+    assert_eq!(batched(&nv, 8), strict, "fast batch-8 decisions diverged");
+    let own = nv.checkpoint();
+    nv.restore(&own).expect("own checkpoint");
+    assert_eq!(
+        batched(&nv, 8),
+        strict,
+        "fast batch-8 decisions diverged from a cold memo"
+    );
     for chunk in refs.chunks(8).take(16) {
         for (together, alone) in nv.encode_batch(chunk).iter().zip(chunk) {
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
             assert_eq!(
-                bits(together),
-                bits(&nv.encode(alone)),
+                to_bits(together),
+                to_bits(&nv.encode(alone)),
                 "a sample's fast embedding depends on its batch-mates"
             );
         }
@@ -655,5 +842,102 @@ fn fast_decisions_match_strict_on_synthesized_loops() {
 fn fast_decisions_match_strict_on_synthesized_loops_at_paper_size() {
     let _guard = lock_mode();
     assert_synth_decisions_match(NvConfig::paper().with_seed(3), 13, 2_000);
+    restore_defaults();
+}
+
+// ---- the repository benchmark's committed strict tables -----------------
+
+/// `bench/fixtures/<name>`, read-only: the benchmark owns these files.
+fn bench_fixture(name: &str) -> String {
+    let path = format!("{}/bench/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// The benchmark's source catalog in table order: the generator pool,
+/// then every synthesized loop body in the translation unit the harness
+/// wraps it in (`bench/src/synth.rs::shape_source`).
+fn bench_catalog() -> Vec<String> {
+    let strings = |name: &str| -> Vec<String> {
+        bench_fixture(name)
+            .lines()
+            .map(|l| match nvc_serve::Json::parse(l) {
+                Ok(nvc_serve::Json::Str(s)) => s,
+                _ => panic!("{name}: every line is one JSON string"),
+            })
+            .collect()
+    };
+    let mut sources = strings("pool.jsonl");
+    sources.extend(strings("shapes.jsonl").iter().map(|body| {
+        format!(
+            "int a[4096]; int b[8192]; int c[4096]; int d[4100];\n\
+             void kernel(int n, int s) {{\n    \
+             for (int i = 0; i < n; i++) {{ a[i] = {body}; }}\n}}\n"
+        )
+    }));
+    sources
+}
+
+/// Fast mode decides every loop of the benchmark's catalog exactly as
+/// `expected_<table>.tsv` — computed in strict mode, committed with the
+/// benchmark — says: one loop at a time from a cold memo that warms as
+/// the catalog goes by, then eight at a time on the warm one.
+fn assert_fast_decides_like_the_committed_table(table: &str, nv: &NeuroVectorizer) {
+    let text = bench_fixture(&format!("expected_{table}.tsv"));
+    let mut lines = text.lines();
+    let stamp = format!("# checkpoint_hash {:016x}", nv.checkpoint_hash());
+    assert_eq!(
+        lines.next(),
+        Some(stamp.as_str()),
+        "{table}: not this model's table"
+    );
+    let want: Vec<(u32, u32)> = lines
+        .flat_map(|row| row.split('\t').filter(|cell| !cell.is_empty()))
+        .map(|cell| {
+            let (vf, if_) = cell.split_once(':').expect("vf:if cell");
+            (vf.parse().expect("vf"), if_.parse().expect("if"))
+        })
+        .collect();
+    let samples: Vec<PathSample> = bench_catalog()
+        .iter()
+        .flat_map(|src| extract_loop_samples(src, &nv.config().embed).expect("catalog parses"))
+        .map(|site| site.sample)
+        .collect();
+    assert_eq!(samples.len(), want.len(), "{table}: loop count");
+    let refs: Vec<&PathSample> = samples.iter().collect();
+    let space = nvc_vectorizer::ActionSpace::for_target(&nv.config().target);
+    kernels::set_kernel_mode(KernelMode::Fast);
+    for chunk in [1usize, 8] {
+        let got = refs
+            .chunks(chunk)
+            .flat_map(|c| nv.trainer().predict_batch(c))
+            .map(|(v, i)| space.decision_from_pair(v, i))
+            .map(|d| (d.vf, d.if_));
+        for (at, (got, want)) in got.zip(&want).enumerate() {
+            assert_eq!(got, *want, "{table}: loop {at} at batch {chunk}");
+        }
+    }
+}
+
+#[test]
+fn fast_decisions_match_the_committed_tables_of_the_trained_checkpoints() {
+    let _guard = lock_mode();
+    for table in ["A", "B"] {
+        let mut nv = NeuroVectorizer::new(NvConfig::fast().with_matmul_threads(1));
+        nv.restore(&bench_fixture(&format!("ckpt_{table}")))
+            .expect("committed checkpoint");
+        assert_fast_decides_like_the_committed_table(table, &nv);
+    }
+    restore_defaults();
+}
+
+/// The table `hub_cold` is verified against: the untrained paper-size
+/// model (`bench/src/fixtures.rs::PAPER_SEED`). Minutes unoptimized, so
+/// debug builds skip it; CI runs it in release on every push.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "paper-size catalog: run with --release")]
+fn fast_decisions_match_the_committed_table_at_paper_size() {
+    let _guard = lock_mode();
+    let nv = NeuroVectorizer::new(NvConfig::paper().with_seed(3).with_matmul_threads(1));
+    assert_fast_decides_like_the_committed_table("paper", &nv);
     restore_defaults();
 }

@@ -343,6 +343,47 @@ fn backward_kernels_match_their_textbook_chains_on_a_nonzero_output() {
     }
 }
 
+/// The attention-score product's strict side: `row_dots_accum` is the
+/// single-column `matmul_accum` — one ascending-`k` chain per row,
+/// starting from whatever `out` held — over hostile payloads, reductions
+/// from empty to past the lane-split kernel's 32-wide blocks, and row
+/// counts from none to a batch of eight loops, at every thread count.
+#[test]
+fn strict_row_dots_are_the_single_column_matmul_chain() {
+    force_sharding();
+    for kd in [0usize, 1, 7, 8, 31, 32, 33, 64, 340, 341] {
+        for m in [0usize, 1, 100, 800] {
+            let seed = (kd * 1000 + m) as u64;
+            let a = wild_tensor(m, kd, seed ^ 0x0A);
+            let v = wild_tensor(kd, 1, seed ^ 0x0B);
+            let start = wild_tensor(m, 1, seed ^ 0x0C);
+            let mut want = start.clone();
+            for i in 0..m {
+                for k in 0..kd {
+                    want[(i, 0)] += a[(i, k)] * v[(k, 0)];
+                }
+            }
+            for threads in THREAD_MATRIX {
+                kernels::set_matmul_threads(threads);
+                let mut got = start.clone();
+                kernels::row_dots_accum(a.data(), v.data(), m, kd, got.data_mut());
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "row dots left the chain [m={m} kd={kd} threads={threads}]"
+                );
+                let mut column = start.clone();
+                kernels::matmul_accum(a.data(), v.data(), m, kd, 1, column.data_mut());
+                assert_eq!(
+                    bits(&got),
+                    bits(&column),
+                    "[m={m} kd={kd} threads={threads}]"
+                );
+            }
+        }
+    }
+}
+
 /// The segment ops (attention softmax + per-segment weighted sum) are
 /// sharded on segment boundaries only, so each segment's internal
 /// max/exp/sum/divide (resp. ascending-row accumulation) order is

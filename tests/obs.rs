@@ -170,12 +170,17 @@ fn kernel_profile_reports_tanh_and_the_projection_dedup_factor() {
         multiplied > Some(0.0) && multiplied < looked_up,
         "a loop's contexts share leaves: {multiplied:?} of {looked_up:?} rows multiplied"
     );
+    // What was multiplied is kept: this model's memo is live, so the
+    // process-wide gauge holds at least something.
+    let kept = number(["op_counters", "embed_memo_bytes"]).as_f64();
+    assert!(kept > Some(0.0), "the served miss kept no projection");
 
     let text = handle.render_prometheus("model=\"m\"");
     for line in [
         "nvc_kernel_op_calls_total{model=\"m\",op=\"tanh\",kernel_mode=\"fast\"}",
         "nvc_embed_context_rows_total{model=\"m\",kernel_mode=\"fast\"}",
         "nvc_embed_projected_rows_total{model=\"m\",kernel_mode=\"fast\"}",
+        "nvc_embed_memo_bytes{model=\"m\",kernel_mode=\"fast\"}",
     ] {
         assert!(text.contains(line), "exposition lacks `{line}`:\n{text}");
     }
