@@ -1,8 +1,8 @@
 //! Criterion microbenchmarks for the threaded matmul kernel family.
 //!
 //! The same embed/policy/backward shapes as the `matmul` bench, swept
-//! over 1/2/4/8 kernel worker threads, plus the tiled single-threaded
-//! reference baseline for each shape. The work floor is dropped to 1 so
+//! over 1/2/4/8 kernel worker threads; the one-thread run of the deployed
+//! kernel is each shape's baseline. The work floor is dropped to 1 so
 //! the labelled thread count is the thread count that actually runs —
 //! on small shapes that makes thread overhead visible on purpose, which
 //! is exactly what the production work floor exists to avoid. Run with:
@@ -47,14 +47,6 @@ fn bench_matmul_threaded(c: &mut Criterion) {
     ] {
         let a = filled(m, k, 0.1);
         let b = filled(k, n, 0.7);
-        kernels::set_matmul_threads(1);
-        c.bench_function(&format!("matmul_threaded/{name}/tiled_baseline"), |bch| {
-            bch.iter(|| {
-                let mut out = Tensor::zeros(m, n);
-                black_box(&a).matmul_accum_into_tiled(black_box(&b), &mut out);
-                out
-            })
-        });
         for threads in [1usize, 2, 4, 8] {
             kernels::set_matmul_threads(threads);
             c.bench_function(&format!("matmul_threaded/{name}/t{threads}"), |bch| {

@@ -35,8 +35,8 @@ pub struct NvConfig {
     /// persistent cache).
     pub hub: HubConfig,
     /// Worker threads for the `nvc-nn` matmul family (`0`/`1` =
-    /// single-threaded). Analogous to `ppo.collect_threads` one layer
-    /// down: output rows of every `matmul`/`matmul_tn`/`matmul_nt` and
+    /// single-threaded), the only parallelism inside a forward or an
+    /// update: output rows of every `matmul`/`matmul_tn`/`matmul_nt` and
     /// the fused `Graph::linear` shard across the kernel pool with each
     /// element's accumulation order untouched, so any thread count is
     /// bitwise-identical to single-threaded — training, serving and the

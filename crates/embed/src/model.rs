@@ -195,8 +195,8 @@ impl CodeEmbedder {
     /// bitwise parity — intact. The
     /// segment kernels fix their reduction order per segment, so values
     /// *and* parameter gradients stay bitwise-identical to the
-    /// per-sample spelling ([`CodeEmbedder::forward_batch_reference`],
-    /// enforced by parity tests).
+    /// per-sample spelling (one [`forward`] chain per sample, stacked
+    /// with `concat_rows` — the oracle of this crate's parity tests).
     ///
     /// A `(start, path, end)` triple that recurs in the batch — most do:
     /// a loop's contexts pair up its few leaves, and a batch's loops
@@ -321,31 +321,6 @@ impl CodeEmbedder {
             return Ok(uobs);
         }
         Ok(g.gather_rows(uobs, &row_of))
-    }
-
-    /// The per-sample spelling of [`CodeEmbedder::forward_batch`]: one
-    /// [`CodeEmbedder::forward`] chain per sample, stacked with
-    /// `concat_rows`. Kept as the parity reference the segmented path is
-    /// tested against (values and gradients, bitwise) and as the baseline
-    /// the `ext_train_throughput` encoder gate measures.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmbedError::EmptyBatch`] when `samples` is empty.
-    pub fn forward_batch_reference(
-        &self,
-        g: &mut Graph<'_>,
-        samples: &[&PathSample],
-    ) -> Result<NodeId, EmbedError> {
-        if samples.is_empty() {
-            return Err(EmbedError::EmptyBatch);
-        }
-        let rows: Vec<NodeId> = samples.iter().map(|s| self.forward(g, s)).collect();
-        Ok(if rows.len() == 1 {
-            rows[0]
-        } else {
-            g.concat_rows(&rows)
-        })
     }
 
     /// The tape-free forward every **no-gradient** consumer runs: one
@@ -731,6 +706,22 @@ mod tests {
         }
     }
 
+    /// The per-sample spelling of [`CodeEmbedder::forward_batch`], its
+    /// oracle: one [`CodeEmbedder::forward`] chain per sample, stacked
+    /// with `concat_rows`.
+    fn forward_batch_reference(
+        e: &CodeEmbedder,
+        g: &mut Graph<'_>,
+        samples: &[&PathSample],
+    ) -> NodeId {
+        let rows: Vec<NodeId> = samples.iter().map(|s| e.forward(g, s)).collect();
+        if rows.len() == 1 {
+            rows[0]
+        } else {
+            g.concat_rows(&rows)
+        }
+    }
+
     /// Runs a full forward + backward of `samples` through `build`,
     /// returning the stacked values and all parameter gradients. The loss
     /// (`Σ out ⊙ sel` for a fixed random `sel`) makes every output row
@@ -812,10 +803,6 @@ mod tests {
         let e = CodeEmbedder::new(&mut store, &cfg);
         let mut g = Graph::new(&store);
         assert_eq!(e.forward_batch(&mut g, &[]), Err(EmbedError::EmptyBatch));
-        assert_eq!(
-            e.forward_batch_reference(&mut g, &[]),
-            Err(EmbedError::EmptyBatch)
-        );
         assert!(e.encode_batch(&store, &[]).is_empty());
         assert_eq!(
             EmbedError::EmptyBatch.to_string(),
@@ -889,7 +876,7 @@ mod tests {
                     .collect(),
             );
             let (ref_vals, ref_grads) = values_and_grads(&store, &refs, &sel, |g, ss| {
-                e.forward_batch_reference(g, ss).unwrap()
+                forward_batch_reference(&e, g, ss)
             });
             let (seg_vals, seg_grads) =
                 values_and_grads(&store, &refs, &sel, |g, ss| g_forward(&e, g, ss));
@@ -948,7 +935,7 @@ mod tests {
                     .collect(),
             );
             let (ref_vals, ref_grads) = values_and_grads(&store, &refs, &sel, |g, ss| {
-                e.forward_batch_reference(g, ss).unwrap()
+                forward_batch_reference(&e, g, ss)
             });
             let (seg_vals, seg_grads) =
                 values_and_grads(&store, &refs, &sel, |g, ss| g_forward(&e, g, ss));

@@ -429,12 +429,11 @@ impl<'s> Graph<'s> {
     /// results bitwise-identical to `matmul` followed by
     /// [`Graph::add_row_broadcast`].
     ///
-    /// The whole fusion is row-parallel: each worker of the sharded
-    /// kernel driver runs its rows' matmul *and* their bias add in one
-    /// pass, so the threaded path never rescans the output. Per element
-    /// the bias still lands after the complete ascending-`k` product
-    /// chain — exactly the unfused order — keeping the fused, unfused,
-    /// and threaded spellings bitwise-identical.
+    /// The product is the deployed matmul — same driver, same shards, same
+    /// `k`-split in fast mode — charged to this op's own timer, and the
+    /// bias then lands on each element after its complete product chain:
+    /// `(0 + chain) + bias`, exactly the unfused order, so the fused,
+    /// unfused and threaded spellings are bitwise-identical in both modes.
     ///
     /// # Panics
     ///
@@ -459,78 +458,16 @@ impl<'s> Graph<'s> {
         let mut out = self.alloc(rows, cols);
         {
             let _timer = nvc_obs::time_op(nvc_obs::Op::Linear);
-            let xv = &self.values[x.0];
-            let wv = &self.values[w.0];
+            let (xv, wv) = (self.values[x.0].data(), self.values[w.0].data());
+            crate::kernels::matmul_untimed(xv, wv, rows, kd, cols, out.data_mut());
             let bias = self.values[b.0].data();
-            let madds = rows.saturating_mul(kd).saturating_mul(cols);
-            let fast = crate::kernels::kernel_mode() == crate::kernels::KernelMode::Fast;
-            if fast {
-                if let Some(shards) = crate::kernels::k_split_shards(rows, kd, madds) {
-                    // Tall-thin fast path: k-split the product, then add
-                    // the bias serially after the partials combine (the
-                    // bias must land after the *complete* product chain,
-                    // same as the row-sharded spellings).
-                    crate::kernels::run_mm_k_split(
-                        shards,
-                        rows,
-                        cols,
-                        kd,
-                        out.data_mut(),
-                        &|k0, k1, partial| {
-                            crate::kernels::fast::mm_rows_fast(
-                                xv.data(),
-                                wv.data(),
-                                kd,
-                                cols,
-                                k0,
-                                k1,
-                                0,
-                                rows,
-                                partial,
-                            );
-                        },
-                    );
-                    if cols > 0 {
-                        for row in out.data_mut().chunks_exact_mut(cols) {
-                            for (o, &bb) in row.iter_mut().zip(bias.iter()) {
-                                *o += bb;
-                            }
-                        }
+            if cols > 0 {
+                for row in out.data_mut().chunks_exact_mut(cols) {
+                    for (o, &bb) in row.iter_mut().zip(bias.iter()) {
+                        *o += bb;
                     }
-                    return self.push(Op::Linear(x, w, b), out);
                 }
             }
-            let threads = crate::kernels::effective_threads(rows, madds);
-            crate::kernels::run_row_sharded(
-                threads,
-                rows,
-                cols,
-                out.data_mut(),
-                &|r0, r1, out_rows| {
-                    if fast {
-                        crate::kernels::fast::mm_rows_fast(
-                            xv.data(),
-                            wv.data(),
-                            kd,
-                            cols,
-                            0,
-                            kd,
-                            r0,
-                            r1,
-                            out_rows,
-                        );
-                    } else {
-                        crate::kernels::mm_rows(xv.data(), wv.data(), kd, cols, r0, r1, out_rows);
-                    }
-                    if cols > 0 {
-                        for row in out_rows.chunks_exact_mut(cols) {
-                            for (o, &bb) in row.iter_mut().zip(bias.iter()) {
-                                *o += bb;
-                            }
-                        }
-                    }
-                },
-            );
         }
         self.push(Op::Linear(x, w, b), out)
     }
@@ -877,8 +814,6 @@ impl<'s> Graph<'s> {
                     {
                         let _timer = nvc_obs::time_op(nvc_obs::Op::SegmentMatMulTn);
                         let av = &self.values[a.0];
-                        let fast =
-                            crate::kernels::kernel_mode() == crate::kernels::KernelMode::Fast;
                         let mut partial = self.alloc(bk, bn);
                         for (r0, r1) in segs.iter().rev() {
                             if r0 == r1 {
@@ -893,20 +828,7 @@ impl<'s> Graph<'s> {
                                 (&av.data()[r0 * bk..r1 * bk], &g.data()[r0 * bn..r1 * bn]);
                             let out = partial.data_mut();
                             out.fill(0.0);
-                            if fast {
-                                crate::kernels::fast::tn_rows_fast(
-                                    a_win,
-                                    g_win,
-                                    r1 - r0,
-                                    bk,
-                                    bn,
-                                    0,
-                                    bk,
-                                    out,
-                                );
-                            } else {
-                                crate::kernels::tn_rows(a_win, g_win, bk, bn, 0, bk, out);
-                            }
+                            crate::kernels::matmul_tn_accum_here(a_win, g_win, bk, bn, out);
                             db.add_scaled(&partial, 1.0);
                         }
                         self.recycle(partial);
@@ -937,22 +859,11 @@ impl<'s> Graph<'s> {
                     let mut dv = self.alloc(self.values[v.0].rows(), d);
                     {
                         let (wv, vv) = (&self.values[w.0], &self.values[v.0]);
-                        let fast =
-                            crate::kernels::kernel_mode() == crate::kernels::KernelMode::Fast;
                         for (s, (r0, r1)) in segs.iter().enumerate() {
                             let grow = &g.data()[s * d..(s + 1) * d];
                             for r in r0..r1 {
                                 let vrow = &vv.data()[r * d..(r + 1) * d];
-                                let acc = if fast {
-                                    crate::kernels::fast::dot_fast(grow, vrow)
-                                } else {
-                                    let mut acc = 0.0f32;
-                                    for (&gx, &vx) in grow.iter().zip(vrow.iter()) {
-                                        acc += gx * vx;
-                                    }
-                                    acc
-                                };
-                                dw.data_mut()[r] = acc;
+                                dw.data_mut()[r] = crate::kernels::dot(grow, vrow);
                                 let a = wv.data()[r];
                                 let dvrow = &mut dv.data_mut()[r * d..(r + 1) * d];
                                 for (o, &gx) in dvrow.iter_mut().zip(grow.iter()) {

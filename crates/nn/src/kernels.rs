@@ -23,12 +23,19 @@
 //!   long as the weights stand ([`row_matmul_accum_fast`]) is not a
 //!   seventh: a kept row is bit for bit the row it would compute again.
 //!
+//! Both modes run the **same loop nests** ([`fast`] holds each body once,
+//! generic over the multiply-add step): strict is the plain `acc + a * b`
+//! instantiation, fast the fused one where the CPU has FMA, and what else
+//! differs is the list above. Which instantiation a call runs is resolved
+//! in one place ([`fast::MaddChoice::current`]); the entry points below
+//! never branch between two bodies of the same arithmetic.
+//!
 //! Everything below this paragraph describes the **strict** contract.
 //! Every kernel computes each output element's partial products in
-//! exactly the ascending-`k` order of the textbook i-k-j loop (and of the
-//! tiled reference kernel, [`Tensor::matmul_accum_into_tiled`]). Two
-//! mechanical transformations are layered on top, and both are chosen
-//! because they *cannot* change that order:
+//! exactly the ascending-`k` order of the textbook i-k-j loop — the one
+//! oracle `tests/kernel_parity.rs` compares the deployed kernels with,
+//! bit for bit. Two mechanical transformations are layered on top, and
+//! both are chosen because they *cannot* change that order:
 //!
 //! * **Row sharding** ([`run_row_sharded`]): the output rows are split
 //!   into contiguous shards, executed by the persistent worker pool
@@ -38,12 +45,12 @@
 //!   (Splitting the reduction dimension `k` instead would need
 //!   per-thread partials whose combination reassociates the sum; that is
 //!   why only rows are split.)
-//! * **Register blocks of independent lanes** ([`mm_rows`], [`tn_rows`],
-//!   [`nt_rows`]): the inner loops run over blocks of 8 or 16
+//! * **Register blocks of independent lanes** (the `mm`, `tn` and `nt`
+//!   bodies in [`fast`]): the inner loops run over blocks of 8 to 32
 //!   *independent* output accumulators (manual `f32x8`-style register
-//!   blocks — no unstable `std::simd`, no `mul_add` fusion), held in
-//!   registers across the reduction. Lanes never share an accumulator,
-//!   so each element's chain is untouched.
+//!   blocks — no unstable `std::simd`, and in this mode no `mul_add`
+//!   fusion), held in registers across the reduction. Lanes never share
+//!   an accumulator, so each element's chain is untouched.
 //!
 //! The thread count is a process-wide knob ([`set_matmul_threads`],
 //! `NVC_MATMUL_THREADS` in the environment, surfaced as
@@ -51,13 +58,15 @@
 //! of the parity contract the knob is *purely* a throughput dial: races
 //! on it (e.g. two models configured differently) can change how fast an
 //! answer arrives, never which answer arrives. Small products stay
-//! single-threaded via a work floor ([`set_matmul_grain`]) so the
+//! single-threaded via a work floor ([`DEFAULT_MATMUL_GRAIN`]) so the
 //! pool's condvar handoff never costs more than it saves.
 
 pub mod fast;
 pub mod pool;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+use fast::MaddChoice;
 
 /// Sentinel for "not yet initialized from the environment".
 const UNSET: usize = usize::MAX;
@@ -112,7 +121,7 @@ static MODE: AtomicUsize = AtomicUsize::new(UNSET);
 static THREADS: AtomicUsize = AtomicUsize::new(UNSET);
 
 /// Minimum multiply-adds per *additional* worker.
-static GRAIN: AtomicUsize = AtomicUsize::new(UNSET);
+static GRAIN: AtomicUsize = AtomicUsize::new(DEFAULT_MATMUL_GRAIN);
 
 /// Failure-injection hook: worker row / total-row marker (tests only).
 static PANIC_ROW: AtomicUsize = AtomicUsize::new(usize::MAX);
@@ -154,23 +163,14 @@ pub fn set_matmul_threads(n: usize) {
     THREADS.store(n.max(1), Ordering::Relaxed);
 }
 
-/// Current work floor in multiply-adds per additional worker
-/// (`NVC_MATMUL_GRAIN` overrides the default).
+/// Current work floor in multiply-adds per additional worker.
 pub fn matmul_grain() -> usize {
-    match GRAIN.load(Ordering::Relaxed) {
-        UNSET => {
-            let v = env_usize("NVC_MATMUL_GRAIN")
-                .unwrap_or(DEFAULT_MATMUL_GRAIN)
-                .max(1);
-            GRAIN.store(v, Ordering::Relaxed);
-            v
-        }
-        v => v,
-    }
+    GRAIN.load(Ordering::Relaxed)
 }
 
-/// Sets the work floor (multiply-adds per additional worker). Benches and
-/// parity tests set `1` to force sharding on deliberately tiny shapes.
+/// Sets the work floor (multiply-adds per additional worker). Production
+/// runs at [`DEFAULT_MATMUL_GRAIN`]; benches and parity tests set `1` to
+/// force sharding on deliberately tiny shapes.
 pub fn set_matmul_grain(madds: usize) {
     GRAIN.store(madds.max(1), Ordering::Relaxed);
 }
@@ -391,22 +391,26 @@ pub fn matmul_accum(a: &[f32], b: &[f32], m: usize, kd: usize, n: usize, out: &m
     assert_eq!(b.len(), kd * n, "matmul right operand is not {kd}x{n}");
     assert_eq!(out.len(), m * n, "matmul output is not {m}x{n}");
     let _timer = nvc_obs::time_op(nvc_obs::Op::MatMul);
+    matmul_untimed(a, b, m, kd, n, out);
+}
+
+/// [`matmul_accum`] without its shape checks and without a timer, for the
+/// callers that charge the product to an op of their own
+/// ([`Graph::linear`](crate::Graph::linear)): fast mode `k`-splits where
+/// that funds more workers than the rows do, everything else shards rows.
+pub(crate) fn matmul_untimed(a: &[f32], b: &[f32], m: usize, kd: usize, n: usize, out: &mut [f32]) {
     let madds = m.saturating_mul(kd).saturating_mul(n);
-    let fast = kernel_mode() == KernelMode::Fast;
-    if fast {
+    let madd = MaddChoice::current();
+    if kernel_mode() == KernelMode::Fast {
         if let Some(shards) = k_split_shards(m, kd, madds) {
             run_mm_k_split(shards, m, n, kd, out, &|k0, k1, partial| {
-                fast::mm_rows_fast(a, b, kd, n, k0, k1, 0, m, partial);
+                fast::mm_rows(madd, a, b, kd, n, k0, k1, 0, m, partial);
             });
             return;
         }
     }
     run_row_sharded(effective_threads(m, madds), m, n, out, &|r0, r1, rows| {
-        if fast {
-            fast::mm_rows_fast(a, b, kd, n, 0, kd, r0, r1, rows);
-        } else {
-            mm_rows(a, b, kd, n, r0, r1, rows);
-        }
+        fast::mm_rows(madd, a, b, kd, n, 0, kd, r0, r1, rows);
     });
 }
 
@@ -426,7 +430,7 @@ pub fn row_matmul_accum_fast(row: &[f32], b: &[f32], kd: usize, n: usize, out: &
     assert_eq!(b.len(), kd * n, "row_matmul right operand is not {kd}x{n}");
     assert_eq!(out.len(), n, "row_matmul output is not {n} wide");
     let _timer = nvc_obs::time_op(nvc_obs::Op::MatMul);
-    fast::mm_rows_fast(row, b, kd, n, 0, kd, 0, 1, out);
+    fast::mm_rows(MaddChoice::fast(), row, b, kd, n, 0, kd, 0, 1, out);
 }
 
 /// `out[r] += a[r] · v` for every row of `a: m×kd` — the attention-score
@@ -460,8 +464,9 @@ pub fn row_dots_accum(a: &[f32], v: &[f32], m: usize, kd: usize, out: &mut [f32]
     assert_eq!(out.len(), m, "row_dots output is not {m} long");
     let _timer = nvc_obs::time_op(nvc_obs::Op::MatMul);
     let threads = effective_threads(m, m.saturating_mul(kd));
+    let madd = MaddChoice::fast();
     run_row_sharded(threads, m, 1, out, &|r0, r1, rows| {
-        fast::row_dots_fast(a, v, kd, r0, r1, rows);
+        fast::row_dots(madd, a, v, kd, r0, r1, rows);
     });
 }
 
@@ -478,7 +483,7 @@ pub fn row_dots_accum(a: &[f32], v: &[f32], m: usize, kd: usize, out: &mut [f32]
 pub fn tanh_inplace(xs: &mut [f32]) {
     let _timer = nvc_obs::time_op(nvc_obs::Op::Tanh);
     if kernel_mode() == KernelMode::Fast {
-        fast::tanh_fast(xs);
+        fast::tanh(MaddChoice::fast(), xs);
         return;
     }
     for x in xs.iter_mut() {
@@ -540,7 +545,7 @@ pub fn segment_softmax(bounds: &[(usize, usize)], cols: usize, data: &mut [f32])
 /// Output row `s` is segment `s`'s pooled row, so row sharding *is*
 /// segment sharding here: a shard owns whole segments and within each the
 /// ascending-`r` accumulation is unchanged — threaded bits equal serial
-/// bits. Fast folds with `mul_add`.
+/// bits.
 pub fn segment_weighted_sum(
     bounds: &[(usize, usize)],
     weights: &[f32],
@@ -551,110 +556,13 @@ pub fn segment_weighted_sum(
     let _timer = nvc_obs::time_op(nvc_obs::Op::SegmentWeightedSum);
     let rows_total = bounds.last().map_or(0, |&(_, r1)| r1);
     let threads = effective_threads(bounds.len(), rows_total.saturating_mul(d));
-    let fast = kernel_mode() == KernelMode::Fast;
+    let madd = MaddChoice::current();
     run_row_sharded(threads, bounds.len(), d, out, &|s0, s1, out_rows| {
         for (s, &(r0, r1)) in bounds[s0..s1].iter().enumerate() {
             let orow = &mut out_rows[s * d..(s + 1) * d];
-            if fast {
-                fast::weighted_sum_fast(weights, values, d, r0, r1, orow);
-                continue;
-            }
-            for r in r0..r1 {
-                let a = weights[r];
-                let vrow = &values[r * d..(r + 1) * d];
-                for (o, &x) in orow.iter_mut().zip(vrow.iter()) {
-                    *o += a * x;
-                }
-            }
+            fast::weighted_sum(madd, weights, values, d, r0, r1, orow);
         }
     });
-}
-
-/// `out_rows (+)= a[r0..r1] × b` for an `m×kd · kd×n` product:
-/// the tiled i-k-j kernel with the inner columns run as 8-wide register
-/// accumulator blocks. `out_rows` is the row-major slice for rows
-/// `r0..r1` only.
-pub(crate) fn mm_rows(
-    a: &[f32],
-    b: &[f32],
-    kd: usize,
-    n: usize,
-    r0: usize,
-    r1: usize,
-    out_rows: &mut [f32],
-) {
-    const KB: usize = 64;
-    const JB: usize = 64;
-    let mut kb = 0;
-    loop {
-        let k_end = (kb + KB).min(kd);
-        let mut jb = 0;
-        while jb < n {
-            let j_end = (jb + JB).min(n);
-            for i in r0..r1 {
-                let a_row = &a[i * kd..(i + 1) * kd];
-                let base = (i - r0) * n;
-                mm_tile_row(
-                    a_row,
-                    b,
-                    n,
-                    kb,
-                    k_end,
-                    jb,
-                    &mut out_rows[base + jb..base + j_end],
-                );
-            }
-            jb = j_end;
-        }
-        kb = k_end;
-        if kb >= kd {
-            break;
-        }
-    }
-}
-
-/// One row × one `(kb..k_end, jb..)` tile of the right operand. Each
-/// 8-column block holds its partial sums in an explicit `[f32; 8]`
-/// register block across the whole `k` tile; lanes are independent
-/// output elements, and within a lane the products accumulate in
-/// ascending `k` — the parity order.
-fn mm_tile_row(
-    a_row: &[f32],
-    b: &[f32],
-    n: usize,
-    kb: usize,
-    k_end: usize,
-    jb: usize,
-    out_tile: &mut [f32],
-) {
-    let width = out_tile.len();
-    let mut j = 0;
-    while j + 8 <= width {
-        let mut acc = [0.0f32; 8];
-        acc.copy_from_slice(&out_tile[j..j + 8]);
-        for k in kb..k_end {
-            let av = a_row[k];
-            let b_blk = &b[k * n + jb + j..k * n + jb + j + 8];
-            acc[0] += av * b_blk[0];
-            acc[1] += av * b_blk[1];
-            acc[2] += av * b_blk[2];
-            acc[3] += av * b_blk[3];
-            acc[4] += av * b_blk[4];
-            acc[5] += av * b_blk[5];
-            acc[6] += av * b_blk[6];
-            acc[7] += av * b_blk[7];
-        }
-        out_tile[j..j + 8].copy_from_slice(&acc);
-        j += 8;
-    }
-    while j < width {
-        let mut acc = out_tile[j];
-        for k in kb..k_end {
-            acc += a_row[k] * b[k * n + jb + j];
-        }
-        out_tile[j] = acc;
-        j += 1;
-    }
 }
 
 /// `out += aᵀ × b` over row-major slices (`a`: `kr×m`, `b`: `kr×n`, `out`:
@@ -674,21 +582,30 @@ pub fn matmul_tn_accum(a: &[f32], b: &[f32], kr: usize, m: usize, n: usize, out:
     assert_eq!(b.len(), kr * n, "matmul_tn right operand is not {kr}x{n}");
     assert_eq!(out.len(), m * n, "matmul_tn output is not {m}x{n}");
     let threads = effective_threads(m, kr.saturating_mul(m).saturating_mul(n));
-    let fast = kernel_mode() == KernelMode::Fast;
+    let madd = MaddChoice::current();
     run_row_sharded(threads, m, n, out, &|i0, i1, rows| {
-        if fast {
-            fast::tn_rows_fast(a, b, kr, m, n, i0, i1, rows);
-        } else {
-            tn_rows(a, b, m, n, i0, i1, rows);
-        }
+        fast::tn_rows(madd, a, b, m, n, i0, i1, rows);
     });
+}
+
+/// [`matmul_tn_accum`] on the calling thread whatever the thread count,
+/// for products too small for a pool hand-off (`SegmentMatMul`'s backward
+/// runs one per segment).
+pub(crate) fn matmul_tn_accum_here(a: &[f32], b: &[f32], m: usize, n: usize, out: &mut [f32]) {
+    fast::tn_rows(MaddChoice::current(), a, b, m, n, 0, m, out);
+}
+
+/// `Σ_k a[k]·b[k]` from zero in ascending `k` — the chain of one
+/// [`matmul_nt_accum`] output element.
+pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
+    fast::dot(MaddChoice::current(), a, b)
 }
 
 /// `out += a × bᵀ` over row-major slices (`a`: `m×kd`, `b`: `n×kd`, `out`:
 /// `m×n`) — the `g·wᵀ` input-gradient product behind
 /// [`Tensor::matmul_nt_accum_into`](crate::Tensor::matmul_nt_accum_into).
-/// Output rows shard across the kernel pool. Strict packs `bᵀ` once per
-/// call ([`pack_nt_panels`]), so every shard reads the same panels.
+/// Output rows shard across the kernel pool; `bᵀ` is packed once per call
+/// ([`fast::pack_nt_panels`]), so every shard reads the same panels.
 ///
 /// # Panics
 ///
@@ -698,209 +615,11 @@ pub fn matmul_nt_accum(a: &[f32], b: &[f32], m: usize, kd: usize, n: usize, out:
     assert_eq!(b.len(), n * kd, "matmul_nt right operand is not {n}x{kd}");
     assert_eq!(out.len(), m * n, "matmul_nt output is not {m}x{n}");
     let threads = effective_threads(m, m.saturating_mul(kd).saturating_mul(n));
-    if kernel_mode() == KernelMode::Fast {
-        run_row_sharded(threads, m, n, out, &|i0, i1, rows| {
-            fast::nt_rows_fast(a, b, kd, n, i0, i1, rows);
-        });
-        return;
-    }
-    let panels = pack_nt_panels(b, kd, n);
+    let madd = MaddChoice::current();
+    let panels = fast::pack_nt_panels(b, kd, n);
     run_row_sharded(threads, m, n, out, &|i0, i1, rows| {
-        nt_rows(a, &panels, kd, n, i0, i1, rows);
+        fast::nt_rows(madd, a, &panels, kd, n, i0, i1, rows);
     });
-}
-
-/// `out_rows (+)= (aᵀ × b)[i0..i1]` for `a: kr×m`, `b: kr×n` (`kr` is
-/// however many whole rows the slices hold) — the `xᵀ·g` backward kernel.
-///
-/// Each block of output elements sits in a register accumulator,
-/// initialised from `out`, while `k` runs over every row of the window:
-/// per element `out += a[k][i]·b[k][j]` for ascending `k`, with one load
-/// and one store of the output instead of one per `k`. Blocks are 16 or
-/// 8 adjacent columns of one output row (lanes read a row of `b`); the
-/// `n % 8` columns left over — all of them for the `n == 1` score
-/// column — run 16 or 8 adjacent output *rows* as lanes instead (lanes
-/// read a row of `a`). Lanes never share an accumulator, so the block
-/// shape changes no bits. Column blocks are the outer loop, so a block's
-/// `kr×16` strip of `b` stays cached while the output rows pass over it.
-pub(crate) fn tn_rows(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    n: usize,
-    i0: usize,
-    i1: usize,
-    out_rows: &mut [f32],
-) {
-    let mut j = 0;
-    while j + 8 <= n {
-        let lanes = if j + 16 <= n { 16 } else { 8 };
-        for i in i0..i1 {
-            let at = (i - i0) * n + j;
-            let out = &mut out_rows[at..at + lanes];
-            match lanes {
-                16 => tn_block_j::<16>(a, b, m, n, i, j, out),
-                _ => tn_block_j::<8>(a, b, m, n, i, j, out),
-            }
-        }
-        j += lanes;
-    }
-    for j in j..n {
-        let mut i = i0;
-        while i + 8 <= i1 {
-            let lanes = if i + 16 <= i1 { 16 } else { 8 };
-            let column = &mut out_rows[(i - i0) * n + j..];
-            match lanes {
-                16 => tn_block_i::<16>(a, b, m, n, i, j, column),
-                _ => tn_block_i::<8>(a, b, m, n, i, j, column),
-            }
-            i += lanes;
-        }
-        for i in i..i1 {
-            let mut acc = out_rows[(i - i0) * n + j];
-            for (a_row, b_row) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
-                acc += a_row[i] * b_row[j];
-            }
-            out_rows[(i - i0) * n + j] = acc;
-        }
-    }
-}
-
-/// `out[l] (+)= Σ_k a[k][i]·b[k][j + l]`: `L` adjacent columns of output
-/// row `i`, one lane each.
-#[inline(always)]
-fn tn_block_j<const L: usize>(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    n: usize,
-    i: usize,
-    j: usize,
-    out: &mut [f32],
-) {
-    let mut acc = [0.0f32; L];
-    acc.copy_from_slice(out);
-    for (a_row, b_row) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
-        let av = a_row[i];
-        let b_blk = &b_row[j..j + L];
-        for l in 0..L {
-            acc[l] += av * b_blk[l];
-        }
-    }
-    out.copy_from_slice(&acc);
-}
-
-/// `column[l·n] (+)= Σ_k a[k][i + l]·b[k][j]`: `L` adjacent rows of
-/// output column `j` (`column` starts at element `(i, j)`), one lane each.
-#[inline(always)]
-fn tn_block_i<const L: usize>(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    n: usize,
-    i: usize,
-    j: usize,
-    column: &mut [f32],
-) {
-    let mut acc = [0.0f32; L];
-    for l in 0..L {
-        acc[l] = column[l * n];
-    }
-    for (a_row, b_row) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
-        let bv = b_row[j];
-        let a_blk = &a_row[i..i + L];
-        for l in 0..L {
-            acc[l] += a_blk[l] * bv;
-        }
-    }
-    for l in 0..L {
-        column[l * n] = acc[l];
-    }
-}
-
-/// Width of the [`pack_nt_panels`] panel that starts at column `j` of
-/// `n`: 16 while that many columns remain, then 8, then 4, then single
-/// columns.
-fn nt_panel_width(j: usize, n: usize) -> usize {
-    match n - j {
-        16.. => 16,
-        8.. => 8,
-        4.. => 4,
-        _ => 1,
-    }
-}
-
-/// `bᵀ` in column panels for [`nt_rows`]: the panel covering columns
-/// `j..j + L` of the product (rows of `b: n×kd`) is the `kd×L` matrix
-/// `panel[k][l] = b[j + l][k]`, stored at offset `j·kd`, so the `L`
-/// operands of one `k` step are adjacent. Widths follow
-/// [`nt_panel_width`].
-fn pack_nt_panels(b: &[f32], kd: usize, n: usize) -> Vec<f32> {
-    let mut panels = vec![0.0f32; n * kd];
-    let mut j = 0;
-    while j < n {
-        let lanes = nt_panel_width(j, n);
-        let panel = &mut panels[j * kd..(j + lanes) * kd];
-        for l in 0..lanes {
-            let b_row = &b[(j + l) * kd..(j + l + 1) * kd];
-            for (k, &v) in b_row.iter().enumerate() {
-                panel[k * lanes + l] = v;
-            }
-        }
-        j += lanes;
-    }
-    panels
-}
-
-/// `out_rows (+)= (a × bᵀ)[i0..i1]` for `a: m×kd`, `b: n×kd` — the
-/// `g·wᵀ` backward kernel, over `panels` = [`pack_nt_panels`]`(b)`.
-///
-/// The 16, 8 or 4 output columns of a panel run as lanes: each lane is
-/// one output element's dot product, `s = 0; s += a[i][k]·b[j][k]` for
-/// ascending `k`, then `out[i][j] += s` — the chain a lone scalar dot
-/// runs, which is what the one-column panels of the last `n % 4` columns
-/// are. Panels are the outer loop, so a panel (`kd×16` floats) stays
-/// cached while the rows of `a` stream past it.
-pub(crate) fn nt_rows(
-    a: &[f32],
-    panels: &[f32],
-    kd: usize,
-    n: usize,
-    i0: usize,
-    i1: usize,
-    out_rows: &mut [f32],
-) {
-    let mut j = 0;
-    while j < n {
-        let lanes = nt_panel_width(j, n);
-        let panel = &panels[j * kd..(j + lanes) * kd];
-        for i in i0..i1 {
-            let a_row = &a[i * kd..(i + 1) * kd];
-            let out = &mut out_rows[(i - i0) * n + j..(i - i0) * n + j + lanes];
-            match lanes {
-                16 => nt_block::<16>(a_row, panel, out),
-                8 => nt_block::<8>(a_row, panel, out),
-                4 => nt_block::<4>(a_row, panel, out),
-                _ => nt_block::<1>(a_row, panel, out),
-            }
-        }
-        j += lanes;
-    }
-}
-
-/// `out[l] += Σ_k a_row[k]·panel[k][l]`, each lane summed from zero in
-/// ascending `k` before it meets `out`.
-#[inline(always)]
-fn nt_block<const L: usize>(a_row: &[f32], panel: &[f32], out: &mut [f32]) {
-    let mut s = [0.0f32; L];
-    for (&av, p) in a_row.iter().zip(panel.chunks_exact(L)) {
-        for l in 0..L {
-            s[l] += av * p[l];
-        }
-    }
-    for l in 0..L {
-        out[l] += s[l];
-    }
 }
 
 /// Serializes tests that assert on (rather than merely set) the global

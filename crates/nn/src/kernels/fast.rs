@@ -1,27 +1,38 @@
-//! Fast-mode kernel bodies: fused-multiply-add accumulators, the
-//! single-pass online-max softmax and the polynomial `tanh`.
+//! The arithmetic bodies of the kernel family — both modes' — plus fast
+//! mode's own algorithms (lane-split dot, polynomial `tanh`, single-pass
+//! online-max softmax).
 //!
-//! Every body is written once, generic over a [`Madd`] strategy, and
-//! monomorphized twice:
+//! Every loop nest is written once, generic over a [`Madd`] step — the
+//! one expression the two numeric contracts disagree on — and
+//! instantiated twice:
 //!
+//! * [`Unfused`], plain `acc + a * b`, **is strict mode**, and is fast
+//!   mode on a host without FMA (fast mode's other departures —
+//!   `k`-split sharding, online softmax, polynomial `tanh`, lane-split
+//!   score dot — still apply there).
 //! * [`Fused`] uses `f32::mul_add`. That intrinsic is only fast when the
 //!   compiler can emit a hardware `vfmadd`; without the `fma` target
 //!   feature it lowers to the correctly-rounded-but-slow libm `fmaf`. So
 //!   the fused instantiations live behind
-//!   `#[target_feature(enable = "avx2", enable = "fma")]` wrappers and
-//!   are only dispatched when [`fused_available`] detects both features
-//!   at runtime.
-//! * [`Unfused`] is the plain `acc + a * b` everywhere else. Fast mode's
-//!   other two relaxations (`k`-split sharding, online softmax) still
-//!   apply on such hosts.
+//!   `#[target_feature(enable = "avx2", enable = "fma")]` wrappers, which
+//!   is also where the 8-wide blocks pick up 256-bit vectorization.
 //!
-//! The dispatch decision is made once per process and shared by every
-//! fast kernel: mixed fused/unfused chains inside one process would break
-//! the chain-equality arguments the fast test tier relies on (e.g. the
-//! fused `linear` must equal `matmul` + bias broadcast bit-for-bit at one
-//! thread, which holds only if both picked the same madd).
+//! Strict and fast therefore run the same loop nests — same block
+//! shapes, same ascending-`k` chain per output element — and cannot drift
+//! apart in loop order. Which instantiation a call runs is a
+//! [`MaddChoice`], resolved in one place ([`MaddChoice::current`]) and
+//! handed to the kernel's single entry point, which the `kernel!` macro
+//! generates; callers never branch between bodies.
+//!
+//! The FMA detection is made once per process and shared by every
+//! kernel: mixed fused/unfused chains inside one process would break the
+//! chain-equality arguments the fast test tier relies on (e.g. fast
+//! `tn`/`nt` must equal transpose-then-`matmul` bit for bit, which holds
+//! only if both picked the same madd).
 
 use std::sync::atomic::{AtomicU8, Ordering};
+
+use super::KernelMode;
 
 /// One multiply-accumulate step — the only thing the two instantiations
 /// disagree on.
@@ -39,7 +50,8 @@ impl Madd for Fused {
     }
 }
 
-/// Plain fold (`acc + a * b`, two roundings).
+/// Plain fold (`acc + a * b`, two roundings) — the strict contract's
+/// expression.
 pub(crate) struct Unfused;
 impl Madd for Unfused {
     #[inline(always)]
@@ -48,9 +60,9 @@ impl Madd for Unfused {
     }
 }
 
-/// Whether this process dispatches the [`Fused`] instantiations. Decided
-/// once (AVX2 + FMA detected at runtime on x86-64; `false` elsewhere) and
-/// cached, so every fast kernel in the process agrees.
+/// Whether this process dispatches the [`Fused`] instantiations in fast
+/// mode. Decided once (AVX2 + FMA detected at runtime on x86-64; `false`
+/// elsewhere) and cached, so every fast kernel in the process agrees.
 pub fn fused_available() -> bool {
     static FMA: AtomicU8 = AtomicU8::new(2);
     match FMA.load(Ordering::Relaxed) {
@@ -66,10 +78,45 @@ pub fn fused_available() -> bool {
     }
 }
 
-/// `out_rows (+)= a[r0..r1, ks..ke] × b[ks..ke, :]` — the fast twin of
-/// [`super::mm_rows`] with madd accumulators and an explicit `k` window
-/// so the same body serves both row shards (`ks..ke` = `0..kd`) and
-/// `k`-split shards (full rows, one window).
+/// Which instantiation of the bodies a call runs. The field is private to
+/// this module so that a fused choice exists only where
+/// [`fused_available`] vouched for the CPU — what makes the entry points
+/// safe to call with any value of this type.
+#[derive(Clone, Copy)]
+pub(crate) struct MaddChoice {
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    fused: bool,
+}
+
+impl MaddChoice {
+    /// The plain step: strict mode's arithmetic.
+    const PLAIN: MaddChoice = MaddChoice { fused: false };
+
+    /// Fast-mode arithmetic whatever the process mode: fused where the CPU
+    /// has FMA, plain elsewhere. For fast mode's own algorithms, which have
+    /// already read the mode, and for [`super::row_matmul_accum_fast`].
+    pub(crate) fn fast() -> Self {
+        MaddChoice {
+            fused: fused_available(),
+        }
+    }
+
+    /// The arithmetic of the process's [`KernelMode`] — the one place a
+    /// mode picks between the instantiations.
+    pub(crate) fn current() -> Self {
+        match super::kernel_mode() {
+            KernelMode::Strict => Self::PLAIN,
+            KernelMode::Fast => Self::fast(),
+        }
+    }
+}
+
+/// `out_rows (+)= a[r0..r1, ks..ke] × b[ks..ke, :]` for an `m×kd · kd×n`
+/// product — the tiled i-k-j loop with the inner columns run as register
+/// accumulator blocks ([`mm_tile_row_g`]). `out_rows` is the row-major
+/// slice for rows `r0..r1` only. The explicit `k` window lets one body
+/// serve both row shards (`ks..ke` = `0..kd`) and fast mode's `k`-split
+/// shards (full rows, one window).
 #[inline(always)]
 fn mm_rows_g<M: Madd>(
     a: &[f32],
@@ -112,13 +159,15 @@ fn mm_rows_g<M: Madd>(
     }
 }
 
-/// One row × one `(kb..k_end, jb..)` tile, madd register blocks — the
-/// fast twin of [`super::mm_tile_row`].
+/// One row × one `(kb..k_end, jb..)` tile of the right operand. Each
+/// block of columns holds its partial sums in explicit `[f32; 8]`
+/// register blocks across the whole `k` tile; lanes are independent
+/// output elements, and within a lane the products accumulate in
+/// ascending `k` — the parity order.
 ///
 /// The main block is 32 columns wide: four independent 8-lane
-/// accumulators in flight per `k` step, because a *single* fused chain is
-/// latency-bound (one ~4-cycle FMA per step — exactly the throughput of
-/// strict's two mul+add chains, i.e. no win at all). Column blocking is
+/// accumulators in flight per `k` step, because a *single* chain is
+/// latency-bound (one ~4-cycle add or FMA per step). Column blocking is
 /// pure instruction-level parallelism: every output element still folds
 /// its own ascending-`k` madd chain, so the block width changes no bits.
 #[inline(always)]
@@ -181,93 +230,203 @@ fn mm_tile_row_g<M: Madd>(
     }
 }
 
-/// Fast `out (+)= (aᵀ×b)[i0..i1]`: the madd form of [`super::tn_rows`]'s
-/// per-element chain, `k` outermost.
+/// `out_rows (+)= (aᵀ × b)[i0..i1]` for `a: kr×m`, `b: kr×n` (`kr` is
+/// however many whole rows the slices hold) — the `xᵀ·g` backward kernel.
+///
+/// Each block of output elements sits in a register accumulator,
+/// initialised from `out`, while `k` runs over every row of the window:
+/// per element `out = madd(a[k][i], b[k][j], out)` for ascending `k`, with
+/// one load and one store of the output instead of one per `k`. Blocks are
+/// 16 or 8 adjacent columns of one output row (lanes read a row of `b`);
+/// the `n % 8` columns left over — all of them for the `n == 1` score
+/// column — run 16 or 8 adjacent output *rows* as lanes instead (lanes
+/// read a row of `a`). Lanes never share an accumulator, so the block
+/// shape changes no bits. Column blocks are the outer loop, so a block's
+/// `kr×16` strip of `b` stays cached while the output rows pass over it.
 #[inline(always)]
 fn tn_rows_g<M: Madd>(
     a: &[f32],
     b: &[f32],
-    kr: usize,
     m: usize,
     n: usize,
     i0: usize,
     i1: usize,
     out_rows: &mut [f32],
 ) {
-    for k in 0..kr {
-        let a_row = &a[k * m..(k + 1) * m];
-        let b_row = &b[k * n..(k + 1) * n];
+    let mut j = 0;
+    while j + 8 <= n {
+        let lanes = if j + 16 <= n { 16 } else { 8 };
         for i in i0..i1 {
-            let av = a_row[i];
-            let out_row = &mut out_rows[(i - i0) * n..(i - i0 + 1) * n];
-            let mut xc = b_row.chunks_exact(8);
-            let mut yc = out_row.chunks_exact_mut(8);
-            for (xs, ys) in (&mut xc).zip(&mut yc) {
-                ys[0] = M::madd(av, xs[0], ys[0]);
-                ys[1] = M::madd(av, xs[1], ys[1]);
-                ys[2] = M::madd(av, xs[2], ys[2]);
-                ys[3] = M::madd(av, xs[3], ys[3]);
-                ys[4] = M::madd(av, xs[4], ys[4]);
-                ys[5] = M::madd(av, xs[5], ys[5]);
-                ys[6] = M::madd(av, xs[6], ys[6]);
-                ys[7] = M::madd(av, xs[7], ys[7]);
+            let at = (i - i0) * n + j;
+            let out = &mut out_rows[at..at + lanes];
+            match lanes {
+                16 => tn_block_j::<M, 16>(a, b, m, n, i, j, out),
+                _ => tn_block_j::<M, 8>(a, b, m, n, i, j, out),
             }
-            for (xv, yv) in xc.remainder().iter().zip(yc.into_remainder()) {
-                *yv = M::madd(av, *xv, *yv);
+        }
+        j += lanes;
+    }
+    for j in j..n {
+        let mut i = i0;
+        while i + 8 <= i1 {
+            let lanes = if i + 16 <= i1 { 16 } else { 8 };
+            let column = &mut out_rows[(i - i0) * n + j..];
+            match lanes {
+                16 => tn_block_i::<M, 16>(a, b, m, n, i, j, column),
+                _ => tn_block_i::<M, 8>(a, b, m, n, i, j, column),
             }
+            i += lanes;
+        }
+        for i in i..i1 {
+            let mut acc = out_rows[(i - i0) * n + j];
+            for (a_row, b_row) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
+                acc = M::madd(a_row[i], b_row[j], acc);
+            }
+            out_rows[(i - i0) * n + j] = acc;
         }
     }
 }
 
-/// Fast `out (+)= (a×bᵀ)[i0..i1]`: the madd form of [`super::nt_rows`]'s
-/// per-element chain, four output columns at a time against `b`'s rows.
+/// `out[l] (+)= Σ_k a[k][i]·b[k][j + l]`: `L` adjacent columns of output
+/// row `i`, one lane each.
+#[inline(always)]
+fn tn_block_j<M: Madd, const L: usize>(
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    n: usize,
+    i: usize,
+    j: usize,
+    out: &mut [f32],
+) {
+    let mut acc = [0.0f32; L];
+    acc.copy_from_slice(out);
+    for (a_row, b_row) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
+        let av = a_row[i];
+        let b_blk = &b_row[j..j + L];
+        for l in 0..L {
+            acc[l] = M::madd(av, b_blk[l], acc[l]);
+        }
+    }
+    out.copy_from_slice(&acc);
+}
+
+/// `column[l·n] (+)= Σ_k a[k][i + l]·b[k][j]`: `L` adjacent rows of
+/// output column `j` (`column` starts at element `(i, j)`), one lane each.
+#[inline(always)]
+fn tn_block_i<M: Madd, const L: usize>(
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    n: usize,
+    i: usize,
+    j: usize,
+    column: &mut [f32],
+) {
+    let mut acc = [0.0f32; L];
+    for l in 0..L {
+        acc[l] = column[l * n];
+    }
+    for (a_row, b_row) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
+        let bv = b_row[j];
+        let a_blk = &a_row[i..i + L];
+        for l in 0..L {
+            acc[l] = M::madd(a_blk[l], bv, acc[l]);
+        }
+    }
+    for l in 0..L {
+        column[l * n] = acc[l];
+    }
+}
+
+/// Width of the [`pack_nt_panels`] panel that starts at column `j` of
+/// `n`: 16 while that many columns remain, then 8, then 4, then single
+/// columns.
+fn nt_panel_width(j: usize, n: usize) -> usize {
+    match n - j {
+        16.. => 16,
+        8.. => 8,
+        4.. => 4,
+        _ => 1,
+    }
+}
+
+/// `bᵀ` in column panels for [`nt_rows`]: the panel covering columns
+/// `j..j + L` of the product (rows of `b: n×kd`) is the `kd×L` matrix
+/// `panel[k][l] = b[j + l][k]`, stored at offset `j·kd`, so the `L`
+/// operands of one `k` step are adjacent. Widths follow
+/// [`nt_panel_width`].
+pub(crate) fn pack_nt_panels(b: &[f32], kd: usize, n: usize) -> Vec<f32> {
+    let mut panels = vec![0.0f32; n * kd];
+    let mut j = 0;
+    while j < n {
+        let lanes = nt_panel_width(j, n);
+        let panel = &mut panels[j * kd..(j + lanes) * kd];
+        for l in 0..lanes {
+            let b_row = &b[(j + l) * kd..(j + l + 1) * kd];
+            for (k, &v) in b_row.iter().enumerate() {
+                panel[k * lanes + l] = v;
+            }
+        }
+        j += lanes;
+    }
+    panels
+}
+
+/// `out_rows (+)= (a × bᵀ)[i0..i1]` for `a: m×kd`, `b: n×kd` — the
+/// `g·wᵀ` backward kernel, over `panels` = [`pack_nt_panels`]`(b)`.
+///
+/// The 16, 8 or 4 output columns of a panel run as lanes: each lane is
+/// one output element's dot product, `s = 0; s = madd(a[i][k], b[j][k], s)`
+/// for ascending `k`, then `out[i][j] += s` — the chain a lone scalar dot
+/// runs, which is what the one-column panels of the last `n % 4` columns
+/// are. Panels are the outer loop, so a panel (`kd×16` floats) stays
+/// cached while the rows of `a` stream past it.
 #[inline(always)]
 fn nt_rows_g<M: Madd>(
     a: &[f32],
-    b: &[f32],
+    panels: &[f32],
     kd: usize,
     n: usize,
     i0: usize,
     i1: usize,
     out_rows: &mut [f32],
 ) {
-    for i in i0..i1 {
-        let a_row = &a[i * kd..(i + 1) * kd];
-        let out_row = &mut out_rows[(i - i0) * n..(i - i0 + 1) * n];
-        let mut j = 0;
-        while j + 4 <= n {
-            let b0 = &b[j * kd..(j + 1) * kd];
-            let b1 = &b[(j + 1) * kd..(j + 2) * kd];
-            let b2 = &b[(j + 2) * kd..(j + 3) * kd];
-            let b3 = &b[(j + 3) * kd..(j + 4) * kd];
-            let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-            for k in 0..kd {
-                let av = a_row[k];
-                s0 = M::madd(av, b0[k], s0);
-                s1 = M::madd(av, b1[k], s1);
-                s2 = M::madd(av, b2[k], s2);
-                s3 = M::madd(av, b3[k], s3);
+    let mut j = 0;
+    while j < n {
+        let lanes = nt_panel_width(j, n);
+        let panel = &panels[j * kd..(j + lanes) * kd];
+        for i in i0..i1 {
+            let a_row = &a[i * kd..(i + 1) * kd];
+            let out = &mut out_rows[(i - i0) * n + j..(i - i0) * n + j + lanes];
+            match lanes {
+                16 => nt_block::<M, 16>(a_row, panel, out),
+                8 => nt_block::<M, 8>(a_row, panel, out),
+                4 => nt_block::<M, 4>(a_row, panel, out),
+                _ => nt_block::<M, 1>(a_row, panel, out),
             }
-            out_row[j] += s0;
-            out_row[j + 1] += s1;
-            out_row[j + 2] += s2;
-            out_row[j + 3] += s3;
-            j += 4;
         }
-        while j < n {
-            let b_row = &b[j * kd..(j + 1) * kd];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in a_row.iter().zip(b_row.iter()) {
-                acc = M::madd(av, bv, acc);
-            }
-            out_row[j] += acc;
-            j += 1;
-        }
+        j += lanes;
     }
 }
 
-/// `out_row = Σ_r alpha[r] · x[r, :]` over rows `r0..r1` of `x` — the
-/// fast attention-pooling body (madd fold in ascending `r`).
+/// `out[l] += Σ_k a_row[k]·panel[k][l]`, each lane summed from zero in
+/// ascending `k` before it meets `out`.
+#[inline(always)]
+fn nt_block<M: Madd, const L: usize>(a_row: &[f32], panel: &[f32], out: &mut [f32]) {
+    let mut s = [0.0f32; L];
+    for (&av, p) in a_row.iter().zip(panel.chunks_exact(L)) {
+        for l in 0..L {
+            s[l] = M::madd(av, p[l], s[l]);
+        }
+    }
+    for l in 0..L {
+        out[l] += s[l];
+    }
+}
+
+/// `out_row += Σ_r alpha[r] · x[r, :]` over rows `r0..r1` of `x` — the
+/// attention-pooling body (madd fold in ascending `r`).
 #[inline(always)]
 fn weighted_sum_g<M: Madd>(
     alpha: &[f32],
@@ -284,6 +443,18 @@ fn weighted_sum_g<M: Madd>(
             *o = M::madd(av, xv, *o);
         }
     }
+}
+
+/// Madd-fold dot product in ascending index order — the chain of one
+/// `nt` output element, used by segment backward passes so their
+/// per-row dots stay bitwise-equal to the per-sample `matmul_nt` chain.
+#[inline(always)]
+fn dot_g<M: Madd>(a: &[f32], b: &[f32]) -> f32 {
+    let mut acc = 0.0f32;
+    for (&x, &y) in a.iter().zip(b.iter()) {
+        acc = M::madd(x, y, acc);
+    }
+    acc
 }
 
 /// `out[r - r0] += a[r] · v` for rows `r0..r1` of `a` (`kd` wide), each
@@ -400,178 +571,80 @@ fn tanh_one<M: Madd>(x: f32) -> f32 {
     (if ax < 0.625 { small } else { big }).copysign(x)
 }
 
-// --- AVX2+FMA instantiations -------------------------------------------
-//
-// The `#[target_feature]` wrappers are where the `Fused` bodies pick up
-// hardware `vfmadd` codegen (and 256-bit auto-vectorization of the
-// 8-wide blocks). Calling one is only sound after `fused_available()`
-// returned true, which is exactly what the public entry points check.
+// --- Entry points -------------------------------------------------------
 
-macro_rules! fma_wrapper {
-    ($wrapper:ident, $generic:ident, ($($arg:ident : $ty:ty),*)) => {
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2", enable = "fma")]
-        unsafe fn $wrapper($($arg: $ty),*) {
-            $generic::<Fused>($($arg),*)
+/// Generates a kernel's one entry point from its generic body: the
+/// [`Unfused`] instantiation, compiled at the crate's baseline target, and
+/// on x86-64 the [`Fused`] one inside a `#[target_feature]` function —
+/// where the `#[inline(always)]` body picks up hardware `vfmadd` codegen
+/// and 256-bit vectorization of the 8-wide blocks — selected by the
+/// caller's [`MaddChoice`].
+macro_rules! kernel {
+    (
+        $(#[$doc:meta])*
+        $name:ident = $generic:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?
+    ) => {
+        $(#[$doc])*
+        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+        pub(crate) fn $name(madd: MaddChoice, $($arg: $ty),*) $(-> $ret)? {
+            #[cfg(target_arch = "x86_64")]
+            if madd.fused {
+                #[target_feature(enable = "avx2", enable = "fma")]
+                unsafe fn fused($($arg: $ty),*) $(-> $ret)? {
+                    $generic::<Fused>($($arg),*)
+                }
+                // SAFETY: `fused` is set only by `MaddChoice::fast`, after
+                // `fused_available` verified avx2+fma on this CPU.
+                return unsafe { fused($($arg),*) };
+            }
+            $generic::<Unfused>($($arg),*)
         }
     };
 }
 
-fma_wrapper!(mm_rows_fma, mm_rows_g, (
-    a: &[f32], b: &[f32], kd: usize, n: usize, ks: usize, ke: usize,
-    r0: usize, r1: usize, out_rows: &mut [f32]
-));
-fma_wrapper!(tn_rows_fma, tn_rows_g, (
-    a: &[f32], b: &[f32], kr: usize, m: usize, n: usize,
-    i0: usize, i1: usize, out_rows: &mut [f32]
-));
-fma_wrapper!(nt_rows_fma, nt_rows_g, (
-    a: &[f32], b: &[f32], kd: usize, n: usize,
-    i0: usize, i1: usize, out_rows: &mut [f32]
-));
-fma_wrapper!(weighted_sum_fma, weighted_sum_g, (
-    alpha: &[f32], x: &[f32], d: usize, r0: usize, r1: usize, out_row: &mut [f32]
-));
-
-fma_wrapper!(row_dots_fma, row_dots_g, (
-    a: &[f32], v: &[f32], kd: usize, r0: usize, r1: usize, out: &mut [f32]
-));
-
-fma_wrapper!(tanh_fma, tanh_g, (xs: &mut [f32]));
-
-/// Fast elementwise `tanh` in place.
-pub(crate) fn tanh_fast(xs: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if fused_available() {
-        // SAFETY: `fused_available` verified avx2+fma on this CPU.
-        unsafe { tanh_fma(xs) };
-        return;
-    }
-    tanh_g::<Unfused>(xs)
+kernel! {
+    /// `out_rows (+)= a[r0..r1, ks..ke] × b[ks..ke, :]` ([`mm_rows_g`]).
+    mm_rows = mm_rows_g(
+        a: &[f32], b: &[f32], kd: usize, n: usize, ks: usize, ke: usize,
+        r0: usize, r1: usize, out_rows: &mut [f32],
+    )
 }
-
-/// Fast `out_rows (+)= a[r0..r1, ks..ke] × b[ks..ke, :]`.
-pub(crate) fn mm_rows_fast(
-    a: &[f32],
-    b: &[f32],
-    kd: usize,
-    n: usize,
-    ks: usize,
-    ke: usize,
-    r0: usize,
-    r1: usize,
-    out_rows: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if fused_available() {
-        // SAFETY: `fused_available` verified avx2+fma on this CPU.
-        unsafe { mm_rows_fma(a, b, kd, n, ks, ke, r0, r1, out_rows) };
-        return;
-    }
-    mm_rows_g::<Unfused>(a, b, kd, n, ks, ke, r0, r1, out_rows)
+kernel! {
+    /// `out_rows (+)= (aᵀ × b)[i0..i1]` ([`tn_rows_g`]).
+    tn_rows = tn_rows_g(
+        a: &[f32], b: &[f32], m: usize, n: usize,
+        i0: usize, i1: usize, out_rows: &mut [f32],
+    )
 }
-
-/// Fast `out_rows (+)= (aᵀ × b)[i0..i1]`.
-pub(crate) fn tn_rows_fast(
-    a: &[f32],
-    b: &[f32],
-    kr: usize,
-    m: usize,
-    n: usize,
-    i0: usize,
-    i1: usize,
-    out_rows: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if fused_available() {
-        // SAFETY: `fused_available` verified avx2+fma on this CPU.
-        unsafe { tn_rows_fma(a, b, kr, m, n, i0, i1, out_rows) };
-        return;
-    }
-    tn_rows_g::<Unfused>(a, b, kr, m, n, i0, i1, out_rows)
+kernel! {
+    /// `out_rows (+)= (a × bᵀ)[i0..i1]` over `panels` =
+    /// [`pack_nt_panels`]`(b)` ([`nt_rows_g`]).
+    nt_rows = nt_rows_g(
+        a: &[f32], panels: &[f32], kd: usize, n: usize,
+        i0: usize, i1: usize, out_rows: &mut [f32],
+    )
 }
-
-/// Fast `out_rows (+)= (a × bᵀ)[i0..i1]`.
-pub(crate) fn nt_rows_fast(
-    a: &[f32],
-    b: &[f32],
-    kd: usize,
-    n: usize,
-    i0: usize,
-    i1: usize,
-    out_rows: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if fused_available() {
-        // SAFETY: `fused_available` verified avx2+fma on this CPU.
-        unsafe { nt_rows_fma(a, b, kd, n, i0, i1, out_rows) };
-        return;
-    }
-    nt_rows_g::<Unfused>(a, b, kd, n, i0, i1, out_rows)
+kernel! {
+    /// `out_row += Σ_r alpha[r] · x[r, :]` for `r` in `r0..r1`
+    /// ([`weighted_sum_g`]).
+    weighted_sum = weighted_sum_g(
+        alpha: &[f32], x: &[f32], d: usize, r0: usize, r1: usize, out_row: &mut [f32],
+    )
 }
-
-/// Fast `out[r - r0] += a[r] · v` for `r` in `r0..r1`.
-pub(crate) fn row_dots_fast(
-    a: &[f32],
-    v: &[f32],
-    kd: usize,
-    r0: usize,
-    r1: usize,
-    out: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if fused_available() {
-        // SAFETY: `fused_available` verified avx2+fma on this CPU.
-        unsafe { row_dots_fma(a, v, kd, r0, r1, out) };
-        return;
-    }
-    row_dots_g::<Unfused>(a, v, kd, r0, r1, out)
+kernel! {
+    /// Ascending madd-fold dot product ([`dot_g`]).
+    dot = dot_g(a: &[f32], b: &[f32]) -> f32
 }
-
-/// Fast `out_row += Σ_r alpha[r] · x[r, :]` for `r` in `r0..r1`.
-pub(crate) fn weighted_sum_fast(
-    alpha: &[f32],
-    x: &[f32],
-    d: usize,
-    r0: usize,
-    r1: usize,
-    out_row: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if fused_available() {
-        // SAFETY: `fused_available` verified avx2+fma on this CPU.
-        unsafe { weighted_sum_fma(alpha, x, d, r0, r1, out_row) };
-        return;
-    }
-    weighted_sum_g::<Unfused>(alpha, x, d, r0, r1, out_row)
+kernel! {
+    /// `out[r - r0] += a[r] · v` for `r` in `r0..r1`, lane-split
+    /// ([`row_dots_g`]) — fast mode only.
+    row_dots = row_dots_g(
+        a: &[f32], v: &[f32], kd: usize, r0: usize, r1: usize, out: &mut [f32],
+    )
 }
-
-/// Madd-fold dot product in ascending index order — the chain of one
-/// `nt` output element, used by segment backward passes so their
-/// per-row dots stay bitwise-equal to the per-sample `matmul_nt` chain.
-#[inline(always)]
-fn dot_g<M: Madd>(a: &[f32], b: &[f32]) -> f32 {
-    let mut acc = 0.0f32;
-    for (&x, &y) in a.iter().zip(b.iter()) {
-        acc = M::madd(x, y, acc);
-    }
-    acc
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn dot_fma(a: &[f32], b: &[f32]) -> f32 {
-    dot_g::<Fused>(a, b)
-}
-
-/// Fast dot product (see [`dot_g`]).
-pub(crate) fn dot_fast(a: &[f32], b: &[f32]) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if fused_available() {
-        // SAFETY: `fused_available` verified avx2+fma on this CPU.
-        return unsafe { dot_fma(a, b) };
-    }
-    dot_g::<Unfused>(a, b)
+kernel! {
+    /// Polynomial `tanh` in place ([`tanh_g`]) — fast mode only.
+    tanh = tanh_g(xs: &mut [f32])
 }
 
 /// Single-pass online-max softmax over the strided column
@@ -698,7 +771,7 @@ mod tests {
         );
         xs.extend([0.624_999_94, 0.625, 0.625_000_06, 9.099_999, 9.1, 40.0]);
         let mut ys = xs.clone();
-        tanh_g::<Unfused>(&mut ys);
+        tanh(MaddChoice::PLAIN, &mut ys);
         for (&x, &y) in xs.iter().zip(&ys) {
             let exact = (x as f64).tanh() as f32;
             let ulps = y.to_bits().abs_diff(exact.to_bits());
@@ -715,9 +788,9 @@ mod tests {
         let a: Vec<f32> = (0..m * kd).map(|i| ((i as f32) * 0.37).sin()).collect();
         let b: Vec<f32> = (0..kd * n).map(|i| ((i as f32) * 0.71).cos()).collect();
         let mut strict = vec![0.0f32; m * n];
-        super::super::mm_rows(&a, &b, kd, n, 0, m, &mut strict);
+        mm_rows(MaddChoice::PLAIN, &a, &b, kd, n, 0, kd, 0, m, &mut strict);
         let mut fast = vec![0.0f32; m * n];
-        mm_rows_fast(&a, &b, kd, n, 0, kd, 0, m, &mut fast);
+        mm_rows(MaddChoice::fast(), &a, &b, kd, n, 0, kd, 0, m, &mut fast);
         for (f, s) in fast.iter().zip(strict.iter()) {
             assert!((f - s).abs() <= 1e-4 * s.abs().max(1.0));
         }
@@ -725,8 +798,8 @@ mod tests {
         let mut split = vec![0.0f32; m * n];
         let mut w0 = vec![0.0f32; m * n];
         let mut w1 = vec![0.0f32; m * n];
-        mm_rows_fast(&a, &b, kd, n, 0, 9, 0, m, &mut w0);
-        mm_rows_fast(&a, &b, kd, n, 9, kd, 0, m, &mut w1);
+        mm_rows(MaddChoice::fast(), &a, &b, kd, n, 0, 9, 0, m, &mut w0);
+        mm_rows(MaddChoice::fast(), &a, &b, kd, n, 9, kd, 0, m, &mut w1);
         for i in 0..m * n {
             split[i] = w0[i] + w1[i];
         }
@@ -735,7 +808,7 @@ mod tests {
         }
         // The dispatch is stable: a second call reproduces the same bits.
         let mut again = vec![0.0f32; m * n];
-        mm_rows_fast(&a, &b, kd, n, 0, kd, 0, m, &mut again);
+        mm_rows(MaddChoice::fast(), &a, &b, kd, n, 0, kd, 0, m, &mut again);
         assert_eq!(bits(&fast), bits(&again));
     }
 }

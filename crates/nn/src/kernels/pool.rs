@@ -21,11 +21,8 @@
 //!   payload after the handoff, exactly like `std::thread::scope`'s
 //!   join does. A poisoned product therefore never returns normally and
 //!   never reaches the autodiff tape.
-//! * **Lazy + pinned.** No thread exists until the first threaded
-//!   product; the pool then grows to the largest shard count it has
-//!   seen (capped). With `NVC_PIN_WORKERS=1` each worker pins itself to
-//!   CPU `(index + 1) % ncpus` via `sched_setaffinity` (Linux;
-//!   elsewhere the knob is a no-op).
+//! * **Lazy.** No thread exists until the first threaded product; the
+//!   pool then grows to the largest shard count it has seen (capped).
 //!
 //! Concurrent submitters (serve workers, rollout shards) enqueue
 //! independent jobs; workers drain the queue FIFO, stealing shards
@@ -135,31 +132,7 @@ fn pool() -> &'static Pool {
     })
 }
 
-#[cfg(target_os = "linux")]
-fn pin_to_cpu(cpu: usize) {
-    extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-    }
-    let mut mask = [0u64; 16]; // cpu_set_t: 1024 bits
-    mask[(cpu / 64) % 16] |= 1 << (cpu % 64);
-    // Best-effort: a failure (exotic cgroup mask, cpu offline) only
-    // loses the affinity hint, never correctness.
-    unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) };
-}
-
-#[cfg(not(target_os = "linux"))]
-fn pin_to_cpu(_cpu: usize) {}
-
-fn pin_workers() -> bool {
-    static PIN: OnceLock<bool> = OnceLock::new();
-    *PIN.get_or_init(|| std::env::var("NVC_PIN_WORKERS").map(|v| v.trim() == "1") == Ok(true))
-}
-
-fn worker_loop(index: usize) {
-    if pin_workers() {
-        let ncpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-        pin_to_cpu((index + 1) % ncpus);
-    }
+fn worker_loop() {
     let p = pool();
     let mut st = p.state.lock().unwrap_or_else(|e| e.into_inner());
     loop {
@@ -225,7 +198,7 @@ pub(crate) fn run_spans(
             let index = st.workers;
             std::thread::Builder::new()
                 .name(format!("nvc-kpool-{index}"))
-                .spawn(move || worker_loop(index))
+                .spawn(worker_loop)
                 .expect("spawn kernel pool worker");
             st.workers += 1;
         }

@@ -7,21 +7,22 @@
 //! external ML dependencies:
 //!
 //! * [`Tensor`] — dense row-major `f32` matrices with a threaded,
-//!   SIMD-explicit matmul family ([`kernels`]: 8-wide unrolled inner
-//!   loops, output rows sharded across worker threads) plus
-//!   transpose-free `Aᵀ·B` / `A·Bᵀ` kernels for the backward pass; the
-//!   cache-blocked tiled kernel is retained as the reference baseline
-//!   ([`Tensor::matmul_accum_into_tiled`]). A process-wide
-//!   [`KernelMode`] picks the numeric contract: `Strict` (default) keeps
-//!   bitwise parity — any thread count produces the single-threaded bits
-//!   — while `Fast` (the serving default) runs fused-FMA accumulators,
-//!   reduction-dimension sharding for tall-thin shapes, a single-pass
-//!   online softmax and a polynomial `tanh`, ε-close to strict with
-//!   identical decisions and special-value propagation. The kernels are
-//!   callable on plain slices too ([`kernels::matmul_accum`],
-//!   [`kernels::tanh_inplace`], [`kernels::segment_softmax`],
-//!   [`kernels::segment_weighted_sum`]) — what a forward that builds no
-//!   tape runs, and what the tape's ops call;
+//!   SIMD-explicit matmul family ([`kernels`]: cache-blocked tiles,
+//!   8-wide unrolled inner loops, output rows sharded across worker
+//!   threads) plus transpose-free `Aᵀ·B` / `A·Bᵀ` kernels for the
+//!   backward pass, each loop nest written once for both modes. A
+//!   process-wide [`KernelMode`] picks the numeric contract: `Strict`
+//!   (default) keeps bitwise parity with the textbook i-k-j loop — any
+//!   thread count produces the single-threaded bits — while `Fast` (the
+//!   serving default) runs the same loops with fused-FMA accumulators,
+//!   plus reduction-dimension sharding for tall-thin shapes, a
+//!   single-pass online softmax and a polynomial `tanh`, ε-close to
+//!   strict with identical decisions and special-value propagation. The
+//!   kernels are callable on plain slices too
+//!   ([`kernels::matmul_accum`], [`kernels::tanh_inplace`],
+//!   [`kernels::segment_softmax`], [`kernels::segment_weighted_sum`]) —
+//!   what a forward that builds no tape runs, and what the tape's ops
+//!   call;
 //! * [`Graph`] — a tape of operations supporting `matmul`, a fused
 //!   `linear` (matmul + bias broadcast in one node), broadcasting adds,
 //!   `tanh`/`relu`/`exp`/`ln`, row softmax / log-softmax, embedding

@@ -129,26 +129,28 @@ impl Tensor {
 
     /// Accumulates `self × other` into `out` (`out += self × other`).
     ///
-    /// In [`KernelMode::Strict`](kernels::KernelMode) this is the tiled
-    /// loop of [`Tensor::matmul_accum_into_tiled`] with its inner columns
-    /// run as explicit 8-wide register-accumulator blocks, and the output
-    /// rows optionally sharded across worker threads
-    /// ([`crate::kernels::set_matmul_threads`]; small products stay
-    /// serial under the work floor). For each output element the partial
-    /// products are still summed in ascending `k` — unroll lanes are
-    /// independent elements and shards are whole rows — so results are
-    /// bitwise-identical to the textbook i-k-j loop at **any** thread
-    /// count, which is what keeps batched forwards equal to per-sample
-    /// forwards. Dense data takes no branches in the inner loop and
-    /// `0 × NaN` propagates as NaN (IEEE semantics, no zero-skip).
+    /// Both modes run one loop nest ([`kernels::fast`]): 64×64 tiles of
+    /// `other` stay L1-resident while every row of `self` streams over
+    /// them, the inner columns run as explicit 8-wide register-accumulator
+    /// blocks, and the output rows optionally shard across worker threads
+    /// ([`crate::kernels::set_matmul_threads`]; small products stay serial
+    /// under the work floor).
     ///
-    /// In [`KernelMode::Fast`](kernels::KernelMode) the same tile
-    /// structure runs with fused `mul_add` accumulators
-    /// ([`kernels::fast`]), and tall-thin products whose row count caps
-    /// row sharding split the reduction dimension across workers instead
-    /// ([`kernels::k_split_shards`]), each worker producing a partial
-    /// `m×n` sum combined on the caller — ε-close to strict, identical
-    /// `NaN`/`±∞` propagation, identical decisions.
+    /// In [`KernelMode::Strict`](kernels::KernelMode) the accumulators
+    /// fold `acc + a * b`. For each output element the partial products
+    /// are summed in ascending `k` — unroll lanes are independent elements
+    /// and shards are whole rows — so results are bitwise-identical to the
+    /// textbook i-k-j loop at **any** thread count, which is what keeps
+    /// batched forwards equal to per-sample forwards. Dense data takes no
+    /// branches in the inner loop and `0 × NaN` propagates as NaN (IEEE
+    /// semantics, no zero-skip).
+    ///
+    /// In [`KernelMode::Fast`](kernels::KernelMode) the accumulators fold
+    /// with fused `mul_add` where the CPU has FMA, and tall-thin products
+    /// whose row count caps row sharding split the reduction dimension
+    /// across workers instead ([`kernels::k_split_shards`]), each worker
+    /// producing a partial `m×n` sum combined on the caller — ε-close to
+    /// strict, identical `NaN`/`±∞` propagation, identical decisions.
     ///
     /// # Panics
     ///
@@ -172,54 +174,6 @@ impl Tensor {
             other.cols,
             &mut out.data,
         );
-    }
-
-    /// The cache-blocked single-threaded kernel, retained as the
-    /// reference baseline the threaded/unrolled
-    /// [`Tensor::matmul_accum_into`] is parity-tested and benchmarked
-    /// against: 64×64 tiles of `other` stay L1-resident while every row
-    /// of `self` streams over them, and each output element sums its
-    /// partial products in ascending `k` (bitwise-equal to the textbook
-    /// i-k-j loop).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn matmul_accum_into_tiled(&self, other: &Tensor, out: &mut Tensor) {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul shape mismatch: {}x{} × {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        assert_eq!(
-            out.shape(),
-            (self.rows, other.cols),
-            "matmul output shape mismatch"
-        );
-        const MM_KB: usize = 64;
-        const MM_JB: usize = 64;
-        let (m, kd, n) = (self.rows, self.cols, other.cols);
-        let mut kb = 0;
-        while kb < kd {
-            let k_end = (kb + MM_KB).min(kd);
-            let mut jb = 0;
-            while jb < n {
-                let j_end = (jb + MM_JB).min(n);
-                for i in 0..m {
-                    let a_row = &self.data[i * kd..(i + 1) * kd];
-                    let out_row = &mut out.data[i * n + jb..i * n + j_end];
-                    for k in kb..k_end {
-                        let a = a_row[k];
-                        let b_row = &other.data[k * n + jb..k * n + j_end];
-                        for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                            *o += a * b;
-                        }
-                    }
-                }
-                jb = j_end;
-            }
-            kb = k_end;
-        }
     }
 
     /// `selfᵀ × other` without materializing the transpose.
@@ -281,10 +235,9 @@ impl Tensor {
     /// Accumulates `self × otherᵀ` into `out` (see [`Tensor::matmul_nt`]).
     ///
     /// Output rows shard across worker threads under the same parity
-    /// contract as [`Tensor::matmul_accum_into`]; in strict mode 16, 8 or
-    /// 4 output columns run as the lanes of one block of independent
-    /// dot-product accumulators over a packed `otherᵀ`
-    /// ([`kernels::matmul_nt_accum`]).
+    /// contract as [`Tensor::matmul_accum_into`]; 16, 8 or 4 output
+    /// columns run as the lanes of one block of independent dot-product
+    /// accumulators over a packed `otherᵀ` ([`kernels::matmul_nt_accum`]).
     ///
     /// # Panics
     ///
@@ -528,16 +481,16 @@ mod tests {
         crate::kernels::set_kernel_mode(crate::kernels::default_kernel_mode());
     }
 
-    /// The deployed (unrolled, optionally threaded) kernel and the tiled
-    /// reference baseline must agree bitwise at every thread count,
-    /// including shapes that straddle the 8-wide unroll blocks.
+    /// The deployed (unrolled, optionally threaded) kernel and the textbook
+    /// loop must agree bitwise at every thread count, including shapes
+    /// that straddle the 8- and 32-wide unroll blocks.
     #[test]
-    fn deployed_matmul_matches_tiled_baseline_at_any_thread_count() {
+    fn deployed_matmul_matches_textbook_at_any_thread_count() {
         let _guard = crate::kernels::KNOB_LOCK
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         crate::kernels::set_matmul_grain(1);
-        // Bitwise equality to the tiled baseline is the strict contract.
+        // Bitwise equality to the textbook loop is the strict contract.
         crate::kernels::set_kernel_mode(crate::kernels::KernelMode::Strict);
         for &(m, k, n) in &[
             (1usize, 1usize, 1usize),
@@ -547,13 +500,12 @@ mod tests {
         ] {
             let a = random_tensor(m, k, (m * 31 + n) as u64);
             let b = random_tensor(k, n, (k * 17 + 5) as u64);
-            let mut tiled = Tensor::zeros(m, n);
-            a.matmul_accum_into_tiled(&b, &mut tiled);
+            let textbook = matmul_reference(&a, &b);
             for threads in [1usize, 2, 3, 8] {
                 crate::kernels::set_matmul_threads(threads);
                 assert_eq!(
                     a.matmul(&b),
-                    tiled,
+                    textbook,
                     "deployed kernel diverged at {m}x{k}x{n}, {threads} threads"
                 );
             }
@@ -565,24 +517,67 @@ mod tests {
         crate::kernels::set_kernel_mode(crate::kernels::default_kernel_mode());
     }
 
+    /// `tn`/`nt` against transpose-then-`matmul`, bit for bit, in **both**
+    /// modes — both sides fold one madd chain per element, whichever madd
+    /// the mode picks — run to run and at every thread count. The shapes
+    /// are the kernel-parity tier's edge list plus one width per `nt` panel
+    /// class (16/8/4/1), the `n == 1` score column and `n % 8` leftovers
+    /// (`tn`'s row-lane path, with 8, 16 and 17 output rows) and `m`, `k`,
+    /// `n` ∈ {0, 1}. The materialized side runs at one thread: fast `matmul`
+    /// `k`-splits tall-thin shapes at higher counts, `tn`/`nt` never do.
     #[test]
     fn matmul_tn_nt_match_materialized_transposes() {
-        // Holds at either mode (both sides share one madd chain per
-        // element), but the mode must not *flip between* the two deployed
-        // calls — serialize against the mode-pinning tests.
+        use crate::kernels::KernelMode;
         let _guard = crate::kernels::KNOB_LOCK
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        for &(m, k, n) in &[(1, 4, 3), (9, 70, 11), (33, 5, 80)] {
-            // tn: aᵀ·b where a is k×m (shared leading dim k).
-            let a = random_tensor(k, m, 11 + m as u64);
-            let b = random_tensor(k, n, 13 + n as u64);
-            assert_eq!(a.matmul_tn(&b), a.transposed().matmul(&b));
-            // nt: g·wᵀ where g is m×k, w is n×k (shared trailing dim k).
-            let g = random_tensor(m, k, 17 + m as u64);
-            let w = random_tensor(n, k, 19 + n as u64);
-            assert_eq!(g.matmul_nt(&w), g.matmul(&w.transposed()));
+        crate::kernels::set_matmul_grain(1);
+        let bits = |t: Tensor| t.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for mode in [KernelMode::Strict, KernelMode::Fast] {
+            crate::kernels::set_kernel_mode(mode);
+            for &(m, k, n) in &[
+                (1usize, 4usize, 3usize),
+                (9, 70, 11),
+                (33, 5, 80),
+                (0, 5, 3),
+                (4, 0, 3),
+                (4, 5, 0),
+                (3, 7, 1),
+                (1, 1, 1),
+                (2, 3, 8),
+                (2, 3, 16),
+                (5, 9, 7),
+                (5, 9, 9),
+                (9, 130, 67),
+                (8, 23, 1),
+                (16, 23, 7),
+                (17, 23, 12),
+                (19, 40, 29),
+                (2, 340, 64),
+            ] {
+                let ctx = format!("{mode} m={m} k={k} n={n}");
+                // tn: aᵀ·b where a is k×m (shared leading dim k).
+                let a = random_tensor(k, m, 11 + m as u64);
+                let b = random_tensor(k, n, 13 + n as u64);
+                // nt: g·wᵀ where g is m×k, w is n×k (shared trailing dim k).
+                let g = random_tensor(m, k, 17 + m as u64);
+                let w = random_tensor(n, k, 19 + n as u64);
+                crate::kernels::set_matmul_threads(1);
+                let want_tn = bits(a.transposed().matmul(&b));
+                let want_nt = bits(g.matmul(&w.transposed()));
+                for threads in [1usize, 2, 3, 8] {
+                    crate::kernels::set_matmul_threads(threads);
+                    for run in 0..2 {
+                        let at = format!("{ctx} threads={threads} run={run}");
+                        assert_eq!(bits(a.matmul_tn(&b)), want_tn, "tn [{at}]");
+                        assert_eq!(bits(g.matmul_nt(&w)), want_nt, "nt [{at}]");
+                    }
+                }
+            }
         }
+        crate::kernels::set_matmul_threads(crate::kernels::default_matmul_threads());
+        crate::kernels::set_matmul_grain(crate::kernels::DEFAULT_MATMUL_GRAIN);
+        crate::kernels::set_kernel_mode(crate::kernels::default_kernel_mode());
     }
 
     #[test]

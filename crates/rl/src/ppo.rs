@@ -64,21 +64,6 @@ pub struct PpoConfig {
     pub action_dims: ActionDims,
     /// Global gradient-norm clip.
     pub max_grad_norm: f32,
-    /// Worker threads for the stacked rollout forward in
-    /// [`PpoTrainer::collect`] (`0` or `1` = single-threaded, the
-    /// default). Sharding splits the batch into contiguous chunks, one
-    /// segmented encoder + policy forward per chunk, all drawing from the
-    /// shared [`TensorArena`]; every output row is a function of its own
-    /// input row only, so transitions stay bitwise-identical to the
-    /// single-threaded (and per-sample) paths at any thread count.
-    ///
-    /// Composes with the kernel-level `NvConfig::matmul_threads` knob one
-    /// layer down (`nvc_nn::kernels`): each collect shard's stacked
-    /// projection and policy matmuls may further row-shard inside the
-    /// kernel, and both layers preserve bitwise parity independently, so
-    /// any `{collect_threads, matmul_threads}` combination produces the
-    /// same transitions.
-    pub collect_threads: usize,
 }
 
 impl Default for PpoConfig {
@@ -95,7 +80,6 @@ impl Default for PpoConfig {
             action_space: ActionSpaceKind::Discrete,
             action_dims: ActionDims { n_vf: 7, n_if: 5 },
             max_grad_norm: 0.5,
-            collect_threads: 0,
         }
     }
 }
@@ -122,9 +106,8 @@ pub struct IterStats {
     pub update_us: u64,
 }
 
-/// One collected single-step episode (public so benches and parity tests
-/// can compare the batched and per-sample collection paths field by
-/// field).
+/// One collected single-step episode, as [`PpoTrainer::collect`] returns
+/// them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Transition {
     /// Environment context index the episode observed.
@@ -446,17 +429,19 @@ impl PpoTrainer {
 
     /// Rollout collection for one iteration — the batched hot path.
     ///
-    /// The whole `train_batch` runs as **one** graph (or one per shard
-    /// with `collect_threads`): every distinct context is embedded once
-    /// through the segmented encoder ([`CodeEmbedder::forward_rows`] —
-    /// one ragged attention forward over all unique contexts, then a row
-    /// gather fans them back out to the batch), and the policy runs a
-    /// single stacked forward over all rows. Actions are then sampled
-    /// row by row.
+    /// The whole `train_batch` runs as **one** graph: every distinct
+    /// context is embedded once through the segmented encoder
+    /// ([`CodeEmbedder::forward_rows`] — one ragged attention forward
+    /// over all unique contexts, then a row gather fans them back out to
+    /// the batch), and the policy runs a single stacked forward over all
+    /// rows; whatever parallelism there is comes from the kernels
+    /// sharding those products (`NvConfig::matmul_threads`). Actions are
+    /// then sampled row by row.
     ///
-    /// Transitions are bitwise-identical to
-    /// [`PpoTrainer::collect_reference`] under the same RNG state: the
-    /// context draws and action-sampling uniforms are pre-drawn in
+    /// Transitions are bitwise-identical to the per-sample spelling — a
+    /// fresh graph and a one-row [`CodeEmbedder::forward`] per episode,
+    /// kept as this module's test oracle — under the same RNG state:
+    /// the context draws and action-sampling uniforms are pre-drawn in
     /// exactly the per-sample interleaving (context `i`, then sample
     /// `i`'s uniforms — the draw count per sample is fixed by the action
     /// space, never by the logits), the batched forward computes each
@@ -499,32 +484,10 @@ impl PpoTrainer {
         let draws_per = uniforms.len() / n;
 
         // Phase 2: the stacked forward. Contexts repeat (draws are with
-        // replacement from a fixed pool), so each shard embeds its
-        // distinct contexts once through the segmented encoder and
-        // gathers rows back out per sample. With `collect_threads > 1`
-        // the batch is split into contiguous chunks forwarded in
-        // parallel (`std::thread::scope` workers over the shared arena);
-        // every output row depends only on its own input row, so the
-        // stitched result is bitwise-identical to the one-graph path.
-        let threads = self.cfg.collect_threads.max(1).min(n);
+        // replacement from a fixed pool), so the encoder embeds the
+        // distinct ones once and gathers rows back out per sample.
         let samples_of: Vec<&PathSample> = ctxs.iter().map(|&c| env.context(c)).collect();
-        let rows = if threads <= 1 {
-            self.stacked_policy_rows(&samples_of)
-        } else {
-            let chunk_len = (n + threads - 1) / threads;
-            let shards: Vec<PolicyRows> = std::thread::scope(|scope| {
-                let this = &*self;
-                let handles: Vec<_> = samples_of
-                    .chunks(chunk_len)
-                    .map(|chunk| scope.spawn(move || this.stacked_policy_rows(chunk)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("collect shard"))
-                    .collect()
-            });
-            PolicyRows::stitch(shards)
-        };
+        let rows = self.stacked_policy_rows(&samples_of);
         let (values, logits_vf, logits_if, mus) =
             (rows.values, rows.logits_vf, rows.logits_if, rows.mus);
         let stds = self.log_std_values();
@@ -574,73 +537,8 @@ impl PpoTrainer {
         out
     }
 
-    /// The seed per-sample collection path: a fresh graph and a
-    /// single-row forward per rollout sample, no arena, no batching.
-    ///
-    /// Kept as the baseline the `ext_train_throughput` bench measures
-    /// [`PpoTrainer::collect`] against, and as the reference the parity
-    /// tests compare transitions with.
-    pub fn collect_reference(
-        &mut self,
-        env: &mut impl BanditEnv,
-        rng: &mut impl Rng,
-    ) -> Vec<Transition> {
-        let dims = env.action_dims();
-        assert_eq!(
-            dims, self.cfg.action_dims,
-            "environment action dims must match the trainer configuration"
-        );
-        let mut out = Vec::with_capacity(self.cfg.train_batch);
-        for _ in 0..self.cfg.train_batch {
-            let ctx = rng.gen_range(0..env.num_contexts());
-            let sample = env.context(ctx).clone();
-            let mut g = Graph::new(&self.store);
-            let obs = self.embedder.forward(&mut g, &sample);
-            let pol = self.policy.forward(&mut g, obs);
-            let value = g.value(pol.value).data()[0];
-
-            let (action, raw, logp_old) = match self.cfg.action_space {
-                ActionSpaceKind::Discrete => {
-                    let lv = g.value(pol.logits_vf.expect("discrete")).row(0).to_vec();
-                    let li = g.value(pol.logits_if.expect("discrete")).row(0).to_vec();
-                    let (av, lpv) = sample_categorical(&lv, rng);
-                    let (ai, lpi) = sample_categorical(&li, rng);
-                    ((av, ai), [0.0, 0.0], lpv + lpi)
-                }
-                ActionSpaceKind::Continuous1D => {
-                    let mu = g.value(pol.mu.expect("continuous")).data()[0];
-                    let std = self.log_std_values()[0].exp();
-                    let x = mu + std * gaussian(rng);
-                    let lp = gaussian_logp(x, mu, std);
-                    (dims.decode_1d(x), [x, 0.0], lp)
-                }
-                ActionSpaceKind::Continuous2D => {
-                    let m = g.value(pol.mu.expect("continuous")).data().to_vec();
-                    let stds = self.log_std_values();
-                    let x0 = m[0] + stds[0].exp() * gaussian(rng);
-                    let x1 = m[1] + stds[1].exp() * gaussian(rng);
-                    let lp = gaussian_logp(x0, m[0], stds[0].exp())
-                        + gaussian_logp(x1, m[1], stds[1].exp());
-                    (dims.decode_2d(x0, x1), [x0, x1], lp)
-                }
-            };
-            drop(g);
-            let reward = env.reward(ctx, action);
-            out.push(Transition {
-                ctx,
-                action,
-                raw,
-                logp_old,
-                reward,
-                value,
-                advantage: 0.0,
-            });
-        }
-        out
-    }
-
-    /// One segmented encoder + policy forward over a slice of rollout
-    /// rows: each *distinct* sample embeds once through the segmented
+    /// One segmented encoder + policy forward over the rollout's rows:
+    /// each *distinct* sample embeds once through the segmented
     /// encoder ([`CodeEmbedder::forward_rows`] dedups by content and
     /// fans rows back out), and the policy runs one stacked forward.
     fn stacked_policy_rows(&self, samples_of: &[&PathSample]) -> PolicyRows {
@@ -804,45 +702,12 @@ impl PpoTrainer {
 }
 
 /// Stacked per-row outputs of one policy forward: the value column plus
-/// whichever heads the action space has. Shards of a parallel collection
-/// stitch back together row-wise ([`PolicyRows::stitch`]).
+/// whichever heads the action space has.
 struct PolicyRows {
     values: Vec<f32>,
     logits_vf: Option<Tensor>,
     logits_if: Option<Tensor>,
     mus: Option<Tensor>,
-}
-
-impl PolicyRows {
-    /// Concatenates shard outputs in shard order (rows keep their batch
-    /// positions — shards are contiguous chunks).
-    fn stitch(shards: Vec<PolicyRows>) -> PolicyRows {
-        let mut it = shards.into_iter();
-        let mut out = it.next().expect("at least one shard");
-        for s in it {
-            out.values.extend_from_slice(&s.values);
-            out.logits_vf = vstack(out.logits_vf.take(), s.logits_vf);
-            out.logits_if = vstack(out.logits_if.take(), s.logits_if);
-            out.mus = vstack(out.mus.take(), s.mus);
-        }
-        out
-    }
-}
-
-/// Row-stacks two optional tensors (both present or both absent).
-fn vstack(a: Option<Tensor>, b: Option<Tensor>) -> Option<Tensor> {
-    match (a, b) {
-        (Some(a), Some(b)) => {
-            let (ra, cols) = a.shape();
-            debug_assert_eq!(cols, b.cols(), "shard column mismatch");
-            let rb = b.rows();
-            let mut data = a.into_data();
-            data.extend_from_slice(b.data());
-            Some(Tensor::from_vec(ra + rb, cols, data))
-        }
-        (None, None) => None,
-        _ => unreachable!("shards disagree on which policy heads exist"),
-    }
 }
 
 /// First-seen-order dedup: returns the distinct context indices and, for
@@ -884,14 +749,10 @@ fn argmax(xs: &[f32]) -> usize {
     best
 }
 
-/// Samples from a categorical given raw logits; returns `(index, logp)`.
-fn sample_categorical(logits: &[f32], rng: &mut impl Rng) -> (usize, f32) {
-    sample_categorical_with(logits, rng.gen_range(0.0..1.0))
-}
-
-/// The categorical sampler as a pure function of one uniform draw, so
-/// the batched collection path can pre-draw its uniforms in per-sample
-/// order and still produce bitwise-identical actions.
+/// Samples from a categorical given raw logits and one uniform draw;
+/// returns `(index, logp)`. A pure function of the draw, so the batched
+/// collection path can pre-draw its uniforms in per-sample order and
+/// still produce bitwise-identical actions.
 fn sample_categorical_with(logits: &[f32], mut u: f32) -> (usize, f32) {
     let m = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
     let exps: Vec<f32> = logits.iter().map(|&l| (l - m).exp()).collect();
@@ -906,15 +767,8 @@ fn sample_categorical_with(logits: &[f32], mut u: f32) -> (usize, f32) {
     unreachable!("categorical sampling always returns in the loop");
 }
 
-/// Standard normal via Box–Muller.
-fn gaussian(rng: &mut impl Rng) -> f32 {
-    let u1: f32 = rng.gen_range(1e-7..1.0);
-    let u2: f32 = rng.gen_range(0.0..1.0);
-    gaussian_from(u1, u2)
-}
-
-/// Box–Muller as a pure function of its two uniform draws (`u1` must be
-/// in `(0, 1]`, as drawn by [`gaussian`]).
+/// Standard normal via Box–Muller, as a pure function of its two uniform
+/// draws (`u1` must be in `(0, 1]`).
 fn gaussian_from(u1: f32, u2: f32) -> f32 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
 }
@@ -929,6 +783,76 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// [`sample_categorical_with`], drawing its uniform from `rng`.
+    fn sample_categorical(logits: &[f32], rng: &mut impl Rng) -> (usize, f32) {
+        sample_categorical_with(logits, rng.gen_range(0.0..1.0))
+    }
+
+    /// [`gaussian_from`], drawing its two uniforms from `rng`.
+    fn gaussian(rng: &mut impl Rng) -> f32 {
+        let u1: f32 = rng.gen_range(1e-7..1.0);
+        let u2: f32 = rng.gen_range(0.0..1.0);
+        gaussian_from(u1, u2)
+    }
+
+    /// The seed per-sample collection path, [`PpoTrainer::collect`]'s
+    /// oracle: a fresh graph and a single-row forward per rollout sample,
+    /// the RNG drawn as each sample needs it — no arena, no batching.
+    fn collect_reference(
+        trainer: &PpoTrainer,
+        env: &mut impl BanditEnv,
+        rng: &mut impl Rng,
+    ) -> Vec<Transition> {
+        let dims = env.action_dims();
+        let mut out = Vec::with_capacity(trainer.cfg.train_batch);
+        for _ in 0..trainer.cfg.train_batch {
+            let ctx = rng.gen_range(0..env.num_contexts());
+            let sample = env.context(ctx).clone();
+            let mut g = Graph::new(&trainer.store);
+            let obs = trainer.embedder.forward(&mut g, &sample);
+            let pol = trainer.policy.forward(&mut g, obs);
+            let value = g.value(pol.value).data()[0];
+
+            let (action, raw, logp_old) = match trainer.cfg.action_space {
+                ActionSpaceKind::Discrete => {
+                    let lv = g.value(pol.logits_vf.expect("discrete")).row(0).to_vec();
+                    let li = g.value(pol.logits_if.expect("discrete")).row(0).to_vec();
+                    let (av, lpv) = sample_categorical(&lv, rng);
+                    let (ai, lpi) = sample_categorical(&li, rng);
+                    ((av, ai), [0.0, 0.0], lpv + lpi)
+                }
+                ActionSpaceKind::Continuous1D => {
+                    let mu = g.value(pol.mu.expect("continuous")).data()[0];
+                    let std = trainer.log_std_values()[0].exp();
+                    let x = mu + std * gaussian(rng);
+                    let lp = gaussian_logp(x, mu, std);
+                    (dims.decode_1d(x), [x, 0.0], lp)
+                }
+                ActionSpaceKind::Continuous2D => {
+                    let m = g.value(pol.mu.expect("continuous")).data().to_vec();
+                    let stds = trainer.log_std_values();
+                    let x0 = m[0] + stds[0].exp() * gaussian(rng);
+                    let x1 = m[1] + stds[1].exp() * gaussian(rng);
+                    let lp = gaussian_logp(x0, m[0], stds[0].exp())
+                        + gaussian_logp(x1, m[1], stds[1].exp());
+                    (dims.decode_2d(x0, x1), [x0, x1], lp)
+                }
+            };
+            drop(g);
+            let reward = env.reward(ctx, action);
+            out.push(Transition {
+                ctx,
+                action,
+                raw,
+                logp_old,
+                reward,
+                value,
+                advantage: 0.0,
+            });
+        }
+        out
+    }
 
     #[test]
     fn categorical_sampling_matches_distribution() {
@@ -1065,7 +989,7 @@ mod tests {
             let mut env = ParityEnv::new(5);
 
             let mut rng_ref = ChaCha8Rng::seed_from_u64(9);
-            let reference = trainer.collect_reference(&mut env, &mut rng_ref);
+            let reference = collect_reference(&trainer, &mut env, &mut rng_ref);
             let mut rng_bat = ChaCha8Rng::seed_from_u64(9);
             let batched = trainer.collect(&mut env, &mut rng_bat);
 
@@ -1079,49 +1003,6 @@ mod tests {
                 rng_bat.gen_range(0.0..1.0f64),
                 "RNG stream positions diverged for {kind:?}"
             );
-        }
-    }
-
-    /// Sharding the stacked rollout forward across threads must not
-    /// change a single bit of the transitions — each output row is a
-    /// function of its own input row, and the RNG is consumed before any
-    /// forward runs.
-    #[test]
-    fn parallel_collect_matches_single_threaded_bitwise() {
-        use nvc_embed::EmbedConfig;
-        use rand::SeedableRng;
-        use rand_chacha::ChaCha8Rng;
-
-        for kind in [
-            ActionSpaceKind::Discrete,
-            ActionSpaceKind::Continuous1D,
-            ActionSpaceKind::Continuous2D,
-        ] {
-            let base = PpoConfig {
-                train_batch: 29, // not a multiple of the thread count
-                hidden: vec![16, 16],
-                action_space: kind,
-                action_dims: ActionDims { n_vf: 7, n_if: 5 },
-                ..PpoConfig::default()
-            };
-            let mut env = ParityEnv::new(5);
-            let mut single = PpoTrainer::new(&base, &EmbedConfig::fast(), 41);
-            let mut rng_s = ChaCha8Rng::seed_from_u64(9);
-            let expected = single.collect(&mut env, &mut rng_s);
-
-            for threads in [3usize, 8, 64] {
-                let cfg = PpoConfig {
-                    collect_threads: threads,
-                    ..base.clone()
-                };
-                let mut sharded = PpoTrainer::new(&cfg, &EmbedConfig::fast(), 41);
-                let mut rng_p = ChaCha8Rng::seed_from_u64(9);
-                let got = sharded.collect(&mut env, &mut rng_p);
-                assert_eq!(
-                    expected, got,
-                    "{threads}-thread collect diverged for {kind:?}"
-                );
-            }
         }
     }
 

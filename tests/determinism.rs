@@ -105,12 +105,12 @@ fn figure_data_is_reproducible() {
 }
 
 /// The kernel-threading determinism bar, end to end: a full train ➝
-/// checkpoint ➝ serve run must be **bitwise**-equal across every
-/// `{matmul_threads, collect_threads}` combination drawn from {1, 3, 8},
-/// for all three action spaces. Equal checkpoints mean every f32 of
-/// every weight matches after training through the threaded kernels;
-/// equal served decisions mean the batched serving path (whose flush
-/// matmuls also shard) agrees too.
+/// checkpoint ➝ serve run must be **bitwise**-equal at every
+/// `matmul_threads` in {1, 3, 8} — kernel-pool sharding is the one
+/// parallelism path — for all three action spaces. Equal checkpoints
+/// mean every f32 of every weight matches after training through the
+/// threaded kernels; equal served decisions mean the batched serving
+/// path (whose flush matmuls also shard) agrees too.
 ///
 /// The matmul thread count is a process-global knob, so sibling tests in
 /// this binary constructing their own models can reset it mid-run; that
@@ -128,7 +128,7 @@ fn train_then_serve_is_bitwise_equal_across_thread_matrix() {
         ActionSpaceKind::Continuous1D,
         ActionSpaceKind::Continuous2D,
     ] {
-        let run = |matmul_threads: usize, collect_threads: usize| {
+        let run = |matmul_threads: usize| {
             // Pin strict explicitly: the bitwise guarantee is strict
             // mode's contract, and must hold even when this binary runs
             // under the `NVC_KERNEL_MODE=fast` CI leg (fast mode's
@@ -139,7 +139,6 @@ fn train_then_serve_is_bitwise_equal_across_thread_matrix() {
                 .with_seed(19)
                 .with_matmul_threads(matmul_threads)
                 .with_kernel_mode(nvc_nn::KernelMode::Strict);
-            cfg.ppo.collect_threads = collect_threads;
             cfg.ppo.action_space = kind;
             cfg.ppo.train_batch = 24;
             cfg.ppo.minibatch = 8;
@@ -166,12 +165,12 @@ fn train_then_serve_is_bitwise_equal_across_thread_matrix() {
             (stats, checkpoint, decisions)
         };
 
-        let baseline = run(1, 1);
-        for (mt, ct) in [(3, 1), (8, 1), (1, 3), (3, 3), (1, 8), (8, 8)] {
+        let baseline = run(1);
+        for mt in [3, 8] {
             assert_eq!(
-                run(mt, ct),
+                run(mt),
                 baseline,
-                "train-then-serve diverged for {kind:?} at matmul_threads={mt}, collect_threads={ct}"
+                "train-then-serve diverged for {kind:?} at matmul_threads={mt}"
             );
         }
     }

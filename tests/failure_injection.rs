@@ -223,7 +223,9 @@ fn threaded_matmul_worker_panic_propagates_without_tearing_the_arena() {
 
 /// The persistent worker pool's panic semantics: the payload resurfaces
 /// on the caller verbatim, the poisoned output never reaches the tape,
-/// and the pool is immediately reusable for clean work.
+/// and the pool is immediately reusable for clean work — for `matmul`
+/// and for the fused `linear`, which runs the same driver under its own
+/// op.
 #[test]
 fn pool_shard_panic_resurfaces_verbatim_and_the_pool_stays_usable() {
     use nvc_nn::{kernels, Graph, ParamStore, Tensor, TensorArena};
@@ -238,38 +240,47 @@ fn pool_shard_panic_resurfaces_verbatim_and_the_pool_stays_usable() {
         (0..ROWS * 5).map(|i| (i as f32 * 0.11).sin()).collect(),
     );
     let b = Tensor::from_vec(5, 4, (0..20).map(|i| (i as f32 * 0.9).cos()).collect());
+    let bias = Tensor::from_vec(1, 4, vec![0.5, -0.25, 0.125, 2.0]);
 
     kernels::set_matmul_threads(4);
     kernels::set_matmul_grain(1);
-    // Deployed-kernel reference, mode-agnostic (see the arena twin).
-    let want = a.matmul(&b);
     let store = ParamStore::new(0);
     let arena = TensorArena::new();
-    kernels::inject_worker_panic(10, ROWS);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut g = Graph::with_arena(&store, &arena);
-        let an = g.input(a.clone());
-        let bn = g.input(b.clone());
-        let _ = g.matmul(an, bn);
-    }));
-    kernels::clear_worker_panic();
-    assert!(outcome.is_err(), "worker panic must reach the caller");
-    let payload = outcome.unwrap_err();
-    let msg = payload
-        .downcast_ref::<String>()
-        .map(String::as_str)
-        .or_else(|| payload.downcast_ref::<&str>().copied())
-        .unwrap_or("");
-    assert!(
-        msg.contains("injected panic"),
-        "panic payload must survive the handoff verbatim: {msg:?}"
-    );
-    // Same pool, same arena, clean bits immediately afterwards.
-    let mut g = Graph::with_arena(&store, &arena);
-    let an = g.input(a.clone());
-    let bn = g.input(b.clone());
-    let mm = g.matmul(an, bn);
-    assert_eq!(g.value(mm), &want, "post-panic compute diverged");
+    for fused in [false, true] {
+        let op = if fused { "linear" } else { "matmul" };
+        let product = |g: &mut Graph<'_>| {
+            let an = g.input(a.clone());
+            let bn = g.input(b.clone());
+            let y = if fused {
+                let cn = g.input(bias.clone());
+                g.linear(an, bn, cn)
+            } else {
+                g.matmul(an, bn)
+            };
+            g.value(y).clone()
+        };
+        // Deployed-kernel reference, mode-agnostic (see the arena twin).
+        let want = product(&mut Graph::with_arena(&store, &arena));
+        kernels::inject_worker_panic(10, ROWS);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            product(&mut Graph::with_arena(&store, &arena));
+        }));
+        kernels::clear_worker_panic();
+        assert!(outcome.is_err(), "{op}: worker panic must reach the caller");
+        let payload = outcome.unwrap_err();
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("");
+        assert!(
+            msg.contains("injected panic"),
+            "{op}: panic payload must survive the handoff verbatim: {msg:?}"
+        );
+        // Same pool, same arena, clean bits immediately afterwards.
+        let again = product(&mut Graph::with_arena(&store, &arena));
+        assert_eq!(again, want, "{op}: post-panic compute diverged");
+    }
     kernels::set_matmul_threads(kernels::default_matmul_threads());
     kernels::set_matmul_grain(kernels::DEFAULT_MATMUL_GRAIN);
 }
@@ -303,8 +314,8 @@ fn k_split_shard_panic_resurfaces_verbatim() {
         N,
         (0..KD * N).map(|i| (i as f32 * 0.41).cos()).collect(),
     );
-    let mut want = Tensor::zeros(M, N);
-    a.matmul_accum_into_tiled(&b, &mut want);
+    kernels::set_kernel_mode(kernels::KernelMode::Strict);
+    let want = a.matmul(&b);
 
     kernels::set_matmul_threads(64);
     kernels::set_matmul_grain(1);

@@ -3,29 +3,47 @@
 //! spellings — values and gradients — over arbitrary shapes (including
 //! `m = 0`, `k = 0`, `n = 1` and widths straddling the 8-wide unroll
 //! blocks) and over hostile payloads (±0, quiet/signalling NaNs, ±∞,
-//! subnormals), in the `serialize` proptest style: NaNs compare by bits.
+//! subnormals). The textbook i-k-j loop is the one oracle: there is no
+//! intermediate reference kernel between it and what is deployed.
+//!
+//! "Bitwise" stops at NaN *payloads* ([`bits`]): where a NaN appears,
+//! the sign of every zero, ±∞ and every subnormal are compared bit for
+//! bit, but which payload survives when two NaNs meet is unspecified for
+//! arithmetic results in Rust — LLVM may commute the operands of an
+//! `fadd`/`fmul`, and the hardware keeps the first one's — so it is a
+//! property of the build, not of the kernel. With that one
+//! canonicalisation the tier holds in debug **and** `--release` builds.
 //!
 //! The work floor is pinned to 1 for the whole binary so the requested
 //! thread counts really shard even on deliberately tiny shapes. The
 //! thread knob is process-global, so tests in this binary may race on
 //! it — harmless by construction, since every value under test is
-//! asserted to produce the same bits.
+//! asserted to produce the same bits. The kernel *mode* is not
+//! result-neutral: every test holds [`MODE`] shared and runs strict,
+//! except the one that sweeps both modes and holds it exclusively.
 
-use nvc_nn::{kernels, Graph, ParamStore, Segments, Tensor};
+use std::sync::{RwLock, RwLockReadGuard};
+
+use nvc_nn::{kernels, Graph, KernelMode, ParamStore, Segments, Tensor};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 const THREAD_MATRIX: [usize; 4] = [1, 2, 3, 8];
 
+/// Guards the process-wide kernel mode: shared by the tests that pin
+/// strict, exclusive for the one that also runs fast.
+static MODE: RwLock<()> = RwLock::new(());
+
 /// Forces real sharding regardless of shape size and pins the strict
-/// kernel contract — this tier *is* the bitwise guarantee, so it must
-/// hold even when the binary runs under `NVC_KERNEL_MODE=fast`
-/// (idempotent; never restored inside this binary so concurrent tests
-/// can't undo it).
-fn force_sharding() {
+/// kernel contract for as long as the guard lives — this tier *is* the
+/// bitwise guarantee, so it must hold even when the binary runs under
+/// `NVC_KERNEL_MODE=fast` (idempotent, so concurrent holders agree).
+fn force_sharding() -> RwLockReadGuard<'static, ()> {
+    let guard = MODE.read().unwrap_or_else(|e| e.into_inner());
     kernels::set_matmul_grain(1);
-    kernels::set_kernel_mode(kernels::KernelMode::Strict);
+    kernels::set_kernel_mode(KernelMode::Strict);
+    guard
 }
 
 /// Bit patterns spanning every special f32 class (mirrors the
@@ -71,14 +89,19 @@ fn finite_tensor(rows: usize, cols: usize, seed: u64) -> Tensor {
     )
 }
 
-/// Bit view: the comparison NaN payloads survive.
+/// Bit view with every NaN mapped to the one canonical quiet NaN: NaN
+/// payloads of arithmetic results are unspecified in Rust (see the module
+/// docs), everything else — a NaN's position included — compares exactly.
 fn bits(t: &Tensor) -> Vec<u32> {
-    t.data().iter().map(|x| x.to_bits()).collect()
+    t.data()
+        .iter()
+        .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+        .collect()
 }
 
 /// Textbook i-k-j matmul — the parity reference. Ascending-`k`
 /// accumulation per output element, exactly the order the tiled,
-/// unrolled, and threaded kernels all preserve.
+/// unrolled, threaded deployed kernel preserves.
 fn matmul_textbook(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.cols(), b.rows());
     let mut out = Tensor::zeros(a.rows(), b.cols());
@@ -103,9 +126,6 @@ fn check_kernel_family(m: usize, k: usize, n: usize, seed: u64, threads: usize) 
     let b = wild_tensor(k, n, seed ^ 0x5DEECE66);
     let want = matmul_textbook(&a, &b);
     assert_eq!(bits(&a.matmul(&b)), bits(&want), "matmul diverged [{ctx}]");
-    let mut tiled = Tensor::zeros(m, n);
-    a.matmul_accum_into_tiled(&b, &mut tiled);
-    assert_eq!(bits(&tiled), bits(&want), "tiled baseline diverged [{ctx}]");
 
     // matmul_tn: (k×m)ᵀ · k×n — shared leading dim k.
     let at = wild_tensor(k, m, seed ^ 0xA5A5);
@@ -139,7 +159,7 @@ proptest! {
         n in 1usize..40,
         seed in 0u64..10_000,
     ) {
-        force_sharding();
+        let _strict = force_sharding();
         for threads in THREAD_MATRIX {
             check_kernel_family(m, k, n, seed, threads);
         }
@@ -147,43 +167,42 @@ proptest! {
 
     /// The fused `Graph::linear` — forward values AND the gradients that
     /// flow back through `matmul_nt` (dx), `matmul_tn` (dW) and the bias
-    /// column sum (db) — is bitwise-stable across the thread matrix and
-    /// equal to the unfused matmul + broadcast spelling.
+    /// column sum (db) — equals the unfused matmul + broadcast spelling
+    /// bit for bit at every thread count, in **both** kernel modes: the
+    /// fused op runs the deployed matmul's own driver, `k`-split included
+    /// (one case in four is the policy head's tall-thin 2×340·340×64, and
+    /// at grain 1 every one- or two-row shape splits at 3 threads too).
+    /// Strict is also bitwise-stable *across* the thread matrix; fast is
+    /// not meant to be — its `k`-split shard count follows the knob.
     #[test]
     fn prop_linear_values_and_grads_bitwise_across_threads(
         m in 1usize..10,
         k in 1usize..24,
         n in 1usize..24,
         seed in 0u64..10_000,
+        fast in 0usize..2,
+        policy_shape in 0usize..4,
     ) {
-        force_sharding();
+        let _exclusive = MODE.write().unwrap_or_else(|e| e.into_inner());
+        kernels::set_matmul_grain(1);
+        let mode = if fast == 1 { KernelMode::Fast } else { KernelMode::Strict };
+        kernels::set_kernel_mode(mode);
+        let (m, k, n) = if policy_shape == 0 { (2, 340, 64) } else { (m, k, n) };
         let mut store = ParamStore::new(seed);
         let x_init = finite_tensor(m, k, seed ^ 0x11);
         let w = store.param("w", finite_tensor(k, n, seed ^ 0x22));
         let b = store.param("b", finite_tensor(1, n, seed ^ 0x33));
 
-        let run_fused = || {
+        let run = |fused: bool| {
             let mut g = Graph::new(&store);
             let x = g.input(x_init.clone());
             let (wn, bn) = (g.param(w), g.param(b));
-            let y = g.linear(x, wn, bn);
-            let t = g.tanh(y);
-            let loss = g.sum_all(t);
-            g.backward(loss);
-            let grads = g.param_grads();
-            (
-                bits(g.value(y)),
-                bits(g.grad(x).expect("dx")),
-                bits(&grads[&w]),
-                bits(&grads[&b]),
-            )
-        };
-        let run_unfused = || {
-            let mut g = Graph::new(&store);
-            let x = g.input(x_init.clone());
-            let (wn, bn) = (g.param(w), g.param(b));
-            let mm = g.matmul(x, wn);
-            let y = g.add_row_broadcast(mm, bn);
+            let y = if fused {
+                g.linear(x, wn, bn)
+            } else {
+                let mm = g.matmul(x, wn);
+                g.add_row_broadcast(mm, bn)
+            };
             let t = g.tanh(y);
             let loss = g.sum_all(t);
             g.backward(loss);
@@ -197,11 +216,14 @@ proptest! {
         };
 
         kernels::set_matmul_threads(1);
-        let baseline = run_fused();
+        let baseline = run(true);
         for threads in THREAD_MATRIX {
             kernels::set_matmul_threads(threads);
-            prop_assert_eq!(&run_fused(), &baseline, "fused diverged at {} threads", threads);
-            prop_assert_eq!(&run_unfused(), &baseline, "unfused diverged at {} threads", threads);
+            let fused = run(true);
+            prop_assert_eq!(&run(false), &fused, "{} unfused != fused at {} threads", mode, threads);
+            if mode == KernelMode::Strict {
+                prop_assert_eq!(&fused, &baseline, "fused diverged at {} threads", threads);
+            }
         }
     }
 }
@@ -211,7 +233,7 @@ proptest! {
 /// multiples and their off-by-ones, and a tile-boundary straddler.
 #[test]
 fn edge_shapes_match_textbook_at_every_thread_count() {
-    force_sharding();
+    let _strict = force_sharding();
     for &(m, k, n) in &[
         (0usize, 5usize, 3usize), // no output rows
         (4, 0, 3),                // empty reduction
@@ -239,7 +261,7 @@ fn edge_shapes_match_textbook_at_every_thread_count() {
 /// thread count, bit for bit.
 #[test]
 fn backward_kernels_match_their_textbook_chains_on_a_nonzero_output() {
-    force_sharding();
+    let _strict = force_sharding();
     const WIDTHS: [usize; 10] = [0, 1, 7, 8, 9, 15, 16, 17, 48, 340];
     const DEPTHS: [usize; 5] = [0, 1, 32, 65, 384];
     for n in WIDTHS {
@@ -350,7 +372,7 @@ fn backward_kernels_match_their_textbook_chains_on_a_nonzero_output() {
 /// counts from none to a batch of eight loops, at every thread count.
 #[test]
 fn strict_row_dots_are_the_single_column_matmul_chain() {
-    force_sharding();
+    let _strict = force_sharding();
     for kd in [0usize, 1, 7, 8, 31, 32, 33, 64, 340, 341] {
         for m in [0usize, 1, 100, 800] {
             let seed = (kd * 1000 + m) as u64;
@@ -391,7 +413,7 @@ fn strict_row_dots_are_the_single_column_matmul_chain() {
 /// hostile payloads too (NaN/∞ propagate identically).
 #[test]
 fn segment_ops_match_serial_bits_at_every_thread_count() {
-    force_sharding();
+    let _strict = force_sharding();
     let store = ParamStore::new(7);
     let layouts: &[(&[usize], usize)] = &[
         (&[5], 3),                      // one segment: no cuts possible
@@ -429,7 +451,7 @@ fn segment_ops_match_serial_bits_at_every_thread_count() {
 /// (twin of the failure-injection tier's end-to-end version).
 #[test]
 fn worker_panic_propagates_out_of_matmul() {
-    force_sharding();
+    let _strict = force_sharding();
     kernels::set_matmul_threads(4);
     // 257 rows: far outside every other shape in this binary, so arming
     // the hook cannot perturb concurrently running tests.
