@@ -2,7 +2,7 @@
 //! FCNN architectures and batch sizes (§4).
 //!
 //! Batch sizes are the paper's {500, 1000, 4000} divided by 8 to fit the
-//! reduced-scale harness; see EXPERIMENTS.md for the scaling note.
+//! reduced-scale harness.
 
 use neurovectorizer::experiments::{fig5_sweep, Scale};
 use nv_bench::print_series;

@@ -30,18 +30,18 @@ use nvc_ir::ParamEnv;
 use nvc_vectorizer::ActionSpace;
 
 const USAGE: &str = "usage:
-  nvc train [--kernels N] [--iterations N] [--seed N] [--matmul-threads N]
-            [--kernel-mode strict|fast] [--trace FILE] [--journal FILE] --out FILE
+  nvc train [--kernels N] [--iterations N] [--seed N] [--kernel-mode strict|fast]
+            [--trace FILE] [--journal FILE] --out FILE
   nvc vectorize FILE.c [--model FILE]
   nvc inspect FILE.c [--n VALUE]
   nvc serve [--model FILE] [--workers N] [--batch N] [--cache N] [--shards N]
-            [--matmul-threads N] [--kernel-mode strict|fast] [--trace FILE]
+            [--kernel-mode strict|fast] [--trace FILE]
   nvc hub --model NAME=FILE [--model NAME=FILE…] [--weight NAME=N…] [--listen ADDR]
           [--cache-file PATH] [--cache-checkpoint-secs N] [--request-threads N]
           [--announce REGISTRY_ADDR] [--node NAME] [--advertise ADDR]
           [--announce-ttl-ms N] [--peers ADDR[,ADDR…]]
           [--workers N] [--batch N] [--cache N] [--shards N]
-          [--matmul-threads N] [--kernel-mode strict|fast] [--trace FILE]
+          [--kernel-mode strict|fast] [--trace FILE]
           [--learn] [--learn-journal FILE] [--learn-promotion-log FILE]
           [--learn-model NAME] [--learn-challenger NAME] [--learn-checkpoint FILE]
           [--learn-interval-ms N] [--learn-min-reports N] [--learn-canary-weight N]
@@ -49,13 +49,10 @@ const USAGE: &str = "usage:
   nvc registry [--listen ADDR]
   nvc resolve --registry ADDR [--model NAME]
 
---matmul-threads shards the nvc-nn matmul kernels' output rows across N
-persistent pool workers (default: NVC_MATMUL_THREADS or 1); results are
-bitwise-identical at any value.
 --kernel-mode picks the kernel numeric contract (default: NVC_KERNEL_MODE,
 else `fast` for serve/hub and `strict` everywhere else): `strict` is
-bitwise-reproducible; `fast` runs FMA + k-split + online-softmax kernels
-that are ε-close with identical decisions.
+bitwise-reproducible; `fast` runs FMA + online-softmax + polynomial-tanh
+kernels that are ε-close with identical decisions.
 The hub's connections are driven nonblocking by one selector thread, which
 answers `ping` and cache-hit `vectorize` itself; misses are answered by the
 --workers batch workers, which take up to --batch queued misses per forward
@@ -98,6 +95,10 @@ fn main() -> ExitCode {
     // NVC_TRACE=FILE enables span tracing for any subcommand; the
     // per-subcommand --trace flag does the same thing explicitly.
     nvc_obs::init_from_env();
+    if let Err(e) = check_kernel_mode_env() {
+        eprintln!("nvc: {e}");
+        return ExitCode::FAILURE;
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("train") => cmd_train(&args[1..]),
@@ -124,18 +125,37 @@ fn main() -> ExitCode {
     }
 }
 
+/// A set but unparsable `NVC_KERNEL_MODE` is an error, by the same
+/// `FromStr` as `--kernel-mode`: the library default would read it as
+/// `strict`, and because the variable *is* set `serve`/`hub` would not
+/// default to `fast` either — a typo silently serving ~30× slower.
+fn check_kernel_mode_env() -> Result<(), String> {
+    match std::env::var("NVC_KERNEL_MODE") {
+        Ok(v) => v
+            .parse::<nvc_nn::KernelMode>()
+            .map(drop)
+            .map_err(|e| format!("NVC_KERNEL_MODE: {e}")),
+        Err(std::env::VarError::NotPresent) => Ok(()),
+        Err(e) => Err(format!("NVC_KERNEL_MODE: {e} (strict|fast)")),
+    }
+}
+
+const TRAIN_FLAGS: &[Flag] = &[
+    Flag::value("--kernels"),
+    Flag::value("--iterations"),
+    Flag::value("--seed"),
+    Flag::value("--out"),
+    Flag::value("--kernel-mode"),
+    Flag::value("--trace"),
+    Flag::value("--journal"),
+];
+const VECTORIZE_FLAGS: &[Flag] = &[Flag::value("--model")];
+const INSPECT_FLAGS: &[Flag] = &[Flag::value("--n")];
+const REGISTRY_FLAGS: &[Flag] = &[Flag::value("--listen"), Flag::value("--trace")];
+const RESOLVE_FLAGS: &[Flag] = &[Flag::value("--registry"), Flag::value("--model")];
+
 fn cmd_train(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    const FLAGS: &[Flag] = &[
-        Flag::value("--kernels"),
-        Flag::value("--iterations"),
-        Flag::value("--seed"),
-        Flag::value("--out"),
-        Flag::value("--matmul-threads"),
-        Flag::value("--kernel-mode"),
-        Flag::value("--trace"),
-        Flag::value("--journal"),
-    ];
-    let p = parse_args(args, FLAGS, USAGE)?;
+    let p = parse_args(args, TRAIN_FLAGS, USAGE)?;
     no_positionals(&p, "train")?;
     apply_trace_flag(&p);
     let kernels: usize = p.parse_value("--kernels")?.unwrap_or(96);
@@ -147,9 +167,6 @@ fn cmd_train(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         .to_string();
 
     let mut cfg = NvConfig::fast().with_seed(seed);
-    if let Some(n) = p.parse_value::<usize>("--matmul-threads")? {
-        cfg.matmul_threads = n.max(1);
-    }
     if let Some(mode) = p.parse_value("--kernel-mode")? {
         cfg.kernel_mode = mode;
     }
@@ -207,8 +224,7 @@ fn no_positionals(p: &ParsedArgs, what: &str) -> Result<(), String> {
 }
 
 fn cmd_vectorize(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    const FLAGS: &[Flag] = &[Flag::value("--model")];
-    let p = parse_args(args, FLAGS, USAGE)?;
+    let p = parse_args(args, VECTORIZE_FLAGS, USAGE)?;
     let file = one_positional(&p, "vectorize")?;
     let source = read_source(&file)?;
     let mut nv = NeuroVectorizer::new(NvConfig::fast());
@@ -235,9 +251,6 @@ fn apply_serve_flags(cfg: &mut NvConfig, p: &ParsedArgs) -> Result<(), String> {
     if let Some(n) = p.parse_value::<usize>("--shards")? {
         cfg.serve.cache_shards = n.max(1);
     }
-    if let Some(n) = p.parse_value::<usize>("--matmul-threads")? {
-        cfg.matmul_threads = n.max(1);
-    }
     if let Some(mode) = p.parse_value("--kernel-mode")? {
         cfg.kernel_mode = mode;
     }
@@ -254,19 +267,22 @@ fn default_serving_to_fast(cfg: &mut NvConfig) {
     }
 }
 
-const SERVE_KNOBS: [Flag; 6] = [
+const SERVE_KNOBS: [Flag; 5] = [
     Flag::value("--workers"),
     Flag::value("--batch"),
     Flag::value("--cache"),
     Flag::value("--shards"),
-    Flag::value("--matmul-threads"),
     Flag::value("--kernel-mode"),
 ];
 
-fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+fn serve_flags() -> Vec<Flag> {
     let mut flags = vec![Flag::value("--model"), Flag::value("--trace")];
     flags.extend(SERVE_KNOBS);
-    let p = parse_args(args, &flags, USAGE)?;
+    flags
+}
+
+fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    let p = parse_args(args, &serve_flags(), USAGE)?;
     no_positionals(&p, "serve")?;
     apply_trace_flag(&p);
     let mut cfg = NvConfig::fast();
@@ -282,12 +298,11 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
     let serve_cfg = nv.config().serve.clone();
     eprintln!(
-        "nvc serve: ready ({} workers, batch {}, cache {} entries / {} shards, {} matmul thread(s), {} kernels); one JSON request per line",
+        "nvc serve: ready ({} workers, batch {}, cache {} entries / {} shards, {} kernels); one JSON request per line",
         serve_cfg.workers,
         serve_cfg.batch_size,
         serve_cfg.cache_capacity,
         serve_cfg.cache_shards,
-        nv.config().matmul_threads.max(1),
         nv.config().kernel_mode
     );
     let handle = nv.serve();
@@ -318,7 +333,7 @@ fn watch_stdin_eof(on_eof: impl FnOnce() + Send + 'static) {
         });
 }
 
-fn cmd_hub(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+fn hub_flags() -> Vec<Flag> {
     let mut flags = vec![
         Flag::repeated("--model"),
         Flag::repeated("--weight"),
@@ -346,7 +361,11 @@ fn cmd_hub(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         Flag::value("--learn-iters"),
     ];
     flags.extend(SERVE_KNOBS);
-    let p = parse_args(args, &flags, USAGE)?;
+    flags
+}
+
+fn cmd_hub(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    let p = parse_args(args, &hub_flags(), USAGE)?;
     no_positionals(&p, "hub")?;
     apply_trace_flag(&p);
 
@@ -550,8 +569,7 @@ fn cmd_hub(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_registry(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    const FLAGS: &[Flag] = &[Flag::value("--listen"), Flag::value("--trace")];
-    let p = parse_args(args, FLAGS, USAGE)?;
+    let p = parse_args(args, REGISTRY_FLAGS, USAGE)?;
     no_positionals(&p, "registry")?;
     apply_trace_flag(&p);
     let listen = p.get("--listen").unwrap_or("127.0.0.1:7209");
@@ -574,8 +592,7 @@ fn cmd_registry(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_resolve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    const FLAGS: &[Flag] = &[Flag::value("--registry"), Flag::value("--model")];
-    let p = parse_args(args, FLAGS, USAGE)?;
+    let p = parse_args(args, RESOLVE_FLAGS, USAGE)?;
     no_positionals(&p, "resolve")?;
     let registry = p
         .get("--registry")
@@ -601,8 +618,7 @@ fn cmd_resolve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_inspect(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    const FLAGS: &[Flag] = &[Flag::value("--n")];
-    let p = parse_args(args, FLAGS, USAGE)?;
+    let p = parse_args(args, INSPECT_FLAGS, USAGE)?;
     let file = one_positional(&p, "inspect")?;
     let source = read_source(&file)?;
     let mut env = ParamEnv::new();
@@ -655,4 +671,35 @@ fn cmd_inspect(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         println!();
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// `USAGE` and the subcommands' flag tables name the same flags: a
+    /// flag documented but no longer accepted, or accepted but never
+    /// documented, fails here.
+    #[test]
+    fn usage_and_flag_tables_name_the_same_flags() {
+        let (serve, hub) = (serve_flags(), hub_flags());
+        let accepted: BTreeSet<&str> = [
+            TRAIN_FLAGS,
+            VECTORIZE_FLAGS,
+            INSPECT_FLAGS,
+            &serve,
+            &hub,
+            REGISTRY_FLAGS,
+            RESOLVE_FLAGS,
+        ]
+        .iter()
+        .flat_map(|table| table.iter().map(|f| f.name))
+        .collect();
+        let documented: BTreeSet<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+            .filter(|word| word.starts_with("--") && word.len() > 2)
+            .collect();
+        assert_eq!(documented, accepted);
+    }
 }

@@ -1,9 +1,8 @@
 //! Drivers that regenerate every figure of the paper.
 //!
 //! Each function returns plain data; the `nv-bench` harness binaries
-//! print it in the paper's format, and `EXPERIMENTS.md` records the
-//! paper-vs-measured comparison. Everything is deterministic given the
-//! [`Scale`] seed.
+//! (README § *Experiments*) print it in the paper's format. Everything
+//! is deterministic given the [`Scale`] seed.
 //!
 //! | Paper artifact | Function |
 //! |---|---|
@@ -271,7 +270,7 @@ fn run_sweep_config(scale: Scale, cfg: NvConfig, label: String) -> SweepSeries {
 /// Regenerates Figure 5: learning-rate, architecture and batch-size
 /// sweeps. The axes match the paper (lr ∈ {5e-5, 5e-4, 5e-3},
 /// FCNN ∈ {64×64, 128×128, 256×256}, batch ∈ {500, 1000, 4000}); batch
-/// sizes are divided by 8 at `bench`/`smoke` scale (see EXPERIMENTS.md).
+/// sizes are divided by 8 at `bench`/`smoke` scale.
 pub fn fig5_sweep(scale: Scale) -> Vec<SweepSeries> {
     let mut out = Vec::new();
     // Learning rates (paper values).

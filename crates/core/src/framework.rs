@@ -34,22 +34,12 @@ pub struct NvConfig {
     /// Hub-tier configuration (`nvc hub`: TCP transport, model registry,
     /// persistent cache).
     pub hub: HubConfig,
-    /// Worker threads for the `nvc-nn` matmul family (`0`/`1` =
-    /// single-threaded), the only parallelism inside a forward or an
-    /// update: output rows of every `matmul`/`matmul_tn`/`matmul_nt` and
-    /// the fused `Graph::linear` shard across the kernel pool with each
-    /// element's accumulation order untouched, so any thread count is
-    /// bitwise-identical to single-threaded — training, serving and the
-    /// hub all inherit the knob through [`NeuroVectorizer::new`], which
-    /// applies it process-wide (`nvc_nn::kernels::set_matmul_threads`).
-    /// Defaults to the `NVC_MATMUL_THREADS` environment variable (or 1).
-    pub matmul_threads: usize,
     /// Numeric contract of the `nvc-nn` kernels, applied process-wide by
     /// [`NeuroVectorizer::new`] (`nvc_nn::kernels::set_kernel_mode`).
     /// `Strict` (the default) keeps the bitwise-parity kernels — what
     /// training and reproduction runs want; `Fast` enables fused-FMA
-    /// accumulators, reduction-dimension sharding, the online softmax,
-    /// the polynomial `tanh` and, in the inference forward, the factored
+    /// accumulators, the online softmax, the polynomial `tanh` and, in
+    /// the inference forward, the factored
     /// projection (each table row's share computed once per set of
     /// weights and kept) and the lane-split score dot — ε-close to
     /// strict with identical decisions, which is why `nvc serve` and
@@ -78,7 +68,6 @@ impl NvConfig {
             },
             serve: ServeConfig::default(),
             hub: HubConfig::default(),
-            matmul_threads: nvc_nn::kernels::default_matmul_threads(),
             kernel_mode: nvc_nn::kernels::default_kernel_mode(),
             seed: 0,
         }
@@ -106,7 +95,6 @@ impl NvConfig {
             },
             serve: ServeConfig::default(),
             hub: HubConfig::default(),
-            matmul_threads: nvc_nn::kernels::default_matmul_threads(),
             kernel_mode: nvc_nn::kernels::default_kernel_mode(),
             seed: 0,
         }
@@ -118,16 +106,9 @@ impl NvConfig {
         self
     }
 
-    /// Overrides the kernel worker count (builder style). Purely a
-    /// throughput dial: results are bitwise-identical at any value.
-    pub fn with_matmul_threads(mut self, threads: usize) -> Self {
-        self.matmul_threads = threads;
-        self
-    }
-
-    /// Overrides the kernel numeric contract (builder style). Unlike the
-    /// thread count this changes low-order result bits (never decisions):
-    /// see [`nvc_nn::KernelMode`].
+    /// Overrides the kernel numeric contract (builder style). This
+    /// changes low-order result bits (never decisions): see
+    /// [`nvc_nn::KernelMode`].
     pub fn with_kernel_mode(mut self, mode: nvc_nn::KernelMode) -> Self {
         self.kernel_mode = mode;
         self
@@ -145,18 +126,15 @@ pub struct NeuroVectorizer {
 impl NeuroVectorizer {
     /// Creates an untrained framework instance.
     ///
-    /// Applies `cfg.matmul_threads` and `cfg.kernel_mode` process-wide
-    /// (`nvc_nn::kernels::set_matmul_threads` / `set_kernel_mode`) so
-    /// everything downstream of this model — training iterations,
-    /// `nvc-serve` worker flushes, hub `reload`s through
-    /// [`NeuroVectorizer::hub_loader`] — runs the configured kernels.
-    /// Both knobs are last-writer-wins across instances: the thread
-    /// count is bitwise-neutral, and the kernel mode is decision-neutral
-    /// (strict and fast differ only in low-order float bits), so a
-    /// late-constructed instance can change the numerics of a colocated
-    /// one's floats but never its answers.
+    /// Applies `cfg.kernel_mode` process-wide
+    /// (`nvc_nn::kernels::set_kernel_mode`) so everything downstream of
+    /// this model — training iterations, `nvc-serve` worker flushes, hub
+    /// `reload`s through [`NeuroVectorizer::hub_loader`] — runs the
+    /// configured kernels. The knob is last-writer-wins across instances
+    /// and decision-neutral (strict and fast differ only in low-order
+    /// float bits), so a late-constructed instance can change the
+    /// numerics of a colocated one's floats but never its answers.
     pub fn new(cfg: NvConfig) -> Self {
-        nvc_nn::kernels::set_matmul_threads(cfg.matmul_threads);
         nvc_nn::kernels::set_kernel_mode(cfg.kernel_mode);
         let trainer = PpoTrainer::new(&cfg.ppo, &cfg.embed, cfg.seed);
         let rng = ChaCha8Rng::seed_from_u64(cfg.seed.wrapping_add(0x9E37));

@@ -187,12 +187,10 @@ impl CodeEmbedder {
     /// + `tanh`, and attention is one `segment_softmax_rows` +
     /// `segment_weighted_sum` over a [`Segments`] row partition. That
     /// single stacked `N×context_width · context_width×code_dim`
-    /// projection is the flop-dominant matmul of the whole system, and
-    /// the segmented layout makes it row-parallel: with
-    /// `NvConfig::matmul_threads > 1` the `nvc-nn` kernel shards its
-    /// output rows across the kernel pool (and runs 8-wide unrolled inner
-    /// loops) while keeping every row's accumulation order — and thus
-    /// bitwise parity — intact. The
+    /// projection is the flop-dominant matmul of the whole system; the
+    /// `nvc-nn` kernel runs it in 8-wide unrolled inner loops while
+    /// keeping every row's accumulation order — and thus bitwise parity —
+    /// intact. The
     /// segment kernels fix their reduction order per segment, so values
     /// *and* parameter gradients stay bitwise-identical to the
     /// per-sample spelling (one [`forward`] chain per sample, stacked
@@ -351,14 +349,13 @@ impl CodeEmbedder {
     /// in this call or any other, on this thread or any other, reads it.
     /// Context `r`'s projection is assembled as `(S[r] + P[r]) + E[r]`, in
     /// that order. Per element that is three `k`-range partials summed
-    /// instead of one chain — a reassociation of the same kind as the
-    /// kernels' `k`-split, under the same contract: ε-close to strict,
-    /// special values propagated identically, decisions identical. Keeping
-    /// the products changes no bit (a kept row is a pure function of the
-    /// weights, the role and the row), and the attention scores come from
-    /// the lane-split [`kernels::row_dots_accum`]; so at every kernel
-    /// thread count a sample's embedding does not depend on its
-    /// batch-mates or on what was served before it.
+    /// instead of one chain — a reassociation under fast mode's contract:
+    /// ε-close to strict, special values propagated identically,
+    /// decisions identical. Keeping the products changes no bit (a kept
+    /// row is a pure function of the weights, the role and the row), and
+    /// the attention scores come from the lane-split
+    /// [`kernels::row_dots_accum`]; so a sample's embedding does not
+    /// depend on its batch-mates or on what was served before it.
     ///
     /// The kept rows are valid for exactly one [`ParamStore::stamp`]: a
     /// call that sees another stamp — anything that could have changed a

@@ -8,18 +8,17 @@
 //!   `forward`, over ragged batches (empty, 1-context and max-width
 //!   samples, repeated samples, repeated table indices);
 //! * **fast** — the factored projection and the polynomial `tanh` are
-//!   ε-close to strict and the same bits from run to run at every
-//!   thread count;
+//!   ε-close to strict and the same bits from run to run;
 //! * **fast, the kept projections** — every kept row is the one-row
 //!   product bit for bit; whatever can change a weight drops them; threads
 //!   racing on a cold memo fill each row once and agree with a serial
-//!   run; a sample's embedding does not depend on its batch-mates at any
-//!   thread count; the bytes kept stay under the stated bound and are
-//!   given back with the embedder;
+//!   run; a sample's embedding does not depend on its batch-mates; the
+//!   bytes kept stay under the stated bound and are given back with the
+//!   embedder;
 //! * the work counters say what the projection multiplied.
 //!
-//! Kernel mode, thread count, the op-timing flag and the memo gauge are
-//! process-wide, so every test here holds one mutex.
+//! Kernel mode, the op-timing flag and the memo gauge are process-wide,
+//! so every test here holds one mutex.
 
 use nvc_embed::{CodeEmbedder, EmbedConfig, PathSample};
 use nvc_nn::{kernels, obs, serialize, Adam, Graph, KernelMode, ParamStore, Tensor};
@@ -35,8 +34,6 @@ fn lock_knobs() -> std::sync::MutexGuard<'static, ()> {
 
 fn restore_defaults() {
     kernels::set_kernel_mode(kernels::default_kernel_mode());
-    kernels::set_matmul_threads(kernels::default_matmul_threads());
-    kernels::set_matmul_grain(kernels::DEFAULT_MATMUL_GRAIN);
 }
 
 fn bits(t: &Tensor) -> Vec<u32> {
@@ -156,7 +153,7 @@ proptest! {
 
     /// Fast `infer_rows` — factored projection, polynomial `tanh` — stays
     /// within ε of strict (embeddings live in [−1, 1], so a flat bound)
-    /// and reproduces its own bits at every thread count.
+    /// and reproduces its own bits.
     #[test]
     fn prop_fast_infer_rows_is_eps_close_and_repeatable(
         n_samples in 1usize..7,
@@ -168,19 +165,12 @@ proptest! {
         let batch = ragged_batch(n_samples, seed, repeat == 1, &cfg);
         let refs: Vec<&PathSample> = batch.iter().collect();
         kernels::set_kernel_mode(KernelMode::Strict);
-        kernels::set_matmul_threads(1);
         let strict = e.infer_rows(&store, &refs);
         kernels::set_kernel_mode(KernelMode::Fast);
-        // Force sharding (and `k`-splits of the few-row products) on
-        // these small shapes.
-        kernels::set_matmul_grain(1);
-        for threads in [1usize, 2, 3, 8] {
-            kernels::set_matmul_threads(threads);
-            let fast = e.infer_rows(&store, &refs);
-            prop_assert_eq!(bits(&fast), bits(&e.infer_rows(&store, &refs)));
-            for (f, s) in fast.data().iter().zip(strict.data()) {
-                prop_assert!((f - s).abs() <= 1e-4, "fast={} strict={} threads={}", f, s, threads);
-            }
+        let fast = e.infer_rows(&store, &refs);
+        prop_assert_eq!(bits(&fast), bits(&e.infer_rows(&store, &refs)));
+        for (f, s) in fast.data().iter().zip(strict.data()) {
+            prop_assert!((f - s).abs() <= 1e-4, "fast={} strict={}", f, s);
         }
         restore_defaults();
     }
@@ -299,10 +289,8 @@ fn work_counters_expose_the_dedup_factor() {
 
 /// "The same bits as the factored projection", executable: after a fast
 /// forward every kept row equals the one-row product
-/// `table_row · W[role's rows]` of the deployed fast matmul at one thread,
-/// bit for bit — also when the forward itself ran with eight kernel
-/// threads and the work floor dropped, where a one-row `matmul_accum`
-/// would `k`-split — and rows no context named are not kept.
+/// `table_row · W[role's rows]` of the deployed fast matmul, bit for bit,
+/// and rows no context named are not kept.
 #[test]
 fn kept_rows_are_the_one_row_products_bitwise() {
     let _guard = lock_knobs();
@@ -318,32 +306,26 @@ fn kept_rows_are_the_one_row_products_bitwise() {
             _ => (e.token_table(), &w[(dt + dp) * code..]),
         };
         kernels::set_kernel_mode(KernelMode::Fast);
-        kernels::set_matmul_grain(1);
-        for threads in [1usize, 8] {
-            let e = e.clone();
-            kernels::set_matmul_threads(threads);
-            e.infer_rows(&store, &refs);
-            kernels::set_matmul_threads(1);
-            let touched = touched_rows(&batch);
-            for &(role, idx) in &touched {
-                let (table, w_role) = role_of(role);
-                let row = store.get(table).row(idx);
-                let mut want = vec![0.0f32; code];
-                kernels::matmul_accum(row, w_role, 1, row.len(), code, &mut want);
-                let kept = e
-                    .memo_row(&store, role, idx)
-                    .expect("a looked-up row is kept");
-                assert_eq!(
-                    slice_bits(&kept),
-                    slice_bits(&want),
-                    "role {role} row {idx} at {threads} threads"
-                );
-            }
-            let unused = (0..cfg.path_buckets)
-                .find(|&i| !touched.contains(&(1, i)))
-                .expect("a path row no context names");
-            assert_eq!(e.memo_row(&store, 1, unused), None);
+        e.infer_rows(&store, &refs);
+        let touched = touched_rows(&batch);
+        for &(role, idx) in &touched {
+            let (table, w_role) = role_of(role);
+            let row = store.get(table).row(idx);
+            let mut want = vec![0.0f32; code];
+            kernels::matmul_accum(row, w_role, 1, row.len(), code, &mut want);
+            let kept = e
+                .memo_row(&store, role, idx)
+                .expect("a looked-up row is kept");
+            assert_eq!(
+                slice_bits(&kept),
+                slice_bits(&want),
+                "role {role} row {idx}"
+            );
         }
+        let unused = (0..cfg.path_buckets)
+            .find(|&i| !touched.contains(&(1, i)))
+            .expect("a path row no context names");
+        assert_eq!(e.memo_row(&store, 1, unused), None);
     }
     restore_defaults();
 }
@@ -447,14 +429,11 @@ fn racing_threads_fill_each_row_once_and_agree_with_a_serial_run() {
 }
 
 /// A sample embedded alone and the same sample among seven batch-mates:
-/// the same bits at every kernel thread count, with sharding forced.
-/// (Multiplying the batch's distinct rows per flush, a one- or two-row
-/// product `k`-split at more than one thread, and this held only at one.)
+/// the same bits.
 #[test]
-fn a_sample_does_not_depend_on_its_batch_mates_at_any_thread_count() {
+fn a_sample_does_not_depend_on_its_batch_mates() {
     let _guard = lock_knobs();
     kernels::set_kernel_mode(KernelMode::Fast);
-    kernels::set_matmul_grain(1);
     for cfg in [EmbedConfig::fast(), EmbedConfig::paper()] {
         let (cfg, store, e) = model_of(cfg, 59);
         let mut rng = ChaCha8Rng::seed_from_u64(5);
@@ -462,19 +441,11 @@ fn a_sample_does_not_depend_on_its_batch_mates_at_any_thread_count() {
             .map(|i| random_sample(1 + (i * 5) % cfg.max_paths, &cfg, &mut rng))
             .collect();
         let refs: Vec<&PathSample> = batch.iter().collect();
-        for threads in [1usize, 2, 3, 8] {
-            kernels::set_matmul_threads(threads);
-            // Cold for the batch, cold again for the lone samples.
-            let together = e.clone().infer_rows(&store, &refs);
-            let e = e.clone();
-            for (r, s) in batch.iter().enumerate() {
-                let alone = e.infer_rows(&store, &[s]);
-                assert_eq!(
-                    bits(&alone),
-                    slice_bits(together.row(r)),
-                    "sample {r} at {threads} threads"
-                );
-            }
+        // Cold for the batch, cold again for the lone samples.
+        let together = e.clone().infer_rows(&store, &refs);
+        for (r, s) in batch.iter().enumerate() {
+            let alone = e.infer_rows(&store, &[s]);
+            assert_eq!(bits(&alone), slice_bits(together.row(r)), "sample {r}");
         }
     }
     restore_defaults();

@@ -10,11 +10,10 @@
 //! * **strict** — values and all four parameter gradients bitwise-equal
 //!   to the per-sample spelling ([`forward_batch_reference`]), which
 //!   computes every row;
-//! * **fast** — the same bits from run to run at every thread count (its
-//!   ε against strict is `tests/fast_parity.rs`'s business).
+//! * **fast** — the same bits from run to run (its ε against strict is
+//!   `tests/fast_parity.rs`'s business).
 //!
-//! Kernel mode and thread count are process-wide, so every test here
-//! holds one mutex.
+//! The kernel mode is process-wide, so every test here holds one mutex.
 
 use std::collections::HashMap;
 
@@ -31,8 +30,6 @@ fn lock_knobs() -> std::sync::MutexGuard<'static, ()> {
 
 fn restore_defaults() {
     kernels::set_kernel_mode(kernels::default_kernel_mode());
-    kernels::set_matmul_threads(kernels::default_matmul_threads());
-    kernels::set_matmul_grain(kernels::DEFAULT_MATMUL_GRAIN);
 }
 
 fn sample(triples: &[(usize, usize, usize)]) -> PathSample {
@@ -148,31 +145,27 @@ fn strict_forward_batch_on_repeated_rows_is_the_reference_bitwise() {
 fn fast_forward_batch_on_repeated_rows_repeats_its_own_bits() {
     let _guard = lock_knobs();
     kernels::set_kernel_mode(KernelMode::Fast);
-    kernels::set_matmul_grain(1);
     let cfg = EmbedConfig::fast();
     let mut store = ParamStore::new(29);
     let e = CodeEmbedder::new(&mut store, &cfg);
     for (what, batch) in batches() {
         let refs: Vec<&PathSample> = batch.iter().collect();
         let sel = selector(refs.len(), cfg.code_dim, 31);
-        for threads in [1usize, 2, 3, 8] {
-            kernels::set_matmul_threads(threads);
-            let run = || {
-                let (vals, grads) =
-                    values_and_grads(&store, &refs, &sel, |g, ss| e.forward_batch(g, ss).unwrap());
-                let mut all: Vec<u32> = vals.data().iter().map(|x| x.to_bits()).collect();
-                for p in [
-                    e.token_table(),
-                    e.path_table(),
-                    e.context_weight(),
-                    e.attention_vector(),
-                ] {
-                    all.extend(grads[&p].data().iter().map(|x| x.to_bits()));
-                }
-                all
-            };
-            assert_eq!(run(), run(), "{what}: {threads} threads");
-        }
+        let run = || {
+            let (vals, grads) =
+                values_and_grads(&store, &refs, &sel, |g, ss| e.forward_batch(g, ss).unwrap());
+            let mut all: Vec<u32> = vals.data().iter().map(|x| x.to_bits()).collect();
+            for p in [
+                e.token_table(),
+                e.path_table(),
+                e.context_weight(),
+                e.attention_vector(),
+            ] {
+                all.extend(grads[&p].data().iter().map(|x| x.to_bits()));
+            }
+            all
+        };
+        assert_eq!(run(), run(), "{what}");
     }
     restore_defaults();
 }

@@ -180,8 +180,8 @@ impl std::error::Error for HubError {}
 /// its content hash. The CLI wires this to `NeuroVectorizer::restore` +
 /// `nvc_nn::serialize::checkpoint_hash_text`; tests use stubs. A loader
 /// built from an `NvConfig` (`NeuroVectorizer::hub_loader`) re-applies
-/// that config's `matmul_threads` on every `reload`, so hot-swapped
-/// models keep running the threaded kernels.
+/// that config's `kernel_mode` on every `reload`, so hot-swapped models
+/// keep running the configured kernels.
 pub type CheckpointLoader =
     Box<dyn Fn(&str) -> Result<(Arc<dyn DecisionModel>, u64), String> + Send + Sync>;
 

@@ -429,11 +429,10 @@ impl<'s> Graph<'s> {
     /// results bitwise-identical to `matmul` followed by
     /// [`Graph::add_row_broadcast`].
     ///
-    /// The product is the deployed matmul — same driver, same shards, same
-    /// `k`-split in fast mode — charged to this op's own timer, and the
-    /// bias then lands on each element after its complete product chain:
-    /// `(0 + chain) + bias`, exactly the unfused order, so the fused,
-    /// unfused and threaded spellings are bitwise-identical in both modes.
+    /// The product is the deployed matmul, charged to this op's own
+    /// timer, and the bias then lands on each element after its complete
+    /// product chain: `(0 + chain) + bias`, exactly the unfused order, so
+    /// the fused and unfused spellings are bitwise-identical in both modes.
     ///
     /// # Panics
     ///
@@ -820,15 +819,12 @@ impl<'s> Graph<'s> {
                                 continue;
                             }
                             // The `tn` kernel of the whole-matrix product
-                            // over the segment's row window, called on
-                            // this thread: a few dozen rows each and
-                            // dozens of segments to a batch, a partial is
-                            // not worth a pool hand-off.
+                            // over the segment's row window.
                             let (a_win, g_win) =
                                 (&av.data()[r0 * bk..r1 * bk], &g.data()[r0 * bn..r1 * bn]);
                             let out = partial.data_mut();
                             out.fill(0.0);
-                            crate::kernels::matmul_tn_accum_here(a_win, g_win, bk, bn, out);
+                            crate::kernels::matmul_tn_accum(a_win, g_win, r1 - r0, bk, bn, out);
                             db.add_scaled(&partial, 1.0);
                         }
                         self.recycle(partial);

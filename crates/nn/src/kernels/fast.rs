@@ -7,9 +7,9 @@
 //! instantiated twice:
 //!
 //! * [`Unfused`], plain `acc + a * b`, **is strict mode**, and is fast
-//!   mode on a host without FMA (fast mode's other departures —
-//!   `k`-split sharding, online softmax, polynomial `tanh`, lane-split
-//!   score dot — still apply there).
+//!   mode on a host without FMA (fast mode's other departures — online
+//!   softmax, polynomial `tanh`, lane-split score dot — still apply
+//!   there).
 //! * [`Fused`] uses `f32::mul_add`. That intrinsic is only fast when the
 //!   compiler can emit a hardware `vfmadd`; without the `fma` target
 //!   feature it lowers to the correctly-rounded-but-slow libm `fmaf`. So
@@ -111,35 +111,22 @@ impl MaddChoice {
     }
 }
 
-/// `out_rows (+)= a[r0..r1, ks..ke] × b[ks..ke, :]` for an `m×kd · kd×n`
-/// product — the tiled i-k-j loop with the inner columns run as register
-/// accumulator blocks ([`mm_tile_row_g`]). `out_rows` is the row-major
-/// slice for rows `r0..r1` only. The explicit `k` window lets one body
-/// serve both row shards (`ks..ke` = `0..kd`) and fast mode's `k`-split
-/// shards (full rows, one window).
+/// `out += a × b` for an `m×kd · kd×n` product — the tiled i-k-j loop
+/// with the inner columns run as register accumulator blocks
+/// ([`mm_tile_row_g`]).
 #[inline(always)]
-fn mm_rows_g<M: Madd>(
-    a: &[f32],
-    b: &[f32],
-    kd: usize,
-    n: usize,
-    ks: usize,
-    ke: usize,
-    r0: usize,
-    r1: usize,
-    out_rows: &mut [f32],
-) {
+fn mm_rows_g<M: Madd>(a: &[f32], b: &[f32], m: usize, kd: usize, n: usize, out: &mut [f32]) {
     const KB: usize = 64;
     const JB: usize = 64;
-    let mut kb = ks;
-    loop {
-        let k_end = (kb + KB).min(ke);
+    let mut kb = 0;
+    while kb < kd {
+        let k_end = (kb + KB).min(kd);
         let mut jb = 0;
         while jb < n {
             let j_end = (jb + JB).min(n);
-            for i in r0..r1 {
+            for i in 0..m {
                 let a_row = &a[i * kd..(i + 1) * kd];
-                let base = (i - r0) * n;
+                let base = i * n;
                 mm_tile_row_g::<M>(
                     a_row,
                     b,
@@ -147,15 +134,12 @@ fn mm_rows_g<M: Madd>(
                     kb,
                     k_end,
                     jb,
-                    &mut out_rows[base + jb..base + j_end],
+                    &mut out[base + jb..base + j_end],
                 );
             }
             jb = j_end;
         }
         kb = k_end;
-        if kb >= ke {
-            break;
-        }
     }
 }
 
@@ -230,8 +214,8 @@ fn mm_tile_row_g<M: Madd>(
     }
 }
 
-/// `out_rows (+)= (aᵀ × b)[i0..i1]` for `a: kr×m`, `b: kr×n` (`kr` is
-/// however many whole rows the slices hold) — the `xᵀ·g` backward kernel.
+/// `out += aᵀ × b` for `a: kr×m`, `b: kr×n` (`kr` is however many whole
+/// rows the slices hold) — the `xᵀ·g` backward kernel.
 ///
 /// Each block of output elements sits in a register accumulator,
 /// initialised from `out`, while `k` runs over every row of the window:
@@ -244,45 +228,36 @@ fn mm_tile_row_g<M: Madd>(
 /// shape changes no bits. Column blocks are the outer loop, so a block's
 /// `kr×16` strip of `b` stays cached while the output rows pass over it.
 #[inline(always)]
-fn tn_rows_g<M: Madd>(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    n: usize,
-    i0: usize,
-    i1: usize,
-    out_rows: &mut [f32],
-) {
+fn tn_rows_g<M: Madd>(a: &[f32], b: &[f32], m: usize, n: usize, out: &mut [f32]) {
     let mut j = 0;
     while j + 8 <= n {
         let lanes = if j + 16 <= n { 16 } else { 8 };
-        for i in i0..i1 {
-            let at = (i - i0) * n + j;
-            let out = &mut out_rows[at..at + lanes];
+        for i in 0..m {
+            let block = &mut out[i * n + j..i * n + j + lanes];
             match lanes {
-                16 => tn_block_j::<M, 16>(a, b, m, n, i, j, out),
-                _ => tn_block_j::<M, 8>(a, b, m, n, i, j, out),
+                16 => tn_block_j::<M, 16>(a, b, m, n, i, j, block),
+                _ => tn_block_j::<M, 8>(a, b, m, n, i, j, block),
             }
         }
         j += lanes;
     }
     for j in j..n {
-        let mut i = i0;
-        while i + 8 <= i1 {
-            let lanes = if i + 16 <= i1 { 16 } else { 8 };
-            let column = &mut out_rows[(i - i0) * n + j..];
+        let mut i = 0;
+        while i + 8 <= m {
+            let lanes = if i + 16 <= m { 16 } else { 8 };
+            let column = &mut out[i * n + j..];
             match lanes {
                 16 => tn_block_i::<M, 16>(a, b, m, n, i, j, column),
                 _ => tn_block_i::<M, 8>(a, b, m, n, i, j, column),
             }
             i += lanes;
         }
-        for i in i..i1 {
-            let mut acc = out_rows[(i - i0) * n + j];
+        for i in i..m {
+            let mut acc = out[i * n + j];
             for (a_row, b_row) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
                 acc = M::madd(a_row[i], b_row[j], acc);
             }
-            out_rows[(i - i0) * n + j] = acc;
+            out[i * n + j] = acc;
         }
     }
 }
@@ -373,8 +348,8 @@ pub(crate) fn pack_nt_panels(b: &[f32], kd: usize, n: usize) -> Vec<f32> {
     panels
 }
 
-/// `out_rows (+)= (a × bᵀ)[i0..i1]` for `a: m×kd`, `b: n×kd` — the
-/// `g·wᵀ` backward kernel, over `panels` = [`pack_nt_panels`]`(b)`.
+/// `out += a × bᵀ` for `a: m×kd`, `b: n×kd` — the `g·wᵀ` backward
+/// kernel, over `panels` = [`pack_nt_panels`]`(b)`.
 ///
 /// The 16, 8 or 4 output columns of a panel run as lanes: each lane is
 /// one output element's dot product, `s = 0; s = madd(a[i][k], b[j][k], s)`
@@ -383,27 +358,19 @@ pub(crate) fn pack_nt_panels(b: &[f32], kd: usize, n: usize) -> Vec<f32> {
 /// are. Panels are the outer loop, so a panel (`kd×16` floats) stays
 /// cached while the rows of `a` stream past it.
 #[inline(always)]
-fn nt_rows_g<M: Madd>(
-    a: &[f32],
-    panels: &[f32],
-    kd: usize,
-    n: usize,
-    i0: usize,
-    i1: usize,
-    out_rows: &mut [f32],
-) {
+fn nt_rows_g<M: Madd>(a: &[f32], panels: &[f32], m: usize, kd: usize, n: usize, out: &mut [f32]) {
     let mut j = 0;
     while j < n {
         let lanes = nt_panel_width(j, n);
         let panel = &panels[j * kd..(j + lanes) * kd];
-        for i in i0..i1 {
+        for i in 0..m {
             let a_row = &a[i * kd..(i + 1) * kd];
-            let out = &mut out_rows[(i - i0) * n + j..(i - i0) * n + j + lanes];
+            let block = &mut out[i * n + j..i * n + j + lanes];
             match lanes {
-                16 => nt_block::<M, 16>(a_row, panel, out),
-                8 => nt_block::<M, 8>(a_row, panel, out),
-                4 => nt_block::<M, 4>(a_row, panel, out),
-                _ => nt_block::<M, 1>(a_row, panel, out),
+                16 => nt_block::<M, 16>(a_row, panel, block),
+                8 => nt_block::<M, 8>(a_row, panel, block),
+                4 => nt_block::<M, 4>(a_row, panel, block),
+                _ => nt_block::<M, 1>(a_row, panel, block),
             }
         }
         j += lanes;
@@ -457,11 +424,11 @@ fn dot_g<M: Madd>(a: &[f32], b: &[f32]) -> f32 {
     acc
 }
 
-/// `out[r - r0] += a[r] · v` for rows `r0..r1` of `a` (`kd` wide), each
-/// dot by [`lane_dot_g`].
+/// `out[r] += a[r] · v` for every row of `a` (`kd` wide, one per element
+/// of `out`), each dot by [`lane_dot_g`].
 #[inline(always)]
-fn row_dots_g<M: Madd>(a: &[f32], v: &[f32], kd: usize, r0: usize, r1: usize, out: &mut [f32]) {
-    for (o, r) in out.iter_mut().zip(r0..r1) {
+fn row_dots_g<M: Madd>(a: &[f32], v: &[f32], kd: usize, out: &mut [f32]) {
+    for (r, o) in out.iter_mut().enumerate() {
         *o += lane_dot_g::<M>(&a[r * kd..(r + 1) * kd], v);
     }
 }
@@ -603,25 +570,18 @@ macro_rules! kernel {
 }
 
 kernel! {
-    /// `out_rows (+)= a[r0..r1, ks..ke] × b[ks..ke, :]` ([`mm_rows_g`]).
-    mm_rows = mm_rows_g(
-        a: &[f32], b: &[f32], kd: usize, n: usize, ks: usize, ke: usize,
-        r0: usize, r1: usize, out_rows: &mut [f32],
-    )
+    /// `out += a × b` ([`mm_rows_g`]).
+    mm_rows = mm_rows_g(a: &[f32], b: &[f32], m: usize, kd: usize, n: usize, out: &mut [f32])
 }
 kernel! {
-    /// `out_rows (+)= (aᵀ × b)[i0..i1]` ([`tn_rows_g`]).
-    tn_rows = tn_rows_g(
-        a: &[f32], b: &[f32], m: usize, n: usize,
-        i0: usize, i1: usize, out_rows: &mut [f32],
-    )
+    /// `out += aᵀ × b` ([`tn_rows_g`]).
+    tn_rows = tn_rows_g(a: &[f32], b: &[f32], m: usize, n: usize, out: &mut [f32])
 }
 kernel! {
-    /// `out_rows (+)= (a × bᵀ)[i0..i1]` over `panels` =
-    /// [`pack_nt_panels`]`(b)` ([`nt_rows_g`]).
+    /// `out += a × bᵀ` over `panels` = [`pack_nt_panels`]`(b)`
+    /// ([`nt_rows_g`]).
     nt_rows = nt_rows_g(
-        a: &[f32], panels: &[f32], kd: usize, n: usize,
-        i0: usize, i1: usize, out_rows: &mut [f32],
+        a: &[f32], panels: &[f32], m: usize, kd: usize, n: usize, out: &mut [f32],
     )
 }
 kernel! {
@@ -636,11 +596,8 @@ kernel! {
     dot = dot_g(a: &[f32], b: &[f32]) -> f32
 }
 kernel! {
-    /// `out[r - r0] += a[r] · v` for `r` in `r0..r1`, lane-split
-    /// ([`row_dots_g`]) — fast mode only.
-    row_dots = row_dots_g(
-        a: &[f32], v: &[f32], kd: usize, r0: usize, r1: usize, out: &mut [f32],
-    )
+    /// `out[r] += a[r] · v`, lane-split ([`row_dots_g`]) — fast mode only.
+    row_dots = row_dots_g(a: &[f32], v: &[f32], kd: usize, out: &mut [f32])
 }
 kernel! {
     /// Polynomial `tanh` in place ([`tanh_g`]) — fast mode only.
@@ -788,27 +745,15 @@ mod tests {
         let a: Vec<f32> = (0..m * kd).map(|i| ((i as f32) * 0.37).sin()).collect();
         let b: Vec<f32> = (0..kd * n).map(|i| ((i as f32) * 0.71).cos()).collect();
         let mut strict = vec![0.0f32; m * n];
-        mm_rows(MaddChoice::PLAIN, &a, &b, kd, n, 0, kd, 0, m, &mut strict);
+        mm_rows(MaddChoice::PLAIN, &a, &b, m, kd, n, &mut strict);
         let mut fast = vec![0.0f32; m * n];
-        mm_rows(MaddChoice::fast(), &a, &b, kd, n, 0, kd, 0, m, &mut fast);
+        mm_rows(MaddChoice::fast(), &a, &b, m, kd, n, &mut fast);
         for (f, s) in fast.iter().zip(strict.iter()) {
-            assert!((f - s).abs() <= 1e-4 * s.abs().max(1.0));
-        }
-        // Two k-windows must cover exactly the full reduction.
-        let mut split = vec![0.0f32; m * n];
-        let mut w0 = vec![0.0f32; m * n];
-        let mut w1 = vec![0.0f32; m * n];
-        mm_rows(MaddChoice::fast(), &a, &b, kd, n, 0, 9, 0, m, &mut w0);
-        mm_rows(MaddChoice::fast(), &a, &b, kd, n, 9, kd, 0, m, &mut w1);
-        for i in 0..m * n {
-            split[i] = w0[i] + w1[i];
-        }
-        for (f, s) in split.iter().zip(strict.iter()) {
             assert!((f - s).abs() <= 1e-4 * s.abs().max(1.0));
         }
         // The dispatch is stable: a second call reproduces the same bits.
         let mut again = vec![0.0f32; m * n];
-        mm_rows(MaddChoice::fast(), &a, &b, kd, n, 0, kd, 0, m, &mut again);
+        mm_rows(MaddChoice::fast(), &a, &b, m, kd, n, &mut again);
         assert_eq!(bits(&fast), bits(&again));
     }
 }

@@ -6,16 +6,14 @@
 //! minimal differentiable-programming stack those components need, with no
 //! external ML dependencies:
 //!
-//! * [`Tensor`] — dense row-major `f32` matrices with a threaded,
-//!   SIMD-explicit matmul family ([`kernels`]: cache-blocked tiles,
-//!   8-wide unrolled inner loops, output rows sharded across worker
-//!   threads) plus transpose-free `Aᵀ·B` / `A·Bᵀ` kernels for the
+//! * [`Tensor`] — dense row-major `f32` matrices with a SIMD-explicit
+//!   matmul family ([`kernels`]: cache-blocked tiles, 8-wide unrolled
+//!   inner loops) plus transpose-free `Aᵀ·B` / `A·Bᵀ` kernels for the
 //!   backward pass, each loop nest written once for both modes. A
 //!   process-wide [`KernelMode`] picks the numeric contract: `Strict`
-//!   (default) keeps bitwise parity with the textbook i-k-j loop — any
-//!   thread count produces the single-threaded bits — while `Fast` (the
-//!   serving default) runs the same loops with fused-FMA accumulators,
-//!   plus reduction-dimension sharding for tall-thin shapes, a
+//!   (default) keeps bitwise parity with the textbook i-k-j loop — one
+//!   ascending-`k` chain per output element — while `Fast` (the serving
+//!   default) runs the same loops with fused-FMA accumulators, plus a
 //!   single-pass online softmax and a polynomial `tanh`, ε-close to
 //!   strict with identical decisions and special-value propagation. The
 //!   kernels are callable on plain slices too

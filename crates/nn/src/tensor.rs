@@ -131,26 +131,21 @@ impl Tensor {
     ///
     /// Both modes run one loop nest ([`kernels::fast`]): 64×64 tiles of
     /// `other` stay L1-resident while every row of `self` streams over
-    /// them, the inner columns run as explicit 8-wide register-accumulator
-    /// blocks, and the output rows optionally shard across worker threads
-    /// ([`crate::kernels::set_matmul_threads`]; small products stay serial
-    /// under the work floor).
+    /// them, and the inner columns run as explicit 8-wide
+    /// register-accumulator blocks.
     ///
     /// In [`KernelMode::Strict`](kernels::KernelMode) the accumulators
     /// fold `acc + a * b`. For each output element the partial products
-    /// are summed in ascending `k` — unroll lanes are independent elements
-    /// and shards are whole rows — so results are bitwise-identical to the
-    /// textbook i-k-j loop at **any** thread count, which is what keeps
-    /// batched forwards equal to per-sample forwards. Dense data takes no
-    /// branches in the inner loop and `0 × NaN` propagates as NaN (IEEE
-    /// semantics, no zero-skip).
+    /// are summed in ascending `k` — unroll lanes are independent
+    /// elements — so results are bitwise-identical to the textbook i-k-j
+    /// loop, which is what keeps batched forwards equal to per-sample
+    /// forwards. Dense data takes no branches in the inner loop and
+    /// `0 × NaN` propagates as NaN (IEEE semantics, no zero-skip).
     ///
     /// In [`KernelMode::Fast`](kernels::KernelMode) the accumulators fold
-    /// with fused `mul_add` where the CPU has FMA, and tall-thin products
-    /// whose row count caps row sharding split the reduction dimension
-    /// across workers instead ([`kernels::k_split_shards`]), each worker
-    /// producing a partial `m×n` sum combined on the caller — ε-close to
-    /// strict, identical `NaN`/`±∞` propagation, identical decisions.
+    /// with fused `mul_add` where the CPU has FMA — still one ascending-`k`
+    /// chain per element, ε-close to strict, identical `NaN`/`±∞`
+    /// propagation, identical decisions.
     ///
     /// # Panics
     ///
@@ -196,9 +191,8 @@ impl Tensor {
 
     /// Accumulates `selfᵀ × other` into `out` (see [`Tensor::matmul_tn`]).
     ///
-    /// Output rows (columns of `self`) shard across worker threads under
-    /// the same parity contract as [`Tensor::matmul_accum_into`]; blocks
-    /// of output elements stay in registers across the whole reduction
+    /// Same parity contract as [`Tensor::matmul_accum_into`]; blocks of
+    /// output elements stay in registers across the whole reduction
     /// ([`kernels::matmul_tn_accum`]).
     ///
     /// # Panics
@@ -234,10 +228,10 @@ impl Tensor {
 
     /// Accumulates `self × otherᵀ` into `out` (see [`Tensor::matmul_nt`]).
     ///
-    /// Output rows shard across worker threads under the same parity
-    /// contract as [`Tensor::matmul_accum_into`]; 16, 8 or 4 output
-    /// columns run as the lanes of one block of independent dot-product
-    /// accumulators over a packed `otherᵀ` ([`kernels::matmul_nt_accum`]).
+    /// Same parity contract as [`Tensor::matmul_accum_into`]; 16, 8 or 4
+    /// output columns run as the lanes of one block of independent
+    /// dot-product accumulators over a packed `otherᵀ`
+    /// ([`kernels::matmul_nt_accum`]).
     ///
     /// # Panics
     ///
@@ -455,7 +449,8 @@ mod tests {
     }
 
     /// Tiled kernel on shapes spanning several tile boundaries, including
-    /// dimensions beyond one 64-wide block.
+    /// dimensions beyond one 64-wide block and widths that straddle the 8-
+    /// and 32-wide unroll blocks.
     #[test]
     fn tiled_matmul_matches_reference_across_blocks() {
         // Deployed-vs-reference bitwise equality is a *strict*-contract
@@ -471,6 +466,8 @@ mod tests {
             (17, 130, 65),
             (64, 64, 64),
             (2, 200, 130),
+            (5, 70, 13),
+            (9, 3, 100),
         ] {
             let a = random_tensor(m, k, (m * 1000 + n) as u64);
             let b = random_tensor(k, n, (k * 7 + 3) as u64);
@@ -481,57 +478,18 @@ mod tests {
         crate::kernels::set_kernel_mode(crate::kernels::default_kernel_mode());
     }
 
-    /// The deployed (unrolled, optionally threaded) kernel and the textbook
-    /// loop must agree bitwise at every thread count, including shapes
-    /// that straddle the 8- and 32-wide unroll blocks.
-    #[test]
-    fn deployed_matmul_matches_textbook_at_any_thread_count() {
-        let _guard = crate::kernels::KNOB_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        crate::kernels::set_matmul_grain(1);
-        // Bitwise equality to the textbook loop is the strict contract.
-        crate::kernels::set_kernel_mode(crate::kernels::KernelMode::Strict);
-        for &(m, k, n) in &[
-            (1usize, 1usize, 1usize),
-            (5, 70, 13),
-            (17, 130, 65),
-            (9, 3, 100),
-        ] {
-            let a = random_tensor(m, k, (m * 31 + n) as u64);
-            let b = random_tensor(k, n, (k * 17 + 5) as u64);
-            let textbook = matmul_reference(&a, &b);
-            for threads in [1usize, 2, 3, 8] {
-                crate::kernels::set_matmul_threads(threads);
-                assert_eq!(
-                    a.matmul(&b),
-                    textbook,
-                    "deployed kernel diverged at {m}x{k}x{n}, {threads} threads"
-                );
-            }
-        }
-        // Restore the configured defaults (env-aware, not a hardcoded 1)
-        // so the NVC_MATMUL_THREADS CI leg stays threaded after this test.
-        crate::kernels::set_matmul_threads(crate::kernels::default_matmul_threads());
-        crate::kernels::set_matmul_grain(crate::kernels::DEFAULT_MATMUL_GRAIN);
-        crate::kernels::set_kernel_mode(crate::kernels::default_kernel_mode());
-    }
-
     /// `tn`/`nt` against transpose-then-`matmul`, bit for bit, in **both**
     /// modes — both sides fold one madd chain per element, whichever madd
-    /// the mode picks — run to run and at every thread count. The shapes
-    /// are the kernel-parity tier's edge list plus one width per `nt` panel
-    /// class (16/8/4/1), the `n == 1` score column and `n % 8` leftovers
-    /// (`tn`'s row-lane path, with 8, 16 and 17 output rows) and `m`, `k`,
-    /// `n` ∈ {0, 1}. The materialized side runs at one thread: fast `matmul`
-    /// `k`-splits tall-thin shapes at higher counts, `tn`/`nt` never do.
+    /// the mode picks — run to run. The shapes are the kernel-parity tier's
+    /// edge list plus one width per `nt` panel class (16/8/4/1), the
+    /// `n == 1` score column and `n % 8` leftovers (`tn`'s row-lane path,
+    /// with 8, 16 and 17 output rows) and `m`, `k`, `n` ∈ {0, 1}.
     #[test]
     fn matmul_tn_nt_match_materialized_transposes() {
         use crate::kernels::KernelMode;
         let _guard = crate::kernels::KNOB_LOCK
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        crate::kernels::set_matmul_grain(1);
         let bits = |t: Tensor| t.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for mode in [KernelMode::Strict, KernelMode::Fast] {
             crate::kernels::set_kernel_mode(mode);
@@ -562,21 +520,14 @@ mod tests {
                 // nt: g·wᵀ where g is m×k, w is n×k (shared trailing dim k).
                 let g = random_tensor(m, k, 17 + m as u64);
                 let w = random_tensor(n, k, 19 + n as u64);
-                crate::kernels::set_matmul_threads(1);
                 let want_tn = bits(a.transposed().matmul(&b));
                 let want_nt = bits(g.matmul(&w.transposed()));
-                for threads in [1usize, 2, 3, 8] {
-                    crate::kernels::set_matmul_threads(threads);
-                    for run in 0..2 {
-                        let at = format!("{ctx} threads={threads} run={run}");
-                        assert_eq!(bits(a.matmul_tn(&b)), want_tn, "tn [{at}]");
-                        assert_eq!(bits(g.matmul_nt(&w)), want_nt, "nt [{at}]");
-                    }
+                for run in 0..2 {
+                    assert_eq!(bits(a.matmul_tn(&b)), want_tn, "tn [{ctx} run={run}]");
+                    assert_eq!(bits(g.matmul_nt(&w)), want_nt, "nt [{ctx} run={run}]");
                 }
             }
         }
-        crate::kernels::set_matmul_threads(crate::kernels::default_matmul_threads());
-        crate::kernels::set_matmul_grain(crate::kernels::DEFAULT_MATMUL_GRAIN);
         crate::kernels::set_kernel_mode(crate::kernels::default_kernel_mode());
     }
 

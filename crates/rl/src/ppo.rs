@@ -434,9 +434,7 @@ impl PpoTrainer {
     /// ([`CodeEmbedder::forward_rows`] — one ragged attention forward
     /// over all unique contexts, then a row gather fans them back out to
     /// the batch), and the policy runs a single stacked forward over all
-    /// rows; whatever parallelism there is comes from the kernels
-    /// sharding those products (`NvConfig::matmul_threads`). Actions are
-    /// then sampled row by row.
+    /// rows. Actions are then sampled row by row.
     ///
     /// Transitions are bitwise-identical to the per-sample spelling — a
     /// fresh graph and a one-row [`CodeEmbedder::forward`] per episode,

@@ -325,13 +325,10 @@ pub struct ServeHandle {
 impl ServeHandle {
     /// Starts the worker pool around `model`.
     ///
-    /// Each worker's flush batches run the model's batched forward,
-    /// whose matmuls may themselves shard rows across the process-wide
-    /// persistent kernel worker pool (`NvConfig::matmul_threads`,
-    /// applied when the model is constructed). The two thread layers
-    /// nest freely — concurrent workers' jobs queue on the shared pool
-    /// and kernel shards are bitwise-identical at any count — so
-    /// worker concurrency never changes a decision, only its latency.
+    /// Each worker's flush batches run the model's batched forward on
+    /// the worker's own thread; the workers are the only parallelism
+    /// under a forward, and their concurrency never changes a decision,
+    /// only its latency.
     pub fn start(model: Arc<dyn DecisionModel>, cfg: ServeConfig) -> Self {
         ServeHandle::start_with_store(model, cfg, None)
     }

@@ -411,7 +411,7 @@ mod tests {
     const COPY: &str = "float a[4096] __attribute__((aligned(64))); float b[4096] __attribute__((aligned(64)));\nvoid f() { for (int i = 0; i < 4096; i++) { a[i] = b[i]; } }";
 
     #[test]
-    fn block_split_exact() {
+    fn exact_trip_splits_into_whole_blocks() {
         let ir = lower(COPY, &ParamEnv::new());
         let shape = build_shape(&ir, VectorDecision::new(8, 2), &target());
         assert_eq!(shape.elems_per_block, 16);

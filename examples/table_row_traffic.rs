@@ -69,8 +69,7 @@ fn distinct_rows(samples: &[PathSample]) -> [usize; 3] {
 fn main() {
     let cfg = NvConfig::paper()
         .with_seed(3)
-        .with_kernel_mode(KernelMode::Fast)
-        .with_matmul_threads(1);
+        .with_kernel_mode(KernelMode::Fast);
     let embed = cfg.embed.clone();
     let table_rows = 2 * embed.token_buckets + embed.path_buckets;
     let shapes: Vec<String> = fixture_strings("shapes.jsonl")

@@ -9,11 +9,10 @@ use nvc_machine::TargetConfig;
 use nvc_rl::ActionSpaceKind;
 
 /// Serializes every test that constructs a [`NeuroVectorizer`]:
-/// construction re-asserts the process-global kernel knobs (threads *and*
-/// mode) from its config, and unlike the thread count the kernel mode is
-/// not bitwise-neutral — a sibling flipping it mid-run would not be the
-/// benign race the threading doc below describes. Poisoning is ignored so
-/// one failed test doesn't cascade.
+/// construction re-asserts the process-global kernel mode from its
+/// config, and the mode is not bitwise-neutral — a sibling flipping it
+/// mid-run would change low-order bits under a bitwise assertion.
+/// Poisoning is ignored so one failed test doesn't cascade.
 static MODEL_KNOBS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn lock_model_knobs() -> std::sync::MutexGuard<'static, ()> {
@@ -104,40 +103,26 @@ fn figure_data_is_reproducible() {
     assert_eq!(fig2_bruteforce_suite(&t), fig2_bruteforce_suite(&t));
 }
 
-/// The kernel-threading determinism bar, end to end: a full train ➝
-/// checkpoint ➝ serve run must be **bitwise**-equal at every
-/// `matmul_threads` in {1, 3, 8} — kernel-pool sharding is the one
-/// parallelism path — for all three action spaces. Equal checkpoints
-/// mean every f32 of every weight matches after training through the
-/// threaded kernels; equal served decisions mean the batched serving
-/// path (whose flush matmuls also shard) agrees too.
-///
-/// The matmul thread count is a process-global knob, so sibling tests in
-/// this binary constructing their own models can reset it mid-run; that
-/// race is exactly what the parity contract makes benign (and what this
-/// assertion would catch if it weren't). Deterministic
-/// every-thread-count kernel coverage lives in `tests/kernel_parity.rs`;
-/// here the work floor is dropped so whatever count is live really
-/// shards even at fast-config sizes.
+/// The strict determinism bar, end to end: a full train ➝ checkpoint ➝
+/// serve run must be **bitwise**-equal from run to run, for all three
+/// action spaces. Equal checkpoints mean every f32 of every weight
+/// matches after training; equal served decisions mean the batched
+/// serving path (its worker threads included) agrees too.
 #[test]
 fn train_then_serve_is_bitwise_equal_across_thread_matrix() {
     let _guard = lock_model_knobs();
-    nvc_nn::kernels::set_matmul_grain(1);
     for kind in [
         ActionSpaceKind::Discrete,
         ActionSpaceKind::Continuous1D,
         ActionSpaceKind::Continuous2D,
     ] {
-        let run = |matmul_threads: usize| {
-            // Pin strict explicitly: the bitwise guarantee is strict
-            // mode's contract, and must hold even when this binary runs
-            // under the `NVC_KERNEL_MODE=fast` CI leg (fast mode's
-            // k-split shard count varies with the thread knob by
-            // design). Fast mode's own bar — decision equivalence — is
-            // the kernel-mode axis test below.
+        let run = || {
+            // Pin strict explicitly: this is strict mode's bar, whatever
+            // `NVC_KERNEL_MODE` this binary runs under. Fast mode's own
+            // bar — decision equivalence — is the kernel-mode axis test
+            // below.
             let mut cfg = NvConfig::fast()
                 .with_seed(19)
-                .with_matmul_threads(matmul_threads)
                 .with_kernel_mode(nvc_nn::KernelMode::Strict);
             cfg.ppo.action_space = kind;
             cfg.ppo.train_batch = 24;
@@ -153,9 +138,6 @@ fn train_then_serve_is_bitwise_equal_across_thread_matrix() {
                 .collect();
             let checkpoint = nv.checkpoint();
             let samples: Vec<_> = env.contexts().iter().map(|c| c.sample.clone()).collect();
-            // Re-assert the knob for the serve leg in case a sibling
-            // test reset the global mid-train (see the doc above).
-            nvc_nn::kernels::set_matmul_threads(matmul_threads);
             let handle = nv.serve();
             let decisions: Vec<(usize, usize)> = samples
                 .iter()
@@ -165,17 +147,8 @@ fn train_then_serve_is_bitwise_equal_across_thread_matrix() {
             (stats, checkpoint, decisions)
         };
 
-        let baseline = run(1);
-        for mt in [3, 8] {
-            assert_eq!(
-                run(mt),
-                baseline,
-                "train-then-serve diverged for {kind:?} at matmul_threads={mt}"
-            );
-        }
+        assert_eq!(run(), run(), "train-then-serve diverged for {kind:?}");
     }
-    nvc_nn::kernels::set_matmul_threads(nvc_nn::kernels::default_matmul_threads());
-    nvc_nn::kernels::set_matmul_grain(nvc_nn::kernels::DEFAULT_MATMUL_GRAIN);
     nvc_nn::kernels::set_kernel_mode(nvc_nn::kernels::default_kernel_mode());
 }
 
@@ -189,7 +162,6 @@ fn train_then_serve_is_bitwise_equal_across_thread_matrix() {
 #[test]
 fn kernel_mode_fast_serving_is_decision_identical_to_strict() {
     let _guard = lock_model_knobs();
-    nvc_nn::kernels::set_matmul_grain(1);
     let mut cfg = NvConfig::fast()
         .with_seed(19)
         .with_kernel_mode(nvc_nn::KernelMode::Strict);
@@ -225,7 +197,6 @@ fn kernel_mode_fast_serving_is_decision_identical_to_strict() {
         strict,
         "fast-mode serving changed a decision"
     );
-    nvc_nn::kernels::set_matmul_grain(nvc_nn::kernels::DEFAULT_MATMUL_GRAIN);
     nvc_nn::kernels::set_kernel_mode(nvc_nn::kernels::default_kernel_mode());
 }
 

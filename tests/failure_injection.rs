@@ -4,11 +4,6 @@
 
 use neurovectorizer::{Compiler, NeuroVectorizer, NvConfig, VectorizeEnv};
 
-/// Serializes the three matmul panic tests: they arm the process-global
-/// injection hook and (the `k`-split twin) flip the process-global
-/// kernel mode, so they must not overlap each other. Lock poisoning is
-/// ignored — a failed sibling shouldn't cascade.
-static MATMUL_KNOBS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 use nvc_datasets::Kernel;
 use nvc_embed::{EmbedConfig, PathSample};
 use nvc_frontend::parse_translation_unit;
@@ -168,16 +163,15 @@ fn checkpoint_corruption_is_detected() {
     assert!(nv.restore(&truncated).is_err());
 }
 
-/// A panicking worker inside the threaded matmul must propagate to the
-/// caller — no hang (the pool accounts for every shard before
-/// re-panicking) — and must not poison the shared arena: the half-written
-/// output tensor never reaches the tape, recycled buffers are zeroed on
-/// reuse, so subsequent graphs over the *same* arena compute clean bits.
+/// A panic inside a kernel must reach the caller with its payload, and
+/// must not poison the shared arena: the half-written output tensor never
+/// reaches the tape, recycled buffers are zeroed on reuse, so subsequent
+/// graphs over the *same* arena compute clean bits — for `matmul` and for
+/// the fused `linear`, which runs the same product under its own op.
 #[test]
-fn threaded_matmul_worker_panic_propagates_without_tearing_the_arena() {
+fn kernel_panic_reaches_the_caller_without_tearing_the_arena() {
     use nvc_nn::{kernels, Graph, ParamStore, Tensor, TensorArena};
 
-    let _guard = MATMUL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
     // 53 rows with a distinctive total: no other test in this binary
     // builds a 53-row product, so arming the hook cannot hit them.
     const ROWS: usize = 53;
@@ -187,63 +181,8 @@ fn threaded_matmul_worker_panic_propagates_without_tearing_the_arena() {
         (0..ROWS * 8).map(|i| (i as f32 * 0.3).sin()).collect(),
     );
     let b = Tensor::from_vec(8, 6, (0..48).map(|i| (i as f32 * 0.7).cos()).collect());
+    let bias = Tensor::from_vec(1, 6, vec![0.5, -0.25, 0.125, 2.0, -1.0, 0.0]);
 
-    kernels::set_matmul_threads(4);
-    kernels::set_matmul_grain(1);
-    // The reference is the *deployed* kernel under the same knobs (a
-    // clean run before arming the hook), so this test holds under both
-    // kernel modes — including the `NVC_KERNEL_MODE=fast` CI leg.
-    let want = a.matmul(&b);
-    let store = ParamStore::new(0);
-    let arena = TensorArena::new();
-    kernels::inject_worker_panic(20, ROWS);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut g = Graph::with_arena(&store, &arena);
-        let an = g.input(a.clone());
-        let bn = g.input(b.clone());
-        let _ = g.matmul(an, bn);
-    }));
-    kernels::clear_worker_panic();
-    assert!(outcome.is_err(), "worker panic must reach the caller");
-
-    // The arena survives: a fresh graph drawing the recycled buffers
-    // computes exactly the reference bits (no torn rows resurface).
-    for _ in 0..2 {
-        let mut g = Graph::with_arena(&store, &arena);
-        let an = g.input(a.clone());
-        let bn = g.input(b.clone());
-        let mm = g.matmul(an, bn);
-        assert_eq!(g.value(mm), &want, "post-panic arena graph diverged");
-    }
-    // Restore the *configured* defaults (not a hardcoded 1) so the
-    // NVC_MATMUL_THREADS CI leg keeps threading the rest of this binary.
-    kernels::set_matmul_threads(kernels::default_matmul_threads());
-    kernels::set_matmul_grain(kernels::DEFAULT_MATMUL_GRAIN);
-}
-
-/// The persistent worker pool's panic semantics: the payload resurfaces
-/// on the caller verbatim, the poisoned output never reaches the tape,
-/// and the pool is immediately reusable for clean work — for `matmul`
-/// and for the fused `linear`, which runs the same driver under its own
-/// op.
-#[test]
-fn pool_shard_panic_resurfaces_verbatim_and_the_pool_stays_usable() {
-    use nvc_nn::{kernels, Graph, ParamStore, Tensor, TensorArena};
-
-    let _guard = MATMUL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
-    // 59 rows: unique to this test within the binary (the hook arms on
-    // the product's total row count).
-    const ROWS: usize = 59;
-    let a = Tensor::from_vec(
-        ROWS,
-        5,
-        (0..ROWS * 5).map(|i| (i as f32 * 0.11).sin()).collect(),
-    );
-    let b = Tensor::from_vec(5, 4, (0..20).map(|i| (i as f32 * 0.9).cos()).collect());
-    let bias = Tensor::from_vec(1, 4, vec![0.5, -0.25, 0.125, 2.0]);
-
-    kernels::set_matmul_threads(4);
-    kernels::set_matmul_grain(1);
     let store = ParamStore::new(0);
     let arena = TensorArena::new();
     for fused in [false, true] {
@@ -259,96 +198,30 @@ fn pool_shard_panic_resurfaces_verbatim_and_the_pool_stays_usable() {
             };
             g.value(y).clone()
         };
-        // Deployed-kernel reference, mode-agnostic (see the arena twin).
+        // The reference is the *deployed* kernel (a clean run before
+        // arming the hook), so this test holds under both kernel modes —
+        // including the `NVC_KERNEL_MODE=fast` CI leg.
         let want = product(&mut Graph::with_arena(&store, &arena));
-        kernels::inject_worker_panic(10, ROWS);
+        kernels::inject_worker_panic(ROWS);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             product(&mut Graph::with_arena(&store, &arena));
         }));
         kernels::clear_worker_panic();
-        assert!(outcome.is_err(), "{op}: worker panic must reach the caller");
-        let payload = outcome.unwrap_err();
+        let payload = outcome.expect_err("kernel panic must reach the caller");
         let msg = payload
             .downcast_ref::<String>()
             .map(String::as_str)
             .or_else(|| payload.downcast_ref::<&str>().copied())
             .unwrap_or("");
-        assert!(
-            msg.contains("injected panic"),
-            "{op}: panic payload must survive the handoff verbatim: {msg:?}"
-        );
-        // Same pool, same arena, clean bits immediately afterwards.
-        let again = product(&mut Graph::with_arena(&store, &arena));
-        assert_eq!(again, want, "{op}: post-panic compute diverged");
+        assert!(msg.contains("injected panic"), "{op}: payload {msg:?}");
+
+        // The arena survives: fresh graphs drawing the recycled buffers
+        // compute exactly the reference bits (no torn rows resurface).
+        for _ in 0..2 {
+            let again = product(&mut Graph::with_arena(&store, &arena));
+            assert_eq!(again, want, "{op}: post-panic arena graph diverged");
+        }
     }
-    kernels::set_matmul_threads(kernels::default_matmul_threads());
-    kernels::set_matmul_grain(kernels::DEFAULT_MATMUL_GRAIN);
-}
-
-/// Fast mode's `k`-split scheduler feeds reduction-dimension shards
-/// through the same span driver as row sharding — so a panicking
-/// `k`-shard must behave exactly like a panicking row shard: the payload
-/// resurfaces on the caller verbatim and the kernels compute clean
-/// values immediately afterwards.
-#[test]
-fn k_split_shard_panic_resurfaces_verbatim() {
-    use nvc_nn::{kernels, Tensor};
-
-    let _guard = MATMUL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
-    // Tall-thin shape: 47 output rows, 96-deep reduction. With 64 funded
-    // workers and the work floor pinned to 1, `k`-splitting engages
-    // (funded 64 > 47 rows) and cuts 96 into 2-wide `k` windows. The
-    // armed "row" 5 is interpreted as a `k` index by the split driver,
-    // so the window covering k=5 panics. 47 is unique in this binary, so
-    // the marker cannot trip concurrent tests.
-    const M: usize = 47;
-    const KD: usize = 96;
-    const N: usize = 4;
-    let a = Tensor::from_vec(
-        M,
-        KD,
-        (0..M * KD).map(|i| (i as f32 * 0.13).sin()).collect(),
-    );
-    let b = Tensor::from_vec(
-        KD,
-        N,
-        (0..KD * N).map(|i| (i as f32 * 0.41).cos()).collect(),
-    );
-    kernels::set_kernel_mode(kernels::KernelMode::Strict);
-    let want = a.matmul(&b);
-
-    kernels::set_matmul_threads(64);
-    kernels::set_matmul_grain(1);
-    kernels::set_kernel_mode(kernels::KernelMode::Fast);
-    kernels::inject_worker_panic(5, M);
-    let outcome = std::panic::catch_unwind(|| a.matmul(&b));
-    kernels::clear_worker_panic();
-    assert!(
-        outcome.is_err(),
-        "k-split shard panic must reach the caller"
-    );
-    let payload = outcome.unwrap_err();
-    let msg = payload
-        .downcast_ref::<String>()
-        .map(String::as_str)
-        .or_else(|| payload.downcast_ref::<&str>().copied())
-        .unwrap_or("");
-    assert!(
-        msg.contains("injected panic"),
-        "k-split panic payload must survive the handoff verbatim: {msg:?}"
-    );
-    // Clean, ε-close values immediately afterwards (ε, not bits:
-    // fast mode reassociates the reduction by design).
-    let got = a.matmul(&b);
-    for (i, (&g, &w)) in got.data().iter().zip(want.data().iter()).enumerate() {
-        assert!(
-            (g - w).abs() <= 1e-4 * w.abs().max(1.0),
-            "post-panic k-split value diverged (idx={i}): {g} vs {w}"
-        );
-    }
-    kernels::set_matmul_threads(kernels::default_matmul_threads());
-    kernels::set_matmul_grain(kernels::DEFAULT_MATMUL_GRAIN);
-    kernels::set_kernel_mode(kernels::default_kernel_mode());
 }
 
 #[test]

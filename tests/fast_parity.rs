@@ -1,25 +1,22 @@
 //! Fast-kernel ε-parity tier: the `KernelMode::Fast` kernels (fused-FMA
-//! accumulators, reduction-dimension `k`-split sharding, single-pass
-//! online softmax, polynomial `tanh`, the inference forward's factored
-//! projection, and its lane-split attention-score dot) reassociate or
+//! accumulators, single-pass online softmax, polynomial `tanh`, the
+//! inference forward's factored projection, and its lane-split
+//! attention-score dot) reassociate or
 //! re-round floating-point results, so they are *not* held to the strict
 //! tier's bitwise bar. Their contract, gated here, is:
 //!
 //! * **ε-parity** — every finite output is within a relative bound of the
-//!   strict kernel's answer, over random shapes *and* hostile payloads,
-//!   at every thread count in the matrix;
+//!   strict kernel's answer, over random shapes *and* hostile payloads;
 //! * **special-value identity** — NaN/±∞ payloads propagate exactly as
 //!   strict propagates them (same NaN-ness per element; non-finite
 //!   outputs bit-identical);
-//! * **run-to-run identity** — the same knobs give the same bits, row
-//!   shards and `k`-split windows alike, however the pool schedules them;
+//! * **run-to-run identity** — the same mode gives the same bits;
 //! * **`tanh`** — the polynomial body is within 2 ulp of the correctly
 //!   rounded value, exactly odd, bounded by 1, exact on the special
 //!   values, and blind to where in a slice an element sits;
 //! * **the score dot** — the lane-split row dots are ε-close to the
 //!   strict chain, a function of the row alone (same bits alone or in a
-//!   batch, at every thread count, run after run), and meet `NaN`/`±∞`
-//!   as the chain does;
+//!   batch, run after run), and meet `NaN`/`±∞` as the chain does;
 //! * **decision equivalence** — serving the full fixed corpus (the
 //!   12-loop LLVM suite plus polybench- and mibench-lite) in fast mode
 //!   yields exactly the strict decisions, and so do thousands of
@@ -41,10 +38,8 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-const THREAD_MATRIX: [usize; 4] = [1, 2, 3, 8];
-
 /// Relative ε for fast-vs-strict parity. Fast mode reorders at most
-/// `kd`-term f32 sums (8-wide lanes, `k`-split windows, FMA contraction);
+/// `kd`-term f32 sums (8-wide lanes, `k`-range partials, FMA contraction);
 /// 1e-4 of the accumulated magnitude is orders of magnitude above any
 /// reassociation drift at the shapes under test while still far below
 /// anything that could flip a decision.
@@ -59,8 +54,6 @@ fn lock_mode() -> std::sync::MutexGuard<'static, ()> {
 
 fn restore_defaults() {
     kernels::set_kernel_mode(kernels::default_kernel_mode());
-    kernels::set_matmul_threads(kernels::default_matmul_threads());
-    kernels::set_matmul_grain(kernels::DEFAULT_MATMUL_GRAIN);
 }
 
 /// Bit patterns spanning every special f32 class (same generator as the
@@ -147,12 +140,11 @@ fn assert_eps_parity(fast: &[f32], strict: &[f32], scale: impl Fn(usize) -> f32,
     }
 }
 
-/// Fast vs strict for the whole deployed matmul family at one thread
-/// count, over hostile payloads. Also pins fast-mode run-to-run
-/// determinism (same knobs ⇒ same bits).
-fn check_family_eps(m: usize, k: usize, n: usize, seed: u64, threads: usize) {
-    kernels::set_matmul_threads(threads);
-    let ctx = format!("m={m} k={k} n={n} seed={seed} threads={threads}");
+/// Fast vs strict for the whole deployed matmul family, over hostile
+/// payloads. Also pins fast-mode run-to-run determinism (same mode ⇒
+/// same bits).
+fn check_family_eps(m: usize, k: usize, n: usize, seed: u64) {
+    let ctx = format!("m={m} k={k} n={n} seed={seed}");
 
     let a = wild_tensor(m, k, seed);
     let b = wild_tensor(k, n, seed ^ 0x5DEECE66);
@@ -200,11 +192,8 @@ fn check_family_eps(m: usize, k: usize, n: usize, seed: u64, threads: usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random shapes × hostile payloads × the full thread matrix:
-    /// every fast kernel is ε-close to strict with identical
-    /// special-value propagation. Small-`m` shapes with the work floor
-    /// dropped make the `k`-split scheduler engage at the higher thread
-    /// counts, so both fast sharding geometries are inside the net.
+    /// Random shapes × hostile payloads: every fast kernel is ε-close to
+    /// strict with identical special-value propagation.
     #[test]
     fn prop_fast_kernels_are_eps_close_to_strict(
         m in 0usize..12,
@@ -213,27 +202,9 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let _guard = lock_mode();
-        kernels::set_matmul_grain(1);
-        for threads in THREAD_MATRIX {
-            check_family_eps(m, k, n, seed, threads);
-        }
+        check_family_eps(m, k, n, seed);
         restore_defaults();
     }
-}
-
-/// The tall-thin policy shape from the paper's network (a handful of
-/// output rows over a 340-wide reduction) — the shape `k`-splitting
-/// exists for — spelled out so proptest sampling can never lose it.
-#[test]
-fn policy_shape_k_split_is_eps_close_at_every_thread_count() {
-    let _guard = lock_mode();
-    kernels::set_matmul_grain(1);
-    for &(m, k, n) in &[(2usize, 340usize, 64usize), (1, 340, 7), (3, 256, 24)] {
-        for threads in THREAD_MATRIX {
-            check_family_eps(m, k, n, 4242, threads);
-        }
-    }
-    restore_defaults();
 }
 
 /// The fused fast segment ops (online softmax, `mul_add` weighted sum)
@@ -242,7 +213,6 @@ fn policy_shape_k_split_is_eps_close_at_every_thread_count() {
 #[test]
 fn fast_segment_ops_are_eps_close_to_strict() {
     let _guard = lock_mode();
-    kernels::set_matmul_grain(1);
     let store = ParamStore::new(7);
     let layouts: &[(&[usize], usize)] = &[
         (&[5], 3),
@@ -257,9 +227,8 @@ fn fast_segment_ops_are_eps_close_to_strict() {
         let scores = wild_tensor(rows, cols, seed);
         let wts = wild_tensor(rows, 1, seed ^ 0x77);
         let vals = wild_tensor(rows, cols, seed ^ 0x88);
-        let run = |mode: KernelMode, threads: usize| {
+        let run = |mode: KernelMode| {
             kernels::set_kernel_mode(mode);
-            kernels::set_matmul_threads(threads);
             let mut g = Graph::new(&store);
             let sc = g.input(scores.clone());
             let sm = g.segment_softmax_rows(sc, &segs);
@@ -268,7 +237,7 @@ fn fast_segment_ops_are_eps_close_to_strict() {
             let ws = g.segment_weighted_sum(wn, vn, &segs);
             (g.value(sm).data().to_vec(), g.value(ws).data().to_vec())
         };
-        let (s_sm, s_ws) = run(KernelMode::Strict, 1);
+        let (s_sm, s_ws) = run(KernelMode::Strict);
         // Weighted-sum magnitude scale: Σ_r |w_r|·|v_rd| per segment.
         let mut ws_scale = vec![0.0f32; segs.len() * cols.max(1)];
         for (s, (r0, r1)) in (0..segs.len()).map(|s| (s, segs.bounds(s))) {
@@ -278,18 +247,16 @@ fn fast_segment_ops_are_eps_close_to_strict() {
                 }
             }
         }
-        for threads in THREAD_MATRIX {
-            let (f_sm, f_ws) = run(KernelMode::Fast, threads);
-            let ctx = format!("lens={lens:?} cols={cols} threads={threads}");
-            // Softmax outputs live in [0, 1]: a flat absolute ε suffices.
-            assert_eps_parity(&f_sm, &s_sm, |_| 1.0, &format!("segment_softmax {ctx}"));
-            assert_eps_parity(
-                &f_ws,
-                &s_ws,
-                |i| ws_scale[i],
-                &format!("segment_weighted_sum {ctx}"),
-            );
-        }
+        let (f_sm, f_ws) = run(KernelMode::Fast);
+        let ctx = format!("lens={lens:?} cols={cols}");
+        // Softmax outputs live in [0, 1]: a flat absolute ε suffices.
+        assert_eps_parity(&f_sm, &s_sm, |_| 1.0, &format!("segment_softmax {ctx}"));
+        assert_eps_parity(
+            &f_ws,
+            &s_ws,
+            |i| ws_scale[i],
+            &format!("segment_weighted_sum {ctx}"),
+        );
     }
     restore_defaults();
 }
@@ -370,20 +337,18 @@ fn fast_direct_inference_matches_strict_on_fresh_weights() {
 }
 
 /// Finite well-scaled gradients flow through the fast kernels ε-close to
-/// strict: one fused `linear → tanh → sum` backward pass per thread
-/// count (dx, dW, db all bounded by the forward magnitudes).
+/// strict: one fused `linear → tanh → sum` backward pass (dx, dW, db all
+/// bounded by the forward magnitudes).
 #[test]
 fn fast_gradients_are_eps_close_to_strict() {
     let _guard = lock_mode();
-    kernels::set_matmul_grain(1);
     let (m, k, n) = (4usize, 340usize, 24usize);
     let mut store = ParamStore::new(11);
     let x_init = finite_tensor(m, k, 21);
     let w = store.param("w", finite_tensor(k, n, 22));
     let b = store.param("b", finite_tensor(1, n, 23));
-    let run = |mode: KernelMode, threads: usize| {
+    let run = |mode: KernelMode| {
         kernels::set_kernel_mode(mode);
-        kernels::set_matmul_threads(threads);
         let mut g = Graph::new(&store);
         let x = g.input(x_init.clone());
         let (wn, bn) = (g.param(w), g.param(b));
@@ -397,18 +362,10 @@ fn fast_gradients_are_eps_close_to_strict() {
         all.extend_from_slice(grads[&b].data());
         all
     };
-    let strict = run(KernelMode::Strict, 1);
-    for threads in THREAD_MATRIX {
-        let fast = run(KernelMode::Fast, threads);
-        // tanh'·sums keep every gradient O(k); scale by the reduction
-        // depth for the dW entries accumulated over m·k products.
-        assert_eps_parity(
-            &fast,
-            &strict,
-            |_| k as f32,
-            &format!("gradients threads={threads}"),
-        );
-    }
+    let (strict, fast) = (run(KernelMode::Strict), run(KernelMode::Fast));
+    // tanh'·sums keep every gradient O(k); scale by the reduction
+    // depth for the dW entries accumulated over m·k products.
+    assert_eps_parity(&fast, &strict, |_| k as f32, "gradients");
     restore_defaults();
 }
 
@@ -420,7 +377,6 @@ fn fast_gradients_are_eps_close_to_strict() {
 #[test]
 fn fast_encoder_on_repeated_rows_is_eps_close_to_strict() {
     let _guard = lock_mode();
-    kernels::set_matmul_grain(1);
     let cfg = EmbedConfig::fast();
     let mut store = ParamStore::new(43);
     let e = nvc_embed::CodeEmbedder::new(&mut store, &cfg);
@@ -439,9 +395,8 @@ fn fast_encoder_on_repeated_rows_is_eps_close_to_strict() {
     let refs: Vec<&PathSample> = batch.iter().collect();
     let rows: usize = batch.iter().map(|s| s.len()).sum();
     let sel = finite_tensor(refs.len(), cfg.code_dim, 47);
-    let run = |mode: KernelMode, threads: usize| {
+    let run = |mode: KernelMode| {
         kernels::set_kernel_mode(mode);
-        kernels::set_matmul_threads(threads);
         let mut g = Graph::new(&store);
         let out = e.forward_batch(&mut g, &refs).expect("non-empty batch");
         let seln = g.input(sel.clone());
@@ -460,27 +415,21 @@ fn fast_encoder_on_repeated_rows_is_eps_close_to_strict() {
         }
         all
     };
-    let strict = run(KernelMode::Strict, 1);
-    for threads in THREAD_MATRIX {
-        let fast = run(KernelMode::Fast, threads);
-        // Embeddings are convex combinations of tanh outputs (≤ 1); a
-        // gradient element sums at most one O(1) term per context row.
-        let n_values = refs.len() * cfg.code_dim;
-        assert_eps_parity(
-            &fast,
-            &strict,
-            |i| if i < n_values { 1.0 } else { rows as f32 },
-            &format!("repeated-row encoder threads={threads}"),
-        );
-        assert_eq!(
-            fast.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            run(KernelMode::Fast, threads)
-                .iter()
-                .map(|x| x.to_bits())
-                .collect::<Vec<_>>(),
-            "fast encoder bits changed between runs at {threads} threads"
-        );
-    }
+    let (strict, fast) = (run(KernelMode::Strict), run(KernelMode::Fast));
+    // Embeddings are convex combinations of tanh outputs (≤ 1); a
+    // gradient element sums at most one O(1) term per context row.
+    let n_values = refs.len() * cfg.code_dim;
+    assert_eps_parity(
+        &fast,
+        &strict,
+        |i| if i < n_values { 1.0 } else { rows as f32 },
+        "repeated-row encoder",
+    );
+    assert_eq!(
+        to_bits(&fast),
+        to_bits(&run(KernelMode::Fast)),
+        "fast encoder bits changed between runs"
+    );
     restore_defaults();
 }
 
@@ -577,9 +526,8 @@ fn fast_tanh_does_not_depend_on_slice_position() {
 // ---- the lane-split score dot and the kept-row product ------------------
 
 /// `start + a·v` row by row through the deployed score-dot entry point.
-fn row_dots(mode: KernelMode, threads: usize, a: &Tensor, v: &Tensor, start: &Tensor) -> Vec<f32> {
+fn row_dots(mode: KernelMode, a: &Tensor, v: &Tensor, start: &Tensor) -> Vec<f32> {
     kernels::set_kernel_mode(mode);
-    kernels::set_matmul_threads(threads);
     let mut out = start.data().to_vec();
     kernels::row_dots_accum(a.data(), v.data(), a.rows(), a.cols(), &mut out);
     out
@@ -589,17 +537,15 @@ fn to_bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Fast mode's sixth departure against the chain it replaces: reductions
+/// Fast mode's fifth departure against the chain it replaces: reductions
 /// from empty through every block boundary of the 4 × 8 lanes to the
 /// encoder's 340 and one past it, row counts from none to a flush of
 /// eight full loops, ordinary and hostile payloads, a non-zero starting
 /// `out`. ε-close with identical special values; the same bits run after
-/// run, at every thread count with sharding forced, and for a row taken
-/// out of its matrix.
+/// run, and for a row taken out of its matrix.
 #[test]
 fn lane_split_row_dots_are_eps_close_to_the_strict_chain_and_a_function_of_the_row() {
     let _guard = lock_mode();
-    kernels::set_matmul_grain(1);
     for kd in [0usize, 1, 7, 8, 31, 32, 33, 64, 340, 341] {
         for m in [0usize, 1, 100, 800] {
             let seed = (kd * 1000 + m) as u64;
@@ -610,22 +556,20 @@ fn lane_split_row_dots_are_eps_close_to_the_strict_chain_and_a_function_of_the_r
                 let ctx = format!("{kind} m={m} kd={kd}");
                 let (a, v) = (make(m, kd, seed ^ 0x1D), make(kd, 1, seed ^ 0x2D));
                 let start = make(m, 1, seed ^ 0x3D);
-                let strict = row_dots(KernelMode::Strict, 1, &a, &v, &start);
-                let serial = row_dots(KernelMode::Fast, 1, &a, &v, &start);
+                let strict = row_dots(KernelMode::Strict, &a, &v, &start);
+                let fast = row_dots(KernelMode::Fast, &a, &v, &start);
                 let scale = abs_matmul(&a, &v);
                 assert_eps_parity(
-                    &serial,
+                    &fast,
                     &strict,
                     |i| start.data()[i].abs() + scale.data()[i],
                     &ctx,
                 );
-                for threads in THREAD_MATRIX {
-                    assert_eq!(
-                        to_bits(&row_dots(KernelMode::Fast, threads, &a, &v, &start)),
-                        to_bits(&serial),
-                        "bits moved at {threads} threads [{ctx}]"
-                    );
-                }
+                assert_eq!(
+                    to_bits(&row_dots(KernelMode::Fast, &a, &v, &start)),
+                    to_bits(&fast),
+                    "bits moved between runs [{ctx}]"
+                );
                 for r in [0, m / 2, m.saturating_sub(1)]
                     .into_iter()
                     .filter(|&r| r < m)
@@ -633,8 +577,8 @@ fn lane_split_row_dots_are_eps_close_to_the_strict_chain_and_a_function_of_the_r
                     let row = Tensor::from_vec(1, kd, a.row(r).to_vec());
                     let from = Tensor::scalar(start.data()[r]);
                     assert_eq!(
-                        to_bits(&row_dots(KernelMode::Fast, 1, &row, &v, &from)),
-                        to_bits(&serial[r..r + 1]),
+                        to_bits(&row_dots(KernelMode::Fast, &row, &v, &from)),
+                        to_bits(&fast[r..r + 1]),
                         "row {r} alone differs from row {r} in its batch [{ctx}]"
                     );
                 }
@@ -661,7 +605,7 @@ fn lane_split_row_dots_meet_special_values_like_the_chain() {
     let base: Vec<f32> = (0..kd).map(|k| ((k as f32) * 0.37).sin()).collect();
     let dot = |mode: KernelMode, row: &[f32], start: f32| {
         let a = Tensor::from_vec(1, kd, row.to_vec());
-        row_dots(mode, 1, &a, &v, &Tensor::scalar(start))[0]
+        row_dots(mode, &a, &v, &Tensor::scalar(start))[0]
     };
     let planted = |at: &[(usize, f32)]| {
         let mut row = base.clone();
@@ -710,13 +654,12 @@ fn lane_split_row_dots_meet_special_values_like_the_chain() {
 }
 
 /// What the inference forward keeps per table row: `row_matmul_accum_fast`
-/// is fast `matmul_accum` of that one row at one kernel thread, bit for
-/// bit, **whatever** the process mode and thread count when it runs — it
-/// never `k`-splits, so a kept row cannot depend on when it was filled.
+/// is fast `matmul_accum` of that one row, bit for bit, **whatever** the
+/// process mode when it runs, so a kept row cannot depend on when it was
+/// filled.
 #[test]
 fn row_matmul_fast_is_the_serial_one_row_fast_product_whenever_it_runs() {
     let _guard = lock_mode();
-    kernels::set_matmul_grain(1);
     for (kd, n) in [(16usize, 32usize), (128, 340), (0, 5), (7, 1), (65, 33)] {
         let seed = (kd * 1000 + n) as u64;
         let (row, b) = (
@@ -725,21 +668,17 @@ fn row_matmul_fast_is_the_serial_one_row_fast_product_whenever_it_runs() {
         );
         let start = wild_tensor(1, n, seed ^ 0x6D);
         kernels::set_kernel_mode(KernelMode::Fast);
-        kernels::set_matmul_threads(1);
         let mut want = start.data().to_vec();
         kernels::matmul_accum(row.data(), b.data(), 1, kd, n, &mut want);
         for mode in [KernelMode::Strict, KernelMode::Fast] {
-            for threads in THREAD_MATRIX {
-                kernels::set_kernel_mode(mode);
-                kernels::set_matmul_threads(threads);
-                let mut got = start.data().to_vec();
-                kernels::row_matmul_accum_fast(row.data(), b.data(), kd, n, &mut got);
-                assert_eq!(
-                    to_bits(&got),
-                    to_bits(&want),
-                    "kd={kd} n={n} filled in {mode} mode at {threads} threads"
-                );
-            }
+            kernels::set_kernel_mode(mode);
+            let mut got = start.data().to_vec();
+            kernels::row_matmul_accum_fast(row.data(), b.data(), kd, n, &mut got);
+            assert_eq!(
+                to_bits(&got),
+                to_bits(&want),
+                "kd={kd} n={n} filled in {mode} mode"
+            );
         }
     }
     restore_defaults();
@@ -798,7 +737,7 @@ fn synth_samples(seed: u64, count: usize, cfg: &EmbedConfig) -> Vec<PathSample> 
 fn assert_synth_decisions_match(cfg: NvConfig, seed: u64, count: usize) {
     let samples = synth_samples(seed, count, &cfg.embed);
     let refs: Vec<&PathSample> = samples.iter().collect();
-    let mut nv = NeuroVectorizer::new(cfg.with_matmul_threads(1));
+    let mut nv = NeuroVectorizer::new(cfg);
     let batched = |nv: &NeuroVectorizer, chunk: usize| -> Vec<(usize, usize)> {
         refs.chunks(chunk)
             .flat_map(|c| nv.trainer().predict_batch(c))
@@ -922,7 +861,7 @@ fn assert_fast_decides_like_the_committed_table(table: &str, nv: &NeuroVectorize
 fn fast_decisions_match_the_committed_tables_of_the_trained_checkpoints() {
     let _guard = lock_mode();
     for table in ["A", "B"] {
-        let mut nv = NeuroVectorizer::new(NvConfig::fast().with_matmul_threads(1));
+        let mut nv = NeuroVectorizer::new(NvConfig::fast());
         nv.restore(&bench_fixture(&format!("ckpt_{table}")))
             .expect("committed checkpoint");
         assert_fast_decides_like_the_committed_table(table, &nv);
@@ -937,7 +876,7 @@ fn fast_decisions_match_the_committed_tables_of_the_trained_checkpoints() {
 #[cfg_attr(debug_assertions, ignore = "paper-size catalog: run with --release")]
 fn fast_decisions_match_the_committed_table_at_paper_size() {
     let _guard = lock_mode();
-    let nv = NeuroVectorizer::new(NvConfig::paper().with_seed(3).with_matmul_threads(1));
+    let nv = NeuroVectorizer::new(NvConfig::paper().with_seed(3));
     assert_fast_decides_like_the_committed_table("paper", &nv);
     restore_defaults();
 }

@@ -1,5 +1,5 @@
-//! Kernel-parity tier: the threaded (1/2/3/8 workers) and SIMD-unrolled
-//! matmul kernels must be **bitwise**-identical to their textbook
+//! Kernel-parity tier: the SIMD-unrolled matmul kernels must be
+//! **bitwise**-identical to their textbook
 //! spellings — values and gradients — over arbitrary shapes (including
 //! `m = 0`, `k = 0`, `n = 1` and widths straddling the 8-wide unroll
 //! blocks) and over hostile payloads (±0, quiet/signalling NaNs, ±∞,
@@ -14,13 +14,9 @@
 //! property of the build, not of the kernel. With that one
 //! canonicalisation the tier holds in debug **and** `--release` builds.
 //!
-//! The work floor is pinned to 1 for the whole binary so the requested
-//! thread counts really shard even on deliberately tiny shapes. The
-//! thread knob is process-global, so tests in this binary may race on
-//! it — harmless by construction, since every value under test is
-//! asserted to produce the same bits. The kernel *mode* is not
-//! result-neutral: every test holds [`MODE`] shared and runs strict,
-//! except the one that sweeps both modes and holds it exclusively.
+//! The kernel *mode* is process-global and not result-neutral: every
+//! test holds [`MODE`] shared and runs strict, except the one that sweeps
+//! both modes and holds it exclusively.
 
 use std::sync::{RwLock, RwLockReadGuard};
 
@@ -29,19 +25,16 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-const THREAD_MATRIX: [usize; 4] = [1, 2, 3, 8];
-
 /// Guards the process-wide kernel mode: shared by the tests that pin
 /// strict, exclusive for the one that also runs fast.
 static MODE: RwLock<()> = RwLock::new(());
 
-/// Forces real sharding regardless of shape size and pins the strict
-/// kernel contract for as long as the guard lives — this tier *is* the
-/// bitwise guarantee, so it must hold even when the binary runs under
-/// `NVC_KERNEL_MODE=fast` (idempotent, so concurrent holders agree).
-fn force_sharding() -> RwLockReadGuard<'static, ()> {
+/// Pins the strict kernel contract for as long as the guard lives — this
+/// tier *is* the bitwise guarantee, so it must hold even when the binary
+/// runs under `NVC_KERNEL_MODE=fast` (idempotent, so concurrent holders
+/// agree).
+fn pin_strict() -> RwLockReadGuard<'static, ()> {
     let guard = MODE.read().unwrap_or_else(|e| e.into_inner());
-    kernels::set_matmul_grain(1);
     kernels::set_kernel_mode(KernelMode::Strict);
     guard
 }
@@ -101,7 +94,7 @@ fn bits(t: &Tensor) -> Vec<u32> {
 
 /// Textbook i-k-j matmul — the parity reference. Ascending-`k`
 /// accumulation per output element, exactly the order the tiled,
-/// unrolled, threaded deployed kernel preserves.
+/// unrolled deployed kernel preserves.
 fn matmul_textbook(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.cols(), b.rows());
     let mut out = Tensor::zeros(a.rows(), b.cols());
@@ -115,11 +108,9 @@ fn matmul_textbook(a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
-/// Deployed matmul/tn/nt vs their textbook spellings at one thread
-/// count, bit for bit.
-fn check_kernel_family(m: usize, k: usize, n: usize, seed: u64, threads: usize) {
-    kernels::set_matmul_threads(threads);
-    let ctx = format!("m={m} k={k} n={n} seed={seed} threads={threads}");
+/// Deployed matmul/tn/nt vs their textbook spellings, bit for bit.
+fn check_kernel_family(m: usize, k: usize, n: usize, seed: u64) {
+    let ctx = format!("m={m} k={k} n={n} seed={seed}");
 
     // matmul: m×k · k×n.
     let a = wild_tensor(m, k, seed);
@@ -150,8 +141,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random shapes (zero dims and unroll-straddling widths included) ×
-    /// hostile payloads × the full thread matrix: every deployed kernel
-    /// matches the textbook bits.
+    /// hostile payloads: every deployed kernel matches the textbook bits.
     #[test]
     fn prop_threaded_unrolled_kernels_match_textbook_bitwise(
         m in 0usize..12,
@@ -159,21 +149,16 @@ proptest! {
         n in 1usize..40,
         seed in 0u64..10_000,
     ) {
-        let _strict = force_sharding();
-        for threads in THREAD_MATRIX {
-            check_kernel_family(m, k, n, seed, threads);
-        }
+        let _strict = pin_strict();
+        check_kernel_family(m, k, n, seed);
     }
 
     /// The fused `Graph::linear` — forward values AND the gradients that
     /// flow back through `matmul_nt` (dx), `matmul_tn` (dW) and the bias
     /// column sum (db) — equals the unfused matmul + broadcast spelling
-    /// bit for bit at every thread count, in **both** kernel modes: the
-    /// fused op runs the deployed matmul's own driver, `k`-split included
-    /// (one case in four is the policy head's tall-thin 2×340·340×64, and
-    /// at grain 1 every one- or two-row shape splits at 3 threads too).
-    /// Strict is also bitwise-stable *across* the thread matrix; fast is
-    /// not meant to be — its `k`-split shard count follows the knob.
+    /// bit for bit, in **both** kernel modes: the fused op runs the
+    /// deployed matmul (one case in four is the policy head's tall-thin
+    /// 2×340·340×64).
     #[test]
     fn prop_linear_values_and_grads_bitwise_across_threads(
         m in 1usize..10,
@@ -184,7 +169,6 @@ proptest! {
         policy_shape in 0usize..4,
     ) {
         let _exclusive = MODE.write().unwrap_or_else(|e| e.into_inner());
-        kernels::set_matmul_grain(1);
         let mode = if fast == 1 { KernelMode::Fast } else { KernelMode::Strict };
         kernels::set_kernel_mode(mode);
         let (m, k, n) = if policy_shape == 0 { (2, 340, 64) } else { (m, k, n) };
@@ -215,16 +199,7 @@ proptest! {
             )
         };
 
-        kernels::set_matmul_threads(1);
-        let baseline = run(true);
-        for threads in THREAD_MATRIX {
-            kernels::set_matmul_threads(threads);
-            let fused = run(true);
-            prop_assert_eq!(&run(false), &fused, "{} unfused != fused at {} threads", mode, threads);
-            if mode == KernelMode::Strict {
-                prop_assert_eq!(&fused, &baseline, "fused diverged at {} threads", threads);
-            }
-        }
+        prop_assert_eq!(&run(false), &run(true), "{} unfused != fused", mode);
     }
 }
 
@@ -233,7 +208,7 @@ proptest! {
 /// multiples and their off-by-ones, and a tile-boundary straddler.
 #[test]
 fn edge_shapes_match_textbook_at_every_thread_count() {
-    let _strict = force_sharding();
+    let _strict = pin_strict();
     for &(m, k, n) in &[
         (0usize, 5usize, 3usize), // no output rows
         (4, 0, 3),                // empty reduction
@@ -245,9 +220,7 @@ fn edge_shapes_match_textbook_at_every_thread_count() {
         (5, 9, 9),    // unroll + 1 tail
         (9, 130, 67), // straddles the 64-wide k/j tiles
     ] {
-        for threads in THREAD_MATRIX {
-            check_kernel_family(m, k, n, 1234, threads);
-        }
+        check_kernel_family(m, k, n, 1234);
     }
 }
 
@@ -257,11 +230,11 @@ fn edge_shapes_match_textbook_at_every_thread_count() {
 /// ascending `k` over the row window. The output starts **non-zero** (and
 /// hostile), every block width and its off-by-ones appears as an output
 /// width, the reduction runs from empty to longer than a cache tile, and
-/// the row windows include the empty and the single-row one — at every
-/// thread count, bit for bit.
+/// the row windows include the empty and the single-row one — bit for
+/// bit.
 #[test]
 fn backward_kernels_match_their_textbook_chains_on_a_nonzero_output() {
-    let _strict = force_sharding();
+    let _strict = pin_strict();
     const WIDTHS: [usize; 10] = [0, 1, 7, 8, 9, 15, 16, 17, 48, 340];
     const DEPTHS: [usize; 5] = [0, 1, 32, 65, 384];
     for n in WIDTHS {
@@ -283,20 +256,13 @@ fn backward_kernels_match_their_textbook_chains_on_a_nonzero_output() {
                     want[(i, j)] += s;
                 }
             }
-            for threads in THREAD_MATRIX {
-                kernels::set_matmul_threads(threads);
-                let mut got = start.clone();
-                a.matmul_nt_accum_into(&b, &mut got);
-                assert_eq!(
-                    bits(&got),
-                    bits(&want),
-                    "nt diverged [n={n} kd={kd} threads={threads}]"
-                );
-            }
+            let mut got = start.clone();
+            a.matmul_nt_accum_into(&b, &mut got);
+            assert_eq!(bits(&got), bits(&want), "nt diverged [n={n} kd={kd}]");
 
             // tn over a row window: out (m×n) += x[r0..r1]ᵀ · g[r0..r1]
             // (x: kd×m, g: kd×n). 19 output rows: one 16-lane block and a
-            // scalar tail down a leftover column, uneven under 2/3/8 shards.
+            // scalar tail down a leftover column.
             let m = 19;
             let x = wild_tensor(kd, m, seed ^ 0x04);
             let g = wild_tensor(kd, n, seed ^ 0x05);
@@ -314,23 +280,20 @@ fn backward_kernels_match_their_textbook_chains_on_a_nonzero_output() {
                         }
                     }
                 }
-                for threads in THREAD_MATRIX {
-                    kernels::set_matmul_threads(threads);
-                    let mut got = start.clone();
-                    kernels::matmul_tn_accum(
-                        &x.data()[r0 * m..r1 * m],
-                        &g.data()[r0 * n..r1 * n],
-                        r1 - r0,
-                        m,
-                        n,
-                        got.data_mut(),
-                    );
-                    assert_eq!(
-                        bits(&got),
-                        bits(&want),
-                        "tn diverged [n={n} kd={kd} rows {r0}..{r1} threads={threads}]"
-                    );
-                }
+                let mut got = start.clone();
+                kernels::matmul_tn_accum(
+                    &x.data()[r0 * m..r1 * m],
+                    &g.data()[r0 * n..r1 * n],
+                    r1 - r0,
+                    m,
+                    n,
+                    got.data_mut(),
+                );
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "tn diverged [n={n} kd={kd} rows {r0}..{r1}]"
+                );
             }
         }
     }
@@ -351,16 +314,9 @@ fn backward_kernels_match_their_textbook_chains_on_a_nonzero_output() {
                     }
                 }
             }
-            for threads in THREAD_MATRIX {
-                kernels::set_matmul_threads(threads);
-                let mut got = start.clone();
-                x.matmul_tn_accum_into(&g, &mut got);
-                assert_eq!(
-                    bits(&got),
-                    bits(&want),
-                    "narrow tn diverged [m={m} n={n} threads={threads}]"
-                );
-            }
+            let mut got = start.clone();
+            x.matmul_tn_accum_into(&g, &mut got);
+            assert_eq!(bits(&got), bits(&want), "narrow tn diverged [m={m} n={n}]");
         }
     }
 }
@@ -369,10 +325,10 @@ fn backward_kernels_match_their_textbook_chains_on_a_nonzero_output() {
 /// single-column `matmul_accum` — one ascending-`k` chain per row,
 /// starting from whatever `out` held — over hostile payloads, reductions
 /// from empty to past the lane-split kernel's 32-wide blocks, and row
-/// counts from none to a batch of eight loops, at every thread count.
+/// counts from none to a batch of eight loops.
 #[test]
 fn strict_row_dots_are_the_single_column_matmul_chain() {
-    let _strict = force_sharding();
+    let _strict = pin_strict();
     for kd in [0usize, 1, 7, 8, 31, 32, 33, 64, 340, 341] {
         for m in [0usize, 1, 100, 800] {
             let seed = (kd * 1000 + m) as u64;
@@ -385,83 +341,76 @@ fn strict_row_dots_are_the_single_column_matmul_chain() {
                     want[(i, 0)] += a[(i, k)] * v[(k, 0)];
                 }
             }
-            for threads in THREAD_MATRIX {
-                kernels::set_matmul_threads(threads);
-                let mut got = start.clone();
-                kernels::row_dots_accum(a.data(), v.data(), m, kd, got.data_mut());
-                assert_eq!(
-                    bits(&got),
-                    bits(&want),
-                    "row dots left the chain [m={m} kd={kd} threads={threads}]"
-                );
-                let mut column = start.clone();
-                kernels::matmul_accum(a.data(), v.data(), m, kd, 1, column.data_mut());
-                assert_eq!(
-                    bits(&got),
-                    bits(&column),
-                    "[m={m} kd={kd} threads={threads}]"
-                );
-            }
+            let mut got = start.clone();
+            kernels::row_dots_accum(a.data(), v.data(), m, kd, got.data_mut());
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "row dots left the chain [m={m} kd={kd}]"
+            );
+            let mut column = start.clone();
+            kernels::matmul_accum(a.data(), v.data(), m, kd, 1, column.data_mut());
+            assert_eq!(bits(&got), bits(&column), "[m={m} kd={kd}]");
         }
     }
 }
 
-/// The segment ops (attention softmax + per-segment weighted sum) are
-/// sharded on segment boundaries only, so each segment's internal
-/// max/exp/sum/divide (resp. ascending-row accumulation) order is
-/// untouched and every thread count must yield the serial bits — over
-/// hostile payloads too (NaN/∞ propagate identically).
+/// The segment ops (attention softmax + per-segment weighted sum) against
+/// their serial spellings: per segment and column a max fold, an
+/// exp-and-sum pass and a divide pass in ascending row order, resp. one
+/// ascending-row `acc + w·v` chain per pooled element — over hostile
+/// payloads too (NaN/∞ propagate identically).
 #[test]
 fn segment_ops_match_serial_bits_at_every_thread_count() {
-    let _strict = force_sharding();
+    let _strict = pin_strict();
     let store = ParamStore::new(7);
     let layouts: &[(&[usize], usize)] = &[
-        (&[5], 3),                      // one segment: no cuts possible
+        (&[5], 3),                      // one segment
         (&[3, 0, 5, 1, 8], 7),          // zero-row segment in the middle
-        (&[1; 19], 4),                  // many tiny segments, > threads
+        (&[1; 19], 4),                  // many tiny segments
         (&[0, 0, 6, 2, 0, 9, 1, 4], 1), // single column, empty edges
     ];
-    let run = |threads: usize, lens: &[usize], cols: usize, seed: u64| {
-        kernels::set_matmul_threads(threads);
-        let segs = Segments::from_lens(lens.iter().copied());
-        let rows = segs.total_rows();
-        let mut g = Graph::new(&store);
-        let scores = g.input(wild_tensor(rows, cols, seed));
-        let sm = g.segment_softmax_rows(scores, &segs);
-        let w = g.input(wild_tensor(rows, 1, seed ^ 0x77));
-        let v = g.input(wild_tensor(rows, cols, seed ^ 0x88));
-        let ws = g.segment_weighted_sum(w, v, &segs);
-        (bits(g.value(sm)), bits(g.value(ws)))
-    };
     for (i, &(lens, cols)) in layouts.iter().enumerate() {
         let seed = 4242 + i as u64;
-        let serial = run(1, lens, cols, seed);
-        for threads in THREAD_MATRIX {
-            assert_eq!(
-                run(threads, lens, cols, seed),
-                serial,
-                "segment ops diverged [lens={lens:?} cols={cols} threads={threads}]"
-            );
-        }
-    }
-}
+        let segs = Segments::from_lens(lens.iter().copied());
+        let rows = segs.total_rows();
+        let scores = wild_tensor(rows, cols, seed);
+        let weights = wild_tensor(rows, 1, seed ^ 0x77);
+        let values = wild_tensor(rows, cols, seed ^ 0x88);
 
-/// A panicking shard must propagate out of the deployed kernel rather
-/// than hang the product or surface a half-written output as complete
-/// (twin of the failure-injection tier's end-to-end version).
-#[test]
-fn worker_panic_propagates_out_of_matmul() {
-    let _strict = force_sharding();
-    kernels::set_matmul_threads(4);
-    // 257 rows: far outside every other shape in this binary, so arming
-    // the hook cannot perturb concurrently running tests.
-    let a = finite_tensor(257, 6, 9);
-    let b = finite_tensor(6, 5, 10);
-    let want = matmul_textbook(&a, &b);
-    kernels::inject_worker_panic(100, 257);
-    let outcome = std::panic::catch_unwind(|| a.matmul(&b));
-    kernels::clear_worker_panic();
-    assert!(outcome.is_err(), "injected worker panic must propagate");
-    // The kernel family still computes clean bits afterwards.
-    assert_eq!(bits(&a.matmul(&b)), bits(&want));
+        let mut g = Graph::new(&store);
+        let sn = g.input(scores.clone());
+        let sm = g.segment_softmax_rows(sn, &segs);
+        let (w, v) = (g.input(weights.clone()), g.input(values.clone()));
+        let ws = g.segment_weighted_sum(w, v, &segs);
+
+        let mut want_sm = scores;
+        let mut want_ws = Tensor::zeros(lens.len(), cols);
+        for (s, (r0, r1)) in segs.iter().enumerate() {
+            for c in 0..cols {
+                for r in r0..r1 {
+                    want_ws[(s, c)] += weights[(r, 0)] * values[(r, c)];
+                }
+                if r0 == r1 {
+                    continue;
+                }
+                let max = (r0..r1).fold(f32::NEG_INFINITY, |m, r| m.max(want_sm[(r, c)]));
+                let mut sum = 0.0f32;
+                for r in r0..r1 {
+                    want_sm[(r, c)] = (want_sm[(r, c)] - max).exp();
+                    sum += want_sm[(r, c)];
+                }
+                for r in r0..r1 {
+                    want_sm[(r, c)] /= sum;
+                }
+            }
+        }
+        let ctx = format!("lens={lens:?} cols={cols}");
+        assert_eq!(
+            bits(g.value(sm)),
+            bits(&want_sm),
+            "softmax diverged [{ctx}]"
+        );
+        assert_eq!(bits(g.value(ws)), bits(&want_ws), "pool diverged [{ctx}]");
+    }
 }

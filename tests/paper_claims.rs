@@ -1,8 +1,8 @@
 //! The paper's qualitative claims, asserted end to end at smoke scale.
 //!
-//! Quantitative paper-vs-measured numbers live in EXPERIMENTS.md; these
-//! tests pin the *shape* of every result so regressions in any substrate
-//! crate surface as a failed claim.
+//! The numbers themselves come from the `nv-bench` figure binaries
+//! (README § *Experiments*); these tests pin the *shape* of every result
+//! so regressions in any substrate crate surface as a failed claim.
 
 use neurovectorizer::experiments::{
     fig1_dot_product_grid, fig2_bruteforce_suite, fig7_comparison, fig8_polybench, fig9_mibench,
@@ -65,7 +65,8 @@ fn claim_figure2_headroom() {
 }
 
 /// §4 + Figures 7–9, at smoke training scale: the *ordering* of methods
-/// the paper reports. (Magnitudes are in EXPERIMENTS.md.)
+/// the paper reports. (Magnitudes: the `fig7`–`fig9` binaries, README §
+/// *Experiments*.)
 #[test]
 fn claim_method_ordering() {
     let (nv, env, stats) = train_framework(Scale::smoke());
@@ -109,7 +110,7 @@ fn claim_method_ordering() {
     );
     // At smoke training scale the policy is noisy on out-of-distribution
     // tiled loops, so allow modest slack; the bench-scale harness shows
-    // the combination matching or beating Polly (EXPERIMENTS.md).
+    // the combination matching or beating Polly (`fig8_polybench`).
     assert!(
         f8.average("rl+polly") >= f8.average("polly") * 0.8,
         "combination regressed Polly too much: {:.3} vs {:.3}",
