@@ -129,13 +129,24 @@ impl DecisionTree {
     }
 }
 
-fn majority_label(labels: &[usize], idx: &[usize]) -> usize {
-    let mut counts = std::collections::HashMap::new();
+/// Occurrences of each label among `idx`, indexed by label. Every count in
+/// this file is kept this way — a `HashMap`'s iteration order changes from
+/// map to map, and with it the last bit of [`gini`]'s sum and the split
+/// `best_split` picks.
+fn label_counts(labels: &[usize], idx: &[usize]) -> Vec<usize> {
+    let n_labels = idx.iter().map(|&i| labels[i] + 1).max().unwrap_or(0);
+    let mut counts = vec![0usize; n_labels];
     for &i in idx {
-        *counts.entry(labels[i]).or_insert(0usize) += 1;
+        counts[labels[i]] += 1;
     }
     counts
+}
+
+/// The most frequent label; ties go to the smallest.
+fn majority_label(labels: &[usize], idx: &[usize]) -> usize {
+    label_counts(labels, idx)
         .into_iter()
+        .enumerate()
         .max_by_key(|&(label, c)| (c, std::cmp::Reverse(label)))
         .map(|(l, _)| l)
         .unwrap_or(0)
@@ -145,12 +156,13 @@ fn is_pure(labels: &[usize], idx: &[usize]) -> bool {
     idx.windows(2).all(|w| labels[w[0]] == labels[w[1]])
 }
 
-fn gini(counts: &std::collections::HashMap<usize, usize>, total: usize) -> f64 {
+/// Gini impurity, summed in ascending label order.
+fn gini(counts: &[usize], total: usize) -> f64 {
     if total == 0 {
         return 0.0;
     }
     let mut g = 1.0;
-    for &c in counts.values() {
+    for &c in counts {
         let p = c as f64 / total as f64;
         g -= p * p;
     }
@@ -160,6 +172,7 @@ fn gini(counts: &std::collections::HashMap<usize, usize>, total: usize) -> f64 {
 /// Finds the `(feature, threshold)` with the lowest weighted Gini impurity.
 fn best_split(features: &[Vec<f32>], labels: &[usize], idx: &[usize]) -> Option<(usize, f32)> {
     let width = features[idx[0]].len();
+    let all_counts = label_counts(labels, idx);
     let mut best: Option<(f64, usize, f32)> = None;
     for f in 0..width {
         // Sort samples along this feature.
@@ -169,20 +182,12 @@ fn best_split(features: &[Vec<f32>], labels: &[usize], idx: &[usize]) -> Option<
                 .partial_cmp(&features[b][f])
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        let mut left_counts = std::collections::HashMap::new();
-        let mut right_counts = std::collections::HashMap::new();
-        for &i in &order {
-            *right_counts.entry(labels[i]).or_insert(0usize) += 1;
-        }
+        let mut left_counts = vec![0usize; all_counts.len()];
+        let mut right_counts = all_counts.clone();
         for w in 0..order.len() - 1 {
             let i = order[w];
-            *left_counts.entry(labels[i]).or_insert(0usize) += 1;
-            if let Some(c) = right_counts.get_mut(&labels[i]) {
-                *c -= 1;
-                if *c == 0 {
-                    right_counts.remove(&labels[i]);
-                }
-            }
+            left_counts[labels[i]] += 1;
+            right_counts[labels[i]] -= 1;
             let (xa, xb) = (features[order[w]][f], features[order[w + 1]][f]);
             if xa == xb {
                 continue; // no threshold separates equal values
@@ -274,5 +279,31 @@ mod tests {
             .filter(|(f, l)| tree.predict(f) == **l)
             .count();
         assert_eq!(correct, 30);
+    }
+
+    /// Two identical feature columns score every split position alike, so
+    /// the first column must win each time — the last bit of an impurity
+    /// summed in a per-map order used to pick between them (Figure 7's
+    /// decision-tree column differed between runs of one binary).
+    #[test]
+    fn repeated_fits_of_one_dataset_are_one_tree() {
+        let mut state = 17u32;
+        let mut next = || {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            state >> 8
+        };
+        let mut features = Vec::new();
+        let mut labels = Vec::new();
+        for _ in 0..160 {
+            let (x, y) = (next() as f32 / 1e6, next() as f32 / 1e6);
+            features.push(vec![x, y, x, y]);
+            labels.push(next() as usize % 7);
+        }
+        let cfg = DecisionTreeConfig::default();
+        let first = DecisionTree::fit(&features, &labels, &cfg);
+        assert!(first.node_count() > 7, "the dataset must need many splits");
+        for _ in 0..8 {
+            assert_eq!(DecisionTree::fit(&features, &labels, &cfg), first);
+        }
     }
 }

@@ -9,6 +9,7 @@
 //! nvc inspect file.c [--n 1024]                  # per-loop analysis report
 //! nvc serve --model model.ckpt                   # JSON-lines daemon on stdin/stdout
 //! nvc hub --model prod=model.ckpt --listen 127.0.0.1:7199
+//! nvc experiment fig7                            # one of the paper's figures, or `all`
 //! ```
 //!
 //! `serve` keeps one model warm on stdin/stdout; `hub` is the networked
@@ -24,6 +25,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use neurovectorizer::cli::{parse_args, Flag, ParsedArgs};
+use neurovectorizer::experiments::report;
 use neurovectorizer::{Compiler, Hub, ModelSpec, NeuroVectorizer, NvConfig, VectorizeEnv};
 use nvc_datasets::{generator, Kernel};
 use nvc_ir::ParamEnv;
@@ -48,6 +50,8 @@ const USAGE: &str = "usage:
           [--learn-z Z] [--learn-min-cohort N] [--learn-iters N]
   nvc registry [--listen ADDR]
   nvc resolve --registry ADDR [--model NAME]
+  nvc experiment fig1|fig2|fig5|fig6|fig7|fig8|fig9|headline|ext_ranker|
+                 ext_reward_shaping|all
 
 --kernel-mode picks the kernel numeric contract (default: NVC_KERNEL_MODE,
 else `fast` for serve/hub and `strict` everywhere else): `strict` is
@@ -81,7 +85,9 @@ resolve` and fleet clients find it; `--peers` pulls a warm cache image
 from a running peer before taking traffic; --cache-checkpoint-secs
 writes the decision cache every N seconds so a crash loses at most one
 interval. Hub and registry also shut down cleanly on stdin EOF
-(supervisor exit), persisting the cache like the shutdown verb.";
+(supervisor exit), persisting the cache like the shutdown verb.
+`nvc experiment` prints one of the paper's figures, or `all`, at a fixed
+scale and seed: it takes no flags and two runs print the same bytes.";
 
 /// Honors a parsed `--trace FILE` flag (the CLI spelling of
 /// `NVC_TRACE=FILE`).
@@ -108,6 +114,7 @@ fn main() -> ExitCode {
         Some("hub") => cmd_hub(&args[1..]),
         Some("registry") => cmd_registry(&args[1..]),
         Some("resolve") => cmd_resolve(&args[1..]),
+        Some("experiment") => cmd_experiment(&args[1..]),
         _ => {
             eprintln!("{USAGE}");
             return ExitCode::from(2);
@@ -153,6 +160,7 @@ const VECTORIZE_FLAGS: &[Flag] = &[Flag::value("--model")];
 const INSPECT_FLAGS: &[Flag] = &[Flag::value("--n")];
 const REGISTRY_FLAGS: &[Flag] = &[Flag::value("--listen"), Flag::value("--trace")];
 const RESOLVE_FLAGS: &[Flag] = &[Flag::value("--registry"), Flag::value("--model")];
+const EXPERIMENT_FLAGS: &[Flag] = &[];
 
 fn cmd_train(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let p = parse_args(args, TRAIN_FLAGS, USAGE)?;
@@ -617,6 +625,18 @@ fn cmd_resolve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
+fn cmd_experiment(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    let p = parse_args(args, EXPERIMENT_FLAGS, USAGE)?;
+    let [id] = p.positionals() else {
+        return Err(format!(
+            "experiment takes one id ({}, or all)",
+            report::IDS.join(", ")
+        )
+        .into());
+    };
+    Ok(report::run(id, &mut std::io::stdout().lock())?)
+}
+
 fn cmd_inspect(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let p = parse_args(args, INSPECT_FLAGS, USAGE)?;
     let file = one_positional(&p, "inspect")?;
@@ -692,6 +712,7 @@ mod tests {
             &hub,
             REGISTRY_FLAGS,
             RESOLVE_FLAGS,
+            EXPERIMENT_FLAGS,
         ]
         .iter()
         .flat_map(|table| table.iter().map(|f| f.name))
@@ -701,5 +722,8 @@ mod tests {
             .filter(|word| word.starts_with("--") && word.len() > 2)
             .collect();
         assert_eq!(documented, accepted);
+        for id in report::IDS {
+            assert!(USAGE.contains(id), "USAGE does not name experiment `{id}`");
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! Drivers that regenerate every figure of the paper.
 //!
-//! Each function returns plain data; the `nv-bench` harness binaries
-//! (README § *Experiments*) print it in the paper's format. Everything
-//! is deterministic given the [`Scale`] seed.
+//! Each function returns plain data; [`report`] — `nvc experiment
+//! <id|all>`, README § *Experiments* — prints it in the paper's format.
+//! Everything is deterministic given the [`Scale`] seed.
 //!
 //! | Paper artifact | Function |
 //! |---|---|
@@ -18,7 +18,7 @@
 use serde::{Deserialize, Serialize};
 
 use nvc_agents::{brute_force_best, DecisionTree, DecisionTreeConfig, NnsAgent, RandomAgent};
-use nvc_datasets::{eval, generator, mibench, polybench, suite, Kernel};
+use nvc_datasets::{generator, mibench, polybench, suite, Kernel};
 use nvc_embed::PathSample;
 use nvc_frontend::parse_statement;
 use nvc_ir::LoweredLoop;
@@ -31,14 +31,16 @@ use crate::compiler::{Compiler, LoopDecision};
 use crate::env::VectorizeEnv;
 use crate::framework::{NeuroVectorizer, NvConfig};
 
+pub mod report;
+
 // ---------------------------------------------------------------------
 // Scale
 // ---------------------------------------------------------------------
 
 /// Experiment sizing. The paper's full scale (5,000 training samples,
 /// 500k steps) runs for hours on the original Ray cluster; the `bench`
-/// scale keeps every qualitative result while fitting in minutes, and
-/// `smoke` exists for the test suite.
+/// scale is what `nvc experiment` runs — all ten tables in under half a
+/// minute — and `smoke` exists for the test suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Scale {
     /// Number of generated training kernels.
@@ -62,7 +64,7 @@ impl Scale {
         }
     }
 
-    /// Benchmark-harness scale: a few minutes end to end.
+    /// The scale of `nvc experiment`.
     pub fn bench() -> Self {
         Scale {
             train_kernels: 160,
@@ -585,11 +587,6 @@ pub fn headline_summary(
         rl_vs_brute_force: rl7 / bf,
         range: (suite_avgs[0], suite_avgs[2]),
     }
-}
-
-/// The 12 held-out benchmarks (re-exported for harnesses).
-pub fn figure7_benchmarks() -> Vec<Kernel> {
-    eval::eval_benchmarks()
 }
 
 // ---------------------------------------------------------------------

@@ -21,7 +21,7 @@
 //!   compile-time penalty);
 //! * [`framework`] — training and the pragma-injecting inference product;
 //! * [`experiments`] — drivers that regenerate every figure of the paper
-//!   (used by the `nv-bench` harness binaries);
+//!   (printed by `nvc experiment <id|all>`);
 //! * serving — [`NeuroVectorizer::serve`] moves a trained model into the
 //!   long-lived `nvc-serve` daemon (`nvc serve` on the CLI): a sharded
 //!   LRU decision cache plus batched policy inference behind a JSON-lines

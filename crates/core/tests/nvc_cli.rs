@@ -67,3 +67,41 @@ fn a_removed_flag_is_an_unknown_flag_not_an_ignored_argument() {
     assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
     assert!(!ckpt.exists(), "train wrote a checkpoint");
 }
+
+/// What `fig1_dotproduct_grid` printed before it became `nvc experiment
+/// fig1`.
+const FIG1: &str = concat!(
+    "== Figure 1: dot product VF x IF grid (normalized to baseline) ==\n",
+    "baseline decision: (VF=4, IF=2)\n",
+    "baseline over scalar: 2.73x   (paper: 2.6x)\n",
+    " VF\\IF        1        2        4        8\n",
+    "     1   0.366    0.433    0.476    0.500 \n",
+    "     2   0.559    0.633    0.678    0.701 \n",
+    "     4   0.905    1.000    1.054*   1.080*\n",
+    "     8   1.000    1.054*   1.080*   1.065*\n",
+    "    16   1.054*   1.080*   1.065*   1.012*\n",
+    "    32   1.080*   1.065*   1.012*   0.968 \n",
+    "    64   1.065*   1.012*   0.968    0.914 \n",
+    "\n",
+    "best: (VF=4, IF=8) at 1.080x over baseline  (paper: (VF=64, IF=8) at ~1.2x)\n",
+    "14 of 28 configurations beat the baseline  (paper: 26 of 35)\n",
+);
+
+#[test]
+fn experiment_prints_the_figure_and_takes_an_id_and_nothing_else() {
+    let out = nvc(&["experiment", "fig1"], None);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), FIG1);
+
+    let out = nvc(&["experiment", "nope"], None);
+    let err = stderr(&out);
+    assert!(!out.status.success(), "`nope` ran: {err}");
+    for id in neurovectorizer::experiments::report::IDS {
+        assert!(err.contains(id), "no `{id}` in: {err}");
+    }
+
+    let out = nvc(&["experiment", "fig1", "--seed", "3"], None);
+    assert!(!out.status.success(), "a flag was accepted");
+    assert!(stderr(&out).contains("unknown flag `--seed`"));
+    assert!(out.stdout.is_empty(), "a figure was printed");
+}

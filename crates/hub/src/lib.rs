@@ -917,7 +917,20 @@ impl Hub {
                 let Some(path) = v.get("checkpoint").and_then(Json::as_str) else {
                     return fail(id, "reload requires a `checkpoint` field".into());
                 };
-                let weight = v.get("weight").and_then(Json::as_f64).map(|w| w as u32);
+                // Outside input: a cast would park the model on `-1`,
+                // truncate `2.7` and saturate `1e99`.
+                let in_range =
+                    |n: &f64| n.fract() == 0.0 && (0.0..=f64::from(u32::MAX)).contains(n);
+                let weight = match v.get("weight") {
+                    None => None,
+                    Some(w) => match w.as_f64().filter(in_range) {
+                        Some(n) => Some(n as u32),
+                        None => {
+                            let got = w.render();
+                            return fail(id, format!("reload `weight` must be a u32, got {got}"));
+                        }
+                    },
+                };
                 match self.reload(name, path, weight) {
                     Ok(hash) => (
                         with_id(
@@ -1332,6 +1345,22 @@ void f(int n) {
                 .unwrap()
         };
         assert_ne!(vf(&before), vf(&after), "reload must change decisions");
+
+        // A weight that is not a non-negative integer a u32 holds is
+        // refused by name, and the registry keeps model and weight.
+        for bad in ["-1", "2.7", "1e99", "\"3\""] {
+            let line = format!(r#"{{"op":"reload","model":"m","checkpoint":"4","weight":{bad}}}"#);
+            let v = Json::parse(&hub.handle_line(&line).0).unwrap();
+            assert_eq!(v.get("ok").unwrap().as_bool(), Some(false), "{bad}");
+            let error = v.get("error").unwrap().as_str().unwrap();
+            assert!(error.contains("`weight`"), "{bad}: {error}");
+            let entry = hub.registry().get("m").unwrap();
+            assert_eq!((entry.checkpoint_hash, entry.weight), (3, 2), "{bad}");
+        }
+
+        let ok = hub.handle_line(r#"{"op":"reload","model":"m","checkpoint":"3","weight":7}"#);
+        assert!(ok.0.contains(r#""ok":true"#), "{}", ok.0);
+        assert_eq!(hub.registry().get("m").unwrap().weight, 7);
 
         // Unknown model still errors.
         let (resp, _) = hub.handle_line(r#"{"op":"reload","model":"nope","checkpoint":"3"}"#);

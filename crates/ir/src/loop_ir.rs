@@ -74,7 +74,7 @@ pub enum UnOpIr {
 ///
 /// Matching LLVM, integer reductions are always vectorizable; floating-point
 /// sum/product reductions assume fast-math-style reassociation (the paper's
-/// kernels are compiled that way — see DESIGN.md).
+/// kernels are compiled that way).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ReductionKind {
     /// `s += x` (also `s -= x`).

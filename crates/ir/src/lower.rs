@@ -558,7 +558,7 @@ impl<'a> BodyLowering<'a> {
             ExprKind::FloatLit(v) => {
                 // Unsuffixed float literals are treated as f32 in the
                 // subset — the paper's float kernels all compute in
-                // single precision (see DESIGN.md).
+                // single precision.
                 let ty = ScalarType::F32;
                 (self.emit(Instr::Const { val: *v, ty }), ty)
             }

@@ -1,6 +1,6 @@
 //! Determinism guarantees: every stochastic component is seeded, so the
-//! figures regenerate bit-identically (DESIGN.md's reproducibility
-//! contract).
+//! figures regenerate bit-identically (CI `cmp`s two runs of `nvc
+//! experiment all`).
 
 use neurovectorizer::experiments::{fig1_dot_product_grid, fig2_bruteforce_suite};
 use neurovectorizer::{NeuroVectorizer, NvConfig, VectorizeEnv};

@@ -1,13 +1,14 @@
 //! The paper's qualitative claims, asserted end to end at smoke scale.
 //!
-//! The numbers themselves come from the `nv-bench` figure binaries
-//! (README § *Experiments*); these tests pin the *shape* of every result
+//! The numbers themselves come from `nvc experiment <id|all>` (README
+//! § *Experiments*); these tests pin the *shape* of every result
 //! so regressions in any substrate crate surface as a failed claim.
 
 use neurovectorizer::experiments::{
     fig1_dot_product_grid, fig2_bruteforce_suite, fig7_comparison, fig8_polybench, fig9_mibench,
-    figure7_benchmarks, train_framework, Scale,
+    train_framework, Scale,
 };
+use nvc_datasets::eval::eval_benchmarks;
 use nvc_machine::TargetConfig;
 use nvc_vectorizer::VectorDecision;
 
@@ -75,7 +76,7 @@ fn claim_method_ordering() {
     let last = stats.last().unwrap().reward_mean;
     assert!(last > first, "no learning: {first:.3} → {last:.3}");
 
-    let f7 = fig7_comparison(&nv, &env, &figure7_benchmarks());
+    let f7 = fig7_comparison(&nv, &env, &eval_benchmarks());
     let avg = |m: &str| f7.average(m);
 
     // Brute force is the oracle: it dominates everything.
