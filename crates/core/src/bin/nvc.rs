@@ -55,7 +55,7 @@ const USAGE: &str = "usage:
 
 --kernel-mode picks the kernel numeric contract (default: NVC_KERNEL_MODE,
 else `fast` for serve/hub and `strict` everywhere else): `strict` is
-bitwise-reproducible; `fast` runs FMA + online-softmax + polynomial-tanh
+bitwise-reproducible; `fast` runs FMA + online-softmax + rational-tanh
 kernels that are ε-close with identical decisions.
 The hub's connections are driven nonblocking by one selector thread, which
 answers `ping` and cache-hit `vectorize` itself; misses are answered by the

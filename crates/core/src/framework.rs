@@ -38,7 +38,7 @@ pub struct NvConfig {
     /// [`NeuroVectorizer::new`] (`nvc_nn::kernels::set_kernel_mode`).
     /// `Strict` (the default) keeps the bitwise-parity kernels — what
     /// training and reproduction runs want; `Fast` enables fused-FMA
-    /// accumulators, the online softmax, the polynomial `tanh` and, in
+    /// accumulators, the online softmax, the rational `tanh` and, in
     /// the inference forward, the factored
     /// projection (each table row's share computed once per set of
     /// weights and kept) and the lane-split score dot — ε-close to

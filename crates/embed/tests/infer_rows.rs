@@ -7,7 +7,7 @@
 //! * **strict** — bitwise-equal to `forward_batch`, and row by row to
 //!   `forward`, over ragged batches (empty, 1-context and max-width
 //!   samples, repeated samples, repeated table indices);
-//! * **fast** — the factored projection and the polynomial `tanh` are
+//! * **fast** — the factored projection and the rational `tanh` are
 //!   ε-close to strict and the same bits from run to run;
 //! * **fast, the kept projections** — every kept row is the one-row
 //!   product bit for bit; whatever can change a weight drops them; threads
@@ -151,7 +151,7 @@ proptest! {
         restore_defaults();
     }
 
-    /// Fast `infer_rows` — factored projection, polynomial `tanh` — stays
+    /// Fast `infer_rows` — factored projection, rational `tanh` — stays
     /// within ε of strict (embeddings live in [−1, 1], so a flat bound)
     /// and reproduces its own bits.
     #[test]
@@ -198,7 +198,7 @@ fn degenerate_batches_embed_to_zero_rows() {
 }
 
 /// Special values in the weights reach the same elements in both modes:
-/// the factored sum and the polynomial `tanh` may round differently,
+/// the factored sum and the rational `tanh` may round differently,
 /// never turn a number into a `NaN` or back.
 #[test]
 fn fast_infer_rows_propagates_special_values_like_strict() {

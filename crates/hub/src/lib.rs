@@ -578,13 +578,24 @@ impl Hub {
         ])
     }
 
-    /// Prometheus text exposition: hub-level instruments unlabeled, each
-    /// model's serve instruments labeled `model="name"`.
+    /// Prometheus text exposition, one document: hub-level instruments
+    /// unlabeled and each model's serve instruments labeled
+    /// `model="name"`, rendered per metric family (the models share
+    /// instrument names, and a family takes one `TYPE` line with all its
+    /// samples after it), then the process-wide kernel instruments once,
+    /// with no `model` label to double-count them over.
     pub fn render_prometheus(&self) -> String {
-        let mut out = self.obs.render_prometheus("");
-        for e in self.registry.entries().iter() {
-            out.push_str(&e.handle.render_prometheus(&format!("model=\"{}\"", e.name)));
-        }
+        let hub = self.obs.snapshot();
+        let entries = self.registry.entries();
+        let models: Vec<(String, nvc_obs::RegistrySnapshot)> = entries
+            .iter()
+            .map(|e| (format!("model=\"{}\"", e.name), e.handle.metrics_snapshot()))
+            .collect();
+        let sets: Vec<(&str, &nvc_obs::RegistrySnapshot)> = std::iter::once(("", &hub))
+            .chain(models.iter().map(|(labels, snap)| (labels.as_str(), snap)))
+            .collect();
+        let mut out = nvc_obs::RegistrySnapshot::render_prometheus(&sets);
+        out.push_str(&nvc_serve::service::render_ops_prometheus(""));
         out
     }
 
@@ -1206,7 +1217,7 @@ void f(int n) {
             "hub_lines_handed_to_request_worker_total 0",
             "serve_batch_queue_depth{model=\"m\"} 0",
             "serve_batch_size_count{model=\"m\"} 0",
-            "nvc_embed_memo_bytes{model=\"m\",kernel_mode=",
+            "nvc_embed_memo_bytes{kernel_mode=",
         ] {
             assert!(text.contains(name), "exposition lacks `{name}`:\n{text}");
         }
@@ -1216,6 +1227,47 @@ void f(int n) {
         let v = Json::parse(&resp).unwrap();
         assert_eq!(v.get("ok").unwrap().as_bool(), Some(false));
         assert_eq!(v.get("id").unwrap().as_str(), Some("x"));
+    }
+
+    /// With two models the exposition is still one valid document: every
+    /// family declared once with all its samples right after, and the
+    /// process-wide instruments there once, not once per model.
+    #[test]
+    fn two_model_exposition_declares_each_family_once() {
+        let hub = hub_with(&[("a", 1, 0), ("b", 1, 3)]);
+        let text = hub.render_prometheus();
+        let mut declared = std::collections::HashSet::new();
+        let mut family = "";
+        for line in text.lines() {
+            if let Some(decl) = line.strip_prefix("# TYPE ") {
+                family = decl.split(' ').next().unwrap();
+                assert!(declared.insert(family), "second `{line}`:\n{text}");
+                continue;
+            }
+            let name = line.split(['{', ' ']).next().unwrap();
+            let member = name
+                .strip_prefix(family)
+                .is_some_and(|suffix| matches!(suffix, "" | "_bucket" | "_sum" | "_count"));
+            assert!(
+                member,
+                "`{line}` is not under its family's TYPE line:\n{text}"
+            );
+        }
+        for per_model in ["serve_requests_total", "serve_batch_queue_depth"] {
+            for model in ["a", "b"] {
+                let sample = format!("{per_model}{{model=\"{model}\"}} ");
+                assert!(
+                    text.contains(&sample),
+                    "exposition lacks `{sample}`:\n{text}"
+                );
+            }
+        }
+        let memo: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("nvc_embed_memo_bytes"))
+            .collect();
+        assert_eq!(memo.len(), 1, "{memo:?}");
+        assert!(memo[0].starts_with("nvc_embed_memo_bytes{kernel_mode="));
     }
 
     #[test]

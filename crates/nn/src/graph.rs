@@ -9,8 +9,10 @@
 //! The tape is allocation-lean: a graph built with
 //! [`Graph::with_arena`] draws every output tensor from a shared
 //! [`TensorArena`] and returns them all on drop, so steady-state training
-//! loops reuse the same buffers tape after tape. Parameter reads are
-//! memoized ([`Graph::param`] pushes each `ParamId` once), embedding
+//! loops reuse the same buffers tape after tape. A parameter is never
+//! copied: [`Graph::param`] pushes each `ParamId` once, as a borrow of the
+//! store's own tensor (the tape holds the store for `'s` anyway), so a
+//! forward multiplies by the weights where they lie; embedding
 //! lookups can gather straight from the store without materializing the
 //! table ([`Graph::gather_param_rows`]), and the fused
 //! [`Graph::linear`] runs matmul + bias broadcast as one node with one
@@ -180,6 +182,25 @@ enum Op {
     MeanAll(NodeId),
 }
 
+/// A node's value: a tensor the tape computed and owns (its buffer goes
+/// back to the arena when the tape drops), or a parameter read in place
+/// from the store.
+#[derive(Debug)]
+enum Value<'s> {
+    Owned(Tensor),
+    Param(&'s Tensor),
+}
+
+impl std::ops::Deref for Value<'_> {
+    type Target = Tensor;
+    fn deref(&self) -> &Tensor {
+        match self {
+            Value::Owned(t) => t,
+            Value::Param(t) => t,
+        }
+    }
+}
+
 /// A tape of tensor operations with eager forward evaluation and
 /// reverse-mode gradients.
 #[derive(Debug)]
@@ -187,7 +208,7 @@ pub struct Graph<'s> {
     store: &'s ParamStore,
     arena: Option<&'s TensorArena>,
     ops: Vec<Op>,
-    values: Vec<Tensor>,
+    values: Vec<Value<'s>>,
     grads: Vec<Option<Tensor>>,
     param_nodes: HashMap<ParamId, NodeId>,
     ran_backward: bool,
@@ -239,6 +260,10 @@ impl<'s> Graph<'s> {
     }
 
     fn push(&mut self, op: Op, value: Tensor) -> NodeId {
+        self.push_value(op, Value::Owned(value))
+    }
+
+    fn push_value(&mut self, op: Op, value: Value<'s>) -> NodeId {
         self.ops.push(op);
         self.values.push(value);
         self.grads.push(None);
@@ -264,15 +289,14 @@ impl<'s> Graph<'s> {
 
     /// A parameter leaf; its gradient is exported to the store.
     ///
-    /// Repeated calls with the same `ParamId` return the same node — the
-    /// parameter value is cloned into the tape once per graph, not once
-    /// per use (gradient accumulation over shared uses is unaffected).
+    /// The node's value is the store's tensor itself, borrowed, and
+    /// repeated calls with the same `ParamId` return the same node
+    /// (gradient accumulation over shared uses is unaffected).
     pub fn param(&mut self, p: ParamId) -> NodeId {
         if let Some(&n) = self.param_nodes.get(&p) {
             return n;
         }
-        let value = self.dup(self.store.get(p));
-        let n = self.push(Op::Param(p), value);
+        let n = self.push_value(Op::Param(p), Value::Param(self.store.get(p)));
         self.param_nodes.insert(p, n);
         n
     }
@@ -563,7 +587,7 @@ impl<'s> Graph<'s> {
     }
 
     /// Hyperbolic tangent ([`crate::kernels::tanh_inplace`]: libm in
-    /// strict mode, the polynomial body in fast mode).
+    /// strict mode, the rational body in fast mode).
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
         let v = tanh_of(self, &self.values[a.0]);
         self.push(Op::Tanh(a), v)
@@ -1123,7 +1147,9 @@ impl Drop for Graph<'_> {
     fn drop(&mut self) {
         if let Some(arena) = self.arena {
             for v in self.values.drain(..) {
-                arena.recycle(v);
+                if let Value::Owned(t) = v {
+                    arena.recycle(t);
+                }
             }
             for g in self.grads.drain(..).flatten() {
                 arena.recycle(g);
@@ -1430,14 +1456,61 @@ mod tests {
         assert_eq!(grads1[&table], grads2[&table]);
     }
 
+    /// A parameter node is the store's tensor, read in place: one node
+    /// per `ParamId`, no copy, nothing drawn from the arena.
     #[test]
-    fn param_nodes_are_memoized() {
+    fn param_nodes_are_memoized_borrows_of_the_store() {
         let mut store = ParamStore::new(0);
-        let p = store.param("p", Tensor::scalar(2.0));
-        let mut g = Graph::new(&store);
+        let p = store.param_xavier("p", 6, 4);
+        let arena = TensorArena::new();
+        let mut g = Graph::with_arena(&store, &arena);
         let a = g.param(p);
         let b = g.param(p);
         assert_eq!(a, b, "same ParamId must map to one tape node");
+        assert_eq!(
+            g.value(a).data().as_ptr(),
+            store.get(p).data().as_ptr(),
+            "the tape must hold the store's tensor, not a copy"
+        );
+        let stats = arena.stats();
+        assert_eq!((stats.fresh, stats.reused), (0, 0), "{stats:?}");
+    }
+
+    /// Backward through a borrowed parameter gives, bit for bit, the
+    /// gradients the same tape gives for a copy of the weights fed in as
+    /// an operand it owns.
+    #[test]
+    fn borrowed_param_gradients_match_an_owned_copy_bitwise() {
+        let mut store = ParamStore::new(41);
+        let w = store.param_xavier("w", 7, 3);
+        let b = store.param_xavier("b", 1, 3);
+        let x = Tensor::from_vec(5, 7, (0..35).map(|i| (i as f32 * 0.37).sin()).collect());
+
+        let run = |g: &mut Graph<'_>, wn: NodeId, bn: NodeId| {
+            let xn = g.input(x.clone());
+            let y = g.linear(xn, wn, bn);
+            let t = g.tanh(y);
+            // A second use of `w`, so its gradient accumulates.
+            let wt = g.transpose(wn);
+            let scores = g.matmul(t, wt);
+            let l = g.mean_all(scores);
+            g.backward(l);
+            g.value(scores).clone()
+        };
+
+        let mut borrowed = Graph::new(&store);
+        let (wn, bn) = (borrowed.param(w), borrowed.param(b));
+        let v1 = run(&mut borrowed, wn, bn);
+        let grads = borrowed.param_grads();
+
+        let mut owned = Graph::new(&store);
+        let wn = owned.input(store.get(w).clone());
+        let bn = owned.input(store.get(b).clone());
+        let v2 = run(&mut owned, wn, bn);
+
+        assert_eq!(v1, v2, "forward diverged");
+        assert_eq!(&grads[&w], owned.grad(wn).expect("dW"), "dW diverged");
+        assert_eq!(&grads[&b], owned.grad(bn).expect("db"), "db diverged");
     }
 
     /// An arena-backed graph computes the same values as a plain one and

@@ -14,7 +14,7 @@
 //!   (default) keeps bitwise parity with the textbook i-k-j loop — one
 //!   ascending-`k` chain per output element — while `Fast` (the serving
 //!   default) runs the same loops with fused-FMA accumulators, plus a
-//!   single-pass online softmax and a polynomial `tanh`, ε-close to
+//!   single-pass online softmax and a one-division rational `tanh`, ε-close to
 //!   strict with identical decisions and special-value propagation. The
 //!   kernels are callable on plain slices too
 //!   ([`kernels::matmul_accum`], [`kernels::tanh_inplace`],

@@ -202,6 +202,68 @@ pub struct RegistrySnapshot {
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
+impl RegistrySnapshot {
+    /// Prometheus text exposition of several registries as one document,
+    /// each under its own label set (`""` for none): per metric family
+    /// one `# TYPE` line, then that family's samples from every registry
+    /// that has it — the text format takes a family's `TYPE` once and its
+    /// samples together, so registries that share instrument names (one
+    /// per served model, say) cannot be rendered one after the other.
+    pub fn render_prometheus(sets: &[(&str, &RegistrySnapshot)]) -> String {
+        /// The instruments `pick` selects, grouped by name (ascending):
+        /// every registry's sample of a family with that registry's labels.
+        fn by_family<'a, T>(
+            sets: &[(&'a str, &'a RegistrySnapshot)],
+            pick: impl Fn(&'a RegistrySnapshot) -> &'a [(String, T)],
+        ) -> BTreeMap<&'a str, Vec<(&'a str, &'a T)>> {
+            let mut families: BTreeMap<&str, Vec<_>> = BTreeMap::new();
+            for &(labels, snap) in sets {
+                for (name, v) in pick(snap) {
+                    families.entry(name).or_default().push((labels, v));
+                }
+            }
+            families
+        }
+        fn wrap(labels: &str, extra: &str) -> String {
+            match (labels.is_empty(), extra.is_empty()) {
+                (true, true) => String::new(),
+                (true, false) => format!("{{{extra}}}"),
+                (false, true) => format!("{{{labels}}}"),
+                (false, false) => format!("{{{labels},{extra}}}"),
+            }
+        }
+        let mut out = String::new();
+        for (name, samples) in by_family(sets, |s| &s.counters) {
+            let _ = writeln!(out, "# TYPE {name} counter");
+            for (labels, v) in samples {
+                let _ = writeln!(out, "{name}{} {v}", wrap(labels, ""));
+            }
+        }
+        for (name, samples) in by_family(sets, |s| &s.gauges) {
+            let _ = writeln!(out, "# TYPE {name} gauge");
+            for (labels, v) in samples {
+                let _ = writeln!(out, "{name}{} {v}", wrap(labels, ""));
+            }
+        }
+        for (name, samples) in by_family(sets, |s| &s.histograms) {
+            let _ = writeln!(out, "# TYPE {name} histogram");
+            for (labels, h) in samples {
+                let mut cum = 0u64;
+                for &(le, n) in &h.buckets {
+                    cum += n;
+                    let le = wrap(labels, &format!("le=\"{le}\""));
+                    let _ = writeln!(out, "{name}_bucket{le} {cum}");
+                }
+                let inf = wrap(labels, "le=\"+Inf\"");
+                let _ = writeln!(out, "{name}_bucket{inf} {}", h.count);
+                let _ = writeln!(out, "{name}_sum{} {}", wrap(labels, ""), h.sum_us);
+                let _ = writeln!(out, "{name}_count{} {}", wrap(labels, ""), h.count);
+            }
+        }
+        out
+    }
+}
+
 /// Get-or-register home for named instruments. Registration takes a
 /// short mutex; the returned `Arc` is then updated lock-free, so hot
 /// paths hold their handles instead of re-looking names up.
@@ -266,34 +328,7 @@ impl MetricsRegistry {
     /// spliced verbatim into each sample's label set (pass `""` for
     /// none, or e.g. `model="champion"`).
     pub fn render_prometheus(&self, labels: &str) -> String {
-        let snap = self.snapshot();
-        let mut out = String::new();
-        let wrap = |extra: &str| -> String {
-            match (labels.is_empty(), extra.is_empty()) {
-                (true, true) => String::new(),
-                (true, false) => format!("{{{extra}}}"),
-                (false, true) => format!("{{{labels}}}"),
-                (false, false) => format!("{{{labels},{extra}}}"),
-            }
-        };
-        for (name, v) in &snap.counters {
-            let _ = writeln!(out, "# TYPE {name} counter\n{name}{} {v}", wrap(""));
-        }
-        for (name, v) in &snap.gauges {
-            let _ = writeln!(out, "# TYPE {name} gauge\n{name}{} {v}", wrap(""));
-        }
-        for (name, h) in &snap.histograms {
-            let _ = writeln!(out, "# TYPE {name} histogram");
-            let mut cum = 0u64;
-            for &(le, n) in &h.buckets {
-                cum += n;
-                let _ = writeln!(out, "{name}_bucket{} {cum}", wrap(&format!("le=\"{le}\"")));
-            }
-            let _ = writeln!(out, "{name}_bucket{} {}", wrap("le=\"+Inf\""), h.count);
-            let _ = writeln!(out, "{name}_sum{} {}", wrap(""), h.sum_us);
-            let _ = writeln!(out, "{name}_count{} {}", wrap(""), h.count);
-        }
-        out
+        RegistrySnapshot::render_prometheus(&[(labels, &self.snapshot())])
     }
 
     /// A standalone JSON rendering of [`MetricsRegistry::snapshot`]
@@ -460,6 +495,43 @@ mod tests {
         let bare = r.render_prometheus("");
         assert!(bare.contains("reqs 7"));
         assert!(bare.contains("lat_us_bucket{le=\"128\"} 2"));
+    }
+
+    /// Two registries with the same instrument names (one per served
+    /// model) are one document: each family's `TYPE` once, its samples
+    /// together.
+    #[test]
+    fn registries_sharing_names_render_as_one_family_each() {
+        let (a, b) = (MetricsRegistry::default(), MetricsRegistry::default());
+        a.counter("reqs").add(1);
+        b.counter("reqs").add(2);
+        b.counter("only_b").inc();
+        a.gauge("depth").set(3);
+        a.histogram("lat_us").record(100);
+        b.histogram("lat_us").record(100);
+        let text = RegistrySnapshot::render_prometheus(&[
+            ("model=\"a\"", &a.snapshot()),
+            ("model=\"b\"", &b.snapshot()),
+        ]);
+        assert_eq!(
+            text,
+            "# TYPE only_b counter\n\
+             only_b{model=\"b\"} 1\n\
+             # TYPE reqs counter\n\
+             reqs{model=\"a\"} 1\n\
+             reqs{model=\"b\"} 2\n\
+             # TYPE depth gauge\n\
+             depth{model=\"a\"} 3\n\
+             # TYPE lat_us histogram\n\
+             lat_us_bucket{model=\"a\",le=\"128\"} 1\n\
+             lat_us_bucket{model=\"a\",le=\"+Inf\"} 1\n\
+             lat_us_sum{model=\"a\"} 100\n\
+             lat_us_count{model=\"a\"} 1\n\
+             lat_us_bucket{model=\"b\",le=\"128\"} 1\n\
+             lat_us_bucket{model=\"b\",le=\"+Inf\"} 1\n\
+             lat_us_sum{model=\"b\"} 100\n\
+             lat_us_count{model=\"b\"} 1\n"
+        );
     }
 
     #[test]

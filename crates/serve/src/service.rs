@@ -651,15 +651,18 @@ impl ServeHandle {
     /// active `kernel_mode` so dashboards can split strict vs fast
     /// traffic). `labels` is spliced into every sample (`""` for none).
     pub fn render_prometheus(&self, labels: &str) -> String {
-        self.sample_queue_depth();
-        let mut out = self.inner.metrics.registry().render_prometheus(labels);
+        let mut out =
+            nvc_obs::RegistrySnapshot::render_prometheus(&[(labels, &self.metrics_snapshot())]);
         out.push_str(&render_ops_prometheus(labels));
         out
     }
 
-    /// The metrics registry behind this handle's instruments.
-    pub fn metrics_registry(&self) -> Arc<nvc_obs::MetricsRegistry> {
-        Arc::clone(self.inner.metrics.registry())
+    /// A copy of this handle's own instruments (queue depth sampled now) —
+    /// what a server of several handles renders together, per family,
+    /// beside one [`render_ops_prometheus`].
+    pub fn metrics_snapshot(&self) -> nvc_obs::RegistrySnapshot {
+        self.sample_queue_depth();
+        self.inner.metrics.registry().snapshot()
     }
 
     /// Handles one protocol line; returns the response line and whether
@@ -848,8 +851,10 @@ impl Drop for ServeHandle {
 /// `nvc_embed_memo_bytes` gauge. Timers and counters mirror
 /// [`ops_json`]'s filter (only ops that ran; none while `NVC_OPS` is
 /// off); the gauge is always there. `labels` is spliced in front of the
-/// per-sample label set the same way the metrics registry does.
-fn render_ops_prometheus(labels: &str) -> String {
+/// per-sample label set the same way the metrics registry does. All of
+/// it is **process-wide** — every handle in the process would render the
+/// same numbers — so a server of several handles emits it once.
+pub fn render_ops_prometheus(labels: &str) -> String {
     use std::fmt::Write as _;
     let snap: Vec<_> = nvc_obs::ops_snapshot()
         .into_iter()

@@ -1,5 +1,5 @@
 //! Fast-kernel ε-parity tier: the `KernelMode::Fast` kernels (fused-FMA
-//! accumulators, single-pass online softmax, polynomial `tanh`, the
+//! accumulators, single-pass online softmax, rational `tanh`, the
 //! inference forward's factored projection, and its lane-split
 //! attention-score dot) reassociate or
 //! re-round floating-point results, so they are *not* held to the strict
@@ -11,9 +11,11 @@
 //!   strict propagates them (same NaN-ness per element; non-finite
 //!   outputs bit-identical);
 //! * **run-to-run identity** — the same mode gives the same bits;
-//! * **`tanh`** — the polynomial body is within 2 ulp of the correctly
-//!   rounded value, exactly odd, bounded by 1, exact on the special
-//!   values, and blind to where in a slice an element sits;
+//! * **`tanh`** — the one-division rational body is within 5 ulp of the
+//!   correctly rounded value (7 on a host without FMA; the exhaustive
+//!   scan that finds both numbers is an ignored unit test beside the body,
+//!   `crates/nn/src/kernels/fast.rs`), exactly odd, bounded by 1, exact on
+//!   the special values, and blind to where in a slice an element sits;
 //! * **the score dot** — the lane-split row dots are ε-close to the
 //!   strict chain, a function of the row alone (same bits alone or in a
 //!   batch, run after run), and meet `NaN`/`±∞` as the chain does;
@@ -473,9 +475,17 @@ fn fast_tanh_is_exact_on_special_values() {
 }
 
 #[test]
-fn fast_tanh_is_within_two_ulps_odd_and_bounded() {
+fn fast_tanh_is_within_its_ulp_bound_odd_and_bounded() {
     let _guard = lock_mode();
     kernels::set_kernel_mode(KernelMode::Fast);
+    // The entry point runs the fused body where the CPU has FMA and the
+    // plain one elsewhere; these are the worst cases of each over every
+    // float below the clamp.
+    let max_ulps = if kernels::fast::fused_available() {
+        5
+    } else {
+        7
+    };
     // A dense sweep of [0, 12] (the negative half follows from oddness,
     // asserted below) plus every binade down through the subnormals.
     let mut xs: Vec<f32> = (0..=480_000).map(|i| i as f32 * 2.5e-5).collect();
@@ -490,7 +500,7 @@ fn fast_tanh_is_within_two_ulps_odd_and_bounded() {
         let exact = (x as f64).tanh() as f32;
         let ulps = y.to_bits().abs_diff(exact.to_bits());
         assert!(
-            ulps <= 2,
+            ulps <= max_ulps,
             "tanh({x:e}) = {y:e}, correctly rounded {exact:e}"
         );
         assert!(y <= 1.0, "tanh({x:e}) = {y:e} exceeds 1");
