@@ -62,6 +62,8 @@ answers `ping` and cache-hit `vectorize` itself; misses are answered by the
 --workers batch workers, which take up to --batch queued misses per forward
 as soon as the lines that arrived together have been read (no flush timer);
 --request-threads sets how many workers run the verbs that may block.
+A hub keeps every model's decisions in one store: --cache and --shards
+bound it for all models together.
 --trace FILE exports per-request spans as JSON lines (equivalent to
 NVC_TRACE=FILE); --journal FILE appends one JSON line of training
 telemetry per iteration. Tracing never changes decisions or weights.
@@ -412,12 +414,7 @@ fn cmd_hub(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let loader = NeuroVectorizer::hub_loader(cfg.clone());
-    // Every hub runs the content-addressed shared store: it deduplicates
-    // decisions across A/B sides and reloads locally, and is what peer
-    // gossip transfers land in.
-    let mut hub = Hub::new(cfg.hub.clone(), cfg.serve.clone())
-        .with_loader(loader)
-        .with_shared_store(Arc::new(neurovectorizer::ContentStore::default()));
+    let mut hub = Hub::new(cfg.hub.clone(), cfg.serve.clone()).with_loader(loader);
     if p.has("--learn") {
         // The champion defaults to the first --model spec; its
         // checkpoint file is the fine-tune warm start.

@@ -38,9 +38,10 @@ pub struct PeerLimits {
 
 /// The limits every client in the stack uses. 2 s covers a connect
 /// across a loaded network. The peer's longest legitimate silence is
-/// rendering a full `cache_export`: a default one-model hub with its
-/// 65 536-entry LRU and the 262 144-entry shared store both full answers
-/// 8.2 MB, rendered in 0.14 s on a 2-vCPU host (release build). 30 s and
+/// rendering a full `cache_export`: a one-model hub whose store holds
+/// 262 144 entries (`ContentStore::default`, four times `nvc hub`'s
+/// default `--cache`) answers 8.2 MB, rendered in 0.14 s on a 2-vCPU
+/// host (release build). 30 s and
 /// 64 MiB leave more than an order of magnitude above that for
 /// many-model hubs on slow, loaded hosts, while a peer that accepts and
 /// then never answers still becomes an error.

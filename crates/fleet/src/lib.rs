@@ -11,9 +11,8 @@
 //!   of the stack speaks, with TTL'd heartbeats — a node that stops
 //!   heartbeating expires out of resolution instead of black-holing
 //!   clients;
-//! * [`store`] — a **content-addressed shared decision store**: one
-//!   [`ContentStore`] per process, layered *behind* every model's
-//!   private LRU (`nvc_serve::SharedDecisionStore`), keyed by
+//! * [`ContentStore`] — the **content-addressed decision store**
+//!   (`nvc_serve`'s, re-exported): a hub's one sharded LRU, keyed by
 //!   `(checkpoint_hash, sample_key)` so entries flow across A/B sides,
 //!   hot-swap reloads, and — via the hub's gossip transfer — across
 //!   peer nodes, while different checkpoints can never exchange a
@@ -42,12 +41,11 @@
 pub mod client;
 pub mod registry;
 pub mod service;
-pub mod store;
 
 pub use client::{FleetClient, FleetConfig, FleetResponse, FleetStats, RegistryClient};
+pub use nvc_serve::ContentStore;
 pub use registry::{ModelAd, NodeAnnouncement, RegistryCore, ResolvedNode};
 pub use service::RegistryService;
-pub use store::{ContentStore, ContentStoreStats};
 
 /// Failures surfaced by the fleet tier.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -35,9 +35,15 @@ use parking_lot::Mutex;
 
 use nvc_embed::PathSample;
 use nvc_obs::{Counter, Journal, MetricsRegistry};
+use nvc_serve::json::obj;
 use nvc_serve::Json;
 
 use crate::{Hub, HubError};
+
+/// A 64-bit hash as the 16 hex digits every journal line spells it in.
+fn hex(name: &str, value: u64) -> (&str, Json) {
+    (name, Json::from(format!("{value:016x}")))
+}
 
 /// One journaled `(sample, decision, measured_reward)` observation.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,26 +67,19 @@ pub struct ReportRecord {
 impl ReportRecord {
     /// One JSON journal line.
     pub fn to_json_line(&self) -> String {
-        let ints = |xs: &[usize]| {
-            let body: Vec<String> = xs.iter().map(|x| x.to_string()).collect();
-            format!("[{}]", body.join(","))
-        };
-        format!(
-            concat!(
-                "{{\"model\":\"{}\",\"checkpoint_hash\":\"{:016x}\",\"key\":\"{:016x}\",",
-                "\"vf_idx\":{},\"if_idx\":{},\"reward\":{},",
-                "\"starts\":{},\"paths\":{},\"ends\":{}}}"
-            ),
-            nvc_obs::json_escape(&self.model),
-            self.checkpoint_hash,
-            self.key,
-            self.vf_idx,
-            self.if_idx,
-            self.reward,
-            ints(&self.sample.starts),
-            ints(&self.sample.paths),
-            ints(&self.sample.ends),
-        )
+        let ints = |xs: &[usize]| Json::Arr(xs.iter().map(|&x| Json::from(x)).collect());
+        obj(vec![
+            ("model", Json::from(self.model.as_str())),
+            hex("checkpoint_hash", self.checkpoint_hash),
+            hex("key", self.key),
+            ("vf_idx", Json::from(self.vf_idx)),
+            ("if_idx", Json::from(self.if_idx)),
+            ("reward", Json::from(self.reward)),
+            ("starts", ints(&self.sample.starts)),
+            ("paths", ints(&self.sample.paths)),
+            ("ends", ints(&self.sample.ends)),
+        ])
+        .render()
     }
 
     /// Parses one journal line (the [`ReportRecord::to_json_line`]
@@ -388,9 +387,11 @@ impl LearnState {
     }
 
     /// Appends one event line to the promotion log (no-op without one).
-    fn log_event(&self, line: &str) {
+    fn log_event(&self, event: &str, members: Vec<(&str, Json)>) {
         if let Some(log) = &self.promotion_log {
-            log.write_line(line);
+            let mut line = vec![("event", Json::from(event))];
+            line.extend(members);
+            log.write_line(&obj(line).render());
         }
     }
 }
@@ -467,19 +468,20 @@ impl Hub {
             Ok(()) => {
                 *trained_at = corpus_len;
                 ls.trains.inc();
-                ls.log_event(&format!(
-                    "{{\"event\":\"trained\",\"reports\":{corpus_len}}}"
-                ));
+                ls.log_event("trained", vec![("reports", Json::from(corpus_len))]);
                 events.push(LearnEvent::Trained {
                     reports: corpus_len,
                 });
                 match self.deploy_challenger(ls) {
                     Ok(hash) => {
-                        ls.log_event(&format!(
-                            "{{\"event\":\"canary\",\"model\":\"{}\",\"checkpoint_hash\":\"{hash:016x}\",\"weight\":{}}}",
-                            nvc_obs::json_escape(&ls.cfg.challenger),
-                            ls.cfg.canary_weight
-                        ));
+                        ls.log_event(
+                            "canary",
+                            vec![
+                                ("model", Json::from(ls.cfg.challenger.as_str())),
+                                hex("checkpoint_hash", hash),
+                                ("weight", Json::from(ls.cfg.canary_weight)),
+                            ],
+                        );
                         events.push(LearnEvent::Canary {
                             checkpoint_hash: hash,
                         });
@@ -540,10 +542,13 @@ impl Hub {
             match self.reload(&ls.cfg.challenger, &ls.cfg.challenger_checkpoint, Some(0)) {
                 Ok(_) => {
                     ls.demotions.inc();
-                    ls.log_event(&format!(
-                        "{{\"event\":\"demoted\",\"model\":\"{}\",\"z\":{z}}}",
-                        nvc_obs::json_escape(&ls.cfg.challenger)
-                    ));
+                    ls.log_event(
+                        "demoted",
+                        vec![
+                            ("model", Json::from(ls.cfg.challenger.as_str())),
+                            ("z", Json::from(z)),
+                        ],
+                    );
                     events.push(LearnEvent::Demoted { z });
                 }
                 Err(e) => eprintln!("nvc hub: challenger demotion failed: {e}"),
@@ -578,10 +583,14 @@ impl Hub {
                     prev_cohort: pre_promotion_cohort,
                     promoted_hash: new_hash,
                 });
-                ls.log_event(&format!(
-                    "{{\"event\":\"promoted\",\"model\":\"{}\",\"checkpoint_hash\":\"{new_hash:016x}\",\"z\":{z}}}",
-                    nvc_obs::json_escape(&ls.cfg.champion)
-                ));
+                ls.log_event(
+                    "promoted",
+                    vec![
+                        ("model", Json::from(ls.cfg.champion.as_str())),
+                        hex("checkpoint_hash", new_hash),
+                        ("z", Json::from(z)),
+                    ],
+                );
                 events.push(LearnEvent::Promoted {
                     z,
                     checkpoint_hash: new_hash,
@@ -626,10 +635,13 @@ impl Hub {
                     ls.rollbacks.inc();
                     *ls.champion_path.lock() = guard.prev_path.clone();
                     *ls.rollback.lock() = None;
-                    ls.log_event(&format!(
-                        "{{\"event\":\"rollback\",\"model\":\"{}\",\"z\":{z}}}",
-                        nvc_obs::json_escape(&ls.cfg.champion)
-                    ));
+                    ls.log_event(
+                        "rollback",
+                        vec![
+                            ("model", Json::from(ls.cfg.champion.as_str())),
+                            ("z", Json::from(z)),
+                        ],
+                    );
                     events.push(LearnEvent::RolledBack { z });
                 }
                 Err(e) => eprintln!("nvc hub: rollback reload failed: {e}"),
@@ -671,7 +683,7 @@ pub fn spawn_learner(hub: Arc<Hub>) -> std::thread::JoinHandle<()> {
 mod tests {
     use super::*;
     use crate::tests::{stub_spec, StubModel, SRC};
-    use crate::{HubConfig, ModelSpec};
+    use crate::HubConfig;
     use nvc_serve::json::obj;
     use nvc_serve::{DecisionModel, ServeConfig};
 

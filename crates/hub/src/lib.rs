@@ -14,14 +14,15 @@
 //!   concurrent build processes share one warm hub; the fleet's
 //!   discovery registry (`nvc registry`) is served by the same loop;
 //! * [`registry`] — a **model registry**: N named checkpoints, each
-//!   behind its own `ServeHandle` (private cache + batcher + workers),
-//!   routed by explicit `"model"` field or a deterministic weighted A/B
-//!   split, with atomic hot-swap (`reload`) that never drops in-flight
-//!   requests;
-//! * [`persist`] — a **persistent decision cache**: each model's sharded
-//!   LRU cache is serialized on shutdown and restored on start, stamped
-//!   with the owning checkpoint's content hash so a changed checkpoint
-//!   invalidates stale entries instead of serving wrong decisions.
+//!   behind its own `ServeHandle` (batcher + workers) over the hub's one
+//!   decision store, routed by explicit `"model"` field or a
+//!   deterministic weighted A/B split, with atomic hot-swap (`reload`)
+//!   that never drops in-flight requests;
+//! * [`persist`] — a **persistent decision cache**: each model's entries
+//!   in the store are serialized on shutdown and restored on start,
+//!   stamped with the owning checkpoint's content hash so a changed
+//!   checkpoint invalidates stale entries instead of serving wrong
+//!   decisions.
 //!
 //! # Wire protocol
 //!
@@ -43,12 +44,13 @@
 //!
 //! # Fleet integration
 //!
-//! A hub becomes a fleet node through three optional attachments:
-//! a **shared decision store** ([`Hub::with_shared_store`]) layered
-//! behind every model's LRU, a **registry announcer**
-//! ([`announce::spawn_announcer`]) heartbeating `(model,
+//! Every hub holds its decisions once, in one content-addressed
+//! [`nvc_fleet::ContentStore`] keyed by `(checkpoint_hash, sample_key)`,
+//! so they are valid on any node serving that checkpoint. A hub becomes
+//! a fleet node through two optional attachments: a **registry
+//! announcer** ([`announce::spawn_announcer`]) heartbeating `(model,
 //! checkpoint_hash, addr)` to an `nvc registry`, and **warm-join
-//! gossip** ([`Hub::warm_from_peers`]) that pulls a peer's cache image
+//! gossip** ([`Hub::warm_from_peers`]) that pulls a peer's store image
 //! over the `cache_export` verb before taking traffic. Every
 //! `vectorize` response is stamped with the serving checkpoint's
 //! content hash so fleet clients can verify versions end-to-end.
@@ -69,7 +71,7 @@ use serde::{Deserialize, Serialize};
 
 use nvc_obs::{Counter, Gauge, MetricsRegistry};
 use nvc_serve::json::obj;
-use nvc_serve::{DecisionModel, Json, LoopReport, ServeConfig};
+use nvc_serve::{ContentStore, DecisionModel, Json, LoopReport, ServeConfig};
 
 pub use announce::{spawn_announcer, AnnounceConfig, Announcer};
 pub use learn::{
@@ -143,8 +145,8 @@ impl HubConfig {
 pub enum HubError {
     /// A request named a model the registry does not hold.
     UnknownModel(String),
-    /// A model name the snapshot format cannot represent (empty, or
-    /// containing whitespace).
+    /// A model name the snapshot format or a Prometheus label cannot
+    /// carry (empty, or containing whitespace, `"` or `\`).
     BadModelName(String),
     /// Registering under a name that is already taken.
     DuplicateModel(String),
@@ -163,7 +165,10 @@ impl std::fmt::Display for HubError {
         match self {
             HubError::UnknownModel(n) => write!(f, "unknown model `{n}`"),
             HubError::BadModelName(n) => {
-                write!(f, "bad model name `{n}` (must be non-empty, no whitespace)")
+                write!(
+                    f,
+                    "bad model name `{n}` (must be non-empty, no whitespace, `\"` or `\\`)"
+                )
             }
             HubError::DuplicateModel(n) => write!(f, "model `{n}` already registered"),
             HubError::NoModels => write!(f, "no models registered"),
@@ -260,8 +265,6 @@ pub struct Hub {
     transfers: Arc<Counter>,
     /// Cache entries absorbed across all warm-join transfers.
     transfer_entries: Arc<Counter>,
-    /// The fleet's content-addressed shared store, when attached.
-    shared: Option<Arc<nvc_fleet::ContentStore>>,
     /// The online-learning loop's state, when enabled
     /// ([`Hub::with_learning`]).
     learn: Option<Arc<learn::LearnState>>,
@@ -276,12 +279,15 @@ pub struct Hub {
 }
 
 impl Hub {
-    /// An empty hub; register models with [`Hub::register`].
+    /// An empty hub; register models with [`Hub::register`]. Its one
+    /// decision store holds `serve_cfg.cache_capacity` entries over
+    /// `serve_cfg.cache_shards` shards, for all models together.
     pub fn new(cfg: HubConfig, serve_cfg: ServeConfig) -> Self {
         nvc_obs::init_from_env();
         let obs = Arc::new(MetricsRegistry::default());
+        let store = ContentStore::new(serve_cfg.cache_capacity, serve_cfg.cache_shards);
         Hub {
-            registry: ModelRegistry::new(serve_cfg),
+            registry: ModelRegistry::new(serve_cfg, Arc::new(store)),
             cfg,
             loader: None,
             started: Instant::now(),
@@ -295,7 +301,6 @@ impl Hub {
             cache_checkpoints: obs.counter("hub_cache_checkpoints_total"),
             transfers: obs.counter("hub_transfers_total"),
             transfer_entries: obs.counter("hub_transfer_entries_total"),
-            shared: None,
             learn: None,
             persist_lock: parking_lot::Mutex::new(()),
             obs,
@@ -310,20 +315,18 @@ impl Hub {
         self
     }
 
-    /// Attaches the fleet's content-addressed shared decision store.
-    /// Every model registered *afterwards* probes it on LRU miss and
-    /// publishes every computed decision to it; warm-join transfers
-    /// absorb peer entries into it. Attach before registering models.
-    pub fn with_shared_store(mut self, store: Arc<nvc_fleet::ContentStore>) -> Self {
-        self.registry
-            .set_shared_store(Arc::clone(&store) as Arc<dyn nvc_serve::SharedDecisionStore>);
-        self.shared = Some(store);
+    /// Serves every model from `store` instead of the one [`Hub::new`]
+    /// sized from its `ServeConfig` — to size it apart, or to share one
+    /// store between hubs in a process. A builder step: it panics once a
+    /// model is registered, since that model's handle already holds the
+    /// old store.
+    pub fn with_shared_store(mut self, store: Arc<ContentStore>) -> Self {
+        assert!(
+            self.registry.is_empty(),
+            "Hub::with_shared_store must come before the first register"
+        );
+        self.registry = ModelRegistry::new(self.registry.serve_cfg.clone(), store);
         self
-    }
-
-    /// The attached shared decision store, if any.
-    pub fn shared_store(&self) -> Option<&Arc<nvc_fleet::ContentStore>> {
-        self.shared.as_ref()
     }
 
     /// Enables online learning: opens the corpus journal (append mode —
@@ -542,23 +545,16 @@ impl Hub {
             ),
             ("transfers", Json::from(self.transfers.get())),
             ("transfer_entries", Json::from(self.transfer_entries.get())),
-            (
-                "shared_store",
-                match &self.shared {
-                    Some(store) => {
-                        let s = store.stats();
-                        obj(vec![
-                            ("entries", Json::from(s.entries as u64)),
-                            ("hits", Json::from(s.hits)),
-                            ("misses", Json::from(s.misses)),
-                            ("publishes", Json::from(s.publishes)),
-                            ("evictions", Json::from(s.evictions)),
-                            ("transfers_in", Json::from(s.transfers_in)),
-                        ])
-                    }
-                    None => Json::Null,
-                },
-            ),
+            ("shared_store", {
+                let s = self.registry.store().stats();
+                obj(vec![
+                    ("entries", Json::from(s.len())),
+                    ("hits", Json::from(s.hits)),
+                    ("misses", Json::from(s.misses)),
+                    ("insertions", Json::from(s.insertions)),
+                    ("evictions", Json::from(s.evictions)),
+                ])
+            }),
             (
                 "learning",
                 match &self.learn {
@@ -788,29 +784,16 @@ impl Hub {
                 )
             }
             Some("cache_export") => {
-                // Gossip transfer: ship every model's cache image (plus
-                // the shared store's per-checkpoint entries) so a
-                // joining peer starts warm. Content-addressed by
-                // checkpoint hash, so the receiver can verify validity
-                // per section.
+                // Gossip transfer: ship every model's entries in the
+                // store so a joining peer starts warm. Content-addressed
+                // by checkpoint hash, so the receiver can verify
+                // validity per section.
                 let sections: Vec<Json> = self
                     .registry
                     .entries()
                     .iter()
                     .map(|e| {
-                        let mut entries = e.handle.cache_snapshot();
-                        if let Some(store) = &self.shared {
-                            // The shared store may hold entries the LRU
-                            // evicted (or absorbed from elsewhere);
-                            // export the union, deduplicated by key.
-                            let mut seen: std::collections::HashSet<u64> =
-                                entries.iter().map(|(k, _)| *k).collect();
-                            for (k, pair) in store.entries_for(e.checkpoint_hash) {
-                                if seen.insert(k) {
-                                    entries.push((k, pair));
-                                }
-                            }
-                        }
+                        let entries = e.handle.cache_snapshot();
                         obj(vec![
                             ("model", Json::from(e.name.as_str())),
                             (
@@ -1014,11 +997,11 @@ impl Hub {
     }
 
     /// Warm-join gossip: pulls `cache_export` from the first reachable
-    /// peer and absorbs it — sections whose checkpoint hash matches a
-    /// registered model seed that model's LRU, and *every* section
-    /// lands in the shared store (content addressing makes entries from
-    /// any checkpoint safe to hold). Returns how many entries were
-    /// absorbed.
+    /// peer and absorbs every section into the store once — through the
+    /// registered model of the same name and checkpoint hash when there
+    /// is one (so its `insertions` count them), straight into the store
+    /// otherwise (content addressing makes entries from any checkpoint
+    /// safe to hold). Returns how many entries the store grew by.
     ///
     /// # Errors
     ///
@@ -1064,19 +1047,13 @@ impl Hub {
                     if entries.is_empty() {
                         continue;
                     }
-                    // Hash-matching model: seed its private LRU directly.
                     let model = section.get("model").and_then(Json::as_str).unwrap_or("");
-                    let mut taken = 0usize;
-                    if let Some(entry) = self.registry.get(model) {
-                        if entry.checkpoint_hash == hash {
-                            taken = entry.handle.restore_cache(entries.iter().copied());
+                    absorbed += match self.registry.get(model) {
+                        Some(entry) if entry.checkpoint_hash == hash => {
+                            entry.handle.restore_cache(entries)
                         }
-                    }
-                    // Shared store: always valid under content addressing.
-                    if let Some(store) = &self.shared {
-                        taken = taken.max(store.absorb(hash, entries.iter().copied()));
-                    }
-                    absorbed += taken;
+                        _ => self.registry.store().absorb(hash, entries),
+                    };
                 }
                 Ok(absorbed)
             })();
@@ -1534,6 +1511,99 @@ void f(int n) {
         let via_c = Json::parse(&hub.handle_line(&req("c")).0).unwrap();
         assert_eq!(cached_flags(&via_c), vec![false]);
         assert!(store.stats().hits > 0);
+    }
+
+    /// A `vectorize` line for a loop of `terms + 1` reads, a distinct
+    /// shape (and decision key) per `terms`.
+    fn distinct_loop(model: &str, terms: usize) -> String {
+        let body: String = (0..terms).map(|j| format!(" + b[i] * {j}.5")).collect();
+        let src = format!(
+            "float a[64]; float b[64];\nvoid f(int n) {{ for (int i = 0; i < n; i++) {{ a[i] = b[i]{body}; }} }}"
+        );
+        obj(vec![
+            ("source", Json::from(src)),
+            ("model", Json::from(model)),
+        ])
+        .render()
+    }
+
+    fn metrics(hub: &Hub) -> Json {
+        let v = Json::parse(&hub.handle_line(r#"{"op":"metrics"}"#).0).unwrap();
+        v.get("stats").unwrap().clone()
+    }
+
+    fn at<'a>(v: &'a Json, path: &[&str]) -> &'a Json {
+        path.iter().fold(v, |v, k| {
+            v.get(k)
+                .unwrap_or_else(|| panic!("metrics lack {path:?}: {}", v.render()))
+        })
+    }
+
+    /// `--cache N` bounds the hub, not each model: two checkpoints fed
+    /// more than N distinct loops hold at most N decisions together.
+    #[test]
+    fn one_store_bounds_every_model_together() {
+        let serve = ServeConfig {
+            cache_capacity: 8,
+            cache_shards: 1,
+            ..ServeConfig::default().with_workers(1)
+        };
+        let hub = Hub::new(HubConfig::default(), serve);
+        hub.register(stub_spec("a", 1, 1)).unwrap();
+        hub.register(stub_spec("b", 1, 2)).unwrap();
+        for terms in 0..6 {
+            for model in ["a", "b"] {
+                let v = Json::parse(&hub.handle_line(&distinct_loop(model, terms)).0).unwrap();
+                assert_eq!(cached_flags(&v), vec![false], "{model} {terms}");
+            }
+        }
+        let stats = metrics(&hub);
+        let inserted: f64 = ["a", "b"]
+            .iter()
+            .map(|m| {
+                at(&stats, &["models", m, "cache", "insertions"])
+                    .as_f64()
+                    .unwrap()
+            })
+            .sum();
+        assert_eq!(inserted, 12.0, "every model stored each of its loops");
+        assert_eq!(at(&stats, &["shared_store", "entries"]).as_f64(), Some(8.0));
+        assert_eq!(hub.registry().store().len(), 8);
+        for m in ["a", "b"] {
+            let entries = at(&stats, &["models", m, "cache", "entries"]);
+            assert_eq!(entries.as_f64(), Some(8.0), "`entries` is the store's");
+        }
+    }
+
+    /// The `metrics` fields the benchmark harness reads: a rename or a
+    /// type change fails here, not only in the harness's smoke run.
+    #[test]
+    fn metrics_carry_the_fields_the_benchmark_reads() {
+        let hub = hub_with(&[("prod", 1, 4)]);
+        hub.handle_line(&distinct_loop("prod", 0));
+        hub.handle_line(&distinct_loop("prod", 0));
+        let stats = metrics(&hub);
+        assert!(at(&stats, &["kernel_mode"]).as_str().is_some());
+        let hash = at(&stats, &["models", "prod", "checkpoint_hash"]);
+        assert_eq!(hash.as_str(), Some("0000000000000004"));
+        for path in [
+            &["transfer_entries"][..],
+            &["shared_store", "hits"],
+            &["shared_store", "misses"],
+            &["models", "prod", "cache", "hits"],
+            &["models", "prod", "cache", "misses"],
+            &["models", "prod", "cache", "insertions"],
+            &["models", "prod", "cache", "shards"],
+            &["models", "prod", "cache", "shard_capacity"],
+            &["models", "prod", "batch", "batches"],
+            &["models", "prod", "batch", "batched_loops"],
+        ] {
+            assert!(at(&stats, path).as_f64().is_some(), "{path:?} not numeric");
+        }
+        let cache = at(&stats, &["models", "prod", "cache"]);
+        for (field, want) in [("hits", 1.0), ("misses", 1.0), ("insertions", 1.0)] {
+            assert_eq!(cache.get(field).unwrap().as_f64(), Some(want), "{field}");
+        }
     }
 
     #[test]

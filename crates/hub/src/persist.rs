@@ -18,13 +18,14 @@
 //! …
 //! ```
 //!
-//! Entries are written coldest-first per shard (the order
-//! `ShardedLruCache::snapshot` produces), so a restore reproduces the
+//! A section is one model's view of the hub's decision store — its
+//! entries under its checkpoint hash, coldest first per shard (the order
+//! `ContentStore::entries_for` produces) — so a restore reproduces the
 //! original eviction order.
 
 use std::fmt::Write as _;
 
-/// One model's cache image.
+/// One model's entries in the store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheSection {
     /// Registry name the cache belonged to.

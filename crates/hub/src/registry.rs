@@ -1,11 +1,12 @@
 //! The model registry: named checkpoints behind per-model [`ServeHandle`]
 //! pools, with deterministic routing and atomic hot-swap.
 //!
-//! Every registered model owns its own `ServeHandle` — its own decision
-//! cache, batcher and worker pool — so a slow experimental checkpoint
-//! cannot stall traffic routed to the production one, and cache entries
-//! never leak across checkpoints (the per-model cache is what the
-//! persistence layer versions by checkpoint hash).
+//! Every registered model owns its own `ServeHandle` — its own batcher
+//! and worker pool — so a slow experimental checkpoint cannot stall
+//! traffic routed to the production one. Decisions live in the
+//! registry's one [`ContentStore`], which every handle reads and writes
+//! under its own checkpoint hash: entries never leak across
+//! checkpoints, and two entries serving one checkpoint share them.
 //!
 //! Routing precedence, per request:
 //!
@@ -28,7 +29,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use nvc_serve::{DecisionModel, ServeConfig, ServeHandle, SharedDecisionStore};
+use nvc_serve::{ContentStore, DecisionModel, ServeConfig, ServeHandle};
 
 use crate::HubError;
 
@@ -39,8 +40,8 @@ pub struct ModelSpec {
     /// Relative share of un-pinned traffic (0 = explicit-only canary).
     pub weight: u32,
     /// Content hash of the checkpoint
-    /// (`nvc_nn::serialize::checkpoint_hash`); versions the persistent
-    /// cache.
+    /// (`nvc_nn::serialize::checkpoint_hash`); addresses the model's
+    /// decisions in the store.
     pub checkpoint_hash: u64,
     /// The model itself.
     pub model: Arc<dyn DecisionModel>,
@@ -54,7 +55,7 @@ pub struct ModelEntry {
     pub checkpoint_hash: u64,
     /// Traffic weight.
     pub weight: u32,
-    /// The model's private cache + batcher + workers.
+    /// The model's batcher + workers, over the registry's store.
     pub handle: ServeHandle,
     /// Requests begun on this model and not yet answered (the hub's
     /// `metrics` verb surfaces it per model). Shared, so a request's
@@ -65,43 +66,43 @@ pub struct ModelEntry {
 /// Named models with weighted routing and hot-swap.
 pub struct ModelRegistry {
     entries: RwLock<Vec<Arc<ModelEntry>>>,
-    serve_cfg: ServeConfig,
-    /// Second-level decision store every started handle publishes to,
-    /// content-addressed by checkpoint hash (see `nvc_fleet::store`).
-    store: RwLock<Option<Arc<dyn SharedDecisionStore>>>,
+    pub(crate) serve_cfg: ServeConfig,
+    /// The one decision store every entry's handle reads and writes.
+    store: Arc<ContentStore>,
 }
 
 impl ModelRegistry {
-    /// An empty registry; every model registered later gets its own
-    /// [`ServeHandle`] built from `serve_cfg`.
-    pub fn new(serve_cfg: ServeConfig) -> Self {
+    /// An empty registry over `store`; every model registered later gets
+    /// its own [`ServeHandle`] built from `serve_cfg`.
+    pub fn new(serve_cfg: ServeConfig, store: Arc<ContentStore>) -> Self {
         ModelRegistry {
             entries: RwLock::new(Vec::new()),
             serve_cfg,
-            store: RwLock::new(None),
+            store,
         }
     }
 
-    /// Attaches the shared decision store. Only entries started *after*
-    /// this call publish to it — attach before registering models.
-    pub fn set_shared_store(&self, store: Arc<dyn SharedDecisionStore>) {
-        *self.store.write() = Some(store);
+    /// The decision store.
+    pub fn store(&self) -> &Arc<ContentStore> {
+        &self.store
     }
 
     fn start_entry(&self, spec: ModelSpec) -> Result<Arc<ModelEntry>, HubError> {
-        // The persistence format is whitespace-delimited, so a name the
-        // snapshot cannot round-trip must be rejected at registration —
-        // not discovered as a corrupt cache file on the next restart.
-        if spec.name.is_empty() || spec.name.chars().any(char::is_whitespace) {
+        // The persistence format is whitespace-delimited and the name is
+        // spliced into Prometheus label values, so a name either cannot
+        // carry must be rejected at registration — not discovered as a
+        // corrupt cache file on the next restart or a broken exposition.
+        let unsafe_char = |c: char| c.is_whitespace() || c == '"' || c == '\\';
+        if spec.name.is_empty() || spec.name.chars().any(unsafe_char) {
             return Err(HubError::BadModelName(spec.name));
         }
-        let shared = self
-            .store
-            .read()
-            .as_ref()
-            .map(|s| (spec.checkpoint_hash, Arc::clone(s)));
         Ok(Arc::new(ModelEntry {
-            handle: ServeHandle::start_with_store(spec.model, self.serve_cfg.clone(), shared),
+            handle: ServeHandle::start_with_store(
+                spec.model,
+                self.serve_cfg.clone(),
+                spec.checkpoint_hash,
+                Arc::clone(&self.store),
+            ),
             name: spec.name,
             checkpoint_hash: spec.checkpoint_hash,
             weight: spec.weight,
@@ -220,9 +221,13 @@ mod tests {
     use super::*;
     use crate::tests::stub_spec;
 
+    fn registry() -> ModelRegistry {
+        ModelRegistry::new(ServeConfig::default().with_workers(1), Arc::default())
+    }
+
     #[test]
     fn register_route_and_duplicate() {
-        let reg = ModelRegistry::new(ServeConfig::default().with_workers(1));
+        let reg = registry();
         assert!(matches!(reg.route(None, 7), Err(HubError::NoModels)));
         reg.register(stub_spec("a", 1, 0xA)).unwrap();
         assert_eq!(reg.route(None, 7).unwrap().name, "a");
@@ -240,8 +245,8 @@ mod tests {
 
     #[test]
     fn unpersistable_names_are_rejected_at_registration() {
-        let reg = ModelRegistry::new(ServeConfig::default().with_workers(1));
-        for bad in ["", "my model", "tab\tname", "line\nname"] {
+        let reg = registry();
+        for bad in ["", "my model", "tab\tname", "line\nname", "a\"b", "a\\b"] {
             assert!(
                 matches!(
                     reg.register(stub_spec(bad, 1, 0)),
@@ -255,7 +260,7 @@ mod tests {
 
     #[test]
     fn weighted_split_is_deterministic_and_proportional() {
-        let reg = ModelRegistry::new(ServeConfig::default().with_workers(1));
+        let reg = registry();
         reg.register(stub_spec("big", 3, 1)).unwrap();
         reg.register(stub_spec("small", 1, 2)).unwrap();
         reg.register(stub_spec("canary", 0, 3)).unwrap();
@@ -278,7 +283,7 @@ mod tests {
 
     #[test]
     fn reload_swaps_atomically_and_returns_old_entry() {
-        let reg = ModelRegistry::new(ServeConfig::default().with_workers(1));
+        let reg = registry();
         reg.register(stub_spec("m", 1, 0x1)).unwrap();
         let before = reg.route(None, 0).unwrap();
         let old = reg.reload(stub_spec("m", 1, 0x2)).unwrap();

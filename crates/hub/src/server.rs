@@ -811,18 +811,20 @@ mod tests {
             .is_empty());
 
         // A joining node with the same checkpoint absorbs it…
-        let store = Arc::new(nvc_fleet::ContentStore::default());
         let joiner = Hub::new(
             HubConfig::default().with_listen("127.0.0.1:0"),
             ServeConfig::default().with_workers(1),
-        )
-        .with_shared_store(Arc::clone(&store));
+        );
         joiner.register(stub_spec("m", 1, 7)).unwrap();
         let n = joiner
             .warm_from_peers(&["127.0.0.1:1".to_string(), warm.addr().to_string()])
             .expect("dead first peer must fail over to the live one");
         assert!(n > 0, "transfer must absorb entries");
-        assert!(store.len() > 0, "shared store holds the transfer");
+        assert_eq!(
+            joiner.registry().store().len(),
+            n,
+            "the store holds the transfer"
+        );
 
         // …and serves the transferred decision as a hit, bitwise-equal.
         let (resp, _) = joiner.handle_line(&req);
@@ -835,8 +837,8 @@ mod tests {
             "gossip-transferred decisions must be bitwise-equal"
         );
 
-        // A hash-mismatched joiner keeps entries only in the shared
-        // store (content-addressed), never in the model's own LRU.
+        // A hash-mismatched joiner holds the entries under the peer's
+        // checkpoint hash, where its own model never looks.
         let mismatched = Hub::new(
             HubConfig::default().with_listen("127.0.0.1:0"),
             ServeConfig::default().with_workers(1),
@@ -849,7 +851,7 @@ mod tests {
         assert_eq!(
             loops[0].get("cached").unwrap().as_bool(),
             Some(false),
-            "wrong-version entries must never serve from the LRU"
+            "wrong-version entries must never serve"
         );
     }
 

@@ -100,32 +100,6 @@ pub fn checkpoint_hash_text(text: &str) -> Result<u64, ParseCheckpointError> {
     Ok(hash_entries(&mut entries))
 }
 
-/// Content address of one served decision: the checkpoint hash in the
-/// high 64 bits, the sample key in the low 64.
-///
-/// This is the key of the fleet-wide shared decision store: a decision
-/// is a pure function of `(checkpoint, sample)`, so the same address is
-/// valid on every node, on both sides of an A/B split, and across
-/// hot-swap reloads back to an already-seen checkpoint — wherever it
-/// was computed.
-pub fn content_address(checkpoint_hash: u64, sample_key: u64) -> u128 {
-    (u128::from(checkpoint_hash) << 64) | u128::from(sample_key)
-}
-
-/// Renders a [`content_address`] as 32 lowercase hex digits
-/// (checkpoint hash first), the wire/debug spelling.
-pub fn format_content_address(addr: u128) -> String {
-    format!("{addr:032x}")
-}
-
-/// Parses the [`format_content_address`] spelling back to an address.
-pub fn parse_content_address(s: &str) -> Option<u128> {
-    if s.len() != 32 {
-        return None;
-    }
-    u128::from_str_radix(s, 16).ok()
-}
-
 /// Errors from parsing a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseCheckpointError {
@@ -248,25 +222,6 @@ mod tests {
     fn parse_rejects_bad_header() {
         assert!(parse("garbage\n").is_err());
         assert!(parse("").is_err());
-    }
-
-    #[test]
-    fn content_address_packs_and_roundtrips() {
-        let a = content_address(0xDEAD_BEEF_0123_4567, 0x0011_2233_4455_6677);
-        assert_eq!(a >> 64, 0xDEAD_BEEF_0123_4567);
-        assert_eq!(a as u64, 0x0011_2233_4455_6677);
-        let s = format_content_address(a);
-        assert_eq!(s, "deadbeef012345670011223344556677");
-        assert_eq!(parse_content_address(&s), Some(a));
-        assert_eq!(parse_content_address("deadbeef"), None, "wrong length");
-        assert_eq!(
-            parse_content_address("zeadbeef012345670011223344556677"),
-            None,
-            "non-hex"
-        );
-        // Distinct checkpoints never alias the same sample.
-        assert_ne!(content_address(1, 7), content_address(2, 7));
-        assert_ne!(content_address(1, 7), content_address(7, 1));
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod metrics;
 pub mod ops;
 pub mod trace;
 
-pub use journal::{json_escape, Journal};
+pub use journal::Journal;
 pub use metrics::{
     Counter, Gauge, HistogramSnapshot, LatencyHistogram, MetricsRegistry, RegistrySnapshot,
 };

@@ -1,14 +1,33 @@
-//! The sharded LRU decision cache.
+//! The decision store: one sharded LRU.
 //!
-//! Keys are 64-bit hashes of normalized loop samples ([`crate::sample_key`]);
-//! values are whatever the caller wants to memoize (the service stores
-//! `(vf_idx, if_idx)` action pairs). Shards are independent mutexes, so
-//! concurrent requests on different shards never contend; within a shard,
-//! a classic intrusive doubly-linked LRU list gives O(1) get/insert/evict.
+//! [`ShardedLruCache`] is the body — independently locked shards, so
+//! concurrent requests on different shards never contend, and within a
+//! shard a classic intrusive doubly-linked LRU list with O(1)
+//! get/insert/evict — generic over its key. [`ContentStore`] is the one
+//! instance that serves: keyed by content address `(checkpoint_hash,
+//! sample_key)` ([`crate::sample_key`]) to `(vf_idx, if_idx)`. A decision
+//! is a pure function of both, so one store is safe to share across every
+//! handle of a hub:
+//!
+//! * the A/B sides of a split serving the **same** checkpoint share every
+//!   decision instead of computing it twice;
+//! * a hot-swap `reload` back to an already-seen checkpoint finds its old
+//!   decisions still addressed and valid;
+//! * entries pulled from a peer are valid verbatim — the address says
+//!   exactly which checkpoint computed them;
+//! * two **different** checkpoints never exchange an entry, because they
+//!   never share an address.
+//!
+//! The persisted snapshot, the gossip export and the warm join are views
+//! of the same store ([`ContentStore::entries_for`],
+//! [`ContentStore::absorb`]).
 
 use std::collections::HashMap;
+use std::hash::Hash;
 
 use parking_lot::Mutex;
+
+use crate::SharedDecisionStore;
 
 const NIL: usize = usize::MAX;
 
@@ -51,18 +70,38 @@ impl CacheStats {
     }
 }
 
+/// A key of a [`ShardedLruCache`].
+pub trait CacheKey: Copy + Eq + Hash {
+    /// 64 well-mixed bits that pick the key's shard.
+    fn shard_bits(&self) -> u64;
+}
+
+impl CacheKey for u64 {
+    fn shard_bits(&self) -> u64 {
+        *self
+    }
+}
+
+/// A content address `(checkpoint_hash, sample_key)`: the sample key's
+/// FNV bits pick the shard.
+impl CacheKey for (u64, u64) {
+    fn shard_bits(&self) -> u64 {
+        self.1
+    }
+}
+
 #[derive(Debug)]
-struct Slot<V> {
-    key: u64,
+struct Slot<K, V> {
+    key: K,
     value: V,
     prev: usize,
     next: usize,
 }
 
 #[derive(Debug)]
-struct LruShard<V> {
-    map: HashMap<u64, usize>,
-    slots: Vec<Slot<V>>,
+struct LruShard<K, V> {
+    map: HashMap<K, usize>,
+    slots: Vec<Slot<K, V>>,
     head: usize,
     tail: usize,
     capacity: usize,
@@ -72,10 +111,11 @@ struct LruShard<V> {
     insertions: u64,
 }
 
-impl<V: Copy> LruShard<V> {
+impl<K: CacheKey, V: Copy> LruShard<K, V> {
     fn new(capacity: usize) -> Self {
         LruShard {
-            map: HashMap::with_capacity(capacity.min(1 << 16)),
+            // Grown on demand: a large store costs nothing until it fills.
+            map: HashMap::new(),
             slots: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -113,14 +153,19 @@ impl<V: Copy> LruShard<V> {
         }
     }
 
-    fn get(&mut self, key: u64) -> Option<V> {
+    /// Makes slot `i` the warmest.
+    fn touch(&mut self, i: usize) {
+        if self.head != i {
+            self.detach(i);
+            self.push_front(i);
+        }
+    }
+
+    fn get(&mut self, key: K) -> Option<V> {
         match self.map.get(&key).copied() {
             Some(i) => {
                 self.hits += 1;
-                if self.head != i {
-                    self.detach(i);
-                    self.push_front(i);
-                }
+                self.touch(i);
                 Some(self.slots[i].value)
             }
             None => {
@@ -130,60 +175,54 @@ impl<V: Copy> LruShard<V> {
         }
     }
 
-    fn insert(&mut self, key: u64, value: V) {
+    fn insert(&mut self, key: K, value: V) -> bool {
         if self.capacity == 0 {
-            return;
+            return false;
         }
         if let Some(&i) = self.map.get(&key) {
             self.slots[i].value = value;
-            if self.head != i {
-                self.detach(i);
-                self.push_front(i);
-            }
-            return;
+            self.touch(i);
+            return false;
         }
-        let slot = if self.map.len() >= self.capacity {
+        let slot = Slot {
+            key,
+            value,
+            prev: NIL,
+            next: NIL,
+        };
+        let i = if self.map.len() >= self.capacity {
             // Reuse the coldest entry's slot.
             let victim = self.tail;
             self.detach(victim);
             self.map.remove(&self.slots[victim].key);
             self.evictions += 1;
+            self.slots[victim] = slot;
             victim
         } else {
-            self.slots.push(Slot {
-                key: 0,
-                value,
-                prev: NIL,
-                next: NIL,
-            });
+            self.slots.push(slot);
             self.slots.len() - 1
         };
-        self.slots[slot].key = key;
-        self.slots[slot].value = value;
-        self.push_front(slot);
-        self.map.insert(key, slot);
+        self.push_front(i);
+        self.map.insert(key, i);
         self.insertions += 1;
+        true
     }
 }
 
 /// A fixed-capacity LRU cache split over independently locked shards.
 #[derive(Debug)]
-pub struct ShardedLruCache<V> {
-    shards: Vec<Mutex<LruShard<V>>>,
+pub struct ShardedLruCache<V, K = u64> {
+    shards: Vec<Mutex<LruShard<K, V>>>,
 }
 
-impl<V: Copy> ShardedLruCache<V> {
+impl<V: Copy, K: CacheKey> ShardedLruCache<V, K> {
     /// Builds a cache holding about `capacity` entries over `shards`
     /// shards (each shard gets `ceil(capacity / shards)`). A zero
     /// `capacity` disables the cache: every `get` misses, `insert` is a
     /// no-op.
     pub fn new(capacity: usize, shards: usize) -> Self {
         let shards = shards.max(1);
-        let per_shard = if capacity == 0 {
-            0
-        } else {
-            capacity.div_ceil(shards)
-        };
+        let per_shard = capacity.div_ceil(shards);
         ShardedLruCache {
             shards: (0..shards)
                 .map(|_| Mutex::new(LruShard::new(per_shard)))
@@ -191,26 +230,21 @@ impl<V: Copy> ShardedLruCache<V> {
         }
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Which shard a key lives on (Fibonacci spreading of the high bits).
-    pub fn shard_of(&self, key: u64) -> usize {
-        let spread = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ((spread >> 32) as usize) % self.shards.len()
+    /// The shard a key lives on (Fibonacci spreading of the high bits).
+    fn shard(&self, key: &K) -> &Mutex<LruShard<K, V>> {
+        let spread = key.shard_bits().wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        &self.shards[((spread >> 32) as usize) % self.shards.len()]
     }
 
     /// Looks up `key`, refreshing its recency on hit.
-    pub fn get(&self, key: u64) -> Option<V> {
-        self.shards[self.shard_of(key)].lock().get(key)
+    pub fn get(&self, key: K) -> Option<V> {
+        self.shard(&key).lock().get(key)
     }
 
     /// Inserts (or refreshes) `key`, evicting the shard's coldest entry
-    /// at capacity.
-    pub fn insert(&self, key: u64, value: V) {
-        self.shards[self.shard_of(key)].lock().insert(key, value);
+    /// at capacity. True when `key` was not already present.
+    pub fn insert(&self, key: K, value: V) -> bool {
+        self.shard(&key).lock().insert(key, value)
     }
 
     /// Live entries across all shards.
@@ -223,22 +257,27 @@ impl<V: Copy> ShardedLruCache<V> {
         self.len() == 0
     }
 
+    /// Calls `f` on every live entry, coldest first within each shard
+    /// (shards in index order).
+    fn for_each_coldest_first(&self, mut f: impl FnMut(K, V)) {
+        for shard in &self.shards {
+            let s = shard.lock();
+            let mut i = s.tail;
+            while i != NIL {
+                f(s.slots[i].key, s.slots[i].value);
+                i = s.slots[i].prev;
+            }
+        }
+    }
+
     /// Every live entry, coldest first within each shard (shards
     /// concatenated in index order). Re-inserting a snapshot in order via
     /// [`ShardedLruCache::restore`] reproduces each shard's recency
     /// ranking, so a persisted-then-restored cache evicts in the same
     /// order the original would have.
-    pub fn snapshot(&self) -> Vec<(u64, V)> {
+    pub fn snapshot(&self) -> Vec<(K, V)> {
         let mut out = Vec::new();
-        for shard in &self.shards {
-            let s = shard.lock();
-            // Walk tail → head: coldest first.
-            let mut i = s.tail;
-            while i != NIL {
-                out.push((s.slots[i].key, s.slots[i].value));
-                i = s.slots[i].prev;
-            }
-        }
+        self.for_each_coldest_first(|k, v| out.push((k, v)));
         out
     }
 
@@ -248,7 +287,7 @@ impl<V: Copy> ShardedLruCache<V> {
     /// and less than the snapshot size when the snapshot exceeds this
     /// cache's capacity (the restoring daemon may be configured
     /// smaller than the one that wrote it; only survivors count).
-    pub fn restore(&self, entries: impl IntoIterator<Item = (u64, V)>) -> usize {
+    pub fn restore(&self, entries: impl IntoIterator<Item = (K, V)>) -> usize {
         let before = self.len();
         for (key, value) in entries {
             self.insert(key, value);
@@ -272,6 +311,86 @@ impl<V: Copy> ShardedLruCache<V> {
     }
 }
 
+/// The decision store: `(checkpoint_hash, sample_key) → (vf_idx,
+/// if_idx)` in one sharded LRU. See the module docs.
+#[derive(Debug)]
+pub struct ContentStore(ShardedLruCache<(usize, usize), (u64, u64)>);
+
+impl Default for ContentStore {
+    /// A store sized for a serving node (256 Ki entries, 16 shards).
+    fn default() -> Self {
+        ContentStore::new(262_144, 16)
+    }
+}
+
+impl ContentStore {
+    /// A store holding about `capacity` decisions over `shards` shards
+    /// (0 disables it, as for [`ShardedLruCache::new`]).
+    pub fn new(capacity: usize, shards: usize) -> Self {
+        ContentStore(ShardedLruCache::new(capacity, shards))
+    }
+
+    /// Stores a decision computed under `checkpoint_hash`. True when the
+    /// address was new.
+    pub fn insert(&self, checkpoint_hash: u64, sample_key: u64, decision: (usize, usize)) -> bool {
+        self.0.insert((checkpoint_hash, sample_key), decision)
+    }
+
+    /// Inserts `entries` computed under `checkpoint_hash` — a persisted
+    /// section or a peer's export — coldest first. Returns how many
+    /// entries the store grew by.
+    pub fn absorb(
+        &self,
+        checkpoint_hash: u64,
+        entries: impl IntoIterator<Item = (u64, (usize, usize))>,
+    ) -> usize {
+        self.0.restore(
+            entries
+                .into_iter()
+                .map(|(key, pair)| ((checkpoint_hash, key), pair)),
+        )
+    }
+
+    /// Every entry stored under `checkpoint_hash` as `(sample_key,
+    /// decision)`, coldest first per shard — what a hub persists and
+    /// exports to a joining peer; [`ContentStore::absorb`] reads it back
+    /// in recency order.
+    pub fn entries_for(&self, checkpoint_hash: u64) -> Vec<(u64, (usize, usize))> {
+        let mut out = Vec::new();
+        self.0.for_each_coldest_first(|(hash, key), pair| {
+            if hash == checkpoint_hash {
+                out.push((key, pair));
+            }
+        });
+        out
+    }
+
+    /// Entries currently held, under every checkpoint.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True when nothing is stored.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Store-wide counters: every probe and insertion of every handle.
+    pub fn stats(&self) -> CacheStats {
+        self.0.stats()
+    }
+}
+
+impl SharedDecisionStore for ContentStore {
+    fn get(&self, checkpoint_hash: u64, sample_key: u64) -> Option<(usize, usize)> {
+        self.0.get((checkpoint_hash, sample_key))
+    }
+
+    fn put(&self, checkpoint_hash: u64, sample_key: u64, decision: (usize, usize)) {
+        self.insert(checkpoint_hash, sample_key, decision);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,9 +399,9 @@ mod tests {
     fn hit_and_miss_semantics() {
         let c: ShardedLruCache<u32> = ShardedLruCache::new(8, 2);
         assert_eq!(c.get(1), None);
-        c.insert(1, 10);
+        assert!(c.insert(1, 10));
         assert_eq!(c.get(1), Some(10));
-        c.insert(1, 11);
+        assert!(!c.insert(1, 11), "a refresh is not new");
         assert_eq!(c.get(1), Some(11), "insert refreshes the value");
         let st = c.stats();
         assert_eq!(st.hits, 2);
@@ -402,5 +521,30 @@ mod tests {
             assert!(*occ <= st.shard_capacity);
         }
         assert!(st.evictions > 0);
+    }
+
+    #[test]
+    fn content_store_respects_checkpoint_boundaries() {
+        let store = ContentStore::new(1024, 4);
+        store.put(0xA, 1, (2, 3));
+        assert_eq!(store.get(0xA, 1), Some((2, 3)));
+        assert_eq!(store.get(0xB, 1), None, "other checkpoint must miss");
+        assert_eq!(store.get(0xA, 2), None);
+        let s = store.stats();
+        assert_eq!((s.hits, s.misses, s.insertions), (1, 2, 1));
+    }
+
+    #[test]
+    fn content_store_absorbs_and_exports_per_checkpoint_in_recency_order() {
+        let store = ContentStore::new(1024, 1);
+        let entries = vec![(10u64, (1, 1)), (20, (2, 0)), (30, (0, 2))];
+        assert_eq!(store.absorb(0xFEED, entries.clone()), 3);
+        store.put(0xBEEF, 99, (3, 3)); // different checkpoint
+        assert_eq!(store.entries_for(0xFEED), entries, "coldest first");
+        assert_eq!(store.entries_for(0xBEEF), vec![(99, (3, 3))]);
+        assert_eq!(store.absorb(0xFEED, entries), 0, "nothing new");
+        // Absorbed entries serve through the trait.
+        assert_eq!(store.get(0xFEED, 20), Some((2, 0)));
+        assert_eq!(store.len(), 4);
     }
 }

@@ -6,11 +6,12 @@
 //! keeps a daemon warm and streams requests at it. This crate is that
 //! daemon:
 //!
-//! * [`cache`] — a **sharded LRU decision cache** keyed by a hash of the
+//! * [`cache`] — the **decision store** ([`ContentStore`]), one sharded
+//!   LRU keyed by content address: the checkpoint hash and a hash of the
 //!   loop's normalized path-context sample ([`sample_key`]). Alpha-renamed
 //!   copies of a loop produce the *same* sample (the §3.2 normalization),
 //!   so repeated loop shapes across a codebase skip embedding + policy
-//!   entirely;
+//!   entirely, and every handle serving one checkpoint shares the entries;
 //! * [`batch`] — a **batching layer**: concurrent cache misses coalesce
 //!   into one embedding/policy forward pass over a worker pool (bounded
 //!   queue, configurable batch size, no flush timer: a batch is what its
@@ -82,7 +83,7 @@ use serde::{Deserialize, Serialize};
 use nvc_embed::{EmbedConfig, PathSample};
 use nvc_machine::TargetConfig;
 
-pub use cache::{CacheStats, ShardedLruCache};
+pub use cache::{CacheStats, ContentStore, ShardedLruCache};
 pub use json::Json;
 pub use metrics::{LatencyHistogram, Metrics, MetricsSnapshot};
 pub use protocol::{LoopReport, Request};
@@ -103,17 +104,10 @@ pub trait DecisionModel: Send + Sync {
     fn decide_batch(&self, samples: &[&PathSample]) -> Vec<(usize, usize)>;
 }
 
-/// A decision store shared *across* [`ServeHandle`]s — across A/B sides
-/// of a hub, across hot-swap reloads, and (through `nvc-fleet`'s
-/// content store + gossip transfer) across peer nodes.
-///
-/// The per-handle sharded LRU stays the first-level cache; a handle
-/// built with [`ServeHandle::start_with_store`] probes this store on an
-/// LRU miss and publishes every leader-computed decision into it. Keys
-/// are content addresses `(checkpoint_hash, sample_key)`: a decision is
-/// a pure function of both, so an entry is valid wherever that exact
-/// checkpoint serves, and a store shared by models with *different*
-/// checkpoints can never leak a decision between them.
+/// The content-addressed face of [`ContentStore`]: decisions by
+/// `(checkpoint_hash, sample_key)`. A decision is a pure function of
+/// both, so an entry is valid wherever that exact checkpoint serves, and
+/// models with *different* checkpoints never see each other's.
 pub trait SharedDecisionStore: Send + Sync {
     /// Looks up the decision for `sample_key` under `checkpoint_hash`.
     fn get(&self, checkpoint_hash: u64, sample_key: u64) -> Option<(usize, usize)>;
@@ -129,9 +123,10 @@ pub trait SharedDecisionStore: Send + Sync {
 /// it has wakes them (see [`batch`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServeConfig {
-    /// Total decision-cache capacity in entries (0 disables caching).
+    /// Decision-store capacity in entries (0 disables caching): the
+    /// private store of [`ServeHandle::start`], the one store of a hub.
     pub cache_capacity: usize,
-    /// Number of independent cache shards (clamped to ≥ 1).
+    /// Number of independent store shards (clamped to ≥ 1).
     pub cache_shards: usize,
     /// Maximum loops coalesced into one model forward pass (≥ 1).
     pub batch_size: usize,

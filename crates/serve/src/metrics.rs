@@ -51,12 +51,15 @@ pub struct Metrics {
     /// taken under a different checkpoint hash
     /// (`serve_cache_entries_invalidated_total`).
     pub entries_invalidated_by_version: Arc<Counter>,
-    /// LRU misses answered by the shared content-addressed decision
-    /// store instead of a model forward (`serve_shared_hits_total`).
-    pub shared_hits: Arc<Counter>,
-    /// Leader-computed decisions published into the shared store
-    /// (`serve_shared_publishes_total`).
-    pub shared_publishes: Arc<Counter>,
+    /// This handle's decision-store probes that hit
+    /// (`serve_cache_hits_total`).
+    pub cache_hits: Arc<Counter>,
+    /// This handle's decision-store probes that missed
+    /// (`serve_cache_misses_total`).
+    pub cache_misses: Arc<Counter>,
+    /// Entries this handle added to the decision store, computed or
+    /// restored (`serve_cache_insertions_total`).
+    pub cache_insertions: Arc<Counter>,
     /// Warm samples replayed as shadow traffic against this handle
     /// after a hot-swap reload (`serve_warmup_replayed_total`).
     pub warmup_replayed: Arc<Counter>,
@@ -91,8 +94,9 @@ impl Metrics {
             entries_restored: registry.counter("serve_cache_entries_restored_total"),
             entries_invalidated_by_version: registry
                 .counter("serve_cache_entries_invalidated_total"),
-            shared_hits: registry.counter("serve_shared_hits_total"),
-            shared_publishes: registry.counter("serve_shared_publishes_total"),
+            cache_hits: registry.counter("serve_cache_hits_total"),
+            cache_misses: registry.counter("serve_cache_misses_total"),
+            cache_insertions: registry.counter("serve_cache_insertions_total"),
             warmup_replayed: registry.counter("serve_warmup_replayed_total"),
             latency: registry.histogram("serve_request_latency_us"),
             registry,
@@ -129,8 +133,6 @@ impl Metrics {
             dedup_waits: self.dedup_waits.get(),
             entries_restored: self.entries_restored.get(),
             entries_invalidated_by_version: self.entries_invalidated_by_version.get(),
-            shared_hits: self.shared_hits.get(),
-            shared_publishes: self.shared_publishes.get(),
             warmup_replayed: self.warmup_replayed.get(),
             mean_batch: if batches == 0 {
                 0.0
@@ -170,10 +172,6 @@ pub struct MetricsSnapshot {
     pub entries_restored: u64,
     /// Persisted entries discarded for a checkpoint-version mismatch.
     pub entries_invalidated_by_version: u64,
-    /// LRU misses answered by the shared decision store.
-    pub shared_hits: u64,
-    /// Decisions published into the shared decision store.
-    pub shared_publishes: u64,
     /// Warm samples replayed against this handle after a reload.
     pub warmup_replayed: u64,
     /// Average loops per forward pass.

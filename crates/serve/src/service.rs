@@ -16,7 +16,7 @@ use nvc_frontend::{inject_pragmas, LoopPragma};
 use nvc_vectorizer::ActionSpace;
 
 use crate::batch::{Batcher, Completion};
-use crate::cache::{CacheStats, ShardedLruCache};
+use crate::cache::{CacheStats, ContentStore};
 use crate::json::{obj, Json};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::protocol::{LoopReport, Request};
@@ -87,7 +87,10 @@ type Resolved = (u64, (usize, usize), bool);
 struct Inner {
     model: Arc<dyn DecisionModel>,
     space: ActionSpace,
-    cache: ShardedLruCache<(usize, usize)>,
+    /// The decision store — private, or shared by every handle of a hub
+    /// — and the checkpoint hash this handle reads and writes it under.
+    store: Arc<ContentStore>,
+    checkpoint_hash: u64,
     batcher: Batcher,
     metrics: Metrics,
     /// Single-flight registry: keys whose decision is being computed
@@ -96,11 +99,6 @@ struct Inner {
     /// Concurrent misses on the same key coalesce onto one model
     /// forward instead of embedding the same loop twice.
     inflight: Mutex<HashMap<u64, Vec<Completion>>>,
-    /// Second-level decision store shared beyond this handle (A/B
-    /// sides, reloads, peer nodes), with the checkpoint hash this
-    /// handle's decisions are content-addressed under. `None` keeps the
-    /// pre-fleet single-cache behavior.
-    shared: Option<(u64, Arc<dyn SharedDecisionStore>)>,
     /// Recently decided samples by cache key, kept (bounded) so a
     /// hot-swap reload can replay them as shadow traffic against the
     /// fresh checkpoint — the cache keys alone are one-way hashes.
@@ -112,28 +110,24 @@ struct Inner {
 }
 
 impl Inner {
-    /// The hit path, on the caller's thread: the LRU, then the shared
-    /// content-addressed store. A hit there (computed by the A/B twin, a
-    /// previous incarnation of this checkpoint, or a peer node)
-    /// back-fills the LRU so the next probe stays local.
+    /// The hit path, on the caller's thread: one store probe. A hit may
+    /// have been computed by this handle, its A/B twin, a previous
+    /// incarnation of this checkpoint, or a peer node.
     fn probe(&self, key: u64, sample: &PathSample) -> Option<(usize, usize)> {
         let hit = {
             let _span = nvc_obs::span("cache_lookup");
-            self.cache.get(key)
+            self.store.get(self.checkpoint_hash, key)
         };
-        if let Some(pair) = hit {
+        if hit.is_some() {
+            self.metrics.cache_hits.inc();
             nvc_obs::marker("cache_hit");
-            return Some(pair);
+        } else {
+            self.metrics.cache_misses.inc();
+            // Off the hit path (one global lock would contend the warm
+            // loop): every *miss* records its sample for warmup replay.
+            self.retain_warm_sample(key, sample);
         }
-        // Off the hit path (one global lock would contend the warm
-        // loop): every *miss* records its sample for warmup replay.
-        self.retain_warm_sample(key, sample);
-        let (ckpt, store) = self.shared.as_ref()?;
-        let pair = store.get(*ckpt, key)?;
-        self.cache.insert(key, pair);
-        self.metrics.shared_hits.inc();
-        nvc_obs::marker("shared_hit");
-        Some(pair)
+        hit
     }
 
     /// The miss path, still on the caller's thread and never blocking:
@@ -159,15 +153,13 @@ impl Inner {
     }
 
     /// A leader's job has completed (on the batch worker, or on the
-    /// submitter when the queue is already shut down): publishes the
-    /// decision to the cache and the shared store, then answers everyone
-    /// waiting on the key — with the same error when there is none.
+    /// submitter when the queue is already shut down): stores the
+    /// decision, then answers everyone waiting on the key — with the
+    /// same error when there is none.
     fn publish(&self, key: u64, outcome: Result<(usize, usize), ServeError>) {
         if let Ok(pair) = outcome {
-            self.cache.insert(key, pair);
-            if let Some((ckpt, store)) = &self.shared {
-                store.put(*ckpt, key, pair);
-                self.metrics.shared_publishes.inc();
+            if self.store.insert(self.checkpoint_hash, key, pair) {
+                self.metrics.cache_insertions.inc();
             }
         }
         // Cached before it leaves `inflight`: a concurrent miss on the
@@ -313,7 +305,8 @@ impl Assembly {
     }
 }
 
-/// A running vectorization service: worker threads + cache + metrics.
+/// A running vectorization service: worker threads + decision store +
+/// metrics.
 ///
 /// Dropping the handle stops the workers. All request methods take `&self`
 /// and are safe to call from many threads at once.
@@ -329,20 +322,24 @@ impl ServeHandle {
     /// the worker's own thread; the workers are the only parallelism
     /// under a forward, and their concurrency never changes a decision,
     /// only its latency.
+    /// The handle owns a private decision store sized by
+    /// `cfg.cache_capacity` / `cfg.cache_shards`.
     pub fn start(model: Arc<dyn DecisionModel>, cfg: ServeConfig) -> Self {
-        ServeHandle::start_with_store(model, cfg, None)
+        let store = Arc::new(ContentStore::new(cfg.cache_capacity, cfg.cache_shards));
+        ServeHandle::start_with_store(model, cfg, 0, store)
     }
 
-    /// [`ServeHandle::start`] with a second-level decision store shared
-    /// beyond this handle. `shared` carries the checkpoint hash this
-    /// handle's decisions are content-addressed under — entries only
-    /// flow between handles serving the *same* checkpoint, no matter
-    /// how many handles (A/B sides, reload generations, peers via
-    /// gossip) share the store object.
+    /// [`ServeHandle::start`] over a decision store shared beyond this
+    /// handle (`cfg`'s cache sizes are the store's business, not read
+    /// here). Decisions are read and written under `checkpoint_hash`, so
+    /// entries flow exactly between handles serving the *same*
+    /// checkpoint, however many handles (A/B sides, reload generations)
+    /// share the store.
     pub fn start_with_store(
         model: Arc<dyn DecisionModel>,
         cfg: ServeConfig,
-        shared: Option<(u64, Arc<dyn SharedDecisionStore>)>,
+        checkpoint_hash: u64,
+        store: Arc<ContentStore>,
     ) -> Self {
         // `NVC_TRACE=path` turns request tracing on for any embedding of
         // the service — daemon, hub, tests — without CLI plumbing.
@@ -351,11 +348,11 @@ impl ServeHandle {
         let batch_size = cfg.batch_size.max(1);
         let inner = Arc::new(Inner {
             space,
-            cache: ShardedLruCache::new(cfg.cache_capacity, cfg.cache_shards),
+            store,
+            checkpoint_hash,
             batcher: Batcher::new(batch_size, cfg.queue_capacity),
             metrics: Metrics::default(),
             inflight: Mutex::new(HashMap::new()),
-            shared,
             warm: Mutex::new(HashMap::new()),
             replay_window: (cfg.queue_capacity / 2 / batch_size).max(1) * batch_size,
             model,
@@ -385,7 +382,7 @@ impl ServeHandle {
     }
 
     /// Begins one vectorize request and never blocks: frontend, keys and
-    /// the cache / shared-store probes run here, on the caller's thread.
+    /// the store probes run here, on the caller's thread.
     ///
     /// When every loop hits (or the source does not parse) `done` is
     /// called before this returns, and the result is `false`. Otherwise
@@ -573,9 +570,16 @@ impl ServeHandle {
         self.inner.metrics.queue_depth.set(depth as i64);
     }
 
-    /// Point-in-time cache counters.
+    /// Point-in-time cache counters: this handle's hits, misses and
+    /// insertions; the store's occupancy, capacity and evictions.
     pub fn cache_stats(&self) -> CacheStats {
-        self.inner.cache.stats()
+        let m = &self.inner.metrics;
+        CacheStats {
+            hits: m.cache_hits.get(),
+            misses: m.cache_misses.get(),
+            insertions: m.cache_insertions.get(),
+            ..self.inner.store.stats()
+        }
     }
 
     /// The full introspection surface as one JSON object.
@@ -608,8 +612,6 @@ impl ServeHandle {
                         "entries_invalidated_by_version",
                         Json::from(m.entries_invalidated_by_version),
                     ),
-                    ("shared_hits", Json::from(m.shared_hits)),
-                    ("shared_publishes", Json::from(m.shared_publishes)),
                     (
                         "occupancy",
                         Json::Arr(c.occupancy.iter().map(|&o| Json::from(o)).collect()),
@@ -749,22 +751,23 @@ impl ServeHandle {
         nvc_obs::flush_trace();
     }
 
-    /// Every cached decision, coldest first per shard — the persistence
-    /// image the hub writes to disk on shutdown
-    /// (see [`ShardedLruCache::snapshot`] for the recency guarantee).
+    /// Every stored decision under this handle's checkpoint, coldest
+    /// first per shard — the image the hub persists and exports
+    /// ([`ContentStore::entries_for`]).
     pub fn cache_snapshot(&self) -> Vec<(u64, (usize, usize))> {
-        self.inner.cache.snapshot()
+        self.inner.store.entries_for(self.inner.checkpoint_hash)
     }
 
-    /// Seeds the decision cache from a persisted snapshot (coldest
-    /// first) and counts the entries in `entries_restored`. The caller
-    /// is responsible for version-checking the snapshot against the
-    /// model's checkpoint hash *before* restoring — a stale snapshot
-    /// must go through [`ServeHandle::record_invalidated_entries`]
-    /// instead of here.
+    /// Seeds the store under this handle's checkpoint from a persisted
+    /// snapshot or a peer's export (coldest first) and counts what it
+    /// added in `entries_restored` and `insertions`. The caller is
+    /// responsible for version-checking the entries against the model's
+    /// checkpoint hash *before* restoring — a stale snapshot must go
+    /// through [`ServeHandle::record_invalidated_entries`] instead.
     pub fn restore_cache(&self, entries: impl IntoIterator<Item = (u64, (usize, usize))>) -> usize {
-        let n = self.inner.cache.restore(entries);
+        let n = self.inner.store.absorb(self.inner.checkpoint_hash, entries);
         self.inner.metrics.entries_restored.add(n as u64);
+        self.inner.metrics.cache_insertions.add(n as u64);
         n
     }
 
@@ -802,11 +805,11 @@ impl ServeHandle {
     /// The cached decision for `key`, if still resident. Pure probe: no
     /// model fallback, no LRU-order perturbation beyond the read itself.
     pub fn lookup_decision(&self, key: u64) -> Option<(usize, usize)> {
-        self.inner.cache.get(key)
+        self.inner.store.get(self.inner.checkpoint_hash, key)
     }
 
     /// Replays `samples` as shadow traffic: each one is decided through
-    /// the normal cache → shared-store → model path (so already-warm
+    /// the normal store → model path (so already-warm
     /// keys cost a probe, not a forward) and counted in
     /// `warmup_replayed`. The one in-process caller with a burst: it
     /// begins a whole window of samples, wakes the batcher once, then
@@ -1347,48 +1350,35 @@ void f(int n) {
         }
     }
 
-    /// Plain map-backed shared store for exercising the two-level path.
-    #[derive(Default)]
-    struct MapStore(Mutex<HashMap<(u64, u64), (usize, usize)>>);
-
-    impl SharedDecisionStore for MapStore {
-        fn get(&self, ckpt: u64, key: u64) -> Option<(usize, usize)> {
-            self.0.lock().get(&(ckpt, key)).copied()
-        }
-
-        fn put(&self, ckpt: u64, key: u64, pair: (usize, usize)) {
-            self.0.lock().insert((ckpt, key), pair);
-        }
-    }
-
     #[test]
     fn shared_store_spans_handles_of_one_checkpoint_only() {
-        let store: Arc<MapStore> = Arc::new(MapStore::default());
-        let shared = |ckpt: u64| Some((ckpt, Arc::clone(&store) as Arc<dyn SharedDecisionStore>));
-        let h1 =
-            ServeHandle::start_with_store(Arc::new(Stub::new()), ServeConfig::default(), shared(7));
+        let store = Arc::new(ContentStore::default());
+        let on = |ckpt: u64| {
+            let model = Arc::new(Stub::new());
+            ServeHandle::start_with_store(model, ServeConfig::default(), ckpt, Arc::clone(&store))
+        };
+        let h1 = on(7);
         let out = h1.vectorize(SRC).unwrap();
-        assert!(h1.metrics().shared_publishes > 0, "leader must publish");
+        assert_eq!(h1.cache_stats().insertions, 2, "both loops stored");
 
         // A second handle under the same checkpoint hash serves the
-        // whole file from the shared store: zero model forwards, and
-        // the decisions are bitwise identical.
-        let h2 =
-            ServeHandle::start_with_store(Arc::new(Stub::new()), ServeConfig::default(), shared(7));
+        // whole file from the store: zero model forwards, and the
+        // decisions are bitwise identical.
+        let h2 = on(7);
         let again = h2.vectorize(SRC).unwrap();
         assert_eq!(again.source, out.source);
         assert!(again.loops.iter().all(|l| l.cached));
-        let m = h2.metrics();
-        assert!(m.shared_hits > 0);
-        assert_eq!(m.batches, 0, "shared hits must skip the model");
+        assert_eq!(h2.cache_stats().hits, 2);
+        assert_eq!(h2.metrics().batches, 0, "shared hits must skip the model");
 
         // A different checkpoint hash must never see those entries.
-        let h3 =
-            ServeHandle::start_with_store(Arc::new(Stub::new()), ServeConfig::default(), shared(9));
+        let h3 = on(9);
         h3.vectorize(SRC).unwrap();
-        let m = h3.metrics();
-        assert_eq!(m.shared_hits, 0, "cross-checkpoint leak");
-        assert!(m.batches > 0, "other checkpoint must recompute");
+        assert_eq!(h3.cache_stats().hits, 0, "cross-checkpoint leak");
+        assert!(h3.metrics().batches > 0, "other checkpoint must recompute");
+        // One store holds both checkpoints' decisions, once each.
+        assert_eq!(store.len(), 4);
+        assert_eq!(h3.cache_stats().len(), 4);
     }
 
     #[test]

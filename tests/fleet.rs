@@ -9,8 +9,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use neurovectorizer::{
-    AnnounceConfig, ContentStore, FleetClient, FleetConfig, Hub, HubConfig, ModelSpec,
-    NeuroVectorizer, NvConfig, ServeConfig, VectorizeEnv,
+    AnnounceConfig, FleetClient, FleetConfig, Hub, HubConfig, ModelSpec, NeuroVectorizer, NvConfig,
+    ServeConfig, VectorizeEnv,
 };
 use nvc_datasets::generator;
 use nvc_fleet::RegistryService;
@@ -72,8 +72,7 @@ fn start_node(
     if let Some(path) = cache_path {
         hub_cfg = hub_cfg.with_cache_path(path);
     }
-    let hub = Hub::new(hub_cfg, ServeConfig::default().with_workers(1))
-        .with_shared_store(Arc::new(ContentStore::default()));
+    let hub = Hub::new(hub_cfg, ServeConfig::default().with_workers(1));
     hub.register(ModelSpec {
         name: "prod".to_string(),
         weight: 1,
@@ -238,7 +237,13 @@ fn gossip_transfer_is_bitwise_equal() {
         .hub()
         .warm_from_peers(&[warm.handle.addr().to_string()])
         .expect("warm join");
-    assert!(n >= srcs.len(), "transfer must carry the warm entries: {n}");
+    let warm_prod = warm.handle.hub().registry().get("prod").unwrap();
+    let decided = warm_prod.handle.cache_stats().insertions;
+    assert!(decided >= srcs.len() as u64);
+    assert_eq!(
+        n as u64, decided,
+        "transfer must carry every warm entry once"
+    );
 
     // Kill the warm node so only the joiner can answer.
     warm.handle.shutdown();
@@ -333,8 +338,7 @@ fn reload_propagates_version_without_mismatched_decisions() {
         HubConfig::default().with_listen("127.0.0.1:0"),
         ServeConfig::default().with_workers(1),
     )
-    .with_loader(NeuroVectorizer::hub_loader(cfg))
-    .with_shared_store(Arc::new(ContentStore::default()));
+    .with_loader(NeuroVectorizer::hub_loader(cfg));
     hub.register(ModelSpec {
         name: "prod".to_string(),
         weight: 1,
