@@ -7,15 +7,16 @@
 //! nvc train --kernels 160 --iterations 30 --seed 17 --out model.ckpt
 //! nvc vectorize file.c --model model.ckpt        # annotated source on stdout
 //! nvc inspect file.c [--n 1024]                  # per-loop analysis report
-//! nvc serve --model model.ckpt                   # JSON-lines daemon on stdin/stdout
+//! nvc serve --model model.ckpt                   # hub protocol on stdin/stdout
 //! nvc hub --model prod=model.ckpt --listen 127.0.0.1:7199
 //! nvc experiment fig7                            # one of the paper's figures, or `all`
 //! ```
 //!
-//! `serve` keeps one model warm on stdin/stdout; `hub` is the networked
-//! tier — N named checkpoints behind one TCP endpoint, weighted A/B
-//! routing, hot-swap `reload`, and a decision cache that persists across
-//! restarts versioned by checkpoint hash (see `nvc-hub`).
+//! Both servers speak the hub's one JSON-lines protocol (see `nvc-hub`).
+//! `serve` keeps one model warm on stdin/stdout, registered as `default`;
+//! `hub` is the networked tier — N named checkpoints behind one TCP
+//! endpoint, weighted A/B routing, hot-swap `reload`, and a decision
+//! cache that persists across restarts versioned by checkpoint hash.
 //!
 //! Every subcommand rejects unknown flags with its usage text instead of
 //! silently ignoring them (`neurovectorizer::cli`).
@@ -57,6 +58,9 @@ const USAGE: &str = "usage:
 else `fast` for serve/hub and `strict` everywhere else): `strict` is
 bitwise-reproducible; `fast` runs FMA + online-softmax + rational-tanh
 kernels that are ε-close with identical decisions.
+`serve` speaks the hub's JSON-lines protocol on stdin/stdout for its one
+model, registered as `default`; a bad line gets an error answer, and
+`shutdown`, EOF or a line over 16 MiB drain it and print `final_stats`.
 The hub's connections are driven nonblocking by one selector thread, which
 answers `ping` and cache-hit `vectorize` itself; misses are answered by the
 --workers batch workers, which take up to --batch queued misses per forward
@@ -315,10 +319,8 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         serve_cfg.cache_shards,
         nv.config().kernel_mode
     );
-    let handle = nv.serve();
-    let stdin = std::io::stdin();
-    let mut stdout = std::io::stdout();
-    neurovectorizer::run_daemon(&handle, stdin.lock(), &mut stdout)?;
+    let hub = nv.into_hub();
+    nvc_hub::serve_stdio(&hub, std::io::stdin().lock(), &mut std::io::stdout())?;
     eprintln!("nvc serve: drained; final stats emitted");
     Ok(())
 }

@@ -300,11 +300,27 @@ impl NeuroVectorizer {
 
     /// Moves this (typically trained) model into a running
     /// [`ServeHandle`] configured by `cfg.serve`: the long-lived serving
-    /// product with decision caching and batched inference. See
-    /// `nvc-serve` for the protocol.
+    /// product with decision caching and batched inference, in process.
     pub fn serve(self) -> ServeHandle {
         let cfg = self.cfg.serve.clone();
         ServeHandle::start(std::sync::Arc::new(self), cfg)
+    }
+
+    /// Moves this model into `nvc serve`'s hub: the one model, registered
+    /// as `default` and sized by `cfg.serve`, with no checkpoint loader,
+    /// no learning and no cache file. [`nvc_hub::serve_stdio`] speaks the
+    /// hub protocol to it over stdin/stdout.
+    pub fn into_hub(self) -> nvc_hub::Hub {
+        let hub = nvc_hub::Hub::new(nvc_hub::HubConfig::default(), self.cfg.serve.clone());
+        let spec = nvc_hub::ModelSpec {
+            name: "default".to_string(),
+            weight: 1,
+            checkpoint_hash: self.checkpoint_hash(),
+            model: std::sync::Arc::new(self),
+        };
+        hub.register(spec)
+            .expect("an empty hub takes any valid name");
+        hub
     }
 }
 

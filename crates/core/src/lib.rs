@@ -22,14 +22,15 @@
 //! * [`framework`] — training and the pragma-injecting inference product;
 //! * [`experiments`] — drivers that regenerate every figure of the paper
 //!   (printed by `nvc experiment <id|all>`);
-//! * serving — [`NeuroVectorizer::serve`] moves a trained model into the
-//!   long-lived `nvc-serve` daemon (`nvc serve` on the CLI): a sharded
-//!   LRU decision cache plus batched policy inference behind a JSON-lines
-//!   protocol. [`ServeConfig`] (a field of [`NvConfig`]) holds the knobs.
-//!   The networked tier (`nvc hub`, `nvc-hub`) serves N named checkpoints
-//!   over TCP with weighted A/B routing, hot-swap `reload`, and a
-//!   persistent decision cache versioned by checkpoint hash
-//!   ([`HubConfig`], [`NeuroVectorizer::hub_loader`]);
+//! * serving — [`NeuroVectorizer::serve`] moves a trained model into a
+//!   long-lived `nvc-serve` handle: a sharded LRU decision cache plus
+//!   batched policy inference, in process. [`ServeConfig`] (a field of
+//!   [`NvConfig`]) holds the knobs. Over the wire every server speaks the
+//!   hub's one JSON-lines protocol: `nvc serve` is a one-model hub on
+//!   stdin/stdout ([`NeuroVectorizer::into_hub`]), and `nvc hub` serves N
+//!   named checkpoints over TCP with weighted A/B routing, hot-swap
+//!   `reload`, and a persistent decision cache versioned by checkpoint
+//!   hash ([`HubConfig`], [`NeuroVectorizer::hub_loader`]);
 //! * [`cli`] — the shared argument parser every `nvc` subcommand uses
 //!   (unknown flags are errors, not silently ignored).
 //!
@@ -74,4 +75,4 @@ pub use nvc_hub::{
     LearnConfig, LearnEvent, ModelSpec, ReportRecord,
 };
 pub use nvc_rl::ReplayEnv;
-pub use nvc_serve::{run_daemon, ServeConfig, ServeHandle};
+pub use nvc_serve::{ServeConfig, ServeHandle};

@@ -1,6 +1,7 @@
 //! The `nvc` binary as a process: what it does with an environment and a
-//! command line it cannot use. Every run has stdin closed, so `serve`
-//! prints its banner, meets EOF and exits.
+//! command line it cannot use, and with bytes it cannot read. The
+//! `nvc()` runs have stdin closed, so `serve` prints its banner, meets
+//! EOF and exits.
 
 use std::process::{Command, Output, Stdio};
 
@@ -66,6 +67,65 @@ fn a_removed_flag_is_an_unknown_flag_not_an_ignored_argument() {
     assert!(!out.status.success(), "train ran: {err}");
     assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
     assert!(!ckpt.exists(), "train wrote a checkpoint");
+}
+
+/// `nvc serve` over a pipe: a line that is not UTF-8 costs one error
+/// answer, not the session — every later line is answered, `shutdown`
+/// drains, and the last line is `final_stats`.
+#[test]
+fn serve_answers_past_a_non_utf8_line_and_drains_on_shutdown() {
+    use nvc_obs::Json;
+    use std::io::Write;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_nvc"))
+        .arg("serve")
+        .env_remove("NVC_KERNEL_MODE")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("nvc starts");
+    let source =
+        "float a[64]; float b[64];\nvoid f(int n) { for (int i = 0; i < n; i++) { a[i] = b[i]; } }";
+    let mut input = b"{\"op\":\"ping\",\"id\":\"p\"}\n\xff\xfe\n".to_vec();
+    let vectorize = nvc_obs::json::obj(vec![
+        ("id", Json::from("v")),
+        ("source", Json::from(source)),
+    ]);
+    input.extend(format!("{}\n", vectorize.render()).bytes());
+    input.extend(b"{\"op\":\"stats\",\"id\":\"s\"}\n{\"op\":\"shutdown\",\"id\":\"bye\"}\n");
+    // Dropping the pipe after the write is EOF, which `shutdown` beats.
+    child.stdin.take().unwrap().write_all(&input).unwrap();
+    let out = child.wait_with_output().expect("nvc exits");
+    assert!(out.status.success(), "{}", stderr(&out));
+
+    let text = String::from_utf8(out.stdout).unwrap();
+    let lines: Vec<Json> = text
+        .lines()
+        .map(|l| Json::parse(l).unwrap_or_else(|e| panic!("{e}: {l}")))
+        .collect();
+    assert_eq!(
+        lines.len(),
+        6,
+        "four answers, the ack, final_stats:\n{text}"
+    );
+    let field = |i: usize, k: &str| lines[i].get(k).cloned().unwrap_or(Json::Null);
+    assert_eq!(field(0, "pong"), Json::Bool(true));
+    let error = field(1, "error");
+    assert!(
+        error.as_str().unwrap().starts_with("invalid JSON"),
+        "{text}"
+    );
+    assert_eq!(field(2, "model"), Json::from("default"));
+    assert_eq!(field(2, "loops").as_array().map(<[_]>::len), Some(1));
+    assert_eq!(field(3, "id"), Json::from("s"));
+    assert_eq!(field(4, "shutdown"), Json::Bool(true));
+    let final_stats = field(5, "final_stats");
+    let served = ["models", "default", "requests"]
+        .iter()
+        .try_fold(&final_stats, |v, k| v.get(k))
+        .and_then(Json::as_f64);
+    assert_eq!(served, Some(1.0), "{text}");
 }
 
 /// What `fig1_dotproduct_grid` printed before it became `nvc experiment

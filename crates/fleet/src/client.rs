@@ -18,8 +18,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use nvc_serve::json::obj;
-use nvc_serve::Json;
+use nvc_obs::json::{obj, Json};
 
 use crate::registry::{NodeAnnouncement, ResolvedNode};
 use crate::FleetError;

@@ -14,9 +14,8 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
+use nvc_obs::json::{obj, Json};
 use nvc_obs::{Counter, Gauge, MetricsRegistry};
-use nvc_serve::json::obj;
-use nvc_serve::Json;
 
 /// One model a node advertises: name, the exact checkpoint content hash
 /// it is serving, and its share of that node's A/B split.

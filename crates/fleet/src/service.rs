@@ -8,11 +8,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use nvc_obs::json::{fail, with_id, Json};
 use nvc_obs::{Counter, Gauge, MetricsRegistry};
-use nvc_serve::json::obj;
-use nvc_serve::Json;
 
-use crate::registry::{NodeAnnouncement, RegistryCore};
+use crate::registry::{NodeAnnouncement, RegistryCore, ResolvedNode};
 
 /// Protocol state for one registry process: the node table plus the
 /// daemon plumbing (uptime, request counting, shutdown flag).
@@ -57,95 +56,60 @@ impl RegistryService {
     }
 
     /// Answers one protocol line. Returns the response and whether the
-    /// connection should stay open (`false` after `shutdown`).
+    /// connection should stay open (`false` after `shutdown`). Every
+    /// answer echoes the request's string `id`, errors included.
     pub fn handle_line(&self, line: &str) -> (String, bool) {
         self.requests.inc();
         let v = match Json::parse(line) {
             Ok(v) => v,
-            Err(e) => return (err_response(&format!("bad json: {e}")), true),
+            Err(e) => return fail(None, format!("bad json: {e}")),
         };
-        let op = v.get("op").and_then(Json::as_str).unwrap_or("");
-        match op {
+        let id = v.get("id").and_then(Json::as_str);
+        let ok = |mut members: Vec<(&str, Json)>| {
+            members.insert(0, ("ok", Json::from(true)));
+            with_id(id, members)
+        };
+        let nodes_json =
+            |nodes: &[ResolvedNode]| Json::Arr(nodes.iter().map(|n| n.to_json()).collect());
+        match v.get("op").and_then(Json::as_str).unwrap_or("") {
             "announce" => match NodeAnnouncement::from_json(&v) {
                 Ok(ann) => {
                     let nodes = self.core.announce(ann);
-                    (
-                        obj(vec![
-                            ("ok", Json::from(true)),
-                            ("nodes", Json::from(nodes as u64)),
-                        ])
-                        .render(),
-                        true,
-                    )
+                    (ok(vec![("nodes", Json::from(nodes as u64))]), true)
                 }
-                Err(e) => (err_response(&e), true),
+                Err(e) => fail(id, e),
             },
             "resolve" => {
-                let model = v.get("model").and_then(Json::as_str);
-                let nodes = self.core.resolve(model);
-                (
-                    obj(vec![
-                        ("ok", Json::from(true)),
-                        (
-                            "nodes",
-                            Json::Arr(nodes.iter().map(|n| n.to_json()).collect()),
-                        ),
-                    ])
-                    .render(),
-                    true,
-                )
+                let nodes = self.core.resolve(v.get("model").and_then(Json::as_str));
+                (ok(vec![("nodes", nodes_json(&nodes))]), true)
             }
             "nodes" | "stats" => {
                 let nodes = self.core.resolve(None);
-                (
-                    obj(vec![
-                        ("ok", Json::from(true)),
-                        ("uptime_secs", Json::from(self.started.elapsed().as_secs())),
-                        ("live_nodes", Json::from(nodes.len() as u64)),
-                        (
-                            "nodes",
-                            Json::Arr(nodes.iter().map(|n| n.to_json()).collect()),
-                        ),
-                    ])
-                    .render(),
-                    true,
-                )
+                let members = vec![
+                    ("uptime_secs", Json::from(self.started.elapsed().as_secs())),
+                    ("live_nodes", Json::from(nodes.len() as u64)),
+                    ("nodes", nodes_json(&nodes)),
+                ];
+                (ok(members), true)
             }
-            "ping" => (
-                obj(vec![
-                    ("ok", Json::from(true)),
+            "ping" => {
+                let members = vec![
                     ("pong", Json::from(true)),
                     ("service", Json::from("nvc-registry")),
-                ])
-                .render(),
-                true,
-            ),
-            "metrics" => (
-                obj(vec![
-                    ("ok", Json::from(true)),
-                    (
-                        "metrics",
-                        Json::parse(&self.core.metrics_registry().render_json())
-                            .unwrap_or(Json::Null),
-                    ),
-                ])
-                .render(),
-                true,
-            ),
+                ];
+                (ok(members), true)
+            }
+            "metrics" => {
+                let snapshot = self.core.metrics_registry().snapshot();
+                (ok(vec![("metrics", snapshot.to_json())]), true)
+            }
             "shutdown" => {
                 // Ack first; the caller closes after writing (mirrors
                 // the hub's ack-then-drain contract).
                 self.shutdown();
-                (
-                    obj(vec![
-                        ("ok", Json::from(true)),
-                        ("shutdown", Json::from(true)),
-                    ])
-                    .render(),
-                    false,
-                )
+                (ok(vec![("shutdown", Json::from(true))]), false)
             }
-            other => (err_response(&format!("unknown op `{other}`")), true),
+            other => fail(id, format!("unknown op `{other}`")),
         }
     }
 
@@ -165,6 +129,45 @@ impl RegistryService {
     }
 }
 
-fn err_response(msg: &str) -> String {
-    obj(vec![("ok", Json::from(false)), ("error", Json::from(msg))]).render()
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every answer carries the request's `id` back, errors included.
+    #[test]
+    fn every_answer_echoes_the_request_id() {
+        let service = RegistryService::default();
+        for (line, ok) in [
+            (r#"{"op":"ping","id":"p1"}"#, true),
+            (r#"{"op":"resolve","id":"r1"}"#, true),
+            (r#"{"op":"stats","id":"s1"}"#, true),
+            (r#"{"op":"metrics","id":"m1"}"#, true),
+            (r#"{"op":"nope","id":"p2"}"#, false),
+            (r#"{"op":"announce","id":"a1","node":"n"}"#, false),
+        ] {
+            let (resp, keep) = service.handle_line(line);
+            assert!(keep, "{line}");
+            let v = Json::parse(&resp).unwrap();
+            let sent = Json::parse(line).unwrap();
+            assert_eq!(v.get("id"), sent.get("id"), "{line} → {resp}");
+            assert_eq!(
+                v.get("ok").and_then(Json::as_bool),
+                Some(ok),
+                "{line} → {resp}"
+            );
+        }
+        // The instruments render straight into the reply.
+        let (resp, _) = service.handle_line(r#"{"op":"metrics"}"#);
+        let v = Json::parse(&resp).unwrap();
+        let requests = ["metrics", "counters", "registry_requests_total"]
+            .iter()
+            .try_fold(&v, |v, k| v.get(k))
+            .and_then(Json::as_f64);
+        assert_eq!(requests, Some(7.0), "{resp}");
+        // Unparsable JSON has no id to echo.
+        let (resp, _) = service.handle_line("not json");
+        let v = Json::parse(&resp).unwrap();
+        assert!(v.get("id").is_none());
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
+    }
 }

@@ -34,9 +34,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use nvc_embed::PathSample;
+use nvc_obs::json::{obj, Json};
 use nvc_obs::{Counter, Journal, MetricsRegistry};
-use nvc_serve::json::obj;
-use nvc_serve::Json;
 
 use crate::{Hub, HubError};
 
@@ -684,7 +683,7 @@ mod tests {
     use super::*;
     use crate::tests::{stub_spec, StubModel, SRC};
     use crate::HubConfig;
-    use nvc_serve::json::obj;
+    use nvc_obs::json::obj;
     use nvc_serve::{DecisionModel, ServeConfig};
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {

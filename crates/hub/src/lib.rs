@@ -10,9 +10,11 @@
 //!   a `vectorize` with misses is completed by the batch worker that ran
 //!   its forward, and a few request workers take the verbs that block
 //!   (`metrics` / `reload` / `cache_export` / `report` / `shutdown`).
-//!   Same JSON-lines protocol as the stdin daemon. Any number of
-//!   concurrent build processes share one warm hub; the fleet's
-//!   discovery registry (`nvc registry`) is served by the same loop;
+//!   Any number of concurrent build processes share one warm hub; the
+//!   fleet's discovery registry (`nvc registry`) is served by the same
+//!   loop;
+//! * [`stdio`] — the same protocol over stdin/stdout, one line at a time
+//!   through [`Hub::handle_line`]: `nvc serve` is a one-model hub on it;
 //! * [`registry`] — a **model registry**: N named checkpoints, each
 //!   behind its own `ServeHandle` (batcher + workers) over the hub's one
 //!   decision store, routed by explicit `"model"` field or a
@@ -26,14 +28,20 @@
 //!
 //! # Wire protocol
 //!
-//! Everything the stdin daemon accepts, plus:
+//! The stack's one JSON-lines protocol: one object per line each way, on
+//! TCP ([`server`]) or stdin/stdout ([`stdio`]). `op` defaults to
+//! `vectorize` when omitted; a string `id` is echoed on every answer,
+//! errors (`{"ok":false,"error":…}`) included.
 //!
 //! ```text
+//! → {"id":"r0","source":"…"}                                      # op omitted
 //! → {"op":"vectorize","id":"r1","source":"…","model":"prod"}      # pin a model
 //! → {"op":"vectorize","id":"r2","source":"…","route":"host42"}    # A/B by key
-//! ← {"id":"r2","ok":true,"model":"prod","source":"…","loops":[…],"latency_us":412}
+//! ← {"id":"r2","ok":true,"model":"prod","checkpoint_hash":"…","source":"…",
+//!    "loops":[{"function":"f","line":1,"vf":8,"if":2,"cached":false,"key":"…"}],
+//!    "latency_us":412}
 //! → {"op":"ping"}                      ← {"ok":true,"pong":true,"uptime_us":…}
-//! → {"op":"metrics"}                   ← {"ok":true,"stats":{…,"models":{…}}}
+//! → {"op":"metrics"} (or "stats")      ← {"ok":true,"stats":{…,"models":{…}}}
 //! → {"op":"reload","model":"prod","checkpoint":"new.ckpt"}
 //! ← {"ok":true,"reloaded":"prod","checkpoint_hash":"…"}
 //! → {"op":"report","model":"prod","key":"…","reward":0.31}   # measured reward
@@ -41,6 +49,9 @@
 //! → {"op":"cache_export"}              ← every model's cache image (gossip)
 //! → {"op":"shutdown"}                  ← ack, then the hub drains and persists
 //! ```
+//!
+//! `nvc serve`'s hub has no checkpoint loader, no learning and no cache
+//! file, so there `reload` and `report` answer errors.
 //!
 //! # Fleet integration
 //!
@@ -62,6 +73,7 @@ mod line_server;
 pub mod persist;
 pub mod registry;
 pub mod server;
+pub mod stdio;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -69,9 +81,9 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
+use nvc_obs::json::{fail, obj, with_id, Json};
 use nvc_obs::{Counter, Gauge, MetricsRegistry};
-use nvc_serve::json::obj;
-use nvc_serve::{ContentStore, DecisionModel, Json, LoopReport, ServeConfig};
+use nvc_serve::{ContentStore, DecisionModel, LoopReport, ServeConfig};
 
 pub use announce::{spawn_announcer, AnnounceConfig, Announcer};
 pub use learn::{
@@ -81,6 +93,7 @@ pub use learn::{
 pub use persist::CacheSection;
 pub use registry::{ModelEntry, ModelRegistry, ModelSpec};
 pub use server::{serve_registry, serve_registry_on, HubHandle, RegistryHandle};
+pub use stdio::serve_stdio;
 
 /// Tuning knobs for the hub tier (`NvConfig.hub`, `nvc hub` flags).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -213,18 +226,6 @@ impl Answer for std::sync::mpsc::SyncSender<(String, bool)> {
         // timed out and left is not an error.
         let _ = self.try_send((response, keep_going));
     }
-}
-
-fn with_id(id: Option<&str>, mut members: Vec<(&str, Json)>) -> String {
-    if let Some(id) = id {
-        members.insert(0, ("id", Json::from(id)));
-    }
-    obj(members).render()
-}
-
-fn fail(id: Option<&str>, e: String) -> (String, bool) {
-    let members = vec![("ok", Json::from(false)), ("error", Json::from(e))];
-    (with_id(id, members), true)
 }
 
 /// The hub itself: registry + persistence + protocol handling. The TCP
@@ -1204,6 +1205,45 @@ void f(int n) {
         let v = Json::parse(&resp).unwrap();
         assert_eq!(v.get("ok").unwrap().as_bool(), Some(false));
         assert_eq!(v.get("id").unwrap().as_str(), Some("x"));
+    }
+
+    #[test]
+    fn error_responses_echo_the_request_id() {
+        let hub = hub_with(&[("m", 1, 0)]);
+        for (bad, why) in [
+            (r#"{"op":"vectorize","id":"r7"}"#, "missing `source`"),
+            (r#"{"id":"r7"}"#, "missing `source`"),
+            (r#"{"op":"explode","id":"r7"}"#, "unknown op"),
+            (
+                r#"{"op":"vectorize","id":"r7","source":"void f( {{{"}"#,
+                "frontend",
+            ),
+        ] {
+            let (resp, keep) = hub.handle_line(bad);
+            assert!(keep);
+            let v = Json::parse(&resp).unwrap();
+            assert_eq!(v.get("ok").unwrap().as_bool(), Some(false), "{bad}");
+            let error = v.get("error").unwrap().as_str().unwrap();
+            assert!(error.contains(why), "{bad}: {error}");
+            assert_eq!(
+                v.get("id").unwrap().as_str(),
+                Some("r7"),
+                "error response dropped the id: {resp}"
+            );
+        }
+        // An omitted `op` is a vectorize, with or without an id.
+        for (line, id) in [
+            (r#"{"id":"a","source":"int x;"}"#, Some("a")),
+            (r#"{"source":"int x;"}"#, None),
+        ] {
+            let v = Json::parse(&hub.handle_line(line).0).unwrap();
+            assert_eq!(v.get("ok").unwrap().as_bool(), Some(true), "{line}");
+            assert_eq!(v.get("loops").unwrap().as_array().map(<[_]>::len), Some(0));
+            assert_eq!(v.get("id").and_then(Json::as_str), id);
+        }
+        // Unparsable lines genuinely have no id to echo.
+        let (resp, _) = hub.handle_line("not json");
+        assert!(Json::parse(&resp).unwrap().get("id").is_none());
     }
 
     /// With two models the exposition is still one valid document: every

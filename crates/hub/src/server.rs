@@ -307,7 +307,8 @@ mod tests {
     use super::*;
     use crate::tests::{stub_spec, SRC};
     use crate::HubConfig;
-    use nvc_serve::{Json, ServeConfig};
+    use nvc_obs::Json;
+    use nvc_serve::ServeConfig;
     use std::io::{BufRead, BufReader, Read, Write};
     use std::net::TcpStream;
 
@@ -348,7 +349,7 @@ mod tests {
         let v = roundtrip(handle.addr(), r#"{"op":"ping"}"#);
         assert_eq!(v.get("pong").unwrap().as_bool(), Some(true));
 
-        let req = nvc_serve::json::obj(vec![("source", Json::from(SRC))]).render();
+        let req = nvc_obs::json::obj(vec![("source", Json::from(SRC))]).render();
         let v = roundtrip(handle.addr(), &req);
         assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
         assert_eq!(v.get("model").unwrap().as_str(), Some("m"));
@@ -556,7 +557,7 @@ mod tests {
 
     fn vectorize_request(id: &str, source: &str) -> String {
         let members = vec![("id", Json::from(id)), ("source", Json::from(source))];
-        nvc_serve::json::obj(members).render()
+        nvc_obs::json::obj(members).render()
     }
 
     /// `(answered_on_selector, completed_by_batch_worker,
@@ -791,7 +792,7 @@ mod tests {
     #[test]
     fn warm_from_peers_transfers_the_cache() {
         let warm = start(&[("m", 1, 7)]);
-        let req = nvc_serve::json::obj(vec![("source", Json::from(SRC))]).render();
+        let req = nvc_obs::json::obj(vec![("source", Json::from(SRC))]).render();
         let first = roundtrip(warm.addr(), &req);
         assert_eq!(first.get("ok").unwrap().as_bool(), Some(true));
 
@@ -870,7 +871,7 @@ mod tests {
         let hub = Hub::new(cfg, ServeConfig::default().with_workers(1));
         hub.register(stub_spec("m", 1, 0)).unwrap();
         let handle = serve_tcp(Arc::new(hub)).unwrap();
-        let req = nvc_serve::json::obj(vec![("source", Json::from(SRC))]).render();
+        let req = nvc_obs::json::obj(vec![("source", Json::from(SRC))]).render();
         roundtrip(handle.addr(), &req);
 
         // Wait for a checkpoint to land, then crash.

@@ -1,9 +1,11 @@
-//! A minimal JSON reader/writer for the serving protocol.
+//! A minimal JSON reader/writer: every line the stack emits — protocol
+//! replies, metrics, trace records, training journals — is built here.
 //!
-//! The offline dependency set has no `serde_json`, and the protocol only
-//! needs flat objects with strings, numbers, booleans and small arrays —
+//! The offline dependency set has no `serde_json`, and those lines only
+//! need flat objects with strings, numbers, booleans and small arrays —
 //! this module implements exactly RFC 8259 value syntax (with `\uXXXX`
-//! escapes and surrogate pairs) and nothing more.
+//! escapes and surrogate pairs) and nothing more. A non-finite number
+//! renders as `null`.
 
 use std::fmt::Write as _;
 
@@ -432,6 +434,23 @@ pub fn obj(members: Vec<(&str, Json)>) -> Json {
             .map(|(k, v)| (k.to_string(), v))
             .collect(),
     )
+}
+
+/// One protocol reply line: `members` as an object, led by the request's
+/// `id` when it carried a string one, so a client can pair every answer —
+/// an error included — with its request.
+pub fn with_id(id: Option<&str>, mut members: Vec<(&str, Json)>) -> String {
+    if let Some(id) = id {
+        members.insert(0, ("id", Json::from(id)));
+    }
+    obj(members).render()
+}
+
+/// An error reply, `{"id":…,"ok":false,"error":…}`, paired with the keep-going
+/// flag every line service answers with: an error never ends a session.
+pub fn fail(id: Option<&str>, e: String) -> (String, bool) {
+    let members = vec![("ok", Json::from(false)), ("error", Json::from(e))];
+    (with_id(id, members), true)
 }
 
 #[cfg(test)]

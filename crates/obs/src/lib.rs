@@ -2,13 +2,16 @@
 //!
 //! Zero dependencies by design: the stack runs offline, and instrumentation
 //! that drags a dependency tree behind it ends up compiled out instead of
-//! turned on. Four small pieces, each usable alone:
+//! turned on. Five small pieces, each usable alone:
 //!
+//! * [`json`] — the stack's one JSON reader/writer ([`Json`]): every line
+//!   a server, the tracer or the trainer emits is built through it, and
+//!   [`json::with_id`] / [`json::fail`] are the protocol reply shapes;
 //! * [`metrics`] — named [`Counter`]s, [`Gauge`]s, and log₂-bucketed
 //!   [`LatencyHistogram`]s behind a [`MetricsRegistry`], with Prometheus
-//!   text exposition and a structured snapshot the serve/hub JSON
-//!   renderers consume. The histogram interpolates within buckets, so
-//!   quantiles are tighter than the power-of-2 upper bound;
+//!   text exposition and a snapshot that renders itself as [`Json`]. The
+//!   histogram interpolates within buckets, so quantiles are tighter than
+//!   the power-of-2 upper bound;
 //! * [`trace`] — per-request trace ids and scoped spans recorded into a
 //!   fixed-size lock-free ring buffer. Disabled (the default) a span
 //!   costs one relaxed atomic load and zero allocations; enabled via
@@ -17,7 +20,8 @@
 //! * [`ops`] — aggregate per-kernel timers (matmul family, segment ops,
 //!   gather, `tanh`) and the encoder's rows-looked-up / rows-multiplied
 //!   counters: relaxed atomics, gated by `NVC_OPS=1` or
-//!   [`ops::set_ops_enabled`], free when off;
+//!   [`ops::set_ops_enabled`], free when off, rendered as JSON — absolute
+//!   or per training iteration — by one [`OpProfile`];
 //! * [`journal`] — an append-only JSONL sink for training telemetry
 //!   (one record per PPO iteration).
 //!
@@ -31,18 +35,20 @@
 //! frequency).
 
 pub mod journal;
+pub mod json;
 pub mod metrics;
 pub mod ops;
 pub mod trace;
 
 pub use journal::Journal;
+pub use json::Json;
 pub use metrics::{
     Counter, Gauge, HistogramSnapshot, LatencyHistogram, MetricsRegistry, RegistrySnapshot,
 };
 pub use ops::{
     embed_memo_bytes, embed_memo_grew, embed_memo_shrank, embed_rows_snapshot, ops_enabled,
-    ops_snapshot, record_embed_rows, reset_ops, set_ops_enabled, time_op, EmbedRows, Op, OpStat,
-    OpTimer,
+    ops_snapshot, record_embed_rows, reset_ops, set_ops_enabled, time_op, EmbedRows, Op, OpProfile,
+    OpStat, OpTimer,
 };
 pub use trace::{
     current_trace, disable_tracing, enable_tracing, export_records, flush_trace, init_from_env,

@@ -14,6 +14,8 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use crate::json::{obj, Json};
+
 /// Number of log₂ microsecond buckets (covers < 1 µs .. > 2⁴⁶ µs).
 const BUCKETS: usize = 48;
 
@@ -191,6 +193,25 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<(u64, u64)>,
 }
 
+impl HistogramSnapshot {
+    /// The non-empty buckets as `[[le, count], …]`.
+    pub fn buckets_json(&self) -> Json {
+        let pair = |&(le, n): &(u64, u64)| Json::Arr(vec![Json::from(le), Json::from(n)]);
+        Json::Arr(self.buckets.iter().map(pair).collect())
+    }
+
+    /// `{count, sum_us, p50_us, p99_us, buckets}`.
+    pub fn to_json(&self) -> Json {
+        obj(vec![
+            ("count", Json::from(self.count)),
+            ("sum_us", Json::from(self.sum_us)),
+            ("p50_us", Json::from(self.p50_us)),
+            ("p99_us", Json::from(self.p99_us)),
+            ("buckets", self.buckets_json()),
+        ])
+    }
+}
+
 /// Point-in-time copy of every instrument in a registry, sorted by name.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RegistrySnapshot {
@@ -203,6 +224,20 @@ pub struct RegistrySnapshot {
 }
 
 impl RegistrySnapshot {
+    /// `{"counters":{name: value}, "gauges":{…}, "histograms":{name:
+    /// {count, sum_us, p50_us, p99_us, buckets}}}` — a service's
+    /// instruments in its `metrics` reply.
+    pub fn to_json(&self) -> Json {
+        fn section<T>(items: &[(String, T)], value: impl Fn(&T) -> Json) -> Json {
+            Json::Obj(items.iter().map(|(n, v)| (n.clone(), value(v))).collect())
+        }
+        obj(vec![
+            ("counters", section(&self.counters, |&v| Json::from(v))),
+            ("gauges", section(&self.gauges, |&v| Json::from(v as f64))),
+            ("histograms", section(&self.histograms, |h| h.to_json())),
+        ])
+    }
+
     /// Prometheus text exposition of several registries as one document,
     /// each under its own label set (`""` for none): per metric family
     /// one `# TYPE` line, then that family's samples from every registry
@@ -329,39 +364,6 @@ impl MetricsRegistry {
     /// none, or e.g. `model="champion"`).
     pub fn render_prometheus(&self, labels: &str) -> String {
         RegistrySnapshot::render_prometheus(&[(labels, &self.snapshot())])
-    }
-
-    /// A standalone JSON rendering of [`MetricsRegistry::snapshot`]
-    /// (serve and hub re-render the snapshot through their own `Json`
-    /// values instead; this is for journals and ad-hoc dumps).
-    pub fn render_json(&self) -> String {
-        let snap = self.snapshot();
-        let mut out = String::from("{\"counters\":{");
-        for (i, (name, v)) in snap.counters.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\"{name}\":{v}");
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in snap.gauges.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\"{name}\":{v}");
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in snap.histograms.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                out,
-                "{sep}\"{name}\":{{\"count\":{},\"sum_us\":{},\"p50_us\":{},\"p99_us\":{},\"buckets\":[",
-                h.count, h.sum_us, h.p50_us, h.p99_us
-            );
-            for (j, (le, n)) in h.buckets.iter().enumerate() {
-                let sep = if j == 0 { "" } else { "," };
-                let _ = write!(out, "{sep}[{le},{n}]");
-            }
-            out.push_str("]}");
-        }
-        out.push_str("}}");
-        out
     }
 }
 
@@ -538,12 +540,24 @@ mod tests {
     fn json_rendering_round_trips_the_shape() {
         let r = MetricsRegistry::default();
         r.counter("c").inc();
-        r.gauge("g").set(3);
+        r.gauge("g").set(-3);
         r.histogram("h").record(5);
-        let j = r.render_json();
-        assert!(j.contains("\"c\":1"));
-        assert!(j.contains("\"g\":3"));
-        assert!(j.contains("\"count\":1"));
-        assert!(j.starts_with('{') && j.ends_with('}'));
+        let j = Json::parse(&r.snapshot().to_json().render()).unwrap();
+        let at = |path: &[&str]| {
+            path.iter()
+                .try_fold(&j, |v, k| v.get(k))
+                .unwrap_or_else(|| panic!("no {path:?} in {}", j.render()))
+                .clone()
+        };
+        assert_eq!(at(&["counters", "c"]).as_f64(), Some(1.0));
+        assert_eq!(at(&["gauges", "g"]).as_f64(), Some(-3.0));
+        for (field, want) in [("count", 1.0), ("sum_us", 5.0), ("p50_us", 8.0)] {
+            assert_eq!(
+                at(&["histograms", "h", field]).as_f64(),
+                Some(want),
+                "{field}"
+            );
+        }
+        assert_eq!(at(&["histograms", "h", "buckets"]).render(), "[[8,1]]");
     }
 }

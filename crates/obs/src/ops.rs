@@ -28,6 +28,8 @@
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::time::Instant;
 
+use crate::json::{obj, Json};
+
 /// The instrumented kernel families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
@@ -261,6 +263,69 @@ pub fn embed_memo_shrank(bytes: usize) {
     EMBED_MEMO_BYTES.fetch_sub(bytes as u64, Ordering::Relaxed);
 }
 
+/// The op timers and the encoder's work counters together, at one instant
+/// ([`OpProfile::now`]) or moved between two ([`OpProfile::since`]): what
+/// a server's `stats` and a training journal line render, through the
+/// same two sections.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OpProfile {
+    /// Every op's aggregate, in [`Op::ALL`] order.
+    pub ops: Vec<OpStat>,
+    /// The encoder's work counters.
+    pub rows: EmbedRows,
+}
+
+impl OpProfile {
+    /// The process-wide totals.
+    pub fn now() -> OpProfile {
+        OpProfile {
+            ops: ops_snapshot(),
+            rows: embed_rows_snapshot(),
+        }
+    }
+
+    /// What moved between `before` and `self`.
+    pub fn since(&self, before: &OpProfile) -> OpProfile {
+        let less = |now: u64, then: u64| now.saturating_sub(then);
+        let ops = self.ops.iter().zip(&before.ops).map(|(now, then)| OpStat {
+            op: now.op,
+            calls: less(now.calls, then.calls),
+            total_ns: less(now.total_ns, then.total_ns),
+        });
+        let (now, then) = (self.rows, before.rows);
+        OpProfile {
+            ops: ops.collect(),
+            rows: EmbedRows {
+                context_rows: less(now.context_rows, then.context_rows),
+                projected_rows: less(now.projected_rows, then.projected_rows),
+            },
+        }
+    }
+
+    /// The `ops` section: op name → `{calls, total_us}` for every op that
+    /// ran (empty while `NVC_OPS` is off — the section is always present,
+    /// so consumers need no feature probe).
+    pub fn ops_json(&self) -> Json {
+        let ran = self.ops.iter().filter(|s| s.calls > 0);
+        obj(ran
+            .map(|s| {
+                let stat = obj(vec![
+                    ("calls", Json::from(s.calls)),
+                    ("total_us", Json::from(s.total_ns as f64 / 1_000.0)),
+                ]);
+                (s.op.name(), stat)
+            })
+            .collect())
+    }
+
+    /// The `op_counters` section: the encoder's counters by name, then
+    /// `extra`.
+    pub fn counters_json(&self, extra: &[(&str, u64)]) -> Json {
+        let named = self.rows.named().into_iter().chain(extra.iter().copied());
+        obj(named.map(|(name, v)| (name, Json::from(v))).collect())
+    }
+}
+
 /// Zeroes every op aggregate and the encoder's work counters (bench
 /// harness A/B legs). The memo gauge measures live memory and stays.
 pub fn reset_ops() {
@@ -312,6 +377,20 @@ mod tests {
                 ("embed_context_rows_total", 330),
                 ("embed_projected_rows_total", 104)
             ]
+        );
+
+        // One renderer, absolute or as a delta: only ops that ran.
+        let p = OpProfile::now();
+        let Json::Obj(ran) = p.ops_json() else {
+            unreachable!("ops_json renders an object")
+        };
+        let ran: Vec<&str> = ran.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(ran, ["matmul", "gather"]);
+        let moved = OpProfile::now().since(&p);
+        assert_eq!(moved.ops_json().render(), "{}");
+        assert_eq!(
+            moved.counters_json(&[("extra", 3)]).render(),
+            r#"{"embed_context_rows_total":0,"embed_projected_rows_total":0,"extra":3}"#
         );
 
         set_ops_enabled(false);

@@ -35,6 +35,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, Once, OnceLock};
 use std::time::{Duration, Instant};
 
+use crate::json::{obj, Json};
+
 /// Slots in the ring; at ~56 bytes each the ring is ≈ 3.7 MB, allocated
 /// only once tracing is first enabled.
 const RING_CAP: usize = 65_536;
@@ -274,10 +276,15 @@ pub struct TraceRecord {
 impl TraceRecord {
     /// The record as one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        format!(
-            "{{\"seq\":{},\"trace\":{},\"thread\":{},\"name\":\"{}\",\"start_us\":{},\"dur_us\":{}}}",
-            self.seq, self.trace, self.thread, self.name, self.start_us, self.dur_us
-        )
+        obj(vec![
+            ("seq", Json::from(self.seq)),
+            ("trace", Json::from(self.trace)),
+            ("thread", Json::from(self.thread)),
+            ("name", Json::from(self.name)),
+            ("start_us", Json::from(self.start_us)),
+            ("dur_us", Json::from(self.dur_us)),
+        ])
+        .render()
     }
 }
 
@@ -426,10 +433,10 @@ mod tests {
         assert_ne!(worker.thread, local.thread);
 
         // JSON line shape.
-        let line = worker.to_json_line();
-        assert!(line.contains("\"name\":\"worker_leg\""));
-        assert!(line.contains(&format!("\"trace\":{t1}")));
-        assert!(line.contains("\"dur_us\":7"));
+        let line = Json::parse(&worker.to_json_line()).unwrap();
+        assert_eq!(line.get("name").and_then(Json::as_str), Some("worker_leg"));
+        assert_eq!(line.get("trace").and_then(Json::as_f64), Some(t1 as f64));
+        assert_eq!(line.get("dur_us").and_then(Json::as_f64), Some(7.0));
 
         // Flush appends only new records.
         let dir = std::env::temp_dir().join(format!("nvc-obs-test-{}", std::process::id()));

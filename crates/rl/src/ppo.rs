@@ -15,7 +15,8 @@ use serde::{Deserialize, Serialize};
 
 use nvc_embed::{CodeEmbedder, EmbedConfig, PathSample};
 use nvc_nn::{Adam, Graph, NodeId, ParamStore, Tensor, TensorArena};
-use nvc_obs::{EmbedRows, OpStat};
+use nvc_obs::json::{obj, Json};
+use nvc_obs::OpProfile;
 
 use crate::policy::{PolicyConfig, PolicyNet, PolicyOut};
 use crate::spaces::{ActionDims, ActionSpaceKind};
@@ -217,8 +218,7 @@ impl PpoTrainer {
 
     /// One collect + update cycle.
     pub fn train_iteration(&mut self, env: &mut impl BanditEnv, rng: &mut impl Rng) -> IterStats {
-        let ops_before = (self.journal.is_some() && nvc_obs::ops_enabled())
-            .then(|| (nvc_obs::ops_snapshot(), nvc_obs::embed_rows_snapshot()));
+        let ops_before = (self.journal.is_some() && nvc_obs::ops_enabled()).then(OpProfile::now);
         let t_collect = std::time::Instant::now();
         let mut batch = self.collect(env, rng);
         let collect_us = t_collect.elapsed().as_micros() as u64;
@@ -307,58 +307,27 @@ impl PpoTrainer {
     /// values add up to at most `collect_us + update_us`. The aggregates
     /// are process-wide: anything else computing in this process while
     /// the iteration ran is counted in.
-    fn journal_iter(&self, stats: &IterStats, ops_before: Option<(Vec<OpStat>, EmbedRows)>) {
-        use std::fmt::Write as _;
+    fn journal_iter(&self, stats: &IterStats, ops_before: Option<OpProfile>) {
         let Some(journal) = &self.journal else {
             return;
         };
-        let mut line = format!(
-            concat!(
-                "{{\"iter\":{},\"steps\":{},\"reward_mean\":{},\"loss\":{},",
-                "\"policy_loss\":{},\"value_loss\":{},\"entropy\":{},",
-                "\"collect_us\":{},\"update_us\":{}"
-            ),
-            self.iters,
-            stats.steps,
-            stats.reward_mean,
-            stats.loss,
-            stats.policy_loss,
-            stats.value_loss,
-            stats.entropy,
-            stats.collect_us,
-            stats.update_us,
-        );
-        if let Some((ops, rows)) = ops_before {
-            let ran: Vec<String> = nvc_obs::ops_snapshot()
-                .iter()
-                .zip(&ops)
-                .filter(|(now, before)| now.calls > before.calls)
-                .map(|(now, before)| {
-                    format!(
-                        "\"{}\":{{\"calls\":{},\"total_us\":{}}}",
-                        now.op.name(),
-                        now.calls - before.calls,
-                        (now.total_ns - before.total_ns) as f64 / 1_000.0
-                    )
-                })
-                .collect();
-            let now = nvc_obs::embed_rows_snapshot();
-            let moved = EmbedRows {
-                context_rows: now.context_rows - rows.context_rows,
-                projected_rows: now.projected_rows - rows.projected_rows,
-            };
-            let counters = moved
-                .named()
-                .map(|(name, rows)| format!("\"{name}\":{rows}"));
-            let _ = write!(
-                line,
-                ",\"ops\":{{{}}},\"op_counters\":{{{}}}",
-                ran.join(","),
-                counters.join(",")
-            );
+        let mut line = vec![
+            ("iter", Json::from(self.iters)),
+            ("steps", Json::from(stats.steps)),
+            ("reward_mean", Json::from(stats.reward_mean)),
+            ("loss", Json::from(stats.loss)),
+            ("policy_loss", Json::from(stats.policy_loss)),
+            ("value_loss", Json::from(stats.value_loss)),
+            ("entropy", Json::from(stats.entropy)),
+            ("collect_us", Json::from(stats.collect_us)),
+            ("update_us", Json::from(stats.update_us)),
+        ];
+        if let Some(before) = ops_before {
+            let moved = OpProfile::now().since(&before);
+            line.push(("ops", moved.ops_json()));
+            line.push(("op_counters", moved.counters_json(&[])));
         }
-        line.push('}');
-        journal.write_line(&line);
+        journal.write_line(&obj(line).render());
     }
 
     /// Greedy (deterministic) action for a loop sample —
@@ -1007,23 +976,27 @@ mod tests {
     /// The training-telemetry journal writes exactly one JSON line per
     /// iteration, carrying the same numbers `train_iteration` returned
     /// (so offline curve-plotting needs no second source of truth).
-    #[test]
-    fn journal_records_one_line_per_iteration() {
-        use nvc_embed::EmbedConfig;
-        use std::sync::{Arc, Mutex};
+    /// A journal sink the test can read back.
+    #[derive(Clone, Default)]
+    struct Shared(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
 
-        #[derive(Clone)]
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl std::io::Write for Shared {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
+    impl std::io::Write for Shared {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
         }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
 
+    impl Shared {
+        fn text(&self) -> String {
+            String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
+        }
+    }
+
+    fn journaled_trainer() -> (PpoTrainer, Shared) {
         let cfg = PpoConfig {
             train_batch: 8,
             minibatch: 4,
@@ -1031,35 +1004,62 @@ mod tests {
             hidden: vec![8],
             ..PpoConfig::default()
         };
-        let mut trainer = PpoTrainer::new(&cfg, &EmbedConfig::fast(), 11);
-        let sink = Shared(Arc::new(Mutex::new(Vec::new())));
+        let mut trainer = PpoTrainer::new(&cfg, &nvc_embed::EmbedConfig::fast(), 11);
+        let sink = Shared::default();
         trainer.set_journal(Some(nvc_obs::Journal::from_writer(Box::new(sink.clone()))));
+        (trainer, sink)
+    }
 
+    #[test]
+    fn journal_records_one_line_per_iteration() {
+        let (mut trainer, sink) = journaled_trainer();
         let mut env = ParityEnv::new(3);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let stats = trainer.train(&mut env, 2, &mut rng);
 
-        let text = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+        let text = sink.text();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2, "one journal line per iteration: {text:?}");
         for (i, (line, s)) in lines.iter().zip(&stats).enumerate() {
-            assert!(
-                line.contains(&format!("\"iter\":{}", i + 1)),
+            let v = Json::parse(line).unwrap();
+            let field = |name: &str| v.get(name).and_then(Json::as_f64);
+            assert_eq!(
+                field("iter"),
+                Some((i + 1) as f64),
                 "bad iter field: {line}"
             );
-            assert!(line.contains(&format!("\"steps\":{}", s.steps)));
-            assert!(line.contains(&format!("\"reward_mean\":{}", s.reward_mean)));
-            assert!(line.contains(&format!("\"collect_us\":{}", s.collect_us)));
-            assert!(line.contains(&format!("\"update_us\":{}", s.update_us)));
+            assert_eq!(field("steps"), Some(s.steps as f64));
+            assert_eq!(field("reward_mean"), Some(s.reward_mean));
+            assert_eq!(field("collect_us"), Some(s.collect_us as f64));
+            assert_eq!(field("update_us"), Some(s.update_us as f64));
         }
         // Detaching stops the stream.
         trainer.set_journal(None);
         trainer.train(&mut env, 1, &mut rng);
-        assert_eq!(
-            sink.0.lock().unwrap().len(),
-            text.len(),
-            "journal kept writing after detach"
-        );
+        assert_eq!(sink.text(), text, "journal kept writing after detach");
+    }
+
+    /// A diverged iteration still journals a line every JSON reader takes:
+    /// the non-finite fields are `null`, not `NaN` / `inf`.
+    #[test]
+    fn non_finite_stats_journal_as_null() {
+        let (trainer, sink) = journaled_trainer();
+        let stats = IterStats {
+            steps: 8,
+            reward_mean: 0.5,
+            loss: f64::NAN,
+            policy_loss: 0.0,
+            value_loss: 0.0,
+            entropy: f64::INFINITY,
+            collect_us: 1,
+            update_us: 2,
+        };
+        trainer.journal_iter(&stats, None);
+        let text = sink.text();
+        let v = Json::parse(text.trim_end()).unwrap_or_else(|e| panic!("{e}: {text}"));
+        assert_eq!(v.get("loss"), Some(&Json::Null));
+        assert_eq!(v.get("entropy"), Some(&Json::Null));
+        assert_eq!(v.get("reward_mean").and_then(Json::as_f64), Some(0.5));
     }
 
     /// A bandit whose reward is the same constant for every (context,

@@ -19,28 +19,18 @@
 //!   during the previous forward);
 //! * [`metrics`] — requests served, cache hit rate, p50/p99 latency
 //!   histograms, per-shard occupancy — exported as JSON;
-//! * [`protocol`] + [`service`] — a JSON-lines request/response protocol
-//!   (stdin/stdout daemon mode via [`run_daemon`]) plus the in-process
-//!   [`ServeHandle`] API. A request's life is non-blocking:
-//!   [`ServeHandle::begin_vectorize`] answers a cache hit on the caller's
-//!   thread and lets a batch worker complete a miss; `vectorize`,
-//!   `decide_sample` and `handle_line` are blocking wrappers over it;
-//! * [`json`] — the minimal JSON reader/writer the protocol uses (the
-//!   offline dependency set has no `serde_json`).
+//! * [`service`] — the in-process [`ServeHandle`] API. A request's life
+//!   is non-blocking: [`ServeHandle::begin_vectorize`] answers a cache hit
+//!   on the caller's thread and lets a batch worker complete a miss;
+//!   `vectorize` and `decide_sample` are blocking wrappers over it.
 //!
 //! # Protocol
 //!
-//! One JSON object per line on stdin, one per line on stdout:
-//!
-//! ```text
-//! → {"op":"vectorize","id":"r1","source":"void f(int n){for(int i=0;i<n;i++){...}}"}
-//! ← {"id":"r1","ok":true,"source":"...#pragma clang loop...","loops":[
-//!      {"function":"f","line":1,"vf":8,"if":2,"cached":false}],"latency_us":412}
-//! → {"op":"stats"}
-//! ← {"ok":true,"stats":{"requests":1,...,"cache":{"hits":0,...}}}
-//! → {"op":"shutdown"}
-//! ← {"ok":true,"shutdown":true}
-//! ```
+//! This crate speaks no wire protocol of its own. The JSON-lines protocol
+//! is the hub's (`nvc_hub`, see its crate docs): `nvc hub` serves it over
+//! TCP, and `nvc serve` over stdin/stdout for one model registered as
+//! `default`. Its [`Json`] is `nvc_obs`'s, re-exported here for the
+//! benchmark harness.
 //!
 //! # In-process usage
 //!
@@ -73,9 +63,7 @@
 
 pub mod batch;
 pub mod cache;
-pub mod json;
 pub mod metrics;
-pub mod protocol;
 pub mod service;
 
 use serde::{Deserialize, Serialize};
@@ -84,10 +72,11 @@ use nvc_embed::{EmbedConfig, PathSample};
 use nvc_machine::TargetConfig;
 
 pub use cache::{CacheStats, ContentStore, ShardedLruCache};
-pub use json::Json;
 pub use metrics::{LatencyHistogram, Metrics, MetricsSnapshot};
-pub use protocol::{LoopReport, Request};
-pub use service::{run_daemon, ServeError, ServeHandle, VectorizeOutput};
+/// Kept only because `bench/` compiles against `nvc_serve::Json` and
+/// `nvc_serve::json::obj`; the crates use `nvc_obs::json`.
+pub use nvc_obs::json::{self, Json};
+pub use service::{LoopReport, ServeError, ServeHandle, VectorizeOutput};
 
 /// The model half of the service: batched greedy `(vf_idx, if_idx)`
 /// decisions over path-context samples. `neurovectorizer::NeuroVectorizer`

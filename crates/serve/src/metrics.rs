@@ -139,10 +139,6 @@ impl Metrics {
             } else {
                 batched_loops as f64 / batches as f64
             },
-            latency_count: self.latency.count(),
-            latency_mean_us: self.latency.mean_us(),
-            latency_p50_us: self.latency.quantile_us(0.50),
-            latency_p99_us: self.latency.quantile_us(0.99),
         }
     }
 }
@@ -176,14 +172,6 @@ pub struct MetricsSnapshot {
     pub warmup_replayed: u64,
     /// Average loops per forward pass.
     pub mean_batch: f64,
-    /// Latency observations.
-    pub latency_count: u64,
-    /// Mean request latency (µs).
-    pub latency_mean_us: f64,
-    /// Interpolated median request latency (µs).
-    pub latency_p50_us: u64,
-    /// Interpolated 99th-percentile request latency (µs).
-    pub latency_p99_us: u64,
 }
 
 #[cfg(test)]
@@ -232,13 +220,9 @@ mod tests {
         for _ in 0..2 {
             m.latency.record(10_000);
         }
-        let s = m.snapshot();
-        assert!(
-            (95..=98).contains(&s.latency_p50_us),
-            "{}",
-            s.latency_p50_us
-        );
-        assert!(s.latency_p99_us >= 8_192);
+        let s = m.latency.snapshot();
+        assert!((95..=98).contains(&s.p50_us), "{}", s.p50_us);
+        assert!(s.p99_us >= 8_192);
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! The service itself: [`ServeHandle`] (in-process API) and
-//! [`run_daemon`] (JSON-lines loop over arbitrary reader/writer pairs —
-//! stdin/stdout in production, byte buffers in tests).
+//! The service itself: [`ServeHandle`], the in-process API one model is
+//! served through. Its wire protocol is the hub's (`nvc_hub`), which
+//! routes each line to a handle.
 
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
 use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -13,13 +12,12 @@ use parking_lot::Mutex;
 
 use nvc_embed::{extract_loop_samples, LoopSite, PathSample};
 use nvc_frontend::{inject_pragmas, LoopPragma};
+use nvc_obs::json::{obj, Json};
 use nvc_vectorizer::ActionSpace;
 
 use crate::batch::{Batcher, Completion};
 use crate::cache::{CacheStats, ContentStore};
-use crate::json::{obj, Json};
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::protocol::{LoopReport, Request};
 use crate::{sample_key, DecisionModel, ServeConfig, SharedDecisionStore};
 
 /// How long a blocking caller waits for the batch workers before giving
@@ -78,6 +76,40 @@ pub struct VectorizeOutput {
     pub loops: Vec<LoopReport>,
     /// End-to-end service latency for this request.
     pub latency_us: u64,
+}
+
+/// Per-loop decision detail included in a vectorize response.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LoopReport {
+    /// Enclosing function name.
+    pub function: String,
+    /// 1-based header line the pragma was inserted above.
+    pub line: u32,
+    /// Chosen vectorization factor.
+    pub vf: u32,
+    /// Chosen interleave factor.
+    pub if_: u32,
+    /// True when the decision came from the cache.
+    pub cached: bool,
+    /// The loop's sample hash — the correlation key a client echoes back
+    /// in a `report` request to attribute a measured reward to this
+    /// decision. Rendered as 16 lowercase hex digits (JSON numbers lose
+    /// u64 precision).
+    pub key: u64,
+}
+
+impl LoopReport {
+    /// The JSON object for the `loops` array.
+    pub fn to_json(&self) -> Json {
+        obj(vec![
+            ("function", Json::from(self.function.as_str())),
+            ("line", Json::from(u64::from(self.line))),
+            ("vf", Json::from(self.vf)),
+            ("if", Json::from(self.if_)),
+            ("cached", Json::from(self.cached)),
+            ("key", Json::from(format!("{:016x}", self.key))),
+        ])
+    }
 }
 
 /// One distinct key's decision within a request: the key, the action
@@ -586,6 +618,11 @@ impl ServeHandle {
     pub fn stats_json(&self) -> Json {
         let m = self.metrics();
         let c = self.cache_stats();
+        let (latency, batch_sizes) = (
+            self.inner.metrics.latency.snapshot(),
+            self.inner.metrics.batch_sizes.snapshot(),
+        );
+        let ops = nvc_obs::OpProfile::now();
         obj(vec![
             ("uptime_us", Json::from(m.uptime_us)),
             (
@@ -627,24 +664,27 @@ impl ServeHandle {
                     ("dedup_waits", Json::from(m.dedup_waits)),
                     ("queue_depth", Json::from(m.queue_depth)),
                     ("mean_batch", Json::from(m.mean_batch)),
-                    (
-                        "size_histogram",
-                        buckets_json(&self.inner.metrics.batch_sizes),
-                    ),
+                    ("size_histogram", batch_sizes.buckets_json()),
                 ]),
             ),
             (
                 "latency",
                 obj(vec![
-                    ("count", Json::from(m.latency_count)),
-                    ("mean_us", Json::from(m.latency_mean_us)),
-                    ("p50_us", Json::from(m.latency_p50_us)),
-                    ("p99_us", Json::from(m.latency_p99_us)),
-                    ("histogram_us", buckets_json(&self.inner.metrics.latency)),
+                    ("count", Json::from(latency.count)),
+                    ("mean_us", Json::from(latency.mean_us)),
+                    ("p50_us", Json::from(latency.p50_us)),
+                    ("p99_us", Json::from(latency.p99_us)),
+                    ("histogram_us", latency.buckets_json()),
                 ]),
             ),
-            ("ops", ops_json()),
-            ("op_counters", op_counters_json()),
+            ("ops", ops.ops_json()),
+            // Rows looked up and multiplied (zero while `NVC_OPS` is off),
+            // and the bytes the fast forward's projected-row memo keeps —
+            // process-wide and always on.
+            (
+                "op_counters",
+                ops.counters_json(&[("embed_memo_bytes", nvc_obs::embed_memo_bytes())]),
+            ),
         ])
     }
 
@@ -665,75 +705,6 @@ impl ServeHandle {
     pub fn metrics_snapshot(&self) -> nvc_obs::RegistrySnapshot {
         self.sample_queue_depth();
         self.inner.metrics.registry().snapshot()
-    }
-
-    /// Handles one protocol line; returns the response line and whether
-    /// the daemon should keep running.
-    pub fn handle_line(&self, line: &str) -> (String, bool) {
-        let with_id = |id: Option<&str>, mut members: Vec<(&str, Json)>| {
-            if let Some(id) = id {
-                members.insert(0, ("id", Json::from(id)));
-            }
-            obj(members).render()
-        };
-        // Parse the line once; an invalid request may still carry a
-        // correlation id the client needs to pair the error with.
-        let parsed = Json::parse(line)
-            .map_err(|e| (None, format!("invalid JSON: {e}")))
-            .and_then(|v| {
-                let id = v.get("id").and_then(Json::as_str).map(str::to_string);
-                Request::from_json(&v).map_err(|e| (id, e))
-            });
-        match parsed {
-            Err((id, e)) => (
-                with_id(
-                    id.as_deref(),
-                    vec![("ok", Json::from(false)), ("error", Json::from(e))],
-                ),
-                true,
-            ),
-            Ok(Request::Stats { id }) => (
-                with_id(
-                    id.as_deref(),
-                    vec![("ok", Json::from(true)), ("stats", self.stats_json())],
-                ),
-                true,
-            ),
-            Ok(Request::Shutdown { id }) => (
-                with_id(
-                    id.as_deref(),
-                    vec![("ok", Json::from(true)), ("shutdown", Json::from(true))],
-                ),
-                false,
-            ),
-            Ok(Request::Vectorize { id, source }) => match self.vectorize(&source) {
-                Ok(out) => (
-                    with_id(
-                        id.as_deref(),
-                        vec![
-                            ("ok", Json::from(true)),
-                            ("source", Json::from(out.source)),
-                            (
-                                "loops",
-                                Json::Arr(out.loops.iter().map(LoopReport::to_json).collect()),
-                            ),
-                            ("latency_us", Json::from(out.latency_us)),
-                        ],
-                    ),
-                    true,
-                ),
-                Err(e) => (
-                    with_id(
-                        id.as_deref(),
-                        vec![
-                            ("ok", Json::from(false)),
-                            ("error", Json::from(e.to_string())),
-                        ],
-                    ),
-                    true,
-                ),
-            },
-        }
     }
 
     /// Stops the worker pool, letting in-flight batches complete (the
@@ -852,8 +823,8 @@ impl Drop for ServeHandle {
 /// work counters (`nvc_embed_context_rows_total` /
 /// `nvc_embed_projected_rows_total`, once either has moved), then the
 /// `nvc_embed_memo_bytes` gauge. Timers and counters mirror
-/// [`ops_json`]'s filter (only ops that ran; none while `NVC_OPS` is
-/// off); the gauge is always there. `labels` is spliced in front of the
+/// [`nvc_obs::OpProfile::ops_json`]'s filter (only ops that ran; none
+/// while `NVC_OPS` is off); the gauge is always there. `labels` is spliced in front of the
 /// per-sample label set the same way the metrics registry does. All of
 /// it is **process-wide** — every handle in the process would render the
 /// same numbers — so a server of several handles emits it once.
@@ -900,85 +871,6 @@ pub fn render_ops_prometheus(labels: &str) -> String {
         nvc_obs::embed_memo_bytes()
     );
     out
-}
-
-/// A histogram's non-empty buckets as `[[le, count], …]`.
-fn buckets_json(h: &nvc_obs::LatencyHistogram) -> Json {
-    Json::Arr(
-        h.nonzero_buckets()
-            .into_iter()
-            .map(|(le, n)| Json::Arr(vec![Json::from(le), Json::from(n)]))
-            .collect(),
-    )
-}
-
-/// The kernel op-timer aggregates as one JSON object: op name →
-/// `{calls, total_us}`, only ops that ran (empty when `NVC_OPS` is off —
-/// the section is always present so consumers need no feature probe).
-fn ops_json() -> Json {
-    obj(nvc_obs::ops_snapshot()
-        .into_iter()
-        .filter(|s| s.calls > 0)
-        .map(|s| {
-            (
-                s.op.name(),
-                obj(vec![
-                    ("calls", Json::from(s.calls)),
-                    ("total_us", Json::from(s.total_ns as f64 / 1_000.0)),
-                ]),
-            )
-        })
-        .collect())
-}
-
-/// The encoder's instruments beside the op timers: table rows looked up
-/// and table rows multiplied (both zero while `NVC_OPS` is off) — for
-/// fast-mode inference the second counts fills of the projected-row
-/// memo, so multiplied over looked-up is its miss ratio — and the bytes
-/// that memo keeps, process-wide and always on.
-fn op_counters_json() -> Json {
-    let mut members: Vec<_> = nvc_obs::embed_rows_snapshot()
-        .named()
-        .into_iter()
-        .map(|(name, value)| (name, Json::from(value)))
-        .collect();
-    members.push(("embed_memo_bytes", Json::from(nvc_obs::embed_memo_bytes())));
-    obj(members)
-}
-
-/// The daemon loop: one JSON request per input line, one JSON response
-/// per output line, until EOF or a `shutdown` request.
-///
-/// Both exits drain gracefully: [`ServeHandle::shutdown`] lets in-flight
-/// batches complete, then one final line
-/// `{"final_stats": …}` (the full [`MetricsSnapshot`]/cache surface) is
-/// emitted so operators keep the session's counters even when the client
-/// just closed stdin (`Ctrl-D`).
-pub fn run_daemon<R: BufRead, W: Write>(
-    handle: &ServeHandle,
-    input: R,
-    output: &mut W,
-) -> std::io::Result<()> {
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (response, keep_going) = handle.handle_line(&line);
-        writeln!(output, "{response}")?;
-        output.flush()?;
-        if !keep_going {
-            break;
-        }
-    }
-    handle.shutdown();
-    writeln!(
-        output,
-        "{}",
-        obj(vec![("final_stats", handle.stats_json())]).render()
-    )?;
-    output.flush()?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1060,90 +952,28 @@ void f(int n) {
     }
 
     #[test]
+    fn loop_report_renders_expected_fields() {
+        let j = LoopReport {
+            function: "f".into(),
+            line: 3,
+            vf: 8,
+            if_: 2,
+            cached: true,
+            key: 0xDEAD_BEEF,
+        }
+        .to_json();
+        assert_eq!(
+            j.render(),
+            r#"{"function":"f","line":3,"vf":8,"if":2,"cached":true,"key":"00000000deadbeef"}"#
+        );
+    }
+
+    #[test]
     fn parse_errors_are_reported_not_panicked() {
         let h = start(ServeConfig::default());
         let err = h.vectorize("void f( {{{").unwrap_err();
         assert!(matches!(err, ServeError::Frontend(_)));
         assert_eq!(h.metrics().errors, 1);
-    }
-
-    #[test]
-    fn daemon_speaks_json_lines() {
-        let h = start(ServeConfig::default());
-        let src_json = Json::from(SRC).render();
-        let input = format!(
-            "{{\"op\":\"vectorize\",\"id\":\"r1\",\"source\":{src_json}}}\n\
-             {{\"op\":\"stats\"}}\n\
-             not json\n\
-             {{\"op\":\"shutdown\",\"id\":\"bye\"}}\n\
-             {{\"op\":\"stats\"}}\n"
-        );
-        let mut out = Vec::new();
-        run_daemon(&h, input.as_bytes(), &mut out).unwrap();
-        let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().trim().lines().collect();
-        assert_eq!(
-            lines.len(),
-            5,
-            "daemon must stop at shutdown, then emit one final_stats line"
-        );
-
-        let r1 = Json::parse(lines[0]).unwrap();
-        assert_eq!(r1.get("id").unwrap().as_str(), Some("r1"));
-        assert_eq!(r1.get("ok").unwrap().as_bool(), Some(true));
-        assert!(r1
-            .get("source")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .contains("#pragma clang loop"));
-        assert_eq!(r1.get("loops").unwrap().as_array().unwrap().len(), 2);
-
-        let stats = Json::parse(lines[1]).unwrap();
-        assert_eq!(
-            stats
-                .get("stats")
-                .unwrap()
-                .get("requests")
-                .unwrap()
-                .as_f64(),
-            Some(1.0)
-        );
-
-        let bad = Json::parse(lines[2]).unwrap();
-        assert_eq!(bad.get("ok").unwrap().as_bool(), Some(false));
-
-        let bye = Json::parse(lines[3]).unwrap();
-        assert_eq!(bye.get("shutdown").unwrap().as_bool(), Some(true));
-        assert_eq!(bye.get("id").unwrap().as_str(), Some("bye"));
-
-        // Graceful drain: the last line is the session's final counters.
-        let fin = Json::parse(lines[4]).unwrap();
-        let stats = fin.get("final_stats").expect("final_stats line");
-        assert_eq!(stats.get("requests").unwrap().as_f64(), Some(1.0));
-        assert!(stats.get("uptime_us").unwrap().as_f64().unwrap() > 0.0);
-        assert!(
-            h.inner.batcher.is_shut_down(),
-            "daemon exit must drain the worker pool"
-        );
-    }
-
-    #[test]
-    fn daemon_drains_and_reports_on_eof() {
-        // No shutdown request: the client just closes stdin (Ctrl-D).
-        let h = start(ServeConfig::default());
-        let src_json = Json::from(SRC).render();
-        let input = format!("{{\"op\":\"vectorize\",\"source\":{src_json}}}\n");
-        let mut out = Vec::new();
-        run_daemon(&h, input.as_bytes(), &mut out).unwrap();
-        let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().trim().lines().collect();
-        assert_eq!(lines.len(), 2, "response + final_stats");
-        let fin = Json::parse(lines[1]).unwrap();
-        let stats = fin.get("final_stats").expect("EOF must emit final stats");
-        assert_eq!(stats.get("loops_served").unwrap().as_f64(), Some(2.0));
-        assert!(
-            h.inner.batcher.is_shut_down(),
-            "EOF must shut the worker pool down, not just drop it"
-        );
     }
 
     #[test]
@@ -1260,29 +1090,6 @@ void f(int n) {
 
         h2.record_invalidated_entries(9);
         assert_eq!(h2.metrics().entries_invalidated_by_version, 9);
-    }
-
-    #[test]
-    fn error_responses_echo_the_request_id() {
-        let h = start(ServeConfig::default());
-        for bad in [
-            r#"{"op":"vectorize","id":"r7"}"#,
-            r#"{"op":"explode","id":"r7"}"#,
-            r#"{"op":"vectorize","id":"r7","source":"void f( {{{"}"#,
-        ] {
-            let (resp, keep) = h.handle_line(bad);
-            assert!(keep);
-            let v = Json::parse(&resp).unwrap();
-            assert_eq!(v.get("ok").unwrap().as_bool(), Some(false));
-            assert_eq!(
-                v.get("id").unwrap().as_str(),
-                Some("r7"),
-                "error response dropped the id: {resp}"
-            );
-        }
-        // Unparsable lines genuinely have no id to echo.
-        let (resp, _) = h.handle_line("not json");
-        assert!(Json::parse(&resp).unwrap().get("id").is_none());
     }
 
     #[test]

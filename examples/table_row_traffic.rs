@@ -31,8 +31,8 @@ fn fixture_strings(name: &str) -> Vec<String> {
     std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("{path}: {e}"))
         .lines()
-        .map(|l| match nvc_serve::Json::parse(l) {
-            Ok(nvc_serve::Json::Str(s)) => s,
+        .map(|l| match nvc_obs::Json::parse(l) {
+            Ok(nvc_obs::Json::Str(s)) => s,
             _ => panic!("{name}: every line is one JSON string"),
         })
         .collect()

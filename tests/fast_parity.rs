@@ -809,8 +809,8 @@ fn bench_catalog() -> Vec<String> {
     let strings = |name: &str| -> Vec<String> {
         bench_fixture(name)
             .lines()
-            .map(|l| match nvc_serve::Json::parse(l) {
-                Ok(nvc_serve::Json::Str(s)) => s,
+            .map(|l| match nvc_obs::Json::parse(l) {
+                Ok(nvc_obs::Json::Str(s)) => s,
                 _ => panic!("{name}: every line is one JSON string"),
             })
             .collect()

@@ -12,7 +12,7 @@ use neurovectorizer::{
 };
 use nvc_datasets::generator;
 use nvc_hub::server::{serve_tcp, HubHandle};
-use nvc_serve::Json;
+use nvc_obs::Json;
 
 fn trained_nv(seed: u64) -> NeuroVectorizer {
     let cfg = NvConfig::fast().with_seed(seed);
@@ -57,7 +57,7 @@ fn start_hub(cfg: HubConfig, specs: Vec<ModelSpec>) -> HubHandle {
 fn request_on(reader: &mut BufReader<TcpStream>, extra: Vec<(&str, Json)>, source: &str) -> Json {
     let mut members = vec![("source", Json::from(source))];
     members.extend(extra);
-    let line = nvc_serve::json::obj(members).render();
+    let line = nvc_obs::json::obj(members).render();
     let stream = reader.get_mut();
     stream.write_all(line.as_bytes()).unwrap();
     stream.write_all(b"\n").unwrap();
@@ -333,7 +333,7 @@ fn pipelined_misses_form_one_batch_with_one_request_worker() {
                 ("id", Json::from(format!("r{k}"))),
                 ("source", Json::from(src.as_str())),
             ];
-            nvc_serve::json::obj(members).render() + "\n"
+            nvc_obs::json::obj(members).render() + "\n"
         })
         .collect();
     conn.get_mut().write_all(burst.as_bytes()).unwrap(); // one write
@@ -435,7 +435,7 @@ fn reload_hot_swaps_without_dropping_inflight_requests() {
         scope.spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(30));
             let mut conn = connect(addr);
-            let line = nvc_serve::json::obj(vec![
+            let line = nvc_obs::json::obj(vec![
                 ("op", Json::from("reload")),
                 ("model", Json::from("prod")),
                 ("checkpoint", Json::from(path_b.as_str())),

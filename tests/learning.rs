@@ -18,7 +18,7 @@ use neurovectorizer::{
 };
 use nvc_datasets::generator;
 use nvc_hub::server::{serve_tcp, HubHandle};
-use nvc_serve::Json;
+use nvc_obs::Json;
 
 /// Directory the CI workflow uploads as the `learning-artifacts`
 /// bundle.
@@ -98,7 +98,7 @@ fn start_learning_hub(tag: &str, seed: u64) -> (NvConfig, HubHandle, String) {
 }
 
 fn request(reader: &mut BufReader<TcpStream>, members: Vec<(&str, Json)>) -> Json {
-    let line = nvc_serve::json::obj(members).render();
+    let line = nvc_obs::json::obj(members).render();
     let stream = reader.get_mut();
     stream.write_all(line.as_bytes()).unwrap();
     stream.write_all(b"\n").unwrap();

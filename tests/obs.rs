@@ -9,7 +9,7 @@
 //! profile test beside it only reads the op aggregates.
 
 use neurovectorizer::{NeuroVectorizer, NvConfig, ServeConfig};
-use nvc_obs::{enable_tracing, export_records, next_trace_id, trace_scope, TraceRecord};
+use nvc_obs::{enable_tracing, export_records, next_trace_id, trace_scope, Json, TraceRecord};
 
 const SRC: &str = "float a[1024]; float b[1024];
 void f(int n) {
@@ -133,11 +133,16 @@ fn served_decisions_are_attributable_by_trace_id() {
     // The export format carries the attribution: one JSON line per span,
     // with the trace id intact.
     let line = forward.to_json_line();
-    assert!(
-        line.contains(&format!("\"trace\":{miss_trace}")),
+    let exported = Json::parse(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
+    assert_eq!(
+        exported.get("trace").and_then(Json::as_f64),
+        Some(miss_trace as f64),
         "JSON export lost the trace id: {line}"
     );
-    assert!(line.contains("\"name\":\"batch_forward\""));
+    assert_eq!(
+        exported.get("name").and_then(Json::as_str),
+        Some("batch_forward")
+    );
 }
 
 /// The kernel profile of a served miss, read from the surfaces an operator

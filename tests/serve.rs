@@ -1,12 +1,14 @@
 //! Integration tests for the serving subsystem: cache semantics under
 //! concurrency, batched-vs-single decision parity through the full
-//! trained model, and the end-to-end JSON-lines protocol.
+//! trained model, and `nvc serve`'s end-to-end JSON-lines protocol (the
+//! hub's, over a byte stream).
 
 use std::sync::Arc;
 
-use neurovectorizer::{run_daemon, NeuroVectorizer, NvConfig, ServeConfig, VectorizeEnv};
+use neurovectorizer::{NeuroVectorizer, NvConfig, ServeConfig, VectorizeEnv};
 use nvc_datasets::generator;
-use nvc_serve::{sample_key, Json, ShardedLruCache};
+use nvc_obs::json::{obj, Json};
+use nvc_serve::{sample_key, ShardedLruCache};
 
 fn trained_nv(seed: u64) -> (NeuroVectorizer, VectorizeEnv) {
     let cfg = NvConfig::fast().with_seed(seed);
@@ -173,24 +175,22 @@ fn daemon_end_to_end_with_trained_model() {
     let (nv, _) = trained_nv(5);
     let src = "float a[256]; float b[256];\nvoid f(int n) { for (int i = 0; i < n; i++) { a[i] = b[i] * 3.0; } }";
     let direct = nv.vectorize_source(src).unwrap();
-    let handle = nv.serve();
+    let hub = nv.into_hub();
+    let vectorize = |id: &str| {
+        obj(vec![
+            ("op", Json::from("vectorize")),
+            ("id", Json::from(id)),
+            ("source", Json::from(src)),
+        ])
+        .render()
+    };
     let request = format!(
         "{}\n{}\n{{\"op\":\"stats\",\"id\":\"s\"}}\n{{\"op\":\"shutdown\"}}\n",
-        nvc_serve::json::obj(vec![
-            ("op", Json::from("vectorize")),
-            ("id", Json::from("warmup")),
-            ("source", Json::from(src)),
-        ])
-        .render(),
-        nvc_serve::json::obj(vec![
-            ("op", Json::from("vectorize")),
-            ("id", Json::from("repeat")),
-            ("source", Json::from(src)),
-        ])
-        .render(),
+        vectorize("warmup"),
+        vectorize("repeat"),
     );
     let mut out = Vec::new();
-    run_daemon(&handle, request.as_bytes(), &mut out).unwrap();
+    nvc_hub::serve_stdio(&hub, request.as_bytes(), &mut out).unwrap();
     let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().trim().lines().collect();
     assert_eq!(lines.len(), 5, "4 responses + the final drain stats line");
 
@@ -217,7 +217,8 @@ fn daemon_end_to_end_with_trained_model() {
 
     let stats = Json::parse(lines[2]).unwrap();
     assert_eq!(stats.get("id").unwrap().as_str(), Some("s"));
-    let cache = stats.get("stats").unwrap().get("cache").unwrap();
+    let model = stats.get("stats").unwrap().get("models").unwrap();
+    let cache = model.get("default").unwrap().get("cache").unwrap();
     assert_eq!(cache.get("hits").unwrap().as_f64(), Some(1.0));
     assert_eq!(cache.get("misses").unwrap().as_f64(), Some(1.0));
 
@@ -227,7 +228,8 @@ fn daemon_end_to_end_with_trained_model() {
     // Graceful drain: the daemon's last words are the session counters.
     let fin = Json::parse(lines[4]).unwrap();
     let final_stats = fin.get("final_stats").expect("final_stats after shutdown");
-    assert_eq!(final_stats.get("requests").unwrap().as_f64(), Some(2.0));
+    let model = final_stats.get("models").unwrap().get("default").unwrap();
+    assert_eq!(model.get("requests").unwrap().as_f64(), Some(2.0));
 }
 
 #[test]

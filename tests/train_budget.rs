@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex};
 
 use neurovectorizer::{NeuroVectorizer, NvConfig, VectorizeEnv};
 use nvc_datasets::generator;
-use nvc_serve::Json;
+use nvc_obs::Json;
 
 #[derive(Clone, Default)]
 struct Sink(Arc<Mutex<Vec<u8>>>);
