@@ -8,11 +8,16 @@
 //! One tree walk and one pair selection feed two sinks: the readable
 //! [`PathContext`] strings ([`extract_path_contexts`]) and the hashed
 //! [`PathSample`] the model and the serving cache consume
-//! ([`PathSample::from_stmt`]). The hashed sink feeds the same text piece
-//! by piece into FNV-1a — a byte-streaming hash — so it equals hashing the
+//! ([`PathSample::from_stmt`]). A path is a sequence of pieces — `label^`
+//! on the way up, the common ancestor's `label`, `vlabel` on the way down —
+//! over a fixed alphabet of node `Label`s. The string sink appends each
+//! piece's text; the hashed sink folds each piece into FNV-1a as one
+//! precomputed [`Step`] (one multiply, one table load, one add) that
+//! equals hashing its text byte by byte, so the sample equals hashing the
 //! rendered strings without ever building them.
 
 use nvc_frontend::ast::{Expr, ExprKind, Stmt, StmtKind};
+use nvc_nn::obs::fnv::Step;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -64,10 +69,107 @@ impl Terminal<'_> {
     }
 }
 
+/// Declares `Label`, its `ALL` table and its `name`s from one list.
+macro_rules! labels {
+    ($($label:ident)*) => {
+        /// A tree node's label: the alphabet paths are spelled in.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        enum Label {
+            $($label),*
+        }
+
+        impl Label {
+            /// Every label, in declaration order: `ALL[l as usize] == l`.
+            const ALL: &'static [Label] = &[$(Label::$label),*];
+
+            /// The label as paths render it.
+            const fn name(self) -> &'static str {
+                match self {
+                    $(Label::$label => stringify!($label)),*
+                }
+            }
+        }
+    };
+}
+
+labels! {
+    Root Block Decl ExprStmt For ForCond ForStep While WhileCond If IfCond Return Break
+    Continue Empty Index Call Unary Binary Ternary Cast Assign CompoundAssign IncDec IntLit
+    FloatLit Ident Callee UnOp BinOp Type
+}
+
+/// One piece of a rendered path.
+#[derive(Clone, Copy)]
+enum Piece {
+    /// `label^`: a node on the way up to the common ancestor.
+    Up(Label),
+    /// `label`: the common ancestor.
+    Top(Label),
+    /// `vlabel`: a node on the way down from it.
+    Down(Label),
+}
+
+/// The three pieces of one label as FNV-1a steps.
+#[derive(Clone, Copy)]
+struct LabelSteps {
+    up: Step,
+    top: Step,
+    down: Step,
+}
+
+impl LabelSteps {
+    const fn of(label: Label) -> Self {
+        let name = label.name().as_bytes();
+        LabelSteps {
+            up: Step::new(&[name, b"^"]),
+            top: Step::new(&[name]),
+            down: Step::new(&[b"v", name]),
+        }
+    }
+}
+
+/// Built at compile time, indexed by `label as usize`.
+static STEPS: [LabelSteps; Label::ALL.len()] = {
+    let mut steps = [LabelSteps::of(Label::Root); Label::ALL.len()];
+    let mut i = 1;
+    while i < steps.len() {
+        steps[i] = LabelSteps::of(Label::ALL[i]);
+        i += 1;
+    }
+    steps
+};
+
+impl Piece {
+    /// Appends the piece's text to `out`.
+    fn render(self, out: &mut String) {
+        match self {
+            Piece::Up(l) => {
+                out.push_str(l.name());
+                out.push('^');
+            }
+            Piece::Top(l) => out.push_str(l.name()),
+            Piece::Down(l) => {
+                out.push('v');
+                out.push_str(l.name());
+            }
+        }
+    }
+
+    /// The piece's text as one FNV-1a step.
+    #[inline]
+    fn step(self) -> &'static Step {
+        match self {
+            Piece::Up(l) => &STEPS[l as usize].up,
+            Piece::Top(l) => &STEPS[l as usize].top,
+            Piece::Down(l) => &STEPS[l as usize].down,
+        }
+    }
+}
+
 /// Internal flattened AST node.
 #[derive(Debug)]
 struct TreeNode {
-    label: &'static str,
+    label: Label,
     parent: Option<usize>,
     depth: usize,
 }
@@ -94,7 +196,7 @@ impl<'a> Tree<'a> {
         tree
     }
 
-    fn add(&mut self, label: &'static str, parent: Option<usize>) -> usize {
+    fn add(&mut self, label: Label, parent: Option<usize>) -> usize {
         let depth = parent.map_or(0, |p| self.nodes[p].depth + 1);
         self.nodes.push(TreeNode {
             label,
@@ -104,7 +206,7 @@ impl<'a> Tree<'a> {
         self.nodes.len() - 1
     }
 
-    fn leaf(&mut self, label: &'static str, token: &'a str, parent: usize) {
+    fn leaf(&mut self, label: Label, token: &'a str, parent: usize) {
         let id = self.add(label, Some(parent));
         self.leaves.push((id, Terminal::Text(token)));
     }
@@ -112,19 +214,19 @@ impl<'a> Tree<'a> {
     fn var(&mut self, name: &'a str, parent: usize) {
         let next = self.var_index.len();
         let k = *self.var_index.entry(name).or_insert(next);
-        let id = self.add("Ident", Some(parent));
+        let id = self.add(Label::Ident, Some(parent));
         self.leaves.push((id, Terminal::Var(k)));
     }
 
     /// Feeds the path between two leaf nodes to `emit`, piece by piece: up
-    /// to the lowest common ancestor (`label^` each), the ancestor, then
-    /// down (`vlabel` each). `down` is scratch space.
+    /// to the lowest common ancestor, the ancestor, then down. `down` is
+    /// scratch space.
     fn emit_path(
         &self,
         from: usize,
         to: usize,
-        down: &mut Vec<&'static str>,
-        emit: &mut impl FnMut(&str),
+        down: &mut Vec<Label>,
+        emit: &mut impl FnMut(Piece),
     ) {
         // Walk both up to equal depth, then in lockstep to the LCA.
         let mut ua = self.nodes[from].parent;
@@ -135,18 +237,16 @@ impl<'a> Tree<'a> {
                 break;
             }
             if self.nodes[a].depth >= self.nodes[b].depth {
-                emit(self.nodes[a].label);
-                emit("^");
+                emit(Piece::Up(self.nodes[a].label));
                 ua = self.nodes[a].parent;
             } else {
                 down.push(self.nodes[b].label);
                 ub = self.nodes[b].parent;
             }
         }
-        emit(ua.map_or("Root", |a| self.nodes[a].label));
-        for label in down.iter().rev() {
-            emit("v");
-            emit(label);
+        emit(Piece::Top(ua.map_or(Label::Root, |a| self.nodes[a].label)));
+        for &label in down.iter().rev() {
+            emit(Piece::Down(label));
         }
     }
 }
@@ -167,31 +267,31 @@ pub fn normalize_terminals(v: i64) -> &'static str {
 
 fn build_expr<'a>(b: &mut Tree<'a>, e: &'a Expr, parent: usize) {
     match &e.kind {
-        ExprKind::IntLit(v) => b.leaf("IntLit", normalize_terminals(*v), parent),
-        ExprKind::FloatLit(_) => b.leaf("FloatLit", "FLIT", parent),
+        ExprKind::IntLit(v) => b.leaf(Label::IntLit, normalize_terminals(*v), parent),
+        ExprKind::FloatLit(_) => b.leaf(Label::FloatLit, "FLIT", parent),
         ExprKind::Ident(name) => b.var(name, parent),
         ExprKind::Index { base, index } => {
-            let id = b.add("Index", Some(parent));
+            let id = b.add(Label::Index, Some(parent));
             build_expr(b, base, id);
             build_expr(b, index, id);
         }
         ExprKind::Call { callee, args } => {
-            let id = b.add("Call", Some(parent));
+            let id = b.add(Label::Call, Some(parent));
             // Callee names are semantic (sqrtf vs foo); keep them verbatim.
-            b.leaf("Callee", callee, id);
+            b.leaf(Label::Callee, callee, id);
             for a in args {
                 build_expr(b, a, id);
             }
         }
         ExprKind::Unary { op, operand } => {
-            let id = b.add("Unary", Some(parent));
-            b.leaf("UnOp", op.symbol(), id);
+            let id = b.add(Label::Unary, Some(parent));
+            b.leaf(Label::UnOp, op.symbol(), id);
             build_expr(b, operand, id);
         }
         ExprKind::Binary { op, lhs, rhs } => {
-            let id = b.add("Binary", Some(parent));
+            let id = b.add(Label::Binary, Some(parent));
             build_expr(b, lhs, id);
-            b.leaf("BinOp", op.symbol(), id);
+            b.leaf(Label::BinOp, op.symbol(), id);
             build_expr(b, rhs, id);
         }
         ExprKind::Ternary {
@@ -199,33 +299,33 @@ fn build_expr<'a>(b: &mut Tree<'a>, e: &'a Expr, parent: usize) {
             then_expr,
             else_expr,
         } => {
-            let id = b.add("Ternary", Some(parent));
+            let id = b.add(Label::Ternary, Some(parent));
             build_expr(b, cond, id);
             build_expr(b, then_expr, id);
             build_expr(b, else_expr, id);
         }
         ExprKind::Cast { ty, operand } => {
-            let id = b.add("Cast", Some(parent));
-            b.leaf("Type", ty.c_name(), id);
+            let id = b.add(Label::Cast, Some(parent));
+            b.leaf(Label::Type, ty.c_name(), id);
             build_expr(b, operand, id);
         }
         ExprKind::Assign { op, target, value } => {
             let label = if op.is_some() {
-                "CompoundAssign"
+                Label::CompoundAssign
             } else {
-                "Assign"
+                Label::Assign
             };
             let id = b.add(label, Some(parent));
             build_expr(b, target, id);
             if let Some(op) = op {
-                b.leaf("BinOp", op.symbol(), id);
+                b.leaf(Label::BinOp, op.symbol(), id);
             }
             build_expr(b, value, id);
         }
         ExprKind::IncDec { target, delta, .. } => {
-            let id = b.add("IncDec", Some(parent));
+            let id = b.add(Label::IncDec, Some(parent));
             build_expr(b, target, id);
-            b.leaf("BinOp", if *delta > 0 { "++" } else { "--" }, id);
+            b.leaf(Label::BinOp, if *delta > 0 { "++" } else { "--" }, id);
         }
     }
 }
@@ -233,15 +333,15 @@ fn build_expr<'a>(b: &mut Tree<'a>, e: &'a Expr, parent: usize) {
 fn build_stmt<'a>(b: &mut Tree<'a>, s: &'a Stmt, parent: Option<usize>) -> usize {
     match &s.kind {
         StmtKind::Block(stmts) => {
-            let id = b.add("Block", parent);
+            let id = b.add(Label::Block, parent);
             for st in stmts {
                 build_stmt(b, st, Some(id));
             }
             id
         }
         StmtKind::Decl { ty, declarators } => {
-            let id = b.add("Decl", parent);
-            b.leaf("Type", ty.c_name(), id);
+            let id = b.add(Label::Decl, parent);
+            b.leaf(Label::Type, ty.c_name(), id);
             for d in declarators {
                 b.var(&d.name, id);
                 if let Some(init) = &d.init {
@@ -251,7 +351,7 @@ fn build_stmt<'a>(b: &mut Tree<'a>, s: &'a Stmt, parent: Option<usize>) -> usize
             id
         }
         StmtKind::Expr(e) => {
-            let id = b.add("ExprStmt", parent);
+            let id = b.add(Label::ExprStmt, parent);
             build_expr(b, e, id);
             id
         }
@@ -262,24 +362,24 @@ fn build_stmt<'a>(b: &mut Tree<'a>, s: &'a Stmt, parent: Option<usize>) -> usize
             body,
             ..
         } => {
-            let id = b.add("For", parent);
+            let id = b.add(Label::For, parent);
             if let Some(i) = init {
                 build_stmt(b, i, Some(id));
             }
             if let Some(c) = cond {
-                let cid = b.add("ForCond", Some(id));
+                let cid = b.add(Label::ForCond, Some(id));
                 build_expr(b, c, cid);
             }
             if let Some(st) = step {
-                let sid = b.add("ForStep", Some(id));
+                let sid = b.add(Label::ForStep, Some(id));
                 build_expr(b, st, sid);
             }
             build_stmt(b, body, Some(id));
             id
         }
         StmtKind::While { cond, body, .. } => {
-            let id = b.add("While", parent);
-            let cid = b.add("WhileCond", Some(id));
+            let id = b.add(Label::While, parent);
+            let cid = b.add(Label::WhileCond, Some(id));
             build_expr(b, cond, cid);
             build_stmt(b, body, Some(id));
             id
@@ -289,8 +389,8 @@ fn build_stmt<'a>(b: &mut Tree<'a>, s: &'a Stmt, parent: Option<usize>) -> usize
             then_branch,
             else_branch,
         } => {
-            let id = b.add("If", parent);
-            let cid = b.add("IfCond", Some(id));
+            let id = b.add(Label::If, parent);
+            let cid = b.add(Label::IfCond, Some(id));
             build_expr(b, cond, cid);
             build_stmt(b, then_branch, Some(id));
             if let Some(e) = else_branch {
@@ -299,15 +399,15 @@ fn build_stmt<'a>(b: &mut Tree<'a>, s: &'a Stmt, parent: Option<usize>) -> usize
             id
         }
         StmtKind::Return(e) => {
-            let id = b.add("Return", parent);
+            let id = b.add(Label::Return, parent);
             if let Some(e) = e {
                 build_expr(b, e, id);
             }
             id
         }
-        StmtKind::Break => b.add("Break", parent),
-        StmtKind::Continue => b.add("Continue", parent),
-        StmtKind::Empty => b.add("Empty", parent),
+        StmtKind::Break => b.add(Label::Break, parent),
+        StmtKind::Continue => b.add(Label::Continue, parent),
+        StmtKind::Empty => b.add(Label::Empty, parent),
     }
 }
 
@@ -353,7 +453,7 @@ pub fn extract_path_contexts(stmt: &Stmt, max_paths: usize) -> Vec<PathContext> 
         .map(|(i, j)| {
             let ((from, start), (to, end)) = (tree.leaves[i], tree.leaves[j]);
             let mut path = String::new();
-            tree.emit_path(from, to, &mut down, &mut |piece| path.push_str(piece));
+            tree.emit_path(from, to, &mut down, &mut |piece| piece.render(&mut path));
             PathContext {
                 start: text(start),
                 path,
@@ -367,8 +467,8 @@ impl PathSample {
     /// Samples a loop statement: the one spelling of "statement → model
     /// observation" that training, inference and serving all go through.
     /// Same walk and selection as [`extract_path_contexts`], with every
-    /// piece of text hashed as it is produced instead of rendered, so it
-    /// equals `from_contexts(&extract_path_contexts(stmt, cfg.max_paths),
+    /// path piece folded into the hash as one step instead of rendered, so
+    /// it equals `from_contexts(&extract_path_contexts(stmt, cfg.max_paths),
     /// cfg)` index for index.
     pub fn from_stmt(stmt: &Stmt, cfg: &EmbedConfig) -> Self {
         let tree = Tree::of(stmt);
@@ -397,7 +497,7 @@ impl PathSample {
                 tree.leaves[i].0,
                 tree.leaves[j].0,
                 &mut down,
-                &mut |piece| h.write(piece.as_bytes()),
+                &mut |piece| h.step(piece.step()),
             );
             sample.starts.push(rows[i]);
             sample.paths.push(bucket(h, cfg.path_buckets));
@@ -549,5 +649,62 @@ mod tests {
             let ups = p.path.matches("For").count();
             ups >= 2
         }));
+    }
+
+    fn written(state: u64, bytes: &[u8]) -> Fnv1a {
+        let mut h = Fnv1a::from_state(state);
+        h.write(bytes);
+        h
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Every piece of every label, stepped from a random state, is
+        /// its rendered text written byte by byte.
+        #[test]
+        fn label_steps_equal_writing_the_piece(state in 0u64..=u64::MAX) {
+            for &label in Label::ALL {
+                for piece in [Piece::Up(label), Piece::Top(label), Piece::Down(label)] {
+                    let mut text = String::new();
+                    piece.render(&mut text);
+                    let mut stepped = Fnv1a::from_state(state);
+                    stepped.step(piece.step());
+                    proptest::prop_assert_eq!(stepped, written(state, text.as_bytes()), "{}", text);
+                }
+            }
+        }
+
+        /// A step built from any string of up to 32 bytes, split anywhere
+        /// into two parts, is that string written byte by byte.
+        #[test]
+        fn steps_of_random_strings_equal_writing_them(
+            state in 0u64..=u64::MAX,
+            seed in 0u64..=u64::MAX,
+            len in 0usize..=32,
+            split in 0usize..=32,
+        ) {
+            let mut rng = proptest::TestRng::for_test(&format!("string-{seed}"));
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let (head, tail) = bytes.split_at(split.min(len));
+            let step = Step::new(&[head, tail]);
+            let mut stepped = Fnv1a::from_state(state);
+            stepped.step(&step);
+            proptest::prop_assert_eq!(stepped, written(state, &bytes));
+        }
+
+        /// The zero fold of `write_u64` is writing all eight bytes, at
+        /// every magnitude (the shift spreads `x` over all byte lengths).
+        #[test]
+        fn write_u64_equals_writing_its_bytes(
+            state in 0u64..=u64::MAX,
+            x in 0u64..=u64::MAX,
+            shift in 0u32..64,
+        ) {
+            let x = x >> shift;
+            let mut folded = Fnv1a::from_state(state);
+            folded.write_u64(x);
+            proptest::prop_assert_eq!(folded, written(state, &x.to_le_bytes()), "{:#x}", x);
+        }
     }
 }

@@ -7,15 +7,23 @@
 //! its text alone would parse*, hash its path contexts) so that their
 //! decisions, and the serving layer's cache keys, agree exactly. This
 //! module is that single implementation, and it is one pass: the file is
-//! lexed once, each nest is parsed from its range of those tokens
-//! ([`nvc_frontend::Lexed::tokens_in`]), and the sample is hashed straight off the
-//! statement ([`PathSample::from_stmt`]).
+//! lexed and parsed once, and each nest's sample is hashed straight off
+//! the statement ([`PathSample::from_stmt`]).
 //!
 //! "As its text alone would parse" is a rule the training environment
 //! set and persisted cache keys depend on: a macro `#define`d outside a
 //! nest is sampled as the identifier written in the loop (`i < N` → a
 //! variable), not as its expansion (`i < 1024` → a literal bucket); a
 //! macro defined inside the nest is sampled expanded.
+//! [`nvc_frontend::Lexed::tokens_in`] gives the tokens the nest's text
+//! alone would lex to. When no macro from outside is used inside — nearly
+//! always — those are the file's own tokens, borrowed, and the parser is
+//! stateless, so the translation unit's statement
+//! ([`nvc_frontend::LoopRef::nest`]) is what parsing them alone would
+//! give: it is sampled as it stands. Only the spliced copy of the other
+//! case is parsed again.
+
+use std::borrow::Cow;
 
 use nvc_frontend::{for_each_loop, FrontendError, Lexer, Parser};
 
@@ -53,13 +61,18 @@ pub fn extract_loop_samples(
         if !l.is_innermost {
             return;
         }
-        if let Ok(nest) = Parser::new(&lexed.tokens_in(l.nest_span)).parse_single_statement() {
-            sites.push(LoopSite {
-                function: l.function.to_string(),
-                header_line: l.span.line,
-                sample: PathSample::from_stmt(&nest, cfg),
-            });
-        }
+        let sample = match lexed.tokens_in(l.nest.span) {
+            Cow::Borrowed(_) => PathSample::from_stmt(l.nest, cfg),
+            Cow::Owned(spliced) => match Parser::new(&spliced).parse_single_statement() {
+                Ok(nest) => PathSample::from_stmt(&nest, cfg),
+                Err(_) => return,
+            },
+        };
+        sites.push(LoopSite {
+            function: l.function.to_string(),
+            header_line: l.span.line,
+            sample,
+        });
     });
     Ok(sites)
 }

@@ -11,37 +11,10 @@ use serde::{Deserialize, Serialize};
 use crate::model::EmbedConfig;
 use crate::paths::PathContext;
 
-/// An incremental FNV-1a hasher — the one hash function behind both the
-/// vocabulary bucketing here and the serving layer's decision-cache keys
-/// (`nvc-serve`), so the two can never silently diverge.
-#[derive(Debug, Clone)]
-pub struct Fnv1a(u64);
-
-impl Fnv1a {
-    /// The standard 64-bit offset basis.
-    pub fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Folds `bytes` into the state.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 ^= u64::from(*b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// The current hash value.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// The one hash function behind both the vocabulary bucketing here and
+/// the serving layer's decision-cache keys (`nvc-serve`), so the two can
+/// never silently diverge.
+pub use nvc_nn::obs::Fnv1a;
 
 /// FNV-1a hash of a token string.
 pub fn hash_token(s: &str) -> u64 {

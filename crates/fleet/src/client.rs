@@ -506,16 +506,12 @@ impl FleetClient {
     }
 }
 
-/// FNV-1a over the source text — the same family of hash the hub uses
-/// for its A/B routing key, so routing stays deterministic across
-/// client restarts.
+/// FNV-1a over the source text — the hash the hub uses for its A/B
+/// routing key, so routing stays deterministic across client restarts.
 fn route_key(source: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in source.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = nvc_obs::Fnv1a::new();
+    h.write(source.as_bytes());
+    h.finish()
 }
 
 /// Picks the starting node index for a request: the route key selects a

@@ -48,8 +48,9 @@ impl ExtractedLoop {
     }
 }
 
-/// One loop of a translation unit by position only: an [`ExtractedLoop`]
-/// without the copied source text, for callers that never read it.
+/// One loop of a translation unit, borrowed from its AST: an
+/// [`ExtractedLoop`] without the copied source text, for callers that
+/// never read it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoopRef<'tu> {
     /// Name of the enclosing function.
@@ -60,8 +61,11 @@ pub struct LoopRef<'tu> {
     pub is_innermost: bool,
     /// Span of the whole loop statement; `span.line` is the header line.
     pub span: Span,
-    /// Span of the outermost loop of the nest containing this loop.
-    pub nest_span: Span,
+    /// The outermost loop of the nest containing this loop, as the
+    /// translation unit parsed it; `nest.span` is its span. The statement
+    /// is what parsing the tokens of `nest.span` alone gives whenever
+    /// those are the file's own tokens (`Lexed::tokens_in` borrows them).
+    pub nest: &'tu Stmt,
     /// Pragma already attached to the loop, if any.
     pub pragma: Option<LoopPragma>,
 }
@@ -99,10 +103,10 @@ fn with_text(l: LoopRef<'_>, loop_index: usize, source: &str) -> ExtractedLoop {
         depth: l.depth,
         is_innermost: l.is_innermost,
         span: l.span,
-        nest_span: l.nest_span,
+        nest_span: l.nest.span,
         header_line: l.span.line,
         text: l.span.text(source).to_string(),
-        nest_text: l.nest_span.text(source).to_string(),
+        nest_text: l.nest.span.text(source).to_string(),
         pragma: l.pragma,
     }
 }
@@ -111,12 +115,12 @@ fn visit_loops<'tu>(
     stmt: &'tu Stmt,
     function: &'tu str,
     depth: usize,
-    nest_root: Option<Span>,
+    nest_root: Option<&'tu Stmt>,
     visit: &mut impl FnMut(LoopRef<'tu>),
 ) {
     match &stmt.kind {
         StmtKind::For { body, pragma, .. } | StmtKind::While { body, pragma, .. } => {
-            let root = nest_root.unwrap_or(stmt.span);
+            let root = nest_root.unwrap_or(stmt);
             // `walk` visits `body` itself first, so a body that *is* a loop
             // counts as an inner loop too.
             let mut has_inner = false;
@@ -126,7 +130,7 @@ fn visit_loops<'tu>(
                 depth,
                 is_innermost: !has_inner,
                 span: stmt.span,
-                nest_span: root,
+                nest: root,
                 pragma: *pragma,
             });
             visit_loops(body, function, depth + 1, Some(root), visit);

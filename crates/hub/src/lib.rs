@@ -473,7 +473,7 @@ impl Hub {
     /// present (stable client identity), else the source text — so one
     /// file keeps hitting the model whose cache holds its loops.
     fn routing_key(route: Option<&str>, source: &str) -> u64 {
-        let mut h = nvc_embed::Fnv1a::new();
+        let mut h = nvc_obs::Fnv1a::new();
         h.write(route.unwrap_or(source).as_bytes());
         h.finish()
     }
@@ -670,7 +670,7 @@ impl Hub {
                 let route = v.get("route").and_then(Json::as_str);
                 let entry = match self
                     .registry
-                    .route(explicit, Self::routing_key(route, source))
+                    .route(explicit, || Self::routing_key(route, source))
                 {
                     Ok(e) => e,
                     Err(e) => {

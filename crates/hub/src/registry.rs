@@ -152,7 +152,8 @@ impl ModelRegistry {
     }
 
     /// Routes a request: explicit name first, else the weighted split on
-    /// `routing_key`.
+    /// the key `routing_key` computes. It is called only when there is a
+    /// split to make — no explicit name, two or more entries, some weight.
     ///
     /// # Errors
     ///
@@ -161,7 +162,7 @@ impl ModelRegistry {
     pub fn route(
         &self,
         explicit: Option<&str>,
-        routing_key: u64,
+        routing_key: impl FnOnce() -> u64,
     ) -> Result<Arc<ModelEntry>, HubError> {
         let entries = self.entries.read();
         if let Some(name) = explicit {
@@ -175,14 +176,15 @@ impl ModelRegistry {
             return Err(HubError::NoModels);
         }
         let total: u64 = entries.iter().map(|e| u64::from(e.weight)).sum();
-        if total == 0 {
-            // All-canary registry: fall back to the first entry so
-            // un-pinned traffic still gets answers.
+        if total == 0 || entries.len() == 1 {
+            // One entry takes every key; an all-canary registry falls
+            // back to the first entry so un-pinned traffic still gets
+            // answers.
             return Ok(Arc::clone(&entries[0]));
         }
         // Spread the key before reducing mod total: sequential keys
         // would otherwise stripe perfectly with small weights.
-        let mut point = routing_key.wrapping_mul(0x9E37_79B9_7F4A_7C15) % total;
+        let mut point = routing_key().wrapping_mul(0x9E37_79B9_7F4A_7C15) % total;
         for e in entries.iter() {
             let w = u64::from(e.weight);
             if point < w {
@@ -228,12 +230,12 @@ mod tests {
     #[test]
     fn register_route_and_duplicate() {
         let reg = registry();
-        assert!(matches!(reg.route(None, 7), Err(HubError::NoModels)));
+        assert!(matches!(reg.route(None, || 7), Err(HubError::NoModels)));
         reg.register(stub_spec("a", 1, 0xA)).unwrap();
-        assert_eq!(reg.route(None, 7).unwrap().name, "a");
-        assert_eq!(reg.route(Some("a"), 7).unwrap().checkpoint_hash, 0xA);
+        assert_eq!(reg.route(None, || 7).unwrap().name, "a");
+        assert_eq!(reg.route(Some("a"), || 7).unwrap().checkpoint_hash, 0xA);
         assert!(matches!(
-            reg.route(Some("ghost"), 7),
+            reg.route(Some("ghost"), || 7),
             Err(HubError::UnknownModel(_))
         ));
         assert!(matches!(
@@ -266,9 +268,9 @@ mod tests {
         reg.register(stub_spec("canary", 0, 3)).unwrap();
         let mut counts = std::collections::HashMap::new();
         for key in 0..4000u64 {
-            let name = reg.route(None, key).unwrap().name.clone();
+            let name = reg.route(None, || key).unwrap().name.clone();
             // Determinism: the same key always lands on the same model.
-            assert_eq!(reg.route(None, key).unwrap().name, name);
+            assert_eq!(reg.route(None, || key).unwrap().name, name);
             *counts.entry(name).or_insert(0u32) += 1;
         }
         assert_eq!(counts.get("canary"), None, "weight 0 gets no split traffic");
@@ -278,17 +280,17 @@ mod tests {
             "3:1 split drifted: big={big:.3}"
         );
         // Canary stays reachable by name.
-        assert_eq!(reg.route(Some("canary"), 0).unwrap().checkpoint_hash, 3);
+        assert_eq!(reg.route(Some("canary"), || 0).unwrap().checkpoint_hash, 3);
     }
 
     #[test]
     fn reload_swaps_atomically_and_returns_old_entry() {
         let reg = registry();
         reg.register(stub_spec("m", 1, 0x1)).unwrap();
-        let before = reg.route(None, 0).unwrap();
+        let before = reg.route(None, || 0).unwrap();
         let old = reg.reload(stub_spec("m", 1, 0x2)).unwrap();
         assert_eq!(old.checkpoint_hash, 0x1);
-        assert_eq!(reg.route(None, 0).unwrap().checkpoint_hash, 0x2);
+        assert_eq!(reg.route(None, || 0).unwrap().checkpoint_hash, 0x2);
         // The pre-reload Arc still answers (in-flight requests survive).
         assert_eq!(before.checkpoint_hash, 0x1);
         assert!(matches!(

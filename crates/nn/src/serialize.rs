@@ -14,6 +14,8 @@
 
 use std::fmt::Write as _;
 
+use nvc_obs::Fnv1a;
+
 use crate::params::ParamStore;
 use crate::tensor::Tensor;
 
@@ -38,24 +40,6 @@ pub fn to_string(store: &ParamStore) -> String {
     out
 }
 
-/// FNV-1a accumulator for checkpoint content hashing (the offline
-/// dependency set has no hashing crate; this matches `nvc-embed`'s token
-/// hasher constants).
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 ^= u64::from(*b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
 fn hash_entries(entries: &mut Vec<(&str, &Tensor)>) -> u64 {
     // Sorting by name makes the hash a function of checkpoint *content*,
     // not of the order parameters happened to be registered in — two
@@ -65,13 +49,13 @@ fn hash_entries(entries: &mut Vec<(&str, &Tensor)>) -> u64 {
     for (name, t) in entries.iter() {
         h.write(name.as_bytes());
         h.write(&[0]);
-        h.write(&(t.rows() as u64).to_le_bytes());
-        h.write(&(t.cols() as u64).to_le_bytes());
+        h.write_u64(t.rows() as u64);
+        h.write_u64(t.cols() as u64);
         for v in t.data() {
             h.write(&v.to_bits().to_le_bytes());
         }
     }
-    h.0
+    h.finish()
 }
 
 /// Content hash of every parameter in `store`: name, shape, and exact

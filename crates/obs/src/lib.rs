@@ -2,8 +2,11 @@
 //!
 //! Zero dependencies by design: the stack runs offline, and instrumentation
 //! that drags a dependency tree behind it ends up compiled out instead of
-//! turned on. Five small pieces, each usable alone:
+//! turned on. Six small pieces, each usable alone:
 //!
+//! * [`fnv`] — the stack's one 64-bit hash ([`Fnv1a`]), with a fixed
+//!   string compiled into one step ([`fnv::Step`]) and zero high bytes
+//!   folded, bit-equal to the byte loop;
 //! * [`json`] — the stack's one JSON reader/writer ([`Json`]): every line
 //!   a server, the tracer or the trainer emits is built through it, and
 //!   [`json::with_id`] / [`json::fail`] are the protocol reply shapes;
@@ -34,12 +37,14 @@
 //! at registration, not on the hot path) and the journal (coarse, low
 //! frequency).
 
+pub mod fnv;
 pub mod journal;
 pub mod json;
 pub mod metrics;
 pub mod ops;
 pub mod trace;
 
+pub use fnv::Fnv1a;
 pub use journal::Journal;
 pub use json::Json;
 pub use metrics::{

@@ -70,6 +70,7 @@ use serde::{Deserialize, Serialize};
 
 use nvc_embed::{EmbedConfig, PathSample};
 use nvc_machine::TargetConfig;
+use nvc_obs::fnv::{Fnv1a, Step};
 
 pub use cache::{CacheStats, ContentStore, ShardedLruCache};
 pub use metrics::{LatencyHistogram, Metrics, MetricsSnapshot};
@@ -162,18 +163,22 @@ impl ServeConfig {
 
 /// Stable cache key of a normalized path-context sample.
 ///
-/// FNV-1a over the sample's table indices with length separators; two
-/// loops that normalize to the same paths (e.g. alpha-renamed copies, the
+/// FNV-1a over the little-endian `u64` bytes of the context count, then
+/// of each section's table indices followed by a separator; two loops
+/// that normalize to the same paths (e.g. alpha-renamed copies, the
 /// paper's §3.2 dataset trick) collide *intentionally* — that is the
-/// cache's whole point.
+/// cache's whole point. The zero high bytes of each index fold into one
+/// multiply and the separator is one precomputed step
+/// ([`nvc_obs::fnv`]), which give the byte loop's bits.
 pub fn sample_key(sample: &PathSample) -> u64 {
-    let mut h = nvc_embed::Fnv1a::new();
-    h.write(&(sample.starts.len() as u64).to_le_bytes());
+    static SEPARATOR: Step = Step::new(&[&0xFFFF_FFFF_FFFF_FFFEu64.to_le_bytes()]);
+    let mut h = Fnv1a::new();
+    h.write_u64(sample.starts.len() as u64);
     for part in [&sample.starts, &sample.paths, &sample.ends] {
         for &idx in part.iter() {
-            h.write(&(idx as u64).to_le_bytes());
+            h.write_u64(idx as u64);
         }
-        h.write(&0xFFFF_FFFF_FFFF_FFFEu64.to_le_bytes());
+        h.step(&SEPARATOR);
     }
     h.finish()
 }

@@ -1,5 +1,5 @@
 //! Frontend parity: the one-pass route `extract_loop_samples` takes
-//! (one lex, each nest parsed from its range of those tokens, the sample
+//! (one lex and one parse, each nest read off the file's own AST, the sample
 //! hashed straight off the statement) against the pipeline it replaced,
 //! spelled here from public entry points — parse the file, slice each
 //! innermost loop's nest text, lex and parse *that text* again, render
