@@ -360,7 +360,7 @@ fn rl_decide(nv: &NeuroVectorizer, space: &ActionSpace, l: &LoweredLoop) -> Loop
 fn embed_loop(nv: &NeuroVectorizer, l: &LoweredLoop) -> Option<Vec<f32>> {
     let stmt = parse_statement(&l.nest_text).ok()?;
     let sample = PathSample::from_stmt(&stmt, &nv.config().embed);
-    Some(nv.encode(&sample))
+    nv.encode_batch(&[&sample]).pop()
 }
 
 /// Regenerates Figure 7: the trained framework plus random search, Polly,

@@ -164,26 +164,23 @@ impl NeuroVectorizer {
         self.trainer.set_journal(journal);
     }
 
-    /// Greedy decision for a loop observation.
+    /// Greedy decision for one loop observation: the one-row
+    /// [`PpoTrainer::predict_batch`].
     pub fn decide(&self, sample: &PathSample, space: &ActionSpace) -> VectorDecision {
-        let (v, i) = self.trainer.predict(sample);
+        let (v, i) = self.trainer.predict_batch(&[sample])[0];
         space.decision_from_pair(v, i)
     }
 
-    /// Embeds a loop sample with the trained encoder (for NNS/decision
-    /// trees, §3.5).
-    pub fn encode(&self, sample: &PathSample) -> Vec<f32> {
-        self.trainer.embedder().encode(self.trainer.store(), sample)
-    }
-
-    /// Embeds a whole batch of loop samples in **one** segmented encoder
-    /// forward — the entry point the NNS/decision-tree/ranker labelling
-    /// passes share with training and serving. Row `i` equals
-    /// [`NeuroVectorizer::encode`] of `samples[i]` bitwise.
+    /// Embeds loop samples with the trained encoder (for NNS/decision
+    /// trees, §3.5) in **one** tape-free forward
+    /// ([`nvc_embed::CodeEmbedder::infer_rows`], the forward serving runs).
+    /// Row `i` is `samples[i]`'s embedding whatever its batch-mates.
     pub fn encode_batch(&self, samples: &[&PathSample]) -> Vec<Vec<f32>> {
-        self.trainer
+        let rows = self
+            .trainer
             .embedder()
-            .encode_batch(self.trainer.store(), samples)
+            .infer_rows(self.trainer.store(), samples);
+        (0..samples.len()).map(|r| rows.row(r).to_vec()).collect()
     }
 
     /// Serializes all trained weights (embedding + policy) to the
@@ -282,10 +279,12 @@ impl NeuroVectorizer {
     pub fn vectorize_source(&self, source: &str) -> Result<String, FrontendError> {
         let space = ActionSpace::for_target(&self.cfg.target);
         let sites = extract_loop_samples(source, &self.cfg.embed)?;
+        let samples: Vec<&PathSample> = sites.iter().map(|site| &site.sample).collect();
         let pragmas: Vec<(u32, LoopPragma)> = sites
             .iter()
-            .map(|site| {
-                let d = self.decide(&site.sample, &space);
+            .zip(self.trainer.predict_batch(&samples))
+            .map(|(site, (v, i))| {
+                let d = space.decision_from_pair(v, i);
                 (
                     site.header_line,
                     LoopPragma {
@@ -429,7 +428,7 @@ void f(int n) {
     }
 
     #[test]
-    fn encode_batch_matches_per_sample_encode() {
+    fn encode_batch_rows_match_one_row_batches() {
         let cfg = NvConfig::fast();
         let env = VectorizeEnv::new(generator::generate(3, 10), cfg.target.clone(), &cfg.embed);
         let nv = NeuroVectorizer::new(cfg);
@@ -437,8 +436,8 @@ void f(int n) {
             env.contexts().iter().map(|c| &c.sample).collect();
         let batched = nv.encode_batch(&samples);
         assert_eq!(batched.len(), samples.len());
-        for (s, row) in samples.iter().zip(batched.iter()) {
-            assert_eq!(row, &nv.encode(s), "batched embedding diverged");
+        for (&s, row) in samples.iter().zip(batched.iter()) {
+            assert_eq!(row, &nv.encode_batch(&[s])[0], "batched embedding diverged");
         }
     }
 

@@ -32,7 +32,7 @@ pub mod paths;
 pub mod sites;
 pub mod vocab;
 
-pub use model::{CodeEmbedder, EmbedConfig, EmbedError};
+pub use model::{CodeEmbedder, EmbedConfig};
 pub use paths::{extract_path_contexts, normalize_terminals, PathContext};
 pub use sites::{extract_loop_samples, LoopSite};
 pub use vocab::{hash_token, Fnv1a, PathSample};

@@ -1,7 +1,6 @@
 //! The attention-based code encoder (code2vec's network half).
 
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::sync::{OnceLock, RwLock, RwLockReadGuard};
 
 use serde::{Deserialize, Serialize};
@@ -11,25 +10,6 @@ use nvc_nn::{
 };
 
 use crate::vocab::PathSample;
-
-/// Errors surfaced by the encoder's batched entry points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EmbedError {
-    /// [`CodeEmbedder::forward_batch`] was handed an empty sample slice.
-    /// Batched callers (the serve flush loop, rollout collection) must
-    /// skip empty flushes instead of crashing a worker on this.
-    EmptyBatch,
-}
-
-impl std::fmt::Display for EmbedError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EmbedError::EmptyBatch => write!(f, "forward_batch needs at least one sample"),
-        }
-    }
-}
-
-impl std::error::Error for EmbedError {}
 
 /// Hyperparameters of the embedding network.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -175,9 +155,9 @@ impl CodeEmbedder {
 
     /// Encodes a batch of samples into one `n × code_dim` node (row `i`
     /// is exactly [`CodeEmbedder::forward`] of `samples[i]`, bitwise).
-    /// Batched consumers (PPO rollout collection and minibatches, the
-    /// serving layer's flush batches, the NNS/ranker labelling passes)
-    /// stack here and run downstream networks once over all rows.
+    /// PPO's rollout collection and minibatch updates stack their distinct
+    /// samples here and run the policy once over all rows; consumers that
+    /// need no gradients take [`CodeEmbedder::infer_rows`].
     ///
     /// Context counts are ragged, so the batch runs as a **segmented**
     /// forward rather than a per-sample loop: every sample's token rows
@@ -205,32 +185,22 @@ impl CodeEmbedder {
     /// repeated row's gradients one sample at a time and adding them
     /// together first would regroup those sums.
     ///
-    /// Empty samples embed to zero rows, exactly as in [`forward`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmbedError::EmptyBatch`] when `samples` is empty (a
-    /// zero-row observation matrix has no meaning downstream).
+    /// Empty samples embed to zero rows, exactly as in [`forward`], and an
+    /// empty `samples` gives a `0 × code_dim` node, as in
+    /// [`CodeEmbedder::infer_rows`].
     ///
     /// # Panics
     ///
     /// Panics when a sample indexes past a table.
     ///
     /// [`forward`]: CodeEmbedder::forward
-    pub fn forward_batch(
-        &self,
-        g: &mut Graph<'_>,
-        samples: &[&PathSample],
-    ) -> Result<NodeId, EmbedError> {
-        if samples.is_empty() {
-            return Err(EmbedError::EmptyBatch);
-        }
+    pub fn forward_batch(&self, g: &mut Graph<'_>, samples: &[&PathSample]) -> NodeId {
         let segs = Segments::from_lens(samples.iter().map(|s| s.len()));
         let total = segs.total_rows();
         if total == 0 {
-            // All samples empty: the whole batch embeds to zero and no
-            // parameter is touched (mirrors `forward`'s empty case).
-            return Ok(g.input(Tensor::zeros(samples.len(), self.cfg.code_dim)));
+            // No sample has a context: the whole batch embeds to zero and
+            // no parameter is touched (mirrors `forward`'s empty case).
+            return g.input(Tensor::zeros(samples.len(), self.cfg.code_dim));
         }
 
         // One token gather for starts AND ends, interleaved per sample
@@ -284,53 +254,19 @@ impl CodeEmbedder {
         let c = g.tanh_rows(proj, &repeats);
         let scores = g.segment_matmul(c, attn, &segs, &repeats); // N × 1
         let alpha = g.segment_softmax_rows(scores, &segs); // N × 1
-        Ok(g.segment_weighted_sum(alpha, c, &segs)) // n × code
-    }
-
-    /// Encodes one row per input sample — the deployed batched entry
-    /// point rollout collection, batched greedy inference, and the
-    /// supervised labelling passes share. Distinct samples (content
-    /// equality) embed **once** through the segmented
-    /// [`CodeEmbedder::forward_batch`] and a row gather fans the
-    /// embeddings back out to their batch positions: a rollout or flush
-    /// batch full of repeated loop shapes pays for each shape once.
-    ///
-    /// Row `i`'s value is bitwise-identical to
-    /// [`CodeEmbedder::forward`] of `rows[i]`. Gradients flow through
-    /// the gather, so repeated rows scatter-add into one embedding chain
-    /// — the same gradient-carrying-gather contract the PPO minibatch
-    /// dedup established.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmbedError::EmptyBatch`] when `rows` is empty.
-    pub fn forward_rows(
-        &self,
-        g: &mut Graph<'_>,
-        rows: &[&PathSample],
-    ) -> Result<NodeId, EmbedError> {
-        if rows.is_empty() {
-            return Err(EmbedError::EmptyBatch);
-        }
-        let (unique, row_of) = dedup_samples(rows);
-        let uobs = self.forward_batch(g, &unique)?;
-        if unique.len() == rows.len() {
-            // Nothing repeated: the stacked node already is the answer.
-            return Ok(uobs);
-        }
-        Ok(g.gather_rows(uobs, &row_of))
+        g.segment_weighted_sum(alpha, c, &segs) // n × code
     }
 
     /// The tape-free forward every **no-gradient** consumer runs: one
     /// `code_dim`-wide embedding row per input sample, read straight from
     /// the store — no [`Graph`], no tape nodes, no copy of `W`. Greedy
-    /// inference ([`encode`], [`encode_batch`], the trainer's `predict*`
-    /// and `value_of`, hence every serve flush) enters here; whatever
-    /// needs gradients stays on [`forward_batch`] / [`forward_rows`],
-    /// which are also this function's oracle.
+    /// inference (the trainer's `predict_batch`, hence every serve flush)
+    /// and the supervised agents' labelling passes enter here; whatever
+    /// needs gradients stays on [`forward_batch`], which with the
+    /// per-sample [`forward`] is also this function's oracle.
     ///
-    /// Repeated samples (content equality) embed once and fan out, like
-    /// [`forward_rows`]. Empty samples embed to zero rows; an empty `rows`
+    /// Repeated samples (content equality, grouped by a [`RowAlias`]) embed
+    /// once and fan out. Empty samples embed to zero rows; an empty `rows`
     /// gives a `0 × code_dim` tensor.
     ///
     /// **Strict mode** gathers the `N × context_width` context matrix,
@@ -376,16 +312,15 @@ impl CodeEmbedder {
     /// Panics when a sample's index vectors differ in length or index
     /// past a table.
     ///
-    /// [`encode`]: CodeEmbedder::encode
-    /// [`encode_batch`]: CodeEmbedder::encode_batch
+    /// [`forward`]: CodeEmbedder::forward
     /// [`forward_batch`]: CodeEmbedder::forward_batch
-    /// [`forward_rows`]: CodeEmbedder::forward_rows
     pub fn infer_rows(&self, store: &ParamStore, rows: &[&PathSample]) -> Tensor {
         let code = self.cfg.code_dim;
-        let (unique, row_of) = dedup_samples(rows);
-        let mut bounds = Vec::with_capacity(unique.len());
+        let repeats = RowAlias::from_keys(rows.iter().copied());
+        let distinct: Vec<&PathSample> = repeats.firsts().iter().map(|&r| rows[r]).collect();
+        let mut bounds = Vec::with_capacity(distinct.len());
         let mut total = 0usize;
-        for s in &unique {
+        for s in &distinct {
             let n = s.len();
             assert!(
                 s.starts.len() == n && s.ends.len() == n,
@@ -394,19 +329,19 @@ impl CodeEmbedder {
             bounds.push((total, total + n));
             total += n;
         }
-        let mut out = Tensor::zeros(unique.len(), code);
+        let mut out = Tensor::zeros(distinct.len(), code);
         if total > 0 {
             // Taken, not borrowed: a panic below leaves an empty set
             // behind instead of a poisoned one.
             let mut scratch = INFER_SCRATCH.with(Cell::take);
-            self.infer_into(store, &unique, &bounds, &mut scratch, out.data_mut());
+            self.infer_into(store, &distinct, &bounds, &mut scratch, out.data_mut());
             INFER_SCRATCH.with(|cell| cell.set(scratch));
         }
-        if unique.len() == rows.len() {
+        if distinct.len() == rows.len() {
             return out;
         }
         let mut fanned = Tensor::zeros(rows.len(), code);
-        for (r, &u) in row_of.iter().enumerate() {
+        for (r, &u) in repeats.slots().iter().enumerate() {
             fanned.data_mut()[r * code..(r + 1) * code].copy_from_slice(out.row(u));
         }
         fanned
@@ -515,24 +450,6 @@ impl CodeEmbedder {
         }
         state.roles[role][row].get().map(|kept| kept.to_vec())
     }
-
-    /// Convenience: encodes a sample and returns the plain vector (no
-    /// gradients), for inference-time consumers like NNS and decision
-    /// trees.
-    pub fn encode(&self, store: &ParamStore, sample: &PathSample) -> Vec<f32> {
-        self.infer_rows(store, &[sample]).into_data()
-    }
-
-    /// Encodes a whole batch in one forward (no gradients) — the batched
-    /// counterpart of [`CodeEmbedder::encode`] that the
-    /// NNS/decision-tree/ranker labelling passes use instead of looping
-    /// `encode` per sample. Row `i` equals `encode(samples[i])` in strict
-    /// mode bitwise; repeated samples embed once
-    /// ([`CodeEmbedder::infer_rows`]).
-    pub fn encode_batch(&self, store: &ParamStore, samples: &[&PathSample]) -> Vec<Vec<f32>> {
-        let v = self.infer_rows(store, samples);
-        (0..samples.len()).map(|r| v.row(r).to_vec()).collect()
-    }
 }
 
 /// Every sample's `(start, path, end)` table-row triples, in batch order.
@@ -544,28 +461,6 @@ fn contexts<'a>(samples: &'a [&PathSample]) -> impl Iterator<Item = (usize, usiz
             .zip(s.ends.iter())
             .map(|((&a, &p), &b)| (a, p, b))
     })
-}
-
-/// First-seen-order dedup by content: the distinct samples and, for each
-/// input row, the position of its sample among them.
-fn dedup_samples<'a>(rows: &[&'a PathSample]) -> (Vec<&'a PathSample>, Vec<usize>) {
-    // A lone row — every depth-1 serve flush — is its own dedup.
-    if let [only] = rows {
-        return (vec![only], vec![0]);
-    }
-    let _timer = obs::time_op(obs::Op::Dedup);
-    let mut unique: Vec<&PathSample> = Vec::new();
-    let mut slot: HashMap<&PathSample, usize> = HashMap::new();
-    let row_of = rows
-        .iter()
-        .map(|&s| {
-            *slot.entry(s).or_insert_with(|| {
-                unique.push(s);
-                unique.len() - 1
-            })
-        })
-        .collect();
-    (unique, row_of)
 }
 
 /// One role's kept projections: slot `i` holds table row `i` times the
@@ -688,6 +583,11 @@ mod tests {
         PathSample::from_stmt(&parse_statement(src).unwrap(), cfg)
     }
 
+    /// One sample's tape-free embedding.
+    fn encode(e: &CodeEmbedder, store: &ParamStore, s: &PathSample) -> Vec<f32> {
+        e.infer_rows(store, &[s]).into_data()
+    }
+
     /// A synthetic sample with `n` contexts drawn from `rng`. Small table
     /// sizes (the fast config) make repeated indices — the case where
     /// scatter-order bugs would surface — common.
@@ -750,7 +650,11 @@ mod tests {
         let cfg = EmbedConfig::fast();
         let mut store = ParamStore::new(5);
         let e = CodeEmbedder::new(&mut store, &cfg);
-        let v = e.encode(&store, &sample("for (int i=0;i<n;i++) { a[i] = 0; }", &cfg));
+        let v = encode(
+            &e,
+            &store,
+            &sample("for (int i=0;i<n;i++) { a[i] = 0; }", &cfg),
+        );
         assert_eq!(v.len(), cfg.code_dim);
     }
 
@@ -759,7 +663,8 @@ mod tests {
         let cfg = EmbedConfig::fast();
         let mut store = ParamStore::new(5);
         let e = CodeEmbedder::new(&mut store, &cfg);
-        let v = e.encode(
+        let v = encode(
+            &e,
             &store,
             &PathSample {
                 starts: vec![],
@@ -777,11 +682,13 @@ mod tests {
         let cfg = EmbedConfig::fast();
         let mut store = ParamStore::new(5);
         let e = CodeEmbedder::new(&mut store, &cfg);
-        let v1 = e.encode(
+        let v1 = encode(
+            &e,
             &store,
             &sample("for (int i=0;i<n;i++) { s += a[i]; }", &cfg),
         );
-        let v2 = e.encode(
+        let v2 = encode(
+            &e,
             &store,
             &sample("for (int i=0;i<n;i++) { a[i] = b[2*i] * c[i]; }", &cfg),
         );
@@ -794,17 +701,14 @@ mod tests {
     }
 
     #[test]
-    fn forward_batch_on_empty_slice_is_an_error_not_a_panic() {
+    fn both_batched_forwards_embed_an_empty_slice_to_no_rows() {
         let cfg = EmbedConfig::fast();
         let mut store = ParamStore::new(5);
         let e = CodeEmbedder::new(&mut store, &cfg);
         let mut g = Graph::new(&store);
-        assert_eq!(e.forward_batch(&mut g, &[]), Err(EmbedError::EmptyBatch));
-        assert!(e.encode_batch(&store, &[]).is_empty());
-        assert_eq!(
-            EmbedError::EmptyBatch.to_string(),
-            "forward_batch needs at least one sample"
-        );
+        let out = e.forward_batch(&mut g, &[]);
+        assert_eq!(g.value(out).shape(), (0, cfg.code_dim));
+        assert_eq!(e.infer_rows(&store, &[]).shape(), (0, cfg.code_dim));
     }
 
     #[test]
@@ -818,28 +722,9 @@ mod tests {
             ends: vec![],
         };
         let mut g = Graph::new(&store);
-        let out = e.forward_batch(&mut g, &[&empty, &empty]).unwrap();
+        let out = e.forward_batch(&mut g, &[&empty, &empty]);
         assert_eq!(g.value(out).shape(), (2, cfg.code_dim));
         assert!(g.value(out).data().iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn encode_batch_rows_match_encode() {
-        let cfg = EmbedConfig::fast();
-        let mut store = ParamStore::new(7);
-        let e = CodeEmbedder::new(&mut store, &cfg);
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let mut samples: Vec<PathSample> = [4usize, 1, 0, 11]
-            .iter()
-            .map(|&n| random_sample(n, &cfg, &mut rng))
-            .collect();
-        // A repeated shape exercises the dedup + fan-out path.
-        samples.push(samples[0].clone());
-        let refs: Vec<&PathSample> = samples.iter().collect();
-        let batched = e.encode_batch(&store, &refs);
-        for (s, row) in samples.iter().zip(batched.iter()) {
-            assert_eq!(row, &e.encode(&store, s), "encode_batch row diverged");
-        }
     }
 
     /// The tentpole invariant at the encoder level: the segmented batched
@@ -876,7 +761,7 @@ mod tests {
                 forward_batch_reference(&e, g, ss)
             });
             let (seg_vals, seg_grads) =
-                values_and_grads(&store, &refs, &sel, |g, ss| g_forward(&e, g, ss));
+                values_and_grads(&store, &refs, &sel, |g, ss| e.forward_batch(g, ss));
             assert_eq!(ref_vals, seg_vals, "values diverged for lens {lens:?}");
             for (name, p) in [
                 ("token table", e.token_table()),
@@ -891,10 +776,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    fn g_forward(e: &CodeEmbedder, g: &mut Graph<'_>, ss: &[&PathSample]) -> NodeId {
-        e.forward_batch(g, ss).unwrap()
     }
 
     proptest! {
@@ -935,7 +816,7 @@ mod tests {
                 forward_batch_reference(&e, g, ss)
             });
             let (seg_vals, seg_grads) =
-                values_and_grads(&store, &refs, &sel, |g, ss| g_forward(&e, g, ss));
+                values_and_grads(&store, &refs, &sel, |g, ss| e.forward_batch(g, ss));
             prop_assert_eq!(ref_vals, seg_vals);
             for p in [
                 e.token_table(),
@@ -954,7 +835,8 @@ mod tests {
         let cfg = EmbedConfig::fast();
         let mut store = ParamStore::new(5);
         let e = CodeEmbedder::new(&mut store, &cfg);
-        let v = e.encode(
+        let v = encode(
+            &e,
             &store,
             &sample("for (int i=0;i<n;i++) { a[i] = b[i]*c[i]+d[i]; }", &cfg),
         );

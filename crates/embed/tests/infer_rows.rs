@@ -116,7 +116,7 @@ fn ragged_batch(n_samples: usize, seed: u64, repeat: bool, cfg: &EmbedConfig) ->
 
 fn tape_batch(e: &CodeEmbedder, store: &ParamStore, refs: &[&PathSample]) -> Tensor {
     let mut g = Graph::new(store);
-    let node = e.forward_batch(&mut g, refs).expect("non-empty batch");
+    let node = e.forward_batch(&mut g, refs);
     g.value(node).clone()
 }
 
@@ -191,8 +191,6 @@ fn degenerate_batches_embed_to_zero_rows() {
         let out = e.infer_rows(&store, &[&empty, &empty]);
         assert_eq!(out.shape(), (2, cfg.code_dim));
         assert!(out.data().iter().all(|&x| x == 0.0));
-        assert!(e.encode_batch(&store, &[]).is_empty());
-        assert!(e.encode(&store, &empty).iter().all(|&x| x == 0.0));
     }
     restore_defaults();
 }

@@ -121,8 +121,7 @@ fn strict_forward_batch_on_repeated_rows_is_the_reference_bitwise() {
         let (ref_vals, ref_grads) = values_and_grads(&store, &refs, &sel, |g, ss| {
             forward_batch_reference(&e, g, ss)
         });
-        let (vals, grads) =
-            values_and_grads(&store, &refs, &sel, |g, ss| e.forward_batch(g, ss).unwrap());
+        let (vals, grads) = values_and_grads(&store, &refs, &sel, |g, ss| e.forward_batch(g, ss));
         assert_eq!(ref_vals, vals, "values diverged: {what}");
         for (name, p) in [
             ("token table", e.token_table()),
@@ -153,7 +152,7 @@ fn fast_forward_batch_on_repeated_rows_repeats_its_own_bits() {
         let sel = selector(refs.len(), cfg.code_dim, 31);
         let run = || {
             let (vals, grads) =
-                values_and_grads(&store, &refs, &sel, |g, ss| e.forward_batch(g, ss).unwrap());
+                values_and_grads(&store, &refs, &sel, |g, ss| e.forward_batch(g, ss));
             let mut all: Vec<u32> = vals.data().iter().map(|x| x.to_bits()).collect();
             for p in [
                 e.token_table(),

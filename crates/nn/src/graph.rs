@@ -88,13 +88,16 @@ impl Segments {
     }
 }
 
-/// Which rows of a stacked matrix repeat an earlier row. A ragged batch
-/// of path contexts holds each distinct `(start, path, end)` row several
-/// times over; a forward op whose output row depends on its input row
-/// alone ([`Graph::segment_matmul`], [`Graph::tanh_rows`]) computes the
-/// first occurrence and copies it to the repeats, byte for byte what
-/// computing every row gives. Backward passes never look at it: a
-/// node's value and gradient keep all their rows.
+/// Which rows of a batch repeat an earlier row — the stack's one dedup.
+/// A ragged batch of path contexts holds each distinct `(start, path,
+/// end)` row several times over; a forward op whose output row depends on
+/// its input row alone ([`Graph::segment_matmul`], [`Graph::tanh_rows`])
+/// computes the first occurrence and copies it to the repeats, byte for
+/// byte what computing every row gives. Backward passes never look at it:
+/// a node's value and gradient keep all their rows. Whole samples are
+/// grouped the same way (the encoder's tape-free forward, PPO's rollout
+/// and minibatch rows): embed [`RowAlias::firsts`], then fan the result
+/// out by [`RowAlias::slots`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowAlias {
     /// The first-occurrence rows, ascending.
@@ -109,8 +112,16 @@ impl RowAlias {
     /// when their keys are equal. The caller vouches that equal keys mean
     /// equal row contents in every matrix the alias is applied to.
     pub fn from_keys<K: std::hash::Hash + Eq>(keys: impl IntoIterator<Item = K>) -> Self {
-        let _timer = nvc_obs::time_op(nvc_obs::Op::Dedup);
         let keys = keys.into_iter();
+        // A lone row — every depth-1 serve flush — is its own dedup.
+        if keys.size_hint().1 == Some(1) {
+            let rows = keys.count();
+            return RowAlias {
+                distinct: (0..rows).collect(),
+                slots: (0..rows).collect(),
+            };
+        }
+        let _timer = nvc_obs::time_op(nvc_obs::Op::Dedup);
         let mut distinct = Vec::new();
         let mut slot_of: HashMap<K, usize> = HashMap::with_capacity(keys.size_hint().0);
         let slots = keys
@@ -138,6 +149,17 @@ impl RowAlias {
     /// How many rows are first occurrences.
     pub fn distinct_rows(&self) -> usize {
         self.distinct.len()
+    }
+
+    /// The first-occurrence rows, ascending: one row per distinct key.
+    pub fn firsts(&self) -> &[usize] {
+        &self.distinct
+    }
+
+    /// For every row, the position in [`RowAlias::firsts`] of the row it
+    /// repeats (of itself, for a first occurrence).
+    pub fn slots(&self) -> &[usize] {
+        &self.slots
     }
 }
 
@@ -1207,7 +1229,7 @@ fn softmax_rows_inplace(t: &mut Tensor) {
         // → softmax_rows` chain stays bitwise-equal to
         // `segment_softmax_rows` in fast mode too.
         for r in 0..rows {
-            crate::kernels::fast::online_softmax_strided(t.data_mut(), r * cols, 1, cols);
+            crate::kernels::bodies::online_softmax_strided(t.data_mut(), r * cols, 1, cols);
         }
         return;
     }
@@ -1288,6 +1310,18 @@ mod tests {
                 "grad mismatch at {i}: analytic={a} numeric={numeric}"
             );
         }
+    }
+
+    #[test]
+    fn row_alias_groups_equal_keys_in_first_seen_order() {
+        let alias = RowAlias::from_keys(["b", "a", "b", "c", "a"]);
+        assert_eq!(alias.firsts(), [0, 1, 3]);
+        assert_eq!(alias.slots(), [0, 1, 0, 2, 1]);
+        assert_eq!((alias.len(), alias.distinct_rows()), (5, 3));
+        let lone = RowAlias::from_keys(std::iter::once(7u64));
+        assert_eq!((lone.firsts(), lone.slots()), (&[0][..], &[0][..]));
+        let none = RowAlias::from_keys(std::iter::empty::<u64>());
+        assert!(none.is_empty() && none.firsts().is_empty());
     }
 
     #[test]

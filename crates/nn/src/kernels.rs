@@ -10,7 +10,7 @@
 //!   relaxes exactly five things, each gated by the ε-parity and
 //!   decision-equivalence suites in `tests/fast_parity.rs`: fused
 //!   `mul_add` accumulators (hardware FMA when the CPU has AVX2+FMA, see
-//!   [`fast`]), a single-pass online-max softmax, a one-division rational
+//!   [`bodies`]), a single-pass online-max softmax, a one-division rational
 //!   `tanh` within 5 ulp of the correctly rounded value (7 without FMA;
 //!   [`tanh_inplace`]), and —
 //!   for the encoder's inference forward only — a projection factored
@@ -23,11 +23,11 @@
 //!   for as long as the weights stand ([`row_matmul_accum_fast`]) is not a
 //!   sixth: a kept row is bit for bit the row it would compute again.
 //!
-//! Both modes run the **same loop nests** ([`fast`] holds each body once,
+//! Both modes run the **same loop nests** ([`bodies`] holds each body once,
 //! generic over the multiply-add step): strict is the plain `acc + a * b`
 //! instantiation, fast the fused one where the CPU has FMA, and what else
 //! differs is the list above. Which instantiation a call runs is resolved
-//! in one place ([`fast::MaddChoice::current`]); the entry points below
+//! in one place ([`bodies::MaddChoice::current`]); the entry points below
 //! never branch between two bodies of the same arithmetic, and each is its
 //! shape checks, its op timer and one call of its body on the calling
 //! thread.
@@ -38,17 +38,17 @@
 //! `tests/kernel_parity.rs` compares the deployed kernels with, bit for
 //! bit. The one transformation layered on top is chosen because it
 //! *cannot* change that order: the inner loops of the `mm`, `tn` and `nt`
-//! bodies in [`fast`] run over **register blocks** of 8 to 32
+//! bodies ([`bodies`]) run over **register blocks** of 8 to 32
 //! *independent* output accumulators (manual `f32x8`-style blocks — no
 //! unstable `std::simd`, and in this mode no `mul_add` fusion), held in
 //! registers across the reduction. Lanes never share an accumulator, so
 //! each element's chain is untouched.
 
-pub mod fast;
+pub mod bodies;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use fast::MaddChoice;
+use bodies::MaddChoice;
 
 /// Sentinel for "not yet initialized from the environment".
 const UNSET: usize = usize::MAX;
@@ -173,7 +173,7 @@ pub(crate) fn matmul_untimed(a: &[f32], b: &[f32], m: usize, kd: usize, n: usize
     if PANIC_ROWS.load(Ordering::Relaxed) == m {
         panic!("injected panic in a matmul with {m} output rows");
     }
-    fast::mm_rows(MaddChoice::current(), a, b, m, kd, n, out);
+    bodies::mm_rows(MaddChoice::current(), a, b, m, kd, n, out);
 }
 
 /// `out += row × b` for one `kd`-wide row against `b: kd×n`, in **fast-mode
@@ -191,7 +191,7 @@ pub fn row_matmul_accum_fast(row: &[f32], b: &[f32], kd: usize, n: usize, out: &
     assert_eq!(b.len(), kd * n, "row_matmul right operand is not {kd}x{n}");
     assert_eq!(out.len(), n, "row_matmul output is not {n} wide");
     let _timer = nvc_obs::time_op(nvc_obs::Op::MatMul);
-    fast::mm_rows(MaddChoice::fast(), row, b, 1, kd, n, out);
+    bodies::mm_rows(MaddChoice::fast(), row, b, 1, kd, n, out);
 }
 
 /// `out[r] += a[r] · v` for every row of `a: m×kd` — the attention-score
@@ -199,7 +199,7 @@ pub fn row_matmul_accum_fast(row: &[f32], b: &[f32], kd: usize, n: usize, out: &
 ///
 /// Strict is [`matmul_accum`] with `n = 1`: one ascending-`k` chain per
 /// row, starting from `out[r]`. Fast is a lane-split dot
-/// (`fast::lane_dot_g`): element `k` folds into accumulator lane
+/// (`bodies::lane_dot_g`): element `k` folds into accumulator lane
 /// `k mod 32` (four 8-wide registers, ascending `k` within a lane, every
 /// lane from zero), the 32 lanes meet in one fixed reduction tree, and the
 /// total is added to `out[r]`. The tree is the same for every row, so a
@@ -222,7 +222,7 @@ pub fn row_dots_accum(a: &[f32], v: &[f32], m: usize, kd: usize, out: &mut [f32]
     assert_eq!(v.len(), kd, "row_dots vector is not {kd} long");
     assert_eq!(out.len(), m, "row_dots output is not {m} long");
     let _timer = nvc_obs::time_op(nvc_obs::Op::MatMul);
-    fast::row_dots(MaddChoice::fast(), a, v, kd, out);
+    bodies::row_dots(MaddChoice::fast(), a, v, kd, out);
 }
 
 /// Elementwise `tanh` in place — the one `tanh` of each mode, wherever
@@ -230,7 +230,7 @@ pub fn row_dots_accum(a: &[f32], v: &[f32], m: usize, kd: usize, out: &mut [f32]
 /// encoder's tape-free forward, the policy net).
 ///
 /// Strict is `f32::tanh` per element. Fast is a branch-free rational
-/// body ([`fast`]: Eigen's (13, 6) minimax fit, one division) with no
+/// body ([`bodies`]: Eigen's (13, 6) minimax fit, one division) with no
 /// libm call and no table: within 5 ulp of the correctly rounded value
 /// in bit distance where the madds fuse and 7 where they do not (the
 /// worst cases over every `f32`; 91.6 % of results are exact and 99.7 %
@@ -241,7 +241,7 @@ pub fn row_dots_accum(a: &[f32], v: &[f32], m: usize, kd: usize, out: &mut [f32]
 pub fn tanh_inplace(xs: &mut [f32]) {
     let _timer = nvc_obs::time_op(nvc_obs::Op::Tanh);
     if kernel_mode() == KernelMode::Fast {
-        fast::tanh(MaddChoice::fast(), xs);
+        bodies::tanh(MaddChoice::fast(), xs);
         return;
     }
     for x in xs.iter_mut() {
@@ -266,7 +266,7 @@ pub fn segment_softmax(bounds: &[(usize, usize)], cols: usize, data: &mut [f32])
         }
         for c in 0..cols {
             if fast {
-                fast::online_softmax_strided(data, r0 * cols + c, cols, r1 - r0);
+                bodies::online_softmax_strided(data, r0 * cols + c, cols, r1 - r0);
                 continue;
             }
             let at = |r: usize| r * cols + c;
@@ -299,7 +299,7 @@ pub fn segment_weighted_sum(
     let madd = MaddChoice::current();
     for (s, &(r0, r1)) in bounds.iter().enumerate() {
         let orow = &mut out[s * d..(s + 1) * d];
-        fast::weighted_sum(madd, weights, values, d, r0, r1, orow);
+        bodies::weighted_sum(madd, weights, values, d, r0, r1, orow);
     }
 }
 
@@ -320,19 +320,19 @@ pub fn matmul_tn_accum(a: &[f32], b: &[f32], kr: usize, m: usize, n: usize, out:
     assert_eq!(a.len(), kr * m, "matmul_tn left operand is not {kr}x{m}");
     assert_eq!(b.len(), kr * n, "matmul_tn right operand is not {kr}x{n}");
     assert_eq!(out.len(), m * n, "matmul_tn output is not {m}x{n}");
-    fast::tn_rows(MaddChoice::current(), a, b, m, n, out);
+    bodies::tn_rows(MaddChoice::current(), a, b, m, n, out);
 }
 
 /// `Σ_k a[k]·b[k]` from zero in ascending `k` — the chain of one
 /// [`matmul_nt_accum`] output element.
 pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
-    fast::dot(MaddChoice::current(), a, b)
+    bodies::dot(MaddChoice::current(), a, b)
 }
 
 /// `out += a × bᵀ` over row-major slices (`a`: `m×kd`, `b`: `n×kd`, `out`:
 /// `m×n`) — the `g·wᵀ` input-gradient product behind
 /// [`Tensor::matmul_nt_accum_into`](crate::Tensor::matmul_nt_accum_into).
-/// `bᵀ` is packed once per call ([`fast::pack_nt_panels`]).
+/// `bᵀ` is packed once per call ([`bodies::pack_nt_panels`]).
 ///
 /// # Panics
 ///
@@ -341,8 +341,8 @@ pub fn matmul_nt_accum(a: &[f32], b: &[f32], m: usize, kd: usize, n: usize, out:
     assert_eq!(a.len(), m * kd, "matmul_nt left operand is not {m}x{kd}");
     assert_eq!(b.len(), n * kd, "matmul_nt right operand is not {n}x{kd}");
     assert_eq!(out.len(), m * n, "matmul_nt output is not {m}x{n}");
-    let panels = fast::pack_nt_panels(b, kd, n);
-    fast::nt_rows(MaddChoice::current(), a, &panels, m, kd, n, out);
+    let panels = bodies::pack_nt_panels(b, kd, n);
+    bodies::nt_rows(MaddChoice::current(), a, &panels, m, kd, n, out);
 }
 
 /// Serializes tests that assert on (rather than merely set) the global

@@ -129,7 +129,7 @@ impl Tensor {
 
     /// Accumulates `self × other` into `out` (`out += self × other`).
     ///
-    /// Both modes run one loop nest ([`kernels::fast`]): 64×64 tiles of
+    /// Both modes run one loop nest ([`kernels::bodies`]): 64×64 tiles of
     /// `other` stay L1-resident while every row of `self` streams over
     /// them, and the inner columns run as explicit 8-wide
     /// register-accumulator blocks.

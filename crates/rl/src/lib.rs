@@ -105,12 +105,13 @@ mod tests {
             last.reward_mean
         );
         // Greedy prediction should be optimal on at least 3 of 4 contexts.
-        let mut correct = 0;
-        for i in 0..4 {
-            if trainer.predict(env.context(i)) == env.best[i] {
-                correct += 1;
-            }
-        }
+        let contexts: Vec<&PathSample> = env.contexts.iter().collect();
+        let predicted = trainer.predict_batch(&contexts);
+        let correct = predicted
+            .iter()
+            .zip(&env.best)
+            .filter(|(p, b)| p == b)
+            .count();
         assert!(
             correct >= 3,
             "only {correct}/4 contexts predicted optimally"

@@ -7,18 +7,18 @@
 //! *and* the code2vec encoder — the end-to-end property the paper
 //! emphasizes.
 
-use std::collections::HashMap;
+use std::hash::Hash;
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use nvc_embed::{CodeEmbedder, EmbedConfig, PathSample};
-use nvc_nn::{Adam, Graph, NodeId, ParamStore, Tensor, TensorArena};
+use nvc_nn::{Adam, Graph, NodeId, ParamStore, RowAlias, Tensor, TensorArena};
 use nvc_obs::json::{obj, Json};
 use nvc_obs::OpProfile;
 
-use crate::policy::{PolicyConfig, PolicyNet, PolicyOut};
+use crate::policy::{PolicyConfig, PolicyNet};
 use crate::spaces::{ActionDims, ActionSpaceKind};
 
 /// The environment interface: a pool of loop contexts and a reward oracle.
@@ -330,29 +330,31 @@ impl PpoTrainer {
         journal.write_line(&obj(line).render());
     }
 
-    /// Greedy (deterministic) action for a loop sample —
-    /// [`PpoTrainer::predict_batch`] of one.
-    pub fn predict(&self, sample: &PathSample) -> (usize, usize) {
-        self.predict_batch(&[sample])[0]
-    }
-
-    /// Greedy actions for a whole batch of samples: one tape-free encoder
+    /// Greedy actions for a batch of samples: one tape-free encoder
     /// forward ([`CodeEmbedder::infer_rows`] — no encoder tape, no copy
     /// of the projection weights), whose `n × code_dim` result enters a
-    /// graph as a constant for one policy forward over all rows.
+    /// graph as a constant for one policy forward over all rows. One
+    /// sample's action is `predict_batch(&[sample])[0]`.
     ///
     /// Row-major matmul and the row-wise activations compute each output
-    /// row from its input row alone, so in strict mode the result is
-    /// bitwise-identical to calling [`PpoTrainer::predict`] per sample —
-    /// the batched path is a pure throughput optimization (this is what
-    /// `nvc-serve`'s batching layer calls).
+    /// row from its input row alone, so in strict mode a row's action is
+    /// bitwise-independent of its batch-mates — batching is a pure
+    /// throughput optimization (this is what `nvc-serve`'s batching layer
+    /// calls).
     pub fn predict_batch(&self, samples: &[&PathSample]) -> Vec<(usize, usize)> {
         // An empty flush must never take down a serve worker.
         if samples.is_empty() {
             return Vec::new();
         }
         let mut g = Graph::with_arena(&self.store, &self.arena);
-        let out = self.infer_policy(&mut g, samples);
+        let obs = {
+            let _embed = nvc_obs::span("embed");
+            g.input(self.embedder.infer_rows(&self.store, samples))
+        };
+        let out = {
+            let _forward = nvc_obs::span("policy_forward");
+            self.policy.forward(&mut g, obs)
+        };
         match self.cfg.action_space {
             ActionSpaceKind::Discrete => {
                 let lv = g.value(out.logits_vf.expect("discrete"));
@@ -376,22 +378,26 @@ impl PpoTrainer {
         }
     }
 
-    /// The value estimate for a sample (used by analysis tooling).
-    pub fn value_of(&self, sample: &PathSample) -> f32 {
-        let mut g = Graph::with_arena(&self.store, &self.arena);
-        let out = self.infer_policy(&mut g, &[sample]);
-        g.value(out.value).data()[0]
-    }
-
-    /// The no-gradient forward: tape-free embeddings fed to the policy
-    /// net as a constant input.
-    fn infer_policy(&self, g: &mut Graph<'_>, samples: &[&PathSample]) -> PolicyOut {
-        let obs = {
-            let _embed = nvc_obs::span("embed");
-            g.input(self.embedder.infer_rows(&self.store, samples))
-        };
-        let _forward = nvc_obs::span("policy_forward");
-        self.policy.forward(g, obs)
+    /// The encoder's tape forward over a batch's rows, shared by
+    /// collection and the minibatch update: rows with equal keys
+    /// ([`RowAlias`]) embed once through the segmented
+    /// [`CodeEmbedder::forward_batch`], and a row gather fans the
+    /// embeddings back out, so a repeated row's gradients scatter-add
+    /// into one embedding chain. Collection keys rows by sample content
+    /// (it reads values only, so any grouping gives the same bits); the
+    /// update keys them by context index, the grouping the committed
+    /// checkpoints were trained with — content keys would regroup the
+    /// gradient sums of contexts that share a sample.
+    fn embed_rows<K: Hash + Eq>(
+        &self,
+        g: &mut Graph<'_>,
+        rows: &[&PathSample],
+        keys: impl IntoIterator<Item = K>,
+    ) -> NodeId {
+        let repeats = RowAlias::from_keys(keys);
+        let distinct: Vec<&PathSample> = repeats.firsts().iter().map(|&r| rows[r]).collect();
+        let uobs = self.embedder.forward_batch(g, &distinct);
+        g.gather_rows(uobs, repeats.slots())
     }
 
     // ------------------------------------------------------------------
@@ -399,11 +405,11 @@ impl PpoTrainer {
     /// Rollout collection for one iteration — the batched hot path.
     ///
     /// The whole `train_batch` runs as **one** graph: every distinct
-    /// context is embedded once through the segmented encoder
-    /// ([`CodeEmbedder::forward_rows`] — one ragged attention forward
-    /// over all unique contexts, then a row gather fans them back out to
-    /// the batch), and the policy runs a single stacked forward over all
-    /// rows. Actions are then sampled row by row.
+    /// sample is embedded once through the segmented encoder (one ragged
+    /// attention forward over all of them, then a row gather fans them
+    /// back out to the batch — `embed_rows`), and the policy
+    /// runs a single stacked forward over all rows. Actions are then
+    /// sampled row by row.
     ///
     /// Transitions are bitwise-identical to the per-sample spelling — a
     /// fresh graph and a one-row [`CodeEmbedder::forward`] per episode,
@@ -505,15 +511,11 @@ impl PpoTrainer {
     }
 
     /// One segmented encoder + policy forward over the rollout's rows:
-    /// each *distinct* sample embeds once through the segmented
-    /// encoder ([`CodeEmbedder::forward_rows`] dedups by content and
-    /// fans rows back out), and the policy runs one stacked forward.
+    /// each *distinct* sample (by content) embeds once, and the policy
+    /// runs one stacked forward.
     fn stacked_policy_rows(&self, samples_of: &[&PathSample]) -> PolicyRows {
         let mut g = Graph::with_arena(&self.store, &self.arena);
-        let obs = self
-            .embedder
-            .forward_rows(&mut g, samples_of)
-            .expect("rollout chunks are never empty");
+        let obs = self.embed_rows(&mut g, samples_of, samples_of.iter().copied());
         let pol = self.policy.forward(&mut g, obs);
         PolicyRows {
             values: g.value(pol.value).data().to_vec(),
@@ -541,17 +543,13 @@ impl PpoTrainer {
         let n = idxs.len();
         let mut g = Graph::with_arena(&self.store, &self.arena);
 
-        // Batched observation: embed each *distinct* loop once, then
-        // gather rows back out to the minibatch (contexts repeat within
-        // an iteration; gradients scatter-add through the gather, so the
-        // shared embedding still receives every row's contribution).
-        let (unique, row_of) = dedup_contexts(idxs.iter().map(|&i| batch[i].ctx));
-        let samples: Vec<&PathSample> = unique.iter().map(|&c| env.context(c)).collect();
-        let uobs = self
-            .embedder
-            .forward_batch(&mut g, &samples)
-            .expect("minibatch chunks are never empty");
-        let obs = g.gather_rows(uobs, &row_of);
+        // Batched observation: each *distinct* context embeds once
+        // (contexts repeat within an iteration; gradients scatter-add
+        // through the gather, so the shared embedding still receives
+        // every row's contribution).
+        let ctxs = idxs.iter().map(|&i| batch[i].ctx);
+        let samples: Vec<&PathSample> = ctxs.clone().map(|c| env.context(c)).collect();
+        let obs = self.embed_rows(&mut g, &samples, ctxs);
         let pol = self.policy.forward(&mut g, obs);
 
         let adv = g.input(Tensor::from_vec(
@@ -675,25 +673,6 @@ struct PolicyRows {
     logits_vf: Option<Tensor>,
     logits_if: Option<Tensor>,
     mus: Option<Tensor>,
-}
-
-/// First-seen-order dedup: returns the distinct context indices and, for
-/// each input element, the position of its context in that distinct list
-/// (so batched forwards embed each context once and gather rows back
-/// out).
-fn dedup_contexts(ctxs: impl Iterator<Item = usize>) -> (Vec<usize>, Vec<usize>) {
-    let _timer = nvc_obs::time_op(nvc_obs::Op::Dedup);
-    let mut unique: Vec<usize> = Vec::new();
-    let mut slot: HashMap<usize, usize> = HashMap::new();
-    let row_of = ctxs
-        .map(|c| {
-            *slot.entry(c).or_insert_with(|| {
-                unique.push(c);
-                unique.len() - 1
-            })
-        })
-        .collect();
-    (unique, row_of)
 }
 
 /// `-Σ p log p` per row, as an `n × 1` node.
@@ -871,7 +850,9 @@ mod tests {
             paths: vec![base * 2, base * 2 + 1, base * 2 + 2],
             ends: vec![base + 5, base + 6, base + 7],
         };
-        let samples: Vec<PathSample> = (0..9).map(|i| mk(i * 4)).collect();
+        let mut samples: Vec<PathSample> = (0..9).map(|i| mk(i * 4)).collect();
+        // Repeats embed once and fan back out to their rows.
+        samples.extend([samples[2].clone(), samples[0].clone()]);
         for kind in [
             ActionSpaceKind::Discrete,
             ActionSpaceKind::Continuous1D,
@@ -886,7 +867,10 @@ mod tests {
             let trainer = PpoTrainer::new(&cfg, &EmbedConfig::fast(), 23);
             let refs: Vec<&PathSample> = samples.iter().collect();
             let batched = trainer.predict_batch(&refs);
-            let single: Vec<(usize, usize)> = samples.iter().map(|s| trainer.predict(s)).collect();
+            let single: Vec<(usize, usize)> = refs
+                .iter()
+                .map(|&s| trainer.predict_batch(&[s])[0])
+                .collect();
             assert_eq!(batched, single, "batched path diverged for {kind:?}");
         }
         let trainer = PpoTrainer::new(&PpoConfig::default(), &EmbedConfig::fast(), 23);
@@ -954,6 +938,9 @@ mod tests {
             };
             let mut trainer = PpoTrainer::new(&cfg, &EmbedConfig::fast(), 41);
             let mut env = ParityEnv::new(5);
+            // Contexts 1 and 5 read the same sample: collection embeds
+            // them once (it groups rows by content), the reference twice.
+            env.contexts.push(env.contexts[1].clone());
 
             let mut rng_ref = ChaCha8Rng::seed_from_u64(9);
             let reference = collect_reference(&trainer, &mut env, &mut rng_ref);
@@ -1119,7 +1106,7 @@ mod tests {
         }
         // The update must not have poisoned the weights: predictions
         // still work and a second iteration stays finite too.
-        let _ = trainer.predict(&env.contexts[0]);
+        let _ = trainer.predict_batch(&[&env.contexts[0]]);
         let again = trainer.train_iteration(&mut env, &mut rng);
         assert!(again.loss.is_finite());
     }
@@ -1135,7 +1122,7 @@ mod tests {
         };
         let mut trainer = PpoTrainer::new(&cfg, &EmbedConfig::fast(), 13);
         let mut env = ParityEnv::new(2);
-        let before = trainer.predict(env.context(0));
+        let before = trainer.predict_batch(&[env.context(0)]);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let stats = trainer.train_iteration(&mut env, &mut rng);
         assert_eq!(stats.steps, 0);
@@ -1143,7 +1130,7 @@ mod tests {
         assert!(stats.reward_mean.is_finite());
         assert_eq!(stats.loss, 0.0);
         // Skipped update: the policy is untouched.
-        assert_eq!(trainer.predict(env.context(0)), before);
+        assert_eq!(trainer.predict_batch(&[env.context(0)]), before);
     }
 
     #[test]

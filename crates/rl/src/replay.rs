@@ -181,7 +181,6 @@ mod tests {
         let stats = trainer.train(&mut env, 60, &mut rng);
         let last = stats.last().unwrap().reward_mean;
         assert!(last > 0.5, "replay fine-tune did not converge: {last}");
-        assert_eq!(trainer.predict(&a), (1, 2));
-        assert_eq!(trainer.predict(&b), (3, 0));
+        assert_eq!(trainer.predict_batch(&[&a, &b]), [(1, 2), (3, 0)]);
     }
 }

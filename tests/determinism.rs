@@ -253,8 +253,8 @@ fn inference_is_pure() {
         let d1 = nv.decide(&ctx.sample, space);
         let d2 = nv.decide(&ctx.sample, space);
         assert_eq!(d1, d2);
-        let e1 = nv.encode(&ctx.sample);
-        let e2 = nv.encode(&ctx.sample);
+        let e1 = nv.encode_batch(&[&ctx.sample]);
+        let e2 = nv.encode_batch(&[&ctx.sample]);
         assert_eq!(e1, e2);
     }
 }

@@ -14,7 +14,7 @@
 //! * **`tanh`** — the one-division rational body is within 5 ulp of the
 //!   correctly rounded value (7 on a host without FMA; the exhaustive
 //!   scan that finds both numbers is an ignored unit test beside the body,
-//!   `crates/nn/src/kernels/fast.rs`), exactly odd, bounded by 1, exact on
+//!   `crates/nn/src/kernels/bodies.rs`), exactly odd, bounded by 1, exact on
 //!   the special values, and blind to where in a slice an element sits;
 //! * **the score dot** — the lane-split row dots are ε-close to the
 //!   strict chain, a function of the row alone (same bits alone or in a
@@ -400,7 +400,7 @@ fn fast_encoder_on_repeated_rows_is_eps_close_to_strict() {
     let run = |mode: KernelMode| {
         kernels::set_kernel_mode(mode);
         let mut g = Graph::new(&store);
-        let out = e.forward_batch(&mut g, &refs).expect("non-empty batch");
+        let out = e.forward_batch(&mut g, &refs);
         let seln = g.input(sel.clone());
         let prod = g.mul_elem(out, seln);
         let loss = g.sum_all(prod);
@@ -481,7 +481,7 @@ fn fast_tanh_is_within_its_ulp_bound_odd_and_bounded() {
     // The entry point runs the fused body where the CPU has FMA and the
     // plain one elsewhere; these are the worst cases of each over every
     // float below the clamp.
-    let max_ulps = if kernels::fast::fused_available() {
+    let max_ulps = if kernels::bodies::fused_available() {
         5
     } else {
         7
@@ -769,7 +769,7 @@ fn assert_synth_decisions_match(cfg: NvConfig, seed: u64, count: usize) {
         for (together, alone) in nv.encode_batch(chunk).iter().zip(chunk) {
             assert_eq!(
                 to_bits(together),
-                to_bits(&nv.encode(alone)),
+                to_bits(&nv.encode_batch(&[alone])[0]),
                 "a sample's fast embedding depends on its batch-mates"
             );
         }
