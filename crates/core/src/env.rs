@@ -31,12 +31,22 @@ pub struct LoopContext {
     pub kernel_index: usize,
     /// The lowered loop.
     pub lowered: LoweredLoop,
-    /// code2vec input (hashed path contexts of the outermost nest text).
+    /// code2vec input: `loop_sample` of the loop's own text. Serving
+    /// (`nvc_embed::extract_loop_samples`) embeds the outermost enclosing
+    /// nest instead, so a nested loop's two inputs differ.
     pub sample: PathSample,
     /// Baseline nest cycles (the reward denominator).
     pub baseline_cycles: f64,
     /// Baseline compile time (the timeout budget reference).
     pub baseline_compile_ms: f64,
+}
+
+/// The code2vec input of a lowered loop — the path contexts of its own
+/// source text, or `None` when that text does not parse alone. Training
+/// and every figure embed loops through this function.
+pub(crate) fn loop_sample(l: &LoweredLoop, cfg: &EmbedConfig) -> Option<PathSample> {
+    let stmt = parse_statement(&l.text).ok()?;
+    Some(PathSample::from_stmt(&stmt, cfg))
 }
 
 /// The contextual-bandit environment over a pool of kernels.
@@ -53,11 +63,12 @@ pub struct VectorizeEnv {
 
 impl VectorizeEnv {
     /// Builds the environment: parses and lowers every kernel, extracts
-    /// every innermost loop, embeds its nest text and measures the
-    /// baseline.
+    /// every innermost loop, embeds it with `loop_sample` (the loop's
+    /// own text, not its enclosing nest) and measures the baseline.
     ///
     /// Kernels that fail the front end are skipped (real build systems
-    /// skip files that do not compile).
+    /// skip files that do not compile), and so are loops whose text does
+    /// not parse alone.
     pub fn new(kernels: Vec<Kernel>, target: TargetConfig, embed_cfg: &EmbedConfig) -> Self {
         let vectorizer = Vectorizer::new(target.clone());
         let space = ActionSpace::for_target(&target);
@@ -68,10 +79,9 @@ impl VectorizeEnv {
                 continue;
             };
             for lowered in loops {
-                let Ok(stmt) = parse_statement(&lowered.nest_text) else {
+                let Some(sample) = loop_sample(&lowered, embed_cfg) else {
                     continue;
                 };
-                let sample = PathSample::from_stmt(&stmt, embed_cfg);
                 let baseline = vectorizer.compile_baseline(&lowered.ir);
                 contexts.push(LoopContext {
                     kernel_index: ki,
@@ -285,6 +295,35 @@ mod tests {
         let d = Vectorizer::new(TargetConfig::i7_8559u())
             .baseline_decision(&plain.contexts()[0].lowered.ir);
         assert_eq!(env.reward_of_decision(0, d), plain.reward_of_decision(0, d));
+    }
+
+    /// Training embeds a loop's own text; serving
+    /// (`extract_loop_samples`) embeds its outermost nest (§3.3). Every
+    /// PolyBench loop is nested, so every one is embedded differently.
+    #[test]
+    #[ignore = "training embeds the loop, serving the outermost nest: ROADMAP item 3 (e)"]
+    fn training_embeds_polybench_loops_as_serving_does() {
+        let cfg = EmbedConfig::fast();
+        let kernels = nvc_datasets::polybench::polybench();
+        let env = VectorizeEnv::new(kernels.clone(), TargetConfig::i7_8559u(), &cfg);
+        let mut differ = Vec::new();
+        for c in env.contexts() {
+            let k = &kernels[c.kernel_index];
+            let sites = nvc_embed::extract_loop_samples(&k.source, &cfg).expect("parses");
+            let served = sites
+                .iter()
+                .find(|s| s.header_line == c.lowered.header_line)
+                .expect("a served site at the loop's header");
+            if served.sample != c.sample {
+                differ.push(format!("{}:{}", k.name, c.lowered.header_line));
+            }
+        }
+        assert!(
+            differ.is_empty(),
+            "{} of {} loops differ: {differ:?}",
+            differ.len(),
+            env.num_contexts()
+        );
     }
 
     #[test]

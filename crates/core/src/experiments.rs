@@ -14,21 +14,27 @@
 //! | Figure 8 (PolyBench) | [`fig8_polybench`] |
 //! | Figure 9 (MiBench) | [`fig9_mibench`] |
 //! | Headline numbers | [`headline_summary`] |
+//! | §5 ranking network (extension) | [`ext_ranker_comparison`] |
+//! | §3.4 reward shaping (extension) | [`ext_reward_shaping`] |
+//!
+//! Figures 7–9 and the ranker are column lists over one method-by-kernel
+//! driver, `compare`. Every method embeds a loop as training does, from
+//! its own text (`env::loop_sample`); serving embeds the outermost nest,
+//! which moves Figure 8 (ROADMAP item 3 (e)).
 
 use serde::{Deserialize, Serialize};
 
 use nvc_agents::{brute_force_best, DecisionTree, DecisionTreeConfig, NnsAgent, RandomAgent};
 use nvc_datasets::{generator, mibench, polybench, suite, Kernel};
 use nvc_embed::PathSample;
-use nvc_frontend::parse_statement;
 use nvc_ir::LoweredLoop;
 use nvc_machine::TargetConfig;
 use nvc_polly::PollyConfig;
-use nvc_rl::{ActionSpaceKind, IterStats};
+use nvc_rl::{ActionSpaceKind, BanditEnv, IterStats};
 use nvc_vectorizer::{ActionSpace, VectorDecision, Vectorizer};
 
-use crate::compiler::{Compiler, LoopDecision};
-use crate::env::VectorizeEnv;
+use crate::compiler::{CompileError, Compiler, LoopDecision, ProgramTiming};
+use crate::env::{loop_sample, VectorizeEnv};
 use crate::framework::{NeuroVectorizer, NvConfig};
 
 pub mod report;
@@ -320,7 +326,7 @@ pub fn fig6_action_spaces(scale: Scale) -> Vec<SweepSeries> {
 }
 
 // ---------------------------------------------------------------------
-// Figure 7
+// Figures 7–9: methods by kernel
 // ---------------------------------------------------------------------
 
 /// Per-method speedups over the baseline on each benchmark.
@@ -345,22 +351,95 @@ impl ComparisonData {
     }
 }
 
-/// Helper: the RL decision for one lowered loop.
-fn rl_decide(nv: &NeuroVectorizer, space: &ActionSpace, l: &LoweredLoop) -> LoopDecision {
-    match parse_statement(&l.nest_text) {
-        Ok(stmt) => {
-            let sample = PathSample::from_stmt(&stmt, &nv.config().embed);
-            LoopDecision::Pragma(nv.decide(&sample, space))
+/// One column of a method-by-kernel table: the method's name and how it
+/// runs a kernel — [`column`] pairs a compiler (plain or Polly) with a
+/// per-loop decision.
+type Column<'a> = (
+    &'static str,
+    Box<dyn FnMut(&Kernel) -> Result<ProgramTiming, CompileError> + 'a>,
+);
+
+/// The column `name` that compiles under `compiler`, deciding each loop
+/// with `decide`.
+fn column<'a>(
+    name: &'static str,
+    compiler: &'a Compiler,
+    mut decide: impl FnMut(&LoweredLoop) -> LoopDecision + 'a,
+) -> Column<'a> {
+    (name, Box::new(move |k| compiler.run_with(k, &mut decide)))
+}
+
+/// The method-by-kernel driver behind Figures 7–9 and the ranker
+/// extension. A row is every kernel `base` compiles (the others are
+/// skipped), and an entry is baseline cycles over the column's cycles; a
+/// column whose compile fails reads 1.0, the baseline's own speedup.
+/// Methods come out in column order, and each kernel runs every column
+/// before the next kernel starts.
+fn compare(kernels: &[Kernel], base: &Compiler, mut columns: Vec<Column<'_>>) -> ComparisonData {
+    let mut benchmarks = Vec::new();
+    let mut speedups = vec![Vec::new(); columns.len()];
+    for k in kernels {
+        let Ok(b) = base.run_baseline(k) else {
+            continue;
+        };
+        benchmarks.push(k.name.clone());
+        for ((_, run), row) in columns.iter_mut().zip(&mut speedups) {
+            let t = run(k).map_or(b.total_cycles, |t| t.total_cycles);
+            row.push(b.total_cycles / t);
         }
-        Err(_) => LoopDecision::Baseline,
+    }
+    ComparisonData {
+        benchmarks,
+        methods: columns.iter().map(|(name, _)| name.to_string()).collect(),
+        speedups,
     }
 }
 
-/// Helper: per-loop embedding for the supervised agents.
-fn embed_loop(nv: &NeuroVectorizer, l: &LoweredLoop) -> Option<Vec<f32>> {
-    let stmt = parse_statement(&l.nest_text).ok()?;
-    let sample = PathSample::from_stmt(&stmt, &nv.config().embed);
-    nv.encode_batch(&[&sample]).pop()
+/// A per-loop decision from the loop's [`loop_sample`]; a loop whose text
+/// does not parse alone keeps the baseline decision.
+fn on_sample<'a>(
+    nv: &'a NeuroVectorizer,
+    mut pick: impl FnMut(&PathSample) -> VectorDecision + 'a,
+) -> impl FnMut(&LoweredLoop) -> LoopDecision + 'a {
+    move |l| {
+        loop_sample(l, &nv.config().embed)
+            .map_or(LoopDecision::Baseline, |s| LoopDecision::Pragma(pick(&s)))
+    }
+}
+
+/// [`on_sample`] for an agent that maps the loop's code vector to a
+/// `(vf_idx, if_idx)` pair.
+fn on_embedding<'a>(
+    nv: &'a NeuroVectorizer,
+    space: &'a ActionSpace,
+    pick: impl Fn(&[f32]) -> (usize, usize) + 'a,
+) -> impl FnMut(&LoweredLoop) -> LoopDecision + 'a {
+    on_sample(nv, move |s| {
+        let (v, i) = pick(&nv.encode_batch(&[s])[0]);
+        space.decision_from_pair(v, i)
+    })
+}
+
+/// The trained policy's per-loop decision.
+fn rl<'a>(
+    nv: &'a NeuroVectorizer,
+    space: &'a ActionSpace,
+) -> impl FnMut(&LoweredLoop) -> LoopDecision + 'a {
+    on_sample(nv, move |s| nv.decide(s, space))
+}
+
+/// The plain and the Polly compiler for `nv`'s target, and its action
+/// space.
+fn compilers(nv: &NeuroVectorizer) -> (Compiler, Compiler, ActionSpace) {
+    let target = &nv.config().target;
+    let plain = Compiler::new(target.clone());
+    let polly = plain.clone().with_polly(PollyConfig::default());
+    (plain, polly, ActionSpace::for_target(target))
+}
+
+/// The baseline cost model's decision, on every loop.
+fn keep_baseline(_: &LoweredLoop) -> LoopDecision {
+    LoopDecision::Baseline
 }
 
 /// Regenerates Figure 7: the trained framework plus random search, Polly,
@@ -370,14 +449,8 @@ pub fn fig7_comparison(
     train_env: &VectorizeEnv,
     benchmarks: &[Kernel],
 ) -> ComparisonData {
-    let target = nv.config().target.clone();
-    let compiler = Compiler::new(target.clone());
-    let polly_compiler = Compiler::new(target.clone()).with_polly(PollyConfig::default());
-    let space = ActionSpace::for_target(&target);
-    let dims = nvc_rl::ActionDims {
-        n_vf: space.vfs.len(),
-        n_if: space.ifs.len(),
-    };
+    let (plain, polly, space) = compilers(nv);
+    let dims = train_env.action_dims();
 
     // Supervised agents: trained embeddings + brute-force labels from the
     // training environment (§3.5).
@@ -394,93 +467,40 @@ pub fn fig7_comparison(
         dt_labels.push(labels[i].0 * dims.n_if + labels[i].1);
     }
     let tree = DecisionTree::fit(&dt_features, &dt_labels, &DecisionTreeConfig::default());
-
     let mut random = RandomAgent::new(nv.config().seed.wrapping_add(1));
 
-    let methods = vec![
-        "baseline".to_string(),
-        "random".to_string(),
-        "polly".to_string(),
-        "decision_tree".to_string(),
-        "nns".to_string(),
-        "rl".to_string(),
-        "brute_force".to_string(),
-    ];
-    let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); methods.len()];
-    let mut names = Vec::new();
-
-    for k in benchmarks {
-        let Ok(base) = compiler.run_baseline(k) else {
-            continue;
-        };
-        names.push(k.name.clone());
-        let base_cycles = base.total_cycles;
-        let speedup = |t: f64| base_cycles / t;
-
-        // baseline
-        speedups[0].push(1.0);
-        // random
-        let t_rand = compiler
-            .run_with(k, |_| {
+    compare(
+        benchmarks,
+        &plain,
+        vec![
+            column("baseline", &plain, keep_baseline),
+            column("random", &plain, |_| {
                 let (v, i) = random.act(dims);
                 LoopDecision::Pragma(space.decision_from_pair(v, i))
-            })
-            .expect("random compiles");
-        speedups[1].push(speedup(t_rand.total_cycles));
-        // polly (baseline decisions on the transformed source)
-        let t_polly = polly_compiler
-            .run_baseline(k)
-            .map(|t| t.total_cycles)
-            .unwrap_or(base_cycles);
-        speedups[2].push(speedup(t_polly));
-        // decision tree
-        let t_dt = compiler
-            .run_with(k, |l| match embed_loop(nv, l) {
-                Some(e) => {
-                    let flat = tree.predict(&e);
-                    LoopDecision::Pragma(
-                        space.decision_from_pair(flat / dims.n_if, flat % dims.n_if),
-                    )
-                }
-                None => LoopDecision::Baseline,
-            })
-            .expect("dt compiles");
-        speedups[3].push(speedup(t_dt.total_cycles));
-        // nns
-        let t_nns = compiler
-            .run_with(k, |l| match embed_loop(nv, l) {
-                Some(e) => {
-                    let (v, i) = nns.predict(&e);
-                    LoopDecision::Pragma(space.decision_from_pair(v, i))
-                }
-                None => LoopDecision::Baseline,
-            })
-            .expect("nns compiles");
-        speedups[4].push(speedup(t_nns.total_cycles));
-        // rl
-        let t_rl = compiler
-            .run_with(k, |l| rl_decide(nv, &space, l))
-            .expect("rl compiles");
-        speedups[5].push(speedup(t_rl.total_cycles));
-        // brute force: per-loop independent search.
-        let t_bf = compiler
-            .run_with(k, |l| {
+            }),
+            column("polly", &polly, keep_baseline),
+            column(
+                "decision_tree",
+                &plain,
+                on_embedding(nv, &space, |e| {
+                    let flat = tree.predict(e);
+                    (flat / dims.n_if, flat % dims.n_if)
+                }),
+            ),
+            column("nns", &plain, on_embedding(nv, &space, |e| nns.predict(e))),
+            column("rl", &plain, rl(nv, &space)),
+            // Brute force: per-loop independent search.
+            column("brute_force", &plain, |l| {
                 let (best, _) = brute_force_best(dims, |(v, i)| {
-                    let d = space.decision_from_pair(v, i);
-                    let c = compiler.vectorizer().compile(&l.ir, d);
+                    let c = plain
+                        .vectorizer()
+                        .compile(&l.ir, space.decision_from_pair(v, i));
                     -c.nest_cycles(&l.ir)
                 });
                 LoopDecision::Pragma(space.decision_from_pair(best.0, best.1))
-            })
-            .expect("bf compiles");
-        speedups[6].push(speedup(t_bf.total_cycles));
-    }
-
-    ComparisonData {
-        benchmarks: names,
-        methods,
-        speedups,
-    }
+            }),
+        ],
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -490,66 +510,32 @@ pub fn fig7_comparison(
 /// Regenerates Figure 8: PolyBench under baseline / Polly / RL /
 /// RL+Polly.
 pub fn fig8_polybench(nv: &NeuroVectorizer) -> ComparisonData {
-    transfer_comparison(nv, &polybench::polybench(), true)
+    let (plain, polly, space) = compilers(nv);
+    compare(
+        &polybench::polybench(),
+        &plain,
+        vec![
+            column("baseline", &plain, keep_baseline),
+            column("polly", &polly, keep_baseline),
+            column("rl", &plain, rl(nv, &space)),
+            column("rl+polly", &polly, rl(nv, &space)),
+        ],
+    )
 }
 
 /// Regenerates Figure 9: MiBench-style programs under baseline / Polly /
 /// RL.
 pub fn fig9_mibench(nv: &NeuroVectorizer) -> ComparisonData {
-    transfer_comparison(nv, &mibench::mibench(), false)
-}
-
-fn transfer_comparison(
-    nv: &NeuroVectorizer,
-    kernels: &[Kernel],
-    include_combined: bool,
-) -> ComparisonData {
-    let target = nv.config().target.clone();
-    let compiler = Compiler::new(target.clone());
-    let polly_compiler = Compiler::new(target.clone()).with_polly(PollyConfig::default());
-    let space = ActionSpace::for_target(&target);
-
-    let mut methods = vec![
-        "baseline".to_string(),
-        "polly".to_string(),
-        "rl".to_string(),
-    ];
-    if include_combined {
-        methods.push("rl+polly".to_string());
-    }
-    let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); methods.len()];
-    let mut names = Vec::new();
-
-    for k in kernels {
-        let Ok(base) = compiler.run_baseline(k) else {
-            continue;
-        };
-        names.push(k.name.clone());
-        let base_cycles = base.total_cycles;
-        speedups[0].push(1.0);
-        let t_polly = polly_compiler
-            .run_baseline(k)
-            .map(|t| t.total_cycles)
-            .unwrap_or(base_cycles);
-        speedups[1].push(base_cycles / t_polly);
-        let t_rl = compiler
-            .run_with(k, |l| rl_decide(nv, &space, l))
-            .expect("rl compiles");
-        speedups[2].push(base_cycles / t_rl.total_cycles);
-        if include_combined {
-            let t_combo = polly_compiler
-                .run_with(k, |l| rl_decide(nv, &space, l))
-                .map(|t| t.total_cycles)
-                .unwrap_or(t_rl.total_cycles);
-            speedups[3].push(base_cycles / t_combo);
-        }
-    }
-
-    ComparisonData {
-        benchmarks: names,
-        methods,
-        speedups,
-    }
+    let (plain, polly, space) = compilers(nv);
+    compare(
+        &mibench::mibench(),
+        &plain,
+        vec![
+            column("baseline", &plain, keep_baseline),
+            column("polly", &polly, keep_baseline),
+            column("rl", &plain, rl(nv, &space)),
+        ],
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -605,13 +591,8 @@ pub fn ext_ranker_comparison(
     use nvc_agents::{Ranker, RankerConfig};
     use rand::SeedableRng;
 
-    let target = nv.config().target.clone();
-    let compiler = Compiler::new(target.clone());
-    let space = ActionSpace::for_target(&target);
-    let dims = nvc_rl::ActionDims {
-        n_vf: space.vfs.len(),
-        n_if: space.ifs.len(),
-    };
+    let (plain, _, space) = compilers(nv);
+    let dims = train_env.action_dims();
 
     // Label the full grid of the training pool: (embedding, action) →
     // reward. This is the supervised dataset the §5 network needs.
@@ -639,39 +620,19 @@ pub fn ext_ranker_comparison(
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
     ranker.fit(&data, &mut rng);
 
-    let methods = vec![
-        "baseline".to_string(),
-        "ranker".to_string(),
-        "rl".to_string(),
-    ];
-    let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); methods.len()];
-    let mut names = Vec::new();
-    for k in benchmarks {
-        let Ok(base) = compiler.run_baseline(k) else {
-            continue;
-        };
-        names.push(k.name.clone());
-        speedups[0].push(1.0);
-        let t_rk = compiler
-            .run_with(k, |l| match embed_loop(nv, l) {
-                Some(e) => {
-                    let (v, i) = ranker.predict(&e);
-                    LoopDecision::Pragma(space.decision_from_pair(v, i))
-                }
-                None => LoopDecision::Baseline,
-            })
-            .expect("ranker compiles");
-        speedups[1].push(base.total_cycles / t_rk.total_cycles);
-        let t_rl = compiler
-            .run_with(k, |l| rl_decide(nv, &space, l))
-            .expect("rl compiles");
-        speedups[2].push(base.total_cycles / t_rl.total_cycles);
-    }
-    ComparisonData {
-        benchmarks: names,
-        methods,
-        speedups,
-    }
+    compare(
+        benchmarks,
+        &plain,
+        vec![
+            column("baseline", &plain, keep_baseline),
+            column(
+                "ranker",
+                &plain,
+                on_embedding(nv, &space, |e| ranker.predict(e)),
+            ),
+            column("rl", &plain, rl(nv, &space)),
+        ],
+    )
 }
 
 /// One row of the §3.4 reward-shaping ablation.
@@ -762,6 +723,32 @@ mod tests {
             .map(|e| e.best_over_baseline)
             .fold(0.0, f64::max);
         assert!(max > 1.1, "no headroom found: max={max}");
+    }
+
+    #[test]
+    fn compare_skips_unbuilt_kernels_and_reads_failed_columns_as_one() {
+        let plain = Compiler::new(TargetConfig::i7_8559u());
+        let broken = Kernel::new("broken", "test", "void f( {", nvc_ir::ParamEnv::new());
+        let kernels = [broken.clone(), dot_product_kernel()];
+        let d = compare(
+            &kernels,
+            &plain,
+            vec![
+                column("scalar", &plain, |_| {
+                    LoopDecision::Pragma(VectorDecision::scalar())
+                }),
+                (
+                    "fails",
+                    Box::new(|_| plain.run_with(&broken, keep_baseline)),
+                ),
+                column("baseline", &plain, keep_baseline),
+            ],
+        );
+        assert_eq!(d.benchmarks, ["dot_product"]);
+        assert_eq!(d.methods, ["scalar", "fails", "baseline"]);
+        assert!(d.speedups[0][0] < 1.0, "scalar beat the baseline");
+        assert_eq!(d.speedups[1], [1.0]);
+        assert_eq!(d.speedups[2], [1.0]);
     }
 
     #[test]

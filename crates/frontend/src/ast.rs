@@ -61,11 +61,6 @@ impl Type {
         matches!(self, Type::Float | Type::Double)
     }
 
-    /// True for any integer type.
-    pub fn is_integer(self) -> bool {
-        !self.is_float() && self != Type::Void
-    }
-
     /// C name of the type (`unsigned` prefix included).
     pub fn c_name(self) -> &'static str {
         match self {
@@ -466,14 +461,6 @@ impl Stmt {
     /// True if this statement is a `for` or `while` loop.
     pub fn is_loop(&self) -> bool {
         matches!(self.kind, StmtKind::For { .. } | StmtKind::While { .. })
-    }
-
-    /// Returns the loop body if this statement is a loop.
-    pub fn loop_body(&self) -> Option<&Stmt> {
-        match &self.kind {
-            StmtKind::For { body, .. } | StmtKind::While { body, .. } => Some(body),
-            _ => None,
-        }
     }
 
     /// Visits every statement in this subtree, outer-to-inner.

@@ -11,7 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::ast::{Function, LoopPragma, Stmt, StmtKind, TranslationUnit};
+use crate::ast::{LoopPragma, Stmt, StmtKind, TranslationUnit};
 use crate::lexer::Span;
 
 /// One loop found in a translation unit.
@@ -38,14 +38,6 @@ pub struct ExtractedLoop {
     pub nest_text: String,
     /// Pragma already attached to the loop, if any.
     pub pragma: Option<LoopPragma>,
-}
-
-impl ExtractedLoop {
-    /// The text the code embedding generator should consume, following the
-    /// paper's finding that the outer loop body works best for nests.
-    pub fn embedding_text(&self) -> &str {
-        &self.nest_text
-    }
 }
 
 /// One loop of a translation unit, borrowed from its AST: an
@@ -84,15 +76,6 @@ pub fn for_each_loop<'tu>(tu: &'tu TranslationUnit, visit: &mut impl FnMut(LoopR
 pub fn extract_loops(tu: &TranslationUnit, source: &str) -> Vec<ExtractedLoop> {
     let mut out = Vec::new();
     for_each_loop(tu, &mut |l| out.push(with_text(l, out.len(), source)));
-    out
-}
-
-/// Extracts loops from a single function.
-pub fn extract_loops_in_function(f: &Function, source: &str) -> Vec<ExtractedLoop> {
-    let mut out = Vec::new();
-    visit_loops(&f.body, &f.name, 0, None, &mut |l| {
-        out.push(with_text(l, out.len(), source))
-    });
     out
 }
 
@@ -156,14 +139,6 @@ fn visit_loops<'tu>(
     }
 }
 
-/// Finds the innermost loops of every nest — the loops the agent vectorizes.
-pub fn innermost_loops(tu: &TranslationUnit, source: &str) -> Vec<ExtractedLoop> {
-    extract_loops(tu, source)
-        .into_iter()
-        .filter(|l| l.is_innermost)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,7 +174,7 @@ void mm(int n) {
         assert!(!loops[0].is_innermost);
         assert!(!loops[1].is_innermost);
         assert!(loops[2].is_innermost);
-        assert_eq!(innermost_loops(&tu, MATMUL).len(), 1);
+        assert_eq!(loops.iter().filter(|l| l.is_innermost).count(), 1);
     }
 
     #[test]
@@ -209,7 +184,7 @@ void mm(int n) {
         let inner = &loops[2];
         assert!(inner.text.starts_with("for (int k"));
         assert!(inner.nest_text.starts_with("for (int i"));
-        assert_eq!(inner.embedding_text(), inner.nest_text);
+        assert_eq!(inner.nest_text, loops[0].text);
     }
 
     #[test]

@@ -380,8 +380,9 @@ impl Hub {
 
     /// Restores each model's decision cache from the configured
     /// `cache_path`, version-checked: a section whose checkpoint hash
-    /// matches the registered model of the same name is restored
-    /// (counted in that model's `entries_restored`); a mismatched or
+    /// matches the registered model of the same name, and whose every
+    /// index lies in that model's action space, is restored (counted in
+    /// that model's `entries_restored`); a mismatched, out-of-space or
     /// orphaned section is discarded (counted in
     /// `entries_invalidated_by_version` when the model exists).
     /// A missing file is a cold start, not an error.
@@ -1002,7 +1003,12 @@ impl Hub {
     /// registered model of the same name and checkpoint hash when there
     /// is one (so its `insertions` count them), straight into the store
     /// otherwise (content addressing makes entries from any checkpoint
-    /// safe to hold). Returns how many entries the store grew by.
+    /// safe to hold). Indexes must be non-negative integers inside the
+    /// action space of the handle that would serve them — that model's,
+    /// or every registered model's for the store, since any of them may
+    /// reload to that checkpoint; a section with one that is not is
+    /// discarded whole, as [`Hub::restore_cache`] discards it. Returns
+    /// how many entries the store grew by.
     ///
     /// # Errors
     ///
@@ -1017,6 +1023,7 @@ impl Hub {
                 if v.get("ok").and_then(Json::as_bool) != Some(true) {
                     return Err("peer rejected cache_export".to_string());
                 }
+                let models = self.registry.entries();
                 let mut absorbed = 0usize;
                 for section in v.get("sections").and_then(Json::as_array).unwrap_or(&[]) {
                     let Some(hash) = section
@@ -1026,34 +1033,33 @@ impl Hub {
                     else {
                         continue;
                     };
-                    let mut entries: Vec<(u64, (usize, usize))> = Vec::new();
-                    for e in section
+                    // `[key_hex, vf_idx, if_idx]`, or the section is malformed.
+                    let raw = section
                         .get("entries")
                         .and_then(Json::as_array)
-                        .unwrap_or(&[])
-                    {
-                        let Some(items) = e.as_array() else { continue };
-                        let (Some(key), Some(vf), Some(ifac)) = (
-                            items
-                                .first()
-                                .and_then(Json::as_str)
-                                .and_then(|s| u64::from_str_radix(s, 16).ok()),
-                            items.get(1).and_then(Json::as_f64),
-                            items.get(2).and_then(Json::as_f64),
-                        ) else {
-                            continue;
-                        };
-                        entries.push((key, (vf as usize, ifac as usize)));
-                    }
-                    if entries.is_empty() {
-                        continue;
-                    }
+                        .unwrap_or(&[]);
+                    let entries: Option<Vec<(u64, (usize, usize))>> = raw
+                        .iter()
+                        .map(|e| {
+                            let items = e.as_array()?;
+                            let key = u64::from_str_radix(items.first()?.as_str()?, 16).ok()?;
+                            Some((key, (index(items.get(1)?)?, index(items.get(2)?)?)))
+                        })
+                        .collect();
                     let model = section.get("model").and_then(Json::as_str).unwrap_or("");
-                    absorbed += match self.registry.get(model) {
-                        Some(entry) if entry.checkpoint_hash == hash => {
+                    absorbed += match (entries, self.registry.get(model)) {
+                        (Some(entries), Some(entry)) if entry.checkpoint_hash == hash => {
                             entry.handle.restore_cache(entries)
                         }
-                        _ => self.registry.store().absorb(hash, entries),
+                        (Some(entries), _) if models.iter().all(|m| m.handle.admits(&entries)) => {
+                            self.registry.store().absorb(hash, entries)
+                        }
+                        (_, named) => {
+                            if let Some(entry) = named {
+                                entry.handle.record_invalidated_entries(raw.len() as u64);
+                            }
+                            0
+                        }
                     };
                 }
                 Ok(absorbed)
@@ -1069,6 +1075,12 @@ impl Hub {
         }
         Err(HubError::Io(format!("warm-join failed: {last_err}")))
     }
+}
+
+/// A `cache_export` index: a non-negative integer (in `u32` range).
+fn index(j: &Json) -> Option<usize> {
+    let x = j.as_f64()?;
+    (x >= 0.0 && x.fract() == 0.0 && x <= f64::from(u32::MAX)).then_some(x as usize)
 }
 
 impl Drop for Hub {
@@ -1491,6 +1503,83 @@ void f(int n) {
         assert!(m.entries_invalidated_by_version > 0);
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The sample key of `SRC`'s one loop under model `m` (tag 0).
+    fn src_key() -> u64 {
+        let hub = hub_with(&[("m", 1, 0)]);
+        hub.handle_line(&obj(vec![("source", Json::from(SRC))]).render());
+        let snapshot = hub.registry().get("m").unwrap().handle.cache_snapshot();
+        snapshot[0].0
+    }
+
+    #[test]
+    fn snapshot_index_outside_the_action_space_is_discarded_whole() {
+        let dir = std::env::temp_dir().join(format!("nvc-hub-oob-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.nvc").to_string_lossy().to_string();
+        let section = CacheSection {
+            model: "m".into(),
+            checkpoint_hash: 0,
+            entries: vec![(src_key(), (99, 0))],
+        };
+        std::fs::write(&path, persist::to_string(&[section])).unwrap();
+
+        let cfg = HubConfig::default().with_cache_path(path);
+        let hub = Hub::new(cfg, ServeConfig::default().with_workers(1));
+        hub.register(stub_spec("m", 1, 0)).unwrap();
+        hub.restore_cache().unwrap();
+        let req = obj(vec![("source", Json::from(SRC))]).render();
+        let v = Json::parse(&hub.handle_line(&req).0).unwrap();
+        assert_eq!(cached_flags(&v), [false]);
+        let m = hub.registry().get("m").unwrap().handle.metrics();
+        assert_eq!(
+            (m.entries_restored, m.entries_invalidated_by_version),
+            (0, 1)
+        );
+        drop(hub);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn warm_join_discards_sections_with_indexes_outside_the_action_space() {
+        use std::io::{BufRead, BufReader, Write};
+        let key = format!("{:016x}", src_key());
+        let section = |model: &str, hash: &str, vf: &str| {
+            format!(
+                r#"{{"model":"{model}","checkpoint_hash":"{hash}","entries":[["{key}",{vf},0]]}}"#
+            )
+        };
+        let mut sections = vec![section("m", "0000000000000000", "99")];
+        // Straight into the store: not non-negative integers, or too big.
+        for vf in ["-1", "2.7", "1e99", "99"] {
+            sections.push(section("other", "0000000000000005", vf));
+        }
+        sections.push(section("m", "0000000000000000", "1"));
+        let export = format!(r#"{{"ok":true,"sections":[{}]}}"#, sections.join(","));
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = listener.local_addr().unwrap().to_string();
+        let fake = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut line = String::new();
+            BufReader::new(&stream).read_line(&mut line).unwrap();
+            assert!(line.contains("cache_export"), "{line}");
+            stream.write_all(format!("{export}\n").as_bytes()).unwrap();
+        });
+
+        let hub = hub_with(&[("m", 1, 0)]);
+        assert_eq!(hub.warm_from_peers(&[peer]).unwrap(), 1);
+        fake.join().unwrap();
+        assert_eq!(hub.registry().store().len(), 1, "only the sane section");
+        let m = hub.registry().get("m").unwrap().handle.metrics();
+        assert_eq!(
+            (m.entries_restored, m.entries_invalidated_by_version),
+            (1, 1)
+        );
+        let req = obj(vec![("source", Json::from(SRC))]).render();
+        let v = Json::parse(&hub.handle_line(&req).0).unwrap();
+        assert_eq!(cached_flags(&v), [true]);
     }
 
     #[test]

@@ -39,11 +39,6 @@ impl AccessKind {
             AccessKind::Gather => None,
         }
     }
-
-    /// True when consecutive vector lanes touch consecutive memory.
-    pub fn is_contiguous(self) -> bool {
-        matches!(self, AccessKind::Unit)
-    }
 }
 
 /// How the base address (the part not depending on the innermost induction

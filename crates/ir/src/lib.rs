@@ -52,7 +52,7 @@ pub use loop_ir::{
     BinOpIr, CmpOp, Instr, LoopIr, OuterLoopInfo, Reduction, ReductionKind, TripCount, UnOpIr,
     ValueId,
 };
-pub use lower::{lower_innermost_loops, lower_loop, LoweredLoop};
+pub use lower::{lower_innermost_loops, LoweredLoop};
 pub use program::{ArrayInfo, ParamEnv, ProgramIr};
 pub use types::ScalarType;
 

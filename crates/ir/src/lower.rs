@@ -45,8 +45,6 @@ pub struct LoweredLoop {
     pub header_line: u32,
     /// Source text of the loop itself.
     pub text: String,
-    /// Source text of the outermost enclosing loop (embedding input).
-    pub nest_text: String,
     /// Arrays referenced by the loop.
     pub arrays: BTreeMap<String, ArrayInfo>,
 }
@@ -85,37 +83,6 @@ pub fn lower_innermost_loops(
         l.loop_index = i;
     }
     Ok(out)
-}
-
-/// Lowers a single loop statement (must be a loop) in the context of `tu`.
-///
-/// Convenience entry point for tests and single-kernel pipelines.
-///
-/// # Errors
-///
-/// Returns [`IrError::UnsupportedLoopForm`] if `stmt` is not a loop.
-pub fn lower_loop(
-    tu: &TranslationUnit,
-    f: &Function,
-    stmt: &Stmt,
-    source: &str,
-    env: &ParamEnv,
-) -> Result<LoweredLoop, IrError> {
-    let mut scopes = ScopeInfo::from_function(tu, f, env);
-    let mut out = Vec::new();
-    walk_for_innermost(
-        stmt,
-        tu,
-        f,
-        source,
-        env,
-        &mut Vec::new(),
-        &mut scopes,
-        &mut out,
-    )?;
-    out.into_iter()
-        .next()
-        .ok_or_else(|| IrError::UnsupportedLoopForm("statement contains no innermost loop".into()))
 }
 
 // ---------------------------------------------------------------------
@@ -223,10 +190,7 @@ fn walk_for_innermost(
                 walk_for_innermost(body, tu, f, source, env, outer, scopes, out)?;
                 outer.pop();
             } else {
-                let nest_span = out_nest_span(stmt, outer);
-                let lowered = lower_innermost(stmt, f, source, env, outer, scopes)?;
-                let _ = nest_span;
-                out.push(lowered);
+                out.push(lower_innermost(stmt, f, source, env, outer, scopes)?);
             }
             Ok(())
         }
@@ -260,8 +224,6 @@ fn walk_for_innermost(
         _ => Ok(()),
     }
 }
-
-fn out_nest_span(_stmt: &Stmt, _outer: &[(String, u64)]) -> () {}
 
 /// Extracts (induction variable, trip count) from a loop header for *outer*
 /// loop bookkeeping; unknown forms get the environment default.
@@ -447,9 +409,9 @@ fn analyze_header(
             rhs,
         } = &bound_expr.kind
         {
-            let span = if exprs_equal_pub(lhs, start_expr) {
+            let span = if exprs_equal(lhs, start_expr) {
                 eval_expr(rhs, env)
-            } else if exprs_equal_pub(rhs, start_expr) {
+            } else if exprs_equal(rhs, start_expr) {
                 eval_expr(lhs, env)
             } else {
                 None
@@ -1521,12 +1483,7 @@ fn is_ident(e: &Expr, name: &str) -> bool {
 }
 
 /// Structural expression equality ignoring spans (shared with `nvc-polly`).
-pub fn exprs_equal_pub(a: &Expr, b: &Expr) -> bool {
-    exprs_equal(a, b)
-}
-
-/// Structural expression equality ignoring spans.
-fn exprs_equal(a: &Expr, b: &Expr) -> bool {
+pub fn exprs_equal(a: &Expr, b: &Expr) -> bool {
     use ExprKind::*;
     match (&a.kind, &b.kind) {
         (IntLit(x), IntLit(y)) => x == y,
@@ -1698,14 +1655,12 @@ fn lower_innermost(
 
     // Source coordinates.
     let (header_line, text) = (stmt.span.line, stmt.span.text(source).to_string());
-    let nest_text = text.clone();
     Ok(LoweredLoop {
         ir,
         function: f.name.clone(),
         loop_index: 0,
         header_line,
         text,
-        nest_text,
         arrays: bl.used_arrays,
     })
 }

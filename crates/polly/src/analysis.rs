@@ -8,6 +8,7 @@
 use std::collections::HashMap;
 
 use nvc_frontend::ast::{BinaryOp, Expr, ExprKind, Stmt, StmtKind, TranslationUnit};
+use nvc_ir::lower::exprs_equal;
 
 /// A canonical constant-bound loop header: `for (int iv = start; iv <
 /// bound; iv += step)`.
@@ -321,11 +322,6 @@ pub fn reorder_safe(accesses: &[AstAccess]) -> bool {
         }
     }
     true
-}
-
-/// Structural equality of expressions (delegates to `nvc-ir`'s helper).
-pub fn exprs_equal(a: &Expr, b: &Expr) -> bool {
-    nvc_ir::lower::exprs_equal_pub(a, b)
 }
 
 /// Renames every occurrence of identifier `from` to `to` in a subtree.

@@ -8,8 +8,9 @@
 //! iteration.
 
 use nvc_frontend::ast::{Item, Stmt, StmtKind, TranslationUnit};
+use nvc_ir::lower::exprs_equal;
 
-use crate::analysis::{collect_accesses, const_header, exprs_equal, rename_ident_stmt};
+use crate::analysis::{collect_accesses, const_header, rename_ident_stmt};
 
 /// Fuses adjacent eligible loops throughout the unit. Returns the number
 /// of loop pairs merged.

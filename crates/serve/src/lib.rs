@@ -142,12 +142,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Builder-style cache capacity override (0 disables caching).
-    pub fn with_cache_capacity(mut self, cap: usize) -> Self {
-        self.cache_capacity = cap;
-        self
-    }
-
     /// Builder-style batch-size override.
     pub fn with_batch_size(mut self, n: usize) -> Self {
         self.batch_size = n.max(1);

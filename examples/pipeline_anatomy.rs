@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n=== dependences ===\nlegal max VF: {}", dep.max_vf);
 
     // Stage 4: the observation the agent sees.
-    let stmt = parse_statement(&lowered[0].nest_text)?;
+    let stmt = parse_statement(&lowered[0].text)?;
     let paths = extract_path_contexts(&stmt, 8);
     println!("\n=== code2vec path contexts (first 8) ===");
     for p in &paths {

@@ -66,8 +66,8 @@ fn claim_figure2_headroom() {
 }
 
 /// §4 + Figures 7–9, at smoke training scale: the *ordering* of methods
-/// the paper reports. (Magnitudes: the `fig7`–`fig9` binaries, README §
-/// *Experiments*.)
+/// the paper reports. (Magnitudes: `nvc experiment fig7|fig8|fig9`,
+/// README § *Experiments*.)
 #[test]
 fn claim_method_ordering() {
     let (nv, env, stats) = train_framework(Scale::smoke());
