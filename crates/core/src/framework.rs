@@ -11,7 +11,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use nvc_embed::{extract_loop_samples, EmbedConfig, PathSample};
-use nvc_frontend::{inject_pragmas, FrontendError, LoopPragma};
+use nvc_frontend::{inject_pragmas_at, FrontendError, LoopPragma};
 use nvc_hub::HubConfig;
 use nvc_machine::TargetConfig;
 use nvc_rl::{ActionDims, IterStats, PpoConfig, PpoTrainer};
@@ -280,13 +280,14 @@ impl NeuroVectorizer {
         let space = ActionSpace::for_target(&self.cfg.target);
         let sites = extract_loop_samples(source, &self.cfg.embed)?;
         let samples: Vec<&PathSample> = sites.iter().map(|site| &site.sample).collect();
-        let pragmas: Vec<(u32, LoopPragma)> = sites
+        let pragmas: Vec<(u32, u32, LoopPragma)> = sites
             .iter()
             .zip(self.trainer.predict_batch(&samples))
             .map(|(site, (v, i))| {
                 let d = space.decision_from_pair(v, i);
                 (
                     site.header_line,
+                    site.header_col,
                     LoopPragma {
                         vectorize_width: d.vf,
                         interleave_count: d.if_,
@@ -294,7 +295,7 @@ impl NeuroVectorizer {
                 )
             })
             .collect();
-        Ok(inject_pragmas(source, &pragmas))
+        Ok(inject_pragmas_at(source, &pragmas))
     }
 
     /// Moves this (typically trained) model into a running

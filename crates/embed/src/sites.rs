@@ -37,6 +37,9 @@ pub struct LoopSite {
     pub function: String,
     /// 1-based line of the loop header (where a pragma goes).
     pub header_line: u32,
+    /// 1-based byte column of the loop keyword on `header_line`: a loop
+    /// that does not begin its line has its pragma spliced in there.
+    pub header_col: u32,
     /// The loop's normalized path-context sample (the model observation
     /// and the serving cache key material).
     pub sample: PathSample,
@@ -71,6 +74,7 @@ pub fn extract_loop_samples(
         sites.push(LoopSite {
             function: l.function.to_string(),
             header_line: l.span.line,
+            header_col: l.span.col,
             sample,
         });
     });

@@ -56,7 +56,7 @@ pub use ast::{
 pub use extract::{extract_loops, for_each_loop, ExtractedLoop, LoopRef};
 pub use lexer::{Lexed, Lexer, Span, Token, TokenKind};
 pub use parser::Parser;
-pub use pragma::{inject_pragma, inject_pragmas, strip_pragmas};
+pub use pragma::{inject_pragmas, inject_pragmas_at, strip_pragmas};
 pub use printer::print_translation_unit;
 
 /// Any error produced while lexing or parsing source text.

@@ -81,9 +81,9 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-use nvc_obs::json::{fail, obj, with_id, Json};
+use nvc_obs::json::{fail, obj, with_id, Json, ObjectWriter};
 use nvc_obs::{Counter, Gauge, MetricsRegistry};
-use nvc_serve::{ContentStore, DecisionModel, LoopReport, ServeConfig};
+use nvc_serve::{ContentStore, DecisionModel, ServeConfig, VectorizeOutput};
 
 pub use announce::{spawn_announcer, AnnounceConfig, Announcer};
 pub use learn::{
@@ -226,6 +226,49 @@ impl Answer for std::sync::mpsc::SyncSender<(String, bool)> {
         // timed out and left is not an error.
         let _ = self.try_send((response, keep_going));
     }
+}
+
+/// A `vectorize` answer, written member by member into one buffer sized
+/// for it: `{"id"?,"ok","model","checkpoint_hash","source","loops",
+/// "latency_us"}`, each loop `{"function","line","vf","if","cached",
+/// "key"}`. The checkpoint hash is the version stamp fleet clients verify
+/// against the registry's ad, which is what makes wrong-version decisions
+/// impossible to accept.
+fn vectorize_reply(id: Option<&str>, model: &str, hash: u64, out: &VectorizeOutput) -> String {
+    // Escaping grows C source by its newlines, about one byte in thirty;
+    // a loop's member takes under 128 bytes besides its function's name.
+    let loops: usize = out.loops.iter().map(|l| 128 + l.function.len()).sum();
+    let size = out.source.len() * 17 / 16 + loops + 128 + id.map_or(0, str::len) + model.len();
+    let mut line = String::with_capacity(size);
+    let mut reply = ObjectWriter::new(&mut line);
+    if let Some(id) = id {
+        reply.str("id", id);
+    }
+    reply
+        .bool("ok", true)
+        .str("model", model)
+        .hex("checkpoint_hash", hash)
+        .str("source", &out.source);
+    let loops = reply.key("loops");
+    loops.push('[');
+    for (i, l) in out.loops.iter().enumerate() {
+        if i > 0 {
+            loops.push(',');
+        }
+        let mut object = ObjectWriter::new(loops);
+        object
+            .str("function", &l.function)
+            .num("line", f64::from(l.line))
+            .num("vf", f64::from(l.vf))
+            .num("if", f64::from(l.if_))
+            .bool("cached", l.cached)
+            .hex("key", l.key);
+        object.end();
+    }
+    loops.push(']');
+    reply.num("latency_us", out.latency_us as f64);
+    reply.end();
+    line
 }
 
 /// The hub itself: registry + persistence + protocol handling. The TCP
@@ -704,29 +747,7 @@ impl Hub {
                 let queued = entry.handle.begin_vectorize(source, move |outcome| {
                     let id = id.as_deref();
                     let response = match outcome {
-                        Ok(out) => (
-                            with_id(
-                                id,
-                                vec![
-                                    ("ok", Json::from(true)),
-                                    ("model", Json::from(model)),
-                                    // Version stamp: fleet clients verify
-                                    // this against the registry's ad, which
-                                    // is what makes wrong-version decisions
-                                    // impossible to accept.
-                                    ("checkpoint_hash", Json::from(format!("{hash:016x}"))),
-                                    ("source", Json::from(out.source)),
-                                    (
-                                        "loops",
-                                        Json::Arr(
-                                            out.loops.iter().map(LoopReport::to_json).collect(),
-                                        ),
-                                    ),
-                                    ("latency_us", Json::from(out.latency_us)),
-                                ],
-                            ),
-                            true,
-                        ),
+                        Ok(out) => (vectorize_reply(id, &model, hash, &out), true),
                         Err(e) => fail(id, e.to_string()),
                     };
                     drop(in_flight);
@@ -1150,6 +1171,106 @@ void f(int n) {
         a[i] = b[i] * 2.0;
     }
 }";
+
+    /// The tree a `vectorize` answer was rendered from before the hub
+    /// wrote it member by member: `with_id`'s members, each loop as
+    /// `LoopReport::to_json` built it.
+    fn reply_tree(id: Option<&str>, model: &str, hash: u64, out: &VectorizeOutput) -> Json {
+        let loop_json = |l: &nvc_serve::LoopReport| {
+            obj(vec![
+                ("function", Json::from(l.function.as_str())),
+                ("line", Json::from(u64::from(l.line))),
+                ("vf", Json::from(l.vf)),
+                ("if", Json::from(l.if_)),
+                ("cached", Json::from(l.cached)),
+                ("key", Json::from(format!("{:016x}", l.key))),
+            ])
+        };
+        let mut members = vec![
+            ("ok", Json::from(true)),
+            ("model", Json::from(model)),
+            ("checkpoint_hash", Json::from(format!("{hash:016x}"))),
+            ("source", Json::from(out.source.as_str())),
+            (
+                "loops",
+                Json::Arr(out.loops.iter().map(loop_json).collect()),
+            ),
+            ("latency_us", Json::from(out.latency_us)),
+        ];
+        if let Some(id) = id {
+            members.insert(0, ("id", Json::from(id)));
+        }
+        obj(members)
+    }
+
+    /// Up to `max` characters drawn from what JSON escapes and what it
+    /// copies: control characters, `"`, `\`, multibyte UTF-8 and ASCII.
+    fn arbitrary_text(rng: &mut proptest::TestRng, max: u64) -> String {
+        let len = rng.next_u64() % (max + 1);
+        (0..len)
+            .map(|_| {
+                let r = rng.next_u64();
+                match r % 5 {
+                    0 => char::from_u32((r >> 8) as u32 % 0x20).unwrap(),
+                    1 => ['"', '\\', '/', '\u{7f}'][(r >> 8) as usize % 4],
+                    2 => ['é', '€', '😀', '\u{2028}', '\u{10ffff}'][(r >> 8) as usize % 5],
+                    _ => char::from(b' ' + (r >> 8) as u8 % 95),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn vectorize_reply_writes_the_expected_line() {
+        let out = VectorizeOutput {
+            source: "for (;;) {\n\ta[i] = \"x\";\n}".to_string(),
+            loops: vec![nvc_serve::LoopReport {
+                function: "f".into(),
+                line: 3,
+                vf: 8,
+                if_: 2,
+                cached: true,
+                key: 0xDEAD_BEEF,
+            }],
+            latency_us: 41,
+        };
+        assert_eq!(
+            vectorize_reply(Some("r-1"), "prod", 0xABC, &out),
+            r#"{"id":"r-1","ok":true,"model":"prod","checkpoint_hash":"0000000000000abc","source":"for (;;) {\n\ta[i] = \"x\";\n}","loops":[{"function":"f","line":3,"vf":8,"if":2,"cached":true,"key":"00000000deadbeef"}],"latency_us":41}"#
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Whatever the id, model name, source, functions and numbers,
+        /// the written answer parses to the tree it used to be rendered
+        /// from.
+        #[test]
+        fn vectorize_reply_parses_to_the_old_tree(seed in 0u64..u64::MAX, loops in 0usize..4) {
+            let mut rng = proptest::TestRng::for_test(&seed.to_string());
+            let id = arbitrary_text(&mut rng, 12);
+            let id = (seed % 3 != 0).then_some(id.as_str());
+            let model = arbitrary_text(&mut rng, 12);
+            let out = VectorizeOutput {
+                source: arbitrary_text(&mut rng, 200),
+                loops: (0..loops)
+                    .map(|_| nvc_serve::LoopReport {
+                        function: arbitrary_text(&mut rng, 12),
+                        line: rng.next_u64() as u32,
+                        vf: 1 << (rng.next_u64() % 7),
+                        if_: 1 << (rng.next_u64() % 5),
+                        cached: rng.next_u64().is_multiple_of(2),
+                        key: rng.next_u64(),
+                    })
+                    .collect(),
+                latency_us: rng.next_u64() >> 20,
+            };
+            let hash = rng.next_u64();
+            let line = vectorize_reply(id, &model, hash, &out);
+            proptest::prop_assert_eq!(Json::parse(&line), Ok(reply_tree(id, &model, hash, &out)));
+        }
+    }
 
     fn hub_with(models: &[(&str, u32, usize)]) -> Hub {
         let hub = Hub::new(HubConfig::default(), ServeConfig::default().with_workers(1));

@@ -62,7 +62,9 @@
 //!   loop additionally stops *reading* from that connection until the
 //!   queue drains below half (the backpressure bound — a slow reader
 //!   throttles only itself, by at most the bound plus its
-//!   already-in-flight responses).
+//!   already-in-flight responses). Without read interest a connection
+//!   hears nothing of its peer's half-close either, so one paused with
+//!   its peer gone quiet costs no wake-ups until it resumes.
 //! * **Idle connections cost zero CPU.** No per-connection timers; a
 //!   registered-but-quiet socket is never touched between selector
 //!   events. (The loop itself ticks at `IDLE_TICK` as a shutdown
@@ -395,9 +397,11 @@ fn event_loop(
                         continue; // closed earlier this iteration
                     };
                     touched.push(token); // flushed below, readable or writable
-                    if ev.readable
-                        && !drain_readable(conn, token, service, inbox, &job_tx, dispatch)
-                    {
+
+                    // A paused connection is not read until it resumes,
+                    // unless the descriptor failed, which a read reports.
+                    let read = ev.readable && (!conn.paused || ev.hangup);
+                    if read && !drain_readable(conn, token, service, inbox, &job_tx, dispatch) {
                         dead.push(token);
                     }
                 }

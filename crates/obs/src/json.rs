@@ -108,18 +108,77 @@ impl Json {
                 out.push(']');
             }
             Json::Obj(members) => {
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    render_string(k, out);
-                    out.push(':');
-                    v.render_into(out);
+                let mut object = ObjectWriter::new(out);
+                for (k, v) in members {
+                    object.value(k, v);
                 }
-                out.push('}');
+                object.end();
             }
         }
+    }
+}
+
+/// Writes one JSON object member by member at the end of a buffer: a
+/// [`Json::Obj`] without the tree. [`Json::render`] writes its objects
+/// through it too, so a line written here escapes and formats exactly
+/// as the same members rendered from a tree.
+pub struct ObjectWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> ObjectWriter<'a> {
+    /// Opens an object at the end of `out`.
+    pub fn new(out: &'a mut String) -> Self {
+        out.push('{');
+        ObjectWriter { out, empty: true }
+    }
+
+    /// Writes `key` and its colon, and hands back the buffer for the
+    /// member's value (which the caller must write, whole, next).
+    pub fn key(&mut self, key: &str) -> &mut String {
+        if !std::mem::take(&mut self.empty) {
+            self.out.push(',');
+        }
+        render_string(key, self.out);
+        self.out.push(':');
+        self.out
+    }
+
+    /// A string member.
+    pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
+        render_string(value, self.key(key));
+        self
+    }
+
+    /// A number member (a non-finite one writes `null`).
+    pub fn num(&mut self, key: &str, value: f64) -> &mut Self {
+        render_number(value, self.key(key));
+        self
+    }
+
+    /// A boolean member.
+    pub fn bool(&mut self, key: &str, value: bool) -> &mut Self {
+        self.key(key).push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    /// A 64-bit hash as the protocol spells it: a string of 16 lowercase
+    /// hex digits (a JSON number would lose precision).
+    pub fn hex(&mut self, key: &str, value: u64) -> &mut Self {
+        let _ = write!(self.key(key), "\"{value:016x}\"");
+        self
+    }
+
+    /// A member whose value is a tree.
+    pub fn value(&mut self, key: &str, value: &Json) -> &mut Self {
+        value.render_into(self.key(key));
+        self
+    }
+
+    /// Closes the object.
+    pub fn end(self) {
+        self.out.push('}');
     }
 }
 
@@ -176,20 +235,29 @@ fn render_number(n: f64, out: &mut String) {
 }
 
 fn render_string(s: &str, out: &mut String) {
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    // Every byte that needs an escape is ASCII, so each one ends a run
+    // of bytes copied as they are on a character boundary.
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -439,11 +507,17 @@ pub fn obj(members: Vec<(&str, Json)>) -> Json {
 /// One protocol reply line: `members` as an object, led by the request's
 /// `id` when it carried a string one, so a client can pair every answer —
 /// an error included — with its request.
-pub fn with_id(id: Option<&str>, mut members: Vec<(&str, Json)>) -> String {
+pub fn with_id(id: Option<&str>, members: Vec<(&str, Json)>) -> String {
+    let mut out = String::new();
+    let mut object = ObjectWriter::new(&mut out);
     if let Some(id) = id {
-        members.insert(0, ("id", Json::from(id)));
+        object.str("id", id);
     }
-    obj(members).render()
+    for (k, v) in &members {
+        object.value(k, v);
+    }
+    object.end();
+    out
 }
 
 /// An error reply, `{"id":…,"ok":false,"error":…}`, paired with the keep-going
@@ -456,6 +530,71 @@ pub fn fail(id: Option<&str>, e: String) -> (String, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A string of up to 24 characters drawn by `seed` from what JSON
+    /// text has to treat specially: every control character, `"`, `\`,
+    /// `/`, DEL, two- to four-byte UTF-8 (the line separators and the
+    /// code points next to the surrogates among them) and plain ASCII.
+    fn arbitrary_string(seed: u64) -> String {
+        let mut rng = TestRng::for_test(&seed.to_string());
+        let len = rng.next_u64() % 25;
+        (0..len)
+            .map(|_| {
+                let r = rng.next_u64();
+                match r % 6 {
+                    0 => char::from_u32((r >> 8) as u32 % 0x20).unwrap(),
+                    1 => ['"', '\\', '/', '\u{7f}'][(r >> 8) as usize % 4],
+                    2 => [
+                        'é',
+                        '€',
+                        '😀',
+                        '\u{2028}',
+                        '\u{d7ff}',
+                        '\u{e000}',
+                        '\u{10ffff}',
+                    ][(r >> 8) as usize % 7],
+                    3 => char::from_u32(0x80 + (r >> 8) as u32 % 0xd780).unwrap(),
+                    _ => char::from(b' ' + (r >> 8) as u8 % 95),
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Rendering a string and parsing it back is the identity, and
+        /// what is rendered is one string token with no raw control
+        /// character in it.
+        #[test]
+        fn strings_round_trip(seed in 0u64..u64::MAX) {
+            let s = arbitrary_string(seed);
+            let text = Json::from(s.as_str()).render();
+            prop_assert!(!text.bytes().any(|b| b < 0x20), "{text:?}");
+            prop_assert_eq!(Json::parse(&text), Ok(Json::Str(s)));
+        }
+
+        /// `with_id` writes the tree it used to build: the request's id
+        /// first, then the members, whatever they hold.
+        #[test]
+        fn with_id_parses_to_the_tree_it_stands_for(seed in 0u64..u64::MAX, has_id in 0u8..2) {
+            let id = arbitrary_string(seed);
+            let id = (has_id == 1).then_some(id.as_str());
+            let text = arbitrary_string(seed ^ 1);
+            let members = vec![
+                ("ok", Json::from(seed % 2 == 0)),
+                ("error", Json::from(text.as_str())),
+                ("n", Json::from(seed as f64 / 7.0)),
+                ("nested", obj(vec![("a", Json::Arr(vec![Json::Null, Json::from(text.clone())]))])),
+            ];
+            let mut tree = members.clone();
+            if let Some(id) = id {
+                tree.insert(0, ("id", Json::from(id)));
+            }
+            prop_assert_eq!(Json::parse(&with_id(id, members)), Ok(obj(tree)));
+        }
+    }
 
     #[test]
     fn roundtrips_protocol_shapes() {

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use nvc_embed::{extract_loop_samples, LoopSite, PathSample};
-use nvc_frontend::{inject_pragmas, LoopPragma};
+use nvc_frontend::{inject_pragmas_at, LoopPragma};
 use nvc_obs::json::{obj, Json};
 use nvc_vectorizer::ActionSpace;
 
@@ -93,23 +93,9 @@ pub struct LoopReport {
     pub cached: bool,
     /// The loop's sample hash — the correlation key a client echoes back
     /// in a `report` request to attribute a measured reward to this
-    /// decision. Rendered as 16 lowercase hex digits (JSON numbers lose
-    /// u64 precision).
+    /// decision. The hub renders it as 16 lowercase hex digits (JSON
+    /// numbers lose u64 precision).
     pub key: u64,
-}
-
-impl LoopReport {
-    /// The JSON object for the `loops` array.
-    pub fn to_json(&self) -> Json {
-        obj(vec![
-            ("function", Json::from(self.function.as_str())),
-            ("line", Json::from(u64::from(self.line))),
-            ("vf", Json::from(self.vf)),
-            ("if", Json::from(self.if_)),
-            ("cached", Json::from(self.cached)),
-            ("key", Json::from(format!("{:016x}", self.key))),
-        ])
-    }
 }
 
 /// One distinct key's decision within a request: the key, the action
@@ -214,50 +200,43 @@ impl Inner {
     }
 
     /// Turns a request's decisions into its answer: per-loop reports and
-    /// the source with pragmas injected.
+    /// the source with pragmas injected. `sites` — each loop's key,
+    /// function, header line and column — come in source order, and so
+    /// do the reports.
     fn assemble(
         &self,
         source: &str,
-        keyed: &[(u64, LoopSite)],
+        sites: impl ExactSizeIterator<Item = (u64, String, u32, u32)>,
         resolved: &[Resolved],
         t0: Instant,
     ) -> VectorizeOutput {
-        let mut reports: Vec<LoopReport> = keyed
-            .iter()
-            .map(|(key, site)| {
+        let mut pragmas = Vec::with_capacity(sites.len());
+        let loops: Vec<LoopReport> = sites
+            .map(|(key, function, line, col)| {
                 let &(_, (vf_idx, if_idx), cached) = resolved
                     .iter()
-                    .find(|(k, _, _)| k == key)
+                    .find(|(k, _, _)| *k == key)
                     .expect("every distinct key was resolved");
                 let d = self.space.decision_from_pair(vf_idx, if_idx);
+                let pragma = LoopPragma {
+                    vectorize_width: d.vf,
+                    interleave_count: d.if_,
+                };
+                pragmas.push((line, col, pragma));
                 LoopReport {
-                    function: site.function.clone(),
-                    line: site.header_line,
+                    function,
+                    line,
                     vf: d.vf,
                     if_: d.if_,
                     cached,
-                    key: *key,
+                    key,
                 }
             })
             .collect();
-        let pragmas: Vec<(u32, LoopPragma)> = reports
-            .iter()
-            .map(|r| {
-                (
-                    r.line,
-                    LoopPragma {
-                        vectorize_width: r.vf,
-                        interleave_count: r.if_,
-                    },
-                )
-            })
-            .collect();
-        let out = inject_pragmas(source, &pragmas);
-        reports.sort_by_key(|r| r.line);
-        self.metrics.loops_served.add(reports.len() as u64);
+        self.metrics.loops_served.add(loops.len() as u64);
         VectorizeOutput {
-            source: out,
-            loops: reports,
+            source: inject_pragmas_at(source, &pragmas),
+            loops,
             latency_us: t0.elapsed().as_micros() as u64,
         }
     }
@@ -329,9 +308,13 @@ impl Assembly {
         };
         let outcome = match first_err {
             Some(e) => Err(e),
-            None => Ok(self
-                .inner
-                .assemble(&self.source, &self.keyed, &resolved, self.t0)),
+            None => {
+                let sites = self.keyed.iter().map(|(key, site)| {
+                    let function = site.function.clone();
+                    (*key, function, site.header_line, site.header_col)
+                });
+                Ok(self.inner.assemble(&self.source, sites, &resolved, self.t0))
+            }
         };
         self.inner.conclude(outcome, self.t0, self.trace, done);
     }
@@ -477,7 +460,10 @@ impl ServeHandle {
             }
         }
         if misses.is_empty() {
-            let out = inner.assemble(source, &keyed, &resolved, t0);
+            let sites = keyed
+                .into_iter()
+                .map(|(key, site)| (key, site.function, site.header_line, site.header_col));
+            let out = inner.assemble(source, sites, &resolved, t0);
             inner.conclude(Ok(out), t0, trace, done);
             return false;
         }
@@ -967,23 +953,6 @@ void f(int n) {
         assert_eq!(again.source, out.source, "cache must not change decisions");
         let stats = h.cache_stats();
         assert!(stats.hits >= 2);
-    }
-
-    #[test]
-    fn loop_report_renders_expected_fields() {
-        let j = LoopReport {
-            function: "f".into(),
-            line: 3,
-            vf: 8,
-            if_: 2,
-            cached: true,
-            key: 0xDEAD_BEEF,
-        }
-        .to_json();
-        assert_eq!(
-            j.render(),
-            r#"{"function":"f","line":3,"vf":8,"if":2,"cached":true,"key":"00000000deadbeef"}"#
-        );
     }
 
     #[test]

@@ -1,12 +1,17 @@
 //! Cross-crate integration: the full paper pipeline from source text to
 //! reward, through every substrate crate.
 
-use neurovectorizer::{Compiler, LoopDecision, NeuroVectorizer, NvConfig, VectorizeEnv};
+use std::sync::Arc;
+
+use neurovectorizer::{
+    Compiler, LoopDecision, NeuroVectorizer, NvConfig, ServeConfig, ServeHandle, VectorizeEnv,
+};
 use nvc_datasets::{generator, Kernel};
-use nvc_frontend::{extract_loops, parse_translation_unit, strip_pragmas};
+use nvc_embed::extract_loop_samples;
+use nvc_frontend::{extract_loops, parse_translation_unit, strip_pragmas, LoopPragma};
 use nvc_ir::ParamEnv;
 use nvc_rl::BanditEnv;
-use nvc_vectorizer::VectorDecision;
+use nvc_vectorizer::{ActionSpace, VectorDecision};
 
 /// Train → predict → inject → recompile: the annotated program must be at
 /// least as fast as the baseline on the training pool (the agent can
@@ -74,6 +79,62 @@ void f(int n) {
     // Loop extraction in the IR also sees the hint (stored during parse).
     assert_eq!(lowered.len(), 1);
     assert!(via_callback.total_cycles > 0.0);
+}
+
+/// A loop whose keyword does not begin its line — siblings after a
+/// function's brace, the inner loop of a one-line nest — gets its own
+/// decision spliced in before its keyword, on the `nvc vectorize` path and
+/// the served one alike: the annotated file parses again and every
+/// innermost loop carries the pragma decided for it.
+#[test]
+fn loops_that_start_mid_line_get_their_own_pragmas() {
+    let cfg = NvConfig::fast();
+    let nv = NeuroVectorizer::new(cfg.clone());
+    let space = ActionSpace::for_target(&cfg.target);
+    let sources = [
+        "float a[64]; float b[64];\nvoid f(int n) { for (int i = 0; i < n; i++) a[i] = 0; \
+         for (int j = 0; j < n; j++) b[j] = 1; }",
+        "float A[64][64];\nvoid f(int n) { int i; int j;\n    \
+         for (i = 0; i < n; i++) for (j = 0; j < n; j++) A[i][j] = 0;\n}",
+        "float A[64][64]; float c[64];\nvoid f(int n) { int i; int j;\n\
+         for (i = 0; i < n; i++) { c[i] = 0; } for (i = 0; i < n; i++) \
+         for (j = 0; j < n; j++) { A[i][j] = c[j]; }\n}",
+    ];
+    let decided: Vec<Vec<Option<LoopPragma>>> = sources
+        .iter()
+        .map(|src| {
+            let sites = extract_loop_samples(src, &cfg.embed).expect("parses");
+            assert!(!sites.is_empty(), "no innermost loop in:\n{src}");
+            sites
+                .iter()
+                .map(|site| {
+                    let d = nv.decide(&site.sample, &space);
+                    Some(LoopPragma {
+                        vectorize_width: d.vf,
+                        interleave_count: d.if_,
+                    })
+                })
+                .collect()
+        })
+        .collect();
+    let innermost_pragmas = |annotated: &str| -> Vec<Option<LoopPragma>> {
+        let tu = parse_translation_unit(annotated)
+            .unwrap_or_else(|e| panic!("{e} in the annotated source:\n{annotated}"));
+        extract_loops(&tu, annotated)
+            .iter()
+            .filter(|l| l.is_innermost)
+            .map(|l| l.pragma)
+            .collect()
+    };
+    for (src, want) in sources.iter().zip(&decided) {
+        let annotated = nv.vectorize_source(src).expect("annotates");
+        assert_eq!(&innermost_pragmas(&annotated), want, "in:\n{annotated}");
+    }
+    let served = ServeHandle::start(Arc::new(nv), ServeConfig::default());
+    for (src, want) in sources.iter().zip(&decided) {
+        let out = served.vectorize(src).expect("serves");
+        assert_eq!(&innermost_pragmas(&out.source), want, "in:\n{}", out.source);
+    }
 }
 
 /// Compile-and-run must be stable across every generator family at

@@ -36,6 +36,7 @@ fn reference(source: &str, cfg: &EmbedConfig) -> Result<Vec<LoopSite>, FrontendE
             Some(LoopSite {
                 function: l.function,
                 header_line: l.header_line,
+                header_col: l.span.col,
                 sample: PathSample::from_contexts(
                     &extract_path_contexts(&stmt, cfg.max_paths),
                     cfg,

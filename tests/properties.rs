@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use neurovectorizer::{Compiler, LoopDecision};
 use nvc_datasets::generator;
-use nvc_frontend::{inject_pragma, parse_translation_unit, print_translation_unit, LoopPragma};
+use nvc_frontend::{inject_pragmas_at, parse_translation_unit, print_translation_unit, LoopPragma};
 use nvc_ir::{legal_max_vf, lower_innermost_loops};
 use nvc_machine::TargetConfig;
 use nvc_vectorizer::{ActionSpace, VectorDecision, Vectorizer};
@@ -94,18 +94,16 @@ proptest! {
 
         // Source-injection path: inject above every innermost loop.
         let tu = parse_translation_unit(&k.source).unwrap();
-        let mut loops: Vec<_> = nvc_frontend::extract_loops(&tu, &k.source)
+        let pragma = LoopPragma {
+            vectorize_width: d.vf,
+            interleave_count: d.if_,
+        };
+        let sites: Vec<_> = nvc_frontend::extract_loops(&tu, &k.source)
             .into_iter()
             .filter(|l| l.is_innermost)
+            .map(|l| (l.span.line, l.span.col, pragma))
             .collect();
-        loops.sort_by(|a, b| b.header_line.cmp(&a.header_line));
-        let mut src = k.source.clone();
-        for l in &loops {
-            src = inject_pragma(&src, l.header_line, LoopPragma {
-                vectorize_width: d.vf,
-                interleave_count: d.if_,
-            });
-        }
+        let src = inject_pragmas_at(&k.source, &sites);
         let tu2 = parse_translation_unit(&src).unwrap();
         let lowered = lower_innermost_loops(&tu2, &src, &k.env).unwrap();
         let vz = Vectorizer::new(TargetConfig::i7_8559u());
