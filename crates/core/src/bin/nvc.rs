@@ -185,12 +185,15 @@ fn cmd_train(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         cfg.kernel_mode = mode;
     }
     let pool = generator::generate(seed, kernels);
-    eprintln!(
-        "training on {} kernels, {iterations} iterations…",
-        pool.len()
-    );
-    let mut env = VectorizeEnv::new(pool, cfg.target.clone(), &cfg.embed);
     let mut nv = NeuroVectorizer::new(cfg);
+    eprintln!(
+        "training on {} kernels, {iterations} iterations, {} kernels ({})…",
+        pool.len(),
+        nv.config().kernel_mode,
+        nvc_nn::kernels::kernel_isa()
+    );
+    let cfg = nv.config();
+    let mut env = VectorizeEnv::new(pool, cfg.target.clone(), &cfg.embed);
     if let Some(path) = p.get("--journal") {
         nv.set_train_journal(Some(nvc_obs::Journal::create(path)?));
         eprintln!("journaling per-iteration telemetry to {path}");

@@ -301,7 +301,7 @@ mod tests {
     /// (`extract_loop_samples`) embeds its outermost nest (§3.3). Every
     /// PolyBench loop is nested, so every one is embedded differently.
     #[test]
-    #[ignore = "training embeds the loop, serving the outermost nest: ROADMAP item 3 (e)"]
+    #[ignore = "training embeds the loop, serving the outermost nest: ROADMAP item 1 (a)"]
     fn training_embeds_polybench_loops_as_serving_does() {
         let cfg = EmbedConfig::fast();
         let kernels = nvc_datasets::polybench::polybench();

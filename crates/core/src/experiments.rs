@@ -20,7 +20,7 @@
 //! Figures 7–9 and the ranker are column lists over one method-by-kernel
 //! driver, `compare`. Every method embeds a loop as training does, from
 //! its own text (`env::loop_sample`); serving embeds the outermost nest,
-//! which moves Figure 8 (ROADMAP item 3 (e)).
+//! which moves Figure 8 (ROADMAP item 1 (a)).
 
 use serde::{Deserialize, Serialize};
 

@@ -561,6 +561,7 @@ impl Hub {
                 "kernel_mode",
                 Json::from(nvc_nn::kernels::kernel_mode().name()),
             ),
+            ("kernel_isa", Json::from(nvc_nn::kernels::kernel_isa())),
             ("requests", Json::from(self.requests.get())),
             (
                 "lines",
@@ -1834,6 +1835,11 @@ void f(int n) {
         hub.handle_line(&distinct_loop("prod", 0));
         let stats = metrics(&hub);
         assert!(at(&stats, &["kernel_mode"]).as_str().is_some());
+        let isa = at(&stats, &["kernel_isa"]).as_str();
+        assert!(
+            matches!(isa, Some("avx2+fma" | "avx2" | "baseline")),
+            "{isa:?}"
+        );
         let hash = at(&stats, &["models", "prod", "checkpoint_hash"]);
         assert_eq!(hash.as_str(), Some("0000000000000004"));
         for path in [

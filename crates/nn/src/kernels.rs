@@ -25,12 +25,13 @@
 //!
 //! Both modes run the **same loop nests** ([`bodies`] holds each body once,
 //! generic over the multiply-add step): strict is the plain `acc + a * b`
-//! instantiation, fast the fused one where the CPU has FMA, and what else
-//! differs is the list above. Which instantiation a call runs is resolved
-//! in one place ([`bodies::MaddChoice::current`]); the entry points below
-//! never branch between two bodies of the same arithmetic, and each is its
-//! shape checks, its op timer and one call of its body on the calling
-//! thread.
+//! instantiation — compiled for AVX2 and run wherever the CPU has it, with
+//! the baseline build as the fallback ([`kernel_isa`] names the one that
+//! runs) — fast the fused one where the CPU has FMA, and what else differs
+//! is the list above. Which instantiation a call runs is resolved in one
+//! place ([`bodies::MaddChoice::current`]); the entry points below never
+//! branch between two bodies of the same arithmetic, and each is its shape
+//! checks, its op timer and one call of its body on the calling thread.
 //!
 //! The **strict** contract is one ascending-`k` chain per output element:
 //! every kernel computes each element's partial products in exactly the
@@ -42,7 +43,8 @@
 //! *independent* output accumulators (manual `f32x8`-style blocks — no
 //! unstable `std::simd`, and in this mode no `mul_add` fusion), held in
 //! registers across the reduction. Lanes never share an accumulator, so
-//! each element's chain is untouched.
+//! each element's chain is untouched, whatever vector width the blocks
+//! compile to (256-bit under AVX2, 128-bit at the baseline).
 
 pub mod bodies;
 
@@ -132,6 +134,16 @@ pub fn kernel_mode() -> KernelMode {
 /// config application, test pins — not mid-computation.
 pub fn set_kernel_mode(mode: KernelMode) {
     MODE.store(mode as usize, Ordering::Relaxed);
+}
+
+/// Which build of the kernel bodies the process's mode runs on this CPU:
+/// `"avx2+fma"` (fast mode's fused bodies), `"avx2"` (the plain bodies at
+/// 256-bit width — strict mode, or fast mode without FMA) or `"baseline"`
+/// (the plain bodies at the crate's compile target: a CPU without AVX2,
+/// or not x86-64). Detected once per process. Strict bits do not depend
+/// on it, only how fast they are computed; fast mode's do (fused or not).
+pub fn kernel_isa() -> &'static str {
+    MaddChoice::current().name()
 }
 
 /// Arms the failure-injection hook: the next `A·B` products with
@@ -366,6 +378,24 @@ mod tests {
         assert_eq!(" Strict ".parse(), Ok(KernelMode::Strict));
         assert!("blazing".parse::<KernelMode>().is_err());
         assert_eq!(KernelMode::Fast.name(), "fast");
+        set_kernel_mode(default_kernel_mode());
+    }
+
+    #[test]
+    fn kernel_isa_names_the_avx2_build_where_the_cpu_has_it() {
+        let _guard = KNOB_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        #[cfg(target_arch = "x86_64")]
+        let (avx2, fma) = (
+            std::is_x86_feature_detected!("avx2"),
+            std::is_x86_feature_detected!("fma"),
+        );
+        #[cfg(not(target_arch = "x86_64"))]
+        let (avx2, fma) = (false, false);
+        let plain = if avx2 { "avx2" } else { "baseline" };
+        set_kernel_mode(KernelMode::Strict);
+        assert_eq!(kernel_isa(), plain);
+        set_kernel_mode(KernelMode::Fast);
+        assert_eq!(kernel_isa(), if avx2 && fma { "avx2+fma" } else { plain });
         set_kernel_mode(default_kernel_mode());
     }
 

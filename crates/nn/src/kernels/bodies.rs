@@ -3,19 +3,26 @@
 //! online-max softmax).
 //!
 //! Every loop nest is written once, generic over a [`Madd`] step — the
-//! one expression the two numeric contracts disagree on — and
-//! instantiated twice:
+//! one expression the two numeric contracts disagree on — and compiled
+//! three times (the [`MaddChoice`]s):
 //!
 //! * [`Unfused`], plain `acc + a * b`, **is strict mode**, and is fast
 //!   mode on a host without FMA (fast mode's other departures — online
 //!   softmax, rational `tanh`, lane-split score dot — still apply
-//!   there).
+//!   there). It is instantiated twice: inside a
+//!   `#[target_feature(enable = "avx2")]` wrapper, where the 8- to
+//!   32-wide register blocks become 256-bit vectors, which is what runs
+//!   wherever the CPU has AVX2; and at the crate's baseline target
+//!   (128-bit SSE2 on x86-64), the fallback for a CPU without AVX2 and
+//!   for other architectures. The two compute the same bits: Rust never
+//!   contracts `acc + a * b` into an FMA, and lanes never share an
+//!   accumulator, so the vector width changes no element's chain (the
+//!   unit test `plain_instantiations_are_bit_equal` holds them to it).
 //! * [`Fused`] uses `f32::mul_add`. That intrinsic is only fast when the
 //!   compiler can emit a hardware `vfmadd`; without the `fma` target
 //!   feature it lowers to the correctly-rounded-but-slow libm `fmaf`. So
-//!   the fused instantiations live behind
-//!   `#[target_feature(enable = "avx2", enable = "fma")]` wrappers, which
-//!   is also where the 8-wide blocks pick up 256-bit vectorization.
+//!   the fused instantiation lives behind
+//!   `#[target_feature(enable = "avx2", enable = "fma")]` wrappers.
 //!
 //! Strict and fast therefore run the same loop nests — same block
 //! shapes, same ascending-`k` chain per output element — and cannot drift
@@ -24,7 +31,7 @@
 //! handed to the kernel's single entry point, which the `kernel!` macro
 //! generates; callers never branch between bodies.
 //!
-//! The FMA detection is made once per process and shared by every
+//! The CPU detection is made once per process and shared by every
 //! kernel: mixed fused/unfused chains inside one process would break the
 //! chain-equality arguments the fast test tier relies on (e.g. fast
 //! `tn`/`nt` must equal transpose-then-`matmul` bit for bit, which holds
@@ -34,7 +41,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 use super::KernelMode;
 
-/// One multiply-accumulate step — the only thing the two instantiations
+/// One multiply-accumulate step — the only thing the two arithmetics
 /// disagree on.
 pub(crate) trait Madd {
     fn madd(a: f32, b: f32, acc: f32) -> f32;
@@ -60,53 +67,96 @@ impl Madd for Unfused {
     }
 }
 
-/// Whether this process dispatches the [`Fused`] instantiations in fast
-/// mode. Decided once (AVX2 + FMA detected at runtime on x86-64; `false`
-/// elsewhere) and cached, so every fast kernel in the process agrees.
-pub fn fused_available() -> bool {
-    static FMA: AtomicU8 = AtomicU8::new(2);
-    match FMA.load(Ordering::Relaxed) {
-        2 => {
+/// The instruction sets a kernel instantiation is compiled for, widest
+/// last — what the CPU offers ([`host_isa`]) and what a [`MaddChoice`]
+/// runs.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+enum Isa {
+    /// The crate's compile target: [`Unfused`] at 128-bit SSE2 width on
+    /// x86-64.
+    Baseline,
+    /// [`Unfused`] under `#[target_feature(enable = "avx2")]`.
+    Avx2,
+    /// [`Fused`] under `#[target_feature(enable = "avx2", enable = "fma")]`.
+    Avx2Fma,
+}
+
+/// The widest [`Isa`] this CPU runs: detected at runtime on x86-64 (AVX2,
+/// then FMA on top), [`Isa::Baseline`] elsewhere. Decided once and
+/// cached, so every kernel in the process agrees.
+fn host_isa() -> Isa {
+    static ISA: AtomicU8 = AtomicU8::new(u8::MAX);
+    match ISA.load(Ordering::Relaxed) {
+        0 => Isa::Baseline,
+        1 => Isa::Avx2,
+        2 => Isa::Avx2Fma,
+        _ => {
             #[cfg(target_arch = "x86_64")]
-            let v = std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma");
+            let isa = match (
+                std::is_x86_feature_detected!("avx2"),
+                std::is_x86_feature_detected!("fma"),
+            ) {
+                (true, true) => Isa::Avx2Fma,
+                (true, false) => Isa::Avx2,
+                (false, _) => Isa::Baseline,
+            };
             #[cfg(not(target_arch = "x86_64"))]
-            let v = false;
-            FMA.store(v as u8, Ordering::Relaxed);
-            v
+            let isa = Isa::Baseline;
+            ISA.store(isa as u8, Ordering::Relaxed);
+            isa
         }
-        v => v == 1,
     }
 }
 
+/// Whether this process dispatches the [`Fused`] instantiations in fast
+/// mode: the CPU has AVX2 and FMA (detected once, on x86-64; `false`
+/// elsewhere).
+pub fn fused_available() -> bool {
+    host_isa() == Isa::Avx2Fma
+}
+
 /// Which instantiation of the bodies a call runs. The field is private to
-/// this module so that a fused choice exists only where
-/// [`fused_available`] vouched for the CPU — what makes the entry points
-/// safe to call with any value of this type.
+/// this module so that an AVX2 or fused choice exists only where
+/// [`host_isa`] vouched for the CPU — what makes the entry points safe to
+/// call with any value of this type.
 #[derive(Clone, Copy)]
 pub(crate) struct MaddChoice {
-    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-    fused: bool,
+    isa: Isa,
 }
 
 impl MaddChoice {
-    /// The plain step: strict mode's arithmetic.
-    const PLAIN: MaddChoice = MaddChoice { fused: false };
+    /// The plain step — strict mode's arithmetic — at the widest
+    /// instantiation this CPU runs.
+    fn plain() -> Self {
+        MaddChoice {
+            isa: host_isa().min(Isa::Avx2),
+        }
+    }
 
     /// Fast-mode arithmetic whatever the process mode: fused where the CPU
     /// has FMA, plain elsewhere. For fast mode's own algorithms, which have
     /// already read the mode, and for [`super::row_matmul_accum_fast`].
     pub(crate) fn fast() -> Self {
-        MaddChoice {
-            fused: fused_available(),
-        }
+        MaddChoice { isa: host_isa() }
     }
 
     /// The arithmetic of the process's [`KernelMode`] — the one place a
     /// mode picks between the instantiations.
     pub(crate) fn current() -> Self {
         match super::kernel_mode() {
-            KernelMode::Strict => Self::PLAIN,
+            KernelMode::Strict => Self::plain(),
             KernelMode::Fast => Self::fast(),
+        }
+    }
+
+    /// The instruction set this choice runs, as
+    /// [`super::kernel_isa`] reports it.
+    pub(crate) fn name(self) -> &'static str {
+        match self.isa {
+            Isa::Baseline => "baseline",
+            Isa::Avx2 => "avx2",
+            Isa::Avx2Fma => "avx2+fma",
         }
     }
 }
@@ -536,12 +586,13 @@ fn tanh_one<M: Madd>(x: f32) -> f32 {
 
 // --- Entry points -------------------------------------------------------
 
-/// Generates a kernel's one entry point from its generic body: the
-/// [`Unfused`] instantiation, compiled at the crate's baseline target, and
-/// on x86-64 the [`Fused`] one inside a `#[target_feature]` function —
-/// where the `#[inline(always)]` body picks up hardware `vfmadd` codegen
-/// and 256-bit vectorization of the 8-wide blocks — selected by the
-/// caller's [`MaddChoice`].
+/// Generates a kernel's one entry point from its generic body, selected by
+/// the caller's [`MaddChoice`]: on x86-64 the [`Fused`] instantiation
+/// inside an avx2+fma `#[target_feature]` function and the [`Unfused`] one
+/// inside an avx2 function — where the `#[inline(always)]` body picks up
+/// 256-bit vectorization of its register blocks (and, fused, hardware
+/// `vfmadd`) — and the [`Unfused`] one compiled at the crate's baseline
+/// target.
 macro_rules! kernel {
     (
         $(#[$doc:meta])*
@@ -551,14 +602,27 @@ macro_rules! kernel {
         #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
         pub(crate) fn $name(madd: MaddChoice, $($arg: $ty),*) $(-> $ret)? {
             #[cfg(target_arch = "x86_64")]
-            if madd.fused {
-                #[target_feature(enable = "avx2", enable = "fma")]
-                unsafe fn fused($($arg: $ty),*) $(-> $ret)? {
-                    $generic::<Fused>($($arg),*)
+            match madd.isa {
+                Isa::Avx2Fma => {
+                    #[target_feature(enable = "avx2", enable = "fma")]
+                    unsafe fn fused($($arg: $ty),*) $(-> $ret)? {
+                        $generic::<Fused>($($arg),*)
+                    }
+                    // SAFETY: `Avx2Fma` is only ever `host_isa`'s answer,
+                    // which verified avx2+fma on this CPU.
+                    return unsafe { fused($($arg),*) };
                 }
-                // SAFETY: `fused` is set only by `MaddChoice::fast`, after
-                // `fused_available` verified avx2+fma on this CPU.
-                return unsafe { fused($($arg),*) };
+                Isa::Avx2 => {
+                    #[target_feature(enable = "avx2")]
+                    unsafe fn avx2($($arg: $ty),*) $(-> $ret)? {
+                        $generic::<Unfused>($($arg),*)
+                    }
+                    // SAFETY: `Avx2` is `host_isa`'s answer or its
+                    // `Avx2Fma` capped by `MaddChoice::plain`; either way
+                    // avx2 was verified on this CPU.
+                    return unsafe { avx2($($arg),*) };
+                }
+                Isa::Baseline => {}
             }
             $generic::<Unfused>($($arg),*)
         }
@@ -758,7 +822,9 @@ mod tests {
     /// The public entry dispatches one instantiation per host (and
     /// `tests/fast_parity.rs` sweeps that one); the plain-madd body must
     /// honour the same bound on hosts without FMA, so it is held to it
-    /// here, where it can be named.
+    /// here, where it can be named (at this host's widest plain
+    /// instantiation: `plain_instantiations_are_bit_equal` holds the
+    /// other to the same bits).
     #[test]
     fn plain_madd_tanh_body_is_within_seven_ulps() {
         let mut xs: Vec<f32> = (0..=96_000).map(|i| i as f32 * 1.25e-4).collect();
@@ -774,7 +840,7 @@ mod tests {
         }
         xs.extend([9.1, 40.0]);
         let mut tally = UlpTally::default();
-        tally.add(MaddChoice::PLAIN, &xs, &correctly_rounded_tanh(&xs));
+        tally.add(MaddChoice::plain(), &xs, &correctly_rounded_tanh(&xs));
         assert!(
             tally.worst() <= PLAIN_TANH_MAX_ULPS,
             "{} ulp at {:e}",
@@ -784,21 +850,24 @@ mod tests {
     }
 
     /// Where the two bounds come from: every positive `f32` below 9.1
-    /// (from there on the result is exactly 1) through each instantiation
-    /// this host can run, with the ulp histograms printed.
+    /// (from there on the result is exactly 1) through the fused body, if
+    /// this host runs it, and this host's widest plain one, with the ulp
+    /// histograms printed under the instantiations' names.
     #[test]
     #[ignore = "1.1e9 values, a minute in release: run with --release -- --ignored"]
     fn tanh_bodies_attain_their_bounds_over_every_float_below_the_clamp() {
+        let plain = MaddChoice::plain();
         let mut bodies = vec![(
-            "plain",
-            MaddChoice::PLAIN,
+            format!("plain ({})", plain.name()),
+            plain,
             PLAIN_TANH_MAX_ULPS,
             UlpTally::default(),
         )];
         if fused_available() {
+            let fused = MaddChoice::fast();
             bodies.push((
-                "fused",
-                MaddChoice::fast(),
+                format!("fused ({})", fused.name()),
+                fused,
                 FUSED_TANH_MAX_ULPS,
                 UlpTally::default(),
             ));
@@ -828,7 +897,7 @@ mod tests {
         let a: Vec<f32> = (0..m * kd).map(|i| ((i as f32) * 0.37).sin()).collect();
         let b: Vec<f32> = (0..kd * n).map(|i| ((i as f32) * 0.71).cos()).collect();
         let mut strict = vec![0.0f32; m * n];
-        mm_rows(MaddChoice::PLAIN, &a, &b, m, kd, n, &mut strict);
+        mm_rows(MaddChoice::plain(), &a, &b, m, kd, n, &mut strict);
         let mut fast = vec![0.0f32; m * n];
         mm_rows(MaddChoice::fast(), &a, &b, m, kd, n, &mut fast);
         for (f, s) in fast.iter().zip(strict.iter()) {
@@ -838,5 +907,119 @@ mod tests {
         let mut again = vec![0.0f32; m * n];
         mm_rows(MaddChoice::fast(), &a, &b, m, kd, n, &mut again);
         assert_eq!(bits(&fast), bits(&again));
+    }
+
+    /// `len` operands from `seed`. Ordinary values in [−2, 2) with, when
+    /// `wild`, one in four drawn from ±0, quiet and signalling NaNs, ±∞
+    /// and ± subnormals; otherwise one in eight from ±0 and ± subnormals
+    /// only, so most outputs stay finite and their rounding is compared.
+    fn operand(len: usize, seed: u64, wild: bool) -> Vec<f32> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let r = (state >> 32) as u32;
+                let subnormal = f32::from_bits(r >> 9 | 1);
+                let specials = [
+                    0.0,
+                    -0.0,
+                    subnormal,
+                    -subnormal,
+                    f32::INFINITY,
+                    f32::NEG_INFINITY,
+                    f32::from_bits(0x7FC0_0001),
+                    f32::from_bits(0x7F80_0001),
+                ];
+                match (wild, r % 8) {
+                    (true, 0 | 1) => specials[(r >> 3) as usize % 8],
+                    (false, 0) => specials[(r >> 3) as usize % 4],
+                    _ => (r >> 8) as f32 / (1u32 << 24) as f32 * 4.0 - 2.0,
+                }
+            })
+            .collect()
+    }
+
+    /// Bit view with every NaN mapped to the one canonical quiet NaN —
+    /// which payload survives when two NaNs meet is a property of the
+    /// build, not of the kernel (see `tests/kernel_parity.rs`).
+    fn canonical_bits(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+            .collect()
+    }
+
+    /// Every kernel entry at one shape through the instantiation `madd`
+    /// names, all outputs concatenated. `kd` is the reduction length (the
+    /// rows of `tn`'s operands and of the weighted sum's window), `n` the
+    /// output width.
+    fn every_kernel(madd: MaddChoice, m: usize, kd: usize, n: usize, wild: bool) -> Vec<f32> {
+        let seed = (m * 1_000_000 + kd * 1_000 + n) as u64 * 2 + wild as u64;
+        let input = |len: usize, salt: u64| operand(len, seed * 16 + salt, wild);
+        let mut out = Vec::new();
+
+        let mut mm = input(m * n, 0);
+        let (a, b) = (input(m * kd, 1), input(kd * n, 2));
+        mm_rows(madd, &a, &b, m, kd, n, &mut mm);
+        out.extend(mm);
+
+        let mut tn = input(m * n, 3);
+        tn_rows(madd, &input(kd * m, 4), &input(kd * n, 5), m, n, &mut tn);
+        out.extend(tn);
+
+        let mut nt = input(m * n, 6);
+        let panels = pack_nt_panels(&input(n * kd, 7), kd, n);
+        nt_rows(madd, &input(m * kd, 8), &panels, m, kd, n, &mut nt);
+        out.extend(nt);
+
+        let mut pooled = input(n, 9);
+        let (alpha, x) = (input(kd, 10), input(kd * n, 11));
+        weighted_sum(madd, &alpha, &x, n, kd / 3, kd, &mut pooled);
+        out.extend(pooled);
+
+        out.push(dot(madd, &input(kd, 12), &input(kd, 13)));
+
+        let mut scores = input(m, 14);
+        row_dots(madd, &input(m * kd, 15), &input(kd, 12), kd, &mut scores);
+        out.extend(scores);
+
+        let mut t: Vec<f32> = input(m * kd + n, 1).iter().map(|x| x * 5.0).collect();
+        tanh(madd, &mut t);
+        out.extend(t);
+        out
+    }
+
+    /// The baseline and the AVX2 build of the plain bodies compute the
+    /// same bits. On an AVX2 host the baseline build never runs otherwise,
+    /// so this is what keeps it honest as the fallback. Shapes straddle
+    /// the 4-, 8-, 16- and 32-wide blocks, their tails and `mm`'s 64-wide
+    /// tiles, with zero-size dimensions and `n == 1`; inputs carry every
+    /// special value.
+    #[test]
+    fn plain_instantiations_are_bit_equal() {
+        let baseline = MaddChoice { isa: Isa::Baseline };
+        if host_isa() < Isa::Avx2 {
+            eprintln!("no AVX2 on this CPU: the baseline build is the one that runs");
+            return;
+        }
+        let avx2 = MaddChoice { isa: Isa::Avx2 };
+        let widths = [
+            0, 1, 3, 4, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 40, 63, 64, 70,
+        ];
+        for m in [0, 1, 2, 7, 8, 9, 16, 17, 33] {
+            for kd in [0, 1, 5, 8, 31, 33, 64, 70] {
+                for n in widths {
+                    for wild in [false, true] {
+                        let want = canonical_bits(&every_kernel(baseline, m, kd, n, wild));
+                        let got = canonical_bits(&every_kernel(avx2, m, kd, n, wild));
+                        assert!(
+                            want == got,
+                            "baseline and avx2 differ at m={m} kd={kd} n={n} wild={wild}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

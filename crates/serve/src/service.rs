@@ -615,6 +615,7 @@ impl ServeHandle {
                 "kernel_mode",
                 Json::from(nvc_nn::kernels::kernel_mode().name()),
             ),
+            ("kernel_isa", Json::from(nvc_nn::kernels::kernel_isa())),
             ("requests", Json::from(m.requests)),
             ("errors", Json::from(m.errors)),
             ("loops_served", Json::from(m.loops_served)),
@@ -1087,6 +1088,7 @@ void f(int n) {
         for path in [
             vec!["requests"],
             vec!["uptime_us"],
+            vec!["kernel_isa"],
             vec!["cache", "hits"],
             vec!["cache", "hit_rate"],
             vec!["cache", "occupancy"],
