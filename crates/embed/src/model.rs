@@ -208,6 +208,7 @@ impl CodeEmbedder {
         // the exact order the per-sample tape scatters token-table
         // gradients in, which keeps repeated table rows bitwise-identical
         // under f32 accumulation. Paths go in one gather of their own.
+        let indexing = obs::time_op(obs::Op::Gather);
         let mut tok_idx = Vec::with_capacity(2 * total);
         let mut path_idx = Vec::with_capacity(total);
         let mut start_rows = Vec::with_capacity(total);
@@ -221,6 +222,7 @@ impl CodeEmbedder {
             start_rows.extend(base..base + n);
             end_rows.extend(base + n..base + 2 * n);
         }
+        drop(indexing);
 
         // A loop's contexts pair up its few leaves and a batch's loops
         // share most of them, so the same (start, path, end) row recurs
@@ -229,6 +231,7 @@ impl CodeEmbedder {
         // (a third of the hashing a tuple key costs), injective because
         // every index is checked to be inside its table — so those
         // stages run once per distinct triple.
+        let keying = obs::time_op(obs::Op::Dedup);
         let (nt, np) = (self.cfg.token_buckets as u64, self.cfg.path_buckets as u64);
         let keyspace = nt.checked_mul(np).and_then(|k| k.checked_mul(nt));
         assert!(keyspace.is_some(), "embedding tables too large to key");
@@ -241,6 +244,7 @@ impl CodeEmbedder {
             }
         }
         let repeats = RowAlias::from_keys(keys);
+        drop(keying);
         obs::record_embed_rows(3 * total, 3 * repeats.distinct_rows());
 
         let w = g.param(self.w_context);

@@ -261,6 +261,7 @@ impl<'s> Graph<'s> {
     /// A zeroed `rows × cols` tensor from the arena (or the allocator
     /// when the graph has none).
     fn alloc(&self, rows: usize, cols: usize) -> Tensor {
+        let _timer = nvc_obs::time_op(nvc_obs::Op::Alloc);
         match self.arena {
             Some(a) => a.alloc(rows, cols),
             None => Tensor::zeros(rows, cols),
@@ -276,6 +277,7 @@ impl<'s> Graph<'s> {
 
     /// An arena-backed copy of `t`.
     fn dup(&self, t: &Tensor) -> Tensor {
+        let _timer = nvc_obs::time_op(nvc_obs::Op::Alloc);
         let mut out = self.alloc(t.rows(), t.cols());
         out.data_mut().copy_from_slice(t.data());
         out
@@ -608,8 +610,8 @@ impl<'s> Graph<'s> {
         self.push(Op::Clamp(a, lo, hi), v)
     }
 
-    /// Hyperbolic tangent ([`crate::kernels::tanh_inplace`]: libm in
-    /// strict mode, the rational body in fast mode).
+    /// Hyperbolic tangent ([`crate::kernels::tanh_inplace`]: fdlibm's
+    /// `tanhf` in lanes in strict mode, the rational body in fast mode).
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
         let v = tanh_of(self, &self.values[a.0]);
         self.push(Op::Tanh(a), v)
@@ -1112,6 +1114,7 @@ impl<'s> Graph<'s> {
     }
 
     fn accum(&mut self, n: NodeId, g: Tensor) {
+        let _timer = nvc_obs::time_op(nvc_obs::Op::Elementwise);
         match &mut self.grads[n.0] {
             Some(existing) => {
                 existing.add_scaled(&g, 1.0);

@@ -241,23 +241,29 @@ pub fn row_dots_accum(a: &[f32], v: &[f32], m: usize, kd: usize, out: &mut [f32]
 /// `tanh` runs (the tape's [`Graph::tanh`](crate::Graph::tanh), the
 /// encoder's tape-free forward, the policy net).
 ///
-/// Strict is `f32::tanh` per element. Fast is a branch-free rational
-/// body ([`bodies`]: Eigen's (13, 6) minimax fit, one division) with no
-/// libm call and no table: within 5 ulp of the correctly rounded value
-/// in bit distance where the madds fuse and 7 where they do not (the
-/// worst cases over every `f32`; 91.6 % of results are exact and 99.7 %
-/// within 2), odd, `|tanh| ≤ 1`, `NaN → NaN`, `±∞ → ±1`, `±0 → ±0`,
-/// subnormals → themselves, `|x| ≥ 9 → ±1` exactly. Each element is a
-/// pure function of itself, so results do not depend on where in a slice
-/// (vector body or tail) an element sits.
+/// Strict is fdlibm's `tanhf` (with its `expm1f`) computed in lanes
+/// ([`bodies`]): the bits of the scalar C code for every `f32`, `NaN`
+/// payloads included. That is glibc's `tanhf` wherever glibc ships
+/// fdlibm's (an ignored unit test beside the body scans all 2³² inputs
+/// against the build host's `f32::tanh`), and strict bits do not depend
+/// on which libm the host has.
+///
+/// Fast is a branch-free rational body ([`bodies`]: Eigen's (13, 6)
+/// minimax fit, one division) with no libm call and no table: within 5
+/// ulp of the correctly rounded value in bit distance where the madds
+/// fuse and 7 where they do not (the worst cases over every `f32`;
+/// 91.6 % of results are exact and 99.7 % within 2), odd, `|tanh| ≤ 1`,
+/// `NaN → NaN`, `±∞ → ±1`, `±0 → ±0`, subnormals → themselves,
+/// `|x| ≥ 9 → ±1` exactly.
+///
+/// In both modes each element is a pure function of itself, so results
+/// do not depend on where in a slice (vector body or tail) an element
+/// sits.
 pub fn tanh_inplace(xs: &mut [f32]) {
     let _timer = nvc_obs::time_op(nvc_obs::Op::Tanh);
-    if kernel_mode() == KernelMode::Fast {
-        bodies::tanh(MaddChoice::fast(), xs);
-        return;
-    }
-    for x in xs.iter_mut() {
-        *x = x.tanh();
+    match kernel_mode() {
+        KernelMode::Strict => bodies::tanh_fdlibm(MaddChoice::current(), xs),
+        KernelMode::Fast => bodies::tanh(MaddChoice::fast(), xs),
     }
 }
 

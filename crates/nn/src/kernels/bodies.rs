@@ -1,6 +1,7 @@
-//! The arithmetic bodies of the kernel family — both modes' — plus fast
-//! mode's own algorithms (lane-split dot, rational `tanh`, single-pass
-//! online-max softmax).
+//! The arithmetic bodies of the kernel family — both modes' — plus
+//! strict mode's `tanh` (fdlibm's `tanhf`, branch-free so that it runs in
+//! lanes) and fast mode's own algorithms (lane-split dot, rational
+//! `tanh`, single-pass online-max softmax).
 //!
 //! Every loop nest is written once, generic over a [`Madd`] step — the
 //! one expression the two numeric contracts disagree on — and compiled
@@ -584,6 +585,134 @@ fn tanh_one<M: Madd>(x: f32) -> f32 {
     }
 }
 
+/// Strict `tanh` of every element, in place — see
+/// [`super::tanh_inplace`] for the contract. No madd step: every
+/// instantiation computes the same bits.
+#[inline(always)]
+fn tanh_fdlibm_g<M: Madd>(xs: &mut [f32]) {
+    for x in xs.iter_mut() {
+        *x = fdlibm_tanhf(*x);
+    }
+}
+
+/// fdlibm's single-precision constants, by their bit patterns.
+const LN2_HI: f32 = f32::from_bits(0x3f31_7180);
+const LN2_LO: f32 = f32::from_bits(0x3717_f7d1);
+const INV_LN2: f32 = f32::from_bits(0x3fb8_aa3b);
+const EXPM1_Q: [f32; 5] = [
+    f32::from_bits(0xbd08_8889),
+    f32::from_bits(0x3ad0_0d01),
+    f32::from_bits(0xb8a6_70cd),
+    f32::from_bits(0x3686_7e54),
+    f32::from_bits(0xb457_edbb),
+];
+
+/// fdlibm's `tanhf` with its `expm1f` inlined — the scalar code glibc
+/// ships — rewritten without branches so that every lane runs the same
+/// instructions. Each operation is the C source's, in its order, on the
+/// same `f32` values (nothing fuses), so the result is bit for bit
+/// fdlibm's for every input, `NaN` payloads included.
+///
+/// `tanhf` works on `|x|` and applies the sign last: `±0` and
+/// `|x| < 2⁻⁵⁵` give `x`; `|x| < 1` gives `−t / (t + 2)` with
+/// `t = expm1f(−2|x|)`; `1 ≤ |x| < 22` gives `1 − 2 / (t + 2)` with
+/// `t = expm1f(2|x|)`; `|x| ≥ 22` gives `1`; `±∞` and `NaN` give
+/// `1/|x| + 1`. The two quotients and that last one are a single
+/// division whose operands are selected first.
+///
+/// `expm1f(u)` reduces `u = k·ln2 + r` with `k` 0 for `|u| ≤ ½ln2`, ±1
+/// below `1.5 ln2` and `trunc(u/ln2 ± ½)` above; the one
+/// `hi = u − k·ln2_hi`, `lo = k·ln2_lo` formula is exact in all three
+/// cases (for `k = 0` it leaves `u`). Every result formula that a `k`
+/// of `tanhf`'s arguments can reach is computed and one is selected.
+/// Those arguments give `k ∈ {0, −1, −2, −3}` below `|x| = 1` and
+/// `k ∈ 3..=63` above, so `expm1f`'s `k = 1` formula is left out, as are
+/// its overflow and `u ≤ −27 ln2` exits (`|u| < 44`). Below
+/// `|u| = 2⁻²⁵` it returns `u`.
+#[inline(always)]
+fn fdlibm_tanhf(x: f32) -> f32 {
+    let sign = x.to_bits() & 0x8000_0000;
+    let ix = x.to_bits() & 0x7fff_ffff;
+    let ax = f32::from_bits(ix);
+    let big = ix >= 0x3f80_0000;
+
+    // expm1f(u), u = 2|x| from |x| = 1 up, −2|x| below.
+    let u = if big { 2.0 * ax } else { -2.0 * ax };
+    let hu = (2.0 * ax).to_bits();
+    // `as i32` saturates, which does not vectorize (the AVX2 body took
+    // about a fifth longer with it). The lanes that use `k_far` hold
+    // |v| < 64, and the select keeps every other lane in range too (NaN
+    // fails the comparison).
+    let v = INV_LN2 * u + if big { 0.5 } else { -0.5 };
+    let v = if v.abs() < 128.0 { v } else { 0.0 };
+    // SAFETY: `v` is finite and |v| < 128, so it truncates into `i32`.
+    let k_far: i32 = unsafe { v.to_int_unchecked() };
+    // fdlibm's ±1 below 1.5 ln2 is always −1 here: only `u < 0`
+    // (|x| < 1) is that small.
+    let k: i32 = if hu <= 0x3eb1_7218 {
+        0
+    } else if hu < 0x3f85_1592 {
+        -1
+    } else {
+        k_far
+    };
+    let kf = k as f32;
+    let hi = u - kf * LN2_HI;
+    let lo = kf * LN2_LO;
+    let r = hi - lo;
+    let c = (hi - r) - lo;
+    let hfx = 0.5 * r;
+    let hxs = r * hfx;
+    let [q1, q2, q3, q4, q5] = EXPM1_Q;
+    let r1 = 1.0 + hxs * (q1 + hxs * (q2 + hxs * (q3 + hxs * (q4 + hxs * q5))));
+    let t = 3.0 - r1 * hfx;
+    let e = hxs * ((r1 - t) / (6.0 - r * t));
+    let em_k0 = r - (r * e - hxs);
+    let e = (r * (e - c) - c) - hxs;
+    let em_km1 = 0.5 * (r - e) - 0.5;
+    // 2^-k, and `y·2^k` by adding `k` to the exponent field; lanes whose
+    // `k` is out of range compute garbage that no select picks.
+    let two_mk = f32::from_bits((0x7f_i32.wrapping_sub(k) << 23) as u32);
+    let scale = |y: f32| f32::from_bits((y.to_bits() as i32).wrapping_add(k << 23) as u32);
+    let em_far = scale(1.0 - (e - r)) - 1.0;
+    let em_mid = scale((1.0 - two_mk) - (e - r));
+    let em_high = scale((r - (e + two_mk)) + 1.0);
+    let em = if hu < 0x3300_0000 {
+        u
+    } else if k == 0 {
+        em_k0
+    } else if k == -1 {
+        em_km1
+    } else if k <= -2 || k > 56 {
+        em_far
+    } else if k < 23 {
+        em_mid
+    } else {
+        em_high
+    };
+
+    let nonfinite = ix >= 0x7f80_0000;
+    let (num, den) = if nonfinite {
+        (1.0, ax)
+    } else if big {
+        (2.0, em + 2.0)
+    } else {
+        (-em, em + 2.0)
+    };
+    let q = num / den;
+    let z = if nonfinite {
+        q + 1.0
+    } else if ix >= 0x41b0_0000 {
+        1.0
+    } else if big {
+        1.0 - q
+    } else {
+        q
+    };
+    let z = if ix < 0x2400_0000 { ax } else { z };
+    f32::from_bits(z.to_bits() ^ sign)
+}
+
 // --- Entry points -------------------------------------------------------
 
 /// Generates a kernel's one entry point from its generic body, selected by
@@ -662,6 +791,10 @@ kernel! {
 kernel! {
     /// Rational `tanh` in place ([`tanh_g`]) — fast mode only.
     tanh = tanh_g(xs: &mut [f32])
+}
+kernel! {
+    /// fdlibm's `tanhf` in place ([`tanh_fdlibm_g`]) — strict mode only.
+    tanh_fdlibm = tanh_fdlibm_g(xs: &mut [f32])
 }
 
 /// Single-pass online-max softmax over the strided column
@@ -891,6 +1024,143 @@ mod tests {
         }
     }
 
+    /// The builds of the strict `tanh` this CPU runs, by name: the
+    /// baseline one, and the AVX2 one where the CPU has AVX2.
+    fn strict_tanh_builds() -> Vec<(&'static str, MaddChoice)> {
+        let mut builds = vec![("baseline", MaddChoice { isa: Isa::Baseline })];
+        if host_isa() >= Isa::Avx2 {
+            builds.push(("avx2", MaddChoice { isa: Isa::Avx2 }));
+        }
+        builds
+    }
+
+    /// Where the strict `tanh` builds differ from `f32::tanh` on `xs` in
+    /// any bit, `NaN` payloads included: a count per build (in
+    /// [`strict_tanh_builds`] order) and the first few mismatches as
+    /// `(build, input, got, libm)` bit patterns.
+    #[derive(Default)]
+    struct Mismatches {
+        count: [u64; 2],
+        first: Vec<(&'static str, u32, u32, u32)>,
+    }
+
+    impl Mismatches {
+        fn add(&mut self, xs: &[f32]) {
+            let want: Vec<f32> = xs.iter().map(|x| x.tanh()).collect();
+            for (b, (name, madd)) in strict_tanh_builds().into_iter().enumerate() {
+                let mut got = xs.to_vec();
+                tanh_fdlibm(madd, &mut got);
+                for ((x, g), w) in xs.iter().zip(&got).zip(&want) {
+                    if g.to_bits() != w.to_bits() {
+                        self.count[b] += 1;
+                        if self.first.len() < 8 {
+                            self.first
+                                .push((name, x.to_bits(), g.to_bits(), w.to_bits()));
+                        }
+                    }
+                }
+            }
+        }
+
+        fn merge(mut self, other: Mismatches) -> Mismatches {
+            for (c, o) in self.count.iter_mut().zip(other.count) {
+                *c += o;
+            }
+            self.first.extend(other.first);
+            self.first.truncate(8);
+            self
+        }
+
+        fn assert_none(&self) {
+            assert!(
+                self.count == [0, 0],
+                "{:?} differ; (build, x, got, libm): {:08x?}",
+                self.count,
+                self.first
+            );
+        }
+    }
+
+    /// The least `x ≥ 1` whose `expm1f(2x)` reduction reaches `k`.
+    fn first_x_with_k(k: i32) -> f32 {
+        let reaches = |bits: u32| (INV_LN2 * (2.0 * f32::from_bits(bits)) + 0.5) as i32 >= k;
+        let (mut lo, mut hi) = (1.0f32.to_bits(), 22.0f32.to_bits());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if reaches(mid) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        f32::from_bits(lo)
+    }
+
+    /// Both builds of the strict body equal libm at every branch edge of
+    /// fdlibm's `tanhf` and `expm1f` (±4 ulp), on the special values and
+    /// on a stride through every binade, in both signs.
+    #[test]
+    fn strict_tanh_equals_libm_at_every_branch_edge() {
+        let (k23, k57) = (first_x_with_k(23), first_x_with_k(57));
+        assert!((7.79..7.81).contains(&k23) && (19.57..19.59).contains(&k57));
+        let edges = [
+            0x2400_0000, // 2⁻⁵⁵: x·(1 + x) below
+            0x3280_0000, // 2⁻²⁶: expm1f returns its argument below
+            0x3e31_7218, // ≈ 0.1733: k leaves 0
+            0x3f05_1592, // ≈ 0.5199: k leaves −1
+            0x3f80_0000, // 1: expm1f(2|x|) from here
+            k23.to_bits(),
+            k57.to_bits(),
+            0x41b0_0000, // 22: ±1 from here
+        ];
+        let mut xs: Vec<u32> = edges.iter().flat_map(|&e| e - 4..=e + 4).collect();
+        xs.extend([0, 1, 2, 0x0000_1234, 0x0040_0000, 0x007f_ffff, 0x0080_0000]);
+        xs.extend([0x7f80_0000, 0x7fc0_0000, 0x7fc0_0001, 0x7fff_ffff]);
+        xs.extend([0x7f80_0001, 0x7fa0_0000, 0x7fbf_ffff]);
+        xs.extend((0..0x7f80_0000).step_by(4099));
+        let xs: Vec<f32> = xs
+            .iter()
+            .flat_map(|&b| [b, b | 0x8000_0000])
+            .map(f32::from_bits)
+            .collect();
+        let mut bad = Mismatches::default();
+        bad.add(&xs);
+        bad.assert_none();
+    }
+
+    /// The oracle behind the strict `tanh` contract: every one of the 2³²
+    /// bit patterns through both builds, compared with libm's `tanhf` by
+    /// raw bits, split across the CPUs.
+    #[test]
+    #[ignore = "2³² values through libm and two builds, about two minutes in release: run with --release -- --ignored"]
+    fn strict_tanh_equals_libm_on_every_f32() {
+        const CHUNK: u64 = 1 << 16;
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+        let per_thread = ((1u64 << 32) / CHUNK).div_ceil(threads) * CHUNK;
+        let bad = std::thread::scope(|s| {
+            let scans: Vec<_> = (0..threads)
+                .map(|t| {
+                    s.spawn(move || {
+                        let end = ((t + 1) * per_thread).min(1 << 32);
+                        let mut bad = Mismatches::default();
+                        for lo in (t * per_thread..end).step_by(CHUNK as usize) {
+                            let xs: Vec<f32> =
+                                (lo..lo + CHUNK).map(|b| f32::from_bits(b as u32)).collect();
+                            bad.add(&xs);
+                        }
+                        bad
+                    })
+                })
+                .collect();
+            let scans = scans.into_iter().map(|s| s.join().unwrap());
+            scans.fold(Mismatches::default(), Mismatches::merge)
+        });
+        for ((name, _), n) in strict_tanh_builds().iter().zip(bad.count) {
+            println!("strict tanh ({name}): {n} of 2^32 differ from libm");
+        }
+        bad.assert_none();
+    }
+
     #[test]
     fn fast_matmul_families_are_close_to_strict_and_internally_deterministic() {
         let (m, kd, n) = (5usize, 17usize, 9usize);
@@ -986,6 +1256,11 @@ mod tests {
 
         let mut t: Vec<f32> = input(m * kd + n, 1).iter().map(|x| x * 5.0).collect();
         tanh(madd, &mut t);
+        out.extend(t);
+
+        // ±24 spans every branch of the fdlibm body, the ±22 cut included.
+        let mut t: Vec<f32> = input(m * kd + n, 16).iter().map(|x| x * 12.0).collect();
+        tanh_fdlibm(madd, &mut t);
         out.extend(t);
         out
     }

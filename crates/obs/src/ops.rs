@@ -8,13 +8,16 @@
 //! fused `linear`, the two segment reductions, the shared row-gather
 //! helper, and `tanh`; then the update path's own work — the segmented
 //! matmul's per-segment `xᵀ·g`, the row scatters of the gathers'
-//! backward, concatenation, the tape's elementwise maps, repeated-row
-//! indexing, the optimizer step and the environment's reward oracle.
+//! backward, concatenation, the tape's elementwise maps and gradient
+//! accumulation, repeated-row indexing, the optimizer step, the
+//! environment's reward oracle, and the tape's arena allocations.
 //! `segment_matmul`'s forward and the
 //! `matmul`/`matmul_tn`/`matmul_nt` graph wrappers delegate to the
-//! instrumented accumulate kernels, so they are deliberately *not* timed
-//! — one site per flop, no timer inside another, so the per-op times of a
-//! training iteration add up to at most its wall-clock.
+//! instrumented accumulate kernels, so they are not timed themselves.
+//! A timer started while another runs on the same thread records
+//! nothing — the outer op owns that time (an allocation inside `concat`
+//! is `concat`'s; one between two kernels is `alloc`'s) — so the per-op
+//! times of a training iteration add up to at most its wall-clock.
 //!
 //! Beside the timers sit the encoder's two work counters
 //! ([`record_embed_rows`]): table rows looked up and table rows actually
@@ -25,6 +28,8 @@
 //! instead of inferred from shapes. That memo's size is the one
 //! instrument here that is **always on**: the [`embed_memo_bytes`] gauge.
 
+use std::cell::Cell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::time::Instant;
 
@@ -46,7 +51,8 @@ pub enum Op {
     SegmentSoftmax = 4,
     /// Per-segment weighted sum (attention pooling), and its backward.
     SegmentWeightedSum = 5,
-    /// Row gather (embedding lookups, both tape and parameter-direct).
+    /// Row gather (embedding lookups, both tape and parameter-direct),
+    /// and building the encoder's gather indices.
     Gather = 6,
     /// Elementwise `tanh` (encoder activation, policy hidden layers).
     Tanh = 7,
@@ -62,17 +68,21 @@ pub enum Op {
     /// embeddings) and the split that is its backward.
     Concat = 11,
     /// The tape's elementwise maps other than `tanh`'s forward: loss
-    /// arithmetic, and every activation's derivative in the backward.
+    /// arithmetic, every activation's derivative in the backward, and
+    /// adding a node's gradient contributions together.
     Elementwise = 12,
     /// Finding a batch's repeated samples and repeated context rows —
     /// what computing each distinct one once costs up front.
     Dedup = 13,
     /// The environment's reward oracle, one call per collected episode.
     Reward = 14,
+    /// A tape tensor taken from the arena (zero-filled, or filled with a
+    /// copy) outside every other op's timer.
+    Alloc = 15,
 }
 
 /// How many [`Op`] variants exist.
-pub const OP_COUNT: usize = 15;
+pub const OP_COUNT: usize = 16;
 
 impl Op {
     /// Every op, in stable display order.
@@ -92,6 +102,7 @@ impl Op {
         Op::Elementwise,
         Op::Dedup,
         Op::Reward,
+        Op::Alloc,
     ];
 
     /// Stable snake_case name (metrics keys, JSON fields).
@@ -112,6 +123,7 @@ impl Op {
             Op::Elementwise => "elementwise",
             Op::Dedup => "dedup",
             Op::Reward => "reward",
+            Op::Alloc => "alloc",
         }
     }
 }
@@ -148,21 +160,31 @@ pub fn set_ops_enabled(on: bool) {
     ENABLED.store(on as u8, Ordering::Relaxed);
 }
 
+thread_local! {
+    /// Whether an op timer is running on this thread.
+    static TIMING: Cell<bool> = const { Cell::new(false) };
+}
+
 /// A running op timer; accumulates into the op's aggregate on drop.
-/// Obtain via [`time_op`].
+/// Obtain via [`time_op`]. It stays on the thread that started it.
 #[must_use = "the op's duration accumulates when this guard drops"]
 pub struct OpTimer {
     op: Op,
     start: Option<Instant>,
+    _thread: PhantomData<*const ()>,
 }
 
 /// Starts timing one invocation of `op`. Disabled: one relaxed load,
-/// no clock read, nothing recorded.
+/// no clock read, nothing recorded. Started while another op's timer
+/// runs on this thread, it records nothing either: the outer op owns
+/// that time, so no duration is counted twice.
 #[inline]
 pub fn time_op(op: Op) -> OpTimer {
+    let start = (ops_enabled() && !TIMING.replace(true)).then(Instant::now);
     OpTimer {
         op,
-        start: ops_enabled().then(Instant::now),
+        start,
+        _thread: PhantomData,
     }
 }
 
@@ -172,6 +194,7 @@ impl Drop for OpTimer {
             let ns = start.elapsed().as_nanos() as u64;
             CALLS[self.op as usize].fetch_add(1, Ordering::Relaxed);
             TOTAL_NS[self.op as usize].fetch_add(ns, Ordering::Relaxed);
+            TIMING.set(false);
         }
     }
 }
@@ -393,6 +416,18 @@ mod tests {
             r#"{"embed_context_rows_total":0,"embed_projected_rows_total":0,"extra":3}"#
         );
 
+        // A timer inside another records nothing; the next one does.
+        {
+            let _outer = time_op(Op::Concat);
+            let _inner = time_op(Op::Alloc);
+        }
+        {
+            let _after = time_op(Op::Alloc);
+        }
+        let snap = ops_snapshot();
+        assert_eq!(snap[Op::Concat as usize].calls, 1);
+        assert_eq!(snap[Op::Alloc as usize].calls, 1);
+
         set_ops_enabled(false);
         {
             let _t = time_op(Op::MatMul);
@@ -426,7 +461,8 @@ mod tests {
                 "concat",
                 "elementwise",
                 "dedup",
-                "reward"
+                "reward",
+                "alloc"
             ]
         );
     }

@@ -66,9 +66,14 @@ fn training_is_reproducible_per_seed() {
 /// reduction, regroups one per-segment gradient sum or rounds one `tanh`
 /// differently fails here before the benchmark's fixtures do.
 ///
-/// Strict `tanh` is the host's libm (`f32::tanh`), so like the bench
-/// fixtures this pin holds per host class: a libm that rounds `tanhf`
-/// differently needs `bench/run.sh fixtures` regenerated, not a code fix.
+/// Strict `tanh` calls no libm (it is fdlibm's `tanhf` computed in
+/// lanes), so like the bench fixtures this pin depends on the host's
+/// libm only through the strict calls left: `expf` in the segment
+/// softmax, in the policy heads' softmax and log-softmax (forward and
+/// backward), in the PPO ratio (`Graph::exp`) and in the collector's
+/// categorical draw, and `logf` in the log-softmax and that draw's
+/// log-probability. A libm that rounds one of those differently needs
+/// `bench/run.sh fixtures` regenerated, not a code fix.
 ///
 /// A minute unoptimized, so debug builds skip it; CI runs it in release.
 #[test]
