@@ -160,21 +160,21 @@ impl CodeEmbedder {
     /// need no gradients take [`CodeEmbedder::infer_rows`].
     ///
     /// Context counts are ragged, so the batch runs as a **segmented**
-    /// forward rather than a per-sample loop: every sample's token rows
-    /// are pulled in one [`Graph::gather_param_rows`] (interleaved
-    /// per-sample so table gradients scatter in the per-sample order),
-    /// the whole concatenated context matrix goes through one projection
-    /// + `tanh`, and attention is one `segment_softmax_rows` +
-    /// `segment_weighted_sum` over a [`Segments`] row partition. That
-    /// single stacked `N×context_width · context_width×code_dim`
-    /// projection is the flop-dominant matmul of the whole system; the
-    /// `nvc-nn` kernel runs it in 8-wide unrolled inner loops while
-    /// keeping every row's accumulation order — and thus bitwise parity —
-    /// intact. The
-    /// segment kernels fix their reduction order per segment, so values
-    /// *and* parameter gradients stay bitwise-identical to the
-    /// per-sample spelling (one [`forward`] chain per sample, stacked
-    /// with `concat_rows` — the oracle of this crate's parity tests).
+    /// forward rather than a per-sample loop: the whole `N × context_width`
+    /// context matrix is written straight from the two tables by one
+    /// [`Graph::gather_contexts`] (whose table gradients scatter in the
+    /// per-sample order: per sample its starts, then its ends), goes
+    /// through one projection + `tanh`, and attention is one
+    /// `segment_softmax_rows` + `segment_weighted_sum` over a
+    /// [`Segments`] row partition. That single stacked `N×context_width ·
+    /// context_width×code_dim` projection is the flop-dominant matmul of
+    /// the whole system; the `nvc-nn` kernel runs it in register blocks
+    /// while keeping every row's accumulation order — and thus bitwise
+    /// parity — intact. The segment kernels fix their reduction order per
+    /// segment, so values *and* parameter gradients stay
+    /// bitwise-identical to the per-sample spelling (one [`forward`] chain
+    /// per sample, stacked with `concat_rows` — the oracle of this crate's
+    /// parity tests).
     ///
     /// A `(start, path, end)` triple that recurs in the batch — most do:
     /// a loop's contexts pair up its few leaves, and a batch's loops
@@ -203,57 +203,38 @@ impl CodeEmbedder {
             return g.input(Tensor::zeros(samples.len(), self.cfg.code_dim));
         }
 
-        // One token gather for starts AND ends, interleaved per sample
-        // (sample 0 starts, sample 0 ends, sample 1 starts, …): this is
-        // the exact order the per-sample tape scatters token-table
-        // gradients in, which keeps repeated table rows bitwise-identical
-        // under f32 accumulation. Paths go in one gather of their own.
-        let indexing = obs::time_op(obs::Op::Gather);
-        let mut tok_idx = Vec::with_capacity(2 * total);
-        let mut path_idx = Vec::with_capacity(total);
-        let mut start_rows = Vec::with_capacity(total);
-        let mut end_rows = Vec::with_capacity(total);
-        for s in samples {
-            let base = tok_idx.len();
-            let n = s.len();
-            tok_idx.extend_from_slice(&s.starts);
-            tok_idx.extend_from_slice(&s.ends);
-            path_idx.extend_from_slice(&s.paths);
-            start_rows.extend(base..base + n);
-            end_rows.extend(base + n..base + 2 * n);
-        }
-        drop(indexing);
-
-        // A loop's contexts pair up its few leaves and a batch's loops
-        // share most of them, so the same (start, path, end) row recurs
-        // many times over, and everything up to the attention score is a
-        // function of that row alone. Key the rows — one u64 per triple
-        // (a third of the hashing a tuple key costs), injective because
-        // every index is checked to be inside its table — so those
-        // stages run once per distinct triple.
+        // One pass over the samples builds the three index columns of
+        // the context matrix and keys its rows. A loop's contexts pair up
+        // its few leaves and a batch's loops share most of them, so the
+        // same (start, path, end) row recurs many times over, and
+        // everything up to the attention score is a function of that row
+        // alone. Key the rows — one u64 per triple (a third of the hashing
+        // a tuple key costs), injective because every index is checked to
+        // be inside its table — so those stages run once per distinct
+        // triple.
         let keying = obs::time_op(obs::Op::Dedup);
         let (nt, np) = (self.cfg.token_buckets as u64, self.cfg.path_buckets as u64);
         let keyspace = nt.checked_mul(np).and_then(|k| k.checked_mul(nt));
         assert!(keyspace.is_some(), "embedding tables too large to key");
+        let mut columns = [(); 3].map(|()| Vec::with_capacity(total));
         let mut keys = Vec::with_capacity(total);
         for s in samples {
             for ((&a, &p), &b) in s.starts.iter().zip(&s.paths).zip(&s.ends) {
-                let (a, p, b) = (a as u64, p as u64, b as u64);
-                assert!(a < nt && p < np && b < nt, "gather index out of bounds");
-                keys.push((a * np + p) * nt + b);
+                let (ka, kp, kb) = (a as u64, p as u64, b as u64);
+                assert!(ka < nt && kp < np && kb < nt, "gather index out of bounds");
+                keys.push((ka * np + kp) * nt + kb);
+                columns[0].push(a);
+                columns[1].push(p);
+                columns[2].push(b);
             }
         }
-        let repeats = RowAlias::from_keys(keys);
         drop(keying);
+        let repeats = RowAlias::from_keys(keys);
         obs::record_embed_rows(3 * total, 3 * repeats.distinct_rows());
 
         let w = g.param(self.w_context);
         let attn = g.param(self.attention);
-        let tok = g.gather_param_rows(self.token_table, &tok_idx); // 2N × dt
-        let mids = g.gather_param_rows(self.path_table, &path_idx); // N × dp
-        let starts = g.gather_rows(tok, &start_rows); // N × dt
-        let ends = g.gather_rows(tok, &end_rows); // N × dt
-        let ctx = g.concat_cols(&[starts, mids, ends]); // N × (2dt+dp)
+        let ctx = g.gather_contexts(self.token_table, self.path_table, columns, &segs); // N × (2dt+dp)
         let proj = g.segment_matmul(ctx, w, &segs, &repeats); // N × code
         let c = g.tanh_rows(proj, &repeats);
         let scores = g.segment_matmul(c, attn, &segs, &repeats); // N × 1

@@ -14,9 +14,9 @@
 //! store's own tensor (the tape holds the store for `'s` anyway), so a
 //! forward multiplies by the weights where they lie; embedding
 //! lookups can gather straight from the store without materializing the
-//! table ([`Graph::gather_param_rows`]), and the fused
-//! [`Graph::linear`] runs matmul + bias broadcast as one node with one
-//! output allocation.
+//! table ([`Graph::gather_param_rows`], [`Graph::gather_contexts`]), and
+//! the fused [`Graph::linear`] runs matmul + bias broadcast as one node
+//! with one output allocation.
 //!
 //! Every operation's gradient is validated against central finite
 //! differences in this module's tests.
@@ -163,6 +163,19 @@ impl RowAlias {
     }
 }
 
+/// What a [`Graph::gather_contexts`] node read: row `r` of its value is
+/// `[tokens[starts[r]] | paths[mids[r]] | tokens[ends[r]]]`, and `segs`
+/// partitions the rows by sample.
+#[derive(Debug, Clone)]
+struct ContextRows {
+    tokens: ParamId,
+    paths: ParamId,
+    starts: Vec<usize>,
+    mids: Vec<usize>,
+    ends: Vec<usize>,
+    segs: Segments,
+}
+
 #[derive(Debug, Clone)]
 #[allow(dead_code)] // constant operands are kept for Debug output even where backward ignores them
 enum Op {
@@ -170,6 +183,9 @@ enum Op {
     Param(ParamId),
     /// Rows of a parameter table gathered without materializing the table.
     GatherParamRows(ParamId, Vec<usize>),
+    /// Path-context rows `[T[start] | P[path] | T[end]]` gathered straight
+    /// from a token and a path table, one segment per sample.
+    GatherContexts(ContextRows),
     MatMul(NodeId, NodeId),
     /// Matmul over a segmented (ragged-batch) left operand: forward is a
     /// plain stacked matmul, backward reduces `db` per segment in reverse
@@ -378,12 +394,14 @@ impl<'s> Graph<'s> {
     /// so is `da`. The difference is `db`: a plain stacked matmul would
     /// reduce `aᵀ·g` in one ascending chain over all rows, while the
     /// per-sample spelling this op replaces accumulates one partial per
-    /// sample, combined in reverse tape order. This backward computes
-    /// exactly those per-segment partials and combines them in reverse
-    /// segment order, which is what keeps segmented batched gradients
-    /// bitwise-identical to the per-sample reference. It runs over every
-    /// row, repeats included: summing a repeated row's gradients first
-    /// would regroup those partials.
+    /// sample, combined in reverse tape order. This backward sums each
+    /// segment's `aᵀ·g` from zero in registers and adds it into `db` in
+    /// reverse segment order ([`crate::kernels::segment_matmul_tn_accum`])
+    /// — per element the same additions as materialising each partial,
+    /// which is what keeps segmented batched gradients bitwise-identical
+    /// to the per-sample reference. It runs over every row, repeats
+    /// included: summing a repeated row's gradients first would regroup
+    /// those partials.
     ///
     /// # Panics
     ///
@@ -713,6 +731,59 @@ impl<'s> Graph<'s> {
         self.push(Op::GatherParamRows(p, indices.to_vec()), out)
     }
 
+    /// The path-context matrix of a ragged batch, read straight from two
+    /// parameter tables: row `r` is `[T[starts[r]] | P[mids[r]] |
+    /// T[ends[r]]]` (`T` = `tokens`, `P` = `paths`), `N × (2·dt + dp)`,
+    /// with `segs` partitioning the `N` rows by sample. The value is the
+    /// per-sample spelling's — [`Graph::gather_param_rows`] for starts,
+    /// paths and ends, then [`Graph::concat_cols`] — stacked, and so are
+    /// the table gradients, which [`Graph::param_grads`] scatters straight
+    /// from the node's gradient in that spelling's order: into `T`, per
+    /// sample its start rows ascending, then its end rows ascending; into
+    /// `P`, every row ascending. Nothing runs in [`Graph::backward`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the three columns or `segs` disagree on the row count,
+    /// or an index is outside its table.
+    pub fn gather_contexts(
+        &mut self,
+        tokens: ParamId,
+        paths: ParamId,
+        [starts, mids, ends]: [Vec<usize>; 3],
+        segs: &Segments,
+    ) -> NodeId {
+        let n = starts.len();
+        assert!(
+            mids.len() == n && ends.len() == n && segs.total_rows() == n,
+            "gather_contexts: index columns and segments disagree on the rows"
+        );
+        let (tt, pt) = (self.store.get(tokens), self.store.get(paths));
+        let (dt, dp) = (tt.cols(), pt.cols());
+        let width = 2 * dt + dp;
+        let mut out = self.alloc(n, width);
+        {
+            let _timer = nvc_obs::time_op(nvc_obs::Op::Gather);
+            let data = out.data_mut();
+            for r in 0..n {
+                let (s, rest) = data[r * width..(r + 1) * width].split_at_mut(dt);
+                let (p, e) = rest.split_at_mut(dp);
+                s.copy_from_slice(tt.row(starts[r]));
+                p.copy_from_slice(pt.row(mids[r]));
+                e.copy_from_slice(tt.row(ends[r]));
+            }
+        }
+        let rows = ContextRows {
+            tokens,
+            paths,
+            starts,
+            mids,
+            ends,
+            segs: segs.clone(),
+        };
+        self.push(Op::GatherContexts(rows), out)
+    }
+
     /// Concatenates tensors with equal row counts along columns.
     ///
     /// # Panics
@@ -802,12 +873,18 @@ impl<'s> Graph<'s> {
     ///
     /// Panics if `loss` is not scalar or `backward` was already run.
     pub fn backward(&mut self, loss: NodeId) {
-        assert!(!self.ran_backward, "backward may only run once per graph");
         assert_eq!(self.values[loss.0].shape(), (1, 1), "loss must be a scalar");
-        self.ran_backward = true;
         let mut seed = self.alloc(1, 1);
         seed.data_mut()[0] = 1.0;
-        self.grads[loss.0] = Some(seed);
+        self.backward_from(loss, seed);
+    }
+
+    /// [`Graph::backward`] from an arbitrary node whose gradient is `seed`.
+    fn backward_from(&mut self, node: NodeId, seed: Tensor) {
+        assert!(!self.ran_backward, "backward may only run once per graph");
+        assert_eq!(self.values[node.0].shape(), seed.shape(), "seed shape");
+        self.ran_backward = true;
+        self.grads[node.0] = Some(seed);
 
         for i in (0..self.ops.len()).rev() {
             // Take the node's gradient for the duration of its backward
@@ -838,7 +915,7 @@ impl<'s> Graph<'s> {
             }
             .map(nvc_obs::time_op);
             match op {
-                Op::Input | Op::Param(_) | Op::GatherParamRows(_, _) => {}
+                Op::Input | Op::Param(_) | Op::GatherParamRows(..) | Op::GatherContexts(_) => {}
                 Op::MatMul(a, b) => {
                     let mut da = self.alloc(g.rows(), self.values[a.0].cols());
                     g.matmul_nt_accum_into(&self.values[b.0], &mut da);
@@ -851,32 +928,24 @@ impl<'s> Graph<'s> {
                     // da is row-independent — identical to MatMul.
                     let mut da = self.alloc(g.rows(), self.values[a.0].cols());
                     g.matmul_nt_accum_into(&self.values[b.0], &mut da);
-                    // db: one `aᵀ·g` partial per segment, combined in
-                    // reverse segment order — the order the per-sample
-                    // tape's reverse walk accumulates its per-sample
-                    // partials in. Empty segments contribute nothing
-                    // (empty samples create no ops in the reference).
+                    // db: each segment's `aᵀ·g` summed on its own and
+                    // added in reverse segment order — the order the
+                    // per-sample tape's reverse walk accumulates its
+                    // per-sample partials in. Empty segments contribute
+                    // nothing (empty samples create no ops in the
+                    // reference).
                     let (bk, bn) = self.values[b.0].shape();
                     let mut db = self.alloc(bk, bn);
-                    {
-                        let _timer = nvc_obs::time_op(nvc_obs::Op::SegmentMatMulTn);
-                        let av = &self.values[a.0];
-                        let mut partial = self.alloc(bk, bn);
-                        for (r0, r1) in segs.iter().rev() {
-                            if r0 == r1 {
-                                continue;
-                            }
-                            // The `tn` kernel of the whole-matrix product
-                            // over the segment's row window.
-                            let (a_win, g_win) =
-                                (&av.data()[r0 * bk..r1 * bk], &g.data()[r0 * bn..r1 * bn]);
-                            let out = partial.data_mut();
-                            out.fill(0.0);
-                            crate::kernels::matmul_tn_accum(a_win, g_win, r1 - r0, bk, bn, out);
-                            db.add_scaled(&partial, 1.0);
-                        }
-                        self.recycle(partial);
-                    }
+                    let bounds: Vec<(usize, usize)> = segs.iter().collect();
+                    crate::kernels::segment_matmul_tn_accum(
+                        &bounds,
+                        self.values[a.0].data(),
+                        g.data(),
+                        g.rows(),
+                        bk,
+                        bn,
+                        db.data_mut(),
+                    );
                     self.accum(a, da);
                     self.accum(b, db);
                 }
@@ -1127,8 +1196,9 @@ impl<'s> Graph<'s> {
     }
 
     /// Gradients of every parameter node, merged by [`ParamId`] in tape
-    /// order. Gathered-parameter nodes ([`Graph::gather_param_rows`])
-    /// scatter their row gradients into a table-shaped tensor here.
+    /// order. Gathered-parameter nodes ([`Graph::gather_param_rows`],
+    /// [`Graph::gather_contexts`]) scatter their row gradients into
+    /// table-shaped tensors here.
     ///
     /// The tensors are handed over, not copied: a parameter node's
     /// gradient leaves the tape (its [`Graph::grad`] reads `None`
@@ -1154,17 +1224,48 @@ impl<'s> Graph<'s> {
                 }
                 Op::GatherParamRows(p, indices) => {
                     if let Some(g) = &self.grads[i] {
-                        let table = self.store.get(*p);
-                        let entry = out
-                            .entry(*p)
-                            .or_insert_with(|| self.alloc(table.rows(), table.cols()));
-                        scatter_add_rows(g, indices, entry);
+                        let table = self.table_grad(&mut out, *p);
+                        scatter_add_rows(g, indices, table);
+                    }
+                }
+                Op::GatherContexts(rows) => {
+                    if let Some(g) = &self.grads[i] {
+                        let dt = self.store.get(rows.tokens).cols();
+                        let dp = g.cols() - 2 * dt;
+                        let grad = |r: usize, col: usize, w: usize| {
+                            &g.data()[r * g.cols() + col..r * g.cols() + col + w]
+                        };
+                        let tokens = self.table_grad(&mut out, rows.tokens);
+                        for (r0, r1) in rows.segs.iter() {
+                            for r in r0..r1 {
+                                add_row(tokens, rows.starts[r], grad(r, 0, dt));
+                            }
+                            for r in r0..r1 {
+                                add_row(tokens, rows.ends[r], grad(r, dt + dp, dt));
+                            }
+                        }
+                        let paths = self.table_grad(&mut out, rows.paths);
+                        for (r, &idx) in rows.mids.iter().enumerate() {
+                            add_row(paths, idx, grad(r, dt, dp));
+                        }
                     }
                 }
                 _ => {}
             }
         }
         out
+    }
+
+    /// `p`'s entry in `grads`, a zeroed table-shaped tensor if it has none.
+    fn table_grad<'m>(
+        &self,
+        grads: &'m mut HashMap<ParamId, Tensor>,
+        p: ParamId,
+    ) -> &'m mut Tensor {
+        let table = self.store.get(p);
+        grads
+            .entry(p)
+            .or_insert_with(|| self.alloc(table.rows(), table.cols()))
     }
 }
 
@@ -1208,10 +1309,16 @@ fn colsum(g_ref: &Graph<'_>, g: &Tensor) -> Tensor {
 fn scatter_add_rows(rows: &Tensor, indices: &[usize], table: &mut Tensor) {
     let cols = table.cols();
     for (r, &idx) in indices.iter().enumerate() {
-        let dst = &mut table.data_mut()[idx * cols..(idx + 1) * cols];
-        for (d, &gd) in dst.iter_mut().zip(rows.data()[r * cols..].iter()) {
-            *d += gd;
-        }
+        add_row(table, idx, &rows.data()[r * cols..(r + 1) * cols]);
+    }
+}
+
+/// `table[idx] += grad`.
+fn add_row(table: &mut Tensor, idx: usize, grad: &[f32]) {
+    let cols = table.cols();
+    let dst = &mut table.data_mut()[idx * cols..(idx + 1) * cols];
+    for (d, &gd) in dst.iter_mut().zip(grad) {
+        *d += gd;
     }
 }
 
@@ -1491,6 +1598,101 @@ mod tests {
 
         assert_eq!(g1.value(rows1), g2.value(rows2));
         assert_eq!(grads1[&table], grads2[&table]);
+    }
+
+    /// `gather_contexts` against the two spellings it stands for — the
+    /// five ops the segmented encoder used to run (one interleaved token
+    /// gather, one path gather, two `gather_rows`, one `concat_cols`) and
+    /// the per-sample `gather_param_rows` ×3 + `concat_cols`, stacked —
+    /// bit for bit: the value and both tables' gradients. Indices repeat,
+    /// segments are empty at either end and in the middle, and the
+    /// upstream gradient carries `−0`, quiet and signalling NaN payloads
+    /// and `±∞`.
+    #[test]
+    fn gather_contexts_matches_both_spellings_bitwise() {
+        /// `len` values, one in three from `−0`, `+0`, quiet and
+        /// signalling NaNs of either sign and `±∞`.
+        fn hostile(rng: &mut ChaCha8Rng, len: usize) -> Vec<f32> {
+            let special = [
+                -0.0,
+                0.0,
+                f32::from_bits(0x7FC0_0123),
+                f32::from_bits(0xFFC0_0042),
+                f32::from_bits(0x7F80_0456),
+                f32::from_bits(0xFF80_0007),
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+            ];
+            (0..len)
+                .map(|_| match rng.gen_range(0..3) {
+                    0 => special[rng.gen_range(0..special.len())],
+                    _ => rng.gen_range(-2.0..2.0),
+                })
+                .collect()
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(41);
+        let (dt, dp) = (3usize, 2usize);
+        let mut store = ParamStore::new(41);
+        let tokens = store.param("tokens", Tensor::from_vec(5, dt, hostile(&mut rng, 5 * dt)));
+        let paths = store.param("paths", Tensor::from_vec(4, dp, hostile(&mut rng, 4 * dp)));
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        for lens in [vec![0usize, 3, 0, 5, 1, 0], vec![7], vec![2, 2, 0, 9]] {
+            let segs = Segments::from_lens(lens.iter().copied());
+            let n = segs.total_rows();
+            let mut index = |rows: usize| (0..n).map(|_| rng.gen_range(0..rows)).collect();
+            let (starts, mids, ends): (Vec<usize>, Vec<usize>, Vec<usize>) =
+                (index(5), index(4), index(5));
+            let upstream = Tensor::from_vec(n, 2 * dt + dp, hostile(&mut rng, n * (2 * dt + dp)));
+
+            // Seeds `upstream` at the built context node, then returns its
+            // value and the two table gradients.
+            let run = |build: &dyn Fn(&mut Graph<'_>) -> NodeId| {
+                let mut g = Graph::new(&store);
+                let ctx = build(&mut g);
+                let value = g.value(ctx).clone();
+                g.backward_from(ctx, upstream.clone());
+                let grads = g.param_grads();
+                (value, grads[&tokens].clone(), grads[&paths].clone())
+            };
+            let fused = run(&|g| {
+                let columns = [starts.clone(), mids.clone(), ends.clone()];
+                g.gather_contexts(tokens, paths, columns, &segs)
+            });
+            let five_ops = run(&|g| {
+                let (mut tok_idx, mut start_rows, mut end_rows) = (vec![], vec![], vec![]);
+                for (r0, r1) in segs.iter() {
+                    let base = tok_idx.len();
+                    tok_idx.extend_from_slice(&starts[r0..r1]);
+                    tok_idx.extend_from_slice(&ends[r0..r1]);
+                    start_rows.extend(base..base + (r1 - r0));
+                    end_rows.extend(base + (r1 - r0)..base + 2 * (r1 - r0));
+                }
+                let tok = g.gather_param_rows(tokens, &tok_idx);
+                let mid = g.gather_param_rows(paths, &mids);
+                let s = g.gather_rows(tok, &start_rows);
+                let e = g.gather_rows(tok, &end_rows);
+                g.concat_cols(&[s, mid, e])
+            });
+            let per_sample = run(&|g| {
+                let rows: Vec<NodeId> = segs
+                    .iter()
+                    .filter(|&(r0, r1)| r0 < r1)
+                    .map(|(r0, r1)| {
+                        let s = g.gather_param_rows(tokens, &starts[r0..r1]);
+                        let p = g.gather_param_rows(paths, &mids[r0..r1]);
+                        let e = g.gather_param_rows(tokens, &ends[r0..r1]);
+                        g.concat_cols(&[s, p, e])
+                    })
+                    .collect();
+                g.concat_rows(&rows)
+            });
+            for (name, other) in [("five ops", &five_ops), ("per sample", &per_sample)] {
+                assert_eq!(bits(&fused.0), bits(&other.0), "value vs {name} {lens:?}");
+                assert_eq!(bits(&fused.1), bits(&other.1), "tokens vs {name} {lens:?}");
+                assert_eq!(bits(&fused.2), bits(&other.2), "paths vs {name} {lens:?}");
+            }
+        }
     }
 
     /// A parameter node is the store's tensor, read in place: one node

@@ -323,13 +323,11 @@ pub fn segment_weighted_sum(
 
 /// `out += aᵀ × b` over row-major slices (`a`: `kr×m`, `b`: `kr×n`, `out`:
 /// `m×n`) — the `xᵀ·g` weight-gradient product. A row window of a taller
-/// pair is the same call on the window's sub-slices (`SegmentMatMul`'s
-/// backward runs one per segment). Every output element accumulates in
-/// ascending `k` in both modes.
+/// pair is the same call on the window's sub-slices. Every output element
+/// accumulates in ascending `k` in both modes.
 ///
-/// Not timed here: the callers charge the call to ops of their own
-/// ([`Tensor::matmul_tn_accum_into`](crate::Tensor::matmul_tn_accum_into),
-/// the segment backward).
+/// Not timed here: the caller charges the call to an op of its own
+/// ([`Tensor::matmul_tn_accum_into`](crate::Tensor::matmul_tn_accum_into)).
 ///
 /// # Panics
 ///
@@ -339,6 +337,40 @@ pub fn matmul_tn_accum(a: &[f32], b: &[f32], kr: usize, m: usize, n: usize, out:
     assert_eq!(b.len(), kr * n, "matmul_tn right operand is not {kr}x{n}");
     assert_eq!(out.len(), m * n, "matmul_tn output is not {m}x{n}");
     bodies::tn_rows(MaddChoice::current(), a, b, m, n, out);
+}
+
+/// `out += Σ_s a[r0..r1]ᵀ × b[r0..r1]` for the row windows `bounds[s] =
+/// (r0, r1)` of `a: kr×m` and `b: kr×n`, **last window first** — the
+/// segmented matmul's weight gradient
+/// ([`Graph::segment_matmul`](crate::Graph::segment_matmul)). Per output
+/// element and window: a chain from `+0` over the window's rows in
+/// ascending `k`, then added into `out`. That is exactly "zero a partial,
+/// [`matmul_tn_accum`] the window into it, add the partial to `out`",
+/// window by window — without the partial: the window's sum stays in
+/// registers. Empty windows add nothing.
+///
+/// # Panics
+///
+/// Panics when a slice length disagrees with `kr`, `m`, `n`, or a window
+/// is not inside `0..kr`.
+pub fn segment_matmul_tn_accum(
+    bounds: &[(usize, usize)],
+    a: &[f32],
+    b: &[f32],
+    kr: usize,
+    m: usize,
+    n: usize,
+    out: &mut [f32],
+) {
+    assert_eq!(a.len(), kr * m, "matmul_tn left operand is not {kr}x{m}");
+    assert_eq!(b.len(), kr * n, "matmul_tn right operand is not {kr}x{n}");
+    assert_eq!(out.len(), m * n, "matmul_tn output is not {m}x{n}");
+    assert!(
+        bounds.iter().all(|&(r0, r1)| r0 <= r1 && r1 <= kr),
+        "segment window outside the {kr} rows"
+    );
+    let _timer = nvc_obs::time_op(nvc_obs::Op::SegmentMatMulTn);
+    bodies::segment_tn_rows(MaddChoice::current(), bounds, a, b, m, n, out);
 }
 
 /// `Σ_k a[k]·b[k]` from zero in ascending `k` — the chain of one

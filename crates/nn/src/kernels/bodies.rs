@@ -266,28 +266,73 @@ fn mm_tile_row_g<M: Madd>(
 }
 
 /// `out += aᵀ × b` for `a: kr×m`, `b: kr×n` (`kr` is however many whole
-/// rows the slices hold) — the `xᵀ·g` backward kernel.
-///
-/// Each block of output elements sits in a register accumulator,
-/// initialised from `out`, while `k` runs over every row of the window:
-/// per element `out = madd(a[k][i], b[k][j], out)` for ascending `k`, with
-/// one load and one store of the output instead of one per `k`. Blocks are
-/// 16 or 8 adjacent columns of one output row (lanes read a row of `b`);
-/// the `n % 8` columns left over — all of them for the `n == 1` score
-/// column — run 16 or 8 adjacent output *rows* as lanes instead (lanes
-/// read a row of `a`). Lanes never share an accumulator, so the block
-/// shape changes no bits. Column blocks are the outer loop, so a block's
-/// `kr×16` strip of `b` stays cached while the output rows pass over it.
+/// rows the slices hold) — the `xᵀ·g` backward kernel: [`tn_window_g`]
+/// with every lane starting from `out`.
 #[inline(always)]
 fn tn_rows_g<M: Madd>(a: &[f32], b: &[f32], m: usize, n: usize, out: &mut [f32]) {
+    tn_window_g::<M, false>(a, b, m, n, out);
+}
+
+/// `out += Σ_s a[s]ᵀ × b[s]` over the row windows `bounds` of `a: kr×m`,
+/// `b: kr×n`, taken in **reverse** order — the segmented matmul's weight
+/// gradient. Each window's product is summed from `+0` in registers and
+/// added into `out` once ([`tn_window_g`]): per element, exactly "zero a
+/// partial, run the window's `tn` into it, add it to `out`", window by
+/// window from the last. Empty windows add nothing.
+#[inline(always)]
+fn segment_tn_rows_g<M: Madd>(
+    bounds: &[(usize, usize)],
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    n: usize,
+    out: &mut [f32],
+) {
+    for &(r0, r1) in bounds.iter().rev() {
+        if r0 < r1 {
+            tn_window_g::<M, true>(&a[r0 * m..r1 * m], &b[r0 * n..r1 * n], m, n, out);
+        }
+    }
+}
+
+/// The `tn` loop nest over one row window. Each block of output elements
+/// sits in register accumulators while `k` runs over every row of the
+/// window: per element `acc = madd(a[k][i], b[k][j], acc)` for ascending
+/// `k`. With `FROM_ZERO` false the lanes start from `out` and are stored
+/// back (`out` *is* the chain); with it true they start from `+0` and are
+/// then added into `out` (`out += chain`).
+///
+/// Blocks are 4 output rows × 16 or 8 adjacent columns (lanes read a row
+/// of `b`; eight independent 8-wide accumulators in flight), then single
+/// rows for the `m % 4` left over; the `n % 8` columns left over — all of
+/// them for the `n == 1` score column — run 16 or 8 adjacent output
+/// *rows* as lanes instead (lanes read a row of `a`). Lanes never share an
+/// accumulator, so the block shape changes no bits. Column blocks are the
+/// outer loop, so a block's `kr×16` strip of `b` stays cached while the
+/// output rows pass over it.
+#[inline(always)]
+fn tn_window_g<M: Madd, const FROM_ZERO: bool>(
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    n: usize,
+    out: &mut [f32],
+) {
     let mut j = 0;
     while j + 8 <= n {
         let lanes = if j + 16 <= n { 16 } else { 8 };
-        for i in 0..m {
-            let block = &mut out[i * n + j..i * n + j + lanes];
+        let mut i = 0;
+        while i + 4 <= m {
             match lanes {
-                16 => tn_block_j::<M, 16>(a, b, m, n, i, j, block),
-                _ => tn_block_j::<M, 8>(a, b, m, n, i, j, block),
+                16 => tn_block_j::<M, 4, 16, FROM_ZERO>(a, b, m, n, i, j, out),
+                _ => tn_block_j::<M, 4, 8, FROM_ZERO>(a, b, m, n, i, j, out),
+            }
+            i += 4;
+        }
+        for i in i..m {
+            match lanes {
+                16 => tn_block_j::<M, 1, 16, FROM_ZERO>(a, b, m, n, i, j, out),
+                _ => tn_block_j::<M, 1, 8, FROM_ZERO>(a, b, m, n, i, j, out),
             }
         }
         j += lanes;
@@ -298,25 +343,25 @@ fn tn_rows_g<M: Madd>(a: &[f32], b: &[f32], m: usize, n: usize, out: &mut [f32])
             let lanes = if i + 16 <= m { 16 } else { 8 };
             let column = &mut out[i * n + j..];
             match lanes {
-                16 => tn_block_i::<M, 16>(a, b, m, n, i, j, column),
-                _ => tn_block_i::<M, 8>(a, b, m, n, i, j, column),
+                16 => tn_block_i::<M, 16, FROM_ZERO>(a, b, m, n, i, j, column),
+                _ => tn_block_i::<M, 8, FROM_ZERO>(a, b, m, n, i, j, column),
             }
             i += lanes;
         }
         for i in i..m {
-            let mut acc = out[i * n + j];
+            let mut acc = if FROM_ZERO { 0.0 } else { out[i * n + j] };
             for (a_row, b_row) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
                 acc = M::madd(a_row[i], b_row[j], acc);
             }
-            out[i * n + j] = acc;
+            out[i * n + j] = if FROM_ZERO { out[i * n + j] + acc } else { acc };
         }
     }
 }
 
-/// `out[l] (+)= Σ_k a[k][i]·b[k][j + l]`: `L` adjacent columns of output
-/// row `i`, one lane each.
+/// `out[i + r][j + l] (+)= Σ_k a[k][i + r]·b[k][j + l]`: `R` adjacent
+/// output rows × `L` adjacent columns, one lane each.
 #[inline(always)]
-fn tn_block_j<M: Madd, const L: usize>(
+fn tn_block_j<M: Madd, const R: usize, const L: usize, const FROM_ZERO: bool>(
     a: &[f32],
     b: &[f32],
     m: usize,
@@ -325,22 +370,37 @@ fn tn_block_j<M: Madd, const L: usize>(
     j: usize,
     out: &mut [f32],
 ) {
-    let mut acc = [0.0f32; L];
-    acc.copy_from_slice(out);
-    for (a_row, b_row) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
-        let av = a_row[i];
-        let b_blk = &b_row[j..j + L];
-        for l in 0..L {
-            acc[l] = M::madd(av, b_blk[l], acc[l]);
+    let mut acc = [[0.0f32; L]; R];
+    if !FROM_ZERO {
+        for (r, lanes) in acc.iter_mut().enumerate() {
+            lanes.copy_from_slice(&out[(i + r) * n + j..(i + r) * n + j + L]);
         }
     }
-    out.copy_from_slice(&acc);
+    for (a_row, b_row) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
+        let a_blk = &a_row[i..i + R];
+        let b_blk = &b_row[j..j + L];
+        for r in 0..R {
+            for l in 0..L {
+                acc[r][l] = M::madd(a_blk[r], b_blk[l], acc[r][l]);
+            }
+        }
+    }
+    for (r, lanes) in acc.iter().enumerate() {
+        let o = &mut out[(i + r) * n + j..(i + r) * n + j + L];
+        if FROM_ZERO {
+            for l in 0..L {
+                o[l] += lanes[l];
+            }
+        } else {
+            o.copy_from_slice(lanes);
+        }
+    }
 }
 
 /// `column[l·n] (+)= Σ_k a[k][i + l]·b[k][j]`: `L` adjacent rows of
 /// output column `j` (`column` starts at element `(i, j)`), one lane each.
 #[inline(always)]
-fn tn_block_i<M: Madd, const L: usize>(
+fn tn_block_i<M: Madd, const L: usize, const FROM_ZERO: bool>(
     a: &[f32],
     b: &[f32],
     m: usize,
@@ -350,8 +410,10 @@ fn tn_block_i<M: Madd, const L: usize>(
     column: &mut [f32],
 ) {
     let mut acc = [0.0f32; L];
-    for l in 0..L {
-        acc[l] = column[l * n];
+    if !FROM_ZERO {
+        for l in 0..L {
+            acc[l] = column[l * n];
+        }
     }
     for (a_row, b_row) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
         let bv = b_row[j];
@@ -361,7 +423,11 @@ fn tn_block_i<M: Madd, const L: usize>(
         }
     }
     for l in 0..L {
-        column[l * n] = acc[l];
+        column[l * n] = if FROM_ZERO {
+            column[l * n] + acc[l]
+        } else {
+            acc[l]
+        };
     }
 }
 
@@ -765,6 +831,13 @@ kernel! {
 kernel! {
     /// `out += aᵀ × b` ([`tn_rows_g`]).
     tn_rows = tn_rows_g(a: &[f32], b: &[f32], m: usize, n: usize, out: &mut [f32])
+}
+kernel! {
+    /// `out += Σ_s a[s]ᵀ × b[s]` over row windows, the last first
+    /// ([`segment_tn_rows_g`]).
+    segment_tn_rows = segment_tn_rows_g(
+        bounds: &[(usize, usize)], a: &[f32], b: &[f32], m: usize, n: usize, out: &mut [f32],
+    )
 }
 kernel! {
     /// `out += a × bᵀ` over `panels` = [`pack_nt_panels`]`(b)`
@@ -1235,8 +1308,19 @@ mod tests {
         out.extend(mm);
 
         let mut tn = input(m * n, 3);
-        tn_rows(madd, &input(kd * m, 4), &input(kd * n, 5), m, n, &mut tn);
+        let (x, g) = (input(kd * m, 4), input(kd * n, 5));
+        tn_rows(madd, &x, &g, m, n, &mut tn);
         out.extend(tn);
+
+        let mut seg_tn = input(m * n, 17);
+        let bounds = [
+            (0, kd / 3),
+            (kd / 3, kd / 3),
+            (kd / 3, kd - kd / 4),
+            (kd - kd / 4, kd),
+        ];
+        segment_tn_rows(madd, &bounds, &x, &g, m, n, &mut seg_tn);
+        out.extend(seg_tn);
 
         let mut nt = input(m * n, 6);
         let panels = pack_nt_panels(&input(n * kd, 7), kd, n);
@@ -1268,9 +1352,10 @@ mod tests {
     /// The baseline and the AVX2 build of the plain bodies compute the
     /// same bits. On an AVX2 host the baseline build never runs otherwise,
     /// so this is what keeps it honest as the fallback. Shapes straddle
-    /// the 4-, 8-, 16- and 32-wide blocks, their tails and `mm`'s 64-wide
-    /// tiles, with zero-size dimensions and `n == 1`; inputs carry every
-    /// special value.
+    /// the 4-, 8-, 16- and 32-wide blocks (`tn`'s 4-row blocks too),
+    /// their tails and `mm`'s 64-wide tiles, with zero-size dimensions,
+    /// `n == 1` and empty segment windows; inputs carry every special
+    /// value.
     #[test]
     fn plain_instantiations_are_bit_equal() {
         let baseline = MaddChoice { isa: Isa::Baseline };
@@ -1282,7 +1367,7 @@ mod tests {
         let widths = [
             0, 1, 3, 4, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 40, 63, 64, 70,
         ];
-        for m in [0, 1, 2, 7, 8, 9, 16, 17, 33] {
+        for m in [0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33] {
             for kd in [0, 1, 5, 8, 31, 33, 64, 70] {
                 for n in widths {
                     for wild in [false, true] {

@@ -51,28 +51,31 @@ pub enum Op {
     SegmentSoftmax = 4,
     /// Per-segment weighted sum (attention pooling), and its backward.
     SegmentWeightedSum = 5,
-    /// Row gather (embedding lookups, both tape and parameter-direct),
-    /// and building the encoder's gather indices.
+    /// Row gather (embedding lookups, both tape and parameter-direct,
+    /// and the encoder's context rows written straight from its tables).
     Gather = 6,
     /// Elementwise `tanh` (encoder activation, policy hidden layers).
     Tanh = 7,
-    /// The segmented matmul's weight gradient: one `xᵀ·g` partial per
-    /// segment, combined in reverse segment order.
+    /// The segmented matmul's weight gradient: each segment's `xᵀ·g`
+    /// summed in registers and added in reverse segment order.
     SegmentMatMulTn = 8,
     /// Row scatter-add — the backward of the gathers, on the tape and
-    /// into the table-shaped parameter gradients.
+    /// into the table-shaped parameter gradients (the encoder's context
+    /// rows go straight into both tables).
     Scatter = 9,
     /// Optimizer step: gradients into the store, norm clip, Adam, reset.
     OptimStep = 10,
-    /// Column/row concatenation (a context row from its three
-    /// embeddings) and the split that is its backward.
+    /// Column/row concatenation (the per-sample encoder's context rows,
+    /// stacking per-sample rows) and the split that is its backward.
     Concat = 11,
     /// The tape's elementwise maps other than `tanh`'s forward: loss
     /// arithmetic, every activation's derivative in the backward, and
     /// adding a node's gradient contributions together.
     Elementwise = 12,
     /// Finding a batch's repeated samples and repeated context rows —
-    /// what computing each distinct one once costs up front.
+    /// what computing each distinct one once costs up front, including
+    /// the one pass that builds the encoder's index columns beside the
+    /// row keys.
     Dedup = 13,
     /// The environment's reward oracle, one call per collected episode.
     Reward = 14,

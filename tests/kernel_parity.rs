@@ -321,6 +321,61 @@ fn backward_kernels_match_their_textbook_chains_on_a_nonzero_output() {
     }
 }
 
+/// The segmented matmul's weight gradient against what it replaces: per
+/// row window, last first, a zeroed partial, the textbook i-k-j `xᵀ·g`
+/// over the window into it, then the partial added into the output. The
+/// output starts non-zero and hostile; windows are ragged, empty at
+/// either end and in the middle; `m` straddles the 4-row blocks and `n`
+/// every column block, its off-by-ones and the single score column.
+#[test]
+fn segment_tn_sums_each_window_like_a_zeroed_partial() {
+    let _strict = pin_strict();
+    let layouts: [&[usize]; 4] = [&[0, 5, 0, 3, 1, 0], &[9], &[1; 7], &[2, 0, 0, 17, 4]];
+    for (li, lens) in layouts.iter().enumerate() {
+        let segs = Segments::from_lens(lens.iter().copied());
+        let bounds: Vec<(usize, usize)> = segs.iter().collect();
+        let kr = segs.total_rows();
+        for m in [1usize, 3, 4, 5, 7, 8, 9, 12, 19] {
+            for n in [1usize, 7, 8, 9, 15, 16, 17, 32, 48] {
+                let seed = (li * 1_000_000 + m * 1000 + n) as u64;
+                let x = wild_tensor(kr, m, seed ^ 0x0D);
+                let g = wild_tensor(kr, n, seed ^ 0x0E);
+                let start = wild_tensor(m, n, seed ^ 0x0F);
+                let mut want = start.clone();
+                for &(r0, r1) in bounds.iter().rev() {
+                    if r0 == r1 {
+                        continue;
+                    }
+                    let mut partial = Tensor::zeros(m, n);
+                    for i in 0..m {
+                        for k in r0..r1 {
+                            for j in 0..n {
+                                partial[(i, j)] += x[(k, i)] * g[(k, j)];
+                            }
+                        }
+                    }
+                    want.add_scaled(&partial, 1.0);
+                }
+                let mut got = start.clone();
+                kernels::segment_matmul_tn_accum(
+                    &bounds,
+                    x.data(),
+                    g.data(),
+                    kr,
+                    m,
+                    n,
+                    got.data_mut(),
+                );
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "segment tn diverged [lens={lens:?} m={m} n={n}]"
+                );
+            }
+        }
+    }
+}
+
 /// The attention-score product's strict side: `row_dots_accum` is the
 /// single-column `matmul_accum` — one ascending-`k` chain per row,
 /// starting from whatever `out` held — over hostile payloads, reductions
