@@ -6,23 +6,11 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Hyperparameters for tree induction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DecisionTreeConfig {
-    /// Maximum tree depth.
-    pub max_depth: usize,
-    /// Do not split nodes smaller than this.
-    pub min_samples_split: usize,
-}
+/// Maximum tree depth.
+const MAX_DEPTH: usize = 12;
 
-impl Default for DecisionTreeConfig {
-    fn default() -> Self {
-        DecisionTreeConfig {
-            max_depth: 12,
-            min_samples_split: 4,
-        }
-    }
-}
+/// Nodes with fewer samples than this are not split.
+const MIN_SAMPLES_SPLIT: usize = 4;
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 enum Node {
@@ -49,7 +37,16 @@ impl DecisionTree {
     /// # Panics
     ///
     /// Panics on empty or ragged training data.
-    pub fn fit(features: &[Vec<f32>], labels: &[usize], cfg: &DecisionTreeConfig) -> Self {
+    pub fn fit(features: &[Vec<f32>], labels: &[usize]) -> Self {
+        Self::fit_with(features, labels, MAX_DEPTH, MIN_SAMPLES_SPLIT)
+    }
+
+    fn fit_with(
+        features: &[Vec<f32>],
+        labels: &[usize],
+        max_depth: usize,
+        min_samples_split: usize,
+    ) -> Self {
         assert!(!features.is_empty(), "no training data");
         assert_eq!(features.len(), labels.len(), "features/labels mismatch");
         let width = features[0].len();
@@ -59,7 +56,7 @@ impl DecisionTree {
         );
         let mut tree = DecisionTree { nodes: Vec::new() };
         let idx: Vec<usize> = (0..features.len()).collect();
-        tree.build(features, labels, &idx, cfg.max_depth, cfg);
+        tree.build(features, labels, &idx, max_depth, min_samples_split);
         tree
     }
 
@@ -69,10 +66,10 @@ impl DecisionTree {
         labels: &[usize],
         idx: &[usize],
         depth: usize,
-        cfg: &DecisionTreeConfig,
+        min_samples_split: usize,
     ) -> usize {
         let majority = majority_label(labels, idx);
-        if depth == 0 || idx.len() < cfg.min_samples_split || is_pure(labels, idx) {
+        if depth == 0 || idx.len() < min_samples_split || is_pure(labels, idx) {
             self.nodes.push(Node::Leaf { label: majority });
             return self.nodes.len() - 1;
         }
@@ -90,8 +87,8 @@ impl DecisionTree {
         // Reserve our slot before the children so indices stay stable.
         self.nodes.push(Node::Leaf { label: majority });
         let me = self.nodes.len() - 1;
-        let left = self.build(features, labels, &li, depth - 1, cfg);
-        let right = self.build(features, labels, &ri, depth - 1, cfg);
+        let left = self.build(features, labels, &li, depth - 1, min_samples_split);
+        let right = self.build(features, labels, &ri, depth - 1, min_samples_split);
         self.nodes[me] = Node::Split {
             feature,
             threshold,
@@ -214,7 +211,7 @@ mod tests {
             .map(|i| vec![i as f32 / 40.0, (i % 3) as f32])
             .collect();
         let labels: Vec<usize> = (0..40).map(|i| usize::from(i >= 20)).collect();
-        let tree = DecisionTree::fit(&features, &labels, &DecisionTreeConfig::default());
+        let tree = DecisionTree::fit(&features, &labels);
         assert_eq!(tree.predict(&[0.1, 0.0]), 0);
         assert_eq!(tree.predict(&[0.9, 2.0]), 1);
     }
@@ -230,11 +227,7 @@ mod tests {
         let labels = vec![0, 1, 1, 0];
         // XOR needs two-sample splits; the default minimum (4) would stop
         // at depth 1.
-        let cfg = DecisionTreeConfig {
-            min_samples_split: 2,
-            ..DecisionTreeConfig::default()
-        };
-        let tree = DecisionTree::fit(&features, &labels, &cfg);
+        let tree = DecisionTree::fit_with(&features, &labels, MAX_DEPTH, 2);
         for (f, l) in features.iter().zip(labels.iter()) {
             assert_eq!(tree.predict(f), *l);
         }
@@ -244,7 +237,7 @@ mod tests {
     fn pure_node_is_single_leaf() {
         let features = vec![vec![1.0], vec![2.0], vec![3.0]];
         let labels = vec![5, 5, 5];
-        let tree = DecisionTree::fit(&features, &labels, &DecisionTreeConfig::default());
+        let tree = DecisionTree::fit(&features, &labels);
         assert_eq!(tree.node_count(), 1);
         assert_eq!(tree.predict(&[9.0]), 5);
     }
@@ -253,11 +246,7 @@ mod tests {
     fn depth_limit_respected() {
         let features: Vec<Vec<f32>> = (0..64).map(|i| vec![i as f32]).collect();
         let labels: Vec<usize> = (0..64).map(|i| i % 7).collect();
-        let cfg = DecisionTreeConfig {
-            max_depth: 2,
-            min_samples_split: 2,
-        };
-        let tree = DecisionTree::fit(&features, &labels, &cfg);
+        let tree = DecisionTree::fit_with(&features, &labels, 2, 2);
         // Depth 2 → at most 7 nodes (3 splits + 4 leaves).
         assert!(tree.node_count() <= 7);
     }
@@ -272,7 +261,7 @@ mod tests {
             features.push(vec![cluster as f32 * 10.0 + (i % 10) as f32 * 0.1, 0.5]);
             labels.push(cluster);
         }
-        let tree = DecisionTree::fit(&features, &labels, &DecisionTreeConfig::default());
+        let tree = DecisionTree::fit(&features, &labels);
         let correct = features
             .iter()
             .zip(labels.iter())
@@ -299,11 +288,10 @@ mod tests {
             features.push(vec![x, y, x, y]);
             labels.push(next() as usize % 7);
         }
-        let cfg = DecisionTreeConfig::default();
-        let first = DecisionTree::fit(&features, &labels, &cfg);
+        let first = DecisionTree::fit(&features, &labels);
         assert!(first.node_count() > 7, "the dataset must need many splits");
         for _ in 0..8 {
-            assert_eq!(DecisionTree::fit(&features, &labels, &cfg), first);
+            assert_eq!(DecisionTree::fit(&features, &labels), first);
         }
     }
 }

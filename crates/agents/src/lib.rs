@@ -22,7 +22,7 @@ pub mod random_search;
 pub mod ranker;
 
 pub use brute_force::brute_force_best;
-pub use decision_tree::{DecisionTree, DecisionTreeConfig};
+pub use decision_tree::DecisionTree;
 pub use nns::NnsAgent;
 pub use random_search::RandomAgent;
-pub use ranker::{Ranker, RankerConfig};
+pub use ranker::Ranker;

@@ -12,45 +12,36 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use nvc_nn::{Adam, Graph, ParamId, ParamStore, Tensor};
 use nvc_rl::ActionDims;
 
-/// Ranker hyperparameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RankerConfig {
-    /// Embedding width of the inputs.
-    pub input_dim: usize,
+/// Training hyperparameters.
+#[derive(Debug, Clone, Copy)]
+struct Hyper {
     /// Hidden layer width.
-    pub hidden: usize,
-    /// Action dimensions.
-    pub dims: ActionDims,
+    hidden: usize,
     /// Adam learning rate.
-    pub lr: f32,
+    lr: f32,
     /// Training epochs over the labelled set.
-    pub epochs: usize,
+    epochs: usize,
     /// Minibatch size.
-    pub minibatch: usize,
+    minibatch: usize,
 }
 
-impl Default for RankerConfig {
-    fn default() -> Self {
-        RankerConfig {
-            input_dim: 32,
-            hidden: 64,
-            dims: ActionDims { n_vf: 7, n_if: 5 },
-            lr: 1e-2,
-            epochs: 60,
-            minibatch: 32,
-        }
-    }
-}
+/// The hyperparameters every ranker trains with.
+const HYPER: Hyper = Hyper {
+    hidden: 64,
+    lr: 5e-3,
+    epochs: 30,
+    minibatch: 64,
+};
 
 /// The learned cost model.
 #[derive(Debug)]
 pub struct Ranker {
-    cfg: RankerConfig,
+    dims: ActionDims,
+    hyper: Hyper,
     store: ParamStore,
     w1: ParamId,
     b1: ParamId,
@@ -59,16 +50,22 @@ pub struct Ranker {
 }
 
 impl Ranker {
-    /// Creates an untrained ranker.
-    pub fn new(cfg: &RankerConfig, seed: u64) -> Self {
+    /// Creates an untrained ranker over `input_dim`-wide embeddings and
+    /// the `dims` action grid.
+    pub fn new(input_dim: usize, dims: ActionDims, seed: u64) -> Self {
+        Self::with_hyper(input_dim, dims, HYPER, seed)
+    }
+
+    fn with_hyper(input_dim: usize, dims: ActionDims, hyper: Hyper, seed: u64) -> Self {
         let mut store = ParamStore::new(seed);
-        let in_dim = cfg.input_dim + cfg.dims.total();
-        let w1 = store.param_xavier("ranker.w1", in_dim, cfg.hidden);
-        let b1 = store.param("ranker.b1", Tensor::zeros(1, cfg.hidden));
-        let w2 = store.param_xavier("ranker.w2", cfg.hidden, 1);
+        let in_dim = input_dim + dims.total();
+        let w1 = store.param_xavier("ranker.w1", in_dim, hyper.hidden);
+        let b1 = store.param("ranker.b1", Tensor::zeros(1, hyper.hidden));
+        let w2 = store.param_xavier("ranker.w2", hyper.hidden, 1);
         let b2 = store.param("ranker.b2", Tensor::zeros(1, 1));
         Ranker {
-            cfg: cfg.clone(),
+            dims,
+            hyper,
             store,
             w1,
             b1,
@@ -79,7 +76,7 @@ impl Ranker {
 
     fn input_row(&self, embedding: &[f32], action: usize) -> Vec<f32> {
         let mut row = embedding.to_vec();
-        let mut onehot = vec![0.0f32; self.cfg.dims.total()];
+        let mut onehot = vec![0.0f32; self.dims.total()];
         onehot[action] = 1.0;
         row.extend(onehot);
         row
@@ -89,14 +86,14 @@ impl Ranker {
     /// the full brute-force grid of the training loops.
     pub fn fit(&mut self, data: &[(Vec<f32>, usize, f64)], rng: &mut impl Rng) -> f64 {
         assert!(!data.is_empty(), "no training data");
-        let mut adam = Adam::new(self.cfg.lr);
+        let mut adam = Adam::new(self.hyper.lr);
         let mut order: Vec<usize> = (0..data.len()).collect();
         let mut last_loss = f64::INFINITY;
-        for _ in 0..self.cfg.epochs {
+        for _ in 0..self.hyper.epochs {
             order.shuffle(rng);
             let mut epoch_loss = 0.0;
             let mut batches = 0;
-            for chunk in order.chunks(self.cfg.minibatch) {
+            for chunk in order.chunks(self.hyper.minibatch) {
                 let rows: Vec<Vec<f32>> = chunk
                     .iter()
                     .map(|&i| self.input_row(&data[i].0, data[i].1))
@@ -160,14 +157,14 @@ impl Ranker {
     pub fn predict(&self, embedding: &[f32]) -> (usize, usize) {
         let mut best = 0;
         let mut best_score = f64::NEG_INFINITY;
-        for a in 0..self.cfg.dims.total() {
+        for a in 0..self.dims.total() {
             let s = self.score(embedding, a);
             if s > best_score {
                 best_score = s;
                 best = a;
             }
         }
-        self.cfg.dims.unflatten(best)
+        self.dims.unflatten(best)
     }
 }
 
@@ -181,14 +178,11 @@ mod tests {
     fn ranker_learns_a_simple_cost_surface() {
         // Two synthetic loop embeddings with different optimal actions.
         let dims = ActionDims { n_vf: 4, n_if: 4 };
-        let cfg = RankerConfig {
-            input_dim: 4,
+        let hyper = Hyper {
             hidden: 32,
-            dims,
             lr: 2e-2,
             epochs: 120,
             minibatch: 16,
-            ..RankerConfig::default()
         };
         let e1 = vec![1.0, 0.0, 0.0, 0.0];
         let e2 = vec![0.0, 1.0, 0.0, 0.0];
@@ -201,7 +195,7 @@ mod tests {
             data.push((e1.clone(), a, 1.0 - 0.1 * d1));
             data.push((e2.clone(), a, 1.0 - 0.1 * d2));
         }
-        let mut r = Ranker::new(&cfg, 3);
+        let mut r = Ranker::with_hyper(4, dims, hyper, 3);
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let loss = r.fit(&data, &mut rng);
         assert!(loss < 0.02, "ranker did not fit: loss={loss}");
@@ -211,7 +205,7 @@ mod tests {
 
     #[test]
     fn score_is_deterministic() {
-        let r = Ranker::new(&RankerConfig::default(), 1);
+        let r = Ranker::new(32, ActionDims { n_vf: 7, n_if: 5 }, 1);
         let e = vec![0.5; 32];
         assert_eq!(r.score(&e, 3), r.score(&e, 3));
     }

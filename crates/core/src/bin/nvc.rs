@@ -42,13 +42,11 @@ const USAGE: &str = "usage:
   nvc hub --model NAME=FILE [--model NAME=FILE…] [--weight NAME=N…] [--listen ADDR]
           [--cache-file PATH] [--cache-checkpoint-secs N] [--request-threads N]
           [--announce REGISTRY_ADDR] [--node NAME] [--advertise ADDR]
-          [--announce-ttl-ms N] [--peers ADDR[,ADDR…]]
+          [--peers ADDR[,ADDR…]]
           [--workers N] [--batch N] [--cache N] [--shards N]
           [--kernel-mode strict|fast] [--trace FILE]
           [--learn] [--learn-journal FILE] [--learn-promotion-log FILE]
-          [--learn-model NAME] [--learn-challenger NAME] [--learn-checkpoint FILE]
-          [--learn-interval-ms N] [--learn-min-reports N] [--learn-canary-weight N]
-          [--learn-z Z] [--learn-min-cohort N] [--learn-iters N]
+          [--learn-checkpoint FILE]
   nvc registry [--listen ADDR]
   nvc resolve --registry ADDR [--model NAME]
   nvc experiment fig1|fig2|fig5|fig6|fig7|fig8|fig9|headline|ext_ranker|
@@ -75,14 +73,13 @@ telemetry per iteration. Tracing never changes decisions or weights.
 --learn enables online learning from serve traffic: clients post measured
 rewards back through the `report` verb (correlated by the `key` stamped on
 each vectorize loop report); the hub journals them (--learn-journal,
-append mode — the corpus survives restarts), periodically fine-tunes a
-challenger from the champion's weights (--learn-iters PPO iterations once
---learn-min-reports accumulate), canaries it at --learn-canary-weight
-through the registry A/B split, and promotes it over --learn-model via the
-atomic reload once its reward cohort clears a Welch z of --learn-z with
---learn-min-cohort observations per side — or parks it at weight 0 on a
-loss. A regressing promotion is rolled back automatically. Lifecycle
-events append to --learn-promotion-log.
+append mode — the corpus survives restarts), fine-tunes a challenger
+(--learn-checkpoint) from the first --model's weights once enough reports
+accumulate, canaries it through the registry A/B split, and promotes it
+over that model via the atomic reload once its reward cohort clears a
+Welch z test — or parks it at weight 0 on a loss; the thresholds are
+`LearnConfig`'s defaults. A regressing promotion is rolled back
+automatically. Lifecycle events append to --learn-promotion-log.
 
 Fleet: `nvc registry` runs the discovery registry (on the same
 connection loop as the hub); `nvc hub --announce
@@ -360,24 +357,18 @@ fn hub_flags() -> Vec<Flag> {
         Flag::value("--announce"),
         Flag::value("--node"),
         Flag::value("--advertise"),
-        Flag::value("--announce-ttl-ms"),
         Flag::value("--peers"),
         Flag::switch("--learn"),
         Flag::value("--learn-journal"),
         Flag::value("--learn-promotion-log"),
-        Flag::value("--learn-model"),
-        Flag::value("--learn-challenger"),
         Flag::value("--learn-checkpoint"),
-        Flag::value("--learn-interval-ms"),
-        Flag::value("--learn-min-reports"),
-        Flag::value("--learn-canary-weight"),
-        Flag::value("--learn-z"),
-        Flag::value("--learn-min-cohort"),
-        Flag::value("--learn-iters"),
     ];
     flags.extend(SERVE_KNOBS);
     flags
 }
+
+/// PPO iterations per challenger fine-tune under `--learn`.
+const LEARN_ITERS: usize = 20;
 
 fn cmd_hub(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let p = parse_args(args, &hub_flags(), USAGE)?;
@@ -396,11 +387,8 @@ fn cmd_hub(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     if let Some(n) = p.parse_value::<u64>("--cache-checkpoint-secs")? {
         cfg.hub.cache_checkpoint_secs = n;
     }
-    if let Some(n) = p.get("--request-threads") {
-        cfg.hub.request_threads = n
-            .parse::<usize>()
-            .map_err(|_| format!("invalid --request-threads `{n}`"))?
-            .max(1);
+    if let Some(n) = p.parse_value("--request-threads")? {
+        cfg.hub.request_threads = n;
     }
 
     let models = p.get_all("--model");
@@ -421,54 +409,32 @@ fn cmd_hub(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let loader = NeuroVectorizer::hub_loader(cfg.clone());
     let mut hub = Hub::new(cfg.hub.clone(), cfg.serve.clone()).with_loader(loader);
     if p.has("--learn") {
-        // The champion defaults to the first --model spec; its
-        // checkpoint file is the fine-tune warm start.
-        let first_name = models[0]
+        // The champion is the first --model spec; its checkpoint file is
+        // the fine-tune warm start.
+        let (champion, champion_checkpoint) = models[0]
             .split_once('=')
-            .map(|(n, _)| n.to_string())
             .ok_or_else(|| format!("--model wants NAME=CHECKPOINT, got `{}`", models[0]))?;
-        let champion = p
-            .get("--learn-model")
-            .map(str::to_string)
-            .unwrap_or(first_name);
-        let champion_checkpoint = models
-            .iter()
-            .find_map(|spec| {
-                spec.split_once('=')
-                    .filter(|(n, _)| *n == champion)
-                    .map(|(_, path)| path.to_string())
-            })
-            .ok_or_else(|| format!("--learn-model `{champion}` has no --model NAME=CHECKPOINT"))?;
         let lcfg = neurovectorizer::LearnConfig {
             journal_path: p
                 .get("--learn-journal")
                 .unwrap_or("nvc-learn.jsonl")
                 .to_string(),
             promotion_log_path: p.get("--learn-promotion-log").map(str::to_string),
-            champion: champion.clone(),
-            challenger: p
-                .get("--learn-challenger")
-                .unwrap_or("challenger")
-                .to_string(),
-            champion_checkpoint,
+            champion: champion.to_string(),
+            champion_checkpoint: champion_checkpoint.to_string(),
             challenger_checkpoint: p
                 .get("--learn-checkpoint")
                 .unwrap_or("nvc-challenger.ckpt")
                 .to_string(),
-            min_reports: p.parse_value::<usize>("--learn-min-reports")?.unwrap_or(50),
-            canary_weight: p.parse_value::<u32>("--learn-canary-weight")?.unwrap_or(1),
-            z_threshold: p.parse_value::<f64>("--learn-z")?.unwrap_or(2.0),
-            min_cohort: p.parse_value::<u64>("--learn-min-cohort")?.unwrap_or(20),
-            interval_ms: p.parse_value::<u64>("--learn-interval-ms")?.unwrap_or(1000),
+            ..neurovectorizer::LearnConfig::default()
         };
-        let iters = p.parse_value::<usize>("--learn-iters")?.unwrap_or(20);
         eprintln!(
             "nvc hub: online learning on (champion `{champion}`, journal {}, z {}, canary weight {})",
             lcfg.journal_path, lcfg.z_threshold, lcfg.canary_weight
         );
         hub = hub.with_learning(
             lcfg,
-            NeuroVectorizer::challenger_trainer(cfg.clone(), iters),
+            NeuroVectorizer::challenger_trainer(cfg.clone(), LEARN_ITERS),
         )?;
     }
     let hub = hub;
@@ -548,10 +514,7 @@ fn cmd_hub(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             .get("--advertise")
             .map(str::to_string)
             .unwrap_or_else(|| handle.addr().to_string());
-        let mut ann = neurovectorizer::AnnounceConfig::new(registry, &node, &advertise);
-        if let Ok(Some(ttl)) = p.parse_value::<u64>("--announce-ttl-ms") {
-            ann = ann.with_ttl_ms(ttl);
-        }
+        let ann = neurovectorizer::AnnounceConfig::new(registry, &node, &advertise);
         eprintln!("nvc hub: announcing as `{node}` ({advertise}) to {registry}");
         neurovectorizer::spawn_announcer(Arc::clone(handle.hub()), ann)
     });
@@ -698,27 +661,80 @@ fn cmd_inspect(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use neurovectorizer::{AnnounceConfig, FleetConfig, HubConfig, LearnConfig, ServeConfig};
+    use nvc_embed::EmbedConfig;
+    use nvc_rl::PpoConfig;
+
+    /// Every subcommand and the flags it accepts.
+    fn subcommands() -> Vec<(&'static str, Vec<Flag>)> {
+        vec![
+            ("train", TRAIN_FLAGS.to_vec()),
+            ("vectorize", VECTORIZE_FLAGS.to_vec()),
+            ("inspect", INSPECT_FLAGS.to_vec()),
+            ("serve", serve_flags()),
+            ("hub", hub_flags()),
+            ("registry", REGISTRY_FLAGS.to_vec()),
+            ("resolve", RESOLVE_FLAGS.to_vec()),
+            ("experiment", EXPERIMENT_FLAGS.to_vec()),
+        ]
+    }
+
+    /// A file of the repository, by its path from the root.
+    fn repo_file(path: &str) -> String {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        std::fs::read_to_string(root.join(path)).unwrap_or_else(|e| panic!("{path}: {e}"))
+    }
+
+    /// Every `nvc SUBCOMMAND …` that `text` quotes, with its `--flags`: a
+    /// code line runs to its end or a `#` comment (`\` continuations
+    /// joined), an inline one to its closing backtick.
+    fn quoted_commands(text: &str) -> Vec<(String, Vec<String>)> {
+        let names: Vec<&str> = subcommands().iter().map(|(name, _)| *name).collect();
+        let mut commands = Vec::new();
+        for line in text.replace("\\\n", " ").lines() {
+            for (at, _) in line.match_indices("nvc ") {
+                let rest = &line[at + 4..];
+                let inline = line[..at].matches('`').count() % 2 == 1;
+                let end = if inline {
+                    rest.find('`')
+                } else {
+                    rest.find(" #")
+                };
+                let mut words = rest[..end.unwrap_or(rest.len())]
+                    .split_whitespace()
+                    .skip_while(|w| *w == "--");
+                let Some(sub) = words.next().filter(|w| names.contains(w)) else {
+                    continue;
+                };
+                let flags = words
+                    .map(|w| w.trim_start_matches('['))
+                    .filter(|w| w.starts_with("--") && w.len() > 2)
+                    .map(|w| {
+                        let end = w[2..]
+                            .find(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                            .map_or(w.len(), |i| i + 2);
+                        w[..end].to_string()
+                    })
+                    .collect();
+                commands.push((sub.to_string(), flags));
+            }
+        }
+        commands
+    }
 
     /// `USAGE` and the subcommands' flag tables name the same flags: a
     /// flag documented but no longer accepted, or accepted but never
-    /// documented, fails here.
+    /// documented, fails here. So does a command README quotes with a
+    /// flag its subcommand does not accept.
     #[test]
     fn usage_and_flag_tables_name_the_same_flags() {
-        let (serve, hub) = (serve_flags(), hub_flags());
-        let accepted: BTreeSet<&str> = [
-            TRAIN_FLAGS,
-            VECTORIZE_FLAGS,
-            INSPECT_FLAGS,
-            &serve,
-            &hub,
-            REGISTRY_FLAGS,
-            RESOLVE_FLAGS,
-            EXPERIMENT_FLAGS,
-        ]
-        .iter()
-        .flat_map(|table| table.iter().map(|f| f.name))
-        .collect();
+        let tables = subcommands();
+        let accepted: BTreeSet<&str> = tables
+            .iter()
+            .flat_map(|(_, table)| table.iter().map(|f| f.name))
+            .collect();
         let documented: BTreeSet<&str> = USAGE
             .split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
             .filter(|word| word.starts_with("--") && word.len() > 2)
@@ -727,5 +743,281 @@ mod tests {
         for id in report::IDS {
             assert!(USAGE.contains(id), "USAGE does not name experiment `{id}`");
         }
+
+        let quoted = quoted_commands(&repo_file("README.md"));
+        assert!(quoted.len() >= 10, "README quotes {quoted:?}");
+        for (sub, flags) in &quoted {
+            let (_, table) = tables.iter().find(|(name, _)| name == sub).unwrap();
+            for flag in flags {
+                assert!(
+                    table.iter().any(|f| f.name == flag),
+                    "README quotes `nvc {sub} {flag}`, which `nvc {sub}` rejects"
+                );
+            }
+        }
+    }
+
+    /// Why a knob exists.
+    enum Use {
+        /// An address, a path, a name, or host sizing (thread counts,
+        /// cache sizes, the target machine): only the deployment knows it.
+        Deployment,
+        /// `(file, needle)`: `file` sets it, at `needle` — bench, CI, an
+        /// integration test, an example, a figure, or an `nvc` command
+        /// line README quotes, never the file that defines the knob.
+        SetBy(&'static str, &'static str),
+    }
+    use Use::{Deployment, SetBy};
+
+    const README: &str = "README.md";
+    const CI: &str = ".github/workflows/ci.yml";
+    const NVC_CLI: &str = "crates/core/tests/nvc_cli.rs";
+    const DETERMINISM: &str = "tests/determinism.rs";
+    const FLEET: &str = "tests/fleet.rs";
+    const LEARNING: &str = "tests/learning.rs";
+    const SERVE: &str = "tests/serve.rs";
+    const FLEET_MIX: &str = "bench/src/workloads/fleet_mix.rs";
+    const FIGURES: &str = "crates/core/src/experiments.rs";
+    const BOTH_EMBEDS: Use = SetBy(
+        "tests/frontend_alloc.rs",
+        "[EmbedConfig::fast(), EmbedConfig::paper()]",
+    );
+
+    /// The options census: every `nvc` flag, config field and environment
+    /// variable, and who needs it. A setting nothing sets is a constant
+    /// beside its reader, not a knob.
+    const CENSUS: &[(&str, Use)] = &[
+        ("--advertise", Deployment),
+        ("--announce", Deployment),
+        ("--batch", Deployment),
+        ("--cache", Deployment),
+        (
+            "--cache-checkpoint-secs",
+            SetBy(FLEET_MIX, r#""--cache-checkpoint-secs", "2""#),
+        ),
+        ("--cache-file", Deployment),
+        ("--iterations", SetBy(README, "--iterations 30")),
+        ("--journal", Deployment),
+        (
+            "--kernel-mode",
+            SetBy(NVC_CLI, r#""serve", "--kernel-mode", flag"#),
+        ),
+        ("--kernels", SetBy(README, "nvc train --kernels 160")),
+        ("--learn", SetBy(NVC_CLI, r#""--learn","#)),
+        ("--learn-checkpoint", Deployment),
+        ("--learn-journal", Deployment),
+        ("--learn-promotion-log", Deployment),
+        ("--listen", Deployment),
+        ("--model", Deployment),
+        ("--n", SetBy(README, "inspect file.c --n 1024")),
+        ("--node", SetBy(README, "--node hub-a")),
+        ("--out", Deployment),
+        ("--peers", Deployment),
+        ("--registry", Deployment),
+        ("--request-threads", Deployment),
+        ("--seed", SetBy(README, "--seed 99")),
+        ("--shards", Deployment),
+        ("--trace", Deployment),
+        ("--weight", SetBy(README, "--weight prod=9")),
+        ("--workers", Deployment),
+        ("NvConfig::target", Deployment),
+        (
+            "NvConfig::embed",
+            SetBy("tests/infer_alloc.rs", "NvConfig::paper()"),
+        ),
+        (
+            "NvConfig::ppo",
+            SetBy(DETERMINISM, "cfg.ppo.train_batch = 24"),
+        ),
+        (
+            "NvConfig::serve",
+            SetBy(SERVE, "cfg.serve = ServeConfig::default()"),
+        ),
+        (
+            "NvConfig::hub",
+            SetBy(README, "nvc hub --model prod=prod.ckpt --listen"),
+        ),
+        (
+            "NvConfig::kernel_mode",
+            SetBy("tests/fast_parity.rs", "with_kernel_mode(mode)"),
+        ),
+        (
+            "NvConfig::seed",
+            SetBy("tests/end_to_end.rs", "NvConfig::fast().with_seed(11)"),
+        ),
+        ("ServeConfig::cache_capacity", Deployment),
+        ("ServeConfig::cache_shards", Deployment),
+        (
+            "ServeConfig::batch_size",
+            SetBy(SERVE, "with_batch_size(8)"),
+        ),
+        ("ServeConfig::workers", Deployment),
+        ("HubConfig::listen", Deployment),
+        ("HubConfig::cache_path", Deployment),
+        ("HubConfig::request_threads", Deployment),
+        (
+            "HubConfig::cache_checkpoint_secs",
+            SetBy(FLEET, ".with_cache_checkpoint_secs("),
+        ),
+        ("PpoConfig::lr", SetBy(FIGURES, "cfg.ppo.lr = lr")),
+        (
+            "PpoConfig::train_batch",
+            SetBy(DETERMINISM, "cfg.ppo.train_batch = 24"),
+        ),
+        (
+            "PpoConfig::minibatch",
+            SetBy(DETERMINISM, "cfg.ppo.minibatch = 8"),
+        ),
+        (
+            "PpoConfig::epochs",
+            SetBy(DETERMINISM, "cfg.ppo.epochs = 2"),
+        ),
+        (
+            "PpoConfig::hidden",
+            SetBy(FIGURES, "cfg.ppo.hidden = hidden.clone()"),
+        ),
+        (
+            "PpoConfig::action_space",
+            SetBy(DETERMINISM, "cfg.ppo.action_space = kind"),
+        ),
+        ("PpoConfig::action_dims", Deployment),
+        ("EmbedConfig::token_buckets", BOTH_EMBEDS),
+        ("EmbedConfig::path_buckets", BOTH_EMBEDS),
+        ("EmbedConfig::token_dim", BOTH_EMBEDS),
+        ("EmbedConfig::path_dim", BOTH_EMBEDS),
+        ("EmbedConfig::code_dim", BOTH_EMBEDS),
+        (
+            "EmbedConfig::max_paths",
+            SetBy("tests/frontend_parity.rs", "for max_paths in [0, 1,"),
+        ),
+        ("LearnConfig::journal_path", Deployment),
+        ("LearnConfig::promotion_log_path", Deployment),
+        ("LearnConfig::champion", Deployment),
+        ("LearnConfig::challenger", Deployment),
+        ("LearnConfig::champion_checkpoint", Deployment),
+        ("LearnConfig::challenger_checkpoint", Deployment),
+        (
+            "LearnConfig::min_reports",
+            SetBy(LEARNING, "min_reports: 20"),
+        ),
+        (
+            "LearnConfig::canary_weight",
+            SetBy(LEARNING, "canary_weight: 1"),
+        ),
+        (
+            "LearnConfig::z_threshold",
+            SetBy(LEARNING, "z_threshold: 2.0"),
+        ),
+        ("LearnConfig::min_cohort", SetBy(LEARNING, "min_cohort: 6")),
+        (
+            "LearnConfig::interval_ms",
+            SetBy(LEARNING, "interval_ms: 10"),
+        ),
+        ("AnnounceConfig::registry", Deployment),
+        ("AnnounceConfig::node", Deployment),
+        ("AnnounceConfig::advertise", Deployment),
+        ("AnnounceConfig::ttl_ms", SetBy(FLEET, ".with_ttl_ms(600)")),
+        ("FleetConfig::registry", Deployment),
+        (
+            "FleetConfig::model",
+            SetBy(FLEET_MIX, r#".with_model("prod")"#),
+        ),
+        (
+            "FleetConfig::backoff_ms",
+            SetBy(FLEET, ".with_backoff_ms(10)"),
+        ),
+        (
+            "FleetConfig::resolve_ttl_ms",
+            SetBy(FLEET, ".with_resolve_ttl_ms(200)"),
+        ),
+        ("NVC_KERNEL_MODE", SetBy(CI, r#"NVC_KERNEL_MODE: "fast""#)),
+        ("NVC_TRACE", SetBy(CI, "NVC_TRACE: ")),
+        ("NVC_OPS", SetBy(README, "NVC_OPS=1 nvc")),
+    ];
+
+    /// `("Type::field", home)` for every field of `value`, by exhaustive
+    /// destructuring: a new field does not compile until it is listed
+    /// here, and then fails the census until it has a row.
+    macro_rules! fields {
+        ($home:literal, $value:expr => $ty:ident [$($field:ident),* $(,)?]) => {{
+            let $ty { $($field: _),* } = $value;
+            [$((concat!(stringify!($ty), "::", stringify!($field)), $home)),*]
+        }};
+    }
+
+    /// Every knob, with the file that defines it.
+    fn knobs() -> Vec<(&'static str, &'static str)> {
+        let flags: BTreeSet<&str> = subcommands()
+            .iter()
+            .flat_map(|(_, table)| table.iter().map(|f| f.name))
+            .collect();
+        let mut knobs: Vec<_> = flags
+            .into_iter()
+            .map(|flag| (flag, "crates/core/src/bin/nvc.rs"))
+            .collect();
+        knobs.extend(fields!("crates/core/src/framework.rs", NvConfig::fast() =>
+            NvConfig [target, embed, ppo, serve, hub, kernel_mode, seed]));
+        knobs.extend(fields!("crates/serve/src/lib.rs", ServeConfig::default() =>
+            ServeConfig [cache_capacity, cache_shards, batch_size, workers]));
+        knobs.extend(fields!("crates/hub/src/lib.rs", HubConfig::default() =>
+            HubConfig [listen, cache_path, request_threads, cache_checkpoint_secs]));
+        knobs.extend(fields!("crates/rl/src/ppo.rs", PpoConfig::default() =>
+            PpoConfig [lr, train_batch, minibatch, epochs, hidden, action_space, action_dims]));
+        knobs.extend(
+            fields!("crates/embed/src/model.rs", EmbedConfig::default() =>
+            EmbedConfig [token_buckets, path_buckets, token_dim, path_dim, code_dim, max_paths]),
+        );
+        knobs.extend(fields!("crates/hub/src/learn.rs", LearnConfig::default() =>
+            LearnConfig [journal_path, promotion_log_path, champion, challenger,
+                champion_checkpoint, challenger_checkpoint, min_reports, canary_weight,
+                z_threshold, min_cohort, interval_ms]));
+        knobs.extend(
+            fields!("crates/hub/src/announce.rs", AnnounceConfig::new("", "", "") =>
+            AnnounceConfig [registry, node, advertise, ttl_ms]),
+        );
+        knobs.extend(
+            fields!("crates/fleet/src/client.rs", FleetConfig::new("") =>
+            FleetConfig [registry, model, backoff_ms, resolve_ttl_ms]),
+        );
+        knobs.extend([
+            ("NVC_KERNEL_MODE", "crates/nn/src/kernels.rs"),
+            ("NVC_TRACE", "crates/obs/src/trace.rs"),
+            ("NVC_OPS", "crates/obs/src/ops.rs"),
+        ]);
+        knobs
+    }
+
+    /// Every knob has a census row and every row a knob; every `SetBy`
+    /// file lies outside the knob's own and sets it.
+    #[test]
+    fn every_knob_has_a_user() {
+        let census: BTreeMap<&str, &Use> = CENSUS.iter().map(|(knob, u)| (*knob, u)).collect();
+        assert_eq!(census.len(), CENSUS.len(), "a knob has two rows");
+        let knobs = knobs();
+        let mut failures = Vec::new();
+        for &(knob, home) in &knobs {
+            match census.get(knob) {
+                None => failures.push(format!("{knob}: no user outside {home}")),
+                Some(Deployment) => {}
+                Some(SetBy(file, needle)) if *file == home => {
+                    failures.push(format!("{knob}: `{needle}` is in its own {home}"));
+                }
+                Some(SetBy(file, needle)) => {
+                    if !repo_file(file).contains(needle) {
+                        failures.push(format!("{knob}: `{needle}` is not in {file}"));
+                    }
+                }
+            }
+        }
+        for knob in census.keys() {
+            if !knobs.iter().any(|(k, _)| k == knob) {
+                failures.push(format!("{knob}: a row for a knob that is gone"));
+            }
+        }
+        assert!(
+            failures.is_empty(),
+            "options census:\n  {}",
+            failures.join("\n  ")
+        );
     }
 }

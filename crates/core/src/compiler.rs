@@ -13,7 +13,7 @@ use nvc_datasets::Kernel;
 use nvc_frontend::parse_translation_unit;
 use nvc_ir::{lower_innermost_loops, LoweredLoop};
 use nvc_machine::TargetConfig;
-use nvc_polly::{optimize_source, PollyConfig};
+use nvc_polly::optimize_source;
 use nvc_vectorizer::{CompileOutcome, VectorDecision, Vectorizer};
 
 /// Fixed cycles per kernel invocation: call/return, argument setup and
@@ -95,7 +95,7 @@ impl std::error::Error for CompileError {}
 #[derive(Debug, Clone)]
 pub struct Compiler {
     vectorizer: Vectorizer,
-    polly: Option<PollyConfig>,
+    polly: bool,
 }
 
 impl Compiler {
@@ -103,13 +103,13 @@ impl Compiler {
     pub fn new(target: TargetConfig) -> Self {
         Compiler {
             vectorizer: Vectorizer::new(target),
-            polly: None,
+            polly: false,
         }
     }
 
     /// Enables Polly-lite preprocessing (builder style).
-    pub fn with_polly(mut self, cfg: PollyConfig) -> Self {
-        self.polly = Some(cfg);
+    pub fn with_polly(mut self) -> Self {
+        self.polly = true;
         self
     }
 
@@ -131,13 +131,12 @@ impl Compiler {
     /// Returns [`CompileError`] when the kernel does not fit the supported
     /// subset.
     pub fn front_end(&self, kernel: &Kernel) -> Result<Vec<LoweredLoop>, CompileError> {
-        let source = match &self.polly {
-            Some(cfg) => {
-                optimize_source(&kernel.source, cfg)
-                    .map_err(CompileError::Parse)?
-                    .0
-            }
-            None => kernel.source.clone(),
+        let source = if self.polly {
+            optimize_source(&kernel.source)
+                .map_err(CompileError::Parse)?
+                .0
+        } else {
+            kernel.source.clone()
         };
         let tu = parse_translation_unit(&source).map_err(CompileError::Parse)?;
         lower_innermost_loops(&tu, &source, &kernel.env).map_err(CompileError::Lower)
@@ -280,7 +279,7 @@ int kernel() {
             .find(|k| k.name == "poly_gemm")
             .unwrap();
         let plain = Compiler::default();
-        let polly = Compiler::default().with_polly(PollyConfig::default());
+        let polly = Compiler::default().with_polly();
         let t_plain = plain.run_baseline(&gemm).unwrap();
         let t_polly = polly.run_baseline(&gemm).unwrap();
         // Interchange + tiling must pay off on a 256³ gemm.

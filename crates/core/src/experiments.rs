@@ -24,12 +24,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use nvc_agents::{brute_force_best, DecisionTree, DecisionTreeConfig, NnsAgent, RandomAgent};
+use nvc_agents::{brute_force_best, DecisionTree, NnsAgent, RandomAgent};
 use nvc_datasets::{generator, mibench, polybench, suite, Kernel};
 use nvc_embed::PathSample;
 use nvc_ir::LoweredLoop;
 use nvc_machine::TargetConfig;
-use nvc_polly::PollyConfig;
 use nvc_rl::{ActionSpaceKind, BanditEnv, IterStats};
 use nvc_vectorizer::{ActionSpace, VectorDecision, Vectorizer};
 
@@ -91,13 +90,12 @@ pub fn train_framework(scale: Scale) -> (NeuroVectorizer, VectorizeEnv, Vec<Iter
     // The §4.1 combined experiment runs the agent on Polly-transformed
     // code, so the training distribution must include tile-shaped loops:
     // append Polly-lite transforms of the nest-heavy kernels.
-    let polly_cfg = PollyConfig::default();
     let mut extra = Vec::new();
     for k in kernels
         .iter()
         .filter(|k| k.family == "matmul" || k.family == "memset2d")
     {
-        if let Ok((src, report)) = nvc_polly::optimize_source(&k.source, &polly_cfg) {
+        if let Ok((src, report)) = nvc_polly::optimize_source(&k.source) {
             if !report.is_noop() {
                 let mut t = k.clone();
                 t.name = format!("{}_polly", k.name);
@@ -433,7 +431,7 @@ fn rl<'a>(
 fn compilers(nv: &NeuroVectorizer) -> (Compiler, Compiler, ActionSpace) {
     let target = &nv.config().target;
     let plain = Compiler::new(target.clone());
-    let polly = plain.clone().with_polly(PollyConfig::default());
+    let polly = plain.clone().with_polly();
     (plain, polly, ActionSpace::for_target(target))
 }
 
@@ -466,7 +464,7 @@ pub fn fig7_comparison(
         dt_features.push(e);
         dt_labels.push(labels[i].0 * dims.n_if + labels[i].1);
     }
-    let tree = DecisionTree::fit(&dt_features, &dt_labels, &DecisionTreeConfig::default());
+    let tree = DecisionTree::fit(&dt_features, &dt_labels);
     let mut random = RandomAgent::new(nv.config().seed.wrapping_add(1));
 
     compare(
@@ -588,7 +586,7 @@ pub fn ext_ranker_comparison(
     benchmarks: &[Kernel],
     seed: u64,
 ) -> ComparisonData {
-    use nvc_agents::{Ranker, RankerConfig};
+    use nvc_agents::Ranker;
     use rand::SeedableRng;
 
     let (plain, _, space) = compilers(nv);
@@ -608,15 +606,7 @@ pub fn ext_ranker_comparison(
             }
         }
     }
-    let cfg = RankerConfig {
-        input_dim: nv.config().embed.code_dim,
-        hidden: 64,
-        dims,
-        lr: 5e-3,
-        epochs: 30,
-        minibatch: 64,
-    };
-    let mut ranker = Ranker::new(&cfg, seed);
+    let mut ranker = Ranker::new(nv.config().embed.code_dim, dims, seed);
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
     ranker.fit(&data, &mut rng);
 

@@ -54,6 +54,80 @@ fn valid_and_unset_kernel_mode_variables_reach_the_serve_banner() {
     }
 }
 
+/// `--kernel-mode` wins over `NVC_KERNEL_MODE`, either way round.
+#[test]
+fn the_kernel_mode_flag_wins_over_the_variable() {
+    for (mode, flag) in [("fast", "strict"), ("strict", "fast")] {
+        let out = nvc(&["serve", "--kernel-mode", flag], Some(mode));
+        let err = stderr(&out);
+        assert!(out.status.success(), "{flag}: {err}");
+        let banner = err.lines().find(|l| l.starts_with("nvc serve: ready"));
+        let kernels = format!("{flag} kernels");
+        assert!(
+            banner.is_some_and(|b| b.contains(&kernels)),
+            "{flag}: {err}"
+        );
+    }
+}
+
+/// `nvc hub --learn` over TCP: the champion is the first `--model`, the
+/// learning journal opens at start, the hub answers, and stdin EOF shuts
+/// it down cleanly.
+#[test]
+fn a_learning_hub_answers_and_shuts_down_on_eof() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let ckpt = dir.join("nvc_cli_learn.ckpt");
+    let journal = dir.join("nvc_cli_learn.jsonl");
+    let _ = std::fs::remove_file(&journal);
+    let model = neurovectorizer::NeuroVectorizer::new(neurovectorizer::NvConfig::fast());
+    std::fs::write(&ckpt, model.checkpoint()).unwrap();
+    let spec = format!("prod={}", ckpt.to_str().expect("utf-8 path"));
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_nvc"))
+        .args(["hub", "--model", &spec, "--listen", "127.0.0.1:0"])
+        .args([
+            "--learn",
+            "--learn-journal",
+            journal.to_str().expect("utf-8 path"),
+        ])
+        .env_remove("NVC_KERNEL_MODE")
+        .stdin(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("nvc starts");
+    let mut log = BufReader::new(child.stderr.take().unwrap());
+    let mut seen = String::new();
+    let addr = loop {
+        let mut line = String::new();
+        assert!(log.read_line(&mut line).unwrap() > 0, "no listener: {seen}");
+        seen.push_str(&line);
+        if let Some(rest) = line.strip_prefix("nvc hub: listening on ") {
+            break rest.split_whitespace().next().unwrap().to_string();
+        }
+    };
+    assert!(
+        seen.contains("online learning on (champion `prod`"),
+        "{seen}"
+    );
+    assert!(journal.exists(), "the journal opens with the hub");
+
+    let stream = std::net::TcpStream::connect(&addr).expect("hub accepts");
+    (&stream).write_all(b"{\"op\":\"ping\"}\n").unwrap();
+    let mut pong = String::new();
+    BufReader::new(&stream).read_line(&mut pong).unwrap();
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+
+    drop(child.stdin.take());
+    let status = child.wait().expect("nvc exits");
+    let mut rest = String::new();
+    std::io::Read::read_to_string(&mut log, &mut rest).unwrap();
+    assert!(status.success(), "{seen}{rest}");
+    assert!(rest.contains("drained and persisted"), "{rest}");
+    assert!(journal.exists());
+}
+
 #[test]
 fn a_removed_flag_is_an_unknown_flag_not_an_ignored_argument() {
     // Spelled in two pieces, so a grep of the tree for the flag that was

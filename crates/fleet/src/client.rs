@@ -189,6 +189,9 @@ impl RegistryClient {
     }
 }
 
+/// How many peers a request tries before giving up.
+const ATTEMPTS: usize = 3;
+
 /// Knobs for a [`FleetClient`].
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -196,8 +199,6 @@ pub struct FleetConfig {
     pub registry: String,
     /// Model to request; `None` lets each hub apply its own A/B split.
     pub model: Option<String>,
-    /// How many peers to try per request before giving up.
-    pub retries: usize,
     /// Sleep between failover attempts.
     pub backoff_ms: u64,
     /// How long a resolution stays fresh before re-asking the registry.
@@ -205,13 +206,12 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// Sensible defaults against `registry` (3 attempts, 50 ms backoff,
-    /// 2 s resolve freshness).
+    /// Sensible defaults against `registry` (50 ms backoff, 2 s resolve
+    /// freshness).
     pub fn new(registry: impl Into<String>) -> Self {
         FleetConfig {
             registry: registry.into(),
             model: None,
-            retries: 3,
             backoff_ms: 50,
             resolve_ttl_ms: 2000,
         }
@@ -221,12 +221,6 @@ impl FleetConfig {
     /// that model's advertised hash).
     pub fn with_model(mut self, model: impl Into<String>) -> Self {
         self.model = Some(model.into());
-        self
-    }
-
-    /// Overrides the per-request attempt budget.
-    pub fn with_retries(mut self, retries: usize) -> Self {
-        self.retries = retries;
         self
     }
 
@@ -399,7 +393,7 @@ impl FleetClient {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         let nodes = self.ensure_nodes(false)?;
         let start = pick_start(&nodes, self.cfg.model.as_deref(), route_key(source));
-        let attempts = self.cfg.retries.max(1).min(nodes.len().max(1));
+        let attempts = ATTEMPTS.min(nodes.len().max(1));
         let mut last_err = String::from("no candidate nodes");
         for i in 0..attempts {
             let node = &nodes[(start + i) % nodes.len()];
@@ -593,7 +587,6 @@ mod tests {
         let backoff_ms = 150u64;
         let cfg = FleetConfig::new("127.0.0.1:1") // never contacted
             .with_model("prod")
-            .with_retries(2)
             .with_backoff_ms(backoff_ms)
             .with_resolve_ttl_ms(3_600_000);
         let client = FleetClient::new(cfg);

@@ -239,6 +239,55 @@ impl Default for LearnConfig {
     }
 }
 
+/// A [`LearnConfig`] under which the controller could promote a loser,
+/// or never decide.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LearnConfigError {
+    /// `z_threshold` is not a finite number above 0. At `z ≤ 0` a
+    /// challenger that measured worse clears `z ≥ z_threshold`; a NaN or
+    /// infinite threshold never decides.
+    ZThreshold,
+    /// `canary_weight` is 0, which parks the challenger as it deploys.
+    CanaryWeight,
+    /// `min_cohort` is below 2: one report has no variance, and a
+    /// zero-variance cohort scores `z = ±1e9`.
+    MinCohort,
+    /// The challenger is the champion's own registry entry.
+    ChallengerIsChampion,
+}
+
+impl std::fmt::Display for LearnConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            LearnConfigError::ZThreshold => "z_threshold must be a finite number above 0",
+            LearnConfigError::CanaryWeight => "canary_weight must be at least 1",
+            LearnConfigError::MinCohort => "min_cohort must be at least 2",
+            LearnConfigError::ChallengerIsChampion => "challenger must not be the champion",
+        })
+    }
+}
+
+impl LearnConfig {
+    /// Checks the settings "never promote a loser" rests on.
+    ///
+    /// # Errors
+    ///
+    /// The first [`LearnConfigError`] the configuration has.
+    pub(crate) fn validate(&self) -> Result<(), LearnConfigError> {
+        if !(self.z_threshold.is_finite() && self.z_threshold > 0.0) {
+            Err(LearnConfigError::ZThreshold)
+        } else if self.canary_weight == 0 {
+            Err(LearnConfigError::CanaryWeight)
+        } else if self.min_cohort < 2 {
+            Err(LearnConfigError::MinCohort)
+        } else if self.champion == self.challenger {
+            Err(LearnConfigError::ChallengerIsChampion)
+        } else {
+            Ok(())
+        }
+    }
+}
+
 /// Pre-promotion state kept so a regressing swap can be undone.
 #[derive(Debug, Clone)]
 struct RollbackGuard {
@@ -900,6 +949,81 @@ mod tests {
         let learning = stats.get("stats").unwrap().get("learning").unwrap().clone();
         assert_eq!(learning.get("corpus").unwrap().as_f64(), Some(2.0));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `with_learning` refuses `cfg` with `expected` before it opens the
+    /// journal.
+    fn assert_refused(tag: &str, cfg: LearnConfig, expected: LearnConfigError) {
+        let dir = tmp_dir(tag);
+        let journal = dir.join("learn.jsonl");
+        let cfg = LearnConfig {
+            journal_path: journal.to_string_lossy().to_string(),
+            ..cfg
+        };
+        let err = Hub::new(HubConfig::default(), ServeConfig::default().with_workers(1))
+            .with_learning(cfg, tag_trainer(1))
+            .err();
+        assert_eq!(err, Some(HubError::Learn(expected)));
+        assert!(!journal.exists(), "a refused config opened the journal");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// At `z ≤ 0` a challenger that measured worse (`z = −0.5`) would
+    /// clear the promotion gate.
+    #[test]
+    fn a_threshold_at_or_below_zero_is_refused() {
+        assert_eq!(LearnConfig::default().validate(), Ok(()));
+        for (i, z) in [0.0, -0.5].into_iter().enumerate() {
+            let cfg = LearnConfig {
+                z_threshold: z,
+                ..LearnConfig::default()
+            };
+            assert_refused(&format!("z-le-0-{i}"), cfg, LearnConfigError::ZThreshold);
+        }
+    }
+
+    /// A NaN (or infinite) threshold never decides.
+    #[test]
+    fn a_threshold_that_never_decides_is_refused() {
+        for (i, z) in [f64::NAN, f64::INFINITY].into_iter().enumerate() {
+            let cfg = LearnConfig {
+                z_threshold: z,
+                ..LearnConfig::default()
+            };
+            assert_refused(&format!("z-nan-{i}"), cfg, LearnConfigError::ZThreshold);
+        }
+    }
+
+    /// Weight 0 would park the challenger as it deploys.
+    #[test]
+    fn a_zero_canary_weight_is_refused() {
+        let cfg = LearnConfig {
+            canary_weight: 0,
+            ..LearnConfig::default()
+        };
+        assert_refused("canary-0", cfg, LearnConfigError::CanaryWeight);
+    }
+
+    /// One zero-variance report per side would score `z = ±1e9`.
+    #[test]
+    fn a_cohort_below_two_is_refused() {
+        for n in [0, 1] {
+            let cfg = LearnConfig {
+                min_cohort: n,
+                ..LearnConfig::default()
+            };
+            assert_refused(&format!("cohort-{n}"), cfg, LearnConfigError::MinCohort);
+        }
+    }
+
+    /// The champion's own entry would reload as its canary.
+    #[test]
+    fn a_challenger_named_as_the_champion_is_refused() {
+        let cfg = LearnConfig {
+            challenger: "prod".to_string(),
+            ..LearnConfig::default()
+        };
+        assert_refused("same-name", cfg, LearnConfigError::ChallengerIsChampion);
     }
 
     #[test]

@@ -87,8 +87,8 @@ use nvc_serve::{ContentStore, DecisionModel, ServeConfig, VectorizeOutput};
 
 pub use announce::{spawn_announcer, AnnounceConfig, Announcer};
 pub use learn::{
-    spawn_learner, welch_z, ChallengerTrainer, Cohort, LearnConfig, LearnEvent, LearnState,
-    ReportRecord,
+    spawn_learner, welch_z, ChallengerTrainer, Cohort, LearnConfig, LearnConfigError, LearnEvent,
+    LearnState, ReportRecord,
 };
 pub use persist::CacheSection;
 pub use registry::{ModelEntry, ModelRegistry, ModelSpec};
@@ -110,10 +110,6 @@ pub struct HubConfig {
     /// (clamped to ≥ 1). Responses are written back in per-connection
     /// request order regardless.
     pub request_threads: usize,
-    /// Backpressure bound: once a connection's queued unsent output
-    /// exceeds this many bytes the loop stops *reading* from it until the
-    /// peer drains below half — a slow reader throttles only itself.
-    pub max_output_buffer: usize,
     /// Background cache-checkpoint interval in seconds (0 disables).
     /// With persistence configured, the cache image is rewritten every
     /// interval so a crash loses at most one interval of decisions
@@ -127,7 +123,6 @@ impl Default for HubConfig {
             listen: "127.0.0.1:7199".to_string(),
             cache_path: None,
             request_threads: 4,
-            max_output_buffer: 256 * 1024,
             cache_checkpoint_secs: 0,
         }
     }
@@ -171,6 +166,8 @@ pub enum HubError {
     Loader(String),
     /// Filesystem problems while persisting/restoring the cache.
     Io(String),
+    /// Online learning was asked for with settings it refuses.
+    Learn(learn::LearnConfigError),
 }
 
 impl std::fmt::Display for HubError {
@@ -188,6 +185,7 @@ impl std::fmt::Display for HubError {
             HubError::NoLoader => write!(f, "hub has no checkpoint loader"),
             HubError::Loader(e) => write!(f, "checkpoint load failed: {e}"),
             HubError::Io(e) => write!(f, "cache persistence: {e}"),
+            HubError::Learn(e) => write!(f, "online learning: {e}"),
         }
     }
 }
@@ -380,6 +378,7 @@ impl Hub {
     ///
     /// # Errors
     ///
+    /// [`HubError::Learn`] when `cfg` could promote a loser or never decide;
     /// [`HubError::Io`] when a journal cannot be opened or the existing
     /// corpus is corrupt.
     pub fn with_learning(
@@ -387,6 +386,7 @@ impl Hub {
         cfg: learn::LearnConfig,
         trainer: learn::ChallengerTrainer,
     ) -> Result<Self, HubError> {
+        cfg.validate().map_err(HubError::Learn)?;
         let state = learn::LearnState::new(cfg, trainer, &self.obs)?;
         self.learn = Some(Arc::new(state));
         Ok(self)

@@ -102,8 +102,11 @@ impl LineService for RegistryService {
     }
 }
 
-/// The registry's per-connection output bound — the hub's default.
-const REGISTRY_MAX_OUTPUT_BUFFER: usize = 256 * 1024;
+/// The hub's and the registry's per-connection backpressure bound: once a
+/// connection's queued unsent output exceeds this many bytes the loop
+/// stops *reading* from it until the peer drains below half — a slow
+/// reader throttles only itself.
+const MAX_OUTPUT_BUFFER: usize = 256 * 1024;
 
 /// A running hub server. Dropping the handle shuts the hub down (drain +
 /// persist) and joins every thread.
@@ -178,7 +181,7 @@ pub fn serve_on(hub: Arc<Hub>, listener: TcpListener) -> std::io::Result<HubHand
         listener,
         "nvc-hub",
         hub.config().request_threads.max(1),
-        hub.config().max_output_buffer,
+        MAX_OUTPUT_BUFFER,
     )?;
     let checkpointer = Mutex::new(spawn_checkpointer(&hub));
     Ok(HubHandle {
@@ -268,7 +271,7 @@ pub fn serve_registry_on(
         listener,
         "nvc-registry",
         0, // `offer` answers every verb
-        REGISTRY_MAX_OUTPUT_BUFFER,
+        MAX_OUTPUT_BUFFER,
     )?;
     Ok(RegistryHandle {
         service,

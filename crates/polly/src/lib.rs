@@ -53,32 +53,11 @@ impl PollyReport {
     }
 }
 
-/// Options controlling the optimizer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PollyConfig {
-    /// Tile edge length (Polly's default is 32).
-    pub tile_size: i64,
-    /// Minimum constant trip count before tiling pays for itself.
-    pub min_trip_for_tiling: i64,
-    /// Enable interchange.
-    pub interchange: bool,
-    /// Enable tiling.
-    pub tiling: bool,
-    /// Enable fusion.
-    pub fusion: bool,
-}
+/// Tile edge length (Polly's default).
+const TILE_SIZE: i64 = 32;
 
-impl Default for PollyConfig {
-    fn default() -> Self {
-        PollyConfig {
-            tile_size: 32,
-            min_trip_for_tiling: 128,
-            interchange: true,
-            tiling: true,
-            fusion: true,
-        }
-    }
-}
+/// Minimum constant trip count before tiling pays for itself.
+const MIN_TRIP_FOR_TILING: i64 = 128;
 
 /// Runs the full Polly-lite pipeline on C source, returning the optimized
 /// source and a report.
@@ -87,24 +66,16 @@ impl Default for PollyConfig {
 ///
 /// Returns a [`FrontendError`] if the source does not parse. The output is
 /// guaranteed to re-parse (it is produced by the AST printer).
-pub fn optimize_source(
-    source: &str,
-    cfg: &PollyConfig,
-) -> Result<(String, PollyReport), FrontendError> {
+pub fn optimize_source(source: &str) -> Result<(String, PollyReport), FrontendError> {
     let mut tu = parse_translation_unit(source)?;
-    let mut report = PollyReport::default();
     // Interchange first: fusing adjacent nests would hide perfect nests
     // from the interchange legality check (mvt's second nest, for
     // example).
-    if cfg.interchange {
-        report.interchanged += interchange::interchange_in_unit(&mut tu);
-    }
-    if cfg.tiling {
-        report.tiled += tiling::tile_in_unit(&mut tu, cfg.tile_size, cfg.min_trip_for_tiling);
-    }
-    if cfg.fusion {
-        report.fused += fusion::fuse_in_unit(&mut tu);
-    }
+    let report = PollyReport {
+        interchanged: interchange::interchange_in_unit(&mut tu),
+        tiled: tiling::tile_in_unit(&mut tu, TILE_SIZE, MIN_TRIP_FOR_TILING),
+        fused: fusion::fuse_in_unit(&mut tu),
+    };
     let printed = print_translation_unit(&tu);
     debug_assert!(
         parse_translation_unit(&printed).is_ok(),
@@ -130,7 +101,7 @@ void gemm() {
 
     #[test]
     fn gemm_is_transformed_and_reparses() {
-        let (out, report) = optimize_source(GEMM, &PollyConfig::default()).unwrap();
+        let (out, report) = optimize_source(GEMM).unwrap();
         assert!(!report.is_noop(), "gemm should be optimized: {report:?}");
         // Output must be valid C in our subset.
         parse_translation_unit(&out).expect("optimized source re-parses");
@@ -138,13 +109,9 @@ void gemm() {
 
     #[test]
     fn gemm_interchange_makes_inner_stride_unit() {
-        let cfg = PollyConfig {
-            tiling: false,
-            fusion: false,
-            ..PollyConfig::default()
-        };
-        let (out, report) = optimize_source(GEMM, &cfg).unwrap();
-        assert_eq!(report.interchanged, 1);
+        let mut tu = parse_translation_unit(GEMM).unwrap();
+        assert_eq!(interchange::interchange_in_unit(&mut tu), 1);
+        let out = print_translation_unit(&tu);
         // After j↔k interchange the innermost loop is j: B[k][j] and
         // C[i][j] are unit stride.
         let pos_j = out.find("for (int j").expect("j loop");
@@ -155,27 +122,30 @@ void gemm() {
     #[test]
     fn small_trip_counts_are_not_tiled() {
         let src = "float a[64][64];\nvoid f() { for (int i = 0; i < 64; i++) { for (int j = 0; j < 64; j++) { a[i][j] = 0.0; } } }";
-        let (_, report) = optimize_source(src, &PollyConfig::default()).unwrap();
+        let (_, report) = optimize_source(src).unwrap();
         assert_eq!(report.tiled, 0);
     }
 
     #[test]
     fn scalar_code_is_untouched() {
         let src = "int x;\nvoid f(int n) { x = n * 2; }";
-        let (out, report) = optimize_source(src, &PollyConfig::default()).unwrap();
+        let (out, report) = optimize_source(src).unwrap();
         assert!(report.is_noop());
         assert!(out.contains("x = n * 2"));
     }
 
+    /// The pipeline is the three passes in order — interchange, tiling,
+    /// fusion — each applied once to the whole unit.
     #[test]
-    fn disabled_passes_do_nothing() {
-        let cfg = PollyConfig {
-            interchange: false,
-            tiling: false,
-            fusion: false,
-            ..PollyConfig::default()
+    fn pipeline_is_the_passes_in_order() {
+        let mut tu = parse_translation_unit(GEMM).unwrap();
+        let expected = PollyReport {
+            interchanged: interchange::interchange_in_unit(&mut tu),
+            tiled: tiling::tile_in_unit(&mut tu, TILE_SIZE, MIN_TRIP_FOR_TILING),
+            fused: fusion::fuse_in_unit(&mut tu),
         };
-        let (_, report) = optimize_source(GEMM, &cfg).unwrap();
-        assert!(report.is_noop());
+        let (out, report) = optimize_source(GEMM).unwrap();
+        assert_eq!(report, expected);
+        assert_eq!(out, print_translation_unit(&tu));
     }
 }

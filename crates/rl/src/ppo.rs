@@ -51,20 +51,12 @@ pub struct PpoConfig {
     pub minibatch: usize,
     /// SGD epochs per iteration.
     pub epochs: usize,
-    /// PPO clip parameter.
-    pub clip: f32,
-    /// Value-loss coefficient.
-    pub vf_coef: f32,
-    /// Entropy-bonus coefficient.
-    pub ent_coef: f32,
     /// Hidden widths of the FCNN (paper default 64×64).
     pub hidden: Vec<usize>,
     /// Action parameterization (Figure 6).
     pub action_space: ActionSpaceKind,
     /// Discrete action dimensions.
     pub action_dims: ActionDims,
-    /// Global gradient-norm clip.
-    pub max_grad_norm: f32,
 }
 
 impl Default for PpoConfig {
@@ -74,16 +66,21 @@ impl Default for PpoConfig {
             train_batch: 4000,
             minibatch: 128,
             epochs: 8,
-            clip: 0.2,
-            vf_coef: 0.5,
-            ent_coef: 0.01,
             hidden: vec![64, 64],
             action_space: ActionSpaceKind::Discrete,
             action_dims: ActionDims { n_vf: 7, n_if: 5 },
-            max_grad_norm: 0.5,
         }
     }
 }
+
+/// PPO clip parameter.
+const CLIP: f32 = 0.2;
+/// Value-loss coefficient.
+const VF_COEF: f32 = 0.5;
+/// Entropy-bonus coefficient.
+const ENT_COEF: f32 = 0.01;
+/// Global gradient-norm clip.
+const MAX_GRAD_NORM: f32 = 0.5;
 
 /// Statistics of one training iteration (the curves plotted in Figures
 /// 5–6).
@@ -629,7 +626,7 @@ impl PpoTrainer {
         let delta = g.sub(logp_new, logp_old);
         let ratio = g.exp(delta);
         let s1 = g.mul_elem(ratio, adv);
-        let clipped = g.clamp(ratio, 1.0 - self.cfg.clip, 1.0 + self.cfg.clip);
+        let clipped = g.clamp(ratio, 1.0 - CLIP, 1.0 + CLIP);
         let s2 = g.mul_elem(clipped, adv);
         let surr = g.minimum(s1, s2);
         let surr_mean = g.mean_all(surr);
@@ -640,8 +637,8 @@ impl PpoTrainer {
         let vsq = g.mul_elem(vdiff, vdiff);
         let value_loss = g.mean_all(vsq);
 
-        let vterm = g.scale(value_loss, self.cfg.vf_coef);
-        let eterm = g.scale(entropy, -self.cfg.ent_coef);
+        let vterm = g.scale(value_loss, VF_COEF);
+        let eterm = g.scale(entropy, -ENT_COEF);
         let partial = g.add(policy_loss, vterm);
         let total = g.add(partial, eterm);
 
@@ -658,7 +655,7 @@ impl PpoTrainer {
             self.store.grad_tensor_mut(p).add_scaled(&grad, 1.0);
             self.arena.recycle(grad);
         }
-        self.store.clip_grad_norm(self.cfg.max_grad_norm);
+        self.store.clip_grad_norm(MAX_GRAD_NORM);
         self.adam.step(&mut self.store);
         self.store.zero_grads();
 
@@ -1141,5 +1138,9 @@ mod tests {
         assert_eq!(c.hidden, vec![64, 64]);
         assert_eq!(c.action_space, ActionSpaceKind::Discrete);
         assert_eq!(c.action_dims.total(), 35);
+        assert_eq!(
+            (CLIP, VF_COEF, ENT_COEF, MAX_GRAD_NORM),
+            (0.2, 0.5, 0.01, 0.5)
+        );
     }
 }

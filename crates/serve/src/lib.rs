@@ -120,11 +120,6 @@ pub struct ServeConfig {
     pub cache_shards: usize,
     /// Maximum loops coalesced into one model forward pass (≥ 1).
     pub batch_size: usize,
-    /// Maximum pending (not yet batched) loops; when full, callers that
-    /// may block do (the blocking wrappers, the hub's request workers)
-    /// and callers that may not hand their request to one that may —
-    /// backpressure instead of unbounded memory growth.
-    pub queue_capacity: usize,
     /// Worker threads running model forward passes (≥ 1).
     pub workers: usize,
 }
@@ -135,7 +130,6 @@ impl Default for ServeConfig {
             cache_capacity: 65_536,
             cache_shards: 16,
             batch_size: 32,
-            queue_capacity: 4096,
             workers: 2,
         }
     }

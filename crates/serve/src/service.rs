@@ -29,6 +29,12 @@ const DECISION_TIMEOUT: Duration = Duration::from_secs(30);
 /// hashes, which cannot be re-decided under a new checkpoint).
 const WARM_SAMPLE_CAPACITY: usize = 4096;
 
+/// Maximum pending (not yet batched) loops; when full, callers that may
+/// block do (the blocking wrappers, the hub's request workers) and
+/// callers that may not hand their request to one that may —
+/// backpressure instead of unbounded memory growth.
+const QUEUE_CAPACITY: usize = 4096;
+
 /// Service failures surfaced to clients.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
@@ -365,11 +371,11 @@ impl ServeHandle {
             space,
             store,
             checkpoint_hash,
-            batcher: Batcher::new(batch_size, cfg.queue_capacity),
+            batcher: Batcher::new(batch_size, QUEUE_CAPACITY),
             metrics: Metrics::default(),
             inflight: Mutex::new(HashMap::new()),
             warm: Mutex::new(HashMap::new()),
-            replay_window: (cfg.queue_capacity / 2 / batch_size).max(1) * batch_size,
+            replay_window: (QUEUE_CAPACITY / 2 / batch_size).max(1) * batch_size,
             model,
         });
         let workers = (0..cfg.workers.max(1))

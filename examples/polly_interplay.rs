@@ -12,21 +12,20 @@
 use neurovectorizer::{Compiler, LoopDecision};
 use nvc_datasets::polybench::polybench;
 use nvc_machine::TargetConfig;
-use nvc_polly::{optimize_source, PollyConfig};
+use nvc_polly::optimize_source;
 use nvc_vectorizer::VectorDecision;
 
 fn main() {
     let target = TargetConfig::i7_8559u();
     let plain = Compiler::new(target.clone());
-    let polly = Compiler::new(target.clone()).with_polly(PollyConfig::default());
+    let polly = Compiler::new(target.clone()).with_polly();
 
     // Show what the optimizer actually does to gemm.
     let gemm = polybench()
         .into_iter()
         .find(|k| k.name == "poly_gemm")
         .expect("gemm exists");
-    let (optimized, report) =
-        optimize_source(&gemm.source, &PollyConfig::default()).expect("gemm optimizes");
+    let (optimized, report) = optimize_source(&gemm.source).expect("gemm optimizes");
     println!("--- gemm after Polly-lite ({report:?}) ---");
     for line in optimized.lines().take(14) {
         println!("{line}");

@@ -126,7 +126,6 @@ fn kill_and_restart_under_concurrent_fire() {
     let client = Arc::new(FleetClient::new(
         FleetConfig::new(&reg_addr)
             .with_model("prod")
-            .with_retries(3)
             .with_backoff_ms(10)
             .with_resolve_ttl_ms(200),
     ));
