@@ -7,7 +7,8 @@
 //! deterministic, so they are memoized — re-visiting an action costs
 //! nothing, exactly like caching compiled binaries would.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -33,8 +34,9 @@ pub struct LoopContext {
     pub lowered: LoweredLoop,
     /// code2vec input: `loop_sample` of the loop's own text. Serving
     /// (`nvc_embed::extract_loop_samples`) embeds the outermost enclosing
-    /// nest instead, so a nested loop's two inputs differ.
-    pub sample: PathSample,
+    /// nest instead, so a nested loop's two inputs differ. Contexts with
+    /// equal samples share one allocation.
+    pub sample: Arc<PathSample>,
     /// Baseline nest cycles (the reward denominator).
     pub baseline_cycles: f64,
     /// Baseline compile time (the timeout budget reference).
@@ -69,10 +71,16 @@ impl VectorizeEnv {
     /// Kernels that fail the front end are skipped (real build systems
     /// skip files that do not compile), and so are loops whose text does
     /// not parse alone.
+    ///
+    /// A pool holds far fewer distinct samples than loops (64 among the
+    /// generator's 8 192 kernels), so each distinct sample is kept once
+    /// and shared: the encoder then reads a batch's samples from a few
+    /// allocations that stay in cache rather than from one per context.
     pub fn new(kernels: Vec<Kernel>, target: TargetConfig, embed_cfg: &EmbedConfig) -> Self {
         let vectorizer = Vectorizer::new(target.clone());
         let space = ActionSpace::for_target(&target);
         let mut contexts = Vec::new();
+        let mut interned: HashSet<Arc<PathSample>> = HashSet::new();
         for (ki, kernel) in kernels.iter().enumerate() {
             let compiler = crate::compiler::Compiler::new(target.clone());
             let Ok(loops) = compiler.front_end(kernel) else {
@@ -81,6 +89,14 @@ impl VectorizeEnv {
             for lowered in loops {
                 let Some(sample) = loop_sample(&lowered, embed_cfg) else {
                     continue;
+                };
+                let sample = match interned.get(&sample) {
+                    Some(shared) => Arc::clone(shared),
+                    None => {
+                        let shared = Arc::new(sample);
+                        interned.insert(Arc::clone(&shared));
+                        shared
+                    }
                 };
                 let baseline = vectorizer.compile_baseline(&lowered.ir);
                 contexts.push(LoopContext {
@@ -314,7 +330,7 @@ mod tests {
                 .iter()
                 .find(|s| s.header_line == c.lowered.header_line)
                 .expect("a served site at the loop's header");
-            if served.sample != c.sample {
+            if served.sample != *c.sample {
                 differ.push(format!("{}:{}", k.name, c.lowered.header_line));
             }
         }

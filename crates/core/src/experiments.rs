@@ -458,7 +458,7 @@ pub fn fig7_comparison(
     let mut dt_labels = Vec::new();
     // One segmented encoder forward over the whole training pool — the
     // same entry point training and serving batch through.
-    let pool: Vec<&PathSample> = train_env.contexts().iter().map(|c| &c.sample).collect();
+    let pool: Vec<&PathSample> = train_env.contexts().iter().map(|c| &*c.sample).collect();
     for (i, e) in nv.encode_batch(&pool).into_iter().enumerate() {
         nns.insert(e.clone(), labels[i]);
         dt_features.push(e);
@@ -595,7 +595,7 @@ pub fn ext_ranker_comparison(
     // Label the full grid of the training pool: (embedding, action) →
     // reward. This is the supervised dataset the §5 network needs.
     let mut data = Vec::new();
-    let pool: Vec<&PathSample> = train_env.contexts().iter().map(|c| &c.sample).collect();
+    let pool: Vec<&PathSample> = train_env.contexts().iter().map(|c| &*c.sample).collect();
     for (i, e) in nv.encode_batch(&pool).into_iter().enumerate() {
         for v in 0..dims.n_vf {
             for f in 0..dims.n_if {

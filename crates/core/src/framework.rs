@@ -230,7 +230,9 @@ impl NeuroVectorizer {
     /// uses: restore the champion checkpoint into a fresh model built
     /// from `cfg`, replay the journaled reports into a
     /// [`nvc_rl::ReplayEnv`], fine-tune for `iterations`, and write the
-    /// challenger checkpoint to the output path. Mirrors
+    /// challenger checkpoint to the output path. A record whose sample
+    /// does not fit `cfg.embed`'s tables is an error naming it, not a
+    /// panic in the learner thread. Mirrors
     /// [`NeuroVectorizer::hub_loader`]'s closure pattern so `nvc-hub`
     /// stays decoupled from this crate.
     pub fn challenger_trainer(cfg: NvConfig, iterations: usize) -> nvc_hub::ChallengerTrainer {
@@ -240,6 +242,17 @@ impl NeuroVectorizer {
             let mut nv = NeuroVectorizer::new(cfg.clone());
             nv.restore(&text)
                 .map_err(|e| format!("{champion_path}: {e}"))?;
+            let unfit = records
+                .iter()
+                .enumerate()
+                .find(|(_, r)| !r.sample.fits(&cfg.embed));
+            if let Some((i, r)) = unfit {
+                return Err(format!(
+                    "report record {i} (model {}, key {:016x}) does not fit the embedding \
+                     tables ({} token rows, {} path rows)",
+                    r.model, r.key, cfg.embed.token_buckets, cfg.embed.path_buckets
+                ));
+            }
             let mut env = nvc_rl::ReplayEnv::new(cfg.ppo.action_dims, 0.0);
             for r in records {
                 env.record(&r.sample, (r.vf_idx, r.if_idx), r.reward);
@@ -393,6 +406,52 @@ void f(int n) {
         assert!(last > -0.5, "reward collapsed: {last}");
     }
 
+    /// A journaled record whose sample indexes past the tables reaches
+    /// the challenger trainer as an error naming the record — on a hub,
+    /// a panic here ended the learner thread silently, and a restart
+    /// replayed the line into the same panic. The valid corpus still
+    /// trains.
+    #[test]
+    fn challenger_trainer_refuses_a_record_outside_the_tables() {
+        let cfg = NvConfig::fast();
+        let dir = std::env::temp_dir().join(format!("nvc-challenger-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (champion, out) = (dir.join("champion.ckpt"), dir.join("challenger.ckpt"));
+        std::fs::write(&champion, NeuroVectorizer::new(cfg.clone()).checkpoint()).unwrap();
+        let record = |key: u64, sample: PathSample| nvc_hub::ReportRecord {
+            model: "prod".to_string(),
+            checkpoint_hash: 1,
+            key,
+            vf_idx: 0,
+            if_idx: 0,
+            reward: 0.25,
+            sample,
+        };
+        let fits = PathSample {
+            starts: vec![1, 2],
+            paths: vec![3, 4],
+            ends: vec![5, 6],
+        };
+        let mut past_tokens = fits.clone();
+        past_tokens.starts[1] = 999_999;
+        let mut past_paths = fits.clone();
+        past_paths.paths[0] = cfg.embed.path_buckets;
+        let mut ragged = fits.clone();
+        ragged.paths.push(7);
+        let train = NeuroVectorizer::challenger_trainer(cfg, 1);
+        let (champion, out) = (champion.to_str().unwrap(), out.to_str().unwrap());
+        for bad in [past_tokens, past_paths, ragged] {
+            let records = [record(7, fits.clone()), record(0xBAD, bad)];
+            let err = train(&records, champion, out).expect_err("an unfit record must be refused");
+            assert!(
+                err.contains("report record 1") && err.contains("0000000000000bad"),
+                "{err}"
+            );
+        }
+        train(&[record(7, fits)], champion, out).expect("a fitting corpus trains");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn checkpoint_roundtrip_preserves_decisions() {
         let cfg = NvConfig::fast().with_seed(5);
@@ -434,7 +493,7 @@ void f(int n) {
         let env = VectorizeEnv::new(generator::generate(3, 10), cfg.target.clone(), &cfg.embed);
         let nv = NeuroVectorizer::new(cfg);
         let samples: Vec<&nvc_embed::PathSample> =
-            env.contexts().iter().map(|c| &c.sample).collect();
+            env.contexts().iter().map(|c| &*c.sample).collect();
         let batched = nv.encode_batch(&samples);
         assert_eq!(batched.len(), samples.len());
         for (&s, row) in samples.iter().zip(batched.iter()) {

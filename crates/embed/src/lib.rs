@@ -16,16 +16,16 @@
 //! * [`model`] — the attention encoder: per path-context
 //!   `c_i = tanh(W · [e_start; e_path; e_end])`, attention weights
 //!   `α = softmax(c · a)`, code vector `v = Σ α_i c_i`, trained end-to-end
-//!   through `nvc-nn`. Batches of loops run as **one segmented forward**
+//!   through `nvc-nn`. Batches of loops run as **one tape op**
 //!   ([`CodeEmbedder::forward_batch`]): ragged context counts become a
-//!   `Segments` row partition, so a whole batch shares a single ragged
-//!   attention reduce instead of a per-sample encoder loop —
-//!   bitwise-identical to the per-sample spelling, values and gradients
-//!   both. Consumers that need no gradients (serving, the supervised
-//!   agents' labelling passes) take the tape-free
-//!   [`CodeEmbedder::infer_rows`] instead: the same kernels without a
-//!   tape, and in fast kernel mode each table row's share of the
-//!   projection computed once per set of weights and kept.
+//!   `Segments` row partition and each distinct context row is projected
+//!   once — bitwise-identical to the per-sample spelling, values and
+//!   gradients both. Consumers that need no gradients take the same
+//!   forward without a tape ([`CodeEmbedder::forward_rows`] for rollout
+//!   collection, [`CodeEmbedder::infer_rows`] for serving and the
+//!   supervised agents' labelling passes), and in fast kernel mode
+//!   `infer_rows` computes each table row's share of the projection once
+//!   per set of weights and keeps it.
 
 pub mod model;
 pub mod paths;

@@ -5,8 +5,10 @@ use std::sync::{OnceLock, RwLock, RwLockReadGuard};
 
 use serde::{Deserialize, Serialize};
 
+use nvc_nn::attention::path_attention;
 use nvc_nn::{
-    kernels, obs, Graph, KernelMode, NodeId, ParamId, ParamStore, RowAlias, Segments, Tensor,
+    kernels, obs, AttentionScratch, AttentionWeights, Graph, KernelMode, NodeId, ParamId,
+    ParamStore, RowAlias, Segments, Tensor,
 };
 
 use crate::vocab::PathSample;
@@ -155,35 +157,25 @@ impl CodeEmbedder {
 
     /// Encodes a batch of samples into one `n × code_dim` node (row `i`
     /// is exactly [`CodeEmbedder::forward`] of `samples[i]`, bitwise).
-    /// PPO's rollout collection and minibatch updates stack their distinct
-    /// samples here and run the policy once over all rows; consumers that
-    /// need no gradients take [`CodeEmbedder::infer_rows`].
+    /// PPO's minibatch updates stack their distinct samples here and run
+    /// the policy once over all rows; consumers that need no gradients
+    /// take [`CodeEmbedder::forward_rows`] or
+    /// [`CodeEmbedder::infer_rows`].
     ///
-    /// Context counts are ragged, so the batch runs as a **segmented**
-    /// forward rather than a per-sample loop: the whole `N × context_width`
-    /// context matrix is written straight from the two tables by one
-    /// [`Graph::gather_contexts`] (whose table gradients scatter in the
-    /// per-sample order: per sample its starts, then its ends), goes
-    /// through one projection + `tanh`, and attention is one
-    /// `segment_softmax_rows` + `segment_weighted_sum` over a
-    /// [`Segments`] row partition. That single stacked `N×context_width ·
-    /// context_width×code_dim` projection is the flop-dominant matmul of
-    /// the whole system; the `nvc-nn` kernel runs it in register blocks
-    /// while keeping every row's accumulation order — and thus bitwise
-    /// parity — intact. The segment kernels fix their reduction order per
-    /// segment, so values *and* parameter gradients stay
-    /// bitwise-identical to the per-sample spelling (one [`forward`] chain
-    /// per sample, stacked with `concat_rows` — the oracle of this crate's
-    /// parity tests).
-    ///
-    /// A `(start, path, end)` triple that recurs in the batch — most do:
-    /// a loop's contexts pair up its few leaves, and a batch's loops
-    /// share them — is projected, `tanh`ed and scored **once**, and the
-    /// result copied to its repeats ([`RowAlias`]): the same bytes as
-    /// computing every row. Only the forward is shared. The backward
-    /// runs over all `N` rows, because the per-sample tape sums a
-    /// repeated row's gradients one sample at a time and adding them
-    /// together first would regroup those sums.
+    /// The whole encoder is one tape node, [`Graph::path_attention`],
+    /// over the batch's context rows with one [`Segments`] segment per
+    /// sample. A `(start, path, end)` triple that recurs in the batch —
+    /// most do: a loop's contexts pair up its few leaves, and a batch's
+    /// loops share them — is gathered, projected, `tanh`ed and scored
+    /// **once** ([`RowAlias`]), and every row reads its values through
+    /// the alias: the same bytes as computing every row. The backward is
+    /// one fused pass over all `N` rows, because the per-sample tape sums
+    /// a repeated row's gradients one sample at a time and adding them
+    /// together first would regroup those sums; the table gradients
+    /// scatter in the per-sample order (per sample its starts, then its
+    /// ends). Values *and* parameter gradients are bitwise-identical to
+    /// the per-sample spelling (one [`forward`] chain per sample, stacked
+    /// with `concat_rows` — the oracle of this crate's parity tests).
     ///
     /// Empty samples embed to zero rows, exactly as in [`forward`], and an
     /// empty `samples` gives a `0 × code_dim` node, as in
@@ -191,73 +183,59 @@ impl CodeEmbedder {
     ///
     /// # Panics
     ///
-    /// Panics when a sample indexes past a table.
+    /// Panics when a sample's index vectors differ in length or index
+    /// past a table.
     ///
     /// [`forward`]: CodeEmbedder::forward
     pub fn forward_batch(&self, g: &mut Graph<'_>, samples: &[&PathSample]) -> NodeId {
         let segs = Segments::from_lens(samples.iter().map(|s| s.len()));
-        let total = segs.total_rows();
-        if total == 0 {
-            // No sample has a context: the whole batch embeds to zero and
-            // no parameter is touched (mirrors `forward`'s empty case).
-            return g.input(Tensor::zeros(samples.len(), self.cfg.code_dim));
-        }
-
-        // One pass over the samples builds the three index columns of
-        // the context matrix and keys its rows. A loop's contexts pair up
-        // its few leaves and a batch's loops share most of them, so the
-        // same (start, path, end) row recurs many times over, and
-        // everything up to the attention score is a function of that row
-        // alone. Key the rows — one u64 per triple (a third of the hashing
-        // a tuple key costs), injective because every index is checked to
-        // be inside its table — so those stages run once per distinct
-        // triple.
-        let keying = obs::time_op(obs::Op::Dedup);
-        let (nt, np) = (self.cfg.token_buckets as u64, self.cfg.path_buckets as u64);
-        let keyspace = nt.checked_mul(np).and_then(|k| k.checked_mul(nt));
-        assert!(keyspace.is_some(), "embedding tables too large to key");
-        let mut columns = [(); 3].map(|()| Vec::with_capacity(total));
-        let mut keys = Vec::with_capacity(total);
-        for s in samples {
-            for ((&a, &p), &b) in s.starts.iter().zip(&s.paths).zip(&s.ends) {
-                let (ka, kp, kb) = (a as u64, p as u64, b as u64);
-                assert!(ka < nt && kp < np && kb < nt, "gather index out of bounds");
-                keys.push((ka * np + kp) * nt + kb);
-                columns[0].push(a);
-                columns[1].push(p);
-                columns[2].push(b);
-            }
-        }
-        drop(keying);
-        let repeats = RowAlias::from_keys(keys);
-        obs::record_embed_rows(3 * total, 3 * repeats.distinct_rows());
-
-        let w = g.param(self.w_context);
-        let attn = g.param(self.attention);
-        let ctx = g.gather_contexts(self.token_table, self.path_table, columns, &segs); // N × (2dt+dp)
-        let proj = g.segment_matmul(ctx, w, &segs, &repeats); // N × code
-        let c = g.tanh_rows(proj, &repeats);
-        let scores = g.segment_matmul(c, attn, &segs, &repeats); // N × 1
-        let alpha = g.segment_softmax_rows(scores, &segs); // N × 1
-        g.segment_weighted_sum(alpha, c, &segs) // n × code
+        let mut columns = Default::default();
+        context_columns(samples, &mut columns);
+        g.path_attention(
+            self.token_table,
+            self.path_table,
+            self.w_context,
+            self.attention,
+            columns,
+            &segs,
+        )
     }
 
-    /// The tape-free forward every **no-gradient** consumer runs: one
-    /// `code_dim`-wide embedding row per input sample, read straight from
-    /// the store — no [`Graph`], no tape nodes, no copy of `W`. Greedy
-    /// inference (the trainer's `predict_batch`, hence every serve flush)
-    /// and the supervised agents' labelling passes enter here; whatever
-    /// needs gradients stays on [`forward_batch`], which with the
-    /// per-sample [`forward`] is also this function's oracle.
+    /// The values of [`CodeEmbedder::forward_batch`] without a tape: one
+    /// `code_dim`-wide row per input sample, in the process mode's
+    /// kernels, bit for bit what the tape computes. Repeated samples
+    /// (content equality, grouped by a [`RowAlias`]) embed once and fan
+    /// out; empty samples embed to zero rows; an empty `rows` gives a
+    /// `0 × code_dim` tensor. PPO's rollout collection enters here, so
+    /// the actions it samples come from the forward its update
+    /// differentiates, in either mode; [`CodeEmbedder::infer_rows`] is
+    /// this function in strict mode.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a sample's index vectors differ in length or index
+    /// past a table.
+    pub fn forward_rows(&self, store: &ParamStore, rows: &[&PathSample]) -> Tensor {
+        self.embed_distinct(store, rows, false)
+    }
+
+    /// The tape-free forward every **no-gradient** consumer that does not
+    /// train runs: one `code_dim`-wide embedding row per input sample,
+    /// read straight from the store — no [`Graph`], no tape nodes, no
+    /// copy of `W`. Greedy inference (the trainer's `predict_batch`,
+    /// hence every serve flush) and the supervised agents' labelling
+    /// passes enter here; whatever needs gradients stays on
+    /// [`forward_batch`], which with the per-sample [`forward`] is also
+    /// this function's oracle.
     ///
     /// Repeated samples (content equality, grouped by a [`RowAlias`]) embed
     /// once and fan out. Empty samples embed to zero rows; an empty `rows`
     /// gives a `0 × code_dim` tensor.
     ///
-    /// **Strict mode** gathers the `N × context_width` context matrix,
-    /// multiplies it by `W` once, then `tanh`, scores, segment softmax and
-    /// weighted sum — the tape's kernels in the tape's order, so every
-    /// value is bitwise-equal to [`forward_batch`].
+    /// **Strict mode** is [`CodeEmbedder::forward_rows`]: the tape's one
+    /// forward ([`nvc_nn::attention::path_attention`]), projection, `tanh`
+    /// and scores once per distinct context row, so every value is
+    /// bitwise-equal to [`forward_batch`].
     ///
     /// **Fast mode** uses that `ctx·W = e_start·W[..dt] +
     /// e_path·W[dt..dt+dp] + e_end·W[dt+dp..]` and that at inference each
@@ -300,6 +278,13 @@ impl CodeEmbedder {
     /// [`forward`]: CodeEmbedder::forward
     /// [`forward_batch`]: CodeEmbedder::forward_batch
     pub fn infer_rows(&self, store: &ParamStore, rows: &[&PathSample]) -> Tensor {
+        self.embed_distinct(store, rows, kernels::kernel_mode() == KernelMode::Fast)
+    }
+
+    /// Embeds each distinct sample of `rows` once — through the kept
+    /// projections when `memoized`, else through the tape's forward — and
+    /// fans the result out to every row.
+    fn embed_distinct(&self, store: &ParamStore, rows: &[&PathSample], memoized: bool) -> Tensor {
         let code = self.cfg.code_dim;
         let repeats = RowAlias::from_keys(rows.iter().copied());
         let distinct: Vec<&PathSample> = repeats.firsts().iter().map(|&r| rows[r]).collect();
@@ -319,7 +304,19 @@ impl CodeEmbedder {
             // Taken, not borrowed: a panic below leaves an empty set
             // behind instead of a poisoned one.
             let mut scratch = INFER_SCRATCH.with(Cell::take);
-            self.infer_into(store, &distinct, &bounds, &mut scratch, out.data_mut());
+            if memoized {
+                self.infer_memoized(store, &distinct, &bounds, &mut scratch, out.data_mut());
+            } else {
+                context_columns(&distinct, &mut scratch.columns);
+                let weights = AttentionWeights {
+                    tokens: store.get(self.token_table),
+                    paths: store.get(self.path_table),
+                    w: store.get(self.w_context),
+                    attn: store.get(self.attention),
+                };
+                let (columns, buffers) = (&scratch.columns, &mut scratch.attention);
+                path_attention(weights, columns, &bounds, buffers, out.data_mut());
+            }
             INFER_SCRATCH.with(|cell| cell.set(scratch));
         }
         if distinct.len() == rows.len() {
@@ -332,10 +329,11 @@ impl CodeEmbedder {
         fanned
     }
 
-    /// The forward over distinct samples with `total > 0` contexts:
-    /// projection by the current mode's spelling, then the shared tail.
-    /// `out` is the zeroed `samples.len() × code_dim` result.
-    fn infer_into(
+    /// Fast mode's forward over distinct samples with contexts: the kept
+    /// projections, then `tanh`, lane-split scores, segment softmax and
+    /// weighted sum into `out`, the zeroed `bounds.len() × code_dim`
+    /// result.
+    fn infer_memoized(
         &self,
         store: &ParamStore,
         samples: &[&PathSample],
@@ -345,45 +343,13 @@ impl CodeEmbedder {
     ) {
         let code = self.cfg.code_dim;
         let n = bounds.last().map_or(0, |&(_, r1)| r1);
-        if kernels::kernel_mode() == KernelMode::Fast {
-            self.project_memoized(store, samples, n, scratch);
-        } else {
-            self.project_stacked(store, samples, n, scratch);
-        }
+        self.project_memoized(store, samples, n, scratch);
         let proj = &mut scratch.proj[..n * code];
         kernels::tanh_inplace(proj);
         let scores = zeroed(&mut scratch.scores, n);
         kernels::row_dots_accum(proj, store.get(self.attention).data(), n, code, scores);
         kernels::segment_softmax(bounds, 1, scores);
         kernels::segment_weighted_sum(bounds, scores, proj, code, out);
-    }
-
-    /// Strict projection: `scratch.proj = ctx · W` over the gathered
-    /// `n × context_width` context matrix — the tape's one stacked
-    /// product.
-    fn project_stacked(
-        &self,
-        store: &ParamStore,
-        samples: &[&PathSample],
-        n: usize,
-        scratch: &mut InferScratch,
-    ) {
-        let (dt, dp) = (self.cfg.token_dim, self.cfg.path_dim);
-        let cw = self.cfg.context_width();
-        let (tokens, paths) = (store.get(self.token_table), store.get(self.path_table));
-        let ctx = resized(&mut scratch.gathered, n * cw);
-        {
-            let _timer = obs::time_op(obs::Op::Gather);
-            for (row, (a, p, b)) in ctx.chunks_exact_mut(cw).zip(contexts(samples)) {
-                row[..dt].copy_from_slice(tokens.row(a));
-                row[dt..dt + dp].copy_from_slice(paths.row(p));
-                row[dt + dp..].copy_from_slice(tokens.row(b));
-            }
-        }
-        let proj = zeroed(&mut scratch.proj, n * self.cfg.code_dim);
-        let w = store.get(self.w_context).data();
-        kernels::matmul_accum(ctx, w, n, cw, self.cfg.code_dim, proj);
-        obs::record_embed_rows(3 * n, 3 * n);
     }
 
     /// Fast projection: `scratch.proj[r] = (S + P) + E` per context, each
@@ -446,6 +412,31 @@ fn contexts<'a>(samples: &'a [&PathSample]) -> impl Iterator<Item = (usize, usiz
             .zip(s.ends.iter())
             .map(|((&a, &p), &b)| (a, p, b))
     })
+}
+
+/// Every sample's start, path and end indices, in batch order, into
+/// `columns` (cleared first).
+///
+/// # Panics
+///
+/// Panics when a sample's index vectors differ in length.
+fn context_columns(samples: &[&PathSample], columns: &mut [Vec<usize>; 3]) {
+    let _timer = obs::time_op(obs::Op::Dedup);
+    let total = samples.iter().map(|s| s.len()).sum();
+    for column in columns.iter_mut() {
+        column.clear();
+        column.reserve(total);
+    }
+    let [starts, paths, ends] = columns;
+    for s in samples {
+        assert!(
+            s.starts.len() == s.len() && s.ends.len() == s.len(),
+            "path sample index vectors differ in length"
+        );
+        starts.extend_from_slice(&s.starts);
+        paths.extend_from_slice(&s.paths);
+        ends.extend_from_slice(&s.ends);
+    }
 }
 
 /// One role's kept projections: slot `i` holds table row `i` times the
@@ -531,11 +522,13 @@ impl std::fmt::Debug for ProjectionMemo {
 /// kept across calls lives in the embedder's [`ProjectionMemo`].
 #[derive(Default)]
 struct InferScratch {
-    /// Strict: the gathered `N × context_width` context matrix.
-    gathered: Vec<f32>,
-    /// `N × code_dim`: the projection, then its `tanh` in place.
+    /// Strict: the start, path and end index of every context.
+    columns: [Vec<usize>; 3],
+    /// Strict: the tape forward's buffers.
+    attention: AttentionScratch,
+    /// Fast: `N × code_dim`, the projection, then its `tanh` in place.
     proj: Vec<f32>,
-    /// `N`: attention scores, then weights in place.
+    /// Fast: `N`, attention scores, then weights in place.
     scores: Vec<f32>,
 }
 
@@ -712,71 +705,189 @@ mod tests {
         assert!(g.value(out).data().iter().all(|&x| x == 0.0));
     }
 
-    /// The tentpole invariant at the encoder level: the segmented batched
-    /// forward must be bitwise-identical to the per-sample reference —
-    /// stacked values AND the gradients of all four parameters (both
-    /// embedding tables, the projection, the attention vector) — across
-    /// ragged context counts including empty, single-context and
-    /// max-width samples.
+    /// Bit patterns with every NaN canonicalised: which NaN payload an
+    /// operation propagates is the hardware's choice, not the spelling's.
+    fn canonical_bits(t: &Tensor) -> Vec<u32> {
+        t.data()
+            .iter()
+            .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+            .collect()
+    }
+
+    /// A special value — `±0`, `±∞`, quiet or signalling NaN with a
+    /// payload — drawn from `rng`.
+    fn special(rng: &mut ChaCha8Rng) -> f32 {
+        [
+            -0.0,
+            0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x7FC0_0123),
+            f32::from_bits(0xFFC0_0042),
+            f32::from_bits(0x7F80_0456),
+        ][rng.gen_range(0..7usize)]
+    }
+
+    /// A `rows × cols` upstream gradient; with `hostile`, one element in
+    /// eight is [`special`].
+    fn upstream(rows: usize, cols: usize, hostile: bool, rng: &mut ChaCha8Rng) -> Tensor {
+        let data = (0..rows * cols)
+            .map(|_| match rng.gen_range(0..8) {
+                0 if hostile => special(rng),
+                _ => rng.gen_range(-1.0..1.0),
+            })
+            .collect();
+        Tensor::from_vec(rows, cols, data)
+    }
+
+    /// An encoder whose tables, with `hostile`, hold a special value in
+    /// one element in sixty — enough to poison some context rows and
+    /// leave others clean.
+    fn encoder(cfg: &EmbedConfig, seed: u64, hostile: bool) -> (ParamStore, CodeEmbedder) {
+        let mut store = ParamStore::new(seed);
+        let e = CodeEmbedder::new(&mut store, cfg);
+        if hostile {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            for table in [e.token_table(), e.path_table()] {
+                for x in store.get_mut(table).data_mut() {
+                    if rng.gen_range(0..60) == 0 {
+                        *x = special(&mut rng);
+                    }
+                }
+            }
+        }
+        (store, e)
+    }
+
+    /// Whether `forward_batch` is the per-sample reference on `samples`,
+    /// bit for bit with NaNs canonicalised: the stacked values and the
+    /// gradients of all four parameters under the upstream gradient
+    /// `sel`. `Err` names what diverged.
+    fn matches_reference(
+        e: &CodeEmbedder,
+        store: &ParamStore,
+        samples: &[PathSample],
+        sel: &Tensor,
+    ) -> Result<(), String> {
+        let refs: Vec<&PathSample> = samples.iter().collect();
+        let (ref_vals, ref_grads) =
+            values_and_grads(store, &refs, sel, |g, ss| forward_batch_reference(e, g, ss));
+        let (seg_vals, seg_grads) =
+            values_and_grads(store, &refs, sel, |g, ss| e.forward_batch(g, ss));
+        if canonical_bits(&ref_vals) != canonical_bits(&seg_vals) {
+            return Err("values".to_string());
+        }
+        for (name, p) in [
+            ("token table", e.token_table()),
+            ("path table", e.path_table()),
+            ("projection", e.context_weight()),
+            ("attention", e.attention_vector()),
+        ] {
+            let bits = |grads: &std::collections::HashMap<ParamId, Tensor>| {
+                grads.get(&p).map(canonical_bits)
+            };
+            if bits(&ref_grads) != bits(&seg_grads) {
+                return Err(format!("{name} gradient"));
+            }
+        }
+        Ok(())
+    }
+
+    /// A sample of the given `(start, path, end)` triples.
+    fn of_triples(triples: &[(usize, usize, usize)]) -> PathSample {
+        PathSample {
+            starts: triples.iter().map(|t| t.0).collect(),
+            paths: triples.iter().map(|t| t.1).collect(),
+            ends: triples.iter().map(|t| t.2).collect(),
+        }
+    }
+
+    /// The tentpole invariant at the encoder level: the batched forward
+    /// must be bitwise-identical to the per-sample reference — stacked
+    /// values AND the gradients of all four parameters (both embedding
+    /// tables, the projection, the attention vector) — across ragged
+    /// context counts including empty, single-context and max-width
+    /// samples, and across batches that repeat rows the way real ones do:
+    /// a whole sample repeated (the update's context-keyed minibatches),
+    /// triples shared across samples, a triple repeated inside one
+    /// sample, empty samples at both ends and in the middle. Each batch
+    /// runs on clean weights and again with `±0`, `±∞` and NaN payloads
+    /// in the tables and the upstream gradient.
     #[test]
     fn segmented_forward_batch_matches_reference_bitwise() {
         let cfg = EmbedConfig::fast();
-        let mut store = ParamStore::new(13);
-        let e = CodeEmbedder::new(&mut store, &cfg);
         let mut rng = ChaCha8Rng::seed_from_u64(17);
-        for lens in [
+        let mut batches: Vec<Vec<PathSample>> = [
             vec![3usize, 7, 1],
             vec![1],
             vec![cfg.max_paths, 1, cfg.max_paths],
             vec![5, 0, 2, 0, 9],
-        ] {
-            let samples: Vec<PathSample> = lens
-                .iter()
+        ]
+        .iter()
+        .map(|lens| {
+            lens.iter()
                 .map(|&n| random_sample(n, &cfg, &mut rng))
-                .collect();
-            let refs: Vec<&PathSample> = samples.iter().collect();
-            let sel = Tensor::from_vec(
-                refs.len(),
-                cfg.code_dim,
-                (0..refs.len() * cfg.code_dim)
-                    .map(|_| rng.gen_range(-1.0..1.0))
-                    .collect(),
-            );
-            let (ref_vals, ref_grads) = values_and_grads(&store, &refs, &sel, |g, ss| {
-                forward_batch_reference(&e, g, ss)
-            });
-            let (seg_vals, seg_grads) =
-                values_and_grads(&store, &refs, &sel, |g, ss| e.forward_batch(g, ss));
-            assert_eq!(ref_vals, seg_vals, "values diverged for lens {lens:?}");
-            for (name, p) in [
-                ("token table", e.token_table()),
-                ("path table", e.path_table()),
-                ("projection", e.context_weight()),
-                ("attention", e.attention_vector()),
-            ] {
-                assert_eq!(
-                    ref_grads.get(&p),
-                    seg_grads.get(&p),
-                    "{name} gradient diverged for lens {lens:?}"
-                );
+                .collect()
+        })
+        .collect();
+        let (x, y) = (
+            random_sample(5, &cfg, &mut rng),
+            random_sample(3, &cfg, &mut rng),
+        );
+        let t: Vec<(usize, usize, usize)> = (0..4)
+            .map(|i| {
+                let s = random_sample(1, &cfg, &mut rng);
+                (s.starts[0], s.paths[0] + i, s.ends[0])
+            })
+            .collect();
+        let empty = random_sample(0, &cfg, &mut rng);
+        batches.extend([
+            vec![x.clone(), y.clone(), x.clone(), x.clone()],
+            vec![
+                of_triples(&[t[0], t[1]]),
+                of_triples(&[t[2], t[0], t[3]]),
+                of_triples(&[t[1]]),
+            ],
+            vec![
+                of_triples(&[t[0], t[1], t[0], t[2], t[0]]),
+                of_triples(&[t[3]]),
+            ],
+            vec![empty.clone(), x, empty.clone(), y, empty],
+        ]);
+        for hostile in [false, true] {
+            let (store, e) = encoder(&cfg, 13, hostile);
+            for batch in &batches {
+                let sel = upstream(batch.len(), cfg.code_dim, hostile, &mut rng);
+                let lens: Vec<usize> = batch.iter().map(PathSample::len).collect();
+                if let Err(what) = matches_reference(&e, &store, batch, &sel) {
+                    panic!("{what} diverged for lens {lens:?}, hostile {hostile}");
+                }
             }
         }
     }
 
     proptest! {
         /// Property form of the parity bar: arbitrary ragged batches
-        /// (lengths 0..=max_paths, duplicate indices likely) are
-        /// bitwise-identical between the segmented and per-sample
-        /// spellings — values and all parameter gradients.
+        /// (lengths 0..=max_paths), bitwise-identical between the batched
+        /// and per-sample spellings — values and all parameter gradients.
+        /// Half the batches draw their triples from a pool of six, so rows
+        /// repeat inside samples and across them.
         #[test]
         fn prop_segmented_encode_is_bitwise_identical(
             n_samples in 1usize..6,
             shape_seed in 0u64..10_000,
+            hostile in 0u8..2,
         ) {
             let cfg = EmbedConfig::fast();
-            let mut store = ParamStore::new(23);
-            let e = CodeEmbedder::new(&mut store, &cfg);
+            let hostile = hostile == 1;
+            let (store, e) = encoder(&cfg, 23, hostile);
             let mut rng = ChaCha8Rng::seed_from_u64(shape_seed);
+            let pool: Vec<(usize, usize, usize)> = (0..6)
+                .map(|_| {
+                    let s = random_sample(1, &cfg, &mut rng);
+                    (s.starts[0], s.paths[0], s.ends[0])
+                })
+                .collect();
             let samples: Vec<PathSample> = (0..n_samples)
                 .map(|i| {
                     // Force the edge widths into the mix: a 1-context
@@ -786,31 +897,16 @@ mod tests {
                         1 => cfg.max_paths,
                         _ => rng.gen_range(0..=cfg.max_paths),
                     };
-                    random_sample(n, &cfg, &mut rng)
+                    if shape_seed % 2 == 0 {
+                        let triples: Vec<_> = (0..n).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
+                        of_triples(&triples)
+                    } else {
+                        random_sample(n, &cfg, &mut rng)
+                    }
                 })
                 .collect();
-            let refs: Vec<&PathSample> = samples.iter().collect();
-            let sel = Tensor::from_vec(
-                refs.len(),
-                cfg.code_dim,
-                (0..refs.len() * cfg.code_dim)
-                    .map(|_| rng.gen_range(-1.0..1.0))
-                    .collect(),
-            );
-            let (ref_vals, ref_grads) = values_and_grads(&store, &refs, &sel, |g, ss| {
-                forward_batch_reference(&e, g, ss)
-            });
-            let (seg_vals, seg_grads) =
-                values_and_grads(&store, &refs, &sel, |g, ss| e.forward_batch(g, ss));
-            prop_assert_eq!(ref_vals, seg_vals);
-            for p in [
-                e.token_table(),
-                e.path_table(),
-                e.context_weight(),
-                e.attention_vector(),
-            ] {
-                prop_assert_eq!(ref_grads.get(&p), seg_grads.get(&p));
-            }
+            let sel = upstream(samples.len(), cfg.code_dim, hostile, &mut rng);
+            prop_assert_eq!(matches_reference(&e, &store, &samples, &sel), Ok(()));
         }
     }
 

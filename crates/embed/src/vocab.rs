@@ -61,6 +61,19 @@ impl PathSample {
         self.paths.len()
     }
 
+    /// Whether the encoder can read this sample under `cfg`: the three
+    /// index vectors are equally long and every index is inside its
+    /// table.
+    pub fn fits(&self, cfg: &EmbedConfig) -> bool {
+        let n = self.len();
+        let tokens = |xs: &[usize]| xs.iter().all(|&x| x < cfg.token_buckets);
+        self.starts.len() == n
+            && self.ends.len() == n
+            && tokens(&self.starts)
+            && tokens(&self.ends)
+            && self.paths.iter().all(|&p| p < cfg.path_buckets)
+    }
+
     /// True when the sample has no contexts (degenerate loops).
     pub fn is_empty(&self) -> bool {
         self.paths.is_empty()

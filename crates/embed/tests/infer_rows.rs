@@ -275,10 +275,11 @@ fn work_counters_expose_the_dedup_factor() {
 
     obs::reset_ops();
     kernels::set_kernel_mode(KernelMode::Strict);
-    // The same sample twice embeds once.
+    // The same sample twice embeds once, and its repeated context
+    // (1, 10, 2) is projected once: 5 distinct rows of 6.
     e.infer_rows(&store, &[&s, &s]);
     let strict = obs::embed_rows_snapshot();
-    assert_eq!((strict.context_rows, strict.projected_rows), (18, 18));
+    assert_eq!((strict.context_rows, strict.projected_rows), (18, 15));
 
     obs::set_ops_enabled(false);
     obs::reset_ops();

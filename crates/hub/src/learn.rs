@@ -44,6 +44,10 @@ fn hex(name: &str, value: u64) -> (&str, Json) {
     (name, Json::from(format!("{value:016x}")))
 }
 
+/// Every integer up to this bound is an `f64` exactly; a journal index at
+/// or above it was not written by [`ReportRecord::to_json_line`].
+const MAX_EXACT_INDEX: f64 = (1u64 << 53) as f64;
+
 /// One journaled `(sample, decision, measured_reward)` observation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReportRecord {
@@ -82,7 +86,10 @@ impl ReportRecord {
     }
 
     /// Parses one journal line (the [`ReportRecord::to_json_line`]
-    /// encoding).
+    /// encoding). Every index — `vf_idx`, `if_idx` and each element of
+    /// `starts`, `paths` and `ends` — must be a whole number in `0..2^53`,
+    /// and the three arrays must be equally long; anything else is an
+    /// error, never a cast.
     pub fn from_json(v: &Json) -> Result<ReportRecord, String> {
         let hex = |field: &str| {
             v.get(field)
@@ -90,24 +97,43 @@ impl ReportRecord {
                 .and_then(|s| u64::from_str_radix(s, 16).ok())
                 .ok_or_else(|| format!("report record missing hex `{field}`"))
         };
+        let index = |x: &Json, field: &str| {
+            let f = x
+                .as_f64()
+                .ok_or_else(|| format!("non-numeric `{field}` in report record"))?;
+            if f >= 0.0 && f.fract() == 0.0 && f < MAX_EXACT_INDEX {
+                Ok(f as usize)
+            } else {
+                Err(format!("`{field}` is not an index: {f}"))
+            }
+        };
         let int = |field: &str| {
-            v.get(field)
-                .and_then(Json::as_f64)
-                .map(|f| f as usize)
-                .ok_or_else(|| format!("report record missing `{field}`"))
+            let x = v
+                .get(field)
+                .ok_or_else(|| format!("report record missing `{field}`"))?;
+            index(x, field)
         };
         let ints = |field: &str| -> Result<Vec<usize>, String> {
             v.get(field)
                 .and_then(Json::as_array)
                 .ok_or_else(|| format!("report record missing `{field}`"))?
                 .iter()
-                .map(|x| {
-                    x.as_f64()
-                        .map(|f| f as usize)
-                        .ok_or_else(|| format!("non-numeric element in `{field}`"))
-                })
+                .map(|x| index(x, field))
                 .collect()
         };
+        let sample = PathSample {
+            starts: ints("starts")?,
+            paths: ints("paths")?,
+            ends: ints("ends")?,
+        };
+        if sample.starts.len() != sample.paths.len() || sample.ends.len() != sample.paths.len() {
+            return Err(format!(
+                "report record has {} starts, {} paths and {} ends",
+                sample.starts.len(),
+                sample.paths.len(),
+                sample.ends.len()
+            ));
+        }
         Ok(ReportRecord {
             model: v
                 .get("model")
@@ -122,11 +148,7 @@ impl ReportRecord {
                 .get("reward")
                 .and_then(Json::as_f64)
                 .ok_or("report record missing `reward`")?,
-            sample: PathSample {
-                starts: ints("starts")?,
-                paths: ints("paths")?,
-                ends: ints("ends")?,
-            },
+            sample,
         })
     }
 }
@@ -856,6 +878,54 @@ mod tests {
         let line = rec.to_json_line();
         let parsed = ReportRecord::from_json(&Json::parse(&line).unwrap()).unwrap();
         assert_eq!(parsed, rec);
+    }
+
+    /// A journal line whose indices are not whole, non-negative and
+    /// exactly representable, or whose index arrays differ in length, is
+    /// refused — it used to be cast (`-1` → 0, `2.7` → 2, `1e300` →
+    /// `usize::MAX`) or trained on truncated.
+    #[test]
+    fn report_record_refuses_what_is_not_an_index() {
+        let good = ReportRecord {
+            model: "prod".to_string(),
+            checkpoint_hash: 1,
+            key: 2,
+            vf_idx: 0,
+            if_idx: 1,
+            reward: 0.5,
+            sample: sample(3),
+        }
+        .to_json_line();
+        let with = |field: &str, value: &str| {
+            let v = Json::parse(&good).unwrap();
+            let Json::Obj(mut members) = v else {
+                unreachable!()
+            };
+            for (k, x) in members.iter_mut() {
+                if k == field {
+                    *x = Json::parse(value).unwrap();
+                }
+            }
+            ReportRecord::from_json(&Json::Obj(members))
+        };
+        assert!(with("starts", "[3, 4]").is_ok());
+        for (field, value) in [
+            ("starts", "[-1, 4]"),
+            ("paths", "[2.7, 7]"),
+            ("ends", "[1e300, 7]"),
+            ("ends", "[9007199254740992, 7]"),
+            ("starts", "[\"3\", 4]"),
+            ("vf_idx", "-1"),
+            ("if_idx", "0.5"),
+            ("starts", "[3]"),
+            ("paths", "[6, 7, 8]"),
+            ("ends", "[]"),
+        ] {
+            assert!(
+                with(field, value).is_err(),
+                "{field} = {value} must be refused"
+            );
+        }
     }
 
     #[test]

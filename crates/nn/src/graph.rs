@@ -13,10 +13,11 @@
 //! copied: [`Graph::param`] pushes each `ParamId` once, as a borrow of the
 //! store's own tensor (the tape holds the store for `'s` anyway), so a
 //! forward multiplies by the weights where they lie; embedding
-//! lookups can gather straight from the store without materializing the
-//! table ([`Graph::gather_param_rows`], [`Graph::gather_contexts`]), and
-//! the fused [`Graph::linear`] runs matmul + bias broadcast as one node
-//! with one output allocation.
+//! lookups gather straight from the store without materializing the
+//! table ([`Graph::gather_param_rows`]), the whole path-attention encoder
+//! is one node that reads its tables the same way
+//! ([`Graph::path_attention`]), and the fused [`Graph::linear`] runs
+//! matmul + bias broadcast as one node with one output allocation.
 //!
 //! Every operation's gradient is validated against central finite
 //! differences in this module's tests.
@@ -25,6 +26,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::arena::TensorArena;
+use crate::attention::{self, AttentionWeights, Distinct};
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::Tensor;
 
@@ -35,7 +37,7 @@ pub struct NodeId(usize);
 /// Row partition of a stacked (ragged-batch) matrix: segment `s` owns the
 /// contiguous row range `[offsets[s], offsets[s+1])`. Shared by the
 /// forward and backward kernels of the segment ops
-/// ([`Graph::segment_matmul`], [`Graph::segment_softmax_rows`],
+/// ([`Graph::path_attention`], [`Graph::segment_softmax_rows`],
 /// [`Graph::segment_weighted_sum`]) so both sides agree on reduction
 /// boundaries — the property that keeps a segmented batched forward
 /// bitwise-identical to the per-sample spelling it replaces.
@@ -90,14 +92,15 @@ impl Segments {
 
 /// Which rows of a batch repeat an earlier row — the stack's one dedup.
 /// A ragged batch of path contexts holds each distinct `(start, path,
-/// end)` row several times over; a forward op whose output row depends on
-/// its input row alone ([`Graph::segment_matmul`], [`Graph::tanh_rows`])
-/// computes the first occurrence and copies it to the repeats, byte for
-/// byte what computing every row gives. Backward passes never look at it:
-/// a node's value and gradient keep all their rows. Whole samples are
-/// grouped the same way (the encoder's tape-free forward, PPO's rollout
-/// and minibatch rows): embed [`RowAlias::firsts`], then fan the result
-/// out by [`RowAlias::slots`].
+/// end)` row several times over; the encoder
+/// ([`Graph::path_attention`]) projects, `tanh`s and scores each
+/// distinct row once — byte for byte what computing every row gives —
+/// and reads every row's values through the alias. Its backward reads
+/// values through the alias too, but never regroups gradients: each row
+/// keeps its own gradient, summed in the per-row order. Whole samples are
+/// grouped the same way (the encoder's tape-free forward, PPO's
+/// minibatch rows): embed [`RowAlias::firsts`], then fan the result out
+/// by [`RowAlias::slots`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowAlias {
     /// The first-occurrence rows, ascending.
@@ -163,17 +166,37 @@ impl RowAlias {
     }
 }
 
-/// What a [`Graph::gather_contexts`] node read: row `r` of its value is
-/// `[tokens[starts[r]] | paths[mids[r]] | tokens[ends[r]]]`, and `segs`
-/// partitions the rows by sample.
+/// What a [`Graph::path_attention`] node keeps for its backward. Its
+/// tensors come from the tape's arena and go back to it on drop.
 #[derive(Debug, Clone)]
-struct ContextRows {
+struct PathAttention {
     tokens: ParamId,
     paths: ParamId,
-    starts: Vec<usize>,
-    mids: Vec<usize>,
-    ends: Vec<usize>,
-    segs: Segments,
+    /// The parameter nodes of `W` and the attention vector.
+    w: NodeId,
+    attn: NodeId,
+    /// Start, path and end index of every context row.
+    columns: [Vec<usize>; 3],
+    /// Each sample's row range.
+    bounds: Vec<(usize, usize)>,
+    /// The rows' repeats: row `r` reads distinct row `alias.slots()[r]`.
+    alias: RowAlias,
+    /// `D × width`: the distinct context rows.
+    ctx: Tensor,
+    /// `D × code`: their `tanh` outputs.
+    c: Tensor,
+    /// `N × 1`: every row's attention weight.
+    alpha: Tensor,
+    /// `N × width`: the context rows' gradient, once backward has run;
+    /// [`Graph::param_grads`] scatters it into the tables.
+    d_ctx: Option<Tensor>,
+}
+
+impl PathAttention {
+    /// The kept tensors, for the arena.
+    fn into_tensors(self) -> impl Iterator<Item = Tensor> {
+        [self.ctx, self.c, self.alpha].into_iter().chain(self.d_ctx)
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -183,14 +206,10 @@ enum Op {
     Param(ParamId),
     /// Rows of a parameter table gathered without materializing the table.
     GatherParamRows(ParamId, Vec<usize>),
-    /// Path-context rows `[T[start] | P[path] | T[end]]` gathered straight
-    /// from a token and a path table, one segment per sample.
-    GatherContexts(ContextRows),
+    /// The path-attention encoder over a ragged batch, one segment per
+    /// sample.
+    PathAttention(Box<PathAttention>),
     MatMul(NodeId, NodeId),
-    /// Matmul over a segmented (ragged-batch) left operand: forward is a
-    /// plain stacked matmul, backward reduces `db` per segment in reverse
-    /// segment order (the per-sample tape's accumulation order).
-    SegmentMatMul(NodeId, NodeId, Segments),
     /// Softmax down the rows of each segment, per column.
     SegmentSoftmaxRows(NodeId, Segments),
     /// Attention pool: per-segment weighted sum of value rows.
@@ -354,78 +373,6 @@ impl<'s> Graph<'s> {
         let mut out = self.alloc(rows, cols);
         self.values[a.0].matmul_accum_into(&self.values[b.0], &mut out);
         self.push(Op::MatMul(a, b), out)
-    }
-
-    /// `f` of `a`, for an `f` whose every output row depends on the same
-    /// input row alone: computed over all rows when none repeats, else
-    /// over the distinct rows gathered together, whose results are then
-    /// gathered back out to every row.
-    fn map_distinct_rows(
-        &self,
-        a: NodeId,
-        alias: &RowAlias,
-        f: impl FnOnce(&Self, &Tensor) -> Tensor,
-    ) -> Tensor {
-        let av = &self.values[a.0];
-        assert_eq!(
-            av.rows(),
-            alias.len(),
-            "row alias must cover the operand's rows"
-        );
-        if alias.distinct_rows() == alias.len() {
-            return f(self, av);
-        }
-        let mut firsts = self.alloc(alias.distinct_rows(), av.cols());
-        gather_into(av, &alias.distinct, &mut firsts);
-        let computed = f(self, &firsts);
-        let mut out = self.alloc(alias.len(), computed.cols());
-        gather_into(&computed, &alias.slots, &mut out);
-        self.recycle(firsts);
-        self.recycle(computed);
-        out
-    }
-
-    /// Matrix product of a stacked ragged batch `a` (rows partitioned by
-    /// `segs`, repeats named by `alias`) with a shared right operand `b`.
-    ///
-    /// The forward value is bitwise-identical to [`Graph::matmul`] (each
-    /// output row depends only on its own input row, which is also why a
-    /// repeated row's product can be copied instead of recomputed), and
-    /// so is `da`. The difference is `db`: a plain stacked matmul would
-    /// reduce `aᵀ·g` in one ascending chain over all rows, while the
-    /// per-sample spelling this op replaces accumulates one partial per
-    /// sample, combined in reverse tape order. This backward sums each
-    /// segment's `aᵀ·g` from zero in registers and adds it into `db` in
-    /// reverse segment order ([`crate::kernels::segment_matmul_tn_accum`])
-    /// — per element the same additions as materialising each partial,
-    /// which is what keeps segmented batched gradients bitwise-identical
-    /// to the per-sample reference. It runs over every row, repeats
-    /// included: summing a repeated row's gradients first would regroup
-    /// those partials.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inner-dimension mismatch or when `segs` or `alias` does
-    /// not cover `a`'s rows exactly.
-    pub fn segment_matmul(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        segs: &Segments,
-        alias: &RowAlias,
-    ) -> NodeId {
-        assert_eq!(
-            self.values[a.0].rows(),
-            segs.total_rows(),
-            "segment_matmul: segments must cover the left operand's rows"
-        );
-        let bv = &self.values[b.0];
-        let out = self.map_distinct_rows(a, alias, |g, rows| {
-            let mut out = g.alloc(rows.rows(), bv.cols());
-            rows.matmul_accum_into(bv, &mut out);
-            out
-        });
-        self.push(Op::SegmentMatMul(a, b, segs.clone()), out)
     }
 
     /// Softmax down the rows of each segment, independently per column —
@@ -631,19 +578,8 @@ impl<'s> Graph<'s> {
     /// Hyperbolic tangent ([`crate::kernels::tanh_inplace`]: fdlibm's
     /// `tanhf` in lanes in strict mode, the rational body in fast mode).
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
-        let v = tanh_of(self, &self.values[a.0]);
-        self.push(Op::Tanh(a), v)
-    }
-
-    /// [`Graph::tanh`] of a stacked matrix whose repeated rows `alias`
-    /// names: each distinct row goes through `tanh` once. Same values,
-    /// same backward.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `alias` does not cover `a`'s rows exactly.
-    pub fn tanh_rows(&mut self, a: NodeId, alias: &RowAlias) -> NodeId {
-        let v = self.map_distinct_rows(a, alias, tanh_of);
+        let mut v = self.dup(&self.values[a.0]);
+        crate::kernels::tanh_inplace(v.data_mut());
         self.push(Op::Tanh(a), v)
     }
 
@@ -731,57 +667,96 @@ impl<'s> Graph<'s> {
         self.push(Op::GatherParamRows(p, indices.to_vec()), out)
     }
 
-    /// The path-context matrix of a ragged batch, read straight from two
-    /// parameter tables: row `r` is `[T[starts[r]] | P[mids[r]] |
-    /// T[ends[r]]]` (`T` = `tokens`, `P` = `paths`), `N × (2·dt + dp)`,
-    /// with `segs` partitioning the `N` rows by sample. The value is the
-    /// per-sample spelling's — [`Graph::gather_param_rows`] for starts,
-    /// paths and ends, then [`Graph::concat_cols`] — stacked, and so are
-    /// the table gradients, which [`Graph::param_grads`] scatters straight
-    /// from the node's gradient in that spelling's order: into `T`, per
-    /// sample its start rows ascending, then its end rows ascending; into
-    /// `P`, every row ascending. Nothing runs in [`Graph::backward`].
+    /// The path-attention encoder over a ragged batch, as one node: for
+    /// each sample (segment) of `segs`, its context rows `[T[start] |
+    /// P[path] | T[end]]` (`T` = `tokens`, `P` = `paths`; row `r`'s
+    /// indices are `columns[0..3][r]`) are projected by `w`, squashed by
+    /// `tanh`, scored against `attn`, softmaxed within the segment and
+    /// pooled: `segs.len() × code`, a zero row for an empty segment (and
+    /// a constant, touching no parameter, when every segment is empty).
+    ///
+    /// The forward ([`crate::attention`]) runs projection, `tanh` and
+    /// scores once per distinct context row and keeps only the distinct
+    /// rows, their `tanh` outputs and the attention weights. The value,
+    /// and every gradient, is the bits of the per-sample spelling —
+    /// `gather_param_rows` ×3, `concat_cols`, `matmul`, `tanh`, `matmul`,
+    /// `transpose`, `softmax_rows`, `matmul` per sample, stacked. The
+    /// backward is one pass: per row, the pool's, the softmax's, the
+    /// score product's and `tanh`'s gradient steps in that spelling's
+    /// expressions ([`crate::kernels`]); then `d_attn` and `dW`, each
+    /// segment's `xᵀ·g` summed on its own and added in reverse segment
+    /// order (the per-sample tape's accumulation order), reading the
+    /// distinct rows through the alias; and the context rows' gradient
+    /// `gproj·Wᵀ`, which [`Graph::param_grads`] scatters into the tables
+    /// in the per-sample order: into `T`, per sample its start rows
+    /// ascending, then its end rows ascending; into `P`, every row
+    /// ascending. A repeated row's gradients are never summed before they
+    /// reach the tables, because the per-sample tape does not sum them.
     ///
     /// # Panics
     ///
-    /// Panics when the three columns or `segs` disagree on the row count,
-    /// or an index is outside its table.
-    pub fn gather_contexts(
+    /// Panics when the columns and `segs` disagree on the row count, an
+    /// index is outside its table, or the four parameters disagree on the
+    /// widths.
+    pub fn path_attention(
         &mut self,
         tokens: ParamId,
         paths: ParamId,
-        [starts, mids, ends]: [Vec<usize>; 3],
+        w: ParamId,
+        attn: ParamId,
+        columns: [Vec<usize>; 3],
         segs: &Segments,
     ) -> NodeId {
-        let n = starts.len();
-        assert!(
-            mids.len() == n && ends.len() == n && segs.total_rows() == n,
-            "gather_contexts: index columns and segments disagree on the rows"
-        );
-        let (tt, pt) = (self.store.get(tokens), self.store.get(paths));
-        let (dt, dp) = (tt.cols(), pt.cols());
-        let width = 2 * dt + dp;
-        let mut out = self.alloc(n, width);
-        {
-            let _timer = nvc_obs::time_op(nvc_obs::Op::Gather);
-            let data = out.data_mut();
-            for r in 0..n {
-                let (s, rest) = data[r * width..(r + 1) * width].split_at_mut(dt);
-                let (p, e) = rest.split_at_mut(dp);
-                s.copy_from_slice(tt.row(starts[r]));
-                p.copy_from_slice(pt.row(mids[r]));
-                e.copy_from_slice(tt.row(ends[r]));
-            }
+        let store = self.store;
+        let weights = AttentionWeights {
+            tokens: store.get(tokens),
+            paths: store.get(paths),
+            w: store.get(w),
+            attn: store.get(attn),
+        };
+        if columns.iter().all(Vec::is_empty) {
+            // No sample has a context: the batch embeds to zero rows and
+            // no parameter is touched, as in the per-sample spelling.
+            assert_eq!(
+                segs.total_rows(),
+                0,
+                "path_attention: segments cover missing rows"
+            );
+            let zeros = self.alloc(segs.len(), weights.code());
+            return self.input(zeros);
         }
-        let rows = ContextRows {
+        let [s, m, e] = &columns;
+        let alias = attention::context_alias(weights, [s, m, e]);
+        let bounds: Vec<(usize, usize)> = segs.iter().collect();
+        let (d, n, code) = (alias.distinct_rows(), alias.len(), weights.code());
+        let mut ctx = self.alloc(d, weights.width());
+        let mut c = self.alloc(d, code);
+        let mut scores = self.alloc(d, 1);
+        let mut alpha = self.alloc(n, 1);
+        let mut out = self.alloc(bounds.len(), code);
+        let bufs = Distinct {
+            ctx: ctx.data_mut(),
+            c: c.data_mut(),
+            scores: scores.data_mut(),
+            alpha: alpha.data_mut(),
+        };
+        attention::forward(weights, [s, m, e], &bounds, &alias, bufs, out.data_mut());
+        self.recycle(scores);
+        let (w, attn) = (self.param(w), self.param(attn));
+        let kept = PathAttention {
             tokens,
             paths,
-            starts,
-            mids,
-            ends,
-            segs: segs.clone(),
+            w,
+            attn,
+            columns,
+            bounds,
+            alias,
+            ctx,
+            c,
+            alpha,
+            d_ctx: None,
         };
-        self.push(Op::GatherContexts(rows), out)
+        self.push(Op::PathAttention(Box::new(kept)), out)
     }
 
     /// Concatenates tensors with equal row counts along columns.
@@ -893,7 +868,7 @@ impl<'s> Graph<'s> {
                 continue;
             };
             // Likewise the op (some carry index vectors); put back below.
-            let op = std::mem::replace(&mut self.ops[i], Op::Input);
+            let mut op = std::mem::replace(&mut self.ops[i], Op::Input);
             // The matmul family's kernels time themselves.
             let _timer = match op {
                 Op::SegmentSoftmaxRows(..) => Some(nvc_obs::Op::SegmentSoftmax),
@@ -915,37 +890,13 @@ impl<'s> Graph<'s> {
             }
             .map(nvc_obs::time_op);
             match op {
-                Op::Input | Op::Param(_) | Op::GatherParamRows(..) | Op::GatherContexts(_) => {}
+                Op::Input | Op::Param(_) | Op::GatherParamRows(..) => {}
+                Op::PathAttention(ref mut pa) => self.path_attention_backward(pa, &g),
                 Op::MatMul(a, b) => {
                     let mut da = self.alloc(g.rows(), self.values[a.0].cols());
                     g.matmul_nt_accum_into(&self.values[b.0], &mut da);
                     let mut db = self.alloc(self.values[a.0].cols(), g.cols());
                     self.values[a.0].matmul_tn_accum_into(&g, &mut db);
-                    self.accum(a, da);
-                    self.accum(b, db);
-                }
-                Op::SegmentMatMul(a, b, ref segs) => {
-                    // da is row-independent — identical to MatMul.
-                    let mut da = self.alloc(g.rows(), self.values[a.0].cols());
-                    g.matmul_nt_accum_into(&self.values[b.0], &mut da);
-                    // db: each segment's `aᵀ·g` summed on its own and
-                    // added in reverse segment order — the order the
-                    // per-sample tape's reverse walk accumulates its
-                    // per-sample partials in. Empty segments contribute
-                    // nothing (empty samples create no ops in the
-                    // reference).
-                    let (bk, bn) = self.values[b.0].shape();
-                    let mut db = self.alloc(bk, bn);
-                    let bounds: Vec<(usize, usize)> = segs.iter().collect();
-                    crate::kernels::segment_matmul_tn_accum(
-                        &bounds,
-                        self.values[a.0].data(),
-                        g.data(),
-                        g.rows(),
-                        bk,
-                        bn,
-                        db.data_mut(),
-                    );
                     self.accum(a, da);
                     self.accum(b, db);
                 }
@@ -1182,6 +1133,59 @@ impl<'s> Graph<'s> {
         }
     }
 
+    /// [`Graph::path_attention`]'s backward from its upstream gradient
+    /// `g`: `dW` and `d_attn` into the parameter nodes, the context rows'
+    /// gradient into `pa` for [`Graph::param_grads`].
+    fn path_attention_backward(&mut self, pa: &mut PathAttention, g: &Tensor) {
+        let (n, code) = (pa.alias.len(), pa.c.cols());
+        let width = pa.ctx.cols();
+        let rows = pa.alias.slots();
+        let mut gs = self.alloc(n, 1);
+        let mut gproj = self.alloc(n, code);
+        crate::kernels::attention_backward_rows(
+            &pa.bounds,
+            rows,
+            pa.alpha.data(),
+            g.data(),
+            pa.c.data(),
+            self.values[pa.attn.0].data(),
+            gs.data_mut(),
+            gproj.data_mut(),
+        );
+        let widest = pa.bounds.iter().map(|&(r0, r1)| r1 - r0).max().unwrap_or(0);
+        let mut window = self.alloc(widest, width.max(code));
+        let mut d_attn = self.alloc(code, 1);
+        crate::kernels::segment_matmul_tn_accum(
+            &pa.bounds,
+            pa.c.data(),
+            rows,
+            gs.data(),
+            code,
+            1,
+            window.data_mut(),
+            d_attn.data_mut(),
+        );
+        let mut d_ctx = self.alloc(n, width);
+        gproj.matmul_nt_accum_into(&self.values[pa.w.0], &mut d_ctx);
+        let mut dw = self.alloc(width, code);
+        crate::kernels::segment_matmul_tn_accum(
+            &pa.bounds,
+            pa.ctx.data(),
+            rows,
+            gproj.data(),
+            width,
+            code,
+            window.data_mut(),
+            dw.data_mut(),
+        );
+        for spent in [gs, gproj, window] {
+            self.recycle(spent);
+        }
+        pa.d_ctx = Some(d_ctx);
+        self.accum(pa.attn, d_attn);
+        self.accum(pa.w, dw);
+    }
+
     fn accum(&mut self, n: NodeId, g: Tensor) {
         let _timer = nvc_obs::time_op(nvc_obs::Op::Elementwise);
         match &mut self.grads[n.0] {
@@ -1197,7 +1201,7 @@ impl<'s> Graph<'s> {
 
     /// Gradients of every parameter node, merged by [`ParamId`] in tape
     /// order. Gathered-parameter nodes ([`Graph::gather_param_rows`],
-    /// [`Graph::gather_contexts`]) scatter their row gradients into
+    /// [`Graph::path_attention`]) scatter their row gradients into
     /// table-shaped tensors here.
     ///
     /// The tensors are handed over, not copied: a parameter node's
@@ -1228,24 +1232,25 @@ impl<'s> Graph<'s> {
                         scatter_add_rows(g, indices, table);
                     }
                 }
-                Op::GatherContexts(rows) => {
-                    if let Some(g) = &self.grads[i] {
-                        let dt = self.store.get(rows.tokens).cols();
+                Op::PathAttention(pa) => {
+                    if let Some(g) = &pa.d_ctx {
+                        let dt = self.store.get(pa.tokens).cols();
                         let dp = g.cols() - 2 * dt;
                         let grad = |r: usize, col: usize, w: usize| {
                             &g.data()[r * g.cols() + col..r * g.cols() + col + w]
                         };
-                        let tokens = self.table_grad(&mut out, rows.tokens);
-                        for (r0, r1) in rows.segs.iter() {
+                        let [starts, mids, ends] = &pa.columns;
+                        let tokens = self.table_grad(&mut out, pa.tokens);
+                        for &(r0, r1) in &pa.bounds {
                             for r in r0..r1 {
-                                add_row(tokens, rows.starts[r], grad(r, 0, dt));
+                                add_row(tokens, starts[r], grad(r, 0, dt));
                             }
                             for r in r0..r1 {
-                                add_row(tokens, rows.ends[r], grad(r, dt + dp, dt));
+                                add_row(tokens, ends[r], grad(r, dt + dp, dt));
                             }
                         }
-                        let paths = self.table_grad(&mut out, rows.paths);
-                        for (r, &idx) in rows.mids.iter().enumerate() {
+                        let paths = self.table_grad(&mut out, pa.paths);
+                        for (r, &idx) in mids.iter().enumerate() {
                             add_row(paths, idx, grad(r, dt, dp));
                         }
                     }
@@ -1272,6 +1277,11 @@ impl<'s> Graph<'s> {
 impl Drop for Graph<'_> {
     fn drop(&mut self) {
         if let Some(arena) = self.arena {
+            for op in self.ops.drain(..) {
+                if let Op::PathAttention(pa) = op {
+                    pa.into_tensors().for_each(|t| arena.recycle(t));
+                }
+            }
             for v in self.values.drain(..) {
                 if let Value::Owned(t) = v {
                     arena.recycle(t);
@@ -1282,13 +1292,6 @@ impl Drop for Graph<'_> {
             }
         }
     }
-}
-
-/// Elementwise `tanh` of `t` as an arena-backed tensor.
-fn tanh_of(g: &Graph<'_>, t: &Tensor) -> Tensor {
-    let mut out = g.dup(t);
-    crate::kernels::tanh_inplace(out.data_mut());
-    out
 }
 
 /// Column sums of `g` as a `1×d` arena-backed tensor (bias gradients).
@@ -1600,99 +1603,259 @@ mod tests {
         assert_eq!(grads1[&table], grads2[&table]);
     }
 
-    /// `gather_contexts` against the two spellings it stands for — the
-    /// five ops the segmented encoder used to run (one interleaved token
-    /// gather, one path gather, two `gather_rows`, one `concat_cols`) and
-    /// the per-sample `gather_param_rows` ×3 + `concat_cols`, stacked —
-    /// bit for bit: the value and both tables' gradients. Indices repeat,
-    /// segments are empty at either end and in the middle, and the
-    /// upstream gradient carries `−0`, quiet and signalling NaN payloads
-    /// and `±∞`.
-    #[test]
-    fn gather_contexts_matches_both_spellings_bitwise() {
-        /// `len` values, one in three from `−0`, `+0`, quiet and
-        /// signalling NaNs of either sign and `±∞`.
-        fn hostile(rng: &mut ChaCha8Rng, len: usize) -> Vec<f32> {
-            let special = [
-                -0.0,
-                0.0,
-                f32::from_bits(0x7FC0_0123),
-                f32::from_bits(0xFFC0_0042),
-                f32::from_bits(0x7F80_0456),
-                f32::from_bits(0xFF80_0007),
-                f32::INFINITY,
-                f32::NEG_INFINITY,
-            ];
-            (0..len)
-                .map(|_| match rng.gen_range(0..3) {
-                    0 => special[rng.gen_range(0..special.len())],
-                    _ => rng.gen_range(-2.0..2.0),
-                })
-                .collect()
-        }
-        let mut rng = ChaCha8Rng::seed_from_u64(41);
-        let (dt, dp) = (3usize, 2usize);
-        let mut store = ParamStore::new(41);
-        let tokens = store.param("tokens", Tensor::from_vec(5, dt, hostile(&mut rng, 5 * dt)));
-        let paths = store.param("paths", Tensor::from_vec(4, dp, hostile(&mut rng, 4 * dp)));
-        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    /// `len` values, one in three from `−0`, `+0`, quiet and signalling
+    /// NaNs of either sign and `±∞` when `hostile`, else all in `±2`.
+    fn values(rng: &mut ChaCha8Rng, len: usize, hostile: bool) -> Vec<f32> {
+        let special = [
+            -0.0,
+            0.0,
+            f32::from_bits(0x7FC0_0123),
+            f32::from_bits(0xFFC0_0042),
+            f32::from_bits(0x7F80_0456),
+            f32::from_bits(0xFF80_0007),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        (0..len)
+            .map(|_| match rng.gen_range(0..3) {
+                0 if hostile => special[rng.gen_range(0..special.len())],
+                _ => rng.gen_range(-2.0..2.0),
+            })
+            .collect()
+    }
 
-        for lens in [vec![0usize, 3, 0, 5, 1, 0], vec![7], vec![2, 2, 0, 9]] {
-            let segs = Segments::from_lens(lens.iter().copied());
-            let n = segs.total_rows();
-            let mut index = |rows: usize| (0..n).map(|_| rng.gen_range(0..rows)).collect();
-            let (starts, mids, ends): (Vec<usize>, Vec<usize>, Vec<usize>) =
-                (index(5), index(4), index(5));
-            let upstream = Tensor::from_vec(n, 2 * dt + dp, hostile(&mut rng, n * (2 * dt + dp)));
+    /// Bit patterns with every NaN canonicalised: a NaN's payload depends
+    /// on which operand the hardware propagates, which no spelling pins.
+    fn canonical_bits(t: &Tensor) -> Vec<u32> {
+        t.data()
+            .iter()
+            .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+            .collect()
+    }
 
-            // Seeds `upstream` at the built context node, then returns its
-            // value and the two table gradients.
-            let run = |build: &dyn Fn(&mut Graph<'_>) -> NodeId| {
-                let mut g = Graph::new(&store);
-                let ctx = build(&mut g);
-                let value = g.value(ctx).clone();
-                g.backward_from(ctx, upstream.clone());
-                let grads = g.param_grads();
-                (value, grads[&tokens].clone(), grads[&paths].clone())
-            };
-            let fused = run(&|g| {
-                let columns = [starts.clone(), mids.clone(), ends.clone()];
-                g.gather_contexts(tokens, paths, columns, &segs)
-            });
-            let five_ops = run(&|g| {
-                let (mut tok_idx, mut start_rows, mut end_rows) = (vec![], vec![], vec![]);
-                for (r0, r1) in segs.iter() {
-                    let base = tok_idx.len();
-                    tok_idx.extend_from_slice(&starts[r0..r1]);
-                    tok_idx.extend_from_slice(&ends[r0..r1]);
-                    start_rows.extend(base..base + (r1 - r0));
-                    end_rows.extend(base + (r1 - r0)..base + 2 * (r1 - r0));
+    /// The encoder's parameters at toy size: tokens `5×3`, paths `4×2`,
+    /// `W` `8×4`, attention `4×1`.
+    fn attention_params(
+        store: &mut ParamStore,
+        rng: &mut ChaCha8Rng,
+        hostile: bool,
+    ) -> [ParamId; 4] {
+        let mut param = |name: &str, rows: usize, cols: usize, hostile: bool| {
+            store.param(
+                name,
+                Tensor::from_vec(rows, cols, values(rng, rows * cols, hostile)),
+            )
+        };
+        [
+            param("tokens", 5, 3, hostile),
+            param("paths", 4, 2, hostile),
+            param("w", 8, 4, false),
+            param("attn", 4, 1, false),
+        ]
+    }
+
+    /// One sample's `(start, path, end)` triples.
+    type Triples = Vec<(usize, usize, usize)>;
+
+    /// The per-sample spelling of [`Graph::path_attention`]: per sample
+    /// `gather_param_rows` ×3, `concat_cols`, `matmul`, `tanh`, `matmul`,
+    /// `transpose`, `softmax_rows`, `matmul` (a zero row for an empty
+    /// sample), stacked with `concat_rows`.
+    fn attention_per_sample(
+        g: &mut Graph<'_>,
+        [t, p, w, a]: [ParamId; 4],
+        batch: &[Triples],
+    ) -> NodeId {
+        let code = g.store.get(w).cols();
+        let rows: Vec<NodeId> = batch
+            .iter()
+            .map(|sample| {
+                if sample.is_empty() {
+                    return g.input(Tensor::zeros(1, code));
                 }
-                let tok = g.gather_param_rows(tokens, &tok_idx);
-                let mid = g.gather_param_rows(paths, &mids);
-                let s = g.gather_rows(tok, &start_rows);
-                let e = g.gather_rows(tok, &end_rows);
-                g.concat_cols(&[s, mid, e])
-            });
-            let per_sample = run(&|g| {
-                let rows: Vec<NodeId> = segs
-                    .iter()
-                    .filter(|&(r0, r1)| r0 < r1)
-                    .map(|(r0, r1)| {
-                        let s = g.gather_param_rows(tokens, &starts[r0..r1]);
-                        let p = g.gather_param_rows(paths, &mids[r0..r1]);
-                        let e = g.gather_param_rows(tokens, &ends[r0..r1]);
-                        g.concat_cols(&[s, p, e])
-                    })
-                    .collect();
-                g.concat_rows(&rows)
-            });
-            for (name, other) in [("five ops", &five_ops), ("per sample", &per_sample)] {
-                assert_eq!(bits(&fused.0), bits(&other.0), "value vs {name} {lens:?}");
-                assert_eq!(bits(&fused.1), bits(&other.1), "tokens vs {name} {lens:?}");
-                assert_eq!(bits(&fused.2), bits(&other.2), "paths vs {name} {lens:?}");
+                let column = |f: fn(&(usize, usize, usize)) -> usize| -> Vec<usize> {
+                    sample.iter().map(f).collect()
+                };
+                let (wn, an) = (g.param(w), g.param(a));
+                let s = g.gather_param_rows(t, &column(|x| x.0));
+                let m = g.gather_param_rows(p, &column(|x| x.1));
+                let e = g.gather_param_rows(t, &column(|x| x.2));
+                let ctx = g.concat_cols(&[s, m, e]);
+                let proj = g.matmul(ctx, wn);
+                let c = g.tanh(proj);
+                let scores = g.matmul(c, an);
+                let row = g.transpose(scores);
+                let alpha = g.softmax_rows(row);
+                g.matmul(alpha, c)
+            })
+            .collect();
+        if rows.len() == 1 {
+            rows[0]
+        } else {
+            g.concat_rows(&rows)
+        }
+    }
+
+    /// The op itself over `batch`.
+    fn attention_op(g: &mut Graph<'_>, [t, p, w, a]: [ParamId; 4], batch: &[Triples]) -> NodeId {
+        let segs = Segments::from_lens(batch.iter().map(Vec::len));
+        let flat: Vec<&(usize, usize, usize)> = batch.iter().flatten().collect();
+        let columns = [
+            flat.iter().map(|x| x.0).collect(),
+            flat.iter().map(|x| x.1).collect(),
+            flat.iter().map(|x| x.2).collect(),
+        ];
+        g.path_attention(t, p, w, a, columns, &segs)
+    }
+
+    /// The batches the op's tests run: each repeats rows in one of the
+    /// ways real batches do — none of them by accident.
+    fn attention_batches(rng: &mut ChaCha8Rng) -> Vec<(&'static str, Vec<Triples>)> {
+        let mut triple = || {
+            (
+                rng.gen_range(0..5),
+                rng.gen_range(0..4),
+                rng.gen_range(0..5),
+            )
+        };
+        let (a, b, c, d) = (triple(), triple(), triple(), triple());
+        let (x, y) = (vec![a, b, c], vec![d, b]);
+        vec![
+            (
+                "a whole sample repeated",
+                vec![x.clone(), y.clone(), x.clone(), x.clone()],
+            ),
+            (
+                "triples shared across samples",
+                vec![vec![a, b], vec![c, a, d], vec![b]],
+            ),
+            (
+                "a triple repeated inside a sample",
+                vec![vec![a, b, a, c, a], vec![d]],
+            ),
+            (
+                "every row the same",
+                vec![vec![a, a, a], vec![a], vec![a, a]],
+            ),
+            (
+                "empty at both ends and in the middle",
+                vec![vec![], x.clone(), vec![], y, vec![]],
+            ),
+            ("a lone sample", vec![vec![c, d, c]]),
+            ("only empty samples", vec![vec![], vec![]]),
+        ]
+    }
+
+    /// [`Graph::path_attention`] against the per-sample spelling it
+    /// stands for, bit for bit with NaN payloads canonicalised: the value
+    /// and the gradients of all four parameters, seeded by an upstream
+    /// gradient. Batches repeat whole samples, triples across samples and
+    /// triples inside a sample, and hold empty samples at both ends and
+    /// in the middle; the tables and the upstream gradient carry `±0`,
+    /// `±∞` and NaN payloads in the hostile rounds.
+    #[test]
+    fn path_attention_matches_per_sample_spelling_bitwise() {
+        let mut rng = ChaCha8Rng::seed_from_u64(41);
+        for hostile in [false, true] {
+            let mut store = ParamStore::new(41);
+            let params = attention_params(&mut store, &mut rng, hostile);
+            for (name, batch) in attention_batches(&mut rng) {
+                let upstream =
+                    Tensor::from_vec(batch.len(), 4, values(&mut rng, batch.len() * 4, hostile));
+                let run = |build: &dyn Fn(&mut Graph<'_>) -> NodeId| {
+                    let mut g = Graph::new(&store);
+                    let out = build(&mut g);
+                    let value = g.value(out).clone();
+                    g.backward_from(out, upstream.clone());
+                    let grads = g.param_grads();
+                    let grad = |p: &ParamId| grads.get(p).map(canonical_bits);
+                    (
+                        canonical_bits(&value),
+                        params.iter().map(grad).collect::<Vec<_>>(),
+                    )
+                };
+                let fused = run(&|g| attention_op(g, params, &batch));
+                let spelled = run(&|g| attention_per_sample(g, params, &batch));
+                assert_eq!(fused.0, spelled.0, "value: {name}, hostile {hostile}");
+                for (i, p) in ["tokens", "paths", "W", "attention"].iter().enumerate() {
+                    assert_eq!(
+                        fused.1[i], spelled.1[i],
+                        "{p} gradient: {name}, hostile {hostile}"
+                    );
+                }
             }
         }
+    }
+
+    /// [`Graph::path_attention`]'s gradient of every parameter element
+    /// against central finite differences, on a batch with repeats and an
+    /// empty sample.
+    #[test]
+    fn grad_path_attention() {
+        let mut rng = ChaCha8Rng::seed_from_u64(57);
+        let mut store = ParamStore::new(57);
+        let params = attention_params(&mut store, &mut rng, false);
+        let batch = vec![
+            vec![(1, 2, 3), (0, 1, 4), (1, 2, 3)],
+            vec![],
+            vec![(0, 1, 4), (2, 3, 2)],
+        ];
+        let sel = Tensor::from_vec(3, 4, values(&mut rng, 12, false));
+        let loss = |g: &mut Graph<'_>| {
+            let out = attention_op(g, params, &batch);
+            let s = g.input(sel.clone());
+            let prod = g.mul_elem(out, s);
+            g.sum_all(prod)
+        };
+        let analytic = {
+            let mut g = Graph::new(&store);
+            let l = loss(&mut g);
+            g.backward(l);
+            g.param_grads()
+        };
+        let eps = 1e-3f32;
+        for p in params {
+            for i in 0..store.get(p).len() {
+                let orig = store.get(p).data()[i];
+                let mut at = |x: f32| {
+                    store.get_mut(p).data_mut()[i] = x;
+                    let mut g = Graph::new(&store);
+                    let l = loss(&mut g);
+                    g.value(l).data()[0]
+                };
+                let numeric = (at(orig + eps) - at(orig - eps)) / (2.0 * eps);
+                store.get_mut(p).data_mut()[i] = orig;
+                let a = analytic[&p].data()[i];
+                assert!(
+                    (a - numeric).abs() < 2e-2 * (1.0 + a.abs().max(numeric.abs())),
+                    "grad mismatch at {i}: analytic={a} numeric={numeric}"
+                );
+            }
+        }
+    }
+
+    /// On an arena tape the op's kept tensors go back to the arena with
+    /// the tape, and a second tape runs on recycled buffers alone.
+    #[test]
+    fn path_attention_returns_its_buffers_to_the_arena() {
+        let mut rng = ChaCha8Rng::seed_from_u64(63);
+        let mut store = ParamStore::new(63);
+        let params = attention_params(&mut store, &mut rng, false);
+        let batch = attention_batches(&mut rng).remove(0).1;
+        let arena = TensorArena::new();
+        let run = || {
+            let mut g = Graph::with_arena(&store, &arena);
+            let out = attention_op(&mut g, params, &batch);
+            let l = g.sum_all(out);
+            g.backward(l);
+            for grad in g.param_grads().into_values() {
+                arena.recycle(grad);
+            }
+        };
+        run();
+        let fresh = arena.stats().fresh;
+        run();
+        assert_eq!(arena.stats().fresh, fresh, "{:?}", arena.stats());
     }
 
     /// A parameter node is the store's tensor, read in place: one node
@@ -1805,44 +1968,6 @@ mod tests {
     }
 
     #[test]
-    fn grad_segment_matmul_wrt_left() {
-        let segs = Segments::from_lens([2, 1, 3]);
-        grad_check(
-            (6, 4),
-            move |g, p| {
-                let w = g.input(Tensor::from_vec(
-                    4,
-                    3,
-                    (0..12).map(|i| i as f32 * 0.11 - 0.4).collect(),
-                ));
-                let y = g.segment_matmul(p, w, &segs, &RowAlias::from_keys(0..6));
-                let t = g.tanh(y);
-                g.sum_all(t)
-            },
-            51,
-        );
-    }
-
-    #[test]
-    fn grad_segment_matmul_wrt_right() {
-        let segs = Segments::from_lens([1, 0, 4]);
-        grad_check(
-            (4, 2),
-            move |g, p| {
-                let x = g.input(Tensor::from_vec(
-                    5,
-                    4,
-                    (0..20).map(|i| (i as f32 * 0.3).sin()).collect(),
-                ));
-                let y = g.segment_matmul(x, p, &segs, &RowAlias::from_keys(0..5));
-                let sq = g.mul_elem(y, y);
-                g.mean_all(sq)
-            },
-            52,
-        );
-    }
-
-    #[test]
     fn grad_segment_softmax_rows() {
         let segs = Segments::from_lens([3, 1, 2]);
         grad_check(
@@ -1889,117 +2014,6 @@ mod tests {
             },
             55,
         );
-    }
-
-    /// The full segmented attention pipeline must be bitwise-identical —
-    /// forward values and every parameter gradient — to the per-sample
-    /// spelling it replaces (per-sample matmul/softmax/pool stacked with
-    /// concat_rows), across ragged segment shapes including empty and
-    /// single-row segments, with repeated rows computed once. This is the kernel-level half of the
-    /// `nvc-embed` encoder parity bar.
-    #[test]
-    fn segmented_attention_matches_per_sample_spelling_bitwise() {
-        let mut rng = ChaCha8Rng::seed_from_u64(71);
-        for lens in [vec![4usize, 1, 7], vec![1], vec![3, 0, 5, 2], vec![2, 2]] {
-            let total: usize = lens.iter().sum();
-            let mut store = ParamStore::new(72);
-            let w = store.param(
-                "w",
-                Tensor::from_vec(6, 4, (0..24).map(|_| rng.gen_range(-1.0..1.0)).collect()),
-            );
-            let attn = store.param(
-                "attn",
-                Tensor::from_vec(4, 1, (0..4).map(|_| rng.gen_range(-1.0..1.0)).collect()),
-            );
-            // Rows drawn from a pool of five, so most stacks repeat a row
-            // within a segment and across segments.
-            let pool: Vec<f32> = (0..5 * 6).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let drawn: Vec<usize> = (0..total).map(|_| rng.gen_range(0..5)).collect();
-            let x = Tensor::from_vec(
-                total,
-                6,
-                drawn
-                    .iter()
-                    .flat_map(|&d| pool[d * 6..(d + 1) * 6].iter().copied())
-                    .collect(),
-            );
-            let repeats = RowAlias::from_keys(drawn.iter().copied());
-            let gsel = Tensor::from_vec(
-                lens.len(),
-                4,
-                (0..lens.len() * 4)
-                    .map(|_| rng.gen_range(-1.0..1.0))
-                    .collect(),
-            );
-
-            // Per-sample spelling: one matmul/softmax/pool chain per
-            // segment, stacked with concat_rows (zeros for empty rows).
-            let (ref_vals, ref_grads) = {
-                let mut g = Graph::new(&store);
-                let rows: Vec<NodeId> = {
-                    let mut rows = Vec::new();
-                    let mut r0 = 0usize;
-                    for &l in &lens {
-                        if l == 0 {
-                            rows.push(g.input(Tensor::zeros(1, 4)));
-                            continue;
-                        }
-                        let xs = g.input(Tensor::from_vec(
-                            l,
-                            6,
-                            x.data()[r0 * 6..(r0 + l) * 6].to_vec(),
-                        ));
-                        let (wn, an) = (g.param(w), g.param(attn));
-                        let proj = g.matmul(xs, wn);
-                        let c = g.tanh(proj);
-                        let scores = g.matmul(c, an);
-                        let row = g.transpose(scores);
-                        let alpha = g.softmax_rows(row);
-                        rows.push(g.matmul(alpha, c));
-                        r0 += l;
-                    }
-                    rows
-                };
-                let out = if rows.len() == 1 {
-                    rows[0]
-                } else {
-                    g.concat_rows(&rows)
-                };
-                let sel = g.input(gsel.clone());
-                let prod = g.mul_elem(out, sel);
-                let loss = g.sum_all(prod);
-                g.backward(loss);
-                (g.value(out).clone(), g.param_grads())
-            };
-
-            // Segmented spelling: one node per stage over the whole stack.
-            let segs = Segments::from_lens(lens.iter().copied());
-            let (seg_vals, seg_grads) = {
-                let mut g = Graph::new(&store);
-                let xs = g.input(x.clone());
-                let (wn, an) = (g.param(w), g.param(attn));
-                let proj = g.segment_matmul(xs, wn, &segs, &repeats);
-                let c = g.tanh_rows(proj, &repeats);
-                let scores = g.segment_matmul(c, an, &segs, &repeats);
-                let alpha = g.segment_softmax_rows(scores, &segs);
-                let out = g.segment_weighted_sum(alpha, c, &segs);
-                let sel = g.input(gsel.clone());
-                let prod = g.mul_elem(out, sel);
-                let loss = g.sum_all(prod);
-                g.backward(loss);
-                (g.value(out).clone(), g.param_grads())
-            };
-
-            assert_eq!(ref_vals, seg_vals, "forward diverged for lens {lens:?}");
-            assert_eq!(
-                ref_grads[&w], seg_grads[&w],
-                "dW diverged for lens {lens:?}"
-            );
-            assert_eq!(
-                ref_grads[&attn], seg_grads[&attn],
-                "d_attn diverged for lens {lens:?}"
-            );
-        }
     }
 
     #[test]

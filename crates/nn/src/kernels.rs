@@ -321,6 +321,27 @@ pub fn segment_weighted_sum(
     }
 }
 
+/// [`segment_weighted_sum`] with logical row `r` of `values` read at
+/// stored row `rows[r]` (`rows` covers every row the bounds do) — the
+/// encoder's pool over a batch's distinct `tanh` rows, straight through
+/// its repeats.
+pub fn segment_weighted_sum_via(
+    bounds: &[(usize, usize)],
+    weights: &[f32],
+    values: &[f32],
+    rows: &[usize],
+    d: usize,
+    out: &mut [f32],
+) {
+    let _timer = nvc_obs::time_op(nvc_obs::Op::SegmentWeightedSum);
+    debug_assert_eq!(out.len(), bounds.len() * d);
+    let madd = MaddChoice::current();
+    for (s, &(r0, r1)) in bounds.iter().enumerate() {
+        let orow = &mut out[s * d..(s + 1) * d];
+        bodies::weighted_sum_via(madd, weights, values, rows, d, r0, r1, orow);
+    }
+}
+
 /// `out += aᵀ × b` over row-major slices (`a`: `kr×m`, `b`: `kr×n`, `out`:
 /// `m×n`) — the `xᵀ·g` weight-gradient product. A row window of a taller
 /// pair is the same call on the window's sub-slices. Every output element
@@ -340,10 +361,14 @@ pub fn matmul_tn_accum(a: &[f32], b: &[f32], kr: usize, m: usize, n: usize, out:
 }
 
 /// `out += Σ_s a[r0..r1]ᵀ × b[r0..r1]` for the row windows `bounds[s] =
-/// (r0, r1)` of `a: kr×m` and `b: kr×n`, **last window first** — the
-/// segmented matmul's weight gradient
-/// ([`Graph::segment_matmul`](crate::Graph::segment_matmul)). Per output
-/// element and window: a chain from `+0` over the window's rows in
+/// (r0, r1)` of a `kr`-row left operand and `b: kr×n`, **last window
+/// first** — the encoder's weight gradients
+/// ([`Graph::path_attention`](crate::Graph::path_attention)). Logical row
+/// `k` of the left operand is row `rows[k]` of `a` (`a` holds any number
+/// of `m`-wide rows; `kr = rows.len()`), so a batch's repeated rows are
+/// read from its distinct ones; each window is copied into `window` (at
+/// least the widest window's rows × `m`) before its product runs. Per
+/// output element and window: a chain from `+0` over the window's rows in
 /// ascending `k`, then added into `out`. That is exactly "zero a partial,
 /// [`matmul_tn_accum`] the window into it, add the partial to `out`",
 /// window by window — without the partial: the window's sum stays in
@@ -351,26 +376,75 @@ pub fn matmul_tn_accum(a: &[f32], b: &[f32], kr: usize, m: usize, n: usize, out:
 ///
 /// # Panics
 ///
-/// Panics when a slice length disagrees with `kr`, `m`, `n`, or a window
-/// is not inside `0..kr`.
+/// Panics when a slice length disagrees with `rows.len()`, `m`, `n`, a
+/// window is not inside `0..rows.len()` or wider than `window`, or a row
+/// number is outside `a`.
+#[allow(clippy::too_many_arguments)]
 pub fn segment_matmul_tn_accum(
     bounds: &[(usize, usize)],
     a: &[f32],
+    rows: &[usize],
     b: &[f32],
-    kr: usize,
     m: usize,
     n: usize,
+    window: &mut [f32],
     out: &mut [f32],
 ) {
-    assert_eq!(a.len(), kr * m, "matmul_tn left operand is not {kr}x{m}");
+    let kr = rows.len();
     assert_eq!(b.len(), kr * n, "matmul_tn right operand is not {kr}x{n}");
     assert_eq!(out.len(), m * n, "matmul_tn output is not {m}x{n}");
     assert!(
-        bounds.iter().all(|&(r0, r1)| r0 <= r1 && r1 <= kr),
-        "segment window outside the {kr} rows"
+        bounds
+            .iter()
+            .all(|&(r0, r1)| r0 <= r1 && r1 <= kr && (r1 - r0) * m <= window.len()),
+        "segment window outside the {kr} rows or wider than the scratch"
     );
     let _timer = nvc_obs::time_op(nvc_obs::Op::SegmentMatMulTn);
-    bodies::segment_tn_rows(MaddChoice::current(), bounds, a, b, m, n, out);
+    bodies::segment_tn_rows(MaddChoice::current(), bounds, a, rows, b, m, n, window, out);
+}
+
+/// The path-attention encoder's row-wise backward
+/// ([`Graph::path_attention`](crate::Graph::path_attention)), segment by
+/// segment: from the upstream gradient `g` (`bounds.len() × code`), the
+/// attention weights `alpha` and the `tanh` rows `c` (logical row `r` at
+/// stored row `rows[r]`), it writes each row's score gradient `gs[r]` and
+/// projection gradient `gproj[r]` (`rows.len() × code`). Per row these
+/// are the tape's expressions for the pool, segment-softmax, score-product
+/// and `tanh` backward steps, in the tape's order ([`bodies`] spells them
+/// out), so the result is bit for bit what those four tape ops give.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn attention_backward_rows(
+    bounds: &[(usize, usize)],
+    rows: &[usize],
+    alpha: &[f32],
+    g: &[f32],
+    c: &[f32],
+    attn: &[f32],
+    gs: &mut [f32],
+    gproj: &mut [f32],
+) {
+    let n = rows.len();
+    assert!(
+        alpha.len() == n && gs.len() == n && gproj.len() == n * attn.len(),
+        "attention backward: operands disagree on the rows"
+    );
+    assert_eq!(
+        g.len(),
+        bounds.len() * attn.len(),
+        "attention backward: upstream shape"
+    );
+    let _timer = nvc_obs::time_op(nvc_obs::Op::SegmentWeightedSum);
+    bodies::attention_backward(
+        MaddChoice::current(),
+        bounds,
+        rows,
+        alpha,
+        g,
+        c,
+        attn,
+        gs,
+        gproj,
+    );
 }
 
 /// `Σ_k a[k]·b[k]` from zero in ascending `k` — the chain of one

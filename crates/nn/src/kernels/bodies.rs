@@ -273,24 +273,35 @@ fn tn_rows_g<M: Madd>(a: &[f32], b: &[f32], m: usize, n: usize, out: &mut [f32])
     tn_window_g::<M, false>(a, b, m, n, out);
 }
 
-/// `out += Σ_s a[s]ᵀ × b[s]` over the row windows `bounds` of `a: kr×m`,
-/// `b: kr×n`, taken in **reverse** order — the segmented matmul's weight
-/// gradient. Each window's product is summed from `+0` in registers and
-/// added into `out` once ([`tn_window_g`]): per element, exactly "zero a
-/// partial, run the window's `tn` into it, add it to `out`", window by
-/// window from the last. Empty windows add nothing.
+/// `out += Σ_s a[s]ᵀ × b[s]` over the row windows `bounds` of a `kr`-row
+/// left operand whose logical row `k` is stored row `rows[k]` of `a` (any
+/// number of `m`-wide rows) and `b: kr×n`, taken in **reverse** order —
+/// the encoder's weight gradients. Each window's rows are copied into
+/// `window` (at least the widest window's rows × `m`), a few kilobytes
+/// that stay in cache while the loop nest passes over them, and its
+/// product is summed from `+0` in registers and added into `out` once
+/// ([`tn_window_g`]): per element, exactly "zero a partial, run the
+/// window's `tn` into it, add it to `out`", window by window from the
+/// last. Empty windows add nothing.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn segment_tn_rows_g<M: Madd>(
     bounds: &[(usize, usize)],
     a: &[f32],
+    rows: &[usize],
     b: &[f32],
     m: usize,
     n: usize,
+    window: &mut [f32],
     out: &mut [f32],
 ) {
     for &(r0, r1) in bounds.iter().rev() {
-        if r0 < r1 {
-            tn_window_g::<M, true>(&a[r0 * m..r1 * m], &b[r0 * n..r1 * n], m, n, out);
+        if r0 < r1 && m > 0 {
+            let local = &mut window[..(r1 - r0) * m];
+            for (dst, &r) in local.chunks_exact_mut(m).zip(&rows[r0..r1]) {
+                dst.copy_from_slice(&a[r * m..(r + 1) * m]);
+            }
+            tn_window_g::<M, true>(local, &b[r0 * n..r1 * n], m, n, out);
         }
     }
 }
@@ -509,8 +520,26 @@ fn nt_block<M: Madd, const L: usize>(a_row: &[f32], panel: &[f32], out: &mut [f3
     }
 }
 
-/// `out_row += Σ_r alpha[r] · x[r, :]` over rows `r0..r1` of `x` — the
-/// attention-pooling body (madd fold in ascending `r`).
+/// `out_row += Σ_r alpha[r] · x_row(r)` over rows `r0..r1` — the
+/// attention-pooling body (madd fold in ascending `r`), wherever row `r`
+/// of the values lies.
+#[inline(always)]
+fn pool_g<'x, M: Madd>(
+    alpha: &[f32],
+    r0: usize,
+    r1: usize,
+    x_row: impl Fn(usize) -> &'x [f32],
+    out_row: &mut [f32],
+) {
+    for r in r0..r1 {
+        let av = alpha[r];
+        for (o, &xv) in out_row.iter_mut().zip(x_row(r)) {
+            *o = M::madd(av, xv, *o);
+        }
+    }
+}
+
+/// [`pool_g`] over the rows `r0..r1` of `x`.
 #[inline(always)]
 fn weighted_sum_g<M: Madd>(
     alpha: &[f32],
@@ -520,11 +549,71 @@ fn weighted_sum_g<M: Madd>(
     r1: usize,
     out_row: &mut [f32],
 ) {
-    for r in r0..r1 {
-        let av = alpha[r];
-        let x_row = &x[r * d..(r + 1) * d];
-        for (o, &xv) in out_row.iter_mut().zip(x_row.iter()) {
-            *o = M::madd(av, xv, *o);
+    pool_g::<M>(alpha, r0, r1, |r| &x[r * d..(r + 1) * d], out_row);
+}
+
+/// [`pool_g`] with row `r` of the values at row `rows[r]` of `x`.
+#[inline(always)]
+fn weighted_sum_via_g<M: Madd>(
+    alpha: &[f32],
+    x: &[f32],
+    rows: &[usize],
+    d: usize,
+    r0: usize,
+    r1: usize,
+    out_row: &mut [f32],
+) {
+    pool_g::<M>(
+        alpha,
+        r0,
+        r1,
+        |r| &x[rows[r] * d..(rows[r] + 1) * d],
+        out_row,
+    );
+}
+
+/// The path-attention encoder's row-wise backward, segment by segment
+/// (see [`super::attention_backward_rows`] for the contract). For
+/// segment `s` with upstream row `g[s]` and each of its context rows `r`,
+/// whose `tanh` output is `y = c[rows[r]]`:
+///
+/// 1. `dα[r] = dot(g[s], y)` — the pool's weight gradient, a chain from
+///    `+0` ([`dot_g`]);
+/// 2. the segment softmax's backward, as the tape spells it:
+///    `dot = Σ dα·α`, then `gs[r] = α[r]·(dα[r] − dot)`;
+/// 3. per element `gproj[r][j] = ((α[r]·g[s][j]) + (0 + madd(gs[r],
+///    attn[j], 0))) · (1 − y[j]·y[j])` — the pool's value gradient plus
+///    the score product's `nt` gradient (a one-step chain from `+0` added
+///    to a zeroed output), through `tanh`'s derivative.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn attention_backward_g<M: Madd>(
+    bounds: &[(usize, usize)],
+    rows: &[usize],
+    alpha: &[f32],
+    g: &[f32],
+    c: &[f32],
+    attn: &[f32],
+    gs: &mut [f32],
+    gproj: &mut [f32],
+) {
+    let code = attn.len();
+    let y_of = |r: usize| &c[rows[r] * code..(rows[r] + 1) * code];
+    for (s, &(r0, r1)) in bounds.iter().enumerate() {
+        let g_row = &g[s * code..(s + 1) * code];
+        for r in r0..r1 {
+            gs[r] = dot_g::<M>(g_row, y_of(r));
+        }
+        let dot: f32 = (r0..r1).map(|r| gs[r] * alpha[r]).sum();
+        for r in r0..r1 {
+            gs[r] = alpha[r] * (gs[r] - dot);
+        }
+        for r in r0..r1 {
+            let (a, d) = (alpha[r], gs[r]);
+            let out = &mut gproj[r * code..(r + 1) * code];
+            for (((o, &gx), &w), &y) in out.iter_mut().zip(g_row).zip(attn).zip(y_of(r)) {
+                *o = (a * gx + (0.0 + M::madd(d, w, 0.0))) * (1.0 - y * y);
+            }
         }
     }
 }
@@ -833,10 +922,11 @@ kernel! {
     tn_rows = tn_rows_g(a: &[f32], b: &[f32], m: usize, n: usize, out: &mut [f32])
 }
 kernel! {
-    /// `out += Σ_s a[s]ᵀ × b[s]` over row windows, the last first
-    /// ([`segment_tn_rows_g`]).
+    /// `out += Σ_s a[s]ᵀ × b[s]` over row windows, the last first, `a`'s
+    /// logical row `k` at stored row `rows[k]` ([`segment_tn_rows_g`]).
     segment_tn_rows = segment_tn_rows_g(
-        bounds: &[(usize, usize)], a: &[f32], b: &[f32], m: usize, n: usize, out: &mut [f32],
+        bounds: &[(usize, usize)], a: &[f32], rows: &[usize], b: &[f32], m: usize, n: usize,
+        window: &mut [f32], out: &mut [f32],
     )
 }
 kernel! {
@@ -851,6 +941,22 @@ kernel! {
     /// ([`weighted_sum_g`]).
     weighted_sum = weighted_sum_g(
         alpha: &[f32], x: &[f32], d: usize, r0: usize, r1: usize, out_row: &mut [f32],
+    )
+}
+kernel! {
+    /// [`weighted_sum`] with row `r` of the values at row `rows[r]` of `x`
+    /// ([`weighted_sum_via_g`]).
+    weighted_sum_via = weighted_sum_via_g(
+        alpha: &[f32], x: &[f32], rows: &[usize], d: usize, r0: usize, r1: usize,
+        out_row: &mut [f32],
+    )
+}
+kernel! {
+    /// The path-attention encoder's row-wise backward
+    /// ([`attention_backward_g`]).
+    attention_backward = attention_backward_g(
+        bounds: &[(usize, usize)], rows: &[usize], alpha: &[f32], g: &[f32], c: &[f32],
+        attn: &[f32], gs: &mut [f32], gproj: &mut [f32],
     )
 }
 kernel! {
@@ -1312,14 +1418,18 @@ mod tests {
         tn_rows(madd, &x, &g, m, n, &mut tn);
         out.extend(tn);
 
-        let mut seg_tn = input(m * n, 17);
         let bounds = [
             (0, kd / 3),
             (kd / 3, kd / 3),
             (kd / 3, kd - kd / 4),
             (kd - kd / 4, kd),
         ];
-        segment_tn_rows(madd, &bounds, &x, &g, m, n, &mut seg_tn);
+        // Logical row `k` read at stored row `(7k + 3) mod kd`: rows
+        // repeat and come out of order.
+        let via: Vec<usize> = (0..kd).map(|k| (7 * k + 3) % kd).collect();
+        let mut seg_tn = input(m * n, 17);
+        let mut window = vec![0.0; kd * m];
+        segment_tn_rows(madd, &bounds, &x, &via, &g, m, n, &mut window, &mut seg_tn);
         out.extend(seg_tn);
 
         let mut nt = input(m * n, 6);
@@ -1331,6 +1441,20 @@ mod tests {
         let (alpha, x) = (input(kd, 10), input(kd * n, 11));
         weighted_sum(madd, &alpha, &x, n, kd / 3, kd, &mut pooled);
         out.extend(pooled);
+
+        let mut pooled = input(n, 19);
+        weighted_sum_via(madd, &alpha, &x, &via, n, kd / 3, kd, &mut pooled);
+        out.extend(pooled);
+
+        // `kd` context rows in the four windows above, `n` wide.
+        let (mut gs, mut gproj) = (vec![0.0; kd], vec![0.0; kd * n]);
+        let (upstream, c) = (input(bounds.len() * n, 20), input(kd * n, 21));
+        let attn = input(n, 22);
+        attention_backward(
+            madd, &bounds, &via, &alpha, &upstream, &c, &attn, &mut gs, &mut gproj,
+        );
+        out.extend(gs);
+        out.extend(gproj);
 
         out.push(dot(madd, &input(kd, 12), &input(kd, 13)));
 

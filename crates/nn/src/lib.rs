@@ -27,12 +27,14 @@
 //!   `gather` (including direct-from-store parameter gathers),
 //!   concatenation, elementwise arithmetic, clipping, minimum, per-row
 //!   selection, and reductions — everything PPO over an attention-based
-//!   encoder requires. Ragged batches run through the segment ops
-//!   (`segment_matmul`, `segment_softmax_rows`, `segment_weighted_sum`
-//!   over a shared [`Segments`] row partition), which evaluate a whole
-//!   batch of variable-length attention reductions in one node each
-//!   while staying bitwise-identical — values *and* parameter gradients
-//!   — to the per-sample spelling;
+//!   encoder requires. The encoder itself is one node over a ragged
+//!   batch ([`Graph::path_attention`], its forward in [`attention`]):
+//!   projection, `tanh` and scores once per distinct context row, a
+//!   fused per-row backward, and values *and* parameter gradients
+//!   bitwise-identical to the per-sample spelling. The segment ops
+//!   (`segment_softmax_rows`, `segment_weighted_sum` over a shared
+//!   [`Segments`] row partition) evaluate one ragged reduction per node
+//!   under the same contract;
 //! * [`TensorArena`] — a recycled buffer pool graphs draw from
 //!   ([`Graph::with_arena`]) so per-iteration tapes stop churning the
 //!   allocator;
@@ -72,6 +74,7 @@
 //! ```
 
 pub mod arena;
+pub mod attention;
 pub mod graph;
 pub mod kernels;
 pub mod params;
@@ -84,6 +87,7 @@ pub mod tensor;
 pub use nvc_obs as obs;
 
 pub use arena::{ArenaStats, TensorArena};
+pub use attention::{AttentionScratch, AttentionWeights};
 pub use graph::{Graph, NodeId, RowAlias, Segments};
 pub use kernels::KernelMode;
 pub use params::{Adam, ParamId, ParamStore};

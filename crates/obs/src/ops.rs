@@ -6,14 +6,14 @@
 //! The instrumented sites are the kernels that dominate forward/backward
 //! time: the three matmul orientations at the kernel layer, the graph's
 //! fused `linear`, the two segment reductions, the shared row-gather
-//! helper, and `tanh`; then the update path's own work — the segmented
-//! matmul's per-segment `xᵀ·g`, the row scatters of the gathers'
-//! backward, concatenation, the tape's elementwise maps and gradient
-//! accumulation, repeated-row indexing, the optimizer step, the
-//! environment's reward oracle, and the tape's arena allocations.
-//! `segment_matmul`'s forward and the
-//! `matmul`/`matmul_tn`/`matmul_nt` graph wrappers delegate to the
-//! instrumented accumulate kernels, so they are not timed themselves.
+//! helper, and `tanh`; then the update path's own work — the encoder's
+//! per-segment `xᵀ·g`, the row scatters of the gathers' backward,
+//! concatenation, the tape's elementwise maps and gradient accumulation,
+//! repeated-row indexing, the optimizer step, the environment's reward
+//! oracle, and the tape's arena allocations. The encoder op
+//! (`Graph::path_attention`) and the `matmul`/`matmul_tn`/`matmul_nt`
+//! graph wrappers delegate to the instrumented kernels, so they are not
+//! timed themselves.
 //! A timer started while another runs on the same thread records
 //! nothing — the outer op owns that time (an allocation inside `concat`
 //! is `concat`'s; one between two kernels is `alloc`'s) — so the per-op
@@ -49,15 +49,19 @@ pub enum Op {
     Linear = 3,
     /// Per-segment softmax over ragged rows, and its backward.
     SegmentSoftmax = 4,
-    /// Per-segment weighted sum (attention pooling), and its backward.
+    /// Per-segment weighted sum (attention pooling), and its backward —
+    /// for the encoder, the fused per-row backward of its pool, softmax,
+    /// scores and `tanh`.
     SegmentWeightedSum = 5,
     /// Row gather (embedding lookups, both tape and parameter-direct,
-    /// and the encoder's context rows written straight from its tables).
+    /// the encoder's distinct context rows written straight from its
+    /// tables, and its scores fanned out to every row).
     Gather = 6,
     /// Elementwise `tanh` (encoder activation, policy hidden layers).
     Tanh = 7,
-    /// The segmented matmul's weight gradient: each segment's `xᵀ·g`
-    /// summed in registers and added in reverse segment order.
+    /// The encoder's weight gradients (`W` and the attention vector):
+    /// each segment's `xᵀ·g` summed in registers and added in reverse
+    /// segment order.
     SegmentMatMulTn = 8,
     /// Row scatter-add — the backward of the gathers, on the tape and
     /// into the table-shaped parameter gradients (the encoder's context
@@ -74,8 +78,8 @@ pub enum Op {
     Elementwise = 12,
     /// Finding a batch's repeated samples and repeated context rows —
     /// what computing each distinct one once costs up front, including
-    /// the one pass that builds the encoder's index columns beside the
-    /// row keys.
+    /// the pass that builds the encoder's index columns and the one that
+    /// keys its rows.
     Dedup = 13,
     /// The environment's reward oracle, one call per collected episode.
     Reward = 14,
@@ -231,14 +235,12 @@ pub fn ops_snapshot() -> Vec<OpStat> {
 pub struct EmbedRows {
     /// Embedding-table rows looked up (three per path context).
     pub context_rows: u64,
-    /// Table rows multiplied through the projection: equal to
-    /// `context_rows` where every context row is projected (the strict
-    /// tape-free forward), smaller where each distinct context row is
-    /// projected once (the tape forward: three table rows apiece). The
-    /// fast tape-free forward multiplies a `(role, row)` once per set of
-    /// weights and keeps the product, so there this counts **memo
-    /// fills**: the first requests after a load move it, steady traffic
-    /// does not.
+    /// Table rows multiplied through the projection: three per distinct
+    /// context row of a batch in strict mode (the tape forward, with or
+    /// without a tape). The fast tape-free forward multiplies a `(role,
+    /// row)` once per set of weights and keeps the product, so there
+    /// this counts **memo fills**: the first requests after a load move
+    /// it, steady traffic does not.
     pub projected_rows: u64,
 }
 

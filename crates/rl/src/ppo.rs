@@ -7,8 +7,6 @@
 //! *and* the code2vec encoder — the end-to-end property the paper
 //! emphasizes.
 
-use std::hash::Hash;
-
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -375,38 +373,15 @@ impl PpoTrainer {
         }
     }
 
-    /// The encoder's tape forward over a batch's rows, shared by
-    /// collection and the minibatch update: rows with equal keys
-    /// ([`RowAlias`]) embed once through the segmented
-    /// [`CodeEmbedder::forward_batch`], and a row gather fans the
-    /// embeddings back out, so a repeated row's gradients scatter-add
-    /// into one embedding chain. Collection keys rows by sample content
-    /// (it reads values only, so any grouping gives the same bits); the
-    /// update keys them by context index, the grouping the committed
-    /// checkpoints were trained with — content keys would regroup the
-    /// gradient sums of contexts that share a sample.
-    fn embed_rows<K: Hash + Eq>(
-        &self,
-        g: &mut Graph<'_>,
-        rows: &[&PathSample],
-        keys: impl IntoIterator<Item = K>,
-    ) -> NodeId {
-        let repeats = RowAlias::from_keys(keys);
-        let distinct: Vec<&PathSample> = repeats.firsts().iter().map(|&r| rows[r]).collect();
-        let uobs = self.embedder.forward_batch(g, &distinct);
-        g.gather_rows(uobs, repeats.slots())
-    }
-
     // ------------------------------------------------------------------
 
     /// Rollout collection for one iteration — the batched hot path.
     ///
-    /// The whole `train_batch` runs as **one** graph: every distinct
-    /// sample is embedded once through the segmented encoder (one ragged
-    /// attention forward over all of them, then a row gather fans them
-    /// back out to the batch — `embed_rows`), and the policy
-    /// runs a single stacked forward over all rows. Actions are then
-    /// sampled row by row.
+    /// The whole `train_batch` runs as **one** forward: every distinct
+    /// sample is embedded once by the encoder's tape-free forward
+    /// ([`CodeEmbedder::forward_rows`] — the tape's values, no tape), and
+    /// the policy runs a single stacked forward over all rows. Actions
+    /// are then sampled row by row.
     ///
     /// Transitions are bitwise-identical to the per-sample spelling — a
     /// fresh graph and a one-row [`CodeEmbedder::forward`] per episode,
@@ -507,12 +482,12 @@ impl PpoTrainer {
         out
     }
 
-    /// One segmented encoder + policy forward over the rollout's rows:
-    /// each *distinct* sample (by content) embeds once, and the policy
-    /// runs one stacked forward.
+    /// One encoder + policy forward over the rollout's rows: each
+    /// *distinct* sample (by content) embeds once, and the policy runs
+    /// one stacked forward.
     fn stacked_policy_rows(&self, samples_of: &[&PathSample]) -> PolicyRows {
         let mut g = Graph::with_arena(&self.store, &self.arena);
-        let obs = self.embed_rows(&mut g, samples_of, samples_of.iter().copied());
+        let obs = g.input(self.embedder.forward_rows(&self.store, samples_of));
         let pol = self.policy.forward(&mut g, obs);
         PolicyRows {
             values: g.value(pol.value).data().to_vec(),
@@ -541,12 +516,20 @@ impl PpoTrainer {
         let mut g = Graph::with_arena(&self.store, &self.arena);
 
         // Batched observation: each *distinct* context embeds once
-        // (contexts repeat within an iteration; gradients scatter-add
-        // through the gather, so the shared embedding still receives
-        // every row's contribution).
-        let ctxs = idxs.iter().map(|&i| batch[i].ctx);
-        let samples: Vec<&PathSample> = ctxs.clone().map(|c| env.context(c)).collect();
-        let obs = self.embed_rows(&mut g, &samples, ctxs);
+        // through the encoder's tape op, and a row gather fans the rows
+        // back out, so a repeated context's gradients scatter-add into
+        // one embedding row. Rows are keyed by context index, the
+        // grouping the committed checkpoints were trained with: keying
+        // them by sample content would regroup the gradient sums of
+        // contexts that share a sample.
+        let repeats = RowAlias::from_keys(idxs.iter().map(|&i| batch[i].ctx));
+        let distinct: Vec<&PathSample> = repeats
+            .firsts()
+            .iter()
+            .map(|&r| env.context(batch[idxs[r]].ctx))
+            .collect();
+        let embedded = self.embedder.forward_batch(&mut g, &distinct);
+        let obs = g.gather_rows(embedded, repeats.slots());
         let pol = self.policy.forward(&mut g, obs);
 
         let adv = g.input(Tensor::from_vec(

@@ -321,9 +321,11 @@ fn backward_kernels_match_their_textbook_chains_on_a_nonzero_output() {
     }
 }
 
-/// The segmented matmul's weight gradient against what it replaces: per
-/// row window, last first, a zeroed partial, the textbook i-k-j `xᵀ·g`
-/// over the window into it, then the partial added into the output. The
+/// The segmented weight gradient against what it replaces: per row
+/// window, last first, a zeroed partial, the textbook i-k-j `xᵀ·g` over
+/// the window into it, then the partial added into the output. The left
+/// operand's rows are read through a row list that repeats rows and
+/// takes them out of order, as the encoder reads its distinct rows. The
 /// output starts non-zero and hostile; windows are ragged, empty at
 /// either end and in the middle; `m` straddles the 4-row blocks and `n`
 /// every column block, its off-by-ones and the single score column.
@@ -338,7 +340,10 @@ fn segment_tn_sums_each_window_like_a_zeroed_partial() {
         for m in [1usize, 3, 4, 5, 7, 8, 9, 12, 19] {
             for n in [1usize, 7, 8, 9, 15, 16, 17, 32, 48] {
                 let seed = (li * 1_000_000 + m * 1000 + n) as u64;
-                let x = wild_tensor(kr, m, seed ^ 0x0D);
+                // Logical row `k` is stored row `rows[k]` of `x`.
+                let stored = kr.div_ceil(2).max(1);
+                let rows: Vec<usize> = (0..kr).map(|k| (5 * k + 1) % stored).collect();
+                let x = wild_tensor(stored, m, seed ^ 0x0D);
                 let g = wild_tensor(kr, n, seed ^ 0x0E);
                 let start = wild_tensor(m, n, seed ^ 0x0F);
                 let mut want = start.clone();
@@ -350,20 +355,22 @@ fn segment_tn_sums_each_window_like_a_zeroed_partial() {
                     for i in 0..m {
                         for k in r0..r1 {
                             for j in 0..n {
-                                partial[(i, j)] += x[(k, i)] * g[(k, j)];
+                                partial[(i, j)] += x[(rows[k], i)] * g[(k, j)];
                             }
                         }
                     }
                     want.add_scaled(&partial, 1.0);
                 }
                 let mut got = start.clone();
+                let mut window = vec![0.0; kr * m];
                 kernels::segment_matmul_tn_accum(
                     &bounds,
                     x.data(),
+                    &rows,
                     g.data(),
-                    kr,
                     m,
                     n,
+                    &mut window,
                     got.data_mut(),
                 );
                 assert_eq!(
