@@ -430,7 +430,9 @@ fn cmd_hub(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         };
         eprintln!(
             "nvc hub: online learning on (champion `{champion}`, journal {}, z {}, canary weight {})",
-            lcfg.journal_path, lcfg.z_threshold, lcfg.canary_weight
+            lcfg.journal_path,
+            nvc_hub::learn::Z_THRESHOLD,
+            nvc_hub::learn::CANARY_WEIGHT
         );
         hub = hub.with_learning(
             lcfg,
@@ -900,14 +902,6 @@ mod tests {
             "LearnConfig::min_reports",
             SetBy(LEARNING, "min_reports: 20"),
         ),
-        (
-            "LearnConfig::canary_weight",
-            SetBy(LEARNING, "canary_weight: 1"),
-        ),
-        (
-            "LearnConfig::z_threshold",
-            SetBy(LEARNING, "z_threshold: 2.0"),
-        ),
         ("LearnConfig::min_cohort", SetBy(LEARNING, "min_cohort: 6")),
         (
             "LearnConfig::interval_ms",
@@ -969,8 +963,7 @@ mod tests {
         );
         knobs.extend(fields!("crates/hub/src/learn.rs", LearnConfig::default() =>
             LearnConfig [journal_path, promotion_log_path, champion, challenger,
-                champion_checkpoint, challenger_checkpoint, min_reports, canary_weight,
-                z_threshold, min_cohort, interval_ms]));
+                champion_checkpoint, challenger_checkpoint, min_reports, min_cohort, interval_ms]));
         knobs.extend(
             fields!("crates/hub/src/announce.rs", AnnounceConfig::new("", "", "") =>
             AnnounceConfig [registry, node, advertise, ttl_ms]),

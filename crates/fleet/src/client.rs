@@ -39,8 +39,8 @@ pub struct PeerLimits {
 /// across a loaded network. The peer's longest legitimate silence is
 /// rendering a full `cache_export`: a one-model hub whose store holds
 /// 262 144 entries (`ContentStore::default`, four times `nvc hub`'s
-/// default `--cache`) answers 8.2 MB, rendered in 0.14 s on a 2-vCPU
-/// host (release build). 30 s and
+/// default `--cache`) answers 5.8 MB of snapshot text, rendered in
+/// 0.03 s on a 2-vCPU Xeon (release build). 30 s and
 /// 64 MiB leave more than an order of magnitude above that for
 /// many-model hubs on slow, loaded hosts, while a peer that accepts and
 /// then never answers still becomes an error.

@@ -48,6 +48,13 @@ fn hex(name: &str, value: u64) -> (&str, Json) {
 /// or above it was not written by [`ReportRecord::to_json_line`].
 const MAX_EXACT_INDEX: f64 = (1u64 << 53) as f64;
 
+/// Registry weight the challenger canaries at.
+pub const CANARY_WEIGHT: u32 = 1;
+
+/// Welch z the cohort comparison must clear (promotion at `≥ z`,
+/// demotion at `≤ −z`).
+pub const Z_THRESHOLD: f64 = 2.0;
+
 /// One journaled `(sample, decision, measured_reward)` observation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReportRecord {
@@ -232,11 +239,6 @@ pub struct LearnConfig {
     /// *new* reports between retrains (the retrain cadence — see
     /// [`Hub::learn_step`]).
     pub min_reports: usize,
-    /// Registry weight the challenger canaries at.
-    pub canary_weight: u32,
-    /// Welch z the cohort comparison must clear (promotion at `≥ z`,
-    /// demotion at `≤ −z`).
-    pub z_threshold: f64,
     /// Minimum observations per cohort before any verdict.
     pub min_cohort: u64,
     /// Controller step interval for [`spawn_learner`].
@@ -253,8 +255,6 @@ impl Default for LearnConfig {
             champion_checkpoint: String::new(),
             challenger_checkpoint: "challenger.ckpt".to_string(),
             min_reports: 50,
-            canary_weight: 1,
-            z_threshold: 2.0,
             min_cohort: 20,
             interval_ms: 1000,
         }
@@ -265,12 +265,6 @@ impl Default for LearnConfig {
 /// or never decide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LearnConfigError {
-    /// `z_threshold` is not a finite number above 0. At `z ≤ 0` a
-    /// challenger that measured worse clears `z ≥ z_threshold`; a NaN or
-    /// infinite threshold never decides.
-    ZThreshold,
-    /// `canary_weight` is 0, which parks the challenger as it deploys.
-    CanaryWeight,
     /// `min_cohort` is below 2: one report has no variance, and a
     /// zero-variance cohort scores `z = ±1e9`.
     MinCohort,
@@ -281,8 +275,6 @@ pub enum LearnConfigError {
 impl std::fmt::Display for LearnConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            LearnConfigError::ZThreshold => "z_threshold must be a finite number above 0",
-            LearnConfigError::CanaryWeight => "canary_weight must be at least 1",
             LearnConfigError::MinCohort => "min_cohort must be at least 2",
             LearnConfigError::ChallengerIsChampion => "challenger must not be the champion",
         })
@@ -296,11 +288,7 @@ impl LearnConfig {
     ///
     /// The first [`LearnConfigError`] the configuration has.
     pub(crate) fn validate(&self) -> Result<(), LearnConfigError> {
-        if !(self.z_threshold.is_finite() && self.z_threshold > 0.0) {
-            Err(LearnConfigError::ZThreshold)
-        } else if self.canary_weight == 0 {
-            Err(LearnConfigError::CanaryWeight)
-        } else if self.min_cohort < 2 {
+        if self.min_cohort < 2 {
             Err(LearnConfigError::MinCohort)
         } else if self.champion == self.challenger {
             Err(LearnConfigError::ChallengerIsChampion)
@@ -549,7 +537,7 @@ impl Hub {
                             vec![
                                 ("model", Json::from(ls.cfg.challenger.as_str())),
                                 hex("checkpoint_hash", hash),
-                                ("weight", Json::from(ls.cfg.canary_weight)),
+                                ("weight", Json::from(CANARY_WEIGHT)),
                             ],
                         );
                         events.push(LearnEvent::Canary {
@@ -568,13 +556,13 @@ impl Hub {
     fn deploy_challenger(&self, ls: &LearnState) -> Result<u64, HubError> {
         let path = &ls.cfg.challenger_checkpoint;
         if self.registry().get(&ls.cfg.challenger).is_some() {
-            return self.reload(&ls.cfg.challenger, path, Some(ls.cfg.canary_weight));
+            return self.reload(&ls.cfg.challenger, path, Some(CANARY_WEIGHT));
         }
         let loader = self.loader.as_ref().ok_or(HubError::NoLoader)?;
         let (model, hash) = loader(path).map_err(HubError::Loader)?;
         self.register(crate::ModelSpec {
             name: ls.cfg.challenger.clone(),
-            weight: ls.cfg.canary_weight,
+            weight: CANARY_WEIGHT,
             checkpoint_hash: hash,
             model,
         })?;
@@ -604,9 +592,9 @@ impl Hub {
             return;
         }
         let z = welch_z(&cc, &hc);
-        if z >= ls.cfg.z_threshold {
+        if z >= Z_THRESHOLD {
             self.promote_challenger(ls, z, hc, events);
-        } else if z <= -ls.cfg.z_threshold {
+        } else if z <= -Z_THRESHOLD {
             // Park the loser: weight 0 stops A/B traffic; the next
             // fine-tune (with more data) re-deploys at canary weight.
             match self.reload(&ls.cfg.challenger, &ls.cfg.challenger_checkpoint, Some(0)) {
@@ -699,7 +687,7 @@ impl Hub {
             return;
         }
         let z = welch_z(&now, &guard.prev_cohort);
-        if z <= -ls.cfg.z_threshold {
+        if z <= -Z_THRESHOLD {
             match self.reload(&ls.cfg.champion, &guard.prev_path, None) {
                 Ok(_) => {
                     ls.rollbacks.inc();
@@ -716,7 +704,7 @@ impl Hub {
                 }
                 Err(e) => eprintln!("nvc hub: rollback reload failed: {e}"),
             }
-        } else if z >= ls.cfg.z_threshold {
+        } else if z >= Z_THRESHOLD {
             // The promotion clearly held up; release the guard.
             *ls.rollback.lock() = None;
         }
@@ -1038,45 +1026,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// At `z ≤ 0` a challenger that measured worse (`z = −0.5`) would
-    /// clear the promotion gate.
-    #[test]
-    fn a_threshold_at_or_below_zero_is_refused() {
-        assert_eq!(LearnConfig::default().validate(), Ok(()));
-        for (i, z) in [0.0, -0.5].into_iter().enumerate() {
-            let cfg = LearnConfig {
-                z_threshold: z,
-                ..LearnConfig::default()
-            };
-            assert_refused(&format!("z-le-0-{i}"), cfg, LearnConfigError::ZThreshold);
-        }
-    }
-
-    /// A NaN (or infinite) threshold never decides.
-    #[test]
-    fn a_threshold_that_never_decides_is_refused() {
-        for (i, z) in [f64::NAN, f64::INFINITY].into_iter().enumerate() {
-            let cfg = LearnConfig {
-                z_threshold: z,
-                ..LearnConfig::default()
-            };
-            assert_refused(&format!("z-nan-{i}"), cfg, LearnConfigError::ZThreshold);
-        }
-    }
-
-    /// Weight 0 would park the challenger as it deploys.
-    #[test]
-    fn a_zero_canary_weight_is_refused() {
-        let cfg = LearnConfig {
-            canary_weight: 0,
-            ..LearnConfig::default()
-        };
-        assert_refused("canary-0", cfg, LearnConfigError::CanaryWeight);
-    }
-
     /// One zero-variance report per side would score `z = ±1e9`.
     #[test]
     fn a_cohort_below_two_is_refused() {
+        assert_eq!(LearnConfig::default().validate(), Ok(()));
         for n in [0, 1] {
             let cfg = LearnConfig {
                 min_cohort: n,
@@ -1124,7 +1077,6 @@ mod tests {
         let cfg = LearnConfig {
             min_reports: 10,
             min_cohort: 20,
-            z_threshold: 2.0,
             ..LearnConfig::default()
         };
         let hub = learning_hub(&dir, cfg, 7);
@@ -1183,7 +1135,6 @@ mod tests {
             let cfg = LearnConfig {
                 min_reports: 10,
                 min_cohort: 25,
-                z_threshold: 2.0,
                 ..LearnConfig::default()
             };
             let hub = learning_hub(&dir, cfg, 7);
@@ -1219,7 +1170,6 @@ mod tests {
         let cfg = LearnConfig {
             min_reports: 10,
             min_cohort: 20,
-            z_threshold: 2.0,
             ..LearnConfig::default()
         };
         let hub = learning_hub(&dir, cfg, 7);

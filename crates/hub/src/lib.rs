@@ -20,11 +20,11 @@
 //!   decision store, routed by explicit `"model"` field or a
 //!   deterministic weighted A/B split, with atomic hot-swap (`reload`)
 //!   that never drops in-flight requests;
-//! * [`persist`] — a **persistent decision cache**: each model's entries
-//!   in the store are serialized on shutdown and restored on start,
-//!   stamped with the owning checkpoint's content hash so a changed
-//!   checkpoint invalidates stale entries instead of serving wrong
-//!   decisions.
+//! * [`persist`] — the **decision-store image**: each model's entries in
+//!   the store, stamped with the owning checkpoint's content hash so a
+//!   changed checkpoint never serves them. It is the cache file written on
+//!   shutdown and read on start, and the `cache_export` answer a joining
+//!   peer reads; [`Hub::absorb`] admits it either way.
 //!
 //! # Wire protocol
 //!
@@ -46,7 +46,7 @@
 //! ← {"ok":true,"reloaded":"prod","checkpoint_hash":"…"}
 //! → {"op":"report","model":"prod","key":"…","reward":0.31}   # measured reward
 //! ← {"ok":true,"recorded":true,"reports":…}   # (learning hubs; see `learn`)
-//! → {"op":"cache_export"}              ← every model's cache image (gossip)
+//! → {"op":"cache_export"}              ← {"ok":true,"snapshot":"nvc-hub-cache v1\n…"}
 //! → {"op":"shutdown"}                  ← ack, then the hub drains and persists
 //! ```
 //!
@@ -61,8 +61,9 @@
 //! a fleet node through two optional attachments: a **registry
 //! announcer** ([`announce::spawn_announcer`]) heartbeating `(model,
 //! checkpoint_hash, addr)` to an `nvc registry`, and **warm-join
-//! gossip** ([`Hub::warm_from_peers`]) that pulls a peer's store image
-//! over the `cache_export` verb before taking traffic. Every
+//! gossip** ([`Hub::warm_from_peers`]) that pulls a peer's store image —
+//! the [`persist`] text of its cache file — over the `cache_export` verb
+//! before taking traffic. Every
 //! `vectorize` response is stamped with the serving checkpoint's
 //! content hash so fleet clients can verify versions end-to-end.
 
@@ -421,14 +422,9 @@ impl Hub {
         self.shutting_down.load(Ordering::Acquire)
     }
 
-    /// Restores each model's decision cache from the configured
-    /// `cache_path`, version-checked: a section whose checkpoint hash
-    /// matches the registered model of the same name, and whose every
-    /// index lies in that model's action space, is restored (counted in
-    /// that model's `entries_restored`); a mismatched, out-of-space or
-    /// orphaned section is discarded (counted in
-    /// `entries_invalidated_by_version` when the model exists).
-    /// A missing file is a cold start, not an error.
+    /// Restores the decision store from the configured `cache_path`
+    /// through [`Hub::absorb`]. A missing file is a cold start, not an
+    /// error.
     ///
     /// # Errors
     ///
@@ -443,22 +439,71 @@ impl Hub {
             Err(e) => return Err(HubError::Io(format!("read {path}: {e}"))),
         };
         let sections = persist::parse(&text).map_err(|e| HubError::Io(e.to_string()))?;
-        for section in sections {
-            let Some(entry) = self.registry.get(&section.model) else {
-                continue; // model no longer configured; silently dropped
-            };
-            if entry.checkpoint_hash == section.checkpoint_hash {
-                entry.handle.restore_cache(section.entries);
-            } else {
-                entry
-                    .handle
-                    .record_invalidated_entries(section.entries.len() as u64);
-            }
-        }
+        self.absorb(sections);
         Ok(())
     }
 
-    /// Writes every model's cache image to the configured `cache_path`
+    /// The one admission rule for decisions from outside the process — a
+    /// snapshot file ([`Hub::restore_cache`]) or a peer's export
+    /// ([`Hub::warm_from_peers`]). A section is admitted only when its
+    /// every index lies in every registered model's action space, since
+    /// any of them may reload to its checkpoint; otherwise it is
+    /// discarded whole. An admitted section whose name and checkpoint hash
+    /// are a registered model's is restored through that model (its
+    /// `entries_restored` and `insertions` count it); any other goes into
+    /// the store under its own hash, where a hot-swap back to that
+    /// checkpoint finds it. A section named after a registered model and
+    /// not restored through it counts in that model's
+    /// `entries_invalidated_by_version`. Returns how many entries the
+    /// store grew by.
+    pub fn absorb(&self, sections: Vec<CacheSection>) -> usize {
+        let models = self.registry.entries();
+        // The action space every registered model shares.
+        let (vfs, ifs) = models.iter().fold((usize::MAX, usize::MAX), |(v, i), m| {
+            let space = m.handle.space();
+            (v.min(space.vfs.len()), i.min(space.ifs.len()))
+        });
+        let mut absorbed = 0;
+        for section in sections {
+            let mut indexes = section.entries.iter().map(|&(_, pair)| pair);
+            let admitted = indexes.all(|(vf, if_)| vf < vfs && if_ < ifs);
+            let named = models.iter().find(|m| m.name == section.model);
+            match named {
+                Some(m) if admitted && m.checkpoint_hash == section.checkpoint_hash => {
+                    absorbed += m.handle.restore_cache(section.entries);
+                }
+                _ => {
+                    if let Some(m) = named {
+                        m.handle
+                            .record_invalidated_entries(section.entries.len() as u64);
+                    }
+                    if admitted {
+                        let store = self.registry.store();
+                        absorbed += store.absorb(section.checkpoint_hash, section.entries);
+                    }
+                }
+            }
+        }
+        absorbed
+    }
+
+    /// The decision-store image: one section per registered model, its
+    /// entries in the store under its checkpoint hash, coldest first.
+    /// Rendered by [`persist::to_string`], it is both what `cache_path`
+    /// holds and what `cache_export` answers.
+    pub fn cache_image(&self) -> Vec<CacheSection> {
+        self.registry
+            .entries()
+            .iter()
+            .map(|e| CacheSection {
+                model: e.name.clone(),
+                checkpoint_hash: e.checkpoint_hash,
+                entries: e.handle.cache_snapshot(),
+            })
+            .collect()
+    }
+
+    /// Writes the cache image to the configured `cache_path`
     /// (no-op when persistence is disabled). Written via a temp file +
     /// rename so a crash mid-write never leaves a truncated snapshot.
     ///
@@ -472,18 +517,8 @@ impl Hub {
         // The periodic checkpointer, reload's pre-swap persist, and the
         // shutdown persist share one temp path; serialize them.
         let _persisting = self.persist_lock.lock();
-        let sections: Vec<CacheSection> = self
-            .registry
-            .entries()
-            .iter()
-            .map(|e| CacheSection {
-                model: e.name.clone(),
-                checkpoint_hash: e.checkpoint_hash,
-                entries: e.handle.cache_snapshot(),
-            })
-            .collect();
         let tmp = format!("{path}.tmp");
-        std::fs::write(&tmp, persist::to_string(&sections))
+        std::fs::write(&tmp, persist::to_string(&self.cache_image()))
             .map_err(|e| HubError::Io(format!("write {tmp}: {e}")))?;
         std::fs::rename(&tmp, path).map_err(|e| HubError::Io(format!("rename {tmp}: {e}")))
     }
@@ -808,44 +843,13 @@ impl Hub {
                 )
             }
             Some("cache_export") => {
-                // Gossip transfer: ship every model's entries in the
-                // store so a joining peer starts warm. Content-addressed
-                // by checkpoint hash, so the receiver can verify
-                // validity per section.
-                let sections: Vec<Json> = self
-                    .registry
-                    .entries()
-                    .iter()
-                    .map(|e| {
-                        let entries = e.handle.cache_snapshot();
-                        obj(vec![
-                            ("model", Json::from(e.name.as_str())),
-                            (
-                                "checkpoint_hash",
-                                Json::from(format!("{:016x}", e.checkpoint_hash)),
-                            ),
-                            (
-                                "entries",
-                                Json::Arr(
-                                    entries
-                                        .iter()
-                                        .map(|(k, (vf, ifac))| {
-                                            Json::Arr(vec![
-                                                Json::from(format!("{k:016x}")),
-                                                Json::from(*vf as u64),
-                                                Json::from(*ifac as u64),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect();
+                // Gossip transfer: the cache image, as the cache file
+                // holds it, so a joining peer starts warm.
+                let snapshot = persist::to_string(&self.cache_image());
                 (
                     with_id(
                         id,
-                        vec![("ok", Json::from(true)), ("sections", Json::Arr(sections))],
+                        vec![("ok", Json::from(true)), ("snapshot", Json::from(snapshot))],
                     ),
                     true,
                 )
@@ -1021,16 +1025,11 @@ impl Hub {
     }
 
     /// Warm-join gossip: pulls `cache_export` from the first reachable
-    /// peer and absorbs every section into the store once — through the
-    /// registered model of the same name and checkpoint hash when there
-    /// is one (so its `insertions` count them), straight into the store
-    /// otherwise (content addressing makes entries from any checkpoint
-    /// safe to hold). Indexes must be non-negative integers inside the
-    /// action space of the handle that would serve them — that model's,
-    /// or every registered model's for the store, since any of them may
-    /// reload to that checkpoint; a section with one that is not is
-    /// discarded whole, as [`Hub::restore_cache`] discards it. Returns
-    /// how many entries the store grew by.
+    /// peer and absorbs its snapshot through [`Hub::absorb`], as
+    /// [`Hub::restore_cache`] absorbs the cache file. A peer that answers
+    /// no snapshot, or one [`persist::parse`] refuses, counts as
+    /// unreachable and the next is tried. Returns how many entries the
+    /// store grew by.
     ///
     /// # Errors
     ///
@@ -1040,54 +1039,15 @@ impl Hub {
         use nvc_fleet::client::{round_trip, PEER_LIMITS};
         let mut last_err = String::from("no peers given");
         for peer in peers {
-            let attempt = (|| -> Result<usize, String> {
-                let v = round_trip(&mut None, peer, r#"{"op":"cache_export"}"#, &PEER_LIMITS)?;
-                if v.get("ok").and_then(Json::as_bool) != Some(true) {
-                    return Err("peer rejected cache_export".to_string());
-                }
-                let models = self.registry.entries();
-                let mut absorbed = 0usize;
-                for section in v.get("sections").and_then(Json::as_array).unwrap_or(&[]) {
-                    let Some(hash) = section
-                        .get("checkpoint_hash")
-                        .and_then(Json::as_str)
-                        .and_then(|s| u64::from_str_radix(s, 16).ok())
-                    else {
-                        continue;
-                    };
-                    // `[key_hex, vf_idx, if_idx]`, or the section is malformed.
-                    let raw = section
-                        .get("entries")
-                        .and_then(Json::as_array)
-                        .unwrap_or(&[]);
-                    let entries: Option<Vec<(u64, (usize, usize))>> = raw
-                        .iter()
-                        .map(|e| {
-                            let items = e.as_array()?;
-                            let key = u64::from_str_radix(items.first()?.as_str()?, 16).ok()?;
-                            Some((key, (index(items.get(1)?)?, index(items.get(2)?)?)))
-                        })
-                        .collect();
-                    let model = section.get("model").and_then(Json::as_str).unwrap_or("");
-                    absorbed += match (entries, self.registry.get(model)) {
-                        (Some(entries), Some(entry)) if entry.checkpoint_hash == hash => {
-                            entry.handle.restore_cache(entries)
-                        }
-                        (Some(entries), _) if models.iter().all(|m| m.handle.admits(&entries)) => {
-                            self.registry.store().absorb(hash, entries)
-                        }
-                        (_, named) => {
-                            if let Some(entry) = named {
-                                entry.handle.record_invalidated_entries(raw.len() as u64);
-                            }
-                            0
-                        }
-                    };
-                }
-                Ok(absorbed)
-            })();
-            match attempt {
-                Ok(n) => {
+            let image = round_trip(&mut None, peer, r#"{"op":"cache_export"}"#, &PEER_LIMITS)
+                .and_then(|v| {
+                    let snapshot = v.get("snapshot").and_then(Json::as_str);
+                    let snapshot = snapshot.ok_or("no snapshot in the cache_export answer")?;
+                    persist::parse(snapshot).map_err(|e| e.to_string())
+                });
+            match image {
+                Ok(sections) => {
+                    let n = self.absorb(sections);
                     self.transfers.inc();
                     self.transfer_entries.add(n as u64);
                     return Ok(n);
@@ -1097,12 +1057,6 @@ impl Hub {
         }
         Err(HubError::Io(format!("warm-join failed: {last_err}")))
     }
-}
-
-/// A `cache_export` index: a non-negative integer (in `u32` range).
-fn index(j: &Json) -> Option<usize> {
-    let x = j.as_f64()?;
-    (x >= 0.0 && x.fract() == 0.0 && x <= f64::from(u32::MAX)).then_some(x as usize)
 }
 
 impl Drop for Hub {
@@ -1663,34 +1617,60 @@ void f(int n) {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn warm_join_discards_sections_with_indexes_outside_the_action_space() {
+    /// A peer on a loopback port that answers each connection's one
+    /// request with the next of `exports`, each `{"ok":true,"snapshot":…}`.
+    fn fake_peer(exports: Vec<String>) -> (String, std::thread::JoinHandle<()>) {
         use std::io::{BufRead, BufReader, Write};
-        let key = format!("{:016x}", src_key());
-        let section = |model: &str, hash: &str, vf: &str| {
-            format!(
-                r#"{{"model":"{model}","checkpoint_hash":"{hash}","entries":[["{key}",{vf},0]]}}"#
-            )
-        };
-        let mut sections = vec![section("m", "0000000000000000", "99")];
-        // Straight into the store: not non-negative integers, or too big.
-        for vf in ["-1", "2.7", "1e99", "99"] {
-            sections.push(section("other", "0000000000000005", vf));
-        }
-        sections.push(section("m", "0000000000000000", "1"));
-        let export = format!(r#"{{"ok":true,"sections":[{}]}}"#, sections.join(","));
-
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let peer = listener.local_addr().unwrap().to_string();
         let fake = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let mut line = String::new();
-            BufReader::new(&stream).read_line(&mut line).unwrap();
-            assert!(line.contains("cache_export"), "{line}");
-            stream.write_all(format!("{export}\n").as_bytes()).unwrap();
+            for snapshot in exports {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut line = String::new();
+                BufReader::new(&stream).read_line(&mut line).unwrap();
+                assert!(line.contains("cache_export"), "{line}");
+                let export = obj(vec![
+                    ("ok", Json::from(true)),
+                    ("snapshot", Json::from(snapshot)),
+                ]);
+                stream
+                    .write_all(format!("{}\n", export.render()).as_bytes())
+                    .unwrap();
+            }
         });
+        (peer, fake)
+    }
+
+    #[test]
+    fn warm_join_discards_sections_with_indexes_outside_the_action_space() {
+        let key = format!("{:016x}", src_key());
+        let section =
+            |model: &str, hash: &str, vf: &str| format!("model {model} {hash} 1\n{key} {vf} 0\n");
+        let snapshot = |sections: &[String]| format!("nvc-hub-cache v1\n{}", sections.concat());
+        // Not non-negative integers: the whole export is refused, and the
+        // join fails with nothing absorbed or counted.
+        let mut exports: Vec<String> = ["-1", "2.7", "1e99"]
+            .iter()
+            .map(|vf| snapshot(&[section("other", "0000000000000005", vf)]))
+            .collect();
+        // Too big, under the model's name and straight into the store.
+        exports.push(snapshot(&[
+            section("m", "0000000000000000", "99"),
+            section("other", "0000000000000005", "99"),
+        ]));
+        exports.push(snapshot(&[section("m", "0000000000000000", "1")]));
+        let (peer, fake) = fake_peer(exports);
 
         let hub = hub_with(&[("m", 1, 0)]);
+        for _ in 0..3 {
+            assert!(hub.warm_from_peers(std::slice::from_ref(&peer)).is_err());
+        }
+        let m = hub.registry().get("m").unwrap().handle.metrics();
+        assert_eq!(
+            (m.entries_restored, m.entries_invalidated_by_version),
+            (0, 0)
+        );
+        assert_eq!(hub.warm_from_peers(std::slice::from_ref(&peer)).unwrap(), 0);
         assert_eq!(hub.warm_from_peers(&[peer]).unwrap(), 1);
         fake.join().unwrap();
         assert_eq!(hub.registry().store().len(), 1, "only the sane section");
@@ -1702,6 +1682,107 @@ void f(int n) {
         let req = obj(vec![("source", Json::from(SRC))]).render();
         let v = Json::parse(&hub.handle_line(&req).0).unwrap();
         assert_eq!(cached_flags(&v), [true]);
+    }
+
+    /// Decides every loop at VF index 7: the widest of a target with
+    /// twice the paper's `max_vf`, one past the end of [`StubModel`]'s
+    /// action space.
+    struct WideModel(StubModel);
+
+    impl DecisionModel for WideModel {
+        fn embed_config(&self) -> &EmbedConfig {
+            &self.0.embed
+        }
+
+        fn target(&self) -> &TargetConfig {
+            &self.0.target
+        }
+
+        fn decide_batch(&self, samples: &[&PathSample]) -> Vec<(usize, usize)> {
+            vec![(7, 0); samples.len()]
+        }
+    }
+
+    /// The cache file and the `cache_export` answer are one image, and
+    /// restoring it from disk and warm-joining it from the peer leave
+    /// equal stores and equal counts: one section at the joiners' own
+    /// checkpoint, one at a checkpoint their model of that name has left,
+    /// and one with an index outside their action space.
+    #[test]
+    fn the_cache_file_and_the_export_are_one_image() {
+        let dir = std::env::temp_dir().join(format!("nvc-hub-image-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.nvc").to_string_lossy().to_string();
+        let a = Hub::new(
+            HubConfig::default()
+                .with_listen("127.0.0.1:0")
+                .with_cache_path(path.clone()),
+            ServeConfig::default().with_workers(1),
+        );
+        a.register(stub_spec("m", 1, 0)).unwrap();
+        a.register(stub_spec("old", 1, 5)).unwrap();
+        let wide = TargetConfig {
+            max_vf: 128,
+            ..TargetConfig::i7_8559u()
+        };
+        a.register(ModelSpec {
+            name: "wide".to_string(),
+            weight: 1,
+            checkpoint_hash: 9,
+            model: Arc::new(WideModel(StubModel {
+                target: wide,
+                ..StubModel::new(9)
+            })),
+        })
+        .unwrap();
+        for (model, terms) in [("m", 0..5), ("old", 5..8), ("wide", 8..10)] {
+            for t in terms {
+                a.handle_line(&distinct_loop(model, t));
+            }
+        }
+        let a = server::serve_tcp(Arc::new(a)).unwrap();
+
+        let export = Json::parse(&a.hub().handle_line(r#"{"op":"cache_export"}"#).0).unwrap();
+        a.hub().persist_cache().unwrap();
+        let file = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(export.get("snapshot").and_then(Json::as_str), Some(&*file));
+        let image = persist::parse(&file).unwrap();
+        let sizes: Vec<(&str, u64, usize)> = image
+            .iter()
+            .map(|s| (s.model.as_str(), s.checkpoint_hash, s.entries.len()))
+            .collect();
+        assert_eq!(sizes, [("m", 0, 5), ("old", 5, 3), ("wide", 9, 2)]);
+
+        // `old` has moved on to checkpoint 6 on both joiners.
+        let joiner = |cache_path: Option<&str>| {
+            let mut cfg = HubConfig::default();
+            cfg.cache_path = cache_path.map(str::to_string);
+            let hub = Hub::new(cfg, ServeConfig::default().with_workers(1));
+            hub.register(stub_spec("m", 1, 0)).unwrap();
+            hub.register(stub_spec("old", 1, 6)).unwrap();
+            hub
+        };
+        let b = joiner(Some(&path));
+        b.restore_cache().unwrap();
+        let c = joiner(None);
+        assert_eq!(c.warm_from_peers(&[a.addr().to_string()]).unwrap(), 8);
+        a.shutdown();
+
+        for hash in [0, 5, 6, 9] {
+            let (b, c) = (b.registry().store(), c.registry().store());
+            assert_eq!(b.entries_for(hash), c.entries_for(hash), "hash {hash}");
+        }
+        assert_eq!(b.registry().store().entries_for(0), image[0].entries);
+        assert_eq!(b.registry().store().entries_for(5), image[1].entries);
+        assert!(b.registry().store().entries_for(9).is_empty());
+        let counts = |hub: &Hub, name: &str| {
+            let m = hub.registry().get(name).unwrap().handle.metrics();
+            (m.entries_restored, m.entries_invalidated_by_version)
+        };
+        for (name, want) in [("m", (5, 0)), ("old", (0, 3))] {
+            assert_eq!((counts(&b, name), counts(&c, name)), (want, want), "{name}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

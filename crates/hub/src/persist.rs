@@ -1,12 +1,17 @@
-//! The persistent decision-cache snapshot format.
+//! The decision-store image: the persistent cache snapshot, and the
+//! gossip payload a joining peer pulls with `cache_export`.
 //!
-//! A hub restart should not re-pay every embedding + policy forward the
-//! previous process already did — but it also must never serve a cached
-//! decision computed by a *different* checkpoint. Each model's cache
-//! section is therefore stamped with the owning checkpoint's content
-//! hash (`nvc_nn::serialize::checkpoint_hash`): on restore, a matching
-//! hash readmits the entries, a mismatch discards them (counted in
-//! `entries_invalidated_by_version`).
+//! A hub restart or a new node should not re-pay every embedding + policy
+//! forward a warm process already did — but it also must never serve a
+//! cached decision computed by a *different* checkpoint. Each model's
+//! section is therefore stamped with the owning checkpoint's content hash
+//! (`nvc_nn::serialize::checkpoint_hash`). `Hub::absorb` admits a parsed
+//! image, from disk or from a peer, by one rule: a matching hash restores
+//! the entries through that model, any other keeps them under their own
+//! hash (counted in the named model's `entries_invalidated_by_version`),
+//! and an index outside the action space discards the section. Text from
+//! a peer is outside input, so [`parse`] accepts exactly what
+//! [`to_string`] writes.
 //!
 //! The format is line-oriented text, like the `nvc-nn` checkpoint
 //! format (the offline dependency set has no binary serializer):
@@ -78,7 +83,11 @@ pub fn to_string(sections: &[CacheSection]) -> String {
 
 /// Parses a snapshot produced by [`to_string`], verifying each
 /// section's declared entry count — a truncated file (crashed writer,
-/// partial copy) restores nothing rather than restoring garbage.
+/// partial copy) restores nothing rather than restoring garbage. The
+/// text may come from a peer, so only the tokens [`to_string`] writes
+/// are accepted: 16 lowercase hex digits for a hash or key, a plain
+/// decimal for a count or index, nothing after a line's last token, and
+/// each model name once.
 ///
 /// # Errors
 ///
@@ -93,47 +102,43 @@ pub fn parse(text: &str) -> Result<Vec<CacheSection>, SnapshotError> {
     let mut out: Vec<CacheSection> = Vec::new();
     // (declared entry count, header line) of each parsed section.
     let mut declared: Vec<(usize, usize)> = Vec::new();
+    let mut names = std::collections::HashSet::new();
     for (ln, line) in lines {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
+        let ln = ln + 1;
         let mut parts = line.split_whitespace();
-        let first = parts.next().expect("non-empty line has a first token");
+        let Some(first) = parts.next() else {
+            continue;
+        };
+        let mut field = |what: &str| {
+            parts
+                .next()
+                .ok_or_else(|| err(format!("missing {what}"), ln))
+        };
         if first == "model" {
-            let model = parts
-                .next()
-                .ok_or_else(|| err("missing model name", ln + 1))?
-                .to_string();
-            let checkpoint_hash = parts
-                .next()
-                .and_then(|s| u64::from_str_radix(s, 16).ok())
-                .ok_or_else(|| err("bad checkpoint hash", ln + 1))?;
-            let count: usize = parts
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| err("bad entry count", ln + 1))?;
-            declared.push((count, ln + 1));
+            let model = field("model name")?;
+            let checkpoint_hash =
+                hex(field("checkpoint hash")?).ok_or_else(|| err("bad checkpoint hash", ln))?;
+            let count = decimal(field("entry count")?).ok_or_else(|| err("bad entry count", ln))?;
+            if !names.insert(model) {
+                return Err(err(format!("second section for model `{model}`"), ln));
+            }
+            declared.push((count, ln));
             out.push(CacheSection {
-                model,
+                model: model.to_string(),
                 checkpoint_hash,
                 entries: Vec::new(),
             });
         } else {
-            let section = out
-                .last_mut()
-                .ok_or_else(|| err("entry before any `model` header", ln + 1))?;
-            let key = u64::from_str_radix(first, 16)
-                .map_err(|_| err(format!("bad key `{first}`"), ln + 1))?;
-            let vf: usize = parts
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| err("bad vf index", ln + 1))?;
-            let if_: usize = parts
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| err("bad if index", ln + 1))?;
-            section.entries.push((key, (vf, if_)));
+            let key = hex(first).ok_or_else(|| err(format!("bad key `{first}`"), ln))?;
+            let vf = decimal(field("vf index")?).ok_or_else(|| err("bad vf index", ln))?;
+            let if_ = decimal(field("if index")?).ok_or_else(|| err("bad if index", ln))?;
+            out.last_mut()
+                .ok_or_else(|| err("entry before any `model` header", ln))?
+                .entries
+                .push((key, (vf, if_)));
+        }
+        if parts.next().is_some() {
+            return Err(err("trailing tokens", ln));
         }
     }
     for (section, (count, ln)) in out.iter().zip(&declared) {
@@ -149,6 +154,24 @@ pub fn parse(text: &str) -> Result<Vec<CacheSection>, SnapshotError> {
         }
     }
     Ok(out)
+}
+
+/// A `{:016x}` token: exactly 16 lowercase hex digits.
+fn hex(token: &str) -> Option<u64> {
+    let digits = token
+        .bytes()
+        .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    (token.len() == 16 && digits)
+        .then(|| u64::from_str_radix(token, 16).ok())
+        .flatten()
+}
+
+/// A `{}` of a `usize`: decimal digits, no sign, no leading zero.
+fn decimal(token: &str) -> Option<usize> {
+    let digits = token.bytes().all(|b| b.is_ascii_digit());
+    (digits && (token == "0" || !token.starts_with('0')))
+        .then(|| token.parse().ok())
+        .flatten()
 }
 
 #[cfg(test)]
@@ -193,10 +216,93 @@ mod tests {
         // Drop the last entry line: declared counts no longer match.
         let truncated: String = text.lines().collect::<Vec<_>>()[..3].join("\n");
         assert!(parse(&truncated).is_err(), "truncation must fail");
+        // Only the tokens `to_string` writes: no trailing token, no sign,
+        // no other width or case of hex, no leading zero, no fraction or
+        // exponent, each model once.
+        let m = "model m 0000000000000007 1";
+        let key = "00000000000000ff";
+        for bad in [
+            format!("{m} extra\n{key} 1 2"),
+            format!("{m}\n{key} 1 2 3"),
+            format!("{m}\n{key} -1 2"),
+            format!("{m}\n{key} +1 2"),
+            format!("{m}\n{key} 2.7 2"),
+            format!("{m}\n{key} 1e99 2"),
+            format!("{m}\n{key} 01 2"),
+            format!("{m}\n{key} 1 99999999999999999999999"),
+            format!("{m}\nff 1 2"),
+            format!("{m}\n00000000000000FF 1 2"),
+            format!("{m}\n+0000000000000ff 1 2"),
+            "model m 7 0".to_string(),
+            "model m 0000000000000007 +0".to_string(),
+            "model m 0000000000000007".to_string(),
+            format!("{m}\n{key} 1 2\n{m}\n{key} 1 2"),
+            format!("model m 0000000000000007 0\n{m}\n{key} 1 2"),
+        ] {
+            let text = format!("nvc-hub-cache v1\n{bad}\n");
+            assert!(parse(&text).is_err(), "accepted {bad:?}");
+        }
+        let good = format!("nvc-hub-cache v1\n{m}\n{key} 1 2\n");
+        assert_eq!(to_string(&parse(&good).unwrap()), good);
     }
 
     #[test]
     fn empty_section_list_roundtrips() {
         assert_eq!(parse(&to_string(&[])).unwrap(), vec![]);
+    }
+
+    /// Up to `max` bytes that spell snapshots, or nearly: the tokens'
+    /// own characters, their separators and a few that have no place.
+    fn snapshot_bytes(rng: &mut proptest::TestRng, max: u64) -> Vec<u8> {
+        const ALPHABET: &[u8] = b"0123456789abcdefABCDEF model nvc-hub-cache v1\n\n\r\t+-.e\xff";
+        let len = rng.next_u64() % (max + 1);
+        (0..len)
+            .map(|_| ALPHABET[(rng.next_u64() % ALPHABET.len() as u64) as usize])
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        /// Whatever the bytes — random, or a valid snapshot with a few
+        /// bytes replaced, inserted or deleted — `parse` returns, and what
+        /// it accepts renders back to text that parses to the same
+        /// sections.
+        #[test]
+        fn parse_is_total(seed in 0u64..u64::MAX, mutations in 0usize..6) {
+            let mut rng = proptest::TestRng::for_test(&seed.to_string());
+            let mut bytes = if seed % 4 == 0 {
+                snapshot_bytes(&mut rng, 200)
+            } else {
+                let sections: Vec<CacheSection> = (0..rng.next_u64() % 4)
+                    .map(|i| CacheSection {
+                        model: format!("m{i}"),
+                        checkpoint_hash: rng.next_u64(),
+                        entries: (0..rng.next_u64() % 5)
+                            .map(|_| {
+                                let r = rng.next_u64();
+                                (rng.next_u64(), ((r % 9) as usize, (r >> 8) as usize % 5))
+                            })
+                            .collect(),
+                    })
+                    .collect();
+                to_string(&sections).into_bytes()
+            };
+            for _ in 0..mutations {
+                let at = (rng.next_u64() % (bytes.len() as u64 + 1)) as usize;
+                let with = snapshot_bytes(&mut rng, 2);
+                match rng.next_u64() % 3 {
+                    0 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    1 if at < bytes.len() && !with.is_empty() => bytes[at] = with[0],
+                    _ => bytes.splice(at..at, with).for_each(drop),
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            if let Ok(sections) = parse(&text) {
+                proptest::prop_assert_eq!(parse(&to_string(&sections)), Ok(sections));
+            }
+        }
     }
 }

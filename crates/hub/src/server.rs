@@ -801,18 +801,11 @@ mod tests {
 
         // The export verb itself carries the section.
         let export = roundtrip(warm.addr(), r#"{"op":"cache_export"}"#);
-        let sections = export.get("sections").unwrap().as_array().unwrap();
+        let snapshot = export.get("snapshot").unwrap().as_str().unwrap();
+        let sections = crate::persist::parse(snapshot).unwrap();
         assert_eq!(sections.len(), 1);
-        assert_eq!(
-            sections[0].get("checkpoint_hash").unwrap().as_str(),
-            Some("0000000000000007")
-        );
-        assert!(!sections[0]
-            .get("entries")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .is_empty());
+        assert_eq!(sections[0].checkpoint_hash, 7);
+        assert!(!sections[0].entries.is_empty());
 
         // A joining node with the same checkpoint absorbs it…
         let joiner = Hub::new(

@@ -724,37 +724,20 @@ impl ServeHandle {
 
     /// Seeds the store under this handle's checkpoint from a persisted
     /// snapshot or a peer's export (coldest first) and counts what it
-    /// added in `entries_restored` and `insertions`. A section that
-    /// [`ServeHandle::admits`] refuses is discarded whole and counted in
-    /// `entries_invalidated_by_version`. The caller is responsible for
-    /// version-checking the entries against the model's checkpoint hash
-    /// *before* restoring — a stale snapshot must go through
-    /// [`ServeHandle::record_invalidated_entries`] instead.
+    /// added in `entries_restored` and `insertions`. The caller admits
+    /// the entries first — computed under this checkpoint, every index
+    /// inside [`ServeHandle::space`] — as a hub's `absorb` does, so that a
+    /// cache hit can index the space unchecked.
     pub fn restore_cache(&self, entries: Vec<(u64, (usize, usize))>) -> usize {
-        if !self.admits(&entries) {
-            self.record_invalidated_entries(entries.len() as u64);
-            return 0;
-        }
         let n = self.inner.store.absorb(self.inner.checkpoint_hash, entries);
         self.inner.metrics.entries_restored.add(n as u64);
         self.inner.metrics.cache_insertions.add(n as u64);
         n
     }
 
-    /// True when every entry's `(vf_idx, if_idx)` indexes into this
-    /// handle's action space. Entries are checked where they enter the
-    /// store — here and in a hub's warm join — so that a cache hit can
-    /// index the space unchecked.
-    pub fn admits(&self, entries: &[(u64, (usize, usize))]) -> bool {
-        let space = &self.inner.space;
-        entries
-            .iter()
-            .all(|&(_, (vf, if_))| vf < space.vfs.len() && if_ < space.ifs.len())
-    }
-
-    /// Records `n` persisted cache entries that were discarded because
-    /// their snapshot was taken under a different checkpoint, or indexes
-    /// outside the action space.
+    /// Records `n` persisted or gossiped entries named after this model
+    /// that were not restored through it: computed under another
+    /// checkpoint, or with an index outside an action space.
     pub fn record_invalidated_entries(&self, n: u64) {
         self.inner.metrics.entries_invalidated_by_version.add(n);
     }

@@ -72,8 +72,6 @@ fn start_learning_hub(tag: &str, seed: u64) -> (NvConfig, HubHandle, String) {
         champion_checkpoint: champion_ckpt.to_string_lossy().into_owned(),
         challenger_checkpoint: challenger_ckpt.to_string_lossy().into_owned(),
         min_reports: 20,
-        canary_weight: 1,
-        z_threshold: 2.0,
         min_cohort: 6,
         interval_ms: 10,
     };
