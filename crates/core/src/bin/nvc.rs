@@ -406,8 +406,10 @@ fn cmd_hub(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         weights.push((name.to_string(), value));
     }
 
-    let loader = NeuroVectorizer::hub_loader(cfg.clone());
-    let mut hub = Hub::new(cfg.hub.clone(), cfg.serve.clone()).with_loader(loader);
+    // Start-up loads each model the way a `reload` does.
+    let load = NeuroVectorizer::hub_loader(cfg.clone());
+    let mut hub = Hub::new(cfg.hub.clone(), cfg.serve.clone())
+        .with_loader(NeuroVectorizer::hub_loader(cfg.clone()));
     if p.has("--learn") {
         // The champion is the first --model spec; its checkpoint file is
         // the fine-tune warm start.
@@ -444,10 +446,7 @@ fn cmd_hub(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         let (name, path) = spec
             .split_once('=')
             .ok_or_else(|| format!("--model wants NAME=CHECKPOINT, got `{spec}`"))?;
-        let ckpt = std::fs::read_to_string(path)?;
-        let mut nv = NeuroVectorizer::new(cfg.clone());
-        nv.restore(&ckpt)?;
-        let hash = nv.checkpoint_hash();
+        let (model, hash) = load(path)?;
         let weight = weights
             .iter()
             .find(|(n, _)| n == name)
@@ -456,7 +455,7 @@ fn cmd_hub(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             name: name.to_string(),
             weight,
             checkpoint_hash: hash,
-            model: Arc::new(nv),
+            model,
         })?;
         eprintln!(
             "nvc hub: registered `{name}` (weight {weight}, checkpoint {hash:016x}) from {path}"

@@ -35,8 +35,15 @@
 //! → {"op":"resolve","model":"prod"}
 //! ← {"ok":true,"nodes":[{"node":"n1","addr":"10.0.0.5:7199","age_ms":120,
 //!    "models":[…]}]}
-//! → {"op":"ping"} / {"op":"metrics"} / {"op":"shutdown"}   # as elsewhere
+//! → {"op":"stats"} (or "metrics")
+//! ← {"ok":true,"stats":{"uptime_us":…,"requests":…,"connections":…,
+//!    "active_connections":…,"announces":…,"resolves":…,"expirations":…,
+//!    "live_nodes":1,"nodes":[…]}}
+//! → {"op":"ping"} / {"op":"shutdown"}   # as elsewhere
 //! ```
+//!
+//! `stats` is the hub's envelope, with the hub's server-level members
+//! first: every server of the stack answers it alike.
 
 pub mod client;
 pub mod registry;

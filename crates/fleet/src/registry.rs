@@ -6,16 +6,15 @@
 //! sleeping; the TCP layer ([`crate::server`]) and convenience wrappers
 //! pass `Instant::now()`. Expiry is lazy: a node whose deadline has
 //! passed is pruned the next time anything looks at the table, and
-//! counted in `registry_expirations_total`.
+//! counted in `expirations`.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
 
 use nvc_obs::json::{obj, Json};
-use nvc_obs::{Counter, Gauge, MetricsRegistry};
+use nvc_obs::Counter;
 
 /// One model a node advertises: name, the exact checkpoint content hash
 /// it is serving, and its share of that node's A/B split.
@@ -211,35 +210,18 @@ struct NodeState {
 }
 
 /// The registry table: announcements keyed by node name, expired lazily.
+#[derive(Default)]
 pub struct RegistryCore {
     nodes: Mutex<HashMap<String, NodeState>>,
-    obs: Arc<MetricsRegistry>,
-    announces: Arc<Counter>,
-    resolves: Arc<Counter>,
-    expirations: Arc<Counter>,
-    live_nodes: Arc<Gauge>,
-}
-
-impl Default for RegistryCore {
-    fn default() -> Self {
-        let obs = Arc::new(MetricsRegistry::default());
-        RegistryCore {
-            nodes: Mutex::new(HashMap::new()),
-            announces: obs.counter("registry_announces_total"),
-            resolves: obs.counter("registry_resolves_total"),
-            expirations: obs.counter("registry_expirations_total"),
-            live_nodes: obs.gauge("registry_live_nodes"),
-            obs,
-        }
-    }
+    /// Announcements accepted.
+    pub(crate) announces: Counter,
+    /// Resolutions answered.
+    pub(crate) resolves: Counter,
+    /// Nodes pruned for a missed heartbeat.
+    pub(crate) expirations: Counter,
 }
 
 impl RegistryCore {
-    /// The registry's own instruments (Prometheus/JSON exposition).
-    pub fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
-        &self.obs
-    }
-
     /// Records (or refreshes) `ann` as of `now`. Returns the live node
     /// count after pruning.
     pub fn announce_at(&self, ann: NodeAnnouncement, now: Instant) -> usize {
@@ -311,7 +293,6 @@ impl RegistryCore {
         if expired > 0 {
             self.expirations.add(expired as u64);
         }
-        self.live_nodes.set(nodes.len() as i64);
     }
 }
 
@@ -352,11 +333,7 @@ mod tests {
         let nodes = core.resolve_at(None, later);
         assert_eq!(nodes.len(), 1);
         assert_eq!(nodes[0].node, "b");
-        let snap = core.metrics_registry().snapshot();
-        assert!(snap
-            .counters
-            .iter()
-            .any(|(n, v)| n == "registry_expirations_total" && *v == 1));
+        assert_eq!(core.expirations.get(), 1);
 
         // A heartbeat refreshes the deadline — the node lives past its
         // original TTL as long as it keeps announcing.

@@ -5,13 +5,17 @@
 //! this crate holds no listener.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
-use nvc_obs::json::{fail, with_id, Json};
-use nvc_obs::{Counter, Gauge, MetricsRegistry};
+use nvc_obs::json::{fail, obj, with_id, Json};
+use nvc_obs::{Counter, Gauge};
 
 use crate::registry::{NodeAnnouncement, RegistryCore, ResolvedNode};
+
+/// The wire list of `nodes`.
+fn nodes_json(nodes: &[ResolvedNode]) -> Json {
+    Json::Arr(nodes.iter().map(ResolvedNode::to_json).collect())
+}
 
 /// Protocol state for one registry process: the node table plus the
 /// daemon plumbing (uptime, request counting, shutdown flag).
@@ -19,22 +23,20 @@ pub struct RegistryService {
     core: RegistryCore,
     started: Instant,
     shutting_down: AtomicBool,
-    requests: Arc<Counter>,
-    connections: Arc<Counter>,
-    active_connections: Arc<Gauge>,
+    requests: Counter,
+    connections: Counter,
+    active_connections: Gauge,
 }
 
 impl Default for RegistryService {
     fn default() -> Self {
-        let core = RegistryCore::default();
-        let obs = core.metrics_registry();
         RegistryService {
+            core: RegistryCore::default(),
             started: Instant::now(),
             shutting_down: AtomicBool::new(false),
-            requests: obs.counter("registry_requests_total"),
-            connections: obs.counter("registry_connections_total"),
-            active_connections: obs.gauge("registry_active_connections"),
-            core,
+            requests: Counter::default(),
+            connections: Counter::default(),
+            active_connections: Gauge::default(),
         }
     }
 }
@@ -69,8 +71,6 @@ impl RegistryService {
             members.insert(0, ("ok", Json::from(true)));
             with_id(id, members)
         };
-        let nodes_json =
-            |nodes: &[ResolvedNode]| Json::Arr(nodes.iter().map(|n| n.to_json()).collect());
         match v.get("op").and_then(Json::as_str).unwrap_or("") {
             "announce" => match NodeAnnouncement::from_json(&v) {
                 Ok(ann) => {
@@ -83,25 +83,13 @@ impl RegistryService {
                 let nodes = self.core.resolve(v.get("model").and_then(Json::as_str));
                 (ok(vec![("nodes", nodes_json(&nodes))]), true)
             }
-            "nodes" | "stats" => {
-                let nodes = self.core.resolve(None);
-                let members = vec![
-                    ("uptime_secs", Json::from(self.started.elapsed().as_secs())),
-                    ("live_nodes", Json::from(nodes.len() as u64)),
-                    ("nodes", nodes_json(&nodes)),
-                ];
-                (ok(members), true)
-            }
+            "metrics" | "stats" | "nodes" => (ok(vec![("stats", self.stats_json())]), true),
             "ping" => {
                 let members = vec![
                     ("pong", Json::from(true)),
                     ("service", Json::from("nvc-registry")),
                 ];
                 (ok(members), true)
-            }
-            "metrics" => {
-                let snapshot = self.core.metrics_registry().snapshot();
-                (ok(vec![("metrics", snapshot.to_json())]), true)
             }
             "shutdown" => {
                 // Ack first; the caller closes after writing (mirrors
@@ -113,9 +101,29 @@ impl RegistryService {
         }
     }
 
-    /// The service's instruments.
-    pub fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
-        self.core.metrics_registry()
+    /// The `stats` object: the hub's server-level members (`uptime_us`,
+    /// `requests`, `connections`, `active_connections`), then the node
+    /// table's counters and its live nodes, freshest first.
+    fn stats_json(&self) -> Json {
+        let core = &self.core;
+        let nodes = core.resolve(None);
+        obj(vec![
+            (
+                "uptime_us",
+                Json::from(self.started.elapsed().as_micros() as u64),
+            ),
+            ("requests", Json::from(self.requests.get())),
+            ("connections", Json::from(self.connections.get())),
+            (
+                "active_connections",
+                Json::from(self.active_connections.get().max(0) as u64),
+            ),
+            ("announces", Json::from(core.announces.get())),
+            ("resolves", Json::from(core.resolves.get())),
+            ("expirations", Json::from(core.expirations.get())),
+            ("live_nodes", Json::from(nodes.len() as u64)),
+            ("nodes", nodes_json(&nodes)),
+        ])
     }
 
     /// Connections accepted since start (maintained by the TCP server).
@@ -156,10 +164,10 @@ mod tests {
                 "{line} → {resp}"
             );
         }
-        // The instruments render straight into the reply.
+        // The counters render straight into the reply.
         let (resp, _) = service.handle_line(r#"{"op":"metrics"}"#);
         let v = Json::parse(&resp).unwrap();
-        let requests = ["metrics", "counters", "registry_requests_total"]
+        let requests = ["stats", "requests"]
             .iter()
             .try_fold(&v, |v, k| v.get(k))
             .and_then(Json::as_f64);

@@ -35,7 +35,7 @@ use parking_lot::Mutex;
 
 use nvc_embed::PathSample;
 use nvc_obs::json::{obj, Json};
-use nvc_obs::{Counter, Journal, MetricsRegistry};
+use nvc_obs::{Counter, Journal};
 
 use crate::{Hub, HubError};
 
@@ -326,12 +326,12 @@ pub struct LearnState {
     /// promotion, restores on rollback).
     champion_path: Mutex<String>,
     rollback: Mutex<Option<RollbackGuard>>,
-    pub(crate) reports: Arc<Counter>,
-    pub(crate) report_errors: Arc<Counter>,
-    pub(crate) trains: Arc<Counter>,
-    pub(crate) promotions: Arc<Counter>,
-    pub(crate) demotions: Arc<Counter>,
-    pub(crate) rollbacks: Arc<Counter>,
+    pub(crate) reports: Counter,
+    pub(crate) report_errors: Counter,
+    pub(crate) trains: Counter,
+    pub(crate) promotions: Counter,
+    pub(crate) demotions: Counter,
+    pub(crate) rollbacks: Counter,
 }
 
 impl std::fmt::Debug for LearnState {
@@ -345,17 +345,12 @@ impl std::fmt::Debug for LearnState {
 
 impl LearnState {
     /// Opens (append-mode) the corpus journal and promotion log, replays
-    /// any existing journal lines into the in-memory corpus and cohorts,
-    /// and registers the `hub_learn_*` counters on `obs`.
+    /// any existing journal lines into the in-memory corpus and cohorts.
     ///
     /// # Errors
     ///
     /// [`HubError::Io`] when a journal cannot be opened.
-    pub fn new(
-        cfg: LearnConfig,
-        trainer: ChallengerTrainer,
-        obs: &MetricsRegistry,
-    ) -> Result<LearnState, HubError> {
+    pub fn new(cfg: LearnConfig, trainer: ChallengerTrainer) -> Result<LearnState, HubError> {
         // Replay before opening for append: the corpus must reflect
         // every line already on disk.
         let mut corpus = Vec::new();
@@ -404,12 +399,12 @@ impl LearnState {
             cohorts: Mutex::new(cohorts),
             trained_at: Mutex::new(0),
             rollback: Mutex::new(None),
-            reports: obs.counter("hub_learn_reports_total"),
-            report_errors: obs.counter("hub_learn_report_errors_total"),
-            trains: obs.counter("hub_learn_trains_total"),
-            promotions: obs.counter("hub_learn_promotions_total"),
-            demotions: obs.counter("hub_learn_demotions_total"),
-            rollbacks: obs.counter("hub_learn_rollbacks_total"),
+            reports: Counter::default(),
+            report_errors: Counter::default(),
+            trains: Counter::default(),
+            promotions: Counter::default(),
+            demotions: Counter::default(),
+            rollbacks: Counter::default(),
         })
     }
 

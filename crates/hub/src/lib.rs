@@ -83,7 +83,7 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
 use nvc_obs::json::{fail, obj, with_id, Json, ObjectWriter};
-use nvc_obs::{Counter, Gauge, MetricsRegistry};
+use nvc_obs::{Counter, Gauge};
 use nvc_serve::{ContentStore, DecisionModel, ServeConfig, VectorizeOutput};
 
 pub use announce::{spawn_announcer, AnnounceConfig, Announcer};
@@ -154,8 +154,8 @@ impl HubConfig {
 pub enum HubError {
     /// A request named a model the registry does not hold.
     UnknownModel(String),
-    /// A model name the snapshot format or a Prometheus label cannot
-    /// carry (empty, or containing whitespace, `"` or `\`).
+    /// A model name that is not one plain token (empty, or containing
+    /// whitespace, `"` or `\`).
     BadModelName(String),
     /// Registering under a name that is already taken.
     DuplicateModel(String),
@@ -278,36 +278,33 @@ pub struct Hub {
     cfg: HubConfig,
     loader: Option<CheckpointLoader>,
     started: Instant,
-    /// Hub-level instruments (`hub_*` names) live here; each model's
-    /// `serve_*` instruments live in its own handle's registry.
-    obs: Arc<MetricsRegistry>,
     /// Protocol requests handled (all verbs, all connections).
-    requests: Arc<Counter>,
+    requests: Counter,
     /// Lines the TCP server's selector thread answered itself: `ping`,
     /// all-hit `vectorize`, and anything refused before it reached a
     /// model.
-    lines_on_selector: Arc<Counter>,
+    lines_on_selector: Counter,
     /// `vectorize` lines with misses, begun on the selector and
     /// completed by the batch worker that ran their forward.
-    lines_by_batch_worker: Arc<Counter>,
+    lines_by_batch_worker: Counter,
     /// Lines handed to a request worker: a verb that may block, a line
     /// over [`INLINE_LINE_MAX`], a full miss queue.
-    lines_to_request_worker: Arc<Counter>,
+    lines_to_request_worker: Counter,
     /// Models with misses queued and not yet woken: the selector begins
     /// every line of a wake-up before [`Hub::wake_batchers`] lets the
     /// batch workers at them, so lines that arrived together ride one
     /// forward.
     owed_wakes: parking_lot::Mutex<Vec<Arc<ModelEntry>>>,
     /// Connections accepted since start (maintained by the TCP layer).
-    pub(crate) connections: Arc<Counter>,
+    pub(crate) connections: Counter,
     /// Connections currently open (maintained by the TCP layer).
-    pub(crate) active_connections: Arc<Gauge>,
+    pub(crate) active_connections: Gauge,
     /// Background cache checkpoints written (the periodic persister).
-    pub(crate) cache_checkpoints: Arc<Counter>,
+    pub(crate) cache_checkpoints: Counter,
     /// Successful warm-join transfers pulled from peers.
-    transfers: Arc<Counter>,
+    transfers: Counter,
     /// Cache entries absorbed across all warm-join transfers.
-    transfer_entries: Arc<Counter>,
+    transfer_entries: Counter,
     /// The online-learning loop's state, when enabled
     /// ([`Hub::with_learning`]).
     learn: Option<Arc<learn::LearnState>>,
@@ -327,26 +324,24 @@ impl Hub {
     /// `serve_cfg.cache_shards` shards, for all models together.
     pub fn new(cfg: HubConfig, serve_cfg: ServeConfig) -> Self {
         nvc_obs::init_from_env();
-        let obs = Arc::new(MetricsRegistry::default());
         let store = ContentStore::new(serve_cfg.cache_capacity, serve_cfg.cache_shards);
         Hub {
             registry: ModelRegistry::new(serve_cfg, Arc::new(store)),
             cfg,
             loader: None,
             started: Instant::now(),
-            requests: obs.counter("hub_requests_total"),
-            lines_on_selector: obs.counter("hub_lines_answered_on_selector_total"),
-            lines_by_batch_worker: obs.counter("hub_lines_completed_by_batch_worker_total"),
-            lines_to_request_worker: obs.counter("hub_lines_handed_to_request_worker_total"),
+            requests: Counter::default(),
+            lines_on_selector: Counter::default(),
+            lines_by_batch_worker: Counter::default(),
+            lines_to_request_worker: Counter::default(),
             owed_wakes: parking_lot::Mutex::new(Vec::new()),
-            connections: obs.counter("hub_connections_total"),
-            active_connections: obs.gauge("hub_active_connections"),
-            cache_checkpoints: obs.counter("hub_cache_checkpoints_total"),
-            transfers: obs.counter("hub_transfers_total"),
-            transfer_entries: obs.counter("hub_transfer_entries_total"),
+            connections: Counter::default(),
+            active_connections: Gauge::default(),
+            cache_checkpoints: Counter::default(),
+            transfers: Counter::default(),
+            transfer_entries: Counter::default(),
             learn: None,
             persist_lock: parking_lot::Mutex::new(()),
-            obs,
             shutting_down: AtomicBool::new(false),
             drained: AtomicBool::new(false),
         }
@@ -388,7 +383,7 @@ impl Hub {
         trainer: learn::ChallengerTrainer,
     ) -> Result<Self, HubError> {
         cfg.validate().map_err(HubError::Learn)?;
-        let state = learn::LearnState::new(cfg, trainer, &self.obs)?;
+        let state = learn::LearnState::new(cfg, trainer)?;
         self.learn = Some(Arc::new(state));
         Ok(self)
     }
@@ -653,27 +648,6 @@ impl Hub {
             ),
             ("models", Json::Obj(models)),
         ])
-    }
-
-    /// Prometheus text exposition, one document: hub-level instruments
-    /// unlabeled and each model's serve instruments labeled
-    /// `model="name"`, rendered per metric family (the models share
-    /// instrument names, and a family takes one `TYPE` line with all its
-    /// samples after it), then the process-wide kernel instruments once,
-    /// with no `model` label to double-count them over.
-    pub fn render_prometheus(&self) -> String {
-        let hub = self.obs.snapshot();
-        let entries = self.registry.entries();
-        let models: Vec<(String, nvc_obs::RegistrySnapshot)> = entries
-            .iter()
-            .map(|e| (format!("model=\"{}\"", e.name), e.handle.metrics_snapshot()))
-            .collect();
-        let sets: Vec<(&str, &nvc_obs::RegistrySnapshot)> = std::iter::once(("", &hub))
-            .chain(models.iter().map(|(labels, snap)| (labels.as_str(), snap)))
-            .collect();
-        let mut out = nvc_obs::RegistrySnapshot::render_prometheus(&sets);
-        out.push_str(&nvc_serve::service::render_ops_prometheus(""));
-        out
     }
 
     /// Handles one protocol line; returns the response line and whether
@@ -1260,8 +1234,7 @@ void f(int n) {
         assert_eq!(stats.get("active_connections").unwrap().as_f64(), Some(0.0));
         assert_eq!(m.get("in_flight").unwrap().as_f64(), Some(0.0));
         // Which path answered a line (all zero here: nothing came over
-        // TCP), and each model's batch formation, under the same names in
-        // the Prometheus text.
+        // TCP), and each model's batch formation.
         let lines = stats.get("lines").unwrap();
         for path in [
             "answered_on_selector",
@@ -1276,17 +1249,6 @@ void f(int n) {
         // The projected-row memo's size is always reported, per model.
         let counters = m.get("op_counters").unwrap();
         assert!(counters.get("embed_memo_bytes").unwrap().as_f64().is_some());
-        let text = hub.render_prometheus();
-        for name in [
-            "hub_lines_answered_on_selector_total 0",
-            "hub_lines_completed_by_batch_worker_total 0",
-            "hub_lines_handed_to_request_worker_total 0",
-            "serve_batch_queue_depth{model=\"m\"} 0",
-            "serve_batch_size_count{model=\"m\"} 0",
-            "nvc_embed_memo_bytes{kernel_mode=",
-        ] {
-            assert!(text.contains(name), "exposition lacks `{name}`:\n{text}");
-        }
 
         let (resp, keep) = hub.handle_line(r#"{"op":"explode","id":"x"}"#);
         assert!(keep);
@@ -1332,47 +1294,6 @@ void f(int n) {
         // Unparsable lines genuinely have no id to echo.
         let (resp, _) = hub.handle_line("not json");
         assert!(Json::parse(&resp).unwrap().get("id").is_none());
-    }
-
-    /// With two models the exposition is still one valid document: every
-    /// family declared once with all its samples right after, and the
-    /// process-wide instruments there once, not once per model.
-    #[test]
-    fn two_model_exposition_declares_each_family_once() {
-        let hub = hub_with(&[("a", 1, 0), ("b", 1, 3)]);
-        let text = hub.render_prometheus();
-        let mut declared = std::collections::HashSet::new();
-        let mut family = "";
-        for line in text.lines() {
-            if let Some(decl) = line.strip_prefix("# TYPE ") {
-                family = decl.split(' ').next().unwrap();
-                assert!(declared.insert(family), "second `{line}`:\n{text}");
-                continue;
-            }
-            let name = line.split(['{', ' ']).next().unwrap();
-            let member = name
-                .strip_prefix(family)
-                .is_some_and(|suffix| matches!(suffix, "" | "_bucket" | "_sum" | "_count"));
-            assert!(
-                member,
-                "`{line}` is not under its family's TYPE line:\n{text}"
-            );
-        }
-        for per_model in ["serve_requests_total", "serve_batch_queue_depth"] {
-            for model in ["a", "b"] {
-                let sample = format!("{per_model}{{model=\"{model}\"}} ");
-                assert!(
-                    text.contains(&sample),
-                    "exposition lacks `{sample}`:\n{text}"
-                );
-            }
-        }
-        let memo: Vec<&str> = text
-            .lines()
-            .filter(|l| l.starts_with("nvc_embed_memo_bytes"))
-            .collect();
-        assert_eq!(memo.len(), 1, "{memo:?}");
-        assert!(memo[0].starts_with("nvc_embed_memo_bytes{kernel_mode="));
     }
 
     #[test]
@@ -1557,9 +1478,9 @@ void f(int n) {
             Some(true),
             "restored entry must serve as a hit"
         );
-        let m = hub2.registry().get("m").unwrap().handle.metrics();
-        assert!(m.entries_restored > 0);
-        assert_eq!(m.entries_invalidated_by_version, 0);
+        let (restored, invalidated) = persisted_counts(&hub2, "m");
+        assert!(restored > 0);
+        assert_eq!(invalidated, 0);
         drop(hub2);
 
         // Different checkpoint (tag 1 → different hash): entries are
@@ -1574,11 +1495,21 @@ void f(int n) {
             Some(false),
             "stale snapshot must not serve"
         );
-        let m = hub3.registry().get("m").unwrap().handle.metrics();
-        assert_eq!(m.entries_restored, 0);
-        assert!(m.entries_invalidated_by_version > 0);
+        let (restored, invalidated) = persisted_counts(&hub3, "m");
+        assert_eq!(restored, 0);
+        assert!(invalidated > 0);
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Model `name`'s `(entries_restored, entries_invalidated_by_version)`.
+    fn persisted_counts(hub: &Hub, name: &str) -> (u64, u64) {
+        let m = hub.registry().get(name).unwrap();
+        let m = m.handle.metrics();
+        (
+            m.entries_restored.get(),
+            m.entries_invalidated_by_version.get(),
+        )
     }
 
     /// The sample key of `SRC`'s one loop under model `m` (tag 0).
@@ -1608,11 +1539,7 @@ void f(int n) {
         let req = obj(vec![("source", Json::from(SRC))]).render();
         let v = Json::parse(&hub.handle_line(&req).0).unwrap();
         assert_eq!(cached_flags(&v), [false]);
-        let m = hub.registry().get("m").unwrap().handle.metrics();
-        assert_eq!(
-            (m.entries_restored, m.entries_invalidated_by_version),
-            (0, 1)
-        );
+        assert_eq!(persisted_counts(&hub, "m"), (0, 1));
         drop(hub);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1665,20 +1592,12 @@ void f(int n) {
         for _ in 0..3 {
             assert!(hub.warm_from_peers(std::slice::from_ref(&peer)).is_err());
         }
-        let m = hub.registry().get("m").unwrap().handle.metrics();
-        assert_eq!(
-            (m.entries_restored, m.entries_invalidated_by_version),
-            (0, 0)
-        );
+        assert_eq!(persisted_counts(&hub, "m"), (0, 0));
         assert_eq!(hub.warm_from_peers(std::slice::from_ref(&peer)).unwrap(), 0);
         assert_eq!(hub.warm_from_peers(&[peer]).unwrap(), 1);
         fake.join().unwrap();
         assert_eq!(hub.registry().store().len(), 1, "only the sane section");
-        let m = hub.registry().get("m").unwrap().handle.metrics();
-        assert_eq!(
-            (m.entries_restored, m.entries_invalidated_by_version),
-            (1, 1)
-        );
+        assert_eq!(persisted_counts(&hub, "m"), (1, 1));
         let req = obj(vec![("source", Json::from(SRC))]).render();
         let v = Json::parse(&hub.handle_line(&req).0).unwrap();
         assert_eq!(cached_flags(&v), [true]);
@@ -1775,12 +1694,9 @@ void f(int n) {
         assert_eq!(b.registry().store().entries_for(0), image[0].entries);
         assert_eq!(b.registry().store().entries_for(5), image[1].entries);
         assert!(b.registry().store().entries_for(9).is_empty());
-        let counts = |hub: &Hub, name: &str| {
-            let m = hub.registry().get(name).unwrap().handle.metrics();
-            (m.entries_restored, m.entries_invalidated_by_version)
-        };
         for (name, want) in [("m", (5, 0)), ("old", (0, 3))] {
-            assert_eq!((counts(&b, name), counts(&c, name)), (want, want), "{name}");
+            let counts = (persisted_counts(&b, name), persisted_counts(&c, name));
+            assert_eq!(counts, (want, want), "{name}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1983,7 +1899,7 @@ void f(int n) {
         // the new checkpoint in the background.
         let entry = hub.registry().get("m").unwrap();
         let deadline = Instant::now() + std::time::Duration::from_secs(5);
-        while entry.handle.metrics().warmup_replayed == 0 {
+        while entry.handle.metrics().warmup_replayed.get() == 0 {
             assert!(Instant::now() < deadline, "warmup never replayed");
             std::thread::sleep(std::time::Duration::from_millis(10));
         }

@@ -88,10 +88,11 @@ impl ModelRegistry {
     }
 
     fn start_entry(&self, spec: ModelSpec) -> Result<Arc<ModelEntry>, HubError> {
-        // The persistence format is whitespace-delimited and the name is
-        // spliced into Prometheus label values, so a name either cannot
-        // carry must be rejected at registration — not discovered as a
-        // corrupt cache file on the next restart or a broken exposition.
+        // A name must be one plain token: no whitespace, since the
+        // persistence format is whitespace-delimited, and no `"` or `\`,
+        // so it is written unescaped wherever it appears. Any other name
+        // is rejected at registration — not discovered as a corrupt
+        // cache file on the next restart.
         let unsafe_char = |c: char| c.is_whitespace() || c == '"' || c == '\\';
         if spec.name.is_empty() || spec.name.chars().any(unsafe_char) {
             return Err(HubError::BadModelName(spec.name));

@@ -364,6 +364,43 @@ mod tests {
             .contains("#pragma clang loop"));
     }
 
+    /// Every server — a hub over TCP, `nvc serve`'s hub over a byte
+    /// stream, a registry — answers `metrics` and `stats` alike: one
+    /// `{"ok":true,"stats":{…}}` envelope with the server-level members
+    /// in it.
+    #[test]
+    fn every_server_answers_metrics_and_stats_in_one_envelope() {
+        let verbs = ["metrics", "stats"];
+        let request = |verb: &str| format!(r#"{{"op":"{verb}"}}"#);
+        let stdio = Hub::new(HubConfig::default(), ServeConfig::default().with_workers(1));
+        stdio.register(stub_spec("default", 1, 0)).unwrap();
+        let input = verbs.map(|verb| request(verb) + "\n").concat();
+        let mut out = Vec::new();
+        crate::serve_stdio(&stdio, input.as_bytes(), &mut out).unwrap();
+        let out = String::from_utf8(out).unwrap();
+        let mut answers: Vec<(String, Json)> = verbs
+            .iter()
+            .zip(out.lines())
+            .map(|(verb, line)| (format!("nvc serve {verb}"), Json::parse(line).unwrap()))
+            .collect();
+        let (hub, registry) = (start(&[("m", 1, 0)]), start_registry());
+        for (server, addr) in [("hub", hub.addr()), ("registry", registry.addr())] {
+            for verb in verbs {
+                answers.push((format!("{server} {verb}"), roundtrip(addr, &request(verb))));
+            }
+        }
+        for (what, v) in &answers {
+            assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{what}");
+            let stats = v
+                .get("stats")
+                .unwrap_or_else(|| panic!("{what}: no `stats` in {}", v.render()));
+            for member in ["uptime_us", "requests", "connections", "active_connections"] {
+                let n = stats.get(member).and_then(Json::as_f64);
+                assert!(n.is_some(), "{what}: no numeric stats.{member}");
+            }
+        }
+    }
+
     /// What the transport cases need from a running service of either
     /// kind.
     trait Served {
@@ -625,14 +662,6 @@ mod tests {
             hub.stats_json().get("requests").unwrap().as_f64(),
             Some(6.0)
         );
-        let text = hub.render_prometheus();
-        for line in [
-            "hub_lines_answered_on_selector_total 3",
-            "hub_lines_completed_by_batch_worker_total 1",
-            "hub_lines_handed_to_request_worker_total 2",
-        ] {
-            assert!(text.contains(line), "exposition lacks `{line}`:\n{text}");
-        }
     }
 
     /// Holds a thread at a known point: [`Gate::pass`] reports that it
@@ -977,10 +1006,14 @@ mod tests {
                 &announcement("n1", 60_000).to_json().render(),
             );
             let v = roundtrip(handle.addr(), r#"{"op":"stats"}"#);
-            assert_eq!(v.get("live_nodes").unwrap().as_f64(), Some(1.0));
+            let stats = v.get("stats").unwrap();
+            assert_eq!(stats.get("live_nodes").unwrap().as_f64(), Some(1.0));
+            assert_eq!(stats.get("announces").unwrap().as_f64(), Some(1.0));
 
             let v = roundtrip(handle.addr(), r#"{"op":"metrics"}"#);
             assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
+            let requests = v.get("stats").unwrap().get("requests").unwrap();
+            assert_eq!(requests.as_f64(), Some(4.0), "this one included");
 
             let v = roundtrip(handle.addr(), "not json at all");
             assert_eq!(v.get("ok").unwrap().as_bool(), Some(false));

@@ -225,7 +225,6 @@ enum Op {
     AddScalar(NodeId, f32),
     Clamp(NodeId, f32, f32),
     Tanh(NodeId),
-    Relu(NodeId),
     Exp(NodeId),
     Ln(NodeId),
     SoftmaxRows(NodeId),
@@ -583,12 +582,6 @@ impl<'s> Graph<'s> {
         self.push(Op::Tanh(a), v)
     }
 
-    /// Rectified linear unit.
-    pub fn relu(&mut self, a: NodeId) -> NodeId {
-        let v = self.unary_value(a, |x| x.max(0.0));
-        self.push(Op::Relu(a), v)
-    }
-
     /// Elementwise exponential.
     pub fn exp(&mut self, a: NodeId) -> NodeId {
         let v = self.unary_value(a, f32::exp);
@@ -883,7 +876,6 @@ impl<'s> Graph<'s> {
                 | Op::AddScalar(..)
                 | Op::Clamp(..)
                 | Op::Tanh(_)
-                | Op::Relu(_)
                 | Op::Exp(_)
                 | Op::Ln(_) => Some(nvc_obs::Op::Elementwise),
                 _ => None,
@@ -1022,11 +1014,6 @@ impl<'s> Graph<'s> {
                 Op::Tanh(a) => {
                     let mut da = self.dup(&g);
                     da.zip_inplace(&self.values[i], |gd, y| gd * (1.0 - y * y));
-                    self.accum(a, da);
-                }
-                Op::Relu(a) => {
-                    let mut da = self.dup(&g);
-                    da.zip_inplace(&self.values[a.0], |gd, x| if x > 0.0 { gd } else { 0.0 });
                     self.accum(a, da);
                 }
                 Op::Exp(a) => {
@@ -2017,13 +2004,12 @@ mod tests {
     }
 
     #[test]
-    fn grad_tanh_relu_exp_ln() {
+    fn grad_tanh_exp_ln() {
         grad_check(
             (2, 3),
             |g, p| {
                 let t = g.tanh(p);
-                let r = g.relu(t);
-                let e = g.exp(r);
+                let e = g.exp(t);
                 let pos = g.add_scalar(e, 1.0);
                 let l = g.ln(pos);
                 g.sum_all(l)

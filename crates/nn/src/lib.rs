@@ -23,7 +23,7 @@
 //!   call;
 //! * [`Graph`] — a tape of operations supporting `matmul`, a fused
 //!   `linear` (matmul + bias broadcast in one node), broadcasting adds,
-//!   `tanh`/`relu`/`exp`/`ln`, row softmax / log-softmax, embedding
+//!   `tanh`/`exp`/`ln`, row softmax / log-softmax, embedding
 //!   `gather` (including direct-from-store parameter gathers),
 //!   concatenation, elementwise arithmetic, clipping, minimum, per-row
 //!   selection, and reductions — everything PPO over an attention-based

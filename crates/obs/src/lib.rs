@@ -10,9 +10,9 @@
 //! * [`json`] — the stack's one JSON reader/writer ([`Json`]): every line
 //!   a server, the tracer or the trainer emits is built through it, and
 //!   [`json::with_id`] / [`json::fail`] are the protocol reply shapes;
-//! * [`metrics`] — named [`Counter`]s, [`Gauge`]s, and log₂-bucketed
-//!   [`LatencyHistogram`]s behind a [`MetricsRegistry`], with Prometheus
-//!   text exposition and a snapshot that renders itself as [`Json`]. The
+//! * [`metrics`] — [`Counter`]s, [`Gauge`]s, and log₂-bucketed
+//!   [`LatencyHistogram`]s, held as plain fields by the server, model
+//!   handle or learner they count and rendered by its `stats`. The
 //!   histogram interpolates within buckets, so quantiles are tighter than
 //!   the power-of-2 upper bound;
 //! * [`trace`] — per-request trace ids and scoped spans recorded into a
@@ -33,9 +33,8 @@
 //! Everything here is safe to hammer from any thread. Counters, gauges,
 //! histograms, and op timers are plain relaxed atomics. The trace ring
 //! uses a seqlock per slot: writers never block, readers detect and skip
-//! torn slots. The only mutexes are in the registry's name table (touched
-//! at registration, not on the hot path) and the journal (coarse, low
-//! frequency).
+//! torn slots. The only mutexes guard the journal and the trace sink
+//! (coarse, low frequency).
 
 pub mod fnv;
 pub mod journal;
@@ -47,9 +46,7 @@ pub mod trace;
 pub use fnv::Fnv1a;
 pub use journal::Journal;
 pub use json::Json;
-pub use metrics::{
-    Counter, Gauge, HistogramSnapshot, LatencyHistogram, MetricsRegistry, RegistrySnapshot,
-};
+pub use metrics::{Counter, Gauge, LatencyHistogram};
 pub use ops::{
     embed_memo_bytes, embed_memo_grew, embed_memo_shrank, embed_rows_snapshot, ops_enabled,
     ops_snapshot, record_embed_rows, reset_ops, set_ops_enabled, time_op, EmbedRows, Op, OpProfile,

@@ -453,8 +453,10 @@ mod tests {
         let (model, metrics) = pool.stop();
         assert_eq!(model.calls.load(Ordering::Relaxed), 1);
         assert_eq!(model.largest_batch.load(Ordering::Relaxed), 40);
-        let m = metrics.snapshot();
-        assert_eq!((m.batches, m.batched_loops), (1, 40));
+        assert_eq!(
+            (metrics.batches.get(), metrics.batched_loops.get()),
+            (1, 40)
+        );
     }
 
     #[test]
@@ -484,7 +486,7 @@ mod tests {
             assert!(answer(rx).is_ok());
         }
         let (_, metrics) = pool.stop();
-        assert_eq!(metrics.snapshot().batched_loops, 20);
+        assert_eq!(metrics.batched_loops.get(), 20);
     }
 
     #[test]
@@ -515,9 +517,8 @@ mod tests {
         pool.batcher.wake();
         assert_eq!(answer(&next), Ok((2, 1)));
         let (_, metrics) = pool.stop(); // joins: the worker is still there
-        let m = metrics.snapshot();
-        assert_eq!(m.failed_batches, 1);
-        assert_eq!((m.batches, m.batched_loops), (1, 1));
+        assert_eq!(metrics.failed_batches.get(), 1);
+        assert_eq!((metrics.batches.get(), metrics.batched_loops.get()), (1, 1));
     }
 
     #[test]
@@ -534,7 +535,7 @@ mod tests {
             assert!(matches!(answer(rx), Err(ServeError::Model(_))));
         }
         let (_, metrics) = pool.stop();
-        assert_eq!(metrics.snapshot().failed_batches, 1);
+        assert_eq!(metrics.failed_batches.get(), 1);
 
         // A queue dropped with jobs in it (no worker ever ran) and a
         // submit after stop both answer ShuttingDown.

@@ -17,8 +17,8 @@
 //!   queue, configurable batch size, no flush timer: a batch is what its
 //!   callers submitted before they woke the workers, plus what arrived
 //!   during the previous forward);
-//! * [`metrics`] — requests served, cache hit rate, p50/p99 latency
-//!   histograms, per-shard occupancy — exported as JSON;
+//! * [`metrics`] — the handle's counters and latency / batch-size
+//!   histograms as plain fields, read by [`ServeHandle::stats_json`];
 //! * [`service`] — the in-process [`ServeHandle`] API. A request's life
 //!   is non-blocking: [`ServeHandle::begin_vectorize`] answers a cache hit
 //!   on the caller's thread and lets a batch worker complete a miss;
@@ -73,7 +73,7 @@ use nvc_machine::TargetConfig;
 use nvc_obs::fnv::{Fnv1a, Step};
 
 pub use cache::{CacheStats, ContentStore, ShardedLruCache};
-pub use metrics::{LatencyHistogram, Metrics, MetricsSnapshot};
+pub use metrics::{LatencyHistogram, Metrics};
 /// Kept only because `bench/` compiles against `nvc_serve::Json` and
 /// `nvc_serve::json::obj`; the crates use `nvc_obs::json`.
 pub use nvc_obs::json::{self, Json};

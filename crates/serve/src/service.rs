@@ -17,7 +17,7 @@ use nvc_vectorizer::ActionSpace;
 
 use crate::batch::{Batcher, Completion};
 use crate::cache::{CacheStats, ContentStore};
-use crate::metrics::{Metrics, MetricsSnapshot};
+use crate::metrics::Metrics;
 use crate::{sample_key, DecisionModel, ServeConfig, SharedDecisionStore};
 
 /// How long a blocking caller waits for the batch workers before giving
@@ -117,6 +117,8 @@ struct Inner {
     checkpoint_hash: u64,
     batcher: Batcher,
     metrics: Metrics,
+    /// When this handle started (drives `uptime_us`).
+    started: Instant,
     /// Single-flight registry: keys whose decision is being computed
     /// right now, with the completion of every request waiting on them
     /// (the leader's — the one that queued the sample — first).
@@ -373,6 +375,7 @@ impl ServeHandle {
             checkpoint_hash,
             batcher: Batcher::new(batch_size, QUEUE_CAPACITY),
             metrics: Metrics::default(),
+            started: Instant::now(),
             inflight: Mutex::new(HashMap::new()),
             warm: Mutex::new(HashMap::new()),
             replay_window: (QUEUE_CAPACITY / 2 / batch_size).max(1) * batch_size,
@@ -581,17 +584,9 @@ impl ServeHandle {
         })?
     }
 
-    /// Point-in-time service counters.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.sample_queue_depth();
-        self.inner.metrics.snapshot()
-    }
-
-    /// The queue-depth gauge is sampled when somebody reads it, not
-    /// maintained on the submit path.
-    fn sample_queue_depth(&self) {
-        let depth = self.inner.batcher.queued();
-        self.inner.metrics.queue_depth.set(depth as i64);
+    /// The handle's live instruments.
+    pub fn metrics(&self) -> &Metrics {
+        &self.inner.metrics
     }
 
     /// Point-in-time cache counters: this handle's hits, misses and
@@ -608,24 +603,29 @@ impl ServeHandle {
 
     /// The full introspection surface as one JSON object.
     pub fn stats_json(&self) -> Json {
-        let m = self.metrics();
+        let m = &self.inner.metrics;
         let c = self.cache_stats();
-        let (latency, batch_sizes) = (
-            self.inner.metrics.latency.snapshot(),
-            self.inner.metrics.batch_sizes.snapshot(),
-        );
+        let (batches, batched_loops) = (m.batches.get(), m.batched_loops.get());
+        let mean_batch = if batches == 0 {
+            0.0
+        } else {
+            batched_loops as f64 / batches as f64
+        };
         let ops = nvc_obs::OpProfile::now();
         obj(vec![
-            ("uptime_us", Json::from(m.uptime_us)),
+            (
+                "uptime_us",
+                Json::from(self.inner.started.elapsed().as_micros() as u64),
+            ),
             (
                 "kernel_mode",
                 Json::from(nvc_nn::kernels::kernel_mode().name()),
             ),
             ("kernel_isa", Json::from(nvc_nn::kernels::kernel_isa())),
-            ("requests", Json::from(m.requests)),
-            ("errors", Json::from(m.errors)),
-            ("loops_served", Json::from(m.loops_served)),
-            ("warmup_replayed", Json::from(m.warmup_replayed)),
+            ("requests", Json::from(m.requests.get())),
+            ("errors", Json::from(m.errors.get())),
+            ("loops_served", Json::from(m.loops_served.get())),
+            ("warmup_replayed", Json::from(m.warmup_replayed.get())),
             (
                 "cache",
                 obj(vec![
@@ -637,10 +637,10 @@ impl ServeHandle {
                     ("entries", Json::from(c.len())),
                     ("shards", Json::from(c.occupancy.len())),
                     ("shard_capacity", Json::from(c.shard_capacity)),
-                    ("entries_restored", Json::from(m.entries_restored)),
+                    ("entries_restored", Json::from(m.entries_restored.get())),
                     (
                         "entries_invalidated_by_version",
-                        Json::from(m.entries_invalidated_by_version),
+                        Json::from(m.entries_invalidated_by_version.get()),
                     ),
                     (
                         "occupancy",
@@ -651,23 +651,26 @@ impl ServeHandle {
             (
                 "batch",
                 obj(vec![
-                    ("batches", Json::from(m.batches)),
-                    ("batched_loops", Json::from(m.batched_loops)),
-                    ("failed_batches", Json::from(m.failed_batches)),
-                    ("dedup_waits", Json::from(m.dedup_waits)),
-                    ("queue_depth", Json::from(m.queue_depth)),
-                    ("mean_batch", Json::from(m.mean_batch)),
-                    ("size_histogram", batch_sizes.buckets_json()),
+                    ("batches", Json::from(batches)),
+                    ("batched_loops", Json::from(batched_loops)),
+                    ("failed_batches", Json::from(m.failed_batches.get())),
+                    ("dedup_waits", Json::from(m.dedup_waits.get())),
+                    (
+                        "queue_depth",
+                        Json::from(self.inner.batcher.queued() as u64),
+                    ),
+                    ("mean_batch", Json::from(mean_batch)),
+                    ("size_histogram", m.batch_sizes.buckets_json()),
                 ]),
             ),
             (
                 "latency",
                 obj(vec![
-                    ("count", Json::from(latency.count)),
-                    ("mean_us", Json::from(latency.mean_us)),
-                    ("p50_us", Json::from(latency.p50_us)),
-                    ("p99_us", Json::from(latency.p99_us)),
-                    ("histogram_us", latency.buckets_json()),
+                    ("count", Json::from(m.latency.count())),
+                    ("mean_us", Json::from(m.latency.mean_us())),
+                    ("p50_us", Json::from(m.latency.quantile_us(0.50))),
+                    ("p99_us", Json::from(m.latency.quantile_us(0.99))),
+                    ("histogram_us", m.latency.buckets_json()),
                 ]),
             ),
             ("ops", ops.ops_json()),
@@ -679,25 +682,6 @@ impl ServeHandle {
                 ops.counters_json(&[("embed_memo_bytes", nvc_obs::embed_memo_bytes())]),
             ),
         ])
-    }
-
-    /// Prometheus text exposition of this service's metrics registry,
-    /// followed by the kernel op timers (each op sample labelled with the
-    /// active `kernel_mode` so dashboards can split strict vs fast
-    /// traffic). `labels` is spliced into every sample (`""` for none).
-    pub fn render_prometheus(&self, labels: &str) -> String {
-        let mut out =
-            nvc_obs::RegistrySnapshot::render_prometheus(&[(labels, &self.metrics_snapshot())]);
-        out.push_str(&render_ops_prometheus(labels));
-        out
-    }
-
-    /// A copy of this handle's own instruments (queue depth sampled now) —
-    /// what a server of several handles renders together, per family,
-    /// beside one [`render_ops_prometheus`].
-    pub fn metrics_snapshot(&self) -> nvc_obs::RegistrySnapshot {
-        self.sample_queue_depth();
-        self.inner.metrics.registry().snapshot()
     }
 
     /// Stops the worker pool, letting in-flight batches complete (the
@@ -813,60 +797,6 @@ impl Drop for ServeHandle {
     }
 }
 
-/// Prometheus exposition of the kernel op timers, then the encoder's
-/// work counters (`nvc_embed_context_rows_total` /
-/// `nvc_embed_projected_rows_total`, once either has moved), then the
-/// `nvc_embed_memo_bytes` gauge. Timers and counters mirror
-/// [`nvc_obs::OpProfile::ops_json`]'s filter (only ops that ran; none
-/// while `NVC_OPS` is off); the gauge is always there. `labels` is spliced in front of the
-/// per-sample label set the same way the metrics registry does. All of
-/// it is **process-wide** — every handle in the process would render the
-/// same numbers — so a server of several handles emits it once.
-pub fn render_ops_prometheus(labels: &str) -> String {
-    use std::fmt::Write as _;
-    let snap: Vec<_> = nvc_obs::ops_snapshot()
-        .into_iter()
-        .filter(|s| s.calls > 0)
-        .collect();
-    let sep = if labels.is_empty() { "" } else { "," };
-    let mode = format!("kernel_mode=\"{}\"", nvc_nn::kernels::kernel_mode().name());
-    let set = |op: &str| format!("{labels}{sep}op=\"{op}\",{mode}");
-    let mut out = String::new();
-    if !snap.is_empty() {
-        out.push_str("# TYPE nvc_kernel_op_calls_total counter\n");
-        for s in &snap {
-            let _ = writeln!(
-                out,
-                "nvc_kernel_op_calls_total{{{}}} {}",
-                set(s.op.name()),
-                s.calls
-            );
-        }
-        out.push_str("# TYPE nvc_kernel_op_time_us_total counter\n");
-        for s in &snap {
-            let _ = writeln!(
-                out,
-                "nvc_kernel_op_time_us_total{{{}}} {}",
-                set(s.op.name()),
-                s.total_ns as f64 / 1_000.0
-            );
-        }
-        for (name, value) in nvc_obs::embed_rows_snapshot().named() {
-            if value > 0 {
-                let _ = writeln!(out, "# TYPE nvc_{name} counter");
-                let _ = writeln!(out, "nvc_{name}{{{labels}{sep}{mode}}} {value}");
-            }
-        }
-    }
-    out.push_str("# TYPE nvc_embed_memo_bytes gauge\n");
-    let _ = writeln!(
-        out,
-        "nvc_embed_memo_bytes{{{labels}{sep}{mode}}} {}",
-        nvc_obs::embed_memo_bytes()
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -950,7 +880,7 @@ void f(int n) {
         let h = start(ServeConfig::default());
         let err = h.vectorize("void f( {{{").unwrap_err();
         assert!(matches!(err, ServeError::Frontend(_)));
-        assert_eq!(h.metrics().errors, 1);
+        assert_eq!(h.metrics().errors.get(), 1);
     }
 
     #[test]
@@ -1030,7 +960,7 @@ void f(int n) {
             1,
             "the identical concurrent miss must not embed again"
         );
-        assert_eq!(h.metrics().dedup_waits, 1);
+        assert_eq!(h.metrics().dedup_waits.get(), 1);
     }
 
     #[test]
@@ -1062,11 +992,11 @@ void f(int n) {
         assert_eq!(again.source, out.source, "restored decisions must agree");
         assert!(again.loops.iter().all(|l| l.cached));
         let m = h2.metrics();
-        assert_eq!(m.entries_restored, snap.len() as u64);
-        assert_eq!(m.batches, 0, "restored entries must skip the model");
+        assert_eq!(m.entries_restored.get(), snap.len() as u64);
+        assert_eq!(m.batches.get(), 0, "restored entries must skip the model");
 
         h2.record_invalidated_entries(9);
-        assert_eq!(h2.metrics().entries_invalidated_by_version, 9);
+        assert_eq!(m.entries_invalidated_by_version.get(), 9);
     }
 
     #[test]
@@ -1123,16 +1053,9 @@ void f(int n) {
             "[[4,1]]",
             "one batch of two"
         );
+        assert_eq!(batch.get("mean_batch").unwrap().as_f64(), Some(2.0));
         assert_eq!(batch.get("queue_depth").unwrap().as_f64(), Some(0.0));
-        let text = h.render_prometheus("");
-        for line in [
-            "serve_batch_queue_depth 0",
-            "serve_batch_size_bucket{le=\"4\"} 1",
-            "serve_batch_size_sum 2",
-            "serve_failed_batches_total 0",
-        ] {
-            assert!(text.contains(line), "exposition lacks `{line}`:\n{text}");
-        }
+        assert_eq!(batch.get("failed_batches").unwrap().as_f64(), Some(0.0));
     }
 
     #[test]
@@ -1154,13 +1077,20 @@ void f(int n) {
         assert_eq!(again.source, out.source);
         assert!(again.loops.iter().all(|l| l.cached));
         assert_eq!(h2.cache_stats().hits, 2);
-        assert_eq!(h2.metrics().batches, 0, "shared hits must skip the model");
+        assert_eq!(
+            h2.metrics().batches.get(),
+            0,
+            "shared hits must skip the model"
+        );
 
         // A different checkpoint hash must never see those entries.
         let h3 = on(9);
         h3.vectorize(SRC).unwrap();
         assert_eq!(h3.cache_stats().hits, 0, "cross-checkpoint leak");
-        assert!(h3.metrics().batches > 0, "other checkpoint must recompute");
+        assert!(
+            h3.metrics().batches.get() > 0,
+            "other checkpoint must recompute"
+        );
         // One store holds both checkpoints' decisions, once each.
         assert_eq!(store.len(), 4);
         assert_eq!(h3.cache_stats().len(), 4);
@@ -1176,7 +1106,7 @@ void f(int n) {
         let h2 = start(ServeConfig::default());
         let replayed = h2.warm_replay(&samples);
         assert_eq!(replayed, samples.len());
-        assert_eq!(h2.metrics().warmup_replayed, replayed as u64);
+        assert_eq!(h2.metrics().warmup_replayed.get(), replayed as u64);
 
         // The replay begins its whole set before it waits: 20 never-seen
         // samples (fewer than a batch) are one forward, not 20. Parked
@@ -1191,12 +1121,12 @@ void f(int n) {
         while h2.inner.batcher.idle_workers() < ServeConfig::default().workers {
             std::thread::yield_now();
         }
-        let before = h2.metrics();
+        let m = h2.metrics();
+        let before = (m.batches.get(), m.batched_loops.get());
         assert_eq!(h2.warm_replay(&burst), 20);
-        let after = h2.metrics();
-        assert_eq!(after.batches - before.batches, 1);
-        assert_eq!(after.batched_loops - before.batched_loops, 20);
-        assert_eq!(after.warmup_replayed, replayed as u64 + 20);
+        assert_eq!(m.batches.get() - before.0, 1);
+        assert_eq!(m.batched_loops.get() - before.1, 20);
+        assert_eq!(m.warmup_replayed.get(), replayed as u64 + 20);
         // The replayed keys now serve the original file entirely warm.
         let warm = h2.vectorize(SRC).unwrap();
         assert!(warm.loops.iter().all(|l| l.cached));
@@ -1206,21 +1136,5 @@ void f(int n) {
         let h3 = start(ServeConfig::default());
         h3.shutdown();
         assert_eq!(h3.warm_replay(&samples), 0);
-    }
-
-    #[test]
-    fn prometheus_exposition_covers_the_serve_registry() {
-        let h = start(ServeConfig::default());
-        h.vectorize(SRC).unwrap();
-        let text = h.render_prometheus("");
-        assert!(text.contains("serve_requests_total 1"));
-        assert!(text.contains("serve_request_latency_us_count 1"));
-        // The memo gauge needs no `NVC_OPS`.
-        assert!(
-            text.contains("# TYPE nvc_embed_memo_bytes gauge\nnvc_embed_memo_bytes{kernel_mode=")
-        );
-        let labeled = h.render_prometheus("model=\"m\"");
-        assert!(labeled.contains("serve_requests_total{model=\"m\"} 1"));
-        assert!(labeled.contains("nvc_embed_memo_bytes{model=\"m\",kernel_mode="));
     }
 }

@@ -200,7 +200,7 @@ fn kill_and_restart_under_concurrent_fire() {
     let reborn = start_node("victim2", &ckpt, &reg_addr, Some(victim_cache.clone()), 0);
     let m = reborn.handle.hub().registry().get("prod").unwrap();
     assert!(
-        m.handle.metrics().entries_restored > 0,
+        m.handle.metrics().entries_restored.get() > 0,
         "restart must restore the periodic checkpoint"
     );
 
@@ -259,7 +259,7 @@ fn gossip_transfer_is_bitwise_equal() {
     }
 
     let m = joiner.handle.hub().registry().get("prod").unwrap();
-    let batches_before = m.handle.metrics().batches;
+    let batches_before = m.handle.metrics().batches.get();
     for (s, expected) in srcs.iter().zip(&warm_answers) {
         let resp = client.vectorize(s).expect("joiner must answer");
         assert_eq!(resp.node, "joiner");
@@ -269,7 +269,7 @@ fn gossip_transfer_is_bitwise_equal() {
         );
     }
     assert_eq!(
-        m.handle.metrics().batches,
+        m.handle.metrics().batches.get(),
         batches_before,
         "every transferred decision must serve from cache, not the model"
     );

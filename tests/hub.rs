@@ -193,16 +193,11 @@ fn warm_restart_restores_cache_and_changed_checkpoint_invalidates() {
                 );
             }
         }
-        let m = handle
-            .hub()
-            .registry()
-            .get("prod")
-            .unwrap()
-            .handle
-            .metrics();
-        assert!(m.entries_restored > 0, "nothing restored");
-        assert_eq!(m.entries_invalidated_by_version, 0);
-        assert_eq!(m.batches, 0, "warm restart must not run the model");
+        let prod = handle.hub().registry().get("prod").unwrap();
+        let m = prod.handle.metrics();
+        assert!(m.entries_restored.get() > 0, "nothing restored");
+        assert_eq!(m.entries_invalidated_by_version.get(), 0);
+        assert_eq!(m.batches.get(), 0, "warm restart must not run the model");
         handle.shutdown();
     }
 
@@ -222,15 +217,13 @@ fn warm_restart_restores_cache_and_changed_checkpoint_invalidates() {
                 "stale snapshot entries must not serve under a new checkpoint"
             );
         }
-        let m = handle
-            .hub()
-            .registry()
-            .get("prod")
-            .unwrap()
-            .handle
-            .metrics();
-        assert_eq!(m.entries_restored, 0);
-        assert!(m.entries_invalidated_by_version > 0, "mismatch not counted");
+        let prod = handle.hub().registry().get("prod").unwrap();
+        let m = prod.handle.metrics();
+        assert_eq!(m.entries_restored.get(), 0);
+        assert!(
+            m.entries_invalidated_by_version.get() > 0,
+            "mismatch not counted"
+        );
         handle.shutdown();
     }
     let _ = std::fs::remove_file(&cache_path);
@@ -324,7 +317,9 @@ fn pipelined_misses_form_one_batch_with_one_request_worker() {
     assert!(pong.contains("pong"), "{pong}");
     std::thread::sleep(std::time::Duration::from_millis(50));
 
-    let before = (model.handle.metrics(), lines(handle.hub()));
+    let m = model.handle.metrics();
+    let (batches, batched_loops) = (m.batches.get(), m.batched_loops.get());
+    let lines_before = lines(handle.hub());
     let burst: String = sources
         .iter()
         .enumerate()
@@ -353,15 +348,22 @@ fn pipelined_misses_form_one_batch_with_one_request_worker() {
             "responses leave in request order"
         );
     }
-    let after = (model.handle.metrics(), lines(handle.hub()));
-    assert_eq!(after.0.batched_loops - before.0.batched_loops, 8);
+    let lines_after = lines(handle.hub());
+    assert_eq!(m.batched_loops.get() - batched_loops, 8);
     assert_eq!(
-        after.0.batches - before.0.batches,
+        m.batches.get() - batches,
         1,
         "eight misses read in one event must ride one forward"
     );
-    assert_eq!(after.1[0] - before.1[0], 8, "completed by the batch worker");
-    assert_eq!(after.1[1], before.1[1], "none needed the request worker");
+    assert_eq!(
+        lines_after[0] - lines_before[0],
+        8,
+        "completed by the batch worker"
+    );
+    assert_eq!(
+        lines_after[1], lines_before[1],
+        "none needed the request worker"
+    );
 
     // The distribution is on the wire, too: one batch in [8, 16).
     let mut conn = connect(handle.addr());

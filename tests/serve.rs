@@ -158,11 +158,11 @@ fn concurrent_requests_agree_and_hit_counts_are_stable() {
     });
     let m = handle.metrics();
     assert_eq!(
-        m.requests,
+        m.requests.get(),
         (sources.len() * (1 + threads * passes)) as u64,
         "request accounting drifted"
     );
-    assert_eq!(m.errors, 0);
+    assert_eq!(m.errors.get(), 0);
     let stats = handle.cache_stats();
     // Each distinct loop shape missed exactly once (the priming pass);
     // everything afterwards hit.
