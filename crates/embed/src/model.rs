@@ -246,15 +246,23 @@ impl CodeEmbedder {
     /// computed — by [`kernels::row_matmul_accum_fast`], on that row alone
     /// — and **kept for the life of those weights**; every later context,
     /// in this call or any other, on this thread or any other, reads it.
-    /// Context `r`'s projection is assembled as `(S[r] + P[r]) + E[r]`, in
-    /// that order. Per element that is three `k`-range partials summed
-    /// instead of one chain — a reassociation under fast mode's contract:
-    /// ε-close to strict, special values propagated identically,
+    ///
+    /// The forward then runs in two steps. First every `(role, row)` the
+    /// batch's contexts name is looked up, and the ones these weights have
+    /// not met are filled. Then one pass per context row
+    /// ([`kernels::context_row_fast`], timed as one `tanh` op per call)
+    /// assembles its projection as `(S[r] + P[r]) + E[r]`, in that order,
+    /// takes the rational `tanh` of it and its attention score by the
+    /// lane-split dot, while the row is in L1 — the bits of the
+    /// whole-buffer passes [`kernels::tanh_inplace`] and
+    /// [`kernels::row_dots_accum`]. The segment softmax and the attention
+    /// pool follow. Per element the projection is three `k`-range partials
+    /// summed instead of one chain — a reassociation under fast mode's
+    /// contract: ε-close to strict, special values propagated identically,
     /// decisions identical. Keeping the products changes no bit (a kept
-    /// row is a pure function of the weights, the role and the row), and
-    /// the attention scores come from the lane-split
-    /// [`kernels::row_dots_accum`]; so a sample's embedding does not
-    /// depend on its batch-mates or on what was served before it.
+    /// row is a pure function of the weights, the role and the row), and a
+    /// row's score is a function of the row; so a sample's embedding does
+    /// not depend on its batch-mates or on what was served before it.
     ///
     /// The kept rows are valid for exactly one [`ParamStore::stamp`]: a
     /// call that sees another stamp — anything that could have changed a
@@ -329,10 +337,11 @@ impl CodeEmbedder {
         fanned
     }
 
-    /// Fast mode's forward over distinct samples with contexts: the kept
-    /// projections, then `tanh`, lane-split scores, segment softmax and
-    /// weighted sum into `out`, the zeroed `bounds.len() × code_dim`
-    /// result.
+    /// Fast mode's forward over distinct samples with contexts: each
+    /// context row in one pass from its kept projections — `(S + P) + E`,
+    /// `tanh` and the row's lane-split score
+    /// ([`kernels::context_row_fast`]) — then segment softmax and weighted
+    /// sum into `out`, the zeroed `bounds.len() × code_dim` result.
     fn infer_memoized(
         &self,
         store: &ParamStore,
@@ -343,26 +352,34 @@ impl CodeEmbedder {
     ) {
         let code = self.cfg.code_dim;
         let n = bounds.last().map_or(0, |&(_, r1)| r1);
-        self.project_memoized(store, samples, n, scratch);
-        let proj = &mut scratch.proj[..n * code];
-        kernels::tanh_inplace(proj);
-        let scores = zeroed(&mut scratch.scores, n);
-        kernels::row_dots_accum(proj, store.get(self.attention).data(), n, code, scores);
+        let memo = self.kept_rows(store, samples, n);
+        let attn = store.get(self.attention).data();
+        let values = resized(&mut scratch.values, n * code);
+        let scores = resized(&mut scratch.scores, n);
+        {
+            let _timer = obs::time_op(obs::Op::Tanh);
+            let [starts, mids, ends] = &memo.roles;
+            let rows = values.chunks_exact_mut(code).zip(scores.iter_mut());
+            for ((row, score), (a, p, b)) in rows.zip(contexts(samples)) {
+                let (s, p, e) = (kept(&starts[a]), kept(&mids[p]), kept(&ends[b]));
+                *score = kernels::context_row_fast(s, p, e, attn, row);
+            }
+        }
         kernels::segment_softmax(bounds, 1, scores);
-        kernels::segment_weighted_sum(bounds, scores, proj, code, out);
+        kernels::segment_weighted_sum(bounds, scores, values, code, out);
     }
 
-    /// Fast projection: `scratch.proj[r] = (S + P) + E` per context, each
-    /// term the kept product of a table row with its row range of `W`,
-    /// computed here if this is the first time these weights meet that
-    /// row (see [`CodeEmbedder::infer_rows`]).
-    fn project_memoized(
+    /// The kept projections under `store`'s weights, with every table row
+    /// the `n` contexts of `samples` name filled in: each is the product
+    /// of the row with its role's row range of `W`, computed here if this
+    /// is the first time these weights meet that row (see
+    /// [`CodeEmbedder::infer_rows`]).
+    fn kept_rows(
         &self,
         store: &ParamStore,
         samples: &[&PathSample],
         n: usize,
-        scratch: &mut InferScratch,
-    ) {
+    ) -> RwLockReadGuard<'_, MemoState> {
         let (dt, dp, code) = (self.cfg.token_dim, self.cfg.path_dim, self.cfg.code_dim);
         let (tokens, paths) = (store.get(self.token_table), store.get(self.path_table));
         let (w_s, rest) = store.get(self.w_context).data().split_at(dt * code);
@@ -376,17 +393,14 @@ impl CodeEmbedder {
             obs::embed_memo_grew(std::mem::size_of_val(&*row));
             row
         };
-        let proj = resized(&mut scratch.proj, n * code);
         let [starts, mids, ends] = &memo.roles;
-        for (out_row, (a, p, b)) in proj.chunks_exact_mut(code).zip(contexts(samples)) {
-            let s = starts[a].get_or_init(|| fill(tokens, a, w_s));
-            let p = mids[p].get_or_init(|| fill(paths, p, w_p));
-            let e = ends[b].get_or_init(|| fill(tokens, b, w_e));
-            for (((o, &x), &y), &z) in out_row.iter_mut().zip(&**s).zip(&**p).zip(&**e) {
-                *o = (x + y) + z;
-            }
+        for (a, p, b) in contexts(samples) {
+            starts[a].get_or_init(|| fill(tokens, a, w_s));
+            mids[p].get_or_init(|| fill(paths, p, w_p));
+            ends[b].get_or_init(|| fill(tokens, b, w_e));
         }
         obs::record_embed_rows(3 * n, fills);
+        memo
     }
 
     /// The kept projection of table row `row` in `role` (0 start, 1 path,
@@ -442,6 +456,12 @@ fn context_columns(samples: &[&PathSample], columns: &mut [Vec<usize>; 3]) {
 /// One role's kept projections: slot `i` holds table row `i` times the
 /// role's row range of `W`, once some context has looked it up.
 type MemoRows = Box<[OnceLock<Box<[f32]>>]>;
+
+/// A slot [`CodeEmbedder::kept_rows`] has filled.
+fn kept(slot: &OnceLock<Box<[f32]>>) -> &[f32] {
+    slot.get()
+        .expect("every row a context names is kept before it is read")
+}
 
 const MEMO_POISONED: &str = "projection memo lock poisoned: a reset panicked";
 
@@ -526,21 +546,14 @@ struct InferScratch {
     columns: [Vec<usize>; 3],
     /// Strict: the tape forward's buffers.
     attention: AttentionScratch,
-    /// Fast: `N × code_dim`, the projection, then its `tanh` in place.
-    proj: Vec<f32>,
+    /// Fast: `N × code_dim`, each context's `tanh` row.
+    values: Vec<f32>,
     /// Fast: `N`, attention scores, then weights in place.
     scores: Vec<f32>,
 }
 
 thread_local! {
     static INFER_SCRATCH: Cell<InferScratch> = Cell::default();
-}
-
-/// `buf` as `n` zeros.
-fn zeroed(buf: &mut Vec<f32>, n: usize) -> &mut [f32] {
-    buf.clear();
-    buf.resize(n, 0.0);
-    buf
 }
 
 /// `buf` as `n` elements the caller overwrites entirely.

@@ -65,8 +65,6 @@ pub enum FleetError {
     /// Every candidate peer failed (connect, I/O, or version mismatch);
     /// carries the last error.
     PeersExhausted(String),
-    /// A peer answered with a protocol-level error or malformed JSON.
-    Protocol(String),
 }
 
 impl std::fmt::Display for FleetError {
@@ -75,7 +73,6 @@ impl std::fmt::Display for FleetError {
             FleetError::Registry(e) => write!(f, "registry unavailable: {e}"),
             FleetError::NoNodes(what) => write!(f, "no live nodes serve {what}"),
             FleetError::PeersExhausted(e) => write!(f, "every peer failed (last: {e})"),
-            FleetError::Protocol(e) => write!(f, "peer protocol error: {e}"),
         }
     }
 }

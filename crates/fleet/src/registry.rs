@@ -245,11 +245,17 @@ impl RegistryCore {
         self.announce_at(ann, Instant::now())
     }
 
-    /// Live nodes as of `now`, optionally filtered to those serving
-    /// `model`, most-recently-heard first (resolvers try the freshest
-    /// peer first).
+    /// A `resolve` as of `now`: counted in `resolves`, then
+    /// [`RegistryCore::live_at`].
     pub fn resolve_at(&self, model: Option<&str>, now: Instant) -> Vec<ResolvedNode> {
         self.resolves.inc();
+        self.live_at(model, now)
+    }
+
+    /// Live nodes as of `now`, optionally filtered to those serving
+    /// `model`, most-recently-heard first (resolvers try the freshest
+    /// peer first). Prunes expired nodes first; counts no `resolve`.
+    pub fn live_at(&self, model: Option<&str>, now: Instant) -> Vec<ResolvedNode> {
         let mut nodes = self.nodes.lock();
         self.prune_locked(&mut nodes, now);
         let mut out: Vec<(Instant, ResolvedNode)> = nodes
@@ -277,13 +283,6 @@ impl RegistryCore {
     /// [`RegistryCore::resolve_at`] as of now.
     pub fn resolve(&self, model: Option<&str>) -> Vec<ResolvedNode> {
         self.resolve_at(model, Instant::now())
-    }
-
-    /// Live node count as of `now` (prunes first).
-    pub fn len_at(&self, now: Instant) -> usize {
-        let mut nodes = self.nodes.lock();
-        self.prune_locked(&mut nodes, now);
-        nodes.len()
     }
 
     fn prune_locked(&self, nodes: &mut HashMap<String, NodeState>, now: Instant) {
@@ -339,8 +338,12 @@ mod tests {
         // original TTL as long as it keeps announcing.
         core.announce_at(ann("b", 3000), later);
         let much_later = t0 + Duration::from_millis(4000);
-        assert_eq!(core.len_at(much_later), 1);
-        assert_eq!(core.len_at(later + Duration::from_millis(3001)), 0);
+        assert_eq!(core.live_at(None, much_later).len(), 1);
+        assert_eq!(
+            core.live_at(None, later + Duration::from_millis(3001))
+                .len(),
+            0
+        );
     }
 
     #[test]

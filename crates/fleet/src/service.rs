@@ -106,7 +106,7 @@ impl RegistryService {
     /// table's counters and its live nodes, freshest first.
     fn stats_json(&self) -> Json {
         let core = &self.core;
-        let nodes = core.resolve(None);
+        let nodes = core.live_at(None, Instant::now());
         obj(vec![
             (
                 "uptime_us",
@@ -177,5 +177,25 @@ mod tests {
         let v = Json::parse(&resp).unwrap();
         assert!(v.get("id").is_none());
         assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
+    }
+
+    /// `stats` lists the live nodes without counting itself as a
+    /// `resolve`; only the `resolve` verb moves `resolves`.
+    #[test]
+    fn stats_does_not_count_as_a_resolve() {
+        let service = RegistryService::default();
+        let resolves = || {
+            let (resp, _) = service.handle_line(r#"{"op":"stats"}"#);
+            let v = Json::parse(&resp).unwrap();
+            ["stats", "resolves"]
+                .iter()
+                .try_fold(&v, |v, k| v.get(k))
+                .and_then(Json::as_f64)
+                .unwrap_or_else(|| panic!("no stats.resolves in {resp}"))
+        };
+        let first = resolves();
+        assert_eq!(resolves(), first, "a stats answer counted as a resolve");
+        service.handle_line(r#"{"op":"resolve","model":"prod"}"#);
+        assert_eq!(resolves(), first + 1.0);
     }
 }

@@ -21,7 +21,9 @@
 //!   values (`NaN`/`±∞`) appear — only the rounding of finite results.
 //!   That the inference forward *keeps* each table row's factored product
 //!   for as long as the weights stand ([`row_matmul_accum_fast`]) is not a
-//!   sixth: a kept row is bit for bit the row it would compute again.
+//!   sixth: a kept row is bit for bit the row it would compute again, and
+//!   neither is that it runs the sum, `tanh` and score of each context row
+//!   in one pass ([`context_row_fast`]): per element, the same arithmetic.
 //!
 //! Both modes run the **same loop nests** ([`bodies`] holds each body once,
 //! generic over the multiply-add step): strict is the plain `acc + a * b`
@@ -142,6 +144,11 @@ pub fn set_kernel_mode(mode: KernelMode) {
 /// (the plain bodies at the crate's compile target: a CPU without AVX2,
 /// or not x86-64). Detected once per process. Strict bits do not depend
 /// on it, only how fast they are computed; fast mode's do (fused or not).
+///
+/// These three answers name the bit contract, not the vector width: on a
+/// CPU with AVX-512F fast mode's context-row pass ([`context_row_fast`])
+/// runs a 512-bit build whose bits are the AVX2+FMA build's, and the
+/// answer is still `"avx2+fma"`.
 pub fn kernel_isa() -> &'static str {
     MaddChoice::current().name()
 }
@@ -207,7 +214,9 @@ pub fn row_matmul_accum_fast(row: &[f32], b: &[f32], kd: usize, n: usize, out: &
 }
 
 /// `out[r] += a[r] · v` for every row of `a: m×kd` — the attention-score
-/// product of the encoder's inference forward, its only caller.
+/// contract of the encoder's inference forward, which computes the fast
+/// side row by row inside [`context_row_fast`] (the same bits, added into
+/// a zeroed score) and calls no whole-matrix pass.
 ///
 /// Strict is [`matmul_accum`] with `n = 1`: one ascending-`k` chain per
 /// row, starting from `out[r]`. Fast is a lane-split dot
@@ -235,6 +244,32 @@ pub fn row_dots_accum(a: &[f32], v: &[f32], m: usize, kd: usize, out: &mut [f32]
     assert_eq!(out.len(), m, "row_dots output is not {m} long");
     let _timer = nvc_obs::time_op(nvc_obs::Op::MatMul);
     bodies::row_dots(MaddChoice::fast(), a, v, kd, out);
+}
+
+/// One context row of the encoder's fast inference forward, in **fast-mode
+/// arithmetic whatever the process mode**: `out[j] = tanh((s[j] + p[j]) +
+/// e[j])` for every column, and the row's attention score returned. Per
+/// element and per score these are exactly the bits of the whole-buffer
+/// passes — `(S + P) + E`, fast [`tanh_inplace`], then fast
+/// [`row_dots_accum`] into a zeroed score, which makes the score `+0 +`
+/// the row's lane-split dot with `attn` — computed in one pass over the
+/// row while it is in L1. Where the CPU has AVX-512F this runs the
+/// 512-bit build of the fused body; its bits are the AVX2+FMA build's
+/// ([`bodies`]).
+///
+/// Untimed: its caller charges the loop over a batch's rows to
+/// [`Op::Tanh`](nvc_obs::Op::Tanh), once per call.
+///
+/// # Panics
+///
+/// Panics when `s`, `p`, `e`, `attn` and `out` differ in length.
+pub fn context_row_fast(s: &[f32], p: &[f32], e: &[f32], attn: &[f32], out: &mut [f32]) -> f32 {
+    let d = out.len();
+    assert!(
+        s.len() == d && p.len() == d && e.len() == d && attn.len() == d,
+        "context row operands are not {d} wide"
+    );
+    bodies::context_row(MaddChoice::fast(), s, p, e, attn, out)
 }
 
 /// Elementwise `tanh` in place — the one `tanh` of each mode, wherever

@@ -25,6 +25,20 @@
 //!   the fused instantiation lives behind
 //!   `#[target_feature(enable = "avx2", enable = "fma")]` wrappers.
 //!
+//! One kernel has a fourth build: fast mode's context-row pass
+//! ([`context_row_g`], the encoder's `(S + P) + E`, `tanh` and score) is
+//! declared `wide`, and its [`Fused`] instantiation is compiled a second
+//! time under `#[target_feature(enable = "avx512f", enable = "avx2",
+//! enable = "fma")]`, which runs where the CPU has AVX-512F
+//! ([`Isa::Avx512Fma`]). Its bits are the AVX2+FMA build's for the same
+//! reasons as above: `mul_add` is explicit and nothing else is contracted
+//! or reassociated, and no lane shares an accumulator, so 16-wide vectors
+//! change no element's arithmetic (the unit test
+//! `context_row_avx512_build_equals_the_avx2_build` holds them to it).
+//! The row is `tanh`-bound at 256 bits — port-bound on the rational
+//! body's madds and division — so only there does the width pay; the
+//! other kernels run their AVX2+FMA build on such a CPU.
+//!
 //! Strict and fast therefore run the same loop nests — same block
 //! shapes, same ascending-`k` chain per output element — and cannot drift
 //! apart in loop order. Which instantiation a call runs is a
@@ -81,26 +95,35 @@ enum Isa {
     Avx2,
     /// [`Fused`] under `#[target_feature(enable = "avx2", enable = "fma")]`.
     Avx2Fma,
+    /// [`Avx2Fma`](Isa::Avx2Fma) on a CPU that also has AVX-512F: the
+    /// kernels generated with `wide` run [`Fused`] under
+    /// `#[target_feature(enable = "avx512f", enable = "avx2", enable =
+    /// "fma")]`, every other kernel its `Avx2Fma` build. Same bits.
+    Avx512Fma,
 }
 
 /// The widest [`Isa`] this CPU runs: detected at runtime on x86-64 (AVX2,
-/// then FMA on top), [`Isa::Baseline`] elsewhere. Decided once and
-/// cached, so every kernel in the process agrees.
+/// then FMA on top, then AVX-512F on top of both), [`Isa::Baseline`]
+/// elsewhere. Decided once and cached, so every kernel in the process
+/// agrees.
 fn host_isa() -> Isa {
     static ISA: AtomicU8 = AtomicU8::new(u8::MAX);
     match ISA.load(Ordering::Relaxed) {
         0 => Isa::Baseline,
         1 => Isa::Avx2,
         2 => Isa::Avx2Fma,
+        3 => Isa::Avx512Fma,
         _ => {
             #[cfg(target_arch = "x86_64")]
             let isa = match (
                 std::is_x86_feature_detected!("avx2"),
                 std::is_x86_feature_detected!("fma"),
+                std::is_x86_feature_detected!("avx512f"),
             ) {
-                (true, true) => Isa::Avx2Fma,
-                (true, false) => Isa::Avx2,
-                (false, _) => Isa::Baseline,
+                (true, true, true) => Isa::Avx512Fma,
+                (true, true, false) => Isa::Avx2Fma,
+                (true, false, _) => Isa::Avx2,
+                (false, _, _) => Isa::Baseline,
             };
             #[cfg(not(target_arch = "x86_64"))]
             let isa = Isa::Baseline;
@@ -114,7 +137,7 @@ fn host_isa() -> Isa {
 /// mode: the CPU has AVX2 and FMA (detected once, on x86-64; `false`
 /// elsewhere).
 pub fn fused_available() -> bool {
-    host_isa() == Isa::Avx2Fma
+    host_isa() >= Isa::Avx2Fma
 }
 
 /// Which instantiation of the bodies a call runs. The field is private to
@@ -151,13 +174,14 @@ impl MaddChoice {
         }
     }
 
-    /// The instruction set this choice runs, as
-    /// [`super::kernel_isa`] reports it.
+    /// The bit contract this choice runs, as [`super::kernel_isa`]
+    /// reports it: the AVX-512 build of the `wide` kernels is the
+    /// `"avx2+fma"` arithmetic at another width.
     pub(crate) fn name(self) -> &'static str {
         match self.isa {
             Isa::Baseline => "baseline",
             Isa::Avx2 => "avx2",
-            Isa::Avx2Fma => "avx2+fma",
+            Isa::Avx2Fma | Isa::Avx512Fma => "avx2+fma",
         }
     }
 }
@@ -523,6 +547,13 @@ fn nt_block<M: Madd, const L: usize>(a_row: &[f32], panel: &[f32], out: &mut [f3
 /// `out_row += Σ_r alpha[r] · x_row(r)` over rows `r0..r1` — the
 /// attention-pooling body (madd fold in ascending `r`), wherever row `r`
 /// of the values lies.
+///
+/// The output row is taken in blocks of [`POOL_BLOCK`] columns held in
+/// register accumulators while every row of the segment folds into them,
+/// so each block is loaded and stored once per segment rather than once
+/// per row; the last `d mod POOL_BLOCK` columns fold row by row in
+/// memory. Every element still folds the rows in ascending `r` from its
+/// own value, so the blocking changes no bits.
 #[inline(always)]
 fn pool_g<'x, M: Madd>(
     alpha: &[f32],
@@ -531,13 +562,30 @@ fn pool_g<'x, M: Madd>(
     x_row: impl Fn(usize) -> &'x [f32],
     out_row: &mut [f32],
 ) {
-    for r in r0..r1 {
-        let av = alpha[r];
-        for (o, &xv) in out_row.iter_mut().zip(x_row(r)) {
+    let weights = || (r0..r1).zip(&alpha[r0..r1]);
+    let split = out_row.len() - out_row.len() % POOL_BLOCK;
+    let (blocks, tail) = out_row.split_at_mut(split);
+    for (b, block) in blocks.chunks_exact_mut(POOL_BLOCK).enumerate() {
+        let j = b * POOL_BLOCK;
+        let mut acc = [0.0f32; POOL_BLOCK];
+        acc.copy_from_slice(block);
+        for (r, &av) in weights() {
+            let xb = &x_row(r)[j..j + POOL_BLOCK];
+            for l in 0..POOL_BLOCK {
+                acc[l] = M::madd(av, xb[l], acc[l]);
+            }
+        }
+        block.copy_from_slice(&acc);
+    }
+    for (r, &av) in weights() {
+        for (o, &xv) in tail.iter_mut().zip(&x_row(r)[split..]) {
             *o = M::madd(av, xv, *o);
         }
     }
 }
+
+/// Columns of one [`pool_g`] register block: eight 256-bit accumulators.
+const POOL_BLOCK: usize = 64;
 
 /// [`pool_g`] over the rows `r0..r1` of `x`.
 #[inline(always)]
@@ -687,6 +735,22 @@ fn tanh_g<M: Madd>(xs: &mut [f32]) {
     for x in xs.iter_mut() {
         *x = tanh_one::<M>(*x);
     }
+}
+
+/// One context row of fast mode's encoder forward — see
+/// [`super::context_row_fast`] for the contract: `out = (s + p) + e`
+/// elementwise, then [`tanh_g`] over it, then the row's attention score
+/// `+0 + `[`lane_dot_g`]`(out, attn)`, the value [`row_dots_g`] adds into
+/// a zeroed score. Three sub-passes over one row, which stays in L1
+/// between them; each element's arithmetic is that of the whole-buffer
+/// passes it replaces.
+#[inline(always)]
+fn context_row_g<M: Madd>(s: &[f32], p: &[f32], e: &[f32], attn: &[f32], out: &mut [f32]) -> f32 {
+    for (((o, &x), &y), &z) in out.iter_mut().zip(s).zip(p).zip(e) {
+        *o = (x + y) + z;
+    }
+    tanh_g::<M>(out);
+    0.0 + lane_dot_g::<M>(out, attn)
 }
 
 /// `tanh(x) ≈ c·P(c²) / Q(c²)` with `c` = `x` clamped to ±9: the
@@ -876,24 +940,53 @@ fn fdlibm_tanhf(x: f32) -> f32 {
 /// inside an avx2 function — where the `#[inline(always)]` body picks up
 /// 256-bit vectorization of its register blocks (and, fused, hardware
 /// `vfmadd`) — and the [`Unfused`] one compiled at the crate's baseline
-/// target.
+/// target. A kernel declared `wide` has a fourth build, the [`Fused`]
+/// instantiation inside an avx512f+avx2+fma function, which
+/// [`Isa::Avx512Fma`] runs; every other kernel runs its avx2+fma build
+/// there.
 macro_rules! kernel {
     (
         $(#[$doc:meta])*
+        wide $name:ident = $generic:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?
+    ) => {
+        kernel!(@entry [
+            Isa::Avx512Fma => {
+                #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+                unsafe fn avx512($($arg: $ty),*) $(-> $ret)? {
+                    $generic::<Fused>($($arg),*)
+                }
+                // SAFETY: `Avx512Fma` is only ever `host_isa`'s answer,
+                // which verified avx512f+avx2+fma on this CPU.
+                return unsafe { avx512($($arg),*) };
+            }
+        ] $(#[$doc])* $name = $generic($($arg: $ty),*) $(-> $ret)?);
+    };
+    (
+        $(#[$doc:meta])*
         $name:ident = $generic:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?
+    ) => {
+        kernel!(@entry [] $(#[$doc])* $name = $generic($($arg: $ty),*) $(-> $ret)?);
+    };
+    (
+        @entry [$($avx512_arm:tt)*]
+        $(#[$doc:meta])*
+        $name:ident = $generic:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)?
     ) => {
         $(#[$doc])*
         #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
         pub(crate) fn $name(madd: MaddChoice, $($arg: $ty),*) $(-> $ret)? {
             #[cfg(target_arch = "x86_64")]
+            #[allow(unreachable_patterns)] // `Avx512Fma` below, for a `wide` kernel
             match madd.isa {
-                Isa::Avx2Fma => {
+                $($avx512_arm)*
+                Isa::Avx2Fma | Isa::Avx512Fma => {
                     #[target_feature(enable = "avx2", enable = "fma")]
                     unsafe fn fused($($arg: $ty),*) $(-> $ret)? {
                         $generic::<Fused>($($arg),*)
                     }
-                    // SAFETY: `Avx2Fma` is only ever `host_isa`'s answer,
-                    // which verified avx2+fma on this CPU.
+                    // SAFETY: `Avx2Fma` and `Avx512Fma` are only ever
+                    // `host_isa`'s answers, which verified avx2+fma on
+                    // this CPU.
                     return unsafe { fused($($arg),*) };
                 }
                 Isa::Avx2 => {
@@ -972,6 +1065,13 @@ kernel! {
     tanh = tanh_g(xs: &mut [f32])
 }
 kernel! {
+    /// One context row: `tanh((s + p) + e)` into `out`, its lane-split
+    /// score returned ([`context_row_g`]) — fast mode only.
+    wide context_row = context_row_g(
+        s: &[f32], p: &[f32], e: &[f32], attn: &[f32], out: &mut [f32],
+    ) -> f32
+}
+kernel! {
     /// fdlibm's `tanhf` in place ([`tanh_fdlibm_g`]) — strict mode only.
     tanh_fdlibm = tanh_fdlibm_g(xs: &mut [f32])
 }
@@ -1020,6 +1120,7 @@ pub(crate) fn online_softmax_strided(buf: &mut [f32], start: usize, stride: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels;
 
     fn strict_softmax(xs: &[f32]) -> Vec<f32> {
         // The strict kernel's exact shape: NaN-skipping max fold, then
@@ -1466,11 +1567,164 @@ mod tests {
         tanh(madd, &mut t);
         out.extend(t);
 
+        let (s, p, e, attn) = (input(n, 23), input(n, 24), input(n, 25), input(n, 26));
+        let mut row = vec![0.0; n];
+        out.push(context_row(madd, &s, &p, &e, &attn, &mut row));
+        out.extend(row);
+
         // ±24 spans every branch of the fdlibm body, the ±22 cut included.
         let mut t: Vec<f32> = input(m * kd + n, 16).iter().map(|x| x * 12.0).collect();
         tanh_fdlibm(madd, &mut t);
         out.extend(t);
         out
+    }
+
+    /// Widths of the context-row sweeps: empty, the lane-dot's 8- and
+    /// 32-element blocks and their tails, the paper's 340 and one past.
+    const ROW_WIDTHS: [usize; 10] = [0, 1, 7, 8, 31, 32, 33, 64, 340, 341];
+
+    /// Five `d`-wide context rows' `S`, `P` and `E` projections and an
+    /// attention vector, from [`operand`]. `S` is scaled by 5 so that the
+    /// sums reach past `tanh`'s clamp at ±9.
+    fn context_operands(d: usize, wild: bool) -> [Vec<f32>; 4] {
+        let seed = 7_000 + d as u64 * 2 + wild as u64;
+        let s = operand(5 * d, seed * 4, wild)
+            .iter()
+            .map(|x| x * 5.0)
+            .collect();
+        let [p, e] = [1, 2].map(|salt| operand(5 * d, seed * 4 + salt, wild));
+        [s, p, e, operand(d, seed * 4 + 3, wild)]
+    }
+
+    /// A context-row kernel's output over every row of
+    /// [`context_operands`]: the `tanh` rows, then the scores.
+    fn context_rows(
+        row: impl Fn(&[f32], &[f32], &[f32], &[f32], &mut [f32]) -> f32,
+        d: usize,
+        wild: bool,
+    ) -> Vec<f32> {
+        let [s, p, e, attn] = context_operands(d, wild);
+        let mut rows = vec![f32::NAN; 5 * d];
+        let mut scores = Vec::new();
+        for r in 0..5 {
+            let at = r * d..(r + 1) * d;
+            let (s, p, e) = (&s[at.clone()], &p[at.clone()], &e[at.clone()]);
+            scores.push(row(s, p, e, &attn, &mut rows[at]));
+        }
+        rows.extend(scores);
+        rows
+    }
+
+    /// The row kernel is the three whole-buffer passes it replaced in the
+    /// encoder's fast forward — `(S + P) + E`, fast `tanh_inplace`, fast
+    /// `row_dots_accum` into a zeroed score — bit for bit (NaN payloads
+    /// canonicalised), over finite and hostile payloads: `NaN`, `±∞`,
+    /// `−0`, subnormals and sums beyond ±9.
+    #[test]
+    fn context_row_is_the_whole_buffer_passes_bitwise() {
+        let _guard = kernels::KNOB_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        kernels::set_kernel_mode(KernelMode::Fast);
+        for d in ROW_WIDTHS {
+            for wild in [false, true] {
+                let [s, p, e, attn] = context_operands(d, wild);
+                let mut want: Vec<f32> = (s.iter().zip(&p).zip(&e))
+                    .map(|((&x, &y), &z)| (x + y) + z)
+                    .collect();
+                kernels::tanh_inplace(&mut want);
+                let mut scores = vec![0.0; 5];
+                kernels::row_dots_accum(&want, &attn, 5, d, &mut scores);
+                want.extend(scores);
+                let got = context_rows(kernels::context_row_fast, d, wild);
+                assert!(
+                    canonical_bits(&got) == canonical_bits(&want),
+                    "context row differs from the passes at d={d} wild={wild}"
+                );
+            }
+        }
+        kernels::set_kernel_mode(kernels::default_kernel_mode());
+    }
+
+    /// The 512-bit build of the row kernel computes the AVX2+FMA build's
+    /// bits: the same `mul_add`s on the same lanes, at another width.
+    #[test]
+    fn context_row_avx512_build_equals_the_avx2_build() {
+        if host_isa() < Isa::Avx512Fma {
+            eprintln!("no AVX-512F (with AVX2 and FMA) on this CPU: its build cannot run here");
+            return;
+        }
+        let build = |isa| {
+            move |s: &_, p: &_, e: &_, attn: &_, out: &mut _| {
+                context_row(MaddChoice { isa }, s, p, e, attn, out)
+            }
+        };
+        for d in ROW_WIDTHS {
+            for wild in [false, true] {
+                assert!(
+                    canonical_bits(&context_rows(build(Isa::Avx2Fma), d, wild))
+                        == canonical_bits(&context_rows(build(Isa::Avx512Fma), d, wild)),
+                    "avx2+fma and avx512 builds differ at d={d} wild={wild}"
+                );
+            }
+        }
+    }
+
+    /// The register-blocked pool is the plain fold, per element
+    /// `acc = madd(w[r], v[r][j], acc)` for ascending `r` from the
+    /// output's own value, in either mode and through the row
+    /// indirection, at widths below, on and past the 64-column block.
+    #[test]
+    fn pooled_rows_are_the_ascending_fold() {
+        let _guard = kernels::KNOB_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let bounds = [(0, 3), (3, 3), (3, 10), (10, 11)];
+        let rows = 11;
+        let via: Vec<usize> = (0..rows).map(|r| (5 * r + 2) % rows).collect();
+        for mode in [KernelMode::Strict, KernelMode::Fast] {
+            kernels::set_kernel_mode(mode);
+            let fused = mode == KernelMode::Fast && fused_available();
+            let madd = |a: f32, b: f32, acc: f32| {
+                if fused {
+                    a.mul_add(b, acc)
+                } else {
+                    acc + a * b
+                }
+            };
+            for d in [1, 63, 64, 65, 128, 340] {
+                for wild in [false, true] {
+                    let seed = d as u64 * 2 + wild as u64;
+                    let (w, x) = (
+                        operand(rows, seed * 3, wild),
+                        operand(rows * d, seed * 3 + 1, wild),
+                    );
+                    let start = operand(bounds.len() * d, seed * 3 + 2, wild);
+                    let fold = |row_of: &dyn Fn(usize) -> usize| {
+                        let mut want = start.clone();
+                        for (s, &(r0, r1)) in bounds.iter().enumerate() {
+                            for j in 0..d {
+                                let o = &mut want[s * d + j];
+                                for r in r0..r1 {
+                                    *o = madd(w[r], x[row_of(r) * d + j], *o);
+                                }
+                            }
+                        }
+                        want
+                    };
+                    let mut got = start.clone();
+                    kernels::segment_weighted_sum(&bounds, &w, &x, d, &mut got);
+                    let ctx = format!("mode={mode} d={d} wild={wild}");
+                    assert!(
+                        canonical_bits(&got) == canonical_bits(&fold(&|r| r)),
+                        "{ctx}"
+                    );
+                    let mut got = start.clone();
+                    kernels::segment_weighted_sum_via(&bounds, &w, &x, &via, d, &mut got);
+                    assert!(
+                        canonical_bits(&got) == canonical_bits(&fold(&|r| via[r])),
+                        "via {ctx}"
+                    );
+                }
+            }
+        }
+        kernels::set_kernel_mode(kernels::default_kernel_mode());
     }
 
     /// The baseline and the AVX2 build of the plain bodies compute the

@@ -147,10 +147,12 @@ fn main() {
                 .find(|o| o.op.name() == name)
                 .map_or(0, |o| o.total_ns)
         };
+        // Fast mode's encoder times its fused context-row pass — `(S + P)
+        // + E`, `tanh` and the attention score, row by row — as `tanh`.
         let (matmul, tanh) = (of("matmul"), of("tanh"));
         let rest: u64 = ops.iter().map(|o| o.total_ns).sum::<u64>() - matmul - tanh;
         println!(
-            "  batch {batch}: matmul {:6.1} us, tanh {:6.1} us, every other op {:5.1} us",
+            "  batch {batch}: matmul {:6.1} us, context rows (sum, tanh, score) {:6.1} us, every other op {:5.1} us",
             per_flush(matmul),
             per_flush(tanh),
             per_flush(rest)
