@@ -120,8 +120,9 @@ impl DecisionTree {
         }
     }
 
-    /// Number of nodes (for diagnostics).
-    pub fn node_count(&self) -> usize {
+    /// Number of nodes.
+    #[cfg(test)]
+    pub(crate) fn node_count(&self) -> usize {
         self.nodes.len()
     }
 }

@@ -36,13 +36,8 @@ impl NnsAgent {
         self.labels.push(label);
     }
 
-    /// Number of stored examples.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
     /// True when the index is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
 

@@ -135,7 +135,7 @@ impl Ranker {
     }
 
     /// Predicted reward of one `(embedding, action)` pair.
-    pub fn score(&self, embedding: &[f32], action: usize) -> f64 {
+    pub(crate) fn score(&self, embedding: &[f32], action: usize) -> f64 {
         let row = self.input_row(embedding, action);
         let mut g = Graph::new(&self.store);
         let x = g.input(Tensor::from_vec(1, row.len(), row));

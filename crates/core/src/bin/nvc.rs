@@ -33,8 +33,8 @@ use nvc_ir::ParamEnv;
 use nvc_vectorizer::ActionSpace;
 
 const USAGE: &str = "usage:
-  nvc train [--kernels N] [--iterations N] [--seed N] [--kernel-mode strict|fast]
-            [--trace FILE] [--journal FILE] --out FILE
+  nvc train [--kernels N] [--iterations N] [--seed N] [--trace FILE]
+            [--journal FILE] --out FILE
   nvc vectorize FILE.c [--model FILE]
   nvc inspect FILE.c [--n VALUE]
   nvc serve [--model FILE] [--workers N] [--batch N] [--cache N] [--shards N]
@@ -52,10 +52,11 @@ const USAGE: &str = "usage:
   nvc experiment fig1|fig2|fig5|fig6|fig7|fig8|fig9|headline|ext_ranker|
                  ext_reward_shaping|all
 
---kernel-mode picks the kernel numeric contract (default: NVC_KERNEL_MODE,
-else `fast` for serve/hub and `strict` everywhere else): `strict` is
-bitwise-reproducible; `fast` runs FMA + online-softmax + rational-tanh
-kernels that are ε-close with identical decisions.
+--kernel-mode picks serve's and hub's kernel numeric contract (default:
+NVC_KERNEL_MODE, else `fast`; everything else follows NVC_KERNEL_MODE,
+else `strict`): `strict` is bitwise-reproducible; `fast` runs FMA +
+online-softmax + rational-tanh kernels that are ε-close with identical
+decisions.
 `serve` speaks the hub's JSON-lines protocol on stdin/stdout for its one
 model, registered as `default`; a bad line gets an error answer, and
 `shutdown`, EOF or a line over 16 MiB drain it and print `final_stats`.
@@ -155,7 +156,6 @@ const TRAIN_FLAGS: &[Flag] = &[
     Flag::value("--iterations"),
     Flag::value("--seed"),
     Flag::value("--out"),
-    Flag::value("--kernel-mode"),
     Flag::value("--trace"),
     Flag::value("--journal"),
 ];
@@ -177,10 +177,7 @@ fn cmd_train(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         .ok_or("train requires --out FILE")?
         .to_string();
 
-    let mut cfg = NvConfig::fast().with_seed(seed);
-    if let Some(mode) = p.parse_value("--kernel-mode")? {
-        cfg.kernel_mode = mode;
-    }
+    let cfg = NvConfig::fast().with_seed(seed);
     let pool = generator::generate(seed, kernels);
     let mut nv = NeuroVectorizer::new(cfg);
     eprintln!(
@@ -763,10 +760,12 @@ mod tests {
         /// An address, a path, a name, or host sizing (thread counts,
         /// cache sizes, the target machine): only the deployment knows it.
         Deployment,
-        /// `(file, needle)`: `file` sets it, at `needle` — bench, CI, an
-        /// integration test, an example, a figure, or an `nvc` command
-        /// line README quotes, never the file that defines the knob.
-        SetBy(&'static str, &'static str),
+        /// `(file, needle, value)`: `file` sets it to `value`, at `needle`
+        /// — bench, CI, an integration test, an example, a figure, or an
+        /// `nvc` command line README quotes, never the file that defines
+        /// the knob. `value` is written in `needle` and is not the knob's
+        /// default: a knob whose users only name its default is a constant.
+        SetBy(&'static str, &'static str, &'static str),
     }
     use Use::{Deployment, SetBy};
 
@@ -782,6 +781,7 @@ mod tests {
     const BOTH_EMBEDS: Use = SetBy(
         "tests/frontend_alloc.rs",
         "[EmbedConfig::fast(), EmbedConfig::paper()]",
+        "EmbedConfig::paper()",
     );
 
     /// The options census: every `nvc` flag, config field and environment
@@ -794,63 +794,79 @@ mod tests {
         ("--cache", Deployment),
         (
             "--cache-checkpoint-secs",
-            SetBy(FLEET_MIX, r#""--cache-checkpoint-secs", "2""#),
+            SetBy(FLEET_MIX, r#""--cache-checkpoint-secs", "2""#, "2"),
         ),
         ("--cache-file", Deployment),
-        ("--iterations", SetBy(README, "--iterations 30")),
+        ("--iterations", SetBy(README, "--iterations 30", "30")),
         ("--journal", Deployment),
         (
             "--kernel-mode",
-            SetBy(NVC_CLI, r#""serve", "--kernel-mode", flag"#),
+            SetBy(NVC_CLI, r#"[("fast", "strict")"#, "strict"),
         ),
-        ("--kernels", SetBy(README, "nvc train --kernels 160")),
-        ("--learn", SetBy(NVC_CLI, r#""--learn","#)),
+        ("--kernels", SetBy(README, "nvc train --kernels 160", "160")),
+        ("--learn", SetBy(NVC_CLI, r#""--learn","#, "--learn")),
         ("--learn-checkpoint", Deployment),
         ("--learn-journal", Deployment),
         ("--learn-promotion-log", Deployment),
         ("--listen", Deployment),
         ("--model", Deployment),
-        ("--n", SetBy(README, "inspect file.c --n 1024")),
-        ("--node", SetBy(README, "--node hub-a")),
+        ("--n", SetBy(README, "inspect file.c --n 1024", "1024")),
+        ("--node", SetBy(README, "--node hub-a", "hub-a")),
         ("--out", Deployment),
         ("--peers", Deployment),
         ("--registry", Deployment),
         ("--request-threads", Deployment),
-        ("--seed", SetBy(README, "--seed 99")),
+        ("--seed", SetBy(README, "--seed 99", "99")),
         ("--shards", Deployment),
         ("--trace", Deployment),
-        ("--weight", SetBy(README, "--weight prod=9")),
+        ("--weight", SetBy(README, "--weight prod=9", "prod=9")),
         ("--workers", Deployment),
         ("NvConfig::target", Deployment),
         (
             "NvConfig::embed",
-            SetBy("tests/infer_alloc.rs", "NvConfig::paper()"),
+            SetBy("tests/infer_alloc.rs", "NvConfig::paper()", "paper()"),
         ),
         (
             "NvConfig::ppo",
-            SetBy(DETERMINISM, "cfg.ppo.train_batch = 24"),
+            SetBy(DETERMINISM, "cfg.ppo.train_batch = 24", "24"),
         ),
         (
             "NvConfig::serve",
-            SetBy(SERVE, "cfg.serve = ServeConfig::default()"),
+            SetBy(
+                SERVE,
+                "cfg.serve = ServeConfig::default().with_batch_size(8)",
+                "8",
+            ),
         ),
         (
             "NvConfig::hub",
-            SetBy(README, "nvc hub --model prod=prod.ckpt --listen"),
+            SetBy(
+                README,
+                "nvc hub --model prod=prod.ckpt --listen",
+                "--listen",
+            ),
         ),
         (
             "NvConfig::kernel_mode",
-            SetBy("tests/fast_parity.rs", "with_kernel_mode(mode)"),
+            SetBy(
+                DETERMINISM,
+                "serve_decisions(nvc_nn::KernelMode::Fast)",
+                "Fast",
+            ),
         ),
         (
             "NvConfig::seed",
-            SetBy("tests/end_to_end.rs", "NvConfig::fast().with_seed(11)"),
+            SetBy(
+                "tests/end_to_end.rs",
+                "NvConfig::fast().with_seed(11)",
+                "11",
+            ),
         ),
         ("ServeConfig::cache_capacity", Deployment),
         ("ServeConfig::cache_shards", Deployment),
         (
             "ServeConfig::batch_size",
-            SetBy(SERVE, "with_batch_size(8)"),
+            SetBy(SERVE, "with_batch_size(8)", "8"),
         ),
         ("ServeConfig::workers", Deployment),
         ("HubConfig::listen", Deployment),
@@ -858,28 +874,35 @@ mod tests {
         ("HubConfig::request_threads", Deployment),
         (
             "HubConfig::cache_checkpoint_secs",
-            SetBy(FLEET, ".with_cache_checkpoint_secs("),
+            SetBy(FLEET, "Some(victim_cache.clone()), 1)", "1"),
         ),
-        ("PpoConfig::lr", SetBy(FIGURES, "cfg.ppo.lr = lr")),
+        (
+            "PpoConfig::lr",
+            SetBy(FIGURES, "for lr in [5e-5f32, 5e-4, 5e-3]", "5e-3"),
+        ),
         (
             "PpoConfig::train_batch",
-            SetBy(DETERMINISM, "cfg.ppo.train_batch = 24"),
+            SetBy(DETERMINISM, "cfg.ppo.train_batch = 24", "24"),
         ),
         (
             "PpoConfig::minibatch",
-            SetBy(DETERMINISM, "cfg.ppo.minibatch = 8"),
+            SetBy(DETERMINISM, "cfg.ppo.minibatch = 8", "8"),
         ),
         (
             "PpoConfig::epochs",
-            SetBy(DETERMINISM, "cfg.ppo.epochs = 2"),
+            SetBy(DETERMINISM, "cfg.ppo.epochs = 2", "2"),
         ),
         (
             "PpoConfig::hidden",
-            SetBy(FIGURES, "cfg.ppo.hidden = hidden.clone()"),
+            SetBy(FIGURES, "vec![128, 128]", "[128, 128]"),
         ),
         (
             "PpoConfig::action_space",
-            SetBy(DETERMINISM, "cfg.ppo.action_space = kind"),
+            SetBy(
+                DETERMINISM,
+                "ActionSpaceKind::Continuous1D,",
+                "Continuous1D",
+            ),
         ),
         ("PpoConfig::action_dims", Deployment),
         ("EmbedConfig::token_buckets", BOTH_EMBEDS),
@@ -889,7 +912,7 @@ mod tests {
         ("EmbedConfig::code_dim", BOTH_EMBEDS),
         (
             "EmbedConfig::max_paths",
-            SetBy("tests/frontend_parity.rs", "for max_paths in [0, 1,"),
+            SetBy("tests/frontend_parity.rs", "for max_paths in [0, 1,", "0"),
         ),
         ("LearnConfig::journal_path", Deployment),
         ("LearnConfig::promotion_log_path", Deployment),
@@ -899,56 +922,91 @@ mod tests {
         ("LearnConfig::challenger_checkpoint", Deployment),
         (
             "LearnConfig::min_reports",
-            SetBy(LEARNING, "min_reports: 20"),
+            SetBy(LEARNING, "min_reports: 20", "20"),
         ),
-        ("LearnConfig::min_cohort", SetBy(LEARNING, "min_cohort: 6")),
+        (
+            "LearnConfig::min_cohort",
+            SetBy(LEARNING, "min_cohort: 6", "6"),
+        ),
         (
             "LearnConfig::interval_ms",
-            SetBy(LEARNING, "interval_ms: 10"),
+            SetBy(LEARNING, "interval_ms: 10", "10"),
         ),
         ("AnnounceConfig::registry", Deployment),
         ("AnnounceConfig::node", Deployment),
         ("AnnounceConfig::advertise", Deployment),
-        ("AnnounceConfig::ttl_ms", SetBy(FLEET, ".with_ttl_ms(600)")),
+        (
+            "AnnounceConfig::ttl_ms",
+            SetBy(FLEET, ".with_ttl_ms(600)", "600"),
+        ),
         ("FleetConfig::registry", Deployment),
         (
             "FleetConfig::model",
-            SetBy(FLEET_MIX, r#".with_model("prod")"#),
+            SetBy(FLEET_MIX, r#".with_model("prod")"#, r#""prod""#),
         ),
         (
             "FleetConfig::backoff_ms",
-            SetBy(FLEET, ".with_backoff_ms(10)"),
+            SetBy(FLEET, ".with_backoff_ms(10)", "10"),
         ),
         (
             "FleetConfig::resolve_ttl_ms",
-            SetBy(FLEET, ".with_resolve_ttl_ms(200)"),
+            SetBy(FLEET, ".with_resolve_ttl_ms(200)", "200"),
         ),
-        ("NVC_KERNEL_MODE", SetBy(CI, r#"NVC_KERNEL_MODE: "fast""#)),
-        ("NVC_TRACE", SetBy(CI, "NVC_TRACE: ")),
-        ("NVC_OPS", SetBy(README, "NVC_OPS=1 nvc")),
+        (
+            "NVC_KERNEL_MODE",
+            SetBy(CI, r#"NVC_KERNEL_MODE: "fast""#, "fast"),
+        ),
+        (
+            "NVC_TRACE",
+            SetBy(
+                CI,
+                "NVC_TRACE: ${{ github.workspace }}/nvc-trace.jsonl",
+                "nvc-trace.jsonl",
+            ),
+        ),
+        ("NVC_OPS", SetBy(README, "NVC_OPS=1 nvc", "1")),
     ];
 
-    /// `("Type::field", home)` for every field of `value`, by exhaustive
-    /// destructuring: a new field does not compile until it is listed
-    /// here, and then fails the census until it has a row.
+    /// `("Type::field", home, default)` for every field of `value`, by
+    /// exhaustive destructuring: a new field does not compile until it is
+    /// listed here, and then fails the census until it has a row. The
+    /// default is the field's `Debug` text in `value`.
     macro_rules! fields {
         ($home:literal, $value:expr => $ty:ident [$($field:ident),* $(,)?]) => {{
-            let $ty { $($field: _),* } = $value;
-            [$((concat!(stringify!($ty), "::", stringify!($field)), $home)),*]
+            let $ty { $($field),* } = $value;
+            [$((concat!(stringify!($ty), "::", stringify!($field)), $home, format!("{:?}", $field))),*]
         }};
     }
 
-    /// Every knob, with the file that defines it.
-    fn knobs() -> Vec<(&'static str, &'static str)> {
+    /// Every knob, with the file that defines it and its default: a
+    /// flag's is the literal `nvc` falls back to when it is absent (empty
+    /// when there is none), a variable's is what an unset one means.
+    fn knobs() -> Vec<(&'static str, &'static str, String)> {
+        const NVC: &str = "crates/core/src/bin/nvc.rs";
+        let source = repo_file(NVC);
         let flags: BTreeSet<&str> = subcommands()
             .iter()
             .flat_map(|(_, table)| table.iter().map(|f| f.name))
             .collect();
         let mut knobs: Vec<_> = flags
             .into_iter()
-            .map(|flag| (flag, "crates/core/src/bin/nvc.rs"))
+            .map(|flag| {
+                let fallback = format!("parse_value(\"{flag}\")?.unwrap_or(");
+                let default = source
+                    .split_once(fallback.as_str())
+                    .map_or("", |(_, rest)| {
+                        &rest[..rest.find(')').expect("unwrap_or( is closed")]
+                    });
+                (flag, NVC, default.to_string())
+            })
             .collect();
-        knobs.extend(fields!("crates/core/src/framework.rs", NvConfig::fast() =>
+        // `NVC_KERNEL_MODE` is a knob of its own; the field's default is
+        // the library's, whatever the variable says in this process.
+        let nv = NvConfig {
+            kernel_mode: nvc_nn::KernelMode::default(),
+            ..NvConfig::fast()
+        };
+        knobs.extend(fields!("crates/core/src/framework.rs", nv =>
             NvConfig [target, embed, ppo, serve, hub, kernel_mode, seed]));
         knobs.extend(fields!("crates/serve/src/lib.rs", ServeConfig::default() =>
             ServeConfig [cache_capacity, cache_shards, batch_size, workers]));
@@ -972,37 +1030,54 @@ mod tests {
             FleetConfig [registry, model, backoff_ms, resolve_ttl_ms]),
         );
         knobs.extend([
-            ("NVC_KERNEL_MODE", "crates/nn/src/kernels.rs"),
-            ("NVC_TRACE", "crates/obs/src/trace.rs"),
-            ("NVC_OPS", "crates/obs/src/ops.rs"),
+            (
+                "NVC_KERNEL_MODE",
+                "crates/nn/src/kernels.rs",
+                nvc_nn::KernelMode::default().to_string(),
+            ),
+            ("NVC_TRACE", "crates/obs/src/trace.rs", String::new()),
+            ("NVC_OPS", "crates/obs/src/ops.rs", String::new()),
         ]);
         knobs
     }
 
+    /// `value` spells `default`, as text or as the same number.
+    fn is_default(value: &str, default: &str) -> bool {
+        let number = |s: &str| s.trim_end_matches("f32").parse::<f64>().ok();
+        value == default || number(value).is_some_and(|v| number(default) == Some(v))
+    }
+
     /// Every knob has a census row and every row a knob; every `SetBy`
-    /// file lies outside the knob's own and sets it.
+    /// file lies outside the knob's own and sets it to a value other than
+    /// its default.
     #[test]
     fn every_knob_has_a_user() {
         let census: BTreeMap<&str, &Use> = CENSUS.iter().map(|(knob, u)| (*knob, u)).collect();
         assert_eq!(census.len(), CENSUS.len(), "a knob has two rows");
         let knobs = knobs();
         let mut failures = Vec::new();
-        for &(knob, home) in &knobs {
+        for (knob, home, default) in &knobs {
             match census.get(knob) {
                 None => failures.push(format!("{knob}: no user outside {home}")),
                 Some(Deployment) => {}
-                Some(SetBy(file, needle)) if *file == home => {
+                Some(SetBy(file, needle, _)) if file == home => {
                     failures.push(format!("{knob}: `{needle}` is in its own {home}"));
                 }
-                Some(SetBy(file, needle)) => {
+                Some(SetBy(file, needle, value)) => {
                     if !repo_file(file).contains(needle) {
                         failures.push(format!("{knob}: `{needle}` is not in {file}"));
+                    }
+                    if value.is_empty() || !needle.contains(value) {
+                        failures.push(format!("{knob}: `{needle}` does not write `{value}`"));
+                    }
+                    if is_default(value, default) {
+                        failures.push(format!("{knob}: `{value}` is its default"));
                     }
                 }
             }
         }
         for knob in census.keys() {
-            if !knobs.iter().any(|(k, _)| k == knob) {
+            if !knobs.iter().any(|(k, _, _)| k == knob) {
                 failures.push(format!("{knob}: a row for a knob that is gone"));
             }
         }

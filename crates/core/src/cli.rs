@@ -13,9 +13,9 @@ pub struct Flag {
     /// The flag token, including the leading dashes (`"--kernels"`).
     pub name: &'static str,
     /// True when the flag consumes a value; false for boolean switches.
-    pub takes_value: bool,
+    pub(crate) takes_value: bool,
     /// True when the flag may appear more than once.
-    pub repeatable: bool,
+    pub(crate) repeatable: bool,
 }
 
 impl Flag {

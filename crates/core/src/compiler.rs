@@ -14,16 +14,16 @@ use nvc_frontend::parse_translation_unit;
 use nvc_ir::{lower_innermost_loops, LoweredLoop};
 use nvc_machine::TargetConfig;
 use nvc_polly::optimize_source;
-use nvc_vectorizer::{CompileOutcome, VectorDecision, Vectorizer};
+use nvc_vectorizer::{VectorDecision, Vectorizer};
 
 /// Fixed cycles per kernel invocation: call/return, argument setup and
 /// measurement harness. Calibrated so the §2.1 dot product reproduces the
 /// paper's 2.6× baseline-over-scalar ratio at kernel level.
-pub const CALL_OVERHEAD_CYCLES: f64 = 120.0;
+pub(crate) const CALL_OVERHEAD_CYCLES: f64 = 120.0;
 
 /// Scalar (non-loop) IPC used to convert `scalar_work` instructions into
 /// cycles.
-pub const SCALAR_IPC: f64 = 2.0;
+pub(crate) const SCALAR_IPC: f64 = 2.0;
 
 /// How the compiler should pick `(VF, IF)` for a loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -40,13 +40,13 @@ pub struct LoopReport {
     /// Function containing the loop.
     pub function: String,
     /// Loop index within the program.
-    pub loop_index: usize,
+    pub(crate) loop_index: usize,
     /// The decision after clamping.
     pub decision: VectorDecision,
     /// Cycles across all executions of the nest.
     pub nest_cycles: f64,
     /// Modelled compile time for this loop.
-    pub compile_ms: f64,
+    pub(crate) compile_ms: f64,
 }
 
 /// Whole-program result.
@@ -58,17 +58,7 @@ pub struct ProgramTiming {
     /// Per-loop breakdown.
     pub loops: Vec<LoopReport>,
     /// Total modelled compile time.
-    pub compile_ms: f64,
-    /// Outcome against the 10× compile budget (set by
-    /// [`Compiler::run_with_budget`]).
-    pub compile_outcome: CompileOutcome,
-}
-
-impl ProgramTiming {
-    /// Seconds at the target frequency.
-    pub fn seconds(&self, target: &TargetConfig) -> f64 {
-        target.cycles_to_seconds(self.total_cycles)
-    }
+    pub(crate) compile_ms: f64,
 }
 
 /// Errors from compiling a kernel.
@@ -176,26 +166,7 @@ impl Compiler {
             total_cycles: total,
             loops: reports,
             compile_ms,
-            compile_outcome: CompileOutcome::Ok { ms: compile_ms },
         })
-    }
-
-    /// Like [`Compiler::run_with`], but applies the paper's §3.4 rule: if
-    /// the program's compile time exceeds `10 × baseline_compile_ms`, the
-    /// result is flagged [`CompileOutcome::TimedOut`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError`] when the front end fails.
-    pub fn run_with_budget(
-        &self,
-        kernel: &Kernel,
-        baseline_compile_ms: f64,
-        decide: impl FnMut(&LoweredLoop) -> LoopDecision,
-    ) -> Result<ProgramTiming, CompileError> {
-        let mut t = self.run_with(kernel, decide)?;
-        t.compile_outcome = CompileOutcome::from_times(t.compile_ms, baseline_compile_ms);
-        Ok(t)
     }
 
     /// Compiles with the baseline cost model everywhere (the `-O3`
@@ -301,22 +272,6 @@ int kernel() {
         let t1 = c.run_baseline(&k).unwrap();
         let t2 = c.run_baseline(&k2).unwrap();
         assert!((t2.total_cycles - t1.total_cycles - 5000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn compile_budget_flags_timeouts() {
-        let c = Compiler::default();
-        let k = dot_product_kernel();
-        let base = c.run_baseline(&k).unwrap();
-        let ok = c
-            .run_with_budget(&k, base.compile_ms, |_| LoopDecision::Baseline)
-            .unwrap();
-        assert!(!ok.compile_outcome.timed_out());
-        // An absurdly small budget forces a timeout.
-        let bad = c
-            .run_with_budget(&k, base.compile_ms / 100.0, |_| LoopDecision::Baseline)
-            .unwrap();
-        assert!(bad.compile_outcome.timed_out());
     }
 
     #[test]

@@ -31,16 +31,16 @@ pub struct LoopContext {
     /// Kernel the loop came from.
     pub kernel_index: usize,
     /// The lowered loop.
-    pub lowered: LoweredLoop,
+    pub(crate) lowered: LoweredLoop,
     /// code2vec input: `loop_sample` of the loop's own text. Serving
     /// (`nvc_embed::extract_loop_samples`) embeds the outermost enclosing
     /// nest instead, so a nested loop's two inputs differ. Contexts with
     /// equal samples share one allocation.
     pub sample: Arc<PathSample>,
     /// Baseline nest cycles (the reward denominator).
-    pub baseline_cycles: f64,
+    pub(crate) baseline_cycles: f64,
     /// Baseline compile time (the timeout budget reference).
-    pub baseline_compile_ms: f64,
+    pub(crate) baseline_compile_ms: f64,
 }
 
 /// The code2vec input of a lowered loop — the path contexts of its own
@@ -59,7 +59,6 @@ pub struct VectorizeEnv {
     contexts: Vec<LoopContext>,
     kernels: Vec<Kernel>,
     reward_cache: Mutex<HashMap<(usize, usize, usize), f64>>,
-    steps_taken: u64,
     compile_weight: f64,
 }
 
@@ -114,7 +113,6 @@ impl VectorizeEnv {
             contexts,
             kernels,
             reward_cache: Mutex::new(HashMap::new()),
-            steps_taken: 0,
             compile_weight: 0.0,
         }
     }
@@ -125,7 +123,7 @@ impl VectorizeEnv {
     /// `w`, the reward is reduced by `w × max(0, compile/baseline − 1)`,
     /// so the agent trades execution speed against compile cost instead
     /// of only facing the hard 10× cliff.
-    pub fn with_compile_weight(mut self, w: f64) -> Self {
+    pub(crate) fn with_compile_weight(mut self, w: f64) -> Self {
         self.compile_weight = w;
         self.reward_cache.lock().clear();
         self
@@ -144,11 +142,6 @@ impl VectorizeEnv {
     /// The action space in use.
     pub fn space(&self) -> &ActionSpace {
         &self.space
-    }
-
-    /// Total environment steps taken (compilations, §4's x-axis).
-    pub fn steps_taken(&self) -> u64 {
-        self.steps_taken
     }
 
     /// The reward of `decision` on context `idx` (memoized).
@@ -179,7 +172,7 @@ impl VectorizeEnv {
 
     /// Brute-force labels: best `(vf_idx, if_idx)` per context — the
     /// supervision NNS/decision trees need (§3.5).
-    pub fn brute_force_labels(&self) -> Vec<(usize, usize)> {
+    pub(crate) fn brute_force_labels(&self) -> Vec<(usize, usize)> {
         (0..self.contexts.len())
             .map(|i| {
                 nvc_agents::brute_force_best(self.action_dims(), |(v, f)| {
@@ -208,7 +201,6 @@ impl BanditEnv for VectorizeEnv {
     }
 
     fn reward(&mut self, idx: usize, action: (usize, usize)) -> f64 {
-        self.steps_taken += 1;
         let decision = self.space.decision_from_pair(action.0, action.1);
         self.reward_of_decision(idx, decision)
     }
@@ -270,7 +262,6 @@ mod tests {
                 }
             }
         }
-        assert!(env.steps_taken() > 0);
     }
 
     #[test]

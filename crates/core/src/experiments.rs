@@ -8,14 +8,14 @@
 //! |---|---|
 //! | Figure 1 (dot-product VF×IF grid) | [`fig1_dot_product_grid`] |
 //! | Figure 2 (brute force vs baseline on the test suite) | [`fig2_bruteforce_suite`] |
-//! | Figure 5 (hyperparameter sweep) | [`fig5_sweep`] |
-//! | Figure 6 (action spaces) | [`fig6_action_spaces`] |
+//! | Figure 5 (hyperparameter sweep) | `fig5_sweep` |
+//! | Figure 6 (action spaces) | `fig6_action_spaces` |
 //! | Figure 7 (12 benchmarks × 7 methods) | [`fig7_comparison`] |
 //! | Figure 8 (PolyBench) | [`fig8_polybench`] |
 //! | Figure 9 (MiBench) | [`fig9_mibench`] |
-//! | Headline numbers | [`headline_summary`] |
-//! | §5 ranking network (extension) | [`ext_ranker_comparison`] |
-//! | §3.4 reward shaping (extension) | [`ext_reward_shaping`] |
+//! | Headline numbers | `headline_summary` |
+//! | §5 ranking network (extension) | `ext_ranker_comparison` |
+//! | §3.4 reward shaping (extension) | `ext_reward_shaping` |
 //!
 //! Figures 7–9 and the ranker are column lists over one method-by-kernel
 //! driver, `compare`. Every method embeds a loop as training does, from
@@ -49,13 +49,13 @@ pub mod report;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Scale {
     /// Number of generated training kernels.
-    pub train_kernels: usize,
+    pub(crate) train_kernels: usize,
     /// PPO iterations.
-    pub iterations: usize,
+    pub(crate) iterations: usize,
     /// Environment steps per iteration (PPO train batch).
-    pub train_batch: usize,
+    pub(crate) train_batch: usize,
     /// Master seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Scale {
@@ -70,7 +70,7 @@ impl Scale {
     }
 
     /// The scale of `nvc experiment`.
-    pub fn bench() -> Self {
+    pub(crate) fn bench() -> Self {
         Scale {
             train_kernels: 160,
             iterations: 30,
@@ -258,11 +258,11 @@ pub fn fig2_bruteforce_suite(target: &TargetConfig) -> Vec<SuiteEntry> {
 
 /// A labelled learning curve.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SweepSeries {
+pub(crate) struct SweepSeries {
     /// Legend label (e.g. "lr=5e-5").
-    pub label: String,
+    pub(crate) label: String,
     /// Per-iteration statistics.
-    pub points: Vec<IterStats>,
+    pub(crate) points: Vec<IterStats>,
 }
 
 fn run_sweep_config(scale: Scale, cfg: NvConfig, label: String) -> SweepSeries {
@@ -277,7 +277,7 @@ fn run_sweep_config(scale: Scale, cfg: NvConfig, label: String) -> SweepSeries {
 /// sweeps. The axes match the paper (lr ∈ {5e-5, 5e-4, 5e-3},
 /// FCNN ∈ {64×64, 128×128, 256×256}, batch ∈ {500, 1000, 4000}); batch
 /// sizes are divided by 8 at `bench`/`smoke` scale.
-pub fn fig5_sweep(scale: Scale) -> Vec<SweepSeries> {
+pub(crate) fn fig5_sweep(scale: Scale) -> Vec<SweepSeries> {
     let mut out = Vec::new();
     // Learning rates (paper values).
     for lr in [5e-5f32, 5e-4, 5e-3] {
@@ -307,7 +307,7 @@ pub fn fig5_sweep(scale: Scale) -> Vec<SweepSeries> {
 }
 
 /// Regenerates Figure 6: discrete vs continuous action spaces.
-pub fn fig6_action_spaces(scale: Scale) -> Vec<SweepSeries> {
+pub(crate) fn fig6_action_spaces(scale: Scale) -> Vec<SweepSeries> {
     [
         (ActionSpaceKind::Discrete, "discrete"),
         (ActionSpaceKind::Continuous1D, "continuous-1d"),
@@ -350,7 +350,7 @@ impl ComparisonData {
 }
 
 /// One column of a method-by-kernel table: the method's name and how it
-/// runs a kernel — [`column`] pairs a compiler (plain or Polly) with a
+/// runs a kernel — [`column()`] pairs a compiler (plain or Polly) with a
 /// per-loop decision.
 type Column<'a> = (
     &'static str,
@@ -542,19 +542,19 @@ pub fn fig9_mibench(nv: &NeuroVectorizer) -> ComparisonData {
 
 /// The abstract's headline numbers, measured.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Headline {
+pub(crate) struct Headline {
     /// Geomean RL speedup on the Figure-7 benchmarks (paper: 2.67×).
-    pub rl_average: f64,
+    pub(crate) rl_average: f64,
     /// Geomean brute-force speedup (the oracle).
-    pub brute_force_average: f64,
+    pub(crate) brute_force_average: f64,
     /// RL as a fraction of brute force (paper: 97%).
-    pub rl_vs_brute_force: f64,
+    pub(crate) rl_vs_brute_force: f64,
     /// Min and max per-suite average speedup (paper: 1.29×–4.73×).
-    pub range: (f64, f64),
+    pub(crate) range: (f64, f64),
 }
 
 /// Computes the headline numbers from the Figure 7–9 data.
-pub fn headline_summary(
+pub(crate) fn headline_summary(
     fig7: &ComparisonData,
     fig8: &ComparisonData,
     fig9: &ComparisonData,
@@ -580,7 +580,7 @@ pub fn headline_summary(
 /// §5 extension: trains the reward-ranking network (a learned cost model)
 /// on the training pool's brute-force grid and evaluates it on the
 /// Figure-7 benchmarks next to the RL policy.
-pub fn ext_ranker_comparison(
+pub(crate) fn ext_ranker_comparison(
     nv: &NeuroVectorizer,
     train_env: &VectorizeEnv,
     benchmarks: &[Kernel],
@@ -627,18 +627,18 @@ pub fn ext_ranker_comparison(
 
 /// One row of the §3.4 reward-shaping ablation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShapingRow {
+pub(crate) struct ShapingRow {
     /// Compile-time penalty weight.
-    pub weight: f64,
+    pub(crate) weight: f64,
     /// Mean greedy execution reward after training.
-    pub exec_reward: f64,
+    pub(crate) exec_reward: f64,
     /// Mean compile time of the greedy decisions, normalized to baseline.
-    pub compile_ratio: f64,
+    pub(crate) compile_ratio: f64,
 }
 
 /// §3.4 extension: sweeps the compile-time penalty weight and reports the
 /// execution-reward / compile-time trade-off the paper describes.
-pub fn ext_reward_shaping(scale: Scale, weights: &[f64]) -> Vec<ShapingRow> {
+pub(crate) fn ext_reward_shaping(scale: Scale, weights: &[f64]) -> Vec<ShapingRow> {
     let mut out = Vec::new();
     for &w in weights {
         let mut cfg = NvConfig::fast().with_seed(scale.seed);

@@ -1,6 +1,6 @@
 //! `nvc experiment <id|all>`: every figure printed in the paper's format.
 //!
-//! One entry point at one size — [`Scale::bench`], seed 17, no options —
+//! One entry point at one size — `Scale::bench`, seed 17, no options —
 //! so two runs print the same bytes. Figures 7–9, the headline numbers and
 //! the ranker extension read one trained model; `all` trains it once.
 

@@ -218,7 +218,7 @@ impl NeuroVectorizer {
     /// notably an [`nvc_rl::ReplayEnv`] over journaled serve traffic.
     /// Same PPO loop as [`NeuroVectorizer::train`], different reward
     /// oracle.
-    pub fn fine_tune(
+    pub(crate) fn fine_tune(
         &mut self,
         env: &mut impl nvc_rl::BanditEnv,
         iterations: usize,

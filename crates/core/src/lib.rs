@@ -15,11 +15,11 @@
 //!        compile (clamp to legality) ──► simulate ──► reward
 //! ```
 //!
-//! * [`compiler`] — the compile-and-run service over the `nvc-*` substrate
+//! * `compiler` — the compile-and-run service over the `nvc-*` substrate
 //!   crates (frontend, IR, vectorizer, machine model, Polly-lite);
-//! * [`env`] — the contextual-bandit environment (§3.3 reward, §3.4
+//! * `env` — the contextual-bandit environment (§3.3 reward, §3.4
 //!   compile-time penalty);
-//! * [`framework`] — training and the pragma-injecting inference product;
+//! * `framework` — training and the pragma-injecting inference product;
 //! * [`experiments`] — drivers that regenerate every figure of the paper
 //!   (printed by `nvc experiment <id|all>`);
 //! * serving — [`NeuroVectorizer::serve`] moves a trained model into a
@@ -57,14 +57,12 @@
 //! # }
 //! ```
 
-pub mod compiler;
-pub mod env;
-pub mod experiments;
-pub mod framework;
-
 pub mod cli;
-
-pub use compiler::{CompileError, Compiler, LoopDecision, ProgramTiming, CALL_OVERHEAD_CYCLES};
+pub(crate) mod compiler;
+pub(crate) mod env;
+pub mod experiments;
+pub(crate) mod framework;
+pub use compiler::{CompileError, Compiler, LoopDecision, LoopReport, ProgramTiming};
 pub use env::{LoopContext, VectorizeEnv, TIMEOUT_PENALTY};
 pub use framework::{NeuroVectorizer, NvConfig};
 pub use nvc_fleet::{
@@ -74,5 +72,4 @@ pub use nvc_hub::{
     serve_registry, spawn_announcer, spawn_learner, AnnounceConfig, Hub, HubConfig, HubHandle,
     LearnConfig, LearnEvent, ModelSpec, ReportRecord,
 };
-pub use nvc_rl::ReplayEnv;
 pub use nvc_serve::{ServeConfig, ServeHandle};

@@ -8,12 +8,12 @@
 //!
 //! This crate reimplements that pipeline natively:
 //!
-//! * [`paths`] — extracts leaf-to-leaf AST paths from a loop statement,
+//! * `paths` — extracts leaf-to-leaf AST paths from a loop statement,
 //!   with the name normalization the paper found "crucial for reducing
 //!   noise" (variable names are replaced by occurrence-ordered
 //!   placeholders so renamed copies of a loop embed identically);
-//! * [`vocab`] — hashing-trick vocabularies for terminals and paths;
-//! * [`model`] — the attention encoder: per path-context
+//! * `vocab` — hashing-trick vocabularies for terminals and paths;
+//! * `model` — the attention encoder: per path-context
 //!   `c_i = tanh(W · [e_start; e_path; e_end])`, attention weights
 //!   `α = softmax(c · a)`, code vector `v = Σ α_i c_i`, trained end-to-end
 //!   through `nvc-nn`. Batches of loops run as **one tape op**
@@ -27,15 +27,14 @@
 //!   `infer_rows` computes each table row's share of the projection once
 //!   per set of weights and keeps it.
 
-pub mod model;
-pub mod paths;
-pub mod sites;
-pub mod vocab;
-
+pub(crate) mod model;
+pub(crate) mod paths;
+pub(crate) mod sites;
+pub(crate) mod vocab;
 pub use model::{CodeEmbedder, EmbedConfig};
-pub use paths::{extract_path_contexts, normalize_terminals, PathContext};
+pub use paths::{extract_path_contexts, PathContext};
 pub use sites::{extract_loop_samples, LoopSite};
-pub use vocab::{hash_token, Fnv1a, PathSample};
+pub use vocab::{Fnv1a, PathSample};
 
 #[cfg(test)]
 mod tests {

@@ -56,7 +56,7 @@ impl EmbedConfig {
     }
 
     /// Width of one concatenated path-context row.
-    pub fn context_width(&self) -> usize {
+    pub(crate) fn context_width(&self) -> usize {
         2 * self.token_dim + self.path_dim
     }
 }
@@ -97,11 +97,6 @@ impl CodeEmbedder {
             attention,
             memo: ProjectionMemo::default(),
         }
-    }
-
-    /// Configuration in use.
-    pub fn config(&self) -> &EmbedConfig {
-        &self.cfg
     }
 
     /// Terminal table handle (for tests/inspection).

@@ -253,7 +253,7 @@ impl<'a> Tree<'a> {
 
 /// Buckets numeric literals so magnitudes, not exact values, shape the
 /// embedding.
-pub fn normalize_terminals(v: i64) -> &'static str {
+pub(crate) fn normalize_terminals(v: i64) -> &'static str {
     match v {
         0 => "LIT0",
         1 => "LIT1",

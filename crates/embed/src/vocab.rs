@@ -17,7 +17,7 @@ use crate::paths::PathContext;
 pub use nvc_nn::obs::Fnv1a;
 
 /// FNV-1a hash of a token string.
-pub fn hash_token(s: &str) -> u64 {
+pub(crate) fn hash_token(s: &str) -> u64 {
     let mut h = Fnv1a::new();
     h.write(s.as_bytes());
     h.finish()

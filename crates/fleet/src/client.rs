@@ -27,12 +27,12 @@ use crate::FleetError;
 #[derive(Debug, Clone, Copy)]
 pub struct PeerLimits {
     /// Per resolved address.
-    pub connect_timeout: Duration,
+    pub(crate) connect_timeout: Duration,
     /// Longest silence tolerated while writing the request or waiting
     /// for (more of) the response.
-    pub io_timeout: Duration,
+    pub(crate) io_timeout: Duration,
     /// Longest response line accepted.
-    pub max_response_bytes: u64,
+    pub(crate) max_response_bytes: u64,
 }
 
 /// The limits every client in the stack uses. 2 s covers a connect
@@ -137,13 +137,8 @@ impl RegistryClient {
         }
     }
 
-    /// The registry address this client talks to.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
     /// One request/response ([`round_trip`] under [`PEER_LIMITS`]).
-    pub fn request(&self, body: &Json) -> Result<Json, String> {
+    pub(crate) fn request(&self, body: &Json) -> Result<Json, String> {
         round_trip(
             &mut self.conn.lock(),
             &self.addr,
@@ -180,12 +175,6 @@ impl RegistryClient {
             nodes.push(ResolvedNode::from_json(n)?);
         }
         Ok(nodes)
-    }
-
-    /// Asks the registry to shut down.
-    pub fn shutdown(&self) -> Result<(), String> {
-        self.request(&obj(vec![("op", Json::from("shutdown"))]))
-            .map(|_| ())
     }
 }
 
@@ -240,8 +229,6 @@ impl FleetConfig {
 /// One vectorization answered by the fleet.
 #[derive(Debug, Clone)]
 pub struct FleetResponse {
-    /// The model that decided (hub-side registry name).
-    pub model: String,
     /// The node that answered.
     pub node: String,
     /// The checkpoint content hash stamped on the response — already
@@ -251,8 +238,6 @@ pub struct FleetResponse {
     pub source: String,
     /// Per-loop decisions as returned by the hub.
     pub loops: Json,
-    /// Server-side latency for the decision.
-    pub latency_us: u64,
 }
 
 /// Counters a [`FleetClient`] keeps about its own behavior.
@@ -442,7 +427,6 @@ impl FleetClient {
             .ok_or("response missing `checkpoint_hash`")?;
         self.verify_version(node, &model, got_hash)?;
         Ok(FleetResponse {
-            model,
             node: node.node.clone(),
             checkpoint_hash: got_hash,
             source: v
@@ -451,7 +435,6 @@ impl FleetClient {
                 .ok_or("response missing `source`")?
                 .to_string(),
             loops: v.get("loops").cloned().unwrap_or(Json::Null),
-            latency_us: v.get("latency_us").and_then(Json::as_f64).unwrap_or(0.0) as u64,
         })
     }
 

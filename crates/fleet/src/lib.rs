@@ -5,7 +5,7 @@
 //! crate adds the three pieces that turn N independent hubs into one
 //! fleet:
 //!
-//! * [`registry`] + [`service`] — a **discovery registry** (`nvc
+//! * `registry` + `service` — a **discovery registry** (`nvc
 //!   registry` on the CLI): hub nodes announce `(model,
 //!   checkpoint_hash, addr)` over the same JSON-lines protocol the rest
 //!   of the stack speaks, with TTL'd heartbeats — a node that stops
@@ -46,9 +46,8 @@
 //! first: every server of the stack answers it alike.
 
 pub mod client;
-pub mod registry;
-pub mod service;
-
+pub(crate) mod registry;
+pub(crate) mod service;
 pub use client::{FleetClient, FleetConfig, FleetResponse, FleetStats, RegistryClient};
 pub use nvc_serve::ContentStore;
 pub use registry::{ModelAd, NodeAnnouncement, RegistryCore, ResolvedNode};

@@ -3,7 +3,7 @@
 //!
 //! [`RegistryCore`] is transport-free — every mutation takes an explicit
 //! `Instant` (`*_at` variants) so TTL expiry is unit-testable without
-//! sleeping; the TCP layer ([`crate::server`]) and convenience wrappers
+//! sleeping; the TCP layer (`nvc_hub::serve_registry`) and convenience wrappers
 //! pass `Instant::now()`. Expiry is lazy: a node whose deadline has
 //! passed is pruned the next time anything looks at the table, and
 //! counted in `expirations`.
@@ -31,7 +31,7 @@ pub struct ModelAd {
 
 impl ModelAd {
     /// Wire encoding (`checkpoint_hash` as 16 hex digits).
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         obj(vec![
             ("model", Json::from(self.model.as_str())),
             (
@@ -43,7 +43,7 @@ impl ModelAd {
     }
 
     /// Parses the [`ModelAd::to_json`] encoding.
-    pub fn from_json(v: &Json) -> Result<ModelAd, String> {
+    pub(crate) fn from_json(v: &Json) -> Result<ModelAd, String> {
         let model = v
             .get("model")
             .and_then(Json::as_str)
@@ -93,7 +93,7 @@ impl NodeAnnouncement {
     }
 
     /// Parses an `announce` request.
-    pub fn from_json(v: &Json) -> Result<NodeAnnouncement, String> {
+    pub(crate) fn from_json(v: &Json) -> Result<NodeAnnouncement, String> {
         let node = v
             .get("node")
             .and_then(Json::as_str)
@@ -154,7 +154,7 @@ pub struct ResolvedNode {
 
 impl ResolvedNode {
     /// Wire encoding (one element of a `resolve` response).
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         obj(vec![
             ("node", Json::from(self.node.as_str())),
             ("addr", Json::from(self.addr.as_str())),
@@ -167,7 +167,7 @@ impl ResolvedNode {
     }
 
     /// Parses the [`ResolvedNode::to_json`] encoding.
-    pub fn from_json(v: &Json) -> Result<ResolvedNode, String> {
+    pub(crate) fn from_json(v: &Json) -> Result<ResolvedNode, String> {
         let node = v
             .get("node")
             .and_then(Json::as_str)
@@ -224,7 +224,7 @@ pub struct RegistryCore {
 impl RegistryCore {
     /// Records (or refreshes) `ann` as of `now`. Returns the live node
     /// count after pruning.
-    pub fn announce_at(&self, ann: NodeAnnouncement, now: Instant) -> usize {
+    pub(crate) fn announce_at(&self, ann: NodeAnnouncement, now: Instant) -> usize {
         self.announces.inc();
         let deadline = now + std::time::Duration::from_millis(ann.ttl_ms.max(1));
         let mut nodes = self.nodes.lock();
@@ -240,14 +240,14 @@ impl RegistryCore {
         nodes.len()
     }
 
-    /// [`RegistryCore::announce_at`] as of now.
+    /// `RegistryCore::announce_at` as of now.
     pub fn announce(&self, ann: NodeAnnouncement) -> usize {
         self.announce_at(ann, Instant::now())
     }
 
     /// A `resolve` as of `now`: counted in `resolves`, then
     /// [`RegistryCore::live_at`].
-    pub fn resolve_at(&self, model: Option<&str>, now: Instant) -> Vec<ResolvedNode> {
+    pub(crate) fn resolve_at(&self, model: Option<&str>, now: Instant) -> Vec<ResolvedNode> {
         self.resolves.inc();
         self.live_at(model, now)
     }
@@ -255,7 +255,7 @@ impl RegistryCore {
     /// Live nodes as of `now`, optionally filtered to those serving
     /// `model`, most-recently-heard first (resolvers try the freshest
     /// peer first). Prunes expired nodes first; counts no `resolve`.
-    pub fn live_at(&self, model: Option<&str>, now: Instant) -> Vec<ResolvedNode> {
+    pub(crate) fn live_at(&self, model: Option<&str>, now: Instant) -> Vec<ResolvedNode> {
         let mut nodes = self.nodes.lock();
         self.prune_locked(&mut nodes, now);
         let mut out: Vec<(Instant, ResolvedNode)> = nodes
@@ -280,7 +280,7 @@ impl RegistryCore {
         out.into_iter().map(|(_, n)| n).collect()
     }
 
-    /// [`RegistryCore::resolve_at`] as of now.
+    /// `RegistryCore::resolve_at` as of now.
     pub fn resolve(&self, model: Option<&str>) -> Vec<ResolvedNode> {
         self.resolve_at(model, Instant::now())
     }

@@ -46,7 +46,7 @@ pub enum Type {
 
 impl Type {
     /// Size of the type in bytes (0 for `void`).
-    pub fn size_bytes(self) -> u32 {
+    pub(crate) fn size_bytes(self) -> u32 {
         match self {
             Type::Void => 0,
             Type::Char { .. } => 1,
@@ -54,11 +54,6 @@ impl Type {
             Type::Int { .. } | Type::Float => 4,
             Type::Long { .. } | Type::Double => 8,
         }
-    }
-
-    /// True for `float`/`double`.
-    pub fn is_float(self) -> bool {
-        matches!(self, Type::Float | Type::Double)
     }
 
     /// C name of the type (`unsigned` prefix included).
@@ -75,36 +70,6 @@ impl Type {
             Type::Long { unsigned: true } => "unsigned long",
             Type::Float => "float",
             Type::Double => "double",
-        }
-    }
-
-    /// Usual-arithmetic-conversions result of combining two operand types.
-    pub fn unify(self, other: Type) -> Type {
-        use Type::*;
-        if self == Double || other == Double {
-            return Double;
-        }
-        if self == Float || other == Float {
-            return Float;
-        }
-        // Integer promotion: everything below int promotes to int.
-        let rank = |t: Type| match t {
-            Long { .. } => 3,
-            Int { .. } => 2,
-            _ => 2, // char/short promote to int
-        };
-        let unsigned = |t: Type| match t {
-            Char { unsigned } | Short { unsigned } | Int { unsigned } | Long { unsigned } => {
-                unsigned
-            }
-            _ => false,
-        };
-        let (ra, rb) = (rank(self), rank(other));
-        let u = unsigned(self) || unsigned(other);
-        if ra.max(rb) == 3 {
-            Long { unsigned: u }
-        } else {
-            Int { unsigned: u }
         }
     }
 }
@@ -509,7 +474,7 @@ pub struct Param {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Function {
     /// Return type.
-    pub return_ty: Type,
+    pub(crate) return_ty: Type,
     /// Function name.
     pub name: String,
     /// Parameters.
@@ -517,9 +482,9 @@ pub struct Function {
     /// Body block.
     pub body: Stmt,
     /// Attributes, e.g. `noinline`.
-    pub attributes: Vec<String>,
+    pub(crate) attributes: Vec<String>,
     /// Full source span of the definition.
-    pub span: Span,
+    pub(crate) span: Span,
 }
 
 /// A file-scope variable (typically a statically sized array).
@@ -534,14 +499,14 @@ pub struct GlobalVar {
     /// Declared alignment in bytes from `__attribute__((aligned(N)))`, if any.
     pub alignment: Option<u32>,
     /// Initializer for scalars.
-    pub init: Option<Expr>,
+    pub(crate) init: Option<Expr>,
     /// Full source span.
-    pub span: Span,
+    pub(crate) span: Span,
 }
 
 impl GlobalVar {
     /// Number of elements across all dimensions.
-    pub fn element_count(&self) -> i64 {
+    pub(crate) fn element_count(&self) -> i64 {
         self.dims.iter().product::<i64>().max(1)
     }
 
@@ -569,7 +534,7 @@ pub struct TranslationUnit {
 
 impl TranslationUnit {
     /// Creates an empty translation unit.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -590,13 +555,9 @@ impl TranslationUnit {
     }
 
     /// Looks up a global by name.
-    pub fn global(&self, name: &str) -> Option<&GlobalVar> {
+    #[cfg(test)]
+    pub(crate) fn global(&self, name: &str) -> Option<&GlobalVar> {
         self.globals().find(|g| g.name == name)
-    }
-
-    /// Looks up a function by name.
-    pub fn function(&self, name: &str) -> Option<&Function> {
-        self.functions().find(|f| f.name == name)
     }
 }
 
@@ -612,21 +573,6 @@ mod tests {
         assert_eq!(Type::Long { unsigned: false }.size_bytes(), 8);
         assert_eq!(Type::Float.size_bytes(), 4);
         assert_eq!(Type::Double.size_bytes(), 8);
-    }
-
-    #[test]
-    fn type_unify_follows_usual_conversions() {
-        let int = Type::Int { unsigned: false };
-        let short = Type::Short { unsigned: false };
-        let uns = Type::Int { unsigned: true };
-        assert_eq!(short.unify(short), int); // promotion
-        assert_eq!(int.unify(Type::Float), Type::Float);
-        assert_eq!(Type::Float.unify(Type::Double), Type::Double);
-        assert_eq!(int.unify(uns), Type::Int { unsigned: true });
-        assert_eq!(
-            int.unify(Type::Long { unsigned: false }),
-            Type::Long { unsigned: false }
-        );
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub struct LoopRef<'tu> {
     /// Name of the enclosing function.
     pub function: &'tu str,
     /// Nesting depth: 0 for a top-level loop in the function.
-    pub depth: usize,
+    pub(crate) depth: usize,
     /// True when no other loop is nested inside this one.
     pub is_innermost: bool,
     /// Span of the whole loop statement; `span.line` is the header line.
@@ -59,7 +59,7 @@ pub struct LoopRef<'tu> {
     /// those are the file's own tokens (`Lexed::tokens_in` borrows them).
     pub nest: &'tu Stmt,
     /// Pragma already attached to the loop, if any.
-    pub pragma: Option<LoopPragma>,
+    pub(crate) pragma: Option<LoopPragma>,
 }
 
 /// Calls `visit` for every loop of `tu`, in source order.

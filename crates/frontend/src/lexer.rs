@@ -41,7 +41,7 @@ pub struct Span {
 
 impl Span {
     /// Creates a span covering `[start, end)` at the given position.
-    pub fn new(start: usize, end: usize, line: u32, col: u32) -> Self {
+    pub(crate) fn new(start: usize, end: usize, line: u32, col: u32) -> Self {
         Self {
             start,
             end,
@@ -117,7 +117,7 @@ pub enum TokenKind<'src> {
 
 impl<'src> TokenKind<'src> {
     /// Returns the identifier text if this token is an identifier.
-    pub fn as_ident(&self) -> Option<&'src str> {
+    pub(crate) fn as_ident(&self) -> Option<&'src str> {
         match self {
             TokenKind::Ident(s) => Some(s),
             _ => None,

@@ -8,21 +8,21 @@
 //! of the innermost loops. This crate provides everything needed for that
 //! round trip:
 //!
-//! * [`lexer`] / [`parser`] — tokenize and parse the C subset (global array
+//! * [`lexer`] / `parser` — tokenize and parse the C subset (global array
 //!   declarations with attributes, functions, `for`/`while`/`if`, ternaries,
 //!   casts, compound assignment, multi-dimensional array indexing, simple
 //!   `#define` object macros, and `#pragma clang loop` hints).
 //! * [`ast`] — the abstract syntax tree with source spans.
-//! * [`extract`] — find every loop nest, its innermost loops, and the source
+//! * `extract` — find every loop nest, its innermost loops, and the source
 //!   text the embedding generator should see.
-//! * [`pragma`] — splice vectorization pragmas into source text without
+//! * `pragma` — splice vectorization pragmas into source text without
 //!   disturbing anything else.
 //! * [`printer`] — render an AST back to compilable C.
 //!
 //! # Example
 //!
 //! ```
-//! use nvc_frontend::{parse_translation_unit, extract::extract_loops};
+//! use nvc_frontend::{extract_loops, parse_translation_unit};
 //!
 //! # fn main() -> Result<(), nvc_frontend::FrontendError> {
 //! let src = r#"
@@ -40,18 +40,18 @@
 //! ```
 
 pub mod ast;
-pub mod extract;
+pub(crate) mod extract;
 pub mod lexer;
-pub mod parser;
-pub mod pragma;
+pub(crate) mod parser;
+pub(crate) mod pragma;
 pub mod printer;
 
 use std::error::Error;
 use std::fmt;
 
 pub use ast::{
-    BinaryOp, Expr, ExprKind, Function, GlobalVar, Item, LoopPragma, Stmt, StmtKind,
-    TranslationUnit, Type, UnaryOp,
+    BinaryOp, Expr, ExprKind, Function, Item, LoopPragma, Stmt, StmtKind, TranslationUnit, Type,
+    UnaryOp,
 };
 pub use extract::{extract_loops, for_each_loop, ExtractedLoop, LoopRef};
 pub use lexer::{Lexed, Lexer, Span, Token, TokenKind};

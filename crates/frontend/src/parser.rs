@@ -572,7 +572,7 @@ impl<'a> Parser<'a> {
     // ------------------------------------------------------------------
 
     /// Full expression, including assignment.
-    pub fn parse_expr(&mut self) -> Result<Expr, FrontendError> {
+    pub(crate) fn parse_expr(&mut self) -> Result<Expr, FrontendError> {
         self.parse_assignment_expr()
     }
 

@@ -65,7 +65,7 @@ pub struct Announcer {
 }
 
 /// The hub's current model list as registry advertisements.
-pub fn advertisements(hub: &Hub) -> Vec<ModelAd> {
+pub(crate) fn advertisements(hub: &Hub) -> Vec<ModelAd> {
     hub.registry()
         .entries()
         .iter()

@@ -76,7 +76,7 @@ pub struct ReportRecord {
 
 impl ReportRecord {
     /// One JSON journal line.
-    pub fn to_json_line(&self) -> String {
+    pub(crate) fn to_json_line(&self) -> String {
         let ints = |xs: &[usize]| Json::Arr(xs.iter().map(|&x| Json::from(x)).collect());
         obj(vec![
             ("model", Json::from(self.model.as_str())),
@@ -97,7 +97,7 @@ impl ReportRecord {
     /// `starts`, `paths` and `ends` — must be a whole number in `0..2^53`,
     /// and the three arrays must be equally long; anything else is an
     /// error, never a cast.
-    pub fn from_json(v: &Json) -> Result<ReportRecord, String> {
+    pub(crate) fn from_json(v: &Json) -> Result<ReportRecord, String> {
         let hex = |field: &str| {
             v.get(field)
                 .and_then(Json::as_str)
@@ -163,18 +163,18 @@ impl ReportRecord {
 /// Welford-accumulated reward statistics of one `(model, checkpoint)`
 /// cohort.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Cohort {
+pub(crate) struct Cohort {
     /// Observations.
-    pub n: u64,
+    pub(crate) n: u64,
     /// Running mean reward.
-    pub mean: f64,
+    pub(crate) mean: f64,
     /// Sum of squared deviations (Welford's M2).
     m2: f64,
 }
 
 impl Cohort {
     /// Folds one observation in.
-    pub fn push(&mut self, x: f64) {
+    pub(crate) fn push(&mut self, x: f64) {
         self.n += 1;
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
@@ -182,7 +182,7 @@ impl Cohort {
     }
 
     /// Sample variance (0 below two observations).
-    pub fn var(&self) -> f64 {
+    pub(crate) fn var(&self) -> f64 {
         if self.n > 1 {
             self.m2 / (self.n - 1) as f64
         } else {
@@ -194,7 +194,7 @@ impl Cohort {
 /// Welch's z-statistic for `mean(a) − mean(b)`. Positive means `a`
 /// measured better. Degenerate zero-variance cohorts compare by mean
 /// alone (±1e9 stand-ins for ±∞, 0 on an exact tie).
-pub fn welch_z(a: &Cohort, b: &Cohort) -> f64 {
+pub(crate) fn welch_z(a: &Cohort, b: &Cohort) -> f64 {
     if a.n == 0 || b.n == 0 {
         return 0.0;
     }
@@ -350,7 +350,10 @@ impl LearnState {
     /// # Errors
     ///
     /// [`HubError::Io`] when a journal cannot be opened.
-    pub fn new(cfg: LearnConfig, trainer: ChallengerTrainer) -> Result<LearnState, HubError> {
+    pub(crate) fn new(
+        cfg: LearnConfig,
+        trainer: ChallengerTrainer,
+    ) -> Result<LearnState, HubError> {
         // Replay before opening for append: the corpus must reflect
         // every line already on disk.
         let mut corpus = Vec::new();
@@ -414,7 +417,7 @@ impl LearnState {
     }
 
     /// Journals and accumulates one report.
-    pub fn record(&self, rec: ReportRecord) {
+    pub(crate) fn record(&self, rec: ReportRecord) {
         self.journal.write_line(&rec.to_json_line());
         self.cohorts
             .lock()
@@ -427,12 +430,12 @@ impl LearnState {
 
     /// Observations accumulated so far (including replayed journal
     /// lines).
-    pub fn corpus_len(&self) -> usize {
+    pub(crate) fn corpus_len(&self) -> usize {
         self.corpus.lock().len()
     }
 
     /// The reward cohort of one `(model, checkpoint)` generation.
-    pub fn cohort(&self, model: &str, checkpoint_hash: u64) -> Option<Cohort> {
+    pub(crate) fn cohort(&self, model: &str, checkpoint_hash: u64) -> Option<Cohort> {
         self.cohorts
             .lock()
             .get(&(model.to_string(), checkpoint_hash))

@@ -13,9 +13,9 @@
 //!   Any number of concurrent build processes share one warm hub; the
 //!   fleet's discovery registry (`nvc registry`) is served by the same
 //!   loop;
-//! * [`stdio`] — the same protocol over stdin/stdout, one line at a time
+//! * `stdio` — the same protocol over stdin/stdout, one line at a time
 //!   through [`Hub::handle_line`]: `nvc serve` is a one-model hub on it;
-//! * [`registry`] — a **model registry**: N named checkpoints, each
+//! * `registry` — a **model registry**: N named checkpoints, each
 //!   behind its own `ServeHandle` (batcher + workers) over the hub's one
 //!   decision store, routed by explicit `"model"` field or a
 //!   deterministic weighted A/B split, with atomic hot-swap (`reload`)
@@ -24,12 +24,12 @@
 //!   the store, stamped with the owning checkpoint's content hash so a
 //!   changed checkpoint never serves them. It is the cache file written on
 //!   shutdown and read on start, and the `cache_export` answer a joining
-//!   peer reads; [`Hub::absorb`] admits it either way.
+//!   peer reads; `Hub::absorb` admits it either way.
 //!
 //! # Wire protocol
 //!
 //! The stack's one JSON-lines protocol: one object per line each way, on
-//! TCP ([`server`]) or stdin/stdout ([`stdio`]). `op` defaults to
+//! TCP ([`server`]) or stdin/stdout (`stdio`). `op` defaults to
 //! `vectorize` when omitted; a string `id` is echoed on every answer,
 //! errors (`{"ok":false,"error":…}`) included.
 //!
@@ -67,14 +67,19 @@
 //! `vectorize` response is stamped with the serving checkpoint's
 //! content hash so fleet clients can verify versions end-to-end.
 
-pub mod announce;
+// The `LineService` impls forward to same-named inherent methods; if one of
+// those stops being visible here, the call resolves to the trait method
+// itself and recurses until the stack overflows.
+#![deny(unconditional_recursion)]
+
+pub(crate) mod announce;
 mod framing;
 pub mod learn;
 mod line_server;
 pub mod persist;
-pub mod registry;
+pub(crate) mod registry;
 pub mod server;
-pub mod stdio;
+pub(crate) mod stdio;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -87,13 +92,10 @@ use nvc_obs::{Counter, Gauge};
 use nvc_serve::{ContentStore, DecisionModel, ServeConfig, VectorizeOutput};
 
 pub use announce::{spawn_announcer, AnnounceConfig, Announcer};
-pub use learn::{
-    spawn_learner, welch_z, ChallengerTrainer, Cohort, LearnConfig, LearnConfigError, LearnEvent,
-    LearnState, ReportRecord,
-};
-pub use persist::CacheSection;
+pub use learn::{spawn_learner, ChallengerTrainer, LearnConfig, LearnEvent, ReportRecord};
+pub(crate) use persist::CacheSection;
 pub use registry::{ModelEntry, ModelRegistry, ModelSpec};
-pub use server::{serve_registry, serve_registry_on, HubHandle, RegistryHandle};
+pub use server::{serve_registry, HubHandle};
 pub use stdio::serve_stdio;
 
 /// Tuning knobs for the hub tier (`NvConfig.hub`, `nvc hub` flags).
@@ -403,7 +405,7 @@ impl Hub {
         &self.registry
     }
 
-    /// Registers a model (see [`ModelRegistry::register`]).
+    /// Registers a model (see `ModelRegistry::register`).
     ///
     /// # Errors
     ///
@@ -418,7 +420,7 @@ impl Hub {
     }
 
     /// Restores the decision store from the configured `cache_path`
-    /// through [`Hub::absorb`]. A missing file is a cold start, not an
+    /// through `Hub::absorb`. A missing file is a cold start, not an
     /// error.
     ///
     /// # Errors
@@ -451,7 +453,7 @@ impl Hub {
     /// not restored through it counts in that model's
     /// `entries_invalidated_by_version`. Returns how many entries the
     /// store grew by.
-    pub fn absorb(&self, sections: Vec<CacheSection>) -> usize {
+    pub(crate) fn absorb(&self, sections: Vec<CacheSection>) -> usize {
         let models = self.registry.entries();
         // The action space every registered model shares.
         let (vfs, ifs) = models.iter().fold((usize::MAX, usize::MAX), |(v, i), m| {
@@ -486,7 +488,7 @@ impl Hub {
     /// entries in the store under its checkpoint hash, coldest first.
     /// Rendered by [`persist::to_string`], it is both what `cache_path`
     /// holds and what `cache_export` answers.
-    pub fn cache_image(&self) -> Vec<CacheSection> {
+    pub(crate) fn cache_image(&self) -> Vec<CacheSection> {
         self.registry
             .entries()
             .iter()
@@ -505,7 +507,7 @@ impl Hub {
     /// # Errors
     ///
     /// [`HubError::Io`] when writing fails.
-    pub fn persist_cache(&self) -> Result<(), HubError> {
+    pub(crate) fn persist_cache(&self) -> Result<(), HubError> {
         let Some(path) = self.cfg.cache_path.as_deref() else {
             return Ok(());
         };
@@ -538,7 +540,7 @@ impl Hub {
     /// loop exits, but *skips* the final cache persist — whatever the
     /// periodic checkpointer last wrote is all that survives, exactly
     /// like a process kill. Worker pools still drain on drop.
-    pub fn abort(&self) {
+    pub(crate) fn abort(&self) {
         self.shutting_down.store(true, Ordering::Release);
         self.drained.store(true, Ordering::Release);
     }
@@ -652,7 +654,7 @@ impl Hub {
 
     /// Handles one protocol line; returns the response line and whether
     /// the connection should keep reading (`false` after `shutdown`).
-    /// The blocking wrapper over [`Hub::begin`]: begin with leave to
+    /// The blocking wrapper over `Hub::begin`: begin with leave to
     /// block, then wait for the answer — which is already there unless
     /// the line was a `vectorize` with misses.
     pub fn handle_line(&self, line: &str) -> (String, bool) {
@@ -999,7 +1001,7 @@ impl Hub {
     }
 
     /// Warm-join gossip: pulls `cache_export` from the first reachable
-    /// peer and absorbs its snapshot through [`Hub::absorb`], as
+    /// peer and absorbs its snapshot through `Hub::absorb`, as
     /// [`Hub::restore_cache`] absorbs the cache file. A peer that answers
     /// no snapshot, or one [`persist::parse`] refuses, counts as
     /// unreachable and the next is tried. Returns how many entries the

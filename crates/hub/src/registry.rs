@@ -50,7 +50,7 @@ pub struct ModelSpec {
 /// A live registry entry: the spec plus its running serving pool.
 pub struct ModelEntry {
     /// Registry name.
-    pub name: String,
+    pub(crate) name: String,
     /// Checkpoint content hash.
     pub checkpoint_hash: u64,
     /// Traffic weight.
@@ -60,7 +60,7 @@ pub struct ModelEntry {
     /// Requests begun on this model and not yet answered (the hub's
     /// `metrics` verb surfaces it per model). Shared, so a request's
     /// completion can decrement it without keeping the entry alive.
-    pub in_flight: Arc<nvc_obs::Gauge>,
+    pub(crate) in_flight: Arc<nvc_obs::Gauge>,
 }
 
 /// Named models with weighted routing and hot-swap.
@@ -74,7 +74,7 @@ pub struct ModelRegistry {
 impl ModelRegistry {
     /// An empty registry over `store`; every model registered later gets
     /// its own [`ServeHandle`] built from `serve_cfg`.
-    pub fn new(serve_cfg: ServeConfig, store: Arc<ContentStore>) -> Self {
+    pub(crate) fn new(serve_cfg: ServeConfig, store: Arc<ContentStore>) -> Self {
         ModelRegistry {
             entries: RwLock::new(Vec::new()),
             serve_cfg,
@@ -83,7 +83,7 @@ impl ModelRegistry {
     }
 
     /// The decision store.
-    pub fn store(&self) -> &Arc<ContentStore> {
+    pub(crate) fn store(&self) -> &Arc<ContentStore> {
         &self.store
     }
 
@@ -119,7 +119,7 @@ impl ModelRegistry {
     /// [`ModelRegistry::reload`] to replace);
     /// [`HubError::BadModelName`] for a name the cache-snapshot format
     /// cannot represent.
-    pub fn register(&self, spec: ModelSpec) -> Result<(), HubError> {
+    pub(crate) fn register(&self, spec: ModelSpec) -> Result<(), HubError> {
         let entry = self.start_entry(spec)?;
         let mut entries = self.entries.write();
         if entries.iter().any(|e| e.name == entry.name) {
@@ -136,7 +136,7 @@ impl ModelRegistry {
     /// # Errors
     ///
     /// [`HubError::UnknownModel`] when no entry has that name.
-    pub fn reload(&self, spec: ModelSpec) -> Result<Arc<ModelEntry>, HubError> {
+    pub(crate) fn reload(&self, spec: ModelSpec) -> Result<Arc<ModelEntry>, HubError> {
         // Start the replacement's worker pool *before* taking the write
         // lock, so routing is never blocked behind model startup.
         let entry = self.start_entry(spec)?;
@@ -160,7 +160,7 @@ impl ModelRegistry {
     ///
     /// [`HubError::UnknownModel`] for a bad explicit name,
     /// [`HubError::NoModels`] when the registry is empty.
-    pub fn route(
+    pub(crate) fn route(
         &self,
         explicit: Option<&str>,
         routing_key: impl FnOnce() -> u64,
@@ -197,7 +197,7 @@ impl ModelRegistry {
     }
 
     /// A snapshot of every entry (registration order).
-    pub fn entries(&self) -> Vec<Arc<ModelEntry>> {
+    pub(crate) fn entries(&self) -> Vec<Arc<ModelEntry>> {
         self.entries.read().clone()
     }
 
@@ -212,7 +212,7 @@ impl ModelRegistry {
     }
 
     /// Drains every model's worker pool (in-flight batches complete).
-    pub fn shutdown_all(&self) {
+    pub(crate) fn shutdown_all(&self) {
         for e in self.entries() {
             e.handle.shutdown();
         }

@@ -1,7 +1,7 @@
 //! The TCP front-ends: `nvc hub` ([`serve_tcp`]) and `nvc registry`
 //! ([`serve_registry`]).
 //!
-//! Both run the one line server ([`crate::line_server`]): a single
+//! Both run the one line server (`crate::line_server`): a single
 //! selector thread drives every connection nonblocking via the vendored
 //! `polling` crate and answers what the service can answer without
 //! blocking — for the registry, everything; for the hub, `ping` and
@@ -174,7 +174,7 @@ pub fn serve_tcp(hub: Arc<Hub>) -> std::io::Result<HubHandle> {
 ///
 /// Returns an error when the listener cannot report its local address
 /// or switch to nonblocking mode, or a thread cannot be spawned.
-pub fn serve_on(hub: Arc<Hub>, listener: TcpListener) -> std::io::Result<HubHandle> {
+pub(crate) fn serve_on(hub: Arc<Hub>, listener: TcpListener) -> std::io::Result<HubHandle> {
     let addr = listener.local_addr()?;
     let server = line_server::serve(
         Arc::clone(&hub) as Arc<dyn LineService>,
@@ -210,7 +210,7 @@ impl HubHandle {
         self.join_threads();
     }
 
-    /// Crash simulation ([`Hub::abort`] plus thread teardown): every
+    /// Crash simulation (`Hub::abort` plus thread teardown): every
     /// loop exits but the final cache persist is *skipped* — only what
     /// the periodic checkpointer already wrote survives, exactly like a
     /// process kill. Resilience tests use this to measure crash loss.
@@ -261,7 +261,7 @@ pub fn serve_registry(
 ///
 /// Returns an error when the listener cannot report its local address
 /// or switch to nonblocking mode, or a thread cannot be spawned.
-pub fn serve_registry_on(
+pub(crate) fn serve_registry_on(
     service: Arc<RegistryService>,
     listener: TcpListener,
 ) -> std::io::Result<RegistryHandle> {

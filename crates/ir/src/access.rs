@@ -31,7 +31,7 @@ pub enum AccessKind {
 
 impl AccessKind {
     /// Stride in elements when known (`Unit` = 1, `Invariant` = 0).
-    pub fn stride(self) -> Option<i64> {
+    pub(crate) fn stride(self) -> Option<i64> {
         match self {
             AccessKind::Unit => Some(1),
             AccessKind::Strided(s) => Some(s),
@@ -44,7 +44,7 @@ impl AccessKind {
 /// How the base address (the part not depending on the innermost induction
 /// variable) changes across iterations of the enclosing loops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum OuterVariation {
+pub(crate) enum OuterVariation {
     /// Same address range every time the innermost loop runs — the data has
     /// outer-loop temporal reuse (e.g. `B[k][j]` when `k` is an outer loop
     /// and `j` invariant... i.e. the accessed range is revisited).
@@ -74,7 +74,7 @@ pub struct MemAccess {
     /// array and a zero starting offset).
     pub aligned: bool,
     /// Base-address behaviour across enclosing loops.
-    pub outer: OuterVariation,
+    pub(crate) outer: OuterVariation,
     /// Product of the trip counts of enclosing loops whose induction
     /// variables appear in the base address (1 when none do). The cache
     /// model multiplies the per-pass footprint by this to obtain the data
@@ -91,7 +91,7 @@ impl MemAccess {
     /// iterations, assuming 64-byte lines.
     ///
     /// For gathers we conservatively assume every lane touches its own line.
-    pub fn lines_touched(&self, trip: u64) -> u64 {
+    pub(crate) fn lines_touched(&self, trip: u64) -> u64 {
         let elem = u64::from(self.ty.size_bytes());
         match self.kind {
             AccessKind::Unit => (trip * elem).div_ceil(64).max(1),

@@ -20,7 +20,7 @@ use crate::loop_ir::LoopIr;
 
 /// Why a pair of accesses constrains (or does not constrain) the VF.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PairVerdict {
+pub(crate) enum PairVerdict {
     /// No dependence possible (different arrays, or disjoint residue
     /// classes like `b[2i]` vs `b[2i+1]`).
     Independent,
@@ -35,15 +35,15 @@ pub enum PairVerdict {
 
 /// One analyzed access pair (store vs load/store on the same array).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DepPair {
+pub(crate) struct DepPair {
     /// Array name.
-    pub array: String,
+    pub(crate) array: String,
     /// Index of the store access in [`LoopIr::accesses`].
-    pub store_idx: usize,
+    pub(crate) store_idx: usize,
     /// Index of the other access in [`LoopIr::accesses`].
-    pub other_idx: usize,
+    pub(crate) other_idx: usize,
     /// The verdict for this pair.
-    pub verdict: PairVerdict,
+    pub(crate) verdict: PairVerdict,
 }
 
 /// Result of dependence analysis over a whole loop body.
@@ -52,11 +52,11 @@ pub struct DependenceSummary {
     /// Largest legal vectorization factor (always a power of two, ≥ 1).
     pub max_vf: u32,
     /// Per-pair evidence.
-    pub pairs: Vec<DepPair>,
+    pub(crate) pairs: Vec<DepPair>,
 }
 
 /// Upper bound used when no dependence constrains vectorization.
-pub const UNBOUNDED_VF: u32 = 4096;
+pub(crate) const UNBOUNDED_VF: u32 = 4096;
 
 /// Computes the largest legal VF for `ir` (a power of two, ≥ 1), with the
 /// per-pair evidence that produced it.

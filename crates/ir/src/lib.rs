@@ -7,9 +7,9 @@
 //! vectorizer needs to decide *legality* and *profitability inputs*:
 //!
 //! * affine memory-access classification (unit-stride / strided / gather /
-//!   invariant) — [`access`];
+//!   invariant) — `access`;
 //! * loop-carried dependence tests (ZIV and strong-SIV) that bound the legal
-//!   vectorization factor — [`depend`];
+//!   vectorization factor — `depend`;
 //! * reduction recognition (sum/product/min/max/bitwise) — part of
 //!   [`lower`];
 //! * trip-count evaluation against runtime parameter bindings — [`lower`].
@@ -36,24 +36,24 @@
 //! # }
 //! ```
 
-pub mod access;
-pub mod depend;
-pub mod loop_ir;
+pub(crate) mod access;
+pub(crate) mod depend;
+pub(crate) mod loop_ir;
 pub mod lower;
-pub mod program;
-pub mod types;
+pub(crate) mod program;
+pub(crate) mod types;
 
 use std::error::Error;
 use std::fmt;
 
-pub use access::{AccessKind, MemAccess, OuterVariation};
-pub use depend::{analyze_dependences, legal_max_vf, DependenceSummary, PairVerdict};
+pub use access::{AccessKind, MemAccess};
+pub use depend::{analyze_dependences, legal_max_vf, DependenceSummary};
 pub use loop_ir::{
     BinOpIr, CmpOp, Instr, LoopIr, OuterLoopInfo, Reduction, ReductionKind, TripCount, UnOpIr,
     ValueId,
 };
 pub use lower::{lower_innermost_loops, LoweredLoop};
-pub use program::{ArrayInfo, ParamEnv, ProgramIr};
+pub use program::ParamEnv;
 pub use types::ScalarType;
 
 /// Errors produced while lowering AST loops into [`LoopIr`].

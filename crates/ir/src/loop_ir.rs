@@ -235,7 +235,7 @@ impl Instr {
     }
 
     /// Operand value ids of the instruction.
-    pub fn operands(&self) -> Vec<ValueId> {
+    pub(crate) fn operands(&self) -> Vec<ValueId> {
         match self {
             Instr::Const { .. }
             | Instr::IndVar { .. }
@@ -283,7 +283,7 @@ impl TripCount {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct OuterLoopInfo {
     /// Number of iterations the enclosing loop executes.
-    pub trip: u64,
+    pub(crate) trip: u64,
 }
 
 /// The IR of one innermost loop, ready for vectorization analysis.
@@ -362,7 +362,7 @@ impl LoopIr {
     /// instruction, and access/reduction indices are in range.
     ///
     /// Returns a description of the first violation found.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for (idx, instr) in self.body.iter().enumerate() {
             for op in instr.operands() {
                 if op.0 as usize >= idx {

@@ -28,7 +28,7 @@ use crate::loop_ir::{
     BinOpIr, CmpOp, Instr, LoopIr, OuterLoopInfo, Reduction, ReductionKind, TripCount, UnOpIr,
     ValueId,
 };
-use crate::program::{ArrayInfo, ParamEnv};
+use crate::program::{ArrayInfo, ParamEnv, DEFAULT_TRIP};
 use crate::types::ScalarType;
 use crate::IrError;
 
@@ -46,7 +46,7 @@ pub struct LoweredLoop {
     /// Source text of the loop itself.
     pub text: String,
     /// Arrays referenced by the loop.
-    pub arrays: BTreeMap<String, ArrayInfo>,
+    pub(crate) arrays: BTreeMap<String, ArrayInfo>,
 }
 
 /// Lowers every innermost loop in `tu`.
@@ -124,7 +124,7 @@ impl ScopeInfo {
         for p in &f.params {
             if p.is_pointer {
                 let ty = ScalarType::from(p.ty);
-                let elems = env.array_len(&p.name).unwrap_or(env.default_trip());
+                let elems = env.array_len(&p.name).unwrap_or(DEFAULT_TRIP);
                 arrays.insert(
                     p.name.clone(),
                     ArrayInfo {
@@ -236,7 +236,7 @@ fn header_iv_and_trip(stmt: &Stmt, env: &ParamEnv) -> (String, u64) {
             return (h.iv, h.trip.count());
         }
     }
-    ("<unknown>".to_string(), env.default_trip())
+    ("<unknown>".to_string(), DEFAULT_TRIP)
 }
 
 // ---------------------------------------------------------------------
@@ -1599,12 +1599,7 @@ fn lower_innermost(
 
     let (iv, start, step, trip) = match &header {
         Some(h) => (h.iv.clone(), h.start, h.step, h.trip),
-        None => (
-            "<none>".to_string(),
-            0,
-            1,
-            TripCount::Runtime(env.default_trip()),
-        ),
+        None => ("<none>".to_string(), 0, 1, TripCount::Runtime(DEFAULT_TRIP)),
     };
 
     let mut bl = BodyLowering {
@@ -1865,10 +1860,10 @@ void mm(int n) {
     #[test]
     fn while_loop_is_scalar() {
         let src = "int a[1024];\nvoid f(int n) { int i = 0; while (i < n) { a[i] = i; i++; } }";
-        let env = ParamEnv::new().with("n", 1024).with_default_trip(777);
+        let env = ParamEnv::new().with("n", 1024);
         let l = lower_first(src, &env);
         assert!(l.ir.not_vectorizable);
-        assert_eq!(l.ir.trip.count(), 777);
+        assert_eq!(l.ir.trip.count(), DEFAULT_TRIP);
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! Runtime parameter bindings and whole-program IR containers.
+//! Runtime parameter bindings and per-array shape information.
 
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::lower::LoweredLoop;
 use crate::types::ScalarType;
 
 /// Runtime values for function parameters and array-size estimates.
@@ -20,17 +19,17 @@ use crate::types::ScalarType;
 pub struct ParamEnv {
     values: BTreeMap<String, i64>,
     array_sizes: BTreeMap<String, u64>,
-    default_trip: u64,
 }
 
+/// The trip count assumed for loops whose bounds cannot be evaluated (e.g.
+/// `while` loops) and the element count of pointer parameters no binding
+/// sizes.
+pub(crate) const DEFAULT_TRIP: u64 = 1024;
+
 impl ParamEnv {
-    /// Creates an empty environment with a default trip estimate of 1024.
+    /// Creates an empty environment.
     pub fn new() -> Self {
-        Self {
-            values: BTreeMap::new(),
-            array_sizes: BTreeMap::new(),
-            default_trip: 1024,
-        }
+        Self::default()
     }
 
     /// Binds scalar parameter `name` to `value` (builder style).
@@ -45,77 +44,31 @@ impl ParamEnv {
         self
     }
 
-    /// Sets the fallback trip count used for loops whose bounds cannot be
-    /// evaluated (e.g. `while` loops).
-    pub fn with_default_trip(mut self, trip: u64) -> Self {
-        self.default_trip = trip;
-        self
-    }
-
     /// Looks up a scalar binding.
     pub fn value(&self, name: &str) -> Option<i64> {
         self.values.get(name).copied()
     }
 
     /// Looks up an array length binding (in elements).
-    pub fn array_len(&self, name: &str) -> Option<u64> {
+    pub(crate) fn array_len(&self, name: &str) -> Option<u64> {
         self.array_sizes.get(name).copied()
-    }
-
-    /// The fallback trip count.
-    pub fn default_trip(&self) -> u64 {
-        self.default_trip
     }
 }
 
 /// Shape and placement information for one array referenced by a kernel.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ArrayInfo {
+pub(crate) struct ArrayInfo {
     /// Array name.
-    pub name: String,
+    pub(crate) name: String,
     /// Element type.
-    pub ty: ScalarType,
+    pub(crate) ty: ScalarType,
     /// Dimensions (empty when unknown — pointer parameters).
-    pub dims: Vec<u64>,
+    pub(crate) dims: Vec<u64>,
     /// Known alignment in bytes (16 for globals by default, per common
     /// compiler/linker behaviour; larger with `aligned(N)`).
-    pub alignment: u32,
+    pub(crate) alignment: u32,
     /// Total footprint in bytes.
-    pub bytes: u64,
-}
-
-/// The lowered form of a whole kernel: every innermost loop plus a measure
-/// of non-loop (scalar) work.
-///
-/// MiBench-style programs (§4.1 of the paper) spend most of their time
-/// outside loops; `scalar_work` models that portion so end-to-end program
-/// speedups stay modest even when loops vectorize well, reproducing the
-/// ~1.1× average of Figure 9.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ProgramIr {
-    /// Program name (for reports).
-    pub name: String,
-    /// Innermost loops in source order.
-    pub loops: Vec<LoweredLoop>,
-    /// Abstract non-loop instruction count executed per invocation.
-    pub scalar_work: u64,
-}
-
-impl ProgramIr {
-    /// Creates a program IR with no scalar work.
-    pub fn new(name: impl Into<String>, loops: Vec<LoweredLoop>) -> Self {
-        Self {
-            name: name.into(),
-            loops,
-            scalar_work: 0,
-        }
-    }
-
-    /// Sets the scalar (non-loop) work, in abstract instructions.
-    pub fn with_scalar_work(mut self, instrs: u64) -> Self {
-        self.scalar_work = instrs;
-        self
-    }
+    pub(crate) bytes: u64,
 }
 
 #[cfg(test)]
@@ -127,23 +80,9 @@ mod tests {
         let env = ParamEnv::new()
             .with("n", 512)
             .with("m", 8)
-            .with_array_len("a", 4096)
-            .with_default_trip(99);
+            .with_array_len("a", 4096);
         assert_eq!(env.value("n"), Some(512));
         assert_eq!(env.value("missing"), None);
         assert_eq!(env.array_len("a"), Some(4096));
-        assert_eq!(env.default_trip(), 99);
-    }
-
-    #[test]
-    fn default_trip_defaults_to_1024() {
-        assert_eq!(ParamEnv::new().default_trip(), 1024);
-    }
-
-    #[test]
-    fn program_ir_scalar_work() {
-        let p = ProgramIr::new("prog", vec![]).with_scalar_work(10_000);
-        assert_eq!(p.scalar_work, 10_000);
-        assert_eq!(p.name, "prog");
     }
 }

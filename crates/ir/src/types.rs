@@ -45,12 +45,6 @@ impl ScalarType {
     pub fn is_float(self) -> bool {
         matches!(self, ScalarType::F32 | ScalarType::F64)
     }
-
-    /// Number of lanes of this type in a vector register of
-    /// `register_bits` bits.
-    pub fn lanes_in(self, register_bits: u32) -> u32 {
-        (register_bits / 8 / self.size_bytes()).max(1)
-    }
 }
 
 impl From<Type> for ScalarType {
@@ -92,14 +86,6 @@ mod tests {
         assert_eq!(ScalarType::I16.size_bytes(), 2);
         assert_eq!(ScalarType::I32.size_bytes(), 4);
         assert_eq!(ScalarType::F64.size_bytes(), 8);
-    }
-
-    #[test]
-    fn lanes_in_256_bit_register() {
-        assert_eq!(ScalarType::I32.lanes_in(256), 8);
-        assert_eq!(ScalarType::F64.lanes_in(256), 4);
-        assert_eq!(ScalarType::I8.lanes_in(256), 32);
-        assert_eq!(ScalarType::I16.lanes_in(512), 32);
     }
 
     #[test]

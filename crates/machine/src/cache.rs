@@ -13,7 +13,7 @@ use crate::target::TargetConfig;
 
 /// Which level of the hierarchy serves a stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum CacheLevel {
+pub(crate) enum CacheLevel {
     /// First-level data cache.
     L1,
     /// Second-level cache.
@@ -26,7 +26,7 @@ pub enum CacheLevel {
 
 impl CacheLevel {
     /// Index into [`TargetConfig::memory`].
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             CacheLevel::L1 => 0,
             CacheLevel::L2 => 1,
@@ -73,14 +73,14 @@ pub struct MemStream {
     pub is_store: bool,
     /// Streams sharing a key (accesses to the same array) contribute their
     /// footprint to the shared working set only once.
-    pub footprint_key: u32,
+    pub(crate) footprint_key: u32,
     /// Residency, filled in by [`assign_residency`].
-    pub level: CacheLevel,
+    pub(crate) level: CacheLevel,
 }
 
 impl MemStream {
     /// Creates a stream with residency defaulted to L1 (call
-    /// [`assign_residency`] to fix it up).
+    /// `assign_residency` to fix it up).
     pub fn new(
         bytes_per_block: f64,
         footprint_bytes: u64,
@@ -110,7 +110,7 @@ impl MemStream {
 /// A stream fits a level when its own footprint fits *and* the combined
 /// working set of all streams does not overwhelm the level (beyond a 1.5×
 /// slack factor approximating partial residency and associativity effects).
-pub fn assign_residency(streams: &mut [MemStream], target: &TargetConfig) {
+pub(crate) fn assign_residency(streams: &mut [MemStream], target: &TargetConfig) {
     // Sum each array's working set once, even when several access sites
     // (different offsets into the same array) produce separate streams.
     let mut seen: Vec<(u32, u64)> = Vec::new();

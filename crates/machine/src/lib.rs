@@ -28,16 +28,14 @@
 //! cost model — the baseline — systematically mispredicts it.
 //!
 //! The input is a [`LoopShape`] produced by the vectorizer crate; the
-//! output a [`LoopTiming`] in cycles (convert with
-//! [`TargetConfig::cycles_to_seconds`]).
+//! output a [`LoopTiming`] in cycles.
 
-pub mod cache;
-pub mod model;
-pub mod target;
-
-pub use cache::{assign_residency, CacheLevel, MemStream, StreamPattern};
+pub(crate) mod cache;
+pub(crate) mod model;
+pub(crate) mod target;
+pub use cache::{MemStream, StreamPattern};
 pub use model::{simulate_loop, Bottleneck, LoopShape, LoopTiming, Recurrence, UopBundle};
-pub use target::{PortCounts, ResourceClass, TargetConfig};
+pub use target::{CacheSpec, PortCounts, ResourceClass, TargetConfig};
 
 #[cfg(test)]
 mod tests {

@@ -36,7 +36,7 @@ pub struct UopBundle {
     pub count: f64,
     /// Result latency in cycles (used for critical-path fill and divider
     /// occupancy).
-    pub latency: f64,
+    pub(crate) latency: f64,
 }
 
 impl UopBundle {
@@ -110,7 +110,7 @@ pub struct LoopTiming {
     /// Cycles spent in the scalar remainder.
     pub remainder_cycles: f64,
     /// Fixed per-execution cycles (fill, checks, tails, spill refills).
-    pub overhead_cycles: f64,
+    pub(crate) overhead_cycles: f64,
     /// Dominant limiter.
     pub bottleneck: Bottleneck,
 }

@@ -22,7 +22,7 @@ pub enum ResourceClass {
 
 impl ResourceClass {
     /// All classes, for iteration.
-    pub const ALL: [ResourceClass; 6] = [
+    pub(crate) const ALL: [ResourceClass; 6] = [
         ResourceClass::VAlu,
         ResourceClass::VMul,
         ResourceClass::VDiv,
@@ -36,22 +36,22 @@ impl ResourceClass {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PortCounts {
     /// Vector ALU ports.
-    pub valu: f64,
+    pub(crate) valu: f64,
     /// Vector multiply ports.
-    pub vmul: f64,
+    pub(crate) vmul: f64,
     /// Divider units.
-    pub vdiv: f64,
+    pub(crate) vdiv: f64,
     /// Load ports.
-    pub vload: f64,
+    pub(crate) vload: f64,
     /// Store ports.
-    pub vstore: f64,
+    pub(crate) vstore: f64,
     /// Scalar ports.
-    pub scalar: f64,
+    pub(crate) scalar: f64,
 }
 
 impl PortCounts {
     /// Ports available for `class`.
-    pub fn get(&self, class: ResourceClass) -> f64 {
+    pub(crate) fn get(&self, class: ResourceClass) -> f64 {
         match class {
             ResourceClass::VAlu => self.valu,
             ResourceClass::VMul => self.vmul,
@@ -67,11 +67,11 @@ impl PortCounts {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CacheSpec {
     /// Capacity in bytes.
-    pub capacity: u64,
+    pub(crate) capacity: u64,
     /// Load-to-use latency in cycles.
-    pub latency: f64,
+    pub(crate) latency: f64,
     /// Sustained bandwidth in bytes per cycle.
-    pub bytes_per_cycle: f64,
+    pub(crate) bytes_per_cycle: f64,
 }
 
 /// Full description of the modelled CPU.
@@ -95,8 +95,6 @@ pub struct TargetConfig {
     /// L1D, L2, L3 then memory, ordered smallest to largest. The last entry
     /// is main memory (capacity ignored).
     pub memory: [CacheSpec; 4],
-    /// Core frequency in GHz (for cycle→seconds conversion).
-    pub freq_ghz: f64,
     /// Micro-op cache capacity (in uops); loop bodies larger than this
     /// issue slower.
     pub uop_cache: f64,
@@ -149,7 +147,6 @@ impl TargetConfig {
                     bytes_per_cycle: 7.0,
                 },
             ],
-            freq_ghz: 3.6,
             uop_cache: 1536.0,
             max_vf: 64,
             max_if: 16,
@@ -166,11 +163,6 @@ impl TargetConfig {
             self.int_vector_bits
         };
         (bits / 8 / elem_bytes.max(1)).max(1)
-    }
-
-    /// Converts cycles to seconds at the configured frequency.
-    pub fn cycles_to_seconds(&self, cycles: f64) -> f64 {
-        cycles / (self.freq_ghz * 1e9)
     }
 
     /// The discrete VF action values `1, 2, 4, …, max_vf` (§3.3, eq. 3).
@@ -239,13 +231,6 @@ mod tests {
             assert!(w[0].latency < w[1].latency);
             assert!(w[0].bytes_per_cycle > w[1].bytes_per_cycle);
         }
-    }
-
-    #[test]
-    fn cycle_conversion() {
-        let t = TargetConfig::i7_8559u();
-        let s = t.cycles_to_seconds(3.6e9);
-        assert!((s - 1.0).abs() < 1e-9);
     }
 
     #[test]

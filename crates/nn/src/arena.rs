@@ -33,14 +33,15 @@ const PER_CLASS_CAP: usize = 64;
 const SEARCH_SPAN: usize = 4;
 
 /// Point-in-time counters of a [`TensorArena`].
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ArenaStats {
+pub(crate) struct ArenaStats {
     /// Allocations served from the pool.
-    pub reused: u64,
+    pub(crate) reused: u64,
     /// Allocations that fell through to the system allocator.
-    pub fresh: u64,
+    pub(crate) fresh: u64,
     /// Buffers currently pooled.
-    pub pooled: usize,
+    pub(crate) pooled: usize,
 }
 
 /// A thread-safe pool of recycled tensor buffers.
@@ -78,7 +79,7 @@ impl TensorArena {
     /// A zeroed `rows × cols` tensor, reusing a pooled buffer when one of
     /// sufficient capacity exists in the request's own bin or the next
     /// few above it.
-    pub fn alloc(&self, rows: usize, cols: usize) -> Tensor {
+    pub(crate) fn alloc(&self, rows: usize, cols: usize) -> Tensor {
         let n = rows * cols;
         let own = bin_of(n);
         let mut found = None;
@@ -128,7 +129,8 @@ impl TensorArena {
     }
 
     /// Current counters.
-    pub fn stats(&self) -> ArenaStats {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> ArenaStats {
         ArenaStats {
             reused: self.reused.load(Ordering::Relaxed),
             fresh: self.fresh.load(Ordering::Relaxed),

@@ -117,14 +117,14 @@ pub(crate) fn context_alias(
 /// attention weights.
 pub(crate) struct Distinct<'b> {
     /// `D × width`: the gathered context rows (written here).
-    pub ctx: &'b mut [f32],
+    pub(crate) ctx: &'b mut [f32],
     /// `D × code`: the projection, then its `tanh` in place (zeroed on
     /// entry).
-    pub c: &'b mut [f32],
+    pub(crate) c: &'b mut [f32],
     /// `D`: the attention scores (zeroed on entry).
-    pub scores: &'b mut [f32],
+    pub(crate) scores: &'b mut [f32],
     /// `N`: every row's score, then its attention weight (written here).
-    pub alpha: &'b mut [f32],
+    pub(crate) alpha: &'b mut [f32],
 }
 
 /// The forward over the distinct rows `alias` names: gather, `ctx·W`,

@@ -3,8 +3,7 @@
 //! Values are computed eagerly as nodes are added; [`Graph::backward`]
 //! walks the tape in reverse accumulating gradients. Gradients of
 //! parameter nodes leave the tape through [`Graph::param_grads`] and
-//! reach the owning [`ParamStore`](crate::ParamStore) via
-//! [`ParamStore::apply_grads`](crate::ParamStore::apply_grads).
+//! reach the owning [`ParamStore`] via [`ParamStore::apply_grads`].
 //!
 //! The tape is allocation-lean: a graph built with
 //! [`Graph::with_arena`] draws every output tensor from a shared
@@ -140,17 +139,12 @@ impl RowAlias {
     }
 
     /// Rows covered.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slots.len()
     }
 
-    /// True when the alias covers no rows.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// How many rows are first occurrences.
-    pub fn distinct_rows(&self) -> usize {
+    pub(crate) fn distinct_rows(&self) -> usize {
         self.distinct.len()
     }
 
@@ -226,7 +220,6 @@ enum Op {
     Clamp(NodeId, f32, f32),
     Tanh(NodeId),
     Exp(NodeId),
-    Ln(NodeId),
     SoftmaxRows(NodeId),
     LogSoftmaxRows(NodeId),
     Transpose(NodeId),
@@ -588,12 +581,6 @@ impl<'s> Graph<'s> {
         self.push(Op::Exp(a), v)
     }
 
-    /// Elementwise natural logarithm.
-    pub fn ln(&mut self, a: NodeId) -> NodeId {
-        let v = self.unary_value(a, f32::ln);
-        self.push(Op::Ln(a), v)
-    }
-
     /// Row-wise softmax.
     pub fn softmax_rows(&mut self, a: NodeId) -> NodeId {
         let av = &self.values[a.0];
@@ -876,8 +863,7 @@ impl<'s> Graph<'s> {
                 | Op::AddScalar(..)
                 | Op::Clamp(..)
                 | Op::Tanh(_)
-                | Op::Exp(_)
-                | Op::Ln(_) => Some(nvc_obs::Op::Elementwise),
+                | Op::Exp(_) => Some(nvc_obs::Op::Elementwise),
                 _ => None,
             }
             .map(nvc_obs::time_op);
@@ -1019,11 +1005,6 @@ impl<'s> Graph<'s> {
                 Op::Exp(a) => {
                     let mut da = self.dup(&g);
                     da.zip_inplace(&self.values[i], |gd, y| gd * y);
-                    self.accum(a, da);
-                }
-                Op::Ln(a) => {
-                    let mut da = self.dup(&g);
-                    da.zip_inplace(&self.values[a.0], |gd, x| gd / x);
                     self.accum(a, da);
                 }
                 Op::SoftmaxRows(a) => {
@@ -1421,7 +1402,7 @@ mod tests {
         let lone = RowAlias::from_keys(std::iter::once(7u64));
         assert_eq!((lone.firsts(), lone.slots()), (&[0][..], &[0][..]));
         let none = RowAlias::from_keys(std::iter::empty::<u64>());
-        assert!(none.is_empty() && none.firsts().is_empty());
+        assert!(none.len() == 0 && none.firsts().is_empty());
     }
 
     #[test]
@@ -2004,15 +1985,13 @@ mod tests {
     }
 
     #[test]
-    fn grad_tanh_exp_ln() {
+    fn grad_tanh_exp() {
         grad_check(
             (2, 3),
             |g, p| {
                 let t = g.tanh(p);
                 let e = g.exp(t);
-                let pos = g.add_scalar(e, 1.0);
-                let l = g.ln(pos);
-                g.sum_all(l)
+                g.sum_all(e)
             },
             3,
         );

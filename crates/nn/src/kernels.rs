@@ -31,7 +31,7 @@
 //! the baseline build as the fallback ([`kernel_isa`] names the one that
 //! runs) — fast the fused one where the CPU has FMA, and what else differs
 //! is the list above. Which instantiation a call runs is resolved in one
-//! place ([`bodies::MaddChoice::current`]); the entry points below never
+//! place (`bodies::MaddChoice::current`); the entry points below never
 //! branch between two bodies of the same arithmetic, and each is its shape
 //! checks, its op timer and one call of its body on the calling thread.
 //!
@@ -170,9 +170,8 @@ pub fn clear_worker_panic() {
 /// `out += a × b` over row-major slices (`a`: `m×kd`, `b`: `kd×n`, `out`:
 /// `m×n`) — the deployed matmul, callable on any window of a larger
 /// buffer, so a row range of a weight matrix is multiplied where it lies.
-/// [`Tensor::matmul_accum_into`](crate::Tensor::matmul_accum_into) is
-/// this function behind shape checks; its docs state the two modes'
-/// contracts.
+/// `Tensor::matmul_accum_into` is this function behind shape checks;
+/// its docs state the two modes' contracts.
 ///
 /// # Panics
 ///
@@ -360,7 +359,7 @@ pub fn segment_weighted_sum(
 /// stored row `rows[r]` (`rows` covers every row the bounds do) — the
 /// encoder's pool over a batch's distinct `tanh` rows, straight through
 /// its repeats.
-pub fn segment_weighted_sum_via(
+pub(crate) fn segment_weighted_sum_via(
     bounds: &[(usize, usize)],
     weights: &[f32],
     values: &[f32],
@@ -496,7 +495,14 @@ pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// # Panics
 ///
 /// Panics when a slice length disagrees with `m`, `kd`, `n`.
-pub fn matmul_nt_accum(a: &[f32], b: &[f32], m: usize, kd: usize, n: usize, out: &mut [f32]) {
+pub(crate) fn matmul_nt_accum(
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    kd: usize,
+    n: usize,
+    out: &mut [f32],
+) {
     assert_eq!(a.len(), m * kd, "matmul_nt left operand is not {m}x{kd}");
     assert_eq!(b.len(), n * kd, "matmul_nt right operand is not {n}x{kd}");
     assert_eq!(out.len(), m * n, "matmul_nt output is not {m}x{n}");

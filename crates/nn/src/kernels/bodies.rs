@@ -3,11 +3,11 @@
 //! lanes) and fast mode's own algorithms (lane-split dot, rational
 //! `tanh`, single-pass online-max softmax).
 //!
-//! Every loop nest is written once, generic over a [`Madd`] step — the
+//! Every loop nest is written once, generic over a `Madd` step — the
 //! one expression the two numeric contracts disagree on — and compiled
-//! three times (the [`MaddChoice`]s):
+//! three times (the `MaddChoice`s):
 //!
-//! * [`Unfused`], plain `acc + a * b`, **is strict mode**, and is fast
+//! * `Unfused`, plain `acc + a * b`, **is strict mode**, and is fast
 //!   mode on a host without FMA (fast mode's other departures — online
 //!   softmax, rational `tanh`, lane-split score dot — still apply
 //!   there). It is instantiated twice: inside a
@@ -19,18 +19,18 @@
 //!   contracts `acc + a * b` into an FMA, and lanes never share an
 //!   accumulator, so the vector width changes no element's chain (the
 //!   unit test `plain_instantiations_are_bit_equal` holds them to it).
-//! * [`Fused`] uses `f32::mul_add`. That intrinsic is only fast when the
+//! * `Fused` uses `f32::mul_add`. That intrinsic is only fast when the
 //!   compiler can emit a hardware `vfmadd`; without the `fma` target
 //!   feature it lowers to the correctly-rounded-but-slow libm `fmaf`. So
 //!   the fused instantiation lives behind
 //!   `#[target_feature(enable = "avx2", enable = "fma")]` wrappers.
 //!
 //! One kernel has a fourth build: fast mode's context-row pass
-//! ([`context_row_g`], the encoder's `(S + P) + E`, `tanh` and score) is
-//! declared `wide`, and its [`Fused`] instantiation is compiled a second
+//! (`context_row_g`, the encoder's `(S + P) + E`, `tanh` and score) is
+//! declared `wide`, and its `Fused` instantiation is compiled a second
 //! time under `#[target_feature(enable = "avx512f", enable = "avx2",
 //! enable = "fma")]`, which runs where the CPU has AVX-512F
-//! ([`Isa::Avx512Fma`]). Its bits are the AVX2+FMA build's for the same
+//! (`Isa::Avx512Fma`). Its bits are the AVX2+FMA build's for the same
 //! reasons as above: `mul_add` is explicit and nothing else is contracted
 //! or reassociated, and no lane shares an accumulator, so 16-wide vectors
 //! change no element's arithmetic (the unit test
@@ -42,7 +42,7 @@
 //! Strict and fast therefore run the same loop nests — same block
 //! shapes, same ascending-`k` chain per output element — and cannot drift
 //! apart in loop order. Which instantiation a call runs is a
-//! [`MaddChoice`], resolved in one place ([`MaddChoice::current`]) and
+//! `MaddChoice`, resolved in one place (`MaddChoice::current`) and
 //! handed to the kernel's single entry point, which the `kernel!` macro
 //! generates; callers never branch between bodies.
 //!
@@ -133,7 +133,7 @@ fn host_isa() -> Isa {
     }
 }
 
-/// Whether this process dispatches the [`Fused`] instantiations in fast
+/// Whether this process dispatches the `Fused` instantiations in fast
 /// mode: the CPU has AVX2 and FMA (detected once, on x86-64; `false`
 /// elsewhere).
 pub fn fused_available() -> bool {

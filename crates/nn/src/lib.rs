@@ -73,20 +73,20 @@
 //! assert!((store.get(w).data()[0] - 2.0).abs() < 1e-2);
 //! ```
 
-pub mod arena;
+pub(crate) mod arena;
 pub mod attention;
-pub mod graph;
+pub(crate) mod graph;
 pub mod kernels;
-pub mod params;
+pub(crate) mod params;
 pub mod serialize;
-pub mod tensor;
+pub(crate) mod tensor;
 
 /// The instrument layer the kernels report into, re-exported so that
 /// code built on these kernels records into the same process-wide op
 /// aggregates without a dependency edge of its own.
 pub use nvc_obs as obs;
 
-pub use arena::{ArenaStats, TensorArena};
+pub use arena::TensorArena;
 pub use attention::{AttentionScratch, AttentionWeights};
 pub use graph::{Graph, NodeId, RowAlias, Segments};
 pub use kernels::KernelMode;

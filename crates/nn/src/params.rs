@@ -98,28 +98,8 @@ impl ParamStore {
         &mut self.params[p.0]
     }
 
-    /// Parameter name.
-    pub fn name(&self, p: ParamId) -> &str {
-        &self.names[p.0]
-    }
-
-    /// Accumulated gradient of a parameter.
-    pub fn grad(&self, p: ParamId) -> &Tensor {
-        &self.grads[p.0]
-    }
-
-    /// Number of registered parameters.
-    pub fn len(&self) -> usize {
-        self.params.len()
-    }
-
-    /// True when no parameters are registered.
-    pub fn is_empty(&self) -> bool {
-        self.params.is_empty()
-    }
-
     /// Iterates over `(id, name, tensor)`.
-    pub fn iter(&self) -> impl Iterator<Item = (ParamId, &str, &Tensor)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (ParamId, &str, &Tensor)> {
         self.params
             .iter()
             .enumerate()
@@ -157,7 +137,7 @@ impl ParamStore {
     }
 
     /// Global L2 norm of all gradients (for clipping diagnostics).
-    pub fn grad_norm(&self) -> f32 {
+    pub(crate) fn grad_norm(&self) -> f32 {
         self.grads
             .iter()
             .map(|g| g.data().iter().map(|x| x * x).sum::<f32>())
@@ -183,13 +163,13 @@ impl ParamStore {
 #[derive(Debug, Clone)]
 pub struct Adam {
     /// Learning rate — the key hyperparameter swept in Figure 5.
-    pub lr: f32,
+    pub(crate) lr: f32,
     /// First-moment decay.
-    pub beta1: f32,
+    pub(crate) beta1: f32,
     /// Second-moment decay.
-    pub beta2: f32,
+    pub(crate) beta2: f32,
     /// Numerical stabilizer.
-    pub eps: f32,
+    pub(crate) eps: f32,
     t: i32,
     m: Vec<Tensor>,
     v: Vec<Tensor>,
@@ -247,8 +227,8 @@ mod tests {
         let mut s = ParamStore::new(1);
         let a = s.param("a", Tensor::scalar(5.0));
         let b = s.param_xavier("b", 4, 4);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.name(a), "a");
+        let names: Vec<&str> = s.iter().map(|(_, name, _)| name).collect();
+        assert_eq!(names, ["a", "b"]);
         assert_eq!(s.get(a).data()[0], 5.0);
         assert_eq!(s.get(b).shape(), (4, 4));
         assert_eq!(s.num_scalars(), 17);
@@ -273,7 +253,7 @@ mod tests {
 
         // Reads and gradient bookkeeping change no value and no stamp.
         let before = s.stamp();
-        let _ = (s.get(p), s.grad(p), s.num_scalars());
+        let _ = (s.get(p), s.num_scalars());
         s.grad_tensor_mut(p).data_mut()[0] = 3.0;
         s.clip_grad_norm(1.0);
         s.zero_grads();
@@ -347,6 +327,6 @@ mod tests {
         let p = s.param("p", Tensor::zeros(2, 2));
         s.grads[p.0] = Tensor::full(2, 2, 1.5);
         s.zero_grads();
-        assert_eq!(s.grad(p), &Tensor::zeros(2, 2));
+        assert_eq!(s.grads[p.0], Tensor::zeros(2, 2));
     }
 }

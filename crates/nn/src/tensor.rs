@@ -51,7 +51,8 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if rows have unequal lengths or the input is empty.
-    pub fn from_rows(rows: &[Vec<f32>]) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_rows(rows: &[Vec<f32>]) -> Self {
         assert!(!rows.is_empty(), "from_rows requires at least one row");
         let cols = rows[0].len();
         let mut data = Vec::with_capacity(rows.len() * cols);
@@ -87,13 +88,8 @@ impl Tensor {
     }
 
     /// Total number of elements.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.data.len()
-    }
-
-    /// True when the tensor has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// Flat row-major view of the data.
@@ -150,7 +146,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics on shape mismatch.
-    pub fn matmul_accum_into(&self, other: &Tensor, out: &mut Tensor) {
+    pub(crate) fn matmul_accum_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(
             self.cols, other.rows,
             "matmul shape mismatch: {}x{} × {}x{}",
@@ -191,7 +187,7 @@ impl Tensor {
 
     /// Accumulates `selfᵀ × other` into `out` (see [`Tensor::matmul_tn`]).
     ///
-    /// Same parity contract as [`Tensor::matmul_accum_into`]; blocks of
+    /// Same parity contract as `Tensor::matmul_accum_into`; blocks of
     /// output elements stay in registers across the whole reduction
     /// ([`kernels::matmul_tn_accum`]).
     ///
@@ -228,10 +224,10 @@ impl Tensor {
 
     /// Accumulates `self × otherᵀ` into `out` (see [`Tensor::matmul_nt`]).
     ///
-    /// Same parity contract as [`Tensor::matmul_accum_into`]; 16, 8 or 4
+    /// Same parity contract as `Tensor::matmul_accum_into`; 16, 8 or 4
     /// output columns run as the lanes of one block of independent
     /// dot-product accumulators over a packed `otherᵀ`
-    /// ([`kernels::matmul_nt_accum`]).
+    /// (`kernels::matmul_nt_accum`).
     ///
     /// # Panics
     ///
@@ -266,7 +262,7 @@ impl Tensor {
     }
 
     /// Elementwise map in place (no allocation).
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
+    pub(crate) fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
         for x in self.data.iter_mut() {
             *x = f(*x);
         }
@@ -277,38 +273,10 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics on shape mismatch.
-    pub fn zip_inplace(&mut self, other: &Tensor, f: impl Fn(f32, f32) -> f32) {
+    pub(crate) fn zip_inplace(&mut self, other: &Tensor, f: impl Fn(f32, f32) -> f32) {
         assert_eq!(self.shape(), other.shape(), "zip shape mismatch");
         for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
             *a = f(*a, b);
-        }
-    }
-
-    /// Elementwise map.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Elementwise combination with another tensor of the same shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
-        assert_eq!(self.shape(), other.shape(), "zip shape mismatch");
-        Tensor {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
         }
     }
 
@@ -325,7 +293,7 @@ impl Tensor {
     }
 
     /// Sum of all elements.
-    pub fn sum(&self) -> f32 {
+    pub(crate) fn sum(&self) -> f32 {
         self.data.iter().sum()
     }
 
@@ -537,10 +505,12 @@ mod tests {
         let b = random_tensor(4, 5, 29);
         let mut m = a.clone();
         m.map_inplace(|x| x * 2.0 + 1.0);
-        assert_eq!(m, a.map(|x| x * 2.0 + 1.0));
+        let mapped = a.data().iter().map(|x| x * 2.0 + 1.0).collect();
+        assert_eq!(m, Tensor::from_vec(4, 5, mapped));
         let mut z = a.clone();
         z.zip_inplace(&b, |x, y| x - y);
-        assert_eq!(z, a.zip(&b, |x, y| x - y));
+        let diff = a.data().iter().zip(b.data()).map(|(x, y)| x - y).collect();
+        assert_eq!(z, Tensor::from_vec(4, 5, diff));
     }
 
     #[test]
@@ -632,10 +602,13 @@ mod tests {
             let a = t(m, k);
             let b = t(k, n);
             let c = t(k, n);
-            let sum = b.zip(&c, |x, y| x + y);
-            let lhs = a.matmul(&sum);
-            let rhs_b = a.matmul(&b);
-            let rhs = rhs_b.zip(&a.matmul(&c), |x, y| x + y);
+            let add = |x: &Tensor, y: &Tensor| {
+                let mut s = x.clone();
+                s.zip_inplace(y, |p, q| p + q);
+                s
+            };
+            let lhs = a.matmul(&add(&b, &c));
+            let rhs = add(&a.matmul(&b), &a.matmul(&c));
             for (x, y) in lhs.data().iter().zip(rhs.data().iter()) {
                 prop_assert!((x - y).abs() < 1e-4);
             }

@@ -171,7 +171,7 @@ impl<'a> ObjectWriter<'a> {
     }
 
     /// A member whose value is a tree.
-    pub fn value(&mut self, key: &str, value: &Json) -> &mut Self {
+    pub(crate) fn value(&mut self, key: &str, value: &Json) -> &mut Self {
         value.render_into(self.key(key));
         self
     }
@@ -265,9 +265,9 @@ fn render_string(s: &str, out: &mut String) {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// What went wrong.
-    pub message: String,
+    pub(crate) message: String,
     /// Byte offset of the failure.
-    pub position: usize,
+    pub(crate) position: usize,
 }
 
 impl std::fmt::Display for JsonError {

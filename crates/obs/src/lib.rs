@@ -10,22 +10,22 @@
 //! * [`json`] — the stack's one JSON reader/writer ([`Json`]): every line
 //!   a server, the tracer or the trainer emits is built through it, and
 //!   [`json::with_id`] / [`json::fail`] are the protocol reply shapes;
-//! * [`metrics`] — [`Counter`]s, [`Gauge`]s, and log₂-bucketed
+//! * `metrics` — [`Counter`]s, [`Gauge`]s, and log₂-bucketed
 //!   [`LatencyHistogram`]s, held as plain fields by the server, model
 //!   handle or learner they count and rendered by its `stats`. The
 //!   histogram interpolates within buckets, so quantiles are tighter than
 //!   the power-of-2 upper bound;
-//! * [`trace`] — per-request trace ids and scoped spans recorded into a
+//! * `trace` — per-request trace ids and scoped spans recorded into a
 //!   fixed-size lock-free ring buffer. Disabled (the default) a span
 //!   costs one relaxed atomic load and zero allocations; enabled via
 //!   `NVC_TRACE=path` or [`trace::enable_tracing`], records export as
 //!   JSON lines;
-//! * [`ops`] — aggregate per-kernel timers (matmul family, segment ops,
+//! * `ops` — aggregate per-kernel timers (matmul family, segment ops,
 //!   gather, `tanh`) and the encoder's rows-looked-up / rows-multiplied
 //!   counters: relaxed atomics, gated by `NVC_OPS=1` or
 //!   [`ops::set_ops_enabled`], free when off, rendered as JSON — absolute
 //!   or per training iteration — by one [`OpProfile`];
-//! * [`journal`] — an append-only JSONL sink for training telemetry
+//! * `journal` — an append-only JSONL sink for training telemetry
 //!   (one record per PPO iteration).
 //!
 //! # Threading model
@@ -37,12 +37,11 @@
 //! (coarse, low frequency).
 
 pub mod fnv;
-pub mod journal;
+pub(crate) mod journal;
 pub mod json;
-pub mod metrics;
-pub mod ops;
-pub mod trace;
-
+pub(crate) mod metrics;
+pub(crate) mod ops;
+pub(crate) mod trace;
 pub use fnv::Fnv1a;
 pub use journal::Journal;
 pub use json::Json;

@@ -50,7 +50,7 @@ impl LatencyHistogram {
     }
 
     /// Sum of all observations in microseconds.
-    pub fn sum_us(&self) -> u64 {
+    pub(crate) fn sum_us(&self) -> u64 {
         self.sum_us.load(Ordering::Relaxed)
     }
 

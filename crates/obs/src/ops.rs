@@ -89,11 +89,11 @@ pub enum Op {
 }
 
 /// How many [`Op`] variants exist.
-pub const OP_COUNT: usize = 16;
+pub(crate) const OP_COUNT: usize = 16;
 
 impl Op {
     /// Every op, in stable display order.
-    pub const ALL: [Op; OP_COUNT] = [
+    pub(crate) const ALL: [Op; OP_COUNT] = [
         Op::MatMul,
         Op::MatMulTn,
         Op::MatMulNt,
@@ -217,7 +217,7 @@ pub struct OpStat {
     pub total_ns: u64,
 }
 
-/// Every op's aggregate, in [`Op::ALL`] order (including zero-call
+/// Every op's aggregate, in `Op::ALL` order (including zero-call
 /// ops — renderers filter).
 pub fn ops_snapshot() -> Vec<OpStat> {
     Op::ALL
@@ -246,7 +246,7 @@ pub struct EmbedRows {
 
 impl EmbedRows {
     /// Stable metric names and values, in display order.
-    pub fn named(self) -> [(&'static str, u64); 2] {
+    pub(crate) fn named(self) -> [(&'static str, u64); 2] {
         [
             ("embed_context_rows_total", self.context_rows),
             ("embed_projected_rows_total", self.projected_rows),
@@ -298,9 +298,9 @@ pub fn embed_memo_shrank(bytes: usize) {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpProfile {
     /// Every op's aggregate, in [`Op::ALL`] order.
-    pub ops: Vec<OpStat>,
+    pub(crate) ops: Vec<OpStat>,
     /// The encoder's work counters.
-    pub rows: EmbedRows,
+    pub(crate) rows: EmbedRows,
 }
 
 impl OpProfile {

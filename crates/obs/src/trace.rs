@@ -259,7 +259,7 @@ pub fn record_span(name: &'static str, trace: u64, start: Instant, dur: Duration
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Monotonic sequence number (records are totally ordered).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Trace id the span belongs to (0 = outside any request).
     pub trace: u64,
     /// Small per-thread tag (1, 2, …) — distinguishes threads without

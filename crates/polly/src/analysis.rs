@@ -13,26 +13,27 @@ use nvc_ir::lower::exprs_equal;
 /// A canonical constant-bound loop header: `for (int iv = start; iv <
 /// bound; iv += step)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConstHeader {
+pub(crate) struct ConstHeader {
     /// Induction variable name.
-    pub iv: String,
+    pub(crate) iv: String,
     /// Constant start.
-    pub start: i64,
+    pub(crate) start: i64,
     /// Constant exclusive bound.
-    pub bound: i64,
+    pub(crate) bound: i64,
     /// Constant positive step.
-    pub step: i64,
+    pub(crate) step: i64,
 }
 
 impl ConstHeader {
     /// Trip count.
-    pub fn trip(&self) -> i64 {
+    #[cfg(test)]
+    pub(crate) fn trip(&self) -> i64 {
         ((self.bound - self.start).max(0) + self.step - 1) / self.step
     }
 }
 
 /// Recognizes a canonical header with constant bounds.
-pub fn const_header(stmt: &Stmt) -> Option<ConstHeader> {
+pub(crate) fn const_header(stmt: &Stmt) -> Option<ConstHeader> {
     let StmtKind::For {
         init, cond, step, ..
     } = &stmt.kind
@@ -95,7 +96,7 @@ pub fn const_header(stmt: &Stmt) -> Option<ConstHeader> {
 }
 
 /// The loop body with single-statement blocks unwrapped.
-pub fn unwrap_body(body: &Stmt) -> &Stmt {
+pub(crate) fn unwrap_body(body: &Stmt) -> &Stmt {
     match &body.kind {
         StmtKind::Block(stmts) if stmts.len() == 1 => unwrap_body(&stmts[0]),
         _ => body,
@@ -104,20 +105,20 @@ pub fn unwrap_body(body: &Stmt) -> &Stmt {
 
 /// One array access found in a body.
 #[derive(Debug, Clone)]
-pub struct AstAccess {
+pub(crate) struct AstAccess {
     /// Array name.
-    pub array: String,
+    pub(crate) array: String,
     /// Per-dimension index expressions (cloned).
-    pub indices: Vec<Expr>,
+    pub(crate) indices: Vec<Expr>,
     /// Store vs load.
-    pub is_store: bool,
+    pub(crate) is_store: bool,
     /// Store via an associative compound assignment (`+=`, `*=`, `&=`,
     /// `|=`, `^=`), which commutes across iteration reordering.
-    pub is_assoc_update: bool,
+    pub(crate) is_assoc_update: bool,
 }
 
 /// Collects every array access in a statement subtree.
-pub fn collect_accesses(stmt: &Stmt) -> Vec<AstAccess> {
+pub(crate) fn collect_accesses(stmt: &Stmt) -> Vec<AstAccess> {
     let mut out = Vec::new();
     walk_stmt(stmt, &mut out);
     out
@@ -234,7 +235,7 @@ fn walk_expr(e: &Expr, as_store: bool, assoc: bool, out: &mut Vec<AstAccess>) {
 
 /// Coefficient of `iv` in an affine index expression, or `None` when the
 /// expression is not affine in the loop IVs.
-pub fn affine_coeff(e: &Expr, iv: &str) -> Option<i64> {
+pub(crate) fn affine_coeff(e: &Expr, iv: &str) -> Option<i64> {
     match &e.kind {
         ExprKind::IntLit(_) => Some(0),
         ExprKind::Ident(n) => Some(if n == iv { 1 } else { 0 }),
@@ -268,7 +269,7 @@ pub fn affine_coeff(e: &Expr, iv: &str) -> Option<i64> {
 
 /// Element stride of an access in `iv`, after linearizing with the global
 /// array dimensions. `None` when the access is not affine.
-pub fn linearized_stride(
+pub(crate) fn linearized_stride(
     access: &AstAccess,
     dims: &HashMap<String, Vec<i64>>,
     iv: &str,
@@ -287,7 +288,7 @@ pub fn linearized_stride(
 }
 
 /// Global array dimensions of a unit.
-pub fn array_dims(tu: &TranslationUnit) -> HashMap<String, Vec<i64>> {
+pub(crate) fn array_dims(tu: &TranslationUnit) -> HashMap<String, Vec<i64>> {
     tu.globals()
         .filter(|g| !g.dims.is_empty())
         .map(|g| (g.name.clone(), g.dims.clone()))
@@ -299,7 +300,7 @@ pub fn array_dims(tu: &TranslationUnit) -> HashMap<String, Vec<i64>> {
 /// compound assignments, or have all of its accesses within the nest use
 /// syntactically identical subscripts (same cell touched only by the same
 /// iteration).
-pub fn reorder_safe(accesses: &[AstAccess]) -> bool {
+pub(crate) fn reorder_safe(accesses: &[AstAccess]) -> bool {
     let stored: Vec<&AstAccess> = accesses.iter().filter(|a| a.is_store).collect();
     for s in &stored {
         if s.is_assoc_update {
@@ -325,7 +326,7 @@ pub fn reorder_safe(accesses: &[AstAccess]) -> bool {
 }
 
 /// Renames every occurrence of identifier `from` to `to` in a subtree.
-pub fn rename_ident_stmt(stmt: &mut Stmt, from: &str, to: &str) {
+pub(crate) fn rename_ident_stmt(stmt: &mut Stmt, from: &str, to: &str) {
     match &mut stmt.kind {
         StmtKind::Block(stmts) => {
             for s in stmts {

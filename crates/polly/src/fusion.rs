@@ -14,7 +14,7 @@ use crate::analysis::{collect_accesses, const_header, rename_ident_stmt};
 
 /// Fuses adjacent eligible loops throughout the unit. Returns the number
 /// of loop pairs merged.
-pub fn fuse_in_unit(tu: &mut TranslationUnit) -> usize {
+pub(crate) fn fuse_in_unit(tu: &mut TranslationUnit) -> usize {
     let mut count = 0;
     for item in &mut tu.items {
         if let Item::Function(f) = item {

@@ -17,7 +17,7 @@ use crate::analysis::{
 
 /// Applies interchange throughout a unit. Returns how many pairs were
 /// swapped.
-pub fn interchange_in_unit(tu: &mut TranslationUnit) -> usize {
+pub(crate) fn interchange_in_unit(tu: &mut TranslationUnit) -> usize {
     let dims = array_dims(tu);
     let mut count = 0;
     for item in &mut tu.items {

@@ -8,12 +8,12 @@
 //! This crate implements the same three transformations as conservative
 //! source-to-source rewrites over the [`nvc_frontend`] AST:
 //!
-//! * [`interchange`] — swaps a perfectly nested loop pair when that turns
+//! * `interchange` — swaps a perfectly nested loop pair when that turns
 //!   the innermost dominant access stride into unit stride (the classic
 //!   `ijk → ikj` matmul win);
-//! * [`tiling`] — rectangular tiling of 2- and 3-deep nests with large
+//! * `tiling` — rectangular tiling of 2- and 3-deep nests with large
 //!   constant trip counts, shrinking per-tile working sets into cache;
-//! * [`fusion`] — merges adjacent loops with identical headers when no
+//! * `fusion` — merges adjacent loops with identical headers when no
 //!   producer/consumer distance exists, removing redundant streaming
 //!   passes.
 //!
@@ -26,10 +26,10 @@
 //! dependence-free in the relevant direction, matching how Polly bails on
 //! anything it cannot model polyhedrally.
 
-pub mod analysis;
-pub mod fusion;
-pub mod interchange;
-pub mod tiling;
+pub(crate) mod analysis;
+pub(crate) mod fusion;
+pub(crate) mod interchange;
+pub(crate) mod tiling;
 
 use serde::{Deserialize, Serialize};
 
@@ -39,11 +39,11 @@ use nvc_frontend::{parse_translation_unit, print_translation_unit, FrontendError
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PollyReport {
     /// Loop pairs interchanged.
-    pub interchanged: usize,
+    pub(crate) interchanged: usize,
     /// Nests tiled.
-    pub tiled: usize,
+    pub(crate) tiled: usize,
     /// Loop pairs fused.
-    pub fused: usize,
+    pub(crate) fused: usize,
 }
 
 impl PollyReport {

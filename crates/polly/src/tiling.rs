@@ -26,7 +26,7 @@ const MIN_REUSED_ARRAY_BYTES: i64 = 192 * 1024;
 
 /// Tiles every eligible nest in the unit. Returns the number of nests
 /// tiled.
-pub fn tile_in_unit(tu: &mut TranslationUnit, tile: i64, min_trip: i64) -> usize {
+pub(crate) fn tile_in_unit(tu: &mut TranslationUnit, tile: i64, min_trip: i64) -> usize {
     // Array byte sizes for the profitability gate.
     let sizes: HashMap<String, i64> = tu
         .globals()

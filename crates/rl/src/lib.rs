@@ -8,28 +8,27 @@
 //!
 //! This crate implements:
 //!
-//! * [`spaces`] — the three action parameterizations compared in Figure 6:
+//! * `spaces` — the three action parameterizations compared in Figure 6:
 //!   discrete (two categorical heads indexing the VF/IF arrays — the
 //!   paper's winner), one continuous value encoding both factors, and two
 //!   continuous values;
-//! * [`policy`] — the fully-connected policy/value network (64×64 by
+//! * `policy` — the fully-connected policy/value network (64×64 by
 //!   default, the architecture swept in Figure 5), sharing its
 //!   [`nvc_nn::ParamStore`] with the [`nvc_embed::CodeEmbedder`] so
 //!   gradients flow end-to-end from the PPO loss into the embedding
 //!   tables, exactly as the paper trains code2vec jointly;
-//! * [`ppo`] — the clipped-surrogate PPO update with a value baseline and
+//! * `ppo` — the clipped-surrogate PPO update with a value baseline and
 //!   entropy bonus, plus rollout collection over a [`BanditEnv`].
 //!
 //! The single-step structure means no discount factor or GAE is needed:
 //! the advantage is `reward − V(observation)`.
 
-pub mod policy;
-pub mod ppo;
-pub mod replay;
-pub mod spaces;
-
-pub use policy::{PolicyConfig, PolicyNet};
-pub use ppo::{BanditEnv, IterStats, PpoConfig, PpoTrainer};
+pub(crate) mod policy;
+pub(crate) mod ppo;
+pub(crate) mod replay;
+pub(crate) mod spaces;
+pub use policy::{PolicyConfig, PolicyNet, PolicyOut};
+pub use ppo::{BanditEnv, IterStats, PpoConfig, PpoTrainer, Transition};
 pub use replay::ReplayEnv;
 pub use spaces::{ActionDims, ActionSpaceKind};
 

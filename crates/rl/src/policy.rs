@@ -29,11 +29,11 @@ pub struct PolicyConfig {
 #[derive(Debug, Clone, Copy)]
 pub struct PolicyOut {
     /// Discrete VF-head logits (`batch × n_vf`).
-    pub logits_vf: Option<NodeId>,
+    pub(crate) logits_vf: Option<NodeId>,
     /// Discrete IF-head logits (`batch × n_if`).
-    pub logits_if: Option<NodeId>,
+    pub(crate) logits_if: Option<NodeId>,
     /// Continuous mean(s) (`batch × 1` or `batch × 2`).
-    pub mu: Option<NodeId>,
+    pub(crate) mu: Option<NodeId>,
     /// State-value estimates (`batch × 1`).
     pub value: NodeId,
 }
@@ -117,13 +117,8 @@ impl PolicyNet {
         }
     }
 
-    /// Configuration in use.
-    pub fn config(&self) -> &PolicyConfig {
-        &self.cfg
-    }
-
     /// The learned log-std handle for continuous spaces.
-    pub fn log_std(&self) -> Option<ParamId> {
+    pub(crate) fn log_std(&self) -> Option<ParamId> {
         self.log_std
     }
 

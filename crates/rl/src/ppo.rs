@@ -91,15 +91,15 @@ pub struct IterStats {
     /// Total PPO loss (last epoch average).
     pub loss: f64,
     /// Policy (surrogate) component.
-    pub policy_loss: f64,
+    pub(crate) policy_loss: f64,
     /// Value component.
-    pub value_loss: f64,
+    pub(crate) value_loss: f64,
     /// Entropy of the policy.
     pub entropy: f64,
     /// Wall-clock of the rollout-collection phase, microseconds.
-    pub collect_us: u64,
+    pub(crate) collect_us: u64,
     /// Wall-clock of the advantage + epoch-update phase, microseconds.
-    pub update_us: u64,
+    pub(crate) update_us: u64,
 }
 
 /// One collected single-step episode, as [`PpoTrainer::collect`] returns
@@ -107,19 +107,19 @@ pub struct IterStats {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Transition {
     /// Environment context index the episode observed.
-    pub ctx: usize,
+    pub(crate) ctx: usize,
     /// The `(vf_idx, if_idx)` action taken.
-    pub action: (usize, usize),
+    pub(crate) action: (usize, usize),
     /// Raw continuous sample (unused for discrete).
-    pub raw: [f32; 2],
+    pub(crate) raw: [f32; 2],
     /// Log-probability of the action under the behavior policy.
-    pub logp_old: f32,
+    pub(crate) logp_old: f32,
     /// Environment reward.
-    pub reward: f64,
+    pub(crate) reward: f64,
     /// Value-baseline estimate at collection time.
-    pub value: f32,
+    pub(crate) value: f32,
     /// Normalized advantage (filled in by the update, 0 after collect).
-    pub advantage: f32,
+    pub(crate) advantage: f32,
 }
 
 /// The PPO trainer: embedder + policy sharing one parameter store.
@@ -191,11 +191,6 @@ impl PpoTrainer {
     /// The trained encoder (NNS and decision trees reuse it, §3.5).
     pub fn embedder(&self) -> &CodeEmbedder {
         &self.embedder
-    }
-
-    /// Cumulative environment steps.
-    pub fn steps(&self) -> u64 {
-        self.steps
     }
 
     /// Runs `iterations` training iterations, returning per-iteration

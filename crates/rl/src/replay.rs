@@ -34,7 +34,6 @@ pub struct ReplayEnv {
     contexts: Vec<PathSample>,
     index: HashMap<PathSample, usize>,
     rewards: HashMap<(usize, usize, usize), Cell>,
-    observations: u64,
 }
 
 impl ReplayEnv {
@@ -48,7 +47,6 @@ impl ReplayEnv {
             contexts: Vec::new(),
             index: HashMap::new(),
             rewards: HashMap::new(),
-            observations: 0,
         }
     }
 
@@ -73,17 +71,11 @@ impl ReplayEnv {
         let cell = self.rewards.entry((idx, action.0, action.1)).or_default();
         cell.n += 1;
         cell.sum += reward;
-        self.observations += 1;
     }
 
-    /// Number of distinct contexts (deduplicated samples).
+    /// True when no observation has been accepted.
     pub fn is_empty(&self) -> bool {
         self.contexts.is_empty()
-    }
-
-    /// Total observations recorded (before dedup).
-    pub fn observations(&self) -> u64 {
-        self.observations
     }
 }
 
@@ -133,7 +125,6 @@ mod tests {
         env.record(&s, (2, 1), 0.8);
         env.record(&sample(10), (0, 0), -0.5);
         assert_eq!(env.num_contexts(), 2);
-        assert_eq!(env.observations(), 3);
         let mean = env.reward(0, (2, 1)); // mean of 0.4, 0.8
         assert!((mean - 0.6).abs() < 1e-12, "mean={mean}");
         assert_eq!(env.reward(1, (0, 0)), -0.5);
@@ -148,7 +139,6 @@ mod tests {
         env.record(&sample(0), (0, 5), 1.0); // if out of range
         env.record(&sample(0), (0, 0), f64::NAN);
         assert!(env.is_empty());
-        assert_eq!(env.observations(), 0);
     }
 
     #[test]

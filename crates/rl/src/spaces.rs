@@ -31,13 +31,13 @@ impl ActionDims {
     /// Clamps-and-rounds one continuous coordinate onto the flat index
     /// space (the paper's continuous-1D decoding: "the numbers … are
     /// rounded to the closest integers").
-    pub fn decode_1d(&self, x: f32) -> (usize, usize) {
+    pub(crate) fn decode_1d(&self, x: f32) -> (usize, usize) {
         let idx = x.round().clamp(0.0, (self.total() - 1) as f32) as usize;
         self.unflatten(idx)
     }
 
     /// Clamps-and-rounds two continuous coordinates onto the index pair.
-    pub fn decode_2d(&self, x: f32, y: f32) -> (usize, usize) {
+    pub(crate) fn decode_2d(&self, x: f32, y: f32) -> (usize, usize) {
         let v = x.round().clamp(0.0, (self.n_vf - 1) as f32) as usize;
         let i = y.round().clamp(0.0, (self.n_if - 1) as f32) as usize;
         (v, i)

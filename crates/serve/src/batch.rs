@@ -45,7 +45,7 @@ use crate::{DecisionModel, ServeError};
 
 /// Where a job's outcome goes. Called exactly once, usually on a batch
 /// worker: keep it short and never block in it.
-pub type Completion = Box<dyn FnOnce(Result<(usize, usize), ServeError>) + Send>;
+pub(crate) type Completion = Box<dyn FnOnce(Result<(usize, usize), ServeError>) + Send>;
 
 /// One pending decision: the sample to embed and where to send the result.
 struct Job {
@@ -87,7 +87,7 @@ struct Queue {
 }
 
 /// The shared miss queue.
-pub struct Batcher {
+pub(crate) struct Batcher {
     queue: Mutex<Queue>,
     available: Condvar,
     space: Condvar,
@@ -100,7 +100,7 @@ impl Batcher {
     /// Builds a queue whose workers take up to `batch_size` jobs per
     /// forward and whose callers keep it at `capacity` pending jobs (see
     /// the module docs for how).
-    pub fn new(batch_size: usize, capacity: usize) -> Self {
+    pub(crate) fn new(batch_size: usize, capacity: usize) -> Self {
         Batcher {
             queue: Mutex::new(Queue {
                 jobs: VecDeque::new(),
@@ -125,7 +125,7 @@ impl Batcher {
     /// caller owes a [`Batcher::wake`] once it has submitted all it has.
     /// After [`Batcher::stop`], `done` is called at once with
     /// [`ServeError::ShuttingDown`].
-    pub fn submit(&self, sample: PathSample, done: Completion) {
+    pub(crate) fn submit(&self, sample: PathSample, done: Completion) {
         let job = Job {
             sample,
             done: Some(done),
@@ -152,7 +152,7 @@ impl Batcher {
 
     /// The caller has submitted all it has: wakes one idle worker if
     /// anything is queued. Cheap when there is nothing to do.
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         let q = self.lock();
         let wanted = !q.jobs.is_empty() && q.idle > 0;
         drop(q);
@@ -162,18 +162,18 @@ impl Batcher {
     }
 
     /// Jobs queued and not yet taken by a worker.
-    pub fn queued(&self) -> usize {
+    pub(crate) fn queued(&self) -> usize {
         self.lock().jobs.len()
     }
 
     /// True while the queue holds `capacity` jobs or more.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.queued() >= self.capacity
     }
 
     /// Blocks while the queue is full (backpressure for callers that may
     /// block). Returns at once after [`Batcher::stop`].
-    pub fn wait_for_space(&self) {
+    pub(crate) fn wait_for_space(&self) {
         let mut q = self.lock();
         while q.jobs.len() >= self.capacity && !self.is_shut_down() {
             q = self.space.wait(q).unwrap_or_else(|e| e.into_inner());
@@ -188,12 +188,12 @@ impl Batcher {
     }
 
     /// True once [`Batcher::stop`] was called.
-    pub fn is_shut_down(&self) -> bool {
+    pub(crate) fn is_shut_down(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
     }
 
     /// Wakes every worker and makes them exit after draining the queue.
-    pub fn stop(&self) {
+    pub(crate) fn stop(&self) {
         // Set under the lock: a worker checks the flag and parks in one
         // critical section, so it either sees the flag or is already
         // waiting when the notify below lands.
@@ -206,7 +206,7 @@ impl Batcher {
 
     /// Worker body: drain batches and run the model until shutdown.
     /// Spawn one thread per configured worker with this.
-    pub fn worker_loop(&self, model: &dyn DecisionModel, metrics: &Metrics) {
+    pub(crate) fn worker_loop(&self, model: &dyn DecisionModel, metrics: &Metrics) {
         loop {
             let mut q = self.lock();
             while q.jobs.is_empty() {

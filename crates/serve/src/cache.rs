@@ -45,7 +45,7 @@ pub struct CacheStats {
     /// Live entries per shard.
     pub occupancy: Vec<usize>,
     /// Capacity per shard.
-    pub shard_capacity: usize,
+    pub(crate) shard_capacity: usize,
 }
 
 impl CacheStats {
@@ -60,7 +60,7 @@ impl CacheStats {
     }
 
     /// Fraction of lookups that hit, in `[0, 1]` (0 when unused).
-    pub fn hit_rate(&self) -> f64 {
+    pub(crate) fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             0.0
@@ -248,13 +248,8 @@ impl<V: Copy, K: CacheKey> ShardedLruCache<V, K> {
     }
 
     /// Live entries across all shards.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().map.len()).sum()
-    }
-
-    /// True when no entry is live.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Calls `f` on every live entry, coldest first within each shard
@@ -275,19 +270,20 @@ impl<V: Copy, K: CacheKey> ShardedLruCache<V, K> {
     /// [`ShardedLruCache::restore`] reproduces each shard's recency
     /// ranking, so a persisted-then-restored cache evicts in the same
     /// order the original would have.
-    pub fn snapshot(&self) -> Vec<(K, V)> {
+    #[cfg(test)]
+    pub(crate) fn snapshot(&self) -> Vec<(K, V)> {
         let mut out = Vec::new();
         self.for_each_coldest_first(|k, v| out.push((k, v)));
         out
     }
 
-    /// Inserts `entries` in order (oldest/coldest first, the order
-    /// [`ShardedLruCache::snapshot`] produces). Returns how many
+    /// Inserts `entries` in order (oldest/coldest first within each
+    /// shard). Returns how many
     /// entries the cache *grew by* — zero when the cache is disabled,
     /// and less than the snapshot size when the snapshot exceeds this
     /// cache's capacity (the restoring daemon may be configured
     /// smaller than the one that wrote it; only survivors count).
-    pub fn restore(&self, entries: impl IntoIterator<Item = (K, V)>) -> usize {
+    pub(crate) fn restore(&self, entries: impl IntoIterator<Item = (K, V)>) -> usize {
         let before = self.len();
         for (key, value) in entries {
             self.insert(key, value);
@@ -332,7 +328,12 @@ impl ContentStore {
 
     /// Stores a decision computed under `checkpoint_hash`. True when the
     /// address was new.
-    pub fn insert(&self, checkpoint_hash: u64, sample_key: u64, decision: (usize, usize)) -> bool {
+    pub(crate) fn insert(
+        &self,
+        checkpoint_hash: u64,
+        sample_key: u64,
+        decision: (usize, usize),
+    ) -> bool {
         self.0.insert((checkpoint_hash, sample_key), decision)
     }
 
@@ -372,7 +373,7 @@ impl ContentStore {
 
     /// True when nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.0.len() == 0
     }
 
     /// Store-wide counters: every probe and insertion of every handle.
@@ -432,7 +433,7 @@ mod tests {
         let c: ShardedLruCache<u32> = ShardedLruCache::new(0, 4);
         c.insert(9, 9);
         assert_eq!(c.get(9), None);
-        assert!(c.is_empty());
+        assert_eq!(c.len(), 0);
     }
 
     #[test]
@@ -483,7 +484,7 @@ mod tests {
     fn restore_into_disabled_cache_is_a_noop() {
         let c: ShardedLruCache<u32> = ShardedLruCache::new(0, 2);
         assert_eq!(c.restore(vec![(1, 1), (2, 2)]), 0);
-        assert!(c.is_empty());
+        assert_eq!(c.len(), 0);
     }
 
     #[test]

@@ -6,20 +6,20 @@
 //! keeps a daemon warm and streams requests at it. This crate is that
 //! daemon:
 //!
-//! * [`cache`] — the **decision store** ([`ContentStore`]), one sharded
+//! * `cache` — the **decision store** ([`ContentStore`]), one sharded
 //!   LRU keyed by content address: the checkpoint hash and a hash of the
 //!   loop's normalized path-context sample ([`sample_key`]). Alpha-renamed
 //!   copies of a loop produce the *same* sample (the §3.2 normalization),
 //!   so repeated loop shapes across a codebase skip embedding + policy
 //!   entirely, and every handle serving one checkpoint shares the entries;
-//! * [`batch`] — a **batching layer**: concurrent cache misses coalesce
+//! * `batch` — a **batching layer**: concurrent cache misses coalesce
 //!   into one embedding/policy forward pass over a worker pool (bounded
 //!   queue, configurable batch size, no flush timer: a batch is what its
 //!   callers submitted before they woke the workers, plus what arrived
 //!   during the previous forward);
-//! * [`metrics`] — the handle's counters and latency / batch-size
+//! * `metrics` — the handle's counters and latency / batch-size
 //!   histograms as plain fields, read by [`ServeHandle::stats_json`];
-//! * [`service`] — the in-process [`ServeHandle`] API. A request's life
+//! * `service` — the in-process [`ServeHandle`] API. A request's life
 //!   is non-blocking: [`ServeHandle::begin_vectorize`] answers a cache hit
 //!   on the caller's thread and lets a batch worker complete a miss;
 //!   `vectorize` and `decide_sample` are blocking wrappers over it.
@@ -61,10 +61,10 @@
 //! assert!(out.source.contains("#pragma clang loop"));
 //! ```
 
-pub mod batch;
-pub mod cache;
-pub mod metrics;
-pub mod service;
+pub(crate) mod batch;
+pub(crate) mod cache;
+pub(crate) mod metrics;
+pub(crate) mod service;
 
 use serde::{Deserialize, Serialize};
 
@@ -72,8 +72,8 @@ use nvc_embed::{EmbedConfig, PathSample};
 use nvc_machine::TargetConfig;
 use nvc_obs::fnv::{Fnv1a, Step};
 
-pub use cache::{CacheStats, ContentStore, ShardedLruCache};
-pub use metrics::{LatencyHistogram, Metrics};
+pub use cache::{CacheKey, CacheStats, ContentStore, ShardedLruCache};
+pub use metrics::Metrics;
 /// Kept only because `bench/` compiles against `nvc_serve::Json` and
 /// `nvc_serve::json::obj`; the crates use `nvc_obs::json`.
 pub use nvc_obs::json::{self, Json};
@@ -110,7 +110,7 @@ pub trait SharedDecisionStore: Send + Sync {
 
 /// Tuning knobs for the service. There is no flush timer to tune: the
 /// batch workers take what is queued when a caller that has submitted all
-/// it has wakes them (see [`batch`]).
+/// it has wakes them (see `batch`).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServeConfig {
     /// Decision-store capacity in entries (0 disables caching): the

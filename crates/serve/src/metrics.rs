@@ -4,7 +4,7 @@
 //! service's set of them as plain fields, updated lock-free on the hot
 //! paths and read by [`crate::ServeHandle::stats_json`].
 
-pub use nvc_obs::{Counter, LatencyHistogram};
+pub(crate) use nvc_obs::{Counter, LatencyHistogram};
 
 /// All service counters. Cheap to update from any thread.
 #[derive(Debug, Default)]
@@ -14,7 +14,7 @@ pub struct Metrics {
     /// Requests that failed.
     pub errors: Counter,
     /// Innermost loops decided, cached + computed.
-    pub loops_served: Counter,
+    pub(crate) loops_served: Counter,
     /// Model forward passes run by the batch workers.
     pub batches: Counter,
     /// Loops decided inside those forward passes.
@@ -22,35 +22,35 @@ pub struct Metrics {
     /// Loops per forward pass: the same log₂ histogram as the latencies,
     /// so the bucket edges are the powers of two up to `batch_size`
     /// (exclusive — a batch of 8 counts under 16).
-    pub batch_sizes: LatencyHistogram,
+    pub(crate) batch_sizes: LatencyHistogram,
     /// Batches whose forward panicked or answered short; their
     /// unanswered jobs failed.
-    pub failed_batches: Counter,
+    pub(crate) failed_batches: Counter,
     /// Misses that coalesced onto another request's in-flight decision
     /// instead of embedding the same loop again.
-    pub dedup_waits: Counter,
+    pub(crate) dedup_waits: Counter,
     /// Cache entries restored from a persisted snapshot at startup.
     pub entries_restored: Counter,
     /// Persisted cache entries discarded because their snapshot was
     /// taken under a different checkpoint hash.
     pub entries_invalidated_by_version: Counter,
     /// This handle's decision-store probes that hit.
-    pub cache_hits: Counter,
+    pub(crate) cache_hits: Counter,
     /// This handle's decision-store probes that missed.
-    pub cache_misses: Counter,
+    pub(crate) cache_misses: Counter,
     /// Entries this handle added to the decision store, computed or
     /// restored.
-    pub cache_insertions: Counter,
+    pub(crate) cache_insertions: Counter,
     /// Warm samples replayed as shadow traffic against this handle
     /// after a hot-swap reload.
     pub warmup_replayed: Counter,
     /// End-to-end request latency.
-    pub latency: LatencyHistogram,
+    pub(crate) latency: LatencyHistogram,
 }
 
 impl Metrics {
     /// Records one worker batch of `n` loops.
-    pub fn record_batch(&self, n: usize) {
+    pub(crate) fn record_batch(&self, n: usize) {
         self.batches.inc();
         self.batched_loops.add(n as u64);
         self.batch_sizes.record(n as u64);

@@ -25,7 +25,7 @@ const PER_UOP_MS: f64 = 0.012;
 const QUADRATIC_MS: f64 = 9.0e-6;
 
 /// Modelled wall-clock compile time for a loop compiled into `shape`.
-pub fn compile_time_ms(shape: &LoopShape, _ir: &LoopIr) -> f64 {
+pub(crate) fn compile_time_ms(shape: &LoopShape, _ir: &LoopIr) -> f64 {
     let uops = emitted_uops(shape);
     BASE_MS + PER_UOP_MS * uops + QUADRATIC_MS * uops * uops
 }

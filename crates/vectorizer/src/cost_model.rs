@@ -28,7 +28,7 @@ use crate::table;
 
 /// Expected cost (abstract units) of one loop iteration vectorized at `vf`,
 /// per the linear model, divided by `vf` — i.e. cost per source element.
-pub fn expected_cost_per_lane(ir: &LoopIr, vf: u32, target: &TargetConfig) -> f64 {
+pub(crate) fn expected_cost_per_lane(ir: &LoopIr, vf: u32, target: &TargetConfig) -> f64 {
     let mut cost = 0.0;
     for instr in &ir.body {
         cost += instr_cost(instr, ir, vf, target);
@@ -167,7 +167,7 @@ fn instr_cost(instr: &Instr, ir: &LoopIr, vf: u32, target: &TargetConfig) -> f64
 }
 
 /// LLVM-style interleave-count heuristic.
-pub fn interleave_heuristic(ir: &LoopIr, vf: u32, target: &TargetConfig) -> u32 {
+pub(crate) fn interleave_heuristic(ir: &LoopIr, vf: u32, target: &TargetConfig) -> u32 {
     if ir.not_vectorizable {
         return 1;
     }
@@ -191,7 +191,7 @@ pub fn interleave_heuristic(ir: &LoopIr, vf: u32, target: &TargetConfig) -> u32 
 
 /// The baseline cost model's full decision: the `-O3` default the paper
 /// normalizes everything against.
-pub fn baseline_decision(ir: &LoopIr, target: &TargetConfig) -> VectorDecision {
+pub(crate) fn baseline_decision(ir: &LoopIr, target: &TargetConfig) -> VectorDecision {
     if ir.not_vectorizable {
         return VectorDecision::scalar();
     }

@@ -63,13 +63,8 @@ impl ActionSpace {
     }
 
     /// Number of `(VF, IF)` combinations.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.vfs.len() * self.ifs.len()
-    }
-
-    /// True when the space is empty (degenerate targets only).
-    pub fn is_empty(&self) -> bool {
-        self.vfs.is_empty() || self.ifs.is_empty()
     }
 
     /// Decision for a flat action index (row-major over VF then IF).

@@ -3,19 +3,19 @@
 //! This crate plays the role of LLVM's `LoopVectorize` pass in the paper's
 //! pipeline:
 //!
-//! * [`decision`] — the `(VF, IF)` decision type and the pragma action
+//! * `decision` — the `(VF, IF)` decision type and the pragma action
 //!   space (`VF ∈ {1,2,…,MAX_VF}`, `IF ∈ {1,2,…,MAX_IF}`, §3.3 eq. 3);
-//! * [`plan`] — the *transform*: given a [`nvc_ir::LoopIr`] and a decision,
+//! * `plan` — the *transform*: given a [`nvc_ir::LoopIr`] and a decision,
 //!   emit the widened/interleaved loop as a [`nvc_machine::LoopShape`]
 //!   (physical uops, memory streams, recurrences, remainder) after clamping
 //!   the request to what dependence analysis allows — "if the agent
 //!   accidentally injected bad pragmas, the compiler will ignore it" (§3);
-//! * [`cost_model`] — the **baseline**: a faithful linear, per-instruction
+//! * `cost_model` — the **baseline**: a faithful linear, per-instruction
 //!   cost model in the style of LLVM's TTI tables. It cannot see recurrence
 //!   latency, cache residency or amortization of loop overhead — exactly
 //!   the blind spots the paper attributes to fixed cost models (§1, §6) —
 //!   and so it systematically picks conservative factors;
-//! * [`compile_time`] — the compile-time model used for the paper's
+//! * `compile_time` — the compile-time model used for the paper's
 //!   10×-compile-time timeout and its −9 reward penalty (§3.4).
 //!
 //! # Example
@@ -41,21 +41,23 @@
 //! # }
 //! ```
 
-pub mod compile_time;
-pub mod cost_model;
-pub mod decision;
-pub mod plan;
-pub mod table;
+pub(crate) mod compile_time;
+pub(crate) mod cost_model;
+pub(crate) mod decision;
+pub(crate) mod plan;
+pub(crate) mod table;
 
 use serde::{Deserialize, Serialize};
 
 use nvc_ir::LoopIr;
 use nvc_machine::{simulate_loop, LoopShape, LoopTiming, TargetConfig};
 
-pub use compile_time::{compile_time_ms, CompileOutcome};
-pub use cost_model::{baseline_decision, expected_cost_per_lane, interleave_heuristic};
+pub(crate) use compile_time::compile_time_ms;
+pub use compile_time::CompileOutcome;
+pub(crate) use cost_model::baseline_decision;
 pub use decision::{ActionSpace, VectorDecision};
-pub use plan::{build_shape, clamp_decision, emitted_uops};
+pub(crate) use plan::build_shape;
+pub use plan::clamp_decision;
 
 /// A fully "compiled" loop: the clamped decision, the emitted shape, its
 /// simulated timing, and the modelled compile time.
@@ -120,12 +122,6 @@ impl Vectorizer {
     pub fn compile_baseline(&self, ir: &LoopIr) -> CompiledLoop {
         let d = self.baseline_decision(ir);
         self.compile(ir, d)
-    }
-
-    /// Builds only the shape (for tests and ablations).
-    pub fn shape(&self, ir: &LoopIr, requested: VectorDecision) -> LoopShape {
-        let decision = clamp_decision(ir, requested, &self.target);
-        build_shape(ir, decision, &self.target)
     }
 }
 

@@ -51,7 +51,11 @@ fn regs_per_value(vf: u32, ty: ScalarType, target: &TargetConfig) -> f64 {
 }
 
 /// Builds the emitted-loop shape for a clamped decision.
-pub fn build_shape(ir: &LoopIr, decision: VectorDecision, target: &TargetConfig) -> LoopShape {
+pub(crate) fn build_shape(
+    ir: &LoopIr,
+    decision: VectorDecision,
+    target: &TargetConfig,
+) -> LoopShape {
     let vf = decision.vf;
     let if_ = decision.if_;
     let block = decision.elems_per_block();
@@ -388,7 +392,7 @@ fn widest(a: ScalarType, b: ScalarType) -> ScalarType {
 
 /// Total physical uops the compiler must emit for this shape (steady body +
 /// one scalar remainder body). Drives the compile-time model.
-pub fn emitted_uops(shape: &LoopShape) -> f64 {
+pub(crate) fn emitted_uops(shape: &LoopShape) -> f64 {
     let body: f64 = shape.uops.iter().map(|u| u.count).sum();
     body + shape.scalar_uops_per_iter + shape.per_execution_overhead_uops
 }

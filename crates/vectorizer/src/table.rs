@@ -10,14 +10,14 @@ use nvc_machine::ResourceClass;
 
 /// Execution profile of one scalar operation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OpProfile {
+pub(crate) struct OpProfile {
     /// Resource the uop executes on.
-    pub class: ResourceClass,
+    pub(crate) class: ResourceClass,
     /// Result latency in cycles.
-    pub latency: f64,
+    pub(crate) latency: f64,
     /// Micro-ops per native vector of results (usually 1; 2 for half-rate
     /// operations like 32-bit vector multiply).
-    pub uops: f64,
+    pub(crate) uops: f64,
 }
 
 impl OpProfile {
@@ -35,7 +35,7 @@ impl OpProfile {
 /// Scalar context differs for a few ops (e.g. scalar `imul` is a single
 /// 3-cycle uop while `vpmulld` is 2 uops at 10 cycles); use
 /// [`bin_profile_for`] when the context is known.
-pub fn bin_profile(op: BinOpIr, ty: ScalarType) -> OpProfile {
+pub(crate) fn bin_profile(op: BinOpIr, ty: ScalarType) -> OpProfile {
     use BinOpIr::*;
     use ResourceClass::*;
     let float = ty.is_float();
@@ -72,7 +72,7 @@ pub fn bin_profile(op: BinOpIr, ty: ScalarType) -> OpProfile {
 }
 
 /// Profile of a binary operation, accounting for scalar vs vector context.
-pub fn bin_profile_for(op: BinOpIr, ty: ScalarType, vectorized: bool) -> OpProfile {
+pub(crate) fn bin_profile_for(op: BinOpIr, ty: ScalarType, vectorized: bool) -> OpProfile {
     if !vectorized && !ty.is_float() {
         match op {
             BinOpIr::Mul => return OpProfile::new(ResourceClass::VMul, 3.0, 1.0),
@@ -84,7 +84,7 @@ pub fn bin_profile_for(op: BinOpIr, ty: ScalarType, vectorized: bool) -> OpProfi
 }
 
 /// Profile of a comparison on `ty`.
-pub fn cmp_profile(ty: ScalarType) -> OpProfile {
+pub(crate) fn cmp_profile(ty: ScalarType) -> OpProfile {
     if ty.is_float() {
         OpProfile::new(ResourceClass::VAlu, 4.0, 1.0)
     } else {
@@ -93,7 +93,7 @@ pub fn cmp_profile(ty: ScalarType) -> OpProfile {
 }
 
 /// Profile of a select/blend.
-pub fn select_profile() -> OpProfile {
+pub(crate) fn select_profile() -> OpProfile {
     OpProfile::new(ResourceClass::VAlu, 1.0, 1.0)
 }
 
@@ -101,7 +101,7 @@ pub fn select_profile() -> OpProfile {
 ///
 /// Width-changing vector casts also need lane re-packing; the extra uops
 /// are charged in the plan builder because they depend on VF.
-pub fn cast_profile(from: ScalarType, to: ScalarType) -> OpProfile {
+pub(crate) fn cast_profile(from: ScalarType, to: ScalarType) -> OpProfile {
     let int_to_float = !from.is_float() && to.is_float();
     let float_to_int = from.is_float() && !to.is_float();
     if int_to_float || float_to_int {
@@ -130,7 +130,7 @@ pub fn call_profile(name: &str) -> OpProfile {
 }
 
 /// Latency of the combining operation of a reduction (drives `RecMII`).
-pub fn reduction_latency(kind: nvc_ir::ReductionKind, ty: ScalarType) -> f64 {
+pub(crate) fn reduction_latency(kind: nvc_ir::ReductionKind, ty: ScalarType) -> f64 {
     use nvc_ir::ReductionKind::*;
     match kind {
         Sum => {
@@ -160,7 +160,7 @@ pub fn reduction_latency(kind: nvc_ir::ReductionKind, ty: ScalarType) -> f64 {
 
 /// The baseline cost model's *throughput cost* of one scalar operation, in
 /// abstract units (≈ reciprocal throughput). Linear by construction.
-pub fn scalar_throughput_cost(profile: OpProfile) -> f64 {
+pub(crate) fn scalar_throughput_cost(profile: OpProfile) -> f64 {
     match profile.class {
         ResourceClass::VDiv => profile.latency / 2.0,
         _ => profile.uops,
