@@ -435,7 +435,7 @@ void f(int n) {
         let mut past_tokens = fits.clone();
         past_tokens.starts[1] = 999_999;
         let mut past_paths = fits.clone();
-        past_paths.paths[0] = cfg.embed.path_buckets;
+        past_paths.paths[0] = cfg.embed.path_buckets as u32;
         let mut ragged = fits.clone();
         ragged.paths.push(7);
         let train = NeuroVectorizer::challenger_trainer(cfg, 1);

@@ -419,7 +419,7 @@ fn contexts<'a>(samples: &'a [&PathSample]) -> impl Iterator<Item = (usize, usiz
             .iter()
             .zip(s.paths.iter())
             .zip(s.ends.iter())
-            .map(|((&a, &p), &b)| (a, p, b))
+            .map(|((&a, &p), &b)| (a as usize, p as usize, b as usize))
     })
 }
 
@@ -429,7 +429,7 @@ fn contexts<'a>(samples: &'a [&PathSample]) -> impl Iterator<Item = (usize, usiz
 /// # Panics
 ///
 /// Panics when a sample's index vectors differ in length.
-fn context_columns(samples: &[&PathSample], columns: &mut [Vec<usize>; 3]) {
+fn context_columns(samples: &[&PathSample], columns: &mut [Vec<u32>; 3]) {
     let _timer = obs::time_op(obs::Op::Dedup);
     let total = samples.iter().map(|s| s.len()).sum();
     for column in columns.iter_mut() {
@@ -538,7 +538,7 @@ impl std::fmt::Debug for ProjectionMemo {
 #[derive(Default)]
 struct InferScratch {
     /// Strict: the start, path and end index of every context.
-    columns: [Vec<usize>; 3],
+    columns: [Vec<u32>; 3],
     /// Strict: the tape forward's buffers.
     attention: AttentionScratch,
     /// Fast: `N × code_dim`, each context's `tanh` row.
@@ -580,11 +580,13 @@ mod tests {
     fn random_sample(n: usize, cfg: &EmbedConfig, rng: &mut ChaCha8Rng) -> PathSample {
         PathSample {
             starts: (0..n)
-                .map(|_| rng.gen_range(0..cfg.token_buckets))
+                .map(|_| rng.gen_range(0..cfg.token_buckets) as u32)
                 .collect(),
-            paths: (0..n).map(|_| rng.gen_range(0..cfg.path_buckets)).collect(),
+            paths: (0..n)
+                .map(|_| rng.gen_range(0..cfg.path_buckets) as u32)
+                .collect(),
             ends: (0..n)
-                .map(|_| rng.gen_range(0..cfg.token_buckets))
+                .map(|_| rng.gen_range(0..cfg.token_buckets) as u32)
                 .collect(),
         }
     }
@@ -802,7 +804,7 @@ mod tests {
     }
 
     /// A sample of the given `(start, path, end)` triples.
-    fn of_triples(triples: &[(usize, usize, usize)]) -> PathSample {
+    fn of_triples(triples: &[(u32, u32, u32)]) -> PathSample {
         PathSample {
             starts: triples.iter().map(|t| t.0).collect(),
             paths: triples.iter().map(|t| t.1).collect(),
@@ -842,7 +844,7 @@ mod tests {
             random_sample(5, &cfg, &mut rng),
             random_sample(3, &cfg, &mut rng),
         );
-        let t: Vec<(usize, usize, usize)> = (0..4)
+        let t: Vec<(u32, u32, u32)> = (0..4)
             .map(|i| {
                 let s = random_sample(1, &cfg, &mut rng);
                 (s.starts[0], s.paths[0] + i, s.ends[0])
@@ -890,7 +892,7 @@ mod tests {
             let hostile = hostile == 1;
             let (store, e) = encoder(&cfg, 23, hostile);
             let mut rng = ChaCha8Rng::seed_from_u64(shape_seed);
-            let pool: Vec<(usize, usize, usize)> = (0..6)
+            let pool: Vec<(u32, u32, u32)> = (0..6)
                 .map(|_| {
                     let s = random_sample(1, &cfg, &mut rng);
                     (s.starts[0], s.paths[0], s.ends[0])

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 use crate::model::EmbedConfig;
-use crate::vocab::{Fnv1a, PathSample};
+use crate::vocab::{bucket, Fnv1a, PathSample};
 
 /// One leaf-to-leaf path context: `(start terminal, path string, end
 /// terminal)`.
@@ -472,15 +472,14 @@ impl PathSample {
     /// cfg)` index for index.
     pub fn from_stmt(stmt: &Stmt, cfg: &EmbedConfig) -> Self {
         let tree = Tree::of(stmt);
-        let bucket = |h: Fnv1a, buckets: usize| (h.finish() % buckets as u64) as usize;
         // Each leaf's terminal is hashed once, however many pairs it is in.
-        let rows: Vec<usize> = tree
+        let rows: Vec<u32> = tree
             .leaves
             .iter()
             .map(|&(_, terminal)| {
                 let mut h = Fnv1a::new();
                 terminal.emit(&mut |piece| h.write(piece.as_bytes()));
-                bucket(h, cfg.token_buckets)
+                bucket(h.finish(), cfg.token_buckets)
             })
             .collect();
         let pairs = selected_pairs(tree.leaves.len(), cfg.max_paths);
@@ -500,7 +499,7 @@ impl PathSample {
                 &mut |piece| h.step(piece.step()),
             );
             sample.starts.push(rows[i]);
-            sample.paths.push(bucket(h, cfg.path_buckets));
+            sample.paths.push(bucket(h.finish(), cfg.path_buckets));
             sample.ends.push(rows[j]);
         }
         sample

@@ -23,35 +23,52 @@ pub(crate) fn hash_token(s: &str) -> u64 {
     h.finish()
 }
 
+/// `h`'s row in a table of `buckets` rows.
+///
+/// # Panics
+///
+/// Panics when the table has more than 2³² rows, which a `u32` index
+/// cannot name.
+pub(crate) fn bucket(h: u64, buckets: usize) -> u32 {
+    u32::try_from(h % buckets as u64).expect("embedding table over 2^32 rows")
+}
+
 /// A loop rendered as vocabulary indices, ready for the embedding network.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// The indices are `u32`: the tables have thousands of rows (2 048 and
+/// 4 096 at [`EmbedConfig::paper`]), and a served sample is held in the
+/// miss queue and the warm set, so a 64-bit index would double the 12
+/// bytes a context costs there for no row it could name. Every index is
+/// widened back to `u64` where it is hashed (the serving cache's
+/// `sample_key`) or serialized as a JSON number, so no key, snapshot or
+/// journal line depends on the width.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PathSample {
     /// Start-terminal rows into the token table.
-    pub starts: Vec<usize>,
+    pub starts: Vec<u32>,
     /// Path rows into the path table.
-    pub paths: Vec<usize>,
+    pub paths: Vec<u32>,
     /// End-terminal rows into the token table.
-    pub ends: Vec<usize>,
+    pub ends: Vec<u32>,
 }
 
 impl PathSample {
     /// Hashes extracted path contexts into table indices — the readable
     /// form's sink; `PathSample::from_stmt` (in `paths`) is the direct one.
     pub fn from_contexts(contexts: &[PathContext], cfg: &EmbedConfig) -> Self {
-        let t = cfg.token_buckets as u64;
-        let p = cfg.path_buckets as u64;
+        let (t, p) = (cfg.token_buckets, cfg.path_buckets);
         PathSample {
             starts: contexts
                 .iter()
-                .map(|c| (hash_token(&c.start) % t) as usize)
+                .map(|c| bucket(hash_token(&c.start), t))
                 .collect(),
             paths: contexts
                 .iter()
-                .map(|c| (hash_token(&c.path) % p) as usize)
+                .map(|c| bucket(hash_token(&c.path), p))
                 .collect(),
             ends: contexts
                 .iter()
-                .map(|c| (hash_token(&c.end) % t) as usize)
+                .map(|c| bucket(hash_token(&c.end), t))
                 .collect(),
         }
     }
@@ -66,12 +83,12 @@ impl PathSample {
     /// table.
     pub fn fits(&self, cfg: &EmbedConfig) -> bool {
         let n = self.len();
-        let tokens = |xs: &[usize]| xs.iter().all(|&x| x < cfg.token_buckets);
+        let inside = |xs: &[u32], rows: usize| xs.iter().all(|&x| (x as usize) < rows);
         self.starts.len() == n
             && self.ends.len() == n
-            && tokens(&self.starts)
-            && tokens(&self.ends)
-            && self.paths.iter().all(|&p| p < cfg.path_buckets)
+            && inside(&self.starts, cfg.token_buckets)
+            && inside(&self.ends, cfg.token_buckets)
+            && inside(&self.paths, cfg.path_buckets)
     }
 
     /// True when the sample has no contexts (degenerate loops).
@@ -109,9 +126,7 @@ mod tests {
         ];
         let s = PathSample::from_contexts(&ctxs, &cfg);
         assert_eq!(s.len(), 2);
-        assert!(s.starts.iter().all(|&i| i < cfg.token_buckets));
-        assert!(s.paths.iter().all(|&i| i < cfg.path_buckets));
-        assert!(s.ends.iter().all(|&i| i < cfg.token_buckets));
+        assert!(s.fits(&cfg));
     }
 
     #[test]

@@ -68,8 +68,11 @@ fn touched_rows(batch: &[PathSample]) -> std::collections::BTreeSet<(usize, usiz
     batch
         .iter()
         .flat_map(|s| {
-            let role =
-                |r: usize, idx: &[usize]| idx.iter().map(move |&i| (r, i)).collect::<Vec<_>>();
+            let role = |r: usize, idx: &[u32]| {
+                idx.iter()
+                    .map(move |&i| (r, i as usize))
+                    .collect::<Vec<_>>()
+            };
             [role(0, &s.starts), role(1, &s.paths), role(2, &s.ends)].concat()
         })
         .collect()
@@ -78,13 +81,13 @@ fn touched_rows(batch: &[PathSample]) -> std::collections::BTreeSet<(usize, usiz
 /// `n` contexts over a handful of leaves and paths, so table rows repeat
 /// within the sample the way a real loop's leaf pairs do.
 fn random_sample(n: usize, cfg: &EmbedConfig, rng: &mut ChaCha8Rng) -> PathSample {
-    let leaves: Vec<usize> = (0..1 + n / 3)
-        .map(|_| rng.gen_range(0..cfg.token_buckets))
+    let leaves: Vec<u32> = (0..1 + n / 3)
+        .map(|_| rng.gen_range(0..cfg.token_buckets) as u32)
         .collect();
-    let paths: Vec<usize> = (0..1 + n / 2)
-        .map(|_| rng.gen_range(0..cfg.path_buckets))
+    let paths: Vec<u32> = (0..1 + n / 2)
+        .map(|_| rng.gen_range(0..cfg.path_buckets) as u32)
         .collect();
-    let pick = |from: &[usize], rng: &mut ChaCha8Rng| from[rng.gen_range(0..from.len())];
+    let pick = |from: &[u32], rng: &mut ChaCha8Rng| from[rng.gen_range(0..from.len())];
     PathSample {
         starts: (0..n).map(|_| pick(&leaves, rng)).collect(),
         paths: (0..n).map(|_| pick(&paths, rng)).collect(),
@@ -214,7 +217,7 @@ fn fast_infer_rows_propagates_special_values_like_strict() {
         ),
         (
             e.token_table(),
-            batch[1].starts[0] * cfg.token_dim,
+            batch[1].starts[0] as usize * cfg.token_dim,
             f32::NEG_INFINITY,
         ),
     ] {
@@ -344,7 +347,7 @@ fn every_mutation_drops_the_kept_rows() {
         let other = serialize::to_string(&model_of(cfg.clone(), 42).1);
         let a_start = batch
             .iter()
-            .find_map(|s| s.starts.first().copied())
+            .find_map(|s| s.starts.first().map(|&i| i as usize))
             .expect("a context");
         type Mutation<'a> = &'a dyn Fn(&mut ParamStore);
         let mutations: [(&str, Mutation); 4] = [
@@ -470,6 +473,7 @@ fn kept_bytes_stay_under_the_bound_and_are_returned_on_drop() {
     assert_eq!(bound, 128 * 1024);
     let sweep = |store: &ParamStore| {
         let mut kept = obs::embed_memo_bytes();
+        let (tb, pb) = (tb as u32, pb as u32);
         for chunk in (0..pb.max(tb)).collect::<Vec<_>>().chunks(64) {
             let s = PathSample {
                 starts: chunk.iter().map(|i| i % tb).collect(),

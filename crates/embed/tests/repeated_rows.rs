@@ -32,7 +32,7 @@ fn restore_defaults() {
     kernels::set_kernel_mode(kernels::default_kernel_mode());
 }
 
-fn sample(triples: &[(usize, usize, usize)]) -> PathSample {
+fn sample(triples: &[(u32, u32, u32)]) -> PathSample {
     PathSample {
         starts: triples.iter().map(|t| t.0).collect(),
         paths: triples.iter().map(|t| t.1).collect(),

@@ -77,7 +77,7 @@ pub struct ReportRecord {
 impl ReportRecord {
     /// One JSON journal line.
     pub(crate) fn to_json_line(&self) -> String {
-        let ints = |xs: &[usize]| Json::Arr(xs.iter().map(|&x| Json::from(x)).collect());
+        let ints = |xs: &[u32]| Json::Arr(xs.iter().map(|&x| Json::from(x)).collect());
         obj(vec![
             ("model", Json::from(self.model.as_str())),
             hex("checkpoint_hash", self.checkpoint_hash),
@@ -93,10 +93,10 @@ impl ReportRecord {
     }
 
     /// Parses one journal line (the [`ReportRecord::to_json_line`]
-    /// encoding). Every index — `vf_idx`, `if_idx` and each element of
-    /// `starts`, `paths` and `ends` — must be a whole number in `0..2^53`,
-    /// and the three arrays must be equally long; anything else is an
-    /// error, never a cast.
+    /// encoding). `vf_idx` and `if_idx` must be whole numbers in
+    /// `0..2^53`, each element of `starts`, `paths` and `ends` a whole
+    /// number in `0..2^32` (a [`PathSample`] row), and the three arrays
+    /// must be equally long; anything else is an error, never a cast.
     pub(crate) fn from_json(v: &Json) -> Result<ReportRecord, String> {
         let hex = |field: &str| {
             v.get(field)
@@ -120,18 +120,21 @@ impl ReportRecord {
                 .ok_or_else(|| format!("report record missing `{field}`"))?;
             index(x, field)
         };
-        let ints = |field: &str| -> Result<Vec<usize>, String> {
+        let rows = |field: &str| -> Result<Vec<u32>, String> {
             v.get(field)
                 .and_then(Json::as_array)
                 .ok_or_else(|| format!("report record missing `{field}`"))?
                 .iter()
-                .map(|x| index(x, field))
+                .map(|x| {
+                    let i = index(x, field)?;
+                    u32::try_from(i).map_err(|_| format!("`{field}` is not a table row: {i}"))
+                })
                 .collect()
         };
         let sample = PathSample {
-            starts: ints("starts")?,
-            paths: ints("paths")?,
-            ends: ints("ends")?,
+            starts: rows("starts")?,
+            paths: rows("paths")?,
+            ends: rows("ends")?,
         };
         if sample.starts.len() != sample.paths.len() || sample.ends.len() != sample.paths.len() {
             return Err(format!(
@@ -749,7 +752,7 @@ mod tests {
         dir
     }
 
-    fn sample(base: usize) -> PathSample {
+    fn sample(base: u32) -> PathSample {
         PathSample {
             starts: vec![base, base + 1],
             paths: vec![base * 2, base * 2 + 1],
@@ -822,7 +825,7 @@ mod tests {
                 vf_idx: 1,
                 if_idx: 1,
                 reward: mean + 0.2 * noise.next(),
-                sample: sample(i % 7),
+                sample: sample(i as u32 % 7),
             });
         }
     }
@@ -864,12 +867,18 @@ mod tests {
         let line = rec.to_json_line();
         let parsed = ReportRecord::from_json(&Json::parse(&line).unwrap()).unwrap();
         assert_eq!(parsed, rec);
+        // A line journaled while the indices were `usize` reads as the
+        // same record: the encoding never depended on their width.
+        let old = r#"{"model":"prod","checkpoint_hash":"00000000000000ab","key":"00000000deadbeef","vf_idx":3,"if_idx":2,"reward":-0.125,"starts":[5,6],"paths":[10,11],"ends":[8,9]}"#;
+        assert_eq!(line, old);
+        assert_eq!(ReportRecord::from_json(&Json::parse(old).unwrap()), Ok(rec));
     }
 
     /// A journal line whose indices are not whole, non-negative and
-    /// exactly representable, or whose index arrays differ in length, is
-    /// refused — it used to be cast (`-1` → 0, `2.7` → 2, `1e300` →
-    /// `usize::MAX`) or trained on truncated.
+    /// exactly representable, whose table rows do not fit a `u32`, or
+    /// whose index arrays differ in length, is refused — it used to be
+    /// cast (`-1` → 0, `2.7` → 2, `1e300` → `usize::MAX`) or trained on
+    /// truncated.
     #[test]
     fn report_record_refuses_what_is_not_an_index() {
         let good = ReportRecord {
@@ -895,11 +904,14 @@ mod tests {
             ReportRecord::from_json(&Json::Obj(members))
         };
         assert!(with("starts", "[3, 4]").is_ok());
+        assert!(with("paths", "[4294967295, 7]").is_ok());
         for (field, value) in [
             ("starts", "[-1, 4]"),
             ("paths", "[2.7, 7]"),
             ("ends", "[1e300, 7]"),
             ("ends", "[9007199254740992, 7]"),
+            ("paths", "[4294967296, 7]"),
+            ("starts", "[3, 1099511627776]"),
             ("starts", "[\"3\", 4]"),
             ("vf_idx", "-1"),
             ("if_idx", "0.5"),

@@ -861,10 +861,12 @@ impl Hub {
                 let Some(entry) = self.registry.get(model) else {
                     return refuse(HubError::UnknownModel(model.to_string()).to_string());
                 };
-                // Resolve the key to the decided sample: warm set first,
+                // Resolve the key to the decided sample: warm set first
+                // (the record owns a copy; the warm set keeps its own),
                 // then re-extraction from a client-provided `source`
                 // (the warm set is bounded, so old keys age out of it).
-                let sample = entry.handle.lookup_sample(key).or_else(|| {
+                let warm = entry.handle.lookup_sample(key);
+                let sample = warm.map(Arc::unwrap_or_clone).or_else(|| {
                     let src = v.get("source").and_then(Json::as_str)?;
                     let embed = entry.handle.embed_config();
                     nvc_embed::extract_loop_samples(src, &embed)

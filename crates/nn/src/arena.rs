@@ -14,6 +14,7 @@
 //! the trainer's arena) contend only when they want the same size class
 //! at the same instant, not on one global pool mutex.
 
+#[cfg(test)]
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -44,11 +45,15 @@ pub(crate) struct ArenaStats {
     pub(crate) pooled: usize,
 }
 
-/// A thread-safe pool of recycled tensor buffers.
+/// A thread-safe pool of recycled tensor buffers. The `reused` /
+/// `fresh` counters exist in test builds only, where `stats()`
+/// reads them; a release tape allocation bumps no atomic.
 #[derive(Debug)]
 pub struct TensorArena {
     bins: Vec<Mutex<Vec<Vec<f32>>>>,
+    #[cfg(test)]
     reused: AtomicU64,
+    #[cfg(test)]
     fresh: AtomicU64,
 }
 
@@ -56,7 +61,9 @@ impl Default for TensorArena {
     fn default() -> Self {
         TensorArena {
             bins: (0..CLASSES).map(|_| Mutex::new(Vec::new())).collect(),
+            #[cfg(test)]
             reused: AtomicU64::new(0),
+            #[cfg(test)]
             fresh: AtomicU64::new(0),
         }
     }
@@ -101,12 +108,14 @@ impl TensorArena {
         }
         match found {
             Some(mut b) => {
+                #[cfg(test)]
                 self.reused.fetch_add(1, Ordering::Relaxed);
                 b.clear();
                 b.resize(n, 0.0);
                 Tensor::from_vec(rows, cols, b)
             }
             None => {
+                #[cfg(test)]
                 self.fresh.fetch_add(1, Ordering::Relaxed);
                 Tensor::zeros(rows, cols)
             }

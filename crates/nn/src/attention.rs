@@ -71,7 +71,7 @@ pub struct AttentionScratch {
 /// the weights disagree on the widths, or an index is outside its table.
 pub fn path_attention(
     weights: AttentionWeights<'_>,
-    [s, m, e]: &[Vec<usize>; 3],
+    [s, m, e]: &[Vec<u32>; 3],
     bounds: &[(usize, usize)],
     scratch: &mut AttentionScratch,
     out: &mut [f32],
@@ -95,7 +95,7 @@ pub fn path_attention(
 /// rows looked up and the rows that will be projected.
 pub(crate) fn context_alias(
     weights: AttentionWeights<'_>,
-    [starts, mids, ends]: [&[usize]; 3],
+    [starts, mids, ends]: [&[u32]; 3],
 ) -> RowAlias {
     assert!(
         mids.len() == starts.len() && ends.len() == starts.len(),
@@ -133,7 +133,7 @@ pub(crate) struct Distinct<'b> {
 /// times itself on its own op line.
 pub(crate) fn forward(
     weights: AttentionWeights<'_>,
-    [starts, mids, ends]: [&[usize]; 3],
+    [starts, mids, ends]: [&[u32]; 3],
     bounds: &[(usize, usize)],
     alias: &RowAlias,
     bufs: Distinct<'_>,
@@ -159,9 +159,9 @@ pub(crate) fn forward(
     {
         let _timer = nvc_obs::time_op(nvc_obs::Op::Gather);
         for (row, &r) in bufs.ctx.chunks_exact_mut(width).zip(alias.firsts()) {
-            row[..dt].copy_from_slice(tokens.row(starts[r]));
-            row[dt..dt + dp].copy_from_slice(paths.row(mids[r]));
-            row[dt + dp..].copy_from_slice(tokens.row(ends[r]));
+            row[..dt].copy_from_slice(tokens.row(starts[r] as usize));
+            row[dt..dt + dp].copy_from_slice(paths.row(mids[r] as usize));
+            row[dt + dp..].copy_from_slice(tokens.row(ends[r] as usize));
         }
     }
     kernels::matmul_accum(bufs.ctx, w.data(), d, width, code, bufs.c);

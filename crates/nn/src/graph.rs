@@ -170,7 +170,7 @@ struct PathAttention {
     w: NodeId,
     attn: NodeId,
     /// Start, path and end index of every context row.
-    columns: [Vec<usize>; 3],
+    columns: [Vec<u32>; 3],
     /// Each sample's row range.
     bounds: Vec<(usize, usize)>,
     /// The rows' repeats: row `r` reads distinct row `alias.slots()[r]`.
@@ -199,7 +199,7 @@ enum Op {
     Input,
     Param(ParamId),
     /// Rows of a parameter table gathered without materializing the table.
-    GatherParamRows(ParamId, Vec<usize>),
+    GatherParamRows(ParamId, Vec<u32>),
     /// The path-attention encoder over a ragged batch, one segment per
     /// sample.
     PathAttention(Box<PathAttention>),
@@ -627,7 +627,7 @@ impl<'s> Graph<'s> {
     pub fn gather_rows(&mut self, table: NodeId, indices: &[usize]) -> NodeId {
         let cols = self.values[table.0].cols();
         let mut out = self.alloc(indices.len(), cols);
-        gather_into(&self.values[table.0], indices, &mut out);
+        gather_into(&self.values[table.0], indices.iter().copied(), &mut out);
         self.push(Op::GatherRows(table, indices.to_vec()), out)
     }
 
@@ -640,10 +640,10 @@ impl<'s> Graph<'s> {
     /// # Panics
     ///
     /// Panics if any index is out of bounds.
-    pub fn gather_param_rows(&mut self, p: ParamId, indices: &[usize]) -> NodeId {
+    pub fn gather_param_rows(&mut self, p: ParamId, indices: &[u32]) -> NodeId {
         let table = self.store.get(p);
         let mut out = self.alloc(indices.len(), table.cols());
-        gather_into(table, indices, &mut out);
+        gather_into(table, indices.iter().map(|&i| i as usize), &mut out);
         self.push(Op::GatherParamRows(p, indices.to_vec()), out)
     }
 
@@ -684,7 +684,7 @@ impl<'s> Graph<'s> {
         paths: ParamId,
         w: ParamId,
         attn: ParamId,
-        columns: [Vec<usize>; 3],
+        columns: [Vec<u32>; 3],
         segs: &Segments,
     ) -> NodeId {
         let store = self.store;
@@ -1042,7 +1042,7 @@ impl<'s> Graph<'s> {
                 Op::GatherRows(table, ref indices) => {
                     let t = &self.values[table.0];
                     let mut dt = self.alloc(t.rows(), t.cols());
-                    scatter_add_rows(&g, indices, &mut dt);
+                    scatter_add_rows(&g, indices.iter().copied(), &mut dt);
                     self.accum(table, dt);
                 }
                 Op::ConcatCols(ref parts) => {
@@ -1197,7 +1197,7 @@ impl<'s> Graph<'s> {
                 Op::GatherParamRows(p, indices) => {
                     if let Some(g) = &self.grads[i] {
                         let table = self.table_grad(&mut out, *p);
-                        scatter_add_rows(g, indices, table);
+                        scatter_add_rows(g, indices.iter().map(|&i| i as usize), table);
                     }
                 }
                 Op::PathAttention(pa) => {
@@ -1211,15 +1211,15 @@ impl<'s> Graph<'s> {
                         let tokens = self.table_grad(&mut out, pa.tokens);
                         for &(r0, r1) in &pa.bounds {
                             for r in r0..r1 {
-                                add_row(tokens, starts[r], grad(r, 0, dt));
+                                add_row(tokens, starts[r] as usize, grad(r, 0, dt));
                             }
                             for r in r0..r1 {
-                                add_row(tokens, ends[r], grad(r, dt + dp, dt));
+                                add_row(tokens, ends[r] as usize, grad(r, dt + dp, dt));
                             }
                         }
                         let paths = self.table_grad(&mut out, pa.paths);
                         for (r, &idx) in mids.iter().enumerate() {
-                            add_row(paths, idx, grad(r, dt, dp));
+                            add_row(paths, idx as usize, grad(r, dt, dp));
                         }
                     }
                 }
@@ -1277,9 +1277,9 @@ fn colsum(g_ref: &Graph<'_>, g: &Tensor) -> Tensor {
 
 /// `table[indices[r]] += rows[r]` for ascending `r` — the backward of a
 /// row gather.
-fn scatter_add_rows(rows: &Tensor, indices: &[usize], table: &mut Tensor) {
+fn scatter_add_rows(rows: &Tensor, indices: impl Iterator<Item = usize>, table: &mut Tensor) {
     let cols = table.cols();
-    for (r, &idx) in indices.iter().enumerate() {
+    for (r, idx) in indices.enumerate() {
         add_row(table, idx, &rows.data()[r * cols..(r + 1) * cols]);
     }
 }
@@ -1293,10 +1293,10 @@ fn add_row(table: &mut Tensor, idx: usize, grad: &[f32]) {
     }
 }
 
-fn gather_into(table: &Tensor, indices: &[usize], out: &mut Tensor) {
+fn gather_into(table: &Tensor, indices: impl Iterator<Item = usize>, out: &mut Tensor) {
     let _timer = nvc_obs::time_op(nvc_obs::Op::Gather);
     let cols = table.cols();
-    for (i, &idx) in indices.iter().enumerate() {
+    for (i, idx) in indices.enumerate() {
         assert!(idx < table.rows(), "gather index out of bounds");
         out.data_mut()[i * cols..(i + 1) * cols].copy_from_slice(table.row(idx));
     }
@@ -1550,7 +1550,7 @@ mod tests {
             "table",
             Tensor::from_vec(6, 4, (0..24).map(|_| rng.gen_range(-1.0..1.0)).collect()),
         );
-        let idxs = [0usize, 3, 3, 5, 1];
+        let idxs = [0u32, 3, 3, 5, 1];
 
         let mut g1 = Graph::new(&store);
         let rows1 = g1.gather_param_rows(table, &idxs);
@@ -1561,7 +1561,7 @@ mod tests {
 
         let mut g2 = Graph::new(&store);
         let t = g2.param(table);
-        let rows2 = g2.gather_rows(t, &idxs);
+        let rows2 = g2.gather_rows(t, &idxs.map(|i| i as usize));
         let sq2 = g2.mul_elem(rows2, rows2);
         let l2 = g2.sum_all(sq2);
         g2.backward(l2);
@@ -1623,7 +1623,7 @@ mod tests {
     }
 
     /// One sample's `(start, path, end)` triples.
-    type Triples = Vec<(usize, usize, usize)>;
+    type Triples = Vec<(u32, u32, u32)>;
 
     /// The per-sample spelling of [`Graph::path_attention`]: per sample
     /// `gather_param_rows` ×3, `concat_cols`, `matmul`, `tanh`, `matmul`,
@@ -1641,9 +1641,8 @@ mod tests {
                 if sample.is_empty() {
                     return g.input(Tensor::zeros(1, code));
                 }
-                let column = |f: fn(&(usize, usize, usize)) -> usize| -> Vec<usize> {
-                    sample.iter().map(f).collect()
-                };
+                let column =
+                    |f: fn(&(u32, u32, u32)) -> u32| -> Vec<u32> { sample.iter().map(f).collect() };
                 let (wn, an) = (g.param(w), g.param(a));
                 let s = g.gather_param_rows(t, &column(|x| x.0));
                 let m = g.gather_param_rows(p, &column(|x| x.1));
@@ -1667,7 +1666,7 @@ mod tests {
     /// The op itself over `batch`.
     fn attention_op(g: &mut Graph<'_>, [t, p, w, a]: [ParamId; 4], batch: &[Triples]) -> NodeId {
         let segs = Segments::from_lens(batch.iter().map(Vec::len));
-        let flat: Vec<&(usize, usize, usize)> = batch.iter().flatten().collect();
+        let flat: Vec<&(u32, u32, u32)> = batch.iter().flatten().collect();
         let columns = [
             flat.iter().map(|x| x.0).collect(),
             flat.iter().map(|x| x.1).collect(),

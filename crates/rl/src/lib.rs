@@ -50,7 +50,7 @@ mod tests {
         fn new() -> Self {
             // Hand-built samples with disjoint vocabulary rows so they are
             // trivially separable.
-            let mk = |base: usize| PathSample {
+            let mk = |base: u32| PathSample {
                 starts: vec![base, base + 1, base + 2],
                 paths: vec![base, base + 1, base + 2],
                 ends: vec![base + 3, base + 4, base + 5],

@@ -820,7 +820,7 @@ mod tests {
     fn predict_batch_matches_single_predictions() {
         use nvc_embed::EmbedConfig;
 
-        let mk = |base: usize| PathSample {
+        let mk = |base: u32| PathSample {
             starts: vec![base, base + 1, base + 2],
             paths: vec![base * 2, base * 2 + 1, base * 2 + 2],
             ends: vec![base + 5, base + 6, base + 7],
@@ -860,13 +860,13 @@ mod tests {
 
     impl ParityEnv {
         fn new(n: usize) -> Self {
-            let mk = |base: usize| PathSample {
+            let mk = |base: u32| PathSample {
                 starts: vec![base, base + 1, base + 2, base + 3],
                 paths: vec![base * 2, base * 2 + 1, base * 2 + 4, base * 2 + 5],
                 ends: vec![base + 5, base + 6, base + 7, base + 8],
             };
             ParityEnv {
-                contexts: (0..n).map(|i| mk(i * 6)).collect(),
+                contexts: (0..n).map(|i| mk(i as u32 * 6)).collect(),
             }
         }
     }

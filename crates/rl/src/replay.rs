@@ -104,7 +104,7 @@ impl BanditEnv for ReplayEnv {
 mod tests {
     use super::*;
 
-    fn sample(base: usize) -> PathSample {
+    fn sample(base: u32) -> PathSample {
         PathSample {
             starts: vec![base, base + 1],
             paths: vec![base * 2, base * 2 + 1],

@@ -35,7 +35,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use nvc_embed::PathSample;
@@ -49,7 +49,7 @@ pub(crate) type Completion = Box<dyn FnOnce(Result<(usize, usize), ServeError>) 
 
 /// One pending decision: the sample to embed and where to send the result.
 struct Job {
-    sample: PathSample,
+    sample: Arc<PathSample>,
     /// Taken when the job is answered. A job dropped with it still in
     /// place answers [`ServeError::ShuttingDown`] from `Drop`, which is
     /// what makes "exactly once" hold on every exit path.
@@ -125,7 +125,7 @@ impl Batcher {
     /// caller owes a [`Batcher::wake`] once it has submitted all it has.
     /// After [`Batcher::stop`], `done` is called at once with
     /// [`ServeError::ShuttingDown`].
-    pub(crate) fn submit(&self, sample: PathSample, done: Completion) {
+    pub(crate) fn submit(&self, sample: Arc<PathSample>, done: Completion) {
         let job = Job {
             sample,
             done: Some(done),
@@ -233,7 +233,7 @@ impl Batcher {
 
 /// One forward over `jobs` (never empty), then every job's completion.
 fn run_batch(model: &dyn DecisionModel, metrics: &Metrics, jobs: Vec<Job>) {
-    let samples: Vec<&PathSample> = jobs.iter().map(|j| &j.sample).collect();
+    let samples: Vec<&PathSample> = jobs.iter().map(|j| &*j.sample).collect();
     let drained_at = Instant::now();
     // A panicking model must cost its batch, not its worker: nothing
     // restarts a worker thread, and a pool that lost them all would
@@ -299,10 +299,10 @@ mod tests {
     use std::time::Duration;
 
     /// `starts[0]` of a sample the stub panics on.
-    const POISON: usize = 666;
+    const POISON: u32 = 666;
     /// `starts[0]` of a sample the stub leaves unanswered (with every
     /// sample after it in the batch).
-    const REFUSED: usize = 777;
+    const REFUSED: u32 = 777;
 
     /// Deterministic stub: decision derived from the sample itself;
     /// records the batch sizes it sees.
@@ -344,12 +344,12 @@ mod tests {
             samples
                 .iter()
                 .take_while(|s| s.starts[0] != REFUSED)
-                .map(|s| (s.starts[0] % 7, s.paths[0] % 5))
+                .map(|s| (s.starts[0] as usize % 7, s.paths[0] as usize % 5))
                 .collect()
         }
     }
 
-    fn sample(tag: usize) -> PathSample {
+    fn sample(tag: u32) -> PathSample {
         PathSample {
             starts: vec![tag, tag + 1],
             paths: vec![tag * 3],
@@ -361,10 +361,10 @@ mod tests {
 
     /// Submits `sample(tag)`; the receiver yields every call of the
     /// job's completion (so "exactly once" is checkable).
-    fn submit(batcher: &Batcher, tag: usize) -> Receiver<Outcome> {
+    fn submit(batcher: &Batcher, tag: u32) -> Receiver<Outcome> {
         let (tx, rx) = channel();
         batcher.submit(
-            sample(tag),
+            Arc::new(sample(tag)),
             Box::new(move |outcome| {
                 let _ = tx.send(outcome);
             }),

@@ -27,6 +27,14 @@ const DECISION_TIMEOUT: Duration = Duration::from_secs(30);
 /// How many recently decided samples the handle keeps around for
 /// post-reload warmup replay (the cache itself only holds one-way
 /// hashes, which cannot be re-decided under a new checkpoint).
+///
+/// In bytes: a sample holds at most `max_paths` contexts of three `u32`
+/// indices (12 B each), plus 88 B of `Arc` and struct and about 34 B of
+/// map slot, so a full set holds at most 4 096 × 1 322 B ≈ 5.4 MB at
+/// [`EmbedConfig::paper`](nvc_embed::EmbedConfig::paper) (100 contexts)
+/// and 4 096 × 410 B ≈ 1.7 MB at
+/// [`EmbedConfig::fast`](nvc_embed::EmbedConfig::fast) (24). A reload
+/// replays the set into the replacement handle without copying it.
 const WARM_SAMPLE_CAPACITY: usize = 4096;
 
 /// Maximum pending (not yet batched) loops; when full, callers that may
@@ -127,8 +135,11 @@ struct Inner {
     inflight: Mutex<HashMap<u64, Vec<Completion>>>,
     /// Recently decided samples by cache key, kept (bounded) so a
     /// hot-swap reload can replay them as shadow traffic against the
-    /// fresh checkpoint — the cache keys alone are one-way hashes.
-    warm: Mutex<HashMap<u64, PathSample>>,
+    /// fresh checkpoint — the cache keys alone are one-way hashes. Each
+    /// is the allocation its miss queued: the batcher's job, this set,
+    /// [`ServeHandle::warm_samples`] and the replacement handle a reload
+    /// replays into share it.
+    warm: Mutex<HashMap<u64, Arc<PathSample>>>,
     /// How many samples [`ServeHandle::warm_replay`] begins before it
     /// collects: whole batches, at most half the miss queue, so shadow
     /// traffic never fills it against real requests.
@@ -139,7 +150,7 @@ impl Inner {
     /// The hit path, on the caller's thread: one store probe. A hit may
     /// have been computed by this handle, its A/B twin, a previous
     /// incarnation of this checkpoint, or a peer node.
-    fn probe(&self, key: u64, sample: &PathSample) -> Option<(usize, usize)> {
+    fn probe(&self, key: u64) -> Option<(usize, usize)> {
         let hit = {
             let _span = nvc_obs::span("cache_lookup");
             self.store.get(self.checkpoint_hash, key)
@@ -149,18 +160,19 @@ impl Inner {
             nvc_obs::marker("cache_hit");
         } else {
             self.metrics.cache_misses.inc();
-            // Off the hit path (one global lock would contend the warm
-            // loop): every *miss* records its sample for warmup replay.
-            self.retain_warm_sample(key, sample);
         }
         hit
     }
 
     /// The miss path, still on the caller's thread and never blocking:
-    /// joins the key's in-flight computation, or becomes its leader and
-    /// queues the sample. Either way `done` is called exactly once, by
+    /// records the sample for warmup replay, then joins the key's
+    /// in-flight computation, or becomes its leader and queues the
+    /// sample. Either way `done` is called exactly once, by
     /// [`Inner::publish`].
-    fn queue_miss(self: &Arc<Self>, key: u64, sample: &PathSample, done: Completion) {
+    fn queue_miss(self: &Arc<Self>, key: u64, sample: Arc<PathSample>, done: Completion) {
+        // Off the hit path (one global lock would contend the warm
+        // loop): every *miss* records its sample.
+        self.retain_warm_sample(key, &sample);
         {
             let mut inflight = self.inflight.lock();
             if let Some(waiting) = inflight.get_mut(&key) {
@@ -172,10 +184,8 @@ impl Inner {
             inflight.insert(key, vec![done]);
         }
         let inner = Arc::clone(self);
-        self.batcher.submit(
-            sample.clone(),
-            Box::new(move |outcome| inner.publish(key, outcome)),
-        );
+        self.batcher
+            .submit(sample, Box::new(move |outcome| inner.publish(key, outcome)));
     }
 
     /// A leader's job has completed (on the batch worker, or on the
@@ -200,10 +210,10 @@ impl Inner {
     /// Bounded: once full, already-known keys keep refreshing knowledge
     /// of nothing (they are present) and new keys are dropped — the
     /// replay set is best-effort shadow traffic, not a ledger.
-    fn retain_warm_sample(&self, key: u64, sample: &PathSample) {
+    fn retain_warm_sample(&self, key: u64, sample: &Arc<PathSample>) {
         let mut warm = self.warm.lock();
         if warm.len() < WARM_SAMPLE_CAPACITY || warm.contains_key(&key) {
-            warm.entry(key).or_insert_with(|| sample.clone());
+            warm.entry(key).or_insert_with(|| Arc::clone(sample));
         }
     }
 
@@ -446,7 +456,7 @@ impl ServeHandle {
                 return false;
             }
         };
-        let keyed: Vec<(u64, LoopSite)> = sites
+        let mut keyed: Vec<(u64, LoopSite)> = sites
             .into_iter()
             .map(|s| (sample_key(&s.sample), s))
             .collect();
@@ -456,16 +466,20 @@ impl ServeHandle {
         // submission: a miss may resolve on a worker while this thread
         // is still here, and must find `remaining` already final.
         let mut resolved: Vec<Resolved> = Vec::with_capacity(keyed.len());
-        let mut misses: Vec<usize> = Vec::new();
-        for (i, (key, site)) in keyed.iter().enumerate() {
-            let seen = resolved.iter().any(|(k, _, _)| k == key)
-                || misses.iter().any(|&m| keyed[m].0 == *key);
+        let mut misses: Vec<(u64, Arc<PathSample>)> = Vec::new();
+        for (key, site) in keyed.iter_mut() {
+            let key = *key;
+            let seen =
+                resolved.iter().any(|&(k, _, _)| k == key) || misses.iter().any(|&(k, _)| k == key);
             if seen {
                 continue;
             }
-            match inner.probe(*key, &site.sample) {
-                Some(pair) => resolved.push((*key, pair, true)),
-                None => misses.push(i),
+            match inner.probe(key) {
+                Some(pair) => resolved.push((key, pair, true)),
+                // The sample moves into the one allocation its job, the
+                // warm set and a later reload share; the assembly keeps
+                // only where each loop is.
+                None => misses.push((key, Arc::new(std::mem::take(&mut site.sample)))),
             }
         }
         if misses.is_empty() {
@@ -490,12 +504,11 @@ impl ServeHandle {
                 done: Some(Box::new(done)),
             }),
         });
-        for i in misses {
-            let (key, site) = &request.keyed[i];
-            let (key, waiter) = (*key, Arc::clone(&request));
+        for (key, sample) in misses {
+            let waiter = Arc::clone(&request);
             inner.queue_miss(
                 key,
-                &site.sample,
+                sample,
                 Box::new(move |outcome| waiter.resolve(key, outcome)),
             );
         }
@@ -505,20 +518,23 @@ impl ServeHandle {
     /// Begins deciding one already-extracted sample: `done` gets the
     /// action pair and whether it was cached — before this returns
     /// (`false`) on a hit, from a batch worker (`true`) on a miss. Same
-    /// contract as [`ServeHandle::begin_vectorize`].
+    /// contract as [`ServeHandle::begin_vectorize`]. Only a miss calls
+    /// `shared` for the allocation it queues and retains, so a hit
+    /// allocates nothing for its sample.
     fn begin_decision(
         &self,
         sample: &PathSample,
+        shared: impl FnOnce() -> Arc<PathSample>,
         done: impl FnOnce(Result<((usize, usize), bool), ServeError>) + Send + 'static,
     ) -> bool {
         let key = sample_key(sample);
-        if let Some(pair) = self.inner.probe(key, sample) {
+        if let Some(pair) = self.inner.probe(key) {
             done(Ok((pair, true)));
             return false;
         }
         self.inner.queue_miss(
             key,
-            sample,
+            shared(),
             Box::new(move |outcome| done(outcome.map(|pair| (pair, false)))),
         );
         true
@@ -565,7 +581,8 @@ impl ServeHandle {
     /// Blocking wrapper over the begin path.
     pub fn decide_sample(&self, sample: &PathSample) -> Result<((usize, usize), bool), ServeError> {
         self.block_on(|tx| {
-            self.begin_decision(sample, move |outcome| {
+            let shared = || Arc::new(sample.clone());
+            self.begin_decision(sample, shared, move |outcome| {
                 // A caller that timed out and left is not an error.
                 let _ = tx.try_send(outcome);
             })
@@ -728,8 +745,9 @@ impl ServeHandle {
 
     /// The samples this handle has decided (bounded, miss-path only) —
     /// the shadow-traffic set a hot-swap reload replays against the
-    /// replacement handle so it starts warm.
-    pub fn warm_samples(&self) -> Vec<PathSample> {
+    /// replacement handle so it starts warm. Shared, not copied: each is
+    /// the allocation the warm set holds.
+    pub fn warm_samples(&self) -> Vec<Arc<PathSample>> {
         self.inner.warm.lock().values().cloned().collect()
     }
 
@@ -747,7 +765,7 @@ impl ServeHandle {
     /// set is bounded and miss-path-only, so `None` is an expected answer
     /// for old or cache-hit-only keys — callers fall back to re-extracting
     /// from the reported source.
-    pub fn lookup_sample(&self, key: u64) -> Option<PathSample> {
+    pub fn lookup_sample(&self, key: u64) -> Option<Arc<PathSample>> {
         self.inner.warm.lock().get(&key).cloned()
     }
 
@@ -763,17 +781,23 @@ impl ServeHandle {
     /// `warmup_replayed`. The one in-process caller with a burst: it
     /// begins a whole window of samples, wakes the batcher once, then
     /// collects — ⌈misses / `batch_size`⌉ forwards per window, not one
-    /// per sample. Returns how many were decided; stops early if the
+    /// per sample. A miss queues and retains the caller's allocation,
+    /// so replaying another handle's [`ServeHandle::warm_samples`] copies
+    /// no sample. Returns how many were decided; stops early if the
     /// handle shuts down (or stops answering) mid-replay.
-    pub fn warm_replay(&self, samples: &[PathSample]) -> usize {
+    pub fn warm_replay(&self, samples: &[Arc<PathSample>]) -> usize {
         let mut replayed = 0;
         for window in samples.chunks(self.inner.replay_window) {
             let (tx, rx) = channel();
             for s in window {
                 let tx = tx.clone();
-                self.begin_decision(s, move |outcome| {
-                    let _ = tx.send(outcome);
-                });
+                self.begin_decision(
+                    s,
+                    || Arc::clone(s),
+                    move |outcome| {
+                        let _ = tx.send(outcome);
+                    },
+                );
             }
             self.wake();
             for _ in window {
@@ -837,7 +861,7 @@ mod tests {
                 .map(|s| {
                     (
                         s.len() % dims.0,
-                        s.starts.first().copied().unwrap_or(0) % dims.1,
+                        s.starts.first().map_or(0, |&i| i as usize) % dims.1,
                     )
                 })
                 .collect()
@@ -1111,11 +1135,13 @@ void f(int n) {
         // The replay begins its whole set before it waits: 20 never-seen
         // samples (fewer than a batch) are one forward, not 20. Parked
         // workers first, so none of them catches the set half submitted.
-        let burst: Vec<PathSample> = (0..20)
-            .map(|i| PathSample {
-                starts: vec![1000 + i],
-                paths: vec![i],
-                ends: vec![i + 1],
+        let burst: Vec<Arc<PathSample>> = (0..20)
+            .map(|i| {
+                Arc::new(PathSample {
+                    starts: vec![1000 + i],
+                    paths: vec![i],
+                    ends: vec![i + 1],
+                })
             })
             .collect();
         while h2.inner.batcher.idle_workers() < ServeConfig::default().workers {

@@ -57,7 +57,7 @@ fn samples_of(sources: impl IntoIterator<Item = String>, cfg: &EmbedConfig) -> V
 
 /// Distinct `(start, path, end)` table rows over `samples`.
 fn distinct_rows(samples: &[PathSample]) -> [usize; 3] {
-    let mut seen: [BTreeSet<usize>; 3] = Default::default();
+    let mut seen: [BTreeSet<u32>; 3] = Default::default();
     for s in samples {
         seen[0].extend(&s.starts);
         seen[1].extend(&s.paths);

@@ -382,7 +382,7 @@ fn fast_encoder_on_repeated_rows_is_eps_close_to_strict() {
     let cfg = EmbedConfig::fast();
     let mut store = ParamStore::new(43);
     let e = nvc_embed::CodeEmbedder::new(&mut store, &cfg);
-    let sample = |triples: &[(usize, usize, usize)]| PathSample {
+    let sample = |triples: &[(u32, u32, u32)]| PathSample {
         starts: triples.iter().map(|t| t.0).collect(),
         paths: triples.iter().map(|t| t.1).collect(),
         ends: triples.iter().map(|t| t.2).collect(),
