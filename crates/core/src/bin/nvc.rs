@@ -38,13 +38,12 @@ const USAGE: &str = "usage:
   nvc vectorize FILE.c [--model FILE]
   nvc inspect FILE.c [--n VALUE]
   nvc serve [--model FILE] [--workers N] [--batch N] [--cache N] [--shards N]
-            [--kernel-mode strict|fast] [--trace FILE]
+            [--trace FILE]
   nvc hub --model NAME=FILE [--model NAME=FILE…] [--weight NAME=N…] [--listen ADDR]
           [--cache-file PATH] [--cache-checkpoint-secs N] [--request-threads N]
           [--announce REGISTRY_ADDR] [--node NAME] [--advertise ADDR]
           [--peers ADDR[,ADDR…]]
-          [--workers N] [--batch N] [--cache N] [--shards N]
-          [--kernel-mode strict|fast] [--trace FILE]
+          [--workers N] [--batch N] [--cache N] [--shards N] [--trace FILE]
           [--learn] [--learn-journal FILE] [--learn-promotion-log FILE]
           [--learn-checkpoint FILE]
   nvc registry [--listen ADDR]
@@ -52,11 +51,8 @@ const USAGE: &str = "usage:
   nvc experiment fig1|fig2|fig5|fig6|fig7|fig8|fig9|headline|ext_ranker|
                  ext_reward_shaping|all
 
---kernel-mode picks serve's and hub's kernel numeric contract (default:
-NVC_KERNEL_MODE, else `fast`; everything else follows NVC_KERNEL_MODE,
-else `strict`): `strict` is bitwise-reproducible; `fast` runs FMA +
-online-softmax + rational-tanh kernels that are ε-close with identical
-decisions.
+`serve` and `hub` run the fast kernels (ε-close to strict, identical
+decisions); every other subcommand runs the bitwise-reproducible strict ones.
 `serve` speaks the hub's JSON-lines protocol on stdin/stdout for its one
 model, registered as `default`; a bad line gets an error answer, and
 `shutdown`, EOF or a line over 16 MiB drain it and print `final_stats`.
@@ -105,10 +101,6 @@ fn main() -> ExitCode {
     // NVC_TRACE=FILE enables span tracing for any subcommand; the
     // per-subcommand --trace flag does the same thing explicitly.
     nvc_obs::init_from_env();
-    if let Err(e) = check_kernel_mode_env() {
-        eprintln!("nvc: {e}");
-        return ExitCode::FAILURE;
-    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("train") => cmd_train(&args[1..]),
@@ -133,21 +125,6 @@ fn main() -> ExitCode {
             eprintln!("nvc: {e}");
             ExitCode::FAILURE
         }
-    }
-}
-
-/// A set but unparsable `NVC_KERNEL_MODE` is an error, by the same
-/// `FromStr` as `--kernel-mode`: the library default would read it as
-/// `strict`, and because the variable *is* set `serve`/`hub` would not
-/// default to `fast` either — a typo silently serving ~30× slower.
-fn check_kernel_mode_env() -> Result<(), String> {
-    match std::env::var("NVC_KERNEL_MODE") {
-        Ok(v) => v
-            .parse::<nvc_nn::KernelMode>()
-            .map(drop)
-            .map_err(|e| format!("NVC_KERNEL_MODE: {e}")),
-        Err(std::env::VarError::NotPresent) => Ok(()),
-        Err(e) => Err(format!("NVC_KERNEL_MODE: {e} (strict|fast)")),
     }
 }
 
@@ -248,8 +225,11 @@ fn cmd_vectorize(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Applies the serving knobs shared by `serve` and `hub`.
-fn apply_serve_flags(cfg: &mut NvConfig, p: &ParsedArgs) -> Result<(), String> {
+/// The config `serve` and `hub` run: the fast kernels — a server's job
+/// is decision throughput, and fast mode is decision-identical — and the
+/// serving knobs the two share.
+fn serving_config(p: &ParsedArgs) -> Result<NvConfig, String> {
+    let mut cfg = NvConfig::fast().with_kernel_mode(nvc_nn::KernelMode::Fast);
     if let Some(n) = p.parse_value::<usize>("--workers")? {
         cfg.serve.workers = n.max(1);
     }
@@ -262,28 +242,14 @@ fn apply_serve_flags(cfg: &mut NvConfig, p: &ParsedArgs) -> Result<(), String> {
     if let Some(n) = p.parse_value::<usize>("--shards")? {
         cfg.serve.cache_shards = n.max(1);
     }
-    if let Some(mode) = p.parse_value("--kernel-mode")? {
-        cfg.kernel_mode = mode;
-    }
-    Ok(())
+    Ok(cfg)
 }
 
-/// The serving binaries default to the fast kernels — their job is
-/// decision throughput, and fast mode is decision-identical. An explicit
-/// `NVC_KERNEL_MODE` still wins (it seeded `cfg.kernel_mode` already),
-/// as does a later `--kernel-mode` flag.
-fn default_serving_to_fast(cfg: &mut NvConfig) {
-    if std::env::var_os("NVC_KERNEL_MODE").is_none() {
-        cfg.kernel_mode = nvc_nn::KernelMode::Fast;
-    }
-}
-
-const SERVE_KNOBS: [Flag; 5] = [
+const SERVE_KNOBS: [Flag; 4] = [
     Flag::value("--workers"),
     Flag::value("--batch"),
     Flag::value("--cache"),
     Flag::value("--shards"),
-    Flag::value("--kernel-mode"),
 ];
 
 fn serve_flags() -> Vec<Flag> {
@@ -296,10 +262,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let p = parse_args(args, &serve_flags(), USAGE)?;
     no_positionals(&p, "serve")?;
     apply_trace_flag(&p);
-    let mut cfg = NvConfig::fast();
-    default_serving_to_fast(&mut cfg);
-    apply_serve_flags(&mut cfg, &p)?;
-    let mut nv = NeuroVectorizer::new(cfg);
+    let mut nv = NeuroVectorizer::new(serving_config(&p)?);
     if let Some(model) = p.get("--model") {
         let ckpt = std::fs::read_to_string(model)?;
         nv.restore(&ckpt)?;
@@ -372,9 +335,7 @@ fn cmd_hub(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     no_positionals(&p, "hub")?;
     apply_trace_flag(&p);
 
-    let mut cfg = NvConfig::fast();
-    default_serving_to_fast(&mut cfg);
-    apply_serve_flags(&mut cfg, &p)?;
+    let mut cfg = serving_config(&p)?;
     if let Some(listen) = p.get("--listen") {
         cfg.hub.listen = listen.to_string();
     }
@@ -679,10 +640,14 @@ mod tests {
         ]
     }
 
+    /// The root of the repository.
+    fn repo_root() -> std::path::PathBuf {
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    }
+
     /// A file of the repository, by its path from the root.
     fn repo_file(path: &str) -> String {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        std::fs::read_to_string(root.join(path)).unwrap_or_else(|e| panic!("{path}: {e}"))
+        std::fs::read_to_string(repo_root().join(path)).unwrap_or_else(|e| panic!("{path}: {e}"))
     }
 
     /// Every `nvc SUBCOMMAND …` that `text` quotes, with its `--flags`: a
@@ -799,10 +764,6 @@ mod tests {
         ("--cache-file", Deployment),
         ("--iterations", SetBy(README, "--iterations 30", "30")),
         ("--journal", Deployment),
-        (
-            "--kernel-mode",
-            SetBy(NVC_CLI, r#"[("fast", "strict")"#, "strict"),
-        ),
         ("--kernels", SetBy(README, "nvc train --kernels 160", "160")),
         ("--learn", SetBy(NVC_CLI, r#""--learn","#, "--learn")),
         ("--learn-checkpoint", Deployment),
@@ -953,10 +914,6 @@ mod tests {
             SetBy(FLEET, ".with_resolve_ttl_ms(200)", "200"),
         ),
         (
-            "NVC_KERNEL_MODE",
-            SetBy(CI, r#"NVC_KERNEL_MODE: "fast""#, "fast"),
-        ),
-        (
             "NVC_TRACE",
             SetBy(
                 CI,
@@ -981,14 +938,14 @@ mod tests {
     /// Every knob, with the file that defines it and its default: a
     /// flag's is the literal `nvc` falls back to when it is absent (empty
     /// when there is none), a variable's is what an unset one means.
-    fn knobs() -> Vec<(&'static str, &'static str, String)> {
+    fn knobs() -> Vec<(String, String, String)> {
         const NVC: &str = "crates/core/src/bin/nvc.rs";
         let source = repo_file(NVC);
         let flags: BTreeSet<&str> = subcommands()
             .iter()
             .flat_map(|(_, table)| table.iter().map(|f| f.name))
             .collect();
-        let mut knobs: Vec<_> = flags
+        let mut knobs: Vec<(&str, &str, String)> = flags
             .into_iter()
             .map(|flag| {
                 let fallback = format!("parse_value(\"{flag}\")?.unwrap_or(");
@@ -1000,13 +957,7 @@ mod tests {
                 (flag, NVC, default.to_string())
             })
             .collect();
-        // `NVC_KERNEL_MODE` is a knob of its own; the field's default is
-        // the library's, whatever the variable says in this process.
-        let nv = NvConfig {
-            kernel_mode: nvc_nn::KernelMode::default(),
-            ..NvConfig::fast()
-        };
-        knobs.extend(fields!("crates/core/src/framework.rs", nv =>
+        knobs.extend(fields!("crates/core/src/framework.rs", NvConfig::fast() =>
             NvConfig [target, embed, ppo, serve, hub, kernel_mode, seed]));
         knobs.extend(fields!("crates/serve/src/lib.rs", ServeConfig::default() =>
             ServeConfig [cache_capacity, cache_shards, batch_size, workers]));
@@ -1029,16 +980,48 @@ mod tests {
             fields!("crates/fleet/src/client.rs", FleetConfig::new("") =>
             FleetConfig [registry, model, backoff_ms, resolve_ttl_ms]),
         );
-        knobs.extend([
-            (
-                "NVC_KERNEL_MODE",
-                "crates/nn/src/kernels.rs",
-                nvc_nn::KernelMode::default().to_string(),
-            ),
-            ("NVC_TRACE", "crates/obs/src/trace.rs", String::new()),
-            ("NVC_OPS", "crates/obs/src/ops.rs", String::new()),
-        ]);
+        let vars = env_reads()
+            .into_iter()
+            .map(|(var, home)| (var, home, String::new()));
         knobs
+            .into_iter()
+            .map(|(knob, home, default)| (knob.to_string(), home.to_string(), default))
+            .chain(vars)
+            .collect()
+    }
+
+    /// Every environment variable read by name under `crates/*/src` — an
+    /// `env::var` or `env::var_os` call on a string literal — with the
+    /// file that reads it.
+    fn env_reads() -> BTreeSet<(String, String)> {
+        let root = repo_root();
+        let mut dirs: Vec<_> = std::fs::read_dir(root.join("crates"))
+            .expect("crates/ lists")
+            .map(|krate| krate.expect("crates/ lists").path().join("src"))
+            .collect();
+        let mut reads = BTreeSet::new();
+        while let Some(dir) = dirs.pop() {
+            for entry in std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{dir:?}: {e}")) {
+                let path = entry.expect("a source dir lists").path();
+                if path.is_dir() {
+                    dirs.push(path);
+                    continue;
+                }
+                if path.extension().is_none_or(|ext| ext != "rs") {
+                    continue;
+                }
+                let text = std::fs::read_to_string(&path).expect("a source file reads");
+                let home = path.strip_prefix(&root).expect("under the root");
+                for call in ["env::var(\"", "env::var_os(\""] {
+                    for (at, _) in text.match_indices(call) {
+                        let rest = &text[at + call.len()..];
+                        let var = &rest[..rest.find('"').expect("the literal is closed")];
+                        reads.insert((var.to_string(), home.display().to_string()));
+                    }
+                }
+            }
+        }
+        reads
     }
 
     /// `value` spells `default`, as text or as the same number.
@@ -1057,7 +1040,7 @@ mod tests {
         let knobs = knobs();
         let mut failures = Vec::new();
         for (knob, home, default) in &knobs {
-            match census.get(knob) {
+            match census.get(knob.as_str()) {
                 None => failures.push(format!("{knob}: no user outside {home}")),
                 Some(Deployment) => {}
                 Some(SetBy(file, needle, _)) if file == home => {

@@ -43,8 +43,8 @@ pub struct NvConfig {
     /// projection (each table row's share computed once per set of
     /// weights and kept) and the lane-split score dot — ε-close to
     /// strict with identical decisions, which is why `nvc serve` and
-    /// `nvc hub` default to it. Defaults to the `NVC_KERNEL_MODE`
-    /// environment variable (or `Strict`).
+    /// `nvc hub` set it. This field is the one selector: every other `nvc`
+    /// subcommand runs strict.
     pub kernel_mode: nvc_nn::KernelMode,
     /// Seed for parameter init and exploration.
     pub seed: u64,
@@ -68,7 +68,7 @@ impl NvConfig {
             },
             serve: ServeConfig::default(),
             hub: HubConfig::default(),
-            kernel_mode: nvc_nn::kernels::default_kernel_mode(),
+            kernel_mode: nvc_nn::KernelMode::Strict,
             seed: 0,
         }
     }
@@ -95,7 +95,7 @@ impl NvConfig {
             },
             serve: ServeConfig::default(),
             hub: HubConfig::default(),
-            kernel_mode: nvc_nn::kernels::default_kernel_mode(),
+            kernel_mode: nvc_nn::KernelMode::Strict,
             seed: 0,
         }
     }

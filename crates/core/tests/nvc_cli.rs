@@ -5,69 +5,62 @@
 
 use std::process::{Command, Output, Stdio};
 
-/// Runs `nvc args…` with `NVC_KERNEL_MODE` set to `mode` (unset for
-/// `None`, whatever this test binary itself runs under).
-fn nvc(args: &[&str], mode: Option<&str>) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_nvc"));
-    cmd.args(args)
+/// Runs `nvc args…` with stdin closed and `vars` added to its
+/// environment.
+fn nvc(args: &[&str], vars: &[(&str, &str)]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_nvc"))
+        .args(args)
+        .envs(vars.iter().copied())
         .stdin(Stdio::null())
-        .env_remove("NVC_KERNEL_MODE");
-    if let Some(mode) = mode {
-        cmd.env("NVC_KERNEL_MODE", mode);
-    }
-    cmd.output().expect("nvc starts")
+        .output()
+        .expect("nvc starts")
 }
 
 fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
+/// The subcommand alone picks the kernel mode: the servers run fast and
+/// training strict, an `NVC_KERNEL_MODE` in the environment changes
+/// neither, and `--kernel-mode` is an unknown flag.
 #[test]
-fn a_mistyped_kernel_mode_variable_is_an_error_not_strict() {
-    for args in [&["serve"][..], &["inspect", "-"]] {
-        let out = nvc(args, Some("fsat"));
-        let err = stderr(&out);
-        assert!(!out.status.success(), "{args:?} ran: {err}");
-        for needle in ["NVC_KERNEL_MODE", "fsat", "strict", "fast"] {
-            assert!(err.contains(needle), "{args:?}: no `{needle}` in: {err}");
-        }
-        assert!(!err.contains("nvc serve: ready"), "{args:?} served: {err}");
-    }
-}
-
-#[test]
-fn valid_and_unset_kernel_mode_variables_reach_the_serve_banner() {
-    for (mode, kernels) in [
-        (Some("fast"), "fast kernels"),
-        (Some("strict"), "strict kernels"),
-        (Some(" Strict "), "strict kernels"),
-        (None, "fast kernels"),
+fn serve_runs_fast_kernels_and_train_strict_whatever_the_environment() {
+    let ckpt = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("nvc_cli_kernels.ckpt");
+    let out_path = ckpt.to_str().expect("utf-8 path");
+    let train = [
+        "train",
+        "--kernels",
+        "2",
+        "--iterations",
+        "1",
+        "--out",
+        out_path,
+    ];
+    for vars in [
+        &[][..],
+        &[("NVC_KERNEL_MODE", "fsat")],
+        &[("NVC_KERNEL_MODE", "strict")],
     ] {
-        let out = nvc(&["serve"], mode);
-        let err = stderr(&out);
-        assert!(out.status.success(), "{mode:?}: {err}");
-        let banner = err
-            .lines()
-            .find(|l| l.starts_with("nvc serve: ready"))
-            .unwrap_or_else(|| panic!("{mode:?}: no banner in: {err}"));
-        assert!(banner.contains(kernels), "{mode:?}: {banner}");
+        for (args, banner, kernels) in [
+            (&["serve"][..], "nvc serve: ready", "fast kernels"),
+            (&train[..], "training on", "strict kernels"),
+        ] {
+            let out = nvc(args, vars);
+            let err = stderr(&out);
+            assert!(out.status.success(), "{args:?} {vars:?}: {err}");
+            let line = err.lines().find(|l| l.starts_with(banner));
+            assert!(
+                line.is_some_and(|l| l.contains(kernels)),
+                "{args:?} {vars:?}: no `{kernels}` banner in: {err}"
+            );
+        }
     }
-}
 
-/// `--kernel-mode` wins over `NVC_KERNEL_MODE`, either way round.
-#[test]
-fn the_kernel_mode_flag_wins_over_the_variable() {
-    for (mode, flag) in [("fast", "strict"), ("strict", "fast")] {
-        let out = nvc(&["serve", "--kernel-mode", flag], Some(mode));
-        let err = stderr(&out);
-        assert!(out.status.success(), "{flag}: {err}");
-        let banner = err.lines().find(|l| l.starts_with("nvc serve: ready"));
-        let kernels = format!("{flag} kernels");
-        assert!(
-            banner.is_some_and(|b| b.contains(&kernels)),
-            "{flag}: {err}"
-        );
-    }
+    let out = nvc(&["serve", "--kernel-mode", "fast"], &[]);
+    let err = stderr(&out);
+    assert!(!out.status.success(), "the flag was accepted: {err}");
+    assert!(err.contains("unknown flag `--kernel-mode`"), "{err}");
+    assert!(err.contains("usage:"), "no usage text in: {err}");
 }
 
 /// `nvc hub --learn` over TCP: the champion is the first `--model`, the
@@ -92,7 +85,6 @@ fn a_learning_hub_answers_and_shuts_down_on_eof() {
             "--learn-journal",
             journal.to_str().expect("utf-8 path"),
         ])
-        .env_remove("NVC_KERNEL_MODE")
         .stdin(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -136,7 +128,7 @@ fn a_removed_flag_is_an_unknown_flag_not_an_ignored_argument() {
     let ckpt = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("nvc_cli_removed_flag.ckpt");
     let _ = std::fs::remove_file(&ckpt);
     let out_path = ckpt.to_str().expect("utf-8 path");
-    let out = nvc(&["train", &flag, "2", "--out", out_path], None);
+    let out = nvc(&["train", &flag, "2", "--out", out_path], &[]);
     let err = stderr(&out);
     assert!(!out.status.success(), "train ran: {err}");
     assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
@@ -145,7 +137,8 @@ fn a_removed_flag_is_an_unknown_flag_not_an_ignored_argument() {
 
 /// `nvc serve` over a pipe: a line that is not UTF-8 costs one error
 /// answer, not the session — every later line is answered, `shutdown`
-/// drains, and the last line is `final_stats`.
+/// drains, and the last line is `final_stats`, which names the fast
+/// kernels.
 #[test]
 fn serve_answers_past_a_non_utf8_line_and_drains_on_shutdown() {
     use nvc_obs::Json;
@@ -153,7 +146,6 @@ fn serve_answers_past_a_non_utf8_line_and_drains_on_shutdown() {
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_nvc"))
         .arg("serve")
-        .env_remove("NVC_KERNEL_MODE")
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -200,6 +192,7 @@ fn serve_answers_past_a_non_utf8_line_and_drains_on_shutdown() {
         .try_fold(&final_stats, |v, k| v.get(k))
         .and_then(Json::as_f64);
     assert_eq!(served, Some(1.0), "{text}");
+    assert_eq!(final_stats.get("kernel_mode"), Some(&Json::from("fast")));
 }
 
 /// What `fig1_dotproduct_grid` printed before it became `nvc experiment
@@ -223,18 +216,18 @@ const FIG1: &str = concat!(
 
 #[test]
 fn experiment_prints_the_figure_and_takes_an_id_and_nothing_else() {
-    let out = nvc(&["experiment", "fig1"], None);
+    let out = nvc(&["experiment", "fig1"], &[]);
     assert!(out.status.success(), "{}", stderr(&out));
     assert_eq!(String::from_utf8_lossy(&out.stdout), FIG1);
 
-    let out = nvc(&["experiment", "nope"], None);
+    let out = nvc(&["experiment", "nope"], &[]);
     let err = stderr(&out);
     assert!(!out.status.success(), "`nope` ran: {err}");
     for id in neurovectorizer::experiments::report::IDS {
         assert!(err.contains(id), "no `{id}` in: {err}");
     }
 
-    let out = nvc(&["experiment", "fig1", "--seed", "3"], None);
+    let out = nvc(&["experiment", "fig1", "--seed", "3"], &[]);
     assert!(!out.status.success(), "a flag was accepted");
     assert!(stderr(&out).contains("unknown flag `--seed`"));
     assert!(out.stdout.is_empty(), "a figure was printed");

@@ -33,7 +33,7 @@ fn lock_knobs() -> std::sync::MutexGuard<'static, ()> {
 }
 
 fn restore_defaults() {
-    kernels::set_kernel_mode(kernels::default_kernel_mode());
+    kernels::set_kernel_mode(KernelMode::Strict);
 }
 
 fn bits(t: &Tensor) -> Vec<u32> {

@@ -29,7 +29,7 @@ fn lock_knobs() -> std::sync::MutexGuard<'static, ()> {
 }
 
 fn restore_defaults() {
-    kernels::set_kernel_mode(kernels::default_kernel_mode());
+    kernels::set_kernel_mode(KernelMode::Strict);
 }
 
 fn sample(triples: &[(u32, u32, u32)]) -> PathSample {

@@ -864,7 +864,8 @@ impl Hub {
                 // Resolve the key to the decided sample: warm set first
                 // (the record owns a copy; the warm set keeps its own),
                 // then re-extraction from a client-provided `source`
-                // (the warm set is bounded, so old keys age out of it).
+                // (the warm set keeps only the most recent misses, so an
+                // old key has been evicted from it).
                 let warm = entry.handle.lookup_sample(key);
                 let sample = warm.map(Arc::unwrap_or_clone).or_else(|| {
                     let src = v.get("source").and_then(Json::as_str)?;

@@ -1332,6 +1332,7 @@ fn softmax_rows_inplace(t: &mut Tensor) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::{KernelMode, KNOB_LOCK};
     use crate::params::ParamStore;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -1719,11 +1720,16 @@ mod tests {
     /// gradient. Batches repeat whole samples, triples across samples and
     /// triples inside a sample, and hold empty samples at both ends and
     /// in the middle; the tables and the upstream gradient carry `±0`,
-    /// `±∞` and NaN payloads in the hostile rounds.
+    /// `±∞` and NaN payloads in the hostile rounds. In both kernel modes:
+    /// fast mode's `softmax_rows` runs the segmented op's online-max
+    /// kernel so that the two spellings stay one.
     #[test]
     fn path_attention_matches_per_sample_spelling_bitwise() {
+        let _guard = KNOB_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut rng = ChaCha8Rng::seed_from_u64(41);
-        for hostile in [false, true] {
+        let (strict, fast) = (KernelMode::Strict, KernelMode::Fast);
+        for (mode, hostile) in [(strict, false), (strict, true), (fast, false), (fast, true)] {
+            crate::kernels::set_kernel_mode(mode);
             let mut store = ParamStore::new(41);
             let params = attention_params(&mut store, &mut rng, hostile);
             for (name, batch) in attention_batches(&mut rng) {
@@ -1743,15 +1749,19 @@ mod tests {
                 };
                 let fused = run(&|g| attention_op(g, params, &batch));
                 let spelled = run(&|g| attention_per_sample(g, params, &batch));
-                assert_eq!(fused.0, spelled.0, "value: {name}, hostile {hostile}");
+                assert_eq!(
+                    fused.0, spelled.0,
+                    "value: {name}, {mode}, hostile {hostile}"
+                );
                 for (i, p) in ["tokens", "paths", "W", "attention"].iter().enumerate() {
                     assert_eq!(
                         fused.1[i], spelled.1[i],
-                        "{p} gradient: {name}, hostile {hostile}"
+                        "{p} gradient: {name}, {mode}, hostile {hostile}"
                     );
                 }
             }
         }
+        crate::kernels::set_kernel_mode(KernelMode::Strict);
     }
 
     /// [`Graph::path_attention`]'s gradient of every parameter element

@@ -3,16 +3,17 @@
 //! The process-wide [`KernelMode`] selects which contract the deployed
 //! kernels honour:
 //!
-//! * [`KernelMode::Strict`] (the default) is the bitwise-parity contract
-//!   proven by the kernel test tier, described below. Training and
-//!   reproduction runs use it.
-//! * [`KernelMode::Fast`] (the serving default — `nvc serve` / `nvc hub`)
-//!   relaxes exactly five things, each gated by the ε-parity and
-//!   decision-equivalence suites in `tests/fast_parity.rs`: fused
-//!   `mul_add` accumulators (hardware FMA when the CPU has AVX2+FMA, see
-//!   [`bodies`]), a single-pass online-max softmax, a one-division rational
-//!   `tanh` within 5 ulp of the correctly rounded value (7 without FMA;
-//!   [`tanh_inplace`]), and —
+//! * [`KernelMode::Strict`] (the mode a process starts in) is the
+//!   bitwise-parity contract proven by the kernel test tier, described
+//!   below. Training, the figures and every `nvc` subcommand but the two
+//!   servers run it.
+//! * [`KernelMode::Fast`] (what `nvc serve` / `nvc hub` run, through
+//!   `NvConfig::kernel_mode`) relaxes exactly five things, each gated by
+//!   the ε-parity and decision-equivalence suites in
+//!   `tests/fast_parity.rs`: fused `mul_add` accumulators (hardware FMA
+//!   when the CPU has AVX2+FMA, see [`bodies`]), a single-pass online-max
+//!   softmax, a one-division rational `tanh` within 5 ulp of the
+//!   correctly rounded value (7 without FMA; [`tanh_inplace`]), and —
 //!   for the encoder's inference forward only — a projection factored
 //!   over the three `k`-ranges of a context row and an attention-score
 //!   dot split over 32 accumulator lanes ([`row_dots_accum`]). None of
@@ -54,15 +55,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bodies::MaddChoice;
 
-/// Sentinel for "not yet initialized from the environment".
-const UNSET: usize = usize::MAX;
-
 /// Numeric contract of the deployed kernels — see the module docs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum KernelMode {
     /// Bitwise-parity kernels: one ascending-`k` chain per output
     /// element, no `mul_add` — the bits of the textbook i-k-j loop.
-    #[default]
     Strict,
     /// Reassociated kernels: FMA accumulators, online-max softmax,
     /// rational `tanh`, and in the encoder's inference forward a
@@ -73,23 +70,12 @@ pub enum KernelMode {
 }
 
 impl KernelMode {
-    /// Stable lowercase name — the spelling used by `NVC_KERNEL_MODE`,
-    /// `--kernel-mode` and the observability surfaces.
+    /// Stable lowercase name — the spelling of the `nvc` banners and of
+    /// the `kernel_mode` field that `stats` answers.
     pub fn name(self) -> &'static str {
         match self {
             KernelMode::Strict => "strict",
             KernelMode::Fast => "fast",
-        }
-    }
-}
-
-impl std::str::FromStr for KernelMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "strict" => Ok(KernelMode::Strict),
-            "fast" => Ok(KernelMode::Fast),
-            other => Err(format!("unknown kernel mode {other:?} (strict|fast)")),
         }
     }
 }
@@ -100,34 +86,20 @@ impl std::fmt::Display for KernelMode {
     }
 }
 
-/// Kernel-mode sentinel/values (`UNSET` → read `NVC_KERNEL_MODE`).
-static MODE: AtomicUsize = AtomicUsize::new(UNSET);
+/// The process-wide kernel mode, as `KernelMode as usize`.
+static MODE: AtomicUsize = AtomicUsize::new(KernelMode::Strict as usize);
 
 /// Failure-injection hook: output row count of the marked product (tests
 /// only).
 static PANIC_ROWS: AtomicUsize = AtomicUsize::new(usize::MAX);
 
-/// The mode `NVC_KERNEL_MODE` asks for ([`KernelMode::Strict`] when unset
-/// or unparsable) — the default `NvConfig`-level value, so a CI leg can
-/// drive the fast path through every existing test without touching
-/// configs.
-pub fn default_kernel_mode() -> KernelMode {
-    match std::env::var("NVC_KERNEL_MODE") {
-        Ok(v) => v.parse().unwrap_or(KernelMode::Strict),
-        Err(_) => KernelMode::Strict,
-    }
-}
-
-/// Current process-wide kernel mode.
+/// Current process-wide kernel mode: [`KernelMode::Strict`] until
+/// [`set_kernel_mode`] says otherwise.
 pub fn kernel_mode() -> KernelMode {
-    match MODE.load(Ordering::Relaxed) {
-        UNSET => {
-            let v = default_kernel_mode();
-            MODE.store(v as usize, Ordering::Relaxed);
-            v
-        }
-        v if v == KernelMode::Fast as usize => KernelMode::Fast,
-        _ => KernelMode::Strict,
+    if MODE.load(Ordering::Relaxed) == KernelMode::Fast as usize {
+        KernelMode::Fast
+    } else {
+        KernelMode::Strict
     }
 }
 
@@ -521,17 +493,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kernel_mode_knob_parses_and_sticks() {
+    fn kernel_mode_knob_sticks() {
         let _guard = KNOB_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_kernel_mode(KernelMode::Fast);
         assert_eq!(kernel_mode(), KernelMode::Fast);
         set_kernel_mode(KernelMode::Strict);
         assert_eq!(kernel_mode(), KernelMode::Strict);
-        assert_eq!("fast".parse(), Ok(KernelMode::Fast));
-        assert_eq!(" Strict ".parse(), Ok(KernelMode::Strict));
-        assert!("blazing".parse::<KernelMode>().is_err());
         assert_eq!(KernelMode::Fast.name(), "fast");
-        set_kernel_mode(default_kernel_mode());
     }
 
     #[test]
@@ -549,7 +517,7 @@ mod tests {
         assert_eq!(kernel_isa(), plain);
         set_kernel_mode(KernelMode::Fast);
         assert_eq!(kernel_isa(), if avx2 && fma { "avx2+fma" } else { plain });
-        set_kernel_mode(default_kernel_mode());
+        set_kernel_mode(KernelMode::Strict);
     }
 
     #[test]

@@ -1641,7 +1641,7 @@ mod tests {
                 );
             }
         }
-        kernels::set_kernel_mode(kernels::default_kernel_mode());
+        kernels::set_kernel_mode(KernelMode::Strict);
     }
 
     /// The 512-bit build of the row kernel computes the AVX2+FMA build's
@@ -1724,7 +1724,7 @@ mod tests {
                 }
             }
         }
-        kernels::set_kernel_mode(kernels::default_kernel_mode());
+        kernels::set_kernel_mode(KernelMode::Strict);
     }
 
     /// The baseline and the AVX2 build of the plain bodies compute the

@@ -422,8 +422,7 @@ mod tests {
     #[test]
     fn tiled_matmul_matches_reference_across_blocks() {
         // Deployed-vs-reference bitwise equality is a *strict*-contract
-        // claim; pin the mode so the NVC_KERNEL_MODE=fast CI leg keeps
-        // asserting it (fast is covered by tests/fast_parity.rs).
+        // claim (fast is covered by tests/fast_parity.rs).
         let _guard = crate::kernels::KNOB_LOCK
             .lock()
             .unwrap_or_else(|e| e.into_inner());
@@ -443,7 +442,6 @@ mod tests {
             let reference = matmul_reference(&a, &b);
             assert_eq!(tiled, reference, "tiled kernel diverged at {m}x{k}x{n}");
         }
-        crate::kernels::set_kernel_mode(crate::kernels::default_kernel_mode());
     }
 
     /// `tn`/`nt` against transpose-then-`matmul`, bit for bit, in **both**
@@ -496,7 +494,7 @@ mod tests {
                 }
             }
         }
-        crate::kernels::set_kernel_mode(crate::kernels::default_kernel_mode());
+        crate::kernels::set_kernel_mode(KernelMode::Strict);
     }
 
     #[test]
@@ -547,7 +545,6 @@ mod tests {
             let a = Tensor::from_vec(m, k, (0..m*k).map(|_| rng.gen_range(-2.0..2.0)).collect());
             let b = Tensor::from_vec(k, n, (0..k*n).map(|_| rng.gen_range(-2.0..2.0)).collect());
             let got = a.matmul(&b);
-            crate::kernels::set_kernel_mode(crate::kernels::default_kernel_mode());
             prop_assert_eq!(got, matmul_reference(&a, &b));
         }
 

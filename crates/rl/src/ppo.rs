@@ -702,8 +702,13 @@ fn gaussian_logp(x: f32, mu: f32, std: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvc_nn::{kernels, KernelMode};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// The kernel mode is process-wide: held by the tests that compare two
+    /// computations bit for bit, while one of them runs both modes.
+    static MODE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     /// [`sample_categorical_with`], drawing its uniform from `rng`.
     fn sample_categorical(logits: &[f32], rng: &mut impl Rng) -> (usize, f32) {
@@ -819,6 +824,7 @@ mod tests {
     #[test]
     fn predict_batch_matches_single_predictions() {
         use nvc_embed::EmbedConfig;
+        let _guard = MODE.lock().unwrap_or_else(|e| e.into_inner());
 
         let mk = |base: u32| PathSample {
             starts: vec![base, base + 1, base + 2],
@@ -892,47 +898,51 @@ mod tests {
     /// The tentpole invariant: batched collection must produce
     /// *bitwise-identical* transitions to the seed per-sample path under
     /// the same RNG seed — same contexts, actions, raw samples,
-    /// log-probs, rewards, and value baselines — for every action space.
+    /// log-probs, rewards, and value baselines — for every action space,
+    /// in both kernel modes.
     #[test]
     fn batched_collect_matches_reference_bitwise() {
         use nvc_embed::EmbedConfig;
-        use rand::SeedableRng;
-        use rand_chacha::ChaCha8Rng;
 
-        for kind in [
-            ActionSpaceKind::Discrete,
-            ActionSpaceKind::Continuous1D,
-            ActionSpaceKind::Continuous2D,
-        ] {
-            let cfg = PpoConfig {
-                train_batch: 37, // odd, and > contexts so draws repeat
-                hidden: vec![16, 16],
-                action_space: kind,
-                action_dims: ActionDims { n_vf: 7, n_if: 5 },
-                ..PpoConfig::default()
-            };
-            let mut trainer = PpoTrainer::new(&cfg, &EmbedConfig::fast(), 41);
-            let mut env = ParityEnv::new(5);
-            // Contexts 1 and 5 read the same sample: collection embeds
-            // them once (it groups rows by content), the reference twice.
-            env.contexts.push(env.contexts[1].clone());
+        let _guard = MODE.lock().unwrap_or_else(|e| e.into_inner());
+        for mode in [KernelMode::Strict, KernelMode::Fast] {
+            kernels::set_kernel_mode(mode);
+            for kind in [
+                ActionSpaceKind::Discrete,
+                ActionSpaceKind::Continuous1D,
+                ActionSpaceKind::Continuous2D,
+            ] {
+                let cfg = PpoConfig {
+                    train_batch: 37, // odd, and > contexts so draws repeat
+                    hidden: vec![16, 16],
+                    action_space: kind,
+                    action_dims: ActionDims { n_vf: 7, n_if: 5 },
+                    ..PpoConfig::default()
+                };
+                let mut trainer = PpoTrainer::new(&cfg, &EmbedConfig::fast(), 41);
+                let mut env = ParityEnv::new(5);
+                // Contexts 1 and 5 read the same sample: collection embeds
+                // them once (it groups rows by content), the reference twice.
+                env.contexts.push(env.contexts[1].clone());
 
-            let mut rng_ref = ChaCha8Rng::seed_from_u64(9);
-            let reference = collect_reference(&trainer, &mut env, &mut rng_ref);
-            let mut rng_bat = ChaCha8Rng::seed_from_u64(9);
-            let batched = trainer.collect(&mut env, &mut rng_bat);
+                let mut rng_ref = ChaCha8Rng::seed_from_u64(9);
+                let reference = collect_reference(&trainer, &mut env, &mut rng_ref);
+                let mut rng_bat = ChaCha8Rng::seed_from_u64(9);
+                let batched = trainer.collect(&mut env, &mut rng_bat);
 
-            assert_eq!(reference.len(), batched.len());
-            for (i, (r, b)) in reference.iter().zip(batched.iter()).enumerate() {
-                assert_eq!(r, b, "transition {i} diverged for {kind:?}");
+                assert_eq!(reference.len(), batched.len());
+                for (i, (r, b)) in reference.iter().zip(batched.iter()).enumerate() {
+                    assert_eq!(r, b, "transition {i} diverged for {kind:?}, {mode}");
+                }
+                // Both paths must leave the RNG at the same stream position.
+                assert_eq!(
+                    rng_ref.gen_range(0.0..1.0f64),
+                    rng_bat.gen_range(0.0..1.0f64),
+                    "RNG stream positions diverged for {kind:?}, {mode}"
+                );
             }
-            // Both paths must leave the RNG at the same stream position.
-            assert_eq!(
-                rng_ref.gen_range(0.0..1.0f64),
-                rng_bat.gen_range(0.0..1.0f64),
-                "RNG stream positions diverged for {kind:?}"
-            );
         }
+        kernels::set_kernel_mode(KernelMode::Strict);
     }
 
     /// The training-telemetry journal writes exactly one JSON line per

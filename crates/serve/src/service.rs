@@ -2,7 +2,7 @@
 //! served through. Its wire protocol is the hub's (`nvc_hub`), which
 //! routes each line to a handle.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -29,10 +29,11 @@ const DECISION_TIMEOUT: Duration = Duration::from_secs(30);
 /// hashes, which cannot be re-decided under a new checkpoint).
 ///
 /// In bytes: a sample holds at most `max_paths` contexts of three `u32`
-/// indices (12 B each), plus 88 B of `Arc` and struct and about 34 B of
-/// map slot, so a full set holds at most 4 096 × 1 322 B ≈ 5.4 MB at
+/// indices (12 B each), plus 88 B of `Arc` and struct, about 34 B of
+/// map slot and 8 B of ring slot, so a full set holds at most
+/// 4 096 × 1 330 B ≈ 5.4 MB at
 /// [`EmbedConfig::paper`](nvc_embed::EmbedConfig::paper) (100 contexts)
-/// and 4 096 × 410 B ≈ 1.7 MB at
+/// and 4 096 × 418 B ≈ 1.7 MB at
 /// [`EmbedConfig::fast`](nvc_embed::EmbedConfig::fast) (24). A reload
 /// replays the set into the replacement handle without copying it.
 const WARM_SAMPLE_CAPACITY: usize = 4096;
@@ -139,11 +140,18 @@ struct Inner {
     /// is the allocation its miss queued: the batcher's job, this set,
     /// [`ServeHandle::warm_samples`] and the replacement handle a reload
     /// replays into share it.
-    warm: Mutex<HashMap<u64, Arc<PathSample>>>,
+    warm: Mutex<WarmSet>,
     /// How many samples [`ServeHandle::warm_replay`] begins before it
     /// collects: whole batches, at most half the miss queue, so shadow
     /// traffic never fills it against real requests.
     replay_window: usize,
+}
+
+/// The warm set: samples by cache key, and their keys oldest first.
+#[derive(Default)]
+struct WarmSet {
+    samples: HashMap<u64, Arc<PathSample>>,
+    order: VecDeque<u64>,
 }
 
 impl Inner {
@@ -207,13 +215,18 @@ impl Inner {
     }
 
     /// Remembers `sample` under its key for post-reload warmup replay.
-    /// Bounded: once full, already-known keys keep refreshing knowledge
-    /// of nothing (they are present) and new keys are dropped — the
-    /// replay set is best-effort shadow traffic, not a ledger.
+    /// Bounded: a new key in a full set evicts the oldest one, so the set
+    /// holds the keys most recently missed — the replay set is
+    /// best-effort shadow traffic, not a ledger.
     fn retain_warm_sample(&self, key: u64, sample: &Arc<PathSample>) {
         let mut warm = self.warm.lock();
-        if warm.len() < WARM_SAMPLE_CAPACITY || warm.contains_key(&key) {
-            warm.entry(key).or_insert_with(|| Arc::clone(sample));
+        if !warm.samples.contains_key(&key) {
+            if warm.order.len() == WARM_SAMPLE_CAPACITY {
+                let oldest = warm.order.pop_front().expect("a full set has keys");
+                warm.samples.remove(&oldest);
+            }
+            warm.order.push_back(key);
+            warm.samples.insert(key, Arc::clone(sample));
         }
     }
 
@@ -387,7 +400,7 @@ impl ServeHandle {
             metrics: Metrics::default(),
             started: Instant::now(),
             inflight: Mutex::new(HashMap::new()),
-            warm: Mutex::new(HashMap::new()),
+            warm: Mutex::default(),
             replay_window: (QUEUE_CAPACITY / 2 / batch_size).max(1) * batch_size,
             model,
         });
@@ -743,12 +756,16 @@ impl ServeHandle {
         self.inner.metrics.entries_invalidated_by_version.add(n);
     }
 
-    /// The samples this handle has decided (bounded, miss-path only) —
-    /// the shadow-traffic set a hot-swap reload replays against the
+    /// The samples this handle has decided most recently (bounded,
+    /// miss-path only, oldest first) — the shadow-traffic set a hot-swap reload replays against the
     /// replacement handle so it starts warm. Shared, not copied: each is
     /// the allocation the warm set holds.
     pub fn warm_samples(&self) -> Vec<Arc<PathSample>> {
-        self.inner.warm.lock().values().cloned().collect()
+        let warm = self.inner.warm.lock();
+        warm.order
+            .iter()
+            .map(|key| Arc::clone(&warm.samples[key]))
+            .collect()
     }
 
     /// The embedding vocabulary configuration of the underlying model —
@@ -766,7 +783,7 @@ impl ServeHandle {
     /// for old or cache-hit-only keys — callers fall back to re-extracting
     /// from the reported source.
     pub fn lookup_sample(&self, key: u64) -> Option<Arc<PathSample>> {
-        self.inner.warm.lock().get(&key).cloned()
+        self.inner.warm.lock().samples.get(&key).cloned()
     }
 
     /// The cached decision for `key`, if still resident. Pure probe: no
@@ -870,6 +887,16 @@ mod tests {
 
     fn start(cfg: ServeConfig) -> ServeHandle {
         ServeHandle::start(Arc::new(Stub::new()), cfg)
+    }
+
+    /// A sample of one `(start, path, end)` context.
+    fn one_context(start: u32, path: u32, end: u32) -> Arc<PathSample> {
+        let (starts, paths, ends) = (vec![start], vec![path], vec![end]);
+        Arc::new(PathSample {
+            starts,
+            paths,
+            ends,
+        })
     }
 
     const SRC: &str = "float a[512]; float b[512]; float M[32][32];
@@ -1135,15 +1162,7 @@ void f(int n) {
         // The replay begins its whole set before it waits: 20 never-seen
         // samples (fewer than a batch) are one forward, not 20. Parked
         // workers first, so none of them catches the set half submitted.
-        let burst: Vec<Arc<PathSample>> = (0..20)
-            .map(|i| {
-                Arc::new(PathSample {
-                    starts: vec![1000 + i],
-                    paths: vec![i],
-                    ends: vec![i + 1],
-                })
-            })
-            .collect();
+        let burst: Vec<_> = (0..20).map(|i| one_context(1000 + i, i, i + 1)).collect();
         while h2.inner.batcher.idle_workers() < ServeConfig::default().workers {
             std::thread::yield_now();
         }
@@ -1162,5 +1181,27 @@ void f(int n) {
         let h3 = start(ServeConfig::default());
         h3.shutdown();
         assert_eq!(h3.warm_replay(&samples), 0);
+    }
+
+    /// A full warm set evicts its oldest keys: after
+    /// `WARM_SAMPLE_CAPACITY + 10` distinct misses it holds the newest
+    /// samples, oldest first, and not the 10 it saw first.
+    #[test]
+    fn a_full_warm_set_keeps_the_newest_samples() {
+        let h = start(ServeConfig::default());
+        let n = WARM_SAMPLE_CAPACITY as u32 + 10;
+        let samples: Vec<_> = (0..n).map(|i| one_context(i, i, i)).collect();
+        assert_eq!(h.warm_replay(&samples), samples.len());
+        let kept = h.warm_samples();
+        assert_eq!(kept.len(), WARM_SAMPLE_CAPACITY);
+        assert!(kept
+            .iter()
+            .zip(&samples[10..])
+            .all(|(k, s)| Arc::ptr_eq(k, s)));
+        assert!(h.lookup_sample(sample_key(&samples[9])).is_none());
+        let newest = &samples[samples.len() - 1];
+        assert!(h
+            .lookup_sample(sample_key(newest))
+            .is_some_and(|s| Arc::ptr_eq(&s, newest)));
     }
 }

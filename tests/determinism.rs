@@ -84,9 +84,7 @@ fn training_is_reproducible_per_seed() {
 fn training_reproduces_the_committed_bench_checkpoints() {
     let _guard = lock_model_knobs();
     for (seed, fixture) in [(1, "ckpt_A"), (2, "ckpt_B")] {
-        let cfg = NvConfig::fast()
-            .with_seed(seed)
-            .with_kernel_mode(nvc_nn::KernelMode::Strict);
+        let cfg = NvConfig::fast().with_seed(seed);
         let pool = generator::generate(seed, 256);
         let mut env = VectorizeEnv::new(pool, cfg.target.clone(), &cfg.embed);
         let mut nv = NeuroVectorizer::new(cfg);
@@ -98,7 +96,6 @@ fn training_reproduces_the_committed_bench_checkpoints() {
             "seed {seed} no longer trains to {path}"
         );
     }
-    nvc_nn::kernels::set_kernel_mode(nvc_nn::kernels::default_kernel_mode());
 }
 
 #[test]
@@ -122,13 +119,9 @@ fn train_then_serve_is_bitwise_equal_across_thread_matrix() {
         ActionSpaceKind::Continuous2D,
     ] {
         let run = || {
-            // Pin strict explicitly: this is strict mode's bar, whatever
-            // `NVC_KERNEL_MODE` this binary runs under. Fast mode's own
-            // bar — decision equivalence — is the kernel-mode axis test
-            // below.
-            let mut cfg = NvConfig::fast()
-                .with_seed(19)
-                .with_kernel_mode(nvc_nn::KernelMode::Strict);
+            // Strict mode's bar. Fast mode's own bar — decision
+            // equivalence — is the kernel mode axis test below.
+            let mut cfg = NvConfig::fast().with_seed(19);
             cfg.ppo.action_space = kind;
             cfg.ppo.train_batch = 24;
             cfg.ppo.minibatch = 8;
@@ -154,10 +147,9 @@ fn train_then_serve_is_bitwise_equal_across_thread_matrix() {
 
         assert_eq!(run(), run(), "train-then-serve diverged for {kind:?}");
     }
-    nvc_nn::kernels::set_kernel_mode(nvc_nn::kernels::default_kernel_mode());
 }
 
-/// The kernel-mode axis of the same train ➝ checkpoint ➝ serve matrix:
+/// The kernel mode axis of the same train ➝ checkpoint ➝ serve matrix:
 /// strict mode is the bitwise anchor (serving the same checkpoint twice
 /// reproduces identical decisions), and restoring that checkpoint into a
 /// **fast**-mode server must reproduce the *decisions* exactly. Fast
@@ -167,9 +159,7 @@ fn train_then_serve_is_bitwise_equal_across_thread_matrix() {
 #[test]
 fn kernel_mode_fast_serving_is_decision_identical_to_strict() {
     let _guard = lock_model_knobs();
-    let mut cfg = NvConfig::fast()
-        .with_seed(19)
-        .with_kernel_mode(nvc_nn::KernelMode::Strict);
+    let mut cfg = NvConfig::fast().with_seed(19);
     cfg.ppo.train_batch = 24;
     cfg.ppo.minibatch = 8;
     cfg.ppo.epochs = 2;
@@ -202,7 +192,7 @@ fn kernel_mode_fast_serving_is_decision_identical_to_strict() {
         strict,
         "fast-mode serving changed a decision"
     );
-    nvc_nn::kernels::set_kernel_mode(nvc_nn::kernels::default_kernel_mode());
+    nvc_nn::kernels::set_kernel_mode(nvc_nn::KernelMode::Strict);
 }
 
 /// Observability must be a pure observer: the same seeded train ➝

@@ -199,8 +199,7 @@ fn kernel_panic_reaches_the_caller_without_tearing_the_arena() {
             g.value(y).clone()
         };
         // The reference is the *deployed* kernel (a clean run before
-        // arming the hook), so this test holds under both kernel modes —
-        // including the `NVC_KERNEL_MODE=fast` CI leg.
+        // arming the hook), so this test holds under both kernel modes.
         let want = product(&mut Graph::with_arena(&store, &arena));
         kernels::inject_worker_panic(ROWS);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -55,7 +55,7 @@ fn lock_mode() -> std::sync::MutexGuard<'static, ()> {
 }
 
 fn restore_defaults() {
-    kernels::set_kernel_mode(kernels::default_kernel_mode());
+    kernels::set_kernel_mode(KernelMode::Strict);
 }
 
 /// Bit patterns spanning every special f32 class (same generator as the
@@ -276,9 +276,7 @@ fn fast_serving_decisions_match_strict_on_the_full_corpus() {
     corpus.extend(mibench::mibench());
     assert!(corpus.len() >= 24, "corpus shrank: {}", corpus.len());
 
-    let mut cfg = NvConfig::fast()
-        .with_seed(1729)
-        .with_kernel_mode(KernelMode::Strict);
+    let mut cfg = NvConfig::fast().with_seed(1729);
     cfg.ppo.train_batch = 24;
     cfg.ppo.minibatch = 8;
     cfg.ppo.epochs = 2;

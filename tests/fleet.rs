@@ -16,9 +16,16 @@ use nvc_datasets::generator;
 use nvc_fleet::RegistryService;
 use nvc_hub::server::{serve_tcp, HubHandle};
 use nvc_hub::{serve_registry, spawn_announcer, Announcer};
+use nvc_nn::KernelMode;
+
+/// The config of every model here: `nvc serve` and `nvc hub` run the
+/// fast kernels, so this tier runs them too.
+fn served_config() -> NvConfig {
+    NvConfig::fast().with_kernel_mode(KernelMode::Fast)
+}
 
 fn trained_checkpoint(seed: u64) -> String {
-    let cfg = NvConfig::fast().with_seed(seed);
+    let cfg = served_config().with_seed(seed);
     let mut env = VectorizeEnv::new(
         generator::generate(seed, 12),
         cfg.target.clone(),
@@ -30,7 +37,7 @@ fn trained_checkpoint(seed: u64) -> String {
 }
 
 fn restored(ckpt: &str) -> NeuroVectorizer {
-    let mut nv = NeuroVectorizer::new(NvConfig::fast().with_seed(987));
+    let mut nv = NeuroVectorizer::new(served_config().with_seed(987));
     nv.restore(ckpt).expect("restore checkpoint");
     nv
 }
@@ -332,7 +339,7 @@ fn reload_propagates_version_without_mismatched_decisions() {
 
     // A node with a loader, announced with a short TTL.
     let nv = restored(&ckpt_a);
-    let cfg = NvConfig::fast();
+    let cfg = served_config();
     let hub = Hub::new(
         HubConfig::default().with_listen("127.0.0.1:0"),
         ServeConfig::default().with_workers(1),

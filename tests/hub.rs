@@ -12,10 +12,17 @@ use neurovectorizer::{
 };
 use nvc_datasets::generator;
 use nvc_hub::server::{serve_tcp, HubHandle};
+use nvc_nn::KernelMode;
 use nvc_obs::Json;
 
+/// The config of every model here: `nvc serve` and `nvc hub` run the
+/// fast kernels, so this tier runs them too.
+fn served_config() -> NvConfig {
+    NvConfig::fast().with_kernel_mode(KernelMode::Fast)
+}
+
 fn trained_nv(seed: u64) -> NeuroVectorizer {
-    let cfg = NvConfig::fast().with_seed(seed);
+    let cfg = served_config().with_seed(seed);
     let mut env = VectorizeEnv::new(
         generator::generate(seed, 12),
         cfg.target.clone(),
@@ -29,7 +36,7 @@ fn trained_nv(seed: u64) -> NeuroVectorizer {
 /// A fresh model restored from `ckpt` (the hub side and the bare-handle
 /// side must not share an instance for parity to mean anything).
 fn restored(ckpt: &str) -> NeuroVectorizer {
-    let mut nv = NeuroVectorizer::new(NvConfig::fast().with_seed(987));
+    let mut nv = NeuroVectorizer::new(served_config().with_seed(987));
     nv.restore(ckpt).expect("restore checkpoint");
     nv
 }
@@ -393,7 +400,7 @@ fn reload_hot_swaps_without_dropping_inflight_requests() {
         HubConfig::default().with_listen("127.0.0.1:0"),
         ServeConfig::default(),
     )
-    .with_loader(NeuroVectorizer::hub_loader(NvConfig::fast()));
+    .with_loader(NeuroVectorizer::hub_loader(served_config()));
     hub.register(spec(restored(&ckpt_a), "prod", 1)).unwrap();
     let old_hash = hub.registry().get("prod").unwrap().checkpoint_hash;
     // Watches the entry the reload displaces: it is gone once its worker

@@ -7,9 +7,7 @@
 //! arena, so a flush that starts allocating per call shows up here.
 //!
 //! Its own integration-test binary, so the counting allocator sees this
-//! test's allocations and no other's. The kernel mode is pinned per pass,
-//! so the default leg and the `NVC_KERNEL_MODE=fast` leg run the same two
-//! passes.
+//! test's allocations and no other's. It runs one pass per kernel mode.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,5 +62,4 @@ fn deciding_one_paper_size_loop_allocates_under_16_kib() {
             sample.len()
         );
     }
-    kernels::set_kernel_mode(kernels::default_kernel_mode());
 }

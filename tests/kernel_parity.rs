@@ -30,8 +30,7 @@ use rand_chacha::ChaCha8Rng;
 static MODE: RwLock<()> = RwLock::new(());
 
 /// Pins the strict kernel contract for as long as the guard lives — this
-/// tier *is* the bitwise guarantee, so it must hold even when the binary
-/// runs under `NVC_KERNEL_MODE=fast` (idempotent, so concurrent holders
+/// tier *is* the bitwise guarantee (idempotent, so concurrent holders
 /// agree).
 fn pin_strict() -> RwLockReadGuard<'static, ()> {
     let guard = MODE.read().unwrap_or_else(|e| e.into_inner());

@@ -18,6 +18,7 @@ use neurovectorizer::{
 };
 use nvc_datasets::generator;
 use nvc_hub::server::{serve_tcp, HubHandle};
+use nvc_nn::KernelMode;
 use nvc_obs::Json;
 
 /// Directory the CI workflow uploads as the `learning-artifacts`
@@ -29,7 +30,10 @@ fn artifact_dir() -> PathBuf {
 }
 
 fn trained_champion(seed: u64) -> (NvConfig, NeuroVectorizer) {
-    let cfg = NvConfig::fast().with_seed(seed);
+    // `nvc hub` runs the fast kernels, and so does this tier.
+    let cfg = NvConfig::fast()
+        .with_seed(seed)
+        .with_kernel_mode(KernelMode::Fast);
     let mut env = VectorizeEnv::new(
         generator::generate(seed, 12),
         cfg.target.clone(),

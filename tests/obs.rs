@@ -182,5 +182,5 @@ fn kernel_profile_reports_tanh_and_the_projection_dedup_factor() {
 
     handle.shutdown();
     nvc_obs::set_ops_enabled(false);
-    nvc_nn::kernels::set_kernel_mode(nvc_nn::kernels::default_kernel_mode());
+    nvc_nn::kernels::set_kernel_mode(nvc_nn::KernelMode::Strict);
 }

@@ -7,11 +7,15 @@ use std::sync::Arc;
 
 use neurovectorizer::{NeuroVectorizer, NvConfig, ServeConfig, VectorizeEnv};
 use nvc_datasets::generator;
+use nvc_nn::KernelMode;
 use nvc_obs::json::{obj, Json};
 use nvc_serve::{sample_key, ShardedLruCache};
 
 fn trained_nv(seed: u64) -> (NeuroVectorizer, VectorizeEnv) {
-    let cfg = NvConfig::fast().with_seed(seed);
+    // `nvc serve` and `nvc hub` run the fast kernels, and so does this tier.
+    let cfg = NvConfig::fast()
+        .with_seed(seed)
+        .with_kernel_mode(KernelMode::Fast);
     let mut env = VectorizeEnv::new(
         generator::generate(seed, 12),
         cfg.target.clone(),
