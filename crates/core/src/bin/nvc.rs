@@ -84,7 +84,10 @@ REGISTRY` heartbeats (model, checkpoint hash, address) there so `nvc
 resolve` and fleet clients find it; `--peers` pulls a warm cache image
 from a running peer before taking traffic; --cache-checkpoint-secs
 writes the decision cache every N seconds so a crash loses at most one
-interval. Hub and registry also shut down cleanly on stdin EOF
+interval. A flag that only qualifies another is refused without it:
+--cache-checkpoint-secs needs --cache-file, --node and --advertise need
+--announce, --learn-journal, --learn-promotion-log and --learn-checkpoint
+need --learn. Hub and registry also shut down cleanly on stdin EOF
 (supervisor exit), persisting the cache like the shutdown verb.
 `nvc experiment` prints one of the paper's figures, or `all`, at a fixed
 scale and seed: it takes no flags and two runs print the same bytes.";
@@ -330,9 +333,28 @@ fn hub_flags() -> Vec<Flag> {
 /// PPO iterations per challenger fine-tune under `--learn`.
 const LEARN_ITERS: usize = 20;
 
+/// How often `--learn` runs one controller step (`Hub::learn_step`).
+const LEARN_INTERVAL: std::time::Duration = std::time::Duration::from_secs(1);
+
+/// Flags that only qualify another one: without it they would be
+/// silently ignored, so each names the flag it needs.
+const QUALIFIERS: &[(&str, &str)] = &[
+    ("--cache-checkpoint-secs", "--cache-file"),
+    ("--node", "--announce"),
+    ("--advertise", "--announce"),
+    ("--learn-journal", "--learn"),
+    ("--learn-promotion-log", "--learn"),
+    ("--learn-checkpoint", "--learn"),
+];
+
 fn cmd_hub(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let p = parse_args(args, &hub_flags(), USAGE)?;
     no_positionals(&p, "hub")?;
+    for (flag, needs) in QUALIFIERS {
+        if p.has(flag) && !p.has(needs) {
+            return Err(format!("{flag} does nothing without {needs}").into());
+        }
+    }
     apply_trace_flag(&p);
 
     let mut cfg = serving_config(&p)?;
@@ -443,7 +465,7 @@ fn cmd_hub(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let handle = nvc_hub::server::serve_tcp(Arc::new(hub))?;
+    let handle = Arc::new(nvc_hub::server::serve_tcp(Arc::new(hub))?);
     eprintln!(
         "nvc hub: listening on {} ({} models, {} kernels{}); send {{\"op\":\"shutdown\"}} to stop",
         handle.addr(),
@@ -455,16 +477,16 @@ fn cmd_hub(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
     );
 
-    // The background learner: journal → fine-tune → A/B → promote.
-    let learner = handle
-        .hub()
-        .learning()
-        .is_some()
-        .then(|| neurovectorizer::spawn_learner(Arc::clone(handle.hub())));
+    // The learner: journal → fine-tune → A/B → promote.
+    if handle.hub().learning().is_some() {
+        handle.every(LEARN_INTERVAL, |hub| {
+            hub.learn_step();
+        });
+    }
 
     // Registry announcements: heartbeat (model, hash, addr) so fleet
     // clients can resolve this node.
-    let announcer = p.get("--announce").map(|registry| {
+    if let Some(registry) = p.get("--announce") {
         let node = p
             .get("--node")
             .map(str::to_string)
@@ -473,29 +495,21 @@ fn cmd_hub(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             .get("--advertise")
             .map(str::to_string)
             .unwrap_or_else(|| handle.addr().to_string());
-        let ann = neurovectorizer::AnnounceConfig::new(registry, &node, &advertise);
         eprintln!("nvc hub: announcing as `{node}` ({advertise}) to {registry}");
-        neurovectorizer::spawn_announcer(Arc::clone(handle.hub()), ann)
-    });
+        handle.announce(neurovectorizer::AnnounceConfig::new(
+            registry, &node, &advertise,
+        ));
+    }
 
     // Supervisor exit (stdin EOF) shuts down as cleanly as the protocol
     // verb: drain + cache persist, not a snapshot-losing kill.
     {
-        let hub = Arc::clone(handle.hub());
-        watch_stdin_eof(move || hub.shutdown());
+        let handle = Arc::clone(&handle);
+        watch_stdin_eof(move || handle.shutdown());
     }
 
     // Serve until some client sends the shutdown verb (or stdin EOF).
-    while !handle.hub().is_shutting_down() {
-        std::thread::sleep(std::time::Duration::from_millis(200));
-    }
-    if let Some(a) = announcer {
-        a.stop();
-    }
-    if let Some(l) = learner {
-        let _ = l.join();
-    }
-    handle.shutdown();
+    handle.wait();
     eprintln!("nvc hub: drained and persisted; bye");
     Ok(())
 }
@@ -505,20 +519,16 @@ fn cmd_registry(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     no_positionals(&p, "registry")?;
     apply_trace_flag(&p);
     let listen = p.get("--listen").unwrap_or("127.0.0.1:7209");
-    let service = Arc::new(neurovectorizer::RegistryService::default());
-    let handle = neurovectorizer::serve_registry(Arc::clone(&service), listen)?;
+    let handle = Arc::new(neurovectorizer::serve_registry(Arc::default(), listen)?);
     eprintln!(
         "nvc registry: listening on {}; hubs announce with --announce, clients resolve with `nvc resolve`",
         handle.addr()
     );
     {
-        let service = Arc::clone(&service);
-        watch_stdin_eof(move || service.shutdown());
+        let handle = Arc::clone(&handle);
+        watch_stdin_eof(move || handle.shutdown());
     }
-    while !service.is_shutting_down() {
-        std::thread::sleep(std::time::Duration::from_millis(200));
-    }
-    handle.shutdown();
+    handle.wait();
     eprintln!("nvc registry: bye");
     Ok(())
 }
@@ -889,10 +899,6 @@ mod tests {
             "LearnConfig::min_cohort",
             SetBy(LEARNING, "min_cohort: 6", "6"),
         ),
-        (
-            "LearnConfig::interval_ms",
-            SetBy(LEARNING, "interval_ms: 10", "10"),
-        ),
         ("AnnounceConfig::registry", Deployment),
         ("AnnounceConfig::node", Deployment),
         ("AnnounceConfig::advertise", Deployment),
@@ -971,7 +977,7 @@ mod tests {
         );
         knobs.extend(fields!("crates/hub/src/learn.rs", LearnConfig::default() =>
             LearnConfig [journal_path, promotion_log_path, champion, challenger,
-                champion_checkpoint, challenger_checkpoint, min_reports, min_cohort, interval_ms]));
+                champion_checkpoint, challenger_checkpoint, min_reports, min_cohort]));
         knobs.extend(
             fields!("crates/hub/src/announce.rs", AnnounceConfig::new("", "", "") =>
             AnnounceConfig [registry, node, advertise, ttl_ms]),

@@ -69,7 +69,7 @@ pub use nvc_fleet::{
     ContentStore, FleetClient, FleetConfig, FleetResponse, RegistryClient, RegistryService,
 };
 pub use nvc_hub::{
-    serve_registry, spawn_announcer, spawn_learner, AnnounceConfig, Hub, HubConfig, HubHandle,
-    LearnConfig, LearnEvent, ModelSpec, ReportRecord,
+    serve_registry, AnnounceConfig, Hub, HubConfig, HubHandle, LearnConfig, LearnEvent, ModelSpec,
+    ReportRecord,
 };
 pub use nvc_serve::{ServeConfig, ServeHandle};

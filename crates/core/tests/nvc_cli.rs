@@ -3,7 +3,8 @@
 //! `nvc()` runs have stdin closed, so `serve` prints its banner, meets
 //! EOF and exits.
 
-use std::process::{Command, Output, Stdio};
+use std::io::{BufRead, BufReader, Write};
+use std::process::{ChildStderr, Command, Output, Stdio};
 
 /// Runs `nvc args…` with stdin closed and `vars` added to its
 /// environment.
@@ -18,6 +19,30 @@ fn nvc(args: &[&str], vars: &[(&str, &str)]) -> Output {
 
 fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// Reads a server's log up to its `{server}: listening on ADDR` banner;
+/// returns the address and everything read.
+fn listening(log: &mut BufReader<ChildStderr>, server: &str) -> (String, String) {
+    let banner = format!("{server}: listening on ");
+    let mut seen = String::new();
+    loop {
+        let mut line = String::new();
+        assert!(log.read_line(&mut line).unwrap() > 0, "no listener: {seen}");
+        seen.push_str(&line);
+        if let Some(rest) = line.strip_prefix(&banner) {
+            let addr = rest.split_whitespace().next().unwrap();
+            return (addr.trim_end_matches(';').to_string(), seen);
+        }
+    }
+}
+
+/// Writes an untrained `NvConfig::fast()` checkpoint for `nvc hub --model`.
+fn checkpoint(name: &str) -> std::path::PathBuf {
+    let ckpt = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let model = neurovectorizer::NeuroVectorizer::new(neurovectorizer::NvConfig::fast());
+    std::fs::write(&ckpt, model.checkpoint()).unwrap();
+    ckpt
 }
 
 /// The subcommand alone picks the kernel mode: the servers run fast and
@@ -68,14 +93,10 @@ fn serve_runs_fast_kernels_and_train_strict_whatever_the_environment() {
 /// it down cleanly.
 #[test]
 fn a_learning_hub_answers_and_shuts_down_on_eof() {
-    use std::io::{BufRead, BufReader, Write};
-
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
-    let ckpt = dir.join("nvc_cli_learn.ckpt");
+    let ckpt = checkpoint("nvc_cli_learn.ckpt");
     let journal = dir.join("nvc_cli_learn.jsonl");
     let _ = std::fs::remove_file(&journal);
-    let model = neurovectorizer::NeuroVectorizer::new(neurovectorizer::NvConfig::fast());
-    std::fs::write(&ckpt, model.checkpoint()).unwrap();
     let spec = format!("prod={}", ckpt.to_str().expect("utf-8 path"));
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_nvc"))
@@ -90,15 +111,7 @@ fn a_learning_hub_answers_and_shuts_down_on_eof() {
         .spawn()
         .expect("nvc starts");
     let mut log = BufReader::new(child.stderr.take().unwrap());
-    let mut seen = String::new();
-    let addr = loop {
-        let mut line = String::new();
-        assert!(log.read_line(&mut line).unwrap() > 0, "no listener: {seen}");
-        seen.push_str(&line);
-        if let Some(rest) = line.strip_prefix("nvc hub: listening on ") {
-            break rest.split_whitespace().next().unwrap().to_string();
-        }
-    };
+    let (addr, seen) = listening(&mut log, "nvc hub");
     assert!(
         seen.contains("online learning on (champion `prod`"),
         "{seen}"
@@ -118,6 +131,58 @@ fn a_learning_hub_answers_and_shuts_down_on_eof() {
     assert!(status.success(), "{seen}{rest}");
     assert!(rest.contains("drained and persisted"), "{rest}");
     assert!(journal.exists());
+}
+
+/// `nvc registry` over TCP: it answers, and stdin EOF shuts it down
+/// with exit status 0.
+#[test]
+fn a_registry_answers_and_shuts_down_on_eof() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_nvc"))
+        .args(["registry", "--listen", "127.0.0.1:0"])
+        .stdin(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("nvc starts");
+    let mut log = BufReader::new(child.stderr.take().unwrap());
+    let (addr, seen) = listening(&mut log, "nvc registry");
+
+    let stream = std::net::TcpStream::connect(&addr).expect("registry accepts");
+    (&stream).write_all(b"{\"op\":\"stats\"}\n").unwrap();
+    let mut stats = String::new();
+    BufReader::new(&stream).read_line(&mut stats).unwrap();
+    assert!(stats.contains("\"live_nodes\":0"), "{stats}");
+
+    drop(child.stdin.take());
+    let status = child.wait().expect("nvc exits");
+    let mut rest = String::new();
+    std::io::Read::read_to_string(&mut log, &mut rest).unwrap();
+    assert!(status.success(), "{seen}{rest}");
+    assert!(rest.contains("nvc registry: bye"), "{rest}");
+}
+
+/// A hub flag that only qualifies another one is refused without it —
+/// by name, before anything loads — rather than silently ignored.
+#[test]
+fn a_hub_flag_without_the_flag_it_qualifies_is_refused() {
+    let ckpt = checkpoint("nvc_cli_qualifiers.ckpt");
+    let spec = format!("prod={}", ckpt.to_str().expect("utf-8 path"));
+    let hub = ["hub", "--model", &spec, "--listen", "127.0.0.1:0"];
+    for (flag, value, needs) in [
+        ("--cache-checkpoint-secs", "5", "--cache-file"),
+        ("--node", "hub-a", "--announce"),
+        ("--advertise", "127.0.0.1:7199", "--announce"),
+        ("--learn-journal", "learn.jsonl", "--learn"),
+        ("--learn-promotion-log", "promotions.jsonl", "--learn"),
+        ("--learn-checkpoint", "challenger.ckpt", "--learn"),
+    ] {
+        let out = nvc(&[&hub[..], &[flag, value]].concat(), &[]);
+        let err = stderr(&out);
+        assert!(!out.status.success(), "{flag} alone was accepted: {err}");
+        assert!(
+            err.contains(&format!("{flag} does nothing without {needs}")),
+            "{flag}: {err}"
+        );
+    }
 }
 
 #[test]
@@ -142,7 +207,6 @@ fn a_removed_flag_is_an_unknown_flag_not_an_ignored_argument() {
 #[test]
 fn serve_answers_past_a_non_utf8_line_and_drains_on_shutdown() {
     use nvc_obs::Json;
-    use std::io::Write;
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_nvc"))
         .arg("serve")

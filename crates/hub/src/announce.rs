@@ -1,5 +1,5 @@
-//! The registry announcer: a background heartbeat that keeps a hub
-//! resolvable in an `nvc registry`.
+//! The registry heartbeat: a hub job that keeps a hub resolvable in an
+//! `nvc registry`.
 //!
 //! Every beat rebuilds the model list from the live registry — so a
 //! `reload` propagates its new checkpoint hash to the fleet within one
@@ -8,16 +8,11 @@
 //! run at a third of the TTL: two can be lost before the node expires
 //! out of resolution.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use nvc_fleet::{ModelAd, NodeAnnouncement, RegistryClient};
 
-use crate::Hub;
+use crate::HubHandle;
 
 /// How a hub presents itself to the discovery registry.
 #[derive(Debug, Clone)]
@@ -36,8 +31,8 @@ pub struct AnnounceConfig {
 }
 
 impl AnnounceConfig {
-    /// An announcer for `node` at `advertise`, heartbeating to
-    /// `registry` with a 3-second TTL.
+    /// `node` at `advertise`, heartbeating to `registry` with a
+    /// 3-second TTL.
     pub fn new(
         registry: impl Into<String>,
         node: impl Into<String>,
@@ -58,89 +53,36 @@ impl AnnounceConfig {
     }
 }
 
-/// A running announce loop; [`Announcer::stop`] (or drop) ends it.
-pub struct Announcer {
-    thread: Mutex<Option<JoinHandle<()>>>,
-    stop: Arc<AtomicBool>,
-}
-
-/// The hub's current model list as registry advertisements.
-pub(crate) fn advertisements(hub: &Hub) -> Vec<ModelAd> {
-    hub.registry()
-        .entries()
-        .iter()
-        .map(|e| ModelAd {
-            model: e.name.clone(),
-            checkpoint_hash: e.checkpoint_hash,
-            weight: e.weight,
-        })
-        .collect()
-}
-
-/// Starts heartbeating `hub`'s model list to the registry. The loop
-/// exits when the hub shuts down (one final expiry-by-TTL removes the
-/// node from resolution) or when [`Announcer::stop`] is called.
-/// Registry outages are retried every beat — announcing is best-effort
-/// by design, since resolvers fall back to their last-known node set.
-pub fn spawn_announcer(hub: Arc<Hub>, cfg: AnnounceConfig) -> Announcer {
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = Arc::clone(&stop);
-    let thread = std::thread::Builder::new()
-        .name("nvc-hub-announce".to_string())
-        .spawn(move || {
-            let client = RegistryClient::new(cfg.registry.clone());
-            let beat = Duration::from_millis((cfg.ttl_ms / 3).max(50));
-            let done = |hub: &Hub| hub.is_shutting_down() || stop_flag.load(Ordering::Acquire);
-            loop {
-                let ann = NodeAnnouncement {
-                    node: cfg.node.clone(),
-                    addr: cfg.advertise.clone(),
-                    models: advertisements(&hub),
-                    ttl_ms: cfg.ttl_ms,
-                };
-                if let Err(e) = client.announce(&ann) {
-                    eprintln!(
-                        "nvc hub: announce to {} failed (will retry): {e}",
-                        cfg.registry
-                    );
-                }
-                // Sleep in short steps so shutdown is noticed promptly
-                // even with multi-second TTLs.
-                let mut remaining = beat;
-                while !remaining.is_zero() {
-                    if done(&hub) {
-                        return;
-                    }
-                    let step = remaining.min(Duration::from_millis(50));
-                    std::thread::sleep(step);
-                    remaining = remaining.saturating_sub(step);
-                }
-                if done(&hub) {
-                    return;
-                }
+impl HubHandle {
+    /// Heartbeats the hub's model list to `cfg.registry` until the hub
+    /// shuts down or aborts, after which the TTL expires the node out of
+    /// resolution. The first beat goes out at once, off the caller's
+    /// thread. A registry outage only logs and the next beat retries —
+    /// announcing is best-effort by design, since resolvers fall back to
+    /// their last-known node set.
+    pub fn announce(&self, cfg: AnnounceConfig) {
+        let client = RegistryClient::new(cfg.registry.clone());
+        let beat = Duration::from_millis((cfg.ttl_ms / 3).max(50));
+        self.every_after(Duration::ZERO, beat, move |hub| {
+            let entries = hub.registry().entries();
+            let models = entries.iter().map(|e| ModelAd {
+                model: e.name.clone(),
+                checkpoint_hash: e.checkpoint_hash,
+                weight: e.weight,
+            });
+            let ann = NodeAnnouncement {
+                node: cfg.node.clone(),
+                addr: cfg.advertise.clone(),
+                models: models.collect(),
+                ttl_ms: cfg.ttl_ms,
+            };
+            if let Err(e) = client.announce(&ann) {
+                eprintln!(
+                    "nvc hub: announce to {} failed (will retry): {e}",
+                    cfg.registry
+                );
             }
-        })
-        .expect("spawn hub announce thread");
-    Announcer {
-        thread: Mutex::new(Some(thread)),
-        stop,
-    }
-}
-
-impl Announcer {
-    /// Ends the loop and waits for it (at most one poll step).
-    /// Idempotent.
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.thread.lock().take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for Announcer {
-    fn drop(&mut self) {
-        self.stop();
+        });
     }
 }
 
@@ -148,10 +90,12 @@ impl Drop for Announcer {
 mod tests {
     use super::*;
     use crate::serve_registry;
+    use crate::server::serve_tcp;
     use crate::tests::{stub_spec, StubModel};
     use crate::{Hub, HubConfig};
     use nvc_fleet::RegistryService;
     use nvc_serve::{DecisionModel, ServeConfig};
+    use std::sync::Arc;
     use std::time::Instant;
 
     #[test]
@@ -159,22 +103,18 @@ mod tests {
         let registry = serve_registry(Arc::new(RegistryService::default()), "127.0.0.1:0").unwrap();
         let reg_addr = registry.addr().to_string();
 
-        let hub = Arc::new(
-            Hub::new(HubConfig::default(), ServeConfig::default().with_workers(1)).with_loader(
-                Box::new(|path| {
-                    let tag: usize = path.parse().map_err(|_| format!("bad path {path}"))?;
-                    Ok((
-                        Arc::new(StubModel::new(tag)) as Arc<dyn DecisionModel>,
-                        tag as u64,
-                    ))
-                }),
-            ),
-        );
+        let cfg = HubConfig::default().with_listen("127.0.0.1:0");
+        let hub =
+            Hub::new(cfg, ServeConfig::default().with_workers(1)).with_loader(Box::new(|path| {
+                let tag: usize = path.parse().map_err(|_| format!("bad path {path}"))?;
+                Ok((
+                    Arc::new(StubModel::new(tag)) as Arc<dyn DecisionModel>,
+                    tag as u64,
+                ))
+            }));
         hub.register(stub_spec("prod", 2, 0xA)).unwrap();
-        let announcer = spawn_announcer(
-            Arc::clone(&hub),
-            AnnounceConfig::new(&reg_addr, "n1", "127.0.0.1:7199").with_ttl_ms(300),
-        );
+        let handle = serve_tcp(Arc::new(hub)).unwrap();
+        handle.announce(AnnounceConfig::new(&reg_addr, "n1", "127.0.0.1:7199").with_ttl_ms(300));
 
         // The node shows up and advertises its model + hash + weight.
         let client = RegistryClient::new(&reg_addr);
@@ -193,7 +133,7 @@ mod tests {
         }
 
         // A reload's new hash propagates within a heartbeat.
-        hub.reload("prod", "11", None).unwrap();
+        handle.hub().reload("prod", "11", None).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             let nodes = client.resolve(Some("prod")).unwrap_or_default();
@@ -204,14 +144,17 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
         }
 
-        // Stopping the announcer lets the TTL expire the node.
-        announcer.stop();
+        // A shut-down hub stops beating, and the TTL expires the node.
+        handle.shutdown();
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             if client.resolve(Some("prod")).unwrap_or_default().is_empty() {
                 break;
             }
-            assert!(Instant::now() < deadline, "node never expired after stop");
+            assert!(
+                Instant::now() < deadline,
+                "node never expired after shutdown"
+            );
             std::thread::sleep(Duration::from_millis(50));
         }
         registry.shutdown();

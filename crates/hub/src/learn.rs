@@ -223,7 +223,10 @@ pub(crate) fn welch_z(a: &Cohort, b: &Cohort) -> f64 {
 pub type ChallengerTrainer =
     Box<dyn Fn(&[ReportRecord], &str, &str) -> Result<(), String> + Send + Sync>;
 
-/// Knobs for the online-learning loop (`nvc hub --learn*` flags).
+/// Knobs for the online-learning loop (`nvc hub --learn*` flags). What
+/// they pace is [`Hub::learn_step`]; how often it runs is up to whoever
+/// runs it — `nvc hub --learn` makes it a once-a-second
+/// [`HubHandle::every`](crate::HubHandle::every) job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LearnConfig {
     /// Append-mode corpus journal (survives hub restarts).
@@ -244,8 +247,6 @@ pub struct LearnConfig {
     pub min_reports: usize,
     /// Minimum observations per cohort before any verdict.
     pub min_cohort: u64,
-    /// Controller step interval for [`spawn_learner`].
-    pub interval_ms: u64,
 }
 
 impl Default for LearnConfig {
@@ -259,7 +260,6 @@ impl Default for LearnConfig {
             challenger_checkpoint: "challenger.ckpt".to_string(),
             min_reports: 50,
             min_cohort: 20,
-            interval_ms: 1000,
         }
     }
 }
@@ -494,8 +494,9 @@ impl Hub {
     /// reports accumulated, deploy the challenger at canary weight, run
     /// the A/B verdict, and check the post-promotion guard. Returns the
     /// events that fired (empty when learning is off or nothing was
-    /// ready). [`spawn_learner`] calls this on an interval; tests call
-    /// it directly.
+    /// ready). `nvc hub --learn` runs it as a
+    /// [`HubHandle::every`](crate::HubHandle::every) job; tests call it
+    /// directly.
     pub fn learn_step(&self) -> Vec<LearnEvent> {
         let Some(ls) = self.learning() else {
             return Vec::new();
@@ -710,32 +711,6 @@ impl Hub {
             *ls.rollback.lock() = None;
         }
     }
-}
-
-/// Runs [`Hub::learn_step`] every `interval_ms` until the hub shuts
-/// down. The sleep is sliced so shutdown is prompt.
-pub fn spawn_learner(hub: Arc<Hub>) -> std::thread::JoinHandle<()> {
-    let interval = hub
-        .learning()
-        .map(|l| l.cfg.interval_ms.max(1))
-        .unwrap_or(1000);
-    std::thread::Builder::new()
-        .name("nvc-hub-learner".to_string())
-        .spawn(move || {
-            while !hub.is_shutting_down() {
-                let mut slept = 0u64;
-                while slept < interval && !hub.is_shutting_down() {
-                    let slice = (interval - slept).min(25);
-                    std::thread::sleep(std::time::Duration::from_millis(slice));
-                    slept += slice;
-                }
-                if hub.is_shutting_down() {
-                    break;
-                }
-                hub.learn_step();
-            }
-        })
-        .expect("spawn nvc-hub-learner")
 }
 
 #[cfg(test)]
@@ -1211,32 +1186,6 @@ mod tests {
         assert_eq!(hub.learning().unwrap().rollbacks.get(), 1);
         let log = std::fs::read_to_string(dir.join("promotions.jsonl")).unwrap();
         assert!(log.contains("\"event\":\"rollback\""));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn learner_thread_runs_steps_and_stops_on_shutdown() {
-        let dir = tmp_dir("thread");
-        let cfg = LearnConfig {
-            min_reports: 5,
-            interval_ms: 10,
-            ..LearnConfig::default()
-        };
-        let hub = Arc::new(learning_hub(&dir, cfg, 7));
-        let mut noise = Noise(21);
-        feed(&hub, "prod", 0, 10, 0.4, &mut noise);
-        let handle = spawn_learner(Arc::clone(&hub));
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while hub.learning().unwrap().trains.get() == 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "learner never trained"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        hub.shutdown();
-        handle.join().unwrap();
-        assert!(hub.registry().get("challenger").is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -59,7 +59,7 @@
 //! [`nvc_fleet::ContentStore`] keyed by `(checkpoint_hash, sample_key)`,
 //! so they are valid on any node serving that checkpoint. A hub becomes
 //! a fleet node through two optional attachments: a **registry
-//! announcer** ([`announce::spawn_announcer`]) heartbeating `(model,
+//! heartbeat** ([`HubHandle::announce`]) sending `(model,
 //! checkpoint_hash, addr)` to an `nvc registry`, and **warm-join
 //! gossip** ([`Hub::warm_from_peers`]) that pulls a peer's store image —
 //! the [`persist`] text of its cache file — over the `cache_export` verb
@@ -82,7 +82,7 @@ pub mod server;
 pub(crate) mod stdio;
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Once, PoisonError};
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
@@ -91,8 +91,8 @@ use nvc_obs::json::{fail, obj, with_id, Json, ObjectWriter};
 use nvc_obs::{Counter, Gauge};
 use nvc_serve::{ContentStore, DecisionModel, ServeConfig, VectorizeOutput};
 
-pub use announce::{spawn_announcer, AnnounceConfig, Announcer};
-pub use learn::{spawn_learner, ChallengerTrainer, LearnConfig, LearnEvent, ReportRecord};
+pub use announce::AnnounceConfig;
+pub use learn::{ChallengerTrainer, LearnConfig, LearnEvent, ReportRecord};
 pub(crate) use persist::CacheSection;
 pub use registry::{ModelEntry, ModelRegistry, ModelSpec};
 pub use server::{serve_registry, HubHandle};
@@ -314,10 +314,15 @@ pub struct Hub {
     /// pre-swap persist, and shutdown's final persist all target the
     /// same temp path.
     persist_lock: parking_lot::Mutex<()>,
-    /// Set once shutdown begins; the TCP layer polls it.
+    /// Set once shutdown begins, only by [`Hub::flag_shutdown`]: one
+    /// load for the selector and every other reader.
     shutting_down: AtomicBool,
-    /// Guards the persist-and-drain sequence (runs exactly once).
-    drained: AtomicBool,
+    /// What [`Hub::wait_for_shutdown`] sleeps on and
+    /// [`Hub::flag_shutdown`] wakes.
+    shutdown_signal: (std::sync::Mutex<()>, Condvar),
+    /// The persist-and-drain sequence: it runs once, and a caller that
+    /// comes while it runs waits for it to finish.
+    drained: Once,
 }
 
 impl Hub {
@@ -345,7 +350,8 @@ impl Hub {
             learn: None,
             persist_lock: parking_lot::Mutex::new(()),
             shutting_down: AtomicBool::new(false),
-            drained: AtomicBool::new(false),
+            shutdown_signal: Default::default(),
+            drained: Once::new(),
         }
     }
 
@@ -371,8 +377,7 @@ impl Hub {
 
     /// Enables online learning: opens the corpus journal (append mode —
     /// existing reports replay into memory), the promotion log, and the
-    /// `report` verb, and arms [`Hub::learn_step`] /
-    /// [`learn::spawn_learner`].
+    /// `report` verb, and arms [`Hub::learn_step`].
     ///
     /// # Errors
     ///
@@ -414,9 +419,32 @@ impl Hub {
         self.registry.register(spec)
     }
 
-    /// True once shutdown has begun (the TCP layer polls this).
+    /// True once shutdown has begun.
     pub fn is_shutting_down(&self) -> bool {
         self.shutting_down.load(Ordering::Acquire)
+    }
+
+    /// The one way shutdown is flagged — by the `shutdown` verb,
+    /// [`Hub::shutdown`] and [`Hub::abort`] — waking every
+    /// [`Hub::wait_for_shutdown`].
+    fn flag_shutdown(&self) {
+        let (lock, signal) = &self.shutdown_signal;
+        // Stored under the waiters' lock, so a waiter between its check
+        // of the flag and its sleep cannot miss the wake.
+        let _waiters = lock.lock().unwrap_or_else(PoisonError::into_inner);
+        self.shutting_down.store(true, Ordering::Release);
+        signal.notify_all();
+    }
+
+    /// Sleeps until shutdown is flagged or `timeout` passes; true when
+    /// shutdown has been flagged.
+    pub(crate) fn wait_for_shutdown(&self, timeout: Duration) -> bool {
+        let (lock, signal) = &self.shutdown_signal;
+        let idle = lock.lock().unwrap_or_else(PoisonError::into_inner);
+        let _ = signal
+            .wait_timeout_while(idle, timeout, |_| !self.is_shutting_down())
+            .unwrap_or_else(PoisonError::into_inner);
+        self.is_shutting_down()
     }
 
     /// Restores the decision store from the configured `cache_path`
@@ -520,20 +548,20 @@ impl Hub {
         std::fs::rename(&tmp, path).map_err(|e| HubError::Io(format!("rename {tmp}: {e}")))
     }
 
-    /// Initiates shutdown: marks the hub as draining, drains every
-    /// model's worker pool (in-flight batches complete), then persists
-    /// the cache. Idempotent; safe from any thread — including the
-    /// server's selector thread after a `shutdown` verb.
+    /// Shuts down: flags shutdown, drains every model's worker pool
+    /// (in-flight batches complete), then persists the cache. Idempotent;
+    /// safe from any thread — including the server's selector thread
+    /// after a `shutdown` verb — and returns only once the drain and the
+    /// persist are done, whichever thread ran them.
     pub fn shutdown(&self) {
-        self.shutting_down.store(true, Ordering::Release);
-        if self.drained.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        self.registry.shutdown_all();
-        if let Err(e) = self.persist_cache() {
-            eprintln!("nvc hub: cache persistence failed: {e}");
-        }
-        nvc_obs::flush_trace();
+        self.flag_shutdown();
+        self.drained.call_once(|| {
+            self.registry.shutdown_all();
+            if let Err(e) = self.persist_cache() {
+                eprintln!("nvc hub: cache persistence failed: {e}");
+            }
+            nvc_obs::flush_trace();
+        });
     }
 
     /// Crash simulation for resilience tests: flags shutdown so every
@@ -541,8 +569,8 @@ impl Hub {
     /// periodic checkpointer last wrote is all that survives, exactly
     /// like a process kill. Worker pools still drain on drop.
     pub(crate) fn abort(&self) {
-        self.shutting_down.store(true, Ordering::Release);
-        self.drained.store(true, Ordering::Release);
+        self.flag_shutdown();
+        self.drained.call_once(|| {});
     }
 
     /// Routing key for a request: the explicit `"route"` field when
@@ -809,7 +837,7 @@ impl Hub {
                 // ack first and then runs the full drain
                 // (`Hub::shutdown`), so the requesting client gets its
                 // response before models drain and the cache persists.
-                self.shutting_down.store(true, Ordering::Release);
+                self.flag_shutdown();
                 (
                     with_id(
                         id,

@@ -284,11 +284,12 @@ pub(crate) struct LineServer {
 
 impl LineServer {
     /// Wakes the loop (so an externally-initiated shutdown is noticed
-    /// immediately) and joins every thread. Idempotent.
+    /// immediately) and joins every thread. Idempotent; a second caller
+    /// returns once the first one's joins are done.
     pub(crate) fn join(&self) {
         let _ = self.inbox.waker.wake();
-        let threads = std::mem::take(&mut *self.threads.lock().unwrap_or_else(|e| e.into_inner()));
-        for t in threads {
+        let mut threads = self.threads.lock().unwrap_or_else(|e| e.into_inner());
+        for t in threads.drain(..) {
             let _ = t.join();
         }
     }

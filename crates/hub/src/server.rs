@@ -8,8 +8,9 @@
 //! cache-hit `vectorize`, with misses completed by the batch workers and
 //! a small worker pool for the verbs that block. Idle connections cost
 //! zero CPU, lines are bounded, slow readers are back-pressured. What
-//! this module adds per service is the handle — and, for the hub, the
-//! periodic cache checkpointer.
+//! this module adds per service is the handle — and, for the hub, its
+//! periodic jobs ([`HubHandle::every`]): the cache checkpointer, the
+//! registry heartbeat, the learner.
 //!
 //! A `shutdown` verb from *any* client quiesces the whole service: the
 //! acceptor stops, the ack is flushed, in-flight requests finish, idle
@@ -114,47 +115,8 @@ pub struct HubHandle {
     hub: Arc<Hub>,
     addr: SocketAddr,
     server: LineServer,
-    /// The periodic cache checkpointer (crash-loss bound), when
-    /// `cache_checkpoint_secs` and a cache path are both configured.
-    checkpointer: Mutex<Option<JoinHandle<()>>>,
-}
-
-/// Spawns the background cache checkpointer when configured: every
-/// `cache_checkpoint_secs` the full cache image is rewritten through
-/// the same temp-file + rename path the shutdown persist uses, so a
-/// crash (or [`HubHandle::abort`]) loses at most one interval of
-/// decisions.
-fn spawn_checkpointer(hub: &Arc<Hub>) -> Option<JoinHandle<()>> {
-    let interval_secs = hub.config().cache_checkpoint_secs;
-    if interval_secs == 0 || hub.config().cache_path.is_none() {
-        return None;
-    }
-    let hub = Arc::clone(hub);
-    let interval = Duration::from_secs(interval_secs);
-    Some(
-        std::thread::Builder::new()
-            .name("nvc-hub-checkpoint".to_string())
-            .spawn(move || loop {
-                // Sleep in short steps so shutdown is noticed promptly.
-                let mut remaining = interval;
-                while !remaining.is_zero() {
-                    if hub.is_shutting_down() {
-                        return;
-                    }
-                    let step = remaining.min(Duration::from_millis(100));
-                    std::thread::sleep(step);
-                    remaining = remaining.saturating_sub(step);
-                }
-                if hub.is_shutting_down() {
-                    return;
-                }
-                match hub.persist_cache() {
-                    Ok(()) => hub.cache_checkpoints.inc(),
-                    Err(e) => eprintln!("nvc hub: cache checkpoint failed (will retry): {e}"),
-                }
-            })
-            .expect("spawn hub checkpoint thread"),
-    )
+    /// The threads of [`HubHandle::every`]'s jobs.
+    jobs: Mutex<Vec<JoinHandle<()>>>,
 }
 
 /// Binds `hub.config().listen` and starts serving.
@@ -183,13 +145,23 @@ pub(crate) fn serve_on(hub: Arc<Hub>, listener: TcpListener) -> std::io::Result<
         hub.config().request_threads.max(1),
         MAX_OUTPUT_BUFFER,
     )?;
-    let checkpointer = Mutex::new(spawn_checkpointer(&hub));
-    Ok(HubHandle {
+    let handle = HubHandle {
         hub,
         addr,
         server,
-        checkpointer,
-    })
+        jobs: Mutex::new(Vec::new()),
+    };
+    // The crash-loss bound: the cache image is rewritten through the
+    // temp-file + rename path the shutdown persist uses, so a crash (or
+    // `HubHandle::abort`) loses at most one interval of decisions.
+    let secs = handle.hub.config().cache_checkpoint_secs;
+    if secs > 0 && handle.hub.config().cache_path.is_some() {
+        handle.every(Duration::from_secs(secs), |hub| match hub.persist_cache() {
+            Ok(()) => hub.cache_checkpoints.inc(),
+            Err(e) => eprintln!("nvc hub: cache checkpoint failed (will retry): {e}"),
+        });
+    }
+    Ok(handle)
 }
 
 impl HubHandle {
@@ -203,11 +175,40 @@ impl HubHandle {
         &self.hub
     }
 
+    /// Runs `job` on a thread of its own every `period`, the first time
+    /// one period from now, until the hub shuts down or aborts: flagging
+    /// either wakes the wait at once, and no job runs after it.
+    /// [`HubHandle::shutdown`] and [`HubHandle::abort`] join the thread.
+    pub fn every(&self, period: Duration, job: impl FnMut(&Hub) + Send + 'static) {
+        self.every_after(period, period, job);
+    }
+
+    /// [`HubHandle::every`], with the first run `first` from now.
+    pub(crate) fn every_after(
+        &self,
+        first: Duration,
+        period: Duration,
+        mut job: impl FnMut(&Hub) + Send + 'static,
+    ) {
+        let hub = Arc::clone(&self.hub);
+        let thread = std::thread::Builder::new()
+            .name("nvc-hub-every".to_string())
+            .spawn(move || {
+                let mut wait = first;
+                while !hub.wait_for_shutdown(wait) {
+                    job(&hub);
+                    wait = period;
+                }
+            })
+            .expect("spawn a hub job thread");
+        self.jobs.lock().push(thread);
+    }
+
     /// Shuts the whole tier down: hub drain + cache persist, then joins
-    /// every server thread. Idempotent.
+    /// every thread. Idempotent.
     pub fn shutdown(&self) {
         self.hub.shutdown();
-        self.join_threads();
+        self.wait();
     }
 
     /// Crash simulation (`Hub::abort` plus thread teardown): every
@@ -216,14 +217,18 @@ impl HubHandle {
     /// process kill. Resilience tests use this to measure crash loss.
     pub fn abort(&self) {
         self.hub.abort();
-        self.join_threads();
+        self.wait();
     }
 
-    fn join_threads(&self) {
-        if let Some(ckpt) = self.checkpointer.lock().take() {
-            let _ = ckpt.join();
-        }
+    /// Blocks until the server has stopped — after a `shutdown` verb, or
+    /// a shutdown begun on another thread — and every thread has exited.
+    /// A second caller returns once the first one's joins are done.
+    pub fn wait(&self) {
         self.server.join();
+        let mut jobs = self.jobs.lock();
+        for job in jobs.drain(..) {
+            let _ = job.join();
+        }
     }
 }
 
@@ -295,6 +300,12 @@ impl RegistryHandle {
     /// Idempotent.
     pub fn shutdown(&self) {
         self.service.shutdown();
+        self.wait();
+    }
+
+    /// Blocks until the server has stopped — after a `shutdown` verb, or
+    /// a shutdown begun on another thread.
+    pub fn wait(&self) {
         self.server.join();
     }
 }
@@ -917,6 +928,68 @@ mod tests {
         assert!(
             !sections[0].entries.is_empty(),
             "pre-crash decisions survive in the periodic snapshot"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One wait serves every background job: shutdown wakes an hour-long
+    /// checkpoint period and an hour-long heartbeat at once, and once an
+    /// abort is flagged no job runs again.
+    #[test]
+    fn shutdown_wakes_every_job_and_abort_runs_none() {
+        let dir = std::env::temp_dir().join(format!("nvc-hub-every-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.nvc").to_string_lossy().to_string();
+        let registry = start_registry();
+        let resolver = nvc_fleet::RegistryClient::new(registry.addr().to_string());
+        let start = |node: &str| {
+            let cfg = HubConfig::default()
+                .with_listen("127.0.0.1:0")
+                .with_cache_path(path.clone())
+                .with_cache_checkpoint_secs(3600);
+            let hub = Hub::new(cfg, ServeConfig::default().with_workers(1));
+            hub.register(stub_spec("m", 1, 0)).unwrap();
+            let handle = serve_tcp(Arc::new(hub)).unwrap();
+            let ad = crate::AnnounceConfig::new(registry.addr().to_string(), node, "127.0.0.1:1");
+            handle.announce(ad.with_ttl_ms(3_600_000));
+            // Once the first beat lands, the heartbeat waits out its hour.
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while !resolver
+                .resolve(None)
+                .unwrap_or_default()
+                .iter()
+                .any(|n| n.node == node)
+            {
+                assert!(std::time::Instant::now() < deadline, "no first beat");
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            handle
+        };
+
+        let handle = start("n1");
+        let begun = std::time::Instant::now();
+        handle.shutdown();
+        assert!(
+            begun.elapsed() < Duration::from_secs(1),
+            "shutdown took {:?}",
+            begun.elapsed()
+        );
+        assert!(std::path::Path::new(&path).exists(), "shutdown persists");
+
+        let handle = start("n2");
+        std::fs::write(&path, "before the abort").unwrap();
+        let begun = std::time::Instant::now();
+        handle.abort();
+        assert!(
+            begun.elapsed() < Duration::from_secs(1),
+            "abort took {:?}",
+            begun.elapsed()
+        );
+        drop(handle);
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "before the abort",
+            "nothing rewrites the cache file after an abort"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -14,8 +14,8 @@ use neurovectorizer::{
 };
 use nvc_datasets::generator;
 use nvc_fleet::RegistryService;
+use nvc_hub::serve_registry;
 use nvc_hub::server::{serve_tcp, HubHandle};
-use nvc_hub::{serve_registry, spawn_announcer, Announcer};
 use nvc_nn::KernelMode;
 
 /// The config of every model here: `nvc serve` and `nvc hub` run the
@@ -59,18 +59,13 @@ fn sources(n: usize) -> Vec<String> {
         .collect()
 }
 
-struct FleetNode {
-    handle: HubHandle,
-    announcer: Announcer,
-}
-
 fn start_node(
     name: &str,
     ckpt: &str,
     registry_addr: &str,
     cache_path: Option<String>,
     checkpoint_secs: u64,
-) -> FleetNode {
+) -> HubHandle {
     let nv = restored(ckpt);
     let hash = nv.checkpoint_hash();
     let mut hub_cfg = HubConfig::default()
@@ -89,11 +84,10 @@ fn start_node(
     .unwrap();
     hub.restore_cache().unwrap();
     let handle = serve_tcp(Arc::new(hub)).expect("bind loopback");
-    let announcer = spawn_announcer(
-        Arc::clone(handle.hub()),
+    handle.announce(
         AnnounceConfig::new(registry_addr, name, handle.addr().to_string()).with_ttl_ms(600),
     );
-    FleetNode { handle, announcer }
+    handle
 }
 
 fn wait_for_nodes(client: &FleetClient, want: usize) {
@@ -127,8 +121,9 @@ fn kill_and_restart_under_concurrent_fire() {
     let victim_cache = tmp_path("victim");
     let _ = std::fs::remove_file(&victim_cache);
     let victim = start_node("victim", &ckpt, &reg_addr, Some(victim_cache.clone()), 1);
-    let survivor_a = start_node("sa", &ckpt, &reg_addr, None, 0);
-    let survivor_b = start_node("sb", &ckpt, &reg_addr, None, 0);
+    // The survivors serve until they drop at the end of the test.
+    let _survivor_a = start_node("sa", &ckpt, &reg_addr, None, 0);
+    let _survivor_b = start_node("sb", &ckpt, &reg_addr, None, 0);
 
     let client = Arc::new(FleetClient::new(
         FleetConfig::new(&reg_addr)
@@ -183,8 +178,7 @@ fn kill_and_restart_under_concurrent_fire() {
         })
         .collect();
     std::thread::sleep(Duration::from_millis(300));
-    victim.handle.abort(); // crash: no final persist
-    victim.announcer.stop();
+    victim.abort(); // crash: no final persist
     std::thread::sleep(Duration::from_millis(700)); // fire through TTL expiry
     stop.store(true, std::sync::atomic::Ordering::Release);
     let total: usize = fire.into_iter().map(|t| t.join().unwrap()).sum();
@@ -205,15 +199,12 @@ fn kill_and_restart_under_concurrent_fire() {
     // Bounded loss: the periodic checkpoint survived the crash and a
     // restart serves pre-crash decisions as hits.
     let reborn = start_node("victim2", &ckpt, &reg_addr, Some(victim_cache.clone()), 0);
-    let m = reborn.handle.hub().registry().get("prod").unwrap();
+    let m = reborn.hub().registry().get("prod").unwrap();
     assert!(
         m.handle.metrics().entries_restored.get() > 0,
         "restart must restore the periodic checkpoint"
     );
 
-    reborn.announcer.stop();
-    survivor_a.announcer.stop();
-    survivor_b.announcer.stop();
     registry.shutdown();
     let _ = std::fs::remove_file(&victim_cache);
 }
@@ -239,11 +230,10 @@ fn gossip_transfer_is_bitwise_equal() {
     // Join a fresh node and gossip-transfer the warm cache into it.
     let joiner = start_node("joiner", &ckpt, &reg_addr, None, 0);
     let n = joiner
-        .handle
         .hub()
-        .warm_from_peers(&[warm.handle.addr().to_string()])
+        .warm_from_peers(&[warm.addr().to_string()])
         .expect("warm join");
-    let warm_prod = warm.handle.hub().registry().get("prod").unwrap();
+    let warm_prod = warm.hub().registry().get("prod").unwrap();
     let decided = warm_prod.handle.cache_stats().insertions;
     assert!(decided >= srcs.len() as u64);
     assert_eq!(
@@ -252,8 +242,7 @@ fn gossip_transfer_is_bitwise_equal() {
     );
 
     // Kill the warm node so only the joiner can answer.
-    warm.handle.shutdown();
-    warm.announcer.stop();
+    warm.shutdown();
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         client.invalidate_resolution();
@@ -265,7 +254,7 @@ fn gossip_transfer_is_bitwise_equal() {
         std::thread::sleep(Duration::from_millis(50));
     }
 
-    let m = joiner.handle.hub().registry().get("prod").unwrap();
+    let m = joiner.hub().registry().get("prod").unwrap();
     let batches_before = m.handle.metrics().batches.get();
     for (s, expected) in srcs.iter().zip(&warm_answers) {
         let resp = client.vectorize(s).expect("joiner must answer");
@@ -281,7 +270,6 @@ fn gossip_transfer_is_bitwise_equal() {
         "every transferred decision must serve from cache, not the model"
     );
 
-    joiner.announcer.stop();
     registry.shutdown();
 }
 
@@ -303,8 +291,7 @@ fn registry_outage_serves_from_stale_node_set() {
     let srcs = sources(4);
     client.vectorize(&srcs[0]).expect("pre-outage request");
 
-    node.announcer.stop(); // stop heartbeats before killing the registry
-    registry.shutdown();
+    registry.shutdown(); // the node's heartbeats now fail, which only logs
     std::thread::sleep(Duration::from_millis(120)); // let the resolution go stale
 
     for s in &srcs {
@@ -317,7 +304,7 @@ fn registry_outage_serves_from_stale_node_set() {
         "the outage must be visible in stats: {:?}",
         client.stats()
     );
-    node.handle.shutdown();
+    node.shutdown();
 }
 
 /// Hot-swap reload: the node's announcement picks up the new checkpoint
@@ -353,10 +340,8 @@ fn reload_propagates_version_without_mismatched_decisions() {
     })
     .unwrap();
     let handle = serve_tcp(Arc::new(hub)).unwrap();
-    let announcer = spawn_announcer(
-        Arc::clone(handle.hub()),
-        AnnounceConfig::new(&reg_addr, "n1", handle.addr().to_string()).with_ttl_ms(400),
-    );
+    handle
+        .announce(AnnounceConfig::new(&reg_addr, "n1", handle.addr().to_string()).with_ttl_ms(400));
 
     let client = FleetClient::new(
         FleetConfig::new(&reg_addr)
@@ -392,7 +377,6 @@ fn reload_propagates_version_without_mismatched_decisions() {
         std::thread::sleep(Duration::from_millis(50));
     }
 
-    announcer.stop();
     registry.shutdown();
     let _ = std::fs::remove_file(&ckpt_b_path);
 }

@@ -5,34 +5,14 @@
 //! nest's text again — which sampling did before, and which it may do now
 //! only for a nest that uses a macro defined outside it.
 //!
-//! Its own integration-test binary, so the counting allocator sees this
-//! test's allocations and no other's.
+//! Its own integration-test binary, so the counting allocator
+//! (`support`) sees this test's allocations and no other's.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod support;
 
 use nvc_embed::{extract_loop_samples, EmbedConfig};
 use nvc_frontend::{extract_loops, parse_statement, parse_translation_unit};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// `realloc` and `alloc_zeroed` keep their default bodies, which come
-// through `alloc` and are counted there.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+use support::allocations;
 
 /// The paper's §3.2 example #4: a triply nested matmul.
 const MATMUL: &str = "float A[128][128]; float B[128][128]; float C[128][128];
@@ -49,12 +29,6 @@ void example(int M, int L, int N, float alpha) {
     }
 }";
 
-fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let out = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
-}
-
 #[test]
 fn sampling_a_file_parses_its_nest_once() {
     let tu = parse_translation_unit(MATMUL).expect("MATMUL parses");
@@ -63,10 +37,10 @@ fn sampling_a_file_parses_its_nest_once() {
         .find(|l| l.is_innermost)
         .expect("one innermost loop")
         .nest_text;
-    let (parse_file, _) = allocations(|| parse_translation_unit(MATMUL));
-    let (parse_nest, _) = allocations(|| parse_statement(&nest_text));
+    let (parse_file, _, _) = allocations(|| parse_translation_unit(MATMUL));
+    let (parse_nest, _, _) = allocations(|| parse_statement(&nest_text));
     for cfg in [EmbedConfig::fast(), EmbedConfig::paper()] {
-        let (sampled, sites) = allocations(|| extract_loop_samples(MATMUL, &cfg));
+        let (sampled, _, sites) = allocations(|| extract_loop_samples(MATMUL, &cfg));
         assert_eq!(sites.expect("MATMUL parses").len(), 1);
         assert!(
             sampled < parse_file + parse_nest,

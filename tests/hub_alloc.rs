@@ -8,45 +8,20 @@
 //! into one buffer and splices in one pass, so it allocates a handful of
 //! times per hit, not once per JSON member, key or source line.
 //!
-//! Its own integration-test binary, so the counting allocator sees this
-//! test's allocations and no other's.
+//! Its own integration-test binary, so the counting allocator
+//! (`support`) sees this test's allocations and no other's.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod support;
+
 use std::sync::Arc;
 
 use neurovectorizer::{Hub, HubConfig, ModelSpec, NeuroVectorizer, NvConfig, ServeConfig};
 use nvc_embed::extract_loop_samples;
 use nvc_obs::json::Json;
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// `realloc` and `alloc_zeroed` keep their default bodies, which come
-// through `alloc` and are counted there.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+use support::allocations;
 
 /// The envelope's budget per warm hit, on average over the pool.
 const ENVELOPE_PER_HIT: f64 = 12.0;
-
-fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let out = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
-}
 
 #[test]
 fn a_warm_hit_allocates_a_handful_of_times_around_its_decision() {
@@ -89,14 +64,14 @@ fn a_warm_hit_allocates_a_handful_of_times_around_its_decision() {
 
     let mut envelope = 0;
     for (line, source) in lines.iter().zip(&sources) {
-        let (whole, (reply, _)) = allocations(|| hub.handle_line(line));
+        let (whole, _, (reply, _)) = allocations(|| hub.handle_line(line));
         assert!(
             reply.contains(r#""cached":true"#) && !reply.contains(r#""cached":false"#),
             "not a warm hit: {reply}"
         );
-        let (sampling, _) = allocations(|| extract_loop_samples(source, &cfg.embed));
-        let (parsing, _) = allocations(|| Json::parse(line));
-        let (channel, _) = allocations(|| std::sync::mpsc::sync_channel::<(String, bool)>(1));
+        let (sampling, _, _) = allocations(|| extract_loop_samples(source, &cfg.embed));
+        let (parsing, _, _) = allocations(|| Json::parse(line));
+        let (channel, _, _) = allocations(|| std::sync::mpsc::sync_channel::<(String, bool)>(1));
         envelope += whole - sampling - parsing - channel;
     }
     let per_hit = envelope as f64 / lines.len() as f64;

@@ -6,35 +6,15 @@
 //! pointer-equality test) and draws its own tensors from the trainer's
 //! arena, so a flush that starts allocating per call shows up here.
 //!
-//! Its own integration-test binary, so the counting allocator sees this
-//! test's allocations and no other's. It runs one pass per kernel mode.
+//! Its own integration-test binary, so the counting allocator
+//! (`support`) sees this test's allocations and no other's. It runs one pass per kernel mode.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod support;
 
 use neurovectorizer::{NeuroVectorizer, NvConfig};
 use nvc_embed::extract_loop_samples;
 use nvc_nn::{kernels, KernelMode};
-
-struct CountingAlloc;
-
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
-
-// `realloc` and `alloc_zeroed` keep their default bodies, which come
-// through `alloc` and are counted there at their full new size.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+use support::allocations;
 
 const SOURCE: &str = "int a[4096]; int b[8192]; int c[4096]; int d[4100];\n\
     void kernel(int n, int s) {\n    \
@@ -52,9 +32,7 @@ fn deciding_one_paper_size_loop_allocates_under_16_kib() {
         // projected rows this sample touches.
         let warm = nv.trainer().predict_batch(&[sample]);
 
-        let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
-        let decided = nv.trainer().predict_batch(&[sample]);
-        let allocated = ALLOCATED_BYTES.load(Ordering::Relaxed) - before;
+        let (_, allocated, decided) = allocations(|| nv.trainer().predict_batch(&[sample]));
         assert_eq!(decided, warm);
         assert!(
             allocated < 16 * 1024,

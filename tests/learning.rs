@@ -77,7 +77,6 @@ fn start_learning_hub(tag: &str, seed: u64) -> (NvConfig, HubHandle, String) {
         challenger_checkpoint: challenger_ckpt.to_string_lossy().into_owned(),
         min_reports: 20,
         min_cohort: 6,
-        interval_ms: 10,
     };
     let ckpt_path = champion_ckpt.to_string_lossy().into_owned();
     let hub = Hub::new(

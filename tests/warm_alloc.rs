@@ -8,37 +8,18 @@
 //! and less than one copy of the payload. A replay that copied a sample
 //! to queue it or to retain it would allocate at least that much.
 //!
-//! Its own integration-test binary, so the counting allocator sees this
-//! test's allocations and no other's.
+//! Its own integration-test binary, so the counting allocator
+//! (`support`) sees this test's allocations and no other's.
 
-use std::alloc::{GlobalAlloc, Layout, System};
+mod support;
+
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use nvc_embed::{EmbedConfig, PathSample};
 use nvc_machine::TargetConfig;
 use nvc_serve::{sample_key, DecisionModel, ServeConfig, ServeHandle};
-
-struct CountingAlloc;
-
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
-
-// `realloc` and `alloc_zeroed` keep their default bodies, which come
-// through `alloc` and are counted there at their full new size.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+use support::allocations;
 
 /// Samples decided, below the warm set's 4 096 so every one is kept.
 const N: u32 = 1000;
@@ -115,9 +96,7 @@ fn a_warm_replay_shares_the_samples_it_replays() {
 
     let second = ServeHandle::start(Stub::new(false), ServeConfig::default());
     let payload: usize = warm.iter().map(|s| 3 * 4 * s.len()).sum();
-    let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
-    let replayed = second.warm_replay(&warm);
-    let allocated = ALLOCATED_BYTES.load(Ordering::Relaxed) - before;
+    let (_, allocated, replayed) = allocations(|| second.warm_replay(&warm));
     assert_eq!(replayed, N as usize);
     println!("replaying {N} samples allocated {allocated} B against {payload} B of index payload");
     assert!(
