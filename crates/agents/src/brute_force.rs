@@ -23,7 +23,7 @@ pub fn brute_force_best(
     for v in 0..dims.n_vf {
         for i in 0..dims.n_if {
             let r = eval((v, i));
-            if best.map_or(true, |(_, br)| r > br) {
+            if best.is_none_or(|(_, br)| r > br) {
                 best = Some(((v, i), r));
             }
         }

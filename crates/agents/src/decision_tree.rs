@@ -172,6 +172,8 @@ fn best_split(features: &[Vec<f32>], labels: &[usize], idx: &[usize]) -> Option<
     let width = features[idx[0]].len();
     let all_counts = label_counts(labels, idx);
     let mut best: Option<(f64, usize, f32)> = None;
+    // `f` is a column of every row, not a position in one slice.
+    #[allow(clippy::needless_range_loop)]
     for f in 0..width {
         // Sort samples along this feature.
         let mut order: Vec<usize> = idx.to_vec();
@@ -194,7 +196,7 @@ fn best_split(features: &[Vec<f32>], labels: &[usize], idx: &[usize]) -> Option<
             let nr = order.len() - nl;
             let score = gini(&left_counts, nl) * nl as f64 / order.len() as f64
                 + gini(&right_counts, nr) * nr as f64 / order.len() as f64;
-            if best.map_or(true, |(s, _, _)| score < s) {
+            if best.is_none_or(|(s, _, _)| score < s) {
                 best = Some((score, f, (xa + xb) / 2.0));
             }
         }

@@ -104,14 +104,11 @@ fn visit_loops<'tu>(
     match &stmt.kind {
         StmtKind::For { body, pragma, .. } | StmtKind::While { body, pragma, .. } => {
             let root = nest_root.unwrap_or(stmt);
-            // `walk` visits `body` itself first, so a body that *is* a loop
-            // counts as an inner loop too.
-            let mut has_inner = false;
-            body.walk(&mut |s| has_inner |= s.is_loop());
+            // A body that *is* a loop counts as an inner loop too.
             visit(LoopRef {
                 function,
                 depth,
-                is_innermost: !has_inner,
+                is_innermost: !body.contains_loop(),
                 span: stmt.span,
                 nest: root,
                 pragma: *pragma,

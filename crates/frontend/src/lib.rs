@@ -12,7 +12,14 @@
 //!   declarations with attributes, functions, `for`/`while`/`if`, ternaries,
 //!   casts, compound assignment, multi-dimensional array indexing, simple
 //!   `#define` object macros, and `#pragma clang loop` hints).
-//! * [`ast`] — the abstract syntax tree with source spans.
+//! * [`ast`] — the abstract syntax tree with source spans, and the AST
+//!   toolkit the compiler crates share: child iterators (`Stmt::children`,
+//!   `Stmt::exprs`, `Expr::children`, each also `_mut`), the walks
+//!   (`Stmt::walk`, `Stmt::walk_mut`, `Expr::walk_mut`), one integer
+//!   folder (`Expr::fold_int` under an identifier resolver, and
+//!   `Expr::const_int` with none), one `for`-header recognizer
+//!   (`Stmt::for_header`), `Stmt::contains_loop`, `Expr::mentions` and
+//!   span-blind equality (`Expr::same_tree`).
 //! * `extract` — find every loop nest, its innermost loops, and the source
 //!   text the embedding generator should see.
 //! * `pragma` — splice vectorization pragmas into source text without

@@ -117,7 +117,7 @@ fn write_stmt(out: &mut String, stmt: &Stmt, indent: usize) {
                 Some(s) => {
                     // Declarations/expressions already end with `;`.
                     let text = print_stmt(s, 0);
-                    out.push_str(text.trim_end_matches(|c| c == '\n'));
+                    out.push_str(text.trim_end_matches('\n'));
                 }
                 None => out.push(';'),
             }

@@ -26,7 +26,8 @@
 //!    swap back if it regresses.
 //!
 //! Every lifecycle event lands in a promotion log (append-mode journal)
-//! for audit.
+//! for audit; `promoted` and `rollback` lines name the checkpoint file
+//! the champion serves from then on.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -637,20 +638,21 @@ impl Hub {
         match self.reload(&ls.cfg.champion, &promoted_path, None) {
             Ok(new_hash) => {
                 ls.promotions.inc();
+                ls.log_event(
+                    "promoted",
+                    vec![
+                        ("model", Json::from(ls.cfg.champion.as_str())),
+                        hex("checkpoint_hash", new_hash),
+                        ("checkpoint", Json::from(promoted_path.as_str())),
+                        ("z", Json::from(z)),
+                    ],
+                );
                 *ls.champion_path.lock() = promoted_path;
                 *ls.rollback.lock() = Some(RollbackGuard {
                     prev_path,
                     prev_cohort: pre_promotion_cohort,
                     promoted_hash: new_hash,
                 });
-                ls.log_event(
-                    "promoted",
-                    vec![
-                        ("model", Json::from(ls.cfg.champion.as_str())),
-                        hex("checkpoint_hash", new_hash),
-                        ("z", Json::from(z)),
-                    ],
-                );
                 events.push(LearnEvent::Promoted {
                     z,
                     checkpoint_hash: new_hash,
@@ -699,6 +701,7 @@ impl Hub {
                         "rollback",
                         vec![
                             ("model", Json::from(ls.cfg.champion.as_str())),
+                            ("checkpoint", Json::from(guard.prev_path.as_str())),
                             ("z", Json::from(z)),
                         ],
                     );
@@ -789,6 +792,19 @@ mod tests {
             .unwrap();
         hub.register(stub_spec("prod", 3, 0)).unwrap();
         hub
+    }
+
+    /// The `checkpoint` path of the promotion log's one `event` line.
+    fn logged_checkpoint(log: &str, event: &str) -> String {
+        let lines: Vec<Json> = log
+            .lines()
+            .map(|l| Json::parse(l).unwrap())
+            .filter(|j| j.get("event").and_then(Json::as_str) == Some(event))
+            .collect();
+        assert_eq!(lines.len(), 1, "one {event} line in:\n{log}");
+        let path = lines[0].get("checkpoint").and_then(Json::as_str);
+        path.unwrap_or_else(|| panic!("{event} names no checkpoint"))
+            .to_string()
     }
 
     fn feed(hub: &Hub, model: &str, hash: u64, n: usize, mean: f64, noise: &mut Noise) {
@@ -1102,11 +1118,17 @@ mod tests {
         assert_eq!(hub.registry().get("challenger").unwrap().weight, 0);
         assert_eq!(hub.learning().unwrap().promotions.get(), 1);
 
-        // The promotion log recorded the lifecycle.
+        // The promotion log recorded the lifecycle, and names the
+        // generation file the champion now serves.
         let log = std::fs::read_to_string(dir.join("promotions.jsonl")).unwrap();
         assert!(log.contains("\"event\":\"trained\""));
         assert!(log.contains("\"event\":\"canary\""));
-        assert!(log.contains("\"event\":\"promoted\""));
+        let gen1 = dir
+            .join("challenger.ckpt.gen1")
+            .to_string_lossy()
+            .to_string();
+        assert_eq!(logged_checkpoint(&log, "promoted"), gen1);
+        assert_eq!(std::fs::read_to_string(&gen1).unwrap(), "7");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1184,8 +1206,16 @@ mod tests {
             "rollback restores the previous checkpoint"
         );
         assert_eq!(hub.learning().unwrap().rollbacks.get(), 1);
+        // Both events name the file they installed.
         let log = std::fs::read_to_string(dir.join("promotions.jsonl")).unwrap();
-        assert!(log.contains("\"event\":\"rollback\""));
+        assert_eq!(
+            logged_checkpoint(&log, "promoted"),
+            dir.join("challenger.ckpt.gen1").to_string_lossy()
+        );
+        assert_eq!(
+            logged_checkpoint(&log, "rollback"),
+            dir.join("champion.ckpt").to_string_lossy()
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1707,8 +1707,10 @@ void f(int n) {
 
         // `old` has moved on to checkpoint 6 on both joiners.
         let joiner = |cache_path: Option<&str>| {
-            let mut cfg = HubConfig::default();
-            cfg.cache_path = cache_path.map(str::to_string);
+            let cfg = HubConfig {
+                cache_path: cache_path.map(str::to_string),
+                ..HubConfig::default()
+            };
             let hub = Hub::new(cfg, ServeConfig::default().with_workers(1));
             hub.register(stub_spec("m", 1, 0)).unwrap();
             hub.register(stub_spec("old", 1, 6)).unwrap();

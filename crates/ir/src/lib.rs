@@ -11,8 +11,22 @@
 //! * loop-carried dependence tests (ZIV and strong-SIV) that bound the legal
 //!   vectorization factor — `depend`;
 //! * reduction recognition (sum/product/min/max/bitwise) — part of
-//!   [`lower`];
-//! * trip-count evaluation against runtime parameter bindings — [`lower`].
+//!   `lower`;
+//! * trip-count evaluation against runtime parameter bindings — `lower`.
+//!
+//! The AST chores under these analyses come from [`nvc_frontend::ast`]:
+//! `lower` reads each `for` header with [`Stmt::for_header`], folds start,
+//! bound and step with [`Expr::fold_int`] under the [`ParamEnv`], finds
+//! innermost loops with [`Stmt::contains_loop`], and matches reductions
+//! with [`Expr::mentions`] and [`Expr::same_tree`]. What stays here is
+//! the compiler's own part: the tile-loop pattern, trip counts, and the
+//! lowering itself.
+//!
+//! [`Stmt::for_header`]: nvc_frontend::ast::Stmt::for_header
+//! [`Stmt::contains_loop`]: nvc_frontend::ast::Stmt::contains_loop
+//! [`Expr::fold_int`]: nvc_frontend::ast::Expr::fold_int
+//! [`Expr::mentions`]: nvc_frontend::ast::Expr::mentions
+//! [`Expr::same_tree`]: nvc_frontend::ast::Expr::same_tree
 //!
 //! The output of this crate feeds both the baseline cost model and the
 //! vectorizer in `nvc-vectorizer`, and the performance model in
@@ -22,7 +36,7 @@
 //!
 //! ```
 //! use nvc_frontend::parse_translation_unit;
-//! use nvc_ir::{lower::lower_innermost_loops, ParamEnv};
+//! use nvc_ir::{lower_innermost_loops, ParamEnv};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let src = "int a[1024]; int b[1024];
@@ -39,7 +53,7 @@
 pub(crate) mod access;
 pub(crate) mod depend;
 pub(crate) mod loop_ir;
-pub mod lower;
+pub(crate) mod lower;
 pub(crate) mod program;
 pub(crate) mod types;
 

@@ -372,15 +372,13 @@ impl LoopIr {
                 }
             }
             match instr {
-                Instr::Load { access, .. } | Instr::Store { access, .. } => {
-                    if *access >= self.accesses.len() {
-                        return Err(format!("instruction {idx} references invalid access"));
-                    }
+                Instr::Load { access, .. } | Instr::Store { access, .. }
+                    if *access >= self.accesses.len() =>
+                {
+                    return Err(format!("instruction {idx} references invalid access"));
                 }
-                Instr::ReduceUpdate { red, .. } => {
-                    if *red >= self.reductions.len() {
-                        return Err(format!("instruction {idx} references invalid reduction"));
-                    }
+                Instr::ReduceUpdate { red, .. } if *red >= self.reductions.len() => {
+                    return Err(format!("instruction {idx} references invalid reduction"));
                 }
                 _ => {}
             }

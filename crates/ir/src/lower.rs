@@ -70,7 +70,6 @@ pub fn lower_innermost_loops(
         let mut scopes = ScopeInfo::from_function(tu, f, env);
         walk_for_innermost(
             &f.body,
-            tu,
             f,
             source,
             env,
@@ -145,10 +144,8 @@ impl ScopeInfo {
 
 /// Recursive walk that finds innermost loops, tracking enclosing loop trip
 /// counts, induction variables and declarations.
-#[allow(clippy::too_many_arguments)]
 fn walk_for_innermost(
     stmt: &Stmt,
-    tu: &TranslationUnit,
     f: &Function,
     source: &str,
     env: &ParamEnv,
@@ -156,87 +153,51 @@ fn walk_for_innermost(
     scopes: &mut ScopeInfo,
     out: &mut Vec<LoweredLoop>,
 ) -> Result<(), IrError> {
-    match &stmt.kind {
-        StmtKind::For { body, .. } | StmtKind::While { body, .. } => {
-            let init = match &stmt.kind {
-                StmtKind::For { init, .. } => init.as_deref(),
-                _ => None,
-            };
-            let mut contains_loop = false;
-            body.walk(&mut |s| {
-                if s.is_loop() {
-                    contains_loop = true;
+    let (StmtKind::For { body, .. } | StmtKind::While { body, .. }) = &stmt.kind else {
+        for s in stmt.children() {
+            // Track declarations between loops so later loops see them.
+            if let StmtKind::Decl { ty, declarators } = &s.kind {
+                for d in declarators.iter().filter(|d| d.dims.is_empty()) {
+                    scopes
+                        .scalar_tys
+                        .insert(d.name.clone(), ScalarType::from(*ty));
                 }
-            });
-            if body.is_loop() {
-                contains_loop = true;
             }
-            if contains_loop {
-                // Not innermost: record this loop and any header decls, then
-                // descend.
-                let (iv, trip) = header_iv_and_trip(stmt, env);
-                if let Some(Stmt {
-                    kind: StmtKind::Decl { ty, declarators },
-                    ..
-                }) = init
-                {
-                    for d in declarators {
-                        scopes
-                            .scalar_tys
-                            .insert(d.name.clone(), ScalarType::from(*ty));
-                    }
-                }
-                outer.push((iv, trip));
-                walk_for_innermost(body, tu, f, source, env, outer, scopes, out)?;
-                outer.pop();
-            } else {
-                out.push(lower_innermost(stmt, f, source, env, outer, scopes)?);
-            }
-            Ok(())
+            walk_for_innermost(s, f, source, env, outer, scopes, out)?;
         }
-        StmtKind::Block(stmts) => {
-            for s in stmts {
-                // Track declarations between loops so later loops see them.
-                if let StmtKind::Decl { ty, declarators } = &s.kind {
-                    for d in declarators {
-                        if d.dims.is_empty() {
-                            scopes
-                                .scalar_tys
-                                .insert(d.name.clone(), ScalarType::from(*ty));
-                        }
-                    }
-                }
-                walk_for_innermost(s, tu, f, source, env, outer, scopes, out)?;
-            }
-            Ok(())
-        }
-        StmtKind::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            walk_for_innermost(then_branch, tu, f, source, env, outer, scopes, out)?;
-            if let Some(e) = else_branch {
-                walk_for_innermost(e, tu, f, source, env, outer, scopes, out)?;
-            }
-            Ok(())
-        }
-        _ => Ok(()),
+        return Ok(());
+    };
+    if !body.contains_loop() {
+        out.push(lower_innermost(stmt, f, source, env, outer, scopes)?);
+        return Ok(());
     }
+    // Not innermost: record this loop and any header decls, then descend.
+    let (iv, trip) = header_iv_and_trip(stmt, env);
+    if let StmtKind::For {
+        init: Some(init), ..
+    } = &stmt.kind
+    {
+        if let StmtKind::Decl { ty, declarators } = &init.kind {
+            for d in declarators {
+                scopes
+                    .scalar_tys
+                    .insert(d.name.clone(), ScalarType::from(*ty));
+            }
+        }
+    }
+    outer.push((iv, trip));
+    walk_for_innermost(body, f, source, env, outer, scopes, out)?;
+    outer.pop();
+    Ok(())
 }
 
 /// Extracts (induction variable, trip count) from a loop header for *outer*
 /// loop bookkeeping; unknown forms get the environment default.
 fn header_iv_and_trip(stmt: &Stmt, env: &ParamEnv) -> (String, u64) {
-    if let StmtKind::For {
-        init, cond, step, ..
-    } = &stmt.kind
-    {
-        if let Some(h) = analyze_header(init.as_deref(), cond.as_ref(), step.as_ref(), env) {
-            return (h.iv, h.trip.count());
-        }
+    match analyze_header(stmt, env) {
+        Some(h) => (h.iv, h.trip.count()),
+        None => ("<unknown>".to_string(), DEFAULT_TRIP),
     }
-    ("<unknown>".to_string(), DEFAULT_TRIP)
 }
 
 // ---------------------------------------------------------------------
@@ -251,178 +212,43 @@ struct HeaderInfo {
     trip: TripCount,
 }
 
-/// Evaluates an expression to an integer given the environment.
-/// Returns `(value, compile_time_known)`.
-fn eval_expr(e: &Expr, env: &ParamEnv) -> Option<(i64, bool)> {
-    match &e.kind {
-        ExprKind::IntLit(v) => Some((*v, true)),
-        ExprKind::FloatLit(v) => Some((*v as i64, true)),
-        ExprKind::Ident(name) => env.value(name).map(|v| (v, false)),
-        ExprKind::Unary {
-            op: UnaryOp::Neg,
-            operand,
-        } => eval_expr(operand, env).map(|(v, k)| (-v, k)),
-        ExprKind::Cast { operand, .. } => eval_expr(operand, env),
-        ExprKind::Binary { op, lhs, rhs } => {
-            let (a, ka) = eval_expr(lhs, env)?;
-            let (b, kb) = eval_expr(rhs, env)?;
-            let v = match op {
-                BinaryOp::Add => a + b,
-                BinaryOp::Sub => a - b,
-                BinaryOp::Mul => a * b,
-                BinaryOp::Div => {
-                    if b == 0 {
-                        return None;
-                    }
-                    a / b
-                }
-                BinaryOp::Rem => {
-                    if b == 0 {
-                        return None;
-                    }
-                    a % b
-                }
-                BinaryOp::Shl => a << (b & 63),
-                BinaryOp::Shr => a >> (b & 63),
-                _ => return None,
-            };
-            Some((v, ka && kb))
-        }
-        _ => None,
-    }
-}
-
-/// Recognizes the canonical `for` header forms.
-fn analyze_header(
-    init: Option<&Stmt>,
-    cond: Option<&Expr>,
-    step: Option<&Expr>,
-    env: &ParamEnv,
-) -> Option<HeaderInfo> {
-    // --- induction variable & start ---
-    let (iv, start_expr) = match init.map(|s| &s.kind) {
-        Some(StmtKind::Decl { declarators, .. }) if declarators.len() == 1 => {
-            let d = &declarators[0];
-            (d.name.clone(), d.init.as_ref()?)
-        }
-        Some(StmtKind::Expr(Expr {
-            kind:
-                ExprKind::Assign {
-                    op: None,
-                    target,
-                    value,
-                },
-            ..
-        })) => match &target.kind {
-            ExprKind::Ident(n) => (n.clone(), value.as_ref()),
-            _ => return None,
-        },
-        _ => return None,
-    };
-    let start_eval = eval_expr(start_expr, env);
-
-    // --- step ---
-    let step_val = match step.map(|e| &e.kind) {
-        Some(ExprKind::IncDec { target, delta, .. }) => match &target.kind {
-            ExprKind::Ident(n) if *n == iv => *delta,
-            _ => return None,
-        },
-        Some(ExprKind::Assign {
-            op: Some(BinaryOp::Add),
-            target,
-            value,
-        }) => match &target.kind {
-            ExprKind::Ident(n) if *n == iv => eval_expr(value, env)?.0,
-            _ => return None,
-        },
-        Some(ExprKind::Assign {
-            op: Some(BinaryOp::Sub),
-            target,
-            value,
-        }) => match &target.kind {
-            ExprKind::Ident(n) if *n == iv => -eval_expr(value, env)?.0,
-            _ => return None,
-        },
-        Some(ExprKind::Assign {
-            op: None,
-            target,
-            value,
-        }) => {
-            // i = i + c / i = i - c
-            let ExprKind::Ident(n) = &target.kind else {
-                return None;
-            };
-            if *n != iv {
-                return None;
-            }
-            match &value.kind {
-                ExprKind::Binary { op, lhs, rhs } => {
-                    let c = match (&lhs.kind, &rhs.kind) {
-                        (ExprKind::Ident(l), _) if *l == iv => eval_expr(rhs, env)?.0,
-                        (_, ExprKind::Ident(r)) if *r == iv && *op == BinaryOp::Add => {
-                            eval_expr(lhs, env)?.0
-                        }
-                        _ => return None,
-                    };
-                    match op {
-                        BinaryOp::Add => c,
-                        BinaryOp::Sub => -c,
-                        _ => return None,
-                    }
-                }
-                _ => return None,
-            }
-        }
-        _ => return None,
-    };
-    if step_val == 0 {
+/// Reads a loop header with [`Stmt::for_header`] and evaluates it under
+/// `env`: start, bound and step values, and whether the trip count is a
+/// compile-time constant.
+fn analyze_header(stmt: &Stmt, env: &ParamEnv) -> Option<HeaderInfo> {
+    let h = stmt.for_header()?;
+    let resolve = |name: &str| env.value(name);
+    let step = h.step(&resolve)?;
+    if step == 0 {
         return None;
     }
-
-    // --- bound ---
-    let ExprKind::Binary { op, lhs, rhs } = &cond?.kind else {
-        return None;
-    };
-    // Normalize so the IV is on the left.
-    let (cmp, bound_expr) = match (&lhs.kind, &rhs.kind) {
-        (ExprKind::Ident(n), _) if *n == iv => (*op, rhs.as_ref()),
-        (_, ExprKind::Ident(n)) if *n == iv => {
-            let flipped = match op {
-                BinaryOp::Lt => BinaryOp::Gt,
-                BinaryOp::Le => BinaryOp::Ge,
-                BinaryOp::Gt => BinaryOp::Lt,
-                BinaryOp::Ge => BinaryOp::Le,
-                other => *other,
-            };
-            (flipped, lhs.as_ref())
-        }
-        _ => return None,
-    };
+    let start_eval = h.start.fold_int(&resolve);
+    let bound_eval = h.bound.fold_int(&resolve);
     // Tile-loop pattern first: `for (i = base; i < base + C; i++)` where
     // `base` is an enclosing tile induction variable the evaluator cannot
     // see. The compiler still knows the trip count exactly (Polly emits
     // such loops), so it is a compile-time constant.
-    if start_eval.is_none() || eval_expr(bound_expr, env).is_none() {
+    if start_eval.is_none() || bound_eval.is_none() {
         if let ExprKind::Binary {
             op: BinaryOp::Add,
             lhs,
             rhs,
-        } = &bound_expr.kind
+        } = &h.bound.kind
         {
-            let span = if exprs_equal(lhs, start_expr) {
-                eval_expr(rhs, env)
-            } else if exprs_equal(rhs, start_expr) {
-                eval_expr(lhs, env)
+            let span = if lhs.same_tree(h.start) {
+                rhs.fold_int(&resolve)
+            } else if rhs.same_tree(h.start) {
+                lhs.fold_int(&resolve)
             } else {
                 None
             };
             if let Some((c, true)) = span {
-                if cmp == BinaryOp::Lt && step_val > 0 && c > 0 {
+                if h.cmp == BinaryOp::Lt && step > 0 && c > 0 {
                     return Some(HeaderInfo {
-                        iv,
+                        iv: h.iv.to_string(),
                         start: 0,
-                        step: step_val,
-                        trip: TripCount::Constant(((c + step_val - 1) / step_val) as u64),
+                        step,
+                        trip: TripCount::Constant(((c + step - 1) / step) as u64),
                     });
                 }
             }
@@ -430,17 +256,17 @@ fn analyze_header(
     }
 
     let (start, start_known) = start_eval?;
-    let (bound, bound_known) = eval_expr(bound_expr, env)?;
+    let (bound, bound_known) = bound_eval?;
 
     // Signed div_ceil is unstable on this toolchain; step sign is handled
     // by the match arms so the divisor is always positive here.
     let dc = |a: i64, b: i64| (a + b - 1) / b;
-    let iters = match (cmp, step_val > 0) {
-        (BinaryOp::Lt, true) => dc((bound - start).max(0), step_val),
-        (BinaryOp::Le, true) => dc((bound - start + 1).max(0), step_val),
-        (BinaryOp::Gt, false) => dc((start - bound).max(0), -step_val),
-        (BinaryOp::Ge, false) => dc((start - bound + 1).max(0), -step_val),
-        (BinaryOp::Ne, _) => ((bound - start) / step_val).max(0),
+    let iters = match (h.cmp, step > 0) {
+        (BinaryOp::Lt, true) => dc((bound - start).max(0), step),
+        (BinaryOp::Le, true) => dc((bound - start + 1).max(0), step),
+        (BinaryOp::Gt, false) => dc((start - bound).max(0), -step),
+        (BinaryOp::Ge, false) => dc((start - bound + 1).max(0), -step),
+        (BinaryOp::Ne, _) => ((bound - start) / step).max(0),
         _ => return None,
     };
     let trip = if start_known && bound_known {
@@ -449,9 +275,9 @@ fn analyze_header(
         TripCount::Runtime(iters.max(0) as u64)
     };
     Some(HeaderInfo {
-        iv,
+        iv: h.iv.to_string(),
         start,
-        step: step_val,
+        step,
         trip,
     })
 }
@@ -548,7 +374,7 @@ impl<'a> BodyLowering<'a> {
                 else_expr,
             } => {
                 let (c, cty) = self.lower_expr(cond);
-                let c = self.to_bool(c, cty);
+                let c = self.emit_truth(c, cty);
                 let (a, aty) = self.lower_expr(then_expr);
                 let (b, bty) = self.lower_expr(else_expr);
                 let ty = unify(aty, bty);
@@ -605,7 +431,7 @@ impl<'a> BodyLowering<'a> {
         )
     }
 
-    fn to_bool(&mut self, v: ValueId, ty: ScalarType) -> ValueId {
+    fn emit_truth(&mut self, v: ValueId, ty: ScalarType) -> ValueId {
         if ty == ScalarType::I1 {
             return v;
         }
@@ -621,9 +447,9 @@ impl<'a> BodyLowering<'a> {
     fn lower_binary(&mut self, op: BinaryOp, lhs: &Expr, rhs: &Expr) -> (ValueId, ScalarType) {
         if op.is_logical() {
             let (a, aty) = self.lower_expr(lhs);
-            let a = self.to_bool(a, aty);
+            let a = self.emit_truth(a, aty);
             let (b, bty) = self.lower_expr(rhs);
-            let b = self.to_bool(b, bty);
+            let b = self.emit_truth(b, bty);
             let ir_op = if op == BinaryOp::LogAnd {
                 BinOpIr::And
             } else {
@@ -846,7 +672,7 @@ impl<'a> BodyLowering<'a> {
         let aligned = info.alignment >= 32
             && !combined.has_param
             && combined.outer_ivs.is_empty()
-            && (offset.unsigned_abs() * elem) % 32 == 0;
+            && (offset.unsigned_abs() * elem).is_multiple_of(32);
         let reuse_trips: u64 = self
             .outer
             .iter()
@@ -974,7 +800,7 @@ impl<'a> BodyLowering<'a> {
 
     fn lower_if(&mut self, cond: &Expr, then_branch: &Stmt, else_branch: Option<&Stmt>) {
         let (c, cty) = self.lower_expr(cond);
-        let c = self.to_bool(c, cty);
+        let c = self.emit_truth(c, cty);
         self.predicated_any = true;
 
         let outer_mask = self.mask;
@@ -1188,7 +1014,7 @@ impl<'a> BodyLowering<'a> {
                 _ => None,
             };
             match kind {
-                Some(kind) if !mentions(value, name) => {
+                Some(kind) if !value.mentions(name) => {
                     let (v, vty) = self.lower_expr(value);
                     let v = self.coerce(v, vty, ty);
                     let red = self.intern_reduction(name, kind, ty);
@@ -1207,7 +1033,7 @@ impl<'a> BodyLowering<'a> {
             self.emit(Instr::ReduceUpdate { red, value: v, ty });
             return;
         }
-        if mentions(value, name) {
+        if value.mentions(name) {
             self.block(format!("scalar recurrence through `{name}`"));
             return;
         }
@@ -1363,26 +1189,6 @@ fn unify(a: ScalarType, b: ScalarType) -> ScalarType {
     I32
 }
 
-/// Does `e` reference identifier `name` anywhere?
-fn mentions(e: &Expr, name: &str) -> bool {
-    match &e.kind {
-        ExprKind::Ident(n) => n == name,
-        ExprKind::IntLit(_) | ExprKind::FloatLit(_) => false,
-        ExprKind::Index { base, index } => mentions(base, name) || mentions(index, name),
-        ExprKind::Call { args, .. } => args.iter().any(|a| mentions(a, name)),
-        ExprKind::Unary { operand, .. } => mentions(operand, name),
-        ExprKind::Binary { lhs, rhs, .. } => mentions(lhs, name) || mentions(rhs, name),
-        ExprKind::Ternary {
-            cond,
-            then_expr,
-            else_expr,
-        } => mentions(cond, name) || mentions(then_expr, name) || mentions(else_expr, name),
-        ExprKind::Cast { operand, .. } => mentions(operand, name),
-        ExprKind::Assign { target, value, .. } => mentions(target, name) || mentions(value, name),
-        ExprKind::IncDec { target, .. } => mentions(target, name),
-    }
-}
-
 /// Matches `t = <rhs>` reduction forms, returning the kind and the
 /// non-accumulator contribution expression.
 fn match_reduction_rhs<'e>(t: &str, rhs: &'e Expr) -> Option<(ReductionKind, &'e Expr)> {
@@ -1398,10 +1204,10 @@ fn match_reduction_rhs<'e>(t: &str, rhs: &'e Expr) -> Option<(ReductionKind, &'e
                 BinaryOp::Sub => ReductionKind::Sum, // t = t - e is a sum of negatives
                 _ => return None,
             };
-            if is_ident(lhs, t) && !mentions(r, t) {
+            if lhs.is_ident(t) && !r.mentions(t) {
                 return Some((kind, r));
             }
-            if is_ident(r, t) && !mentions(lhs, t) && *op != BinaryOp::Sub {
+            if r.is_ident(t) && !lhs.mentions(t) && *op != BinaryOp::Sub {
                 return Some((kind, lhs));
             }
             None
@@ -1412,9 +1218,9 @@ fn match_reduction_rhs<'e>(t: &str, rhs: &'e Expr) -> Option<(ReductionKind, &'e
             then_expr,
             else_expr,
         } => {
-            let (e, picks_e_when_true) = if is_ident(then_expr, t) && !mentions(else_expr, t) {
+            let (e, picks_e_when_true) = if then_expr.is_ident(t) && !else_expr.mentions(t) {
                 (else_expr.as_ref(), false)
-            } else if is_ident(else_expr, t) && !mentions(then_expr, t) {
+            } else if else_expr.is_ident(t) && !then_expr.mentions(t) {
                 (then_expr.as_ref(), true)
             } else {
                 return None;
@@ -1426,10 +1232,10 @@ fn match_reduction_rhs<'e>(t: &str, rhs: &'e Expr) -> Option<(ReductionKind, &'e
             if !op.is_comparison() {
                 return None;
             }
-            let (t_on_left, valid) = if is_ident(lhs, t) {
-                (true, exprs_equal(r, e))
-            } else if is_ident(r, t) {
-                (false, exprs_equal(lhs, e))
+            let (t_on_left, valid) = if lhs.is_ident(t) {
+                (true, r.same_tree(e))
+            } else if r.is_ident(t) {
+                (false, lhs.same_tree(e))
             } else {
                 return None;
             };
@@ -1438,17 +1244,7 @@ fn match_reduction_rhs<'e>(t: &str, rhs: &'e Expr) -> Option<(ReductionKind, &'e
             }
             // Determine min vs max: we pick e when cond true (or t otherwise).
             // cond ≡ t CMP e (after normalization).
-            let cmp = if t_on_left {
-                *op
-            } else {
-                match op {
-                    BinaryOp::Lt => BinaryOp::Gt,
-                    BinaryOp::Le => BinaryOp::Ge,
-                    BinaryOp::Gt => BinaryOp::Lt,
-                    BinaryOp::Ge => BinaryOp::Le,
-                    other => *other,
-                }
-            };
+            let cmp = if t_on_left { *op } else { op.swapped() };
             // If we keep e when (t < e) → new value is the larger → Max.
             let kind = match (cmp, picks_e_when_true) {
                 (BinaryOp::Lt | BinaryOp::Le, true) => ReductionKind::Max,
@@ -1466,86 +1262,15 @@ fn match_reduction_rhs<'e>(t: &str, rhs: &'e Expr) -> Option<(ReductionKind, &'e
                 "fmin" | "fminf" | "min" => ReductionKind::Min,
                 _ => return None,
             };
-            if is_ident(&args[0], t) && !mentions(&args[1], t) {
+            if args[0].is_ident(t) && !args[1].mentions(t) {
                 Some((kind, &args[1]))
-            } else if is_ident(&args[1], t) && !mentions(&args[0], t) {
+            } else if args[1].is_ident(t) && !args[0].mentions(t) {
                 Some((kind, &args[0]))
             } else {
                 None
             }
         }
         _ => None,
-    }
-}
-
-fn is_ident(e: &Expr, name: &str) -> bool {
-    matches!(&e.kind, ExprKind::Ident(n) if n == name)
-}
-
-/// Structural expression equality ignoring spans (shared with `nvc-polly`).
-pub fn exprs_equal(a: &Expr, b: &Expr) -> bool {
-    use ExprKind::*;
-    match (&a.kind, &b.kind) {
-        (IntLit(x), IntLit(y)) => x == y,
-        (FloatLit(x), FloatLit(y)) => x == y,
-        (Ident(x), Ident(y)) => x == y,
-        (
-            Index {
-                base: b1,
-                index: i1,
-            },
-            Index {
-                base: b2,
-                index: i2,
-            },
-        ) => exprs_equal(b1, b2) && exprs_equal(i1, i2),
-        (
-            Binary {
-                op: o1,
-                lhs: l1,
-                rhs: r1,
-            },
-            Binary {
-                op: o2,
-                lhs: l2,
-                rhs: r2,
-            },
-        ) => o1 == o2 && exprs_equal(l1, l2) && exprs_equal(r1, r2),
-        (
-            Unary {
-                op: o1,
-                operand: x1,
-            },
-            Unary {
-                op: o2,
-                operand: x2,
-            },
-        ) => o1 == o2 && exprs_equal(x1, x2),
-        (
-            Cast {
-                ty: t1,
-                operand: x1,
-            },
-            Cast {
-                ty: t2,
-                operand: x2,
-            },
-        ) => t1 == t2 && exprs_equal(x1, x2),
-        (
-            Call {
-                callee: c1,
-                args: a1,
-            },
-            Call {
-                callee: c2,
-                args: a2,
-            },
-        ) => {
-            c1 == c2
-                && a1.len() == a2.len()
-                && a1.iter().zip(a2.iter()).all(|(x, y)| exprs_equal(x, y))
-        }
-        _ => false,
     }
 }
 
@@ -1579,16 +1304,7 @@ fn lower_innermost(
     scopes: &ScopeInfo,
 ) -> Result<LoweredLoop, IrError> {
     let (header, body_stmt, countable) = match &stmt.kind {
-        StmtKind::For {
-            init,
-            cond,
-            step,
-            body,
-            ..
-        } => {
-            let h = analyze_header(init.as_deref(), cond.as_ref(), step.as_ref(), env);
-            (h, body.as_ref(), true)
-        }
+        StmtKind::For { body, .. } => (analyze_header(stmt, env), body.as_ref(), true),
         StmtKind::While { body, .. } => (None, body.as_ref(), false),
         _ => {
             return Err(IrError::UnsupportedLoopForm(
@@ -1983,6 +1699,18 @@ void mm() { for (int i=0;i<64;i++) for (int j=0;j<64;j++) for (int k=0;k<64;k++)
         let l = lower_first(src, &ParamEnv::new());
         assert_eq!(l.ir.reductions.len(), 0);
         assert_eq!(l.ir.stores().count(), 1);
+    }
+
+    /// The shared folder also folds `& | ^`, which the lowering's own
+    /// evaluator used to refuse (leaving the header unrecognized).
+    #[test]
+    fn bitwise_bounds_fold() {
+        let src = "float a[512];\nvoid f(int n) { for (int i = 0; i < (300 ^ 44); i++) { a[i] = 0; } for (int i = 0; i < (n | 1); i++) { a[i] = 1; } }";
+        let tu = parse_translation_unit(src).unwrap();
+        let loops = lower_innermost_loops(&tu, src, &ParamEnv::new().with("n", 100)).unwrap();
+        assert_eq!(loops[0].ir.trip, TripCount::Constant(256));
+        assert_eq!(loops[1].ir.trip, TripCount::Runtime(101));
+        assert!(loops.iter().all(|l| !l.ir.not_vectorizable));
     }
 
     #[test]

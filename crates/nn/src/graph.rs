@@ -1209,6 +1209,9 @@ impl<'s> Graph<'s> {
                         };
                         let [starts, mids, ends] = &pa.columns;
                         let tokens = self.table_grad(&mut out, pa.tokens);
+                        // `r` also picks the gradient row; this order is
+                        // what the strict bits pin.
+                        #[allow(clippy::needless_range_loop)]
                         for &(r0, r1) in &pa.bounds {
                             for r in r0..r1 {
                                 add_row(tokens, starts[r] as usize, grad(r, 0, dt));

@@ -246,6 +246,9 @@ fn mm_tile_row_g<M: Madd>(
         for (q, chunk) in out_tile[j..j + 32].chunks_exact(8).enumerate() {
             acc[q].copy_from_slice(chunk);
         }
+        // `k` also picks the row of `b`; this loop shape is what
+        // vectorizes, and its order is what the strict bits pin.
+        #[allow(clippy::needless_range_loop)]
         for k in kb..k_end {
             let av = a_row[k];
             let base = k * n + jb + j;
@@ -649,6 +652,9 @@ fn attention_backward_g<M: Madd>(
     let y_of = |r: usize| &c[rows[r] * code..(rows[r] + 1) * code];
     for (s, &(r0, r1)) in bounds.iter().enumerate() {
         let g_row = &g[s * code..(s + 1) * code];
+        // `r` also picks the row of `c`; the order is what the strict bits
+        // pin.
+        #[allow(clippy::needless_range_loop)]
         for r in r0..r1 {
             gs[r] = dot_g::<M>(g_row, y_of(r));
         }
@@ -974,6 +980,9 @@ macro_rules! kernel {
     ) => {
         $(#[$doc])*
         #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+        // The entry and its per-ISA copies take the generic body's
+        // arguments as they are.
+        #[allow(clippy::too_many_arguments)]
         pub(crate) fn $name(madd: MaddChoice, $($arg: $ty),*) $(-> $ret)? {
             #[cfg(target_arch = "x86_64")]
             #[allow(unreachable_patterns)] // `Avx512Fma` below, for a `wide` kernel

@@ -1,14 +1,22 @@
-//! Shared AST-level analyses for the Polly-lite transforms.
+//! The analyses the three Polly-lite transforms share.
 //!
-//! These are deliberately syntactic: a transformation is legal only when
-//! the involved subscripts are simple affine expressions the checks can
-//! fully understand — anything else makes the pass bail, as Polly does
-//! when a region is not representable polyhedrally.
+//! They stay syntactic and stay here: the constant-header filter
+//! (`const_header`: a literal start and bound, `<`, a positive step),
+//! array-access collection with its store/associative-update rules,
+//! affine subscript coefficients and strides, the reorder-legality check
+//! and identifier renaming. A transformation is legal only when the
+//! involved subscripts are simple affine expressions the checks can fully
+//! understand — anything else makes the pass bail, as Polly does when a
+//! region is not representable polyhedrally.
+//!
+//! The AST chores under them come from `nvc_frontend::ast`: the `for`
+//! header recognizer (`Stmt::for_header`), the constant folder
+//! (`Expr::const_int`), span-blind equality (`Expr::same_tree`), the
+//! child iterators and the shared and mutable walks.
 
 use std::collections::HashMap;
 
 use nvc_frontend::ast::{BinaryOp, Expr, ExprKind, Stmt, StmtKind, TranslationUnit};
-use nvc_ir::lower::exprs_equal;
 
 /// A canonical constant-bound loop header: `for (int iv = start; iv <
 /// bound; iv += step)`.
@@ -32,66 +40,21 @@ impl ConstHeader {
     }
 }
 
-/// Recognizes a canonical header with constant bounds.
+/// Recognizes a canonical header with constant bounds: the
+/// [`Stmt::for_header`] of `stmt` when its start and bound fold to
+/// constants with no environment, its comparison is `<` (after putting the
+/// IV on the left) and its step is a positive constant.
 pub(crate) fn const_header(stmt: &Stmt) -> Option<ConstHeader> {
-    let StmtKind::For {
-        init, cond, step, ..
-    } = &stmt.kind
-    else {
+    let h = stmt.for_header()?;
+    let step = h.step(&|_| None)?;
+    if h.cmp != BinaryOp::Lt || step <= 0 {
         return None;
-    };
-    let (iv, start) = match init.as_deref().map(|s| &s.kind) {
-        Some(StmtKind::Decl { declarators, .. }) if declarators.len() == 1 => {
-            let d = &declarators[0];
-            (d.name.clone(), d.init.as_ref()?.const_int()?)
-        }
-        Some(StmtKind::Expr(Expr {
-            kind:
-                ExprKind::Assign {
-                    op: None,
-                    target,
-                    value,
-                },
-            ..
-        })) => match &target.kind {
-            ExprKind::Ident(n) => (n.clone(), value.const_int()?),
-            _ => return None,
-        },
-        _ => return None,
-    };
-    let bound = match cond.as_ref().map(|c| &c.kind) {
-        Some(ExprKind::Binary {
-            op: BinaryOp::Lt,
-            lhs,
-            rhs,
-        }) => match &lhs.kind {
-            ExprKind::Ident(n) if *n == iv => rhs.const_int()?,
-            _ => return None,
-        },
-        _ => return None,
-    };
-    let step_val = match step.as_ref().map(|e| &e.kind) {
-        Some(ExprKind::IncDec {
-            target, delta: 1, ..
-        }) => match &target.kind {
-            ExprKind::Ident(n) if *n == iv => 1,
-            _ => return None,
-        },
-        Some(ExprKind::Assign {
-            op: Some(BinaryOp::Add),
-            target,
-            value,
-        }) => match &target.kind {
-            ExprKind::Ident(n) if *n == iv => value.const_int()?,
-            _ => return None,
-        },
-        _ => return None,
-    };
-    (step_val > 0).then_some(ConstHeader {
-        iv,
-        start,
-        bound,
-        step: step_val,
+    }
+    Some(ConstHeader {
+        iv: h.iv.to_string(),
+        start: h.start.const_int()?,
+        bound: h.bound.const_int()?,
+        step,
     })
 }
 
@@ -117,66 +80,33 @@ pub(crate) struct AstAccess {
     pub(crate) is_assoc_update: bool,
 }
 
-/// Collects every array access in a statement subtree.
-pub(crate) fn collect_accesses(stmt: &Stmt) -> Vec<AstAccess> {
-    let mut out = Vec::new();
-    walk_stmt(stmt, &mut out);
-    out
-}
-
-fn walk_stmt(stmt: &Stmt, out: &mut Vec<AstAccess>) {
-    match &stmt.kind {
-        StmtKind::Block(stmts) => {
-            for s in stmts {
-                walk_stmt(s, out);
-            }
-        }
-        StmtKind::Decl { declarators, .. } => {
-            for d in declarators {
-                if let Some(init) = &d.init {
-                    walk_expr(init, false, false, out);
-                }
-            }
-        }
-        StmtKind::Expr(e) => walk_expr(e, false, false, out),
-        StmtKind::For {
-            init,
-            cond,
-            step,
-            body,
-            ..
-        } => {
-            if let Some(i) = init {
-                walk_stmt(i, out);
-            }
-            if let Some(c) = cond {
-                walk_expr(c, false, false, out);
-            }
-            if let Some(s) = step {
-                walk_expr(s, false, false, out);
-            }
-            walk_stmt(body, out);
-        }
-        StmtKind::While { cond, body, .. } => {
-            walk_expr(cond, false, false, out);
-            walk_stmt(body, out);
-        }
-        StmtKind::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            walk_expr(cond, false, false, out);
-            walk_stmt(then_branch, out);
-            if let Some(e) = else_branch {
-                walk_stmt(e, out);
-            }
-        }
-        StmtKind::Return(Some(e)) => walk_expr(e, false, false, out),
-        _ => {}
+impl AstAccess {
+    /// True when both accesses name the same cell in every iteration:
+    /// the same array, subscript for subscript the same tree.
+    pub(crate) fn same_cell(&self, other: &AstAccess) -> bool {
+        self.array == other.array
+            && self.indices.len() == other.indices.len()
+            && self
+                .indices
+                .iter()
+                .zip(&other.indices)
+                .all(|(x, y)| x.same_tree(y))
     }
 }
 
+/// Collects every array access in a statement subtree.
+pub(crate) fn collect_accesses(stmt: &Stmt) -> Vec<AstAccess> {
+    let mut out = Vec::new();
+    stmt.walk(&mut |s| {
+        for e in s.exprs() {
+            walk_expr(e, false, false, &mut out);
+        }
+    });
+    out
+}
+
+/// Records the array accesses under `e`; `as_store` when `e` is written,
+/// `assoc` when through an associative compound assignment.
 fn walk_expr(e: &Expr, as_store: bool, assoc: bool, out: &mut Vec<AstAccess>) {
     match &e.kind {
         ExprKind::Assign { op, target, value } => {
@@ -196,40 +126,21 @@ fn walk_expr(e: &Expr, as_store: bool, assoc: bool, out: &mut Vec<AstAccess>) {
             if let Some((name, idx)) = e.as_array_access() {
                 out.push(AstAccess {
                     array: name.to_string(),
-                    indices: idx.into_iter().cloned().collect(),
+                    indices: idx.iter().map(|&i| i.clone()).collect(),
                     is_store: as_store,
                     is_assoc_update: as_store && assoc,
                 });
                 // Index expressions may contain further accesses (a[b[i]]).
-                if let Some((_, idx2)) = e.as_array_access() {
-                    for i in idx2 {
-                        walk_expr(i, false, false, out);
-                    }
+                for i in idx {
+                    walk_expr(i, false, false, out);
                 }
             }
         }
-        ExprKind::Binary { lhs, rhs, .. } => {
-            walk_expr(lhs, false, false, out);
-            walk_expr(rhs, false, false, out);
-        }
-        ExprKind::Unary { operand, .. } | ExprKind::Cast { operand, .. } => {
-            walk_expr(operand, false, false, out)
-        }
-        ExprKind::Ternary {
-            cond,
-            then_expr,
-            else_expr,
-        } => {
-            walk_expr(cond, false, false, out);
-            walk_expr(then_expr, false, false, out);
-            walk_expr(else_expr, false, false, out);
-        }
-        ExprKind::Call { args, .. } => {
-            for a in args {
-                walk_expr(a, false, false, out);
+        _ => {
+            for c in e.children() {
+                walk_expr(c, false, false, out);
             }
         }
-        _ => {}
     }
 }
 
@@ -247,13 +158,9 @@ pub(crate) fn affine_coeff(e: &Expr, iv: &str) -> Option<i64> {
                 BinaryOp::Sub => Some(a - b),
                 BinaryOp::Mul => {
                     // Only const × affine is affine.
-                    if let Some(c) = lhs.const_int() {
-                        Some(c * b)
-                    } else if let Some(c) = rhs.const_int() {
-                        Some(a * c)
-                    } else {
-                        None
-                    }
+                    lhs.const_int()
+                        .map(|c| c * b)
+                        .or_else(|| rhs.const_int().map(|c| a * c))
                 }
                 _ => None,
             }
@@ -301,126 +208,39 @@ pub(crate) fn array_dims(tu: &TranslationUnit) -> HashMap<String, Vec<i64>> {
 /// syntactically identical subscripts (same cell touched only by the same
 /// iteration).
 pub(crate) fn reorder_safe(accesses: &[AstAccess]) -> bool {
-    let stored: Vec<&AstAccess> = accesses.iter().filter(|a| a.is_store).collect();
-    for s in &stored {
-        if s.is_assoc_update {
-            continue;
-        }
-        let same_array: Vec<&AstAccess> = accesses.iter().filter(|a| a.array == s.array).collect();
-        let all_identical = same_array.iter().all(|a| {
-            a.indices.len() == s.indices.len()
-                && a.indices
-                    .iter()
-                    .zip(s.indices.iter())
-                    .all(|(x, y)| exprs_equal(x, y))
-        });
-        if !all_identical {
-            return false;
-        }
-        // The subscripts must also be affine, or we understand nothing.
-        if s.indices.iter().any(|i| affine_coeff(i, "\0").is_none()) {
-            return false;
-        }
-    }
-    true
+    accesses
+        .iter()
+        .filter(|s| s.is_store && !s.is_assoc_update)
+        .all(|s| {
+            accesses
+                .iter()
+                .filter(|a| a.array == s.array)
+                .all(|a| a.same_cell(s))
+                // The subscripts must also be affine, or we understand
+                // nothing.
+                && s.indices.iter().all(|i| affine_coeff(i, "\0").is_some())
+        })
 }
 
-/// Renames every occurrence of identifier `from` to `to` in a subtree.
-pub(crate) fn rename_ident_stmt(stmt: &mut Stmt, from: &str, to: &str) {
-    match &mut stmt.kind {
-        StmtKind::Block(stmts) => {
-            for s in stmts {
-                rename_ident_stmt(s, from, to);
+/// Renames every occurrence of identifier `from` to `to` in a subtree,
+/// declared names included.
+pub(crate) fn rename_ident(stmt: &mut Stmt, from: &str, to: &str) {
+    stmt.walk_mut(&mut |s| {
+        if let StmtKind::Decl { declarators, .. } = &mut s.kind {
+            for d in declarators.iter_mut().filter(|d| d.name == from) {
+                d.name = to.to_string();
             }
         }
-        StmtKind::Decl { declarators, .. } => {
-            for d in declarators {
-                if d.name == from {
-                    d.name = to.to_string();
+        for e in s.exprs_mut() {
+            e.walk_mut(&mut |e| {
+                if let ExprKind::Ident(n) = &mut e.kind {
+                    if n == from {
+                        *n = to.to_string();
+                    }
                 }
-                if let Some(init) = &mut d.init {
-                    rename_ident_expr(init, from, to);
-                }
-            }
+            });
         }
-        StmtKind::Expr(e) => rename_ident_expr(e, from, to),
-        StmtKind::For {
-            init,
-            cond,
-            step,
-            body,
-            ..
-        } => {
-            if let Some(i) = init {
-                rename_ident_stmt(i, from, to);
-            }
-            if let Some(c) = cond {
-                rename_ident_expr(c, from, to);
-            }
-            if let Some(s) = step {
-                rename_ident_expr(s, from, to);
-            }
-            rename_ident_stmt(body, from, to);
-        }
-        StmtKind::While { cond, body, .. } => {
-            rename_ident_expr(cond, from, to);
-            rename_ident_stmt(body, from, to);
-        }
-        StmtKind::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            rename_ident_expr(cond, from, to);
-            rename_ident_stmt(then_branch, from, to);
-            if let Some(e) = else_branch {
-                rename_ident_stmt(e, from, to);
-            }
-        }
-        StmtKind::Return(Some(e)) => rename_ident_expr(e, from, to),
-        _ => {}
-    }
-}
-
-fn rename_ident_expr(e: &mut Expr, from: &str, to: &str) {
-    match &mut e.kind {
-        ExprKind::Ident(n) => {
-            if n == from {
-                *n = to.to_string();
-            }
-        }
-        ExprKind::Index { base, index } => {
-            rename_ident_expr(base, from, to);
-            rename_ident_expr(index, from, to);
-        }
-        ExprKind::Call { args, .. } => {
-            for a in args {
-                rename_ident_expr(a, from, to);
-            }
-        }
-        ExprKind::Unary { operand, .. } | ExprKind::Cast { operand, .. } => {
-            rename_ident_expr(operand, from, to)
-        }
-        ExprKind::Binary { lhs, rhs, .. } => {
-            rename_ident_expr(lhs, from, to);
-            rename_ident_expr(rhs, from, to);
-        }
-        ExprKind::Ternary {
-            cond,
-            then_expr,
-            else_expr,
-        } => {
-            rename_ident_expr(cond, from, to);
-            rename_ident_expr(then_expr, from, to);
-            rename_ident_expr(else_expr, from, to);
-        }
-        ExprKind::Assign { target, value, .. } => {
-            rename_ident_expr(target, from, to);
-            rename_ident_expr(value, from, to);
-        }
-        ExprKind::IncDec { target, .. } => rename_ident_expr(target, from, to),
-        _ => {}
-    }
+    });
 }
 
 #[cfg(test)]
@@ -439,6 +259,32 @@ mod tests {
         // Runtime bounds are not canonical-constant.
         let s3 = parse_statement("for (int i = 0; i < n; i++) { }").unwrap();
         assert!(const_header(&s3).is_none());
+    }
+
+    /// The shared recognizer and folder widen what reads as canonical:
+    /// `iv = iv + c` steps, the IV on the right of `>`, and float literals
+    /// in a bound. Polly's own filter stays: `<` only, a positive step.
+    #[test]
+    fn const_header_reads_every_spelling_of_the_canonical_header() {
+        for src in [
+            "for (int i = 0; i < 1024; i = i + 1) { }",
+            "for (int i = 0; 1024 > i; i++) { }",
+            "for (int i = 0; i < 2.0 * 512; i += 1) { }",
+        ] {
+            let h = const_header(&parse_statement(src).unwrap()).expect(src);
+            assert_eq!((h.iv.as_str(), h.start, h.bound, h.step), ("i", 0, 1024, 1));
+        }
+        for src in [
+            "for (int i = 0; i <= 1024; i++) { }",
+            "for (int i = 1024; i > 0; i--) { }",
+            "for (int i = 0; i < 1024; i -= 1) { }",
+            "for (int i = 0; i < 1024; i += 0) { }",
+        ] {
+            assert!(
+                const_header(&parse_statement(src).unwrap()).is_none(),
+                "{src}"
+            );
+        }
     }
 
     #[test]
@@ -497,9 +343,10 @@ mod tests {
     #[test]
     fn rename_ident_everywhere() {
         let mut s = parse_statement("for (int q = 0; q < 8; q++) { a[q] = q * 2; }").unwrap();
-        rename_ident_stmt(&mut s, "q", "z");
+        rename_ident(&mut s, "q", "z");
         let printed = nvc_frontend::printer::print_stmt(&s, 0);
         assert!(!printed.contains('q'), "{printed}");
+        assert!(printed.contains("int z = 0"));
         assert!(printed.contains("a[z] = z * 2"));
     }
 }

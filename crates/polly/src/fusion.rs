@@ -8,9 +8,8 @@
 //! iteration.
 
 use nvc_frontend::ast::{Item, Stmt, StmtKind, TranslationUnit};
-use nvc_ir::lower::exprs_equal;
 
-use crate::analysis::{collect_accesses, const_header, rename_ident_stmt};
+use crate::analysis::{collect_accesses, const_header, rename_ident, AstAccess};
 
 /// Fuses adjacent eligible loops throughout the unit. Returns the number
 /// of loop pairs merged.
@@ -26,40 +25,22 @@ pub(crate) fn fuse_in_unit(tu: &mut TranslationUnit) -> usize {
 
 fn fuse_stmt(stmt: &mut Stmt) -> usize {
     let mut count = 0;
-    match &mut stmt.kind {
-        StmtKind::Block(stmts) => {
-            // Try fusing each adjacent pair, repeatedly (a fused loop may
-            // fuse again with its next sibling).
-            let mut i = 0;
-            while i + 1 < stmts.len() {
-                if let Some(fused) = try_fuse(&stmts[i], &stmts[i + 1]) {
-                    stmts[i] = fused;
-                    stmts.remove(i + 1);
-                    count += 1;
-                } else {
-                    i += 1;
-                }
-            }
-            for s in stmts {
-                count += fuse_stmt(s);
+    if let StmtKind::Block(stmts) = &mut stmt.kind {
+        // Try fusing each adjacent pair, repeatedly (a fused loop may
+        // fuse again with its next sibling).
+        let mut i = 0;
+        while i + 1 < stmts.len() {
+            if let Some(fused) = try_fuse(&stmts[i], &stmts[i + 1]) {
+                stmts[i] = fused;
+                stmts.remove(i + 1);
+                count += 1;
+            } else {
+                i += 1;
             }
         }
-        StmtKind::For { body, .. } | StmtKind::While { body, .. } => {
-            count += fuse_stmt(body);
-        }
-        StmtKind::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            count += fuse_stmt(then_branch);
-            if let Some(e) = else_branch {
-                count += fuse_stmt(e);
-            }
-        }
-        _ => {}
     }
-    count
+    // Then inside each statement, fused or not.
+    count + stmt.children_mut().map(fuse_stmt).sum::<usize>()
 }
 
 fn try_fuse(first: &Stmt, second: &Stmt) -> Option<Stmt> {
@@ -85,38 +66,25 @@ fn try_fuse(first: &Stmt, second: &Stmt) -> Option<Stmt> {
     // Rename the second IV onto the first.
     let mut body2 = (**body2).clone();
     if h1.iv != h2.iv {
-        rename_ident_stmt(&mut body2, &h2.iv, &h1.iv);
+        rename_ident(&mut body2, &h2.iv, &h1.iv);
     }
 
-    // Dependence check: arrays written in loop 1 and touched in loop 2
-    // must use identical subscripts everywhere (same-iteration flow only).
+    // Dependence check: arrays written in either loop and touched in the
+    // other must use identical subscripts everywhere, so values flow only
+    // within the same iteration (read-after-write and write-after-read
+    // across the fusion).
     let acc1 = collect_accesses(body1);
     let acc2 = collect_accesses(&body2);
-    for w in acc1.iter().filter(|a| a.is_store) {
-        for r in acc2.iter().filter(|a| a.array == w.array) {
-            let same = r.indices.len() == w.indices.len()
-                && r.indices
-                    .iter()
-                    .zip(w.indices.iter())
-                    .all(|(x, y)| exprs_equal(x, y));
-            if !same {
-                return None;
-            }
-        }
-    }
-    // And symmetrically: loop 2's writes must not disturb loop 1's reads
-    // at other iterations (write-after-read across the fusion).
-    for w in acc2.iter().filter(|a| a.is_store) {
-        for r in acc1.iter().filter(|a| a.array == w.array) {
-            let same = r.indices.len() == w.indices.len()
-                && r.indices
-                    .iter()
-                    .zip(w.indices.iter())
-                    .all(|(x, y)| exprs_equal(x, y));
-            if !same {
-                return None;
-            }
-        }
+    let same_iteration_only = |writes: &[AstAccess], other: &[AstAccess]| {
+        writes.iter().filter(|w| w.is_store).all(|w| {
+            other
+                .iter()
+                .filter(|a| a.array == w.array)
+                .all(|a| a.same_cell(w))
+        })
+    };
+    if !same_iteration_only(&acc1, &acc2) || !same_iteration_only(&acc2, &acc1) {
+        return None;
     }
 
     // Merge the bodies into one block.

@@ -29,33 +29,9 @@ pub(crate) fn interchange_in_unit(tu: &mut TranslationUnit) -> usize {
 }
 
 fn interchange_stmt(stmt: &mut Stmt, dims: &HashMap<String, Vec<i64>>) -> usize {
-    let mut count = 0;
     // Recurse first so innermost pairs are considered bottom-up.
-    match &mut stmt.kind {
-        StmtKind::Block(stmts) => {
-            for s in stmts {
-                count += interchange_stmt(s, dims);
-            }
-        }
-        StmtKind::For { body, .. } | StmtKind::While { body, .. } => {
-            count += interchange_stmt(body, dims);
-        }
-        StmtKind::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            count += interchange_stmt(then_branch, dims);
-            if let Some(e) = else_branch {
-                count += interchange_stmt(e, dims);
-            }
-        }
-        _ => {}
-    }
-    if try_interchange(stmt, dims) {
-        count += 1;
-    }
-    count
+    let inner: usize = stmt.children_mut().map(|s| interchange_stmt(s, dims)).sum();
+    inner + usize::from(try_interchange(stmt, dims))
 }
 
 /// Attempts to interchange `outer` with its directly nested loop.
@@ -81,13 +57,7 @@ fn try_interchange(outer: &mut Stmt, dims: &HashMap<String, Vec<i64>>) -> bool {
         return false;
     };
     // The inner loop must be innermost (no loops inside).
-    let mut has_loop = false;
-    inner_body.walk(&mut |s| {
-        if s.is_loop() {
-            has_loop = true;
-        }
-    });
-    if has_loop {
+    if inner_body.contains_loop() {
         return false;
     }
 

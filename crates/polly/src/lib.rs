@@ -17,6 +17,12 @@
 //!   producer/consumer distance exists, removing redundant streaming
 //!   passes.
 //!
+//! The passes read and rewrite the AST through the toolkit in
+//! [`nvc_frontend::ast`] — its `for`-header recognizer, constant folder,
+//! span-blind equality, child iterators and walks; the analyses that are
+//! Polly's own (the constant-header filter, access collection, affine
+//! strides, reorder legality) live in the crate's `analysis` module.
+//!
 //! Transformed sources re-enter the standard pipeline (parse → lower →
 //! vectorize → simulate), so Polly and the RL agent compose exactly as the
 //! paper's "combining Polly and deep RL" experiment does (§4.1).

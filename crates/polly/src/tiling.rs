@@ -43,38 +43,13 @@ pub(crate) fn tile_in_unit(tu: &mut TranslationUnit, tile: i64, min_trip: i64) -
 }
 
 fn tile_stmt(stmt: &mut Stmt, tile: i64, min_trip: i64, sizes: &HashMap<String, i64>) -> usize {
-    let mut count = 0;
-    match &mut stmt.kind {
-        StmtKind::Block(stmts) => {
-            for s in stmts {
-                count += tile_stmt(s, tile, min_trip, sizes);
-            }
-        }
-        StmtKind::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            count += tile_stmt(then_branch, tile, min_trip, sizes);
-            if let Some(e) = else_branch {
-                count += tile_stmt(e, tile, min_trip, sizes);
-            }
-        }
-        StmtKind::For { .. } => {
-            if try_tile(stmt, tile, min_trip, sizes) {
-                return 1;
-            }
-            // Not tileable at this level: descend.
-            if let StmtKind::For { body, .. } = &mut stmt.kind {
-                count += tile_stmt(body, tile, min_trip, sizes);
-            }
-        }
-        StmtKind::While { body, .. } => {
-            count += tile_stmt(body, tile, min_trip, sizes);
-        }
-        _ => {}
+    // Outermost first: a tiled nest is not descended into again.
+    if matches!(stmt.kind, StmtKind::For { .. }) && try_tile(stmt, tile, min_trip, sizes) {
+        return 1;
     }
-    count
+    stmt.children_mut()
+        .map(|s| tile_stmt(s, tile, min_trip, sizes))
+        .sum()
 }
 
 /// Collects the perfect nest rooted at `stmt`: headers outermost-first and
@@ -82,8 +57,7 @@ fn tile_stmt(stmt: &mut Stmt, tile: i64, min_trip: i64, sizes: &HashMap<String, 
 fn perfect_nest(stmt: &Stmt) -> (Vec<ConstHeader>, &Stmt) {
     let mut headers = Vec::new();
     let mut cur = stmt;
-    loop {
-        let Some(h) = const_header(cur) else { break };
+    while let Some(h) = const_header(cur) {
         let StmtKind::For { body, .. } = &cur.kind else {
             break;
         };
@@ -115,13 +89,7 @@ fn try_tile(stmt: &mut Stmt, tile: i64, min_trip: i64, sizes: &HashMap<String, i
     }
     // The innermost body must contain no further loops and be reorder
     // safe (tiling permutes iteration order across tiles).
-    let mut has_loop = false;
-    innermost_body.walk(&mut |s| {
-        if s.is_loop() {
-            has_loop = true;
-        }
-    });
-    if has_loop {
+    if innermost_body.contains_loop() {
         return false;
     }
     let accesses = collect_accesses(innermost_body);

@@ -128,7 +128,6 @@ mod tests {
                 hidden: vec![32, 32],
                 action_space: kind,
                 action_dims: ActionDims { n_vf: 4, n_if: 4 },
-                ..PpoConfig::default()
             };
             let mut trainer = PpoTrainer::new(&cfg, &EmbedConfig::fast(), 11);
             let mut env = ToyEnv::new();

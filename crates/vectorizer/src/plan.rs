@@ -291,9 +291,7 @@ pub(crate) fn build_shape(
                 let r = &ir.reductions[*red];
                 let lat = table::reduction_latency(r.kind, *ty);
                 let n = regs_per_value(vf, *ty, target) * f64::from(if_);
-                let class = if r.kind == nvc_ir::ReductionKind::Product && ty.is_float() {
-                    ResourceClass::VMul
-                } else if r.kind == nvc_ir::ReductionKind::Product {
+                let class = if r.kind == nvc_ir::ReductionKind::Product {
                     ResourceClass::VMul
                 } else {
                     ResourceClass::VAlu

@@ -360,18 +360,16 @@ fn reload_propagates_version_without_mismatched_decisions() {
     // and once the heartbeat lands it must serve hash_b.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        match client.vectorize(&srcs[1]) {
-            Ok(resp) => {
-                assert!(
-                    resp.checkpoint_hash == hash_a || resp.checkpoint_hash == hash_b,
-                    "impossible hash {:016x}",
-                    resp.checkpoint_hash
-                );
-                if resp.checkpoint_hash == hash_b {
-                    break;
-                }
+        // An error is a rejected unconfirmed version: retry.
+        if let Ok(resp) = client.vectorize(&srcs[1]) {
+            assert!(
+                resp.checkpoint_hash == hash_a || resp.checkpoint_hash == hash_b,
+                "impossible hash {:016x}",
+                resp.checkpoint_hash
+            );
+            if resp.checkpoint_hash == hash_b {
+                break;
             }
-            Err(_) => {} // rejected unconfirmed version; retry
         }
         assert!(Instant::now() < deadline, "new version never served");
         std::thread::sleep(Duration::from_millis(50));
