@@ -1,7 +1,7 @@
 //! The analyses the three Polly-lite transforms share.
 //!
 //! They stay syntactic and stay here: the constant-header filter
-//! (`const_header`: a literal start and bound, `<`, a positive step),
+//! (`const_header`: a constant start and bound, `<`, a positive step),
 //! array-access collection with its store/associative-update rules,
 //! affine subscript coefficients and strides, the reorder-legality check
 //! and identifier renaming. A transformation is legal only when the
@@ -81,11 +81,11 @@ pub(crate) struct AstAccess {
 }
 
 impl AstAccess {
-    /// True when both accesses name the same cell in every iteration:
-    /// the same array, subscript for subscript the same tree.
-    pub(crate) fn same_cell(&self, other: &AstAccess) -> bool {
-        self.array == other.array
-            && self.indices.len() == other.indices.len()
+    /// True when both accesses have, dimension for dimension, the same
+    /// subscript tree: on one array, they touch the same cell in every
+    /// iteration.
+    pub(crate) fn same_subscripts(&self, other: &AstAccess) -> bool {
+        self.indices.len() == other.indices.len()
             && self
                 .indices
                 .iter()
@@ -215,7 +215,7 @@ pub(crate) fn reorder_safe(accesses: &[AstAccess]) -> bool {
             accesses
                 .iter()
                 .filter(|a| a.array == s.array)
-                .all(|a| a.same_cell(s))
+                .all(|a| a.same_subscripts(s))
                 // The subscripts must also be affine, or we understand
                 // nothing.
                 && s.indices.iter().all(|i| affine_coeff(i, "\0").is_some())

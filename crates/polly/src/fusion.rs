@@ -80,7 +80,7 @@ fn try_fuse(first: &Stmt, second: &Stmt) -> Option<Stmt> {
             other
                 .iter()
                 .filter(|a| a.array == w.array)
-                .all(|a| a.same_cell(w))
+                .all(|a| a.same_subscripts(w))
         })
     };
     if !same_iteration_only(&acc1, &acc2) || !same_iteration_only(&acc2, &acc1) {
