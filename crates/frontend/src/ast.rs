@@ -316,14 +316,15 @@ impl Expr {
     /// `resolve`. Returns the value and whether it is compile-time known,
     /// that is, whether no identifier was resolved on the way.
     ///
-    /// Folds integer and float literals (a float truncates toward zero,
-    /// so `2.0 * 8` is 16), negation, casts and the binary operators
-    /// `+ - * / % << >> & | ^`; a zero divisor or any other operator gives
-    /// `None`. Shift counts are taken modulo 64 and arithmetic wraps.
+    /// Folds integer literals, negation, casts and the binary operators
+    /// `+ - * / % << >> & | ^`; a float literal, a zero divisor or any
+    /// other operator gives `None`. A float is refused rather than
+    /// truncated: C compares `i < 256.5` and computes `5.0 / 2` in floating
+    /// point, so no integer stands for them. Shift counts are taken modulo
+    /// 64 and arithmetic wraps.
     pub fn fold_int(&self, resolve: &impl Fn(&str) -> Option<i64>) -> Option<(i64, bool)> {
         match &self.kind {
             ExprKind::IntLit(v) => Some((*v, true)),
-            ExprKind::FloatLit(v) => Some((*v as i64, true)),
             ExprKind::Ident(name) => resolve(name).map(|v| (v, false)),
             ExprKind::Unary {
                 op: UnaryOp::Neg,
@@ -433,15 +434,18 @@ impl Expr {
     }
 
     /// Structural equality that ignores spans: the same tree written at
-    /// two places compares equal. Every node kind compares, ternaries,
-    /// assignments and increments included.
+    /// two places compares equal. Only literals, identifiers, indexing,
+    /// calls, unary and binary operators and casts compare; a tree holding
+    /// a ternary, an assignment or an increment is never equal to anything,
+    /// so callers that read "same tree" as "same value in the same
+    /// iteration" (`a[k++]` twice is two cells) stay safe.
     pub fn same_tree(&self, other: &Expr) -> bool {
         use ExprKind::*;
         let same_node = match (&self.kind, &other.kind) {
             (IntLit(x), IntLit(y)) => x == y,
             (FloatLit(x), FloatLit(y)) => x == y,
             (Ident(x), Ident(y)) => x == y,
-            (Index { .. }, Index { .. }) | (Ternary { .. }, Ternary { .. }) => true,
+            (Index { .. }, Index { .. }) => true,
             (
                 Call {
                     callee: c1,
@@ -455,19 +459,6 @@ impl Expr {
             (Unary { op: o1, .. }, Unary { op: o2, .. }) => o1 == o2,
             (Binary { op: o1, .. }, Binary { op: o2, .. }) => o1 == o2,
             (Cast { ty: t1, .. }, Cast { ty: t2, .. }) => t1 == t2,
-            (Assign { op: o1, .. }, Assign { op: o2, .. }) => o1 == o2,
-            (
-                IncDec {
-                    delta: d1,
-                    prefix: p1,
-                    ..
-                },
-                IncDec {
-                    delta: d2,
-                    prefix: p2,
-                    ..
-                },
-            ) => d1 == d2 && p1 == p2,
             _ => false,
         };
         same_node
@@ -953,13 +944,20 @@ mod tests {
         *value
     }
 
-    /// One folder serves both former callers: float literals truncate (the
-    /// Polly side used to refuse them) and `& | ^` fold (the lowering side
-    /// used to refuse them); an identifier is resolved but makes the value
-    /// not compile-time known.
+    /// One folder serves both former callers: `& | ^` fold (the lowering
+    /// side used to refuse them) and float literals are refused (the
+    /// lowering side used to truncate them); an identifier is resolved but
+    /// makes the value not compile-time known.
     #[test]
-    fn fold_int_reads_floats_bitwise_ops_and_resolved_names() {
-        assert_eq!(rhs("x = 2.0 * 8;").const_int(), Some(16));
+    fn fold_int_reads_bitwise_ops_and_resolved_names_but_no_floats() {
+        for float in [
+            "x = 2.0 * 8;",
+            "x = 2.5 * 4;",
+            "x = 5.0 / 2;",
+            "x = (int) 2.5;",
+        ] {
+            assert_eq!(rhs(float).const_int(), None, "{float}");
+        }
         assert_eq!(rhs("x = (300 ^ 44) | (7 & 2);").const_int(), Some(258));
         assert_eq!(rhs("x = -(int) 5 << 2;").const_int(), Some(-20));
         assert_eq!(rhs("x = 4 / 0;").const_int(), None);
@@ -1073,18 +1071,35 @@ mod tests {
 
     #[test]
     fn same_tree_ignores_spans_only() {
-        let a = rhs("x = c ? b[i + 1] : (float) d++;");
-        let b = rhs("x   =   c?b[i+1]:(float)d++ ;");
+        let a = rhs("x = f(b[i + 1], (float) -d);");
+        let b = rhs("x   =   f(b[i+1],(float)-d) ;");
         assert_ne!(a, b, "spans differ");
         assert!(a.same_tree(&b));
-        assert!(a.mentions("d") && !a.mentions("x") && !a.mentions("f"));
+        assert!(a.mentions("d") && !a.mentions("x") && !a.mentions("g"));
         for other in [
-            "x = c ? b[i + 2] : (float) d++;",
-            "x = c ? b[i + 1] : (double) d++;",
-            "x = c ? b[i + 1] : (float) ++d;",
-            "x = c ? b[i - 1] : (float) d++;",
+            "x = f(b[i + 2], (float) -d);",
+            "x = f(b[i + 1], (double) -d);",
+            "x = f(b[i - 1], (float) -d);",
+            "x = g(b[i + 1], (float) -d);",
+            "x = f(b[i + 1]);",
         ] {
             assert!(!a.same_tree(&rhs(other)), "{other}");
+        }
+    }
+
+    /// A subtree with a side effect or a ternary never compares equal, not
+    /// even to itself: `a[k++]` written twice names two cells.
+    #[test]
+    fn same_tree_refuses_side_effects_and_ternaries() {
+        for src in [
+            "x = b[k++];",
+            "x = b[++k];",
+            "x = b[k = i];",
+            "x = b[k += 1];",
+            "x = b[i > 5 ? i : 0];",
+        ] {
+            let e = rhs(src);
+            assert!(!e.same_tree(&e.clone()), "{src}");
         }
     }
 

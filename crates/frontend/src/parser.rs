@@ -1031,6 +1031,17 @@ mod tests {
     }
 
     #[test]
+    fn global_with_float_dimension_is_rejected() {
+        for src in ["float a[2.5];", "float a[2.0 * 4];"] {
+            let tokens = Lexer::new(src).tokenize().unwrap();
+            assert!(
+                Parser::new(&tokens).parse_translation_unit().is_err(),
+                "{src}"
+            );
+        }
+    }
+
+    #[test]
     fn global_with_aggregate_init_is_accepted() {
         let tu = parse_ok("int lut[4] = {1, 2, 3, 4};");
         assert_eq!(tu.global("lut").unwrap().dims, vec![4]);

@@ -261,15 +261,16 @@ mod tests {
         assert!(const_header(&s3).is_none());
     }
 
-    /// The shared recognizer and folder widen what reads as canonical:
-    /// `iv = iv + c` steps, the IV on the right of `>`, and float literals
-    /// in a bound. Polly's own filter stays: `<` only, a positive step.
+    /// The shared recognizer widens what reads as canonical: `iv = iv + c`
+    /// steps and the IV on the right of `>`. Polly's own filter stays: `<`
+    /// only, a positive step, and an integer start and bound (a float bound
+    /// such as `256.5` runs one more iteration than its truncation).
     #[test]
     fn const_header_reads_every_spelling_of_the_canonical_header() {
         for src in [
             "for (int i = 0; i < 1024; i = i + 1) { }",
             "for (int i = 0; 1024 > i; i++) { }",
-            "for (int i = 0; i < 2.0 * 512; i += 1) { }",
+            "for (int i = 0; i < 2 * 512; i += 1) { }",
         ] {
             let h = const_header(&parse_statement(src).unwrap()).expect(src);
             assert_eq!((h.iv.as_str(), h.start, h.bound, h.step), ("i", 0, 1024, 1));
@@ -279,6 +280,9 @@ mod tests {
             "for (int i = 1024; i > 0; i--) { }",
             "for (int i = 0; i < 1024; i -= 1) { }",
             "for (int i = 0; i < 1024; i += 0) { }",
+            "for (int i = 0; i < 256.5; i++) { }",
+            "for (int i = 0; i < 2.0 * 512; i++) { }",
+            "for (int i = 0.5; i < 1024; i++) { }",
         ] {
             assert!(
                 const_header(&parse_statement(src).unwrap()).is_none(),

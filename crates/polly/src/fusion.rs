@@ -3,13 +3,13 @@
 //! Fusing `for i { a[i] = … }` with `for i { b[i] = f(a[i]) }` removes a
 //! full streaming pass over `a` — the producer's value is still in cache
 //! (or a register) when the consumer runs. Legality is conservative: for
-//! any array written in the first loop and touched in the second, all
-//! subscripts must be identical, so values flow only within the same
-//! iteration.
+//! any array written in one loop and touched in the other, all subscripts
+//! must be identical and affine with the IV in some dimension, so values
+//! flow only within the same iteration.
 
 use nvc_frontend::ast::{Item, Stmt, StmtKind, TranslationUnit};
 
-use crate::analysis::{collect_accesses, const_header, rename_ident, AstAccess};
+use crate::analysis::{affine_coeff, collect_accesses, const_header, rename_ident, AstAccess};
 
 /// Fuses adjacent eligible loops throughout the unit. Returns the number
 /// of loop pairs merged.
@@ -72,15 +72,21 @@ fn try_fuse(first: &Stmt, second: &Stmt) -> Option<Stmt> {
     // Dependence check: arrays written in either loop and touched in the
     // other must use identical subscripts everywhere, so values flow only
     // within the same iteration (read-after-write and write-after-read
-    // across the fusion).
+    // across the fusion). The written subscript must also name a new cell
+    // in every iteration (affine, the IV in some dimension): `a[i / 2]` or
+    // `s[0]` would hand the fused consumer an earlier iteration's value.
     let acc1 = collect_accesses(body1);
     let acc2 = collect_accesses(&body2);
+    let one_cell_per_iteration = |w: &AstAccess| {
+        w.indices.iter().try_fold(false, |moves, i| {
+            Some(moves || affine_coeff(i, &h1.iv)? != 0)
+        }) == Some(true)
+    };
     let same_iteration_only = |writes: &[AstAccess], other: &[AstAccess]| {
         writes.iter().filter(|w| w.is_store).all(|w| {
-            other
-                .iter()
-                .filter(|a| a.array == w.array)
-                .all(|a| a.same_subscripts(w))
+            let mut touched = other.iter().filter(|a| a.array == w.array).peekable();
+            touched.peek().is_none()
+                || (one_cell_per_iteration(w) && touched.all(|a| a.same_subscripts(w)))
         })
     };
     if !same_iteration_only(&acc1, &acc2) || !same_iteration_only(&acc2, &acc1) {
@@ -175,6 +181,31 @@ void f() {
         let (out, n) = run(src);
         assert_eq!(n, 2);
         assert_eq!(out.matches("for (").count(), 1);
+    }
+
+    #[test]
+    fn subscripts_not_naming_one_cell_per_iteration_do_not_fuse() {
+        // `a[k++]` in both loops names different cells in the same
+        // iteration: after fusion loop 2 would read a[1], not a[8].
+        for (w, r) in [
+            ("a[k++]", "a[k++]"),
+            ("a[k = i]", "a[k = i]"),
+            ("a[i > 5 ? i : 0]", "a[i > 5 ? i : 0]"),
+            // Pure, but not a new cell in every iteration: fused, loop 2
+            // would read this iteration's b, not the last write's.
+            ("a[i / 2]", "a[i / 2]"),
+            ("a[0]", "a[0]"),
+        ] {
+            let src = format!(
+                "float a[512]; float b[512]; int k;
+void f() {{
+    for (int i = 0; i < 8; i++) {{ {w} = b[i]; }}
+    for (int i = 0; i < 8; i++) {{ b[i] = {r}; }}
+}}"
+            );
+            let (_, n) = run(&src);
+            assert_eq!(n, 0, "{w}");
+        }
     }
 
     #[test]
