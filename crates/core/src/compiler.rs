@@ -10,7 +10,8 @@
 use serde::{Deserialize, Serialize};
 
 use nvc_datasets::Kernel;
-use nvc_frontend::parse_translation_unit;
+use nvc_embed::{sample_stmt, EmbedConfig, PathSample};
+use nvc_frontend::{for_each_loop, Lexed, Lexer, Parser, TranslationUnit};
 use nvc_ir::{lower_innermost_loops, LoweredLoop};
 use nvc_machine::TargetConfig;
 use nvc_polly::optimize_source;
@@ -121,15 +122,51 @@ impl Compiler {
     /// Returns [`CompileError`] when the kernel does not fit the supported
     /// subset.
     pub fn front_end(&self, kernel: &Kernel) -> Result<Vec<LoweredLoop>, CompileError> {
+        self.parse_and_lower(kernel, |_, _, loops| loops)
+    }
+
+    /// [`Compiler::front_end`] with each innermost loop paired with the
+    /// code2vec input of its own statement, sampled off the translation
+    /// unit the front end parsed by [`nvc_embed::sample_stmt`] — `None`
+    /// for a loop whose text does not parse alone. Training and every
+    /// figure embed loops through this.
+    ///
+    /// # Errors
+    ///
+    /// As [`Compiler::front_end`].
+    pub fn front_end_sampled(
+        &self,
+        kernel: &Kernel,
+        cfg: &EmbedConfig,
+    ) -> Result<Vec<(LoweredLoop, Option<PathSample>)>, CompileError> {
+        self.parse_and_lower(kernel, |lexed, tu, loops| {
+            pair_samples(lexed, tu, loops, cfg)
+        })
+    }
+
+    /// The one parse-and-lower route: Polly's rewrite when enabled, one
+    /// lex, one parse and the lowering, handed to `finish` with the
+    /// lexed source and its translation unit.
+    fn parse_and_lower<T>(
+        &self,
+        kernel: &Kernel,
+        finish: impl FnOnce(&Lexed<'_>, &TranslationUnit, Vec<LoweredLoop>) -> T,
+    ) -> Result<T, CompileError> {
+        let optimized;
         let source = if self.polly {
-            optimize_source(&kernel.source)
+            optimized = optimize_source(&kernel.source)
                 .map_err(CompileError::Parse)?
-                .0
+                .0;
+            &optimized
         } else {
-            kernel.source.clone()
+            &kernel.source
         };
-        let tu = parse_translation_unit(&source).map_err(CompileError::Parse)?;
-        lower_innermost_loops(&tu, &source, &kernel.env).map_err(CompileError::Lower)
+        let lexed = Lexer::new(source).lex().map_err(CompileError::Parse)?;
+        let tu = Parser::new(lexed.tokens())
+            .parse_translation_unit()
+            .map_err(CompileError::Parse)?;
+        let loops = lower_innermost_loops(&tu, source, &kernel.env).map_err(CompileError::Lower)?;
+        Ok(finish(&lexed, &tu, loops))
     }
 
     /// Compiles and "runs" a kernel, deciding each loop via `decide`.
@@ -143,11 +180,37 @@ impl Compiler {
         mut decide: impl FnMut(&LoweredLoop) -> LoopDecision,
     ) -> Result<ProgramTiming, CompileError> {
         let loops = self.front_end(kernel)?;
+        Ok(self.time(kernel, loops.iter().map(|l| (l, decide(l)))))
+    }
+
+    /// [`Compiler::run_with`], deciding each loop from its
+    /// [`Compiler::front_end_sampled`] sample.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CompileError`] when the front end fails.
+    pub(crate) fn run_sampled(
+        &self,
+        kernel: &Kernel,
+        cfg: &EmbedConfig,
+        mut decide: impl FnMut(Option<&PathSample>) -> LoopDecision,
+    ) -> Result<ProgramTiming, CompileError> {
+        let loops = self.front_end_sampled(kernel, cfg)?;
+        Ok(self.time(kernel, loops.iter().map(|(l, s)| (l, decide(s.as_ref())))))
+    }
+
+    /// Compiles each loop as decided, in order, and totals the kernel's
+    /// cycles.
+    fn time<'l>(
+        &self,
+        kernel: &Kernel,
+        decided: impl Iterator<Item = (&'l LoweredLoop, LoopDecision)>,
+    ) -> ProgramTiming {
         let mut total = CALL_OVERHEAD_CYCLES + kernel.scalar_work as f64 / SCALAR_IPC;
-        let mut reports = Vec::with_capacity(loops.len());
+        let mut reports = Vec::with_capacity(decided.size_hint().0);
         let mut compile_ms = 0.0;
-        for l in &loops {
-            let compiled = match decide(l) {
+        for (l, decision) in decided {
+            let compiled = match decision {
                 LoopDecision::Baseline => self.vectorizer.compile_baseline(&l.ir),
                 LoopDecision::Pragma(d) => self.vectorizer.compile(&l.ir, d),
             };
@@ -162,11 +225,11 @@ impl Compiler {
                 compile_ms: compiled.compile_ms,
             });
         }
-        Ok(ProgramTiming {
+        ProgramTiming {
             total_cycles: total,
             loops: reports,
             compile_ms,
-        })
+        }
     }
 
     /// Compiles with the baseline cost model everywhere (the `-O3`
@@ -188,6 +251,35 @@ impl Compiler {
     pub fn run_scalar(&self, kernel: &Kernel) -> Result<ProgramTiming, CompileError> {
         self.run_with(kernel, |_| LoopDecision::Pragma(VectorDecision::scalar()))
     }
+}
+
+/// Pairs each lowered loop with the sample of its own statement.
+/// Lowering and [`for_each_loop`] visit the same innermost loops in
+/// source order, so the pairing is by position, and each pair's header
+/// lines must agree (a line alone could not pair them: two loops can
+/// share one).
+fn pair_samples(
+    lexed: &Lexed<'_>,
+    tu: &TranslationUnit,
+    loops: Vec<LoweredLoop>,
+    cfg: &EmbedConfig,
+) -> Vec<(LoweredLoop, Option<PathSample>)> {
+    let mut paired = Vec::with_capacity(loops.len());
+    let mut loops = loops.into_iter();
+    for_each_loop(tu, &mut |l| {
+        if !l.is_innermost {
+            return;
+        }
+        let lowered = loops.next().expect("lowering skipped an innermost loop");
+        assert_eq!(
+            lowered.header_line, l.stmt.span.line,
+            "lowering and for_each_loop disagree on loop {}",
+            lowered.loop_index
+        );
+        paired.push((lowered, sample_stmt(lexed, l.stmt, cfg)));
+    });
+    assert!(loops.next().is_none(), "lowering found an extra loop");
+    paired
 }
 
 impl Default for Compiler {

@@ -6,6 +6,11 @@
 //! Each context is one innermost loop from the kernel pool; rewards are
 //! deterministic, so they are memoized — re-visiting an action costs
 //! nothing, exactly like caching compiled binaries would.
+//!
+//! A context's observation is the code2vec sample of the loop's own
+//! statement, taken off the translation unit the front end parsed and
+//! lowered ([`Compiler::front_end_sampled`]): each kernel is lexed and
+//! parsed once.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -14,11 +19,12 @@ use parking_lot::Mutex;
 
 use nvc_datasets::Kernel;
 use nvc_embed::{EmbedConfig, PathSample};
-use nvc_frontend::parse_statement;
 use nvc_ir::LoweredLoop;
 use nvc_machine::TargetConfig;
 use nvc_rl::{ActionDims, BanditEnv};
 use nvc_vectorizer::{ActionSpace, CompileOutcome, VectorDecision, Vectorizer};
+
+use crate::compiler::Compiler;
 
 /// Penalty reward for compile timeouts (§3.4: "equivalent to assuming it
 /// takes ten times the execution time of the baseline").
@@ -32,7 +38,8 @@ pub struct LoopContext {
     pub kernel_index: usize,
     /// The lowered loop.
     pub(crate) lowered: LoweredLoop,
-    /// code2vec input: `loop_sample` of the loop's own text. Serving
+    /// code2vec input: the sample of the loop's own statement, as its
+    /// text alone would parse ([`Compiler::front_end_sampled`]). Serving
     /// (`nvc_embed::extract_loop_samples`) embeds the outermost enclosing
     /// nest instead, so a nested loop's two inputs differ. Contexts with
     /// equal samples share one allocation.
@@ -41,14 +48,6 @@ pub struct LoopContext {
     pub(crate) baseline_cycles: f64,
     /// Baseline compile time (the timeout budget reference).
     pub(crate) baseline_compile_ms: f64,
-}
-
-/// The code2vec input of a lowered loop — the path contexts of its own
-/// source text, or `None` when that text does not parse alone. Training
-/// and every figure embed loops through this function.
-pub(crate) fn loop_sample(l: &LoweredLoop, cfg: &EmbedConfig) -> Option<PathSample> {
-    let stmt = parse_statement(&l.text).ok()?;
-    Some(PathSample::from_stmt(&stmt, cfg))
 }
 
 /// The contextual-bandit environment over a pool of kernels.
@@ -63,9 +62,9 @@ pub struct VectorizeEnv {
 }
 
 impl VectorizeEnv {
-    /// Builds the environment: parses and lowers every kernel, extracts
-    /// every innermost loop, embeds it with `loop_sample` (the loop's
-    /// own text, not its enclosing nest) and measures the baseline.
+    /// Builds the environment: parses and lowers every kernel, and for
+    /// every innermost loop takes the sample of its own statement (not
+    /// its enclosing nest) off that one parse and measures the baseline.
     ///
     /// Kernels that fail the front end are skipped (real build systems
     /// skip files that do not compile), and so are loops whose text does
@@ -78,15 +77,15 @@ impl VectorizeEnv {
     pub fn new(kernels: Vec<Kernel>, target: TargetConfig, embed_cfg: &EmbedConfig) -> Self {
         let vectorizer = Vectorizer::new(target.clone());
         let space = ActionSpace::for_target(&target);
+        let compiler = Compiler::new(target);
         let mut contexts = Vec::new();
         let mut interned: HashSet<Arc<PathSample>> = HashSet::new();
         for (ki, kernel) in kernels.iter().enumerate() {
-            let compiler = crate::compiler::Compiler::new(target.clone());
-            let Ok(loops) = compiler.front_end(kernel) else {
+            let Ok(loops) = compiler.front_end_sampled(kernel, embed_cfg) else {
                 continue;
             };
-            for lowered in loops {
-                let Some(sample) = loop_sample(&lowered, embed_cfg) else {
+            for (lowered, sample) in loops {
+                let Some(sample) = sample else {
                     continue;
                 };
                 let sample = match interned.get(&sample) {

@@ -19,8 +19,8 @@
 //!
 //! Figures 7–9 and the ranker are column lists over one method-by-kernel
 //! driver, `compare`. Every method embeds a loop as training does, from
-//! its own text (`env::loop_sample`); serving embeds the outermost nest,
-//! which moves Figure 8 (ROADMAP item 1 (a)).
+//! its own statement (`Compiler::front_end_sampled`); serving embeds the
+//! outermost nest, which moves Figure 8 (ROADMAP item 1 (a)).
 
 use serde::{Deserialize, Serialize};
 
@@ -33,7 +33,7 @@ use nvc_rl::{ActionSpaceKind, BanditEnv, IterStats};
 use nvc_vectorizer::{ActionSpace, VectorDecision, Vectorizer};
 
 use crate::compiler::{CompileError, Compiler, LoopDecision, ProgramTiming};
-use crate::env::{loop_sample, VectorizeEnv};
+use crate::env::VectorizeEnv;
 use crate::framework::{NeuroVectorizer, NvConfig};
 
 pub mod report;
@@ -351,7 +351,7 @@ impl ComparisonData {
 
 /// One column of a method-by-kernel table: the method's name and how it
 /// runs a kernel — [`column()`] pairs a compiler (plain or Polly) with a
-/// per-loop decision.
+/// per-loop decision, [`on_sample`] with one from the loop's sample.
 type Column<'a> = (
     &'static str,
     Box<dyn FnMut(&Kernel) -> Result<ProgramTiming, CompileError> + 'a>,
@@ -393,37 +393,49 @@ fn compare(kernels: &[Kernel], base: &Compiler, mut columns: Vec<Column<'_>>) ->
     }
 }
 
-/// A per-loop decision from the loop's [`loop_sample`]; a loop whose text
-/// does not parse alone keeps the baseline decision.
+/// The column `name` that compiles under `compiler`, deciding each loop
+/// from its own sample (`Compiler::front_end_sampled`); a loop whose
+/// text does not parse alone keeps the baseline decision.
 fn on_sample<'a>(
+    name: &'static str,
+    compiler: &'a Compiler,
     nv: &'a NeuroVectorizer,
     mut pick: impl FnMut(&PathSample) -> VectorDecision + 'a,
-) -> impl FnMut(&LoweredLoop) -> LoopDecision + 'a {
-    move |l| {
-        loop_sample(l, &nv.config().embed)
-            .map_or(LoopDecision::Baseline, |s| LoopDecision::Pragma(pick(&s)))
-    }
+) -> Column<'a> {
+    let cfg = &nv.config().embed;
+    (
+        name,
+        Box::new(move |k| {
+            compiler.run_sampled(k, cfg, |s| {
+                s.map_or(LoopDecision::Baseline, |s| LoopDecision::Pragma(pick(s)))
+            })
+        }),
+    )
 }
 
 /// [`on_sample`] for an agent that maps the loop's code vector to a
 /// `(vf_idx, if_idx)` pair.
 fn on_embedding<'a>(
+    name: &'static str,
+    compiler: &'a Compiler,
     nv: &'a NeuroVectorizer,
     space: &'a ActionSpace,
     pick: impl Fn(&[f32]) -> (usize, usize) + 'a,
-) -> impl FnMut(&LoweredLoop) -> LoopDecision + 'a {
-    on_sample(nv, move |s| {
+) -> Column<'a> {
+    on_sample(name, compiler, nv, move |s| {
         let (v, i) = pick(&nv.encode_batch(&[s])[0]);
         space.decision_from_pair(v, i)
     })
 }
 
-/// The trained policy's per-loop decision.
+/// The trained policy's column `name` under `compiler`.
 fn rl<'a>(
+    name: &'static str,
+    compiler: &'a Compiler,
     nv: &'a NeuroVectorizer,
     space: &'a ActionSpace,
-) -> impl FnMut(&LoweredLoop) -> LoopDecision + 'a {
-    on_sample(nv, move |s| nv.decide(s, space))
+) -> Column<'a> {
+    on_sample(name, compiler, nv, move |s| nv.decide(s, space))
 }
 
 /// The plain and the Polly compiler for `nv`'s target, and its action
@@ -477,16 +489,12 @@ pub fn fig7_comparison(
                 LoopDecision::Pragma(space.decision_from_pair(v, i))
             }),
             column("polly", &polly, keep_baseline),
-            column(
-                "decision_tree",
-                &plain,
-                on_embedding(nv, &space, |e| {
-                    let flat = tree.predict(e);
-                    (flat / dims.n_if, flat % dims.n_if)
-                }),
-            ),
-            column("nns", &plain, on_embedding(nv, &space, |e| nns.predict(e))),
-            column("rl", &plain, rl(nv, &space)),
+            on_embedding("decision_tree", &plain, nv, &space, |e| {
+                let flat = tree.predict(e);
+                (flat / dims.n_if, flat % dims.n_if)
+            }),
+            on_embedding("nns", &plain, nv, &space, |e| nns.predict(e)),
+            rl("rl", &plain, nv, &space),
             // Brute force: per-loop independent search.
             column("brute_force", &plain, |l| {
                 let (best, _) = brute_force_best(dims, |(v, i)| {
@@ -515,8 +523,8 @@ pub fn fig8_polybench(nv: &NeuroVectorizer) -> ComparisonData {
         vec![
             column("baseline", &plain, keep_baseline),
             column("polly", &polly, keep_baseline),
-            column("rl", &plain, rl(nv, &space)),
-            column("rl+polly", &polly, rl(nv, &space)),
+            rl("rl", &plain, nv, &space),
+            rl("rl+polly", &polly, nv, &space),
         ],
     )
 }
@@ -531,7 +539,7 @@ pub fn fig9_mibench(nv: &NeuroVectorizer) -> ComparisonData {
         vec![
             column("baseline", &plain, keep_baseline),
             column("polly", &polly, keep_baseline),
-            column("rl", &plain, rl(nv, &space)),
+            rl("rl", &plain, nv, &space),
         ],
     )
 }
@@ -615,12 +623,8 @@ pub(crate) fn ext_ranker_comparison(
         &plain,
         vec![
             column("baseline", &plain, keep_baseline),
-            column(
-                "ranker",
-                &plain,
-                on_embedding(nv, &space, |e| ranker.predict(e)),
-            ),
-            column("rl", &plain, rl(nv, &space)),
+            on_embedding("ranker", &plain, nv, &space, |e| ranker.predict(e)),
+            rl("rl", &plain, nv, &space),
         ],
     )
 }

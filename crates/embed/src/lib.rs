@@ -33,7 +33,7 @@ pub(crate) mod sites;
 pub(crate) mod vocab;
 pub use model::{CodeEmbedder, EmbedConfig};
 pub use paths::{extract_path_contexts, PathContext};
-pub use sites::{extract_loop_samples, LoopSite};
+pub use sites::{extract_loop_samples, sample_stmt, LoopSite};
 pub use vocab::{Fnv1a, PathSample};
 
 #[cfg(test)]

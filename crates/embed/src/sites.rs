@@ -14,18 +14,13 @@
 //! set and persisted cache keys depend on: a macro `#define`d outside a
 //! nest is sampled as the identifier written in the loop (`i < N` → a
 //! variable), not as its expansion (`i < 1024` → a literal bucket); a
-//! macro defined inside the nest is sampled expanded.
-//! [`nvc_frontend::Lexed::tokens_in`] gives the tokens the nest's text
-//! alone would lex to. When no macro from outside is used inside — nearly
-//! always — those are the file's own tokens, borrowed, and the parser is
-//! stateless, so the translation unit's statement
-//! ([`nvc_frontend::LoopRef::nest`]) is what parsing them alone would
-//! give: it is sampled as it stands. Only the spliced copy of the other
-//! case is parsed again.
+//! macro defined inside the nest is sampled expanded. [`sample_stmt`]
+//! holds the rule, for serving's nests here and for the training
+//! environment's loops (`Compiler::front_end_sampled` in the core crate).
 
 use std::borrow::Cow;
 
-use nvc_frontend::{for_each_loop, FrontendError, Lexer, Parser};
+use nvc_frontend::{for_each_loop, FrontendError, Lexed, Lexer, Parser, Stmt};
 
 use crate::model::EmbedConfig;
 use crate::vocab::PathSample;
@@ -64,21 +59,38 @@ pub fn extract_loop_samples(
         if !l.is_innermost {
             return;
         }
-        let sample = match lexed.tokens_in(l.nest.span) {
-            Cow::Borrowed(_) => PathSample::from_stmt(l.nest, cfg),
-            Cow::Owned(spliced) => match Parser::new(&spliced).parse_single_statement() {
-                Ok(nest) => PathSample::from_stmt(&nest, cfg),
-                Err(_) => return,
-            },
+        let Some(sample) = sample_stmt(&lexed, l.nest, cfg) else {
+            return;
         };
         sites.push(LoopSite {
             function: l.function.to_string(),
-            header_line: l.span.line,
-            header_col: l.span.col,
+            header_line: l.stmt.span.line,
+            header_col: l.stmt.span.col,
             sample,
         });
     });
     Ok(sites)
+}
+
+/// The [`PathSample`] of `stmt`, a statement of the file `lexed` holds,
+/// as the statement's text alone would parse — or `None` when that text
+/// does not parse alone.
+///
+/// [`Lexed::tokens_in`] gives the tokens the text alone would lex to.
+/// When no macro defined before `stmt` is used inside it — nearly always
+/// — those are the file's own tokens, borrowed, and the parser is
+/// stateless, so the translation unit's statement is what parsing them
+/// alone would give (but for a `#pragma` line before it, which the file
+/// attaches to a loop and no sample reads): it is sampled as it stands.
+/// Only the spliced copy of the other case is parsed again.
+pub fn sample_stmt(lexed: &Lexed<'_>, stmt: &Stmt, cfg: &EmbedConfig) -> Option<PathSample> {
+    match lexed.tokens_in(stmt.span) {
+        Cow::Borrowed(_) => Some(PathSample::from_stmt(stmt, cfg)),
+        Cow::Owned(spliced) => Parser::new(&spliced)
+            .parse_single_statement()
+            .ok()
+            .map(|stmt| PathSample::from_stmt(&stmt, cfg)),
+    }
 }
 
 #[cfg(test)]

@@ -51,11 +51,12 @@ pub struct LoopRef<'tu> {
     pub(crate) depth: usize,
     /// True when no other loop is nested inside this one.
     pub is_innermost: bool,
-    /// Span of the whole loop statement; `span.line` is the header line.
-    pub span: Span,
+    /// The loop statement itself, as the translation unit parsed it;
+    /// `stmt.span` is its span and `stmt.span.line` the header line.
+    pub stmt: &'tu Stmt,
     /// The outermost loop of the nest containing this loop, as the
-    /// translation unit parsed it; `nest.span` is its span. The statement
-    /// is what parsing the tokens of `nest.span` alone gives whenever
+    /// translation unit parsed it; `nest.span` is its span. Like `stmt`,
+    /// it is what parsing the tokens of its span alone gives whenever
     /// those are the file's own tokens (`Lexed::tokens_in` borrows them).
     pub nest: &'tu Stmt,
     /// Pragma already attached to the loop, if any.
@@ -85,10 +86,10 @@ fn with_text(l: LoopRef<'_>, loop_index: usize, source: &str) -> ExtractedLoop {
         loop_index,
         depth: l.depth,
         is_innermost: l.is_innermost,
-        span: l.span,
+        span: l.stmt.span,
         nest_span: l.nest.span,
-        header_line: l.span.line,
-        text: l.span.text(source).to_string(),
+        header_line: l.stmt.span.line,
+        text: l.stmt.span.text(source).to_string(),
         nest_text: l.nest.span.text(source).to_string(),
         pragma: l.pragma,
     }
@@ -109,7 +110,7 @@ fn visit_loops<'tu>(
                 function,
                 depth,
                 is_innermost: !body.contains_loop(),
-                span: stmt.span,
+                stmt,
                 nest: root,
                 pragma: *pragma,
             });

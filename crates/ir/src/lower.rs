@@ -481,19 +481,7 @@ impl<'a> BodyLowering<'a> {
             };
             return (self.emit(Instr::Cmp { op: cmp, a, b, ty }), ScalarType::I1);
         }
-        let ir_op = match op {
-            BinaryOp::Add => BinOpIr::Add,
-            BinaryOp::Sub => BinOpIr::Sub,
-            BinaryOp::Mul => BinOpIr::Mul,
-            BinaryOp::Div => BinOpIr::Div,
-            BinaryOp::Rem => BinOpIr::Rem,
-            BinaryOp::Shl => BinOpIr::Shl,
-            BinaryOp::Shr => BinOpIr::Shr,
-            BinaryOp::BitAnd => BinOpIr::And,
-            BinaryOp::BitOr => BinOpIr::Or,
-            BinaryOp::BitXor => BinOpIr::Xor,
-            _ => unreachable!("comparisons handled above"),
-        };
+        let ir_op = bin_ir(op).expect("logical operators and comparisons handled above");
         (
             self.emit(Instr::Bin {
                 op: ir_op,
@@ -887,15 +875,7 @@ impl<'a> BodyLowering<'a> {
                 // to a register before the vectorizer runs, so we lower it
                 // as a reduction rather than a load/store per iteration.
                 if let Some(cop) = op {
-                    let kind = match cop {
-                        BinaryOp::Add | BinaryOp::Sub => Some(ReductionKind::Sum),
-                        BinaryOp::Mul => Some(ReductionKind::Product),
-                        BinaryOp::BitAnd => Some(ReductionKind::And),
-                        BinaryOp::BitOr => Some(ReductionKind::Or),
-                        BinaryOp::BitXor => Some(ReductionKind::Xor),
-                        _ => None,
-                    };
-                    if let Some(kind) = kind {
+                    if let Some(kind) = reduction_kind(cop) {
                         if let Some(idx) = self.analyze_access(target, true) {
                             if self.accesses[idx].kind == AccessKind::Invariant
                                 && !self.accesses[idx].predicated
@@ -928,21 +908,9 @@ impl<'a> BodyLowering<'a> {
                     let ty = unify(oty, vty);
                     let ov = self.coerce(old, oty, ty);
                     let nv = self.coerce(v, vty, ty);
-                    let ir_op = match cop {
-                        BinaryOp::Add => BinOpIr::Add,
-                        BinaryOp::Sub => BinOpIr::Sub,
-                        BinaryOp::Mul => BinOpIr::Mul,
-                        BinaryOp::Div => BinOpIr::Div,
-                        BinaryOp::Rem => BinOpIr::Rem,
-                        BinaryOp::Shl => BinOpIr::Shl,
-                        BinaryOp::Shr => BinOpIr::Shr,
-                        BinaryOp::BitAnd => BinOpIr::And,
-                        BinaryOp::BitOr => BinOpIr::Or,
-                        BinaryOp::BitXor => BinOpIr::Xor,
-                        _ => {
-                            self.block("unsupported compound store");
-                            return;
-                        }
+                    let Some(ir_op) = bin_ir(cop) else {
+                        self.block("unsupported compound store");
+                        return;
                     };
                     v = self.emit(Instr::Bin {
                         op: ir_op,
@@ -1005,15 +973,7 @@ impl<'a> BodyLowering<'a> {
         // Outer-scope scalar: reduction patterns or blockers.
         let ty = self.scalar_ty(name).unwrap_or(ScalarType::I32);
         if let Some(cop) = op {
-            let kind = match cop {
-                BinaryOp::Add | BinaryOp::Sub => Some(ReductionKind::Sum),
-                BinaryOp::Mul => Some(ReductionKind::Product),
-                BinaryOp::BitAnd => Some(ReductionKind::And),
-                BinaryOp::BitOr => Some(ReductionKind::Or),
-                BinaryOp::BitXor => Some(ReductionKind::Xor),
-                _ => None,
-            };
-            match kind {
+            match reduction_kind(cop) {
                 Some(kind) if !value.mentions(name) => {
                     let (v, vty) = self.lower_expr(value);
                     let v = self.coerce(v, vty, ty);
@@ -1154,6 +1114,8 @@ impl Affine {
     }
 }
 
+/// The IR operator of an arithmetic or bitwise C operator; `None` for
+/// comparisons and the logical operators.
 fn bin_ir(op: BinaryOp) -> Option<BinOpIr> {
     Some(match op {
         BinaryOp::Add => BinOpIr::Add,
@@ -1166,6 +1128,19 @@ fn bin_ir(op: BinaryOp) -> Option<BinOpIr> {
         BinaryOp::BitAnd => BinOpIr::And,
         BinaryOp::BitOr => BinOpIr::Or,
         BinaryOp::BitXor => BinOpIr::Xor,
+        _ => return None,
+    })
+}
+
+/// The reduction an update through `op` accumulates (`s op= e`,
+/// `s = s op e`); `t = t - e` is a sum of negatives.
+fn reduction_kind(op: BinaryOp) -> Option<ReductionKind> {
+    Some(match op {
+        BinaryOp::Add | BinaryOp::Sub => ReductionKind::Sum,
+        BinaryOp::Mul => ReductionKind::Product,
+        BinaryOp::BitAnd => ReductionKind::And,
+        BinaryOp::BitOr => ReductionKind::Or,
+        BinaryOp::BitXor => ReductionKind::Xor,
         _ => return None,
     })
 }
@@ -1195,15 +1170,7 @@ fn match_reduction_rhs<'e>(t: &str, rhs: &'e Expr) -> Option<(ReductionKind, &'e
     match &rhs.kind {
         // t = t ⊕ e  /  t = e ⊕ t
         ExprKind::Binary { op, lhs, rhs: r } => {
-            let kind = match op {
-                BinaryOp::Add => ReductionKind::Sum,
-                BinaryOp::Mul => ReductionKind::Product,
-                BinaryOp::BitAnd => ReductionKind::And,
-                BinaryOp::BitOr => ReductionKind::Or,
-                BinaryOp::BitXor => ReductionKind::Xor,
-                BinaryOp::Sub => ReductionKind::Sum, // t = t - e is a sum of negatives
-                _ => return None,
-            };
+            let kind = reduction_kind(*op)?;
             if lhs.is_ident(t) && !r.mentions(t) {
                 return Some((kind, r));
             }

@@ -11,7 +11,7 @@
 //! ```
 
 use nvc_embed::extract_path_contexts;
-use nvc_frontend::{extract_loops, parse_statement, parse_translation_unit};
+use nvc_frontend::{extract_loops, for_each_loop, parse_translation_unit};
 use nvc_ir::{analyze_dependences, lower_innermost_loops, ParamEnv};
 use nvc_machine::TargetConfig;
 use nvc_vectorizer::{VectorDecision, Vectorizer};
@@ -70,9 +70,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dep = analyze_dependences(ir);
     println!("\n=== dependences ===\nlegal max VF: {}", dep.max_vf);
 
-    // Stage 4: the observation the agent sees.
-    let stmt = parse_statement(&lowered[0].text)?;
-    let paths = extract_path_contexts(&stmt, 8);
+    // Stage 4: the observation the agent sees — the loop's own statement,
+    // read off the translation unit of stage 1 as training reads it
+    // (`Compiler::front_end_sampled`). Only a loop that uses a macro
+    // defined outside it would be parsed again (`nvc_embed::sample_stmt`).
+    let mut stmt = None;
+    for_each_loop(&tu, &mut |l| {
+        if l.is_innermost {
+            stmt = stmt.or(Some(l.stmt));
+        }
+    });
+    let stmt = stmt.ok_or("no innermost loop")?;
+    let paths = extract_path_contexts(stmt, 8);
     println!("\n=== code2vec path contexts (first 8) ===");
     for p in &paths {
         println!("  ({}, {}, {})", p.start, p.path, p.end);

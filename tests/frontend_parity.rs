@@ -1,27 +1,39 @@
-//! Frontend parity: the one-pass route `extract_loop_samples` takes
-//! (one lex and one parse, each nest read off the file's own AST, the sample
-//! hashed straight off the statement) against the pipeline it replaced,
-//! spelled here from public entry points — parse the file, slice each
-//! innermost loop's nest text, lex and parse *that text* again, render
-//! the path contexts as strings, hash the strings. They must agree
-//! `LoopSite` for `LoopSite`: every index of every sample is cache-key
-//! material (`sample_key`), and persisted hub caches and the fleet
-//! `ContentStore` assume keys are stable across builds.
+//! Frontend parity: the one-pass routes against the pipelines they
+//! replaced, spelled here from public entry points.
 //!
-//! The hazard the route has to preserve is the macro rule: lexing a
-//! nest's text on its own does not see a `#define` that sits outside the
-//! nest, so `i < N` is sampled as a variable, not as `N`'s expansion —
-//! and the training environment does the same. Sampling the translation
-//! unit's own, expanded statement would change those keys.
+//! * Serving: `extract_loop_samples` (one lex and one parse, each nest
+//!   read off the file's own AST, the sample hashed straight off the
+//!   statement) against parsing the file, slicing each innermost loop's
+//!   nest text, lexing and parsing *that text* again, rendering the path
+//!   contexts as strings and hashing the strings. They must agree
+//!   `LoopSite` for `LoopSite`: every index of every sample is cache-key
+//!   material (`sample_key`), and persisted hub caches and the fleet
+//!   `ContentStore` assume keys are stable across builds.
+//! * Training and the figures: `Compiler::front_end_sampled` (the same
+//!   one parse, each lowered loop paired with the sample of its own
+//!   statement) against lowering and then parsing each loop's copied
+//!   text again, on every corpus, plain and after Polly. The samples are
+//!   the training environment's observations, so a difference moves the
+//!   committed checkpoints and figures.
+//!
+//! The hazard both routes have to preserve is the macro rule: lexing a
+//! nest's or a loop's text on its own does not see a `#define` that sits
+//! outside it, so `i < N` is sampled as a variable, not as `N`'s
+//! expansion. Sampling the translation unit's own, expanded statement
+//! would change those keys and observations.
 
 use std::borrow::Cow;
 
-use nvc_datasets::{eval, generator, mibench, polybench, suite};
+use neurovectorizer::{Compiler, VectorizeEnv};
+use nvc_datasets::{eval, generator, mibench, polybench, suite, Kernel};
 use nvc_embed::{extract_loop_samples, extract_path_contexts, EmbedConfig, LoopSite, PathSample};
 use nvc_frontend::lexer::PUNCTS;
 use nvc_frontend::{
-    extract_loops, parse_statement, parse_translation_unit, FrontendError, Lexer, TokenKind,
+    extract_loops, for_each_loop, parse_statement, parse_translation_unit, FrontendError, Lexer,
+    Parser, TokenKind,
 };
+use nvc_ir::{LoweredLoop, ParamEnv};
+use nvc_machine::TargetConfig;
 use nvc_serve::sample_key;
 use proptest::prelude::*;
 
@@ -648,6 +660,195 @@ fn random_programs_sample_alike() {
     assert!(spliced >= 100, "{seen}");
     assert!(inner_defines >= 50, "{seen}");
     assert!(pragmas >= 50 && whiles >= 50 && deep >= 50, "{seen}");
+}
+
+// ---------------------------------------------------------------------
+// The training environment's loops: one parse, each loop paired
+// ---------------------------------------------------------------------
+
+/// The route `Compiler::front_end_sampled` replaced: lower, then parse
+/// each loop's copied text again and sample that statement.
+fn reparsed(l: &LoweredLoop, cfg: &EmbedConfig) -> Option<PathSample> {
+    let stmt = parse_statement(&l.text).ok()?;
+    Some(PathSample::from_stmt(&stmt, cfg))
+}
+
+/// Holds every loop's paired sample to [`reparsed`] under both shipped
+/// configurations, and the paired loops to `front_end`'s. Returns the
+/// loops and how many of them have no sample, or `None` when the front
+/// end rejects the kernel.
+fn assert_paired_like_reparsed(compiler: &Compiler, kernel: &Kernel) -> Option<(usize, usize)> {
+    let lowered = compiler.front_end(kernel).ok()?;
+    let mut unsampled = 0;
+    for cfg in [EmbedConfig::fast(), EmbedConfig::paper()] {
+        let paired = compiler
+            .front_end_sampled(kernel, &cfg)
+            .expect("front_end accepted the kernel");
+        assert_eq!(paired.len(), lowered.len(), "{}", kernel.name);
+        unsampled = 0;
+        for ((l, sample), plain) in paired.iter().zip(&lowered) {
+            assert_eq!(l, plain, "{}: lowered alike", kernel.name);
+            assert_eq!(
+                *sample,
+                reparsed(l, &cfg),
+                "{}: loop {} at line {}, max_paths {}:\n{}",
+                kernel.name,
+                l.loop_index,
+                l.header_line,
+                cfg.max_paths,
+                l.text
+            );
+            unsampled += usize::from(sample.is_none());
+        }
+    }
+    Some((lowered.len(), unsampled))
+}
+
+fn kernel(source: &str) -> Kernel {
+    Kernel::new("k", "parity", source, ParamEnv::new())
+}
+
+/// The plain compiler and the one that runs Polly first.
+fn compilers() -> [Compiler; 2] {
+    let plain = Compiler::new(TargetConfig::i7_8559u());
+    [plain.clone(), plain.with_polly()]
+}
+
+#[test]
+fn fixed_corpora_pair_each_loop_with_its_reparsed_sample() {
+    let mut corpus = suite::llvm_suite();
+    corpus.extend(eval::eval_benchmarks());
+    corpus.extend(polybench::polybench());
+    corpus.extend(mibench::mibench());
+    for compiler in compilers() {
+        let mut loops = 0;
+        for k in &corpus {
+            let (n, unsampled) = assert_paired_like_reparsed(&compiler, k)
+                .unwrap_or_else(|| panic!("{}: the front end rejects it", k.name));
+            assert_eq!(unsampled, 0, "{}: every loop parses alone", k.name);
+            loops += n;
+        }
+        assert!(loops >= corpus.len(), "corpus lost loops: {loops}");
+    }
+}
+
+#[test]
+fn generated_kernels_pair_each_loop_with_its_reparsed_sample() {
+    let kernels = generator::generate(0xA11CE, 2000);
+    for compiler in compilers() {
+        let mut loops = 0;
+        for k in &kernels {
+            let (n, _) = assert_paired_like_reparsed(&compiler, k)
+                .unwrap_or_else(|| panic!("{}: the front end rejects it", k.name));
+            loops += n;
+        }
+        assert!(loops >= kernels.len(), "generator lost loops: {loops}");
+    }
+}
+
+#[test]
+fn a_loop_reads_a_macro_defined_before_it_as_written() {
+    let [plain, _] = compilers();
+    let sample = |source: &str| {
+        let k = kernel(source);
+        assert_eq!(assert_paired_like_reparsed(&plain, &k), Some((1, 0)));
+        let paired = plain.front_end_sampled(&k, &EmbedConfig::fast()).unwrap();
+        paired.into_iter().next().unwrap().1.unwrap()
+    };
+    // Defined before the function: `N` reads as a variable.
+    let with_macro = sample(
+        "#define N 1024\nfloat a[N];\nvoid f() { for (int i = 0; i < N; i++) { a[i] = 0; } }",
+    );
+    let with_variable =
+        sample("float a[1024];\nvoid f(int n) { for (int i = 0; i < n; i++) { a[i] = 0; } }");
+    let with_literal =
+        sample("float a[1024];\nvoid f() { for (int i = 0; i < 1024; i++) { a[i] = 0; } }");
+    assert_eq!(with_macro, with_variable);
+    assert_ne!(with_macro, with_literal);
+    // Defined inside the nest but before the loop: outside the loop, so
+    // the loop reads it as written where serving's nest reads it expanded.
+    let inner = "float a[64]; float m[64][64];
+void f(int n) {
+    for (int i = 0; i < n; i++) {
+#define K 8
+        for (int j = 0; j < n; j++) { m[i][j] = K; }
+    }
+}";
+    let inner_as_written = "float a[64]; float m[64][64];
+void f(int n, int k) {
+    for (int i = 0; i < n; i++) {
+        for (int j = 0; j < n; j++) { m[i][j] = k; }
+    }
+}";
+    assert_eq!(sample(inner), sample(inner_as_written));
+}
+
+#[test]
+fn a_loop_that_does_not_parse_alone_is_lowered_but_not_sampled() {
+    // The file parses (`LOOP` expands to `for`); the loop text `LOOP (…) …`
+    // does not. Both routes skip it, and the environment drops it.
+    let source = "#define LOOP for\nint a[64]; int b[64];
+void f(int n) {
+    LOOP (int i = 0; i < n; i++) { a[i] = 0; }
+    for (int j = 0; j < n; j++) { b[j] = 1; }
+}";
+    let [plain, _] = compilers();
+    assert_eq!(
+        assert_paired_like_reparsed(&plain, &kernel(source)),
+        Some((2, 1))
+    );
+    let paired = plain
+        .front_end_sampled(&kernel(source), &EmbedConfig::fast())
+        .unwrap();
+    assert!(paired[0].1.is_none() && paired[1].1.is_some());
+    let env = VectorizeEnv::new(
+        vec![kernel(source)],
+        TargetConfig::i7_8559u(),
+        &EmbedConfig::fast(),
+    );
+    assert_eq!(env.contexts().len(), 1);
+    assert_eq!(
+        env.contexts()[0].sample.as_ref(),
+        paired[1].1.as_ref().unwrap()
+    );
+}
+
+#[test]
+fn random_programs_pair_each_loop_with_its_reparsed_sample() {
+    const CASES: u64 = 600;
+    let (mut lowered, mut loops, mut unsampled, mut spliced) = (0, 0, 0, 0);
+    for seed in 0..CASES {
+        let source = Gen::source(seed);
+        for compiler in compilers() {
+            let Some((n, u)) = assert_paired_like_reparsed(&compiler, &kernel(&source)) else {
+                continue;
+            };
+            lowered += 1;
+            loops += n;
+            unsampled += u;
+        }
+        // Loops that use a macro defined before them: the paired route
+        // parses their splice again, the rest are read off the file's AST.
+        let Ok(lexed) = Lexer::new(&source).lex() else {
+            continue;
+        };
+        let Ok(tu) = Parser::new(lexed.tokens()).parse_translation_unit() else {
+            continue;
+        };
+        for_each_loop(&tu, &mut |l| {
+            spliced += usize::from(
+                l.is_innermost && matches!(lexed.tokens_in(l.stmt.span), Cow::Owned(_)),
+            );
+        });
+    }
+    let seen = format!(
+        "lowered {lowered} of {CASES} sources × 2 compilers, loops {loops}, \
+         unsampled {unsampled}, spliced {spliced}"
+    );
+    assert!(lowered >= CASES as usize, "{seen}");
+    assert!(loops >= 600, "{seen}");
+    assert!(unsampled >= 50, "{seen}");
+    assert!(spliced >= 100, "{seen}");
 }
 
 // ---------------------------------------------------------------------
